@@ -29,7 +29,11 @@ from repro.core.strategies import (
     resolve_strategy,
 )
 from repro.errors import ModelError
-from repro.fx.costs import TrainingPageProfile, recommend_training_strategy
+from repro.fx.costs import (
+    TrainingPageProfile,
+    recommend_training_strategy,
+    training_cost_model,
+)
 from repro.gmm.algorithms import fit_f_gmm, fit_m_gmm, fit_s_gmm
 from repro.gmm.base import EMConfig, GMMFitResult
 from repro.gmm.model import GaussianMixtureModel
@@ -106,7 +110,7 @@ def _resolve_training_strategy(
     algorithm: str, db: Database, spec: JoinSpec, kind: str,
     width_param: int, iterations: int,
     block_pages: int = DEFAULT_BLOCK_PAGES,
-) -> str:
+) -> tuple[str, dict | None]:
     """Resolve a training algorithm name, settling ``"auto"`` from the
     unified cost-model interface (:mod:`repro.fx.costs`).
 
@@ -115,27 +119,43 @@ def _resolve_training_strategy(
     materialized vs streaming for the run length ``iterations`` (EM
     iterations / NN epochs), with the database's buffer-pool capacity
     as the memory budget a materialized join result must fit in.
+    Returns the strategy and, for ``"auto"``, what the cost model saw
+    (the fit result's ``extra["auto"]``); ``None`` for a named one.
     """
     strategy = resolve_strategy(algorithm)
     if strategy != AUTO:
-        return strategy
+        return strategy, None
     resolved = spec.resolve(db)
     layout = resolved.layout
-    return recommend_training_strategy(
-        kind,
-        rows=resolved.num_rows,
-        distinct=tuple(d.relation.nrows for d in resolved.dimensions),
+    rows = resolved.num_rows
+    distinct = tuple(d.relation.nrows for d in resolved.dimensions)
+    shape = dict(
         d_s=layout.sizes[0],
         dim_widths=tuple(layout.sizes[1:]),
         width_param=width_param,
-        pages=TrainingPageProfile.for_join(
-            resolved,
-            page_size_bytes=db.page_size_bytes,
-            block_pages=block_pages,
-        ),
+    )
+    pages = TrainingPageProfile.for_join(
+        resolved,
+        page_size_bytes=db.page_size_bytes,
+        block_pages=block_pages,
+    )
+    chosen = recommend_training_strategy(
+        kind,
+        rows=rows,
+        distinct=distinct,
+        pages=pages,
         iterations=iterations,
         memory_budget_pages=db.buffer_pool.capacity_pages,
+        **shape,
     )
+    model = training_cost_model(kind, **shape)
+    return chosen, {
+        "chosen": chosen,
+        "dense_mults": model.dense_mults(rows),
+        "factorized_mults": model.factorized_mults(rows, distinct),
+        "streaming_pages": model.streaming_io_pages(pages, iterations),
+        "materialized_pages": model.materialized_io_pages(pages, iterations),
+    }
 
 
 _GMM_FITTERS = {
@@ -177,7 +197,9 @@ def fit_gmm(
     folded-in page I/O counts (streaming when materializing ``T``
     would move more pages over ``max_iter`` iterations, or would not
     fit the buffer pool).  The result's ``fit.extra`` carries the
-    run's dedup bookkeeping (``dedup_ratio`` et al.).
+    run's dedup bookkeeping (``dedup_ratio`` et al.), the S-/F- join
+    index's counters (``join_index``) and, under ``"auto"``, what the
+    cost model saw and chose (``auto``).
 
     >>> gmm = fit_gmm(db, spec, n_components=3, algorithm="auto")
     >>> gmm.algorithm                                # doctest: +SKIP
@@ -192,13 +214,15 @@ def fit_gmm(
             reg_covar=reg_covar,
             seed=seed,
         )
-    strategy = _resolve_training_strategy(
+    strategy, auto = _resolve_training_strategy(
         algorithm, db, spec, "gmm", config.n_components,
         config.max_iter, block_pages,
     )
     fit_result = _GMM_FITTERS[strategy](
         db, spec, config, block_pages=block_pages, telemetry=telemetry
     )
+    if auto is not None:
+        fit_result.extra["auto"] = auto
     model = GaussianMixtureModel(
         fit_result.params, reg_covar=config.reg_covar
     )
@@ -247,13 +271,15 @@ def fit_nn(
             shuffle=shuffle,
             seed=seed,
         )
-    strategy = _resolve_training_strategy(
+    strategy, auto = _resolve_training_strategy(
         algorithm, db, spec, "nn", config.hidden_sizes[0],
         config.epochs, block_pages,
     )
     fit_result = _NN_FITTERS[strategy](
         db, spec, config, block_pages=block_pages, telemetry=telemetry
     )
+    if auto is not None:
+        fit_result.extra["auto"] = auto
     return NNResult(model=fit_result.model, fit=fit_result)
 
 

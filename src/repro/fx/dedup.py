@@ -14,19 +14,22 @@ calling ``np.unique`` again.
 
 The plan is also the bridge to the training-side primitives: each
 dimension's ``inverse`` array *is* a codes array in the sense of
-:class:`repro.linalg.groupsum.GroupIndex`, so grouped reductions can be
-built from a plan without another sort (:meth:`DimensionDedup.
-group_index`).  Training batches use exactly this bridge: the join
-access paths (:mod:`repro.join.bnl`) build one plan per assembled
-block, and the factorized design's dimension blocks and group indexes
-both derive from it — so one dedup per batch per dimension holds
-across training and serving alike.
+:class:`repro.linalg.groupsum.GroupIndex`, and the one stable sort
+:meth:`DedupPlan.for_batch` runs per FK column yields ``unique``,
+``inverse`` *and* the group order, so :meth:`DimensionDedup.
+group_index` (memoized on the dedup) hands grouped reductions an index
+that never sorts again.  Training batches use exactly this bridge: the
+join access paths (:mod:`repro.join.bnl`) build one plan per block —
+on the first pass of a fit; later passes replay it from the join index
+— and the factorized design's dimension blocks and group indexes both
+derive from it.
 
-This module is the repository's *only* home for ``np.unique``:
+This module is the repository's *only* home for deduplication:
 :meth:`DedupPlan.for_batch` dedups FK columns, and
-:func:`distinct_values` is the utility every other module uses when it
-needs sorted distinct integers (page numbers, shard ids).  The AST
-test ``tests/fx/test_single_dedup.py`` enforces the monopoly.
+:func:`distinct_values` (the one ``np.unique`` call) is the utility
+every other module uses when it needs sorted distinct integers (page
+numbers, shard ids).  The AST test ``tests/fx/test_single_dedup.py``
+enforces the monopoly.
 """
 
 from __future__ import annotations
@@ -54,17 +57,40 @@ def distinct_values(values) -> np.ndarray:
     return np.unique(np.asarray(values))
 
 
+def _stable_order(keys: np.ndarray) -> np.ndarray:
+    """Stable argsort of an int64 column, as compact row numbers.
+
+    Packing ``(key - min, row)`` into one int64 makes every element
+    distinct, so the plain (SIMD) sort is a stable one — several times
+    faster than ``argsort(kind="stable")``, which remains the fallback
+    when the key range leaves no room for the row bits.
+    """
+    n = keys.shape[0]
+    row_bits = max(n - 1, 1).bit_length()
+    low = int(keys.min())
+    if (int(keys.max()) - low).bit_length() + row_bits < 63:
+        packed = ((keys - low) << row_bits) | np.arange(n)
+        packed.sort()
+        order = packed & ((1 << row_bits) - 1)
+    else:
+        order = np.argsort(keys, kind="stable")
+    return order.astype(np.int32 if row_bits < 32 else np.int64, copy=False)
+
+
 @dataclass(frozen=True)
 class DimensionDedup:
     """One dimension's ``(unique, inverse)`` FK sort.
 
     ``unique`` holds the sorted distinct RIDs (int64); ``inverse`` maps
     each of the batch's fact rows to its position in ``unique``, so
-    ``unique[inverse]`` reproduces the raw FK column.
+    ``unique[inverse]`` reproduces the raw FK column.  ``order`` is the
+    sort that produced them — the batch's rows in stable RID order —
+    when :meth:`DedupPlan.for_batch` built the dedup, else ``None``.
     """
 
     unique: np.ndarray
     inverse: np.ndarray
+    order: np.ndarray | None = None
 
     @property
     def m(self) -> int:
@@ -85,10 +111,26 @@ class DimensionDedup:
         """The training-side grouped-reduction view of this dedup.
 
         ``inverse`` is already a codes array mapping fact rows to
-        ``[0, m)``, so the :class:`~repro.linalg.groupsum.GroupIndex`
-        is built without re-sorting the keys.
+        ``[0, m)`` and ``order`` its stable sort, so the
+        :class:`~repro.linalg.groupsum.GroupIndex` — built once per
+        dedup and shared by every caller — never sorts when the dedup
+        kept its order, and sorts lazily, once, when it did not.
         """
-        return GroupIndex.from_inverse(self.inverse, self.m)
+        return self._group_index
+
+    @cached_property
+    def _group_index(self) -> GroupIndex:
+        return GroupIndex.from_inverse(self.inverse, self.m, self.order)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of key-derived arrays held (the group index owns
+        ``order`` and whatever it derived since)."""
+        return (
+            self.unique.nbytes
+            + self.inverse.nbytes
+            + self.group_index().nbytes
+        )
 
 
 @dataclass(frozen=True)
@@ -98,7 +140,7 @@ class DedupPlan:
     Built once per assembled batch via :meth:`for_batch`; the planner
     reads :attr:`distinct` for its cost estimates and the predictors
     read each dimension's ``(unique, inverse)`` for cache lookups and
-    gathers — one ``np.unique`` per batch per dimension, total.
+    gathers — one sort per batch per dimension, total.
     """
 
     rows: int
@@ -107,7 +149,9 @@ class DedupPlan:
     @classmethod
     def for_batch(cls, fks) -> "DedupPlan":
         """Dedup one batch's canonical per-dimension FK arrays."""
-        arrays = [np.asarray(fk).ravel() for fk in fks]
+        arrays = [
+            np.asarray(fk).ravel().astype(np.int64, copy=False) for fk in fks
+        ]
         rows = int(arrays[0].shape[0]) if arrays else 0
         dims = []
         for fk in arrays:
@@ -116,14 +160,30 @@ class DedupPlan:
                     f"FK arrays disagree on batch size: {fk.shape[0]} "
                     f"vs {rows}"
                 )
-            unique, inverse = np.unique(fk, return_inverse=True)
-            dims.append(
-                DimensionDedup(
-                    unique.astype(np.int64),
-                    np.asarray(inverse, dtype=np.int64).ravel(),
-                )
-            )
+            if rows == 0:
+                dims.append(DimensionDedup(fk, fk))
+                continue
+            order = _stable_order(fk)
+            ordered = fk.take(order)
+            first = np.empty(rows, dtype=bool)      # starts a new RID run
+            first[0] = True
+            np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+            inverse = np.empty(rows, dtype=np.int64)
+            inverse[order] = np.cumsum(first) - 1
+            dims.append(DimensionDedup(ordered[first], inverse, order))
         return cls(rows=rows, dims=tuple(dims))
+
+    def permuted(self, permutation: np.ndarray) -> "DedupPlan":
+        """The plan of the same batch with its rows reordered: same
+        distinct RIDs, ``inverse`` taken through ``permutation`` — what
+        :meth:`for_batch` would return for the reordered FK columns."""
+        return DedupPlan(
+            self.rows,
+            tuple(
+                DimensionDedup(dim.unique, dim.inverse.take(permutation))
+                for dim in self.dims
+            ),
+        )
 
     @property
     def num_dimensions(self) -> int:

@@ -95,6 +95,7 @@ def fit_s_gmm(
     result = run_em(
         engine, config, algorithm=S_GMM, initial=initial, telemetry=telemetry
     )
+    result.extra["join_index"] = access.index.publish(telemetry, S_GMM)
     result.io = db.stats.snapshot() - before
     return result
 
@@ -121,6 +122,7 @@ def fit_f_gmm(
     result = run_em(
         engine, config, algorithm=F_GMM, initial=initial, telemetry=telemetry
     )
+    result.extra["join_index"] = access.index.publish(telemetry, F_GMM)
     result.io = db.stats.snapshot() - before
     return result
 

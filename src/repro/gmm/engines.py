@@ -57,10 +57,11 @@ class _EngineBase:
         collected: list[np.ndarray] = []
         total = 0
         for batch in self.batches(0):
-            needed = max_rows - total
-            if batch.n > needed:
-                batch = batch.take(np.arange(needed))
             rows = self._dense_rows(batch)
+            if rows.shape[0] > max_rows - total:
+                # C-ordered copy of the prefix: the initializer's float
+                # sums follow memory order, and M- rows are not C-ordered.
+                rows = np.ascontiguousarray(rows[: max_rows - total])
             collected.append(rows)
             total += rows.shape[0]
             if total >= max_rows:

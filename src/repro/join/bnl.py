@@ -18,10 +18,19 @@ Every joined tuple is emitted exactly once per pass, grouped into
 the raw fact rows, each dimension's page-block feature rows with their
 keys, and — the factorized execution core's contract — one
 :class:`~repro.fx.dedup.DedupPlan` deduplicating the block's FK
-columns, built exactly once at assembly.  Downstream code either
-densifies the block (S- algorithms) or keeps it factorized
-(F- algorithms); both read the same plan, the same way serving batches
-thread their plan through ``BatchPlanner → predict()``.
+columns.  Downstream code either densifies the block (S- algorithms)
+or keeps it factorized (F- algorithms); both read the same plan, the
+same way serving batches thread their plan through ``BatchPlanner →
+predict()``.
+
+A fit makes many passes (three per EM iteration, one per epoch) and
+everything a pass derives from *key columns* — which fact rows match an
+outer block, the block's dedup and group order, where its distinct
+dimension rows sit — is the same every time.  A :class:`JoinIndex`
+records that on the first pass over each block; later passes read
+exactly the same pages in the same order and replace probe → mask →
+sort → ``codes_for_keys`` with one ``take`` per chunk.  It holds
+integers only, never feature values.
 
 Blocks whose inner scan matched no fact tuples are not emitted: the
 page reads are already charged by the time emptiness is known, and an
@@ -30,15 +39,17 @@ empty batch carries no work for any consumer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
 from repro.errors import JoinError
 from repro.fx.dedup import DedupPlan
+from repro.join.spec import JoinSpec, ResolvedJoin
 from repro.linalg.groupsum import codes_for_keys
-from repro.join.spec import ResolvedJoin
+from repro.obs import as_telemetry
+from repro.storage.catalog import Database
 
 DEFAULT_BLOCK_PAGES = 64
 
@@ -49,38 +60,90 @@ class JoinBlock:
 
     ``fact_rows`` are raw fact-relation rows (all schema columns);
     ``dim_features[i]`` / ``dim_keys[i]`` hold the ``i``-th dimension
-    page-block's feature rows and primary keys; ``fks[i]`` is the raw
-    FK column of the block's fact rows, and ``plan`` is its
-    :class:`~repro.fx.dedup.DedupPlan` — the one ``(unique, inverse)``
-    sort per dimension that every consumer of this block shares.
+    page-block's feature rows and primary keys; ``plan`` is the
+    :class:`~repro.fx.dedup.DedupPlan` of the block's FK columns — the
+    one ``(unique, inverse)`` sort per dimension that every consumer of
+    this block shares — and ``positions[i]`` are the rows of
+    ``dim_features[i]`` holding the plan's distinct RIDs.
     """
 
     fact_rows: np.ndarray
     dim_features: list[np.ndarray]
     dim_keys: list[np.ndarray]
-    fks: list[np.ndarray]
     plan: DedupPlan
-    _distinct_rows: dict[int, np.ndarray] = field(
-        default_factory=dict, repr=False
-    )
+    positions: tuple[np.ndarray, ...]
 
     @property
     def n(self) -> int:
         return self.fact_rows.shape[0]
 
+    @property
+    def fks(self) -> list[np.ndarray]:
+        """The raw FK column of the block's fact rows, per dimension."""
+        return [dim.unique.take(dim.inverse) for dim in self.plan.dims]
+
     def distinct_rows(self, dim_index: int) -> np.ndarray:
         """Dimension ``dim_index``'s feature rows at the plan's distinct
-        RIDs (sorted-RID order), selected from the page block once and
-        cached — shared by densify and factorize alike."""
-        if dim_index not in self._distinct_rows:
-            positions = codes_for_keys(
-                self.plan.dims[dim_index].unique,
-                self.dim_keys[dim_index],
-            )
-            self._distinct_rows[dim_index] = (
-                self.dim_features[dim_index][positions]
-            )
-        return self._distinct_rows[dim_index]
+        RIDs (sorted-RID order) — shared by densify and factorize."""
+        return self.dim_features[dim_index].take(
+            self.positions[dim_index], axis=0
+        )
+
+
+@dataclass
+class _BlockKeys:
+    """What one outer block's key columns determine, in storage order.
+
+    ``offsets`` (binary joins) are the matched row offsets within each
+    inner fact chunk; ``plan`` is ``None`` for a block nothing matched.
+    """
+
+    offsets: list[np.ndarray] | None
+    plan: DedupPlan | None = None
+    positions: tuple[np.ndarray, ...] = ()
+
+    @classmethod
+    def record(
+        cls,
+        fact_rows: np.ndarray,
+        dim_keys: list[np.ndarray],
+        fk_positions: list[int],
+        offsets: list[np.ndarray] | None = None,
+    ) -> "_BlockKeys":
+        """Dedup the block's FK columns, in storage order, exactly once."""
+        plan = DedupPlan.for_batch(
+            [fact_rows[:, position] for position in fk_positions]
+        )
+        positions = tuple(
+            codes_for_keys(dim.unique, keys).astype(np.int32)
+            for dim, keys in zip(plan.dims, dim_keys)
+        )
+        return cls(offsets, plan, positions)
+
+    @property
+    def nbytes(self) -> int:
+        arrays = [*(self.offsets or ()), *self.positions]
+        dims = self.plan.dims if self.plan is not None else ()
+        return sum(a.nbytes for a in arrays) + sum(d.nbytes for d in dims)
+
+    def block(
+        self,
+        fact_rows: np.ndarray,
+        dim_features: list[np.ndarray],
+        dim_keys: list[np.ndarray],
+        shuffle: bool,
+        rng: np.random.Generator | None,
+    ) -> JoinBlock:
+        """Package the block; a shuffled pass permutes the recorded
+        plan instead of deriving one from the permuted rows."""
+        plan = self.plan
+        if shuffle and fact_rows.shape[0] > 1:
+            permutation = rng.permutation(fact_rows.shape[0])
+            fact_rows = fact_rows.take(permutation, axis=0)
+            plan = plan.permuted(permutation)
+        return JoinBlock(
+            fact_rows, dim_features, dim_keys, plan, self.positions
+        )
 
 
 def iter_join_blocks(
@@ -96,45 +159,44 @@ def iter_join_blocks(
     within each block are permuted (the paper's per-epoch key
     permutation for SGD, Section VI); pass a seeded ``rng`` for
     reproducibility.  Each emitted block carries its
-    :class:`~repro.fx.dedup.DedupPlan`, built here exactly once (after
-    any permutation, so the plan's inverse maps the emitted row order).
+    :class:`~repro.fx.dedup.DedupPlan` (its inverse maps the emitted
+    row order).  One pass that remembers nothing; the access paths
+    iterate through a :class:`JoinIndex` instead.
     """
+    return _iter_blocks(resolved, block_pages, shuffle, rng, {})
+
+
+def _iter_blocks(
+    resolved: ResolvedJoin,
+    block_pages: int,
+    shuffle: bool,
+    rng: np.random.Generator | None,
+    recorded: dict[int, _BlockKeys],
+) -> Iterator[JoinBlock]:
+    """One pass; ``recorded`` maps an outer block's first page to its
+    :class:`_BlockKeys`, read where present and filled where not."""
     if block_pages <= 0:
         raise JoinError(f"block_pages must be positive, got {block_pages}")
     if shuffle and rng is None:
         rng = np.random.default_rng()
     if resolved.num_dimensions == 1:
-        yield from _iter_binary(resolved, block_pages, shuffle, rng)
+        yield from _iter_binary(resolved, block_pages, shuffle, rng, recorded)
     else:
-        yield from _iter_multiway(resolved, block_pages, shuffle, rng)
+        yield from _iter_multiway(
+            resolved, block_pages, shuffle, rng, recorded
+        )
 
 
-def _block_starts(npages: int, block_pages: int) -> list[int]:
-    return list(range(0, npages, block_pages))
-
-
-def _assemble(
-    fact_rows: np.ndarray,
-    dim_features: list[np.ndarray],
-    dim_keys: list[np.ndarray],
-    fk_positions: list[int],
+def _block_starts(
+    npages: int,
+    block_pages: int,
     shuffle: bool,
     rng: np.random.Generator | None,
-) -> JoinBlock:
-    """Permute (optionally), extract FK columns, dedup once, package."""
-    if shuffle and fact_rows.shape[0] > 1:
-        fact_rows = fact_rows[rng.permutation(fact_rows.shape[0])]
-    fks = [
-        fact_rows[:, position].astype(np.int64)
-        for position in fk_positions
-    ]
-    return JoinBlock(
-        fact_rows,
-        dim_features,
-        dim_keys,
-        fks,
-        DedupPlan.for_batch(fks),
-    )
+) -> list[int]:
+    starts = list(range(0, npages, block_pages))
+    if shuffle:
+        starts = [starts[i] for i in rng.permutation(len(starts))]
+    return starts
 
 
 def _iter_binary(
@@ -142,34 +204,44 @@ def _iter_binary(
     block_pages: int,
     shuffle: bool,
     rng: np.random.Generator | None,
+    recorded: dict[int, _BlockKeys],
 ) -> Iterator[JoinBlock]:
     """Fig. 1(b)/(c): dimension relation outer, fact relation inner."""
     dim = resolved.dimensions[0]
     fact = resolved.fact
     fk_position = fact.schema.fk_position(dim.relation.name)
-    starts = _block_starts(dim.relation.npages, block_pages)
-    if shuffle:
-        starts = [starts[i] for i in rng.permutation(len(starts))]
-    for first_page in starts:
+    for first_page in _block_starts(
+        dim.relation.npages, block_pages, shuffle, rng
+    ):
         npages = min(block_pages, dim.relation.npages - first_page)
         dim_rows = dim.relation.heap.read_pages(first_page, npages)
         dim_keys = dim.relation.project_keys(dim_rows)
         dim_feats = dim.relation.project_features(dim_rows)
         # Inner scan of the fact relation, keeping tuples whose FK
-        # matches a key in the current outer block.
+        # matches a key in the current outer block: probed on the
+        # block's first pass, taken at the recorded offsets after.
+        keys = recorded.get(first_page)
+        offsets = [] if keys is None else keys.offsets
         matched_chunks = []
-        for fact_chunk in fact.iter_blocks(block_pages):
-            fk_values = fact_chunk[:, fk_position].astype(np.int64)
-            mask = np.isin(fk_values, dim_keys)
-            if mask.any():
-                matched_chunks.append(fact_chunk[mask])
-        if not matched_chunks:
+        for i, fact_chunk in enumerate(fact.iter_blocks(block_pages)):
+            if keys is None:
+                fk_values = fact_chunk[:, fk_position].astype(np.int64)
+                offsets.append(
+                    np.flatnonzero(np.isin(fk_values, dim_keys)).astype(
+                        np.int32
+                    )
+                )
+            if offsets[i].size:
+                matched_chunks.append(fact_chunk.take(offsets[i], axis=0))
+        if not matched_chunks:      # remembered too: nothing to probe for
+            recorded.setdefault(first_page, _BlockKeys(offsets))
             continue
         fact_rows = np.concatenate(matched_chunks, axis=0)
-        yield _assemble(
-            fact_rows, [dim_feats], [dim_keys], [fk_position],
-            shuffle, rng,
-        )
+        if keys is None:
+            keys = recorded[first_page] = _BlockKeys.record(
+                fact_rows, [dim_keys], [fk_position], offsets
+            )
+        yield keys.block(fact_rows, [dim_feats], [dim_keys], shuffle, rng)
 
 
 def _iter_multiway(
@@ -177,6 +249,7 @@ def _iter_multiway(
     block_pages: int,
     shuffle: bool,
     rng: np.random.Generator | None,
+    recorded: dict[int, _BlockKeys],
 ) -> Iterator[JoinBlock]:
     """Star join: dimensions resident per pass, fact relation streaming."""
     fact = resolved.fact
@@ -188,15 +261,147 @@ def _iter_multiway(
         dim_keys.append(dim.relation.project_keys(rows))
         dim_feats.append(dim.relation.project_features(rows))
         fk_positions.append(fact.schema.fk_position(dim.relation.name))
-    starts = _block_starts(fact.npages, block_pages)
-    if shuffle:
-        starts = [starts[i] for i in rng.permutation(len(starts))]
-    for first_page in starts:
+    for first_page in _block_starts(fact.npages, block_pages, shuffle, rng):
         npages = min(block_pages, fact.npages - first_page)
         fact_rows = fact.heap.read_pages(first_page, npages)
         if fact_rows.shape[0] == 0:
             continue
-        yield _assemble(
-            fact_rows, list(dim_feats), list(dim_keys), fk_positions,
-            shuffle, rng,
+        keys = recorded.get(first_page)
+        if keys is None:
+            keys = recorded[first_page] = _BlockKeys.record(
+                fact_rows, dim_keys, fk_positions
+            )
+        yield keys.block(
+            fact_rows, list(dim_feats), list(dim_keys), shuffle, rng
         )
+
+
+class JoinIndex:
+    """What passes over one join have learned from its key columns.
+
+    Per outer block: the matched fact-row offsets of every inner chunk
+    (binary joins), the block's storage-order
+    :class:`~repro.fx.dedup.DedupPlan` with its memoized group index,
+    and the positions of its distinct dimension rows — integers only,
+    16 B per joined tuple (``12·q`` for a ``q``-way star) plus 20 B per
+    distinct RID a block references, next to the ``K·8`` B per tuple of
+    ``γ`` that EM retains anyway.  Valid for one ``(row_version, nrows)``
+    of the fact and every dimension relation: a pass that starts under
+    another drops everything and records afresh.  A pass abandoned
+    mid-way keeps what it recorded; the next fills in the rest.
+    """
+
+    def __init__(
+        self, db: Database, resolved: ResolvedJoin, block_pages: int
+    ) -> None:
+        self._db = db
+        self.resolved = resolved
+        self.block_pages = block_pages
+        self._recorded: dict[int, _BlockKeys] = {}
+        self._version: tuple | None = None
+        self._complete = False
+        self.passes_replayed = 0
+        self.rebuilds = 0
+
+    def clear(self) -> None:
+        """Forget everything recorded (the next pass records afresh)."""
+        self._recorded = {}
+        self._complete = False
+
+    def blocks(
+        self, shuffle: bool = False, rng: np.random.Generator | None = None
+    ) -> Iterator[JoinBlock]:
+        """One pass over the join, replaying what earlier passes recorded."""
+        resolved = self.resolved
+        version = tuple(
+            (self._db.row_version(relation.name), relation.nrows)
+            for relation in (
+                resolved.fact, *(d.relation for d in resolved.dimensions)
+            )
+        )
+        if version != self._version:
+            self.rebuilds += bool(self._recorded)
+            self.clear()
+            self._version = version
+        self.passes_replayed += self._complete
+        yield from _iter_blocks(
+            resolved, self.block_pages, shuffle, rng, self._recorded
+        )
+        self._complete = True
+
+    def stats(self) -> dict:
+        """``{blocks, bytes, passes_replayed, rebuilds}`` so far."""
+        return {
+            "blocks": len(self._recorded),
+            "bytes": sum(k.nbytes for k in self._recorded.values()),
+            "passes_replayed": self.passes_replayed,
+            "rebuilds": self.rebuilds,
+        }
+
+    def publish(self, telemetry, algorithm: str) -> dict:
+        """:meth:`stats`, mirrored into the telemetry registry."""
+        stats = self.stats()
+        registry = as_telemetry(telemetry).registry
+        registry.gauge(
+            "repro_training_join_index_bytes",
+            help="Bytes of key-derived arrays the fit's join index held",
+            labelnames=("algorithm",),
+        ).labels(algorithm=algorithm).set(stats["bytes"])
+        registry.counter(
+            "repro_training_join_index_replays_total",
+            help="Training passes served from the join index",
+            labelnames=("algorithm",),
+        ).labels(algorithm=algorithm).inc(stats["passes_replayed"])
+        return stats
+
+
+class JoinAccess:
+    """Constructor and pass plumbing the S- and F- access paths share.
+
+    Parameters
+    ----------
+    db:
+        The database holding the base relations.
+    spec:
+        The star join to execute.
+    block_pages:
+        Pages per BNL outer block (the paper's ``BlockSize``).
+    shuffle:
+        Permute block order and intra-block tuple order per pass (the
+        paper's SGD key permutation).
+    seed:
+        Base seed; pass ``epoch`` to ``batches`` to vary the
+        permutation per epoch deterministically.
+    """
+
+    def __init__(
+        self,
+        db: Database,
+        spec: JoinSpec,
+        *,
+        block_pages: int = DEFAULT_BLOCK_PAGES,
+        shuffle: bool = False,
+        seed: int = 0,
+    ) -> None:
+        self.resolved = spec.resolve(db)
+        self.block_pages = block_pages
+        self.shuffle = shuffle
+        self.seed = seed
+        self.index = JoinIndex(db, self.resolved, block_pages)
+
+    @property
+    def num_rows(self) -> int:
+        return self.resolved.num_rows
+
+    @property
+    def has_target(self) -> bool:
+        return self.resolved.has_target
+
+    def blocks(self, epoch: int = 0) -> Iterator[JoinBlock]:
+        """One full pass over the join result, block by block."""
+        rng = (
+            np.random.default_rng((self.seed, epoch))
+            if self.shuffle
+            else None
+        )
+        return self.index.blocks(self.shuffle, rng)

@@ -8,14 +8,14 @@ joined tuples: each batch keeps the dimension features at their
 derives (Eq. 9–24, Section VI-A1) operates on this representation.
 
 The factorization itself is not private to this module: the block's
-:class:`~repro.fx.dedup.DedupPlan` (built once in
-:mod:`repro.join.bnl`) supplies both the distinct dimension rows and —
-via :meth:`~repro.fx.dedup.DimensionDedup.group_index` — the
-:class:`~repro.linalg.groupsum.GroupIndex` every grouped reduction
-runs on.  Dimension blocks therefore hold exactly the distinct RIDs
-the batch references, in sorted-RID order — the same rows a serving
-partial cache would key, which is what lets training and serving share
-one dedup machinery.
+:class:`~repro.fx.dedup.DedupPlan` (built on the first pass of a fit in
+:mod:`repro.join.bnl`, replayed after) supplies both the distinct
+dimension rows and — via :meth:`~repro.fx.dedup.DimensionDedup.
+group_index` — the memoized :class:`~repro.linalg.groupsum.GroupIndex`
+every grouped reduction runs on.  Dimension blocks therefore hold
+exactly the distinct RIDs the batch references, in sorted-RID order —
+the same rows a serving partial cache would key, which is what lets
+training and serving share one dedup machinery.
 """
 
 from __future__ import annotations
@@ -25,10 +25,9 @@ from typing import Iterator
 import numpy as np
 
 from repro.join.batches import FactorizedBatch
-from repro.join.bnl import DEFAULT_BLOCK_PAGES, JoinBlock, iter_join_blocks
-from repro.join.spec import JoinSpec, ResolvedJoin
+from repro.join.bnl import JoinAccess, JoinBlock
+from repro.join.spec import ResolvedJoin
 from repro.linalg.design import FactorizedDesign
-from repro.storage.catalog import Database
 
 
 def _factorize_block(
@@ -53,7 +52,7 @@ def _factorize_block(
     return FactorizedBatch(sids, design, targets, plan=block.plan)
 
 
-class FactorizedJoin:
+class FactorizedJoin(JoinAccess):
     """Streams the join result in factorized batches, one pass per call.
 
     Same constructor contract as
@@ -63,39 +62,7 @@ class FactorizedJoin:
     F- algorithms from I/O effects.
     """
 
-    def __init__(
-        self,
-        db: Database,
-        spec: JoinSpec,
-        *,
-        block_pages: int = DEFAULT_BLOCK_PAGES,
-        shuffle: bool = False,
-        seed: int = 0,
-    ) -> None:
-        self.resolved = spec.resolve(db)
-        self.block_pages = block_pages
-        self.shuffle = shuffle
-        self.seed = seed
-
-    @property
-    def num_rows(self) -> int:
-        return self.resolved.num_rows
-
-    @property
-    def has_target(self) -> bool:
-        return self.resolved.has_target
-
     def batches(self, epoch: int = 0) -> Iterator[FactorizedBatch]:
         """One full pass over the join result as factorized batches."""
-        rng = (
-            np.random.default_rng((self.seed, epoch))
-            if self.shuffle
-            else None
-        )
-        for block in iter_join_blocks(
-            self.resolved,
-            block_pages=self.block_pages,
-            shuffle=self.shuffle,
-            rng=rng,
-        ):
+        for block in self.blocks(epoch):
             yield _factorize_block(self.resolved, block)

@@ -4,7 +4,8 @@ S-GMM and S-NN never materialize the join result: every training pass
 re-executes the block-nested-loops join and feeds each joined batch to
 the model in denormalized form.  I/O per pass is the join cost; compute
 per pass is identical to the materialized baseline because every joined
-tuple is fully expanded.
+tuple is fully expanded.  (What a pass learns from key columns alone is
+replayed, not recomputed — :class:`~repro.join.bnl.JoinIndex`.)
 
 Expansion runs off the block's :class:`~repro.fx.dedup.DedupPlan`:
 each dimension's feature rows are selected once at the plan's distinct
@@ -21,9 +22,8 @@ from typing import Iterator
 import numpy as np
 
 from repro.join.batches import DenseBatch
-from repro.join.bnl import DEFAULT_BLOCK_PAGES, JoinBlock, iter_join_blocks
-from repro.join.spec import JoinSpec, ResolvedJoin
-from repro.storage.catalog import Database
+from repro.join.bnl import JoinAccess, JoinBlock
+from repro.join.spec import ResolvedJoin
 
 
 def _densify_block(resolved: ResolvedJoin, block: JoinBlock) -> DenseBatch:
@@ -47,58 +47,11 @@ def _densify_block(resolved: ResolvedJoin, block: JoinBlock) -> DenseBatch:
     )
 
 
-class StreamingJoin:
-    """Re-joins the base relations on the fly, one pass per call.
-
-    Parameters
-    ----------
-    db:
-        The database holding the base relations.
-    spec:
-        The star join to execute.
-    block_pages:
-        Pages per BNL outer block (the paper's ``BlockSize``).
-    shuffle:
-        Permute block order and intra-block tuple order per pass (the
-        paper's SGD key permutation).
-    seed:
-        Base seed; pass ``epoch`` to :meth:`batches` to vary the
-        permutation per epoch deterministically.
-    """
-
-    def __init__(
-        self,
-        db: Database,
-        spec: JoinSpec,
-        *,
-        block_pages: int = DEFAULT_BLOCK_PAGES,
-        shuffle: bool = False,
-        seed: int = 0,
-    ) -> None:
-        self.resolved = spec.resolve(db)
-        self.block_pages = block_pages
-        self.shuffle = shuffle
-        self.seed = seed
-
-    @property
-    def num_rows(self) -> int:
-        return self.resolved.num_rows
-
-    @property
-    def has_target(self) -> bool:
-        return self.resolved.has_target
+class StreamingJoin(JoinAccess):
+    """Re-joins the base relations on the fly, one pass per call
+    (constructor: :class:`~repro.join.bnl.JoinAccess`)."""
 
     def batches(self, epoch: int = 0) -> Iterator[DenseBatch]:
         """One full pass over the join result as dense batches."""
-        rng = (
-            np.random.default_rng((self.seed, epoch))
-            if self.shuffle
-            else None
-        )
-        for block in iter_join_blocks(
-            self.resolved,
-            block_pages=self.block_pages,
-            shuffle=self.shuffle,
-            rng=rng,
-        ):
+        for block in self.blocks(epoch):
             yield _densify_block(self.resolved, block)

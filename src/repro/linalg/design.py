@@ -131,12 +131,13 @@ class FactorizedDesign:
 
         ``dim_blocks[i]`` must hold dimension ``i``'s feature rows at
         the plan's distinct RIDs (sorted-RID order, ``m_i`` rows); the
-        group indexes come straight from the plan via
-        :meth:`~repro.fx.dedup.DimensionDedup.group_index`, so no FK
-        column is re-sorted.  This is the constructor the training
-        access path uses (:mod:`repro.join.factorized`) — the design's
-        grouped reductions and the serving predictors then share one
-        dedup per batch per dimension.
+        group indexes are the plan's own, memoized per dimension
+        (:meth:`~repro.fx.dedup.DimensionDedup.group_index`): a plan
+        from ``for_batch`` hands them its sort, a permuted one sorts
+        lazily if a grouped reduction asks.  This is the constructor the
+        training access path uses (:mod:`repro.join.factorized`) — the
+        design's grouped reductions and the serving predictors then
+        share one dedup per batch per dimension.
         """
         if len(dim_blocks) != plan.num_dimensions:
             raise ModelError(

@@ -11,12 +11,16 @@ each of ``n`` fact rows to one of ``m`` dimension rows, we need
   per-fact values down to dimension rows (the M-step blocks of
   Eq. 13–18 and the grouped responsibility mass ``N_k``).
 
-:class:`GroupIndex` pre-sorts the codes once per join batch (codes are
-fixed across EM iterations and mixture components), after which each
-reduction is a single vectorized ``add.reduceat`` pass.
+:class:`GroupIndex` holds the codes; the sort order and segment starts
+the ``reduceat`` reductions need are derived on first use and kept —
+``gather``/``sum_weights`` never need them, so a consumer that only
+gathers (default F-NN) never sorts.  A dedup that already sorted the
+keys hands its order over (:meth:`GroupIndex.from_inverse`).
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -24,7 +28,7 @@ from repro.errors import ModelError
 
 
 class GroupIndex:
-    """Pre-sorted index of fact-row → dimension-row codes.
+    """Index of fact-row → dimension-row codes, sorted on demand.
 
     Parameters
     ----------
@@ -50,50 +54,61 @@ class GroupIndex:
             )
         self.codes = codes
         self.num_groups = int(num_groups)
-        self._build()
 
     @classmethod
     def from_inverse(
-        cls, inverse: np.ndarray, num_groups: int
+        cls,
+        inverse: np.ndarray,
+        num_groups: int,
+        order: np.ndarray | None = None,
     ) -> "GroupIndex":
-        """Build from an ``np.unique(..., return_inverse=True)`` result.
+        """Build from a dedup's ``inverse`` (and, if it kept one, its sort).
 
         The ``inverse`` array of a dedup *is* a codes array with values
-        in ``[0, num_groups)`` — this constructor only exists to name
-        that identity (see :meth:`repro.fx.dedup.DimensionDedup.
-        group_index`), so a batch deduplicated once is never re-sorted
-        to build its grouped reductions.  An empty dedup (``num_groups
-        == 0``) yields a single empty group, keeping zero-row batches
-        well-shaped.
+        in ``[0, num_groups)``; ``order`` is the stable sort of the keys
+        the dedup already paid for (see :meth:`repro.fx.dedup.
+        DimensionDedup.group_index`) — with it the grouped reductions
+        never sort, without it they sort once, on first use.  An empty
+        dedup (``num_groups == 0``) yields a single empty group, keeping
+        zero-row batches well-shaped.
         """
-        return cls(np.asarray(inverse), max(int(num_groups), 1))
-
-    def _build(self) -> None:
-        codes = self.codes
-        self._order = np.argsort(codes, kind="stable")
-        sorted_codes = codes[self._order]
-        # Segment starts within the sorted order, one per present group.
-        first_of_group = np.flatnonzero(
-            np.diff(sorted_codes, prepend=-1) != 0
-        )
-        self._segment_starts = first_of_group
-        self._present_groups = sorted_codes[first_of_group]
-        self._counts = np.bincount(codes, minlength=self.num_groups)
+        index = cls(np.asarray(inverse), max(int(num_groups), 1))
+        if order is not None:
+            index.order = order
+        return index
 
     @property
     def n(self) -> int:
         """Number of fact rows indexed."""
         return self.codes.size
 
-    @property
+    @cached_property
     def counts(self) -> np.ndarray:
         """Fact-row count per group, shape ``(num_groups,)``."""
-        return self._counts
+        return np.bincount(self.codes, minlength=self.num_groups)
+
+    @cached_property
+    def order(self) -> np.ndarray:
+        """The stable permutation that sorts fact rows by group code."""
+        return np.argsort(self.codes, kind="stable")
+
+    @cached_property
+    def _segment_starts(self) -> np.ndarray:
+        """Where each present group's run starts in :attr:`order`."""
+        # A local bincount, not ``self.counts``: no reduction needs the
+        # counts afterwards, so they are not worth 8 B per group kept.
+        counts = np.bincount(self.codes, minlength=self.num_groups)
+        return (np.cumsum(counts) - counts)[counts > 0]
 
     @property
-    def order(self) -> np.ndarray:
-        """The permutation that sorts fact rows by group code."""
-        return self._order
+    def nbytes(self) -> int:
+        """Bytes of the derived arrays held so far (``codes`` excluded)."""
+        held = vars(self)       # cached properties land here once computed
+        return sum(
+            held[name].nbytes
+            for name in ("counts", "order", "_segment_starts")
+            if name in held
+        )
 
     # -- reductions --------------------------------------------------------
 
@@ -121,7 +136,7 @@ class GroupIndex:
             raise ModelError(
                 f"values rows {values.shape[0]} != indexed rows {self.n}"
             )
-        return values[self._order]
+        return values.take(self.order, axis=0)
 
     def sum_rows(
         self,
@@ -152,15 +167,17 @@ class GroupIndex:
         if self.n == 0:
             return np.zeros((self.num_groups, values.shape[1]))
         if not presorted:
-            values = values[self._order]
-            weights = None if weights is None else weights[self._order]
+            values = values.take(self.order, axis=0)
+            weights = None if weights is None else weights.take(self.order)
         if weights is not None:
             values = values * weights[:, None]
         segment_sums = np.add.reduceat(
             values, self._segment_starts, axis=0
         )
+        if segment_sums.shape[0] == self.num_groups:    # no empty group
+            return segment_sums
         out = np.zeros((self.num_groups, values.shape[1]))
-        out[self._present_groups] = segment_sums
+        out[np.flatnonzero(self.counts)] = segment_sums
         return out
 
     def gather(self, per_group: np.ndarray) -> np.ndarray:
@@ -171,7 +188,7 @@ class GroupIndex:
                 f"per_group has {per_group.shape[0]} rows, "
                 f"expected {self.num_groups}"
             )
-        return per_group[self.codes]
+        return per_group.take(self.codes, axis=0)
 
 
 def codes_for_keys(fact_keys: np.ndarray, dim_keys: np.ndarray) -> np.ndarray:

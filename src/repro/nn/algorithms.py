@@ -118,6 +118,7 @@ def fit_s_nn(
     result = run_training(
         engine, config, algorithm=S_NN, telemetry=telemetry
     )
+    result.extra["join_index"] = access.index.publish(telemetry, S_NN)
     result.io = db.stats.snapshot() - before
     return result
 
@@ -149,6 +150,7 @@ def fit_f_nn(
     result = run_training(
         engine, config, algorithm=F_NN, telemetry=telemetry
     )
+    result.extra["join_index"] = access.index.publish(telemetry, F_NN)
     result.io = db.stats.snapshot() - before
     return result
 

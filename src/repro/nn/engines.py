@@ -71,8 +71,10 @@ class FactorizedNNEngine(_NNEngineBase):
     Batches arrive with their :class:`~repro.fx.dedup.DedupPlan`
     threaded into the design (``batch.plan``): the group indexes the
     gathers below run on come from the plan's ``(unique, inverse)``
-    sort, built once at batch assembly — the training mirror of the
-    serving predictors' ``predict(..., plan=)`` contract.
+    sort, built on a block's first pass and replayed after — the
+    training mirror of the serving predictors' ``predict(..., plan=)``
+    contract.  Gathers need no group order, so the default backward
+    never sorts.
     """
 
     def __init__(

@@ -1,0 +1,299 @@
+"""The pass-invariant join index: replay changes nothing but the work.
+
+An S-/F- access path records, on its first pass over each outer block,
+what the block's *key columns* determine (matched offsets, the dedup
+plan with its group order, distinct-row positions) and replays it on
+later passes.  These tests pin the contract: replayed batches are
+array-for-array what a fresh access emits, every pass reads the same
+pages, a change to any joined relation forces a rebuild, and whole fits
+are ``==`` the same fits with the index cleared before every pass.
+"""
+
+import math
+import warnings
+
+import numpy as np
+import pytest
+
+from repro.core.api import fit_gmm, fit_nn
+from repro.data.synthetic import (
+    DimensionSpec,
+    StarSchemaConfig,
+    generate_star,
+)
+from repro.gmm.engines import DenseEMEngine, FactorizedEMEngine
+from repro.join.bnl import JoinIndex
+from repro.join.factorized import FactorizedJoin
+from repro.join.materialize import MaterializedTable, materialize_join
+from repro.join.stream import StreamingJoin
+from repro.obs import Telemetry
+
+ACCESS = {"streaming": StreamingJoin, "factorized": FactorizedJoin}
+
+
+@pytest.fixture(autouse=True)
+def _quiet():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        yield
+
+
+@pytest.fixture(params=["binary", "multiway"])
+def star(request, tiny_db):
+    """Stars over 256-byte pages (5 rows each): S spans 60 pages, the
+    dimensions 6 + 3 (multi-way) or 5 (binary)."""
+    dimensions = (
+        (DimensionSpec(25, 3),)
+        if request.param == "binary"
+        else (DimensionSpec(28, 3), DimensionSpec(13, 2))
+    )
+    config = StarSchemaConfig(
+        n_s=300, d_s=2, dimensions=dimensions, with_target=True, seed=17
+    )
+    return generate_star(tiny_db, config)
+
+
+def arrays_of(batch) -> dict[str, np.ndarray]:
+    """Every array a batch carries, by name."""
+    out = {"sids": batch.sids, "targets": batch.targets}
+    if hasattr(batch, "design"):
+        out["fact_block"] = batch.design.fact_block
+        for i, (block, group) in enumerate(
+            zip(batch.design.dim_blocks, batch.design.groups)
+        ):
+            out[f"dim_block{i}"] = block
+            out[f"codes{i}"] = group.codes
+            out[f"order{i}"] = group.order
+    else:
+        out["features"] = batch.features
+    for i, dim in enumerate(batch.plan.dims):
+        out[f"unique{i}"] = dim.unique
+        out[f"inverse{i}"] = dim.inverse
+    return out
+
+
+def assert_same_pass(got, want):
+    assert len(got) == len(want) > 0
+    for batch_got, batch_want in zip(got, want):
+        arrays_got, arrays_want = arrays_of(batch_got), arrays_of(batch_want)
+        assert arrays_got.keys() == arrays_want.keys()
+        for name, array in arrays_got.items():
+            np.testing.assert_array_equal(array, arrays_want[name], name)
+            if name.startswith("order"):
+                codes = arrays_got["codes" + name[5:]]
+                np.testing.assert_array_equal(
+                    array, np.argsort(codes, kind="stable")
+                )
+
+
+def pass_reads(db, access, epoch=0):
+    """(pages_read, reads_by_relation) of one full pass."""
+    before = db.stats.snapshot()
+    for _ in access.batches(epoch):
+        pass
+    delta = db.stats.snapshot() - before
+    return delta.pages_read, delta.reads_by_relation
+
+
+@pytest.mark.parametrize("shuffle", [False, True], ids=["ordered", "shuffle"])
+@pytest.mark.parametrize("block_pages", [1, 2, 64])
+@pytest.mark.parametrize("path", sorted(ACCESS))
+class TestReplayEqualsFresh:
+    def test_every_array_of_every_batch(
+        self, tiny_db, star, path, block_pages, shuffle
+    ):
+        config = dict(block_pages=block_pages, shuffle=shuffle, seed=5)
+        access = ACCESS[path](tiny_db, star.spec, **config)
+        for epoch in range(3):
+            fresh = ACCESS[path](tiny_db, star.spec, **config)
+            assert_same_pass(
+                list(access.batches(epoch)), list(fresh.batches(epoch))
+            )
+        stats = access.index.stats()
+        assert stats["passes_replayed"] == 2
+        assert stats["rebuilds"] == 0
+        assert stats["bytes"] > 0
+
+    def test_same_pages_every_pass_and_the_formula(
+        self, tiny_db, star, path, block_pages, shuffle
+    ):
+        access = ACCESS[path](
+            tiny_db, star.spec, block_pages=block_pages, shuffle=shuffle
+        )
+        first = pass_reads(tiny_db, access, 0)
+        pass_reads(tiny_db, access, 1)
+        third = pass_reads(tiny_db, access, 2)
+        assert first == third
+        fact = tiny_db[star.fact_name].npages
+        dims = [tiny_db[name].npages for name in star.dimension_names]
+        if len(dims) == 1:      # Section V-A: |R| + ceil(|R|/B)·|S|
+            expected = dims[0] + math.ceil(dims[0] / block_pages) * fact
+        else:                   # |S| + Σ|R_i|
+            expected = fact + sum(dims)
+        assert first[0] == expected
+
+
+@pytest.mark.parametrize("path", sorted(ACCESS))
+class TestPartialAndStaleIndexes:
+    def test_abandoned_pass_leaves_a_usable_partial_index(
+        self, tiny_db, star, path
+    ):
+        access = ACCESS[path](tiny_db, star.spec, block_pages=1)
+        for _ in access.batches():
+            break                       # what init_sample does
+        partial = access.index.stats()
+        assert partial["blocks"] == 1
+        fresh = list(ACCESS[path](tiny_db, star.spec, block_pages=1).batches())
+        assert_same_pass(list(access.batches()), fresh)
+        assert access.index.stats()["blocks"] == len(fresh) > 1
+        assert access.index.stats()["passes_replayed"] == 0
+        assert_same_pass(list(access.batches()), fresh)
+        assert access.index.stats()["passes_replayed"] == 1
+
+    @pytest.mark.parametrize("change", ["update_dimension", "append_fact"])
+    def test_row_changes_force_a_rebuild(self, tiny_db, star, path, change):
+        access = ACCESS[path](tiny_db, star.spec, block_pages=2)
+        list(access.batches())
+        if change == "update_dimension":
+            name = star.dimension_names[0]
+            positions = np.array([0, 7])
+            rows = tiny_db[name].scan()[positions]      # keys kept
+            rows[:, 1:] += 1.0
+            tiny_db.update_rows(name, positions, rows)
+        else:
+            rows = tiny_db[star.fact_name].scan()[:7].copy()
+            rows[:, 0] += 10_000                        # fresh SIDs
+            tiny_db.append_rows(star.fact_name, rows)
+        after = list(access.batches())
+        assert access.index.stats()["rebuilds"] == 1
+        assert access.index.stats()["passes_replayed"] == 0
+        assert_same_pass(
+            after,
+            list(ACCESS[path](tiny_db, star.spec, block_pages=2).batches()),
+        )
+        assert sum(batch.n for batch in after) == tiny_db[star.fact_name].nrows
+
+
+@pytest.fixture
+def cold_index(monkeypatch):
+    """Test-only hook: every pass starts from an empty index."""
+    recording = JoinIndex.blocks
+
+    def blocks(self, *args, **kwargs):
+        self.clear()
+        return recording(self, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(JoinIndex, "blocks", blocks)
+        yield
+
+
+@pytest.mark.parametrize("algorithm", ["streaming", "factorized"])
+class TestFitsEqualColdFits:
+    def test_gmm_history(self, tiny_db, star, algorithm, request):
+        config = dict(
+            n_components=2, max_iter=3, tol=0.0, seed=4, algorithm=algorithm
+        )
+        warm = fit_gmm(tiny_db, star.spec, block_pages=2, **config)
+        # The sample pass covers this small join whole, so all nine EM
+        # passes replay it.
+        assert warm.fit.extra["join_index"]["passes_replayed"] == 9
+        request.getfixturevalue("cold_index")
+        cold = fit_gmm(tiny_db, star.spec, block_pages=2, **config)
+        assert cold.fit.extra["join_index"]["passes_replayed"] == 0
+        assert warm.log_likelihood_history == cold.log_likelihood_history
+        np.testing.assert_array_equal(
+            warm.fit.params.covariances, cold.fit.params.covariances
+        )
+
+    @pytest.mark.parametrize("shuffle", [False, True])
+    def test_nn_history(self, tiny_db, star, algorithm, shuffle, request):
+        config = dict(
+            hidden_sizes=(5,), epochs=3, seed=4, shuffle=shuffle,
+            algorithm=algorithm, block_pages=2,
+        )
+        warm = fit_nn(tiny_db, star.spec, **config)
+        assert warm.fit.extra["join_index"]["passes_replayed"] == 2
+        request.getfixturevalue("cold_index")
+        cold = fit_nn(tiny_db, star.spec, **config)
+        assert warm.loss_history == cold.loss_history
+        for layer_warm, layer_cold in zip(
+            warm.model.layers, cold.model.layers
+        ):
+            np.testing.assert_array_equal(
+                layer_warm.weights, layer_cold.weights
+            )
+
+    def test_footprint_is_at_most_32_bytes_per_joined_tuple(
+        self, tiny_db, star, algorithm
+    ):
+        """At the default block size, with every lazy array of an
+        F-GMM fit (group order, segment starts) materialized."""
+        fit = fit_gmm(
+            tiny_db, star.spec, n_components=2, max_iter=2, tol=0.0,
+            algorithm=algorithm,
+        )
+        rows = tiny_db[star.fact_name].nrows
+        assert 0 < fit.fit.extra["join_index"]["bytes"] <= 32 * rows
+
+
+class TestFitBookkeeping:
+    def test_materialized_fits_carry_no_index(self, tiny_db, star):
+        fit = fit_gmm(
+            tiny_db, star.spec, n_components=2, max_iter=1, tol=0.0,
+            algorithm="materialized",
+        )
+        assert "join_index" not in fit.fit.extra
+        assert "auto" not in fit.fit.extra
+
+    def test_index_counters_reach_the_registry(self, tiny_db, star):
+        telemetry = Telemetry()
+        fit = fit_nn(
+            tiny_db, star.spec, hidden_sizes=(4,), epochs=3,
+            telemetry=telemetry,
+        )
+        snapshot = telemetry.snapshot()
+        assert snapshot.value(
+            "repro_training_join_index_bytes", algorithm="F-NN"
+        ) == fit.fit.extra["join_index"]["bytes"]
+        assert snapshot.value(
+            "repro_training_join_index_replays_total", algorithm="F-NN"
+        ) == 2.0
+
+    def test_auto_records_what_the_cost_model_saw(self, tiny_db, star):
+        auto = fit_gmm(
+            tiny_db, star.spec, n_components=2, max_iter=2, tol=0.0,
+            algorithm="auto",
+        )
+        record = auto.fit.extra["auto"]
+        assert set(record) == {
+            "chosen", "dense_mults", "factorized_mults",
+            "streaming_pages", "materialized_pages",
+        }
+        assert record["chosen"] == "factorized"
+        assert auto.algorithm == "F-GMM"
+        assert record["factorized_mults"] < record["dense_mults"]
+        # Two iterations of three passes, each at the Section V-A count.
+        one_pass = pass_reads(
+            tiny_db, StreamingJoin(tiny_db, star.spec)
+        )[0]
+        assert record["streaming_pages"] == 6 * one_pass
+
+
+class TestInitSamplePrefix:
+    """``init_sample`` takes the prefix by slicing, not ``take``: the
+    sample is the first joined rows, the same for all three engines."""
+
+    def test_sample_is_the_first_joined_rows(self, tiny_db, star):
+        table = materialize_join(tiny_db, star.spec, "T")
+        wide = table.scan()[:, list(table.schema.feature_positions)]
+        d = wide.shape[1]
+        engines = [
+            DenseEMEngine(MaterializedTable(table, block_pages=3), d),
+            DenseEMEngine(StreamingJoin(tiny_db, star.spec), d),
+            FactorizedEMEngine(FactorizedJoin(tiny_db, star.spec), d),
+        ]
+        for max_rows in (7, 20, 300, 1000):
+            for engine in engines:
+                sample = engine.init_sample(max_rows)
+                np.testing.assert_array_equal(sample, wide[:max_rows])
