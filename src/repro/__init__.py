@@ -144,6 +144,7 @@ from repro.fx.costs import (
     training_cost_model,
 )
 from repro.fx.dedup import DedupCounter, DedupPlan, distinct_values
+from repro.fx.sharding import ShardedPartialCache
 from repro.fx.sketch import FrequencySketch
 from repro.fx.store import PartialStore, StoreStats
 from repro.gmm.base import EMConfig
@@ -171,7 +172,6 @@ from repro.obs import (
     prometheus_text,
 )
 from repro.runtime.service import RuntimeConfig, RuntimeStats, ServingRuntime
-from repro.runtime.sharding import ShardedPartialCache
 from repro.serve.cache import PartialCache
 from repro.serve.predictor import (
     FactorizedGMMPredictor,

@@ -508,7 +508,6 @@ def serve_runtime(
     max_batch_rows: int = 2048,
     max_wait_ms: float = 2.0,
     queue_depth: int = 1024,
-    cache_shards: int | None = None,
     cache_admission: str = "lru",
     share_partials: bool = True,
     memory_budget: int | None = None,
@@ -526,8 +525,8 @@ def serve_runtime(
     into micro-batches (up to ``max_batch_rows`` rows, lingering at
     most ``max_wait_ms`` for stragglers), each batch's strategy is
     planned adaptively from the inference cost model, and partial
-    caches are sharded by RID hash (``cache_shards``, default one per
-    worker) so workers never contend on one LRU.
+    caches are sharded by RID hash (one shard per worker) so workers
+    never contend on one LRU.
 
     ``executor`` selects the worker substrate.  ``"thread"`` (default)
     scores batches on ``num_workers`` threads — NumPy kernels and page
@@ -577,7 +576,6 @@ def serve_runtime(
             max_batch_rows=max_batch_rows,
             max_wait_ms=max_wait_ms,
             queue_depth=queue_depth,
-            cache_shards=cache_shards,
             cache_admission=cache_admission,
             share_partials=share_partials,
             memory_budget=memory_budget,

@@ -19,7 +19,7 @@ once and shared by training, serving, and the concurrent runtime:
   ``(partial fingerprint, RID)``, so two models over the same join
   reuse each other's cached slabs;
 * :mod:`repro.fx.sharding` — the RID-hash sharded partial cache the
-  store hands out (re-exported by :mod:`repro.runtime.sharding`);
+  store hands out;
 * :mod:`repro.fx.costs` — one :class:`CostModel` interface with
   serving and training adapters over the paper's published counts,
   including the page-level training I/O models

@@ -14,7 +14,7 @@ computed once per batch:
   the dense models score.
 
 Caches may be plain :class:`~repro.serve.cache.PartialCache` shards,
-RID-hash :class:`~repro.runtime.sharding.ShardedPartialCache` ones, or
+RID-hash :class:`~repro.fx.sharding.ShardedPartialCache` ones, or
 views handed out by a :class:`~repro.fx.store.PartialStore` — anything
 ``get_many()``-compatible.
 """

@@ -336,9 +336,14 @@ class PartialStore:
                 )
             entry = self._entries[key]
             entry.refs -= 1
-            if entry.refs <= 0:
-                del self._entries[key]
-                del self._key_of_cache[id(cache)]
+            if entry.refs > 0:
+                return
+            del self._entries[key]
+            del self._key_of_cache[id(cache)]
+        if self._allocator is not None:
+            # Slab rows have no owner but the cache: free them with it,
+            # or a dropped fingerprint would leak its slots.
+            cache.clear()
 
     def _ensure_spill_root(self) -> Path:
         """The spill tier's backing directory (one per store), created

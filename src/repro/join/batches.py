@@ -27,7 +27,6 @@ import numpy as np
 from repro.errors import ModelError
 from repro.fx.dedup import DedupPlan
 from repro.linalg.design import FactorizedDesign
-from repro.linalg.groupsum import GroupIndex
 
 
 @dataclass
@@ -70,18 +69,6 @@ class DenseBatch:
     def n(self) -> int:
         return self.features.shape[0]
 
-    def take(self, indices: np.ndarray) -> "DenseBatch":
-        """Row-subset / permutation of the batch.
-
-        The dedup plan describes the *full* batch, so the subset
-        carries none; consumers that need one re-dedup the subset.
-        """
-        return DenseBatch(
-            self.sids[indices],
-            self.features[indices],
-            None if self.targets is None else self.targets[indices],
-        )
-
 
 @dataclass
 class FactorizedBatch:
@@ -122,24 +109,3 @@ class FactorizedBatch:
     def densify(self) -> DenseBatch:
         """Expand to the equivalent :class:`DenseBatch` (tests only)."""
         return DenseBatch(self.sids, self.design.densify(), self.targets)
-
-    def take(self, indices: np.ndarray) -> "FactorizedBatch":
-        """Row-subset / permutation.
-
-        Dimension blocks are shared, not copied: only the fact rows and
-        the code arrays are re-indexed, preserving the factorized
-        storage advantage.  The dedup plan describes the full batch and
-        is dropped from the subset.
-        """
-        design = self.design
-        groups = [
-            GroupIndex(g.codes[indices], g.num_groups) for g in design.groups
-        ]
-        new_design = FactorizedDesign(
-            design.fact_block[indices], design.dim_blocks, groups
-        )
-        return FactorizedBatch(
-            self.sids[indices],
-            new_design,
-            None if self.targets is None else self.targets[indices],
-        )

@@ -315,7 +315,7 @@ class _BoundInstrument:
         cell = family.cells.get(self._labelvalues)
         if cell is None:
             if family.kind == HISTOGRAM:
-                cell = _HistogramCell(family.buckets)
+                cell = HistogramCell(family.buckets)
             else:
                 cell = _ScalarCell()
             family.cells[self._labelvalues] = cell
@@ -329,13 +329,37 @@ class _ScalarCell:
         self.value = 0.0
 
 
-class _HistogramCell:
-    __slots__ = ("counts", "sum", "count")
+class HistogramCell:
+    """One fixed-bucket distribution: the storage behind every
+    :class:`Histogram` label tuple, also usable on its own (no
+    registry) where a component wants a :class:`HistogramValue` with
+    telemetry on *or* off.  Unlocked — callers synchronize."""
+
+    __slots__ = ("buckets", "counts", "sum", "count")
 
     def __init__(self, buckets: tuple[float, ...]) -> None:
-        self.counts = [0] * (len(buckets) + 1)
+        self.buckets = tuple(buckets)
+        self.counts = [0] * (len(self.buckets) + 1)
         self.sum = 0.0
         self.count = 0
+
+    def observe(self, value: float) -> None:
+        index = len(self.buckets)
+        for i, bound in enumerate(self.buckets):
+            if value <= bound:
+                index = i
+                break
+        self.counts[index] += 1
+        self.sum += value
+        self.count += 1
+
+    def value(self) -> HistogramValue:
+        return HistogramValue(
+            buckets=self.buckets,
+            counts=tuple(self.counts),
+            sum=self.sum,
+            count=self.count,
+        )
 
 
 class Counter(_BoundInstrument):
@@ -382,17 +406,8 @@ class Histogram(_BoundInstrument):
     __slots__ = ()
 
     def observe(self, value: float) -> None:
-        buckets = self._family.buckets
-        index = len(buckets)
-        for i, bound in enumerate(buckets):
-            if value <= bound:
-                index = i
-                break
         with self._registry._lock:
-            cell = self._cell()
-            cell.counts[index] += 1
-            cell.sum += value
-            cell.count += 1
+            self._cell().observe(value)
 
 
 class MetricsRegistry:
@@ -548,12 +563,7 @@ class MetricsRegistry:
                         sorted(zip(family.labelnames, labelvalues))
                     )
                     if family.kind == HISTOGRAM:
-                        value = HistogramValue(
-                            buckets=family.buckets,
-                            counts=tuple(cell.counts),
-                            sum=cell.sum,
-                            count=cell.count,
-                        )
+                        value = cell.value()
                     else:
                         value = cell.value
                     samples.append(

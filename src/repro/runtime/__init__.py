@@ -1,25 +1,33 @@
 """Concurrent batch-serving runtime over normalized data.
 
-:mod:`repro.serve` (PR 1) made factorized inference exact and cheap;
-this package makes it *concurrent*: a bounded request queue feeds a
-micro-batcher that coalesces point requests into batches, a thread
-worker pool scores batches in parallel over RID-hash-sharded partial
-caches, an adaptive planner picks materialized vs factorized per batch
-from the inference cost model, and the catalog's row-version events
-evict stale partials when dimension rows change.
+:mod:`repro.serve` made factorized inference exact and cheap and owns
+the serving core (:mod:`repro.serve.core`: register / execute /
+invalidate / swap, written once); this package puts *concurrency* in
+front of that core: a bounded request queue feeds a micro-batcher that
+coalesces point requests into batches, dispatcher threads run each
+batch through the core — directly (``executor="thread"``, over
+RID-hash-sharded partial caches) or scattered across worker processes
+that each run the core again (``executor="process"``) — an adaptive
+planner picks materialized vs factorized per batch from the inference
+cost model, and the catalog's row-version events evict stale partials
+when dimension rows change.
 
 Layers:
 
 * :mod:`~repro.runtime.queue` — bounded request queue + micro-batch
   coalescing;
-* :mod:`~repro.runtime.sharding` — per-shard-locked partial caches;
 * :mod:`~repro.runtime.planner` — per-batch strategy planning;
-* :mod:`~repro.runtime.service` — the worker-pool runtime facade.
+* :mod:`~repro.runtime.service` — the runtime facade: queue,
+  dispatchers, metrics, one ``_execute`` over either executor;
+* :mod:`~repro.runtime.procpool` / :mod:`~repro.runtime.procworker` —
+  the process executor (the core's substrate primitives over pipes
+  and shared memory) and its worker entry point.
 
 Entry point: :func:`repro.core.api.serve_runtime` /
 ``repro.serve_runtime``.
 """
 
+from repro.fx.sharding import ShardedPartialCache
 from repro.runtime.planner import BatchPlanner, PlanDecision, PlannerStats
 from repro.runtime.queue import Request, RequestQueue
 from repro.runtime.service import (
@@ -27,12 +35,10 @@ from repro.runtime.service import (
     PROCESS_EXECUTOR,
     THREAD_EXECUTOR,
     RuntimeConfig,
-    RuntimeModel,
     RuntimeStats,
     ServingRuntime,
     WorkerStats,
 )
-from repro.runtime.sharding import ShardedPartialCache
 
 __all__ = [
     "ADAPTIVE",
@@ -43,7 +49,6 @@ __all__ = [
     "Request",
     "RequestQueue",
     "RuntimeConfig",
-    "RuntimeModel",
     "RuntimeStats",
     "ServingRuntime",
     "ShardedPartialCache",

@@ -51,8 +51,8 @@ class PlanDecision:
 class PlannerStats:
     """Rolling decision counters for one model.
 
-    Dedup bookkeeping lives on :class:`~repro.runtime.service.
-    RuntimeModel` (every executed batch counts, planned or not);
+    Dedup bookkeeping lives on :class:`~repro.serve.core.
+    RegisteredModel` (every executed batch counts, planned or not);
     this class only tracks the planner's *decisions*.
     """
 

@@ -3,19 +3,22 @@
 :class:`ProcessExecutor` owns ``num_workers`` worker *processes*
 (:mod:`repro.runtime.procworker`), the shared-memory segments they
 execute over (:mod:`repro.fx.shm`), and the control pipes between
-them.  The split of responsibilities with
-:class:`~repro.runtime.service.ServingRuntime`:
+them.  It is a :class:`~repro.serve.core.ServingCore` whose substrate
+primitives cross a pipe — the registry, ``register`` / ``swap`` /
+``unregister`` and the pin-run-record ``execute`` are the core's own:
 
-* the runtime keeps the queue, micro-batching, registries and stats —
-  backend-agnostic;
-* this executor moves one sub-batch to one worker and back, fans out
-  registration/invalidation/budget control, and merges worker-side
-  telemetry samples.
+* ``_build`` / ``_retire`` fan a registration out to (and back off)
+  every worker, each of which runs the same core over a
+  shared-memory store;
+* ``_run`` scatters one batch into RID-affine sub-batches and gathers
+  the outputs by row index;
+* invalidation, budget control and the stats readers broadcast and
+  merge.
 
 **The task channel is pickle-free for arrays.**  A sub-batch's fact
 features, foreign keys and outputs travel through a per-worker *task
 slab* (one shm segment, grown geometrically when a batch outgrows it);
-the pipe message carries only scalars — model index, op, row count,
+the pipe message carries only scalars — model generation, op, row count,
 widths and the slab's segment name.  Both sides derive the identical
 slab layout (features, then one int64 FK column per dimension, then
 the float64 output region) from those scalars, so no offsets cross the
@@ -66,13 +69,34 @@ import numpy as np
 
 from repro.errors import ModelError
 from repro.fx.shm import (
+    HDR_COMPRESSED_BYTES,
+    HDR_DEMOTIONS,
     HDR_FLOATS_RESIDENT,
+    HDR_INVALIDATED,
+    HDR_PROMOTIONS,
+    HDR_ROWS_EXECUTED,
+    HDR_SPILLED_BYTES,
     ShmArena,
     header_nbytes,
     header_view,
     plan_trims,
 )
+from repro.fx.store import StoreStats
 from repro.fx.tiers import GOVERNOR_HYSTERESIS
+from repro.serve.cache import CacheStats
+from repro.serve.core import (
+    ExecMeta,
+    RegisteredModel,
+    ServingCore,
+    budget_floats,
+    collect_store,
+)
+from repro.serve.predictor import (
+    _ServingPredictor,
+    coerce_gmm_model,
+    coerce_nn_model,
+)
+from repro.storage.iostats import IOSnapshot
 
 # -- wire protocol (shared with repro.runtime.procworker) ---------------------
 
@@ -122,6 +146,28 @@ def task_layout(rows: int, d_s: int, q: int, out_width: int):
     out_offset = fk_offset + q * rows * 8
     total = out_offset + rows * max(out_width, 1) * _FLOAT_BYTES
     return fk_offset, out_offset, total
+
+
+def task_views(buf, rows: int, d_s: int, q: int, out_width: int):
+    """``(features, fks, out)`` views over one task slab frame: the
+    parent writes the first two and reads the third, the worker the
+    reverse."""
+    fk_offset, out_offset, _ = task_layout(rows, d_s, q, out_width)
+    features = np.frombuffer(
+        buf, dtype=np.float64, count=rows * d_s
+    ).reshape(rows, d_s)
+    fks = [
+        np.frombuffer(
+            buf, dtype=np.int64, count=rows,
+            offset=fk_offset + position * rows * 8,
+        )
+        for position in range(q)
+    ]
+    out = np.frombuffer(
+        buf, dtype=np.float64, count=rows * max(out_width, 1),
+        offset=out_offset,
+    )
+    return features, fks, out
 
 
 class WorkerDied(ModelError):
@@ -239,7 +285,7 @@ class _WorkerHandle:
             return
 
 
-class ProcessExecutor:
+class ProcessExecutor(ServingCore):
     """Spawns and drives the worker processes (see module docstring).
 
     Must be constructed *before* the owning runtime starts any thread:
@@ -253,18 +299,17 @@ class ProcessExecutor:
             raise ModelError(
                 "executor='process' needs a disk-backed Database"
             )
+        # No parent-side store: every partial lives in a worker.
+        super().__init__(db, None, block_pages=config.block_pages)
         self.config = config
         self.num_workers = config.num_workers
-        self.budget_floats = (
-            None
-            if config.memory_budget is None
-            else max(1, config.memory_budget // _FLOAT_BYTES)
-        )
+        self.budget_floats = budget_floats(config.memory_budget)
         self._closed = False
         # Times the parent governor tripped (sum of headers over
-        # budget), not rows trimmed — the hysteresis metric, merged
-        # into StoreStats.governor_sweeps by the runtime.
+        # budget), not rows trimmed — the hysteresis metric, reported
+        # as StoreStats.governor_sweeps.
         self.sweeps = 0
+        self._last_samples: list[dict] = []
         self._req_ids = itertools.count(1)
         self._req_lock = threading.Lock()
         self.arena = ShmArena()
@@ -321,7 +366,7 @@ class ProcessExecutor:
             for handle in self.workers:
                 self._reply(handle, 0, _READY_TIMEOUT_S)
         except BaseException:
-            self.close()
+            self._shutdown()
             raise
 
     # -- plumbing ------------------------------------------------------------
@@ -390,56 +435,201 @@ class ProcessExecutor:
 
     # -- control plane -------------------------------------------------------
 
-    def register(
-        self, model_index, name, kind, spec, model, strategy,
-        cache_entries, cache_floats,
-    ) -> dict:
+    def _build(
+        self, name, kind, spec, model, strategy, cache_entries,
+        cache_floats, predecessor=None,
+    ) -> RegisteredModel:
+        """Register the fit on every worker under a fresh generation;
+        keep a validator locally.
+
+        The model crosses the pipe once (its coerced, fitted form);
+        each worker builds its own predictors and draws caches from
+        its shared-slab store.  The parent keeps only what submit-time
+        validation and scatter need: the resolved join (shapes,
+        dimension names) and the network's output width.  A swap's
+        replacement is a *fresh* worker-side generation, never an
+        overwrite in place: one coalesced batch scatters sub-batches
+        to several workers, and an in-place replace landing between
+        two of them would serve a torn mix.
+        """
+        coerce = coerce_gmm_model if kind == "gmm" else coerce_nn_model
+        validator = _ServingPredictor(
+            self.db, spec, block_pages=self.block_pages
+        )
+        generation = self._next_id()
+        # The worker core's own ``register`` arguments, keyed by
+        # generation; the predecessor travels as its generation too.
         replies = self._broadcast(
             MSG_REGISTER,
-            {
-                "index": model_index,
-                "name": name,
-                "kind": kind,
-                "spec": spec,
-                "model": model,
-                "strategy": strategy,
-                "cache_entries": cache_entries,
-                "cache_floats": cache_floats,
-            },
+            dict(
+                name=name, kind=kind, spec=spec, model=coerce(model),
+                strategy=strategy, cache_entries=cache_entries,
+                cache_floats=cache_floats, key=generation,
+                predecessor=getattr(predecessor, "generation", None),
+            ),
         )
-        for reply in replies:
-            if reply is not None:
-                return reply
-        raise ModelError(
-            f"cannot register model {name!r}: all worker processes "
-            "are dead"
+        reply = next((r for r in replies if r is not None), None)
+        if reply is None:
+            raise ModelError(
+                f"cannot register model {name!r}: all worker processes "
+                "are dead"
+            )
+        registered = RegisteredModel(
+            name=name, kind=kind, strategy=strategy,
+            factorized=None, materialized=None, validator=validator,
+            generation=generation, out_width=reply["out_width"],
+            spec=spec, cache_entries=cache_entries,
+            cache_floats=cache_floats,
         )
+        if predecessor is not None:
+            registered.continue_from(predecessor)
+        return registered
 
-    def unregister(self, model_index: int) -> None:
-        self._broadcast(MSG_UNREGISTER, {"index": model_index})
+    def _retire(self, registered: RegisteredModel, successor=None) -> None:
+        if not self._closed:
+            self._broadcast(
+                MSG_UNREGISTER,
+                {
+                    "generation": registered.generation,
+                    "successor": getattr(successor, "generation", None),
+                },
+            )
 
-    def invalidate(
-        self, relation: str, rids, positions=None
-    ) -> dict[str, int]:
+    def invalidate(self, relation, rids, positions=None) -> dict[str, int]:
         """Fan an invalidation out to every worker; merged drop counts.
 
-        ``positions`` (heap row numbers, when the event knows them) let
-        workers drop only the touched buffer-pool pages instead of the
-        whole relation.
+        Every worker, not just the affine one: a dimension beyond the
+        first is not affinity-routed, so any worker may cache its
+        RIDs.  ``positions`` (heap row numbers, when the event knows
+        them) let workers drop only the touched buffer-pool pages
+        instead of the whole relation.
         """
-        dropped: dict[str, int] = {}
+        if self._closed:
+            return {}
         payload = {"relation": relation, "rids": np.asarray(rids)}
         if positions is not None:
             payload["positions"] = np.asarray(positions)
-        replies = self._broadcast(MSG_INVALIDATE, payload)
-        for reply in replies:
-            for model_name, count in (reply or {}).items():
-                dropped[model_name] = dropped.get(model_name, 0) + count
+        dropped: dict[str, int] = {}
+        for reply in self._broadcast(MSG_INVALIDATE, payload):
+            for name, count in (reply or {}).items():
+                dropped[name] = dropped.get(name, 0) + count
+        for name, count in dropped.items():
+            registered = self.get(name)
+            if registered is not None:
+                with registered.lock:
+                    registered.invalidated_rids += count
         return dropped
 
     def sample_stats(self) -> list[dict]:
         """One telemetry sample per live worker (dead workers: None)."""
         return self._broadcast(MSG_STATS, {})
+
+    def _samples(self) -> list[dict]:
+        """A fresh per-worker sample, or the last successful one once
+        the executor is closed (or a worker died mid-sample), so
+        post-close snapshots still report the final counters instead
+        of raising."""
+        if not self._closed:
+            try:
+                self._last_samples = [
+                    sample for sample in self.sample_stats()
+                    if sample is not None
+                ]
+            except ModelError:
+                pass
+        return self._last_samples
+
+    def cache_stats(self, key) -> list[CacheStats]:
+        return self.sample()[0].get(self.model(key).name, [])
+
+    def sample(self):
+        """Merge the worker samples (one STATS round-trip): per-model
+        cache stats — each live registration's own worker-side
+        generation, summed across workers — and the store totals."""
+        samples = self._samples()
+        cache_stats: dict[str, list[CacheStats]] = {}
+        for name, registered in self.registry().items():
+            for sample in samples:
+                per_dim = sample["cache_stats"].get(registered.generation)
+                if not per_dim:
+                    continue
+                merged = cache_stats.get(name)
+                cache_stats[name] = list(per_dim) if merged is None else [
+                    have + new for have, new in zip(merged, per_dim)
+                ]
+        cache_total = CacheStats()
+        fingerprints: dict[str, int] = {}
+        caches = attachments = shared = cross = 0
+        for sample in samples:
+            store = sample["store"]
+            caches += store.caches
+            attachments += store.attachments
+            shared += store.shared_attachments
+            cross += store.cross_evictions
+            cache_total = cache_total + store.cache
+            for key, share in store.fingerprints.items():
+                fingerprints[key] = fingerprints.get(key, 0) + share
+        return cache_stats, StoreStats(
+            caches=caches,
+            attachments=attachments,
+            shared_attachments=shared,
+            cache=cache_total,
+            capacity_floats=self.budget_floats,
+            cross_evictions=cross,
+            fingerprints=fingerprints,
+            # The governor runs in the parent, so the sweep count
+            # lives here, not in any worker.
+            governor_sweeps=self.sweeps,
+        )
+
+    def collect(self, buffer) -> None:
+        """Sample residency and execution counters straight off the
+        shared-memory headers (no IPC from the collector path)."""
+        # close() nulls the header view before unlinking the segment,
+        # so snapshot it once and re-check it — a close() racing this
+        # sampling tick must not leave us dereferencing None.
+        headers = self.headers
+        if self._closed or headers is None:
+            return
+        workers = range(self.num_workers)
+
+        def total(slot: int) -> int:
+            return sum(int(headers[index, slot]) for index in workers)
+
+        collect_store(
+            buffer, total(HDR_FLOATS_RESIDENT) * _FLOAT_BYTES,
+            self.budget_floats, self.sweeps,
+            # The headers aggregate the compressed rungs into one slot
+            # and the transitions into one count each, so process mode
+            # breaks residency down by tier *family* (compressed vs
+            # spill) and exports the transition totals unlabeled.
+            self.config.store_tiers and (
+                total(HDR_COMPRESSED_BYTES), total(HDR_SPILLED_BYTES),
+                {None: total(HDR_DEMOTIONS)},
+                {None: total(HDR_PROMOTIONS)},
+            ),
+        )
+        for index in workers:
+            labels = {"worker": str(index)}
+            buffer.gauge(
+                "repro_worker_shm_floats_resident",
+                int(headers[index, HDR_FLOATS_RESIDENT]),
+                help="Partial floats resident in this worker's store",
+                **labels,
+            )
+            buffer.counter(
+                "repro_worker_rows_executed_total",
+                int(headers[index, HDR_ROWS_EXECUTED]),
+                help="Rows executed by this worker process",
+                **labels,
+            )
+            buffer.counter(
+                "repro_worker_invalidated_rids_total",
+                int(headers[index, HDR_INVALIDATED]),
+                help="Partial rows this worker dropped on "
+                     "dimension updates",
+                **labels,
+            )
 
     # -- the budget governor -------------------------------------------------
 
@@ -513,7 +703,7 @@ class ProcessExecutor:
         return new_seg
 
     def start_subbatch(
-        self, worker_index, model_index, op, features, fks, out_width,
+        self, worker_index, generation, op, features, fks, out_width,
     ) -> int:
         """Write one sub-batch into the worker's task slab, send EXEC.
 
@@ -525,24 +715,21 @@ class ProcessExecutor:
         handle = self.workers[worker_index]
         rows, d_s = features.shape
         q = len(fks)
-        fk_offset, out_offset, total = task_layout(
-            rows, d_s, q, out_width
+        seg = self._ensure_task_capacity(
+            handle, task_layout(rows, d_s, q, out_width)[2]
         )
-        seg = self._ensure_task_capacity(handle, total)
-        np.frombuffer(
-            seg.buf, dtype=np.float64, count=rows * d_s
-        ).reshape(rows, d_s)[:] = features
-        for position, fk in enumerate(fks):
-            np.frombuffer(
-                seg.buf, dtype=np.int64, count=rows,
-                offset=fk_offset + position * rows * 8,
-            )[:] = fk
+        feature_view, fk_views, _ = task_views(
+            seg.buf, rows, d_s, q, out_width
+        )
+        feature_view[:] = features
+        for view, fk in zip(fk_views, fks):
+            view[:] = fk
         req_id = self._next_id()
         handle.send(
             MSG_EXEC,
             req_id,
             {
-                "model": model_index,
+                "generation": generation,
                 "op": op,
                 "rows": rows,
                 "d_s": d_s,
@@ -558,24 +745,111 @@ class ProcessExecutor:
     ):
         """Await one EXEC reply and copy its outputs out of the slab.
 
-        Returns ``(outputs, meta)``; outputs are already detached from
-        the slab (copied), so the slab is free for the next sub-batch.
+        Returns ``(outputs, meta)`` (the worker core's
+        :class:`~repro.serve.core.ExecMeta`); outputs are already
+        detached from the slab (copied), so the slab is free for the
+        next sub-batch.
         """
         handle = self.workers[worker_index]
-        meta = self._reply(handle, req_id)
-        out_width = meta["out_width"]
-        _, out_offset, _ = task_layout(rows, d_s, q, out_width)
-        outputs = np.frombuffer(
-            handle.task_seg.buf,
-            dtype=np.float64,
-            count=rows * max(out_width, 1),
-            offset=out_offset,
-        ).copy()
+        reply = self._reply(handle, req_id)
+        out_width = reply["out_width"]
+        outputs = task_views(
+            handle.task_seg.buf, rows, d_s, q, out_width
+        )[2].copy()
         if out_width:
             outputs = outputs.reshape(rows, out_width)
-        if meta["out_dtype"] == "i8":
+        if reply["out_dtype"] == "i8":
             outputs = outputs.astype(np.int64)
-        return outputs, meta
+        return outputs, reply["meta"]
+
+    def _run(self, registered, op, features, fks, span):
+        """Scatter one coalesced batch across the worker processes.
+
+        Rows are routed by ``fk_0 % num_workers`` — the process-level
+        continuation of the in-process RID-hash sharding — written
+        into each target worker's shared task slab, executed there,
+        and gathered back by row index.  Because every row's output is
+        computed independently and lands at its own index, the merged
+        outputs are bit-identical to thread mode regardless of worker
+        completion order.  A failure (bad data on one worker, or a
+        dead worker) is raised once every started sub-batch has been
+        drained; the runtime then retries request by request, so only
+        the requests whose rows route to the failure are poisoned.
+        """
+        rows = features.shape[0]
+        out_width = (
+            registered.out_width
+            if registered.kind == "nn" and op == "predict"
+            else 0
+        )
+        d_s, q = features.shape[1], len(fks)
+        affinity = fks[0] % self.num_workers
+        tick = time.perf_counter()
+        error: BaseException | None = None
+        pending = []
+        with span.child("scatter"):
+            for worker in range(self.num_workers):
+                indices = np.nonzero(affinity == worker)[0]
+                if indices.size == 0:
+                    continue
+                try:
+                    req_id = self.start_subbatch(
+                        worker, registered.generation, op,
+                        features[indices],
+                        [fk[indices] for fk in fks], out_width,
+                    )
+                except BaseException as scatter_error:
+                    # Stop scattering, but fall through to the gather
+                    # below with the sub-batches already started: each
+                    # must be drained before the per-request retry may
+                    # rewrite its worker's task slab — an abandoned
+                    # EXEC still executing over a rewritten slab would
+                    # silently corrupt the surviving requests' inputs
+                    # and outputs.
+                    error = scatter_error
+                    break
+                pending.append((worker, indices, req_id))
+        scatter_s = time.perf_counter() - tick
+        outputs = None
+        io = IOSnapshot()
+        decisions, shares = [], []
+        references = distinct = 0
+        with span.child("gather"):
+            for worker, indices, req_id in pending:
+                # Always finish every started sub-batch, even after a
+                # failure — a worker left owing a reply would corrupt
+                # the next batch's mailbox accounting.
+                try:
+                    sub_out, meta = self.finish_subbatch(
+                        worker, req_id, int(indices.size), d_s, q
+                    )
+                except BaseException as sub_error:
+                    error = error or sub_error
+                    continue
+                io = io + meta.io
+                decisions.extend(meta.decisions)
+                references += meta.references
+                distinct += meta.distinct
+                shares.append((worker, meta.rows, meta.elapsed))
+                if outputs is None:
+                    shape = (
+                        (rows,) if sub_out.ndim == 1
+                        else (rows, sub_out.shape[1])
+                    )
+                    outputs = np.empty(shape, dtype=sub_out.dtype)
+                outputs[indices] = sub_out
+        elapsed = time.perf_counter() - tick
+        if error is not None:
+            raise error
+        if outputs is None:     # zero-row batch
+            outputs = np.zeros((rows,))
+        # The governor: residency is read straight off the headers, so
+        # the within-budget fast path costs a few loads per batch.
+        self.sweep_budget()
+        return outputs, ExecMeta(
+            rows, elapsed, io, decisions, references, distinct, shares,
+            scatter_s, elapsed - scatter_s,
+        )
 
     # -- test hooks & lifecycle ----------------------------------------------
 
@@ -596,6 +870,13 @@ class ProcessExecutor:
         """Stop the workers, then unlink every shm segment.  Idempotent."""
         if self._closed:
             return
+        # Final sample first (post-close stats report the last
+        # counters), then stop the workers and unlink every shared
+        # segment — the no-leaked-/dev/shm guarantee.
+        self._samples()
+        self._shutdown()
+
+    def _shutdown(self) -> None:
         self._closed = True
         for handle in getattr(self, "workers", []):
             if handle.dead or not handle.process.is_alive():

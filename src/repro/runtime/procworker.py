@@ -2,21 +2,24 @@
 
 ``worker_main`` is the target of every process the parent-side
 :class:`~repro.runtime.procpool.ProcessExecutor` spawns.  A worker is
-a miniature, single-threaded serving core:
+the same :class:`~repro.serve.core.ServingCore` every other serving
+configuration runs, plus pipe framing:
 
 * it opens its *own* :class:`~repro.storage.catalog.Database` over the
   shared on-disk directory (heap pages and the catalog are plain files;
   each worker keeps a private buffer pool over them — the OS page
   cache dedups the physical bytes);
-* it builds its own predictors per registered model and draws their
-  partial caches from a :class:`~repro.fx.shm.SharedPartialStore`
-  whose payload slab lives in the shared-memory segment the parent
-  created — so partials survive in shared memory the parent can
-  account, and the worker's residency is published into its header
-  slot after every batch;
-* it serves ``EXEC`` messages over views into its task slab: the pipe
-  message carries only scalars (rows, widths, the slab name), the
-  arrays never cross the pipe.
+* its core draws partial caches from a
+  :class:`~repro.fx.shm.SharedPartialStore` whose payload slab lives in
+  the shared-memory segment the parent created — so partials survive
+  in shared memory the parent can account, and the worker's residency
+  is published into its header slot after every batch;
+* the message handlers only translate: ``EXEC`` wraps views into the
+  task slab around ``core.execute`` (the pipe message carries only
+  scalars — rows, widths, the slab name — the arrays never cross the
+  pipe), ``INVALIDATE`` adds buffer-pool page invalidation to
+  ``core.invalidate``, and registrations are keyed by the parent's
+  *generation* so two fits of one name can be live while it swaps.
 
 Because the parent scatters rows by ``fk_0 % num_workers`` — the same
 RID-hash the in-process :class:`~repro.fx.sharding.ShardedPartialCache`
@@ -37,13 +40,11 @@ from __future__ import annotations
 
 import gc
 import os
-import time
 import traceback
 
 import numpy as np
 
-from repro.core.strategies import FACTORIZED, MATERIALIZED
-from repro.fx.dedup import DedupPlan, distinct_values
+from repro.fx.dedup import distinct_values
 from repro.fx.shm import (
     HDR_BATCHES,
     HDR_INVALIDATED,
@@ -53,7 +54,6 @@ from repro.fx.shm import (
     ShmArena,
     header_view,
 )
-from repro.runtime.planner import BatchPlanner
 from repro.runtime.procpool import (
     MSG_CRASH,
     MSG_EXEC,
@@ -66,44 +66,10 @@ from repro.runtime.procpool import (
     REPLY_ERR,
     REPLY_OK,
     pack_message,
-    task_layout,
+    task_views,
     unpack_message,
 )
-from repro.serve.predictor import make_predictor
-
-ADAPTIVE = "adaptive"
-
-
-class _WorkerModel:
-    """One registered model inside a worker (predictors + planner)."""
-
-    __slots__ = (
-        "name", "kind", "strategy", "factorized", "materialized",
-        "caches", "planner", "dimension_names",
-    )
-
-    def __init__(
-        self, name, kind, strategy, factorized, materialized, planner,
-        dimension_names,
-    ) -> None:
-        self.name = name
-        self.kind = kind
-        self.strategy = strategy
-        self.factorized = factorized
-        self.materialized = materialized
-        self.caches = factorized.caches if factorized is not None else []
-        self.planner = planner
-        self.dimension_names = dimension_names
-
-    @property
-    def base(self):
-        return self.factorized or self.materialized
-
-    def close(self) -> None:
-        for cache in self.caches:
-            cache.clear()
-        if self.factorized is not None:
-            self.factorized.close()
+from repro.serve.core import ServingCore
 
 
 class _Worker:
@@ -135,69 +101,35 @@ class _Worker:
             tiers=config.store_tiers,
         )
         self.db = None                  # opened on first REGISTER
-        self.models: dict[int, _WorkerModel] = {}
+        self.core = None
         self.task_seg = None            # re-attached when renamed
         self.running = True
 
-    def _database(self):
-        if self.db is None:
+    # -- handlers -------------------------------------------------------------
+
+    def on_register(self, payload) -> dict:
+        if self.core is None:
             # Deferred so relations registered after runtime creation
             # are present in the catalog file when it is first read.
             from repro.storage.catalog import Database
 
             self.db = Database(self.directory)
-        return self.db
-
-    # -- handlers -------------------------------------------------------------
-
-    def on_register(self, payload) -> dict:
-        db = self._database()
-        spec, model = payload["spec"], payload["model"]
-        kind, strategy = payload["kind"], payload["strategy"]
-        factorized = None
-        if strategy in (ADAPTIVE, FACTORIZED):
-            factorized = make_predictor(
-                db, spec, model, kind=kind, strategy=FACTORIZED,
-                cache_entries=payload["cache_entries"],
-                cache_floats=payload["cache_floats"],
-                store=self.store, block_pages=self.config.block_pages,
+            self.core = ServingCore(
+                self.db, self.store,
+                block_pages=self.config.block_pages, owns_store=False,
             )
-        materialized = None
-        if strategy in (ADAPTIVE, MATERIALIZED):
-            try:
-                materialized = make_predictor(
-                    db, spec, model, kind=kind, strategy=MATERIALIZED,
-                    block_pages=self.config.block_pages,
-                )
-            except BaseException:
-                if factorized is not None:
-                    factorized.close()
-                raise
-        base = factorized or materialized
-        resolved = base.resolved
-        planner = None
-        if strategy == ADAPTIVE:
-            layout = resolved.layout
-            if kind == "gmm":
-                width_param = model.params.n_components
-            else:
-                width_param = model.first_layer.weights.shape[0]
-            planner = BatchPlanner(
-                kind, layout.sizes[0], tuple(layout.sizes[1:]),
-                width_param,
-            )
-        self.models[payload["index"]] = _WorkerModel(
-            payload["name"], kind, strategy, factorized, materialized,
-            planner,
-            [dim.relation.name for dim in resolved.dimensions],
-        )
-        n_outputs = model.n_outputs if kind == "nn" else 0
-        return {"n_outputs": int(n_outputs)}
+        predecessor = self.core.get(payload.pop("predecessor"))
+        registered = self.core.register(**payload, predecessor=predecessor)
+        return {"out_width": registered.out_width}
 
     def on_unregister(self, payload) -> dict:
-        registered = self.models.pop(payload["index"], None)
-        if registered is not None:
-            registered.close()
+        # Tolerant of a generation this worker never saw: the parent
+        # also unregisters to roll a failed registration back.
+        if self.core is not None and payload["generation"] in self.core:
+            self.core.unregister(
+                payload["generation"],
+                self.core.get(payload["successor"]),
+            )
             self.store.publish_header()
         return {}
 
@@ -208,56 +140,17 @@ class _Worker:
             if self.task_seg is not None:
                 self.arena.release(self.task_seg.name)
             self.task_seg = self.arena.attach(payload["seg"])
-        rows, d_s, q = payload["rows"], payload["d_s"], payload["q"]
-        fk_offset, out_offset, _ = task_layout(
-            rows, d_s, q, payload["out_width"]
+        return task_views(
+            self.task_seg.buf, payload["rows"], payload["d_s"],
+            payload["q"], payload["out_width"],
         )
-        buf = self.task_seg.buf
-        features = np.frombuffer(
-            buf, dtype=np.float64, count=rows * d_s
-        ).reshape(rows, d_s)
-        fks = [
-            np.frombuffer(
-                buf, dtype=np.int64, count=rows,
-                offset=fk_offset + position * rows * 8,
-            )
-            for position in range(q)
-        ]
-        out = np.frombuffer(
-            buf, dtype=np.float64,
-            count=rows * max(payload["out_width"], 1),
-            offset=out_offset,
-        )
-        return features, fks, out
 
     def on_exec(self, payload) -> dict:
-        registered = self.models[payload["model"]]
         features, fks, out = self._task_views(payload)
-        before = self.db.stats.snapshot()
-        tick = time.perf_counter()
-        # The batch's one FK dedup, consumed by planner and predictor
-        # alike — same single-unique discipline as thread mode.
-        plan = DedupPlan.for_batch(fks)
-        decision = None
-        predictor = registered.base
-        if registered.planner is not None:
-            hit_rates = tuple(
-                cache.approx_hit_rate() for cache in registered.caches
-            )
-            decision = registered.planner.plan(plan, hit_rates)
-            predictor = (
-                registered.factorized
-                if decision.strategy == FACTORIZED
-                else registered.materialized
-            )
-        call = (
-            predictor.predict
-            if payload["op"] == "predict"
-            else predictor.score_samples
+        outputs, meta = self.core.execute(
+            payload["generation"], payload["op"], features, fks
         )
-        outputs = np.asarray(call(features, fks, plan=plan))
-        elapsed = time.perf_counter() - tick
-        io = self.db.stats.snapshot() - before
+        outputs = np.asarray(outputs)
         if outputs.ndim == 1:
             out_width = 0
             # int64 labels round-trip exactly through float64 (cluster
@@ -272,27 +165,16 @@ class _Worker:
         return {
             "out_width": out_width,
             "out_dtype": "i8" if outputs.dtype.kind == "i" else "f8",
-            "elapsed": elapsed,
-            "io": io,
-            "decision": decision,
-            "references": plan.rows * plan.num_dimensions,
-            "distinct": sum(plan.distinct),
+            "meta": meta,
         }
 
     def on_invalidate(self, payload) -> dict:
-        relation, rids = payload["relation"], payload["rids"]
+        relation = payload["relation"]
         positions = payload.get("positions")
-        dropped: dict[str, int] = {}
-        for registered in self.models.values():
-            for dim_index, dim_name in enumerate(
-                registered.dimension_names
-            ):
-                if dim_name != relation or not registered.caches:
-                    continue
-                count = registered.caches[dim_index].invalidate(rids)
-                dropped[registered.name] = (
-                    dropped.get(registered.name, 0) + count
-                )
+        dropped = (
+            self.core.invalidate(relation, payload["rids"])
+            if self.core is not None else {}
+        )
         # This worker's buffer pool may cache the relation's pre-update
         # pages.  When the event names the touched heap rows, drop only
         # their pages; untouched pages stay resident so the next batch
@@ -320,21 +202,16 @@ class _Worker:
         return dropped
 
     def on_stats(self, payload) -> dict:
-        sample = {
-            "worker": self.worker_id,
+        registry = self.core.registry() if self.core is not None else {}
+        return {
             "store": self.store.stats(),
+            # Keyed by generation: two fits of one name are live in a
+            # worker while the parent swaps.
             "cache_stats": {
-                registered.name: [
-                    cache.stats() for cache in registered.caches
-                ]
-                for registered in self.models.values()
+                generation: registered.cache_stats()
+                for generation, registered in registry.items()
             },
-            "header": [int(value) for value in self.header],
         }
-        if self.db is not None:
-            sample["pool"] = self.db.buffer_pool.stats()
-            sample["io"] = self.db.stats.snapshot()
-        return sample
 
     def on_trim(self, payload) -> dict:
         evicted = self.store.trim(payload["floats"])
@@ -345,9 +222,9 @@ class _Worker:
         if self.store is None:      # already shut down — idempotent
             return
         self.running = False
-        for registered in self.models.values():
-            registered.close()
-        self.models.clear()
+        if self.core is not None:
+            self.core.close()
+            self.core = None
         if self.db is not None:
             self.db.close()
             self.db = None

@@ -1,25 +1,34 @@
 """The concurrent batch-serving runtime.
 
-:class:`ServingRuntime` layers four mechanisms over :mod:`repro.serve`
-to turn the single-threaded :class:`~repro.serve.service.ModelService`
+:class:`ServingRuntime` puts a queue and dispatcher threads in front of
+the serving core (:mod:`repro.serve.core`) — the same register /
+execute / invalidate / swap code
+:class:`~repro.serve.service.ModelService` runs inline — to turn it
 into a serving tier:
 
 * a bounded :class:`~repro.runtime.queue.RequestQueue` of normalized
   point requests (admission control / backpressure);
-* micro-batching — workers coalesce queued requests for the same model
-  into one batch (``max_batch_rows`` rows, ``max_wait_ms`` linger), so
-  factorized reuse sees the RID repetition that point requests hide;
-* a thread worker pool scoring batches concurrently over
+* micro-batching — dispatchers coalesce queued requests for the same
+  model into one batch (``max_batch_rows`` rows, ``max_wait_ms``
+  linger), so factorized reuse sees the RID repetition that point
+  requests hide;
+* an executor behind one small interface (``register`` / ``execute`` /
+  ``invalidate`` / ``swap`` / ``unregister`` / ``sample`` /
+  ``set_budget`` / ``collect`` / ``close``): ``executor="thread"`` is
+  the core itself, called from ``num_workers`` dispatcher threads over
   RID-hash-sharded partial caches
-  (:class:`~repro.runtime.sharding.ShardedPartialCache`) — the NumPy
+  (:class:`~repro.fx.sharding.ShardedPartialCache`) — the NumPy
   kernels and page reads that dominate a batch release the GIL;
+  ``executor="process"`` is one dispatcher over
+  :class:`~repro.runtime.procpool.ProcessExecutor`, which scatters
+  each batch to worker processes that each run the core again;
 * per-batch adaptive planning — each model registered with the default
   ``"adaptive"`` strategy carries *both* predictors, and a
   :class:`~repro.runtime.planner.BatchPlanner` picks materialized or
   factorized from the batch's distinct-RID counts and live cache hit
   rates.  Each batch's foreign keys are deduplicated exactly once into
   a :class:`~repro.fx.dedup.DedupPlan` consumed by planner and
-  predictor alike, and all partial caches come from the runtime's
+  predictor alike, and all partial caches come from the executor's
   shared :class:`~repro.fx.store.PartialStore` — fingerprint-identical
   models reuse one cache (``share_partials``), optionally behind
   TinyLFU admission (``cache_admission="tinylfu"``), and an optional
@@ -31,13 +40,13 @@ The runtime also subscribes to the catalog's
 :class:`~repro.storage.events.RowVersionEvent` stream: an in-place
 update to a dimension relation evicts exactly the affected RIDs from
 every cache shard of every model joined to it, so the next prediction
-reflects the new rows (see :mod:`repro.runtime.sharding` for why this
-is race-free against in-flight batches).
+reflects the new rows (see :mod:`repro.fx.sharding` for why this is
+race-free against in-flight batches).
 
 Bookkeeping mirrors ``ModelService``: per-model
-:class:`~repro.serve.service.ServingStats`, plus runtime-level queue
-depth, a batch-size histogram, per-worker execution counters, per-shard
-cache stats and the planner's decision log
+:class:`~repro.serve.core.ServingStats`, plus runtime-level queue
+depth, a batch-size histogram, per-worker execution counters, cache
+stats and the planner's decision log
 (:meth:`ServingRuntime.runtime_stats`).
 """
 
@@ -47,47 +56,70 @@ import threading
 import time
 from collections import Counter
 from concurrent.futures import Future
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.strategies import (
-    FACTORIZED,
-    MATERIALIZED,
-    resolve_serving_strategy,
-)
+from repro.core.strategies import MATERIALIZED
 from repro.errors import ModelError
-from repro.fx.dedup import DedupPlan
-from repro.fx.sharding import ShardedPartialCache
-from repro.fx.store import PartialStore, StoreStats
-from repro.fx.tiers import GOVERNOR_HYSTERESIS, validate_tiers
+from repro.fx.store import StoreStats
+from repro.fx.tiers import validate_tiers
 from repro.join.bnl import DEFAULT_BLOCK_PAGES
 from repro.join.spec import JoinSpec
 from repro.obs import TelemetryServer, as_telemetry
 from repro.obs.metrics import (
     LATENCY_BUCKETS_S,
     SIZE_BUCKETS,
+    HistogramCell,
     HistogramValue,
 )
-from repro.obs.trace import current_span
-from repro.runtime.planner import BatchPlanner, PlannerStats
+from repro.runtime.planner import PlannerStats
 from repro.runtime.queue import Request, RequestQueue
 from repro.serve.cache import LRU_ADMISSION, CacheStats
-from repro.serve.predictor import (
-    _ServingPredictor,
-    coerce_gmm_model,
-    coerce_nn_model,
-    make_predictor,
+from repro.serve.core import (
+    ADAPTIVE,
+    RegisteredModel,
+    ServingCore,
+    ServingStats,
+    budget_floats,
+    budgeted_store,
+    check_memory_budget,
 )
-from repro.serve.service import ServingStats
 from repro.storage.catalog import Database
 from repro.storage.events import RowVersionEvent
-
-ADAPTIVE = "adaptive"
 
 THREAD_EXECUTOR = "thread"
 PROCESS_EXECUTOR = "process"
 
+
+def _thread_executor(db, config):
+    """The core itself, called from ``num_workers`` dispatcher threads
+    over caches sharded one way per dispatcher."""
+    store = budgeted_store(
+        config.memory_budget,
+        num_shards=config.num_workers,
+        admission=config.cache_admission,
+        shared=config.share_partials,
+        tiers=config.store_tiers,
+    )
+    core = ServingCore(db, store, block_pages=config.block_pages)
+    return core, config.num_workers
+
+
+def _process_executor(db, config):
+    """Worker processes behind a single dispatcher: within-batch
+    parallelism comes from scattering one batch *across* them."""
+    # Import here keeps procpool/procworker out of thread-mode runs.
+    from repro.runtime.procpool import ProcessExecutor
+
+    return ProcessExecutor(db, config), 1
+
+
+#: executor name -> factory of ``(executor, dispatcher threads)``.
+_EXECUTORS = {
+    THREAD_EXECUTOR: _thread_executor,
+    PROCESS_EXECUTOR: _process_executor,
+}
 
 def _batch_size_bucket(rows: int) -> int:
     """Power-of-two histogram bucket (upper bound) for a batch size."""
@@ -129,7 +161,6 @@ class RuntimeConfig:
     max_batch_rows: int = 2048
     max_wait_ms: float = 2.0
     queue_depth: int = 1024
-    cache_shards: int | None = None     # default: num_workers
     cache_admission: str = LRU_ADMISSION   # "lru" | "tinylfu"
     share_partials: bool = True            # cross-model slab sharing
     memory_budget: int | None = None       # bytes across all models
@@ -139,7 +170,7 @@ class RuntimeConfig:
     executor: str = THREAD_EXECUTOR        # "thread" | "process"
 
     def __post_init__(self) -> None:
-        if self.executor not in (THREAD_EXECUTOR, PROCESS_EXECUTOR):
+        if self.executor not in _EXECUTORS:
             raise ModelError(
                 f"unknown executor {self.executor!r}; "
                 f"use 'thread'|'process'"
@@ -156,26 +187,12 @@ class RuntimeConfig:
             raise ModelError(
                 f"max_wait_ms must be >= 0, got {self.max_wait_ms}"
             )
-        if self.cache_shards is not None and self.cache_shards <= 0:
-            raise ModelError(
-                f"cache_shards must be positive, got {self.cache_shards}"
-            )
-        if self.memory_budget is not None and self.memory_budget <= 0:
-            raise ModelError(
-                f"memory_budget must be positive bytes, "
-                f"got {self.memory_budget}"
-            )
         # Normalize (dedupe, canonical ladder order) and validate the
         # tier names; the frozen dataclass needs the escape hatch.
         object.__setattr__(
             self, "store_tiers", validate_tiers(self.store_tiers)
         )
-        if self.store_tiers and self.memory_budget is None:
-            raise ModelError(
-                "store_tiers requires memory_budget: the tiers are "
-                "the governor's demotion ladder, and without a budget "
-                "nothing is ever demoted"
-            )
+        check_memory_budget(self.memory_budget, self.store_tiers)
 
 
 @dataclass
@@ -191,139 +208,6 @@ class WorkerStats:
         """Rows this worker executed (alias of ``rows``; the name the
         process-mode observability docs use)."""
         return self.rows
-
-
-class _LatencyRecorder:
-    """A tiny in-runtime latency histogram (scatter/gather phases).
-
-    The metrics registry's histograms only surface through telemetry
-    snapshots; :meth:`ServingRuntime.runtime_stats` wants the same
-    shape (:class:`~repro.obs.metrics.HistogramValue`) with telemetry
-    on *or* off, so the runtime keeps its own cells.  Callers
-    synchronize (the runtime records under its stats lock).
-    """
-
-    __slots__ = ("buckets", "counts", "sum", "count")
-
-    def __init__(self, buckets=LATENCY_BUCKETS_S) -> None:
-        self.buckets = tuple(float(b) for b in buckets)
-        self.counts = [0] * (len(self.buckets) + 1)
-        self.sum = 0.0
-        self.count = 0
-
-    def record(self, seconds: float) -> None:
-        index = len(self.buckets)
-        for i, bound in enumerate(self.buckets):
-            if seconds <= bound:
-                index = i
-                break
-        self.counts[index] += 1
-        self.sum += seconds
-        self.count += 1
-
-    def value(self) -> HistogramValue:
-        return HistogramValue(
-            buckets=self.buckets,
-            counts=tuple(self.counts),
-            sum=self.sum,
-            count=self.count,
-        )
-
-
-@dataclass
-class RuntimeModel:
-    """One servable model inside the runtime."""
-
-    name: str
-    kind: str                        # "gmm" | "nn"
-    strategy: str                    # "adaptive" | fixed serving strategy
-    factorized: object | None
-    materialized: object | None
-    caches: list[ShardedPartialCache]
-    planner: BatchPlanner | None
-    dimension_names: list[str]
-    # Process-mode: predictors/planner/caches live in the workers; the
-    # parent keeps a model-less validator for submit-time shape checks,
-    # the worker-side model index, and the network's output width (so
-    # scatter can lay out the shared output region without a model).
-    validator: object | None = None
-    worker_index: int = 0
-    out_width: int = 0
-    # Registration-time inputs retained so a maintainer can rebuild
-    # this registration around a refreshed fit (swap_model).
-    spec: JoinSpec | None = None
-    cache_entries: int | None = None
-    cache_floats: int | None = None
-    # Batches currently executing against this registration; swap_model
-    # drains it to zero before tearing the old registration down.
-    inflight: int = 0
-    # Final counter totals of cache generations retired by swap_model
-    # (one CacheStats per dimension, gauges zeroed), folded into
-    # ``cache_stats`` so exported counters never step backwards when a
-    # swap rebuilds the caches.
-    cache_baselines: list = field(default_factory=list)
-    stats: ServingStats = field(default_factory=ServingStats)
-    planner_stats: PlannerStats = field(default_factory=PlannerStats)
-    invalidated_rids: int = 0
-    fk_references: int = 0         # rows × dimensions, accumulated
-    fk_distinct: int = 0           # Σ per-batch distinct RIDs
-    lock: threading.Lock = field(default_factory=threading.Lock)
-
-    @property
-    def dedup_ratio(self) -> float:
-        """FK references per distinct RID across every served batch —
-        how much redundancy micro-batching exposed for this model
-        (1.0 until the first batch)."""
-        if not self.fk_distinct:
-            return 1.0
-        return self.fk_references / self.fk_distinct
-
-    @property
-    def base(self):
-        """The predictor used for request normalization."""
-        return self.factorized or self.materialized or self.validator
-
-    def cache_stats(self) -> list[CacheStats]:
-        """Aggregate partial-cache counters, one entry per dimension.
-
-        Counter totals of generations retired by :meth:`swap_model`
-        are folded in, so hits/misses/invalidations stay monotonic
-        across a hot swap; gauges (entries, residency) reflect only
-        the live generation.
-        """
-        stats = [cache.stats() for cache in self.caches]
-        if self.cache_baselines:
-            stats = [
-                base + live
-                for base, live in zip(self.cache_baselines, stats)
-            ]
-        return stats
-
-    def shard_cache_stats(self) -> list[list[CacheStats]]:
-        """Per-dimension, per-shard cache counters."""
-        return [cache.shard_stats() for cache in self.caches]
-
-
-def _counter_baseline(stats: CacheStats) -> CacheStats:
-    """Monotonic counters of a retiring cache generation.
-
-    Gauges (entries, residency) are zeroed and the capacities set to 0
-    — the additive identity of :meth:`CacheStats.__add__` — so folding
-    the baseline into a live generation's stats inflates only the
-    counters.
-    """
-    return CacheStats(
-        hits=stats.hits,
-        misses=stats.misses,
-        evictions=stats.evictions,
-        capacity=0,
-        capacity_floats=0,
-        invalidations=stats.invalidations,
-        admission_rejections=stats.admission_rejections,
-        cross_evictions=stats.cross_evictions,
-        demotions=dict(stats.demotions),
-        promotions=dict(stats.promotions),
-    )
 
 
 @dataclass
@@ -389,59 +273,29 @@ class ServingRuntime:
             telemetry = True
         self.telemetry = as_telemetry(telemetry)
         self._make_instruments()
-        self.store = PartialStore(
-            num_shards=(
-                self.config.cache_shards or self.config.num_workers
-            ),
-            admission=self.config.cache_admission,
-            shared=self.config.share_partials,
-            capacity_floats=(
-                None
-                if self.config.memory_budget is None
-                else max(1, self.config.memory_budget // 8)
-            ),
-            tiers=self.config.store_tiers,
-            # Budgeted runtimes trim to a low watermark so steady-state
-            # overshoot doesn't invoke the governor every batch.
-            hysteresis=(
-                GOVERNOR_HYSTERESIS
-                if self.config.memory_budget is not None
-                else 1.0
-            ),
+        # The executor is built NOW, before this constructor starts any
+        # thread: process mode spawns its workers here, and the default
+        # fork start must never clone a multi-threaded parent
+        # (inherited locks could be held by threads that do not exist
+        # in the child).
+        self._executor, dispatchers = _EXECUTORS[self.config.executor](
+            db, self.config
         )
-        # Process mode spawns its workers NOW, before this constructor
-        # starts any thread: the default fork start must never clone a
-        # multi-threaded parent (inherited locks could be held by
-        # threads that do not exist in the child).
-        self._executor = None
-        self._last_worker_sample: list[dict] | None = None
-        self._next_worker_index = 0
-        if self.config.executor == PROCESS_EXECUTOR:
-            from repro.runtime.procpool import ProcessExecutor
-
-            self._executor = ProcessExecutor(db, self.config)
-        self._models: dict[str, RuntimeModel] = {}
-        self._dimension_index: dict[str, list[tuple[RuntimeModel, int]]] = {}
-        # Guards registry mutation vs iteration (stats snapshots,
-        # invalidation fan-out) — registration can race live traffic.
-        self._registry_lock = threading.Lock()
+        #: The partial store (``None`` when it lives in worker processes).
+        self.store = self._executor.store
         self._queue = RequestQueue(self.config.queue_depth)
         self._stats_lock = threading.Lock()
         self._batches = 0
         self._batch_histogram: Counter = Counter()
         self._closed = False
-        self._scatter_latency = _LatencyRecorder()
-        self._gather_latency = _LatencyRecorder()
-        # One WorkerStats per worker in either mode.  In process mode a
-        # single dispatcher thread drives all workers (within-batch
-        # parallelism comes from scattering one batch *across* the
-        # processes), and attribution comes from the EXEC replies.
+        self._scatter_latency = HistogramCell(LATENCY_BUCKETS_S)
+        self._gather_latency = HistogramCell(LATENCY_BUCKETS_S)
+        # One WorkerStats per worker: a dispatcher thread attributes
+        # the batches it ran to its own slot; batches scattered to
+        # worker processes are attributed from their replies.
         self._worker_stats = [
             WorkerStats() for _ in range(self.config.num_workers)
         ]
-        dispatchers = (
-            1 if self._executor is not None else self.config.num_workers
-        )
         self._workers = [
             threading.Thread(
                 target=self._worker_loop,
@@ -563,171 +417,10 @@ class ServingRuntime:
             "repro_worker_busy_seconds_total", busy,
             help="Accumulated batch execution seconds across workers",
         )
-        if self._executor is not None:
-            # The store lives in the workers; residency and execution
-            # counters are read straight off the shared-memory headers
-            # (no IPC from the collector path).  close() nulls the
-            # header view before unlinking the segment, so snapshot it
-            # once and re-check it — a close() racing this sampling
-            # tick must not leave us dereferencing None.
-            headers = self._executor.headers
-            if not self._executor.closed and headers is not None:
-                from repro.fx.shm import (
-                    HDR_COMPRESSED_BYTES,
-                    HDR_DEMOTIONS,
-                    HDR_FLOATS_RESIDENT,
-                    HDR_INVALIDATED,
-                    HDR_PROMOTIONS,
-                    HDR_ROWS_EXECUTED,
-                    HDR_SPILLED_BYTES,
-                )
-
-                resident = [
-                    int(headers[index, HDR_FLOATS_RESIDENT])
-                    for index in range(self._executor.num_workers)
-                ]
-                buffer.gauge(
-                    "repro_store_bytes_resident",
-                    sum(resident) * 8,
-                    help="Resident partial payload across every "
-                         "worker's shared slab (bytes)",
-                )
-                if self._executor.budget_floats is not None:
-                    buffer.gauge(
-                        "repro_store_capacity_floats",
-                        self._executor.budget_floats,
-                        help="Store-wide partial budget (float64 "
-                             "values)",
-                    )
-                buffer.counter(
-                    "repro_store_governor_sweeps_total",
-                    self._executor.sweeps,
-                    help="Times the budget governor actually swept "
-                         "(hysteresis suppresses per-batch trips)",
-                )
-                if self.config.store_tiers:
-                    workers = range(self._executor.num_workers)
-                    # The headers aggregate the compressed rungs into
-                    # one slot, so process mode breaks residency down
-                    # by tier *family* (compressed vs spill).
-                    buffer.gauge(
-                        "repro_store_tier_bytes_resident",
-                        sum(
-                            int(headers[i, HDR_COMPRESSED_BYTES])
-                            for i in workers
-                        ),
-                        help="Partial payload resident per tier "
-                             "(bytes)",
-                        tier="compressed",
-                    )
-                    buffer.gauge(
-                        "repro_store_tier_bytes_resident",
-                        sum(
-                            int(headers[i, HDR_SPILLED_BYTES])
-                            for i in workers
-                        ),
-                        help="Partial payload resident per tier "
-                             "(bytes)",
-                        tier="spill",
-                    )
-                    buffer.counter(
-                        "repro_store_tier_demotions_total",
-                        sum(
-                            int(headers[i, HDR_DEMOTIONS])
-                            for i in workers
-                        ),
-                        help="Rows demoted down the tier ladder",
-                    )
-                    buffer.counter(
-                        "repro_store_tier_promotions_total",
-                        sum(
-                            int(headers[i, HDR_PROMOTIONS])
-                            for i in workers
-                        ),
-                        help="Rows promoted back to the resident tier",
-                    )
-                for index in range(self._executor.num_workers):
-                    labels = {"worker": str(index)}
-                    buffer.gauge(
-                        "repro_worker_shm_floats_resident",
-                        resident[index],
-                        help="Partial floats resident in this "
-                             "worker's store",
-                        **labels,
-                    )
-                    buffer.counter(
-                        "repro_worker_rows_executed_total",
-                        int(headers[index, HDR_ROWS_EXECUTED]),
-                        help="Rows executed by this worker process",
-                        **labels,
-                    )
-                    buffer.counter(
-                        "repro_worker_invalidated_rids_total",
-                        int(headers[index, HDR_INVALIDATED]),
-                        help="Partial rows this worker dropped on "
-                             "dimension updates",
-                        **labels,
-                    )
-        else:
-            store = self.store.stats()
-            buffer.gauge(
-                "repro_store_caches", store.caches,
-                help="Live partial-cache fingerprints in the store",
-            )
-            buffer.gauge(
-                "repro_store_bytes_resident", store.bytes_resident,
-                help="Resident partial payload across every cache "
-                     "(bytes)",
-            )
-            if store.capacity_floats is not None:
-                buffer.gauge(
-                    "repro_store_capacity_floats", store.capacity_floats,
-                    help="Store-wide partial budget (float64 values)",
-                )
-            buffer.counter(
-                "repro_store_cross_evictions_total",
-                store.cross_evictions,
-                help="Rows evicted across cache boundaries by the "
-                     "budget governor",
-            )
-            buffer.counter(
-                "repro_store_governor_sweeps_total",
-                store.governor_sweeps,
-                help="Times the budget governor actually swept "
-                     "(hysteresis suppresses per-batch trips)",
-            )
-            if self.store.tiers:
-                buffer.gauge(
-                    "repro_store_tier_bytes_resident",
-                    store.compressed_bytes_resident,
-                    help="Partial payload resident per tier (bytes)",
-                    tier="compressed",
-                )
-                buffer.gauge(
-                    "repro_store_tier_bytes_resident",
-                    store.spilled_bytes,
-                    help="Partial payload resident per tier (bytes)",
-                    tier="spill",
-                )
-                for tier, count in sorted(store.tier_demotions.items()):
-                    buffer.counter(
-                        "repro_store_tier_demotions_total", count,
-                        help="Rows demoted down the tier ladder "
-                             "('drop' = no rung gained, row freed)",
-                        tier=tier,
-                    )
-                for tier, count in sorted(
-                    store.tier_promotions.items()
-                ):
-                    buffer.counter(
-                        "repro_store_tier_promotions_total", count,
-                        help="Rows promoted back to the resident "
-                             "tier, by source tier",
-                        tier=tier,
-                    )
-        with self._registry_lock:
-            models = list(self._models.items())
-        for name, model in models:
+        # Store residency, governor and tier series come from whoever
+        # owns the store (the core, or the worker headers).
+        self._executor.collect(buffer)
+        for name, model in self._executor.registry().items():
             with model.lock:
                 dedup_ratio = model.dedup_ratio
             buffer.gauge(
@@ -824,7 +517,7 @@ class ServingRuntime:
         strategy: str = ADAPTIVE,
         cache_entries: int | None = None,
         cache_floats: int | None = None,
-    ) -> RuntimeModel:
+    ) -> RegisteredModel:
         """Register a fitted mixture (a ``GMMResult`` or the bare model)."""
         return self._register(
             name, "gmm", spec, model, strategy, cache_entries, cache_floats
@@ -839,7 +532,7 @@ class ServingRuntime:
         strategy: str = ADAPTIVE,
         cache_entries: int | None = None,
         cache_floats: int | None = None,
-    ) -> RuntimeModel:
+    ) -> RegisteredModel:
         """Register a trained network (an ``NNResult`` or the bare MLP)."""
         return self._register(
             name, "nn", spec, model, strategy, cache_entries, cache_floats
@@ -847,325 +540,36 @@ class ServingRuntime:
 
     def _register(
         self, name, kind, spec, model, strategy, cache_entries, cache_floats
-    ) -> RuntimeModel:
+    ) -> RegisteredModel:
         if self._closed:
             raise ModelError("runtime is closed")
-        if name in self._models:
-            raise ModelError(f"model {name!r} is already registered")
-        if strategy != ADAPTIVE:
-            strategy = resolve_serving_strategy(strategy)
-        if self._executor is not None:
-            return self._register_process(
-                name, kind, spec, model, strategy, cache_entries,
-                cache_floats,
-            )
-        registered = self._build_thread_model(
+        return self._executor.register(
             name, kind, spec, model, strategy, cache_entries, cache_floats
         )
-        try:
-            self._insert_registration(registered)
-        except ModelError:
-            if registered.factorized is not None:
-                registered.factorized.close()   # give shared caches back
-            raise
-        return registered
 
-    def _build_thread_model(
-        self, name, kind, spec, model, strategy, cache_entries, cache_floats
-    ) -> RuntimeModel:
-        """Build a thread-mode registration (predictors, caches,
-        planner) without touching the registry."""
-        factorized = None
-        if strategy in (ADAPTIVE, FACTORIZED):
-            # Factorized predictors draw their RID-hash-sharded caches
-            # from the runtime's shared store, keyed by partial
-            # fingerprint — fingerprint-identical models share slabs.
-            factorized = make_predictor(
-                self.db, spec, model, kind=kind, strategy=FACTORIZED,
-                cache_entries=cache_entries, cache_floats=cache_floats,
-                store=self.store, block_pages=self.config.block_pages,
-            )
-        materialized = None
-        if strategy in (ADAPTIVE, MATERIALIZED):
-            try:
-                materialized = make_predictor(
-                    self.db, spec, model, kind=kind,
-                    strategy=MATERIALIZED,
-                    block_pages=self.config.block_pages,
-                )
-            except BaseException:
-                if factorized is not None:
-                    factorized.close()     # give shared caches back
-                raise
-        caches: list[ShardedPartialCache] = []
-        planner = None
-        if factorized is not None:
-            caches = factorized.caches
-        elif cache_entries is not None or cache_floats is not None:
-            raise ModelError(
-                "cache capacities apply to factorized serving only; "
-                "the materialized path keeps no partials to cache"
-            )
-        base = factorized or materialized
-        resolved = base.resolved
-        if strategy == ADAPTIVE:
-            layout = resolved.layout
-            if kind == "gmm":
-                width_param = coerce_gmm_model(model).params.n_components
-            else:
-                width_param = coerce_nn_model(
-                    model
-                ).first_layer.weights.shape[0]
-            planner = BatchPlanner(
-                kind,
-                layout.sizes[0],
-                tuple(layout.sizes[1:]),
-                width_param,
-            )
-        return RuntimeModel(
-            name=name,
-            kind=kind,
-            strategy=strategy,
-            factorized=factorized,
-            materialized=materialized,
-            caches=caches,
-            planner=planner,
-            dimension_names=[
-                dim.relation.name for dim in resolved.dimensions
-            ],
-            spec=spec,
-            cache_entries=cache_entries,
-            cache_floats=cache_floats,
-        )
-
-    def _insert_registration(self, registered: RuntimeModel) -> None:
-        with self._registry_lock:
-            if registered.name in self._models:
-                raise ModelError(
-                    f"model {registered.name!r} is already registered"
-                )
-            self._models[registered.name] = registered
-            for index, dim_name in enumerate(registered.dimension_names):
-                self._dimension_index.setdefault(dim_name, []).append(
-                    (registered, index)
-                )
-
-    def _register_process(
-        self, name, kind, spec, model, strategy, cache_entries,
-        cache_floats,
-    ) -> RuntimeModel:
-        """Register on every worker process; keep a validator locally.
-
-        The model crosses the pipe once (its coerced, fitted form);
-        each worker builds its own predictors and draws caches from
-        its shared-slab store.  The parent keeps only what submit-time
-        validation and scatter need: the resolved join (shapes,
-        dimension names) and the network's output width.
-        """
-        registered = self._build_process_model(
-            name, kind, spec, model, strategy, cache_entries, cache_floats
-        )
-        try:
-            self._insert_registration(registered)
-        except ModelError:
-            self._executor.unregister(registered.worker_index)
-            raise
-        return registered
-
-    def _build_process_model(
-        self, name, kind, spec, model, strategy, cache_entries,
-        cache_floats,
-    ) -> RuntimeModel:
-        """Register the model on every worker under a fresh worker-side
-        index and build the parent-side validator — no registry entry
-        yet (callers insert or swap it in)."""
-        bare = (
-            coerce_gmm_model(model) if kind == "gmm"
-            else coerce_nn_model(model)
-        )
-        validator = _ServingPredictor(
-            self.db, spec, block_pages=self.config.block_pages
-        )
-        if strategy == MATERIALIZED and (
-            cache_entries is not None or cache_floats is not None
-        ):
-            raise ModelError(
-                "cache capacities apply to factorized serving only; "
-                "the materialized path keeps no partials to cache"
-            )
-        with self._registry_lock:
-            worker_index = self._next_worker_index
-            self._next_worker_index += 1
-        reply = self._executor.register(
-            worker_index, name, kind, spec, bare, strategy,
-            cache_entries, cache_floats,
-        )
-        return RuntimeModel(
-            name=name,
-            kind=kind,
-            strategy=strategy,
-            factorized=None,
-            materialized=None,
-            caches=[],
-            planner=None,
-            dimension_names=[
-                dim.relation.name for dim in validator.resolved.dimensions
-            ],
-            validator=validator,
-            worker_index=worker_index,
-            out_width=reply["n_outputs"],
-            spec=spec,
-            cache_entries=cache_entries,
-            cache_floats=cache_floats,
-        )
-
-    def swap_model(
-        self, name: str, model, *, drain_timeout: float = 30.0
-    ) -> RuntimeModel:
-        """Atomically replace ``name``'s fit with a refreshed one.
-
-        The replacement registration is built completely before the
-        registry changes — in process mode that means registering the
-        refreshed fit on every worker under a *fresh* worker-side
-        index, never overwriting the old one in place (one coalesced
-        batch scatters sub-batches to several workers; an in-place
-        replace landing between two of them would serve a torn mix).
-        The registry pointer then flips under the lock, so a batch
-        resolves entirely the old or entirely the new registration.
-        Old in-flight batches are drained (bounded by
-        ``drain_timeout``) before the old predictors close / the old
-        worker-side entry unregisters.
-
-        Serving stats and FK/invalidations counters carry over, so
-        exported monotonic counters never step backwards across a
-        swap.  The new factorized predictors draw from the same shared
-        store — partials untouched by the refresh stay resident via
-        fingerprint sharing.
-        """
+    def swap_model(self, name: str, model) -> RegisteredModel:
+        """Atomically replace ``name``'s fit with a refreshed one — see
+        :meth:`ServingCore.swap <repro.serve.core.ServingCore.swap>`.
+        A batch resolves entirely the old or entirely the new
+        registration, on either executor."""
         if self._closed:
             raise ModelError("runtime is closed")
-        current = self.model(name)
-        if current.spec is None:
-            raise ModelError(
-                f"model {name!r} was registered without its spec; "
-                "cannot rebuild its registration for a swap"
-            )
-        if self._executor is not None:
-            replacement = self._build_process_model(
-                name, current.kind, current.spec, model,
-                current.strategy, current.cache_entries,
-                current.cache_floats,
-            )
-        else:
-            replacement = self._build_thread_model(
-                name, current.kind, current.spec, model,
-                current.strategy, current.cache_entries,
-                current.cache_floats,
-            )
-        with current.lock:
-            replacement.stats = current.stats
-            replacement.invalidated_rids = current.invalidated_rids
-            replacement.fk_references = current.fk_references
-            replacement.fk_distinct = current.fk_distinct
-        # Capture the retiring generation's cache counters so exported
-        # totals carry across the swap instead of restarting at zero.
-        # In process mode the merged worker sample (keyed by model
-        # name) is the only view of the worker-side caches; in thread
-        # mode the caches are local.  Either path already folds in the
-        # baselines of generations retired by earlier swaps.
-        if self._executor is not None:
-            merged, _ = self._merged_worker_stats()
-            replacement.cache_baselines = [
-                _counter_baseline(stats)
-                for stats in merged.get(name, [])
-            ]
-        else:
-            replacement.cache_baselines = [
-                _counter_baseline(stats)
-                for stats in current.cache_stats()
-            ]
-        swapped = False
-        try:
-            with self._registry_lock:
-                if self._models.get(name) is not current:
-                    raise ModelError(
-                        f"model {name!r} changed while swapping"
-                    )
-                self._models[name] = replacement
-                for index, dim_name in enumerate(
-                    replacement.dimension_names
-                ):
-                    entries = self._dimension_index.get(dim_name, [])
-                    self._dimension_index[dim_name] = [
-                        entry for entry in entries
-                        if entry[0] is not current
-                    ] + [(replacement, index)]
-            swapped = True
-        finally:
-            if not swapped:
-                # Lost a race with another swap/unregister: tear the
-                # built replacement down instead of the old model.
-                if replacement.factorized is not None:
-                    replacement.factorized.close()
-                if self._executor is not None:
-                    self._executor.unregister(replacement.worker_index)
-        # Drain: batches that resolved the old registration before the
-        # flip may still be executing; wait for them before closing.
-        deadline = time.perf_counter() + drain_timeout
-        while time.perf_counter() < deadline:
-            with current.lock:
-                if current.inflight == 0:
-                    break
-            time.sleep(0.001)
-        # In-flight batches kept bumping the old generation's counters
-        # during the drain; re-capture now that it is quiescent (the
-        # counters only grew, so the exported totals stay monotonic).
-        # Process mode skips this: the merged-by-name worker sample now
-        # mixes both generations, and the pre-flip capture is within
-        # one drained batch of exact.
-        if self._executor is None:
-            replacement.cache_baselines = [
-                _counter_baseline(stats)
-                for stats in current.cache_stats()
-            ]
-        if current.factorized is not None:
-            current.factorized.close()
-        if self._executor is not None and not self._executor.closed:
-            self._executor.unregister(current.worker_index)
-        return replacement
+        return self._executor.swap(name, model)
 
     def unregister(self, name: str) -> None:
-        with self._registry_lock:
-            registered = self._models.pop(name, None)
-            if registered is None:
-                raise ModelError(f"no model {name!r} to unregister")
-            for dim_name in registered.dimension_names:
-                self._dimension_index[dim_name] = [
-                    entry
-                    for entry in self._dimension_index.get(dim_name, [])
-                    if entry[0] is not registered
-                ]
-        if registered.factorized is not None:
-            registered.factorized.close()
-        if self._executor is not None and not self._executor.closed:
-            self._executor.unregister(registered.worker_index)
+        self._executor.unregister(name)
 
     # -- lookup --------------------------------------------------------------
 
     @property
     def model_names(self) -> list[str]:
-        return sorted(self._models)
+        return sorted(self._executor.registry())
 
     def __contains__(self, name: str) -> bool:
-        return name in self._models
+        return name in self._executor
 
-    def model(self, name: str) -> RuntimeModel:
-        try:
-            return self._models[name]
-        except KeyError:
-            raise ModelError(
-                f"no registered model {name!r}; have {sorted(self._models)}"
-            ) from None
+    def model(self, name: str) -> RegisteredModel:
+        return self._executor.model(name)
 
     # -- request admission ---------------------------------------------------
 
@@ -1180,26 +584,17 @@ class ServingRuntime:
     ) -> Future:
         """Enqueue one point request; returns a future of its outputs.
 
-        Validation (feature width, FK shape) happens here, on the
+        Validation (op, feature width, FK shape) happens here, on the
         caller's thread, so malformed requests fail fast.  Failures
         that only surface during scoring (e.g. a dangling foreign key)
         fail their own future without poisoning requests they
         coalesced with.  ``timeout`` bounds how long to wait for queue
         space when the runtime is saturated.
         """
-        registered = self.model(name)
-        if op not in ("predict", "score"):
-            raise ModelError(f"unknown op {op!r}; use 'predict'|'score'")
-        if op == "score" and registered.kind != "gmm":
-            raise ModelError(
-                f"model {name!r} is a {registered.kind!r} model; "
-                "score() is defined for GMMs"
-            )
+        registered = self._executor.model(name)
         if self._closed:
             raise ModelError("runtime is closed")
-        base = registered.base
-        features = base._fact_features(fact_features)
-        fks = base._fk_arrays(fk_values, features.shape[0])
+        features, fks = registered.admit(op, fact_features, fk_values)
         request = Request((name, op), features, fks)
         self._queue.put(request, timeout=timeout)
         return request.future
@@ -1236,34 +631,12 @@ class ServingRuntime:
             self._execute(batch, stats)
 
     def _execute(self, batch: list[Request], stats: WorkerStats) -> None:
-        # Pin the resolved registration for swap draining: swap_model
-        # waits for inflight to reach zero before tearing the old
-        # registration down.  The backend re-resolves the name, so it
-        # may observe a newer registration than the one pinned here (a
-        # swap landing in between) — that only makes the drain
-        # conservative, never unsafe.
-        registered = self._models.get(batch[0].batch_key[0])
-        if registered is not None:
-            with registered.lock:
-                registered.inflight += 1
-        try:
-            if self._executor is not None:
-                self._execute_process(batch, stats)
-            else:
-                self._execute_thread(batch, stats)
-        finally:
-            if registered is not None:
-                with registered.lock:
-                    registered.inflight -= 1
-
-    def _execute_thread(
-        self, batch: list[Request], stats: WorkerStats
-    ) -> None:
+        """Run one coalesced batch through the executor and resolve
+        its requests' futures."""
         name, op = batch[0].batch_key
         rows = sum(request.rows for request in batch)
         claimed = time.perf_counter()
         try:
-            registered = self.model(name)
             features = (
                 batch[0].features if len(batch) == 1
                 else np.concatenate([r.features for r in batch], axis=0)
@@ -1273,10 +646,9 @@ class ServingRuntime:
                 else np.concatenate([r.fks[i] for r in batch])
                 for i in range(len(batch[0].fks))
             ]
-            before = self.db.stats.snapshot()
-            tick = time.perf_counter()
-            # Root span for the batch: the deeper layers (gather,
-            # caches, buffer pool) open children / attribute counts
+            # Root span for the batch: the executor opens its phases
+            # (dedup/plan/predict, or scatter/gather) as children, and
+            # the deeper layers (gather, caches, buffer pool) attribute
             # through the thread-local current_span().
             with self.telemetry.tracer.trace(
                 "serve.batch", model=name, op=op,
@@ -1290,26 +662,15 @@ class ServingRuntime:
                     min(r.enqueued_at for r in batch),
                     claimed,
                 )
-                # The batch's one and only FK dedup: planner and
-                # predictor both consume this plan, so each dimension
-                # is sorted once.
-                with root.child("dedup"):
-                    plan = DedupPlan.for_batch(fks)
-                with root.child("plan"):
-                    predictor = self._plan(registered, plan)
-                call = (
-                    predictor.predict if op == "predict"
-                    else predictor.score_samples
+                outputs, meta = self._executor.execute(
+                    name, op, features, fks, span=root
                 )
-                with root.child("predict"):
-                    outputs = call(features, fks, plan=plan)
-            elapsed = time.perf_counter() - tick
-            io = self.db.stats.snapshot() - before
         except BaseException as error:
             # Shape errors are caught at submit time, but data-dependent
-            # failures (e.g. a dangling foreign key) only surface during
-            # scoring.  Retry the requests one by one so a single bad
-            # request cannot poison the others it coalesced with.
+            # failures (a dangling foreign key, a dead worker process)
+            # only surface during scoring.  Retry the requests one by
+            # one so a single bad request cannot poison the others it
+            # coalesced with.
             if len(batch) > 1:
                 for request in batch:
                     self._execute([request], stats)
@@ -1325,239 +686,50 @@ class ServingRuntime:
         self._m_requests.labels(model=name, op=op).inc(len(batch))
         self._m_batches.labels(model=name).inc()
         self._m_batch_rows.observe(rows)
-        self._m_batch_seconds.labels(model=name).observe(elapsed)
+        self._m_batch_seconds.labels(model=name).observe(meta.elapsed)
         for request in batch:
             self._m_queue_wait.observe(request.wait_seconds(claimed))
-        with registered.lock:
-            # Note: under concurrency the I/O delta can double-count
-            # pages read by overlapping batches of other models; it is
-            # an attribution estimate, exactly like shared-disk stats
-            # in any multi-tenant server.
-            registered.stats.record(rows, elapsed, io)
-            registered.fk_references += plan.rows * plan.num_dimensions
-            registered.fk_distinct += sum(plan.distinct)
+        for decision in meta.decisions:
+            self._m_planner_decisions.labels(
+                model=name, strategy=decision.strategy
+            ).inc()
+            # The cost-model delta is exported as the two estimates
+            # (both monotone counters); dashboards subtract them — a
+            # signed "saving" series would not be a legal Prometheus
+            # counter.
+            self._m_planner_dense_mults.labels(model=name).inc(
+                decision.dense_mults
+            )
+            self._m_planner_factorized_mults.labels(model=name).inc(
+                decision.factorized_mults
+            )
+        scattered = meta.scatter_seconds is not None
+        if scattered:
+            self._m_scatter_seconds.observe(meta.scatter_seconds)
+            self._m_gather_seconds.observe(meta.gather_seconds)
+        # Who did the work: the worker processes the batch was
+        # scattered to, else this dispatcher itself.
+        attributed = [
+            (self._worker_stats[worker], sub_rows, seconds)
+            for worker, sub_rows, seconds in meta.shares
+        ] or [(stats, rows, meta.elapsed)]
         with self._stats_lock:
             self._batches += 1
             self._batch_histogram[_batch_size_bucket(rows)] += 1
-            stats.batches += 1
-            stats.rows += rows
-            stats.wall_seconds += elapsed
-        offset = 0
-        for request in batch:
-            if not request.future.set_running_or_notify_cancel():
-                offset += request.rows
-                continue
-            request.future.set_result(
-                outputs[offset:offset + request.rows]
-            )
-            offset += request.rows
-
-    def _execute_process(
-        self, batch: list[Request], stats: WorkerStats
-    ) -> None:
-        """Scatter one coalesced batch across the worker processes.
-
-        Rows are routed by ``fk_0 % num_workers`` — the process-level
-        continuation of the in-process RID-hash sharding — written
-        into each target worker's shared task slab, executed there,
-        and gathered back by row index.  Because every row's output is
-        computed independently and lands at its own index, the merged
-        outputs are bit-identical to thread mode regardless of worker
-        completion order.  A failure (bad data on one worker, or a
-        dead worker) retries the batch request by request, so only the
-        requests whose rows route to the failure are poisoned.
-        """
-        name, op = batch[0].batch_key
-        rows = sum(request.rows for request in batch)
-        claimed = time.perf_counter()
-        executor = self._executor
-        try:
-            registered = self.model(name)
-            features = (
-                batch[0].features if len(batch) == 1
-                else np.concatenate([r.features for r in batch], axis=0)
-            )
-            fks = [
-                batch[0].fks[i] if len(batch) == 1
-                else np.concatenate([r.fks[i] for r in batch])
-                for i in range(len(batch[0].fks))
-            ]
-            out_width = (
-                registered.out_width
-                if registered.kind == "nn" and op == "predict"
-                else 0
-            )
-            d_s, q = features.shape[1], len(fks)
-            affinity = fks[0] % executor.num_workers
-            tick = time.perf_counter()
-            # Same root span as the threaded path — dashboards keyed on
-            # "serve.batch" see both backends; the children reflect the
-            # process pipeline (scatter/gather instead of dedup/plan/
-            # predict, which now happen inside the workers).
-            with self.telemetry.tracer.trace(
-                "serve.batch", model=name, op=op,
-                requests=len(batch), rows=rows,
-            ) as root:
-                root.record(
-                    "queue.wait",
-                    min(r.enqueued_at for r in batch),
-                    claimed,
-                )
-                error: BaseException | None = None
-                with root.child("scatter"):
-                    pending = []
-                    for worker in range(executor.num_workers):
-                        indices = np.nonzero(affinity == worker)[0]
-                        if indices.size == 0:
-                            continue
-                        try:
-                            req_id = executor.start_subbatch(
-                                worker,
-                                registered.worker_index,
-                                op,
-                                features[indices],
-                                [fk[indices] for fk in fks],
-                                out_width,
-                            )
-                        except BaseException as scatter_error:
-                            # Stop scattering, but fall through to the
-                            # gather below with the sub-batches already
-                            # started: each must be drained before the
-                            # per-request retry may rewrite its
-                            # worker's task slab — an abandoned EXEC
-                            # still executing over a rewritten slab
-                            # would silently corrupt the surviving
-                            # requests' inputs and outputs.
-                            error = scatter_error
-                            break
-                        pending.append((worker, indices, req_id))
-                scatter_s = time.perf_counter() - tick
-                outputs = None
-                metas: list[tuple[int, int, dict]] = []
-                with root.child("gather"):
-                    for worker, indices, req_id in pending:
-                        # Always finish every started sub-batch, even
-                        # after a failure — a worker left owing a reply
-                        # would corrupt the next batch's mailbox
-                        # accounting.
-                        try:
-                            sub_out, meta = executor.finish_subbatch(
-                                worker, req_id, int(indices.size), d_s, q
-                            )
-                        except BaseException as sub_error:
-                            error = error or sub_error
-                            continue
-                        metas.append((worker, int(indices.size), meta))
-                        if outputs is None:
-                            shape = (
-                                (rows,) if sub_out.ndim == 1
-                                else (rows, sub_out.shape[1])
-                            )
-                            outputs = np.empty(shape, dtype=sub_out.dtype)
-                        outputs[indices] = sub_out
-                gather_s = time.perf_counter() - tick - scatter_s
-                if error is not None:
-                    raise error
-            if outputs is None:     # zero-row batch
-                outputs = np.zeros((rows,))
-            elapsed = time.perf_counter() - tick
-            io = None
-            for _, _, meta in metas:
-                io = meta["io"] if io is None else io + meta["io"]
-        except BaseException as error:
-            if len(batch) > 1:
-                for request in batch:
-                    self._execute_process([request], stats)
-                return
-            self._m_batch_failures.labels(model=name).inc()
-            self._m_queue_wait.observe(batch[0].wait_seconds(claimed))
-            self._m_requests.labels(model=name, op=op).inc()
-            for request in batch:
-                if not request.future.set_running_or_notify_cancel():
-                    continue
-                request.future.set_exception(error)
-            return
-        self._m_requests.labels(model=name, op=op).inc(len(batch))
-        self._m_batches.labels(model=name).inc()
-        self._m_batch_rows.observe(rows)
-        self._m_batch_seconds.labels(model=name).observe(elapsed)
-        self._m_scatter_seconds.observe(scatter_s)
-        self._m_gather_seconds.observe(gather_s)
-        for request in batch:
-            self._m_queue_wait.observe(request.wait_seconds(claimed))
-        with registered.lock:
-            if io is not None:
-                registered.stats.record(rows, elapsed, io)
-            for _, _, meta in metas:
-                registered.fk_references += meta["references"]
-                registered.fk_distinct += meta["distinct"]
-                decision = meta["decision"]
-                if decision is None:
-                    continue
-                registered.planner_stats.record(decision)
-                self._m_planner_decisions.labels(
-                    model=name, strategy=decision.strategy
-                ).inc()
-                self._m_planner_dense_mults.labels(model=name).inc(
-                    decision.dense_mults
-                )
-                self._m_planner_factorized_mults.labels(model=name).inc(
-                    decision.factorized_mults
-                )
-        with self._stats_lock:
-            self._batches += 1
-            self._batch_histogram[_batch_size_bucket(rows)] += 1
-            self._scatter_latency.record(scatter_s)
-            self._gather_latency.record(gather_s)
-            for worker, sub_rows, meta in metas:
-                worker_stats = self._worker_stats[worker]
+            if scattered:
+                self._scatter_latency.observe(meta.scatter_seconds)
+                self._gather_latency.observe(meta.gather_seconds)
+            for worker_stats, sub_rows, seconds in attributed:
                 worker_stats.batches += 1
                 worker_stats.rows += sub_rows
-                worker_stats.wall_seconds += meta["elapsed"]
+                worker_stats.wall_seconds += seconds
         offset = 0
         for request in batch:
-            if not request.future.set_running_or_notify_cancel():
-                offset += request.rows
-                continue
-            request.future.set_result(
-                outputs[offset:offset + request.rows]
-            )
+            if request.future.set_running_or_notify_cancel():
+                request.future.set_result(
+                    outputs[offset:offset + request.rows]
+                )
             offset += request.rows
-        # The governor: residency is read straight off the headers, so
-        # the within-budget fast path costs a few loads per batch.
-        executor.sweep_budget()
-
-    def _plan(self, registered: RuntimeModel, plan: DedupPlan):
-        """Pick this batch's predictor (and log the decision)."""
-        span = current_span()
-        if registered.planner is None:
-            if span is not None:
-                span.set("strategy", registered.strategy)
-            return registered.base
-        hit_rates = tuple(
-            cache.approx_hit_rate() for cache in registered.caches
-        )
-        decision = registered.planner.plan(plan, hit_rates)
-        with registered.lock:
-            registered.planner_stats.record(decision)
-        self._m_planner_decisions.labels(
-            model=registered.name, strategy=decision.strategy
-        ).inc()
-        # The cost-model delta is exported as the two estimates (both
-        # monotone counters); dashboards subtract them — a signed
-        # "saving" series would not be a legal Prometheus counter.
-        self._m_planner_dense_mults.labels(model=registered.name).inc(
-            decision.dense_mults
-        )
-        self._m_planner_factorized_mults.labels(
-            model=registered.name
-        ).inc(decision.factorized_mults)
-        if span is not None:
-            span.set("strategy", decision.strategy)
-            span.set("saving_rate", round(decision.saving_rate, 4))
-        if decision.strategy == FACTORIZED:
-            return registered.factorized
-        return registered.materialized
 
     # -- adaptation ----------------------------------------------------------
 
@@ -1573,148 +745,38 @@ class ServingRuntime:
         created with a ``memory_budget`` (an armed governor); see
         :meth:`~repro.fx.store.PartialStore.set_budget`.  The frozen
         ``config.memory_budget`` keeps its construction-time value;
-        the live bound is ``store.stats().capacity_floats``.
+        the live bound is ``runtime_stats().store.capacity_floats``.
         """
         if memory_budget is not None and memory_budget <= 0:
             raise ModelError(
                 f"memory_budget must be positive bytes or None, "
                 f"got {memory_budget}"
             )
-        floats = (
-            None if memory_budget is None else max(1, memory_budget // 8)
-        )
-        if self._executor is not None:
-            return self._executor.set_budget(floats)
-        return self.store.set_budget(floats)
+        return self._executor.set_budget(budget_floats(memory_budget))
 
     # -- invalidation --------------------------------------------------------
 
     def _on_row_version(self, event: RowVersionEvent) -> None:
         """Evict updated RIDs' partials from every shard of every model."""
-        with self._registry_lock:
-            affected = list(self._dimension_index.get(event.relation, []))
-        if not affected:
-            return
-        if self._executor is not None:
-            if self._executor.closed:
-                return
-            by_name = {entry[0].name: entry[0] for entry in affected}
-            # Fan out to every worker: a dimension beyond the first is
-            # not affinity-routed, so any worker may cache its RIDs.
-            dropped_by_model = self._executor.invalidate(
-                event.relation, event.rids,
-                positions=event.positions,
-            )
-            for model_name, dropped in dropped_by_model.items():
-                registered = by_name.get(model_name)
-                if registered is None or not dropped:
-                    continue
-                with registered.lock:
-                    registered.invalidated_rids += dropped
-                self._m_invalidated_rids.labels(
-                    model=model_name
-                ).inc(dropped)
-            return
-        for registered, dim_index in affected:
-            if not registered.caches:
-                continue
-            dropped = registered.caches[dim_index].invalidate(event.rids)
-            with registered.lock:
-                registered.invalidated_rids += dropped
+        dropped_by_model = self._executor.invalidate(
+            event.relation, event.rids, event.positions
+        )
+        for name, dropped in dropped_by_model.items():
             if dropped:
-                self._m_invalidated_rids.labels(
-                    model=registered.name
-                ).inc(dropped)
+                self._m_invalidated_rids.labels(model=name).inc(dropped)
 
     # -- bookkeeping ---------------------------------------------------------
 
     def stats(self, name: str) -> ServingStats:
-        return self.model(name).stats
+        return self._executor.model(name).stats
 
     def cache_stats(self, name: str) -> list[CacheStats]:
-        registered = self.model(name)
-        if self._executor is not None:
-            merged, _ = self._merged_worker_stats()
-            return merged.get(registered.name, [])
-        return registered.cache_stats()
+        """Per-dimension partial-cache counters (merged across worker
+        processes in process mode), monotone across :meth:`swap_model`."""
+        return self._executor.cache_stats(name)
 
     def planner_stats(self, name: str) -> PlannerStats:
-        return self.model(name).planner_stats
-
-    def _sample_workers(self) -> list[dict]:
-        """A fresh per-worker telemetry sample (process mode).
-
-        Falls back to the last successful sample once the executor is
-        closed (or a worker died mid-sample), so post-close snapshots
-        still report the final counters instead of raising.
-        """
-        executor = self._executor
-        if executor is not None and not executor.closed:
-            try:
-                self._last_worker_sample = [
-                    sample
-                    for sample in executor.sample_stats()
-                    if sample is not None
-                ]
-            except ModelError:
-                pass
-        return self._last_worker_sample or []
-
-    def _merged_worker_stats(self):
-        """Merge worker samples: per-model cache stats + store stats."""
-        samples = self._sample_workers()
-        cache_stats: dict[str, list[CacheStats]] = {}
-        for sample in samples:
-            for name, per_dim in sample["cache_stats"].items():
-                merged = cache_stats.get(name)
-                if merged is None:
-                    cache_stats[name] = list(per_dim)
-                else:
-                    cache_stats[name] = [
-                        have + new for have, new in zip(merged, per_dim)
-                    ]
-        with self._registry_lock:
-            models = dict(self._models)
-        for name, per_dim in list(cache_stats.items()):
-            model = models.get(name)
-            if model is not None and model.cache_baselines:
-                cache_stats[name] = [
-                    base + have
-                    for base, have in zip(model.cache_baselines, per_dim)
-                ]
-        cache_total = CacheStats()
-        fingerprints: dict[str, int] = {}
-        caches = attachments = shared = cross = 0
-        for sample in samples:
-            store = sample["store"]
-            caches += store.caches
-            attachments += store.attachments
-            shared += store.shared_attachments
-            cross += store.cross_evictions
-            cache_total = cache_total + store.cache
-            for key, share in store.fingerprints.items():
-                fingerprints[key] = fingerprints.get(key, 0) + share
-        store_stats = StoreStats(
-            caches=caches,
-            attachments=attachments,
-            shared_attachments=shared,
-            cache=cache_total,
-            capacity_floats=(
-                self._executor.budget_floats
-                if self._executor is not None
-                else None
-            ),
-            cross_evictions=cross,
-            fingerprints=fingerprints,
-            # The governor runs in the parent in process mode, so the
-            # sweep count lives on the executor, not in any worker.
-            governor_sweeps=(
-                self._executor.sweeps
-                if self._executor is not None
-                else 0
-            ),
-        )
-        return cache_stats, store_stats
+        return self._executor.model(name).planner_stats
 
     def runtime_stats(self) -> RuntimeStats:
         """Snapshot of queue, batch, worker, cache and planner counters.
@@ -1733,17 +795,8 @@ class ServingRuntime:
             batches = self._batches
             scatter = self._scatter_latency.value()
             gather = self._gather_latency.value()
-        with self._registry_lock:
-            models = dict(self._models)
-        if self._executor is not None:
-            cache_stats, store_stats = self._merged_worker_stats()
-        else:
-            cache_stats = {
-                name: model.cache_stats()
-                for name, model in models.items()
-                if model.caches
-            }
-            store_stats = self.store.stats()
+        models = self._executor.registry()
+        cache_stats, store_stats = self._executor.sample()
         return RuntimeStats(
             queue_depth=self._queue.depth,
             queue_max_depth=self._queue.max_depth_seen,
@@ -1754,14 +807,13 @@ class ServingRuntime:
             planner_decisions={
                 name: dict(model.planner_stats.decisions)
                 for name, model in models.items()
-                if model.planner is not None
-                or model.planner_stats.decisions
+                if model.strategy == ADAPTIVE
             },
             cache_stats=cache_stats,
             invalidated_rids={
                 name: model.invalidated_rids
                 for name, model in models.items()
-                if model.caches or self._executor is not None
+                if model.strategy != MATERIALIZED
             },
             dedup_ratio={
                 name: model.dedup_ratio
@@ -1787,16 +839,10 @@ class ServingRuntime:
         self._queue.close()
         for worker in self._workers:
             worker.join(timeout)
-        if self._executor is not None:
-            # Final sample first (post-close runtime_stats reports the
-            # last counters), then stop the workers and unlink every
-            # shared segment — the no-leaked-/dev/shm guarantee.
-            self._sample_workers()
-            self._executor.close()
-        else:
-            # Thread mode owns the store: drop spilled rows and delete
-            # the spill directory — the no-leaked-tempdir guarantee.
-            self.store.release_spill()
+        # Only once no dispatcher can touch it: releases the caches
+        # and the spill directory, or stops the worker processes and
+        # unlinks every shared segment.
+        self._executor.close()
         # Anything a worker could not claim before exiting fails fast.
         for request in self._queue.drain():
             if request.future.set_running_or_notify_cancel():

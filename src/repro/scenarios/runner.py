@@ -261,7 +261,6 @@ class ScenarioRunner:
             max_batch_rows=spec.runtime.max_batch_rows,
             max_wait_ms=spec.runtime.max_wait_ms,
             queue_depth=spec.runtime.queue_depth,
-            cache_shards=spec.runtime.cache_shards,
             cache_admission=spec.runtime.admission,
             share_partials=spec.runtime.share_partials,
             memory_budget=spec.runtime.memory_budget,

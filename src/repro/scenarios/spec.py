@@ -154,7 +154,6 @@ class RuntimeSpec:
     max_batch_rows: int = 2048
     max_wait_ms: float = 1.0
     queue_depth: int = 1024
-    cache_shards: int | None = None
     admission: str = "lru"
     share_partials: bool = True
     memory_budget: int | None = None       # bytes, None = unbounded
@@ -167,7 +166,7 @@ class RuntimeSpec:
             raw,
             {
                 "workers", "max_batch_rows", "max_wait_ms", "queue_depth",
-                "cache_shards", "admission", "share_partials",
+                "admission", "share_partials",
                 "memory_budget", "store_tiers", "executor",
             },
             where,
@@ -187,11 +186,6 @@ class RuntimeSpec:
         if memory_budget is not None:
             memory_budget = _positive_int(
                 memory_budget, f"{where}.memory_budget"
-            )
-        cache_shards = raw.get("cache_shards")
-        if cache_shards is not None:
-            cache_shards = _positive_int(
-                cache_shards, f"{where}.cache_shards"
             )
         share = raw.get("share_partials", True)
         if not isinstance(share, bool):
@@ -222,7 +216,6 @@ class RuntimeSpec:
             queue_depth=_positive_int(
                 raw.get("queue_depth", 1024), f"{where}.queue_depth"
             ),
-            cache_shards=cache_shards,
             admission=admission,
             share_partials=share,
             memory_budget=memory_budget,

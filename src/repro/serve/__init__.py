@@ -21,9 +21,15 @@ Layers (the execution core underneath is :mod:`repro.fx`):
   predictors per model family; factorized predictors draw their
   caches from a shared :class:`~repro.fx.store.PartialStore`, so
   fingerprint-identical models hold one resident copy;
-* :mod:`~repro.serve.service` — the registry facade with throughput,
-  I/O and store bookkeeping (``stats()``, ``cache_stats()``,
-  ``store_stats()``), subscribed to catalog row-version events;
+* :mod:`~repro.serve.core` — the serving core: the one registration
+  record and the one object that implements ``register`` /
+  ``execute`` / ``invalidate`` / ``swap`` / ``close`` for every
+  serving configuration (inline here; behind the thread or process
+  runtime in :mod:`repro.runtime`);
+* :mod:`~repro.serve.service` — ``ModelService``: the core called on
+  the caller's thread, with throughput, I/O and store bookkeeping
+  (``stats()``, ``cache_stats()``, ``store_stats()``), subscribed to
+  catalog row-version events;
 * :mod:`~repro.serve.cost_model` — inference-side operation counts
   (the unified adapter view lives in :mod:`repro.fx.costs`).
 

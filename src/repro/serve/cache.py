@@ -333,7 +333,7 @@ class PartialCache:
         # Serializes lookups against invalidations: dimension-update
         # events arrive on the updater's thread while a service thread
         # may be mid-get_many.  The lock also makes the compute-insert
-        # cycle atomic w.r.t. invalidate (see repro.runtime.sharding).
+        # cycle atomic w.r.t. invalidate (see repro.fx.sharding).
         self._lock = threading.RLock()
         self._warned_row_too_wide = False
         self.hits = 0

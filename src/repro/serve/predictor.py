@@ -75,6 +75,9 @@ class _ServingPredictor:
         block_pages: int = DEFAULT_BLOCK_PAGES,
     ) -> None:
         self.resolved = spec.resolve(db)
+        # Read once: requests are validated against it on every call,
+        # and the layout is rebuilt from the schemas on each access.
+        self.d_s = self.resolved.layout.sizes[0]
         self.block_pages = block_pages
         self.lookups = [
             DimensionLookup(dim.relation, buffer_pool=db.buffer_pool)
@@ -84,10 +87,6 @@ class _ServingPredictor:
     @property
     def num_dimensions(self) -> int:
         return self.resolved.num_dimensions
-
-    @property
-    def d_s(self) -> int:
-        return self.resolved.layout.sizes[0]
 
     def _fact_features(self, fact_features) -> np.ndarray:
         features = np.atleast_2d(
@@ -565,6 +564,18 @@ _PREDICTORS = {
 }
 
 
+def check_cache_bounds(strategy: str, cache_entries, cache_floats) -> None:
+    """Reject cache capacities on a model with no factorized side."""
+    if strategy == MATERIALIZED and (
+        cache_entries is not None or cache_floats is not None
+    ):
+        raise ModelError(
+            "cache_entries/cache_floats apply to the factorized "
+            "strategy only; the materialized path keeps no "
+            "partials to cache"
+        )
+
+
 def make_predictor(
     db: Database,
     spec: JoinSpec,
@@ -580,8 +591,9 @@ def make_predictor(
     """Build the predictor for ``kind`` ("gmm" | "nn") and ``strategy``.
 
     The single dispatch point shared by :func:`repro.core.api.predict_gmm`
-    / ``predict_nn``, :class:`~repro.serve.service.ModelService` and the
-    runtime; ``model`` may be a fit result or the bare fitted model.
+    / ``predict_nn`` and the serving core
+    (:class:`~repro.serve.core.ServingCore`); ``model`` may be a fit
+    result or the bare fitted model.
     With ``store`` (a :class:`~repro.fx.store.PartialStore`) the
     factorized predictor draws its per-dimension caches from the store
     — sharing slabs with any fingerprint-identical model — instead of
@@ -591,13 +603,8 @@ def make_predictor(
         raise ModelError(f"unknown predictor kind {kind!r}; use 'gmm'|'nn'")
     strategy = resolve_serving_strategy(strategy)
     model = _COERCERS[kind](model)
+    check_cache_bounds(strategy, cache_entries, cache_floats)
     if strategy == MATERIALIZED:
-        if cache_entries is not None or cache_floats is not None:
-            raise ModelError(
-                "cache_entries/cache_floats apply to the factorized "
-                "strategy only; the materialized path keeps no "
-                "partials to cache"
-            )
         return _PREDICTORS[kind, strategy](
             db, spec, model, block_pages=block_pages
         )

@@ -1,11 +1,15 @@
 """The serving facade: registered models answering batched requests.
 
-A :class:`ModelService` owns a database handle and a registry of fitted
-models, each bound to a join spec and a serving strategy.  Every request
-is timed and its page I/O attributed to the model that served it, so a
-deployment can watch throughput and I/O per model exactly the way the
-training side watches per-algorithm cost — the ROADMAP's
-"serve heavy traffic" goal with the paper's bookkeeping discipline.
+A :class:`ModelService` is the serving core
+(:class:`~repro.serve.core.ServingCore`) called on the caller's thread
+— zero workers, no queue: it owns a database handle and, through the
+core, a registry of fitted models, each bound to a join spec and a
+serving strategy.  Every request is timed and its page I/O attributed
+to the model that served it, so a deployment can watch throughput and
+I/O per model exactly the way the training side watches per-algorithm
+cost — the ROADMAP's "serve heavy traffic" goal with the paper's
+bookkeeping discipline.  Registration, swap and invalidation are the
+core's, shared with both :mod:`repro.runtime` executors.
 
 Factorized models draw their partial caches from a shared
 :class:`~repro.fx.store.PartialStore` (one per service by default;
@@ -21,105 +25,26 @@ instead of unbounded growth (see ``docs/tuning.md`` for sizing).
 
 from __future__ import annotations
 
-import threading
-import time
 import weakref
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.strategies import FACTORIZED
+from repro.core.strategies import FACTORIZED, resolve_serving_strategy
 from repro.errors import ModelError
 from repro.join.bnl import DEFAULT_BLOCK_PAGES
 from repro.join.spec import JoinSpec
 from repro.obs import as_telemetry
 from repro.serve.cache import CacheStats
-from repro.serve.predictor import make_predictor
+from repro.serve.core import (
+    RegisteredModel,
+    ServingCore,
+    ServingStats,
+    budgeted_store,
+    check_memory_budget,
+)
 from repro.storage.catalog import Database
-from repro.storage.iostats import IOSnapshot
 
-
-# The monotonic clock's stated resolution: the floor for any recorded
-# request duration.  ``perf_counter`` deltas on very fast batches can
-# round to (near) zero, which would undercount wall time and report
-# absurd rows/sec; clamping each accumulation to one clock tick keeps
-# the throughput estimate conservative instead of divergent.
-_MIN_TICK = time.get_clock_info("perf_counter").resolution
-
-
-@dataclass
-class ServingStats:
-    """Rolling bookkeeping for one registered model.
-
-    Mutation goes through :meth:`record`, which holds an internal lock
-    — concurrent workers (the runtime) fold requests in without losing
-    increments.  Read single fields directly if a torn-but-monotonic
-    value is fine; use :meth:`snapshot` for a consistent multi-field
-    picture (``rows`` and ``requests`` from the same instant).
-    """
-
-    requests: int = 0
-    rows: int = 0
-    wall_seconds: float = 0.0
-    io: IOSnapshot = field(default_factory=IOSnapshot)
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
-
-    def record(
-        self, rows: int, seconds: float, io: IOSnapshot | None = None
-    ) -> None:
-        """Fold one timed request in, guarding sub-resolution durations.
-
-        ``seconds`` must come from a monotonic clock
-        (``time.perf_counter``); each delta is clamped below by the
-        clock's resolution so a burst of fast batches cannot accumulate
-        (near-)zero wall time.
-        """
-        with self._lock:
-            self.requests += 1
-            self.rows += rows
-            self.wall_seconds += max(seconds, _MIN_TICK)
-            if io is not None:
-                self.io = self.io + io
-
-    def snapshot(self) -> "ServingStats":
-        """A tear-free copy: every field taken under one lock hold."""
-        with self._lock:
-            return ServingStats(
-                requests=self.requests,
-                rows=self.rows,
-                wall_seconds=self.wall_seconds,
-                io=self.io,
-            )
-
-    @property
-    def rows_per_second(self) -> float:
-        """Serving throughput (0 until the first timed request)."""
-        return self.rows / self.wall_seconds if self.wall_seconds else 0.0
-
-
-@dataclass
-class RegisteredModel:
-    """One servable model: predictor plus its accumulated stats."""
-
-    name: str
-    kind: str              # "gmm" | "nn"
-    strategy: str          # "materialized" | "factorized"
-    predictor: object
-    stats: ServingStats = field(default_factory=ServingStats)
-    # Registration-time inputs retained so a maintainer can rebuild the
-    # predictor around a refreshed fit (see ModelService.swap_model).
-    spec: JoinSpec | None = None
-    requested_strategy: str | None = None
-    cache_entries: int | list[int] | None = None
-
-    def cache_stats(self) -> list[CacheStats]:
-        """Per-dimension partial-cache counters (factorized only)."""
-        caches = getattr(self.predictor, "caches", None)
-        if caches is None:
-            return []
-        return [cache.stats() for cache in caches]
+__all__ = ["ModelService", "RegisteredModel", "ServingStats"]
 
 
 class ModelService:
@@ -141,12 +66,6 @@ class ModelService:
         store_tiers: tuple = (),
         telemetry=None,
     ) -> None:
-        # Local import: the execution core's store hands caches *to*
-        # this layer but also builds on serve.cache, so a module-level
-        # import here would re-enter the serve package mid-bootstrap.
-        from repro.fx.store import PartialStore
-        from repro.fx.tiers import GOVERNOR_HYSTERESIS
-
         self.db = db
         self.block_pages = block_pages
         if store is not None and memory_budget is not None:
@@ -162,25 +81,15 @@ class ModelService:
                 "store_tiers configures the store this service would "
                 "build; pass tiers= on the store you share instead"
             )
-        if store_tiers and memory_budget is None:
-            raise ModelError(
-                "store_tiers requires memory_budget: the tiers are "
-                "the governor's demotion ladder, and without a budget "
-                "nothing is ever demoted"
-            )
-        self._owns_store = store is None
-        if memory_budget is not None:
-            if memory_budget <= 0:
-                raise ModelError(
-                    f"memory_budget must be positive bytes, "
-                    f"got {memory_budget}"
-                )
-            store = PartialStore(
-                capacity_floats=max(1, memory_budget // 8),
-                tiers=store_tiers,
-                hysteresis=GOVERNOR_HYSTERESIS,
-            )
-        self.store = store if store is not None else PartialStore()
+        check_memory_budget(memory_budget, store_tiers)
+        self._core = ServingCore(
+            db,
+            budgeted_store(memory_budget, tiers=store_tiers)
+            if store is None else store,
+            block_pages=block_pages,
+            owns_store=store is None,
+        )
+        self.store = self._core.store
         # telemetry: None/False -> shared no-op; True -> fresh enabled;
         # a Telemetry instance -> shared (one snapshot across layers).
         self.telemetry = as_telemetry(telemetry)
@@ -196,10 +105,6 @@ class ModelService:
             labelnames=("model",),
         )
         registry.register_collector(self._collect)
-        self._models: dict[str, RegisteredModel] = {}
-        # Guards registry mutation against the update-event callback,
-        # which arrives on the updater's thread.
-        self._registry_lock = threading.Lock()
         # Dimension-row updates must evict the affected cached partials
         # here too, or a long-lived factorized service would silently
         # keep serving pre-update predictions.  The subscription holds
@@ -210,7 +115,7 @@ class ModelService:
         def _dispatch(event, _ref=self_ref):
             service = _ref()
             if service is not None:
-                service._on_row_version(event)
+                service._core.invalidate(event.relation, event.rids)
 
         self._subscription = _dispatch
         self.db.subscribe(_dispatch)
@@ -227,8 +132,9 @@ class ModelService:
         cache_entries: int | list[int] | None = None,
     ) -> RegisteredModel:
         """Register a fitted mixture (a ``GMMResult`` or the bare model)."""
-        return self._register(
-            name, "gmm", spec, model, strategy, cache_entries
+        return self._core.register(
+            name, "gmm", spec, model,
+            resolve_serving_strategy(strategy), cache_entries,
         )
 
     def register_nn(
@@ -241,128 +147,52 @@ class ModelService:
         cache_entries: int | list[int] | None = None,
     ) -> RegisteredModel:
         """Register a trained network (an ``NNResult`` or the bare MLP)."""
-        return self._register(
-            name, "nn", spec, model, strategy, cache_entries
+        return self._core.register(
+            name, "nn", spec, model,
+            resolve_serving_strategy(strategy), cache_entries,
         )
-
-    def _register(
-        self, name, kind, spec, model, strategy, cache_entries
-    ) -> RegisteredModel:
-        if name in self._models:
-            raise ModelError(f"model {name!r} is already registered")
-        predictor = make_predictor(
-            self.db, spec, model, kind=kind, strategy=strategy,
-            cache_entries=cache_entries, store=self.store,
-            block_pages=self.block_pages,
-        )
-        registered = RegisteredModel(
-            name=name, kind=kind, strategy=predictor.strategy,
-            predictor=predictor, spec=spec,
-            requested_strategy=strategy, cache_entries=cache_entries,
-        )
-        with self._registry_lock:
-            # Re-check under the lock: a concurrent registration of
-            # the same name must not be silently overwritten (which
-            # would also strand the loser's store-held caches).
-            if name in self._models:
-                predictor.close()
-                raise ModelError(f"model {name!r} is already registered")
-            self._models[name] = registered
-        return registered
 
     def swap_model(self, name: str, model) -> RegisteredModel:
-        """Atomically replace ``name``'s fit with a refreshed one.
-
-        The new predictor is built completely before the registry
-        changes, then swapped in under the registry lock — every
-        request sees entirely the old or entirely the new fit (requests
-        capture the :class:`RegisteredModel` once, at entry), never a
-        torn mix.  Serving stats carry over; the new predictor draws
-        from the same shared store, so partials the refreshed fit left
-        value-identical (untouched dimensions) stay resident via
-        fingerprint sharing, and only the changed ones rebuild.
-        """
-        current = self.model(name)
-        if current.spec is None:
-            raise ModelError(
-                f"model {name!r} was registered without its spec; "
-                "cannot rebuild its predictor for a swap"
-            )
-        predictor = make_predictor(
-            self.db, current.spec, model, kind=current.kind,
-            strategy=current.requested_strategy,
-            cache_entries=current.cache_entries, store=self.store,
-            block_pages=self.block_pages,
-        )
-        replacement = RegisteredModel(
-            name=name, kind=current.kind, strategy=predictor.strategy,
-            predictor=predictor, stats=current.stats,
-            spec=current.spec,
-            requested_strategy=current.requested_strategy,
-            cache_entries=current.cache_entries,
-        )
-        with self._registry_lock:
-            if self._models.get(name) is not current:
-                # Lost a race with another swap or an unregister; the
-                # built predictor must not strand its store pins.
-                predictor.close()
-                raise ModelError(
-                    f"model {name!r} changed while swapping"
-                )
-            self._models[name] = replacement
-        # Safe immediately: close() only releases the store's pins, and
-        # predictors stay readable after close, so an in-flight request
-        # that captured the old RegisteredModel still completes on the
-        # old fit.
-        current.predictor.close()
-        return replacement
+        """Atomically replace ``name``'s fit with a refreshed one — see
+        :meth:`ServingCore.swap <repro.serve.core.ServingCore.swap>`.
+        Every request sees entirely the old or entirely the new fit."""
+        return self._core.swap(name, model)
 
     def unregister(self, name: str) -> None:
-        with self._registry_lock:
-            if name not in self._models:
-                raise ModelError(f"no model {name!r} to unregister")
-            registered = self._models.pop(name)
-        # Outside the registry lock: releasing shared caches takes the
-        # store's own lock and never needs the registry.
-        registered.predictor.close()
+        self._core.unregister(name)
 
     # -- lookup ------------------------------------------------------------
 
     @property
     def model_names(self) -> list[str]:
-        return sorted(self._models)
+        return sorted(self._core.registry())
 
     def __contains__(self, name: str) -> bool:
-        return name in self._models
+        return name in self._core
 
     def model(self, name: str) -> RegisteredModel:
-        try:
-            return self._models[name]
-        except KeyError:
-            raise ModelError(
-                f"no registered model {name!r}; have {sorted(self._models)}"
-            ) from None
+        return self._core.model(name)
 
     # -- serving -----------------------------------------------------------
 
-    def _timed(
-        self, registered: RegisteredModel, rows: int, call, op: str
+    def _serve(
+        self, name: str, op: str, fact_features=None, fk_values=None
     ):
-        before = self.db.stats.snapshot()
-        tick = time.perf_counter()
+        """One synchronous request through the core, timed and traced."""
+        registered = self._core.model(name)
+        if op == "predict_all":
+            features = fks = None
+            rows = registered.predictor.resolved.num_rows
+        else:
+            features, fks = registered.admit(op, fact_features, fk_values)
+            rows = features.shape[0]
         with self.telemetry.tracer.trace(
-            "serve.request", model=registered.name, op=op, rows=rows
+            "serve.request", model=name, op=op, rows=rows
         ):
-            result = call()
-        elapsed = time.perf_counter() - tick
-        registered.stats.record(
-            rows, elapsed, self.db.stats.snapshot() - before
-        )
-        self._m_requests.labels(model=registered.name, op=op).inc()
-        self._m_request_seconds.labels(model=registered.name).observe(
-            elapsed
-        )
-        return result
+            outputs, meta = self._core.execute(name, op, features, fks)
+        self._m_requests.labels(model=name, op=op).inc()
+        self._m_request_seconds.labels(model=name).observe(meta.elapsed)
+        return outputs
 
     def predict(self, name: str, fact_features, fk_values) -> np.ndarray:
         """Model outputs for one normalized request batch.
@@ -370,78 +200,22 @@ class ModelService:
         GMM models return hard cluster assignments; NN models return
         network outputs ``(n, n_out)``.
         """
-        registered = self.model(name)
-        features = np.atleast_2d(np.asarray(fact_features))
-        return self._timed(
-            registered,
-            features.shape[0],
-            lambda: registered.predictor.predict(features, fk_values),
-            "predict",
-        )
+        return self._serve(name, "predict", fact_features, fk_values)
 
     def score(self, name: str, fact_features, fk_values) -> np.ndarray:
         """Per-tuple log-likelihoods (GMM models only)."""
-        registered = self.model(name)
-        if registered.kind != "gmm":
-            raise ModelError(
-                f"model {name!r} is a {registered.kind!r} model; "
-                "score() is defined for GMMs"
-            )
-        features = np.atleast_2d(np.asarray(fact_features))
-        return self._timed(
-            registered,
-            features.shape[0],
-            lambda: registered.predictor.score_samples(features, fk_values),
-            "score",
-        )
+        return self._serve(name, "score", fact_features, fk_values)
 
     def predict_all(self, name: str) -> np.ndarray:
         """Predictions for every stored fact tuple, in storage order."""
-        registered = self.model(name)
-        return self._timed(
-            registered,
-            registered.predictor.resolved.num_rows,
-            lambda: registered.predictor.predict_all(),
-            "predict_all",
-        )
-
-    # -- invalidation ------------------------------------------------------
-
-    def _on_row_version(self, event) -> None:
-        """Evict updated RIDs' partials from every factorized model
-        joined to the updated relation (materialized models hold no
-        derived state and read fresh pages on the next request)."""
-        with self._registry_lock:
-            models = list(self._models.values())
-        for registered in models:
-            caches = getattr(registered.predictor, "caches", None)
-            if not caches:
-                continue
-            resolved = registered.predictor.resolved
-            for index, dim in enumerate(resolved.dimensions):
-                if dim.relation.name == event.relation:
-                    caches[index].invalidate(event.rids)
+        return self._serve(name, "predict_all")
 
     def close(self) -> None:
         """Detach from update notifications and give every registered
-        model's caches back to the store (idempotent).
-
-        Releasing matters when the store is shared across services:
-        without it a closed service would pin its partial slabs (and
-        their refcounts) in the shared store forever.
-        """
+        model's caches back to the store (idempotent)."""
         self.db.unsubscribe(self._subscription)
         self.telemetry.registry.unregister_collector(self._collect)
-        with self._registry_lock:
-            models = list(self._models.values())
-        for registered in models:
-            # Predictors keep their cache handles (the service stays
-            # readable after close); only the store's pins are dropped.
-            registered.predictor.close()
-        if self._owns_store:
-            # Drop spilled rows and delete the spill directory; a
-            # caller-owned (possibly shared) store is left untouched.
-            self.store.release_spill()
+        self._core.close()
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -452,11 +226,9 @@ class ModelService:
         one :meth:`ServingStats.snapshot`, so it is internally
         consistent.
         """
-        with self._registry_lock:
-            models = list(self._models.values())
-        for registered in models:
+        for name, registered in self._core.registry().items():
             stats = registered.stats.snapshot()
-            labels = {"model": registered.name}
+            labels = {"model": name}
             buffer.counter(
                 "repro_service_rows_total", stats.rows,
                 help="Rows served by ModelService", **labels,
@@ -472,10 +244,12 @@ class ModelService:
             )
 
     def stats(self, name: str) -> ServingStats:
-        return self.model(name).stats
+        return self._core.model(name).stats
 
     def cache_stats(self, name: str) -> list[CacheStats]:
-        return self.model(name).cache_stats()
+        """Per-dimension partial-cache counters (factorized only),
+        monotone across :meth:`swap_model`."""
+        return self._core.cache_stats(name)
 
     def store_stats(self):
         """The shared partial store's counters

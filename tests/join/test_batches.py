@@ -1,4 +1,4 @@
-"""Batch containers: validation, densify, take."""
+"""Batch containers: validation, densify."""
 
 import numpy as np
 import pytest
@@ -40,23 +40,6 @@ class TestDenseBatch:
         with pytest.raises(ModelError):
             DenseBatch(np.arange(5), rng.normal(size=5))
 
-    def test_take_subsets_all_fields(self, rng):
-        batch = DenseBatch(
-            np.arange(6), rng.normal(size=(6, 2)), rng.normal(size=6)
-        )
-        taken = batch.take(np.array([4, 1]))
-        np.testing.assert_array_equal(taken.sids, [4, 1])
-        np.testing.assert_array_equal(
-            taken.features, batch.features[[4, 1]]
-        )
-        np.testing.assert_array_equal(
-            taken.targets, batch.targets[[4, 1]]
-        )
-
-    def test_take_without_targets(self, rng):
-        batch = DenseBatch(np.arange(6), rng.normal(size=(6, 2)))
-        assert batch.take(np.array([0])).targets is None
-
 
 class TestFactorizedBatch:
     def test_row_count(self, rng):
@@ -80,21 +63,6 @@ class TestFactorizedBatch:
             dense.features, batch.design.densify()
         )
         np.testing.assert_array_equal(dense.targets, batch.targets)
-
-    def test_take_matches_dense_take(self, rng):
-        batch = make_factorized(rng, n=30)
-        picks = np.array([7, 3, 3, 28])
-        np.testing.assert_allclose(
-            batch.take(picks).densify().features,
-            batch.densify().take(picks).features,
-        )
-
-    def test_take_shares_dimension_blocks(self, rng):
-        batch = make_factorized(rng)
-        taken = batch.take(np.arange(5))
-        assert (
-            taken.design.dim_blocks[0] is batch.design.dim_blocks[0]
-        )
 
 
 class TestBatchPlans:
@@ -127,16 +95,6 @@ class TestBatchPlans:
             FactorizedBatch(
                 batch.sids, batch.design, batch.targets, plan=stale
             )
-
-    def test_take_drops_the_plan(self, tiny_db, rng):
-        from repro.join.factorized import FactorizedJoin
-
-        spec = make_binary_relations(tiny_db, rng)
-        batch = next(
-            iter(FactorizedJoin(tiny_db, spec, block_pages=2).batches())
-        )
-        assert batch.plan is not None
-        assert batch.take(np.arange(3)).plan is None
 
     def test_distinct_rows_match_unique_rids(self, tiny_db, rng):
         """JoinBlock.distinct_rows(i) holds exactly the features of the

@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from repro.runtime.sharding import ShardedPartialCache
+from repro.fx.sharding import ShardedPartialCache
 from repro.serve.service import ServingStats
 from repro.storage.iostats import IOSnapshot
 

@@ -10,19 +10,22 @@ runtime's observability surface (stats, cache stats, budget control)
 keeps working when the caches live in worker processes.
 """
 
+import os
+import tempfile
 import threading
 import warnings
 
 import numpy as np
 import pytest
 
-from repro.core.api import fit_gmm, fit_nn, serve_runtime
+from repro.core.api import fit_gmm, fit_nn, serve, serve_runtime
 from repro.data.synthetic import (
     DimensionSpec,
     StarSchemaConfig,
     generate_star,
 )
 from repro.errors import ModelError
+from repro.fx.shm import SEGMENT_PREFIX
 from repro.join.reference import nested_loop_join
 
 
@@ -364,3 +367,157 @@ class TestRegistrationContract:
     def test_unknown_executor_rejected(self, db):
         with pytest.raises(ModelError, match="executor"):
             serve_runtime(db, executor="fiber")
+
+
+class TestLifecycleAcrossConfigurations:
+    """One lifecycle, three configurations of the one serving core.
+
+    ``ModelService`` (the core inline), the thread runtime and the
+    process runtime are driven in lockstep over one database through
+    register → serve → dimension update → serve → swap (changed fit)
+    → serve → swap (fingerprint-identical fit) → serve → unregister →
+    close.  Outputs must be bit-identical across the three and match
+    the dense model over the oracle join; per-dimension hit / miss /
+    invalidation counters must move by exactly the expected deltas at
+    every step — in particular a swap moves none of them, whether or
+    not the new fit shares its caches with the old one.
+    """
+
+    CONFIGURATIONS = ("inline", "thread", "process")
+    # A budget nothing here can reach, with the spill tier armed: the
+    # stores run governed (clocks, spill directories) yet never evict,
+    # so the counters stay deterministic and close() has something to
+    # reclaim.
+    BUDGET = dict(memory_budget=32 << 20, store_tiers=("spill",))
+
+    @staticmethod
+    def leftovers():
+        marker = f"{SEGMENT_PREFIX}-{os.getpid()}-"
+        shm = "/dev/shm"
+        return sorted(
+            name for name in os.listdir(tempfile.gettempdir())
+            if name.startswith("repro-spill-")
+        ), sorted(
+            name for name in (os.listdir(shm) if os.path.isdir(shm) else [])
+            if name.startswith(marker)
+        )
+
+    def open(self, db, configuration):
+        if configuration == "inline":
+            return serve(db, **self.BUDGET)
+        # One worker each: equal batch composition, so even NN outputs
+        # must agree to the last bit.
+        return serve_runtime(
+            db, num_workers=1, max_wait_ms=0.0, executor=configuration,
+            **self.BUDGET,
+        )
+
+    @staticmethod
+    def counters(service):
+        return service.model("m").invalidated_rids, [
+            (stats.hits, stats.misses, stats.invalidations)
+            for stats in service.cache_stats("m")
+        ]
+
+    @pytest.mark.parametrize("kind", ["gmm", "nn"])
+    def test_register_serve_update_swap_unregister(self, db, fitted, kind):
+        spec, gmm, nn, _ = fitted
+        if kind == "gmm":
+            fit = gmm
+            changed = fit_gmm(
+                db, spec, n_components=3, max_iter=5, seed=4
+            )
+        else:
+            fit = nn
+            changed = fit_nn(db, spec, hidden_sizes=(8,), epochs=3, seed=4)
+        features, fks = whole_batch(db, spec)
+        distinct = [len(np.unique(fks[:, i])) for i in range(fks.shape[1])]
+        before = self.leftovers()
+        services = {c: self.open(db, c) for c in self.CONFIGURATIONS}
+        try:
+            for service in services.values():
+                getattr(service, f"register_{kind}")(
+                    "m", fit, spec, strategy="factorized"
+                )
+            seen = {c: self.counters(s) for c, s in services.items()}
+            assert self.leftovers() != before   # something to reclaim
+
+            def step(expected_invalidated, expected_deltas, serve, model):
+                """Serve (or not) on all three; check outputs and the
+                exact counter movement since the previous step."""
+                outputs = {}
+                for configuration, service in services.items():
+                    if serve:
+                        outputs[configuration] = service.predict(
+                            "m", features, fks
+                        )
+                    rids, per_dim = self.counters(service)
+                    old_rids, old_per_dim = seen[configuration]
+                    assert rids - old_rids == expected_invalidated, (
+                        configuration
+                    )
+                    deltas = [
+                        tuple(n - o for n, o in zip(new, old))
+                        for new, old in zip(per_dim, old_per_dim)
+                    ]
+                    assert deltas == expected_deltas, configuration
+                    seen[configuration] = (rids, per_dim)
+                if not serve:
+                    return
+                for configuration in ("thread", "process"):
+                    np.testing.assert_array_equal(
+                        outputs[configuration], outputs["inline"]
+                    )
+                wide = nested_loop_join(db, spec).features
+                if kind == "gmm":
+                    np.testing.assert_array_equal(
+                        outputs["inline"], model.model.predict(wide)
+                    )
+                else:
+                    np.testing.assert_allclose(
+                        outputs["inline"], model.predict(wide),
+                        rtol=1e-9, atol=1e-9,
+                    )
+
+            cold = [(0, d, 0) for d in distinct]
+            warm = [(d, 0, 0) for d in distinct]
+            still = [(0, 0, 0) for _ in distinct]
+            step(0, cold, True, fit)
+            step(0, warm, True, fit)
+
+            # Move three referenced rows of the first dimension.
+            relation = spec.dimensions[0].relation
+            victims = np.unique(fks[:, 0])[:3]
+            positions = db[relation].positions_of_keys(victims)
+            rows = db[relation].scan()[positions].copy()
+            rows[:, 1:] += 1.5
+            db.update_rows(relation, positions, rows)
+            step(3, [(0, 0, 3)] + still[1:], False, fit)
+            step(
+                0, [(distinct[0] - 3, 3, 0)] + warm[1:], True, fit
+            )
+
+            # A changed fit rebuilds every cache; a fingerprint-identical
+            # one gets the same caches back.  Neither moves a counter.
+            for service in services.values():
+                service.swap_model("m", changed)
+            step(0, still, False, changed)
+            step(0, cold, True, changed)
+            for service in services.values():
+                service.swap_model("m", changed)
+            step(0, still, False, changed)
+            step(0, warm, True, changed)
+
+            for service in services.values():
+                service.unregister("m")
+                assert "m" not in service
+                with pytest.raises(ModelError):
+                    service.predict("m", features, fks)
+        finally:
+            for service in services.values():
+                service.close()
+        # Nothing outlives close(): no cache refcount in a store the
+        # parent can see, no spill directory, no /dev/shm segment.
+        assert len(services["inline"].store) == 0
+        assert len(services["thread"].store) == 0
+        assert self.leftovers() == before

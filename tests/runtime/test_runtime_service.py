@@ -246,7 +246,6 @@ class TestConfig:
             dict(num_workers=0),
             dict(max_batch_rows=0),
             dict(max_wait_ms=-1.0),
-            dict(cache_shards=0),
         ],
     )
     def test_invalid_config_rejected(self, kwargs):

@@ -36,7 +36,7 @@ class _StubStore:
 def _stub_worker(db) -> _Worker:
     """A worker shell with just enough state for ``on_invalidate``."""
     worker = object.__new__(_Worker)
-    worker.models = {}
+    worker.core = None
     worker.db = db
     worker.header = np.zeros(HEADER_FIELDS)
     worker.store = _StubStore()

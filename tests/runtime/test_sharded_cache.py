@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ModelError
-from repro.runtime.sharding import ShardedPartialCache
+from repro.fx.sharding import ShardedPartialCache
 
 
 def rows_for(keys):

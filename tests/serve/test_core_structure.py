@@ -1,0 +1,183 @@
+"""Structural invariants of the one serving core (AST scans, in the
+style of ``tests/fx/test_single_dedup.py``).
+
+``ModelService``, the thread runtime and the process runtime are three
+configurations of :class:`repro.serve.core.ServingCore`; these tests
+keep a second copy of its build / plan / swap logic from growing back:
+predictors and planners are constructed in the core alone, the runtime
+facade never branches on the executor kind outside construction, both
+``swap_model`` methods are delegations, and the process worker's
+message handlers hold framing, not lifecycle logic.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import repro
+
+SRC_ROOT = Path(repro.__file__).resolve().parent
+CORE = SRC_ROOT / "serve" / "core.py"
+RUNTIME_SERVICE = SRC_ROOT / "runtime" / "service.py"
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _callers(name: str) -> set[str]:
+    """Modules under ``src/repro`` that call ``name(...)`` (bare or as
+    an attribute)."""
+    found = set()
+    for path in SRC_ROOT.rglob("*.py"):
+        for node in ast.walk(_tree(path)):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            called = (
+                func.id if isinstance(func, ast.Name)
+                else func.attr if isinstance(func, ast.Attribute)
+                else None
+            )
+            if called == name:
+                found.add(str(path.relative_to(SRC_ROOT)))
+    return found
+
+
+def _method(path: Path, cls: str, method: str) -> ast.FunctionDef:
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.ClassDef) and node.name == cls:
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and item.name == method:
+                    return item
+    raise AssertionError(f"{cls}.{method} not found in {path}")
+
+
+def _names(node: ast.AST) -> set[str]:
+    """Every bare name and attribute name used under ``node``."""
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    }
+
+
+class TestBuiltOnce:
+    def test_make_predictor_called_from_core_and_one_shot_helper(self):
+        assert _callers("make_predictor") == {
+            "serve/core.py", "core/api.py",
+        }
+
+    def test_batch_planner_constructed_in_one_module(self):
+        assert _callers("BatchPlanner") == {"serve/core.py"}
+
+    def test_old_paths_are_gone(self):
+        from repro.runtime import procworker
+        from repro.runtime.service import ServingRuntime
+
+        for name in (
+            "_execute_thread", "_execute_process", "_build_thread_model",
+            "_build_process_model", "_register_process",
+            "_insert_registration", "_plan",
+        ):
+            assert not hasattr(ServingRuntime, name), name
+        assert not hasattr(procworker, "_WorkerModel")
+        assert not (SRC_ROOT / "runtime" / "sharding.py").exists()
+
+
+class TestRuntimeNeverBranchesOnTheExecutorKind:
+    def test_no_comparison_against_the_executor_constants(self):
+        offenders = [
+            node.lineno
+            for node in ast.walk(_tree(RUNTIME_SERVICE))
+            if isinstance(node, ast.Compare)
+            and _names(node) & {"PROCESS_EXECUTOR", "THREAD_EXECUTOR"}
+        ]
+        assert offenders == []
+
+    def test_no_executor_is_none_test_outside_init_and_close(self):
+        offenders = []
+        for node in ast.walk(_tree(RUNTIME_SERVICE)):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            if node.name in ("__init__", "close"):
+                continue
+            for test in ast.walk(node):
+                if (
+                    isinstance(test, ast.Compare)
+                    and "_executor" in _names(test)
+                    and any(
+                        isinstance(op, (ast.Is, ast.IsNot))
+                        for op in test.ops
+                    )
+                ):
+                    offenders.append((node.name, test.lineno))
+        assert offenders == []
+
+
+class TestFacadesDelegate:
+    @pytest.mark.parametrize(
+        "path, cls",
+        [
+            (SRC_ROOT / "serve" / "service.py", "ModelService"),
+            (RUNTIME_SERVICE, "ServingRuntime"),
+        ],
+    )
+    def test_swap_model_is_a_thin_delegation(self, path, cls):
+        swap = _method(path, cls, "swap_model")
+        used = _names(swap)
+        # No predictor construction, no registry mutation of its own …
+        assert not used & {
+            "make_predictor", "BatchPlanner", "_models",
+            "_registry_lock",
+        }
+        # … just the core's swap.
+        assert "swap" in used
+        statements = [
+            s for s in swap.body
+            if not (isinstance(s, ast.Expr)
+                    and isinstance(s.value, ast.Constant))
+        ]
+        assert len(statements) <= 2
+
+    @pytest.mark.parametrize(
+        "handler", ["on_register", "on_exec", "on_invalidate"]
+    )
+    def test_worker_handlers_hold_framing_only(self, handler):
+        body = _method(
+            SRC_ROOT / "runtime" / "procworker.py", "_Worker", handler
+        )
+        used = _names(body)
+        assert "core" in used       # a call into the serving core …
+        # … and no second copy of build / plan / invalidate logic.
+        assert not used & {
+            "make_predictor", "BatchPlanner", "DedupPlan", "planner",
+            "caches", "approx_hit_rate", "score_samples",
+        }
+
+
+class TestBenchmarkHooksLand:
+    """``benchmarks/e2e/trace.py`` wraps methods it looks up with
+    ``vars(cls)[name]`` — they must be defined on the class itself."""
+
+    def test_traced_methods_are_defined_on_their_classes(self):
+        from repro.fx.sharding import ShardedPartialCache
+        from repro.fx.store import PartialStore
+        from repro.runtime.planner import BatchPlanner
+        from repro.runtime.queue import RequestQueue
+        from repro.runtime.service import ServingRuntime
+        from repro.serve.cache import PartialCache
+        from repro.serve.service import ModelService
+
+        for cls, method in (
+            (ModelService, "predict"),
+            (ModelService, "swap_model"),
+            (ServingRuntime, "submit"),
+            (BatchPlanner, "plan"),
+            (RequestQueue, "take_batch"),
+            (PartialStore, "enforce_budget"),
+            (ShardedPartialCache, "get_many"),
+            (PartialCache, "get_many"),
+        ):
+            assert method in vars(cls), f"{cls.__name__}.{method}"
