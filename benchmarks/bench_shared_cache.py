@@ -1,8 +1,9 @@
 """Cross-model partial sharing: bytes resident and hit rate.
 
 Two registrations of the same fitted model over the same join — the
-blue/green-deploy / A-B-control shape — served with and without
-:class:`~repro.fx.store.PartialStore` sharing.  Reported per arm:
+blue/green-deploy / A-B-control shape — served from one
+:class:`~repro.fx.store.PartialStore` (shared caches) and from one
+private store each.  Reported per arm:
 resident partial bytes, aggregate hit rate, and wall time, at
 unchanged (bit-exact) predictions.
 
@@ -21,7 +22,7 @@ from _payload import write_payload
 from repro.bench.experiments import active_scale
 from repro.core.api import fit_nn
 from repro.data.synthetic import StarSchemaConfig, generate_star
-from repro.fx.store import PartialStore
+from repro.serve.cache import CacheStats
 from repro.serve.service import ModelService
 from repro.storage.catalog import Database
 
@@ -41,34 +42,40 @@ def _workload(rng, n_s, n_r):
 
 
 def _serve_arm(db, spec, nn, *, shared: bool):
-    """Register the model twice and push the workload through both."""
+    """Push the workload through the model under two names: both
+    registered in one service (one store, shared caches), or each in a
+    service of its own (a private store per name)."""
     fact = spec.resolve(db).fact
     all_rows = fact.scan()
     features_all = fact.project_features(all_rows)
     fk_all = all_rows[:, fact.schema.fk_position("R1")].astype(np.int64)
 
-    store = PartialStore(shared=shared)
-    service = ModelService(db, store=store)
-    service.register_nn("blue", nn, spec)
-    service.register_nn("green", nn, spec)
+    names = ("blue", "green")
+    services = [ModelService(db) for _ in (names[:1] if shared else names)]
+    serving = {
+        name: services[i % len(services)] for i, name in enumerate(names)
+    }
+    for name, service in serving.items():
+        service.register_nn(name, nn, spec)
     rng = np.random.default_rng(17)
     outputs = []
     tick = time.perf_counter()
-    for name in ("blue", "green"):
+    for name in names:
         for batch in _workload(rng, features_all.shape[0], None):
             outputs.append(
-                service.predict(
+                serving[name].predict(
                     name, features_all[batch], fk_all[batch]
                 )
             )
     elapsed = time.perf_counter() - tick
-    stats = store.stats()
-    service.close()
+    stats = [service.store_stats() for service in services]
+    for service in services:
+        service.close()
     return {
         "outputs": np.concatenate(outputs),
-        "bytes": stats.bytes_resident,
-        "hit_rate": stats.cache.hit_rate,
-        "caches": stats.caches,
+        "bytes": sum(s.bytes_resident for s in stats),
+        "hit_rate": sum((s.cache for s in stats), CacheStats()).hit_rate,
+        "caches": sum(s.caches for s in stats),
         "seconds": elapsed,
     }
 
@@ -103,7 +110,7 @@ def test_shared_cache_footprint(benchmark, results_dir):
     )
     shared, unshared = result["shared"], result["unshared"]
 
-    # Bit-exact predictions across the sharing knob.
+    # Bit-exact predictions, shared store or private ones.
     np.testing.assert_array_equal(
         shared["outputs"], unshared["outputs"]
     )

@@ -80,8 +80,8 @@ relation, so only bit-identical partials ever share; predictions are
 unchanged.  A cache's bounds are fixed by the registration that
 creates it (later sharers passing conflicting bounds get an explicit
 error, never a silent ignore); invalidation by one sharer evicts for
-all.  Opt out with ``share_partials=False`` (runtime) or a private
-``PartialStore``.  Zipf-skewed FK traffic can additionally enable
+all.  A service that wants isolation passes its own ``PartialStore``.
+Zipf-skewed FK traffic can additionally enable
 TinyLFU cache admission (``cache_admission="tinylfu"``): a count-min
 frequency sketch keeps one-hit wonders from evicting hot partials.
 

@@ -350,14 +350,17 @@ def _serve_once(
         db, spec, model, kind=kind, strategy=strategy,
         cache_entries=cache_entries, block_pages=block_pages,
     )
-    if fact_features is None and fk_values is None:
-        return predictor.predict_all()
-    if fact_features is None or fk_values is None:
-        raise ModelError(
-            "pass both fact_features and fk_values for a request batch, "
-            "or neither to score every stored fact tuple"
-        )
-    return predictor.predict(fact_features, fk_values)
+    try:
+        if fact_features is None and fk_values is None:
+            return predictor.predict_all()
+        if fact_features is None or fk_values is None:
+            raise ModelError(
+                "pass both fact_features and fk_values for a request "
+                "batch, or neither to score every stored fact tuple"
+            )
+        return predictor.predict(fact_features, fk_values)
+    finally:
+        predictor.close()
 
 
 def predict_gmm(
@@ -509,7 +512,6 @@ def serve_runtime(
     max_wait_ms: float = 2.0,
     queue_depth: int = 1024,
     cache_admission: str = "lru",
-    share_partials: bool = True,
     memory_budget: int | None = None,
     store_tiers: tuple = (),
     block_pages: int = DEFAULT_BLOCK_PAGES,
@@ -540,7 +542,7 @@ def serve_runtime(
     Python portions of a batch.  ``docs/tuning.md`` has the selection
     guidance.  Caches come from a
     shared :class:`~repro.fx.store.PartialStore`: fingerprint-identical
-    models reuse one cache (disable with ``share_partials=False``),
+    models reuse one cache,
     ``cache_admission="tinylfu"`` turns on frequency-sketch admission
     for Zipf-skewed FK traffic, and ``memory_budget`` (bytes) caps the
     total resident partials across every registered model — the store
@@ -577,7 +579,6 @@ def serve_runtime(
             max_wait_ms=max_wait_ms,
             queue_depth=queue_depth,
             cache_admission=cache_admission,
-            share_partials=share_partials,
             memory_budget=memory_budget,
             store_tiers=store_tiers,
             block_pages=block_pages,

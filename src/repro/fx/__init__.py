@@ -17,9 +17,12 @@ once and shared by training, serving, and the concurrent runtime:
 * :mod:`repro.fx.store` — :class:`PartialStore`: dimension partials
   shared *across* registered models, keyed by
   ``(partial fingerprint, RID)``, so two models over the same join
-  reuse each other's cached slabs;
-* :mod:`repro.fx.sharding` — the RID-hash sharded partial cache the
-  store hands out;
+  reuse each other's cached slabs; the one store class, in-process
+  and (armed, over a shared-memory slab) in every process worker;
+* :mod:`repro.fx.sharding` — :class:`ShardedPartialCache`, the one
+  cache type the store hands out and a predictor holds: RID-hash
+  shards, each a :class:`~repro.serve.cache.PartialCache` under its
+  own single lock;
 * :mod:`repro.fx.costs` — one :class:`CostModel` interface with
   serving and training adapters over the paper's published counts,
   including the page-level training I/O models

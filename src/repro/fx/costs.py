@@ -12,10 +12,9 @@ is the single interface those callers now share:
   ``factorized_mults(n, distinct, hit_rates)`` for one workload shape,
   plus ``choose()``/``saving_rate()`` built on top;
 * :class:`NNServingCost` / :class:`GMMServingCost` — inference
-  adapters; binary joins delegate to the published
-  :mod:`repro.serve.cost_model` formulas exactly (asserted by the
-  tests), multi-way joins use the additive generalization that used to
-  live in :class:`repro.runtime.planner.BatchPlanner`;
+  adapters: one additive multi-way formula each, which at one
+  dimension *is* the published :mod:`repro.serve.cost_model`
+  binary-join formula (asserted by the tests against that module);
 * :class:`NNTrainingCost` / :class:`GMMTrainingCost` — per-pass
   training adapters over the Section V-B / VI-A1 counts, consumed by
   the ``algorithm="auto"`` training strategy resolution.
@@ -46,20 +45,11 @@ from typing import Protocol, runtime_checkable
 
 from repro.core.strategies import FACTORIZED, MATERIALIZED, STREAMING
 from repro.errors import ModelError
-from repro.gmm.cost_model import (
-    dense_outer_cost,
-    factorized_outer_cost,
-    join_pass_pages,
-)
-from repro.nn.cost_model import (
-    layer1_forward_mults_dense,
-    layer1_forward_mults_factorized,
-)
+from repro.gmm.cost_model import dense_outer_cost, join_pass_pages
+from repro.nn.cost_model import layer1_forward_mults_dense
 from repro.serve.cost_model import (
     gmm_serving_mults_dense,
-    gmm_serving_mults_factorized,
     nn_serving_mults_dense,
-    nn_serving_mults_factorized,
 )
 
 
@@ -251,11 +241,6 @@ class NNServingCost(_CostModelBase):
         n, distinct, hit_rates = self._normalize(n, distinct, hit_rates)
         if n == 0:
             return 0
-        if self.num_dimensions == 1:
-            return nn_serving_mults_factorized(
-                n, max(distinct[0], 1), self.d_s, self.dim_widths[0],
-                self.width_param, hit_rate=hit_rates[0],
-            )
         total = n * self.width_param * self.d_s
         for m, d_r, hit in zip(distinct, self.dim_widths, hit_rates):
             total += (1.0 - hit) * m * self.width_param * d_r
@@ -279,11 +264,6 @@ class GMMServingCost(_CostModelBase):
         if n == 0:
             return 0
         k = self.width_param
-        if self.num_dimensions == 1:
-            return gmm_serving_mults_factorized(
-                n, max(distinct[0], 1), self.d_s, self.dim_widths[0], k,
-                hit_rate=hit_rates[0],
-            )
         # Per fact row, the UL block + one cross dot per dimension +
         # one coupling dot per dimension pair (Eq. 9-12/19); per
         # distinct RID of dimension i, the cross product, the LR form
@@ -360,11 +340,11 @@ class _TrainingIOBase(_CostModelBase):
 class NNTrainingCost(_TrainingIOBase):
     """Per-pass first-layer training counts (Section VI-A1).
 
-    Binary joins reproduce
+    Each dimension's saved products ``(n − m_i)·n_h·d_Ri`` come off
+    the dense count — the same additive structure the serving adapters
+    use; at one dimension this is
     :func:`repro.nn.cost_model.layer1_forward_mults_factorized`
-    exactly; multi-way joins subtract each dimension's saved products
-    ``(n − m_i)·n_h·d_Ri`` from the dense count — the same additive
-    structure the serving adapters use.  ``hit_rates`` are accepted for
+    exactly (asserted by the tests).  ``hit_rates`` are accepted for
     interface uniformity but training holds no partial caches, so they
     are ignored.
     """
@@ -382,11 +362,6 @@ class NNTrainingCost(_TrainingIOBase):
         n, distinct, _ = self._normalize(n, distinct, hit_rates)
         if n == 0:
             return 0
-        if self.num_dimensions == 1:
-            return layer1_forward_mults_factorized(
-                n, max(distinct[0], 1), self.d_s, self.dim_widths[0],
-                self.width_param,
-            )
         total = self.dense_mults(n)
         for m, d_r in zip(distinct, self.dim_widths):
             total -= (n - m) * self.width_param * d_r
@@ -396,12 +371,13 @@ class NNTrainingCost(_TrainingIOBase):
 class GMMTrainingCost(_TrainingIOBase):
     """Per-pass Σ-update outer-product counts (Eq. 14, Section V-B).
 
-    Binary joins reproduce the multiplication counts of
+    Each dimension's diagonal block runs at distinct cardinality,
+    i.e. ``(n − m_i)·d_Ri²`` per dimension comes off the dense count;
+    at one dimension these are the multiplication counts of
     :func:`repro.gmm.cost_model.dense_outer_cost` /
     :func:`~repro.gmm.cost_model.factorized_outer_cost` times the
-    component count; multi-way joins run each dimension's diagonal
-    block at distinct cardinality, i.e. subtract ``(n − m_i)·d_Ri²``
-    per dimension.  ``width_param`` is the component count ``K``;
+    component count (asserted by the tests).  ``width_param`` is the
+    component count ``K``;
     ``hit_rates`` are ignored (training holds no partial caches).
     """
 
@@ -422,11 +398,6 @@ class GMMTrainingCost(_TrainingIOBase):
         n, distinct, _ = self._normalize(n, distinct, hit_rates)
         if n == 0:
             return 0
-        if self.num_dimensions == 1:
-            per_component = factorized_outer_cost(
-                n, max(distinct[0], 1), self.d_s, self.dim_widths[0]
-            ).multiplications
-            return self.width_param * int(per_component)
         total = self.dense_mults(n)
         for m, d_r in zip(distinct, self.dim_widths):
             total -= self.width_param * (n - m) * d_r * d_r

@@ -13,10 +13,9 @@ computed once per batch:
   rows once and expand them into the wide ``[x_S | x_R1 | …]`` block
   the dense models score.
 
-Caches may be plain :class:`~repro.serve.cache.PartialCache` shards,
-RID-hash :class:`~repro.fx.sharding.ShardedPartialCache` ones, or
-views handed out by a :class:`~repro.fx.store.PartialStore` — anything
-``get_many()``-compatible.
+Caches are :class:`~repro.fx.sharding.ShardedPartialCache`\\ s handed
+out by a :class:`~repro.fx.store.PartialStore` — the one cache type a
+predictor ever holds.
 """
 
 from __future__ import annotations

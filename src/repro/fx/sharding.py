@@ -1,23 +1,21 @@
 """RID-hash sharded partial caches for concurrent workers.
 
-A single :class:`~repro.serve.cache.PartialCache` under one lock would
-serialize every factorized batch on cache maintenance.  Instead the
-execution core shards by RID hash: shard ``rid % num_shards``, one
-:class:`PartialCache` plus one lock per shard, so workers touching
+A single :class:`~repro.serve.cache.PartialCache` would serialize
+every factorized batch on cache maintenance.  Instead the execution
+core shards by RID hash: shard ``rid % num_shards``, each shard one
+:class:`PartialCache` guarded by its own lock, so workers touching
 disjoint RID ranges never contend on the same LRU — and a batch only
-holds the locks of the shards its distinct RIDs map to, one at a time.
+holds the lock of one shard at a time, for the shards its distinct
+RIDs map to.  That per-shard lock (held across lookup → miss compute
+→ insert) is also what makes dimension-update invalidation race-free;
+the argument lives with the lock, in :mod:`repro.serve.cache`.  This
+module adds no lock of its own around a shard.
 
-The coarse per-shard lock is also what makes dimension-update
-invalidation race-free: a miss computes its partial *inside* the shard
-lock, so an :meth:`invalidate` for that shard serializes either wholly
-before the insert (the compute then reads the already-updated pages —
-events fire after the write) or wholly after it (the fresh-but-stale
-row is evicted).  A stale partial can never survive an invalidation.
-
-``ShardedPartialCache`` is get_many()-compatible with ``PartialCache``,
-so the factorized predictors use either interchangeably; a
+``ShardedPartialCache`` is the one cache type consumers see: a
 :class:`~repro.fx.store.PartialStore` hands out shared instances to
-models with matching partial fingerprints.
+models with matching partial fingerprints, and a predictor built
+without a store draws from a private store of its own.  This is the
+only module that constructs a :class:`PartialCache`.
 
 When the owning store carries a global ``capacity_floats`` budget, the
 sharded cache participates in store-wide governance: a ``clock``
@@ -25,28 +23,27 @@ sharded cache participates in store-wide governance: a ``clock``
 so recency is comparable across caches, a batch :meth:`pin`\\ s its
 RIDs for the span of :meth:`get_many` (so concurrent batches cannot
 thrash each other's in-use rows out), and the batch calls the
-``governor``'s ``enforce_budget()`` once, after releasing every shard
-lock — the lock order is always governor → one shard at a time, never
-a shard held while asking for the governor, which is what keeps
+``governor``'s ``enforce_budget()`` once, with no shard lock held —
+the lock order is always governor → one shard at a time, never a
+shard held while asking for the governor, which is what keeps
 cross-cache eviction deadlock-free.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Callable
 
 import numpy as np
 
 from repro.core.sync import ReadWriteLock
 from repro.errors import ModelError
-from repro.fx.dedup import distinct_values
 from repro.fx.tiers import TIER_SPILL, SpillSlab
 from repro.serve.cache import (
     LRU_ADMISSION,
     AccessClock,
     CacheStats,
     PartialCache,
+    Residency,
 )
 
 
@@ -120,18 +117,28 @@ class ShardedPartialCache:
             for _ in range(num_shards)
         ]
         self.admission = self.shards[0].admission
-        self._locks = [threading.Lock() for _ in range(num_shards)]
         # Tear-free aggregate stats: multi-shard mutators (get_many,
         # invalidate, clear) hold the *read* side for their whole
-        # multi-shard span — they overlap freely, per-shard locks
-        # still guard the data — while stats() takes the *write* side,
-        # so an aggregate can never observe a call half-applied
+        # multi-shard span — they overlap freely, each shard's own
+        # lock still guards its data — while stats() takes the *write*
+        # side, so an aggregate can never observe a call half-applied
         # (hits counted in shard 0, misses not yet in shard 1).
         self._stats_guard = ReadWriteLock()
 
     def shard_of(self, key: int) -> int:
         """Which shard holds ``key`` (stable RID-hash placement)."""
         return int(key) % self.num_shards
+
+    def _route(self, keys: np.ndarray):
+        """``(shard, the keys it owns, their mask in keys)`` for every
+        shard ``keys`` touch — the one place the placement rule is
+        applied to a batch."""
+        keys = np.asarray(keys).ravel()
+        shard_ids = keys.astype(np.int64) % self.num_shards
+        for shard_id, shard in enumerate(self.shards):
+            mask = shard_ids == shard_id
+            if mask.any():
+                yield shard, keys[mask], mask
 
     def get_many(
         self,
@@ -155,24 +162,15 @@ class ShardedPartialCache:
             raise ModelError(f"keys must be 1-D, got shape {keys.shape}")
         if keys.size == 0:
             return np.zeros((0, 0))
-        shard_ids = keys.astype(np.int64) % self.num_shards
-        batch_shards = distinct_values(shard_ids)
         governed = self._governor is not None
         out: np.ndarray | None = None
         try:
             with self._stats_guard.read():
                 if governed:
-                    for shard_id in batch_shards:
-                        self.shards[shard_id].pin(
-                            keys[shard_ids == shard_id]
-                        )
+                    self.pin(keys)
                 try:
-                    for shard_id in batch_shards:
-                        mask = shard_ids == shard_id
-                        with self._locks[shard_id]:
-                            rows = self.shards[shard_id].get_many(
-                                keys[mask], compute
-                            )
+                    for shard, owned, mask in self._route(keys):
+                        rows = shard.get_many(owned, compute)
                         if out is None:
                             out = np.empty((keys.size, rows.shape[1]))
                         out[mask] = rows
@@ -181,10 +179,7 @@ class ShardedPartialCache:
                     # foreign key) — a leaked pin would shield its RIDs
                     # from budget eviction forever.
                     if governed:
-                        for shard_id in batch_shards:
-                            self.shards[shard_id].unpin(
-                                keys[shard_ids == shard_id]
-                            )
+                        self.unpin(keys)
         finally:
             # Enforce the budget even on failure (shards processed
             # before it already inserted fresh rows) — outside the
@@ -196,38 +191,27 @@ class ShardedPartialCache:
 
     def pin(self, keys: np.ndarray) -> None:
         """Pin ``keys`` in their shards (see :meth:`PartialCache.pin`)."""
-        keys = np.asarray(keys).astype(np.int64)
-        shard_ids = keys % self.num_shards
-        for shard_id in distinct_values(shard_ids):
-            self.shards[shard_id].pin(keys[shard_ids == shard_id])
+        for shard, owned, _ in self._route(keys):
+            shard.pin(owned)
 
     def unpin(self, keys: np.ndarray) -> None:
         """Release one pin reference per key (inverse of :meth:`pin`)."""
-        keys = np.asarray(keys).astype(np.int64)
-        shard_ids = keys % self.num_shards
-        for shard_id in distinct_values(shard_ids):
-            self.shards[shard_id].unpin(keys[shard_ids == shard_id])
+        for shard, owned, _ in self._route(keys):
+            shard.unpin(owned)
 
     def invalidate(self, keys: np.ndarray) -> int:
-        """Evict the given RIDs from every shard; returns rows dropped.
-
-        With hash placement each RID lives in exactly one shard, but
-        sweeping all shards keeps the operation correct even if the
-        shard count ever changes between runs — eviction must never
-        miss a stale partial.
-        """
-        dropped = 0
+        """Evict the given RIDs, each from the shard that owns it;
+        returns rows dropped."""
         with self._stats_guard.read():
-            for shard, lock in zip(self.shards, self._locks):
-                with lock:
-                    dropped += shard.invalidate(keys)
-        return dropped
+            return sum(
+                shard.invalidate(owned)
+                for shard, owned, _ in self._route(keys)
+            )
 
     def clear(self) -> None:
         with self._stats_guard.read():
-            for shard, lock in zip(self.shards, self._locks):
-                with lock:
-                    shard.clear()
+            for shard in self.shards:
+                shard.clear()
 
     def __len__(self) -> int:
         return sum(len(shard) for shard in self.shards)
@@ -235,60 +219,33 @@ class ShardedPartialCache:
     def __contains__(self, key: int) -> bool:
         return int(key) in self.shards[self.shard_of(key)]
 
-    @property
-    def bytes_resident(self) -> int:
-        """Resident payload across all shards, in bytes."""
-        return sum(shard.bytes_resident for shard in self.shards)
+    def residency(self) -> Residency:
+        """The shards' :class:`~repro.serve.cache.Residency`, added up
+        (lock-free, like each shard's)."""
+        return Residency.total(shard.residency() for shard in self.shards)
 
     @property
     def floats_resident(self) -> int:
-        """Resident float64 values across all shards — the unit the
-        store-wide ``capacity_floats`` budget is enforced in."""
-        return sum(shard.floats_resident for shard in self.shards)
+        """Budget floats across all shards — the unit the store-wide
+        ``capacity_floats`` budget is enforced in."""
+        return self.residency().floats
 
     @property
-    def shm_bytes_resident(self) -> int:
-        """The shared-memory-slab subset of :attr:`bytes_resident`."""
-        return sum(shard.shm_bytes_resident for shard in self.shards)
-
-    # -- tier aggregates (lock-free, like the properties above) ------------
-
-    @property
-    def compressed_floats_resident(self) -> int:
-        return sum(s._compressed_floats for s in self.shards)
-
-    @property
-    def compressed_bytes_resident(self) -> int:
-        return self.compressed_floats_resident * 8
-
-    @property
-    def spilled_bytes(self) -> int:
-        return sum(s._spilled_bytes for s in self.shards)
-
-    @property
-    def demotions_total(self) -> int:
-        return sum(s.demotions_total for s in self.shards)
-
-    @property
-    def promotions_total(self) -> int:
-        return sum(s.promotions_total for s in self.shards)
+    def bytes_resident(self) -> int:
+        """Resident payload across all shards, in bytes."""
+        return self.residency().bytes
 
     def drop_spilled(self) -> None:
         """Forget spilled entries in every shard and delete the spill
         files wholesale (the owning store's teardown path)."""
-        for shard, lock in zip(self.shards, self._locks):
-            with lock:
-                shard.drop_spilled()
+        for shard in self.shards:
+            shard.drop_spilled()
         if self._spill is not None:
             self._spill.reset()
 
     def shard_stats(self) -> list[CacheStats]:
         """Per-shard counters, in shard order."""
-        out = []
-        for shard, lock in zip(self.shards, self._locks):
-            with lock:
-                out.append(shard.stats())
-        return out
+        return [shard.stats() for shard in self.shards]
 
     def stats(self) -> CacheStats:
         """Aggregate counters across shards (duck-types ``PartialCache``).
@@ -299,16 +256,9 @@ class ShardedPartialCache:
         invariants like ``hits + misses ≡ 0 (mod shards touched)`` and
         ``bytes_resident == Σ entry widths`` hold in the result.
         """
-        total = CacheStats(
-            capacity=0 if self.shards[0].capacity is not None else None,
-            capacity_floats=(
-                0 if self.shards[0].capacity_floats is not None else None
-            ),
-        )
         with self._stats_guard.write():
-            for stats in self.shard_stats():
-                total = total + stats
-        return total
+            first, *rest = self.shard_stats()
+        return sum(rest, first)
 
     @property
     def hit_rate(self) -> float:

@@ -28,15 +28,18 @@ offsets — never arrays).  Three pieces:
   ``memory_budget`` accounting stays truthful about which bytes live
   in the shared segment and which are private overflow.
 
-* :class:`SharedPartialStore` + per-worker segment headers — each
-  worker publishes its resident-floats count into an int64 header
-  slot (:func:`header_view`); the parent's governor reads the headers
-  (no IPC) and plans *deficit-bounded* trims (:func:`plan_trims`):
-  workers are swept largest-resident-first, each trim capped by the
-  worker's own residency and the sweep's total capped by the global
-  deficit — the cross-process analogue of the store's cross-cache
-  eviction (PR 5), with the same pin semantics because each worker's
-  trim runs through :meth:`~repro.fx.store.PartialStore.trim`.
+* per-worker segment headers — each worker's
+  :class:`~repro.fx.store.PartialStore` publishes its
+  :class:`~repro.serve.cache.Residency` into its row of an int64
+  header segment (:func:`header_view`,
+  :meth:`~repro.fx.store.PartialStore.publish_header`); the parent's
+  governor reads the rows (no IPC) and plans *deficit-bounded* trims
+  (:func:`plan_trims`): workers are swept largest-resident-first, each
+  trim capped by the worker's own residency and the sweep's total
+  capped by the global deficit — the cross-process analogue of the
+  store's cross-cache eviction (PR 5), with the same pin semantics
+  because each worker's trim runs through
+  :meth:`~repro.fx.store.PartialStore.trim`.
 
 Header writes are plain int64 stores (atomic on every platform numpy
 supports for aligned 8-byte writes); the governor treats them as
@@ -55,25 +58,22 @@ from multiprocessing import shared_memory
 import numpy as np
 
 from repro.errors import ModelError
-from repro.fx.store import PartialStore
+from repro.serve.cache import Residency
 
 SEGMENT_PREFIX = "repro-shm"
 
-# Per-worker int64 header slots (see header_view).
-HDR_FLOATS_RESIDENT = 0
-HDR_ROWS_EXECUTED = 1
-HDR_BATCHES = 2
-HDR_INVALIDATED = 3
-# Tiered residency (repro.fx.tiers): compressed float-equivalents are
-# *included* in HDR_FLOATS_RESIDENT (budget truth); the tier slots
-# below exist so the parent can break residency down per tier and
-# export demotion/promotion counters without any IPC.
-HDR_COMPRESSED_FLOATS = 4
-HDR_COMPRESSED_BYTES = 5
-HDR_SPILLED_BYTES = 6
-HDR_DEMOTIONS = 7
-HDR_PROMOTIONS = 8
-HEADER_FIELDS = 9
+# Per-worker int64 header row (see header_view): the worker store's
+# Residency record, field for field — PartialStore.publish_header
+# writes it as one slice, header_residency reads it back — then the
+# worker's own execution counters.  Compressed float-equivalents are
+# *included* in the floats slot (budget truth); the tier fields let
+# the parent break residency down per tier and export
+# demotion/promotion counters without any IPC.
+HDR_FLOATS_RESIDENT = Residency._fields.index("floats")
+HDR_ROWS_EXECUTED = len(Residency._fields)
+HDR_BATCHES = HDR_ROWS_EXECUTED + 1
+HDR_INVALIDATED = HDR_ROWS_EXECUTED + 2
+HEADER_FIELDS = HDR_ROWS_EXECUTED + 3
 
 _FLOAT_BYTES = 8
 
@@ -265,6 +265,12 @@ def header_nbytes(num_workers: int) -> int:
     return num_workers * HEADER_FIELDS * 8
 
 
+def header_residency(row: np.ndarray) -> Residency:
+    """The :class:`~repro.serve.cache.Residency` a worker's store last
+    published into its header ``row``."""
+    return Residency(*row[:HDR_ROWS_EXECUTED].tolist())
+
+
 def plan_trims(resident: list[int], budget: int) -> list[int]:
     """Deficit-bounded per-worker trim amounts (floats).
 
@@ -291,62 +297,3 @@ def plan_trims(resident: list[int], budget: int) -> list[int]:
         if remaining <= 0:
             break
     return trims
-
-
-class SharedPartialStore(PartialStore):
-    """A worker-local :class:`~repro.fx.store.PartialStore` whose cache
-    payloads live in a shared-memory slab.
-
-    Semantics are the PR-5 store's, unchanged: fingerprint sharing,
-    pin refcounts, cross-cache eviction in global ``(frequency,
-    tick)`` order.  Two process-mode additions:
-
-    * rows are placed in the worker's shm slab via a
-      :class:`SlabAllocator` (private-memory overflow when full);
-    * ``armed=True`` turns on the recency clock and governor hooks
-      even without a *local* ``capacity_floats`` — in process mode
-      the budget is global and enforced by the parent's deficit-bounded
-      :meth:`~repro.fx.store.PartialStore.trim` sweeps over the
-      per-worker headers, not by a static per-worker split, so a hot
-      worker can use budget a cold worker is not.
-
-    :meth:`publish_header` pushes the store's residency into this
-    worker's header slot after every batch/invalidate/trim, which is
-    all the parent's governor ever reads.
-    """
-
-    def __init__(
-        self,
-        *,
-        slab: ShmSegment | None = None,
-        header: np.ndarray | None = None,
-        armed: bool = False,
-        **kwargs,
-    ) -> None:
-        allocator = (
-            SlabAllocator(slab.buf) if slab is not None else None
-        )
-        super().__init__(allocator=allocator, **kwargs)
-        if armed:
-            self._armed = True
-        self._header = header
-
-    def publish_header(self) -> None:
-        if self._header is not None:
-            self._header[HDR_FLOATS_RESIDENT] = self.floats_resident
-            self._header[HDR_COMPRESSED_FLOATS] = (
-                self.compressed_floats_resident
-            )
-            self._header[HDR_COMPRESSED_BYTES] = (
-                self.compressed_bytes_resident
-            )
-            self._header[HDR_SPILLED_BYTES] = self.spilled_bytes
-            self._header[HDR_DEMOTIONS] = self.demotions_total
-            self._header[HDR_PROMOTIONS] = self.promotions_total
-
-    def close(self) -> None:
-        """Release the header row and slab views along with the caches
-        so the worker's segments can actually detach."""
-        super().close()
-        self._header = None
-        self._allocator = None

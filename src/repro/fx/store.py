@@ -21,10 +21,10 @@ bounds raises :class:`~repro.errors.ModelError` (pass ``None`` to
 attach without an opinion — re-bounding a cache under live traffic
 would evict another model's working set, so the conflict is surfaced
 instead of ignored).  :meth:`release` detaches; the cache and its
-resident rows are dropped when the last holder leaves.  Pass
-``shared=False`` to get the old per-model behavior (every acquire
-creates a private cache) — the A/B knob the shared-cache benchmark
-flips.
+resident rows are dropped when the last holder leaves.  Sharing has
+no off switch: fingerprint-equal models compute bit-identical rows, so
+a private copy is never better — a caller that wants isolation builds
+its own store.
 
 **Store-wide memory budget.**  Per-fingerprint bounds cannot keep a
 multi-model deployment honest: each cache only sees its own
@@ -58,6 +58,18 @@ holder's invalidation already evicts the RIDs for everyone — later
 holders' calls find nothing and drop zero rows, which keeps per-model
 ``invalidated_rids`` counters approximate under sharing (a documented
 attribution trade, like shared buffer-pool stats).
+
+**Process workers.**  A worker process of the process executor runs
+this same class over its shared-memory slab (``allocator=``).  Two
+facts make it a worker store: ``armed=True`` turns on the recency
+clock and governor hooks without a *local* ``capacity_floats`` — the
+budget is global and enforced by the parent's deficit-bounded
+:meth:`PartialStore.trim` sweeps, so a hot worker can use budget a
+cold one is not using — and ``header=`` names the worker's row of the
+shared header segment, into which :meth:`PartialStore.publish_header`
+pushes the store's :class:`~repro.serve.cache.Residency` after every
+batch/invalidate/trim; that row is all the parent's governor ever
+reads.
 """
 
 from __future__ import annotations
@@ -77,6 +89,8 @@ from repro.serve.cache import (
     LRU_ADMISSION,
     AccessClock,
     CacheStats,
+    Residency,
+    add_fields,
 )
 
 
@@ -110,6 +124,9 @@ class StoreStats:
     # over-budget enforce_budget call, not per evicted row) — the
     # hysteresis regression metric.
     governor_sweeps: int = 0
+
+    # Merges the per-worker stores of the process executor.
+    __add__ = add_fields
 
     @property
     def bytes_resident(self) -> int:
@@ -175,7 +192,8 @@ class PartialStore:
     cross-cache eviction (see the module docstring); it composes with
     any per-fingerprint bounds, whichever is tighter binding first.
     All bookkeeping is thread-safe — the runtime registers models
-    while traffic is live.
+    while traffic is live.  ``allocator`` / ``header`` / ``armed`` are
+    the process worker's (module docstring).
     """
 
     def __init__(
@@ -183,9 +201,10 @@ class PartialStore:
         *,
         num_shards: int = 1,
         admission: str = LRU_ADMISSION,
-        shared: bool = True,
         capacity_floats: int | None = None,
         allocator=None,
+        header=None,
+        armed: bool = False,
         tiers=(),
         hysteresis: float = 1.0,
     ) -> None:
@@ -209,7 +228,6 @@ class PartialStore:
             )
         self.num_shards = num_shards
         self.admission = admission
-        self.shared = shared
         self.capacity_floats = capacity_floats
         # The demotion ladder new caches walk under budget pressure
         # (see repro.fx.tiers); () keeps the drop-on-evict behavior.
@@ -230,13 +248,16 @@ class PartialStore:
         # creates (repro.fx.shm.SlabAllocator) — process-mode workers
         # place partial rows there so the parent can account them.
         self._allocator = allocator
-        # Armed once a budget has ever been in force: caches created on
-        # an armed store carry the recency clock + governor hook, so
-        # set_budget() can tighten/loosen/re-impose bounds mid-flight.
-        self._armed = capacity_floats is not None
+        # This worker's row of the shared int64 header segment
+        # (repro.fx.shm.header_view), or None outside a worker.
+        self._header = header
+        # Armed once a budget has ever been in force (or from the
+        # start, for a worker whose bound lives in the parent): caches
+        # created on an armed store carry the recency clock + governor
+        # hook, so set_budget()/trim() have an eviction order to follow.
+        self._armed = armed or capacity_floats is not None
         self._entries: dict[str, _Entry] = {}
         self._key_of_cache: dict[int, str] = {}
-        self._serial = 0
         self._shared_attachments = 0
         self._cross_evictions = 0
         self._clock = AccessClock()
@@ -266,35 +287,30 @@ class PartialStore:
         in force when it never was.
         """
         with self._lock:
-            if self.shared:
-                entry = self._entries.get(fingerprint)
-                if entry is not None:
-                    for label, wanted, bound in (
-                        ("capacity", capacity, entry.capacity),
-                        (
-                            "capacity_floats",
-                            capacity_floats,
-                            entry.capacity_floats,
-                        ),
-                    ):
-                        if wanted is not None and wanted != bound:
-                            raise ModelError(
-                                f"cache for fingerprint "
-                                f"{fingerprint[:12]!r}… already exists "
-                                f"with {label}={bound}; a later acquirer "
-                                f"requested {label}={wanted}.  Re-bounding "
-                                "a live shared cache would evict another "
-                                "model's working set — pass None to "
-                                "attach to the existing bounds, or use "
-                                "a store-wide capacity_floats budget"
-                            )
-                    entry.refs += 1
-                    self._shared_attachments += 1
-                    return entry.cache
-                key = fingerprint
-            else:
-                self._serial += 1
-                key = f"{fingerprint}#{self._serial}"
+            entry = self._entries.get(fingerprint)
+            if entry is not None:
+                for label, wanted, bound in (
+                    ("capacity", capacity, entry.capacity),
+                    (
+                        "capacity_floats",
+                        capacity_floats,
+                        entry.capacity_floats,
+                    ),
+                ):
+                    if wanted is not None and wanted != bound:
+                        raise ModelError(
+                            f"cache for fingerprint "
+                            f"{fingerprint[:12]!r}… already exists "
+                            f"with {label}={bound}; a later acquirer "
+                            f"requested {label}={wanted}.  Re-bounding "
+                            "a live shared cache would evict another "
+                            "model's working set — pass None to "
+                            "attach to the existing bounds, or use "
+                            "a store-wide capacity_floats budget"
+                        )
+                entry.refs += 1
+                self._shared_attachments += 1
+                return entry.cache
             governed = self._armed
             cache = ShardedPartialCache(
                 self.num_shards,
@@ -315,8 +331,10 @@ class PartialStore:
                     else None
                 ),
             )
-            self._entries[key] = _Entry(cache, capacity, capacity_floats)
-            self._key_of_cache[id(cache)] = key
+            self._entries[fingerprint] = _Entry(
+                cache, capacity, capacity_floats
+            )
+            self._key_of_cache[id(cache)] = fingerprint
             return cache
 
     def release(self, cache: ShardedPartialCache) -> None:
@@ -383,7 +401,8 @@ class PartialStore:
         cache payloads live in a shared-memory slab: the slab views
         must be released *before* the owning segment detaches, not at
         some later collection.  Also removes the spill directory and
-        everything in it.  Idempotent.
+        everything in it, and drops the header row and slab views so a
+        worker's segments can actually detach.  Idempotent.
         """
         with self._lock:
             entries = list(self._entries.values())
@@ -393,6 +412,8 @@ class PartialStore:
             entry.cache.drop_spilled()
             entry.cache.clear()
         self.release_spill()
+        self._header = None
+        self._allocator = None
 
     # -- the budget governor -----------------------------------------------
 
@@ -486,8 +507,8 @@ class PartialStore:
         if not self._armed:
             raise ModelError(
                 "cannot trim an ungoverned store; create it with "
-                "capacity_floats (or armed=True for a "
-                "SharedPartialStore) so entries carry recency ticks"
+                "capacity_floats (or armed=True) so entries carry "
+                "recency ticks"
             )
         evicted = 0
         with self._governor_lock:
@@ -541,12 +562,26 @@ class PartialStore:
             return 0
         return self.enforce_budget()
 
-    @property
-    def floats_resident(self) -> int:
-        """Resident float64 values across every live cache."""
+    def residency(self) -> Residency:
+        """Every live cache's :class:`~repro.serve.cache.Residency`,
+        added up (lock-free below the registry snapshot)."""
         with self._lock:
             entries = list(self._entries.values())
-        return sum(entry.cache.floats_resident for entry in entries)
+        return Residency.total(entry.cache.residency() for entry in entries)
+
+    def publish_header(self) -> None:
+        """Write :meth:`residency` into this worker's header row — the
+        row *is* a :class:`~repro.serve.cache.Residency` followed by
+        the worker's own execution counters (:mod:`repro.fx.shm`).
+        A no-op without a header."""
+        if self._header is not None:
+            held = self.residency()
+            self._header[:len(held)] = held
+
+    @property
+    def floats_resident(self) -> int:
+        """Budget floats across every live cache."""
+        return self.residency().floats
 
     def __len__(self) -> int:
         """Live caches (distinct fingerprints held)."""
@@ -555,35 +590,7 @@ class PartialStore:
     @property
     def bytes_resident(self) -> int:
         """Resident partial payload across every live cache, in bytes."""
-        with self._lock:
-            entries = list(self._entries.values())
-        return sum(entry.cache.bytes_resident for entry in entries)
-
-    def _sum_caches(self, attribute: str) -> int:
-        with self._lock:
-            entries = list(self._entries.values())
-        return sum(getattr(e.cache, attribute) for e in entries)
-
-    @property
-    def compressed_floats_resident(self) -> int:
-        """Budget floats charged by the compressed tiers."""
-        return self._sum_caches("compressed_floats_resident")
-
-    @property
-    def compressed_bytes_resident(self) -> int:
-        return self._sum_caches("compressed_bytes_resident")
-
-    @property
-    def spilled_bytes(self) -> int:
-        return self._sum_caches("spilled_bytes")
-
-    @property
-    def demotions_total(self) -> int:
-        return self._sum_caches("demotions_total")
-
-    @property
-    def promotions_total(self) -> int:
-        return self._sum_caches("promotions_total")
+        return self.residency().bytes
 
     @property
     def governor_sweeps(self) -> int:

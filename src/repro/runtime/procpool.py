@@ -44,9 +44,9 @@ the requests whose rows were routed to it (the runtime retries a
 coalesced batch request-by-request, exactly like data-dependent
 failures in thread mode).
 
-**Budget governance.**  Workers run :class:`~repro.fx.shm.
-SharedPartialStore` with *no* local bound; each publishes its resident
-floats into its header slot, and after every gathered batch the
+**Budget governance.**  Workers run an armed
+:class:`~repro.fx.store.PartialStore` with *no* local bound; each
+publishes its residency into its header row, and after every gathered batch the
 dispatcher reads the headers (plain shared-memory loads, no IPC),
 plans deficit-bounded trims (:func:`repro.fx.shm.plan_trims`) and
 sends ``TRIM`` only to over-share workers.  A hot worker can therefore
@@ -64,26 +64,24 @@ import pickle
 import struct
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 
 from repro.errors import ModelError
 from repro.fx.shm import (
-    HDR_COMPRESSED_BYTES,
-    HDR_DEMOTIONS,
     HDR_FLOATS_RESIDENT,
     HDR_INVALIDATED,
-    HDR_PROMOTIONS,
     HDR_ROWS_EXECUTED,
-    HDR_SPILLED_BYTES,
     ShmArena,
     header_nbytes,
+    header_residency,
     header_view,
     plan_trims,
 )
 from repro.fx.store import StoreStats
 from repro.fx.tiers import GOVERNOR_HYSTERESIS
-from repro.serve.cache import CacheStats
+from repro.serve.cache import CacheStats, Residency
 from repro.serve.core import (
     ExecMeta,
     RegisteredModel,
@@ -168,6 +166,21 @@ def task_views(buf, rows: int, d_s: int, q: int, out_width: int):
         offset=out_offset,
     )
     return features, fks, out
+
+
+def _write_task(buf, features, fks, out_width: int) -> None:
+    """Copy one sub-batch's inputs into a task slab frame.
+
+    A function of its own so the slab views die with its frame: the
+    EXEC send that follows can raise, and a traceback holding views
+    into the segment would pin its mapping past ``close()``.
+    """
+    feature_view, fk_views, _ = task_views(
+        buf, *features.shape, len(fks), out_width
+    )
+    feature_view[:] = features
+    for view, fk in zip(fk_views, fks):
+        view[:] = fk
 
 
 class WorkerDied(ModelError):
@@ -557,59 +570,42 @@ class ProcessExecutor(ServingCore):
                 cache_stats[name] = list(per_dim) if merged is None else [
                     have + new for have, new in zip(merged, per_dim)
                 ]
-        cache_total = CacheStats()
-        fingerprints: dict[str, int] = {}
-        caches = attachments = shared = cross = 0
-        for sample in samples:
-            store = sample["store"]
-            caches += store.caches
-            attachments += store.attachments
-            shared += store.shared_attachments
-            cross += store.cross_evictions
-            cache_total = cache_total + store.cache
-            for key, share in store.fingerprints.items():
-                fingerprints[key] = fingerprints.get(key, 0) + share
-        return cache_stats, StoreStats(
-            caches=caches,
-            attachments=attachments,
-            shared_attachments=shared,
-            cache=cache_total,
-            capacity_floats=self.budget_floats,
-            cross_evictions=cross,
-            fingerprints=fingerprints,
-            # The governor runs in the parent, so the sweep count
-            # lives here, not in any worker.
+        store = sum(
+            (sample["store"] for sample in samples),
+            StoreStats(0, 0, 0, CacheStats()),
+        )
+        # The bound and the governor live in the parent, so the budget
+        # and the sweep count are read here, not off any worker.
+        return cache_stats, replace(
+            store, capacity_floats=self.budget_floats,
             governor_sweeps=self.sweeps,
         )
 
     def collect(self, buffer) -> None:
         """Sample residency and execution counters straight off the
         shared-memory headers (no IPC from the collector path)."""
+        # Parent-side registrations hold no caches (they live in the
+        # workers), so this contributes the dedup ratios only.
+        self.collect_models(buffer)
         # close() nulls the header view before unlinking the segment,
         # so snapshot it once and re-check it — a close() racing this
         # sampling tick must not leave us dereferencing None.
         headers = self.headers
         if self._closed or headers is None:
             return
-        workers = range(self.num_workers)
-
-        def total(slot: int) -> int:
-            return sum(int(headers[index, slot]) for index in workers)
-
+        held = Residency.total(map(header_residency, headers))
         collect_store(
-            buffer, total(HDR_FLOATS_RESIDENT) * _FLOAT_BYTES,
-            self.budget_floats, self.sweeps,
-            # The headers aggregate the compressed rungs into one slot
+            buffer, held.bytes, self.budget_floats, self.sweeps,
+            # The record aggregates the compressed rungs into one field
             # and the transitions into one count each, so process mode
             # breaks residency down by tier *family* (compressed vs
             # spill) and exports the transition totals unlabeled.
             self.config.store_tiers and (
-                total(HDR_COMPRESSED_BYTES), total(HDR_SPILLED_BYTES),
-                {None: total(HDR_DEMOTIONS)},
-                {None: total(HDR_PROMOTIONS)},
+                held.compressed_bytes, held.spilled_bytes,
+                {None: held.demotions}, {None: held.promotions},
             ),
         )
-        for index in workers:
+        for index in range(self.num_workers):
             labels = {"worker": str(index)}
             buffer.gauge(
                 "repro_worker_shm_floats_resident",
@@ -718,12 +714,7 @@ class ProcessExecutor(ServingCore):
         seg = self._ensure_task_capacity(
             handle, task_layout(rows, d_s, q, out_width)[2]
         )
-        feature_view, fk_views, _ = task_views(
-            seg.buf, rows, d_s, q, out_width
-        )
-        feature_view[:] = features
-        for view, fk in zip(fk_views, fks):
-            view[:] = fk
+        _write_task(seg.buf, features, fks, out_width)
         req_id = self._next_id()
         handle.send(
             MSG_EXEC,

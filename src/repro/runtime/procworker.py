@@ -10,10 +10,10 @@ configuration runs, plus pipe framing:
   each worker keeps a private buffer pool over them — the OS page
   cache dedups the physical bytes);
 * its core draws partial caches from a
-  :class:`~repro.fx.shm.SharedPartialStore` whose payload slab lives in
+  :class:`~repro.fx.store.PartialStore` whose payload slab lives in
   the shared-memory segment the parent created — so partials survive
   in shared memory the parent can account, and the worker's residency
-  is published into its header slot after every batch;
+  is published into its header row after every batch;
 * the message handlers only translate: ``EXEC`` wraps views into the
   task slab around ``core.execute`` (the pipe message carries only
   scalars — rows, widths, the slab name — the arrays never cross the
@@ -49,11 +49,11 @@ from repro.fx.shm import (
     HDR_BATCHES,
     HDR_INVALIDATED,
     HDR_ROWS_EXECUTED,
-    HEADER_FIELDS,
-    SharedPartialStore,
     ShmArena,
+    SlabAllocator,
     header_view,
 )
+from repro.fx.store import PartialStore
 from repro.runtime.procpool import (
     MSG_CRASH,
     MSG_EXEC,
@@ -86,8 +86,8 @@ class _Worker:
         header_seg = self.arena.attach(header_name)
         self.header = header_view(header_seg.buf, num_workers)[worker_id]
         partial_seg = self.arena.attach(partial_name)
-        self.store = SharedPartialStore(
-            slab=partial_seg,
+        self.store = PartialStore(
+            allocator=SlabAllocator(partial_seg.buf),
             header=self.header,
             # The budget bound lives in the parent (deficit-bounded
             # TRIMs over the headers); armed just turns on the recency
@@ -95,7 +95,6 @@ class _Worker:
             armed=config.memory_budget is not None,
             num_shards=1,
             admission=config.cache_admission,
-            shared=config.share_partials,
             # Per-worker demotion ladder; each worker store owns its
             # own spill directory (created lazily, removed on close).
             tiers=config.store_tiers,
@@ -288,7 +287,6 @@ def worker_main(
     header_name, partial_name,
 ) -> None:
     """Process entry point: build the worker, serve until SHUTDOWN."""
-    assert HEADER_FIELDS == 9   # layout agreed with the parent
     worker = _Worker(
         worker_id, num_workers, conn, directory, config,
         header_name, partial_name,

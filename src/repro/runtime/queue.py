@@ -171,6 +171,22 @@ class RequestQueue:
                 self._not_empty.wait(remaining)
             return batch
 
+    def collect(self, buffer) -> None:
+        """Sample depth and admission counters into a telemetry
+        snapshot."""
+        buffer.gauge(
+            "repro_queue_depth", self.depth,
+            help="Requests currently queued",
+        )
+        buffer.gauge(
+            "repro_queue_max_depth", self.max_depth_seen,
+            help="High-water queue depth",
+        )
+        buffer.counter(
+            "repro_requests_enqueued_total", self.enqueued,
+            help="Requests ever admitted to the queue",
+        )
+
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:

@@ -30,7 +30,7 @@ into a serving tier:
   a :class:`~repro.fx.dedup.DedupPlan` consumed by planner and
   predictor alike, and all partial caches come from the executor's
   shared :class:`~repro.fx.store.PartialStore` — fingerprint-identical
-  models reuse one cache (``share_partials``), optionally behind
+  models reuse one cache, optionally behind
   TinyLFU admission (``cache_admission="tinylfu"``), and an optional
   ``memory_budget`` (bytes) makes the store evict the globally
   coldest partials across every model's caches so the whole runtime's
@@ -99,7 +99,6 @@ def _thread_executor(db, config):
         config.memory_budget,
         num_shards=config.num_workers,
         admission=config.cache_admission,
-        shared=config.share_partials,
         tiers=config.store_tiers,
     )
     core = ServingCore(db, store, block_pages=config.block_pages)
@@ -162,7 +161,6 @@ class RuntimeConfig:
     max_wait_ms: float = 2.0
     queue_depth: int = 1024
     cache_admission: str = LRU_ADMISSION   # "lru" | "tinylfu"
-    share_partials: bool = True            # cross-model slab sharing
     memory_budget: int | None = None       # bytes across all models
     store_tiers: tuple = ()                # demotion ladder, e.g.
                                            # ("float32", "spill")
@@ -394,18 +392,7 @@ class ServingRuntime:
         group below is read atomically under its own component's lock,
         so each group is internally consistent.
         """
-        buffer.gauge(
-            "repro_queue_depth", self._queue.depth,
-            help="Requests currently queued",
-        )
-        buffer.gauge(
-            "repro_queue_max_depth", self._queue.max_depth_seen,
-            help="High-water queue depth",
-        )
-        buffer.counter(
-            "repro_requests_enqueued_total", self._queue.enqueued,
-            help="Requests ever admitted to the queue",
-        )
+        self._queue.collect(buffer)
         with self._stats_lock:
             batches = sum(w.batches for w in self._worker_stats)
             busy = sum(w.wall_seconds for w in self._worker_stats)
@@ -417,94 +404,10 @@ class ServingRuntime:
             "repro_worker_busy_seconds_total", busy,
             help="Accumulated batch execution seconds across workers",
         )
-        # Store residency, governor and tier series come from whoever
-        # owns the store (the core, or the worker headers).
+        # Store, cache and per-model series come from whoever owns the
+        # numbers (the core, or the worker headers).
         self._executor.collect(buffer)
-        for name, model in self._executor.registry().items():
-            with model.lock:
-                dedup_ratio = model.dedup_ratio
-            buffer.gauge(
-                "repro_model_dedup_ratio", dedup_ratio,
-                help="FK references per distinct RID across served "
-                     "batches",
-                model=name,
-            )
-            for dim_name, stats in zip(
-                model.dimension_names, model.cache_stats()
-            ):
-                labels = {"model": name, "dimension": dim_name}
-                buffer.counter(
-                    "repro_cache_hits_total", stats.hits,
-                    help="Partial-cache hits", **labels,
-                )
-                buffer.counter(
-                    "repro_cache_misses_total", stats.misses,
-                    help="Partial-cache misses", **labels,
-                )
-                buffer.counter(
-                    "repro_cache_evictions_total", stats.evictions,
-                    help="Local capacity evictions", **labels,
-                )
-                buffer.counter(
-                    "repro_cache_cross_evictions_total",
-                    stats.cross_evictions,
-                    help="Evictions forced by the store-wide budget",
-                    **labels,
-                )
-                buffer.counter(
-                    "repro_cache_invalidations_total",
-                    stats.invalidations,
-                    help="Rows dropped by dimension-update events",
-                    **labels,
-                )
-                buffer.gauge(
-                    "repro_cache_entries", stats.entries,
-                    help="Resident partial rows", **labels,
-                )
-                buffer.gauge(
-                    "repro_cache_bytes_resident", stats.bytes_resident,
-                    help="Resident partial payload (bytes)", **labels,
-                )
-                buffer.gauge(
-                    "repro_cache_hit_ratio", stats.hit_rate,
-                    help="hits / (hits + misses)", **labels,
-                )
-        pool = self.db.buffer_pool.stats()
-        buffer.counter(
-            "repro_bufferpool_hits_total", pool.hits,
-            help="Buffer-pool page hits (followers included)",
-        )
-        buffer.counter(
-            "repro_bufferpool_misses_total", pool.misses,
-            help="Buffer-pool page misses (leader reads)",
-        )
-        buffer.counter(
-            "repro_bufferpool_coalesced_reads_total",
-            pool.coalesced_reads,
-            help="Followers that piggybacked on an in-flight read",
-        )
-        buffer.gauge(
-            "repro_bufferpool_inflight_peak", pool.inflight_peak,
-            help="Most page reads ever simultaneously in flight",
-        )
-        buffer.counter(
-            "repro_bufferpool_stale_discards_total", pool.stale_discards,
-            help="Completed reads dropped because an invalidation "
-                 "raced them",
-        )
-        buffer.gauge(
-            "repro_bufferpool_resident_pages", pool.resident_pages,
-            help="Pages currently cached",
-        )
-        io = self.db.stats.snapshot()
-        buffer.counter(
-            "repro_pages_read_total", io.pages_read,
-            help="Heap pages read (buffer-pool misses only)",
-        )
-        buffer.counter(
-            "repro_pages_written_total", io.pages_written,
-            help="Heap pages written",
-        )
+        self.db.collect(buffer)
 
     # -- registration --------------------------------------------------------
 

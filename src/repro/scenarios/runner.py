@@ -262,7 +262,6 @@ class ScenarioRunner:
             max_wait_ms=spec.runtime.max_wait_ms,
             queue_depth=spec.runtime.queue_depth,
             cache_admission=spec.runtime.admission,
-            share_partials=spec.runtime.share_partials,
             memory_budget=spec.runtime.memory_budget,
             store_tiers=spec.runtime.store_tiers,
             executor=spec.runtime.executor,

@@ -155,7 +155,6 @@ class RuntimeSpec:
     max_wait_ms: float = 1.0
     queue_depth: int = 1024
     admission: str = "lru"
-    share_partials: bool = True
     memory_budget: int | None = None       # bytes, None = unbounded
     store_tiers: tuple = ()                # demotion ladder, () = drop
     executor: str = "thread"               # "thread" | "process"
@@ -166,8 +165,7 @@ class RuntimeSpec:
             raw,
             {
                 "workers", "max_batch_rows", "max_wait_ms", "queue_depth",
-                "admission", "share_partials",
-                "memory_budget", "store_tiers", "executor",
+                "admission", "memory_budget", "store_tiers", "executor",
             },
             where,
         )
@@ -186,11 +184,6 @@ class RuntimeSpec:
         if memory_budget is not None:
             memory_budget = _positive_int(
                 memory_budget, f"{where}.memory_budget"
-            )
-        share = raw.get("share_partials", True)
-        if not isinstance(share, bool):
-            raise ModelError(
-                f"{where}.share_partials must be a bool, got {share!r}"
             )
         executor = raw.get("executor", "thread")
         if executor not in ("thread", "process"):
@@ -217,7 +210,6 @@ class RuntimeSpec:
                 raw.get("queue_depth", 1024), f"{where}.queue_depth"
             ),
             admission=admission,
-            share_partials=share,
             memory_budget=memory_budget,
             store_tiers=store_tiers,
             executor=executor,

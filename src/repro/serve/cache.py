@@ -25,12 +25,22 @@ Two admission policies govern what a miss may insert:
   returned to the caller (only reuse is lost), and rejections are
   counted separately from evictions.
 
-The cache is thread-safe: one internal lock serializes lookups,
-invalidations and counter reads, so dimension-update events arriving
-on an updater thread can evict safely while a serving thread is
-mid-lookup.  It is deliberately model-agnostic: values are flat
-float64 rows (whatever a :mod:`~repro.serve.partials` builder
-produced), keys are RIDs.  Hit/miss/eviction counters feed the
+The cache is thread-safe: one internal lock — the only lock a shard
+has — serializes lookups, invalidations and counter reads, so
+dimension-update events arriving on an updater thread can evict safely
+while a serving thread is mid-lookup.  :meth:`PartialCache.get_many`
+holds it across lookup → miss compute → insert, which is what makes
+invalidation race-free: an :meth:`~PartialCache.invalidate` serializes
+either wholly before the insert (the compute then reads the
+already-updated pages — events fire after the write) or wholly after
+it (the fresh-but-stale row is dropped).  A stale partial can never
+survive an invalidation.
+
+The cache is deliberately model-agnostic: values are flat float64 rows
+(whatever a :mod:`~repro.serve.partials` builder produced), keys are
+RIDs.  It is the *shard*: consumers never hold one directly — they get
+a :class:`~repro.fx.sharding.ShardedPartialCache` from a
+:class:`~repro.fx.store.PartialStore`.  Hit/miss/eviction counters feed the
 :class:`~repro.serve.service.ModelService` bookkeeping, mirroring how
 :class:`~repro.storage.buffer.BufferPool` accounts page caching.
 :meth:`PartialCache.invalidate` supports the dimension-update
@@ -66,8 +76,8 @@ import itertools
 import threading
 import warnings
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass, field, fields
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -141,6 +151,71 @@ class EvictionCandidate:
         return (self.frequency, self.tick)
 
 
+class Residency(NamedTuple):
+    """What one shard — or, added up, one sharded cache or one whole
+    store — holds right now, read without taking any lock.
+
+    Every field is a plain int the owning shard keeps current, so the
+    readers that cannot afford to contend with ``get_many`` (the
+    budget governor's within-budget check, a process worker publishing
+    its header row) load it directly; a torn read can only mis-size one
+    sweep, which the next corrects.  ``floats`` is the budget truth:
+    resident float64 values plus the float-equivalents of compressed
+    payloads (spilled rows charge disk, not memory).  Levels add up
+    with :meth:`total`.
+    """
+
+    floats: int = 0
+    shm_floats: int = 0             # of ``floats``: in a shared-memory slab
+    compressed_floats: int = 0      # of ``floats``: compressed-tier charge
+    spilled_bytes: int = 0
+    demotions: int = 0
+    promotions: int = 0
+
+    @classmethod
+    def total(cls, records) -> "Residency":
+        """The field-wise sum of ``records`` (all zero for none)."""
+        return cls(*map(sum, zip(*records)))
+
+    @property
+    def bytes(self) -> int:
+        """Resident payload in bytes (8 per budget float)."""
+        return self.floats * _FLOAT_BYTES
+
+    @property
+    def shm_bytes(self) -> int:
+        return self.shm_floats * _FLOAT_BYTES
+
+    @property
+    def compressed_bytes(self) -> int:
+        return self.compressed_floats * _FLOAT_BYTES
+
+
+def add_fields(a, b):
+    """``a + b`` for two stats dataclasses of one type, field by field:
+    numbers (and nested stats) add, per-key dicts merge, and a bound
+    is ``None`` (unbounded) as soon as either side's is — so a new
+    field needs no aggregation code."""
+    total = {}
+    for spec in fields(a):
+        x, y = getattr(a, spec.name), getattr(b, spec.name)
+        if x is None or y is None:
+            total[spec.name] = None
+        elif isinstance(x, dict):
+            total[spec.name] = {
+                key: x.get(key, 0) + y.get(key, 0) for key in {**x, **y}
+            }
+        else:
+            total[spec.name] = x + y
+    return type(a)(**total)
+
+
+def _counter(**kwargs):
+    """A monotonic :class:`CacheStats` field — one that keeps counting
+    across cache generations (see :meth:`CacheStats.counters`)."""
+    return field(metadata={"counter": True}, **kwargs)
+
+
 @dataclass(frozen=True)
 class CacheStats:
     """Point-in-time cache counters.
@@ -151,19 +226,19 @@ class CacheStats:
     over its global ``capacity_floats``), and ``invalidations`` the
     rows dropped by dimension-update events — three different causes,
     counted separately so memory pressure is never mistaken for data
-    churn.
+    churn.  ``+`` aggregates across shards (:func:`add_fields`).
     """
 
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
+    hits: int = _counter(default=0)
+    misses: int = _counter(default=0)
+    evictions: int = _counter(default=0)
     entries: int = 0
     capacity: int | None = None
     capacity_floats: int | None = None
     bytes_resident: int = 0
-    invalidations: int = 0
-    admission_rejections: int = 0
-    cross_evictions: int = 0
+    invalidations: int = _counter(default=0)
+    admission_rejections: int = _counter(default=0)
+    cross_evictions: int = _counter(default=0)
     # Of bytes_resident, how many live in a shared-memory slab (the
     # process executor's per-worker arena) vs private process memory.
     # bytes_resident stays the budget-truth total either way.
@@ -178,8 +253,8 @@ class CacheStats:
     compressed_floats_resident: int = 0
     compressed_bytes_resident: int = 0
     spilled_bytes: int = 0
-    demotions: dict = field(default_factory=dict)
-    promotions: dict = field(default_factory=dict)
+    demotions: dict = _counter(default_factory=dict)
+    promotions: dict = _counter(default_factory=dict)
 
     @property
     def lookups(self) -> int:
@@ -194,53 +269,24 @@ class CacheStats:
         """Resident payload held in ordinary process memory."""
         return self.bytes_resident - self.shm_bytes_resident
 
-    def __add__(self, other: "CacheStats") -> "CacheStats":
-        """Aggregate counters across shards (capacities add too)."""
+    __add__ = add_fields
 
-        def _add_caps(a: int | None, b: int | None) -> int | None:
-            if a is None or b is None:
-                return None
-            return a + b
+    def counters(self) -> "CacheStats":
+        """Only the monotonic counters — what a retired cache
+        generation leaves behind.
 
-        def _add_dicts(a: dict, b: dict) -> dict:
-            merged = dict(a)
-            for key, value in b.items():
-                merged[key] = merged.get(key, 0) + value
-            return merged
-
+        Gauges (entries, residency) are zeroed and the capacities set
+        to 0, the additive identity of ``+``, so folding the result
+        into a live generation's stats inflates only the counters.
+        """
         return CacheStats(
-            hits=self.hits + other.hits,
-            misses=self.misses + other.misses,
-            evictions=self.evictions + other.evictions,
-            entries=self.entries + other.entries,
-            capacity=_add_caps(self.capacity, other.capacity),
-            capacity_floats=_add_caps(
-                self.capacity_floats, other.capacity_floats
-            ),
-            bytes_resident=self.bytes_resident + other.bytes_resident,
-            invalidations=self.invalidations + other.invalidations,
-            admission_rejections=(
-                self.admission_rejections + other.admission_rejections
-            ),
-            cross_evictions=self.cross_evictions + other.cross_evictions,
-            shm_bytes_resident=(
-                self.shm_bytes_resident + other.shm_bytes_resident
-            ),
-            compressed_entries=(
-                self.compressed_entries + other.compressed_entries
-            ),
-            spilled_entries=self.spilled_entries + other.spilled_entries,
-            compressed_floats_resident=(
-                self.compressed_floats_resident
-                + other.compressed_floats_resident
-            ),
-            compressed_bytes_resident=(
-                self.compressed_bytes_resident
-                + other.compressed_bytes_resident
-            ),
-            spilled_bytes=self.spilled_bytes + other.spilled_bytes,
-            demotions=_add_dicts(self.demotions, other.demotions),
-            promotions=_add_dicts(self.promotions, other.promotions),
+            capacity=0,
+            capacity_floats=0,
+            **{
+                spec.name: getattr(self, spec.name)
+                for spec in fields(self)
+                if spec.metadata.get("counter")
+            },
         )
 
 
@@ -323,25 +369,29 @@ class PartialCache:
         self._spilled: OrderedDict[int, tuple[int, int]] = OrderedDict()
         self._compressed_floats = 0
         self._spilled_bytes = 0
-        self.demotions: dict[str, int] = {}
-        self.promotions: dict[str, int] = {}
-        # Scalar twins of the dicts above, for lock-free readers (the
-        # process backend's publish_header): a plain int load can never
-        # see a dict mid-resize.
-        self.demotions_total = 0
-        self.promotions_total = 0
-        # Serializes lookups against invalidations: dimension-update
-        # events arrive on the updater's thread while a service thread
-        # may be mid-get_many.  The lock also makes the compute-insert
-        # cycle atomic w.r.t. invalidate (see repro.fx.sharding).
+        # The shard's one lock.  Serializes lookups against
+        # invalidations: dimension-update events arrive on the
+        # updater's thread while a service thread may be mid-get_many,
+        # and get_many holds it across compute → insert so an
+        # invalidate can never land between the two (module docstring).
         self._lock = threading.RLock()
         self._warned_row_too_wide = False
+        self._zero_counters()
+
+    def _zero_counters(self) -> None:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
         self.invalidations = 0
         self.admission_rejections = 0
         self.cross_evictions = 0
+        self.demotions: dict[str, int] = {}
+        self.promotions: dict[str, int] = {}
+        # Scalar twins of the two dicts, for lock-free readers
+        # (residency()): a plain int load can never see a dict
+        # mid-resize.
+        self.demotions_total = 0
+        self.promotions_total = 0
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -352,6 +402,17 @@ class PartialCache:
             key in self._rows
             or key in self._compressed
             or key in self._spilled
+        )
+
+    def residency(self) -> Residency:
+        """This shard's :class:`Residency`, read lock-free."""
+        return Residency(
+            self.floats_resident,
+            self._shm_floats_resident,
+            self._compressed_floats,
+            self._spilled_bytes,
+            self.demotions_total,
+            self.promotions_total,
         )
 
     @property
@@ -365,11 +426,6 @@ class PartialCache:
     def bytes_resident(self) -> int:
         """Resident cache payload in bytes (8 per budget float)."""
         return self.floats_resident * _FLOAT_BYTES
-
-    @property
-    def shm_bytes_resident(self) -> int:
-        """The slab-resident subset of :attr:`bytes_resident`."""
-        return self._shm_floats_resident * _FLOAT_BYTES
 
     def _over_capacity(self) -> bool:
         if self.capacity is not None and len(self._rows) > self.capacity:
@@ -666,18 +722,7 @@ class PartialCache:
                 if not self._admit(key, row):
                     self.admission_rejections += 1
                     continue
-                if self._allocator is not None:
-                    slot = self._allocator.allocate(row.size)
-                    if slot is not None:
-                        offset, view = slot
-                        view[:] = row
-                        row = view
-                        self._shm_slots[key] = (offset, view.size)
-                        self._shm_floats_resident += view.size
-                self._rows[key] = row
-                if batch_tick is not None:
-                    self._ticks[key] = batch_tick
-                self._floats_resident += row.size
+                self._insert_resident(key, row, batch_tick)
                 self._evict_over_capacity()
             if span is not None and self.evictions > evictions_before:
                 span.add(
@@ -823,6 +868,7 @@ class PartialCache:
 
     def stats(self) -> CacheStats:
         with self._lock:
+            held = self.residency()
             return CacheStats(
                 hits=self.hits,
                 misses=self.misses,
@@ -830,18 +876,16 @@ class PartialCache:
                 entries=len(self._rows),
                 capacity=self.capacity,
                 capacity_floats=self.capacity_floats,
-                bytes_resident=self.bytes_resident,
+                bytes_resident=held.bytes,
                 invalidations=self.invalidations,
                 admission_rejections=self.admission_rejections,
                 cross_evictions=self.cross_evictions,
-                shm_bytes_resident=self.shm_bytes_resident,
+                shm_bytes_resident=held.shm_bytes,
                 compressed_entries=len(self._compressed),
                 spilled_entries=len(self._spilled),
-                compressed_floats_resident=self._compressed_floats,
-                compressed_bytes_resident=(
-                    self._compressed_floats * _FLOAT_BYTES
-                ),
-                spilled_bytes=self._spilled_bytes,
+                compressed_floats_resident=held.compressed_floats,
+                compressed_bytes_resident=held.compressed_bytes,
+                spilled_bytes=held.spilled_bytes,
                 demotions=dict(self.demotions),
                 promotions=dict(self.promotions),
             )
@@ -876,16 +920,7 @@ class PartialCache:
             self._spilled_bytes = 0
             self._compressed.clear()
             self._compressed_floats = 0
-            self.demotions = {}
-            self.promotions = {}
-            self.demotions_total = 0
-            self.promotions_total = 0
-            self.hits = 0
-            self.misses = 0
-            self.evictions = 0
-            self.invalidations = 0
-            self.admission_rejections = 0
-            self.cross_evictions = 0
+            self._zero_counters()
             if self._sketch is not None:
                 self._sketch.clear()
 

@@ -235,29 +235,9 @@ class ExecMeta:
     gather_seconds: float | None = None
 
 
-def _counter_baseline(stats: CacheStats) -> CacheStats:
-    """Monotonic counters of a retiring cache generation.
-
-    Gauges (entries, residency) are zeroed and the capacities set to 0
-    — the additive identity of :meth:`CacheStats.__add__` — so folding
-    the baseline into a live generation's stats inflates only the
-    counters.
-    """
-    return CacheStats(
-        hits=stats.hits,
-        misses=stats.misses,
-        evictions=stats.evictions,
-        capacity=0,
-        capacity_floats=0,
-        invalidations=stats.invalidations,
-        admission_rejections=stats.admission_rejections,
-        cross_evictions=stats.cross_evictions,
-        demotions=dict(stats.demotions),
-        promotions=dict(stats.promotions),
-    )
-
-
-_NO_BASELINE = _counter_baseline(CacheStats())
+# The additive identity of cache-counter baselines (see
+# :meth:`CacheStats.counters <repro.serve.cache.CacheStats.counters>`).
+_NO_BASELINE = CacheStats().counters()
 
 
 @dataclass
@@ -409,7 +389,7 @@ class RegisteredModel:
         )
         self.cache_baselines = [
             base if live is retired
-            else base + _counter_baseline(retired.stats())
+            else base + retired.stats().counters()
             for base, retired, live in zip(
                 baselines, predecessor.caches, self.caches
             )
@@ -732,7 +712,9 @@ class ServingCore:
         return self.store.set_budget(floats)
 
     def collect(self, buffer) -> None:
-        """Sample the store into a telemetry snapshot."""
+        """Sample the store and every model's caches into a telemetry
+        snapshot; each group is read atomically under its owner's
+        lock."""
         store = self.store.stats()
         buffer.gauge(
             "repro_store_caches", store.caches,
@@ -752,6 +734,60 @@ class ServingCore:
                 store.tier_demotions, store.tier_promotions,
             ),
         )
+        self.collect_models(buffer)
+
+    def collect_models(self, buffer) -> None:
+        """The per-model series: dedup ratio, and per dimension the
+        counters of the caches this core's registrations hold."""
+        for name, model in self.registry().items():
+            with model.lock:
+                dedup_ratio = model.dedup_ratio
+            buffer.gauge(
+                "repro_model_dedup_ratio", dedup_ratio,
+                help="FK references per distinct RID across served "
+                     "batches",
+                model=name,
+            )
+            for dim_name, stats in zip(
+                model.dimension_names, model.cache_stats()
+            ):
+                labels = {"model": name, "dimension": dim_name}
+                buffer.counter(
+                    "repro_cache_hits_total", stats.hits,
+                    help="Partial-cache hits", **labels,
+                )
+                buffer.counter(
+                    "repro_cache_misses_total", stats.misses,
+                    help="Partial-cache misses", **labels,
+                )
+                buffer.counter(
+                    "repro_cache_evictions_total", stats.evictions,
+                    help="Local capacity evictions", **labels,
+                )
+                buffer.counter(
+                    "repro_cache_cross_evictions_total",
+                    stats.cross_evictions,
+                    help="Evictions forced by the store-wide budget",
+                    **labels,
+                )
+                buffer.counter(
+                    "repro_cache_invalidations_total",
+                    stats.invalidations,
+                    help="Rows dropped by dimension-update events",
+                    **labels,
+                )
+                buffer.gauge(
+                    "repro_cache_entries", stats.entries,
+                    help="Resident partial rows", **labels,
+                )
+                buffer.gauge(
+                    "repro_cache_bytes_resident", stats.bytes_resident,
+                    help="Resident partial payload (bytes)", **labels,
+                )
+                buffer.gauge(
+                    "repro_cache_hit_ratio", stats.hit_rate,
+                    help="hits / (hits + misses)", **labels,
+                )
 
     def close(self) -> None:
         """Give every registration's caches back to the store

@@ -13,8 +13,9 @@ training-only streaming path:
   This is the baseline every serving stack uses today and the exactness
   oracle for the factorized path.
 * **factorized** — gather per-RID partial results
-  (:mod:`repro.serve.partials`, cached by
-  :class:`~repro.serve.cache.PartialCache`) and finish each score with
+  (:mod:`repro.serve.partials`, cached in
+  :class:`~repro.fx.sharding.ShardedPartialCache`\\ s drawn from a
+  :class:`~repro.fx.store.PartialStore`) and finish each score with
   fact-side work only.  Output equals the materialized output up to
   float summation order — the same exactness invariant the training
   engines hold (Eq. 19, Section VI-A1).
@@ -54,7 +55,6 @@ from repro.gmm.model import (
 from repro.join.bnl import DEFAULT_BLOCK_PAGES
 from repro.join.spec import JoinSpec
 from repro.nn.network import MLP
-from repro.serve.cache import PartialCache
 from repro.serve.partials import (
     DimensionLookup,
     GMMPartialBuilder,
@@ -193,7 +193,8 @@ class _ServingPredictor:
         )
 
     def close(self) -> None:
-        """Detach from a shared partial store (no-op without one)."""
+        """Give partial caches back to their store (a no-op here: only
+        the factorized predictors hold any)."""
 
     # -- dense expansion (the materialized strategy) -----------------------
 
@@ -224,12 +225,13 @@ def _normalize_cache_entries(
 class _FactorizedCacheMixin:
     """Partial-cache wiring shared by the factorized predictors.
 
-    Caches either come from a shared :class:`~repro.fx.store.
-    PartialStore` (keyed per dimension by the dimension relation's
-    heap path — which pins the owning database, so stores shared
-    across services never mix partials from different databases — plus
-    the builder's parameter digest) or are private
-    :class:`PartialCache` instances — the one-shot path.
+    Caches always come from a :class:`~repro.fx.store.PartialStore`,
+    keyed per dimension by the dimension relation's heap path — which
+    pins the owning database, so stores shared across services never
+    mix partials from different databases — plus the builder's
+    parameter digest.  Without a caller's ``store`` (the one-shot
+    ``predict_gmm``/``predict_nn`` path) the predictor owns a private
+    store and closes it in :meth:`close`.
     """
 
     def _setup_caches(self, cache_entries, cache_floats, store) -> None:
@@ -239,16 +241,18 @@ class _FactorizedCacheMixin:
                 self.resolved.dimensions, self.builders
             )
         ]
+        self._owns_store = store is None
+        if store is None:
+            # Local import: the store hands caches *to* the serve layer
+            # but also builds on serve.cache, so a module-level import
+            # here would re-enter the serve package mid-bootstrap.
+            from repro.fx.store import PartialStore
+
+            store = PartialStore()
         self._store = store
         entries = _normalize_cache_entries(
             self.num_dimensions, cache_entries
         )
-        if store is None:
-            self.caches = [
-                PartialCache(e, capacity_floats=cache_floats)
-                for e in entries
-            ]
-            return
         self.caches = []
         try:
             for fingerprint, e in zip(self.fingerprints, entries):
@@ -272,11 +276,14 @@ class _FactorizedCacheMixin:
         return gather_partials(self.lookups, self.caches, self.builders, plan)
 
     def close(self) -> None:
-        """Release shared caches back to the store (idempotent)."""
+        """Release the caches back to the store, and close the store
+        if this predictor owns it (idempotent)."""
         store, self._store = self._store, None
         if store is not None:
             for cache in self.caches:
                 store.release(cache)
+            if self._owns_store:
+                store.close()
 
 
 class MaterializedNNPredictor(_ServingPredictor):
@@ -595,9 +602,9 @@ def make_predictor(
     (:class:`~repro.serve.core.ServingCore`); ``model`` may be a fit
     result or the bare fitted model.
     With ``store`` (a :class:`~repro.fx.store.PartialStore`) the
-    factorized predictor draws its per-dimension caches from the store
+    factorized predictor draws its per-dimension caches from that store
     — sharing slabs with any fingerprint-identical model — instead of
-    creating private ones.
+    from a private store of its own.
     """
     if kind not in _COERCERS:
         raise ModelError(f"unknown predictor kind {kind!r}; use 'gmm'|'nn'")

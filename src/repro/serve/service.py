@@ -220,7 +220,8 @@ class ModelService:
     # -- bookkeeping -------------------------------------------------------
 
     def _collect(self, buffer) -> None:
-        """Sample per-model serving stats into a registry snapshot.
+        """Sample per-model serving stats, then the core's store and
+        cache series, into a registry snapshot.
 
         Runs outside the registry lock; each model's group comes from
         one :meth:`ServingStats.snapshot`, so it is internally
@@ -242,6 +243,7 @@ class ModelService:
                 help="Heap pages read while serving this model",
                 **labels,
             )
+        self._core.collect(buffer)
 
     def stats(self, name: str) -> ServingStats:
         return self._core.model(name).stats

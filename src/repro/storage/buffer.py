@@ -274,6 +274,37 @@ class BufferPool:
                 capacity_pages=self.capacity_pages,
             )
 
+    def collect(self, buffer) -> None:
+        """Sample the pool's counters into a telemetry snapshot (one
+        :meth:`stats` read, so the group is internally consistent)."""
+        pool = self.stats()
+        buffer.counter(
+            "repro_bufferpool_hits_total", pool.hits,
+            help="Buffer-pool page hits (followers included)",
+        )
+        buffer.counter(
+            "repro_bufferpool_misses_total", pool.misses,
+            help="Buffer-pool page misses (leader reads)",
+        )
+        buffer.counter(
+            "repro_bufferpool_coalesced_reads_total",
+            pool.coalesced_reads,
+            help="Followers that piggybacked on an in-flight read",
+        )
+        buffer.gauge(
+            "repro_bufferpool_inflight_peak", pool.inflight_peak,
+            help="Most page reads ever simultaneously in flight",
+        )
+        buffer.counter(
+            "repro_bufferpool_stale_discards_total", pool.stale_discards,
+            help="Completed reads dropped because an invalidation "
+                 "raced them",
+        )
+        buffer.gauge(
+            "repro_bufferpool_resident_pages", pool.resident_pages,
+            help="Pages currently cached",
+        )
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"BufferPool(capacity={self.capacity_pages}, "

@@ -334,6 +334,20 @@ class Database:
         self.stats.reset()
         self.buffer_pool.clear()
 
+    def collect(self, buffer) -> None:
+        """Sample the buffer pool and page I/O counters into a
+        telemetry snapshot."""
+        self.buffer_pool.collect(buffer)
+        io = self.stats.snapshot()
+        buffer.counter(
+            "repro_pages_read_total", io.pages_read,
+            help="Heap pages read (buffer-pool misses only)",
+        )
+        buffer.counter(
+            "repro_pages_written_total", io.pages_written,
+            help="Heap pages written",
+        )
+
     def close(self, *, delete: bool | None = None) -> None:
         """Release resources; delete the directory if we created it.
 

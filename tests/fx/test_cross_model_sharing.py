@@ -32,14 +32,16 @@ class TestServiceSharing:
         )
         features, fk = a_request(db, binary_star.spec)
 
-        # Standalone baseline: a private store per registration.
-        standalone = ModelService(db, store=PartialStore(shared=False))
-        standalone.register_nn("a", nn, binary_star.spec)
-        standalone.register_nn("b", nn, binary_star.spec)
-        base_a = standalone.predict("a", features, fk)
-        base_b = standalone.predict("b", features, fk)
-        standalone_bytes = standalone.store.bytes_resident
-        standalone.close()
+        # Standalone baseline: one service — and so one private store
+        # — per registration.
+        base, standalone_bytes = {}, 0
+        for name in ("a", "b"):
+            standalone = serve(db)
+            standalone.register_nn(name, nn, binary_star.spec)
+            base[name] = standalone.predict(name, features, fk)
+            standalone_bytes += standalone.store.bytes_resident
+            standalone.close()
+        base_a, base_b = base["a"], base["b"]
 
         shared = serve(db)
         shared.register_nn("a", nn, binary_star.spec)
@@ -188,17 +190,17 @@ class TestRuntimeSharing:
             db, binary_star.spec, hidden_sizes=(6,), epochs=1, seed=1
         )
         features, fk = a_request(db, binary_star.spec)
-        with serve_runtime(
-            db, num_workers=2, share_partials=False
-        ) as solo:
-            solo.register_nn("a", nn, binary_star.spec,
-                             strategy="factorized")
-            solo.register_nn("b", nn, binary_star.spec,
-                             strategy="factorized")
-            base_a = solo.predict("a", features, fk)
-            solo.predict("b", features, fk)
-            solo_bytes = solo.store.bytes_resident
-            assert len(solo.store) == 2
+        # Unshared baseline: one runtime — one private store — per
+        # registration.
+        base, solo_bytes = {}, 0
+        for name in ("a", "b"):
+            with serve_runtime(db, num_workers=2) as solo:
+                solo.register_nn(name, nn, binary_star.spec,
+                                 strategy="factorized")
+                base[name] = solo.predict(name, features, fk)
+                solo_bytes += solo.store.bytes_resident
+                assert len(solo.store) == 1
+        base_a = base["a"]
         with serve_runtime(db, num_workers=2) as rt:
             rt.register_nn("a", nn, binary_star.spec,
                            strategy="factorized")

@@ -9,7 +9,6 @@ from repro.fx.shm import (
     HDR_FLOATS_RESIDENT,
     HEADER_FIELDS,
     SEGMENT_PREFIX,
-    SharedPartialStore,
     ShmArena,
     SlabAllocator,
     header_nbytes,
@@ -17,6 +16,7 @@ from repro.fx.shm import (
     plan_trims,
     segment_name,
 )
+from repro.fx.store import PartialStore
 
 
 def rows_for(width):
@@ -155,11 +155,11 @@ class TestPlanTrims:
         assert sum(trims) == 250
 
 
-class TestSharedPartialStore:
+class TestWorkerPartialStore:
     def test_rows_are_placed_in_the_slab(self):
         arena = ShmArena()
         seg = arena.create("part", 4096)
-        store = SharedPartialStore(slab=seg, num_shards=1)
+        store = PartialStore(allocator=SlabAllocator(seg.buf), num_shards=1)
         cache = store.acquire("fp")
         cache.get_many(np.array([1, 2, 3]), rows_for(4))
         assert store.stats().shm_bytes_resident == 3 * 4 * 8
@@ -172,7 +172,9 @@ class TestSharedPartialStore:
         hdr = arena.create("hdr", header_nbytes(1))
         seg = arena.create("part", 4096)
         header = header_view(hdr.buf, 1)[0]
-        store = SharedPartialStore(slab=seg, header=header, num_shards=1)
+        store = PartialStore(
+            allocator=SlabAllocator(seg.buf), header=header, num_shards=1
+        )
         cache = store.acquire("fp")
         cache.get_many(np.array([5, 6]), rows_for(3))
         store.publish_header()
@@ -184,7 +186,9 @@ class TestSharedPartialStore:
     def test_armed_store_trims_without_a_local_capacity(self):
         arena = ShmArena()
         seg = arena.create("part", 4096)
-        store = SharedPartialStore(slab=seg, armed=True, num_shards=1)
+        store = PartialStore(
+            allocator=SlabAllocator(seg.buf), armed=True, num_shards=1
+        )
         cache = store.acquire("fp")
         cache.get_many(np.arange(10), rows_for(4))
         evicted = store.trim(12)            # 12 floats = 3 width-4 rows
@@ -194,7 +198,7 @@ class TestSharedPartialStore:
         arena.close()
 
     def test_unarmed_store_refuses_to_trim(self):
-        store = SharedPartialStore()
+        store = PartialStore()
         with pytest.raises(ModelError, match="armed"):
             store.trim(10)
 
@@ -209,7 +213,10 @@ class TestSharedPartialStore:
             from repro.fx.shm import ShmSegment
 
             seg = ShmSegment(shm, owner=False)
-            store = SharedPartialStore(slab=seg, armed=True, num_shards=1)
+            store = PartialStore(
+                allocator=SlabAllocator(seg.buf), armed=True,
+                num_shards=1,
+            )
             cache = store.acquire("fp")
             cache.get_many(np.array([1, 2]), rows_for(4))
             store.close()

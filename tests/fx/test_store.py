@@ -65,18 +65,6 @@ class TestAcquireRelease:
         assert len(fresh) == 0
 
 
-class TestSharingKnob:
-    def test_unshared_store_gives_private_caches(self):
-        store = PartialStore(shared=False)
-        a = store.acquire("fp-1")
-        b = store.acquire("fp-1")
-        assert a is not b
-        assert len(store) == 2
-        assert store.stats().shared_attachments == 0
-        store.release(a)
-        assert len(store) == 1          # b's cache is untouched
-
-
 class TestConfiguration:
     def test_conflicting_capacity_raises_instead_of_silent_ignore(self):
         store = PartialStore()

@@ -1,6 +1,9 @@
 """ShardedPartialCache: placement, concurrency, invalidation, stats."""
 
+import os
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -65,6 +68,19 @@ class TestInvalidation:
         assert all(
             k in cache for k in range(12) if k not in (3, 7)
         )
+
+    def test_invalidate_offers_each_rid_to_its_owning_shard_only(self):
+        cache = ShardedPartialCache(4)
+        cache.get_many(np.arange(12), rows_for)
+        # 3 and 7 live in shard 3, 4 in shard 0; 99 is nowhere.
+        assert cache.invalidate(np.array([3, 7, 4, 99])) == 3
+        assert [s.invalidations for s in cache.shard_stats()] == [
+            1, 0, 0, 2,
+        ]
+        assert cache.stats().invalidations == 3
+        # Any array-like, any shape — as the single-shard cache takes.
+        assert cache.invalidate([[1], [2]]) == 2
+        assert cache.invalidate(np.zeros(0, dtype=np.int64)) == 0
 
     def test_invalidate_missing_rids_is_a_noop(self):
         cache = ShardedPartialCache(2)
@@ -159,3 +175,52 @@ class TestConcurrency:
         for t in threads:
             t.join()
         assert not errors
+
+    def test_update_racing_lookups_never_leaves_a_stale_row(self):
+        """The shard's one lock is held across miss compute → insert,
+        so an invalidation lands wholly before the insert (the compute
+        then reads the updated source) or wholly after it (the stale
+        row is dropped).  With no second lock around the shard, that
+        is the whole argument — a stale row surviving here means it
+        broke."""
+        source = np.zeros(24)               # the "dimension relation"
+        cache = ShardedPartialCache(4)
+        stop = threading.Event()
+
+        def compute(keys):
+            rows = source[np.asarray(keys)][:, None].copy()
+            time.sleep(1e-4)    # widen the read → insert window
+            return rows
+
+        def reader(seed):
+            rng = np.random.default_rng(seed)
+            while not stop.is_set():
+                cache.get_many(rng.integers(0, source.size, size=8), compute)
+
+        def updater():
+            rng = np.random.default_rng(99)
+            for version in range(1, 301):
+                keys = rng.integers(0, source.size, size=2)
+                source[keys] = version          # write first …
+                cache.invalidate(keys)          # … then the event fires
+            stop.set()
+
+        threads = [
+            threading.Thread(target=reader, args=(seed,), daemon=True)
+            for seed in range(os.cpu_count() + 2)
+        ] + [threading.Thread(target=updater, daemon=True)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        finally:
+            stop.set()
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        every = np.arange(source.size)
+        np.testing.assert_array_equal(
+            cache.get_many(every, compute)[:, 0], source
+        )

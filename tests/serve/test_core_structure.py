@@ -7,7 +7,8 @@ keep a second copy of its build / plan / swap logic from growing back:
 predictors and planners are constructed in the core alone, the runtime
 facade never branches on the executor kind outside construction, both
 ``swap_model`` methods are delegations, and the process worker's
-message handlers hold framing, not lifecycle logic.
+message handlers hold framing, not lifecycle logic.  The same goes for
+the partial-cache stack underneath (``TestOneCacheStack``).
 """
 
 import ast
@@ -155,6 +156,64 @@ class TestFacadesDelegate:
             "make_predictor", "BatchPlanner", "DedupPlan", "planner",
             "caches", "approx_hit_rate", "score_samples",
         }
+
+
+class TestOneCacheStack:
+    """One shard type (``PartialCache``, built only by the sharded
+    cache), one lock per shard, one insert path, one store class, no
+    sharing off switch — and no binary-join fork in the cost adapters."""
+
+    def test_shards_are_constructed_by_the_sharded_cache_alone(self):
+        assert _callers("PartialCache") == {"fx/sharding.py"}
+
+    def test_sharding_adds_no_lock_around_a_shard(self):
+        assert not {"Lock", "RLock"} & {
+            node.func.attr if isinstance(node.func, ast.Attribute)
+            else getattr(node.func, "id", None)
+            for node in ast.walk(_tree(SRC_ROOT / "fx" / "sharding.py"))
+            if isinstance(node, ast.Call)
+        }
+
+    def test_one_slab_insert_call_site(self):
+        allocations = [
+            node.lineno
+            for node in ast.walk(_tree(SRC_ROOT / "serve" / "cache.py"))
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "allocate"
+        ]
+        assert len(allocations) == 1
+
+    def test_removed_names_stay_removed(self):
+        for path in SRC_ROOT.rglob("*.py"):
+            text = path.read_text(encoding="utf-8")
+            for name in ("SharedPartialStore", "share_partials"):
+                assert name not in text, f"{name} in {path}"
+            for node in ast.walk(ast.parse(text)):
+                if isinstance(node, ast.Call) and "PartialStore" in _names(
+                    node.func
+                ):
+                    assert "shared" not in {
+                        keyword.arg for keyword in node.keywords
+                    }, f"PartialStore(shared=) at {path}:{node.lineno}"
+
+    def test_cost_adapters_never_fork_on_the_join_arity(self):
+        """Only ``TrainingPageProfile.join_pass_pages`` may test for a
+        binary join (the BNL page formula genuinely differs); the
+        multiplication counts are one formula at every arity."""
+        offenders = []
+        for top in _tree(SRC_ROOT / "fx" / "costs.py").body:
+            if getattr(top, "name", None) == "TrainingPageProfile":
+                continue
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Compare):
+                    continue
+                sides = [node.left, *node.comparators]
+                if any(isinstance(s, ast.Constant) for s in sides) and (
+                    {"num_dimensions", "dim_widths"} & _names(node)
+                ):
+                    offenders.append(node.lineno)
+        assert offenders == []
 
 
 class TestBenchmarkHooksLand:

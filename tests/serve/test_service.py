@@ -315,6 +315,34 @@ class TestBookkeeping:
         assert cache.misses > 0
         assert cache.hits >= cache.misses  # second request fully warm
 
+    def test_telemetry_exports_the_cache_series(self, db, binary_star):
+        """The inline service samples the same per-model cache series
+        the runtimes do — from the core that owns the numbers."""
+        nn = fit_nn(
+            db, binary_star.spec, hidden_sizes=(4,), epochs=1, seed=1
+        )
+        service = serve(db, telemetry=True)
+        service.register_nn("ratings", nn, binary_star.spec)
+        features, fk = a_request(db, binary_star.spec)
+        service.predict("ratings", features, fk)
+        service.predict("ratings", features, fk)
+        (cache,) = service.cache_stats("ratings")
+        assert cache.hits > 0
+        snapshot = service.telemetry.snapshot()
+        labels = {"model": "ratings", "dimension": "R1"}
+        for series, expected in (
+            ("repro_cache_hits_total", cache.hits),
+            ("repro_cache_misses_total", cache.misses),
+            ("repro_cache_entries", cache.entries),
+            ("repro_cache_bytes_resident", cache.bytes_resident),
+        ):
+            assert snapshot.value(series, **labels) == expected
+        assert (
+            snapshot.value("repro_store_bytes_resident")
+            == service.store_stats().bytes_resident
+        )
+        service.close()
+
     def test_materialized_models_have_no_caches(self, db, binary_star):
         nn = fit_nn(
             db, binary_star.spec, hidden_sizes=(4,), epochs=1, seed=1

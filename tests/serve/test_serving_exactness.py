@@ -112,7 +112,17 @@ class TestGMMExactness:
         np.testing.assert_array_equal(
             factorized.predict_all(), gmm.model.predict(oracle.features)
         )
-        assert any(cache.evictions > 0 for cache in factorized.caches)
+        assert any(
+            cache.stats().evictions > 0 for cache in factorized.caches
+        )
+        # Built without a store, the predictor owns a private one and
+        # leaves nothing live in it once closed.
+        store = factorized._store
+        assert len(store) == factorized.num_dimensions
+        factorized.close()
+        factorized.close()                  # idempotent
+        assert len(store) == 0
+        assert store.stats().attachments == 0
 
     def test_api_strategies_agree(self, db, fitted):
         spec, gmm, _, oracle = fitted
@@ -157,7 +167,17 @@ class TestNNExactness:
             factorized.predict_all(), nn.predict(oracle.features),
             rtol=1e-12, atol=1e-12,
         )
-        assert any(cache.evictions > 0 for cache in factorized.caches)
+        assert any(
+            cache.stats().evictions > 0 for cache in factorized.caches
+        )
+        # Built without a store, the predictor owns a private one and
+        # leaves nothing live in it once closed.
+        store = factorized._store
+        assert len(store) == factorized.num_dimensions
+        factorized.close()
+        factorized.close()                  # idempotent
+        assert len(store) == 0
+        assert store.stats().attachments == 0
 
     def test_api_strategies_agree(self, db, fitted):
         spec, _, nn, oracle = fitted

@@ -235,7 +235,6 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    changed = 0
     for raw_name, history_name, flatten in BENCHES:
         raw = _load(args.results_dir / raw_name)
         if raw is None:
@@ -261,7 +260,6 @@ def main(argv=None) -> int:
             f"bench_summary: {history_name}: {state}, "
             f"{len(history['runs'])} run(s) retained"
         )
-        changed += int(appended)
     return 0
 
 
