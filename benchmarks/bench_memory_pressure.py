@@ -172,8 +172,8 @@ def _curve_point(db, spec, model, order, tier):
     """Throughput of re-acquiring every partial row from one tier.
 
     The row set is staged into exactly the named tier first —
-    ``_demote`` walks a row one rung down the ladder by definition, so
-    one call per row lands the whole set on the rung under test
+    ``evict`` walks each row one rung down the ladder by definition, so
+    one call per shard lands the whole set on the rung under test
     without the governor's cascade mixing tiers.
     """
     store = PartialStore(
@@ -192,9 +192,7 @@ def _curve_point(db, spec, model, order, tier):
         cache.clear()                 # every access is gather+rebuild
     elif tier != "resident":
         for shard in cache.shards:    # stage every row one rung down
-            with shard._lock:
-                for key in list(shard._rows):
-                    shard._demote(key)
+            shard.evict(np.array(shard.keys("resident"), dtype=np.int64))
     rows, rows_per_sec = _timed_pass(cache, builder_fn, order, builder.width)
     promoted = sum(shard.promotions_total for shard in cache.shards)
     store.close()

@@ -9,7 +9,11 @@ holds the lock of one shard at a time, for the shards its distinct
 RIDs map to.  That per-shard lock (held across lookup → miss compute
 → insert) is also what makes dimension-update invalidation race-free;
 the argument lives with the lock, in :mod:`repro.serve.cache`.  This
-module adds no lock of its own around a shard.
+module adds no lock of its own around a shard, and no per-key work
+either: a batch is partitioned across shards once (one stable sort of
+the shard ids), each shard answers with array code, and a one-shard
+cache — the inline service, every process worker — hands its shard's
+array straight back.
 
 ``ShardedPartialCache`` is the one cache type consumers see: a
 :class:`~repro.fx.store.PartialStore` hands out shared instances to
@@ -44,6 +48,7 @@ from repro.serve.cache import (
     CacheStats,
     PartialCache,
     Residency,
+    as_rids,
 )
 
 
@@ -129,16 +134,25 @@ class ShardedPartialCache:
         """Which shard holds ``key`` (stable RID-hash placement)."""
         return int(key) % self.num_shards
 
-    def _route(self, keys: np.ndarray):
-        """``(shard, the keys it owns, their mask in keys)`` for every
-        shard ``keys`` touch — the one place the placement rule is
-        applied to a batch."""
-        keys = np.asarray(keys).ravel()
-        shard_ids = keys.astype(np.int64) % self.num_shards
-        for shard_id, shard in enumerate(self.shards):
-            mask = shard_ids == shard_id
-            if mask.any():
-                yield shard, keys[mask], mask
+    def _route(self, keys: np.ndarray, call):
+        """``call(shard, the keys it owns)`` — in request order — for
+        every shard ``keys`` touch: one partition of the batch, and the
+        one place the placement rule is applied to it.  Returns
+        ``(order, results)``; the results, concatenated, line up with
+        ``keys[order]`` (``order`` is ``None`` for one shard: as asked)."""
+        keys = as_rids(keys)
+        if self.num_shards == 1:
+            return None, ([call(self.shards[0], keys)] if keys.size else [])
+        shard_ids = keys % self.num_shards
+        order = np.argsort(shard_ids, kind="stable")
+        bounds = np.searchsorted(
+            shard_ids[order], np.arange(self.num_shards + 1)
+        )
+        return order, [
+            call(shard, keys[order[bounds[i]:bounds[i + 1]]])
+            for i, shard in enumerate(self.shards)
+            if bounds[i + 1] > bounds[i]
+        ]
 
     def get_many(
         self,
@@ -149,7 +163,8 @@ class ShardedPartialCache:
 
         Same contract as :meth:`PartialCache.get_many`; the compute
         callback may be invoked once per shard that has misses (still
-        vectorized within each shard).
+        vectorized within each shard).  A one-shard cache returns its
+        shard's array as is.
 
         Under store governance the batch's keys are pinned for the
         whole multi-shard span — a concurrent batch's budget
@@ -157,23 +172,19 @@ class ShardedPartialCache:
         mid-way through using — and the governor runs once at the end,
         with no shard lock held.
         """
-        keys = np.asarray(keys)
-        if keys.ndim != 1:
-            raise ModelError(f"keys must be 1-D, got shape {keys.shape}")
-        if keys.size == 0:
+        if np.ndim(keys) != 1:
+            raise ModelError(f"keys must be 1-D, got shape {np.shape(keys)}")
+        if len(keys) == 0:
             return np.zeros((0, 0))
         governed = self._governor is not None
-        out: np.ndarray | None = None
         try:
             with self._stats_guard.read():
                 if governed:
                     self.pin(keys)
                 try:
-                    for shard, owned, mask in self._route(keys):
-                        rows = shard.get_many(owned, compute)
-                        if out is None:
-                            out = np.empty((keys.size, rows.shape[1]))
-                        out[mask] = rows
+                    order, rows = self._route(
+                        keys, lambda s, owned: s.get_many(owned, compute)
+                    )
                 finally:
                     # Unpin even when compute raises (e.g. a dangling
                     # foreign key) — a leaked pin would shield its RIDs
@@ -187,26 +198,25 @@ class ShardedPartialCache:
             # caches and must never nest inside this cache's guard.
             if governed:
                 self._governor.enforce_budget()
+        if order is None:
+            return rows[0]
+        out = np.empty((order.size, rows[0].shape[1]))
+        out[order] = np.concatenate(rows)
         return out
 
     def pin(self, keys: np.ndarray) -> None:
         """Pin ``keys`` in their shards (see :meth:`PartialCache.pin`)."""
-        for shard, owned, _ in self._route(keys):
-            shard.pin(owned)
+        self._route(keys, PartialCache.pin)
 
     def unpin(self, keys: np.ndarray) -> None:
         """Release one pin reference per key (inverse of :meth:`pin`)."""
-        for shard, owned, _ in self._route(keys):
-            shard.unpin(owned)
+        self._route(keys, PartialCache.unpin)
 
     def invalidate(self, keys: np.ndarray) -> int:
         """Evict the given RIDs, each from the shard that owns it;
         returns rows dropped."""
         with self._stats_guard.read():
-            return sum(
-                shard.invalidate(owned)
-                for shard, owned, _ in self._route(keys)
-            )
+            return sum(self._route(keys, PartialCache.invalidate)[1])
 
     def clear(self) -> None:
         with self._stats_guard.read():

@@ -19,11 +19,14 @@ offsets — never arrays).  Three pieces:
   remains a pure leak backstop (it unlinks anything still registered
   when the whole process tree dies).
 
-* :class:`SlabAllocator` — a fixed-width slot allocator over one
-  segment's buffer: partial caches place their float64 rows directly
-  in shared memory (bump allocation + per-width free lists), falling
-  back to private process memory when the slab fills.  The cache layer
-  reports the two residencies separately
+* :class:`SlabAllocator` — a block allocator over one segment's
+  buffer (bump allocation + per-size free lists).  Each shard's
+  :class:`~repro.serve.cache.SlotTable` takes its whole float64 slab
+  from it — one block per shard, relocated when it grows or shrinks:
+  allocate new, copy, free old — so thread and process executors share
+  one row layout.  When the segment has no room for the next block the
+  slab moves to private process memory instead (graceful overflow, not
+  an error), and the cache layer reports the two residencies separately
   (:class:`~repro.serve.cache.CacheStats.shm_bytes_resident`), so the
   ``memory_budget`` accounting stays truthful about which bytes live
   in the shared segment and which are private overflow.
@@ -202,13 +205,15 @@ class ShmArena:
 
 
 class SlabAllocator:
-    """Fixed-width float64 slot allocation over one shm buffer.
+    """Float64 block allocation over one shm buffer.
 
-    Partial rows of one fingerprint all share a width, so freed slots
-    are recycled through per-width free lists; the bump pointer only
-    grows when no freed slot of the right width exists.  ``allocate``
-    returns ``None`` when the slab is exhausted — the caller keeps the
-    row in private memory instead (graceful overflow, not an error).
+    A shard asks for its slab as one block of ``rows × width`` floats
+    and, when it outgrows it (or empties out), for the next size
+    before freeing the old one.  Freed blocks are recycled through
+    per-size free lists; the bump pointer only grows when no freed
+    block of the right size exists.  ``allocate`` returns ``None`` when
+    the segment cannot hold the block — the caller keeps its slab in
+    private memory instead (graceful overflow, not an error).
     """
 
     def __init__(self, buf: memoryview) -> None:
@@ -223,8 +228,8 @@ class SlabAllocator:
         return self._nbytes
 
     def allocate(self, width: int) -> tuple[int, np.ndarray] | None:
-        """A ``(offset, float64 view)`` slot of ``width`` floats, or
-        ``None`` when the slab cannot hold it."""
+        """A ``(offset, float64 view)`` block of ``width`` floats, or
+        ``None`` when the segment cannot hold it."""
         if width <= 0:
             return None
         nbytes = width * _FLOAT_BYTES

@@ -81,6 +81,8 @@ import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from repro.errors import ModelError
 from repro.fx.sharding import ShardedPartialCache
 from repro.fx.tiers import TIER_SPILL, validate_tiers
@@ -454,35 +456,45 @@ class PartialStore:
         return evicted
 
     def _sweep(self, deficit_floats: int) -> tuple[int, int]:
-        """One candidate-pool pass: every shard offers deficit-covering
-        LRU-tail candidates, pooled and evicted in global rank order
-        until ``deficit_floats`` is covered — one scan per sweep, not
-        one per evicted row.  Returns ``(rows evicted, floats freed)``;
+        """One candidate-pool pass: every shard offers its
+        deficit-covering coldest rows as arrays, the pool is ordered by
+        global rank — ``(frequency, tick)``, ties broken
+        demoted-before-resident, then by shard recency, caches and
+        shards in registry order — cut where the cumulative freed
+        charge covers ``deficit_floats``, and each shard evicts its
+        share in one call.  Returns ``(rows evicted, floats freed)``;
         ``(0, 0)`` means nothing was evictable (pinned, or raced away
         between scan and evict — callers re-check and converge later).
         """
         with self._lock:
             caches = [e.cache for e in self._entries.values()]
-        candidates = []
-        for cache in caches:
-            for shard in cache.shards:
-                candidates.extend(
-                    shard.eviction_candidates(deficit_floats)
-                )
-        if not candidates:
+        shards = [shard for cache in caches for shard in cache.shards]
+        offers = [
+            shard.eviction_candidates(deficit_floats) for shard in shards
+        ]
+        if not offers:
             return 0, 0
-        candidates.sort(key=lambda c: c.rank)
+        keys, ticks, frequencies, frees = map(np.concatenate, zip(*offers))
+        owner = np.repeat(
+            np.arange(len(shards)), [offer[0].size for offer in offers]
+        )
+        # lexsort is stable, so equal ranks keep the pool's order: each
+        # shard lists demoted rows first, then residents oldest first.
+        rank = np.lexsort((ticks, frequencies))
+        cut = np.searchsorted(np.cumsum(frees[rank]), deficit_floats) + 1
+        # One grouping of the victims by shard, each group in rank order.
+        victims = rank[:cut]
+        victims = victims[np.argsort(owner[victims], kind="stable")]
+        bounds = np.searchsorted(
+            owner[victims], np.arange(len(shards) + 1)
+        )
         swept = freed_total = 0
-        for candidate in candidates:
-            freed = candidate.cache.evict_if_coldest(candidate.key)
-            if not freed:
-                # The row vanished or got pinned between scan and
-                # evict; the caller re-checks residency.
-                continue
-            swept += 1
-            freed_total += freed
-            if freed_total >= deficit_floats:
-                break
+        for index, shard in enumerate(shards):
+            mine = keys[victims[bounds[index]:bounds[index + 1]]]
+            if mine.size:
+                rows, freed = shard.evict(mine)
+                swept += rows
+                freed_total += freed
         if swept:
             with self._lock:
                 self._cross_evictions += swept

@@ -1,4 +1,4 @@
-"""A bounded LRU cache of per-RID partial rows.
+"""A bounded LRU cache of per-RID partial rows, held in arrays.
 
 Dimension relations small enough to pin make serving trivially cheap:
 every partial is computed once and reused forever.  When a dimension is
@@ -6,6 +6,14 @@ too large to pin, the serving layer bounds memory with this cache —
 partials for hot RIDs stay resident (the Zipf-skewed FK distributions of
 :mod:`repro.data.synthetic` make this the common case), cold RIDs are
 recomputed from the base relation on demand.
+
+Reuse is the paper's whole serving-time win, so the reuse itself is
+array code: a shard's resident tier is one :class:`SlotTable` — sorted
+keys → slot, one float64 slab, recency / clock / pin columns — and a
+warm lookup is one ``searchsorted``, one ``take`` and two column
+stamps, with no per-key Python between the dedup plan and the
+predictor's GEMM.  Only the demoted tiers (:mod:`repro.fx.tiers`) are
+still per-key dicts, consulted for keys that missed the table.
 
 Capacity can be bounded two ways, separately or together: by *entries*
 (distinct RIDs) and by *floats* (``capacity_floats``, the number of
@@ -40,11 +48,7 @@ The cache is deliberately model-agnostic: values are flat float64 rows
 (whatever a :mod:`~repro.serve.partials` builder produced), keys are
 RIDs.  It is the *shard*: consumers never hold one directly — they get
 a :class:`~repro.fx.sharding.ShardedPartialCache` from a
-:class:`~repro.fx.store.PartialStore`.  Hit/miss/eviction counters feed the
-:class:`~repro.serve.service.ModelService` bookkeeping, mirroring how
-:class:`~repro.storage.buffer.BufferPool` accounts page caching.
-:meth:`PartialCache.invalidate` supports the dimension-update
-eviction path of :mod:`repro.runtime`.
+:class:`~repro.fx.store.PartialStore`.
 
 Beyond its own two capacity bounds, a cache can take part in a
 *store-wide* budget (:class:`~repro.fx.store.PartialStore` with
@@ -60,30 +64,30 @@ Beyond its own two capacity bounds, a cache can take part in a
   working set out mid-request.  Pins guard *memory pressure* only:
   :meth:`invalidate` still drops pinned rows, because a stale partial
   must never outlive its source row;
-* the victim API (:meth:`eviction_candidates` /
-  :meth:`evict_if_coldest`) — the store's governor pools each
-  shard's deficit-covering LRU-tail candidates and evicts in global
-  ``(frequency, tick)`` order: strict global LRU under LRU admission;
-  under TinyLFU least-frequent-first over at least an
-  ``_TINYLFU_VICTIM_SAMPLE``-entry tail sample per shard,
-  tick-tie-broken.  Such evictions are counted as
-  ``cross_evictions``, separate from local capacity ``evictions``.
+* the victim API (:meth:`eviction_candidates` / :meth:`evict`) — each
+  shard offers its coldest unpinned rows as arrays, the store's
+  governor orders the pool by ``(frequency, tick)`` (strict global LRU
+  under LRU admission; under TinyLFU least-frequent-first over an
+  ``_TINYLFU_VICTIM_SAMPLE``-row tail sample per shard) and each shard
+  evicts its share in one call, counted as ``cross_evictions``,
+  separate from local capacity ``evictions``.
 """
 
 from __future__ import annotations
 
-import itertools
 import threading
 import warnings
-from collections import OrderedDict
+from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from repro.errors import ModelError
+from repro.fx.dedup import distinct_values
 from repro.fx.sketch import FrequencySketch
 from repro.fx.tiers import (
+    TIER_RESIDENT,
     TIER_SPILL,
     compress,
     decompress,
@@ -106,9 +110,15 @@ _DEFAULT_SKETCH_WIDTH = 1024
 
 # Under TinyLFU a store-budget victim is the least-frequent of this
 # many LRU-tail entries (the Caffeine-style bounded sample): a hot row
-# parked at the LRU head cannot shield the cold rows behind it, and
-# the scan stays O(sample) instead of O(entries) per eviction.
+# parked at the LRU head cannot shield the cold rows behind it.
 _TINYLFU_VICTIM_SAMPLE = 8
+
+# The slab is resized by relocate-and-copy.  The first one is sized by
+# the first miss batch exactly, a full one grows to this many times its
+# size, and one left under a third in use shrinks to this many times
+# its entries — so each resize is paid for by a constant-factor change
+# in the number of rows, and live rows bound the memory held.
+_SLAB_GROWTH = 1.5
 
 
 class AccessClock:
@@ -129,26 +139,6 @@ class AccessClock:
         with self._lock:
             self._value += 1
             return self._value
-
-
-@dataclass(frozen=True)
-class EvictionCandidate:
-    """One shard's coldest unpinned entry, as seen by the governor.
-
-    ``frequency`` is the TinyLFU sketch estimate when the cache runs
-    frequency-sketch admission, else 0 — so sorting candidates by
-    ``(frequency, tick)`` degrades to pure global LRU for ``"lru"``
-    caches and to least-frequent-then-oldest for ``"tinylfu"`` ones.
-    """
-
-    cache: "PartialCache"
-    key: int
-    tick: int
-    frequency: int = 0
-
-    @property
-    def rank(self) -> tuple[int, int]:
-        return (self.frequency, self.tick)
 
 
 class Residency(NamedTuple):
@@ -290,8 +280,242 @@ class CacheStats:
         )
 
 
+def as_rids(keys) -> np.ndarray:
+    """Any array-like of RIDs, any shape, as a flat int64 array."""
+    return np.asarray(keys).ravel().astype(np.int64, copy=False)
+
+
+def _first_occurrences(keys: np.ndarray):
+    """The distinct ``keys`` in first-occurrence order, and each key's
+    index among them (``None`` when ``keys`` were already distinct)."""
+    distinct = distinct_values(keys)
+    if distinct.size == keys.size:
+        return keys, None
+    group = np.searchsorted(distinct, keys)
+    first = np.full(distinct.size, keys.size)
+    np.minimum.at(first, group, np.arange(keys.size))
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return distinct[order], rank[group]
+
+
+class SlotTable:
+    """A shard's resident tier: sorted keys → slot → slab row.
+
+    ``keys`` (sorted int64) and the parallel ``slots`` are the index.
+    A slot numbers one row of ``slab`` — a contiguous ``(capacity,
+    width)`` float64 block — and one cell of each column: ``key`` (the
+    way back), ``tick`` (the store clock's per-call stamp), ``seq``
+    (per-shard touch order: ascending ``seq`` *is* LRU order, ``-1``
+    marks an entry holding no row) and ``pins`` (the refcount).  An
+    entry exists for every key that is resident **or** pinned: pinning
+    an absent key reserves the slot its row will land in, invalidating
+    a pinned row leaves the entry behind, the last unpin of a rowless
+    entry removes it — so an unpinned entry always holds a row.  Freed
+    slots go on a stack and are reused before the slab grows.  The
+    slab's capacity tracks the entries both ways, by relocate-and-copy
+    (:meth:`_resize`): ×``_SLAB_GROWTH`` when the stack runs dry, back
+    down when fewer than a third of the slots are in use — evicted
+    memory is given back, not parked — into a ``SlabAllocator`` block
+    when one is installed and has room (allocate new, copy, free old),
+    else into private memory.  Not locked: the owning shard's lock
+    guards every call.
+    """
+
+    def __init__(self, allocator=None) -> None:
+        self._allocator = allocator
+        self._block: tuple[int, int] | None = None  # shm (offset, floats)
+        self._reset()
+
+    def _reset(self) -> None:
+        self.keys = np.empty(0, dtype=np.int64)
+        self.slots = np.empty(0, dtype=np.intp)
+        self.slab = np.empty((0, 0))
+        self.key = np.empty(0, dtype=np.int64)
+        self.tick = np.empty(0, dtype=np.int64)
+        self.seq = np.empty(0, dtype=np.int64)
+        self.pins = np.empty(0, dtype=np.intp)
+        self._free = np.empty(0, dtype=np.intp)
+        self._nfree = 0
+        self.rows = 0
+        self._next_seq = 0
+
+    @property
+    def width(self) -> int:
+        return self.slab.shape[1]
+
+    @property
+    def in_shm(self) -> bool:
+        return self._block is not None
+
+    def clear(self) -> None:
+        """Drop every row and give the slab back; pins survive (as
+        rowless entries) — they belong to batches still in flight."""
+        pinned = self.slots[self.pins[self.slots] > 0]
+        keys, refs = self.key[pinned], self.pins[pinned]
+        block, self._block = self._block, None
+        self._reset()           # lets go of the slab's view first
+        if block is not None:
+            self._allocator.free(*block)
+        if keys.size:
+            slots = self._entries(keys)     # replaces the columns
+            self.pins[slots] = refs
+
+    def _lookup(self, keys: np.ndarray):
+        """``(slots, found)`` per key; where not ``found`` the slot is
+        some other entry's."""
+        if not self.keys.size:
+            return np.zeros(keys.size, np.intp), np.zeros(keys.size, bool)
+        at = self.keys.searchsorted(keys)
+        return (
+            self.slots.take(at, mode="clip"),
+            self.keys.take(at, mode="clip") == keys,
+        )
+
+    def find(self, keys: np.ndarray, pinned: bool = False):
+        """``(slots, found)``: which ``keys`` hold a row — or, with
+        ``pinned``, a pin — and where."""
+        slots, found = self._lookup(keys)
+        if pinned and self.keys.size:
+            found &= self.pins.take(slots) > 0
+        elif self.keys.size > self.rows:    # some entries hold no row
+            found &= self.seq.take(slots) >= 0
+        return slots, found
+
+    def _entries(self, keys: np.ndarray) -> np.ndarray:
+        """The slot of each key's entry, absent keys given a (rowless,
+        unpinned) one first — which may renumber every slot."""
+        slots, found = self._lookup(keys)
+        if not found.all():
+            fresh = distinct_values(keys[~found])
+            if fresh.size > self._nfree:
+                self._resize(max(
+                    self.keys.size + fresh.size,
+                    int(self.seq.size * _SLAB_GROWTH),
+                ))
+            self._nfree -= fresh.size
+            taken = self._free[self._nfree:self._nfree + fresh.size][::-1]
+            self.key[taken] = fresh
+            self.tick[taken] = 0
+            self.seq[taken] = -1
+            self.pins[taken] = 0
+            at = self.keys.searchsorted(fresh)
+            self.keys = np.insert(self.keys, at, fresh)
+            self.slots = np.insert(self.slots, at, taken)
+            slots, _ = self._lookup(keys)
+        return slots
+
+    def _forget(self, slots: np.ndarray) -> None:
+        """Remove the (distinct) entries at ``slots`` and free the
+        slots — which may renumber every slot left."""
+        at = self.keys.searchsorted(self.key[slots])
+        self.keys = np.delete(self.keys, at)
+        self.slots = np.delete(self.slots, at)
+        self._free[self._nfree:self._nfree + slots.size] = slots
+        self._nfree += slots.size
+        if self.keys.size * 3 < self.seq.size:
+            self._resize(int(self.keys.size * _SLAB_GROWTH))
+
+    def _resize(self, capacity: int) -> None:
+        """Move the entries to slots ``0..n-1``, in key order, of
+        columns and a slab ``capacity`` slots long."""
+        live = self.slots
+        for name in ("key", "tick", "seq", "pins"):
+            column = getattr(self, name)
+            moved = np.empty(capacity, dtype=column.dtype)
+            moved[:live.size] = column[live]
+            setattr(self, name, moved)
+        self.slots = np.arange(live.size)
+        self._free = np.arange(capacity - 1, -1, -1)    # top: live.size
+        self._nfree = capacity - live.size
+        if self.width:
+            self._relocate(capacity, self.width, live)
+
+    def _relocate(self, capacity: int, width: int, live=()) -> None:
+        """Move the slab to a new ``(capacity, width)`` block — shared
+        memory when an allocator has room, else private memory (the
+        graceful overflow) — with the rows at slots ``live`` first."""
+        block = None
+        if self._allocator is not None:
+            block = self._allocator.allocate(capacity * width)
+        if block is not None:
+            slab = block[1].reshape(capacity, width)
+            block = (block[0], capacity * width)
+        else:
+            slab = np.empty((capacity, width))
+        if len(live):
+            self.slab.take(live, axis=0, out=slab[:len(live)], mode="clip")
+        self.slab = slab
+        if self._block is not None:
+            self._allocator.free(*self._block)
+        self._block = block
+
+    def put(self, keys: np.ndarray, rows: np.ndarray, tick) -> None:
+        """Make the distinct, not-resident ``keys`` resident with
+        ``rows`` — one copy into the slab — at the MRU end, in order."""
+        if rows.shape[1] != self.width:
+            if self.rows:
+                raise ModelError(
+                    f"partial rows are {rows.shape[1]} floats wide but "
+                    f"this cache holds rows of {self.width}"
+                )
+            self._relocate(self.seq.size, rows.shape[1])
+        slots = self._entries(keys)     # may relocate: before the write
+        self.slab[slots] = rows
+        self.rows += keys.size
+        self.touch(slots, tick)
+
+    def touch(self, slots: np.ndarray, tick) -> None:
+        """Stamp ``slots`` most recently used, in order (a repeated
+        slot keeps its last stamp, as a repeated ``move_to_end`` would)."""
+        self.seq[slots] = np.arange(
+            self._next_seq, self._next_seq + slots.size
+        )
+        self._next_seq += slots.size
+        if tick is not None:
+            self.tick[slots] = tick
+
+    def drop(self, slots: np.ndarray) -> None:
+        """Take the rows out of the (distinct, resident) ``slots``.
+        A pinned row's entry stays behind, rowless."""
+        if slots.size:
+            self.seq[slots] = -1
+            self.rows -= slots.size
+            self._forget(slots[self.pins[slots] == 0])
+
+    def coldest(self, count: int) -> np.ndarray:
+        """Up to ``count`` unpinned resident slots, least recent first."""
+        if count <= 0 or not self.rows:
+            return np.empty(0, dtype=np.intp)
+        slots = self.slots[self.pins[self.slots] == 0]
+        seq = self.seq[slots]
+        if count < slots.size:
+            nearest = np.argpartition(seq, count - 1)[:count]
+            slots, seq = slots[nearest], seq[nearest]
+        return slots[np.argsort(seq)]
+
+    def resident_keys(self) -> np.ndarray:
+        """Every resident key, least recent first."""
+        slots = self.slots[self.seq[self.slots] >= 0]
+        return self.key[slots[np.argsort(self.seq[slots])]]
+
+    def pin(self, keys: np.ndarray) -> None:
+        slots = self._entries(keys)         # may replace the columns
+        np.add.at(self.pins, slots, 1)
+
+    def unpin(self, keys: np.ndarray) -> None:
+        slots, found = self._lookup(keys)
+        slots = slots[found]
+        np.subtract.at(self.pins, slots, 1)
+        self.pins[slots] = np.maximum(self.pins[slots], 0)
+        idle = slots[(self.pins[slots] == 0) & (self.seq[slots] < 0)]
+        if idle.size:
+            self._forget(distinct_values(idle))
+
+
 class PartialCache:
-    """Bounded LRU map of ``rid -> partial row``.
+    """Bounded LRU map of ``rid -> partial row`` — one shard.
 
     ``capacity`` counts entries (distinct RIDs), ``capacity_floats``
     counts resident float64 values; ``None`` for both means unbounded —
@@ -304,7 +528,7 @@ class PartialCache:
     across caches and evict the globally coldest entries first.  All
     lookups go through :meth:`get_many`, which resolves hits, computes
     every miss in one vectorized call, and returns rows aligned with
-    the requested keys.
+    the requested keys.  The rows of one cache share one width.
     """
 
     def __init__(
@@ -334,6 +558,7 @@ class PartialCache:
             )
         self.capacity = capacity
         self.capacity_floats = capacity_floats
+        self._bounded = capacity is not None or capacity_floats is not None
         self.admission = admission
         self._sketch: FrequencySketch | None = None
         if admission == TINYLFU_ADMISSION:
@@ -344,16 +569,10 @@ class PartialCache:
             )
             self._sketch = FrequencySketch(width)
         self._clock = clock
-        # Optional shared-memory slab (repro.fx.shm.SlabAllocator):
-        # admitted rows are copied into slab slots so sibling processes
-        # can account them; slab exhaustion falls back to private rows.
-        self._allocator = allocator
-        self._shm_slots: dict[int, tuple[int, int]] = {}
-        self._shm_floats_resident = 0
-        self._ticks: dict[int, int] = {}
-        self._pins: dict[int, int] = {}
-        self._rows: OrderedDict[int, np.ndarray] = OrderedDict()
-        self._floats_resident = 0
+        # The resident tier; with an allocator
+        # (repro.fx.shm.SlabAllocator) its slab lives in shared memory,
+        # where sibling processes can account it.
+        self._table = SlotTable(allocator)
         # The demotion ladder (repro.fx.tiers).  Budget eviction walks
         # a victim down these rungs instead of dropping it; an empty
         # tuple keeps the pre-tier drop-on-evict behavior, bit for bit.
@@ -363,10 +582,11 @@ class PartialCache:
                 "the 'spill' tier needs an on-disk slab; pass spill="
             )
         self._spill = spill
-        # key -> (tier, payload, width); payload per repro.fx.tiers.
-        self._compressed: OrderedDict[int, tuple] = OrderedDict()
+        # The demoted populations, each in demotion order:
+        # key -> (tier, payload, width, tick), payload per repro.fx.tiers;
+        self._compressed: dict[int, tuple] = {}
         # key -> (width, heap position) in the spill slab.
-        self._spilled: OrderedDict[int, tuple[int, int]] = OrderedDict()
+        self._spilled: dict[int, tuple[int, int]] = {}
         self._compressed_floats = 0
         self._spilled_bytes = 0
         # The shard's one lock.  Serializes lookups against
@@ -394,21 +614,44 @@ class PartialCache:
         self.promotions_total = 0
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return self._table.rows
 
     def __contains__(self, key: int) -> bool:
+        return self.tier_of(key) is not None
+
+    def tier_of(self, key: int) -> str | None:
+        """The tier holding ``key`` — ``"resident"``, a compressed
+        tier's name, ``"spill"`` — or ``None``."""
         key = int(key)
-        return (
-            key in self._rows
-            or key in self._compressed
-            or key in self._spilled
-        )
+        with self._lock:
+            if self._table.find(np.array([key]))[1][0]:
+                return TIER_RESIDENT
+            if key in self._compressed:
+                return self._compressed[key][0]
+            return TIER_SPILL if key in self._spilled else None
+
+    def keys(self, tier: str | None = None) -> list[int]:
+        """The RIDs held in ``tier`` (in any, for ``None``): resident
+        ones least recent first, demoted ones oldest demotion first."""
+        with self._lock:
+            held: list[int] = []
+            if tier in (None, TIER_RESIDENT):
+                held += self._table.resident_keys().tolist()
+            held += [
+                key for key, entry in self._compressed.items()
+                if tier in (None, entry[0])
+            ]
+            if tier in (None, TIER_SPILL):
+                held += list(self._spilled)
+            return held
 
     def residency(self) -> Residency:
         """This shard's :class:`Residency`, read lock-free."""
+        table = self._table
+        resident = table.rows * table.width
         return Residency(
-            self.floats_resident,
-            self._shm_floats_resident,
+            resident + self._compressed_floats,
+            resident if table.in_shm else 0,
             self._compressed_floats,
             self._spilled_bytes,
             self.demotions_total,
@@ -420,119 +663,81 @@ class PartialCache:
         """Budget floats currently charged: resident float64 values
         plus the float-equivalents of compressed payloads (spilled
         rows charge disk, not memory)."""
-        return self._floats_resident + self._compressed_floats
+        return self.residency().floats
 
     @property
     def bytes_resident(self) -> int:
         """Resident cache payload in bytes (8 per budget float)."""
         return self.floats_resident * _FLOAT_BYTES
 
-    def _over_capacity(self) -> bool:
-        if self.capacity is not None and len(self._rows) > self.capacity:
-            return True
-        return (
-            self.capacity_floats is not None
-            and self.floats_resident > self.capacity_floats
-        )
+    # -- the tier ladder ----------------------------------------------------
 
-    def _remove(self, key: int) -> int:
-        """Drop ``key`` from whichever tier holds it; returns the
-        budget floats freed (0 for a spilled row — it charged none)."""
-        row = self._rows.pop(key, None)
-        if row is not None:
-            self._ticks.pop(key, None)
-            self._floats_resident -= row.size
-            slot = self._shm_slots.pop(key, None)
-            if slot is not None:
-                self._allocator.free(*slot)
-                self._shm_floats_resident -= row.size
-            return row.size
+    def _next_rung(self, tier: str, width: int) -> tuple[str, int]:
+        """Where one demotion takes a ``width``-float row held at
+        ``tier``, and the budget floats that frees: the first
+        configured tier below whose charge is *strictly* smaller — a
+        demotion that frees nothing (a 1-float row "compressed" to
+        float32 still charges one float) would stall the governor's
+        deficit loop — else ``"drop"`` and the whole charge."""
+        current = float_equivalents(tier, width)
+        below = self._tiers
+        if tier != TIER_RESIDENT:
+            below = below[below.index(tier) + 1:]
+        for target in below:
+            gain = current - float_equivalents(target, width)
+            if gain > 0:
+                return target, gain
+        return "drop", current
+
+    def _drop_demoted(self, key: int) -> bool:
+        """Forget ``key``'s compressed or spilled copy, if any."""
         entry = self._compressed.pop(key, None)
         if entry is not None:
-            self._ticks.pop(key, None)
-            tier, _, width = entry
-            freed = float_equivalents(tier, width)
-            self._compressed_floats -= freed
-            return freed
+            self._compressed_floats -= float_equivalents(entry[0], entry[2])
+            return True
         spilled = self._spilled.pop(key, None)
         if spilled is not None:
-            self._ticks.pop(key, None)
-            width, position = spilled
-            self._spill.free(width, position)
-            self._spilled_bytes -= width * _FLOAT_BYTES
-        return 0
+            self._spill.free(*spilled)
+            self._spilled_bytes -= spilled[0] * _FLOAT_BYTES
+        return spilled is not None
 
     def _demote(self, key: int) -> int:
-        """Walk ``key`` one step down the tier ladder; returns the
-        budget floats freed.
+        """Walk ``key`` one step down the ladder (:meth:`_next_rung`);
+        returns the budget floats freed.  Spilled rows are terminal:
+        they charge no memory, so only invalidation removes them."""
+        table = self._table
+        slots, held = table.find(np.array([key]))
+        if held[0]:
+            values = table.slab[slots[0]].copy()
+            tick = int(table.tick[slots[0]])
+            table.drop(slots)
+            return self._settle(key, values, tick, TIER_RESIDENT)
+        if key not in self._compressed:
+            return 0
+        tier, payload, _, tick = self._compressed[key]
+        self._drop_demoted(key)
+        return self._settle(key, decompress(tier, payload), tick, tier)
 
-        The target is the first configured tier whose residual charge
-        is *strictly* below the current one — a demotion that frees
-        nothing (a 1-float row "compressed" to float32 still charges
-        one float) would stall the governor's deficit loop.  When no
-        rung gains, the row is dropped outright and the demotion is
-        counted under ``"drop"``.  Spilled rows are terminal: they
-        charge no memory, so only invalidation removes them.
-        """
-        row = self._rows.get(key)
-        if row is not None:
-            current = row.size
-            width = current
-            # Slab-resident rows are views into shared memory that
-            # _remove frees; copy the values out first.
-            values = np.array(row, dtype=np.float64, copy=True)
-            next_rungs = self._tiers
-        else:
-            entry = self._compressed.get(key)
-            if entry is None:
-                return 0
-            tier, payload, width = entry
-            current = float_equivalents(tier, width)
-            values = decompress(tier, payload)
-            next_rungs = self._tiers[self._tiers.index(tier) + 1:]
-        tick = self._ticks.get(key, 0)
-        for target in next_rungs:
-            gain = current - float_equivalents(target, width)
-            if gain <= 0:
-                continue
-            self._remove(key)
-            if target == TIER_SPILL:
-                position = self._spill.put(values)
-                self._spilled[key] = (width, position)
-                self._spilled_bytes += width * _FLOAT_BYTES
-            else:
-                self._compressed[key] = (
-                    target, compress(target, values), width,
-                )
-                self._compressed_floats += float_equivalents(target, width)
-            self._ticks[key] = tick
-            self.demotions[target] = self.demotions.get(target, 0) + 1
-            self.demotions_total += 1
-            return gain
-        freed = self._remove(key)
-        self.demotions["drop"] = self.demotions.get("drop", 0) + 1
+    def _settle(self, key: int, values: np.ndarray, tick: int, tier) -> int:
+        """Park a row that just left ``tier`` on the next rung down (or
+        nowhere: ``"drop"``); returns the budget floats that freed."""
+        width = values.size
+        target, gain = self._next_rung(tier, width)
+        if target == TIER_SPILL:
+            self._spilled[key] = (width, self._spill.put(values))
+            self._spilled_bytes += width * _FLOAT_BYTES
+        elif target != "drop":
+            self._compressed[key] = (
+                target, compress(target, values), width, tick,
+            )
+            self._compressed_floats += float_equivalents(target, width)
+        self.demotions[target] = self.demotions.get(target, 0) + 1
         self.demotions_total += 1
-        return freed
+        return gain
 
-    def _insert_resident(self, key: int, row: np.ndarray, tick) -> None:
-        """Insert a float64 row into the resident tier (slab-backed
-        when an allocator has room)."""
-        if self._allocator is not None:
-            slot = self._allocator.allocate(row.size)
-            if slot is not None:
-                offset, view = slot
-                view[:] = row
-                row = view
-                self._shm_slots[key] = (offset, view.size)
-                self._shm_floats_resident += view.size
-        self._rows[key] = row
-        if tick is not None:
-            self._ticks[key] = tick
-        self._floats_resident += row.size
-
-    def _promote(self, keys: list[int], tick) -> int:
-        """Re-promote ``keys`` from the compressed/spilled tiers to
-        resident float64; returns how many rows came back.
+    def _promote(self, keys: np.ndarray, held: np.ndarray, tick) -> int:
+        """Bring the demoted copies among a batch's not-``held`` keys
+        back to resident float64; returns how many rows came back.
 
         Spilled keys are grouped by row width so each width pays one
         page-batched :meth:`~repro.fx.tiers.SpillSlab.read_rows` call —
@@ -541,35 +746,67 @@ class PartialCache:
         admitted once already; demotion was memory policy, not a
         verdict on their worth) and land at the MRU end.
         """
-        rows: dict[int, np.ndarray] = {}
-        by_width: dict[int, tuple[list[int], list[int]]] = {}
-        for key in keys:
-            entry = self._compressed.get(key)
-            if entry is not None:
-                tier, payload, _ = entry
-                rows[key] = decompress(tier, payload)
-                self.promotions[tier] = self.promotions.get(tier, 0) + 1
-                continue
-            spilled = self._spilled.get(key)
-            if spilled is not None:
-                width, position = spilled
-                ks, ps = by_width.setdefault(width, ([], []))
-                ks.append(key)
-                ps.append(position)
-        for width, (ks, ps) in by_width.items():
-            data = self._spill.read_rows(width, ps)
-            for key, values in zip(ks, data):
-                rows[key] = values.copy()
+        wanted = [
+            key for key in dict.fromkeys(keys[~held].tolist())
+            if key in self._compressed or key in self._spilled
+        ]
+        if not wanted:
+            return 0
+        span = current_span()
+        with (
+            span.child("store.promote") if span is not None
+            else nullcontext()
+        ) as promote_span:
+            rows: dict[int, np.ndarray] = {}
+            by_width: dict[int, tuple[list[int], list[int]]] = {}
+            for key in wanted:
+                if key in self._compressed:
+                    tier, payload = self._compressed[key][:2]
+                    rows[key] = decompress(tier, payload)
+                    self.promotions[tier] = self.promotions.get(tier, 0) + 1
+                else:
+                    width, position = self._spilled[key]
+                    ks, ps = by_width.setdefault(width, ([], []))
+                    ks.append(key)
+                    ps.append(position)
+            for width, (ks, ps) in by_width.items():
+                rows.update(zip(ks, self._spill.read_rows(width, ps)))
                 self.promotions[TIER_SPILL] = (
-                    self.promotions.get(TIER_SPILL, 0) + 1
+                    self.promotions.get(TIER_SPILL, 0) + len(ks)
                 )
-        for key, values in rows.items():
-            self._remove(key)
-            self._insert_resident(key, values, tick)
-            self.promotions_total += 1
-        if rows:
-            self._evict_over_capacity()
+            for key in rows:
+                self._drop_demoted(key)
+            self._table.put(
+                np.fromiter(rows, dtype=np.int64, count=len(rows)),
+                np.stack(list(rows.values())),
+                tick,
+            )
+            self.promotions_total += len(rows)
+            if self._bounded:
+                # Make room — but never out of the rows this very batch
+                # is about to read (up to PR 15 that was a KeyError).
+                self._table.pin(keys)
+                try:
+                    self._evict_over_capacity()
+                finally:
+                    self._table.unpin(keys)
+            if promote_span is not None:
+                promote_span.set("rows", float(len(rows)))
         return len(rows)
+
+    # -- local capacity -----------------------------------------------------
+
+    def _row_limit(self, width: int) -> int | None:
+        """The local bounds as a count of resident ``width``-float
+        rows, next to today's compressed charges (``None`` = unbounded)."""
+        bounds = []
+        if self.capacity is not None:
+            bounds.append(self.capacity)
+        if self.capacity_floats is not None and width:
+            bounds.append(
+                (self.capacity_floats - self._compressed_floats) // width
+            )
+        return min(bounds, default=None)
 
     def _evict_over_capacity(self) -> None:
         """LRU-evict until within the local bounds, skipping pinned keys.
@@ -577,69 +814,139 @@ class PartialCache:
         A batch in flight pins the RIDs it is gathering, so the sweep
         may find nothing evictable — the cache then transiently
         overshoots its bound rather than thrash a live batch's rows.
-        With tiers configured, a victim is demoted down the ladder
-        instead of dropped (it still counts as an eviction from the
-        resident tier).
+        Without tiers the victims are the oldest unpinned slots, in
+        one selection; with tiers each victim is demoted down the
+        ladder instead (it still counts as an eviction from the
+        resident tier), one row at a time, compressed rows once no
+        resident one is left to take.
         """
-        while self._over_capacity():
-            victim = next(
-                (k for k in self._rows if not self._pins.get(k)), None
+        table = self._table
+        limit = self._row_limit(table.width)
+        if limit is None:
+            return
+        if not self._tiers:
+            victims = table.coldest(table.rows - limit)
+            table.drop(victims)
+            self.evictions += victims.size
+            return
+        while table.rows > self._row_limit(table.width):
+            coldest = table.coldest(1)
+            victim = int(table.key[coldest[0]]) if coldest.size else next(
+                (
+                    key for key in self._compressed
+                    if not table.find(np.array([key]), pinned=True)[1][0]
+                ),
+                None,
             )
-            if victim is None and self._tiers:
-                victim = next(
-                    (k for k in self._compressed if not self._pins.get(k)),
-                    None,
-                )
             if victim is None:
                 return
-            if self._tiers:
-                if self._demote(victim) <= 0:
-                    return  # pragma: no cover - demote always frees
-            else:
-                self._remove(victim)
+            self._demote(victim)
             self.evictions += 1
 
-    def _would_evict(self, row: np.ndarray) -> bool:
-        """Whether admitting ``row`` would push the cache over capacity."""
-        if self.capacity is not None and len(self._rows) + 1 > self.capacity:
-            return True
-        return (
-            self.capacity_floats is not None
-            and self.floats_resident + row.size > self.capacity_floats
-        )
+    def _tinylfu_admit(self, keys: np.ndarray, width: int):
+        """TinyLFU admission for a batch of computed rows: which of
+        them get in (``None`` = all of them, nothing is at capacity).
 
-    def _admit(self, key: int, row: np.ndarray) -> bool:
-        """TinyLFU admission: a row that would evict must out-rank the
-        victim's estimated access frequency (strictly — equal
-        frequencies keep the resident row, avoiding churn).  The
-        victim consulted is the first *unpinned* LRU entry, matching
-        what :meth:`_evict_over_capacity` would actually evict."""
-        if self._sketch is None or not self._would_evict(row):
-            return True
-        victim = next(
-            (k for k in self._rows if not self._pins.get(k)), None
-        )
-        if victim is None:
-            return True
-        return self._sketch.estimate(key) > self._sketch.estimate(victim)
+        A row that would evict must out-rank the victim's estimated
+        access frequency (strictly — equal frequencies keep the
+        resident row, avoiding churn).  The victim consulted is the
+        oldest *unpinned* row, matching what
+        :meth:`_evict_over_capacity` will actually evict — and the
+        victim pointer advances only on an admit, which makes this a
+        walk: the lookup path's one per-key loop, over the at-capacity
+        misses only, on plain ints.
+        """
+        table = self._table
+        limit = self._row_limit(width)
+        if limit is None or table.rows + keys.size <= limit:
+            return None
+        room = max(0, limit - table.rows)
+        fresh = self._sketch.estimate_many(keys).tolist()
+        unpinned = (~table.find(keys, pinned=True)[1]).tolist()
+        # The eviction order from here on: today's unpinned rows,
+        # oldest first, then the rows this batch admits, in order.
+        victims = self._sketch.estimate_many(
+            table.key[table.coldest(table.rows - limit + keys.size)]
+        ).tolist()
+        victims += [f for f, free in zip(fresh[:room], unpinned) if free]
+        over = table.rows + room - limit
+        taken = 0
+        admitted = np.ones(keys.size, dtype=bool)
+        for index in range(room, keys.size):
+            if taken < len(victims) and fresh[index] <= victims[taken]:
+                admitted[index] = False
+                continue
+            over += 1
+            if unpinned[index]:
+                victims.append(fresh[index])
+            evicted = min(over, len(victims) - taken)
+            taken += evicted
+            over -= evicted
+        return admitted
+
+    def _insert(self, keys: np.ndarray, rows: np.ndarray, tick) -> None:
+        """Admit freshly computed ``rows`` (distinct ``keys``, in
+        first-occurrence order) and evict back within the local bounds
+        — the same victims, evictions and rejections as inserting and
+        evicting row by row."""
+        table = self._table
+        width = rows.shape[1]
+        if (
+            self.capacity_floats is not None
+            and width > self.capacity_floats
+            and not self._warned_row_too_wide
+        ):
+            self._warned_row_too_wide = True
+            warnings.warn(
+                f"partial rows are {width} floats but the "
+                f"cache holds at most {self.capacity_floats}; "
+                "nothing will stay resident (if this cache is a "
+                "shard, the total capacity_floats is split "
+                "across shards)",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+        if self._tiers and self._bounded and keys.size > 1:
+            # Demotions free a rung's gain, not a row, so insert-then-
+            # evict cannot be batched: one row at a time, as ever.
+            for index in range(keys.size):
+                self._insert(
+                    keys[index:index + 1], rows[index:index + 1], tick
+                )
+            return
+        if self._sketch is not None:
+            admitted = self._tinylfu_admit(keys, width)
+            if admitted is not None:
+                self.admission_rejections += int((~admitted).sum())
+                keys, rows = keys[admitted], rows[admitted]
+        if keys.size:       # a rejection evicts nothing, backlog included
+            table.put(keys, rows, tick)
+            self._evict_over_capacity()
 
     def get_many(
         self,
         keys: np.ndarray,
         compute: Callable[[np.ndarray], np.ndarray],
     ) -> np.ndarray:
-        """Rows for ``keys`` (distinct RIDs), computing misses in one batch.
+        """Rows for ``keys``, computing the misses in one batch.
 
-        ``compute`` receives the missing keys as an int64 array and must
-        return one row per key, in order.  Computed rows are returned to
-        the caller even when the cache immediately evicts them (a
-        request wider than the capacity still gets correct results —
-        only reuse across requests is lost).
+        ``keys`` are RIDs in any order, repeats allowed: every
+        occurrence gets the same row and counts as its own hit or
+        miss, a repeated missing key is computed and inserted once.
+        ``compute`` receives the distinct missing keys as an int64
+        array, in first-occurrence order, and must return one row per
+        key, in order; the cache copies them and keeps no reference to
+        the array.  Computed rows are returned to the caller even
+        when the cache immediately evicts them (a request wider than
+        the capacity still gets correct results — only reuse across
+        requests is lost).
         """
         keys = np.asarray(keys)
         if keys.ndim != 1:
             raise ModelError(f"keys must be 1-D, got shape {keys.shape}")
+        keys = keys.astype(np.int64, copy=False)
         with self._lock:
+            table = self._table
             # One global tick per call, stamped on every key this
             # batch touches: batch-granular recency is plenty for
             # eviction ordering, and it keeps traffic on the store's
@@ -652,78 +959,38 @@ class PartialCache:
                 # hits included, or resident hot rows could never
                 # out-rank a burst of cold candidates.
                 self._sketch.record(keys)
-            missing = [k for k in keys.tolist() if k not in self._rows]
-            if missing and (self._compressed or self._spilled):
-                promotable = [
-                    k for k in missing
-                    if k in self._compressed or k in self._spilled
-                ]
-                if promotable:
-                    span = current_span()
-                    if span is not None:
-                        with span.child("store.promote") as promote_span:
-                            promoted = self._promote(
-                                promotable, batch_tick
-                            )
-                            promote_span.set("rows", float(promoted))
-                    else:
-                        self._promote(promotable, batch_tick)
-                    missing = [k for k in missing if k not in self._rows]
-            if missing:
-                computed = np.asarray(
-                    compute(np.asarray(missing, dtype=np.int64)),
-                    dtype=np.float64,
-                )
-                if computed.shape[0] != len(missing):
+            slots, held = table.find(keys)
+            if (self._compressed or self._spilled) and not held.all():
+                if self._promote(keys, held, batch_tick):
+                    slots, held = table.find(keys)
+            hits = int(np.count_nonzero(held))
+            misses = keys.size - hits
+            if misses:
+                missing, where = _first_occurrences(keys[~held])
+                computed = np.asarray(compute(missing), dtype=np.float64)
+                if computed.ndim != 2 or computed.shape[0] != missing.size:
                     raise ModelError(
                         f"compute returned {computed.shape[0]} rows for "
-                        f"{len(missing)} missing keys"
+                        f"{missing.size} missing keys"
                     )
-                fresh = dict(zip(missing, computed))
-            else:
-                fresh = {}
-            self.hits += keys.size - len(missing)
-            self.misses += len(missing)
+            self.hits += hits
+            self.misses += misses
             # Attribute this call's outcome to the in-flight request's
             # span (thread-local read; None when tracing is off).
             span = current_span()
             if span is not None:
-                span.add("cache.hits", keys.size - len(missing))
-                span.add("cache.misses", len(missing))
+                span.add("cache.hits", hits)
+                span.add("cache.misses", misses)
                 evictions_before = self.evictions
-            out = np.empty(
-                (keys.size, self._row_width(fresh)), dtype=np.float64
-            )
-            for position, key in enumerate(keys.tolist()):
-                cached = self._rows.get(key)
-                if cached is not None:
-                    self._rows.move_to_end(key)
-                    if batch_tick is not None:
-                        self._ticks[key] = batch_tick
-                    out[position] = cached
-                else:
-                    out[position] = fresh[key]
-            for key, row in fresh.items():
-                if (
-                    self.capacity_floats is not None
-                    and row.size > self.capacity_floats
-                    and not self._warned_row_too_wide
-                ):
-                    self._warned_row_too_wide = True
-                    warnings.warn(
-                        f"partial rows are {row.size} floats but the "
-                        f"cache holds at most {self.capacity_floats}; "
-                        "nothing will stay resident (if this cache is a "
-                        "shard, the total capacity_floats is split "
-                        "across shards)",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-                if not self._admit(key, row):
-                    self.admission_rejections += 1
-                    continue
-                self._insert_resident(key, row, batch_tick)
-                self._evict_over_capacity()
+            if hits:
+                out = table.slab.take(slots, axis=0)
+                table.touch(slots[held] if misses else slots, batch_tick)
+            else:
+                width = computed.shape[1] if misses else table.width
+                out = np.empty((keys.size, width))
+            if misses:
+                self._insert(missing, computed, batch_tick)
+                out[~held] = computed if where is None else computed[where]
             if span is not None and self.evictions > evictions_before:
                 span.add(
                     "cache.evictions", self.evictions - evictions_before
@@ -743,128 +1010,124 @@ class PartialCache:
         against :meth:`invalidate` (data change beats memory policy).
         """
         with self._lock:
-            for key in np.asarray(keys).ravel().tolist():
-                key = int(key)
-                self._pins[key] = self._pins.get(key, 0) + 1
+            self._table.pin(as_rids(keys))
 
     def unpin(self, keys: np.ndarray) -> None:
         """Release one pin reference per key (inverse of :meth:`pin`)."""
         with self._lock:
-            for key in np.asarray(keys).ravel().tolist():
-                key = int(key)
-                refs = self._pins.get(key, 0) - 1
-                if refs > 0:
-                    self._pins[key] = refs
-                else:
-                    self._pins.pop(key, None)
+            self._table.unpin(as_rids(keys))
 
-    def eviction_candidates(
-        self, deficit_floats: int
-    ) -> list[EvictionCandidate]:
-        """Unpinned LRU-tail candidates covering ``deficit_floats``.
+    def eviction_candidates(self, deficit_floats: int):
+        """This shard's coldest unpinned charged rows, just enough to
+        cover ``deficit_floats`` alone (the worst case: every victim
+        lives here), as parallel arrays ``(keys, ticks, frequencies,
+        frees)`` for the store's governor to pool and rank.
 
-        The store's budget governor pools every shard's candidates
-        and evicts in global ``(frequency, tick)`` order until the
-        deficit is covered — see :class:`EvictionCandidate`.  Each
-        shard offers its LRU-coldest unpinned rows, just enough to
-        cover the whole deficit alone (the worst case: every victim
-        lives here).  Under ``"tinylfu"`` at least
-        ``_TINYLFU_VICTIM_SAMPLE`` entries are offered regardless, so
-        a hot row sitting at the LRU tail cannot shield the cold rows
-        right behind it from the frequency rank.
+        ``frequencies`` are the TinyLFU sketch estimates, 0 under
+        ``"lru"`` — so ``(frequency, tick)`` order degrades to pure
+        global LRU there; under ``"tinylfu"`` at least
+        ``_TINYLFU_VICTIM_SAMPLE`` rows are offered regardless, so a hot
+        row at the LRU tail cannot shield the cold rows right behind it
+        from the frequency rank.  ``frees`` is what :meth:`evict` would
+        free per row: its charge, or with tiers one rung's gain.
+        Compressed rows still charge the budget, so they are offered
+        too, and first (they demoted before today's residents, so they
+        rank colder); spilled rows charge nothing — never offered.
         """
         min_scan = 1 if self._sketch is None else _TINYLFU_VICTIM_SAMPLE
-        out: list[EvictionCandidate] = []
+        demoted: list[tuple[int, int, int]] = []    # (key, tick, frees)
         covered = 0
         with self._lock:
-            # Compressed rows still charge the budget, so they are
-            # candidates too (demoting one walks it further down the
-            # ladder; they demoted before today's residents, so they
-            # rank colder).  Spilled rows charge nothing — never
-            # offered.
-            charged = itertools.chain(
-                (
-                    (key, float_equivalents(tier, width))
-                    for key, (tier, _, width) in self._compressed.items()
-                ),
-                ((key, row.size) for key, row in self._rows.items()),
-            )
-            for key, charge in charged:
-                if self._pins.get(key):
-                    continue
-                frequency = (
-                    self._sketch.estimate(key)
-                    if self._sketch is not None
-                    else 0
-                )
-                out.append(
-                    EvictionCandidate(
-                        cache=self,
-                        key=key,
-                        tick=self._ticks.get(key, 0),
-                        frequency=int(frequency),
-                    )
-                )
-                covered += charge
-                if covered >= deficit_floats and len(out) >= min_scan:
+            table = self._table
+            # A demoted key can only be pinned through a rowless entry.
+            rowless = table.keys.size > table.rows
+            for key, (tier, _, width, tick) in self._compressed.items():
+                if covered >= deficit_floats and len(demoted) >= min_scan:
                     break
-            return out
+                if rowless and table.find(np.array([key]), True)[1][0]:
+                    continue
+                demoted.append((key, tick, self._next_rung(tier, width)[1]))
+                covered += float_equivalents(tier, width)
+            wanted = min_scan - len(demoted)
+            if covered < deficit_floats and table.width:
+                wanted = max(
+                    wanted, -(-(deficit_floats - covered) // table.width)
+                )
+            slots = table.coldest(wanted)
+            gain = self._next_rung(TIER_RESIDENT, table.width)[1]
+            head = np.array(demoted, dtype=np.int64).reshape(-1, 3)
+            keys = np.concatenate([head[:, 0], table.key[slots]])
+            ticks = np.concatenate([head[:, 1], table.tick[slots]])
+            frees = np.concatenate([head[:, 2], np.full(slots.size, gain)])
+            if self._sketch is None:
+                return keys, ticks, np.zeros(keys.size, dtype=np.int64), frees
+            return keys, ticks, self._sketch.estimate_many(keys), frees
 
-    def evict_if_coldest(self, key: int) -> int:
-        """Cross-cache-evict ``key`` if still charged and unpinned.
+    def evict(self, keys: np.ndarray) -> tuple[int, int]:
+        """Cross-cache-evict those of ``keys`` that are still charged
+        and unpinned, under one hold of the lock; returns ``(rows
+        evicted, budget floats freed)``.
 
-        Returns the budget floats freed (0 when the key was
-        invalidated, evicted, or pinned between the governor's scan
-        and this call — the governor then simply rescans).  With tiers
-        configured the row is demoted one rung instead of dropped.
+        Fewer than asked go when a key was invalidated, evicted or
+        pinned between the governor's scan and this call — the governor
+        then simply rescans.  With tiers configured each row is demoted
+        one rung instead of dropped.
         """
         with self._lock:
-            if self._pins.get(key):
-                return 0
-            if key in self._rows or key in self._compressed:
-                freed = (
-                    self._demote(key) if self._tiers
-                    else self._remove(key)
-                )
+            table = self._table
+            keys = keys[~table.find(keys, pinned=True)[1]]
+            slots, held = table.find(keys)
+            if self._tiers:
+                # Victims walk the ladder one by one, in rank order;
+                # the table is compacted once, after the last.
+                resident = dict(zip(
+                    keys[held].tolist(),
+                    zip(
+                        table.slab.take(slots[held], axis=0),
+                        table.tick[slots[held]].tolist(),
+                    ),
+                ))
+                freed = [
+                    self._settle(key, *resident[key], TIER_RESIDENT)
+                    if key in resident else self._demote(key)
+                    for key in keys.tolist()
+                ]
+                count, total = sum(f > 0 for f in freed), sum(freed)
             else:
-                return 0
-            if freed <= 0:
-                return 0  # pragma: no cover - demote always frees
-            self.cross_evictions += 1
+                count = int(np.count_nonzero(held))
+                total = count * table.width
+            table.drop(slots[held])
+            self.cross_evictions += count
             # The governor runs on the thread of the batch whose insert
-            # broke the budget, so the cross-eviction lands on that
+            # broke the budget, so the cross-evictions land on that
             # batch's span — the attribution that matters.
             span = current_span()
-            if span is not None:
-                span.add("cache.cross_evictions")
-            return freed
+            if span is not None and count:
+                span.add("cache.cross_evictions", count)
+            return count, total
 
     def invalidate(self, keys: np.ndarray) -> int:
-        """Drop the given RIDs if cached; returns how many were resident.
+        """Drop the given RIDs if cached; returns how many were held.
 
         Used by the dimension-update eviction path: unlike capacity
         evictions, invalidations are counted separately because they
-        signal data change, not memory pressure.
+        signal data change, not memory pressure.  Pins do not protect
+        here: a stale partial must never outlive its updated source
+        row — whatever tier it sits in, spilled copies included.
         """
-        dropped = 0
+        keys = as_rids(keys)
         with self._lock:
-            for key in np.asarray(keys).ravel().tolist():
-                key = int(key)
-                if key in self:
-                    # Pins do not protect here: a stale partial must
-                    # never outlive its updated source row — whatever
-                    # tier it sits in, spilled copies included.
-                    self._remove(key)
-                    dropped += 1
+            slots, held = self._table.find(keys)
+            slots = distinct_values(slots[held])
+            self._table.drop(slots)
+            dropped = slots.size
+            if self._compressed or self._spilled:
+                dropped += self._invalidate_demoted(keys[~held])
             self.invalidations += dropped
         return dropped
 
-    def _row_width(self, fresh: dict[int, np.ndarray]) -> int:
-        if fresh:
-            return next(iter(fresh.values())).shape[0]
-        if self._rows:
-            return next(iter(self._rows.values())).shape[0]
-        return 0
+    def _invalidate_demoted(self, keys: np.ndarray) -> int:
+        return sum(self._drop_demoted(key) for key in set(keys.tolist()))
 
     def stats(self) -> CacheStats:
         with self._lock:
@@ -873,7 +1136,7 @@ class PartialCache:
                 hits=self.hits,
                 misses=self.misses,
                 evictions=self.evictions,
-                entries=len(self._rows),
+                entries=self._table.rows,
                 capacity=self.capacity,
                 capacity_floats=self.capacity_floats,
                 bytes_resident=held.bytes,
@@ -894,8 +1157,6 @@ class PartialCache:
         """Forget every spilled entry *without* per-row frees — used
         when the owning store deletes the spill files wholesale."""
         with self._lock:
-            for key in self._spilled:
-                self._ticks.pop(key, None)
             self._spilled.clear()
             self._spilled_bytes = 0
 
@@ -906,18 +1167,10 @@ class PartialCache:
         whose keys must stay protected when recomputed after the clear.
         """
         with self._lock:
-            self._rows.clear()
-            self._ticks.clear()
-            if self._allocator is not None:
-                for slot in self._shm_slots.values():
-                    self._allocator.free(*slot)
-            self._shm_slots.clear()
-            self._shm_floats_resident = 0
-            self._floats_resident = 0
-            for width, position in self._spilled.values():
-                self._spill.free(width, position)
-            self._spilled.clear()
-            self._spilled_bytes = 0
+            self._table.clear()
+            for spilled in self._spilled.values():
+                self._spill.free(*spilled)
+            self.drop_spilled()
             self._compressed.clear()
             self._compressed_floats = 0
             self._zero_counters()

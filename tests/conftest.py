@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,6 +22,25 @@ from repro.storage.schema import (
     key,
     target,
 )
+
+
+@pytest.fixture
+def traced():
+    """``traced()`` = bytes of numpy array buffers allocated since the
+    fixture started and still held (numpy reports its buffers to
+    tracemalloc under a domain of its own) — the black-box way to ask
+    what a cache really keeps, whoever holds it."""
+    only_numpy = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+
+    def buffers() -> int:
+        gc.collect()
+        snapshot = tracemalloc.take_snapshot().filter_traces(only_numpy)
+        return sum(trace.size for trace in snapshot.traces)
+
+    tracemalloc.start()
+    base = buffers()
+    yield lambda: buffers() - base
+    tracemalloc.stop()
 
 
 @pytest.fixture

@@ -197,6 +197,31 @@ class TestWorkerPartialStore:
         store.close()
         arena.close()
 
+    def test_a_trimmed_slab_gives_its_block_back(self):
+        arena = ShmArena()
+        seg = arena.create("part", 16384)
+        allocator = SlabAllocator(seg.buf)
+        store = PartialStore(allocator=allocator, armed=True, num_shards=1)
+        first = store.acquire("fp-1")
+        first.get_many(np.arange(100), rows_for(4))
+        big = allocator.bytes_reserved
+        assert big == 100 * 4 * 8
+        assert store.trim(90 * 4) == 90     # the slab moves to a small block
+        small = allocator.bytes_reserved - big
+        assert 10 * 4 * 8 <= small <= 3 * 10 * 4 * 8
+        assert store.stats().shm_bytes_resident == 10 * 4 * 8
+        np.testing.assert_array_equal(
+            first.get_many(np.arange(90, 100), None),
+            rows_for(4)(np.arange(90, 100)),
+        )
+        # ... and the big one is there for the next slab of that size.
+        second = store.acquire("fp-2")
+        second.get_many(np.arange(100), rows_for(4))
+        assert allocator.bytes_reserved == big + small
+        assert store.stats().private_bytes_resident == 0
+        store.close()
+        arena.close()
+
     def test_unarmed_store_refuses_to_trim(self):
         store = PartialStore()
         with pytest.raises(ModelError, match="armed"):

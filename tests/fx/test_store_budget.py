@@ -125,6 +125,49 @@ class TestGlobalBudget:
         assert store.stats().cross_evictions == 0
 
 
+class TestBudgetBoundsRealMemory:
+    """The budget is enforced in live rows; the slabs holding them
+    track that number, so it bounds the memory really held."""
+
+    WIDTH = 64
+
+    def wide_rows(self, keys):
+        keys = np.asarray(keys, dtype=np.float64)
+        return np.repeat(keys, self.WIDTH).reshape(-1, self.WIDTH)
+
+    def fill(self, cache, rows, batch=400):
+        for start in range(0, rows, batch):
+            cache.get_many(np.arange(start, start + batch), self.wide_rows)
+
+    def test_shifted_traffic_and_a_lowered_budget_give_memory_back(
+        self, traced
+    ):
+        rows = 4000
+        budget = rows * self.WIDTH * 8          # bytes
+        slack = budget // 8                     # columns, index, a batch
+        store = PartialStore(capacity_floats=rows * self.WIDTH)
+        a = store.acquire("fp-a")
+        b = store.acquire("fp-b")
+        self.fill(a, rows)
+        assert store.bytes_resident == budget
+        assert traced() <= 1.5 * budget + slack      # slab growth
+        self.fill(b, rows)                      # the governor empties A
+        assert len(a) == 0 and store.bytes_resident <= budget
+        assert traced() <= 1.5 * budget + slack
+        store.set_budget(rows * self.WIDTH // 20)
+        assert store.bytes_resident <= budget // 20
+        assert traced() <= 1.5 * (budget // 20) + slack // 4
+        # What is left is still served, bit for bit, from the new slab.
+        kept = np.array(sorted(
+            key for key in range(rows) if key in b
+        ))
+        assert kept.size == store.bytes_resident // (self.WIDTH * 8)
+        np.testing.assert_array_equal(
+            b.get_many(kept, None), self.wide_rows(kept)
+        )
+        store.close()
+
+
 class TestPins:
     def test_pinned_rows_survive_cross_cache_eviction(self):
         store = PartialStore(capacity_floats=10)

@@ -55,39 +55,30 @@ def rows_for(keys):
 
 def tier_of(shard, key):
     """Which tier holds ``key`` in one PartialCache shard."""
-    if key in shard._rows:
-        return TIER_RESIDENT
-    if key in shard._compressed:
-        return shard._compressed[key][0]
-    if key in shard._spilled:
-        return TIER_SPILL
-    return None
+    return shard.tier_of(key)
 
 
-def reconcile(cache):
+def reconcile(cache, width=WIDTH):
     """Assert every shard's tier accounting against a recount of its
     actual entries — the governor's budget truth."""
     for shard in cache.shards:
-        resident = sum(row.size for row in shard._rows.values())
+        held = shard.keys()
+        resident = len(shard.keys(TIER_RESIDENT)) * width
         compressed = sum(
             float_equivalents(tier, width)
-            for tier, _, width in shard._compressed.values()
+            for tier in (TIER_FLOAT32, TIER_INT8)
+            for _ in shard.keys(tier)
         )
-        spilled = sum(w * 8 for w, _ in shard._spilled.values())
-        assert shard._floats_resident == resident
-        assert shard._compressed_floats == compressed
-        assert shard._spilled_bytes == spilled
+        spilled = len(shard.keys(TIER_SPILL)) * width * 8
+        record = shard.residency()
+        assert record.floats - record.compressed_floats == resident
+        assert record.compressed_floats == compressed
+        assert record.spilled_bytes == spilled
         assert shard.floats_resident == resident + compressed
         assert shard.bytes_resident == (resident + compressed) * 8
         # A key lives in exactly one tier.
-        keys = (
-            set(shard._rows) | set(shard._compressed)
-            | set(shard._spilled)
-        )
-        assert len(keys) == (
-            len(shard._rows) + len(shard._compressed)
-            + len(shard._spilled)
-        )
+        assert len(set(held)) == len(held)
+        assert all(shard.tier_of(key) is not None for key in held)
         stats = shard.stats()
         assert stats.compressed_floats_resident == compressed
         assert stats.compressed_bytes_resident == compressed * 8
@@ -267,7 +258,7 @@ class TestTierLadder:
         assert shard.demotions.get("drop", 0) >= 1
         assert shard.demotions.get(TIER_FLOAT32, 0) == 0
         assert store.floats_resident <= 2
-        reconcile(cache)
+        reconcile(cache, width=1)
 
     def test_gain_guard_skips_int8_for_narrow_rows(self):
         # Width 4: int8 (3 floats) charges more than float32 (2), so
@@ -285,7 +276,7 @@ class TestTierLadder:
         shard = cache.shards[0]
         assert shard.demotions.get(TIER_INT8, 0) == 0
         assert shard.demotions.get(TIER_SPILL, 0) >= 1
-        reconcile(cache)
+        reconcile(cache, width=4)
 
     def test_spilled_rows_are_terminal_until_invalidated(self):
         store, cache = self.make((TIER_SPILL,), WIDTH)
@@ -300,7 +291,7 @@ class TestTierLadder:
         dropped = cache.invalidate(np.array(spilled))
         assert dropped == len(spilled)
         assert all(k not in cache for k in spilled)
-        assert shard._spilled_bytes == 0
+        assert shard.residency().spilled_bytes == 0
         reconcile(cache)
 
     def test_compressed_rows_remain_eviction_candidates(self):
@@ -322,7 +313,7 @@ class TestTierLadder:
         assert cache.invalidate(np.arange(5)) == 5
         assert all(k not in cache for k in range(5))
         assert shard.floats_resident == 0
-        assert shard._spilled_bytes == 0
+        assert shard.residency().spilled_bytes == 0
         reconcile(cache)
 
     def test_clear_resets_every_tier_and_counter(self):
@@ -331,7 +322,7 @@ class TestTierLadder:
         cache.clear()
         shard = cache.shards[0]
         assert shard.floats_resident == 0
-        assert shard._spilled_bytes == 0
+        assert shard.residency().spilled_bytes == 0
         assert shard.demotions_total == 0 and shard.promotions_total == 0
         assert len(cache) == 0
         reconcile(cache)
@@ -345,7 +336,8 @@ class TestTierLadder:
         assert spill_root is not None and spill_root.exists()
         store.release_spill()
         assert not spill_root.exists()
-        assert shard._spilled_bytes == 0 and not shard._spilled
+        assert shard.residency().spilled_bytes == 0
+        assert not shard.keys(TIER_SPILL)
         # Memory tiers untouched; spilled keys just recompute now.
         assert shard.floats_resident == resident_before
         store.release_spill()         # idempotent

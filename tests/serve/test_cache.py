@@ -28,6 +28,21 @@ class TestGetMany:
         np.testing.assert_array_equal(calls[0], [3, 1, 7])
         assert cache.hits == 0 and cache.misses == 3
 
+    def test_the_cache_keeps_a_copy_of_what_compute_returned(self):
+        cache = PartialCache()
+        buffer = np.empty((3, 2))
+
+        def compute(keys):      # hands out a buffer it goes on to reuse
+            buffer[:] = rows_for(keys)
+            return buffer
+
+        cold = cache.get_many(np.array([1, 2, 3]), compute)
+        buffer[:] = -1.0
+        np.testing.assert_array_equal(cold, rows_for([1, 2, 3]))
+        np.testing.assert_array_equal(
+            cache.get_many(np.array([1, 2, 3]), None), rows_for([1, 2, 3])
+        )
+
     def test_warm_lookup_never_recomputes(self):
         cache = PartialCache()
         cache.get_many(np.array([1, 2, 3]), rows_for)
@@ -183,3 +198,181 @@ class TestValidation:
             PartialCache().get_many(
                 np.array([1, 2]), lambda keys: rows_for(keys[:1])
             )
+
+
+class TestRepeatedAndUnsortedKeys:
+    """``get_many`` takes RIDs in any order, repeats allowed: a
+    repeated missing key is computed and inserted once, every
+    occurrence gets the same row, hits and misses are counted per
+    requested key, and ``compute`` sees first-occurrence order."""
+
+    @staticmethod
+    def recording(calls):
+        def compute(keys):
+            calls.append(keys.tolist())
+            return rows_for(keys)
+        return compute
+
+    def test_repeats_among_hits(self):
+        cache = PartialCache()
+        cache.get_many(np.array([1, 2, 3]), rows_for)
+        calls = []
+        keys = np.array([3, 1, 3, 3, 1])
+        out = cache.get_many(keys, self.recording(calls))
+        np.testing.assert_array_equal(out, rows_for(keys))
+        assert calls == []
+        assert (cache.hits, cache.misses) == (5, 3)
+        assert cache.keys() == [2, 3, 1]     # last touch decides recency
+
+    def test_repeats_among_misses(self):
+        cache = PartialCache()
+        calls = []
+        keys = np.array([7, 4, 7, 9, 4, 7])
+        out = cache.get_many(keys, self.recording(calls))
+        np.testing.assert_array_equal(out, rows_for(keys))
+        assert calls == [[7, 4, 9]]          # once each, first-occurrence order
+        assert (cache.hits, cache.misses) == (0, 6)
+        assert len(cache) == 3 and cache.bytes_resident == 3 * 2 * 8
+        # One copy of the repeated key: invalidating it leaves nothing.
+        assert cache.invalidate(np.array([7, 7])) == 1
+        assert 7 not in cache
+        calls.clear()
+        cache.get_many(np.array([7]), self.recording(calls))
+        assert calls == [[7]]
+
+    def test_repeats_mixed_across_hits_and_misses(self):
+        cache = PartialCache(capacity=3)
+        cache.get_many(np.array([1, 2]), rows_for)
+        calls = []
+        keys = np.array([5, 2, 5, 1, 8, 2, 8])
+        out = cache.get_many(keys, self.recording(calls))
+        np.testing.assert_array_equal(out, rows_for(keys))
+        assert calls == [[5, 8]]
+        assert (cache.hits, cache.misses) == (3, 2 + 4)
+        # Hits were touched before the fresh rows landed: 1 is oldest.
+        assert cache.keys() == [2, 5, 8] and cache.evictions == 1
+
+    def test_reverse_sorted_keys(self):
+        cache = PartialCache()
+        calls = []
+        keys = np.arange(40)[::-1]
+        np.testing.assert_array_equal(
+            cache.get_many(keys, self.recording(calls)), rows_for(keys)
+        )
+        assert calls == [keys.tolist()]
+        np.testing.assert_array_equal(
+            cache.get_many(keys[::3], self.recording(calls)),
+            rows_for(keys[::3]),
+        )
+        assert len(calls) == 1
+
+    def test_repeated_pins_count_per_occurrence(self):
+        cache = PartialCache(capacity=1)
+        cache.get_many(np.array([1]), rows_for)
+        cache.pin(np.array([1, 1]))
+        cache.unpin(np.array([1]))
+        cache.get_many(np.array([2]), rows_for)     # 1 still pinned once:
+        assert 1 in cache and 2 not in cache        # the newcomer goes
+        cache.pin(np.array([1]))                    # two references again
+        cache.unpin(np.array([1, 1]))               # both go in one call
+        cache.get_many(np.array([3]), rows_for)
+        assert 1 not in cache and len(cache) == 1
+        cache.unpin(np.array([3, 3]))               # over-release is a no-op
+        cache.pin(np.array([3]))                    # ... and leaves no debt
+        cache.get_many(np.array([4]), rows_for)
+        assert 3 in cache
+
+    def test_width_is_fixed_while_rows_are_resident(self):
+        cache = PartialCache()
+        cache.get_many(np.array([1]), rows_for)
+        with pytest.raises(ModelError, match="wide"):
+            cache.get_many(np.array([2]), lambda keys: np.ones((keys.size, 5)))
+
+
+def wide_rows(keys, width=64):
+    """Rows wide enough that a slab dwarfs the interpreter's own noise."""
+    return np.repeat(np.asarray(keys, dtype=np.float64), width).reshape(-1, width)
+
+
+class TestSlabTracksLiveRows:
+    """Evicted memory is really freed and really reused: the slab
+    stops growing once the cache is full, shrinks when its rows go,
+    and what the governor budgets with is the memory held."""
+
+    SLACK = 16 * 1024   # interpreter noise, index arrays, columns
+
+    def test_churn_reuses_slots_instead_of_growing_the_slab(self, traced):
+        bound, batch, width = 64, 16, 64
+        cache = PartialCache(capacity=bound)
+        held = []
+        for start in range(0, 10 * bound, batch):
+            keys = np.arange(start, start + batch)
+            np.testing.assert_array_equal(
+                cache.get_many(keys, wide_rows), wide_rows(keys)
+            )
+            assert cache.bytes_resident == len(cache) * width * 8
+            held.append(traced())
+        assert len(cache) == bound
+        assert cache.evictions == 10 * bound - bound
+        # The slab needs the bound plus one batch in flight; it stops
+        # growing (geometrically, hence the 1.5) once that much has passed.
+        settled = held[bound // batch + 1:]
+        assert max(held) <= 1.5 * (bound + batch) * width * 8 + self.SLACK
+        assert max(settled) - min(settled) <= self.SLACK
+        # The survivors are the most recent rows, bit for bit.
+        last = np.arange(9 * bound, 10 * bound)
+        np.testing.assert_array_equal(
+            cache.get_many(last, None), wide_rows(last)
+        )
+
+    def test_invalidated_slots_are_reused_too(self, traced):
+        cache = PartialCache()
+        cache.get_many(np.arange(32), wide_rows)
+        before = traced()
+        for round_ in range(5):
+            doomed = np.arange(round_, 32, 4)
+            assert cache.invalidate(doomed) == doomed.size
+            cache.get_many(doomed, wide_rows)
+        assert traced() <= before + self.SLACK
+        assert cache.bytes_resident == 32 * 64 * 8
+
+    def test_a_batch_far_past_the_bound_does_not_leave_its_slab_behind(
+        self, traced
+    ):
+        cache = PartialCache(capacity=4)
+        cache.get_many(np.arange(1000), wide_rows)
+        assert len(cache) == 4
+        assert traced() <= 3 * cache.bytes_resident + self.SLACK
+        np.testing.assert_array_equal(
+            cache.get_many(np.arange(996, 1000), None),
+            wide_rows(np.arange(996, 1000)),
+        )
+
+    def test_invalidating_everything_gives_the_slab_back(self, traced):
+        cache = PartialCache()
+        cache.get_many(np.arange(2000), wide_rows)
+        assert traced() >= 2000 * 64 * 8
+        assert cache.invalidate(np.arange(2000)) == 2000
+        assert traced() <= self.SLACK
+        # ... and what survives a partial purge is intact, renumbered.
+        cache.get_many(np.arange(2000), wide_rows)
+        cache.invalidate(np.arange(1900))
+        assert traced() <= 3 * cache.bytes_resident + self.SLACK
+        np.testing.assert_array_equal(
+            cache.get_many(np.arange(1900, 2000)[::-1], None),
+            wide_rows(np.arange(1900, 2000)[::-1]),
+        )
+
+    def test_pins_survive_a_shrink(self):
+        cache = PartialCache(capacity=8)
+        cache.pin(np.array([3, 5]))
+        cache.get_many(np.arange(400), wide_rows)   # 3 and 5 may not go
+        assert {3, 5} <= set(cache.keys())
+        cache.invalidate(np.arange(400))            # rowless, still pinned
+        cache.get_many(np.arange(400, 408), wide_rows)
+        cache.get_many(np.array([3, 5]), wide_rows)
+        cache.get_many(np.arange(500, 900), wide_rows)
+        assert {3, 5} <= set(cache.keys())
+        cache.unpin(np.array([3, 5]))
+        cache.get_many(np.arange(900, 908), wide_rows)
+        assert not {3, 5} & set(cache.keys())

@@ -1,0 +1,175 @@
+"""Model-based differential test of the array-backed shard.
+
+``tests/serve/reference_cache.py`` is the dict / ``OrderedDict``
+``PartialCache`` that PR 16 replaced, kept verbatim as the oracle.
+Random schedules of every public operation drive both shards side by
+side; after every step the returned rows, the full ``CacheStats`` and
+``Residency`` records, the LRU order of the resident tier and the
+demotion order of the compressed tier must be identical, and a
+governor sweep must pick the same victims in the same order.
+
+Two things the oracle does are not reproduced, on purpose, and the
+schedules steer around them:
+
+* with repeated keys in one call the oracle hands ``compute`` the
+  repeats and double-counts a repeated promotion; repeats are only
+  drawn for ladder-less configurations, and ``compute``'s argument is
+  checked on the new shard alone;
+* with a ladder *and* a local bound, a promotion's make-room eviction
+  can demote a row the same call is about to read (``KeyError`` in the
+  oracle — ``test_promotion_never_evicts_the_batchs_own_rows``); ladder
+  configurations therefore pin a batch's keys around ``get_many``, as
+  a governed ``ShardedPartialCache`` does.
+"""
+
+import dataclasses
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.fx.store import PartialStore
+from repro.serve.cache import AccessClock, PartialCache
+from tests.serve import reference_cache
+
+WIDTH = 4
+UNIVERSE = 14
+
+
+@pytest.fixture(autouse=True)
+def _quiet():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        yield
+
+
+def rows_for(keys):
+    """Key-dependent rows that float32 does not represent exactly."""
+    keys = np.asarray(keys, dtype=np.float64)
+    return keys[:, None] / 3.0 + np.linspace(0.0, 1.0, WIDTH)[None, :]
+
+
+key_lists = st.lists(st.integers(0, UNIVERSE - 1), min_size=0, max_size=9)
+operations = st.one_of(
+    st.tuples(st.just("get"), key_lists),
+    st.tuples(st.just("get"), key_lists),
+    st.tuples(st.just("invalidate"), key_lists),
+    st.tuples(st.just("pin"), key_lists),
+    st.tuples(st.just("unpin"), key_lists),
+    st.tuples(st.just("sweep"), st.integers(1, 6 * WIDTH)),
+    st.tuples(st.just("clear"), st.none()),
+)
+configurations = st.fixed_dictionaries({
+    "admission": st.sampled_from(["lru", "tinylfu"]),
+    "capacity": st.one_of(st.none(), st.integers(1, 6)),
+    "capacity_floats": st.one_of(st.none(), st.integers(2, 7 * WIDTH)),
+    "clock": st.booleans(),
+    "tiers": st.sampled_from([(), ("float32",)]),
+})
+
+
+def reference_sweep(shard, deficit):
+    """The parent's ``PartialStore._sweep`` over one shard."""
+    pool = shard.eviction_candidates(deficit)
+    offered = [(c.key, c.tick, c.frequency) for c in pool]
+    pool.sort(key=lambda c: c.rank)
+    victims, freed_total = [], 0
+    for candidate in pool:
+        freed = shard.evict_if_coldest(candidate.key)
+        if freed:
+            victims.append(candidate.key)
+            freed_total += freed
+            if freed_total >= deficit:
+                break
+    return offered, victims, freed_total
+
+
+def array_sweep(shard, deficit):
+    """``PartialStore._sweep`` over one shard."""
+    keys, ticks, frequencies, frees = shard.eviction_candidates(deficit)
+    offered = list(zip(keys.tolist(), ticks.tolist(), frequencies.tolist()))
+    rank = np.lexsort((ticks, frequencies))
+    cut = np.searchsorted(np.cumsum(frees[rank]), deficit) + 1
+    victims = keys[rank[:cut]]
+    rows, freed = shard.evict(victims)
+    assert rows == victims.size
+    return offered, victims.tolist(), freed
+
+
+def assert_same_state(new, old):
+    assert dataclasses.asdict(new.stats()) == dataclasses.asdict(old.stats())
+    assert tuple(new.residency()) == tuple(old.residency())
+    assert len(new) == len(old)
+    assert new.keys("resident") == list(old._rows)
+    assert new.keys("float32") == list(old._compressed)
+    assert (new.hits, new.misses) == (old.hits, old.misses)
+    for key in range(UNIVERSE):
+        assert (key in new) == (key in old)
+
+
+@settings(max_examples=300, deadline=None)
+@given(configurations, st.lists(operations, min_size=1, max_size=30))
+def test_random_schedules_match_the_dict_shard(config, schedule):
+    config = dict(config)
+    clocked = config.pop("clock")
+    new = PartialCache(
+        clock=AccessClock() if clocked else None, **config
+    )
+    old = reference_cache.PartialCache(
+        clock=reference_cache.AccessClock() if clocked else None, **config
+    )
+    laddered = bool(config["tiers"])
+    for name, argument in schedule:
+        if name == "get":
+            keys = np.array(argument, dtype=np.int64)
+            if laddered:
+                keys = np.array(sorted(set(argument)), dtype=np.int64)
+                new.pin(keys)
+                old.pin(keys)
+            asked = []
+
+            def compute(missing):
+                asked.append(missing.copy())
+                return rows_for(missing)
+
+            got = new.get_many(keys, compute)
+            want = old.get_many(keys, rows_for)
+            if keys.size:       # the width of no rows is anyone's guess
+                np.testing.assert_array_equal(got, want)
+            assert got.shape[0] == want.shape[0]
+            for missing in asked:       # distinct, first-occurrence order
+                assert missing.tolist() == list(dict.fromkeys(missing.tolist()))
+                assert set(missing.tolist()) <= set(keys.tolist())
+            if laddered:
+                new.unpin(keys)
+                old.unpin(keys)
+        elif name in ("invalidate", "pin", "unpin"):
+            keys = np.array(argument, dtype=np.int64)
+            assert getattr(new, name)(keys) == getattr(old, name)(keys)
+        elif name == "sweep":
+            assert array_sweep(new, argument) == reference_sweep(old, argument)
+        else:
+            new.clear()
+            old.clear()
+        assert_same_state(new, old)
+
+
+def test_promotion_never_evicts_the_batchs_own_rows():
+    """Found while writing the differential test: at the parent a
+    promotion into a full, laddered, locally bounded cache demoted the
+    LRU row even when the same call was about to read it, and the
+    lookup then died with ``KeyError``.  The batch's keys are now
+    protected for the promotion's make-room pass."""
+    store = PartialStore(tiers=("float32",))
+    cache = store.acquire("fp", capacity=2)
+    cache.get_many(np.array([1, 2]), rows_for)
+    cache.get_many(np.array([3]), rows_for)          # demotes 1
+    shard = cache.shards[0]
+    assert shard.tier_of(1) == "float32"
+    out = cache.get_many(np.array([1, 2]), rows_for)  # promotes 1, reads 2
+    np.testing.assert_allclose(out, rows_for([1, 2]), rtol=1e-6)
+    assert shard.tier_of(1) == "resident" and shard.tier_of(2) == "resident"
+    assert shard.tier_of(3) == "float32"             # made room instead
+    store.close()

@@ -240,3 +240,88 @@ class TestBenchmarkHooksLand:
             (PartialCache, "get_many"),
         ):
             assert method in vars(cls), f"{cls.__name__}.{method}"
+
+
+class TestNoPerKeyPythonOnTheLookupPath:
+    """A warm hit is one ``searchsorted`` + one ``take``: the cache's
+    per-batch entry points are array code, with no Python loop whose
+    length grows with the batch.  (The TinyLFU at-capacity walk is the
+    one per-key loop left, and it lives in its own helper.)"""
+
+    CACHE = SRC_ROOT / "serve" / "cache.py"
+    SHARDING = SRC_ROOT / "fx" / "sharding.py"
+    GUARDED = [
+        (CACHE, "PartialCache", "get_many"),
+        (CACHE, "PartialCache", "pin"),
+        (CACHE, "PartialCache", "unpin"),
+        (CACHE, "PartialCache", "invalidate"),
+        (SHARDING, "ShardedPartialCache", "get_many"),
+        (SHARDING, "ShardedPartialCache", "_route"),
+    ]
+
+    @staticmethod
+    def _derived_from_keys(function: ast.FunctionDef) -> set[str]:
+        """Names (transitively) assigned from an expression that
+        mentions ``keys`` — what a per-key loop would iterate over."""
+        tainted = {"keys"}
+        grew = True
+        while grew:
+            grew = False
+            for node in ast.walk(function):
+                if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                    if node.value is None or not _names(node.value) & tainted:
+                        continue
+                    targets = (
+                        node.targets if isinstance(node, ast.Assign)
+                        else [node.target]
+                    )
+                    for target in targets:
+                        for name in ast.walk(target):
+                            if (
+                                isinstance(name, ast.Name)
+                                and name.id not in tainted
+                            ):
+                                tainted.add(name.id)
+                                grew = True
+        return tainted
+
+    @pytest.mark.parametrize(
+        "path, cls, method", GUARDED,
+        ids=[f"{cls}.{method}" for _, cls, method in GUARDED],
+    )
+    def test_no_tolist_and_no_loop_over_the_keys(self, path, cls, method):
+        function = _method(path, cls, method)
+        tainted = self._derived_from_keys(function)
+        offenders = []
+        for node in ast.walk(function):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "tolist"
+            ):
+                offenders.append((node.lineno, ".tolist()"))
+            iterables = (
+                [node.iter] if isinstance(node, (ast.For, ast.comprehension))
+                else []
+            )
+            for iterable in iterables:
+                if _names(iterable) & tainted:
+                    offenders.append((iterable.lineno, "loop over keys"))
+            if isinstance(node, ast.While):
+                offenders.append((node.lineno, "while loop"))
+        assert offenders == []
+
+    def test_the_tinylfu_walk_is_its_own_helper(self):
+        walk = _method(self.CACHE, "PartialCache", "_tinylfu_admit")
+        assert any(isinstance(node, ast.For) for node in ast.walk(walk))
+
+    def test_ordered_dict_is_gone_from_the_cache_module(self):
+        tree = _tree(self.CACHE)
+        imported = {
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        }
+        assert "OrderedDict" not in imported
+        assert "OrderedDict" not in _names(tree)
