@@ -6,14 +6,13 @@ import warnings
 
 
 from repro.data.synthetic import StarSchemaConfig, generate_star
+from repro.fx.costs import (
+    TrainingPageProfile,
+    streaming_wins_block_size,
+    training_cost_model,
+)
 from repro.gmm.algorithms import fit_m_gmm, fit_s_gmm
 from repro.gmm.base import EMConfig
-from repro.gmm.cost_model import (
-    join_pass_pages,
-    m_gmm_io_pages,
-    s_gmm_io_pages,
-    streaming_wins_block_size,
-)
 from repro.storage.catalog import Database
 
 
@@ -36,6 +35,9 @@ def run_io_crossover():
         pages_r = db["R1"].npages
         pages_s = db["S"].npages
         pages_t = None
+        model = training_cost_model(
+            "gmm", d_s=3, dim_widths=(6,), width_param=2
+        )
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             for block_pages in (2, 4, 8, 16, 64):
@@ -48,14 +50,18 @@ def run_io_crossover():
                 s = fit_s_gmm(db, star.spec, config,
                               block_pages=block_pages)
                 s_total = s.io.pages_read + s.io.pages_written
+                profile = TrainingPageProfile(
+                    fact_pages=pages_s, dim_pages=(pages_r,),
+                    joined_pages=pages_t, block_pages=block_pages,
+                )
                 # Both predictions add one extra pass feeding parameter
                 # initialization (a read of T for M, a join pass for S).
-                predicted_m = m_gmm_io_pages(
-                    pages_r, pages_s, pages_t, block_pages, iterations
+                predicted_m = model.materialized_io_pages(
+                    profile, iterations
                 ) + pages_t
-                predicted_s = s_gmm_io_pages(
-                    pages_r, pages_s, block_pages, iterations
-                ) + join_pass_pages(pages_r, pages_s, block_pages)
+                predicted_s = model.streaming_io_pages(
+                    profile, iterations
+                ) + profile.join_pass_pages()
                 rows.append(
                     (block_pages, m_total, predicted_m, s_total,
                      predicted_s)

@@ -6,13 +6,13 @@ import time
 
 import numpy as np
 
-from repro.linalg.design import FactorizedDesign
-from repro.linalg.groupsum import GroupIndex
-from repro.nn.cost_model import (
+from repro.fx.costs import (
     layer2_ops_standard,
     layer2_ops_with_reuse,
     layer2_reuse_overhead,
 )
+from repro.linalg.design import FactorizedDesign
+from repro.linalg.groupsum import GroupIndex
 from repro.nn.layers import DenseLayer
 from repro.nn.second_layer import (
     compare_second_layer,

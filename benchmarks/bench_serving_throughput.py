@@ -15,12 +15,7 @@ import warnings
 from _payload import write_payload
 from repro.core.api import fit_gmm, fit_nn, serve
 from repro.data.synthetic import StarSchemaConfig, generate_star
-from repro.serve.cost_model import (
-    gmm_serving_mults_dense,
-    gmm_serving_mults_factorized,
-    nn_serving_mults_dense,
-    nn_serving_mults_factorized,
-)
+from repro.fx.costs import serving_cost_model
 from repro.storage.catalog import Database
 
 N_S = 20_000
@@ -28,6 +23,14 @@ D_S, D_R = 5, 15
 N_H = 32
 K = 3
 TUPLE_RATIOS = (2, 10, 100, 400)
+COSTS = {
+    "gmm": serving_cost_model(
+        "gmm", d_s=D_S, dim_widths=(D_R,), width_param=K
+    ),
+    "nn": serving_cost_model(
+        "nn", d_s=D_S, dim_widths=(D_R,), width_param=N_H
+    ),
+}
 
 
 def run_serving_sweep():
@@ -83,6 +86,10 @@ def run_serving_sweep():
                     timings["nn-m"][0], timings["nn-f"][0],
                     rtol=1e-9, atol=1e-9,
                 )
+                plans = {
+                    kind: model.decide(N_S, (n_r,))
+                    for kind, model in COSTS.items()
+                }
                 rows.append(
                     {
                         "rr": rr,
@@ -92,18 +99,10 @@ def run_serving_sweep():
                         "nn_m_s": timings["nn-m"][1],
                         "nn_f_s": timings["nn-f"][1],
                         "nn_f_warm_s": warm_seconds,
-                        "gmm_mults_m": gmm_serving_mults_dense(
-                            N_S, D_S, D_R, K
-                        ),
-                        "gmm_mults_f": gmm_serving_mults_factorized(
-                            N_S, n_r, D_S, D_R, K
-                        ),
-                        "nn_mults_m": nn_serving_mults_dense(
-                            N_S, D_S, D_R, N_H
-                        ),
-                        "nn_mults_f": nn_serving_mults_factorized(
-                            N_S, n_r, D_S, D_R, N_H
-                        ),
+                        "gmm_mults_m": plans["gmm"].dense_mults,
+                        "gmm_mults_f": plans["gmm"].factorized_mults,
+                        "nn_mults_m": plans["nn"].dense_mults,
+                        "nn_mults_f": plans["nn"].factorized_mults,
                     }
                 )
     return rows
@@ -132,7 +131,7 @@ def test_serving_throughput(benchmark, results_dir):
             assert row["gmm_mults_f"] < row["gmm_mults_m"]
     lines.append(
         f"   n_S={N_S}, d_S={D_S}, d_R={D_R}, K={K}, n_h={N_H}; "
-        "mult counts from repro.serve.cost_model"
+        "mult counts from repro.fx.costs"
     )
     text = "\n".join(lines)
     sys.__stdout__.write("\n" + text + "\n")

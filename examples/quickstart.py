@@ -39,7 +39,7 @@ def main() -> None:
         print(f"join spec: {star.spec}")
 
         # --- Gaussian mixture over the (virtual) join -----------------
-        # algorithm="auto" asks the unified cost model (repro.fx.costs)
+        # algorithm="auto" asks the one cost model (repro.fx.costs)
         # to pick materialized vs factorized from the join's actual
         # cardinalities; "factorized"/"materialized"/"streaming" pin it.
         gmm = repro.fit_gmm(

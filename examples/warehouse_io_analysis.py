@@ -20,8 +20,8 @@ import warnings
 import repro
 
 from _scale import scaled
+from repro.fx.costs import streaming_wins_block_size
 from repro.gmm.algorithms import fit_m_gmm, fit_s_gmm
-from repro.gmm.cost_model import streaming_wins_block_size
 
 
 def main() -> None:

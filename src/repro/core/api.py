@@ -29,11 +29,7 @@ from repro.core.strategies import (
     resolve_strategy,
 )
 from repro.errors import ModelError
-from repro.fx.costs import (
-    TrainingPageProfile,
-    recommend_training_strategy,
-    training_cost_model,
-)
+from repro.fx.costs import TrainingPageProfile, recommend_training_strategy
 from repro.gmm.algorithms import fit_f_gmm, fit_m_gmm, fit_s_gmm
 from repro.gmm.base import EMConfig, GMMFitResult
 from repro.gmm.model import GaussianMixtureModel
@@ -112,49 +108,45 @@ def _resolve_training_strategy(
     block_pages: int = DEFAULT_BLOCK_PAGES,
 ) -> tuple[str, dict | None]:
     """Resolve a training algorithm name, settling ``"auto"`` from the
-    unified cost-model interface (:mod:`repro.fx.costs`).
+    one cost model (:mod:`repro.fx.costs`).
 
     Compute counts (cardinalities × feature widths) pick factorized
     vs dense; when dense wins, the folded-in page I/O models pick
     materialized vs streaming for the run length ``iterations`` (EM
     iterations / NN epochs), with the database's buffer-pool capacity
     as the memory budget a materialized join result must fit in.
-    Returns the strategy and, for ``"auto"``, what the cost model saw
-    (the fit result's ``extra["auto"]``); ``None`` for a named one.
+    Returns the strategy and, for ``"auto"``, the record it was decided
+    from (the fit result's ``extra["auto"]``, read off the one
+    :class:`~repro.fx.costs.TrainingDecision`); ``None`` for a named
+    one.
     """
     strategy = resolve_strategy(algorithm)
     if strategy != AUTO:
         return strategy, None
     resolved = spec.resolve(db)
     layout = resolved.layout
-    rows = resolved.num_rows
-    distinct = tuple(d.relation.nrows for d in resolved.dimensions)
-    shape = dict(
-        d_s=layout.sizes[0],
-        dim_widths=tuple(layout.sizes[1:]),
-        width_param=width_param,
-    )
     pages = TrainingPageProfile.for_join(
         resolved,
         page_size_bytes=db.page_size_bytes,
         block_pages=block_pages,
     )
-    chosen = recommend_training_strategy(
+    decision = recommend_training_strategy(
         kind,
-        rows=rows,
-        distinct=distinct,
+        rows=resolved.num_rows,
+        distinct=tuple(d.relation.nrows for d in resolved.dimensions),
+        d_s=layout.sizes[0],
+        dim_widths=tuple(layout.sizes[1:]),
+        width_param=width_param,
         pages=pages,
         iterations=iterations,
         memory_budget_pages=db.buffer_pool.capacity_pages,
-        **shape,
     )
-    model = training_cost_model(kind, **shape)
-    return chosen, {
-        "chosen": chosen,
-        "dense_mults": model.dense_mults(rows),
-        "factorized_mults": model.factorized_mults(rows, distinct),
-        "streaming_pages": model.streaming_io_pages(pages, iterations),
-        "materialized_pages": model.materialized_io_pages(pages, iterations),
+    return decision.strategy, {
+        "chosen": decision.strategy,
+        "dense_mults": decision.dense_mults,
+        "factorized_mults": decision.factorized_mults,
+        "streaming_pages": decision.streaming_pages,
+        "materialized_pages": decision.materialized_pages,
     }
 
 
@@ -254,7 +246,9 @@ def fit_nn(
     :func:`fit_gmm`, including ``"auto"``: factorized when the
     cardinalities give first-layer reuse, else materialized vs
     streaming by page I/O over ``epochs`` passes.  ``fit.extra``
-    carries the run's dedup bookkeeping.
+    carries the run's dedup bookkeeping (``dedup_ratio`` et al.), the
+    S-/F- join index's counters (``join_index``) and, under
+    ``"auto"``, what the cost model saw and chose (``auto``).
 
     >>> nn = fit_nn(db, spec, hidden_sizes=(50,), epochs=5)
     >>> nn.fit.extra["dedup_ratio"]              # doctest: +SKIP

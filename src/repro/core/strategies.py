@@ -19,8 +19,8 @@ from repro.errors import ModelError
 MATERIALIZED = "materialized"
 STREAMING = "streaming"
 FACTORIZED = "factorized"
-# Training-only: resolve materialized-vs-factorized from the unified
-# cost-model interface (repro.fx.costs) against the workload's actual
+# Training-only: resolve materialized-vs-factorized from the one cost
+# model (repro.fx.costs) against the workload's actual
 # cardinalities and widths.  Serving rejects it — the runtime's
 # per-batch "adaptive" planning is the inference-time equivalent.
 AUTO = "auto"

@@ -23,11 +23,13 @@ once and shared by training, serving, and the concurrent runtime:
   cache type the store hands out and a predictor holds: RID-hash
   shards, each a :class:`~repro.serve.cache.PartialCache` under its
   own single lock;
-* :mod:`repro.fx.costs` — one :class:`CostModel` interface with
-  serving and training adapters over the paper's published counts,
-  including the page-level training I/O models
-  (:class:`TrainingPageProfile`) that let ``algorithm="auto"`` pick
-  streaming when memory, not compute, binds;
+* :mod:`repro.fx.costs` — the one cost model: every published count
+  (Sections V-A/V-B/VI-A) stated once, one concrete
+  :class:`CostModel` per ``(kind, phase)`` whose ``decide()`` is the
+  only chooser behind both ``algorithm="auto"`` and the runtime's
+  batch planner, and the page-level training I/O model
+  (:class:`TrainingPageProfile`) that lets ``"auto"`` pick streaming
+  when memory, not compute, binds;
 * :mod:`repro.fx.sketch` — the count-min frequency sketch behind the
   TinyLFU cache-admission policy.
 
@@ -41,10 +43,7 @@ from __future__ import annotations
 
 _EXPORTS = {
     "CostModel": "repro.fx.costs",
-    "GMMServingCost": "repro.fx.costs",
-    "GMMTrainingCost": "repro.fx.costs",
-    "NNServingCost": "repro.fx.costs",
-    "NNTrainingCost": "repro.fx.costs",
+    "PlanDecision": "repro.fx.costs",
     "TrainingPageProfile": "repro.fx.costs",
     "recommend_training_strategy": "repro.fx.costs",
     "serving_cost_model": "repro.fx.costs",

@@ -1,35 +1,37 @@
-"""One cost-model interface over the paper's published counts.
+"""The one cost model: the paper's published counts, stated once.
 
-Three divergent cost-model implementations grew up around the same
-idea: :mod:`repro.gmm.cost_model` (training, Sections V-A/V-B),
-:mod:`repro.nn.cost_model` (training, Section VI) and
-:mod:`repro.serve.cost_model` (inference) each expose free functions
-with their own argument orders, and the runtime's batch planner carried
-a *fourth* copy — the multi-way generalization — inline.  This module
-is the single interface those callers now share:
+Sections V-A/V-B/VI-A of the paper are a single idea — *count the work
+at* ``n`` *fact rows versus* ``m`` *distinct dimension rows* — and this
+module is its only statement in the package.  Three layers:
 
-* :class:`CostModel` — the protocol: ``dense_mults(n)`` vs
-  ``factorized_mults(n, distinct, hit_rates)`` for one workload shape,
-  plus ``choose()``/``saving_rate()`` built on top;
-* :class:`NNServingCost` / :class:`GMMServingCost` — inference
-  adapters: one additive multi-way formula each, which at one
-  dimension *is* the published :mod:`repro.serve.cost_model`
-  binary-join formula (asserted by the tests against that module);
-* :class:`NNTrainingCost` / :class:`GMMTrainingCost` — per-pass
-  training adapters over the Section V-B / VI-A1 counts, consumed by
-  the ``algorithm="auto"`` training strategy resolution.
+* **Unit counts** (:func:`layer1_units`, :func:`outer_units`,
+  :func:`mahalanobis_units`): for one join layout ``(d_S, d_R1..d_Rq)``
+  the multiplications a *dense row* pays, a *factorized row* pays, and
+  each *distinct RID* of dimension ``i`` pays once.  They are written at
+  arbitrary arity; a binary join is the same formula at ``q = 1``.
+* **:class:`CostModel`** — one concrete class, selected by
+  ``(kind, phase)`` from :data:`COUNT_TABLE`, that scales the unit
+  counts by the model's per-row multiplier (hidden width ``n_h`` /
+  component count ``K``) and by a batch's ``(n, distinct, hit_rates)``.
+  :meth:`CostModel.decide` is the only place the choice between the
+  factorized and the materialized representation is made; both
+  ``algorithm="auto"`` (through :func:`recommend_training_strategy`)
+  and the runtime's :class:`~repro.runtime.planner.BatchPlanner` call
+  it and keep the :class:`PlanDecision` it returns.
+* **Paper analyses without a chooser** — the §V-A BlockSize crossover,
+  the §V-B ``Δτ/τ`` saving with per-op time weights, the §VI-A2
+  "reuse never wins at layer 2" op counts, the §VI-A3 backward field
+  counts and the break-even tuple ratios — validated by
+  ``tests/fx/test_costs.py`` and the ``bench_io_cost`` /
+  ``bench_layer2_ablation`` / ``bench_serving_throughput`` benches.
 
-The training adapters also fold in the paper's *page-level I/O*
-models (Section V-A and its NN twin): given a
-:class:`TrainingPageProfile` they answer
-``materialized_io_pages()`` / ``streaming_io_pages()`` — binary joins
-delegate to the published :mod:`repro.gmm.cost_model` /
-:mod:`repro.nn.cost_model` page formulas exactly, multi-way joins use
-the additive ``|S| + Σ|R_i|`` pass generalization.  That is what lets
-:func:`recommend_training_strategy` return ``"streaming"``: when the
+The training models also carry the page-level I/O model (Section V-A
+and its NN twin): given a :class:`TrainingPageProfile` they answer
+:meth:`~CostModel.materialized_io_pages` /
+:meth:`~CostModel.streaming_io_pages`, which is what lets
+:func:`recommend_training_strategy` return ``"streaming"`` when the
 dense representation wins on compute but materializing ``T`` loses on
-pages (or ``T`` would blow a memory budget), streaming is the honest
-answer — memory, not compute, was the binding constraint.
+pages (or would not fit the memory budget).
 
 Ties go to the dense path everywhere: when factorization saves
 nothing, the wide batch avoids gather bookkeeping and cache
@@ -41,16 +43,119 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from typing import Protocol, runtime_checkable
-
 from repro.core.strategies import FACTORIZED, MATERIALIZED, STREAMING
 from repro.errors import ModelError
-from repro.gmm.cost_model import dense_outer_cost, join_pass_pages
-from repro.nn.cost_model import layer1_forward_mults_dense
-from repro.serve.cost_model import (
-    gmm_serving_mults_dense,
-    nn_serving_mults_dense,
-)
+
+TRAIN, SERVE = "train", "serve"
+
+
+def _check_positive(**values: float) -> None:
+    for name, value in values.items():
+        if value <= 0:
+            raise ModelError(f"{name} must be positive, got {value}")
+
+
+def _whole(name: str, value, least: int) -> int:
+    """``value`` as an ``int``; integral and ``>= least`` or ModelError."""
+    if value != int(value) or value < least:
+        raise ModelError(
+            f"{name} must be an integer >= {least}, got {value!r}"
+        )
+    return int(value)
+
+
+def saving_rate(dense: float, factorized: float) -> float:
+    """Fraction of the dense work the factorized path removes."""
+    return (dense - factorized) / dense if dense else 0.0
+
+
+# -- unit counts: per dense row, per factorized row, per distinct RID ----------
+
+
+def layer1_units(d_s: int, widths: tuple[int, ...]):
+    """First-layer products per hidden unit (Section VI-A1).
+
+    A dense row pays ``d = d_S + Σ d_Ri``; factorized, a row pays
+    ``d_S`` and the ``W_Ri x_Ri`` term is computed once per distinct
+    RID (``d_Ri``) and reused.  Training and inference share this
+    count — a forward pass is a forward pass.
+    """
+    return d_s + sum(widths), d_s, tuple(widths)
+
+
+def outer_units(d_s: int, widths: tuple[int, ...]):
+    """Σ-update outer-product multiplications per component (Eq. 14).
+
+    A dense row pays ``d²``.  Factorized (Section V-B), each
+    dimension's diagonal block ``d_Ri²`` runs once per distinct RID
+    with ``PD_R`` and the LR block reused, so a row keeps
+    ``d² − Σ d_Ri²`` (``d_S² + 2·d_S·d_R`` for a binary join).
+    """
+    d = d_s + sum(widths)
+    squares = tuple(w * w for w in widths)
+    return d * d, d * d - sum(squares), squares
+
+
+def mahalanobis_units(d_s: int, widths: tuple[int, ...]):
+    """Mahalanobis scoring multiplications per component (Eq. 7, 9–12/19).
+
+    A dense row pays ``d² + d`` (``C·I`` plus the row-wise dot).
+    Factorized, a row pays the UL block (``d_S² + d_S``), one cross dot
+    per dimension (``d_S``) and one coupling dot per dimension pair
+    (``d_Rj`` for every earlier dimension ``i < j``); a distinct RID of
+    dimension ``i`` pays the cross product (``d_Ri·d_S``), the LR form
+    (``d_Ri² + d_Ri``) and the coupling factors against later
+    dimensions — skipped entirely for cached partials.
+    """
+    d = d_s + sum(widths)
+    row = d_s * d_s + d_s + d_s * len(widths) + sum(
+        j * w for j, w in enumerate(widths)
+    )
+    per_distinct = tuple(
+        w * d_s + w * w + w + w * sum(widths[i + 1:])
+        for i, w in enumerate(widths)
+    )
+    return d * d + d, row, per_distinct
+
+
+#: ``(kind, phase)`` → (unit counts, data passes per training iteration).
+#: EM reads the join three times per iteration (E-step, ``Sum_µ``,
+#: ``Sum_Σ`` — Algorithm 1); an NN epoch, like a scoring pass, once.
+COUNT_TABLE = {
+    ("gmm", TRAIN): (outer_units, 3),
+    ("nn", TRAIN): (layer1_units, 1),
+    ("gmm", SERVE): (mahalanobis_units, 1),
+    ("nn", SERVE): (layer1_units, 1),
+}
+
+
+# -- Section V-A: page I/O -----------------------------------------------------
+
+
+def join_pass_pages(pages_r: int, pages_s: int, block_pages: int) -> int:
+    """Pages read by one BNL pass: ``|R| + ceil(|R|/BlockSize)·|S|``."""
+    _check_positive(pages_r=pages_r, pages_s=pages_s, block_pages=block_pages)
+    return pages_r + math.ceil(pages_r / block_pages) * pages_s
+
+
+def streaming_wins_block_size(
+    pages_r: int, pages_s: int, pages_t: int, iterations: int
+) -> float:
+    """The BlockSize crossover of Section V-A.
+
+    S-GMM incurs less I/O than M-GMM when ``BlockSize`` exceeds
+    ``(3·iter−1)|R||S| / ((3·iter+1)|T| − (3·iter−1)|R|)``.  Returns
+    ``inf`` when the denominator is non-positive (S-GMM never wins).
+    """
+    _check_positive(
+        pages_r=pages_r, pages_s=pages_s, pages_t=pages_t,
+        iterations=iterations,
+    )
+    factor = 3 * iterations - 1
+    denominator = (3 * iterations + 1) * pages_t - factor * pages_r
+    if denominator <= 0:
+        return math.inf
+    return factor * pages_r * pages_s / denominator
 
 
 @dataclass(frozen=True)
@@ -61,8 +166,8 @@ class TrainingPageProfile:
     ``joined_pages`` is (an estimate of) the materialized join result
     ``|T|``; ``block_pages`` is the BNL outer-block size the run will
     use.  Built by ``algorithm="auto"`` resolution from the resolved
-    join (:func:`TrainingPageProfile.for_join`) and consumed by the
-    training adapters' I/O methods.
+    join (:func:`TrainingPageProfile.for_join`) and consumed by
+    :class:`CostModel`'s I/O methods.
     """
 
     fact_pages: int
@@ -71,17 +176,12 @@ class TrainingPageProfile:
     block_pages: int = 64
 
     def __post_init__(self) -> None:
-        if (
-            self.fact_pages <= 0
-            or self.joined_pages <= 0
-            or self.block_pages <= 0
-            or not self.dim_pages
-            or any(p <= 0 for p in self.dim_pages)
-        ):
-            raise ModelError(
-                "a page profile needs positive page counts and at "
-                "least one dimension"
-            )
+        if not self.dim_pages:
+            raise ModelError("a page profile needs at least one dimension")
+        _check_positive(
+            fact_pages=self.fact_pages, joined_pages=self.joined_pages,
+            block_pages=self.block_pages, dim_pages=min(self.dim_pages),
+        )
 
     @classmethod
     def for_join(cls, resolved, *, page_size_bytes: int,
@@ -116,8 +216,8 @@ class TrainingPageProfile:
         """Pages one BNL pass over the base relations reads.
 
         Binary joins follow Section V-A exactly
-        (``|R| + ceil(|R|/BlockSize)·|S|``); multi-way star joins read
-        each dimension once and stream the fact relation
+        (:func:`join_pass_pages`); multi-way star joins read each
+        dimension once and stream the fact relation
         (``|S| + Σ|R_i|``).
         """
         if len(self.dim_pages) == 1:
@@ -127,312 +227,168 @@ class TrainingPageProfile:
         return self.fact_pages + sum(self.dim_pages)
 
 
-@runtime_checkable
-class CostModel(Protocol):
-    """Multiplication counts for one model over one join layout.
+# -- the model and its decision -------------------------------------------------
 
-    Implementations fix the static layout (fact width ``d_s``, one
-    width per dimension, and the model's per-row work multiplier —
-    hidden width ``n_h`` for networks, component count ``K`` for
-    mixtures); calls supply the per-batch quantities: ``n`` rows,
-    per-dimension ``distinct`` RID counts, and optionally the current
-    per-dimension cache hit rates.
+
+@dataclass(frozen=True)
+class PlanDecision:
+    """What :meth:`CostModel.decide` saw and chose, kept for
+    observability (``PlannerStats.recent``, ``ExecMeta.decisions``)."""
+
+    strategy: str
+    rows: int
+    distinct: tuple[int, ...]      # per-dimension distinct-RID counts
+    dense_mults: int
+    factorized_mults: int
+
+    @property
+    def saving_rate(self) -> float:
+        return saving_rate(self.dense_mults, self.factorized_mults)
+
+
+@dataclass(frozen=True)
+class TrainingDecision(PlanDecision):
+    """A :class:`PlanDecision` for a whole training run, with the page
+    totals that settled materialized vs streaming (``None`` when the
+    caller gave no page profile or run length)."""
+
+    streaming_pages: int | None = None
+    materialized_pages: int | None = None
+
+
+class CostModel:
+    """Multiplication and page counts for one model over one join layout.
+
+    ``kind`` (``"gmm"`` | ``"nn"``) and ``phase`` (``"train"`` |
+    ``"serve"``) select the :data:`COUNT_TABLE` row; ``d_s`` /
+    ``dim_widths`` fix the layout and ``width_param`` is the model's
+    per-row work multiplier (hidden width ``n_h`` for networks,
+    component count ``K`` for mixtures) — all positive integers.
+    Calls supply the per-batch quantities: ``n`` rows, per-dimension
+    ``distinct`` RID counts (non-negative integers; ``n = 0`` is
+    legal) and optionally the per-dimension cache hit rates, clamped
+    to ``[0, 1]``.  Training holds no partial caches, so a training
+    model ignores hit rates.
     """
 
-    kind: str
-
-    def dense_mults(self, n: int) -> int: ...
-
-    def factorized_mults(
-        self,
-        n: int,
-        distinct: tuple[int, ...],
-        hit_rates: tuple[float, ...] | None = None,
-    ) -> int: ...
-
-    def choose(
-        self,
-        n: int,
-        distinct: tuple[int, ...],
-        hit_rates: tuple[float, ...] | None = None,
-    ) -> str: ...
-
-
-class _CostModelBase:
-    """Layout validation plus the decision logic shared by adapters."""
-
-    kind = "?"
-
     def __init__(
-        self, d_s: int, dim_widths: tuple[int, ...], width_param: int
+        self, kind: str, phase: str, *, d_s: int,
+        dim_widths: tuple[int, ...], width_param: int,
     ) -> None:
-        if d_s <= 0 or width_param <= 0 or not dim_widths:
+        try:
+            units, self.passes_per_iteration = COUNT_TABLE[kind, phase]
+        except KeyError:
             raise ModelError(
-                "cost model needs positive d_s, width_param and at "
-                "least one dimension"
-            )
-        if any(w <= 0 for w in dim_widths):
-            raise ModelError(
-                f"dimension widths must be positive, got {dim_widths}"
-            )
-        self.d_s = int(d_s)
-        self.dim_widths = tuple(int(w) for w in dim_widths)
-        self.width_param = int(width_param)
+                f"unknown cost model {(kind, phase)!r}; kind is "
+                "'gmm'|'nn', phase 'train'|'serve'"
+            ) from None
+        if not dim_widths:
+            raise ModelError("cost model needs at least one dimension")
+        self.kind, self.phase = kind, phase
+        self.d_s = _whole("d_s", d_s, 1)
+        self.dim_widths = tuple(
+            _whole("dimension width", w, 1) for w in dim_widths
+        )
+        self.width_param = _whole("width_param", width_param, 1)
+        self._dense_row, self._factorized_row, self._per_distinct = units(
+            self.d_s, self.dim_widths
+        )
 
     @property
     def num_dimensions(self) -> int:
         return len(self.dim_widths)
 
-    def _normalize(self, n, distinct, hit_rates):
-        distinct = tuple(int(m) for m in distinct)
-        if len(distinct) != self.num_dimensions:
-            raise ModelError(
-                f"got {len(distinct)} distinct counts for "
-                f"{self.num_dimensions} dimensions"
-            )
-        if hit_rates is None:
-            hit_rates = tuple(0.0 for _ in distinct)
-        if len(hit_rates) != self.num_dimensions:
-            raise ModelError(
-                f"got {len(hit_rates)} hit rates for "
-                f"{self.num_dimensions} dimensions"
-            )
-        hit_rates = tuple(min(1.0, max(0.0, float(h))) for h in hit_rates)
-        return int(n), distinct, hit_rates
+    def decide(self, n, distinct, hit_rates=None) -> PlanDecision:
+        """Both counts for one batch and the strategy with strictly
+        fewer expected multiplications (ties → materialized: no gather
+        or cache bookkeeping; an empty batch → factorized, at no cost).
 
-    def choose(self, n, distinct, hit_rates=None) -> str:
-        """The strategy with strictly fewer expected multiplications
-        (ties → materialized: no gather or cache bookkeeping)."""
+        Cached partials are free on the dimension side, so dimension
+        ``i``'s per-distinct work is discounted by ``hit_rates[i]`` —
+        the link to runtime cache state.
+        """
+        q = self.num_dimensions
+        if len(distinct) != q:
+            raise ModelError(
+                f"got {len(distinct)} distinct counts for {q} dimensions"
+            )
+        n = _whole("n", n, 0)
+        distinct = tuple(_whole("distinct", m, 0) for m in distinct)
+        if hit_rates is None or self.phase == TRAIN:
+            misses = (1,) * q
+        elif len(hit_rates) != q:
+            raise ModelError(
+                f"got {len(hit_rates)} hit rates for {q} dimensions"
+            )
+        else:
+            misses = tuple(
+                1.0 - min(1.0, max(0.0, float(h))) for h in hit_rates
+            )
         if n == 0:
-            return FACTORIZED
-        factorized = self.factorized_mults(n, distinct, hit_rates)
-        return FACTORIZED if factorized < self.dense_mults(n) else (
-            MATERIALIZED
-        )
-
-    def saving_rate(self, n, distinct, hit_rates=None) -> float:
-        """Fraction of multiplications the factorized path removes."""
-        dense = self.dense_mults(n)
-        if not dense:
-            return 0.0
-        return (dense - self.factorized_mults(n, distinct, hit_rates)) / (
-            dense
-        )
-
-
-# -- serving adapters ----------------------------------------------------------
-
-
-class NNServingCost(_CostModelBase):
-    """First-layer inference counts (Section VI-A1, one forward pass)."""
-
-    kind = "nn"
+            return PlanDecision(FACTORIZED, 0, distinct, 0, 0)
+        p = self.width_param
+        dense = n * p * self._dense_row
+        factorized = n * p * self._factorized_row
+        for miss, m, unit in zip(misses, distinct, self._per_distinct):
+            factorized += miss * m * p * unit
+        factorized = round(factorized)
+        strategy = FACTORIZED if factorized < dense else MATERIALIZED
+        return PlanDecision(strategy, n, distinct, dense, factorized)
 
     def dense_mults(self, n: int) -> int:
-        # Dense scoring only sees the total width, so the cost model's
-        # binary formula covers every join shape.
-        if n == 0:
-            return 0
-        return nn_serving_mults_dense(
-            n, self.d_s, sum(self.dim_widths), self.width_param
-        )
+        """Multiplications over ``n`` materialized rows (the dense
+        count does not depend on ``distinct``)."""
+        return self.decide(n, (0,) * self.num_dimensions).dense_mults
 
     def factorized_mults(self, n, distinct, hit_rates=None) -> int:
-        n, distinct, hit_rates = self._normalize(n, distinct, hit_rates)
-        if n == 0:
-            return 0
-        total = n * self.width_param * self.d_s
-        for m, d_r, hit in zip(distinct, self.dim_widths, hit_rates):
-            total += (1.0 - hit) * m * self.width_param * d_r
-        return round(total)
+        """Expected multiplications with per-distinct-RID reuse."""
+        return self.decide(n, distinct, hit_rates).factorized_mults
 
+    # -- page-level training I/O (Section V-A and its NN twin) --------------
 
-class GMMServingCost(_CostModelBase):
-    """Mahalanobis scoring counts (Eq. 9–12/19, one scoring pass)."""
-
-    kind = "gmm"
-
-    def dense_mults(self, n: int) -> int:
-        if n == 0:
-            return 0
-        return gmm_serving_mults_dense(
-            n, self.d_s, sum(self.dim_widths), self.width_param
-        )
-
-    def factorized_mults(self, n, distinct, hit_rates=None) -> int:
-        n, distinct, hit_rates = self._normalize(n, distinct, hit_rates)
-        if n == 0:
-            return 0
-        k = self.width_param
-        # Per fact row, the UL block + one cross dot per dimension +
-        # one coupling dot per dimension pair (Eq. 9-12/19); per
-        # distinct RID of dimension i, the cross product, the LR form
-        # and the coupling factors against later dimensions.
-        widths = self.dim_widths
-        total = n * k * (self.d_s * self.d_s + self.d_s)
-        total += n * k * self.d_s * len(widths)        # cross dots
-        for i in range(len(widths)):
-            for j in range(i + 1, len(widths)):
-                total += n * k * widths[j]             # coupling dots
-        for i, (m, d_r, hit) in enumerate(
-            zip(distinct, widths, hit_rates)
-        ):
-            later = sum(widths[i + 1:])
-            per_distinct = (
-                d_r * self.d_s + d_r * d_r + d_r + d_r * later
-            )
-            total += (1.0 - hit) * m * k * per_distinct
-        return round(total)
-
-
-# -- training adapters ---------------------------------------------------------
-
-
-class _TrainingIOBase(_CostModelBase):
-    """Page-level I/O shared by the training adapters.
-
-    ``passes_per_iteration`` is how many times one training iteration
-    reads the joined data: three for EM (E-step, ``Sum_µ``, ``Sum_Σ``
-    — Algorithm 1), one for an NN epoch (forward and backward share a
-    pass).  For binary joins these counts reproduce the published page
-    formulas (:func:`repro.gmm.cost_model.m_gmm_io_pages` /
-    :func:`~repro.gmm.cost_model.s_gmm_io_pages` and
-    :func:`repro.nn.cost_model.m_nn_io_pages` /
-    :func:`~repro.nn.cost_model.s_nn_io_pages`) exactly — asserted by
-    the tests; multi-way joins use the additive pass generalization of
-    :meth:`TrainingPageProfile.join_pass_pages`.
-    """
-
-    passes_per_iteration = 1
-
-    def _check_profile(self, profile: TrainingPageProfile) -> None:
+    def _data_passes(self, profile: TrainingPageProfile, iterations) -> int:
         if len(profile.dim_pages) != self.num_dimensions:
             raise ModelError(
                 f"page profile covers {len(profile.dim_pages)} "
                 f"dimensions, the cost model has {self.num_dimensions}"
             )
+        _check_positive(iterations=iterations)
+        return self.passes_per_iteration * iterations
 
     def materialized_io_pages(
         self, profile: TrainingPageProfile, iterations: int
     ) -> int:
         """Pages the M- strategy moves: one join pass, ``|T|`` writes,
         then ``passes_per_iteration`` reads of ``T`` per iteration."""
-        self._check_profile(profile)
-        return (
-            profile.join_pass_pages()
-            + profile.joined_pages
-            + self.passes_per_iteration * iterations * profile.joined_pages
-        )
+        passes = self._data_passes(profile, iterations)
+        return profile.join_pass_pages() + (1 + passes) * profile.joined_pages
 
     def streaming_io_pages(
         self, profile: TrainingPageProfile, iterations: int
     ) -> int:
         """Pages the S-/F- strategies read: one join pass per data
         pass, nothing ever written."""
-        self._check_profile(profile)
-        return (
-            self.passes_per_iteration
-            * iterations
-            * profile.join_pass_pages()
+        return self._data_passes(profile, iterations) * (
+            profile.join_pass_pages()
         )
-
-
-class NNTrainingCost(_TrainingIOBase):
-    """Per-pass first-layer training counts (Section VI-A1).
-
-    Each dimension's saved products ``(n − m_i)·n_h·d_Ri`` come off
-    the dense count — the same additive structure the serving adapters
-    use; at one dimension this is
-    :func:`repro.nn.cost_model.layer1_forward_mults_factorized`
-    exactly (asserted by the tests).  ``hit_rates`` are accepted for
-    interface uniformity but training holds no partial caches, so they
-    are ignored.
-    """
-
-    kind = "nn"
-
-    def dense_mults(self, n: int) -> int:
-        if n == 0:
-            return 0
-        return layer1_forward_mults_dense(
-            n, self.d_s + sum(self.dim_widths), self.width_param
-        )
-
-    def factorized_mults(self, n, distinct, hit_rates=None) -> int:
-        n, distinct, _ = self._normalize(n, distinct, hit_rates)
-        if n == 0:
-            return 0
-        total = self.dense_mults(n)
-        for m, d_r in zip(distinct, self.dim_widths):
-            total -= (n - m) * self.width_param * d_r
-        return total
-
-
-class GMMTrainingCost(_TrainingIOBase):
-    """Per-pass Σ-update outer-product counts (Eq. 14, Section V-B).
-
-    Each dimension's diagonal block runs at distinct cardinality,
-    i.e. ``(n − m_i)·d_Ri²`` per dimension comes off the dense count;
-    at one dimension these are the multiplication counts of
-    :func:`repro.gmm.cost_model.dense_outer_cost` /
-    :func:`~repro.gmm.cost_model.factorized_outer_cost` times the
-    component count (asserted by the tests).  ``width_param`` is the
-    component count ``K``;
-    ``hit_rates`` are ignored (training holds no partial caches).
-    """
-
-    kind = "gmm"
-    passes_per_iteration = 3
-
-    def dense_mults(self, n: int) -> int:
-        # dense_outer_cost only sees the total width, so the binary
-        # formula covers every join shape (d_r = Σ d_Ri).
-        if n == 0:
-            return 0
-        per_component = dense_outer_cost(
-            n, self.d_s, sum(self.dim_widths)
-        ).multiplications
-        return self.width_param * int(per_component)
-
-    def factorized_mults(self, n, distinct, hit_rates=None) -> int:
-        n, distinct, _ = self._normalize(n, distinct, hit_rates)
-        if n == 0:
-            return 0
-        total = self.dense_mults(n)
-        for m, d_r in zip(distinct, self.dim_widths):
-            total -= self.width_param * (n - m) * d_r * d_r
-        return total
-
-
-# -- factories and strategy recommendation ------------------------------------
-
-
-_SERVING = {"gmm": GMMServingCost, "nn": NNServingCost}
-_TRAINING = {"gmm": GMMTrainingCost, "nn": NNTrainingCost}
-
-
-def _make(registry, kind, d_s, dim_widths, width_param):
-    try:
-        cls = registry[kind]
-    except KeyError:
-        raise ModelError(
-            f"unknown cost-model kind {kind!r}; use 'gmm'|'nn'"
-        ) from None
-    return cls(d_s, dim_widths, width_param)
 
 
 def serving_cost_model(
     kind: str, *, d_s: int, dim_widths: tuple[int, ...], width_param: int
 ) -> CostModel:
-    """The inference cost adapter for ``kind`` ("gmm" | "nn")."""
-    return _make(_SERVING, kind, d_s, dim_widths, width_param)
+    """The inference cost model for ``kind`` ("gmm" | "nn")."""
+    return CostModel(
+        kind, SERVE, d_s=d_s, dim_widths=dim_widths, width_param=width_param
+    )
 
 
 def training_cost_model(
     kind: str, *, d_s: int, dim_widths: tuple[int, ...], width_param: int
 ) -> CostModel:
-    """The per-pass training cost adapter for ``kind`` ("gmm" | "nn")."""
-    return _make(_TRAINING, kind, d_s, dim_widths, width_param)
+    """The per-pass training cost model for ``kind`` ("gmm" | "nn")."""
+    return CostModel(
+        kind, TRAIN, d_s=d_s, dim_widths=dim_widths, width_param=width_param
+    )
 
 
 def recommend_training_strategy(
@@ -446,48 +402,251 @@ def recommend_training_strategy(
     pages: TrainingPageProfile | None = None,
     iterations: int | None = None,
     memory_budget_pages: int | None = None,
-) -> str:
+) -> TrainingDecision:
     """Pick a training strategy from compute *and* page I/O counts.
 
     ``rows`` is the join cardinality and ``distinct`` the dimension
     relation cardinalities — the static estimate of the per-batch
-    tuple ratio.  Compute decides first: if factorization removes
-    multiplications, ``"factorized"`` wins outright (it also has the
-    cheapest I/O — the streaming page schedule, nothing written).
+    tuple ratio.  Compute decides first (:meth:`CostModel.decide`): if
+    factorization removes multiplications, ``"factorized"`` wins
+    outright (it also has the cheapest I/O — the streaming page
+    schedule, nothing written).
 
     When the dense representation wins on compute, the remaining
     question is *where the dense batches come from*, and that is pure
     I/O: with a ``pages`` profile and the run length (``iterations`` —
-    EM iterations for ``"gmm"``, epochs for ``"nn"``), the adapter's
+    EM iterations for ``"gmm"``, epochs for ``"nn"``), the model's
     page counts settle materialize-once-read-many against
-    re-join-every-pass, and ``"streaming"`` is returned when it moves
+    re-join-every-pass, and ``"streaming"`` is chosen when it moves
     fewer pages.  ``memory_budget_pages`` (e.g. the database's buffer
     pool capacity) is the memory clamp: a materialized ``T`` bigger
     than the budget cannot be served from cache, so streaming wins
     regardless of raw page counts.  Without ``pages`` the decision is
-    compute-only, as before.
+    compute-only.  The returned record carries everything the choice
+    was made from — ``algorithm="auto"`` stores it as
+    ``fit.extra["auto"]``.
 
     >>> recommend_training_strategy(
     ...     "gmm", rows=500, distinct=(500,), d_s=2, dim_widths=(10,),
     ...     width_param=3,
     ...     pages=TrainingPageProfile(
     ...         fact_pages=6, dim_pages=(11,), joined_pages=17),
-    ...     iterations=1)
+    ...     iterations=1).strategy
     'streaming'
     """
     model = training_cost_model(
         kind, d_s=d_s, dim_widths=dim_widths, width_param=width_param
     )
-    choice = model.choose(rows, distinct)
-    if choice == FACTORIZED or pages is None:
-        return choice
-    if (
-        memory_budget_pages is not None
-        and pages.joined_pages > memory_budget_pages
-    ):
-        return STREAMING
-    if iterations is None:
-        return choice
-    streaming = model.streaming_io_pages(pages, iterations)
-    materialized = model.materialized_io_pages(pages, iterations)
-    return STREAMING if streaming < materialized else MATERIALIZED
+    compute = model.decide(rows, distinct)
+    streaming = materialized = None
+    if pages is not None and iterations is not None:
+        streaming = model.streaming_io_pages(pages, iterations)
+        materialized = model.materialized_io_pages(pages, iterations)
+    strategy = compute.strategy
+    if strategy == MATERIALIZED and pages is not None:
+        over_budget = (
+            memory_budget_pages is not None
+            and pages.joined_pages > memory_budget_pages
+        )
+        fewer_pages = streaming is not None and streaming < materialized
+        if over_budget or fewer_pages:
+            strategy = STREAMING
+    return TrainingDecision(
+        strategy, compute.rows, compute.distinct, compute.dense_mults,
+        compute.factorized_mults, streaming, materialized,
+    )
+
+
+# -- Section V-B: the Σ-update saving with per-op time weights ------------------
+
+
+@dataclass(frozen=True)
+class ComputeCost:
+    """Operation counts for the Σ-update outer product (Eq. 14)."""
+
+    subtractions: float
+    multiplications: float
+
+    def time(self, tau_s: float = 1.0, tau_m: float = 1.0) -> float:
+        """Weighted time with per-op costs ``τ_s`` and ``τ_m``."""
+        return self.subtractions * tau_s + self.multiplications * tau_m
+
+
+def dense_outer_cost(n_s: int, d_s: int, d_r: int) -> ComputeCost:
+    """Baseline cost of Eq. 14 over the join result.
+
+    ``N = n_S`` tuples each need ``d`` subtractions and ``d²``
+    multiplications, ``d = d_S + d_R`` (Section V-B).
+    """
+    _check_positive(n_s=n_s, d_s=d_s, d_r=d_r)
+    return ComputeCost(
+        subtractions=n_s * (d_s + d_r),
+        multiplications=n_s * outer_units(d_s, (d_r,))[0],
+    )
+
+
+def factorized_outer_cost(
+    n_s: int, n_r: int, d_s: int, d_r: int
+) -> ComputeCost:
+    """F-GMM cost of Eq. 14 with ``PD_R`` and LR reused (Section V-B)."""
+    _check_positive(n_s=n_s, n_r=n_r, d_s=d_s, d_r=d_r)
+    _, per_row, (per_distinct,) = outer_units(d_s, (d_r,))
+    return ComputeCost(
+        subtractions=n_s * d_s + n_r * d_r,
+        multiplications=n_s * per_row + n_r * per_distinct,
+    )
+
+
+def outer_saving(
+    n_s: int,
+    n_r: int,
+    d_s: int,
+    d_r: int,
+    tau_s: float = 1.0,
+    tau_m: float = 1.0,
+) -> float:
+    """Closed-form saving ``Δτ = (n_S − n_R)·d_R·(τ_s + d_R·τ_m)``."""
+    _check_positive(n_s=n_s, n_r=n_r, d_s=d_s, d_r=d_r)
+    return (n_s - n_r) * d_r * (tau_s + d_r * tau_m)
+
+
+def outer_saving_rate(
+    n_s: int,
+    n_r: int,
+    d_s: int,
+    d_r: int,
+    tau_s: float = 1.0,
+    tau_m: float = 1.0,
+) -> float:
+    """The saving rate ``Δτ/τ`` of Section V-B.
+
+    Monotonically increasing in both ``d_R`` and the tuple ratio
+    ``rr = n_S/n_R`` for fixed ``d_S`` — the trend Figs. 3(a)/(b)
+    confirm empirically.
+    """
+    baseline = dense_outer_cost(n_s, d_s, d_r).time(tau_s, tau_m)
+    return outer_saving(n_s, n_r, d_s, d_r, tau_s, tau_m) / baseline
+
+
+# -- Section VI-A2: reuse beyond the first layer --------------------------------
+
+
+@dataclass(frozen=True)
+class Layer2OpCount:
+    """Multiplications and additions to produce all second-layer units."""
+
+    multiplications: int
+    additions: int
+
+    @property
+    def total(self) -> int:
+        return self.multiplications + self.additions
+
+
+def layer2_ops_standard(n: int, n_h: int, n_l: int) -> Layer2OpCount:
+    """Eq. 25: each of the ``n_l`` units needs ``n_h`` multiplications
+    and ``n_h`` additions per tuple."""
+    _check_positive(n=n, n_h=n_h, n_l=n_l)
+    return Layer2OpCount(
+        multiplications=n * n_l * n_h, additions=n * n_l * n_h
+    )
+
+
+def layer2_ops_with_reuse(
+    n: int, m: int, n_h: int, n_l: int
+) -> Layer2OpCount:
+    """Eq. 27: the per-tuple cost is unchanged (``n_h`` mult + ``n_h``
+    add to combine ``w⁽²⁾f(T1)`` and add ``T3``), while building ``T3``
+    costs another ``n_h`` mult + ``n_h`` add per distinct dimension
+    tuple — the standard count at ``n + m`` rows, so reuse can never
+    win at layer 2."""
+    _check_positive(n=n, m=m)
+    return layer2_ops_standard(n + m, n_h, n_l)
+
+
+def layer2_reuse_overhead(n: int, m: int, n_h: int, n_l: int) -> int:
+    """Extra operations the layer-2 reuse performs versus standard —
+    strictly positive for any ``m ≥ 1`` (the paper's conclusion)."""
+    return (
+        layer2_ops_with_reuse(n, m, n_h, n_l).total
+        - layer2_ops_standard(n, n_h, n_l).total
+    )
+
+
+# -- Section VI-A3: fields read during backward propagation ---------------------
+
+
+def backward_fields_dense(n: int, d_s: int, d_r: int) -> int:
+    """Fields of ``T`` read to populate ``xᵀ`` in Eq. 28: ``N·(d_S+d_R)``."""
+    _check_positive(n=n, d_s=d_s, d_r=d_r)
+    return n * (d_s + d_r)
+
+
+def backward_fields_factorized(
+    n_s: int, n_r: int, d_s: int, d_r: int
+) -> int:
+    """Fields read from the base relations instead: ``n_S·d_S + n_R·d_R``."""
+    _check_positive(n_s=n_s, n_r=n_r, d_s=d_s, d_r=d_r)
+    return n_s * d_s + n_r * d_r
+
+
+def backward_io_saving_rate(
+    n_s: int, n_r: int, d_s: int, d_r: int
+) -> float:
+    """Fraction of field reads removed during backward propagation."""
+    return saving_rate(
+        backward_fields_dense(n_s, d_s, d_r),
+        backward_fields_factorized(n_s, n_r, d_s, d_r),
+    )
+
+
+# -- break-even tuple ratios (Section VII-C2 and the inference twins) ----------
+
+
+def layer1_break_even_tuple_ratio(d_s: int, d_r: int) -> float:
+    """Tuple ratio below which factorizing layer 1 saves nothing in
+    training.
+
+    In pure multiplication counts any ``n/m > 1`` wins — but each
+    gather of the reused partial costs ``n_h`` additions per tuple, so
+    the practical break-even sits higher; the paper observes benefits
+    from ``rr > 200`` at ``d_R = 5`` and ``rr > 50`` at ``d_R = 15``.
+    We model the gather as one extra addition per reused value:
+    factorization wins when ``n·n_h·d_r·(1 − 1/rr) > n·n_h``, i.e.
+    ``rr > d_r / (d_r − 1)`` in op counts; constant factors push it
+    further right in practice.
+    """
+    _check_positive(d_s=d_s, d_r=d_r)
+    if d_r <= 1:
+        return float("inf")
+    return d_r / (d_r - 1)
+
+
+def nn_serving_break_even_tuple_ratio(d_s: int, d_r: int) -> float:
+    """Tuple ratio ``n/m`` above which factorized serving multiplies less.
+
+    From ``n·d_S + m·d_R < n·(d_S + d_R)``: any ``n/m > 1`` wins — at
+    inference there is no per-epoch bookkeeping to amortize, so the
+    crossover sits at the redundancy threshold itself.
+    """
+    _check_positive(d_s=d_s, d_r=d_r)
+    return 1.0
+
+
+def gmm_serving_break_even_tuple_ratio(d_s: int, d_r: int) -> float:
+    """Tuple ratio ``n/m`` above which factorized GMM scoring wins.
+
+    Setting dense = factorized (:func:`mahalanobis_units`) and solving
+    for ``n/m`` gives ``(d_S·d_R + d_R² + d_R) / (2·d_S·d_R + d_R² +
+    d_R − d_S)``; the denominator is positive for all ``d_S, d_R ≥ 1``,
+    and the ratio is below 1 whenever ``d_S·d_R > d_S`` — i.e.
+    factorized scoring wins for every join with actual redundancy
+    (``n > m``).
+    """
+    _check_positive(d_s=d_s, d_r=d_r)
+    dense_row, factorized_row, (per_distinct,) = mahalanobis_units(
+        d_s, (d_r,)
+    )
+    if dense_row <= factorized_row:
+        return float("inf")
+    return per_distinct / (dense_row - factorized_row)

@@ -1,8 +1,8 @@
 """Gaussian mixture models over normalized data (Section V).
 
 Public surface: the parameter container and inference model, the EM
-configuration/result types, the three training strategies, and the
-analytic cost models of Sections V-A/V-B.
+configuration/result types and the three training strategies.  The
+analytic cost models of Sections V-A/V-B live in :mod:`repro.fx.costs`.
 """
 
 from repro.gmm.algorithms import (
@@ -15,17 +15,6 @@ from repro.gmm.algorithms import (
     fit_s_gmm,
 )
 from repro.gmm.base import EMConfig, GMMFitResult, run_em
-from repro.gmm.cost_model import (
-    ComputeCost,
-    dense_outer_cost,
-    factorized_outer_cost,
-    join_pass_pages,
-    m_gmm_io_pages,
-    outer_saving,
-    outer_saving_rate,
-    s_gmm_io_pages,
-    streaming_wins_block_size,
-)
 from repro.gmm.engines import DenseEMEngine, FactorizedEMEngine
 from repro.gmm.init import initial_params, kmeans_plusplus_centers
 from repro.gmm.model import (
@@ -37,7 +26,6 @@ from repro.gmm.model import (
 
 __all__ = [
     "ComponentPrecisions",
-    "ComputeCost",
     "DenseEMEngine",
     "EMConfig",
     "F_GMM",
@@ -48,19 +36,11 @@ __all__ = [
     "GaussianMixtureModel",
     "M_GMM",
     "S_GMM",
-    "dense_outer_cost",
-    "factorized_outer_cost",
     "fit_f_gmm",
     "fit_m_gmm",
     "fit_s_gmm",
     "initial_params",
-    "join_pass_pages",
     "kmeans_plusplus_centers",
     "log_responsibilities",
-    "m_gmm_io_pages",
-    "outer_saving",
-    "outer_saving_rate",
     "run_em",
-    "s_gmm_io_pages",
-    "streaming_wins_block_size",
 ]

@@ -1,8 +1,9 @@
 """Neural networks over normalized data (Section VI).
 
 Public surface: activations/losses/layers/MLP, the training
-configuration and result types, the three training strategies, the
-second-layer reuse analysis, and the Section VI cost models.
+configuration and result types, the three training strategies and the
+second-layer reuse analysis.  The Section VI cost models live in
+:mod:`repro.fx.costs`.
 """
 
 from repro.nn.activations import (
@@ -26,19 +27,6 @@ from repro.nn.algorithms import (
     fit_s_nn,
 )
 from repro.nn.base import NNConfig, NNFitResult, run_training
-from repro.nn.cost_model import (
-    Layer2OpCount,
-    backward_fields_dense,
-    backward_fields_factorized,
-    backward_io_saving_rate,
-    layer1_break_even_tuple_ratio,
-    layer1_forward_mults_dense,
-    layer1_forward_mults_factorized,
-    layer1_forward_saving_rate,
-    layer2_ops_standard,
-    layer2_ops_with_reuse,
-    layer2_reuse_overhead,
-)
 from repro.nn.engines import DenseNNEngine, FactorizedNNEngine
 from repro.nn.layers import DenseLayer, LayerGrads
 from repro.nn.losses import BinaryCrossEntropy, HalfMSE, Loss, get_loss
@@ -60,7 +48,6 @@ __all__ = [
     "ForwardCache",
     "HalfMSE",
     "Identity",
-    "Layer2OpCount",
     "LayerGrads",
     "Loss",
     "M_NN",
@@ -75,9 +62,6 @@ __all__ = [
     "Softplus",
     "Tanh",
     "available_activations",
-    "backward_fields_dense",
-    "backward_fields_factorized",
-    "backward_io_saving_rate",
     "build_model",
     "compare_second_layer",
     "fit_f_nn",
@@ -85,13 +69,6 @@ __all__ = [
     "fit_s_nn",
     "get_activation",
     "get_loss",
-    "layer1_break_even_tuple_ratio",
-    "layer1_forward_mults_dense",
-    "layer1_forward_mults_factorized",
-    "layer1_forward_saving_rate",
-    "layer2_ops_standard",
-    "layer2_ops_with_reuse",
-    "layer2_reuse_overhead",
     "run_training",
     "second_layer_standard",
     "second_layer_with_reuse",

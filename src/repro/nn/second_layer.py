@@ -14,7 +14,7 @@ claims are demonstrable in code:
 1. exactness holds only for additive ``f`` (identity; ReLU when ``T1``
    and ``T2`` agree in sign) — tested against the standard forward;
 2. even when exact, the reuse costs *more* operations than the
-   standard second layer (op counts in :mod:`repro.nn.cost_model`),
+   standard second layer (op counts in :mod:`repro.fx.costs`),
    so factorization should stop after layer 1.
 """
 

@@ -1,4 +1,4 @@
-"""Per-batch strategy planning from the unified cost-model interface.
+"""Per-batch strategy planning from the one cost model.
 
 At registration time PR 1's :class:`~repro.serve.service.ModelService`
 fixes a strategy per model; under mixed traffic that is the wrong
@@ -8,13 +8,11 @@ scoring, at micro-batch assembly, so the runtime plans each batch
 individually from its :class:`~repro.fx.dedup.DedupPlan`: the dedup is
 computed once at assembly, the planner reads its distinct-RID counts
 (no second ``np.unique``), and the chosen predictor then gathers with
-the very same plan.  Multiplication charges come from
-:mod:`repro.fx.costs` — the one :class:`~repro.fx.costs.CostModel`
-interface shared with training strategy resolution — discounted by the
-live cache hit rate (warm partials cost no dimension-side work).
-
-Ties go to the materialized path: when factorization saves nothing,
-the dense batch avoids cache maintenance and shard locking.
+the very same plan.  The counts and the decision rule are
+:meth:`repro.fx.costs.CostModel.decide` — the same method
+``algorithm="auto"`` training resolution calls — discounted by the live
+cache hit rate (warm partials cost no dimension-side work); this module
+only adapts a batch to it and keeps the decision log.
 """
 
 from __future__ import annotations
@@ -24,27 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.strategies import FACTORIZED, MATERIALIZED
 from repro.errors import ModelError
-from repro.fx.costs import serving_cost_model
+from repro.fx.costs import PlanDecision, serving_cost_model
 from repro.fx.dedup import DedupPlan
-
-
-@dataclass(frozen=True)
-class PlanDecision:
-    """One batch's planning outcome, kept for observability."""
-
-    strategy: str
-    rows: int
-    distinct: tuple[int, ...]      # per-dimension distinct-RID counts
-    dense_mults: int
-    factorized_mults: int
-
-    @property
-    def saving_rate(self) -> float:
-        if not self.dense_mults:
-            return 0.0
-        return (self.dense_mults - self.factorized_mults) / self.dense_mults
 
 
 @dataclass
@@ -73,10 +53,9 @@ class BatchPlanner:
     ``kind`` is ``"gmm"`` or ``"nn"``; ``d_s``/``dim_widths`` describe
     the join layout and ``width_param`` is the model's per-row work
     multiplier (hidden width ``n_h`` for networks, component count
-    ``K`` for mixtures).  All multiplication counts delegate to the
-    matching :mod:`repro.fx.costs` serving adapter; the binary-join
-    case reduces to the published :mod:`repro.serve.cost_model`
-    formulas exactly (asserted by the tests).
+    ``K`` for mixtures).  They build the serving
+    :class:`~repro.fx.costs.CostModel` (``cost_model``), which
+    validates them and owns every count.
     """
 
     def __init__(
@@ -86,40 +65,9 @@ class BatchPlanner:
         dim_widths: tuple[int, ...],
         width_param: int,
     ) -> None:
-        if kind not in ("gmm", "nn"):
-            raise ModelError(f"unknown planner kind {kind!r}; use 'gmm'|'nn'")
-        if d_s <= 0 or width_param <= 0 or not dim_widths:
-            raise ModelError(
-                "planner needs positive d_s, width_param and at least "
-                "one dimension"
-            )
-        self.kind = kind
-        self.d_s = d_s
-        self.dim_widths = tuple(int(w) for w in dim_widths)
-        self.width_param = width_param
         self.cost_model = serving_cost_model(
-            kind, d_s=d_s, dim_widths=self.dim_widths,
-            width_param=width_param,
+            kind, d_s=d_s, dim_widths=dim_widths, width_param=width_param
         )
-
-    def dense_mults(self, n: int) -> int:
-        return self.cost_model.dense_mults(n)
-
-    def factorized_mults(
-        self,
-        n: int,
-        distinct: tuple[int, ...],
-        hit_rates: tuple[float, ...],
-    ) -> int:
-        """Expected multiplications for the factorized batch.
-
-        Cached partials are free on the dimension side, so each
-        dimension's per-distinct term is discounted by its current
-        cache hit rate — the planner's link to runtime state.
-        """
-        return self.cost_model.factorized_mults(n, distinct, hit_rates)
-
-    # -- the decision --------------------------------------------------------
 
     def plan(
         self,
@@ -132,26 +80,16 @@ class BatchPlanner:
         DedupPlan` (the runtime path — the dedup was already computed
         at assembly) or its canonical per-dimension FK arrays (a plan
         is built here).  ``hit_rates`` are the current per-dimension
-        cache hit rates (defaults to cold).  Factorized wins on
-        strictly fewer expected multiplications.
+        cache hit rates (defaults to cold).  The choice itself is
+        :meth:`~repro.fx.costs.CostModel.decide`.
         """
         if not isinstance(batch, DedupPlan):
             batch = DedupPlan.for_batch(
                 [np.asarray(fk) for fk in batch]
             )
-        if batch.num_dimensions != len(self.dim_widths):
+        if batch.num_dimensions != self.cost_model.num_dimensions:
             raise ModelError(
                 f"batch has {batch.num_dimensions} FK arrays for "
-                f"{len(self.dim_widths)} dimensions"
+                f"{self.cost_model.num_dimensions} dimensions"
             )
-        n = batch.rows
-        if hit_rates is None:
-            hit_rates = tuple(0.0 for _ in self.dim_widths)
-        hit_rates = tuple(min(1.0, max(0.0, h)) for h in hit_rates)
-        distinct = batch.distinct
-        if n == 0:
-            return PlanDecision(FACTORIZED, 0, distinct, 0, 0)
-        dense = self.dense_mults(n)
-        factorized = self.factorized_mults(n, distinct, hit_rates)
-        strategy = FACTORIZED if factorized < dense else MATERIALIZED
-        return PlanDecision(strategy, n, distinct, dense, factorized)
+        return self.cost_model.decide(batch.rows, batch.distinct, hit_rates)

@@ -29,9 +29,10 @@ Layers (the execution core underneath is :mod:`repro.fx`):
 * :mod:`~repro.serve.service` — ``ModelService``: the core called on
   the caller's thread, with throughput, I/O and store bookkeeping
   (``stats()``, ``cache_stats()``, ``store_stats()``), subscribed to
-  catalog row-version events;
-* :mod:`~repro.serve.cost_model` — inference-side operation counts
-  (the unified adapter view lives in :mod:`repro.fx.costs`).
+  catalog row-version events.
+
+The inference-side operation counts the planner charges batches with
+are the ``"serve"`` rows of :mod:`repro.fx.costs`.
 
 Sizing, admission and invalidation semantics are documented in
 ``docs/operations.md``; the concurrent tier on top is
@@ -39,16 +40,6 @@ Sizing, admission and invalidation semantics are documented in
 """
 
 from repro.serve.cache import CacheStats, PartialCache
-from repro.serve.cost_model import (
-    gmm_serving_break_even_tuple_ratio,
-    gmm_serving_mults_dense,
-    gmm_serving_mults_factorized,
-    gmm_serving_saving_rate,
-    nn_serving_break_even_tuple_ratio,
-    nn_serving_mults_dense,
-    nn_serving_mults_factorized,
-    nn_serving_saving_rate,
-)
 from repro.serve.partials import (
     DimensionLookup,
     GMMPartialBuilder,
@@ -76,13 +67,5 @@ __all__ = [
     "PartialCache",
     "RegisteredModel",
     "ServingStats",
-    "gmm_serving_break_even_tuple_ratio",
-    "gmm_serving_mults_dense",
-    "gmm_serving_mults_factorized",
-    "gmm_serving_saving_rate",
     "make_predictor",
-    "nn_serving_break_even_tuple_ratio",
-    "nn_serving_mults_dense",
-    "nn_serving_mults_factorized",
-    "nn_serving_saving_rate",
 ]

@@ -1,48 +1,82 @@
-"""The unified CostModel interface and its adapters."""
+"""The one cost model (``repro.fx.costs``): every published count, the
+one ``decide()``, the page I/O model and the chooser-less paper
+analyses — checked against the golden table captured before the fold,
+against closed forms, and against measured page I/O."""
 
+import math
+import warnings
+
+import numpy as np
 import pytest
 
 from repro.core.strategies import FACTORIZED, MATERIALIZED, STREAMING
+from repro.data.synthetic import StarSchemaConfig, generate_star
 from repro.errors import ModelError
 from repro.fx.costs import (
     CostModel,
-    GMMServingCost,
-    GMMTrainingCost,
-    NNServingCost,
-    NNTrainingCost,
+    PlanDecision,
     TrainingPageProfile,
-    recommend_training_strategy,
-    serving_cost_model,
-    training_cost_model,
-)
-from repro.gmm.cost_model import (
+    backward_fields_dense,
+    backward_fields_factorized,
+    backward_io_saving_rate,
     dense_outer_cost,
     factorized_outer_cost,
-    m_gmm_io_pages,
-    s_gmm_io_pages,
+    gmm_serving_break_even_tuple_ratio,
+    join_pass_pages,
+    layer1_break_even_tuple_ratio,
+    layer2_ops_standard,
+    layer2_ops_with_reuse,
+    layer2_reuse_overhead,
+    nn_serving_break_even_tuple_ratio,
+    outer_saving,
+    outer_saving_rate,
+    recommend_training_strategy,
+    serving_cost_model,
+    streaming_wins_block_size,
+    training_cost_model,
 )
-from repro.nn.cost_model import (
-    layer1_forward_mults_dense,
-    layer1_forward_mults_factorized,
-    m_nn_io_pages,
-    s_nn_io_pages,
-)
-from repro.serve.cost_model import (
-    gmm_serving_mults_dense,
-    gmm_serving_mults_factorized,
-    nn_serving_mults_dense,
-    nn_serving_mults_factorized,
-)
+from repro.gmm.algorithms import fit_m_gmm, fit_s_gmm
+from repro.gmm.base import EMConfig
+from tests.fx import golden_costs as golden
+
+FACTORY = {"serve": serving_cost_model, "train": training_cost_model}
 
 
-class TestProtocol:
-    @pytest.mark.parametrize("factory", [serving_cost_model,
-                                         training_cost_model])
+def binary(phase, kind, d_s, d_r, width_param):
+    return FACTORY[phase](
+        kind, d_s=d_s, dim_widths=(d_r,), width_param=width_param
+    )
+
+
+def serving_rate(kind, n, m, d_s, d_r, width_param, hit_rate=0.0):
+    """Saving rate of a binary-join serving batch at one hit rate."""
+    model = binary("serve", kind, d_s, d_r, width_param)
+    return model.decide(n, (m,), (hit_rate,)).saving_rate
+
+
+def gmm_pages(pages_r, pages_s, pages_t, block_pages, iterations):
+    """Section V-A ``(streaming, materialized)`` page totals for a
+    binary join with ``|R|``, ``|S|``, ``|T|`` given in pages."""
+    model = binary("train", "gmm", 1, 1, 1)
+    profile = TrainingPageProfile(
+        fact_pages=pages_s, dim_pages=(pages_r,), joined_pages=pages_t,
+        block_pages=block_pages,
+    )
+    return (
+        model.streaming_io_pages(profile, iterations),
+        model.materialized_io_pages(profile, iterations),
+    )
+
+
+class TestOneConcreteClass:
+    @pytest.mark.parametrize("phase", ["serve", "train"])
     @pytest.mark.parametrize("kind", ["gmm", "nn"])
-    def test_adapters_satisfy_the_protocol(self, factory, kind):
-        model = factory(kind, d_s=3, dim_widths=(4,), width_param=2)
-        assert isinstance(model, CostModel)
-        assert model.kind == kind
+    def test_factories_build_the_one_class(self, phase, kind):
+        model = FACTORY[phase](
+            kind, d_s=3, dim_widths=(4,), width_param=2
+        )
+        assert type(model) is CostModel
+        assert (model.kind, model.phase) == (kind, phase)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ModelError, match="kind"):
@@ -56,147 +90,230 @@ class TestProtocol:
             dict(d_s=3, dim_widths=(), width_param=2),
             dict(d_s=3, dim_widths=(4, 0), width_param=2),
             dict(d_s=3, dim_widths=(4,), width_param=0),
+            dict(d_s=-3, dim_widths=(4,), width_param=2),
         ],
     )
     def test_invalid_layouts_rejected(self, kwargs):
         with pytest.raises(ModelError):
-            NNServingCost(**kwargs)
+            CostModel("nn", "serve", **kwargs)
 
-    def test_distinct_arity_checked(self):
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(d_s=5.7, dim_widths=(15,), width_param=3),
+            dict(d_s=5, dim_widths=(15.2,), width_param=3),
+            dict(d_s=5, dim_widths=(15,), width_param=3.9),
+        ],
+    )
+    def test_non_integral_widths_rejected_not_truncated(self, kwargs):
+        with pytest.raises(ModelError, match="integer"):
+            serving_cost_model("nn", **kwargs)
+
+    def test_distinct_and_hit_rate_arity_checked(self):
         model = serving_cost_model(
             "nn", d_s=3, dim_widths=(4, 5), width_param=2
         )
         with pytest.raises(ModelError, match="distinct"):
             model.factorized_mults(10, (3,))
+        with pytest.raises(ModelError, match="hit rates"):
+            model.decide(10, (3, 3), (0.5,))
 
 
-class TestServingAdaptersReduceToPublishedCounts:
-    """Binary joins must match repro.serve.cost_model exactly."""
+class TestBatchValidation:
+    """One validation, applied symmetrically at the one entry."""
 
-    @pytest.mark.parametrize("n,m", [(100, 5), (64, 64), (1, 1)])
-    def test_nn_binary(self, n, m):
-        model = NNServingCost(5, (15,), 32)
-        assert model.dense_mults(n) == nn_serving_mults_dense(n, 5, 15, 32)
-        assert model.factorized_mults(n, (m,)) == (
-            nn_serving_mults_factorized(n, m, 5, 15, 32)
+    MODEL = serving_cost_model(
+        "gmm", d_s=5, dim_widths=(15,), width_param=3
+    )
+
+    def test_negative_rows_rejected_by_every_count(self):
+        with pytest.raises(ModelError, match="n must be"):
+            self.MODEL.dense_mults(-5)
+        with pytest.raises(ModelError, match="n must be"):
+            self.MODEL.factorized_mults(-5, (3,))
+        with pytest.raises(ModelError, match="n must be"):
+            self.MODEL.decide(-5, (3,))
+
+    def test_negative_distinct_rejected(self):
+        with pytest.raises(ModelError, match="distinct"):
+            self.MODEL.factorized_mults(100, (-1,))
+
+    def test_fractional_rows_rejected(self):
+        with pytest.raises(ModelError, match="integer"):
+            self.MODEL.decide(10.5, (3,))
+
+    def test_hit_rates_clamped(self):
+        model = serving_cost_model(
+            "nn", d_s=5, dim_widths=(15,), width_param=32
         )
-        assert model.factorized_mults(n, (m,), (0.5,)) == (
-            nn_serving_mults_factorized(n, m, 5, 15, 32, hit_rate=0.5)
+        assert model.factorized_mults(64, (64,), (7.0,)) == 64 * 32 * 5
+        assert model.factorized_mults(64, (64,), (-3.0,)) == (
+            model.factorized_mults(64, (64,))
         )
 
-    @pytest.mark.parametrize("n,m", [(100, 5), (64, 64)])
-    def test_gmm_binary(self, n, m):
-        model = GMMServingCost(5, (15,), 3)
-        assert model.dense_mults(n) == gmm_serving_mults_dense(n, 5, 15, 3)
-        assert model.factorized_mults(n, (m,)) == (
-            gmm_serving_mults_factorized(n, m, 5, 15, 3)
+    def test_empty_batch_is_legal_and_free(self):
+        assert self.MODEL.dense_mults(0) == 0
+        assert self.MODEL.decide(0, (0,)) == PlanDecision(
+            FACTORIZED, 0, (0,), 0, 0
         )
+
+
+class TestGoldenTable:
+    """Decisions did not move: the literal counts captured at the
+    parent commit, to the integer, through the one ``CostModel``."""
+
+    @staticmethod
+    def check(row, hit_variants):
+        (kind, phase, d_s, widths, width_param, n, distinct, dense,
+         outcomes) = row
+        model = FACTORY[phase](
+            kind, d_s=d_s, dim_widths=widths, width_param=width_param
+        )
+        assert model.dense_mults(n) == dense
+        for hits, (factorized, strategy) in zip(hit_variants, outcomes):
+            hit_rates = None if hits is None else hits[:len(widths)]
+            assert model.factorized_mults(n, distinct, hit_rates) == (
+                factorized
+            )
+            assert model.decide(n, distinct, hit_rates) == PlanDecision(
+                strategy, n, distinct, dense, factorized
+            )
+
+    @pytest.mark.parametrize("row", golden.COUNTS, ids=repr)
+    def test_counts_and_strategy(self, row):
+        self.check(row, golden.HIT_RATES)
+
+    @pytest.mark.parametrize("row", golden.ANCHORS, ids=repr)
+    def test_benchmark_anchor_shapes(self, row):
+        self.check(row, golden.ANCHOR_HIT_RATES)
+
+    def test_every_table_row_is_covered_at_one_and_three_dimensions(self):
+        covered = {
+            (kind, phase, len(widths))
+            for kind, phase, _, widths, *_ in golden.COUNTS
+        }
+        assert covered == {
+            (kind, phase, q)
+            for kind in ("gmm", "nn") for phase in ("serve", "train")
+            for q in (1, 2, 3)
+        }
+
+    @pytest.mark.parametrize("row", golden.PAGES, ids=repr)
+    def test_page_totals(self, row):
+        kind, index, one_pass, totals = row
+        profile = TrainingPageProfile(**golden.PROFILES[index])
+        d_s, widths = golden.LAYOUTS[len(profile.dim_pages)]
+        model = training_cost_model(
+            kind, d_s=d_s, dim_widths=widths,
+            width_param=golden.WIDTH_PARAM[kind],
+        )
+        assert profile.join_pass_pages() == one_pass
+        for iterations, (streaming, materialized) in zip(
+            golden.ITERATIONS, totals
+        ):
+            assert model.streaming_io_pages(profile, iterations) == (
+                streaming
+            )
+            assert model.materialized_io_pages(profile, iterations) == (
+                materialized
+            )
+
+    @pytest.mark.parametrize("row", golden.RECOMMENDATIONS, ids=repr)
+    def test_recommendations(self, row):
+        kind, index, rows, distinct, outcomes = row
+        profile = TrainingPageProfile(**golden.PROFILES[index])
+        d_s, widths = golden.LAYOUTS[len(distinct)]
+        for variant, expected in zip(golden.VARIANTS, outcomes):
+            kwargs = dict(variant)
+            if kwargs.pop("pages", False):
+                kwargs["pages"] = profile
+            decision = recommend_training_strategy(
+                kind, rows=rows, distinct=distinct, d_s=d_s,
+                dim_widths=widths,
+                width_param=golden.WIDTH_PARAM[kind], **kwargs,
+            )
+            assert decision.strategy == expected, variant
+            with_totals = "pages" in kwargs and "iterations" in kwargs
+            assert (decision.streaming_pages is not None) == with_totals
+            assert (decision.materialized_pages is not None) == with_totals
+
+
+class TestDecisions:
+    def test_redundant_workload_chooses_factorized(self):
+        model = binary("serve", "nn", 5, 15, 32)
+        assert model.decide(128, (4,)).strategy == FACTORIZED
+
+    def test_tie_goes_to_materialized(self):
+        # With m == n and a cold cache the NN counts tie exactly.
+        model = binary("serve", "nn", 5, 15, 32)
+        assert model.decide(64, (64,)).strategy == MATERIALIZED
+        assert model.decide(64, (64,), (0.9,)).strategy == FACTORIZED
+
+    def test_saving_rate_in_unit_interval_when_winning(self):
+        model = binary("serve", "gmm", 5, 15, 3)
+        assert 0 < model.decide(128, (4,)).saving_rate < 1
 
     def test_multiway_warm_cache_removes_dimension_work(self):
-        model = NNServingCost(5, (15, 7), 32)
+        model = serving_cost_model(
+            "nn", d_s=5, dim_widths=(15, 7), width_param=32
+        )
         warm = model.factorized_mults(100, (10, 10), (1.0, 1.0))
         assert warm == 100 * 32 * 5
         assert warm < model.factorized_mults(100, (10, 10))
 
-    def test_hit_rates_clamped(self):
-        model = NNServingCost(5, (15,), 32)
-        assert model.factorized_mults(64, (64,), (7.0,)) == 64 * 32 * 5
-
-
-class TestTrainingAdaptersReduceToPublishedCounts:
-    def test_nn_binary(self):
-        model = NNTrainingCost(5, (15,), 32)
-        assert model.dense_mults(100) == (
-            layer1_forward_mults_dense(100, 20, 32)
-        )
-        assert model.factorized_mults(100, (10,)) == (
-            layer1_forward_mults_factorized(100, 10, 5, 15, 32)
-        )
-
-    def test_gmm_binary(self):
-        model = GMMTrainingCost(5, (15,), 3)
-        assert model.dense_mults(100) == (
-            3 * dense_outer_cost(100, 5, 15).multiplications
-        )
-        assert model.factorized_mults(100, (10,)) == (
-            3 * factorized_outer_cost(100, 10, 5, 15).multiplications
-        )
-
-    @pytest.mark.parametrize("cls", [NNTrainingCost, GMMTrainingCost])
-    def test_multiway_is_dense_minus_per_dimension_savings(self, cls):
+    @pytest.mark.parametrize("kind", ["nn", "gmm"])
+    def test_multiway_is_dense_minus_per_dimension_savings(self, kind):
         # Additive structure: with every dimension at full cardinality
         # (m_i = n) the factorized count equals the dense count.
-        model = cls(3, (4, 6), 2)
+        model = training_cost_model(
+            kind, d_s=3, dim_widths=(4, 6), width_param=2
+        )
         assert model.factorized_mults(50, (50, 50)) == (
             model.dense_mults(50)
         )
         assert model.factorized_mults(50, (5, 5)) < model.dense_mults(50)
 
-
-class TestDecisions:
-    def test_redundant_workload_chooses_factorized(self):
-        model = serving_cost_model(
-            "nn", d_s=5, dim_widths=(15,), width_param=32
+    def test_training_models_ignore_hit_rates(self):
+        model = binary("train", "nn", 5, 15, 32)
+        assert model.decide(100, (10,), (1.0,)) == (
+            model.decide(100, (10,))
         )
-        assert model.choose(128, (4,)) == FACTORIZED
-
-    def test_tie_goes_to_materialized(self):
-        # With m == n and a cold cache the NN counts tie exactly.
-        model = serving_cost_model(
-            "nn", d_s=5, dim_widths=(15,), width_param=32
-        )
-        assert model.choose(64, (64,)) == MATERIALIZED
-        assert model.choose(64, (64,), (0.9,)) == FACTORIZED
-
-    def test_saving_rate_in_unit_interval_when_winning(self):
-        model = serving_cost_model(
-            "gmm", d_s=5, dim_widths=(15,), width_param=3
-        )
-        assert 0 < model.saving_rate(128, (4,)) < 1
 
     def test_recommendation_tracks_tuple_ratio(self):
         assert recommend_training_strategy(
             "gmm", rows=10_000, distinct=(100,), d_s=5,
             dim_widths=(15,), width_param=3,
-        ) == FACTORIZED
+        ).strategy == FACTORIZED
         # A "dimension" as large as the fact table has no redundancy.
         assert recommend_training_strategy(
             "gmm", rows=100, distinct=(100,), d_s=5,
             dim_widths=(15,), width_param=3,
-        ) == MATERIALIZED
+        ).strategy == MATERIALIZED
 
 
-class TestTrainingIOReducesToPublishedPages:
-    """Binary page counts reproduce the Section V-A formulas (and the
-    NN twin) exactly; multi-way uses the additive pass generalization."""
+class TestIOFormulas:
+    """Section V-A, and the NN twin with one pass per epoch."""
 
-    PROFILE = TrainingPageProfile(
-        fact_pages=40, dim_pages=(12,), joined_pages=90, block_pages=4
-    )
+    def test_join_pass(self):
+        assert join_pass_pages(10, 100, 4) == 10 + 3 * 100
 
-    def test_gmm_binary(self):
-        model = training_cost_model(
-            "gmm", d_s=5, dim_widths=(15,), width_param=3
+    def test_join_pass_single_block(self):
+        assert join_pass_pages(10, 100, 64) == 110
+
+    def test_gmm_totals(self):
+        streaming, materialized = gmm_pages(10, 100, 150, 64, 2)
+        # Three join passes per iteration; join + materialize + three
+        # reads of T per iteration.
+        assert streaming == 6 * 110
+        assert materialized == 110 + 150 + 900
+
+    def test_nn_reads_the_data_once_per_epoch(self):
+        model = binary("train", "nn", 5, 15, 32)
+        profile = TrainingPageProfile(
+            fact_pages=100, dim_pages=(10,), joined_pages=150
         )
-        for iterations in (1, 4, 10):
-            assert model.materialized_io_pages(
-                self.PROFILE, iterations
-            ) == m_gmm_io_pages(12, 40, 90, 4, iterations)
-            assert model.streaming_io_pages(
-                self.PROFILE, iterations
-            ) == s_gmm_io_pages(12, 40, 4, iterations)
-
-    def test_nn_binary(self):
-        model = training_cost_model(
-            "nn", d_s=5, dim_widths=(15,), width_param=32
-        )
-        for epochs in (1, 4, 10):
-            assert model.materialized_io_pages(
-                self.PROFILE, epochs
-            ) == m_nn_io_pages(12, 40, 90, 4, epochs)
-            assert model.streaming_io_pages(
-                self.PROFILE, epochs
-            ) == s_nn_io_pages(12, 40, 4, epochs)
+        assert model.streaming_io_pages(profile, 2) == 2 * 110
+        assert model.materialized_io_pages(profile, 2) == 110 + 150 + 300
 
     def test_multiway_pass_is_additive(self):
         profile = TrainingPageProfile(
@@ -212,18 +329,100 @@ class TestTrainingIOReducesToPublishedPages:
             49 + 90 + 3 * 2 * 90
         )
 
+    def test_validation(self):
+        with pytest.raises(ModelError):
+            join_pass_pages(0, 10, 1)
+        with pytest.raises(ModelError):
+            gmm_pages(1, 1, 0, 1, 1)
+        with pytest.raises(ModelError):
+            gmm_pages(1, 1, 1, 1, 0)
+        with pytest.raises(ModelError):
+            TrainingPageProfile(fact_pages=0, dim_pages=(1,), joined_pages=1)
+
     def test_profile_arity_checked(self):
         model = training_cost_model(
             "gmm", d_s=5, dim_widths=(4, 2), width_param=3
         )
+        profile = TrainingPageProfile(
+            fact_pages=40, dim_pages=(12,), joined_pages=90
+        )
         with pytest.raises(ModelError, match="dimensions"):
-            model.materialized_io_pages(self.PROFILE, 1)
+            model.materialized_io_pages(profile, 1)
 
-    def test_invalid_profile_rejected(self):
-        with pytest.raises(ModelError):
-            TrainingPageProfile(
-                fact_pages=0, dim_pages=(1,), joined_pages=1
+    def test_crossover_formula(self):
+        """At the crossover block size, the two costs are equal (up to
+        the ceil in the join term)."""
+        pages_r, pages_s, pages_t, iterations = 8, 200, 240, 3
+        crossover = streaming_wins_block_size(
+            pages_r, pages_s, pages_t, iterations
+        )
+        # Strictly above the crossover S-GMM is cheaper.
+        above = max(1, math.ceil(crossover * 1.5))
+        streaming, materialized = gmm_pages(
+            pages_r, pages_s, pages_t, above, iterations
+        )
+        assert streaming <= materialized
+
+    def test_crossover_infinite_when_t_too_small(self):
+        assert streaming_wins_block_size(100, 10, 1, 1) == math.inf
+
+
+class TestMeasuredIOMatchesFormulas:
+    @pytest.fixture
+    def star(self, tiny_db):
+        config = StarSchemaConfig.binary(
+            n_s=400, n_r=24, d_s=2, d_r=3, seed=3
+        )
+        return generate_star(tiny_db, config)
+
+    @pytest.mark.parametrize("block_pages", [1, 2, 8])
+    def test_s_gmm_measured(self, tiny_db, star, block_pages):
+        iterations = 2
+        config = EMConfig(
+            n_components=2, max_iter=iterations, tol=0.0, seed=1,
+            init_sample_size=10_000,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            result = fit_s_gmm(
+                db=tiny_db, spec=star.spec, config=config,
+                block_pages=block_pages,
             )
+        pages_r = tiny_db["R1"].npages
+        pages_s = tiny_db["S"].npages
+        expected, _ = gmm_pages(pages_r, pages_s, 1, block_pages, iterations)
+        # One extra join pass feeds the parameter initialization.
+        expected += join_pass_pages(pages_r, pages_s, block_pages)
+        assert result.io.pages_read == expected
+
+    def test_m_gmm_measured(self, tiny_db, star):
+        iterations, block_pages = 2, 4
+        config = EMConfig(
+            n_components=2, max_iter=iterations, tol=0.0, seed=1,
+            init_sample_size=10_000,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            result = fit_m_gmm(
+                db=tiny_db, spec=star.spec, config=config,
+                block_pages=block_pages,
+            )
+        pages_r = tiny_db["R1"].npages
+        pages_s = tiny_db["S"].npages
+        pages_t = result.extra["table_pages"]
+        # The Section V-A formula counts the |T| materialization as a
+        # write; compare total page I/O, plus one extra read of T that
+        # feeds parameter initialization.
+        _, materialized = gmm_pages(
+            pages_r, pages_s, pages_t, block_pages, iterations
+        )
+        expected_total = materialized + pages_t
+        assert (
+            result.io.pages_read + result.io.pages_written
+            == expected_total
+        )
+        assert result.io.pages_written == pages_t
+        assert result.io.pages_read == expected_total - pages_t
 
 
 class TestIOAwareRecommendation:
@@ -232,25 +431,30 @@ class TestIOAwareRecommendation:
     def test_factorized_wins_regardless_of_pages(self):
         # Compute decides first: redundancy means factorized, which
         # already runs the cheapest (streaming) page schedule.
-        assert recommend_training_strategy(
+        decision = recommend_training_strategy(
             "gmm", rows=10_000, distinct=(100,), **self.LAYOUT,
             pages=TrainingPageProfile(
                 fact_pages=40, dim_pages=(12,), joined_pages=90
             ),
             iterations=1,
-        ) == FACTORIZED
+        )
+        assert decision.strategy == FACTORIZED
+        assert decision.factorized_mults < decision.dense_mults
 
     def test_short_run_with_wide_join_streams(self):
         # One EM iteration: materializing T costs pass + 4·|T| against
         # streaming's 3 passes — T is wide, streaming wins.
-        assert recommend_training_strategy(
+        decision = recommend_training_strategy(
             "gmm", rows=100, distinct=(100,), **self.LAYOUT,
             pages=TrainingPageProfile(
                 fact_pages=10, dim_pages=(8,), joined_pages=40,
                 block_pages=64,
             ),
             iterations=1,
-        ) == STREAMING
+        )
+        assert decision.strategy == STREAMING
+        assert decision.streaming_pages == 3 * 18
+        assert decision.materialized_pages == 18 + 4 * 40
 
     def test_long_run_amortizes_materialization(self):
         assert recommend_training_strategy(
@@ -260,7 +464,7 @@ class TestIOAwareRecommendation:
                 block_pages=64,
             ),
             iterations=50,
-        ) == MATERIALIZED
+        ).strategy == MATERIALIZED
 
     def test_memory_budget_clamps_to_streaming(self):
         # Same long run, but T does not fit the budget.
@@ -272,9 +476,247 @@ class TestIOAwareRecommendation:
             ),
             iterations=50,
             memory_budget_pages=10,
-        ) == STREAMING
+        ).strategy == STREAMING
 
     def test_without_pages_decision_is_compute_only(self):
-        assert recommend_training_strategy(
+        decision = recommend_training_strategy(
             "gmm", rows=100, distinct=(100,), **self.LAYOUT,
-        ) == MATERIALIZED
+        )
+        assert decision.strategy == MATERIALIZED
+        assert decision.streaming_pages is None
+
+
+class TestComputeFormulas:
+    """Section V-B: the Σ-update outer product with τ weights."""
+
+    def test_dense_cost(self):
+        cost = dense_outer_cost(n_s=1000, d_s=5, d_r=15)
+        assert cost.subtractions == 1000 * 20
+        assert cost.multiplications == 1000 * 400
+
+    def test_factorized_cost(self):
+        cost = factorized_outer_cost(n_s=1000, n_r=100, d_s=5, d_r=15)
+        assert cost.subtractions == 1000 * 5 + 100 * 15
+        assert cost.multiplications == 1000 * (25 + 150) + 100 * 225
+
+    def test_training_model_is_the_outer_cost_times_k(self):
+        model = binary("train", "gmm", 5, 15, 3)
+        assert model.dense_mults(1000) == (
+            3 * dense_outer_cost(1000, 5, 15).multiplications
+        )
+        assert model.factorized_mults(1000, (100,)) == (
+            3 * factorized_outer_cost(1000, 100, 5, 15).multiplications
+        )
+
+    def test_saving_is_difference(self):
+        n_s, n_r, d_s, d_r = 5000, 50, 5, 10
+        dense = dense_outer_cost(n_s, d_s, d_r).time(2.0, 3.0)
+        factorized = factorized_outer_cost(n_s, n_r, d_s, d_r).time(
+            2.0, 3.0
+        )
+        assert outer_saving(n_s, n_r, d_s, d_r, 2.0, 3.0) == pytest.approx(
+            dense - factorized
+        )
+
+    def test_saving_closed_form(self):
+        # Δτ = (n_S − n_R)·d_R·(τ_s + d_R·τ_m) — Section V-B.
+        assert outer_saving(1000, 100, 5, 10, 1.0, 1.0) == 900 * 10 * 11
+
+    def test_rate_increases_with_dr(self):
+        rates = [
+            outer_saving_rate(10_000, 100, 5, d_r)
+            for d_r in (2, 5, 10, 20, 50)
+        ]
+        assert rates == sorted(rates)
+
+    def test_rate_increases_with_tuple_ratio(self):
+        rates = [
+            outer_saving_rate(n_s, 100, 5, 15)
+            for n_s in (1_000, 10_000, 100_000)
+        ]
+        assert rates == sorted(rates)
+
+    def test_rate_bounded_by_one(self):
+        assert 0 < outer_saving_rate(10**6, 10, 5, 100) < 1
+
+    def test_no_saving_when_no_redundancy(self):
+        assert outer_saving(100, 100, 5, 5) == 0
+
+
+class TestLayer1Forward:
+    """Section VI-A1 through the ``("nn", "train")`` table row."""
+
+    @staticmethod
+    def rate(n, m, d_r):
+        return binary("train", "nn", 5, d_r, 50).decide(n, (m,)).saving_rate
+
+    def test_dense_count(self):
+        assert binary("train", "nn", 5, 15, 50).dense_mults(100) == (
+            100 * 20 * 50
+        )
+
+    def test_factorized_count(self):
+        model = binary("train", "nn", 5, 15, 50)
+        assert model.factorized_mults(100, (10,)) == (
+            100 * 50 * 5 + 10 * 50 * 15
+        )
+
+    def test_saving_rate_monotone_in_dr(self):
+        rates = [self.rate(10_000, 100, d_r) for d_r in (2, 5, 15, 50, 200)]
+        assert rates == sorted(rates)
+
+    def test_saving_rate_monotone_in_tuple_ratio(self):
+        rates = [
+            self.rate(n, 100, 15) for n in (200, 1_000, 10_000, 100_000)
+        ]
+        assert rates == sorted(rates)
+
+    def test_saving_rate_bounds(self):
+        assert 0 < self.rate(10**6, 10**3, 15) < 1
+
+    def test_no_saving_without_redundancy(self):
+        assert self.rate(100, 100, 15) == 0
+
+
+class TestLayer2Reuse:
+    def test_standard_count(self):
+        ops = layer2_ops_standard(100, 50, 10)
+        assert ops.multiplications == 100 * 10 * 50
+        assert ops.additions == 100 * 10 * 50
+
+    def test_reuse_count(self):
+        ops = layer2_ops_with_reuse(100, 8, 50, 10)
+        assert ops.multiplications == (100 + 8) * 10 * 50
+
+    def test_overhead_always_positive(self):
+        """The paper's claim: reuse beyond layer 1 never pays."""
+        for n in (10, 1_000, 10**6):
+            for m in (1, 10, 1_000):
+                assert layer2_reuse_overhead(n, m, 50, 10) > 0
+
+    def test_overhead_scales_with_m(self):
+        small = layer2_reuse_overhead(1000, 10, 50, 10)
+        large = layer2_reuse_overhead(1000, 500, 50, 10)
+        assert large > small
+
+    def test_validation(self):
+        with pytest.raises(ModelError):
+            layer2_ops_standard(0, 5, 5)
+        with pytest.raises(ModelError):
+            layer2_ops_with_reuse(10, 0, 5, 5)
+
+
+class TestBackwardIO:
+    def test_dense_fields(self):
+        assert backward_fields_dense(1000, 5, 15) == 1000 * 20
+
+    def test_factorized_fields(self):
+        assert backward_fields_factorized(
+            1000, 100, 5, 15
+        ) == 1000 * 5 + 100 * 15
+
+    def test_saving_matches_paper_expression(self):
+        """n_S·d_S + n_R·d_R < N·(d_S+d_R) whenever n_R < N."""
+        n_s, n_r, d_s, d_r = 1000, 50, 5, 15
+        assert backward_fields_factorized(
+            n_s, n_r, d_s, d_r
+        ) < backward_fields_dense(n_s, d_s, d_r)
+
+    def test_saving_rate_monotone_in_dr(self):
+        rates = [
+            backward_io_saving_rate(10_000, 100, 5, d_r)
+            for d_r in (2, 10, 50, 200)
+        ]
+        assert rates == sorted(rates)
+
+
+class TestBreakEven:
+    def test_dr_one_never_profits(self):
+        assert layer1_break_even_tuple_ratio(5, 1) == float("inf")
+
+    def test_break_even_decreases_with_dr(self):
+        """Larger d_R → benefits start at lower tuple ratios, the trend
+        behind 'rr > 200 at d_R=5 vs rr > 50 at d_R=15' (VII-C2)."""
+        ratios = [
+            layer1_break_even_tuple_ratio(5, d_r) for d_r in (2, 5, 15, 50)
+        ]
+        assert ratios == sorted(ratios, reverse=True)
+
+    def test_serving_break_even_ratios_sit_at_or_below_one(self):
+        assert nn_serving_break_even_tuple_ratio(5, 15) == 1.0
+        for d_s, d_r in [(5, 15), (3, 2), (20, 5), (1, 1)]:
+            assert gmm_serving_break_even_tuple_ratio(d_s, d_r) <= 1.0
+
+    def test_gmm_serving_break_even_closed_form(self):
+        # (d_S·d_R + d_R² + d_R) / (2·d_S·d_R + d_R² + d_R − d_S)
+        assert gmm_serving_break_even_tuple_ratio(5, 15) == pytest.approx(
+            (75 + 225 + 15) / (150 + 225 + 15 - 5)
+        )
+
+    def test_nonpositive_widths_rejected(self):
+        with pytest.raises(ModelError, match="positive"):
+            gmm_serving_break_even_tuple_ratio(0, 15)
+
+
+M_ROWS = 100
+TUPLE_RATIOS = (10, 30, 100, 300, 1000)
+DIM_WIDTHS = (2, 5, 15, 40, 80)
+
+
+class TestServingMonotonicity:
+    """Inference counts: savings grow with n/m and with d_R."""
+
+    @pytest.mark.parametrize("kind,width_param", [("nn", 32), ("gmm", 4)])
+    @pytest.mark.parametrize("d_s", [2, 5, 20])
+    def test_saving_increases_with_tuple_ratio(self, kind, width_param, d_s):
+        rates = [
+            serving_rate(kind, M_ROWS * rr, M_ROWS, d_s, 15, width_param)
+            for rr in TUPLE_RATIOS
+        ]
+        assert np.all(np.diff(rates) > 0)
+
+    @pytest.mark.parametrize("kind,width_param", [("nn", 32), ("gmm", 4)])
+    @pytest.mark.parametrize("rr", [10, 50, 300])
+    def test_saving_increases_with_dim_width(self, kind, width_param, rr):
+        rates = [
+            serving_rate(kind, M_ROWS * rr, M_ROWS, 5, d_r, width_param)
+            for d_r in DIM_WIDTHS
+        ]
+        assert np.all(np.diff(rates) > 0)
+
+
+class TestServingFactorizedWins:
+    """Acceptance regime: fewer multiplications for any n/m ≥ 10."""
+
+    @pytest.mark.parametrize("kind,width_param", [("nn", 32), ("gmm", 4)])
+    @pytest.mark.parametrize("rr", TUPLE_RATIOS)
+    @pytest.mark.parametrize("d_r", [2, 15, 80])
+    def test_factorized_multiplies_less(self, kind, width_param, rr, d_r):
+        decision = binary("serve", kind, 5, d_r, width_param).decide(
+            M_ROWS * rr, (M_ROWS,)
+        )
+        assert decision.factorized_mults < decision.dense_mults
+        assert decision.strategy == FACTORIZED
+
+    def test_no_redundancy_means_no_nn_saving(self):
+        # With m == n the factorized first layer is just a split of the
+        # dense product: never cheaper, never pricier.
+        decision = binary("serve", "nn", 5, 15, 32).decide(1000, (1000,))
+        assert decision.factorized_mults == decision.dense_mults
+
+
+class TestServingCacheEffects:
+    def test_warm_cache_removes_dimension_side_entirely(self):
+        assert binary("serve", "nn", 5, 15, 32).factorized_mults(
+            10_000, (100,), (1.0,)
+        ) == 10_000 * 32 * 5
+        assert binary("serve", "gmm", 5, 15, 4).factorized_mults(
+            10_000, (100,), (1.0,)
+        ) == 10_000 * 4 * (5 * 5 + 2 * 5)
+
+    def test_saving_rate_grows_with_hit_rate(self):
+        rates = [
+            serving_rate("gmm", 5_000, 500, 5, 15, 4, hit_rate=h)
+            for h in (0.0, 0.5, 0.9, 1.0)
+        ]
+        assert np.all(np.diff(rates) > 0)

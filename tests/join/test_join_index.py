@@ -279,6 +279,85 @@ class TestFitBookkeeping:
         )[0]
         assert record["streaming_pages"] == 6 * one_pass
 
+    def test_auto_records_are_the_ones_captured_before_the_cost_fold(
+        self, request, tiny_db, star
+    ):
+        """Literal ``extra["auto"]`` dicts from the commit before the
+        cost modules folded into ``fx/costs.py`` (as ``(dense,
+        factorized, streaming pages, materialized pages)``)."""
+        binary = request.node.callspec.params["star"] == "binary"
+        expected = {
+            "gmm": (15000, 10050, 324, 579) if binary
+            else (29400, 22208, 396, 766),
+            "nn": (6000, 2700, 162, 354) if binary
+            else (8400, 2840, 198, 466),
+        }
+        fits = {
+            "gmm": fit_gmm(tiny_db, star.spec, n_components=2, max_iter=2,
+                           tol=0.0, algorithm="auto"),
+            "nn": fit_nn(tiny_db, star.spec, hidden_sizes=(4,), epochs=3,
+                         algorithm="auto"),
+        }
+        for kind, fit in fits.items():
+            dense, factorized, streaming, materialized = expected[kind]
+            assert fit.fit.extra["auto"] == {
+                "chosen": "factorized",
+                "dense_mults": dense,
+                "factorized_mults": factorized,
+                "streaming_pages": streaming,
+                "materialized_pages": materialized,
+            }
+
+    def test_auto_records_an_nn_fit_the_same_way(self, tiny_db, star):
+        auto = fit_nn(
+            tiny_db, star.spec, hidden_sizes=(4,), epochs=3,
+            algorithm="auto",
+        )
+        record = auto.fit.extra["auto"]
+        assert record["chosen"] == "factorized"
+        assert auto.algorithm == "F-NN"
+        assert record["factorized_mults"] < record["dense_mults"]
+        # One pass per epoch.
+        one_pass = pass_reads(
+            tiny_db, StreamingJoin(tiny_db, star.spec)
+        )[0]
+        assert record["streaming_pages"] == 3 * one_pass
+
+    @pytest.mark.parametrize(
+        "fit, chosen, algorithm",
+        [
+            (lambda db, spec: fit_nn(db, spec, hidden_sizes=(4,),
+                                     epochs=1, algorithm="auto"),
+             "streaming", "S-NN"),
+            (lambda db, spec: fit_gmm(db, spec, n_components=2, max_iter=6,
+                                      tol=0.0, algorithm="auto"),
+             "materialized", "M-GMM"),
+        ],
+    )
+    def test_auto_record_is_the_decision_when_dense_wins(
+        self, tiny_db, fit, chosen, algorithm
+    ):
+        """No redundancy (``n_R = n_S``), wide ``T``: compute ties, so
+        pages decide — a one-epoch run streams, a long one
+        materializes — and the record is what the fit ran."""
+        flat = generate_star(
+            tiny_db,
+            StarSchemaConfig.binary(
+                n_s=300, n_r=300, d_s=2, d_r=10, with_target=True, seed=3
+            ),
+        )
+        result = fit(tiny_db, flat.spec)
+        record = result.fit.extra["auto"]
+        assert record["chosen"] == chosen
+        assert result.algorithm == algorithm
+        assert record["factorized_mults"] == record["dense_mults"]
+        cheaper, dearer = (
+            ("streaming_pages", "materialized_pages")
+            if chosen == "streaming"
+            else ("materialized_pages", "streaming_pages")
+        )
+        assert record[cheaper] < record[dearer]
+
 
 class TestInitSamplePrefix:
     """``init_sample`` takes the prefix by slicing, not ``take``: the

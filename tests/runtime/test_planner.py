@@ -5,46 +5,62 @@ import pytest
 
 from repro.core.strategies import FACTORIZED, MATERIALIZED
 from repro.errors import ModelError
+from repro.fx.costs import PlanDecision
 from repro.runtime.planner import BatchPlanner, PlannerStats
-from repro.serve.cost_model import (
-    gmm_serving_mults_dense,
-    gmm_serving_mults_factorized,
-    nn_serving_mults_dense,
-    nn_serving_mults_factorized,
-)
+from tests.fx import golden_costs as golden
 
 
 def fks_with_distinct(n, m):
     """n FK values drawing from m distinct RIDs (every RID appears)."""
-    return [np.arange(n, dtype=np.int64) % m]
+    return [np.arange(n, dtype=np.int64) % max(m, 1)]
+
+
+def buildable(case):
+    """Serving rows a real FK batch can realise (``m_i ≤ n``)."""
+    _, phase, _, _, _, n, distinct, *_ = case[0]
+    return phase == "serve" and all(
+        m <= n and (m > 0 or n == 0) for m in distinct
+    )
+
+
+# (golden row, the hit-rate variants its outcomes were captured at)
+GOLDEN_BATCHES = list(filter(buildable, (
+    [(row, golden.HIT_RATES) for row in golden.COUNTS]
+    + [(row, golden.ANCHOR_HIT_RATES) for row in golden.ANCHORS]
+)))
 
 
 class TestCostCounts:
-    """The planner's multi-way generalization must reduce to the
-    published binary-join counts of repro.serve.cost_model."""
+    """``plan()`` over real FK arrays lands on the golden table
+    captured before the cost-model fold (``tests/fx/golden_costs.py``)
+    — same counts, same strategy, at one to three dimensions."""
 
-    @pytest.mark.parametrize("n,m", [(100, 5), (64, 64), (1, 1)])
-    def test_nn_binary_counts_match_cost_model(self, n, m):
-        planner = BatchPlanner("nn", d_s=5, dim_widths=(15,), width_param=32)
-        assert planner.dense_mults(n) == nn_serving_mults_dense(n, 5, 15, 32)
-        assert planner.factorized_mults(n, (m,), (0.0,)) == (
-            nn_serving_mults_factorized(n, m, 5, 15, 32)
-        )
-
-    @pytest.mark.parametrize("n,m", [(100, 5), (64, 64)])
-    def test_gmm_binary_counts_match_cost_model(self, n, m):
-        planner = BatchPlanner("gmm", d_s=5, dim_widths=(15,), width_param=3)
-        assert planner.dense_mults(n) == gmm_serving_mults_dense(n, 5, 15, 3)
-        assert planner.factorized_mults(n, (m,), (0.0,)) == (
-            gmm_serving_mults_factorized(n, m, 5, 15, 3)
-        )
+    @pytest.mark.parametrize("row, variants", GOLDEN_BATCHES, ids=repr)
+    def test_plan_matches_the_golden_table(self, row, variants):
+        kind, _, d_s, widths, width_param, n, distinct, dense, outcomes = row
+        planner = BatchPlanner(kind, d_s, widths, width_param)
+        fks = [fks_with_distinct(n, m)[0] for m in distinct]
+        for hits, (factorized, strategy) in zip(variants, outcomes):
+            decision = planner.plan(
+                fks, None if hits is None else hits[:len(widths)]
+            )
+            assert decision == PlanDecision(
+                strategy, n, distinct, dense, factorized
+            )
 
     def test_warm_cache_discounts_dimension_work(self):
         planner = BatchPlanner("nn", d_s=5, dim_widths=(15,), width_param=32)
-        cold = planner.factorized_mults(100, (10,), (0.0,))
-        warm = planner.factorized_mults(100, (10,), (1.0,))
+        batch = fks_with_distinct(100, 10)
+        cold = planner.plan(batch, (0.0,)).factorized_mults
+        warm = planner.plan(batch, (1.0,)).factorized_mults
         assert warm < cold
         assert warm == 100 * 32 * 5  # fact-side work only
+
+    def test_the_runtime_decision_is_the_cost_models_record(self):
+        import repro.runtime
+        from repro.fx import costs
+
+        assert repro.runtime.PlanDecision is costs.PlanDecision is PlanDecision
 
 
 class TestDecisions:
@@ -122,3 +138,68 @@ class TestPlannerStats:
         assert stats.decisions[MATERIALIZED] == 1
         assert len(stats.recent) == 4
         assert stats.recent[-1].strategy == MATERIALIZED
+
+
+class TestAdaptiveRunReplaysTheParentCommit:
+    """A deterministic adaptive run — one worker, one request in flight
+    at a time, cold → warm cache — logs the ``PlanDecision`` sequence
+    captured at the commit before the cost-model fold: live hit rates,
+    float discounting and rounding all land on the same integers."""
+
+    SIZES = (1, 3, 40, 200, 2, 40, 7, 200, 1, 64)
+    EXPECTED = {
+        "gmm": [
+            (FACTORIZED, 1, (1, 1), 180, 144),
+            (FACTORIZED, 3, (3, 3), 540, 432),
+            (FACTORIZED, 40, (15, 9), 7200, 2716),
+            (FACTORIZED, 200, (15, 9), 36000, 9097),
+            (FACTORIZED, 2, (1, 1), 360, 125),
+            (FACTORIZED, 40, (15, 9), 7200, 2199),
+            (FACTORIZED, 7, (7, 6), 1260, 489),
+            (FACTORIZED, 200, (15, 9), 36000, 8367),
+            (FACTORIZED, 1, (1, 1), 180, 61),
+            (FACTORIZED, 64, (15, 9), 11520, 2847),
+        ],
+        "nn": [
+            (MATERIALIZED, 1, (1, 1), 54, 54),
+            (MATERIALIZED, 3, (3, 3), 162, 162),
+            (FACTORIZED, 40, (15, 9), 2160, 1188),
+            (FACTORIZED, 200, (15, 9), 10800, 4068),
+            (FACTORIZED, 2, (1, 1), 108, 54),
+            (FACTORIZED, 40, (15, 9), 2160, 945),
+            (FACTORIZED, 7, (7, 6), 378, 204),
+            (FACTORIZED, 200, (15, 9), 10800, 3730),
+            (FACTORIZED, 1, (1, 1), 54, 26),
+            (FACTORIZED, 64, (15, 9), 3456, 1252),
+        ],
+    }
+
+    def test_recent_decisions_match(self, db, multiway_star):
+        import warnings
+
+        from repro.core.api import fit_gmm, fit_nn, serve_runtime
+
+        spec = multiway_star.spec
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            gmm = fit_gmm(db, spec, n_components=2, max_iter=2, seed=1)
+            nn = fit_nn(db, spec, hidden_sizes=(6,), epochs=1, seed=1)
+        fact = spec.resolve(db).fact
+        rows = fact.scan()
+        rng = np.random.default_rng(5)
+        with serve_runtime(db, num_workers=1, max_wait_ms=0.0) as rt:
+            rt.register_gmm("gmm", gmm, spec)
+            rt.register_nn("nn", nn, spec)
+            for size in self.SIZES:
+                pick = rows[rng.integers(0, len(rows), size=size)]
+                fks = [
+                    pick[:, fact.schema.fk_position(name)].astype(np.int64)
+                    for name in ("R1", "R2")
+                ]
+                features = fact.project_features(pick)
+                rt.predict("gmm", features, fks)
+                rt.predict("nn", features, fks)
+            for name, expected in self.EXPECTED.items():
+                assert rt.planner_stats(name).recent == [
+                    PlanDecision(*row) for row in expected
+                ]

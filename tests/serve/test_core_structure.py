@@ -8,7 +8,8 @@ predictors and planners are constructed in the core alone, the runtime
 facade never branches on the executor kind outside construction, both
 ``swap_model`` methods are delegations, and the process worker's
 message handlers hold framing, not lifecycle logic.  The same goes for
-the partial-cache stack underneath (``TestOneCacheStack``).
+the partial-cache stack underneath (``TestOneCacheStack``) and the
+cost model both choosers call (``TestOneCostModel``).
 """
 
 import ast
@@ -62,6 +63,21 @@ def _names(node: ast.AST) -> set[str]:
         for n in ast.walk(node)
         if isinstance(n, (ast.Name, ast.Attribute))
     }
+
+
+# Everything the fold into ``fx/costs.py`` deleted: the four adapter
+# classes and their bases, and the binary-join free functions that
+# stated each count a second time.
+REMOVED_COST_NAMES = (
+    "NNServingCost", "GMMServingCost", "NNTrainingCost", "GMMTrainingCost",
+    "_TrainingIOBase", "_CostModelBase",
+    "nn_serving_mults_dense", "nn_serving_mults_factorized",
+    "gmm_serving_mults_dense", "gmm_serving_mults_factorized",
+    "nn_serving_saving_rate", "gmm_serving_saving_rate",
+    "layer1_forward_mults_dense", "layer1_forward_mults_factorized",
+    "layer1_forward_saving_rate",
+    "m_gmm_io_pages", "s_gmm_io_pages", "m_nn_io_pages", "s_nn_io_pages",
+)
 
 
 class TestBuiltOnce:
@@ -187,7 +203,9 @@ class TestOneCacheStack:
     def test_removed_names_stay_removed(self):
         for path in SRC_ROOT.rglob("*.py"):
             text = path.read_text(encoding="utf-8")
-            for name in ("SharedPartialStore", "share_partials"):
+            for name in (
+                "SharedPartialStore", "share_partials", *REMOVED_COST_NAMES
+            ):
                 assert name not in text, f"{name} in {path}"
             for node in ast.walk(ast.parse(text)):
                 if isinstance(node, ast.Call) and "PartialStore" in _names(
@@ -214,6 +232,107 @@ class TestOneCacheStack:
                 ):
                     offenders.append(node.lineno)
         assert offenders == []
+
+
+class TestOneCostModel:
+    """Every published count, the validation helper and the decision
+    rule are stated once, in ``fx/costs.py``, which sits *below* the
+    model and serving packages."""
+
+    COSTS = SRC_ROOT / "fx" / "costs.py"
+
+    @staticmethod
+    def _functions():
+        """``(path, function node)`` for every function in the package."""
+        for path in SRC_ROOT.rglob("*.py"):
+            for node in ast.walk(_tree(path)):
+                if isinstance(node, ast.FunctionDef):
+                    yield path, node
+
+    def test_no_cost_model_module_is_left(self):
+        assert list(SRC_ROOT.rglob("cost_model.py")) == []
+
+    def test_costs_imports_nothing_from_the_layers_above(self):
+        imported = {
+            node.module if isinstance(node, ast.ImportFrom) else alias.name
+            for node in ast.walk(_tree(self.COSTS))
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        }
+        above = ("repro.gmm", "repro.nn", "repro.serve", "repro.runtime")
+        assert [m for m in imported if m.startswith(above)] == []
+
+    def test_check_positive_is_defined_once(self):
+        assert [
+            str(path.relative_to(SRC_ROOT))
+            for path, node in self._functions()
+            if node.name == "_check_positive"
+        ] == ["fx/costs.py"]
+
+    def test_the_decision_rule_is_written_in_one_function(self):
+        """Choosing FACTORIZED vs MATERIALIZED by an ordering
+        comparison happens in ``CostModel.decide`` and nowhere else."""
+        ordering = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+        deciders = set()
+        for path, function in self._functions():
+            for node in ast.walk(function):
+                if not isinstance(node, (ast.If, ast.IfExp)):
+                    continue
+                compares = any(
+                    isinstance(test, ast.Compare)
+                    and any(isinstance(op, ordering) for op in test.ops)
+                    for test in ast.walk(node.test)
+                )
+                branches = (
+                    [node.body, node.orelse] if isinstance(node, ast.IfExp)
+                    else [*node.body, *node.orelse]
+                )
+                chosen = set().union(*(_names(b) for b in branches))
+                if compares and {"FACTORIZED", "MATERIALIZED"} <= chosen:
+                    deciders.add(
+                        (str(path.relative_to(SRC_ROOT)), function.name)
+                    )
+        assert deciders == {("fx/costs.py", "decide")}
+
+    def test_auto_builds_one_cost_model(self):
+        """``_resolve_training_strategy`` and everything it calls in
+        ``core/api.py`` / ``fx/costs.py`` construct the training model
+        once — the record is read off the decision, not recomputed."""
+        functions = {
+            node.name: node
+            for path in (SRC_ROOT / "core" / "api.py", self.COSTS)
+            for node in ast.walk(_tree(path))
+            if isinstance(node, ast.FunctionDef)
+        }
+        constructions, seen = [], set()
+        frontier = ["_resolve_training_strategy"]
+        while frontier:
+            name = frontier.pop()
+            if name in seen or name not in functions:
+                continue
+            seen.add(name)
+            for node in ast.walk(functions[name]):
+                if not isinstance(node, ast.Call):
+                    continue
+                called = (
+                    node.func.id if isinstance(node.func, ast.Name)
+                    else getattr(node.func, "attr", None)
+                )
+                if called in ("training_cost_model", "CostModel"):
+                    constructions.append((name, called))
+                frontier.append(called)
+        assert sorted(constructions) == [
+            ("recommend_training_strategy", "training_cost_model"),
+            ("training_cost_model", "CostModel"),
+        ]
+
+    def test_both_factories_return_the_one_class(self):
+        from repro.fx.costs import CostModel
+
+        shape = dict(d_s=3, dim_widths=(4,), width_param=2)
+        assert type(repro.serving_cost_model("nn", **shape)) is CostModel
+        assert type(repro.training_cost_model("gmm", **shape)) is CostModel
+        assert CostModel.__subclasses__() == []
 
 
 class TestBenchmarkHooksLand:
