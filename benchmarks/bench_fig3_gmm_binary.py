@@ -8,8 +8,8 @@ workload.
 import pytest
 
 from repro.bench.experiments import active_scale, figure3a, figure3b, figure3c
+from repro.core.training import train
 from repro.data.synthetic import StarSchemaConfig, generate_star
-from repro.gmm.algorithms import GMM_ALGORITHMS
 from repro.gmm.base import EMConfig
 from repro.storage.catalog import Database
 
@@ -72,8 +72,7 @@ def reference_workload():
 @pytest.mark.parametrize("algorithm", ["M-GMM", "S-GMM", "F-GMM"])
 def test_fig3_micro(benchmark, reference_workload, algorithm):
     db, spec, config = reference_workload
-    fit = GMM_ALGORITHMS[algorithm]
     benchmark.pedantic(
-        fit, args=(db, spec, config), rounds=2, iterations=1,
-        warmup_rounds=0,
+        train, args=(db, spec, "gmm", algorithm, config),
+        rounds=2, iterations=1, warmup_rounds=0,
     )

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.bench.experiments import active_scale, figure5a, figure5b, figure5c
+from repro.core.training import train
 from repro.data.synthetic import StarSchemaConfig, generate_star
-from repro.nn.algorithms import NN_ALGORITHMS
 from repro.nn.base import NNConfig
 from repro.storage.catalog import Database
 
@@ -60,8 +60,7 @@ def reference_workload():
 @pytest.mark.parametrize("algorithm", ["M-NN", "S-NN", "F-NN"])
 def test_fig5_micro(benchmark, reference_workload, algorithm):
     db, spec, config = reference_workload
-    fit = NN_ALGORITHMS[algorithm]
     benchmark.pedantic(
-        fit, args=(db, spec, config), rounds=2, iterations=1,
-        warmup_rounds=0,
+        train, args=(db, spec, "nn", algorithm, config),
+        rounds=2, iterations=1, warmup_rounds=0,
     )

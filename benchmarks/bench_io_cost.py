@@ -4,14 +4,13 @@ including the M-vs-S BlockSize crossover."""
 import sys
 import warnings
 
-
+from repro.core.training import train
 from repro.data.synthetic import StarSchemaConfig, generate_star
 from repro.fx.costs import (
     TrainingPageProfile,
     streaming_wins_block_size,
     training_cost_model,
 )
-from repro.gmm.algorithms import fit_m_gmm, fit_s_gmm
 from repro.gmm.base import EMConfig
 from repro.storage.catalog import Database
 
@@ -42,13 +41,13 @@ def run_io_crossover():
             warnings.simplefilter("ignore")
             for block_pages in (2, 4, 8, 16, 64):
                 db.reset_stats()
-                m = fit_m_gmm(db, star.spec, config,
-                              block_pages=block_pages)
+                m = train(db, star.spec, "gmm", "M", config,
+                          block_pages=block_pages)
                 pages_t = m.extra["table_pages"]
                 m_total = m.io.pages_read + m.io.pages_written
                 db.reset_stats()
-                s = fit_s_gmm(db, star.spec, config,
-                              block_pages=block_pages)
+                s = train(db, star.spec, "gmm", "S", config,
+                          block_pages=block_pages)
                 s_total = s.io.pages_read + s.io.pages_written
                 profile = TrainingPageProfile(
                     fact_pages=pages_s, dim_pages=(pages_r,),

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.bench.experiments import active_scale, table6
+from repro.core.training import train
 from repro.data.hamlet import load_hamlet
-from repro.gmm.algorithms import GMM_ALGORITHMS
 from repro.gmm.base import EMConfig
 from repro.storage.catalog import Database
 
@@ -37,8 +37,7 @@ def expedia4_workload():
 @pytest.mark.parametrize("algorithm", ["M-GMM", "S-GMM", "F-GMM"])
 def test_table6_micro_expedia4(benchmark, expedia4_workload, algorithm):
     db, spec, config = expedia4_workload
-    fit = GMM_ALGORITHMS[algorithm]
     benchmark.pedantic(
-        fit, args=(db, spec, config), rounds=2, iterations=1,
-        warmup_rounds=0,
+        train, args=(db, spec, "gmm", algorithm, config),
+        rounds=2, iterations=1, warmup_rounds=0,
     )

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.bench.experiments import TABLE7_DATASETS, active_scale, table7
+from repro.core.training import train
 from repro.data.hamlet import load_hamlet
-from repro.nn.algorithms import NN_ALGORITHMS
 from repro.nn.base import NNConfig
 from repro.storage.catalog import Database
 
@@ -47,8 +47,7 @@ def test_table7_micro_walmart(
     benchmark, walmart_sparse_workload, algorithm
 ):
     db, spec, config = walmart_sparse_workload
-    fit = NN_ALGORITHMS[algorithm]
     benchmark.pedantic(
-        fit, args=(db, spec, config), rounds=2, iterations=1,
-        warmup_rounds=0,
+        train, args=(db, spec, "nn", algorithm, config),
+        rounds=2, iterations=1, warmup_rounds=0,
     )

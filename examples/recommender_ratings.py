@@ -43,7 +43,7 @@ def main() -> None:
             learning_rate=0.1,
             seed=2,
         )
-        comparison = repro.compare_nn_strategies(db, star.spec, config)
+        comparison = repro.compare_strategies(db, star.spec, "nn", config)
 
         print(f"{'strategy':<8} {'wall (s)':>9} {'pages read':>11} "
               f"{'final loss':>11}")

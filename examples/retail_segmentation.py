@@ -114,7 +114,7 @@ def main() -> None:
             n_components=3, max_iter=scaled(12, 3), tol=1e-5,
             seed=4
         )
-        comparison = repro.compare_gmm_strategies(db, spec, config)
+        comparison = repro.compare_strategies(db, spec, "gmm", config)
 
         print(f"{'strategy':<14} {'wall (s)':>9} {'pages read':>11} "
               f"{'pages written':>14} {'final loglik':>14}")

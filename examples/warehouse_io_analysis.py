@@ -21,7 +21,6 @@ import repro
 
 from _scale import scaled
 from repro.fx.costs import streaming_wins_block_size
-from repro.gmm.algorithms import fit_m_gmm, fit_s_gmm
 
 
 def main() -> None:
@@ -47,13 +46,13 @@ def main() -> None:
               f"{'cheaper':>8}")
         pages_t = None
         for block_pages in (1, 2, 4, 8, 16, 32, 128):
-            db.reset_stats()
-            m = fit_m_gmm(db, star.spec, config, block_pages=block_pages)
-            m_pages = m.io.total_pages
-            pages_t = m.extra["table_pages"]
-            db.reset_stats()
-            s = fit_s_gmm(db, star.spec, config, block_pages=block_pages)
-            s_pages = s.io.total_pages
+            runs = repro.compare_strategies(
+                db, star.spec, "gmm", config, block_pages=block_pages,
+                strategies=("materialized", "streaming"),
+            ).results
+            m_pages = runs["materialized"].io.total_pages
+            pages_t = runs["materialized"].extra["table_pages"]
+            s_pages = runs["streaming"].io.total_pages
             winner = "S" if s_pages < m_pages else "M"
             print(f"{block_pages:>9} {m_pages:>12,} {s_pages:>12,} "
                   f"{winner:>8}")

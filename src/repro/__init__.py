@@ -105,8 +105,7 @@ from repro.core.api import (
     GMMResult,
     NNResult,
     StrategyComparison,
-    compare_gmm_strategies,
-    compare_nn_strategies,
+    compare_strategies,
     fit_gmm,
     fit_nn,
     maintain,
@@ -254,8 +253,7 @@ __all__ = [
     "Tracer",
     "TrainingPageProfile",
     "as_telemetry",
-    "compare_gmm_strategies",
-    "compare_nn_strategies",
+    "compare_strategies",
     "distinct_values",
     "parse_prometheus_text",
     "prometheus_text",

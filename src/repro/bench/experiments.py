@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from repro.bench.harness import SweepResult, run_gmm_sweep, run_nn_sweep
+from repro.bench.harness import SweepResult, run_sweep
 from repro.data.hamlet import load_hamlet, load_movies_3way
 from repro.data.synthetic import StarSchemaConfig, generate_star
 from repro.gmm.base import EMConfig
@@ -145,12 +145,12 @@ def figure3a(scale: BenchScale | None = None, d_r: int = 15) -> SweepResult:
         (rr, _binary_loader(scale.n_r * rr, scale.n_r, 5, d_r))
         for rr in scale.rr_values
     ]
-    result = run_gmm_sweep(
+    result = run_sweep(
         f"Fig 3(a) GMM vary rr (d_S=5, d_R={d_r}, "
         f"n_R={scale.n_r}, K={scale.n_components})",
         "rr",
         cases,
-        _gmm_config(scale),
+        "gmm", _gmm_config(scale),
     )
     result.notes.append(
         "paper: F-GMM 2x faster at d_R=5 growing to 2.4x at d_R=15"
@@ -166,12 +166,12 @@ def figure3b(scale: BenchScale | None = None) -> SweepResult:
         (d_r, _binary_loader(n_s, scale.n_r, 5, d_r))
         for d_r in scale.dr_values
     ]
-    result = run_gmm_sweep(
+    result = run_sweep(
         f"Fig 3(b) GMM vary d_R (d_S=5, rr={scale.rr_fixed}, "
         f"K={scale.n_components})",
         "d_R",
         cases,
-        _gmm_config(scale),
+        "gmm", _gmm_config(scale),
     )
     result.notes.append("paper: 2x to 6.5x, increasing with d_R")
     return result
@@ -189,8 +189,8 @@ def figure3c(scale: BenchScale | None = None) -> SweepResult:
         x_label="K",
     )
     for k in scale.k_values:
-        partial = run_gmm_sweep(
-            "", "K", [(k, loader)], _gmm_config(scale, n_components=k)
+        partial = run_sweep(
+            "", "K", [(k, loader)], "gmm", _gmm_config(scale, n_components=k)
         )
         result.points.extend(partial.points)
     result.notes.append("paper: 2x to 3x across K")
@@ -209,11 +209,11 @@ def figure4a(scale: BenchScale | None = None) -> SweepResult:
         ))
         for rr in (0.5, 1.0, 2.0)
     ]
-    result = run_gmm_sweep(
+    result = run_sweep(
         "Fig 4(a) GMM 3-way vary rr (Movies-3way)",
         "rr(R1/R2)",
         cases,
-        _gmm_config(scale),
+        "gmm", _gmm_config(scale),
     )
     result.notes.append("paper: 3x to 5x as rr grows")
     return result
@@ -228,11 +228,11 @@ def figure4b(scale: BenchScale | None = None) -> SweepResult:
         ))
         for d_r1 in scale.dr_values[:3]
     ]
-    result = run_gmm_sweep(
+    result = run_sweep(
         "Fig 4(b) GMM 3-way vary d_R1 (Movies-3way)",
         "d_R1",
         cases,
-        _gmm_config(scale),
+        "gmm", _gmm_config(scale),
     )
     result.notes.append("paper: 3x to 14x, increasing with d_R1")
     return result
@@ -247,8 +247,8 @@ def figure4c(scale: BenchScale | None = None) -> SweepResult:
         x_label="K",
     )
     for k in scale.k_values:
-        partial = run_gmm_sweep(
-            "", "K", [(k, loader)], _gmm_config(scale, n_components=k)
+        partial = run_sweep(
+            "", "K", [(k, loader)], "gmm", _gmm_config(scale, n_components=k)
         )
         result.points.extend(partial.points)
     result.notes.append("paper: 3x to 5x across K")
@@ -267,12 +267,12 @@ def figure5a(scale: BenchScale | None = None, d_r: int = 15) -> SweepResult:
         ))
         for rr in scale.rr_values
     ]
-    result = run_nn_sweep(
+    result = run_sweep(
         f"Fig 5(a) NN vary rr (d_S=5, d_R={d_r}, "
         f"n_h={scale.hidden_units})",
         "rr",
         cases,
-        _nn_config(scale),
+        "nn", _nn_config(scale),
     )
     result.notes.append(
         "paper: >2x at d_R=5 rising to 3x at d_R=15; no benefit below "
@@ -289,12 +289,12 @@ def figure5b(scale: BenchScale | None = None) -> SweepResult:
         (d_r, _binary_loader(n_s, scale.n_r, 5, d_r, with_target=True))
         for d_r in scale.dr_values
     ]
-    result = run_nn_sweep(
+    result = run_sweep(
         f"Fig 5(b) NN vary d_R (d_S=5, rr={scale.rr_fixed}, "
         f"n_h={scale.hidden_units})",
         "d_R",
         cases,
-        _nn_config(scale),
+        "nn", _nn_config(scale),
     )
     result.notes.append("paper: 2x to 3.5x, increasing with d_R")
     return result
@@ -312,8 +312,9 @@ def figure5c(scale: BenchScale | None = None) -> SweepResult:
         x_label="n_h",
     )
     for n_h in scale.nh_values:
-        partial = run_nn_sweep(
-            "", "n_h", [(n_h, loader)], _nn_config(scale, hidden=n_h)
+        partial = run_sweep(
+            "", "n_h", [(n_h, loader)], "nn",
+            _nn_config(scale, hidden=n_h),
         )
         result.points.extend(partial.points)
     result.notes.append("paper: 2x to 3x across n_h")
@@ -333,11 +334,11 @@ def figure6a(scale: BenchScale | None = None) -> SweepResult:
         ))
         for rr in (0.5, 1.0, 2.0)
     ]
-    result = run_nn_sweep(
+    result = run_sweep(
         "Fig 6(a) NN 3-way vary rr (Movies-3way)",
         "rr(R1/R2)",
         cases,
-        _nn_config(scale),
+        "nn", _nn_config(scale),
     )
     result.notes.append("paper: 3x to 4x as rr grows")
     return result
@@ -352,11 +353,11 @@ def figure6b(scale: BenchScale | None = None) -> SweepResult:
         ))
         for d_r1 in scale.dr_values[:3]
     ]
-    result = run_nn_sweep(
+    result = run_sweep(
         "Fig 6(b) NN 3-way vary d_R1 (Movies-3way)",
         "d_R1",
         cases,
-        _nn_config(scale),
+        "nn", _nn_config(scale),
     )
     result.notes.append("paper: 3x (small rr) to 6x (large rr)")
     return result
@@ -373,8 +374,9 @@ def figure6c(scale: BenchScale | None = None) -> SweepResult:
         x_label="n_h",
     )
     for n_h in scale.nh_values:
-        partial = run_nn_sweep(
-            "", "n_h", [(n_h, loader)], _nn_config(scale, hidden=n_h)
+        partial = run_sweep(
+            "", "n_h", [(n_h, loader)], "nn",
+            _nn_config(scale, hidden=n_h),
         )
         result.points.extend(partial.points)
     result.notes.append("paper: up to 4x across n_h")
@@ -404,12 +406,12 @@ def table6(scale: BenchScale | None = None) -> SweepResult:
             _movies_3way_loader(hamlet_scale=scale.hamlet_scale),
         )
     )
-    result = run_gmm_sweep(
+    result = run_sweep(
         f"Table VI GMM on simulated Hamlet datasets "
         f"(scale={scale.hamlet_scale})",
         "dataset",
         cases,
-        _gmm_config(scale),
+        "gmm", _gmm_config(scale),
     )
     result.notes.append(
         "paper: F-GMM up to 3.4x (binary) and 4.4x (3-way) faster"
@@ -432,12 +434,12 @@ def table7(scale: BenchScale | None = None) -> SweepResult:
             ),
         )
     )
-    result = run_nn_sweep(
+    result = run_sweep(
         f"Table VII NN on simulated sparse Hamlet datasets "
         f"(scale={scale.hamlet_scale})",
         "dataset",
         cases,
-        _nn_config(scale),
+        "nn", _nn_config(scale),
     )
     result.notes.append(
         "paper: F-NN 8.1x (Walmart), 4.5x (Movies), 3.4x (3-way)"

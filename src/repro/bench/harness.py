@@ -15,25 +15,15 @@ import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.core.api import (
-    FACTORIZED,
-    MATERIALIZED,
-    STREAMING,
-    compare_gmm_strategies,
-    compare_nn_strategies,
-)
+from repro.core.api import FACTORIZED, STREAMING, compare_strategies
+from repro.core.training import ACCESS
 from repro.errors import ModelError
 from repro.gmm.base import EMConfig
 from repro.join.spec import JoinSpec
 from repro.nn.base import NNConfig
 from repro.storage.catalog import Database
 
-STRATEGY_ORDER = (MATERIALIZED, STREAMING, FACTORIZED)
-STRATEGY_LABELS = {
-    MATERIALIZED: "M",
-    STREAMING: "S",
-    FACTORIZED: "F",
-}
+STRATEGY_ORDER = tuple(ACCESS)
 
 
 @dataclass
@@ -81,7 +71,7 @@ class SweepResult:
         strategies = self.strategies
         headers = (
             [self.x_label]
-            + [f"{STRATEGY_LABELS[s]} (s)" for s in strategies]
+            + [f"{ACCESS[s].letter} (s)" for s in strategies]
             + ["F speedup"]
         )
         rows = []
@@ -119,17 +109,18 @@ def _format_table(headers: list[str], rows: list[list[str]]) -> str:
     return "\n".join([fmt(headers), line] + [fmt(r) for r in rows])
 
 
-def run_gmm_sweep(
+def run_sweep(
     experiment: str,
     x_label: str,
     cases: list[tuple[object, Callable[[Database], JoinSpec]]],
-    config: EMConfig,
+    kind: str,
+    config: EMConfig | NNConfig,
     *,
     strategies: tuple[str, ...] = STRATEGY_ORDER,
     block_pages: int = 64,
     check_exactness: bool = True,
 ) -> SweepResult:
-    """Run one GMM figure panel.
+    """Run one figure panel of ``kind`` (``"gmm"`` / ``"nn"``).
 
     ``cases`` maps each x-value to a loader that populates a fresh
     database and returns the join spec to train over.
@@ -138,46 +129,19 @@ def run_gmm_sweep(
     for x, loader in cases:
         with Database() as db:
             spec = loader(db)
-            comparison = compare_gmm_strategies(
-                db, spec, config,
+            comparison = compare_strategies(
+                db, spec, kind, config,
                 block_pages=block_pages, strategies=strategies,
             )
             if check_exactness:
-                _check_gmm_equal(comparison)
+                _CHECK_EQUAL[kind](comparison, config)
             result.points.append(
                 SweepPoint(x=x, seconds=comparison.wall_times())
             )
     return result
 
 
-def run_nn_sweep(
-    experiment: str,
-    x_label: str,
-    cases: list[tuple[object, Callable[[Database], JoinSpec]]],
-    config: NNConfig,
-    *,
-    strategies: tuple[str, ...] = STRATEGY_ORDER,
-    block_pages: int = 64,
-    check_exactness: bool = True,
-) -> SweepResult:
-    """Run one NN figure panel (same contract as :func:`run_gmm_sweep`)."""
-    result = SweepResult(experiment=experiment, x_label=x_label)
-    for x, loader in cases:
-        with Database() as db:
-            spec = loader(db)
-            comparison = compare_nn_strategies(
-                db, spec, config,
-                block_pages=block_pages, strategies=strategies,
-            )
-            if check_exactness:
-                _check_nn_equal(comparison, config)
-            result.points.append(
-                SweepPoint(x=x, seconds=comparison.wall_times())
-            )
-    return result
-
-
-def _check_gmm_equal(comparison) -> None:
+def _check_gmm_equal(comparison, config: EMConfig) -> None:
     # Belt-and-braces check (the strict per-iteration invariant lives in
     # tests/gmm): tolerances are loose enough to absorb float-noise
     # amplification on ill-conditioned covariances (d >> n_R at small
@@ -219,3 +183,6 @@ def _check_nn_equal(comparison, config: NNConfig) -> None:
                     "strategies disagree on the trained NN — the "
                     "exactness invariant is broken"
                 )
+
+
+_CHECK_EQUAL = {"gmm": _check_gmm_equal, "nn": _check_nn_equal}

@@ -5,8 +5,7 @@ from repro.core.api import (
     GMMResult,
     NNResult,
     StrategyComparison,
-    compare_gmm_strategies,
-    compare_nn_strategies,
+    compare_strategies,
     fit_gmm,
     fit_nn,
     predict_gmm,
@@ -32,8 +31,7 @@ __all__ = [
     "SERVING_STRATEGIES",
     "STREAMING",
     "StrategyComparison",
-    "compare_gmm_strategies",
-    "compare_nn_strategies",
+    "compare_strategies",
     "fit_gmm",
     "fit_nn",
     "predict_gmm",

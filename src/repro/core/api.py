@@ -28,15 +28,13 @@ from repro.core.strategies import (
     STREAMING,
     resolve_strategy,
 )
+from repro.core.training import train
 from repro.errors import ModelError
-from repro.fx.costs import TrainingPageProfile, recommend_training_strategy
-from repro.gmm.algorithms import fit_f_gmm, fit_m_gmm, fit_s_gmm
 from repro.gmm.base import EMConfig, GMMFitResult
 from repro.gmm.model import GaussianMixtureModel
 from repro.join.bnl import DEFAULT_BLOCK_PAGES
 from repro.join.spec import JoinSpec
 from repro.maintain.maintainer import MaintenancePolicy, ModelMaintainer
-from repro.nn.algorithms import fit_f_nn, fit_m_nn, fit_s_nn
 from repro.nn.base import NNConfig, NNFitResult
 from repro.nn.network import MLP
 from repro.runtime.service import RuntimeConfig, ServingRuntime
@@ -102,67 +100,6 @@ class NNResult:
         return self.model.predict(features)
 
 
-def _resolve_training_strategy(
-    algorithm: str, db: Database, spec: JoinSpec, kind: str,
-    width_param: int, iterations: int,
-    block_pages: int = DEFAULT_BLOCK_PAGES,
-) -> tuple[str, dict | None]:
-    """Resolve a training algorithm name, settling ``"auto"`` from the
-    one cost model (:mod:`repro.fx.costs`).
-
-    Compute counts (cardinalities × feature widths) pick factorized
-    vs dense; when dense wins, the folded-in page I/O models pick
-    materialized vs streaming for the run length ``iterations`` (EM
-    iterations / NN epochs), with the database's buffer-pool capacity
-    as the memory budget a materialized join result must fit in.
-    Returns the strategy and, for ``"auto"``, the record it was decided
-    from (the fit result's ``extra["auto"]``, read off the one
-    :class:`~repro.fx.costs.TrainingDecision`); ``None`` for a named
-    one.
-    """
-    strategy = resolve_strategy(algorithm)
-    if strategy != AUTO:
-        return strategy, None
-    resolved = spec.resolve(db)
-    layout = resolved.layout
-    pages = TrainingPageProfile.for_join(
-        resolved,
-        page_size_bytes=db.page_size_bytes,
-        block_pages=block_pages,
-    )
-    decision = recommend_training_strategy(
-        kind,
-        rows=resolved.num_rows,
-        distinct=tuple(d.relation.nrows for d in resolved.dimensions),
-        d_s=layout.sizes[0],
-        dim_widths=tuple(layout.sizes[1:]),
-        width_param=width_param,
-        pages=pages,
-        iterations=iterations,
-        memory_budget_pages=db.buffer_pool.capacity_pages,
-    )
-    return decision.strategy, {
-        "chosen": decision.strategy,
-        "dense_mults": decision.dense_mults,
-        "factorized_mults": decision.factorized_mults,
-        "streaming_pages": decision.streaming_pages,
-        "materialized_pages": decision.materialized_pages,
-    }
-
-
-_GMM_FITTERS = {
-    MATERIALIZED: fit_m_gmm,
-    STREAMING: fit_s_gmm,
-    FACTORIZED: fit_f_gmm,
-}
-
-_NN_FITTERS = {
-    MATERIALIZED: fit_m_nn,
-    STREAMING: fit_s_nn,
-    FACTORIZED: fit_f_nn,
-}
-
-
 def fit_gmm(
     db: Database,
     spec: JoinSpec,
@@ -206,15 +143,10 @@ def fit_gmm(
             reg_covar=reg_covar,
             seed=seed,
         )
-    strategy, auto = _resolve_training_strategy(
-        algorithm, db, spec, "gmm", config.n_components,
-        config.max_iter, block_pages,
+    fit_result = train(
+        db, spec, "gmm", algorithm, config,
+        block_pages=block_pages, telemetry=telemetry,
     )
-    fit_result = _GMM_FITTERS[strategy](
-        db, spec, config, block_pages=block_pages, telemetry=telemetry
-    )
-    if auto is not None:
-        fit_result.extra["auto"] = auto
     model = GaussianMixtureModel(
         fit_result.params, reg_covar=config.reg_covar
     )
@@ -265,15 +197,10 @@ def fit_nn(
             shuffle=shuffle,
             seed=seed,
         )
-    strategy, auto = _resolve_training_strategy(
-        algorithm, db, spec, "nn", config.hidden_sizes[0],
-        config.epochs, block_pages,
+    fit_result = train(
+        db, spec, "nn", algorithm, config,
+        block_pages=block_pages, telemetry=telemetry,
     )
-    fit_result = _NN_FITTERS[strategy](
-        db, spec, config, block_pages=block_pages, telemetry=telemetry
-    )
-    if auto is not None:
-        fit_result.extra["auto"] = auto
     return NNResult(model=fit_result.model, fit=fit_result)
 
 
@@ -281,7 +208,7 @@ def fit_nn(
 class StrategyComparison:
     """Side-by-side runs of all three strategies on one workload.
 
-    >>> comparison = compare_gmm_strategies(db, spec, config)
+    >>> comparison = compare_strategies(db, spec, "gmm", config)
     >>> comparison.wall_times()                  # doctest: +SKIP
     {'materialized': 1.9, 'streaming': 1.7, 'factorized': 0.6}
     >>> comparison.speedup_of_factorized()       # doctest: +SKIP
@@ -312,15 +239,17 @@ class StrategyComparison:
         }
 
 
-def compare_gmm_strategies(
+def compare_strategies(
     db: Database,
     spec: JoinSpec,
-    config: EMConfig,
+    kind: str,
+    config: EMConfig | NNConfig,
     *,
     block_pages: int = DEFAULT_BLOCK_PAGES,
     strategies: tuple[str, ...] = (MATERIALIZED, STREAMING, FACTORIZED),
 ) -> StrategyComparison:
-    """Run the same GMM workload under several strategies (Fig. 3/4)."""
+    """Run one ``kind`` (``"gmm"`` / ``"nn"``) workload under several
+    strategies (Fig. 3–6); results are the kind's bare fit results."""
     comparison = StrategyComparison()
     for name in strategies:
         strategy = resolve_strategy(name)
@@ -329,8 +258,8 @@ def compare_gmm_strategies(
                 "'auto' resolves to a single strategy; name the "
                 "concrete strategies to compare"
             )
-        comparison.results[strategy] = _GMM_FITTERS[strategy](
-            db, spec, config, block_pages=block_pages
+        comparison.results[strategy] = train(
+            db, spec, kind, strategy, config, block_pages=block_pages
         )
     return comparison
 
@@ -581,26 +510,3 @@ def serve_runtime(
         telemetry=telemetry,
         telemetry_port=telemetry_port,
     )
-
-
-def compare_nn_strategies(
-    db: Database,
-    spec: JoinSpec,
-    config: NNConfig,
-    *,
-    block_pages: int = DEFAULT_BLOCK_PAGES,
-    strategies: tuple[str, ...] = (MATERIALIZED, STREAMING, FACTORIZED),
-) -> StrategyComparison:
-    """Run the same NN workload under several strategies (Fig. 5/6)."""
-    comparison = StrategyComparison()
-    for name in strategies:
-        strategy = resolve_strategy(name)
-        if strategy == AUTO:
-            raise ModelError(
-                "'auto' resolves to a single strategy; name the "
-                "concrete strategies to compare"
-            )
-        comparison.results[strategy] = _NN_FITTERS[strategy](
-            db, spec, config, block_pages=block_pages
-        )
-    return comparison

@@ -19,10 +19,9 @@ from typing import Protocol
 import numpy as np
 
 from repro.errors import ConvergenceWarning, ModelError
-from repro.fx.dedup import DedupCounter
 from repro.gmm.init import DEFAULT_INIT_SAMPLE, initial_params
 from repro.gmm.model import ComponentPrecisions, GMMParams
-from repro.obs import as_telemetry
+from repro.obs.training import TrainingRecorder
 from repro.storage.iostats import IOSnapshot
 
 
@@ -124,47 +123,17 @@ def run_em(
     is declared when the per-tuple mean log-likelihood (Eq. 6) changes
     by less than ``tol``.
 
-    Every batch the join access paths assemble arrives carrying its
-    :class:`~repro.fx.dedup.DedupPlan`; the driver folds each executed
-    batch's plan into a :class:`~repro.fx.dedup.DedupCounter`, so the
-    fit result reports the same ``dedup_ratio`` bookkeeping the serving
-    runtime reports per model (``result.extra``).  Batches off the
-    join paths (a materialized table) carry no plan and count nothing.
-
-    ``telemetry`` (see :func:`repro.obs.as_telemetry`) additionally
-    streams per-iteration wall seconds and the running dedup ratio
-    into the registry under the ``algorithm`` label; the fit result's
-    ``extra`` carries the same series (``iteration_seconds``,
-    ``dedup_ratio_series``) either way.
+    The :class:`~repro.obs.training.TrainingRecorder` the driver holds
+    supplies ``result.extra`` — the run's dedup counters (the same
+    ``dedup_ratio`` the serving runtime reports per model) plus
+    ``iteration_seconds`` / ``dedup_ratio_series`` — and streams the
+    same series into ``telemetry`` (see :func:`repro.obs.as_telemetry`)
+    under the ``algorithm`` label.
     """
     start = time.perf_counter()
     estep_seconds = 0.0
     mstep_seconds = 0.0
-    dedup = DedupCounter()
-    registry = as_telemetry(telemetry).registry
-    m_iteration_seconds = registry.histogram(
-        "repro_training_iteration_seconds",
-        help="Wall seconds per training iteration/epoch",
-        labelnames=("algorithm",),
-    ).labels(algorithm=algorithm)
-    m_iterations = registry.counter(
-        "repro_training_iterations_total",
-        help="Training iterations/epochs completed",
-        labelnames=("algorithm",),
-    ).labels(algorithm=algorithm)
-    m_dedup_ratio = registry.gauge(
-        "repro_training_dedup_ratio",
-        help="FK references per distinct value observed so far",
-        labelnames=("algorithm",),
-    ).labels(algorithm=algorithm)
-    iteration_seconds: list[float] = []
-    dedup_ratio_series: list[float] = []
-
-    def observed(batches):
-        for batch in batches:
-            if batch.plan is not None:
-                dedup.observe(batch.plan)
-            yield batch
+    recorder = TrainingRecorder(algorithm, telemetry)
 
     if initial is not None:
         params = initial.copy()
@@ -200,7 +169,7 @@ def run_em(
         tick = time.perf_counter()
         gammas: list[np.ndarray] = []
         log_likelihood = 0.0
-        for batch in observed(engine.batches(pass_index=3 * iteration)):
+        for batch in recorder.observed(engine.batches(3 * iteration)):
             gamma, batch_ll = engine.estep_batch(batch, params, precisions)
             gammas.append(gamma)
             log_likelihood += float(batch_ll.sum())
@@ -218,7 +187,7 @@ def run_em(
             )
         mu_sums = np.zeros((config.n_components, d))
         for batch, gamma in zip(
-            observed(engine.batches(3 * iteration + 1)), gammas
+            recorder.observed(engine.batches(3 * iteration + 1)), gammas
         ):
             mu_sums += engine.mu_accumulate_batch(batch, gamma)
         new_means = mu_sums / component_mass[:, None]
@@ -227,7 +196,7 @@ def run_em(
         # updates µ_k on line 15 before the Σ pass begins).
         sigma_sums = np.zeros((config.n_components, d, d))
         for batch, gamma in zip(
-            observed(engine.batches(3 * iteration + 2)), gammas
+            recorder.observed(engine.batches(3 * iteration + 2)), gammas
         ):
             sigma_sums += engine.sigma_accumulate_batch(
                 batch, gamma, new_means
@@ -238,12 +207,7 @@ def run_em(
         mstep_seconds += time.perf_counter() - tick
 
         history.append(log_likelihood)
-        elapsed_iter = time.perf_counter() - iter_tick
-        iteration_seconds.append(elapsed_iter)
-        m_iteration_seconds.observe(elapsed_iter)
-        m_iterations.inc()
-        dedup_ratio_series.append(dedup.dedup_ratio)
-        m_dedup_ratio.set(dedup.dedup_ratio)
+        recorder.step_done(time.perf_counter() - iter_tick)
         if iteration > 0:
             delta = abs(history[-1] - history[-2]) / max(n, 1)
             if delta < config.tol:
@@ -258,9 +222,6 @@ def run_em(
             stacklevel=2,
         )
 
-    extra = dedup.as_extra()
-    extra["iteration_seconds"] = iteration_seconds
-    extra["dedup_ratio_series"] = dedup_ratio_series
     return GMMFitResult(
         algorithm=algorithm,
         params=params,
@@ -270,5 +231,5 @@ def run_em(
         wall_time_seconds=time.perf_counter() - start,
         estep_seconds=estep_seconds,
         mstep_seconds=mstep_seconds,
-        extra=extra,
+        extra=recorder.extra("iteration_seconds"),
     )

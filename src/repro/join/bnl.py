@@ -48,10 +48,28 @@ from repro.errors import JoinError
 from repro.fx.dedup import DedupPlan
 from repro.join.spec import JoinSpec, ResolvedJoin
 from repro.linalg.groupsum import codes_for_keys
-from repro.obs import as_telemetry
 from repro.storage.catalog import Database
+from repro.storage.relation import Relation
 
 DEFAULT_BLOCK_PAGES = 64
+
+
+def sids_and_targets(
+    relation: Relation, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """What every batch carries beside its features, projected from
+    already-read ``rows`` of ``relation`` (the fact relation, or the
+    materialized ``T``): the key column — row numbers where the schema
+    declares none — and the TARGET column, ``None`` likewise."""
+    schema = relation.schema
+    return (
+        relation.project_keys(rows)
+        if schema.key_column is not None
+        else np.arange(rows.shape[0]),
+        relation.project_targets(rows)
+        if schema.target_column is not None
+        else None,
+    )
 
 
 @dataclass
@@ -337,22 +355,6 @@ class JoinIndex:
             "passes_replayed": self.passes_replayed,
             "rebuilds": self.rebuilds,
         }
-
-    def publish(self, telemetry, algorithm: str) -> dict:
-        """:meth:`stats`, mirrored into the telemetry registry."""
-        stats = self.stats()
-        registry = as_telemetry(telemetry).registry
-        registry.gauge(
-            "repro_training_join_index_bytes",
-            help="Bytes of key-derived arrays the fit's join index held",
-            labelnames=("algorithm",),
-        ).labels(algorithm=algorithm).set(stats["bytes"])
-        registry.counter(
-            "repro_training_join_index_replays_total",
-            help="Training passes served from the join index",
-            labelnames=("algorithm",),
-        ).labels(algorithm=algorithm).inc(stats["passes_replayed"])
-        return stats
 
 
 class JoinAccess:

@@ -22,10 +22,8 @@ from __future__ import annotations
 
 from typing import Iterator
 
-import numpy as np
-
 from repro.join.batches import FactorizedBatch
-from repro.join.bnl import JoinAccess, JoinBlock
+from repro.join.bnl import JoinAccess, JoinBlock, sids_and_targets
 from repro.join.spec import ResolvedJoin
 from repro.linalg.design import FactorizedDesign
 
@@ -39,16 +37,7 @@ def _factorize_block(
         [block.distinct_rows(i) for i in range(len(block.dim_features))],
         block.plan,
     )
-    sids = (
-        fact.project_keys(block.fact_rows)
-        if fact.schema.key_column is not None
-        else np.arange(block.n)
-    )
-    targets = (
-        fact.project_targets(block.fact_rows)
-        if fact.schema.target_column is not None
-        else None
-    )
+    sids, targets = sids_and_targets(fact, block.fact_rows)
     return FactorizedBatch(sids, design, targets, plan=block.plan)
 
 

@@ -14,7 +14,11 @@ import numpy as np
 
 from repro.errors import JoinError
 from repro.join.batches import DenseBatch
-from repro.join.bnl import DEFAULT_BLOCK_PAGES
+from repro.join.bnl import (
+    DEFAULT_BLOCK_PAGES,
+    _block_starts,
+    sids_and_targets,
+)
 from repro.join.spec import JoinSpec
 from repro.join.stream import StreamingJoin
 from repro.storage.catalog import Database
@@ -84,10 +88,6 @@ class MaterializedTable:
     def num_rows(self) -> int:
         return self.table.nrows
 
-    @property
-    def has_target(self) -> bool:
-        return self.table.schema.target_column is not None
-
     def batches(self, epoch: int = 0) -> Iterator[DenseBatch]:
         """One full pass over ``T`` as dense batches."""
         rng = (
@@ -95,26 +95,14 @@ class MaterializedTable:
             if self.shuffle
             else None
         )
-        starts = list(range(0, self.table.npages, self.block_pages))
-        if self.shuffle:
-            starts = [starts[i] for i in rng.permutation(len(starts))]
-        for first_page in starts:
+        for first_page in _block_starts(
+            self.table.npages, self.block_pages, self.shuffle, rng
+        ):
             npages = min(self.block_pages, self.table.npages - first_page)
             rows = self.table.heap.read_pages(first_page, npages)
             if self.shuffle and rows.shape[0] > 1:
                 rows = rows[rng.permutation(rows.shape[0])]
-            yield self._to_batch(rows)
-
-    def _to_batch(self, rows: np.ndarray) -> DenseBatch:
-        schema = self.table.schema
-        sids = (
-            rows[:, schema.key_position].astype(np.int64)
-            if schema.key_column is not None
-            else np.arange(rows.shape[0])
-        )
-        targets = (
-            rows[:, schema.target_position]
-            if schema.target_column is not None
-            else None
-        )
-        return DenseBatch(sids, rows[:, self._feature_positions], targets)
+            sids, targets = sids_and_targets(self.table, rows)
+            yield DenseBatch(
+                sids, rows[:, self._feature_positions], targets
+            )

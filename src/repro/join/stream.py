@@ -22,7 +22,7 @@ from typing import Iterator
 import numpy as np
 
 from repro.join.batches import DenseBatch
-from repro.join.bnl import JoinAccess, JoinBlock
+from repro.join.bnl import JoinAccess, JoinBlock, sids_and_targets
 from repro.join.spec import ResolvedJoin
 
 
@@ -32,16 +32,7 @@ def _densify_block(resolved: ResolvedJoin, block: JoinBlock) -> DenseBatch:
     parts = [fact.project_features(block.fact_rows)]
     for i, dim in enumerate(block.plan.dims):
         parts.append(dim.gather(block.distinct_rows(i)))
-    sids = (
-        fact.project_keys(block.fact_rows)
-        if fact.schema.key_column is not None
-        else np.arange(block.n)
-    )
-    targets = (
-        fact.project_targets(block.fact_rows)
-        if fact.schema.target_column is not None
-        else None
-    )
+    sids, targets = sids_and_targets(fact, block.fact_rows)
     return DenseBatch(
         sids, np.concatenate(parts, axis=1), targets, plan=block.plan
     )

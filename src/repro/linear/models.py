@@ -26,9 +26,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.strategies import FACTORIZED
+from repro.core.training import open_access
 from repro.errors import ModelError
 from repro.join.bnl import DEFAULT_BLOCK_PAGES
-from repro.join.factorized import FactorizedJoin
 from repro.join.spec import JoinSpec
 from repro.linalg.design import FactorizedDesign
 from repro.linalg.outer import (
@@ -100,24 +101,24 @@ def fit_ridge(
     if alpha < 0:
         raise ModelError(f"alpha must be non-negative, got {alpha}")
     start = time.perf_counter()
-    access = FactorizedJoin(db, spec, block_pages=block_pages)
-    if not access.has_target:
-        raise ModelError("ridge regression requires a TARGET column")
-    d = access.resolved.total_features
-    gram = np.zeros((d, d))
-    cross = np.zeros(d)
-    feature_sum = np.zeros(d)
-    target_sum = 0.0
-    n = 0
-    for batch in access.batches():
-        design = batch.design
-        gram += factorized_count_outer(design)
-        cross += factorized_weighted_sum(design, batch.targets)
-        feature_sum += factorized_weighted_sum(
-            design, np.ones(design.n)
-        )
-        target_sum += float(batch.targets.sum())
-        n += design.n
+    with open_access(db, spec, FACTORIZED, block_pages) as access:
+        if not access.has_target:
+            raise ModelError("ridge regression requires a TARGET column")
+        d = access.resolved.total_features
+        gram = np.zeros((d, d))
+        cross = np.zeros(d)
+        feature_sum = np.zeros(d)
+        target_sum = 0.0
+        n = 0
+        for batch in access.batches():
+            design = batch.design
+            gram += factorized_count_outer(design)
+            cross += factorized_weighted_sum(design, batch.targets)
+            feature_sum += factorized_weighted_sum(
+                design, np.ones(design.n)
+            )
+            target_sum += float(batch.targets.sum())
+            n += design.n
     if n == 0:
         raise ModelError("the join produced no tuples")
     mean = feature_sum / n
@@ -155,39 +156,39 @@ def fit_logistic(
             f"learning_rate must be positive, got {learning_rate}"
         )
     start = time.perf_counter()
-    access = FactorizedJoin(db, spec, block_pages=block_pages)
-    if not access.has_target:
-        raise ModelError("logistic regression requires a TARGET column")
-    d = access.resolved.total_features
-    weights = np.zeros(d)
-    intercept = 0.0
-    n = access.num_rows
-    losses: list[float] = []
-    for _ in range(epochs):
-        grad_w = np.zeros(d)
-        grad_b = 0.0
-        loss = 0.0
-        for batch in access.batches():
-            design = batch.design
-            targets = batch.targets
-            margin = _margin(design, weights) + intercept
-            exp_neg = np.exp(-np.abs(margin))
-            probability = np.where(
-                margin >= 0,
-                1.0 / (1.0 + exp_neg),
-                exp_neg / (1.0 + exp_neg),
-            )
-            residual = (probability - targets) / n
-            grad_w += _gradient(design, residual)
-            grad_b += float(residual.sum())
-            loss += float(
-                (np.logaddexp(0.0, -np.abs(margin))
-                 + np.maximum(margin, 0.0) - margin * targets).sum()
-            )
-        grad_w += l2 * weights
-        weights = weights - learning_rate * grad_w
-        intercept -= learning_rate * grad_b
-        losses.append(loss / n)
+    with open_access(db, spec, FACTORIZED, block_pages) as access:
+        if not access.has_target:
+            raise ModelError("logistic regression requires a TARGET column")
+        d = access.resolved.total_features
+        weights = np.zeros(d)
+        intercept = 0.0
+        n = access.num_rows
+        losses: list[float] = []
+        for _ in range(epochs):
+            grad_w = np.zeros(d)
+            grad_b = 0.0
+            loss = 0.0
+            for batch in access.batches():
+                design = batch.design
+                targets = batch.targets
+                margin = _margin(design, weights) + intercept
+                exp_neg = np.exp(-np.abs(margin))
+                probability = np.where(
+                    margin >= 0,
+                    1.0 / (1.0 + exp_neg),
+                    exp_neg / (1.0 + exp_neg),
+                )
+                residual = (probability - targets) / n
+                grad_w += _gradient(design, residual)
+                grad_b += float(residual.sum())
+                loss += float(
+                    (np.logaddexp(0.0, -np.abs(margin))
+                     + np.maximum(margin, 0.0) - margin * targets).sum()
+                )
+            grad_w += l2 * weights
+            weights = weights - learning_rate * grad_w
+            intercept -= learning_rate * grad_b
+            losses.append(loss / n)
     return LinearModel(
         weights=weights,
         intercept=intercept,

@@ -460,10 +460,7 @@ class ModelMaintainer:
         design = FactorizedDesign.from_plan(features, dim_blocks, plan)
         batch = FactorizedBatch(positions, design, targets, plan=plan)
         stepped = self._model.copy()
-        engine = FactorizedNNEngine(
-            None, stepped,
-            grouped_backward=self._nn_config.grouped_backward,
-        )
+        engine = FactorizedNNEngine(None, stepped)
         _, grads = engine.batch_gradients(batch, batch.n)
         stepped.apply_grads(grads, self._nn_config.learning_rate)
         self._model = stepped

@@ -34,10 +34,12 @@ same dedup machinery training and serving share.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.strategies import FACTORIZED
+from repro.core.training import open_access
 from repro.errors import ModelError
 from repro.gmm.base import EMConfig
 from repro.gmm.model import (
@@ -46,7 +48,6 @@ from repro.gmm.model import (
     log_responsibilities,
 )
 from repro.join.bnl import DEFAULT_BLOCK_PAGES
-from repro.join.factorized import FactorizedJoin
 from repro.join.spec import JoinSpec
 from repro.linalg.groupsum import codes_for_keys
 from repro.linear.models import LinearModel
@@ -113,61 +114,61 @@ class LinearSuffStats:
         """One factorized pass accumulating the full statistics."""
         if alpha < 0:
             raise ModelError(f"alpha must be non-negative, got {alpha}")
-        access = FactorizedJoin(db, spec, block_pages=block_pages)
-        if not access.has_target:
-            raise ModelError("ridge statistics require a TARGET column")
-        resolved = access.resolved
-        layout = resolved.layout
-        d = layout.total
-        q = resolved.num_dimensions
-        dim_keys = [dim.relation.keys() for dim in resolved.dimensions]
-        dim_features = [
-            dim.relation.features().astype(np.float64)
-            for dim in resolved.dimensions
-        ]
-        gram = np.zeros((d, d))
-        cross = np.zeros(d)
-        feature_sum = np.zeros(d)
-        target_sum = 0.0
-        n = 0
-        group_count = [np.zeros(k.size) for k in dim_keys]
-        group_fact_sum = [
-            np.zeros((k.size, layout.sizes[0])) for k in dim_keys
-        ]
-        group_target_sum = [np.zeros(k.size) for k in dim_keys]
-        pair_counts = {
-            (i, j): np.zeros((dim_keys[i].size, dim_keys[j].size))
-            for i in range(q) for j in range(i + 1, q)
-        }
-        for batch in access.batches():
-            design = batch.design
-            dense = design.densify()
-            targets = batch.targets
-            gram += dense.T @ dense
-            cross += targets @ dense
-            feature_sum += dense.sum(axis=0)
-            target_sum += float(targets.sum())
-            n += design.n
-            plan = batch.plan
-            globals_ = [
-                codes_for_keys(plan.dims[i].unique, dim_keys[i])
-                for i in range(q)
+        with open_access(db, spec, FACTORIZED, block_pages) as access:
+            if not access.has_target:
+                raise ModelError("ridge statistics require a TARGET column")
+            resolved = access.resolved
+            layout = resolved.layout
+            d = layout.total
+            q = resolved.num_dimensions
+            dim_keys = [dim.relation.keys() for dim in resolved.dimensions]
+            dim_features = [
+                dim.relation.features().astype(np.float64)
+                for dim in resolved.dimensions
             ]
-            for i in range(q):
-                g = globals_[i]
-                group = design.groups[i]
-                group_count[i][g] += group.sum_weights(
-                    np.ones(design.n)
-                )
-                group_fact_sum[i][g] += group.sum_rows(design.fact_block)
-                group_target_sum[i][g] += group.sum_weights(targets)
-            for i in range(q):
-                for j in range(i + 1, q):
-                    rows_i = globals_[i][plan.dims[i].inverse]
-                    rows_j = globals_[j][plan.dims[j].inverse]
-                    np.add.at(
-                        pair_counts[(i, j)], (rows_i, rows_j), 1.0
+            gram = np.zeros((d, d))
+            cross = np.zeros(d)
+            feature_sum = np.zeros(d)
+            target_sum = 0.0
+            n = 0
+            group_count = [np.zeros(k.size) for k in dim_keys]
+            group_fact_sum = [
+                np.zeros((k.size, layout.sizes[0])) for k in dim_keys
+            ]
+            group_target_sum = [np.zeros(k.size) for k in dim_keys]
+            pair_counts = {
+                (i, j): np.zeros((dim_keys[i].size, dim_keys[j].size))
+                for i in range(q) for j in range(i + 1, q)
+            }
+            for batch in access.batches():
+                design = batch.design
+                dense = design.densify()
+                targets = batch.targets
+                gram += dense.T @ dense
+                cross += targets @ dense
+                feature_sum += dense.sum(axis=0)
+                target_sum += float(targets.sum())
+                n += design.n
+                plan = batch.plan
+                globals_ = [
+                    codes_for_keys(plan.dims[i].unique, dim_keys[i])
+                    for i in range(q)
+                ]
+                for i in range(q):
+                    g = globals_[i]
+                    group = design.groups[i]
+                    group_count[i][g] += group.sum_weights(
+                        np.ones(design.n)
                     )
+                    group_fact_sum[i][g] += group.sum_rows(design.fact_block)
+                    group_target_sum[i][g] += group.sum_weights(targets)
+                for i in range(q):
+                    for j in range(i + 1, q):
+                        rows_i = globals_[i][plan.dims[i].inverse]
+                        rows_j = globals_[j][plan.dims[j].inverse]
+                        np.add.at(
+                            pair_counts[(i, j)], (rows_i, rows_j), 1.0
+                        )
         if n == 0:
             raise ModelError("the join produced no tuples")
         return cls(
@@ -404,62 +405,62 @@ class GMMSuffStats:
     ) -> "GMMSuffStats":
         """One factorized E-pass at ``params`` retaining per-RID masses."""
         config = config or EMConfig(n_components=params.weights.size)
-        access = FactorizedJoin(db, spec, block_pages=block_pages)
-        resolved = access.resolved
-        layout = resolved.layout
-        d = layout.total
-        k = params.weights.size
-        q = resolved.num_dimensions
-        model = GaussianMixtureModel(params, reg_covar=config.reg_covar)
-        dim_keys = [dim.relation.keys() for dim in resolved.dimensions]
-        dim_features = [
-            dim.relation.features().astype(np.float64)
-            for dim in resolved.dimensions
-        ]
-        counts = np.zeros(k)
-        comp_sum = np.zeros((k, d))
-        comp_outer = np.zeros((k, d, d))
-        n = 0
-        mass = [np.zeros((keys.size, k)) for keys in dim_keys]
-        fact_mass = [
-            np.zeros((k, keys.size, layout.sizes[0])) for keys in dim_keys
-        ]
-        pair_mass = {
-            (i, j): np.zeros((k, dim_keys[i].size, dim_keys[j].size))
-            for i in range(q) for j in range(i + 1, q)
-        }
-        for batch in access.batches():
-            design = batch.design
-            dense = design.densify()
-            log_gauss = model.log_gaussians(dense)
-            gamma, _ = log_responsibilities(log_gauss, params.weights)
-            counts += gamma.sum(axis=0)
-            comp_sum += gamma.T @ dense
-            comp_outer += np.einsum("nk,nd,ne->kde", gamma, dense, dense)
-            n += dense.shape[0]
-            plan = batch.plan
-            globals_ = [
-                codes_for_keys(plan.dims[i].unique, dim_keys[i])
-                for i in range(q)
+        with open_access(db, spec, FACTORIZED, block_pages) as access:
+            resolved = access.resolved
+            layout = resolved.layout
+            d = layout.total
+            k = params.weights.size
+            q = resolved.num_dimensions
+            model = GaussianMixtureModel(params, reg_covar=config.reg_covar)
+            dim_keys = [dim.relation.keys() for dim in resolved.dimensions]
+            dim_features = [
+                dim.relation.features().astype(np.float64)
+                for dim in resolved.dimensions
             ]
-            for i in range(q):
-                g = globals_[i]
-                group = design.groups[i]
-                mass[i][g] += group.sum_rows(gamma)
-                for comp in range(k):
-                    fact_mass[i][comp][g] += group.sum_rows(
-                        gamma[:, comp : comp + 1] * design.fact_block
-                    )
-            for i in range(q):
-                for j in range(i + 1, q):
-                    rows_i = globals_[i][plan.dims[i].inverse]
-                    rows_j = globals_[j][plan.dims[j].inverse]
+            counts = np.zeros(k)
+            comp_sum = np.zeros((k, d))
+            comp_outer = np.zeros((k, d, d))
+            n = 0
+            mass = [np.zeros((keys.size, k)) for keys in dim_keys]
+            fact_mass = [
+                np.zeros((k, keys.size, layout.sizes[0])) for keys in dim_keys
+            ]
+            pair_mass = {
+                (i, j): np.zeros((k, dim_keys[i].size, dim_keys[j].size))
+                for i in range(q) for j in range(i + 1, q)
+            }
+            for batch in access.batches():
+                design = batch.design
+                dense = design.densify()
+                log_gauss = model.log_gaussians(dense)
+                gamma, _ = log_responsibilities(log_gauss, params.weights)
+                counts += gamma.sum(axis=0)
+                comp_sum += gamma.T @ dense
+                comp_outer += np.einsum("nk,nd,ne->kde", gamma, dense, dense)
+                n += dense.shape[0]
+                plan = batch.plan
+                globals_ = [
+                    codes_for_keys(plan.dims[i].unique, dim_keys[i])
+                    for i in range(q)
+                ]
+                for i in range(q):
+                    g = globals_[i]
+                    group = design.groups[i]
+                    mass[i][g] += group.sum_rows(gamma)
                     for comp in range(k):
-                        np.add.at(
-                            pair_mass[(i, j)][comp],
-                            (rows_i, rows_j),
-                            gamma[:, comp],
+                        fact_mass[i][comp][g] += group.sum_rows(
+                            gamma[:, comp : comp + 1] * design.fact_block
                         )
+                for i in range(q):
+                    for j in range(i + 1, q):
+                        rows_i = globals_[i][plan.dims[i].inverse]
+                        rows_j = globals_[j][plan.dims[j].inverse]
+                        for comp in range(k):
+                            np.add.at(
+                                pair_mass[(i, j)][comp],
+                                (rows_i, rows_j),
+                                gamma[:, comp],
+                            )
         if n == 0:
             raise ModelError("the join produced no tuples")
         return cls(

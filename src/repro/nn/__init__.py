@@ -1,8 +1,9 @@
 """Neural networks over normalized data (Section VI).
 
 Public surface: activations/losses/layers/MLP, the training
-configuration and result types, the three training strategies and the
-second-layer reuse analysis.  The Section VI cost models live in
+configuration and result types, the epoch driver and its two engines
+(the three training strategies are :func:`repro.core.training.train`)
+and the second-layer reuse analysis.  The Section VI cost models live in
 :mod:`repro.fx.costs`.
 """
 
@@ -16,21 +17,11 @@ from repro.nn.activations import (
     available_activations,
     get_activation,
 )
-from repro.nn.algorithms import (
-    F_NN,
-    M_NN,
-    NN_ALGORITHMS,
-    S_NN,
-    build_model,
-    fit_f_nn,
-    fit_m_nn,
-    fit_s_nn,
-)
 from repro.nn.base import NNConfig, NNFitResult, run_training
 from repro.nn.engines import DenseNNEngine, FactorizedNNEngine
 from repro.nn.layers import DenseLayer, LayerGrads
 from repro.nn.losses import BinaryCrossEntropy, HalfMSE, Loss, get_loss
-from repro.nn.network import MLP, ForwardCache
+from repro.nn.network import MLP, ForwardCache, build_model
 from repro.nn.second_layer import (
     SecondLayerOutputs,
     compare_second_layer,
@@ -43,20 +34,16 @@ __all__ = [
     "BinaryCrossEntropy",
     "DenseLayer",
     "DenseNNEngine",
-    "F_NN",
     "FactorizedNNEngine",
     "ForwardCache",
     "HalfMSE",
     "Identity",
     "LayerGrads",
     "Loss",
-    "M_NN",
     "MLP",
     "NNConfig",
     "NNFitResult",
-    "NN_ALGORITHMS",
     "ReLU",
-    "S_NN",
     "SecondLayerOutputs",
     "Sigmoid",
     "Softplus",
@@ -64,9 +51,6 @@ __all__ = [
     "available_activations",
     "build_model",
     "compare_second_layer",
-    "fit_f_nn",
-    "fit_m_nn",
-    "fit_s_nn",
     "get_activation",
     "get_loss",
     "run_training",

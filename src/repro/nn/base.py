@@ -21,10 +21,9 @@ from dataclasses import dataclass, field
 from typing import Protocol
 
 from repro.errors import ModelError
-from repro.fx.dedup import DedupCounter
 from repro.nn.layers import LayerGrads
 from repro.nn.network import MLP
-from repro.obs import as_telemetry
+from repro.obs.training import TrainingRecorder
 from repro.storage.iostats import IOSnapshot
 
 
@@ -40,12 +39,6 @@ class NNConfig:
     batch_mode: str = "per-batch"
     shuffle: bool = False
     seed: int = 0
-    #: F-NN extension beyond the paper: compute ∂E/∂W_R via grouped
-    #: sums (Σ per distinct dimension tuple) instead of gather-then-
-    #: multiply.  Off by default — the paper's Section VI-A3 claims no
-    #: compute reuse exists in backward; the ablation bench quantifies
-    #: what this grouping actually buys.
-    grouped_backward: bool = False
 
     def __post_init__(self) -> None:
         if not self.hidden_sizes:
@@ -124,55 +117,24 @@ def run_training(
 ) -> NNFitResult:
     """The strategy-independent epoch loop.
 
-    Batches assembled by the join access paths carry their
-    :class:`~repro.fx.dedup.DedupPlan`; the driver folds every
-    executed batch's plan into a :class:`~repro.fx.dedup.DedupCounter`
-    and reports the counters in ``result.extra`` — the training twin
-    of the runtime's per-model ``dedup_ratio``.
-
-    ``telemetry`` (see :func:`repro.obs.as_telemetry`) additionally
-    streams per-epoch wall seconds and the running dedup ratio into
-    the registry under the ``algorithm`` label; the fit result's
-    ``extra`` carries the same series (``epoch_seconds``,
-    ``dedup_ratio_series``) either way.
+    ``result.extra`` and the ``telemetry`` series come from the same
+    :class:`~repro.obs.training.TrainingRecorder` the EM driver uses
+    (dedup counters, ``epoch_seconds``, ``dedup_ratio_series``) — the
+    training twin of the runtime's per-model ``dedup_ratio``.
     """
     start = time.perf_counter()
     history: list[float] = []
     n_total = engine.n_rows
     if n_total == 0:
         raise ModelError("the join produced no tuples to train on")
-    dedup = DedupCounter()
-    registry = as_telemetry(telemetry).registry
-    m_epoch_seconds = registry.histogram(
-        "repro_training_iteration_seconds",
-        help="Wall seconds per training iteration/epoch",
-        labelnames=("algorithm",),
-    ).labels(algorithm=algorithm)
-    m_epochs = registry.counter(
-        "repro_training_iterations_total",
-        help="Training iterations/epochs completed",
-        labelnames=("algorithm",),
-    ).labels(algorithm=algorithm)
-    m_dedup_ratio = registry.gauge(
-        "repro_training_dedup_ratio",
-        help="FK references per distinct value observed so far",
-        labelnames=("algorithm",),
-    ).labels(algorithm=algorithm)
-    epoch_seconds: list[float] = []
-    dedup_ratio_series: list[float] = []
-
-    def observed(batches):
-        for batch in batches:
-            if batch.plan is not None:
-                dedup.observe(batch.plan)
-            yield batch
+    recorder = TrainingRecorder(algorithm, telemetry)
 
     for epoch in range(config.epochs):
         epoch_tick = time.perf_counter()
         epoch_loss = 0.0
         if config.batch_mode == "full":
             accumulated: list[LayerGrads] | None = None
-            for batch in observed(engine.batches(epoch)):
+            for batch in recorder.observed(engine.batches(epoch)):
                 loss, grads = engine.batch_gradients(batch, n_total)
                 epoch_loss += loss
                 accumulated = _accumulate(accumulated, grads)
@@ -181,7 +143,7 @@ def run_training(
             engine.model.apply_grads(accumulated, config.learning_rate)
         else:
             seen = 0
-            for batch in observed(engine.batches(epoch)):
+            for batch in recorder.observed(engine.batches(epoch)):
                 loss, grads = engine.batch_gradients(batch, batch.n)
                 engine.model.apply_grads(grads, config.learning_rate)
                 epoch_loss += loss * batch.n
@@ -190,20 +152,12 @@ def run_training(
                 raise ModelError("the access path yielded no batches")
             epoch_loss /= seen
         history.append(epoch_loss)
-        elapsed_epoch = time.perf_counter() - epoch_tick
-        epoch_seconds.append(elapsed_epoch)
-        m_epoch_seconds.observe(elapsed_epoch)
-        m_epochs.inc()
-        dedup_ratio_series.append(dedup.dedup_ratio)
-        m_dedup_ratio.set(dedup.dedup_ratio)
+        recorder.step_done(time.perf_counter() - epoch_tick)
 
-    extra = dedup.as_extra()
-    extra["epoch_seconds"] = epoch_seconds
-    extra["dedup_ratio_series"] = dedup_ratio_series
     return NNFitResult(
         algorithm=algorithm,
         model=engine.model,
         loss_history=history,
         wall_time_seconds=time.perf_counter() - start,
-        extra=extra,
+        extra=recorder.extra("epoch_seconds"),
     )

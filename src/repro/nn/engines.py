@@ -9,9 +9,8 @@ first layer's pre-activations and parameter gradients are computed:
 * :class:`FactorizedNNEngine` — Section VI-A1: the dimension-side
   partial products ``X_{R_i} W_{R_i}ᵀ`` are computed once per distinct
   dimension tuple and gathered; backward follows Section VI-A3 (Eq. 29):
-  parameter gradients per relation block, with the paper-faithful
-  gather-then-multiply for ``PG_R`` (or the grouped-sum extension when
-  ``grouped_backward`` is enabled).
+  parameter gradients per relation block, with the paper's
+  gather-then-multiply for ``PG_R``.
 """
 
 from __future__ import annotations
@@ -73,15 +72,8 @@ class FactorizedNNEngine(_NNEngineBase):
     gathers below run on come from the plan's ``(unique, inverse)``
     sort, built on a block's first pass and replayed after — the
     training mirror of the serving predictors' ``predict(..., plan=)``
-    contract.  Gathers need no group order, so the default backward
-    never sorts.
+    contract.  Gathers need no group order, so backward never sorts.
     """
-
-    def __init__(
-        self, access, model: MLP, *, grouped_backward: bool = False
-    ) -> None:
-        super().__init__(access, model)
-        self.grouped_backward = grouped_backward
 
     def first_preactivations(self, batch: FactorizedBatch) -> np.ndarray:
         """Section VI-A1: ``a⁽¹⁾ = W_S x_S + Σᵢ gather(W_{R_i} x_{R_i}) + b``.
@@ -117,19 +109,14 @@ class FactorizedNNEngine(_NNEngineBase):
         ``PG_S`` contracts over fact rows directly.  For ``PG_{R_i}``
         the paper populates ``x_{R_i}`` from the dimension relation
         (gather) and multiplies — no compute reuse, only the I/O saving
-        of never reading the redundant fields of ``T``.  With
-        ``grouped_backward`` the engine instead groups ``∂E/∂a`` per
-        distinct dimension tuple first, an extension the paper does not
-        claim (see NNConfig).
+        of never reading the redundant fields of ``T``.  (Grouping
+        ``∂E/∂a`` per distinct dimension tuple first was measured and
+        does not win: ``docs/tuning.md``.)
         """
         design = batch.design
         parts = [grad_first_pre.T @ design.fact_block]
         for block, group in zip(design.dim_blocks, design.groups):
-            if self.grouped_backward:
-                grouped = group.sum_rows(grad_first_pre)   # (m_i, n_h)
-                parts.append(grouped.T @ block)
-            else:
-                parts.append(grad_first_pre.T @ group.gather(block))
+            parts.append(grad_first_pre.T @ group.gather(block))
         return LayerGrads(
             weights=np.concatenate(parts, axis=1),
             bias=grad_first_pre.sum(axis=0),

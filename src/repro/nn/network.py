@@ -182,3 +182,16 @@ class MLP:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         arch = "→".join(str(s) for s in self.sizes)
         return f"MLP({arch}, activation={self.activation.name})"
+
+
+def build_model(n_features: int, config) -> MLP:
+    """The architecture all three strategies share: ``d`` inputs, the
+    hidden layers of ``config`` (an :class:`~repro.nn.base.NNConfig`),
+    one linear output unit."""
+    sizes = (n_features, *config.hidden_sizes, 1)
+    return MLP(
+        sizes,
+        activation=config.activation,
+        loss=config.loss,
+        seed=config.seed,
+    )

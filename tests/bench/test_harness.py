@@ -7,8 +7,7 @@ import pytest
 from repro.bench.experiments import SCALES, BenchScale, active_scale
 from repro.bench.harness import (
     SweepPoint,
-    run_gmm_sweep,
-    run_nn_sweep,
+    run_sweep,
 )
 from repro.data.synthetic import StarSchemaConfig, generate_star
 from repro.errors import ModelError
@@ -55,10 +54,10 @@ class TestSweepPoint:
 class TestSweepRunners:
     def test_gmm_sweep_runs_and_renders(self):
         config = EMConfig(n_components=2, max_iter=2, tol=0.0, seed=1)
-        result = run_gmm_sweep(
+        result = run_sweep(
             "unit sweep", "x",
             [(1, tiny_loader()), (2, tiny_loader())],
-            config,
+            "gmm", config,
         )
         assert len(result.points) == 2
         text = result.render()
@@ -70,17 +69,17 @@ class TestSweepRunners:
 
     def test_gmm_sweep_strategy_subset(self):
         config = EMConfig(n_components=2, max_iter=2, tol=0.0, seed=1)
-        result = run_gmm_sweep(
-            "subset", "x", [(1, tiny_loader())], config,
+        result = run_sweep(
+            "subset", "x", [(1, tiny_loader())], "gmm", config,
             strategies=("streaming", "factorized"),
         )
         assert result.strategies == ["streaming", "factorized"]
 
     def test_nn_sweep_runs(self):
         config = NNConfig(hidden_sizes=(4,), epochs=1, seed=1)
-        result = run_nn_sweep(
+        result = run_sweep(
             "nn sweep", "x", [(1, tiny_loader(with_target=True))],
-            config,
+            "nn", config,
         )
         assert len(result.points) == 1
         assert all(t > 0 for t in result.points[0].seconds.values())
@@ -89,16 +88,16 @@ class TestSweepRunners:
         config = NNConfig(
             hidden_sizes=(4,), epochs=1, seed=1, batch_mode="full"
         )
-        result = run_nn_sweep(
+        result = run_sweep(
             "nn full", "x", [(1, tiny_loader(with_target=True))],
-            config,
+            "nn", config,
         )
         assert result.points
 
     def test_sweep_emit_writes_file(self, tmp_path):
         config = EMConfig(n_components=2, max_iter=1, tol=0.0, seed=1)
-        result = run_gmm_sweep(
-            "emit", "x", [(1, tiny_loader())], config,
+        result = run_sweep(
+            "emit", "x", [(1, tiny_loader())], "gmm", config,
         )
         path = tmp_path / "series.txt"
         result.emit(path)

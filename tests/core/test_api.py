@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.api import (
-    compare_gmm_strategies,
-    compare_nn_strategies,
+    compare_strategies,
     fit_gmm,
     fit_nn,
 )
@@ -198,7 +197,9 @@ class TestFitNN:
 class TestComparisons:
     def test_gmm_comparison(self, db, binary_star):
         config = EMConfig(n_components=2, max_iter=2, tol=0.0, seed=1)
-        comparison = compare_gmm_strategies(db, binary_star.spec, config)
+        comparison = compare_strategies(
+            db, binary_star.spec, "gmm", config
+        )
         assert set(comparison.results) == {
             MATERIALIZED, STREAMING, FACTORIZED,
         }
@@ -209,8 +210,8 @@ class TestComparisons:
 
     def test_nn_comparison_subset(self, db, binary_star):
         config = NNConfig(hidden_sizes=(4,), epochs=1, seed=1)
-        comparison = compare_nn_strategies(
-            db, binary_star.spec, config,
+        comparison = compare_strategies(
+            db, binary_star.spec, "nn", config,
             strategies=("streaming", "factorized"),
         )
         assert set(comparison.results) == {STREAMING, FACTORIZED}
@@ -219,8 +220,8 @@ class TestComparisons:
         self, db, binary_star
     ):
         config = EMConfig(n_components=2, max_iter=2, tol=0.0, seed=1)
-        comparison = compare_gmm_strategies(
-            db, binary_star.spec, config,
+        comparison = compare_strategies(
+            db, binary_star.spec, "gmm", config,
             strategies=("materialized", "streaming"),
         )
         with pytest.raises(

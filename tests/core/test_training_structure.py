@@ -1,0 +1,119 @@
+"""Structural invariants of the one training path (AST scans, in the
+manner of ``tests/serve/test_core_structure.py``).
+
+The paper's 2 models × 3 strategies is stated once, in
+``core/training.py``; these tests keep the hand-written matrix from
+growing back: access paths are opened in one module, none of the
+per-cell names the fold deleted returns, the training series have one
+registration site, and the external tracer of ``benchmarks/e2e`` still
+finds everything it wraps.
+"""
+
+import ast
+import importlib.util
+import re
+from pathlib import Path
+
+import pytest
+
+import repro
+
+SRC_ROOT = Path(repro.__file__).resolve().parent
+REPO_ROOT = SRC_ROOT.parents[1]
+
+ACCESS_CONSTRUCTORS = (
+    "StreamingJoin", "FactorizedJoin", "MaterializedTable",
+    "materialize_join",
+)
+# Everything the fold into ``train(kind, strategy)`` deleted.
+REMOVED = re.compile(
+    r"fit_[msf]_(gmm|nn)|(GMM|NN)_ALGORITHMS|_(GMM|NN)_FITTERS"
+    r"|compare_(gmm|nn)_strategies|run_(gmm|nn)_sweep|grouped_backward"
+)
+
+
+def _modules():
+    for path in sorted(SRC_ROOT.rglob("*.py")):
+        yield str(path.relative_to(SRC_ROOT)), ast.parse(
+            path.read_text(encoding="utf-8")
+        )
+
+
+def _identifiers(tree: ast.Module) -> set[str]:
+    """Every name a module defines, imports, reads or passes."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.add(node.name)
+        elif isinstance(node, ast.alias):
+            found.update((node.name, node.asname or node.name))
+        elif isinstance(node, (ast.arg, ast.keyword)) and node.arg:
+            found.add(node.arg)
+    return found
+
+
+@pytest.mark.parametrize("name", ACCESS_CONSTRUCTORS)
+def test_access_paths_are_opened_in_one_module(name):
+    callers = set()
+    for module, tree in _modules():
+        if module.startswith("join/"):
+            continue
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            called = (
+                func.id if isinstance(func, ast.Name)
+                else func.attr if isinstance(func, ast.Attribute)
+                else None
+            )
+            if called == name:
+                callers.add(module)
+    assert callers == {"core/training.py"}
+
+
+def test_no_per_cell_name_is_left_under_src():
+    offenders = {
+        (module, name)
+        for module, tree in _modules()
+        for name in _identifiers(tree)
+        if REMOVED.fullmatch(name)
+    }
+    assert offenders == set()
+    assert not (SRC_ROOT / "gmm" / "algorithms.py").exists()
+    assert not (SRC_ROOT / "nn" / "algorithms.py").exists()
+
+
+def test_training_series_are_registered_in_one_module():
+    registering = {
+        module
+        for module, tree in _modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and re.fullmatch(r"repro_training_\w+", node.value)
+    }
+    assert registering == {"obs/training.py"}
+
+
+def test_every_traced_target_still_resolves():
+    """``benchmarks/e2e/trace.py`` wraps by ``vars(owner)[attr]``: a
+    method moved to a base class, or a function to another module,
+    would silently drop its span."""
+    spec = importlib.util.spec_from_file_location(
+        "e2e_trace", REPO_ROOT / "benchmarks" / "e2e" / "trace.py"
+    )
+    e2e_trace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(e2e_trace)
+    targets = e2e_trace._targets()
+    assert len(targets) > 40
+    missing = [
+        (getattr(owner, "__name__", owner), attr)
+        for owner, attr, _, _ in targets
+        if attr not in vars(owner)
+    ]
+    assert missing == []

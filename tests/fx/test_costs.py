@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.core.strategies import FACTORIZED, MATERIALIZED, STREAMING
+from repro.core.training import train
 from repro.data.synthetic import StarSchemaConfig, generate_star
 from repro.errors import ModelError
 from repro.fx.costs import (
@@ -35,7 +36,6 @@ from repro.fx.costs import (
     streaming_wins_block_size,
     training_cost_model,
 )
-from repro.gmm.algorithms import fit_m_gmm, fit_s_gmm
 from repro.gmm.base import EMConfig
 from tests.fx import golden_costs as golden
 
@@ -384,8 +384,8 @@ class TestMeasuredIOMatchesFormulas:
         )
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            result = fit_s_gmm(
-                db=tiny_db, spec=star.spec, config=config,
+            result = train(
+                tiny_db, star.spec, "gmm", "S", config,
                 block_pages=block_pages,
             )
         pages_r = tiny_db["R1"].npages
@@ -403,8 +403,8 @@ class TestMeasuredIOMatchesFormulas:
         )
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            result = fit_m_gmm(
-                db=tiny_db, spec=star.spec, config=config,
+            result = train(
+                tiny_db, star.spec, "gmm", "M", config,
                 block_pages=block_pages,
             )
         pages_r = tiny_db["R1"].npages

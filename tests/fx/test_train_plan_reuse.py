@@ -9,8 +9,7 @@ representation from the same join blocks and assert the refactor
 changed nothing:
 
 * every batch densifies to bit-identical wide rows;
-* F-NN training (forward, backward, full fits — grouped backward
-  included) is bit-identical;
+* F-NN training (forward, backward, full fits) is bit-identical;
 * the GMM E-step is bit-identical; full GMM fits agree to within a few
   ULPs (the M-step's BLAS contractions now run over ``m`` distinct
   rows instead of the padded block, which only re-brackets float
@@ -22,6 +21,7 @@ import warnings
 import numpy as np
 import pytest
 
+from repro.core.training import train
 from repro.gmm.base import EMConfig, run_em
 from repro.gmm.engines import FactorizedEMEngine
 from repro.gmm.init import initial_params
@@ -31,9 +31,9 @@ from repro.join.bnl import iter_join_blocks
 from repro.join.factorized import FactorizedJoin
 from repro.linalg.design import FactorizedDesign
 from repro.linalg.groupsum import GroupIndex, codes_for_keys
-from repro.nn.algorithms import build_model
 from repro.nn.base import NNConfig, run_training
 from repro.nn.engines import FactorizedNNEngine
+from repro.nn.network import build_model
 
 
 @pytest.fixture(autouse=True)
@@ -148,25 +148,16 @@ class TestNNBitExactness:
                 engine_seed.first_preactivations(batch_seed),
             )
 
-    @pytest.mark.parametrize("grouped", [False, True])
     @pytest.mark.parametrize("batch_mode", ["full", "per-batch"])
-    def test_fit_bit_identical(self, db, binary_star, grouped,
-                               batch_mode):
+    def test_fit_bit_identical(self, db, binary_star, batch_mode):
         config = NNConfig(
             hidden_sizes=(6,), epochs=3, learning_rate=0.1,
-            batch_mode=batch_mode, seed=6, grouped_backward=grouped,
+            batch_mode=batch_mode, seed=6,
         )
-        new, seed = access_pair(db, binary_star.spec)
-        fit_new = run_training(
-            FactorizedNNEngine(
-                new, build_model(8, config), grouped_backward=grouped
-            ),
-            config, algorithm="F-NN",
-        )
+        _, seed = access_pair(db, binary_star.spec)
+        fit_new = train(db, binary_star.spec, "nn", "F", config, block_pages=2)
         fit_seed = run_training(
-            FactorizedNNEngine(
-                seed, build_model(8, config), grouped_backward=grouped
-            ),
+            FactorizedNNEngine(seed, build_model(8, config)),
             config, algorithm="F-NN",
         )
         assert fit_new.loss_history == fit_seed.loss_history
@@ -176,11 +167,10 @@ class TestNNBitExactness:
         config = NNConfig(
             hidden_sizes=(5,), epochs=2, learning_rate=0.05, seed=2,
         )
-        new, seed = access_pair(db, multiway_star.spec, block_pages=3)
-        n_features = new.resolved.total_features
-        fit_new = run_training(
-            FactorizedNNEngine(new, build_model(n_features, config)),
-            config, algorithm="F-NN",
+        _, seed = access_pair(db, multiway_star.spec, block_pages=3)
+        n_features = seed.resolved.total_features
+        fit_new = train(
+            db, multiway_star.spec, "nn", "F", config, block_pages=3
         )
         fit_seed = run_training(
             FactorizedNNEngine(seed, build_model(n_features, config)),
@@ -215,11 +205,9 @@ class TestGMMExactness:
         star = request.getfixturevalue(star_fixture)
         db = request.getfixturevalue("db")
         config = EMConfig(n_components=3, max_iter=3, tol=0.0, seed=2)
-        new, seed = access_pair(db, star.spec)
-        n_features = new.resolved.total_features
-        fit_new = run_em(
-            FactorizedEMEngine(new, n_features), config, algorithm="F"
-        )
+        _, seed = access_pair(db, star.spec)
+        n_features = seed.resolved.total_features
+        fit_new = train(db, star.spec, "gmm", "F", config, block_pages=2)
         fit_seed = run_em(
             FactorizedEMEngine(seed, n_features), config, algorithm="F"
         )

@@ -5,9 +5,9 @@ import warnings
 import numpy as np
 import pytest
 
+from repro.core.training import train
 from repro.data.synthetic import StarSchemaConfig, generate_star
 from repro.errors import ConvergenceWarning, ModelError
-from repro.gmm.algorithms import fit_f_gmm, fit_s_gmm
 from repro.gmm.base import EMConfig
 from repro.gmm.model import GaussianMixtureModel
 
@@ -24,8 +24,7 @@ class TestLogLikelihood:
     def test_monotone_nondecreasing(self, db, star):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            result = fit_f_gmm(
-                db, star.spec, EMConfig(
+            result = train(db, star.spec, "gmm", "F", EMConfig(
                     n_components=3, max_iter=8, tol=0.0, seed=1
                 )
             )
@@ -35,30 +34,21 @@ class TestLogLikelihood:
             assert after >= before - 1e-6 * abs(before)
 
     def test_convergence_flag_set(self, db, star):
-        result = fit_f_gmm(
-            db,
-            star.spec,
-            EMConfig(n_components=2, max_iter=100, tol=1e-3, seed=1),
+        result = train(db, star.spec, "gmm", "F", EMConfig(n_components=2, max_iter=100, tol=1e-3, seed=1),
         )
         assert result.converged
         assert result.n_iter < 100
 
     def test_non_convergence_warns(self, db, star):
         with pytest.warns(ConvergenceWarning):
-            result = fit_f_gmm(
-                db,
-                star.spec,
-                EMConfig(n_components=3, max_iter=2, tol=1e-12, seed=1),
+            result = train(db, star.spec, "gmm", "F", EMConfig(n_components=3, max_iter=2, tol=1e-12, seed=1),
             )
         assert not result.converged
 
     def test_tol_zero_runs_all_iterations(self, db, star):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            result = fit_s_gmm(
-                db,
-                star.spec,
-                EMConfig(n_components=2, max_iter=5, tol=0.0, seed=1),
+            result = train(db, star.spec, "gmm", "S", EMConfig(n_components=2, max_iter=5, tol=0.0, seed=1),
             )
         assert result.n_iter == 5
 
@@ -67,10 +57,7 @@ class TestModelQuality:
     def test_fitted_model_beats_init(self, db, star):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            result = fit_f_gmm(
-                db,
-                star.spec,
-                EMConfig(n_components=3, max_iter=10, tol=0.0, seed=1),
+            result = train(db, star.spec, "gmm", "F", EMConfig(n_components=3, max_iter=10, tol=0.0, seed=1),
             )
         history = result.log_likelihood_history
         assert history[-1] > history[0]
@@ -78,10 +65,7 @@ class TestModelQuality:
     def test_weights_remain_normalized(self, db, star):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            result = fit_f_gmm(
-                db,
-                star.spec,
-                EMConfig(n_components=4, max_iter=5, tol=0.0, seed=2),
+            result = train(db, star.spec, "gmm", "F", EMConfig(n_components=4, max_iter=5, tol=0.0, seed=2),
             )
         assert result.params.weights.sum() == pytest.approx(1.0)
         assert (result.params.weights > 0).all()
@@ -89,10 +73,7 @@ class TestModelQuality:
     def test_covariances_positive_definite(self, db, star):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            result = fit_f_gmm(
-                db,
-                star.spec,
-                EMConfig(n_components=3, max_iter=5, tol=0.0, seed=1),
+            result = train(db, star.spec, "gmm", "F", EMConfig(n_components=3, max_iter=5, tol=0.0, seed=1),
             )
         for cov in result.params.covariances:
             eigenvalues = np.linalg.eigvalsh(cov)
@@ -135,9 +116,11 @@ class TestModelQuality:
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            result = fit_f_gmm(
+            result = train(
                 db,
                 JoinSpec.binary("Sq", "Rq"),
+                "gmm",
+                "F",
                 # seed=1: EM is only locally optimal and seed 0 merges
                 # two blobs; any seed recovering the optimum serves the
                 # purpose of this test (the optimum is seed-stable 1-3).
@@ -181,9 +164,6 @@ class TestConfigValidation:
             np.random.default_rng(0).normal(size=(50, 9)), 2
         )
         with pytest.raises(ModelError, match="features"):
-            fit_s_gmm(
-                db,
-                star.spec,
-                EMConfig(n_components=2, max_iter=2, tol=0.0),
-                initial=wrong,
+            train(db, star.spec, "gmm", "S", EMConfig(n_components=2, max_iter=2, tol=0.0),
+                start=wrong,
             )

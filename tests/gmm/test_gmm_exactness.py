@@ -7,12 +7,12 @@ import warnings
 import numpy as np
 import pytest
 
+from repro.core.training import train
 from repro.data.synthetic import (
     DimensionSpec,
     StarSchemaConfig,
     generate_star,
 )
-from repro.gmm.algorithms import fit_f_gmm, fit_m_gmm, fit_s_gmm
 from repro.gmm.base import EMConfig
 from repro.gmm.engines import DenseEMEngine, FactorizedEMEngine
 from repro.gmm.model import ComponentPrecisions
@@ -41,9 +41,9 @@ class TestBinaryExactness:
         return generate_star(db, config)
 
     def test_all_three_strategies_identical(self, db, star, em_config):
-        m = fit_m_gmm(db, star.spec, em_config, block_pages=2)
-        s = fit_s_gmm(db, star.spec, em_config, block_pages=2)
-        f = fit_f_gmm(db, star.spec, em_config, block_pages=2)
+        m = train(db, star.spec, "gmm", "M", em_config, block_pages=2)
+        s = train(db, star.spec, "gmm", "S", em_config, block_pages=2)
+        f = train(db, star.spec, "gmm", "F", em_config, block_pages=2)
         assert m.params.allclose(s.params)
         assert s.params.allclose(f.params)
         np.testing.assert_allclose(
@@ -54,8 +54,8 @@ class TestBinaryExactness:
         )
 
     def test_block_size_does_not_change_model(self, db, star, em_config):
-        f_small = fit_f_gmm(db, star.spec, em_config, block_pages=1)
-        f_large = fit_f_gmm(db, star.spec, em_config, block_pages=64)
+        f_small = train(db, star.spec, "gmm", "F", em_config, block_pages=1)
+        f_large = train(db, star.spec, "gmm", "F", em_config, block_pages=64)
         assert f_small.params.allclose(f_large.params)
 
     def test_per_batch_estep_identical(self, db, star, em_config):
@@ -97,9 +97,9 @@ class TestMultiwayExactness:
         return generate_star(db, config)
 
     def test_three_way_strategies_identical(self, db, star, em_config):
-        m = fit_m_gmm(db, star.spec, em_config, block_pages=4)
-        s = fit_s_gmm(db, star.spec, em_config, block_pages=4)
-        f = fit_f_gmm(db, star.spec, em_config, block_pages=4)
+        m = train(db, star.spec, "gmm", "M", em_config, block_pages=4)
+        s = train(db, star.spec, "gmm", "S", em_config, block_pages=4)
+        f = train(db, star.spec, "gmm", "F", em_config, block_pages=4)
         assert m.params.allclose(s.params)
         assert s.params.allclose(f.params)
 
@@ -115,8 +115,8 @@ class TestMultiwayExactness:
             seed=31,
         )
         star = generate_star(db, config)
-        s = fit_s_gmm(db, star.spec, em_config)
-        f = fit_f_gmm(db, star.spec, em_config)
+        s = train(db, star.spec, "gmm", "S", em_config)
+        f = train(db, star.spec, "gmm", "F", em_config)
         assert s.params.allclose(f.params)
 
 
@@ -126,16 +126,16 @@ class TestResultMetadata:
             db, StarSchemaConfig.binary(n_s=200, n_r=10, d_s=2, d_r=2,
                                         seed=3)
         )
-        assert fit_m_gmm(db, star.spec, em_config).algorithm == "M-GMM"
-        assert fit_s_gmm(db, star.spec, em_config).algorithm == "S-GMM"
-        assert fit_f_gmm(db, star.spec, em_config).algorithm == "F-GMM"
+        assert train(db, star.spec, "gmm", "M", em_config).algorithm == "M-GMM"
+        assert train(db, star.spec, "gmm", "S", em_config).algorithm == "S-GMM"
+        assert train(db, star.spec, "gmm", "F", em_config).algorithm == "F-GMM"
 
     def test_m_gmm_reports_materialization(self, db, em_config):
         star = generate_star(
             db, StarSchemaConfig.binary(n_s=200, n_r=10, d_s=2, d_r=2,
                                         seed=3)
         )
-        result = fit_m_gmm(db, star.spec, em_config)
+        result = train(db, star.spec, "gmm", "M", em_config)
         assert result.extra["materialize_seconds"] >= 0
         assert result.extra["table_pages"] > 0
         assert result.io.pages_written >= result.extra["table_pages"]
@@ -145,7 +145,7 @@ class TestResultMetadata:
             db, StarSchemaConfig.binary(n_s=200, n_r=10, d_s=2, d_r=2,
                                         seed=3)
         )
-        fit_m_gmm(db, star.spec, em_config)
+        train(db, star.spec, "gmm", "M", em_config)
         assert all(
             not name.startswith("_T_") for name in db.relation_names
         )
@@ -155,8 +155,8 @@ class TestResultMetadata:
             db, StarSchemaConfig.binary(n_s=200, n_r=10, d_s=2, d_r=2,
                                         seed=3)
         )
-        for fit in (fit_s_gmm, fit_f_gmm):
-            result = fit(db, star.spec, em_config)
+        for strategy in ("S", "F"):
+            result = train(db, star.spec, "gmm", strategy, em_config)
             assert result.io.pages_written == 0
 
     def test_initial_params_respected(self, db, em_config):
@@ -168,6 +168,6 @@ class TestResultMetadata:
         )
         sample = np.random.default_rng(0).normal(size=(50, 4))
         init = initial_params(sample, 3, seed=0)
-        s = fit_s_gmm(db, star.spec, em_config, initial=init)
-        f = fit_f_gmm(db, star.spec, em_config, initial=init)
+        s = train(db, star.spec, "gmm", "S", em_config, start=init)
+        f = train(db, star.spec, "gmm", "F", em_config, start=init)
         assert s.params.allclose(f.params)

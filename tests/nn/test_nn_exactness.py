@@ -5,6 +5,7 @@ strategies train to the same weights."""
 import numpy as np
 import pytest
 
+from repro.core.training import train
 from repro.data.synthetic import (
     DimensionSpec,
     StarSchemaConfig,
@@ -13,9 +14,9 @@ from repro.data.synthetic import (
 from repro.errors import ModelError
 from repro.join.factorized import FactorizedJoin
 from repro.join.stream import StreamingJoin
-from repro.nn.algorithms import build_model, fit_f_nn, fit_m_nn, fit_s_nn
 from repro.nn.base import NNConfig
 from repro.nn.engines import DenseNNEngine, FactorizedNNEngine
+from repro.nn.network import build_model
 
 
 @pytest.fixture
@@ -62,16 +63,13 @@ class TestFirstLayerKernels:
                 fact_pre, dense_pre, rtol=1e-10, atol=1e-12
             )
 
-    @pytest.mark.parametrize("grouped", [False, True])
-    def test_first_layer_grads_match_dense(self, db, star, grouped):
+    def test_first_layer_grads_match_dense(self, db, star):
         config = NNConfig(hidden_sizes=(6,), seed=4)
         stream = StreamingJoin(db, star.spec, block_pages=2)
         fact = FactorizedJoin(db, star.spec, block_pages=2)
         model = build_model(8, config)
         dense_engine = DenseNNEngine(stream, model)
-        fact_engine = FactorizedNNEngine(
-            fact, model.copy(), grouped_backward=grouped
-        )
+        fact_engine = FactorizedNNEngine(fact, model.copy())
         for dense_batch, fact_batch in zip(
             stream.batches(), fact.batches()
         ):
@@ -111,9 +109,9 @@ class TestFullBatchExactness:
             hidden_sizes=(10,), epochs=4, learning_rate=0.1,
             batch_mode="full", seed=6,
         )
-        m = fit_m_nn(db, star.spec, config, block_pages=2)
-        s = fit_s_nn(db, star.spec, config, block_pages=2)
-        f = fit_f_nn(db, star.spec, config, block_pages=2)
+        m = train(db, star.spec, "nn", "M", config, block_pages=2)
+        s = train(db, star.spec, "nn", "S", config, block_pages=2)
+        f = train(db, star.spec, "nn", "F", config, block_pages=2)
         np.testing.assert_allclose(m.loss_history, s.loss_history,
                                    rtol=1e-10)
         np.testing.assert_allclose(s.loss_history, f.loss_history,
@@ -126,8 +124,8 @@ class TestFullBatchExactness:
             hidden_sizes=(8,), epochs=3, learning_rate=0.05,
             batch_mode="full", seed=2,
         )
-        m = fit_m_nn(db, multiway.spec, config, block_pages=3)
-        f = fit_f_nn(db, multiway.spec, config, block_pages=3)
+        m = train(db, multiway.spec, "nn", "M", config, block_pages=3)
+        f = train(db, multiway.spec, "nn", "F", config, block_pages=3)
         np.testing.assert_allclose(m.loss_history, f.loss_history,
                                    rtol=1e-8)
         weights_equal(m.model, f.model, rtol=1e-8)
@@ -141,8 +139,8 @@ class TestFullBatchExactness:
             hidden_sizes=(6,), activation=activation, epochs=2,
             learning_rate=0.05, batch_mode="full", seed=1,
         )
-        s = fit_s_nn(db, star.spec, config, block_pages=2)
-        f = fit_f_nn(db, star.spec, config, block_pages=2)
+        s = train(db, star.spec, "nn", "S", config, block_pages=2)
+        f = train(db, star.spec, "nn", "F", config, block_pages=2)
         weights_equal(s.model, f.model, rtol=1e-8)
 
     def test_two_hidden_layers(self, db, star):
@@ -151,8 +149,8 @@ class TestFullBatchExactness:
             hidden_sizes=(8, 5), epochs=2, learning_rate=0.05,
             batch_mode="full", seed=3,
         )
-        s = fit_s_nn(db, star.spec, config, block_pages=2)
-        f = fit_f_nn(db, star.spec, config, block_pages=2)
+        s = train(db, star.spec, "nn", "S", config, block_pages=2)
+        f = train(db, star.spec, "nn", "F", config, block_pages=2)
         weights_equal(s.model, f.model, rtol=1e-8)
 
 
@@ -164,24 +162,11 @@ class TestPerBatchExactness:
             hidden_sizes=(10,), epochs=3, learning_rate=0.1,
             batch_mode="per-batch", seed=6,
         )
-        s = fit_s_nn(db, star.spec, config, block_pages=1)
-        f = fit_f_nn(db, star.spec, config, block_pages=1)
+        s = train(db, star.spec, "nn", "S", config, block_pages=1)
+        f = train(db, star.spec, "nn", "F", config, block_pages=1)
         np.testing.assert_allclose(s.loss_history, f.loss_history,
                                    rtol=1e-8)
         weights_equal(s.model, f.model, rtol=1e-7)
-
-    def test_grouped_backward_same_model(self, db, star):
-        """The grouped-backward extension changes cost, not results."""
-        base = NNConfig(
-            hidden_sizes=(10,), epochs=3, learning_rate=0.1, seed=6,
-        )
-        grouped = NNConfig(
-            hidden_sizes=(10,), epochs=3, learning_rate=0.1, seed=6,
-            grouped_backward=True,
-        )
-        plain = fit_f_nn(db, star.spec, base, block_pages=2)
-        extended = fit_f_nn(db, star.spec, grouped, block_pages=2)
-        weights_equal(plain.model, extended.model, rtol=1e-7)
 
     def test_sgd_shuffle_same_multiset_of_updates(self, db, star):
         """With shuffling, S-NN and F-NN still coincide (same seeded
@@ -190,27 +175,27 @@ class TestPerBatchExactness:
             hidden_sizes=(6,), epochs=2, learning_rate=0.05,
             shuffle=True, seed=9,
         )
-        s = fit_s_nn(db, star.spec, config, block_pages=1)
-        f = fit_f_nn(db, star.spec, config, block_pages=1)
+        s = train(db, star.spec, "nn", "S", config, block_pages=1)
+        f = train(db, star.spec, "nn", "F", config, block_pages=1)
         weights_equal(s.model, f.model, rtol=1e-7)
 
 
 class TestResultMetadata:
     def test_labels(self, db, star):
         config = NNConfig(hidden_sizes=(4,), epochs=1)
-        assert fit_m_nn(db, star.spec, config).algorithm == "M-NN"
-        assert fit_s_nn(db, star.spec, config).algorithm == "S-NN"
-        assert fit_f_nn(db, star.spec, config).algorithm == "F-NN"
+        assert train(db, star.spec, "nn", "M", config).algorithm == "M-NN"
+        assert train(db, star.spec, "nn", "S", config).algorithm == "S-NN"
+        assert train(db, star.spec, "nn", "F", config).algorithm == "F-NN"
 
     def test_m_nn_reports_materialization(self, db, star):
         config = NNConfig(hidden_sizes=(4,), epochs=1)
-        result = fit_m_nn(db, star.spec, config)
+        result = train(db, star.spec, "nn", "M", config)
         assert result.extra["table_pages"] > 0
         assert result.io.pages_written >= result.extra["table_pages"]
 
     def test_f_nn_never_writes(self, db, star):
         config = NNConfig(hidden_sizes=(4,), epochs=1)
-        assert fit_f_nn(db, star.spec, config).io.pages_written == 0
+        assert train(db, star.spec, "nn", "F", config).io.pages_written == 0
 
     def test_missing_target_raises(self, db):
         config = StarSchemaConfig.binary(
@@ -218,4 +203,4 @@ class TestResultMetadata:
         )
         star = generate_star(db, config)
         with pytest.raises(ModelError, match="TARGET"):
-            fit_f_nn(db, star.spec, NNConfig(hidden_sizes=(3,), epochs=1))
+            train(db, star.spec, "nn", "F", NNConfig(hidden_sizes=(3,), epochs=1))

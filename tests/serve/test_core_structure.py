@@ -295,17 +295,17 @@ class TestOneCostModel:
         assert deciders == {("fx/costs.py", "decide")}
 
     def test_auto_builds_one_cost_model(self):
-        """``_resolve_training_strategy`` and everything it calls in
-        ``core/api.py`` / ``fx/costs.py`` construct the training model
-        once — the record is read off the decision, not recomputed."""
+        """``_choose`` and everything it calls in ``core/training.py``
+        / ``fx/costs.py`` construct the training model once — the
+        record is read off the decision, not recomputed."""
         functions = {
             node.name: node
-            for path in (SRC_ROOT / "core" / "api.py", self.COSTS)
+            for path in (SRC_ROOT / "core" / "training.py", self.COSTS)
             for node in ast.walk(_tree(path))
             if isinstance(node, ast.FunctionDef)
         }
         constructions, seen = [], set()
-        frontier = ["_resolve_training_strategy"]
+        frontier = ["_choose"]
         while frontier:
             name = frontier.pop()
             if name in seen or name not in functions:

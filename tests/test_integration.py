@@ -131,8 +131,8 @@ class TestCrossStrategyConsistency:
             config = repro.EMConfig(
                 n_components=2, max_iter=3, tol=0.0, seed=1
             )
-            comparison = repro.compare_gmm_strategies(
-                db, star.spec, config
+            comparison = repro.compare_strategies(
+                db, star.spec, "gmm", config
             )
             results = list(comparison.results.values())
             assert results[0].params.allclose(results[1].params)
@@ -151,8 +151,8 @@ class TestCrossStrategyConsistency:
             config = repro.EMConfig(
                 n_components=2, max_iter=4, tol=0.0, seed=1
             )
-            comparison = repro.compare_gmm_strategies(
-                db, star.spec, config
+            comparison = repro.compare_strategies(
+                db, star.spec, "gmm", config
             )
             from repro.core.api import MATERIALIZED
 
@@ -174,5 +174,5 @@ class TestCrossStrategyConsistency:
             config = repro.EMConfig(
                 n_components=2, max_iter=2, tol=0.0, seed=1
             )
-            repro.compare_gmm_strategies(db, star.spec, config)
+            repro.compare_strategies(db, star.spec, "gmm", config)
             assert set(db.relation_names) == before
