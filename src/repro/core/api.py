@@ -408,8 +408,8 @@ def serve(
     rows (mutually exclusive with ``store`` — put ``capacity_floats``
     on a store you share; sizing guidance in ``docs/tuning.md``).
     ``store_tiers`` (requires ``memory_budget``) makes the governor
-    demote cold partials down a tier ladder — ``"float32"``/``"int8"``
-    compress in place (GMM labels stay bit-exact, scores within a
+    demote cold partials down a tier ladder — ``"float32"``
+    compresses in place (GMM labels stay bit-exact, scores within a
     documented bounded delta), ``"spill"`` pages them to disk exactly
     — instead of dropping them to recomputation; the per-tier
     exactness contract is tabulated in ``docs/tuning.md``.  The

@@ -92,8 +92,9 @@ class ShardedPartialCache:
         self._governor = governor
         self._tiers = tuple(tiers)
         # One spill slab shared by every shard (it carries its own
-        # lock); the owning store supplies the directory and deletes
-        # it wholesale on close.
+        # lock); the owning store names the directory (a path, or a
+        # callable asked at each heap creation) and deletes it
+        # wholesale on close.
         self._spill = None
         if TIER_SPILL in self._tiers:
             if spill_dir is None:

@@ -146,7 +146,7 @@ class StoreStats:
 
     @property
     def compressed_bytes_resident(self) -> int:
-        """Payload bytes held by the compressed tiers (float32/int8)."""
+        """Payload bytes held by the compressed (float32) tier."""
         return self.cache.compressed_bytes_resident
 
     @property
@@ -241,8 +241,8 @@ class PartialStore:
         # repro.fx.tiers.GOVERNOR_HYSTERESIS.
         self.hysteresis = hysteresis
         self._governor_sweeps = 0
-        # Spill-tier backing directory, created lazily on first
-        # acquire; the finalizer is the leak backstop for stores that
+        # Spill-tier backing directory, created when a slab first
+        # writes; the finalizer is the leak backstop for stores that
         # are never closed.
         self._spill_root: Path | None = None
         self._spill_finalizer = None
@@ -328,8 +328,7 @@ class PartialStore:
                 allocator=self._allocator,
                 tiers=self.tiers,
                 spill_dir=(
-                    self._ensure_spill_root()
-                    if TIER_SPILL in self.tiers
+                    self._spill_directory if TIER_SPILL in self.tiers
                     else None
                 ),
             )
@@ -365,17 +364,21 @@ class PartialStore:
             # or a dropped fingerprint would leak its slots.
             cache.clear()
 
-    def _ensure_spill_root(self) -> Path:
+    def _spill_directory(self) -> Path:
         """The spill tier's backing directory (one per store), created
-        on first use.  A finalizer removes it even if the store is
-        never closed — spill files must not outlive the process."""
-        if self._spill_root is None:
-            root = Path(tempfile.mkdtemp(prefix="repro-spill-"))
-            self._spill_root = root
-            self._spill_finalizer = weakref.finalize(
-                self, shutil.rmtree, str(root), ignore_errors=True
-            )
-        return self._spill_root
+        on first use — every slab asks each time it creates a heap
+        file, so spilling after :meth:`release_spill` opens a new
+        directory, finalizer and all.  The finalizer removes it even
+        if the store is never closed — spill files must not outlive
+        the process."""
+        with self._lock:
+            if self._spill_root is None:
+                root = Path(tempfile.mkdtemp(prefix="repro-spill-"))
+                self._spill_root = root
+                self._spill_finalizer = weakref.finalize(
+                    self, shutil.rmtree, str(root), ignore_errors=True
+                )
+            return self._spill_root
 
     def release_spill(self) -> None:
         """Drop every spilled entry and delete the spill directory.

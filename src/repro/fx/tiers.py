@@ -12,10 +12,6 @@ resident  float64 rows (possibly in shm slabs)    bit-exact
 float32   ``row.astype(float32)``                 GMM labels bit-exact;
                                                   scores within
                                                   ``FLOAT32_SCORE_RTOL``
-int8      linear quantization, per-row scale/lo   GMM labels bit-exact on
-                                                  separated components;
-                                                  per-element error ≤
-                                                  ``int8_error_bound``
 spill     float64 row in an on-disk heap file     bit-exact (one page
                                                   read to re-promote)
 ========  ======================================  =======================
@@ -26,6 +22,8 @@ maps a row width to its residual charge against the store budget
 strictly positive gain.  The spill tier charges nothing against the
 memory budget — its cost is the page read on re-promotion, tracked by
 the :class:`SpillSlab`'s private :class:`~repro.storage.iostats.IOStats`.
+Both rungs move rows in blocks: a demotion is one ``astype`` or one
+heap write per governor sweep, never one per row.
 """
 
 from __future__ import annotations
@@ -40,13 +38,12 @@ from repro.errors import ModelError, StorageError
 
 TIER_RESIDENT = "resident"
 TIER_FLOAT32 = "float32"
-TIER_INT8 = "int8"
 TIER_SPILL = "spill"
 
 #: The demotion ladder, hottest representation first.  ``store_tiers=``
 #: accepts any subset; rows walk whatever rungs are configured and fall
 #: off the end (plain drop) when no rung yields a gain.
-STORE_TIERS = (TIER_FLOAT32, TIER_INT8, TIER_SPILL)
+STORE_TIERS = (TIER_FLOAT32, TIER_SPILL)
 
 #: Documented bound for the float32 tier: scores and NN outputs computed
 #: from a float32 round-tripped partial match the float64 answer to this
@@ -62,7 +59,7 @@ FLOAT32_SCORE_RTOL = 1e-5
 #: this explicitly.
 GOVERNOR_HYSTERESIS = 0.9
 
-_FLOAT_BYTES = 8
+_NO_POSITIONS = np.empty(0, dtype=np.int64)
 
 
 def validate_tiers(tiers) -> tuple:
@@ -92,83 +89,58 @@ def float_equivalents(tier: str, width: int) -> int:
     """Budget floats a ``width``-float row still charges at ``tier``.
 
     The governor's unit of account is the float64; a compressed row
-    charges the float64s its payload would occupy.  ``int8`` carries a
-    per-row ``(scale, lo)`` header, hence the +2.  ``spill`` charges
+    charges the float64s its payload would occupy.  ``spill`` charges
     nothing — its residual cost is I/O, not memory.
     """
     if tier == TIER_RESIDENT:
         return width
     if tier == TIER_FLOAT32:
         return (width + 1) // 2
-    if tier == TIER_INT8:
-        return (width + 7) // 8 + 2
     if tier == TIER_SPILL:
         return 0
     raise ModelError(f"unknown store tier {tier!r}")
 
 
-def payload_bytes(tier: str, width: int) -> int:
-    """In-memory payload bytes of a ``width``-float row at ``tier``."""
-    return float_equivalents(tier, width) * _FLOAT_BYTES
-
-
-def compress(tier: str, row: np.ndarray):
-    """Encode a float64 row for a compressed tier.
-
-    ``float32`` returns the float32 array; ``int8`` returns
-    ``(codes, scale, lo)`` with ``codes`` uint8 and per-row linear
-    range mapping (a constant row encodes with ``scale == 0``).
-    """
+def compress(tier: str, rows: np.ndarray) -> np.ndarray:
+    """Encode float64 rows (one, or a block) for a compressed tier."""
     if tier == TIER_FLOAT32:
-        return row.astype(np.float32)
-    if tier == TIER_INT8:
-        lo = float(row.min())
-        hi = float(row.max())
-        scale = (hi - lo) / 255.0
-        if scale <= 0.0:
-            codes = np.zeros(row.size, dtype=np.uint8)
-        else:
-            codes = np.clip(
-                np.rint((row - lo) / scale), 0, 255
-            ).astype(np.uint8)
-        return codes, scale, lo
+        return rows.astype(np.float32)
     raise ModelError(f"tier {tier!r} has no compressed encoding")
 
 
-def decompress(tier: str, payload) -> np.ndarray:
-    """Decode a :func:`compress` payload back to a float64 row."""
+def decompress(tier: str, payload: np.ndarray) -> np.ndarray:
+    """Decode a :func:`compress` payload back to float64."""
     if tier == TIER_FLOAT32:
         return payload.astype(np.float64)
-    if tier == TIER_INT8:
-        codes, scale, lo = payload
-        return codes.astype(np.float64) * scale + lo
     raise ModelError(f"tier {tier!r} has no compressed encoding")
-
-
-def int8_error_bound(row: np.ndarray) -> float:
-    """The documented per-element bound of the int8 tier for ``row``:
-    half a quantization step, ``(max - min) / 510``."""
-    return (float(row.max()) - float(row.min())) / 510.0
 
 
 class SpillSlab:
     """On-disk spill area for demoted partial rows.
 
     One heap file per row width (partials of different models/ops have
-    different widths; a heap file is fixed-width), all under one
-    directory owned by the :class:`~repro.fx.store.PartialStore`.
-    Freed positions are recycled via a per-width free list, so a
-    steady-state demote/promote cycle doesn't grow the files without
+    different widths; a heap file is fixed-width), created on first use
+    in the directory the owning :class:`~repro.fx.store.PartialStore`
+    names *at that moment* — ``directory`` is a path or a callable
+    returning one — so a slab that outlives a
+    :meth:`~repro.fx.store.PartialStore.release_spill` spills into the
+    store's next directory, never back into the deleted one.  Rows move
+    in blocks: :meth:`put` is one ``update_rows`` over the recycled
+    positions plus one ``append`` for the rest, whatever the block's
+    size.  Freed positions are recycled via a per-width free stack, so
+    a steady-state demote/promote cycle doesn't grow the files without
     bound.  Thread-safe: shards of one
     :class:`~repro.fx.sharding.ShardedPartialCache` share one slab.
     """
 
-    def __init__(self, directory: str | Path) -> None:
-        self.directory = Path(directory)
+    def __init__(self, directory) -> None:
+        self._directory = (
+            directory if callable(directory) else lambda: Path(directory)
+        )
         self._tag = secrets.token_hex(4)
         self._lock = threading.Lock()
         self._heaps: dict[int, object] = {}
-        self._free: dict[int, list[int]] = {}
+        self._free: dict[int, np.ndarray] = {}
         # Private accounting: spill I/O must not pollute the database's
         # relation-level IOStats the paper's cost formulas read.
         from repro.storage.iostats import IOStats
@@ -181,44 +153,45 @@ class SpillSlab:
             from repro.storage.heapfile import HeapFile
 
             heap = HeapFile.create(
-                self.directory / f"spill-{self._tag}-w{width}.heap",
+                self._directory() / f"spill-{self._tag}-w{width}.heap",
                 width,
                 stats=self.io,
                 stats_name="spill",
             )
             self._heaps[width] = heap
+            self._free[width] = _NO_POSITIONS
         return heap
 
-    def put(self, values: np.ndarray) -> int:
-        """Write one row; returns its heap position (stable until
-        :meth:`free`)."""
-        row = np.ascontiguousarray(values, dtype=np.float64).reshape(1, -1)
-        width = row.shape[1]
+    def put(self, rows: np.ndarray) -> np.ndarray:
+        """Write a block of rows (a 1-D array is one row); returns each
+        row's heap position, stable until :meth:`free`."""
+        rows = np.atleast_2d(np.ascontiguousarray(rows, dtype=np.float64))
+        count, width = rows.shape
         with self._lock:
             heap = self._heap_locked(width)
-            free = self._free.get(width)
-            if free:
-                position = free.pop()
-                heap.update_rows(np.array([position], dtype=np.int64), row)
-            else:
-                position = heap.nrows
-                heap.append(row)
-        return position
+            free = self._free[width]
+            kept = free.size - min(free.size, count)
+            recycled, self._free[width] = free[kept:], free[:kept]
+            heap.update_rows(recycled, rows[:recycled.size])
+            fresh = np.arange(heap.nrows, heap.nrows + count - recycled.size)
+            heap.append(rows[recycled.size:])
+        return np.concatenate([recycled, fresh])
 
     def read_rows(self, width: int, positions) -> np.ndarray:
         """Fetch rows of one width by position (page-batched)."""
         with self._lock:
             heap = self._heaps.get(width)
         if heap is None:
-            raise StorageError(
-                f"no spill heap for width {width} in {self.directory}"
-            )
+            raise StorageError(f"no spill heap for width {width}")
         return heap.read_rows(np.asarray(positions, dtype=np.int64))
 
-    def free(self, width: int, position: int) -> None:
-        """Recycle a spilled row's slot (on promotion or invalidation)."""
+    def free(self, width: int, positions) -> None:
+        """Recycle spilled rows' positions (on promotion or
+        invalidation)."""
         with self._lock:
-            self._free.setdefault(width, []).append(int(position))
+            self._free[width] = np.concatenate(
+                [self._free.get(width, _NO_POSITIONS), np.ravel(positions)]
+            )
 
     def reset(self) -> None:
         """Delete every spill file and forget all positions."""

@@ -142,8 +142,8 @@ class RuntimeConfig:
     ``store_tiers`` opts budgeted runtimes into the tiered partial
     ladder (:mod:`repro.fx.tiers`): instead of dropping cold partials
     outright, the governor demotes them down the configured rungs —
-    ``"float32"`` / ``"int8"`` (compressed, bounded-delta scores, GMM
-    labels bit-exact) and ``"spill"`` (on-disk heap pages, exact) —
+    ``"float32"`` (compressed, bounded-delta scores, GMM labels
+    bit-exact) and ``"spill"`` (on-disk heap pages, exact) —
     and re-promotes on the next touch.  The exactness contract per
     tier is documented in ``docs/tuning.md``.
 

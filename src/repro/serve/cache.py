@@ -12,8 +12,9 @@ array code: a shard's resident tier is one :class:`SlotTable` — sorted
 keys → slot, one float64 slab, recency / clock / pin columns — and a
 warm lookup is one ``searchsorted``, one ``take`` and two column
 stamps, with no per-key Python between the dedup plan and the
-predictor's GEMM.  Only the demoted tiers (:mod:`repro.fx.tiers`) are
-still per-key dicts, consulted for keys that missed the table.
+predictor's GEMM.  The demoted tiers (:mod:`repro.fx.tiers`) are slot
+tables too — float32 payloads, spill-heap positions — so a governor
+sweep demotes, and a batch promotes, whole blocks of rows at a time.
 
 Capacity can be bounded two ways, separately or together: by *entries*
 (distinct RIDs) and by *floats* (``capacity_floats``, the number of
@@ -75,6 +76,7 @@ Beyond its own two capacity bounds, a cache can take part in a
 
 from __future__ import annotations
 
+import sys
 import threading
 import warnings
 from contextlib import nullcontext
@@ -87,6 +89,7 @@ from repro.errors import ModelError
 from repro.fx.dedup import distinct_values
 from repro.fx.sketch import FrequencySketch
 from repro.fx.tiers import (
+    TIER_FLOAT32,
     TIER_RESIDENT,
     TIER_SPILL,
     compress,
@@ -301,11 +304,13 @@ def _first_occurrences(keys: np.ndarray):
 
 
 class SlotTable:
-    """A shard's resident tier: sorted keys → slot → slab row.
+    """One tier of a shard: sorted keys → slot → slab row.
 
     ``keys`` (sorted int64) and the parallel ``slots`` are the index.
     A slot numbers one row of ``slab`` — a contiguous ``(capacity,
-    width)`` float64 block — and one cell of each column: ``key`` (the
+    width)`` block of ``dtype``: float64 rows for the resident tier,
+    float32 payloads and spill-heap positions for the demoted ones
+    (which never pin) — and one cell of each column: ``key`` (the
     way back), ``tick`` (the store clock's per-call stamp), ``seq``
     (per-shard touch order: ascending ``seq`` *is* LRU order, ``-1``
     marks an entry holding no row) and ``pins`` (the refcount).  An
@@ -323,15 +328,16 @@ class SlotTable:
     guards every call.
     """
 
-    def __init__(self, allocator=None) -> None:
+    def __init__(self, allocator=None, dtype=np.float64) -> None:
         self._allocator = allocator
+        self._dtype = dtype
         self._block: tuple[int, int] | None = None  # shm (offset, floats)
         self._reset()
 
     def _reset(self) -> None:
         self.keys = np.empty(0, dtype=np.int64)
         self.slots = np.empty(0, dtype=np.intp)
-        self.slab = np.empty((0, 0))
+        self.slab = np.empty((0, 0), dtype=self._dtype)
         self.key = np.empty(0, dtype=np.int64)
         self.tick = np.empty(0, dtype=np.int64)
         self.seq = np.empty(0, dtype=np.int64)
@@ -443,7 +449,7 @@ class SlotTable:
             slab = block[1].reshape(capacity, width)
             block = (block[0], capacity * width)
         else:
-            slab = np.empty((capacity, width))
+            slab = np.empty((capacity, width), dtype=self._dtype)
         if len(live):
             self.slab.take(live, axis=0, out=slab[:len(live)], mode="clip")
         self.slab = slab
@@ -453,13 +459,9 @@ class SlotTable:
 
     def put(self, keys: np.ndarray, rows: np.ndarray, tick) -> None:
         """Make the distinct, not-resident ``keys`` resident with
-        ``rows`` — one copy into the slab — at the MRU end, in order."""
+        ``rows`` — one copy into the slab — at the MRU end, in order.
+        A table holding no row takes on the width of ``rows``."""
         if rows.shape[1] != self.width:
-            if self.rows:
-                raise ModelError(
-                    f"partial rows are {rows.shape[1]} floats wide but "
-                    f"this cache holds rows of {self.width}"
-                )
             self._relocate(self.seq.size, rows.shape[1])
         slots = self._entries(keys)     # may relocate: before the write
         self.slab[slots] = rows
@@ -582,11 +584,17 @@ class PartialCache:
                 "the 'spill' tier needs an on-disk slab; pass spill="
             )
         self._spill = spill
-        # The demoted populations, each in demotion order:
-        # key -> (tier, payload, width, tick), payload per repro.fx.tiers;
-        self._compressed: dict[int, tuple] = {}
-        # key -> (width, heap position) in the spill slab.
-        self._spilled: dict[int, tuple[int, int]] = {}
+        # The demoted populations — rows of the table's one width, in
+        # demotion order (``seq``): the float32 payloads, each with the
+        # tick it had while resident, and the rows' positions in the
+        # spill slab's heap file.
+        self._compressed = SlotTable(dtype=np.float32)
+        self._spilled = SlotTable(dtype=np.int64)
+        self._populations = (
+            (TIER_RESIDENT, self._table),
+            (TIER_FLOAT32, self._compressed),
+            (TIER_SPILL, self._spilled),
+        )
         self._compressed_floats = 0
         self._spilled_bytes = 0
         # The shard's one lock.  Serializes lookups against
@@ -620,30 +628,28 @@ class PartialCache:
         return self.tier_of(key) is not None
 
     def tier_of(self, key: int) -> str | None:
-        """The tier holding ``key`` — ``"resident"``, a compressed
-        tier's name, ``"spill"`` — or ``None``."""
-        key = int(key)
+        """The tier holding ``key`` — ``"resident"``, ``"float32"``,
+        ``"spill"`` — or ``None``."""
+        key = np.array([int(key)])
         with self._lock:
-            if self._table.find(np.array([key]))[1][0]:
-                return TIER_RESIDENT
-            if key in self._compressed:
-                return self._compressed[key][0]
-            return TIER_SPILL if key in self._spilled else None
+            return next(
+                (
+                    tier for tier, population in self._populations
+                    if population.find(key)[1][0]
+                ),
+                None,
+            )
 
     def keys(self, tier: str | None = None) -> list[int]:
         """The RIDs held in ``tier`` (in any, for ``None``): resident
         ones least recent first, demoted ones oldest demotion first."""
         with self._lock:
-            held: list[int] = []
-            if tier in (None, TIER_RESIDENT):
-                held += self._table.resident_keys().tolist()
-            held += [
-                key for key, entry in self._compressed.items()
-                if tier in (None, entry[0])
+            return [
+                key
+                for name, population in self._populations
+                if tier in (None, name)
+                for key in population.resident_keys().tolist()
             ]
-            if tier in (None, TIER_SPILL):
-                held += list(self._spilled)
-            return held
 
     def residency(self) -> Residency:
         """This shard's :class:`Residency`, read lock-free."""
@@ -689,99 +695,102 @@ class PartialCache:
                 return target, gain
         return "drop", current
 
-    def _drop_demoted(self, key: int) -> bool:
-        """Forget ``key``'s compressed or spilled copy, if any."""
-        entry = self._compressed.pop(key, None)
-        if entry is not None:
-            self._compressed_floats -= float_equivalents(entry[0], entry[2])
-            return True
-        spilled = self._spilled.pop(key, None)
-        if spilled is not None:
-            self._spill.free(*spilled)
-            self._spilled_bytes -= spilled[0] * _FLOAT_BYTES
-        return spilled is not None
+    def _take_compressed(self, keys: np.ndarray):
+        """Take the float32 copies held of the distinct ``keys`` out of
+        their tier: ``(which keys, their float64 rows, their ticks)``."""
+        tier = self._compressed
+        slots, held = tier.find(keys)
+        slots = slots[held]
+        rows = decompress(TIER_FLOAT32, tier.slab.take(slots, axis=0))
+        ticks = tier.tick[slots]
+        tier.drop(slots)
+        self._compressed_floats -= slots.size * float_equivalents(
+            TIER_FLOAT32, rows.shape[1]
+        )
+        return held, rows, ticks
 
-    def _demote(self, key: int) -> int:
-        """Walk ``key`` one step down the ladder (:meth:`_next_rung`);
-        returns the budget floats freed.  Spilled rows are terminal:
-        they charge no memory, so only invalidation removes them."""
+    def _take_spilled(self, keys: np.ndarray, read: bool):
+        """Take the spilled copies held of the distinct ``keys`` out of
+        their tier, recycling their heap positions: ``(which keys,
+        their rows)`` — one page-batched
+        :meth:`~repro.fx.tiers.SpillSlab.read_rows`, the sequential
+        read that makes a spilled partial cheaper than a gather+rebuild
+        — or ``None`` for the rows when not asked to ``read`` them."""
+        tier = self._spilled
+        slots, held = tier.find(keys)
+        slots = slots[held]
+        rows = None
+        if slots.size:
+            width = self._table.width
+            positions = tier.slab[slots, 0]
+            if read:
+                rows = self._spill.read_rows(width, positions)
+            self._spill.free(width, positions)
+            tier.drop(slots)
+            self._spilled_bytes -= slots.size * width * _FLOAT_BYTES
+        return held, rows
+
+    def _demote(self, keys: np.ndarray) -> tuple[int, int]:
+        """Walk the distinct, unpinned ``keys`` one step down the ladder
+        each (:meth:`_next_rung`), a block per rung, demotion order =
+        the order given; returns ``(rows moved, budget floats freed)``.
+        Spilled rows are terminal: they charge no memory, so only
+        invalidation removes them."""
         table = self._table
-        slots, held = table.find(np.array([key]))
-        if held[0]:
-            values = table.slab[slots[0]].copy()
-            tick = int(table.tick[slots[0]])
-            table.drop(slots)
-            return self._settle(key, values, tick, TIER_RESIDENT)
-        if key not in self._compressed:
-            return 0
-        tier, payload, _, tick = self._compressed[key]
-        self._drop_demoted(key)
-        return self._settle(key, decompress(tier, payload), tick, tier)
+        compressed, rows, ticks = self._take_compressed(keys)
+        freed = self._settle(TIER_FLOAT32, keys[compressed], rows, ticks)
+        slots, held = table.find(keys)
+        slots = slots[held]
+        freed += self._settle(
+            TIER_RESIDENT, keys[held],
+            table.slab.take(slots, axis=0), table.tick[slots],
+        )
+        table.drop(slots)
+        return rows.shape[0] + slots.size, freed
 
-    def _settle(self, key: int, values: np.ndarray, tick: int, tier) -> int:
-        """Park a row that just left ``tier`` on the next rung down (or
-        nowhere: ``"drop"``); returns the budget floats that freed."""
-        width = values.size
-        target, gain = self._next_rung(tier, width)
+    def _settle(self, tier, keys, rows: np.ndarray, ticks) -> int:
+        """Park the rows that just left ``tier`` on the next rung down
+        (or nowhere: ``"drop"``) — one ``astype``, or one block write
+        to the spill slab; returns the budget floats that freed."""
+        if not keys.size:
+            return 0
+        target, gain = self._next_rung(tier, rows.shape[1])
         if target == TIER_SPILL:
-            self._spilled[key] = (width, self._spill.put(values))
-            self._spilled_bytes += width * _FLOAT_BYTES
+            self._spilled.put(keys, self._spill.put(rows)[:, None], None)
+            self._spilled_bytes += rows.size * _FLOAT_BYTES
         elif target != "drop":
-            self._compressed[key] = (
-                target, compress(target, values), width, tick,
+            self._compressed.put(keys, compress(target, rows), ticks)
+            self._compressed_floats += keys.size * float_equivalents(
+                target, rows.shape[1]
             )
-            self._compressed_floats += float_equivalents(target, width)
-        self.demotions[target] = self.demotions.get(target, 0) + 1
-        self.demotions_total += 1
-        return gain
+        self.demotions[target] = self.demotions.get(target, 0) + keys.size
+        self.demotions_total += keys.size
+        return keys.size * gain
 
     def _promote(self, keys: np.ndarray, held: np.ndarray, tick) -> int:
         """Bring the demoted copies among a batch's not-``held`` keys
-        back to resident float64; returns how many rows came back.
+        back to resident float64 — the float32 ones first, each tier's
+        in first-occurrence order; returns how many rows came back.
 
-        Spilled keys are grouped by row width so each width pays one
-        page-batched :meth:`~repro.fx.tiers.SpillSlab.read_rows` call —
-        the sequential read that makes a spilled partial cheaper than
-        a gather+rebuild.  Promoted rows bypass admission (they were
-        admitted once already; demotion was memory policy, not a
-        verdict on their worth) and land at the MRU end.
+        Promoted rows bypass admission (they were admitted once
+        already; demotion was memory policy, not a verdict on their
+        worth) and land at the MRU end.
         """
-        wanted = [
-            key for key in dict.fromkeys(keys[~held].tolist())
-            if key in self._compressed or key in self._spilled
+        wanted, _ = _first_occurrences(keys[~held])
+        wanted = wanted[
+            self._compressed.find(wanted)[1] | self._spilled.find(wanted)[1]
         ]
-        if not wanted:
+        if not wanted.size:
             return 0
         span = current_span()
         with (
             span.child("store.promote") if span is not None
             else nullcontext()
         ) as promote_span:
-            rows: dict[int, np.ndarray] = {}
-            by_width: dict[int, tuple[list[int], list[int]]] = {}
-            for key in wanted:
-                if key in self._compressed:
-                    tier, payload = self._compressed[key][:2]
-                    rows[key] = decompress(tier, payload)
-                    self.promotions[tier] = self.promotions.get(tier, 0) + 1
-                else:
-                    width, position = self._spilled[key]
-                    ks, ps = by_width.setdefault(width, ([], []))
-                    ks.append(key)
-                    ps.append(position)
-            for width, (ks, ps) in by_width.items():
-                rows.update(zip(ks, self._spill.read_rows(width, ps)))
-                self.promotions[TIER_SPILL] = (
-                    self.promotions.get(TIER_SPILL, 0) + len(ks)
-                )
-            for key in rows:
-                self._drop_demoted(key)
-            self._table.put(
-                np.fromiter(rows, dtype=np.int64, count=len(rows)),
-                np.stack(list(rows.values())),
-                tick,
-            )
-            self.promotions_total += len(rows)
+            found, rows, _ = self._take_compressed(wanted)
+            self._readmit(TIER_FLOAT32, wanted[found], rows, tick)
+            found, rows = self._take_spilled(wanted, read=True)
+            self._readmit(TIER_SPILL, wanted[found], rows, tick)
             if self._bounded:
                 # Make room — but never out of the rows this very batch
                 # is about to read (up to PR 15 that was a KeyError).
@@ -791,8 +800,15 @@ class PartialCache:
                 finally:
                     self._table.unpin(keys)
             if promote_span is not None:
-                promote_span.set("rows", float(len(rows)))
-        return len(rows)
+                promote_span.set("rows", float(wanted.size))
+        return wanted.size
+
+    def _readmit(self, tier: str, keys: np.ndarray, rows, tick) -> None:
+        """Make the ``rows`` just taken out of ``tier`` resident."""
+        if keys.size:
+            self._table.put(keys, rows, tick)
+            self.promotions[tier] = self.promotions.get(tier, 0) + keys.size
+            self.promotions_total += keys.size
 
     # -- local capacity -----------------------------------------------------
 
@@ -830,18 +846,23 @@ class PartialCache:
             self.evictions += victims.size
             return
         while table.rows > self._row_limit(table.width):
-            coldest = table.coldest(1)
-            victim = int(table.key[coldest[0]]) if coldest.size else next(
-                (
-                    key for key in self._compressed
-                    if not table.find(np.array([key]), pinned=True)[1][0]
-                ),
-                None,
-            )
-            if victim is None:
+            victim = table.key[table.coldest(1)]
+            if not victim.size:
+                victim = self._compressed.key[self._coldest_compressed(1)]
+            if not victim.size:
                 return
             self._demote(victim)
             self.evictions += 1
+
+    def _coldest_compressed(self, count: int) -> np.ndarray:
+        """Up to ``count`` unpinned float32-tier slots, oldest demotion
+        first.  A demoted key can only be pinned through a rowless
+        entry of the resident table."""
+        tier, table = self._compressed, self._table
+        if table.keys.size == table.rows:
+            return tier.coldest(count)
+        slots = tier.coldest(tier.rows)
+        return slots[~table.find(tier.key[slots], pinned=True)[1]][:count]
 
     def _tinylfu_admit(self, keys: np.ndarray, width: int):
         """TinyLFU admission for a batch of computed rows: which of
@@ -891,6 +912,13 @@ class PartialCache:
         evicting row by row."""
         table = self._table
         width = rows.shape[1]
+        if width != table.width and (
+            table.rows or self._compressed.rows or self._spilled.rows
+        ):
+            raise ModelError(
+                f"partial rows are {width} floats wide but this cache "
+                f"holds rows of {table.width}"
+            )
         if (
             self.capacity_floats is not None
             and width > self.capacity_floats
@@ -936,10 +964,11 @@ class PartialCache:
         ``compute`` receives the distinct missing keys as an int64
         array, in first-occurrence order, and must return one row per
         key, in order; the cache copies them and keeps no reference to
-        the array.  Computed rows are returned to the caller even
-        when the cache immediately evicts them (a request wider than
-        the capacity still gets correct results — only reuse across
-        requests is lost).
+        the array (a batch that hit and repeated nothing gets an array
+        nobody else holds back as is, not a third copy of the block).
+        Computed rows are returned to the caller even when the cache
+        immediately evicts them (a request wider than the capacity
+        still gets correct results — only reuse across requests is lost).
         """
         keys = np.asarray(keys)
         if keys.ndim != 1:
@@ -960,7 +989,9 @@ class PartialCache:
                 # out-rank a burst of cold candidates.
                 self._sketch.record(keys)
             slots, held = table.find(keys)
-            if (self._compressed or self._spilled) and not held.all():
+            if (
+                self._compressed.rows or self._spilled.rows
+            ) and not held.all():
                 if self._promote(keys, held, batch_tick):
                     slots, held = table.find(keys)
             hits = int(np.count_nonzero(held))
@@ -985,12 +1016,17 @@ class PartialCache:
             if hits:
                 out = table.slab.take(slots, axis=0)
                 table.touch(slots[held] if misses else slots, batch_tick)
+            elif misses and where is None and (
+                computed.flags.owndata and sys.getrefcount(computed) <= 2
+            ):
+                out = computed      # its only holder: no third copy
             else:
                 width = computed.shape[1] if misses else table.width
                 out = np.empty((keys.size, width))
             if misses:
                 self._insert(missing, computed, batch_tick)
-                out[~held] = computed if where is None else computed[where]
+                if out is not computed:
+                    out[~held] = computed if where is None else computed[where]
             if span is not None and self.evictions > evictions_before:
                 span.add(
                     "cache.evictions", self.evictions - evictions_before
@@ -1035,30 +1071,29 @@ class PartialCache:
         rank colder); spilled rows charge nothing — never offered.
         """
         min_scan = 1 if self._sketch is None else _TINYLFU_VICTIM_SAMPLE
-        demoted: list[tuple[int, int, int]] = []    # (key, tick, frees)
-        covered = 0
         with self._lock:
-            table = self._table
-            # A demoted key can only be pinned through a rowless entry.
-            rowless = table.keys.size > table.rows
-            for key, (tier, _, width, tick) in self._compressed.items():
-                if covered >= deficit_floats and len(demoted) >= min_scan:
-                    break
-                if rowless and table.find(np.array([key]), True)[1][0]:
-                    continue
-                demoted.append((key, tick, self._next_rung(tier, width)[1]))
-                covered += float_equivalents(tier, width)
-            wanted = min_scan - len(demoted)
-            if covered < deficit_floats and table.width:
-                wanted = max(
-                    wanted, -(-(deficit_floats - covered) // table.width)
+            table, compressed = self._table, self._compressed
+            width = table.width
+            demoted = np.empty(0, dtype=np.intp)
+            if compressed.rows:
+                charge = float_equivalents(TIER_FLOAT32, width)
+                demoted = self._coldest_compressed(
+                    max(min_scan, -(-deficit_floats // charge))
                 )
+                deficit_floats -= demoted.size * charge
+            wanted = min_scan - demoted.size
+            if deficit_floats > 0 and width:
+                wanted = max(wanted, -(-deficit_floats // width))
             slots = table.coldest(wanted)
-            gain = self._next_rung(TIER_RESIDENT, table.width)[1]
-            head = np.array(demoted, dtype=np.int64).reshape(-1, 3)
-            keys = np.concatenate([head[:, 0], table.key[slots]])
-            ticks = np.concatenate([head[:, 1], table.tick[slots]])
-            frees = np.concatenate([head[:, 2], np.full(slots.size, gain)])
+            keys = np.concatenate([compressed.key[demoted], table.key[slots]])
+            ticks = np.concatenate(
+                [compressed.tick[demoted], table.tick[slots]]
+            )
+            frees = np.full(
+                keys.size, self._next_rung(TIER_RESIDENT, width)[1]
+            )
+            if demoted.size:
+                frees[:demoted.size] = self._next_rung(TIER_FLOAT32, width)[1]
             if self._sketch is None:
                 return keys, ticks, np.zeros(keys.size, dtype=np.int64), frees
             return keys, ticks, self._sketch.estimate_many(keys), frees
@@ -1071,32 +1106,18 @@ class PartialCache:
         Fewer than asked go when a key was invalidated, evicted or
         pinned between the governor's scan and this call — the governor
         then simply rescans.  With tiers configured each row is demoted
-        one rung instead of dropped.
+        one rung instead of dropped, a block per rung (:meth:`_demote`).
         """
         with self._lock:
             table = self._table
             keys = keys[~table.find(keys, pinned=True)[1]]
-            slots, held = table.find(keys)
             if self._tiers:
-                # Victims walk the ladder one by one, in rank order;
-                # the table is compacted once, after the last.
-                resident = dict(zip(
-                    keys[held].tolist(),
-                    zip(
-                        table.slab.take(slots[held], axis=0),
-                        table.tick[slots[held]].tolist(),
-                    ),
-                ))
-                freed = [
-                    self._settle(key, *resident[key], TIER_RESIDENT)
-                    if key in resident else self._demote(key)
-                    for key in keys.tolist()
-                ]
-                count, total = sum(f > 0 for f in freed), sum(freed)
+                count, total = self._demote(keys)
             else:
+                slots, held = table.find(keys)
                 count = int(np.count_nonzero(held))
                 total = count * table.width
-            table.drop(slots[held])
+                table.drop(slots[held])
             self.cross_evictions += count
             # The governor runs on the thread of the batch whose insert
             # broke the budget, so the cross-evictions land on that
@@ -1121,13 +1142,14 @@ class PartialCache:
             slots = distinct_values(slots[held])
             self._table.drop(slots)
             dropped = slots.size
-            if self._compressed or self._spilled:
-                dropped += self._invalidate_demoted(keys[~held])
+            if self._compressed.rows or self._spilled.rows:
+                demoted = distinct_values(keys[~held])
+                dropped += np.count_nonzero(
+                    self._take_compressed(demoted)[0]
+                    | self._take_spilled(demoted, read=False)[0]
+                )
             self.invalidations += dropped
         return dropped
-
-    def _invalidate_demoted(self, keys: np.ndarray) -> int:
-        return sum(self._drop_demoted(key) for key in set(keys.tolist()))
 
     def stats(self) -> CacheStats:
         with self._lock:
@@ -1144,8 +1166,8 @@ class PartialCache:
                 admission_rejections=self.admission_rejections,
                 cross_evictions=self.cross_evictions,
                 shm_bytes_resident=held.shm_bytes,
-                compressed_entries=len(self._compressed),
-                spilled_entries=len(self._spilled),
+                compressed_entries=self._compressed.rows,
+                spilled_entries=self._spilled.rows,
                 compressed_floats_resident=held.compressed_floats,
                 compressed_bytes_resident=held.compressed_bytes,
                 spilled_bytes=held.spilled_bytes,
@@ -1167,10 +1189,10 @@ class PartialCache:
         whose keys must stay protected when recomputed after the clear.
         """
         with self._lock:
+            # Recycle the spilled positions while the table still
+            # knows the width of the rows they hold.
+            self._take_spilled(self._spilled.keys, read=False)
             self._table.clear()
-            for spilled in self._spilled.values():
-                self._spill.free(*spilled)
-            self.drop_spilled()
             self._compressed.clear()
             self._compressed_floats = 0
             self._zero_counters()

@@ -248,7 +248,7 @@ class HeapFile:
             with open(self.path, "r+b") as handle:
                 for page_no in touched:
                     start, stop = self._page_row_range(int(page_no))
-                    page = self._read_row_range_unlocked(start, stop)
+                    page = self._read_row_range_unlocked(start, stop, handle)
                     mask = pages == page_no
                     page[slots[mask]] = rows[mask]
                     handle.seek(start * self.ncols * _FLOAT_BYTES)
@@ -278,10 +278,10 @@ class HeapFile:
             )
         pages = positions // self.rows_per_page
         touched = distinct_values(pages)
-        with self._io_lock.read():
+        with self._io_lock.read(), open(self.path, "rb") as handle:
             for page_no in touched:
                 start, stop = self._page_row_range(int(page_no))
-                page = self._read_row_range_unlocked(start, stop)
+                page = self._read_row_range_unlocked(start, stop, handle)
                 mask = pages == page_no
                 out[mask] = page[positions[mask] - start]
         self.stats.record_read(self.stats_name, len(touched))
@@ -319,15 +319,17 @@ class HeapFile:
         return self.read_pages(0, self.npages)
 
     def _read_row_range(self, start: int, stop: int) -> np.ndarray:
-        with self._io_lock.read():
-            return self._read_row_range_unlocked(start, stop)
+        with self._io_lock.read(), open(self.path, "rb") as handle:
+            return self._read_row_range_unlocked(start, stop, handle)
 
-    def _read_row_range_unlocked(self, start: int, stop: int) -> np.ndarray:
+    def _read_row_range_unlocked(
+        self, start: int, stop: int, handle
+    ) -> np.ndarray:
+        """Rows ``[start, stop)`` through the caller's open ``handle`` —
+        a multi-page call opens the file once, not once per page."""
         count = (stop - start) * self.ncols
-        offset = start * self.ncols * _FLOAT_BYTES
-        with open(self.path, "rb") as handle:
-            handle.seek(offset)
-            flat = np.fromfile(handle, dtype=np.float64, count=count)
+        handle.seek(start * self.ncols * _FLOAT_BYTES)
+        flat = np.fromfile(handle, dtype=np.float64, count=count)
         if flat.size != count:
             raise StorageError(
                 f"short read from {self.path}: wanted {count} values, "

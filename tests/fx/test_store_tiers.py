@@ -5,7 +5,6 @@ The contract under test (see ``docs/tuning.md`` and
 
 * ``float32`` — GMM labels bit-exact, scores within
   ``FLOAT32_SCORE_RTOL`` of the float64 answer;
-* ``int8`` — per-element error bounded by ``int8_error_bound(row)``;
 * ``spill`` — bit-exact (the float64 row round-trips through a heap
   file);
 * every tier's residency reconciles with the governor's accounting,
@@ -13,6 +12,8 @@ The contract under test (see ``docs/tuning.md`` and
   pin.
 """
 
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -24,14 +25,12 @@ from repro.fx.tiers import (
     FLOAT32_SCORE_RTOL,
     STORE_TIERS,
     TIER_FLOAT32,
-    TIER_INT8,
     TIER_RESIDENT,
     TIER_SPILL,
     SpillSlab,
     compress,
     decompress,
     float_equivalents,
-    int8_error_bound,
     validate_tiers,
 )
 
@@ -48,7 +47,7 @@ WIDTH = 16
 
 def rows_for(keys):
     """Deterministic ground-truth rows: key-dependent, varying within
-    each row so int8 quantization is non-trivial."""
+    each row."""
     keys = np.asarray(keys, dtype=np.float64)
     return keys[:, None] + np.linspace(0.0, 3.0, WIDTH)[None, :]
 
@@ -64,10 +63,8 @@ def reconcile(cache, width=WIDTH):
     for shard in cache.shards:
         held = shard.keys()
         resident = len(shard.keys(TIER_RESIDENT)) * width
-        compressed = sum(
-            float_equivalents(tier, width)
-            for tier in (TIER_FLOAT32, TIER_INT8)
-            for _ in shard.keys(tier)
+        compressed = float_equivalents(TIER_FLOAT32, width) * len(
+            shard.keys(TIER_FLOAT32)
         )
         spilled = len(shard.keys(TIER_SPILL)) * width * 8
         record = shard.residency()
@@ -91,26 +88,26 @@ class TestTierPrimitives:
     def test_validate_tiers_normalizes_to_ladder_order(self):
         assert validate_tiers(None) == ()
         assert validate_tiers(()) == ()
-        assert validate_tiers("int8") == (TIER_INT8,)
+        assert validate_tiers("spill") == (TIER_SPILL,)
         assert validate_tiers(["spill", "float32", "spill"]) == (
             TIER_FLOAT32, TIER_SPILL,
         )
         with pytest.raises(ModelError, match="unknown store tier"):
             validate_tiers(("zstd",))
 
+    def test_the_deleted_int8_tier_is_refused_by_name(self):
+        with pytest.raises(ModelError, match="float32, spill"):
+            validate_tiers("int8")
+        with pytest.raises(ModelError, match="float32, spill"):
+            PartialStore(tiers=("float32", "int8"))
+
     def test_float_equivalents_decrease_down_the_ladder_when_wide(self):
         charges = [
             float_equivalents(t, WIDTH)
             for t in (TIER_RESIDENT,) + STORE_TIERS
         ]
-        assert charges == [16, 8, 4, 0]
+        assert charges == [16, 8, 0]
         assert charges == sorted(charges, reverse=True)
-
-    def test_int8_header_overhead_beats_float32_on_narrow_rows(self):
-        # Width 4: float32 charges 2 floats, int8 charges (4+7)//8 + 2
-        # = 3 — the gain guard must skip int8 for such rows.
-        assert float_equivalents(TIER_FLOAT32, 4) == 2
-        assert float_equivalents(TIER_INT8, 4) == 3
         with pytest.raises(ModelError, match="unknown store tier"):
             float_equivalents("zstd", 4)
 
@@ -119,20 +116,6 @@ class TestTierPrimitives:
         back = decompress(TIER_FLOAT32, compress(TIER_FLOAT32, row))
         np.testing.assert_allclose(back, row, rtol=FLOAT32_SCORE_RTOL)
         assert back.dtype == np.float64
-
-    def test_int8_roundtrip_within_error_bound(self):
-        rng = np.random.default_rng(5)
-        row = rng.normal(size=64) * 10.0
-        back = decompress(TIER_INT8, compress(TIER_INT8, row))
-        assert np.max(np.abs(back - row)) <= int8_error_bound(row) + 1e-12
-
-    def test_int8_constant_row_is_exact(self):
-        row = np.full(8, 3.25)
-        codes, scale, lo = compress(TIER_INT8, row)
-        assert scale == 0.0
-        np.testing.assert_array_equal(
-            decompress(TIER_INT8, (codes, scale, lo)), row
-        )
 
     def test_only_compressed_tiers_have_an_encoding(self):
         row = np.ones(4)
@@ -180,6 +163,109 @@ class TestSpillSlab:
         assert list(tmp_path.glob("spill-*.heap"))
         slab.reset()
         assert not list(tmp_path.glob("spill-*.heap"))
+
+    def test_a_block_recycles_freed_positions_before_the_file_grows(
+        self, tmp_path
+    ):
+        slab = SpillSlab(tmp_path)
+        block = rows_for(np.arange(10))
+        positions = slab.put(block)
+        assert sorted(positions.tolist()) == list(range(10))
+        slab.free(WIDTH, positions[[1, 4, 7]])
+        more = rows_for(np.arange(100, 105))
+        again = slab.put(more)
+        # Three recycled, two appended: 12 rows on disk, not 15.
+        assert sorted(again.tolist()) == [1, 4, 7, 10, 11]
+        assert slab._heaps[WIDTH].nrows == 12
+        np.testing.assert_array_equal(slab.read_rows(WIDTH, again), more)
+        kept = np.setdiff1d(np.arange(10), [1, 4, 7])
+        np.testing.assert_array_equal(
+            slab.read_rows(WIDTH, positions[kept]), block[kept]
+        )
+        slab.reset()
+
+
+class CountingHeapFile:
+    """Counts what a spill costs in calls, not seconds: heap write
+    calls (``append`` / ``update_rows`` that carry rows), metadata
+    rewrites, and file opens — each was once paid per demoted row."""
+
+    def __init__(self, monkeypatch):
+        import builtins
+
+        from repro.storage.heapfile import HeapFile
+
+        self.writes = self.metas = self.opens = 0
+        real_open = builtins.open
+
+        def counted(name, attribute, rows_at=None):
+            real = getattr(HeapFile, name)
+
+            def method(heap, *args):
+                if rows_at is None or len(args[rows_at]):
+                    setattr(self, attribute, getattr(self, attribute) + 1)
+                return real(heap, *args)
+
+            monkeypatch.setattr(HeapFile, name, method)
+
+        counted("append", "writes", rows_at=0)
+        counted("update_rows", "writes", rows_at=1)
+        counted("_write_meta", "metas")
+
+        def counting_open(path, *args, **kwargs):
+            if str(path).endswith(".heap"):
+                self.opens += 1
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+
+    def reset(self):
+        self.writes = self.metas = self.opens = 0
+
+
+class TestBlockSpill:
+    """The regression guard of PR 19, machine-independent: a governor
+    sweep spills its victims of one width as a block."""
+
+    ROWS = 1500
+
+    def test_a_sweep_is_two_heap_writes_and_one_metadata_write(
+        self, monkeypatch
+    ):
+        store = PartialStore(
+            capacity_floats=WIDTH * self.ROWS * 2, tiers=(TIER_SPILL,)
+        )
+        cache = store.acquire("fp")
+        cache.get_many(np.arange(self.ROWS * 2), rows_for)
+        shard = cache.shards[0]
+        counts = CountingHeapFile(monkeypatch)
+        # First sweep: every victim is appended — one write, one
+        # metadata rewrite (plus the heap file's creation).
+        store.set_budget(WIDTH * self.ROWS)
+        assert shard.demotions == {TIER_SPILL: self.ROWS}
+        assert store.governor_sweeps == 1
+        assert (counts.writes, counts.metas) == (1, 2)
+        assert counts.opens <= 3
+        # Promote 600 of them beside 600 new rows, and the sweep that
+        # follows spills 1,200: the freed positions are overwritten in
+        # one page-batched call, the rest appended in another, under
+        # one metadata write.
+        counts.reset()
+        batch = np.concatenate([np.arange(600), np.arange(3000, 3600)])
+        cache.get_many(batch, rows_for)
+        assert shard.promotions == {TIER_SPILL: 600}
+        assert shard.demotions == {TIER_SPILL: self.ROWS + 1200}
+        assert store.governor_sweeps == 2
+        assert (counts.writes, counts.metas) == (2, 1)
+        assert store._spill_root is not None
+        heap, = shard._spill._heaps.values()
+        assert heap.nrows == self.ROWS + 600
+        np.testing.assert_array_equal(
+            cache.get_many(np.arange(3600), rows_for),
+            rows_for(np.arange(3600)),
+        )
+        assert shard.misses == 3600     # nothing was ever recomputed
+        store.close()
 
 
 class TestTierLadder:
@@ -260,24 +346,6 @@ class TestTierLadder:
         assert store.floats_resident <= 2
         reconcile(cache, width=1)
 
-    def test_gain_guard_skips_int8_for_narrow_rows(self):
-        # Width 4: int8 (3 floats) charges more than float32 (2), so
-        # the ladder goes float32 -> spill, never float32 -> int8.
-        store = PartialStore(
-            capacity_floats=4, tiers=STORE_TIERS
-        )
-        cache = store.acquire("fp")
-
-        def width4(keys):
-            keys = np.asarray(keys, dtype=np.float64)
-            return np.repeat(keys[:, None], 4, axis=1)
-
-        cache.get_many(np.arange(4), width4)
-        shard = cache.shards[0]
-        assert shard.demotions.get(TIER_INT8, 0) == 0
-        assert shard.demotions.get(TIER_SPILL, 0) >= 1
-        reconcile(cache, width=4)
-
     def test_spilled_rows_are_terminal_until_invalidated(self):
         store, cache = self.make((TIER_SPILL,), WIDTH)
         cache.get_many(np.arange(4), rows_for)
@@ -350,6 +418,29 @@ class TestTierLadder:
         store.close()
         assert not spill_root.exists()
 
+    def test_spilling_after_release_spill_leaks_no_directory(self):
+        # ServingCore.close() releases the spill tier while holders
+        # still have their caches: a later demotion used to re-create
+        # the deleted directory behind the store's back (no finalizer,
+        # never removed).  The slab now asks the store each time.
+        store, cache = self.make((TIER_SPILL,), WIDTH)
+        cache.get_many(np.arange(4), rows_for)
+        first = store._spill_root
+        store.release_spill()
+        assert not first.exists() and store._spill_root is None
+        cache.get_many(np.arange(4, 8), rows_for)       # spills again
+        second = store._spill_root
+        assert cache.shards[0].keys(TIER_SPILL)
+        assert second is not None and second != first and second.exists()
+        assert not first.exists()
+        assert store._spill_finalizer.alive     # re-armed for the new one
+        np.testing.assert_array_equal(
+            cache.get_many(np.arange(4, 8), rows_for),
+            rows_for(np.arange(4, 8)),
+        )
+        store.close()
+        assert not first.exists() and not second.exists()
+
 
 class TestPinSafety:
     def test_pinned_rows_are_never_demoted(self):
@@ -388,11 +479,65 @@ class TestPinSafety:
         assert tier_of(cache.shards[0], 7) != TIER_RESIDENT
 
 
+class TestConcurrentSpill:
+    def test_shards_sharing_one_slab_lose_no_position_under_contention(self):
+        """More threads than cores over two shards that spill into one
+        slab, invalidations in between: every row comes back bit-exact
+        and every heap position is either held by exactly one spilled
+        key or on the free stack — a lost update to the stack would
+        hand one position to two rows."""
+        store = PartialStore(
+            num_shards=2, capacity_floats=WIDTH * 8, tiers=(TIER_SPILL,),
+            hysteresis=0.9,
+        )
+        cache = store.acquire("fp")
+        errors = []
+
+        def worker(seed):
+            rng = np.random.default_rng(seed)
+            try:
+                for step in range(60):
+                    keys = np.sort(rng.choice(64, size=12, replace=False))
+                    np.testing.assert_array_equal(
+                        cache.get_many(keys, rows_for), rows_for(keys)
+                    )
+                    if step % 5 == 4:
+                        cache.invalidate(rng.choice(64, size=3))
+            except Exception as error:  # pragma: no cover - failure path
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(seed,))
+                for seed in range(6)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        reconcile(cache)
+        slab = cache.shards[0]._spill
+        held = np.concatenate([
+            shard._spilled.slab[shard._spilled.slots, 0]
+            for shard in cache.shards
+        ])
+        positions = np.concatenate([held, slab._free[WIDTH]])
+        assert held.size == sum(len(s.keys(TIER_SPILL)) for s in cache.shards)
+        assert np.unique(positions).size == positions.size
+        assert positions.size == slab._heaps[WIDTH].nrows
+        store.close()
+
+
 LADDERS = [
     (TIER_FLOAT32,),
     (TIER_SPILL,),
     (TIER_FLOAT32, TIER_SPILL),
-    STORE_TIERS,
 ]
 
 
@@ -415,19 +560,10 @@ class TestRandomizedTierTransitions:
         cache = store.acquire("fp")
         universe = np.arange(24)
         pinned: list[int] = []
-        # int8 in the ladder loosens the value bound to its documented
-        # quantization error; without it float32's rtol governs; pure
-        # spill is bit-exact.
-        if TIER_INT8 in tiers:
-            atol = max(
-                int8_error_bound(rows_for(np.array([k]))[0])
-                for k in universe
-            )
-            rtol = FLOAT32_SCORE_RTOL
-        elif TIER_FLOAT32 in tiers:
-            atol, rtol = 0.0, FLOAT32_SCORE_RTOL
-        else:
-            atol, rtol = 0.0, 0.0
+        # float32's rtol governs when it is in the ladder; pure spill
+        # is bit-exact.
+        atol = 0.0
+        rtol = FLOAT32_SCORE_RTOL if TIER_FLOAT32 in tiers else 0.0
         for step in range(120):
             op = rng.choice(["get", "invalidate", "pin", "unpin", "sweep"])
             if op == "get":

@@ -3,7 +3,8 @@
 # when PR 16 replaced it with the array-backed slot table.
 # ``tests/serve/test_cache_differential.py`` drives both with the same
 # schedules; ``tests/serve/test_cache.py`` times them against each
-# other.  Do not fix or tidy anything below this line.
+# other.  Do not fix or tidy anything below this line.  (PR 19 made
+# ``SpillSlab.put`` a block write; ``_demote`` calls it with one row.)
 """A bounded LRU cache of per-RID partial rows.
 
 Dimension relations small enough to pin make serving trivially cheap:
@@ -503,7 +504,8 @@ class PartialCache:
                 continue
             self._remove(key)
             if target == TIER_SPILL:
-                position = self._spill.put(values)
+                # The slab's block API (PR 19), one row at a time.
+                position = int(self._spill.put(values)[0])
                 self._spilled[key] = (width, position)
                 self._spilled_bytes += width * _FLOAT_BYTES
             else:

@@ -5,8 +5,13 @@
 Random schedules of every public operation drive both shards side by
 side; after every step the returned rows, the full ``CacheStats`` and
 ``Residency`` records, the LRU order of the resident tier and the
-demotion order of the compressed tier must be identical, and a
-governor sweep must pick the same victims in the same order.
+demotion order of the float32 and spill tiers must be identical, and a
+governor sweep must pick the same victims in the same order.  Every
+ladder is drawn — none, ``float32``, ``spill``, both — each shard over
+a spill slab of its own (the oracle spills one row per call, the array
+shard one block per sweep), and the array shard's heap file may never
+hold more rows than were ever spilled at once: freed positions are
+recycled before the file grows.
 
 Two things the oracle does are not reproduced, on purpose, and the
 schedules steer around them:
@@ -23,6 +28,7 @@ schedules steer around them:
 """
 
 import dataclasses
+import tempfile
 import warnings
 
 import numpy as np
@@ -31,6 +37,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fx.store import PartialStore
+from repro.fx.tiers import SpillSlab
 from repro.serve.cache import AccessClock, PartialCache
 from tests.serve import reference_cache
 
@@ -66,7 +73,9 @@ configurations = st.fixed_dictionaries({
     "capacity": st.one_of(st.none(), st.integers(1, 6)),
     "capacity_floats": st.one_of(st.none(), st.integers(2, 7 * WIDTH)),
     "clock": st.booleans(),
-    "tiers": st.sampled_from([(), ("float32",)]),
+    "tiers": st.sampled_from(
+        [(), ("float32",), ("spill",), ("float32", "spill")]
+    ),
 })
 
 
@@ -104,23 +113,41 @@ def assert_same_state(new, old):
     assert len(new) == len(old)
     assert new.keys("resident") == list(old._rows)
     assert new.keys("float32") == list(old._compressed)
+    assert new.keys("spill") == list(old._spilled)
+    assert new.keys() == [*old._rows, *old._compressed, *old._spilled]
+    assert (new.demotions, new.promotions) == (old.demotions, old.promotions)
     assert (new.hits, new.misses) == (old.hits, old.misses)
     for key in range(UNIVERSE):
         assert (key in new) == (key in old)
+        assert new.tier_of(key) == (
+            "resident" if key in old._rows
+            else "float32" if key in old._compressed
+            else "spill" if key in old._spilled
+            else None
+        )
 
 
 @settings(max_examples=300, deadline=None)
 @given(configurations, st.lists(operations, min_size=1, max_size=30))
 def test_random_schedules_match_the_dict_shard(config, schedule):
-    config = dict(config)
+    with tempfile.TemporaryDirectory() as root:
+        _drive(dict(config), schedule, root)
+
+
+def _drive(config, schedule, root):
     clocked = config.pop("clock")
+    spills = "spill" in config["tiers"]
+    slab = SpillSlab(f"{root}/new") if spills else None
     new = PartialCache(
-        clock=AccessClock() if clocked else None, **config
+        clock=AccessClock() if clocked else None, spill=slab, **config
     )
     old = reference_cache.PartialCache(
-        clock=reference_cache.AccessClock() if clocked else None, **config
+        clock=reference_cache.AccessClock() if clocked else None,
+        spill=SpillSlab(f"{root}/old") if spills else None,
+        **config,
     )
     laddered = bool(config["tiers"])
+    peak_spilled = 0
     for name, argument in schedule:
         if name == "get":
             keys = np.array(argument, dtype=np.int64)
@@ -154,6 +181,9 @@ def test_random_schedules_match_the_dict_shard(config, schedule):
             new.clear()
             old.clear()
         assert_same_state(new, old)
+        peak_spilled = max(peak_spilled, len(new.keys("spill")))
+        if spills and WIDTH in slab._heaps:
+            assert slab._heaps[WIDTH].nrows <= peak_spilled
 
 
 def test_promotion_never_evicts_the_batchs_own_rows():

@@ -362,10 +362,13 @@ class TestBenchmarkHooksLand:
 
 
 class TestNoPerKeyPythonOnTheLookupPath:
-    """A warm hit is one ``searchsorted`` + one ``take``: the cache's
-    per-batch entry points are array code, with no Python loop whose
-    length grows with the batch.  (The TinyLFU at-capacity walk is the
-    one per-key loop left, and it lives in its own helper.)"""
+    """A warm hit is one ``searchsorted`` + one ``take``, a governor
+    sweep one block per rung: the cache's per-batch entry points — and
+    the ladder's demote / promote / invalidate path under them — are
+    array code, with no Python loop whose length grows with the batch.
+    (The TinyLFU at-capacity walk is the one per-key loop left, and it
+    lives in its own helper; the laddered *local*-capacity path demotes
+    a row at a time, by calling the block code with one key.)"""
 
     CACHE = SRC_ROOT / "serve" / "cache.py"
     SHARDING = SRC_ROOT / "fx" / "sharding.py"
@@ -374,6 +377,15 @@ class TestNoPerKeyPythonOnTheLookupPath:
         (CACHE, "PartialCache", "pin"),
         (CACHE, "PartialCache", "unpin"),
         (CACHE, "PartialCache", "invalidate"),
+        (CACHE, "PartialCache", "evict"),
+        (CACHE, "PartialCache", "eviction_candidates"),
+        (CACHE, "PartialCache", "clear"),
+        (CACHE, "PartialCache", "_promote"),
+        (CACHE, "PartialCache", "_demote"),
+        (CACHE, "PartialCache", "_settle"),
+        (CACHE, "PartialCache", "_take_compressed"),
+        (CACHE, "PartialCache", "_take_spilled"),
+        (CACHE, "PartialCache", "_coldest_compressed"),
         (SHARDING, "ShardedPartialCache", "get_many"),
         (SHARDING, "ShardedPartialCache", "_route"),
     ]
@@ -433,6 +445,27 @@ class TestNoPerKeyPythonOnTheLookupPath:
     def test_the_tinylfu_walk_is_its_own_helper(self):
         walk = _method(self.CACHE, "PartialCache", "_tinylfu_admit")
         assert any(isinstance(node, ast.For) for node in ast.walk(walk))
+
+    def test_the_spill_slab_has_one_write_method(self):
+        """Rows reach a spill heap through ``SpillSlab.put`` alone —
+        one ``append`` and one ``update_rows`` call site, no per-row
+        twin beside the block write."""
+        tiers = _tree(SRC_ROOT / "fx" / "tiers.py")
+        writers = {
+            function.name: [
+                node.func.attr for node in ast.walk(function)
+                if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("append", "update_rows")
+            ]
+            for cls in tiers.body
+            if isinstance(cls, ast.ClassDef) and cls.name == "SpillSlab"
+            for function in cls.body
+            if isinstance(function, ast.FunctionDef)
+        }
+        assert {name: calls for name, calls in writers.items() if calls} == {
+            "put": ["update_rows", "append"],
+        }
 
     def test_ordered_dict_is_gone_from_the_cache_module(self):
         tree = _tree(self.CACHE)

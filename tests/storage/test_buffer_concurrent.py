@@ -139,12 +139,12 @@ class InnerGatedHeap(HeapFile):
         self.release_gate = threading.Event()
         self._armed = True
 
-    def _read_row_range_unlocked(self, start, stop):
+    def _read_row_range_unlocked(self, start, stop, handle):
         if getattr(self, "_armed", False):
             with self._entered_lock:
                 self.entered.append(start)
             assert self.release_gate.wait(timeout=10.0)
-        return super()._read_row_range_unlocked(start, stop)
+        return super()._read_row_range_unlocked(start, stop, handle)
 
 
 class TestHeapReadWriteLock:

@@ -147,6 +147,54 @@ class TestIOAccounting:
         assert heap.stats.pages_written == 2
 
 
+class TestOneOpenPerCall:
+    """``read_rows`` / ``update_rows`` over many pages open the file
+    once per call — the handle is passed down to the per-page reads —
+    and charge exactly the pages they touch, as before."""
+
+    @pytest.fixture
+    def opens(self, heap, monkeypatch):
+        import builtins
+
+        heap.append(np.arange(64 * 4, dtype=np.float64).reshape(64, 4))
+        calls = []
+        real_open = builtins.open
+
+        def counting_open(path, *args, **kwargs):
+            if str(path) == str(heap.path):
+                calls.append(args[0] if args else kwargs.get("mode", "r"))
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        return calls
+
+    # One row on each of pages 0, 2, 3, 5, 7, and a second on page 0.
+    POSITIONS = np.array([57, 3, 20, 41, 5, 29])
+
+    def test_read_rows_opens_once_and_charges_each_page_once(self, heap, opens):
+        before = heap.stats.snapshot()
+        out = heap.read_rows(self.POSITIONS)
+        np.testing.assert_array_equal(out[:, 0], self.POSITIONS * 4.0)
+        assert opens == ["rb"]
+        delta = heap.stats.snapshot() - before
+        assert (delta.pages_read, delta.pages_written) == (5, 0)
+
+    def test_update_rows_opens_once_and_charges_each_page_once(self, heap, opens):
+        before = heap.stats.snapshot()
+        heap.update_rows(self.POSITIONS, np.full((6, 4), -1.0))
+        assert opens == ["r+b"]
+        delta = heap.stats.snapshot() - before
+        assert (delta.pages_read, delta.pages_written) == (5, 5)
+        del opens[:]
+        data = heap.read_all()
+        changed = np.zeros(64, dtype=bool)
+        changed[self.POSITIONS] = True
+        np.testing.assert_array_equal(data[changed], np.full((6, 4), -1.0))
+        np.testing.assert_array_equal(
+            data[~changed, 0], np.flatnonzero(~changed) * 4.0
+        )
+
+
 class TestPersistence:
     def test_reopen_preserves_rows(self, tmp_path, rng):
         stats = IOStats()
