@@ -111,7 +111,6 @@ from repro.core.api import (
     maintain,
     predict_gmm,
     predict_nn,
-    serve,
     serve_runtime,
 )
 from repro.core.strategies import (
@@ -171,6 +170,7 @@ from repro.obs import (
     prometheus_text,
 )
 from repro.runtime.service import RuntimeConfig, RuntimeStats, ServingRuntime
+from repro import serve     # the subpackage; calling it is core.api.serve
 from repro.serve.cache import PartialCache
 from repro.serve.predictor import (
     FactorizedGMMPredictor,

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Protocol
 
 from repro.errors import ModelError
-from repro.nn.layers import LayerGrads
+from repro.nn.layers import LayerGrads, accumulate
 from repro.nn.network import MLP
 from repro.obs.training import TrainingRecorder
 from repro.storage.iostats import IOSnapshot
@@ -95,19 +95,6 @@ class NNEngine(Protocol):
         ...
 
 
-def _accumulate(
-    total: list[LayerGrads] | None, grads: list[LayerGrads]
-) -> list[LayerGrads]:
-    if total is None:
-        return [
-            LayerGrads(g.weights.copy(), g.bias.copy()) for g in grads
-        ]
-    for acc, g in zip(total, grads):
-        acc.weights += g.weights
-        acc.bias += g.bias
-    return total
-
-
 def run_training(
     engine: NNEngine,
     config: NNConfig,
@@ -137,7 +124,7 @@ def run_training(
             for batch in recorder.observed(engine.batches(epoch)):
                 loss, grads = engine.batch_gradients(batch, n_total)
                 epoch_loss += loss
-                accumulated = _accumulate(accumulated, grads)
+                accumulated = accumulate(accumulated, grads)
             if accumulated is None:
                 raise ModelError("the access path yielded no batches")
             engine.model.apply_grads(accumulated, config.learning_rate)

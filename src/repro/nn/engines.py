@@ -50,61 +50,58 @@ class DenseNNEngine(_NNEngineBase):
     def batch_gradients(
         self, batch: DenseBatch, normalization: int
     ) -> tuple[float, list[LayerGrads]]:
-        targets = self._require_targets(batch)
-        model = self.model
-        outputs, cache = model.forward(batch.features)
-        loss = model.loss.value(outputs, targets, normalization)
-        grad_output = model.loss.gradient(outputs, targets, normalization)
-        grads, grad_first_pre = model.backward_to_first_preactivation(
-            cache, grad_output
+        return self.model.dense_gradients(
+            batch.features, self._require_targets(batch), normalization
         )
-        grads[0] = model.first_layer.parameter_grads(
-            grad_first_pre, batch.features
-        )
-        return loss, grads  # type: ignore[return-value]
 
 
 class FactorizedNNEngine(_NNEngineBase):
     """Factorized first layer — F-NN (binary and multi-way alike).
 
     Batches arrive with their :class:`~repro.fx.dedup.DedupPlan`
-    threaded into the design (``batch.plan``): the group indexes the
+    threaded into the design (``batch.plan``): the group codes the
     gathers below run on come from the plan's ``(unique, inverse)``
     sort, built on a block's first pass and replayed after — the
     training mirror of the serving predictors' ``predict(..., plan=)``
     contract.  Gathers need no group order, so backward never sorts.
+    The step cuts the batch into the same row tiles S-NN's does, so the
+    two differ only in the first layer's representation.
     """
 
-    def first_preactivations(self, batch: FactorizedBatch) -> np.ndarray:
-        """Section VI-A1: ``a⁽¹⁾ = W_S x_S + Σᵢ gather(W_{R_i} x_{R_i}) + b``.
+    def dimension_partials(self, batch: FactorizedBatch) -> list[np.ndarray]:
+        """Section VI-A1's reused terms ``X_{R_i} W_{R_i}ᵀ``, ``(m_i, n_h)``.
 
-        The per-dimension products run at distinct-tuple cardinality
-        ``m_i`` and are reused for every matching fact tuple — within a
-        batch the weights are constant, which is exactly the condition
-        the paper states for the reuse to be sound.
+        Computed once per batch at distinct-tuple cardinality ``m_i``,
+        reused by every matching fact tuple of every tile — within a
+        batch the weights are constant, the paper's condition for the
+        reuse to be sound.
         """
         design = batch.design
-        layout = design.layout
         first = self.model.first_layer
-        weight_parts = layout.split_columns(first.weights)
-        pre = design.fact_block @ weight_parts[0].T
-        last = design.num_dimensions - 1
-        for i, (block, group) in enumerate(
-            zip(design.dim_blocks, design.groups)
-        ):
-            partial = block @ weight_parts[i + 1].T    # (m_i, n_h), reused
-            if i == last:
-                # The paper folds the bias into the reused term T2
-                # (Section VI-A1), so it is added once per distinct
-                # dimension tuple rather than once per fact tuple.
-                partial = partial + first.bias
-            pre += group.gather(partial)
+        parts = design.layout.split_columns(first.weights)[1:]
+        partials = [x @ w.T for x, w in zip(design.dim_blocks, parts)]
+        # The paper folds the bias into the reused term T2 (Section
+        # VI-A1), so it is added once per distinct dimension tuple
+        # rather than once per fact tuple.
+        partials[-1] += first.bias
+        return partials
+
+    def first_preactivations(
+        self, batch: FactorizedBatch, partials, rows: slice = slice(None)
+    ) -> np.ndarray:
+        """``a⁽¹⁾ = W_S x_S + Σᵢ gather(partialᵢ)`` for ``rows`` of the
+        batch, given its :meth:`dimension_partials`."""
+        design = batch.design
+        fact = design.fact_block[rows]
+        pre = fact @ self.model.first_layer.weights[:, : fact.shape[1]].T
+        for partial, group in zip(partials, design.groups):
+            pre += partial.take(group.codes[rows], axis=0)
         return pre
 
     def first_layer_grads(
-        self, batch: FactorizedBatch, grad_first_pre: np.ndarray
+        self, batch: FactorizedBatch, grad_pre, rows: slice = slice(None)
     ) -> LayerGrads:
-        """Eq. 29/32: ``∂E/∂W⁽¹⁾ = [PG_S | PG_{R_1} | … ]``.
+        """Eq. 29/32: ``∂E/∂W⁽¹⁾ = [PG_S | PG_{R_1} | … ]`` over ``rows``.
 
         ``PG_S`` contracts over fact rows directly.  For ``PG_{R_i}``
         the paper populates ``x_{R_i}`` from the dimension relation
@@ -114,25 +111,20 @@ class FactorizedNNEngine(_NNEngineBase):
         does not win: ``docs/tuning.md``.)
         """
         design = batch.design
-        parts = [grad_first_pre.T @ design.fact_block]
+        parts = [grad_pre.T @ design.fact_block[rows]]
         for block, group in zip(design.dim_blocks, design.groups):
-            parts.append(grad_first_pre.T @ group.gather(block))
+            parts.append(grad_pre.T @ block.take(group.codes[rows], axis=0))
         return LayerGrads(
             weights=np.concatenate(parts, axis=1),
-            bias=grad_first_pre.sum(axis=0),
+            bias=grad_pre.sum(axis=0),
         )
 
     def batch_gradients(
         self, batch: FactorizedBatch, normalization: int
     ) -> tuple[float, list[LayerGrads]]:
-        targets = self._require_targets(batch)
-        model = self.model
-        first_pre = self.first_preactivations(batch)
-        outputs, cache = model.forward_from_first_preactivation(first_pre)
-        loss = model.loss.value(outputs, targets, normalization)
-        grad_output = model.loss.gradient(outputs, targets, normalization)
-        grads, grad_first_pre = model.backward_to_first_preactivation(
-            cache, grad_output
+        partials = self.dimension_partials(batch)
+        return self.model.tiled_gradients(
+            self._require_targets(batch), normalization,
+            lambda rows: self.first_preactivations(batch, partials, rows),
+            lambda rows, grad: self.first_layer_grads(batch, grad, rows),
         )
-        grads[0] = self.first_layer_grads(batch, grad_first_pre)
-        return loss, grads  # type: ignore[return-value]

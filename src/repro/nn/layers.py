@@ -24,6 +24,21 @@ class LayerGrads:
     bias: np.ndarray
 
 
+def accumulate(
+    total: list[LayerGrads] | None, grads: list[LayerGrads]
+) -> list[LayerGrads]:
+    """``total + grads`` in ``total``'s arrays (the first summand is
+    adopted).  Gradients under one shared ``normalization`` add over any
+    partition of the rows: a batch's tiles, a full-batch epoch's batches.
+    """
+    if total is None:
+        return grads
+    for acc, g in zip(total, grads):
+        acc.weights += g.weights
+        acc.bias += g.bias
+    return total
+
+
 class DenseLayer:
     """One linear layer ``a = W x + b``."""
 

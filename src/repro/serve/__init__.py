@@ -39,6 +39,9 @@ Sizing, admission and invalidation semantics are documented in
 :mod:`repro.runtime`.
 """
 
+import sys
+import types
+
 from repro.serve.cache import CacheStats, PartialCache
 from repro.serve.partials import (
     DimensionLookup,
@@ -69,3 +72,17 @@ __all__ = [
     "ServingStats",
     "make_predictor",
 ]
+
+
+class _CallablePackage(types.ModuleType):
+    """``repro.serve(db, …)`` is :func:`repro.core.api.serve`, and
+    ``repro.serve`` is still this package: the attribute names one
+    object, so ``import repro.serve.cache as x`` resolves."""
+
+    def __call__(self, *args, **kwargs):
+        from repro.core.api import serve    # imports this package
+
+        return serve(*args, **kwargs)
+
+
+sys.modules[__name__].__class__ = _CallablePackage

@@ -228,3 +228,42 @@ class TestComparisons:
             ModelError, match="factorized strategy was not among the runs"
         ):
             comparison.speedup_of_factorized()
+
+
+class TestServeIsAPackageAndAFactory:
+    """``repro.serve`` names one object: the subpackage, callable."""
+
+    def test_submodule_import_and_call_in_a_fresh_interpreter(self):
+        # A fresh process: here ``repro`` is long imported, and the
+        # failure was in the import system's attribute walk.
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        code = (
+            "import repro.serve.cache as c, repro\n"
+            "assert c is repro.serve.cache\n"
+            "db = repro.Database()\n"
+            "service = repro.serve(db, memory_budget=1 << 20)\n"
+            "assert type(service) is repro.ModelService\n"
+            "service.close(); db.close()\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+
+    def test_the_attribute_is_the_module(self):
+        import sys
+
+        import repro
+        from repro.core import api
+
+        assert repro.serve is sys.modules["repro.serve"]
+        assert repro.serve.PartialCache is repro.PartialCache
+        assert api.serve.__module__ == "repro.core.api"

@@ -117,3 +117,78 @@ def test_every_traced_target_still_resolves():
         if attr not in vars(owner)
     ]
     assert missing == []
+
+
+class TestTheNNStepIsTiled:
+    """A training step's ``(n, n_h)`` temporaries stay ``(tile, n_h)``:
+    the network is only ever run on a batch from inside the one tile
+    loop, and no activation selects (``np.where`` cost more than the
+    ``exp`` it guarded)."""
+
+    RUNS_THE_NETWORK = re.compile(r"forward\w*|backward\w*|predict")
+
+    @staticmethod
+    def _tree(module):
+        return ast.parse((SRC_ROOT / module).read_text(encoding="utf-8"))
+
+    def _network_calls_outside_a_loop(self, root):
+        """Calls of ``something.forward*/backward*/predict`` under
+        ``root`` that neither a ``for`` statement nor a ``lambda`` (the
+        per-tile first-layer callbacks) encloses."""
+        inside = {
+            id(node)
+            for loop in ast.walk(root)
+            if isinstance(loop, (ast.For, ast.Lambda))
+            for node in ast.walk(loop)
+        }
+        return [
+            node.func.attr
+            for node in ast.walk(root)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and self.RUNS_THE_NETWORK.fullmatch(node.func.attr)
+            and id(node) not in inside
+        ]
+
+    def test_no_activation_selects(self):
+        tree = self._tree("nn/activations.py")
+        assert "where" not in _identifiers(tree)
+
+    def test_engines_run_the_network_only_through_the_tile_loop(self):
+        assert self._network_calls_outside_a_loop(
+            self._tree("nn/engines.py")
+        ) == []
+        steps = {
+            node.name: node
+            for node in ast.walk(self._tree("nn/network.py"))
+            if isinstance(node, ast.FunctionDef)
+            and node.name in ("tiled_gradients", "dense_gradients")
+        }
+        assert set(steps) == {"tiled_gradients", "dense_gradients"}
+        for step in steps.values():
+            assert self._network_calls_outside_a_loop(step) == []
+        assert "forward_from_first_preactivation" in _identifiers(
+            steps["tiled_gradients"]
+        )
+
+    def test_both_engines_step_through_the_tiled_sum(self):
+        engines = self._tree("nn/engines.py")
+        steps = [
+            node for node in ast.walk(engines)
+            if isinstance(node, ast.FunctionDef)
+            and node.name == "batch_gradients"
+        ]
+        assert len(steps) == 2
+        for step in steps:
+            assert _identifiers(step) & {"tiled_gradients", "dense_gradients"}
+        summed = {
+            module
+            for module, tree in _modules()
+            if module.startswith("nn/")
+            for node in ast.walk(tree)
+            if isinstance(node, ast.AugAssign)
+            and isinstance(node.target, ast.Attribute)
+            and node.target.attr in ("weights", "bias")
+            and isinstance(node.op, ast.Add)
+        }
+        assert summed == {"nn/layers.py"}

@@ -144,8 +144,12 @@ class TestNNBitExactness:
         engine_seed = FactorizedNNEngine(seed, model)
         for batch_new, batch_seed in zip(new.batches(), seed.batches()):
             np.testing.assert_array_equal(
-                engine_new.first_preactivations(batch_new),
-                engine_seed.first_preactivations(batch_seed),
+                engine_new.first_preactivations(
+                    batch_new, engine_new.dimension_partials(batch_new)
+                ),
+                engine_seed.first_preactivations(
+                    batch_seed, engine_seed.dimension_partials(batch_seed)
+                ),
             )
 
     @pytest.mark.parametrize("batch_mode", ["full", "per-batch"])

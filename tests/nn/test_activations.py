@@ -41,6 +41,60 @@ class TestForward:
         assert np.isfinite(out).all()
         np.testing.assert_allclose(out, [0.0, 1.0], atol=1e-12)
 
+    @staticmethod
+    def _where_sigmoid(pre_activation):
+        """The formula ``Sigmoid.__call__`` had while it selected with
+        ``np.where`` — the reference the select-free one must equal
+        bit for bit."""
+        a = np.asarray(pre_activation, dtype=np.float64)
+        exp_neg = np.exp(-np.abs(a))
+        denominator = 1.0 + exp_neg
+        return np.where(a >= 0, 1.0 / denominator, exp_neg / denominator)
+
+    @pytest.mark.parametrize(
+        "finite",
+        [
+            np.linspace(-50, 50, 100_001),
+            np.array([0.0, -0.0, 745.0, -745.0, 1000.0, -1000.0]),
+            np.array(0.3),                              # 0-d
+            -1.25,                                      # Python scalar
+            np.array([]),
+            np.asfortranarray(
+                np.random.default_rng(0).normal(size=(7, 5), scale=4)
+            ),
+            np.random.default_rng(1).normal(size=(4, 3, 2)),
+            np.float32([-3.5, 0.0, 2.25, 88.0, -104.0]),
+            np.arange(-5, 6),                           # integers
+            np.random.default_rng(2).normal(size=(50, 8))[::3, 1::2],
+        ],
+        ids=[
+            "linspace", "zeros-and-extremes", "0-d", "scalar", "empty",
+            "fortran", "3-d", "float32", "int", "strided",
+        ],
+    )
+    def test_sigmoid_is_bit_identical_to_the_where_formula(self, finite):
+        # exp(-1000) underflows to 0 by design; nothing may overflow,
+        # divide by zero or produce a NaN on finite input.
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            got = Sigmoid()(finite)
+        want = self._where_sigmoid(finite)
+        assert type(got) is type(want) and got.dtype == want.dtype
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+        assert not np.shares_memory(got, np.asarray(finite))
+
+    def test_sigmoid_at_infinities_and_nan(self):
+        x = np.array([np.inf, -np.inf, np.nan])
+        got = Sigmoid()(x)
+        np.testing.assert_array_equal(got, self._where_sigmoid(x))
+        np.testing.assert_array_equal(got, [1.0, 0.0, np.nan])
+
+    def test_sigmoid_leaves_its_input_alone(self):
+        x = np.random.default_rng(3).normal(size=(64, 9), scale=6)
+        before = x.copy()
+        Sigmoid()(x)
+        np.testing.assert_array_equal(x, before)
+
     def test_tanh(self):
         np.testing.assert_allclose(
             Tanh()(np.array([0.0, 1.0])), [0.0, np.tanh(1.0)]
@@ -68,6 +122,36 @@ class TestDerivatives:
         numeric = (activation(x + eps) - activation(x - eps)) / (2 * eps)
         np.testing.assert_allclose(
             activation.derivative(x), numeric, rtol=1e-5, atol=1e-7
+        )
+
+    @pytest.mark.parametrize("activation", ALL, ids=lambda a: a.name)
+    def test_output_form_equals_its_textbook_expression(
+        self, activation, rng
+    ):
+        """The in-place forms change no value: σ' = h(1−h), tanh' =
+        1−h², relu' = [h > 0], softplus' = 1−e^{−h} — bit for bit, as
+        a fresh float64 array that does not alias ``h``."""
+        a = rng.normal(size=(33, 7), scale=3)
+        h = activation(a)
+        kept = h.copy()
+        textbook = {
+            "identity": np.ones_like(h),
+            "sigmoid": h * (1.0 - h),
+            "tanh": 1.0 - h * h,
+            "relu": (h > 0).astype(np.float64),
+            "softplus": 1.0 - np.exp(-h),
+        }[activation.name]
+        got = activation.derivative_from_output(h)
+        np.testing.assert_array_equal(got, textbook)
+        assert got.dtype == np.float64
+        assert not np.shares_memory(got, h)
+        np.testing.assert_array_equal(h, kept)
+        np.testing.assert_array_equal(
+            activation.derivative(a),
+            {
+                "relu": (a > 0).astype(np.float64),
+                "softplus": Sigmoid()(a),
+            }.get(activation.name, textbook),
         )
 
     def test_relu_derivative_at_sign_change(self):

@@ -58,7 +58,9 @@ class TestFirstLayerKernels:
             stream.batches(), fact.batches()
         ):
             dense_pre = model.first_layer.forward(dense_batch.features)
-            fact_pre = fact_engine.first_preactivations(fact_batch)
+            fact_pre = fact_engine.first_preactivations(
+                fact_batch, fact_engine.dimension_partials(fact_batch)
+            )
             np.testing.assert_allclose(
                 fact_pre, dense_pre, rtol=1e-10, atol=1e-12
             )
