@@ -25,9 +25,31 @@ from repro.linalg.blocks import BlockLayout
 from repro.linalg.groupsum import GroupIndex
 
 
+def take_t(block: np.ndarray, at) -> np.ndarray:
+    """``block[at].T`` — a tile's rows feature-major, ``(width, t)``
+    with contiguous rows — touching only the tile: each memory order is
+    read along its own contiguous axis (``ndarray.take`` would first
+    copy a whole block that is not C-ordered, and a gather of row
+    records misses the cache once per row, not once per value)."""
+    if block.flags.f_contiguous:
+        block_t = block.T
+        return block_t[:, at] if isinstance(at, slice) else block_t.take(at, 1)
+    if isinstance(at, slice) or not block.flags.c_contiguous:
+        return np.ascontiguousarray(block[at].T)
+    return np.ascontiguousarray(block.take(at, axis=0).T)
+
+
 @dataclass
 class FactorizedDesign:
-    """A join batch kept in factorized (normalized) form."""
+    """A join batch kept in factorized (normalized) form.
+
+    ``fact_block`` keeps the memory order it arrives in: column-major
+    from :meth:`~repro.storage.relation.Relation.project_features` (the
+    join paths), row-major from most tests.  The kernels read it
+    feature-major, ``fact_block.T`` (free in the first order), and
+    never by ``fact_block.take(rows, axis=0)``, which copies a whole
+    column-major block before it takes one row.
+    """
 
     fact_block: np.ndarray
     dim_blocks: list[np.ndarray]
@@ -62,7 +84,6 @@ class FactorizedDesign:
                     f"group {i} has {group.num_groups} groups, dimension "
                     f"block has {block.shape[0]} rows"
                 )
-        self._presorted_fact: dict[int, np.ndarray] = {}
 
     # -- geometry ------------------------------------------------------------
 
@@ -97,27 +118,31 @@ class FactorizedDesign:
         """
         return self.fact_block.size + sum(b.size for b in self.dim_blocks)
 
-    def presorted_fact(self, dim_index: int) -> np.ndarray:
-        """The fact block reordered by dimension ``dim_index``'s codes.
+    @property
+    def tile_width(self) -> int:
+        """Floats per fact row and mixture component in the widest block
+        a stacked kernel holds: the row's mass, its fact columns and
+        (multi-way) those of all dimensions but one riding along."""
+        widths = [block.shape[1] for block in self.dim_blocks]
+        return 1 + self.d - min(widths, default=0)
 
-        Cached: the ordering is a property of the join batch, reused by
-        every grouped reduction over it (one per mixture component per
-        M-step, for instance), so sorting once amortizes across all of
-        them.
-        """
-        if dim_index not in self._presorted_fact:
-            self._presorted_fact[dim_index] = self.groups[
-                dim_index
-            ].presort(self.fact_block)
-        return self._presorted_fact[dim_index]
+    def left_t(self, i: int, at) -> np.ndarray:
+        """Fact rows ``at`` (a slice or positions) of the joined columns
+        left of dimension ``i ≥ 1``, feature-major ``(L_i, t)``: the fact
+        block's and, gathered, the lower-numbered dimensions'."""
+        parts = [take_t(self.fact_block, at)] + [
+            take_t(block, group.codes[at])
+            for block, group in zip(self.dim_blocks[: i - 1], self.groups)
+        ]
+        return parts[0] if i == 1 else np.concatenate(parts)
 
     # -- conversions ---------------------------------------------------------
 
-    def densify(self) -> np.ndarray:
-        """Materialize the equivalent dense ``n × d`` batch."""
-        parts = [self.fact_block]
+    def densify(self, rows: slice = slice(None)) -> np.ndarray:
+        """Materialize ``rows`` of the equivalent dense ``n × d`` batch."""
+        parts = [self.fact_block[rows]]
         for block, group in zip(self.dim_blocks, self.groups):
-            parts.append(group.gather(block))
+            parts.append(block.take(group.codes[rows], axis=0))
         return np.concatenate(parts, axis=1)
 
     @classmethod

@@ -180,6 +180,29 @@ class GroupIndex:
         out[np.flatnonzero(self.counts)] = segment_sums
         return out
 
+    @property
+    def present(self) -> np.ndarray:
+        """Codes of the groups that have members, ascending: the
+        groups a reduction over the sort order yields, in its order."""
+        return self.codes.take(self.order.take(self._segment_starts))
+
+    def add_sorted_tile(self, values: np.ndarray, rows: slice, out) -> None:
+        """Add the group sums of one tile of the sort order into ``out``.
+
+        ``values`` is ``(..., t)``, its last axis the fact rows
+        ``order[rows]``, and ``out`` is ``(..., s)`` over the
+        :attr:`present` groups: one ``reduceat`` along the contiguous
+        axis serves every leading row (all mixture components at once)
+        and a tile's groups are one slice of ``out``.  A group whose run
+        crosses the tile's edge is completed by the neighbouring tile.
+        """
+        starts = self._segment_starts
+        first = np.searchsorted(starts, rows.start, side="right") - 1
+        last = np.searchsorted(starts, rows.stop)
+        out[..., first:last] += np.add.reduceat(
+            values, np.maximum(starts[first:last] - rows.start, 0), axis=-1
+        )
+
     def gather(self, per_group: np.ndarray) -> np.ndarray:
         """Expand per-group rows to fact rows: ``per_group[codes]``."""
         per_group = np.asarray(per_group)

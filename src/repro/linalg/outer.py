@@ -17,6 +17,15 @@ Both split exactly along relation boundaries.  For the outer sum the
   mass per distinct dimension tuple — the headline reuse of Section V-B;
 * blocks ``(i,j)``, ``i≠j≥1``, group the gathered ``R_i`` side by the
   ``R_j`` code before the small matrix product.
+
+The kernels are *stacked* and *tiled*: a batch's sums for all ``K``
+components are added up one position range at a time (``add_*_tile``)
+and turned into the result once per batch (``finish_*``).  Dimension
+``R_i`` reads its tile in its own sort order, so one ``reduceat``
+yields the grouped mass and the grouped centered rows of everything
+left of it in the layout — the fact columns and, multi-way, the
+gathered lower-numbered dimensions — for every component at once.  A
+dense batch is the case ``q = 0``.
 """
 
 from __future__ import annotations
@@ -24,8 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ModelError
-from repro.linalg.design import FactorizedDesign
-from repro.linalg.quadform import _centered_blocks
+from repro.linalg.design import FactorizedDesign, take_t
 
 
 def dense_weighted_sum(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -53,83 +61,113 @@ def dense_weighted_outer(
     return centered.T @ (weights[:, None] * centered)
 
 
+def zero_sums(design: FactorizedDesign, k: int, outer: bool) -> list[np.ndarray]:
+    """Zeroed accumulators of a batch's M-step sums for ``k`` components.
+
+    Entry 0 is the fact block's own — ``Σ γ x_S``, or with ``outer``
+    block ``(0,0)`` of Eq. 23; entry ``i`` is dimension ``R_i``'s
+    ``(k, 1 + L_i, s_i)`` over its ``s_i`` referenced tuples: the
+    grouped mass and, with ``outer``, the grouped weighted centered
+    rows of the ``L_i`` columns left of it.
+    """
+    offsets = design.layout.offsets
+    d_s = offsets[1]
+    return [np.zeros((k, d_s, d_s) if outer else (k, d_s))] + [
+        np.zeros((k, 1 + offsets[i] * outer, group.present.size))
+        for i, group in enumerate(design.groups, start=1)
+    ]
+
+
+def add_sum_tile(design: FactorizedDesign, gamma, rows: slice, sums) -> None:
+    """Eq. 13 / 22 for one position range of ``(n, K)`` ``gamma``: the
+    fact part of ``Σₙ γₙₖ xₙ`` as one product, each dimension's mass
+    ``w_r = Σ_{n→r} γₙₖ`` from its tile of the sort order."""
+    sums[0] += gamma[rows].T @ design.fact_block[rows]
+    for group, mass in zip(design.groups, sums[1:]):
+        weights = take_t(gamma, group.order[rows])
+        group.add_sorted_tile(weights[:, None], rows, mass)
+
+
+def finish_sum(design: FactorizedDesign, sums) -> np.ndarray:
+    """``Σₙ γₙₖ xₙ``, ``(K, d)``: the dimension parts run at ``m_i``."""
+    parts = [sums[0]]
+    for mass, block, group in zip(sums[1:], design.dim_blocks, design.groups):
+        parts.append(mass[:, 0] @ block.take(group.present, axis=0))
+    return np.concatenate(parts, axis=1)
+
+
+def add_outer_tile(
+    design: FactorizedDesign, means, gamma, rows: slice, sums
+) -> None:
+    """Eq. 14–18 / 23–24 for one position range of ``(n, K)`` ``gamma``.
+
+    Block ``(0,0)`` (UL, Eq. 15) is irreducibly at fact cardinality:
+    one batched product, taken from the first dimension's tile (the
+    storage-order tile when there is no dimension).  Every dimension
+    contracts its tile per distinct tuple, centering before grouping.
+    """
+    offsets = design.layout.offsets
+    for i, group in enumerate(design.groups or [None], start=1):
+        at = rows if group is None else group.order[rows]
+        weights, width = take_t(gamma, at), offsets[i]
+        centered = design.left_t(i, at) - means[:, :width, None]
+        weighted = np.empty((len(weights), 1 + width, weights.shape[1]))
+        weighted[:, 0] = weights
+        np.multiply(centered, weights[:, None], out=weighted[:, 1:])
+        if i == 1:      # width is d_S here
+            sums[0] += weighted[:, 1:] @ centered.transpose(0, 2, 1)
+        if group is not None:
+            group.add_sorted_tile(weighted, rows, sums[i])
+
+
+def finish_outer(design: FactorizedDesign, means, sums) -> np.ndarray:
+    """``Σₙ γₙₖ (xₙ−µₖ)(xₙ−µₖ)ᵀ``, ``(K, d, d)``, from the tile sums:
+    per dimension one small product for its cross blocks (UR/LL,
+    Eq. 16–17; ``(j,i)`` of Eq. 24) and one at ``m_i`` rows for block
+    ``(i,i)`` (LR, Eq. 18), where only the mass depends on the data."""
+    layout = design.layout
+    out = np.empty((means.shape[0], layout.total, layout.total))
+    out[:, : layout.sizes[0], : layout.sizes[0]] = sums[0]
+    for i, grouped in enumerate(sums[1:], start=1):
+        own, left = layout.slice_of(i), slice(0, layout.offsets[i])
+        block = design.dim_blocks[i - 1].take(design.groups[i - 1].present, 0)
+        centered = block - means[:, None, own]                 # (K, s_i, d_Ri)
+        cross = grouped[:, 1:] @ centered                      # (K, L_i, d_Ri)
+        out[:, left, own] = cross
+        out[:, own, left] = cross.transpose(0, 2, 1)
+        weighted = centered * grouped[:, 0, :, None]
+        out[:, own, own] = weighted.transpose(0, 2, 1) @ centered
+    return out
+
+
+def _as_column(design: FactorizedDesign, weights) -> np.ndarray:
+    weights = np.asarray(weights, dtype=np.float64)
+    if weights.shape != (design.n,):
+        raise ModelError(f"weights shape {weights.shape} != ({design.n},)")
+    return weights[:, None]
+
+
 def factorized_weighted_sum(
     design: FactorizedDesign, weights: np.ndarray
 ) -> np.ndarray:
-    """Eq. 13 / Eq. 22: the per-relation split of ``Σₙ γₙ xₙ``.
-
-    The fact part is a single matrix-vector product at ``n`` rows; each
-    dimension part needs only the grouped weight mass
-    ``w_r = Σ_{n→r} γₙ`` and then runs at ``m_i`` rows.
-    """
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != (design.n,):
-        raise ModelError(
-            f"weights shape {weights.shape} != ({design.n},)"
-        )
-    parts = [weights @ design.fact_block]
-    for block, group in zip(design.dim_blocks, design.groups):
-        parts.append(group.sum_weights(weights) @ block)
-    return np.concatenate(parts)
+    """Eq. 13 / Eq. 22, the per-relation split of ``Σₙ γₙ xₙ``: the
+    ``K = 1``, one-tile call of the stacked kernel."""
+    sums = zero_sums(design, 1, outer=False)
+    add_sum_tile(design, _as_column(design, weights), slice(0, design.n), sums)
+    return finish_sum(design, sums)[0]
 
 
 def factorized_weighted_outer(
     design: FactorizedDesign, mean: np.ndarray, weights: np.ndarray
 ) -> np.ndarray:
-    """Eq. 14–18 / Eq. 23–24: ``Σₙ γₙ (xₙ−µ)(xₙ−µ)ᵀ`` block by block."""
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != (design.n,):
-        raise ModelError(
-            f"weights shape {weights.shape} != ({design.n},)"
-        )
-    layout = design.layout
-    mean = np.asarray(mean, dtype=np.float64)
-    mean_parts = layout.split_vector(mean)
-    fact_centered, dim_centered = _centered_blocks(design, mean)
-    q = design.num_dimensions
-    nb = q + 1
-    blocks: list[list[np.ndarray | None]] = [
-        [None] * nb for _ in range(nb)
-    ]
-
-    # Block (0,0) — Eq. 15 (UL): irreducibly at fact cardinality.
-    blocks[0][0] = fact_centered.T @ (weights[:, None] * fact_centered)
-
-    for j in range(1, nb):
-        group = design.groups[j - 1]
-        pd_j = dim_centered[j - 1]
-        grouped_weights = group.sum_weights(weights)
-        # Blocks (0,j) and (j,0) — Eq. 16–17 (UR/LL): contract the fact
-        # side per distinct dimension tuple, then one small product.
-        # The raw fact block is presorted once per batch (cached on the
-        # design) and the centering is applied after grouping:
-        # Σ w(x₀−µ₀) = Σ w·x₀ − (Σ w)·µ₀ — so each component costs one
-        # reduceat pass, no per-component gather.
-        grouped_raw = group.sum_rows(
-            design.presorted_fact(j - 1),
-            weights[group.order],
-            presorted=True,
-        )
-        grouped_fact = grouped_raw - grouped_weights[:, None] * mean_parts[0]
-        cross = grouped_fact.T @ pd_j                          # (d_S, d_Rj)
-        blocks[0][j] = cross
-        blocks[j][0] = cross.T
-        # Block (j,j) — Eq. 18 (LR): only the grouped weight mass is
-        # data-dependent; the outer product runs at m_j rows.
-        blocks[j][j] = pd_j.T @ (grouped_weights[:, None] * pd_j)
-
-    # Off-diagonal dimension-dimension blocks (multi-way, Eq. 24).
-    for i in range(1, nb):
-        pd_i = dim_centered[i - 1]
-        gathered_i = design.groups[i - 1].gather(pd_i)
-        for j in range(i + 1, nb):
-            group_j = design.groups[j - 1]
-            pd_j = dim_centered[j - 1]
-            grouped = group_j.sum_rows(gathered_i, weights)    # (m_j, d_Ri)
-            block = grouped.T @ pd_j                           # (d_Ri, d_Rj)
-            blocks[i][j] = block
-            blocks[j][i] = block.T
-    return layout.assemble_matrix(blocks)
+    """Eq. 14–18 / Eq. 23–24, ``Σₙ γₙ (xₙ−µ)(xₙ−µ)ᵀ`` block by block:
+    the ``K = 1``, one-tile call of the stacked kernel."""
+    means = np.asarray(mean, dtype=np.float64)[None]
+    sums = zero_sums(design, 1, outer=True)
+    add_outer_tile(
+        design, means, _as_column(design, weights), slice(0, design.n), sums
+    )
+    return finish_outer(design, means, sums)[0]
 
 
 def factorized_count_outer(design: FactorizedDesign) -> np.ndarray:
@@ -139,7 +177,6 @@ def factorized_count_outer(design: FactorizedDesign) -> np.ndarray:
     linear-model normal equations the related work factorizes); shares
     all the reuse structure of :func:`factorized_weighted_outer`.
     """
-    zero_mean = np.zeros(design.layout.total)
     return factorized_weighted_outer(
-        design, zero_mean, np.ones(design.n)
+        design, np.zeros(design.d), np.ones(design.n)
     )

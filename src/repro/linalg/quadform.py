@@ -10,6 +10,14 @@ For the binary case these are the paper's four terms UL, UR, LL, LR
 (Eq. 9–12).  The blocks that involve only dimension relations are
 computed once per *distinct* dimension tuple and reused for every
 matching fact tuple — that is the entire source of the E-step speedup.
+
+The kernel is *stacked*: one call serves all ``K`` mixture components
+on one row tile, in component-major / feature-major blocks ``(K, w,
+t)`` — reductions run over the ``w`` axis, rows stay contiguous.  Each
+dimension ``R_i`` pairs with everything *left* of it in the layout
+(``S, R_1 … R_{i−1}``, the symmetric half of Eq. 19's double sum), so
+its reusable work is one table per batch and its per-row work one
+gather per tile.  A dense batch is the case ``q = 0``.
 """
 
 from __future__ import annotations
@@ -20,107 +28,99 @@ from repro.errors import ModelError
 from repro.linalg.design import FactorizedDesign
 
 
-def dense_quadratic_form(centered: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """Per-row quadratic form ``diag(C · M · Cᵀ)`` for dense rows ``C``.
+def quadform_tables(
+    design: FactorizedDesign, means: np.ndarray, matrices: np.ndarray
+) -> list[np.ndarray]:
+    """Everything of Eq. 19 that no fact row enters, for all ``K``
+    components: per dimension ``R_i`` an ``(m_i, K, L_i + 1)`` table,
+    ``L_i`` the columns left of ``R_i`` — one row record per distinct
+    tuple, so a tile gathers it with one ``take``.
 
-    The reference computation (Eq. 7) used by M-/S- algorithms: ``d``
-    subtractions happen before the call; here each of the ``n`` rows
-    costs ``O(d²)`` multiplications.
+    Column ``L_i`` is the LR term ``PDᵀ_{R_i} I_{ii} PD_{R_i}``
+    (Eq. 12); columns ``[0, L_i)`` are ``PD_{R_i} · (I_{i,left} +
+    Iᵀ_{left,i})``, the UR + LL coefficients (Eq. 10–11) of the
+    centered fact columns and of the lower-numbered dimensions'
+    (multi-way) — never assuming a symmetric ``I``.
     """
-    centered = np.asarray(centered, dtype=np.float64)
-    matrix = np.asarray(matrix, dtype=np.float64)
-    if centered.ndim != 2 or matrix.shape != (centered.shape[1],) * 2:
-        raise ModelError(
-            f"incompatible shapes: centered {centered.shape}, "
-            f"matrix {matrix.shape}"
+    layout = design.layout
+    tables = []
+    for i, block in enumerate(design.dim_blocks, start=1):
+        own, left = layout.slice_of(i), slice(0, layout.offsets[i])
+        centered = block - means[:, None, own]                # (K, m_i, d_Ri)
+        cross = matrices[:, own, left] + matrices[:, left, own].transpose(
+            0, 2, 1
         )
-    return np.einsum("ni,ij,nj->n", centered, matrix, centered, optimize=True)
+        table = np.empty((block.shape[0], means.shape[0], left.stop + 1))
+        table[:, :, :-1] = (centered @ cross).transpose(1, 0, 2)
+        # A plain sum, not einsum: its SIMD split follows a row's
+        # alignment, and a tuple must score the same at any row.
+        diagonal = (centered @ matrices[:, own, own]) * centered
+        table[:, :, -1] = diagonal.sum(axis=2).T
+        tables.append(table)
+    return tables
 
 
-def _centered_blocks(
-    design: FactorizedDesign, mean: np.ndarray
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Per-block centered data: ``PD_{R_0}`` at fact rows, ``PD_{R_i}``
-    at distinct dimension rows (Eq. 8 / Eq. 20)."""
-    mean_parts = design.layout.split_vector(np.asarray(mean, dtype=np.float64))
-    fact_centered = design.fact_block - mean_parts[0]
-    dim_centered = [
-        block - mean_parts[i + 1]
-        for i, block in enumerate(design.dim_blocks)
-    ]
-    return fact_centered, dim_centered
+def stacked_quadratic_form(
+    design: FactorizedDesign,
+    means: np.ndarray,
+    matrices: np.ndarray,
+    tables: list[np.ndarray],
+    rows: slice = slice(None),
+) -> np.ndarray:
+    """``(x−µ_k)ᵀ I_k (x−µ_k)`` for fact rows ``rows`` and every
+    component ``k``: ``(K, t)``, given the batch's
+    :func:`quadform_tables`.
+
+    Block ``(0,0)`` (UL, Eq. 9) is one batched product over the tile —
+    irreducibly per fact row; each dimension adds one gather of its
+    table.  The pairing of two dimensions varies per fact tuple, so the
+    centered rows of all but the last ride along (``width`` columns).
+    """
+    layout, last = design.layout, max(design.num_dimensions, 1)
+    d_s, width = layout.sizes[0], layout.offsets[last]
+    centered = design.left_t(last, rows) - means[:, :width, None]
+    coefficients = np.empty_like(centered)
+    np.matmul(
+        matrices[:, :d_s, :d_s], centered[:, :d_s], out=coefficients[:, :d_s]
+    )
+    coefficients[:, d_s:] = 0.0
+    constant = 0.0
+    for i, (table, group) in enumerate(zip(tables, design.groups), start=1):
+        gathered = table.take(group.codes[rows], axis=0).transpose(1, 2, 0)
+        coefficients[:, : layout.offsets[i]] += gathered[:, :-1]
+        constant = constant + gathered[:, -1]
+    coefficients *= centered
+    return coefficients.sum(axis=1) + constant
+
+
+def _as_stack(design: FactorizedDesign, mean, matrix):
+    mean = np.asarray(mean, dtype=np.float64)
+    matrix = np.asarray(matrix, dtype=np.float64)
+    if mean.shape != (design.d,) or matrix.shape != (design.d, design.d):
+        raise ModelError(
+            f"incompatible shapes: mean {mean.shape}, matrix "
+            f"{matrix.shape}, design width {design.d}"
+        )
+    return mean[None], matrix[None]
 
 
 def factorized_quadratic_form(
     design: FactorizedDesign, mean: np.ndarray, matrix: np.ndarray
 ) -> np.ndarray:
-    """Per-fact-row quadratic form from factorized data (Eq. 19).
+    """Per-fact-row quadratic form from factorized data (Eq. 19): the
+    ``K = 1`` call of :func:`stacked_quadratic_form`, exactly equal (up
+    to float associativity) to ``dense_quadratic_form(design.densify()
+    - mean, matrix)``."""
+    means, matrices = _as_stack(design, mean, matrix)
+    tables = quadform_tables(design, means, matrices)
+    return stacked_quadratic_form(design, means, matrices, tables)[0]
 
-    Exactly equal (up to float associativity) to
-    ``dense_quadratic_form(design.densify() - mean, matrix)`` but with
-    all dimension-only work done at ``m_i`` rows instead of ``n``:
 
-    * block ``(0,0)`` (UL): dense over the ``n`` fact rows;
-    * blocks ``(0,j)``/``(j,0)`` (UR/LL): the ``PD_{R_j} · I`` product is
-      computed once per distinct dimension tuple, then combined row-wise;
-    * blocks ``(i,i)`` (LR): fully precomputed per distinct tuple and
-      gathered — the reuse the paper highlights after Eq. 12;
-    * blocks ``(i,j)``, ``i≠j≥1``: the ``PD_{R_i} · I_{ij}`` product is
-      reused per distinct ``R_i`` tuple; the final row-wise dot cannot
-      be reused because the pairing varies per fact tuple.
-    """
-    matrix = np.asarray(matrix, dtype=np.float64)
-    layout = design.layout
-    if matrix.shape != (layout.total, layout.total):
-        raise ModelError(
-            f"matrix shape {matrix.shape} != ({layout.total}, {layout.total})"
-        )
-    blocks = layout.split_matrix(matrix)
-    fact_centered, dim_centered = _centered_blocks(design, mean)
-    q = design.num_dimensions
-
-    # Block (0,0): UL of Eq. 9 — irreducibly per fact row.
-    total = np.einsum(
-        "ni,ij,nj->n", fact_centered, blocks[0][0], fact_centered,
-        optimize=True,
-    )
-
-    for j in range(1, q + 1):
-        group = design.groups[j - 1]
-        pd_j = dim_centered[j - 1]
-        # Blocks (0,j) + (j,0): UR + LL of Eq. 10–11.  Precompute the
-        # dimension-side products once per distinct tuple, gather, and
-        # finish with a row-wise dot against the fact block.
-        right = pd_j @ blocks[0][j].T          # (m_j, d_S), reused
-        left = pd_j @ blocks[j][0]             # (m_j, d_S), reused
-        total += np.einsum(
-            "ns,ns->n", fact_centered, group.gather(right + left),
-            optimize=True,
-        )
-        # Block (j,j): LR of Eq. 12 — computed once per distinct tuple.
-        diag = np.einsum(
-            "mi,ij,mj->m", pd_j, blocks[j][j], pd_j, optimize=True
-        )
-        total += group.gather(diag)
-
-    # Off-diagonal dimension-dimension blocks (multi-way only).
-    for i in range(1, q + 1):
-        pd_i = dim_centered[i - 1]
-        group_i = design.groups[i - 1]
-        for j in range(1, q + 1):
-            if i == j:
-                continue
-            # PD_{R_i} · I_{ij} is reused per distinct R_i tuple; the
-            # row-wise pairing with PD_{R_j} depends on each fact tuple's
-            # pair of foreign keys, so it runs at n rows.
-            partial = pd_i @ blocks[i][j]      # (m_i, d_Rj), reused
-            total += np.einsum(
-                "nd,nd->n",
-                group_i.gather(partial),
-                design.groups[j - 1].gather(dim_centered[j - 1]),
-                optimize=True,
-            )
-    return total
+def dense_quadratic_form(centered: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """Per-row quadratic form ``diag(C · M · Cᵀ)`` for dense rows ``C``
+    (Eq. 7, what M-/S- compute): the stacked kernel with no dimension."""
+    design = FactorizedDesign(centered, [], [])
+    return factorized_quadratic_form(design, np.zeros(design.d), matrix)
 
 
 def binary_quadratic_form_terms(
@@ -129,32 +129,20 @@ def binary_quadratic_form_terms(
     """The four named terms UL, UR, LL, LR of Eq. 9–12 (binary joins).
 
     Exposed separately so tests can check each term against its dense
-    counterpart; ``factorized_quadratic_form`` fuses them for speed.
+    counterpart: each is the quadratic form of ``matrix`` with the
+    other three blocks zeroed — four stacked "components".
     """
     if design.num_dimensions != 1:
         raise ModelError(
             "UL/UR/LL/LR terms are defined for binary joins only; "
             f"got q={design.num_dimensions}"
         )
-    blocks = design.layout.split_matrix(np.asarray(matrix, dtype=np.float64))
-    fact_centered, (dim_centered,) = _centered_blocks(design, mean)
-    group = design.groups[0]
-    pd_r = group.gather(dim_centered)
-    return {
-        "UL": np.einsum(
-            "ni,ij,nj->n", fact_centered, blocks[0][0], fact_centered,
-            optimize=True,
-        ),
-        "UR": np.einsum(
-            "ni,ij,nj->n", fact_centered, blocks[0][1], pd_r, optimize=True
-        ),
-        "LL": np.einsum(
-            "ni,ij,nj->n", pd_r, blocks[1][0], fact_centered, optimize=True
-        ),
-        "LR": group.gather(
-            np.einsum(
-                "mi,ij,mj->m", dim_centered, blocks[1][1], dim_centered,
-                optimize=True,
-            )
-        ),
-    }
+    means, matrices = _as_stack(design, mean, matrix)
+    fact, dim = design.layout.slice_of(0), design.layout.slice_of(1)
+    masked = np.zeros((4, design.d, design.d))
+    for k, (i, j) in enumerate([(fact, fact), (fact, dim), (dim, fact), (dim, dim)]):
+        masked[k, i, j] = matrices[0, i, j]
+    means = np.repeat(means, 4, axis=0)
+    tables = quadform_tables(design, means, masked)
+    terms = stacked_quadratic_form(design, means, masked, tables)
+    return dict(zip(("UL", "UR", "LL", "LR"), terms))

@@ -23,14 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ModelError
+from repro.linalg.blocks import TILE_BYTES
 from repro.nn.activations import Activation, get_activation
 from repro.nn.layers import DenseLayer, LayerGrads, accumulate
 from repro.nn.losses import HalfMSE, Loss, get_loss
-
-#: Bytes of one ``(tile, widest layer)`` float64 block of the training
-#: step: a tile's handful of blocks stay in L2, and its GEMMs amortize
-#: the Python between them (0.25 to 4 MiB measured alike).
-TILE_BYTES = 1 << 19
 
 
 @dataclass

@@ -301,14 +301,15 @@ class HeapFile:
         self.stats.record_read(self.stats_name, 1)
         return data
 
-    def read_pages(self, first_page: int, npages: int) -> np.ndarray:
-        """Read ``npages`` consecutive pages starting at ``first_page``."""
+    def read_pages(self, first_page: int, npages: int, handle=None) -> np.ndarray:
+        """Read ``npages`` consecutive pages starting at ``first_page``
+        (through a scan's open ``handle``, where it has one)."""
         if npages <= 0:
             return np.empty((0, self.ncols))
         last = min(first_page + npages, self.npages) - 1
         start, _ = self._page_row_range(first_page)
         _, stop = self._page_row_range(last)
-        data = self._read_row_range(start, stop)
+        data = self._read_row_range(start, stop, handle)
         self.stats.record_read(self.stats_name, last - first_page + 1)
         return data
 
@@ -318,9 +319,12 @@ class HeapFile:
             return np.empty((0, self.ncols))
         return self.read_pages(0, self.npages)
 
-    def _read_row_range(self, start: int, stop: int) -> np.ndarray:
-        with self._io_lock.read(), open(self.path, "rb") as handle:
-            return self._read_row_range_unlocked(start, stop, handle)
+    def _read_row_range(self, start: int, stop: int, handle=None) -> np.ndarray:
+        with self._io_lock.read():
+            if handle is not None:
+                return self._read_row_range_unlocked(start, stop, handle)
+            with open(self.path, "rb") as handle:
+                return self._read_row_range_unlocked(start, stop, handle)
 
     def _read_row_range_unlocked(
         self, start: int, stop: int, handle
@@ -339,17 +343,21 @@ class HeapFile:
 
     def iter_pages(self) -> Iterator[np.ndarray]:
         """Yield each page's rows in order."""
-        for page_no in range(self.npages):
-            yield self.read_page(page_no)
+        return self.iter_page_blocks(1)
 
     def iter_page_blocks(self, pages_per_block: int) -> Iterator[np.ndarray]:
-        """Yield blocks of ``pages_per_block`` pages (the BNL outer unit)."""
+        """Yield blocks of ``pages_per_block`` pages (the BNL outer unit).
+
+        A scan opens the file once; each block takes the read lock for
+        its own read only, never across a ``yield``.
+        """
         if pages_per_block <= 0:
             raise StorageError(
                 f"pages_per_block must be positive, got {pages_per_block}"
             )
-        for first in range(0, self.npages, pages_per_block):
-            yield self.read_pages(first, min(pages_per_block, self.npages - first))
+        with open(self.path, "rb") as handle:
+            for first in range(0, self.npages, pages_per_block):
+                yield self.read_pages(first, pages_per_block, handle)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -151,7 +151,14 @@ class Relation:
     # -- static projections on in-memory blocks (no extra I/O) --------------
 
     def project_features(self, rows: np.ndarray) -> np.ndarray:
-        """Select this schema's feature columns from already-read rows."""
+        """Select this schema's feature columns from already-read rows.
+
+        The copy is column-major (NumPy indexes the listed columns
+        first): ``result.T`` is the C-ordered, feature-major view the
+        training kernels read (:class:`~repro.linalg.design.
+        FactorizedDesign`), and ``result.take(rows, axis=0)`` would
+        first copy the whole block.
+        """
         return rows[:, list(self.schema.feature_positions)]
 
     def project_keys(self, rows: np.ndarray) -> np.ndarray:

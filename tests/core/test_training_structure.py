@@ -192,3 +192,89 @@ class TestTheNNStepIsTiled:
             and isinstance(node.op, ast.Add)
         }
         assert summed == {"nn/layers.py"}
+
+
+class TestTheEMStepIsTiled:
+    """An EM step's per-row temporaries stay ``(K, width, tile)``: both
+    engines walk a batch through the one tile loop, every tile's work
+    for all ``K`` components is stacked (no per-component Python loop
+    over the batch), and no contraction re-searches its path per call."""
+
+    STEPS = ("estep_batch", "mu_accumulate_batch", "sigma_accumulate_batch")
+
+    @staticmethod
+    def _tree(module):
+        return ast.parse((SRC_ROOT / module).read_text(encoding="utf-8"))
+
+    def test_no_loop_over_the_components(self):
+        loops = [
+            ast.unparse(node.iter)
+            for node in ast.walk(self._tree("gmm/engines.py"))
+            if isinstance(node, ast.For)
+            and isinstance(node.iter, ast.Call)
+            and getattr(node.iter.func, "id", "") == "range"
+            and {"k", "n_components"} & _identifiers(node.iter)
+        ]
+        assert loops == []
+
+    def test_both_engines_step_through_the_one_tile_loop(self):
+        tree = self._tree("gmm/engines.py")
+        classes = {
+            node.name: {
+                item.name: item for item in node.body
+                if isinstance(item, ast.FunctionDef)
+            }
+            for node in tree.body if isinstance(node, ast.ClassDef)
+        }
+        # one loop that cuts a batch into row ranges, in the base class
+        strided = [
+            (owner, name)
+            for owner, methods in classes.items()
+            for name, method in methods.items()
+            for node in ast.walk(method)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", "") == "range"
+            and len(node.args) == 3
+        ]
+        assert strided == [("_EngineBase", "_tiles")]
+        shared = {
+            name for name, method in classes["_EngineBase"].items()
+            if any(
+                isinstance(node, ast.For) and "_tiles" in _identifiers(node.iter)
+                for node in ast.walk(method)
+            )
+        }
+        assert len(shared) == len(self.STEPS)
+        for engine in ("DenseEMEngine", "FactorizedEMEngine"):
+            reached = set()
+            for step in self.STEPS:     # in the engine's own __dict__
+                reached |= _identifiers(classes[engine][step]) & shared
+            assert reached == shared
+
+    def test_no_einsum_path_search_on_a_training_path(self):
+        searched = [
+            module
+            for module, tree in _modules()
+            if module.startswith("linalg/") or module == "gmm/engines.py"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.keyword) and node.arg == "optimize"
+        ]
+        assert searched == []
+
+    def test_one_tile_size(self):
+        assigned = [
+            module
+            for module, tree in _modules()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Assign)
+            and any(getattr(t, "id", "") == "TILE_BYTES" for t in node.targets)
+        ]
+        assert assigned == ["linalg/blocks.py"]
+        for module in ("nn/network.py", "gmm/engines.py"):
+            imported = [
+                node.module
+                for node in ast.walk(self._tree(module))
+                if isinstance(node, ast.ImportFrom)
+                and any(alias.name == "TILE_BYTES" for alias in node.names)
+            ]
+            assert imported == ["repro.linalg.blocks"]

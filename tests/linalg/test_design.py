@@ -82,19 +82,16 @@ class TestDensify:
         np.testing.assert_array_equal(rebuilt.densify(), dense)
 
 
-class TestPresortCache:
-    def test_presorted_fact_cached(self, rng):
+class TestRowRanges:
+    def test_densify_rows_is_the_slice_of_the_whole(self, rng):
         design = make_design(rng)
-        first = design.presorted_fact(0)
-        second = design.presorted_fact(0)
-        assert first is second
-        np.testing.assert_array_equal(
-            first, design.fact_block[design.groups[0].order]
-        )
+        dense = design.densify()
+        for rows in (slice(0, 7), slice(5, 11), slice(0, 10**6)):
+            part = design.densify(rows)
+            assert part.flags.c_contiguous
+            np.testing.assert_array_equal(part, dense[rows])
 
-    def test_presorted_per_dimension(self, rng):
-        design = make_design(rng)
-        a = design.presorted_fact(0)
-        b = design.presorted_fact(1)
-        # Orders generally differ across dimensions.
-        assert a.shape == b.shape
+    def test_tile_width_leaves_out_one_dimension(self, rng):
+        design = make_design(rng, n=25, d_s=2, dims=((4, 3), (5, 6)))
+        assert design.tile_width == 1 + 2 + 6
+        assert make_design(rng, n=9, d_s=4, dims=()).tile_width == 1 + 4

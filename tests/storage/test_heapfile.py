@@ -105,6 +105,44 @@ class TestAppendAndRead:
         assert len(blocks) == 3  # 5 pages in blocks of 2
         np.testing.assert_array_equal(np.vstack(blocks), data)
 
+    def test_a_scan_opens_the_file_once(self, heap, rng, monkeypatch):
+        import builtins
+        import threading
+
+        from repro.storage import heapfile
+
+        data = rng.normal(size=(70, 4))         # 9 pages
+        heap.append(data)
+        opened = []
+
+        def counting_open(*args, **kwargs):
+            opened.append(args[0])
+            return builtins.open(*args, **kwargs)
+
+        monkeypatch.setattr(heapfile, "open", counting_open, raising=False)
+        for scan, reads in (
+            (lambda: heap.iter_page_blocks(2), 5),
+            (heap.iter_pages, 9),
+        ):
+            before = heap.stats.snapshot().pages_read
+            opened.clear()
+            blocks = list(scan())
+            assert len(blocks) == reads and len(opened) == 1
+            np.testing.assert_array_equal(np.vstack(blocks), data)
+            assert heap.stats.snapshot().pages_read - before == heap.npages
+        # No lock is held across a yield: a writer gets in mid-scan, and
+        # the scan reads what it wrote through the handle it kept.
+        scan = heap.iter_page_blocks(4)
+        next(scan)
+        replacement = rng.normal(size=(1, 4))
+        writer = threading.Thread(
+            target=heap.update_rows, args=(np.array([69]), replacement)
+        )
+        writer.start()
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        np.testing.assert_array_equal(list(scan)[-1][-1], replacement[0])
+
     def test_iter_page_blocks_invalid(self, heap):
         with pytest.raises(StorageError):
             list(heap.iter_page_blocks(0))

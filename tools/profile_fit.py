@@ -1,0 +1,70 @@
+#!/usr/bin/env python3
+"""Wall time per arm and a cProfile top-N (by self time) of one e2e-shaped fit.
+
+    PYTHONPATH=src python tools/profile_fit.py gmm --shape rr100 --arm F
+    PYTHONPATH=src python tools/profile_fit.py nn --shape rr2 --top 20
+
+Without ``--arm`` every arm is timed and ``auto`` profiled.  cProfile taxes
+Python calls, not native work: its table says where to look, not how long.
+"""
+
+from __future__ import annotations
+
+import argparse
+import cProfile
+import pstats
+import time
+import warnings
+
+import repro
+
+# Copied from benchmarks/e2e/workloads.SHAPES["full"] / STAR3 and its TRAIN_* /
+# SERVE_* configs: n_s, d_s, (rows, width) per dimension, EM iterations, NN (n_h, epochs).
+SHAPES = {
+    "rr100": (200_000, 5, ((2_000, 15),), 3, (50, 2)),
+    "rr2": (200_000, 5, ((100_000, 5),), 3, (50, 2)),
+    "star3": (100_000, 5, ((20_000, 15), (500, 10)), 2, (64, 1)),
+}
+ARMS = {"F": "factorized", "S": "streaming", "M": "materialized", "auto": "auto"}
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("kind", choices=("gmm", "nn"))
+    parser.add_argument("--shape", choices=sorted(SHAPES), default="rr100")
+    parser.add_argument("--arm", choices=sorted(ARMS))
+    parser.add_argument("--top", type=int, default=15)
+    parser.add_argument("--smoke", action="store_true", help="shape / 100")
+    args = parser.parse_args(argv)
+    warnings.simplefilter("ignore", repro.ConvergenceWarning)
+
+    n_s, d_s, dims, iterations, (hidden, epochs) = SHAPES[args.shape]
+    shrink = 100 if args.smoke else 1
+    dimensions = tuple(
+        repro.DimensionSpec(max(rows // shrink, 2), width) for rows, width in dims
+    )
+    config = repro.StarSchemaConfig(
+        n_s=n_s // shrink, d_s=d_s, dimensions=dimensions, with_target=True, seed=0
+    )
+    with repro.Database() as db:
+        spec = repro.generate_star(db, config).spec
+
+        def fit(arm):
+            if args.kind == "gmm":
+                return repro.fit_gmm(db, spec, algorithm=ARMS[arm], n_components=5,
+                                     max_iter=iterations, tol=0.0)
+            return repro.fit_nn(db, spec, algorithm=ARMS[arm],
+                                hidden_sizes=(hidden,), epochs=epochs)
+
+        for arm in [args.arm] if args.arm else list(ARMS):
+            fit(arm)                                # warm: pages, lazy imports
+            tick = time.perf_counter()
+            chosen = fit(arm).algorithm
+            print(f"{arm:>4} ({chosen}): {time.perf_counter() - tick:.3f} s")
+        profiler = cProfile.Profile()
+        profiler.runcall(fit, args.arm or "auto")
+        pstats.Stats(profiler).sort_stats("tottime").print_stats(args.top)
+
+
+if __name__ == "__main__":
+    main()
