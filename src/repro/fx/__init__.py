@@ -12,8 +12,9 @@ once and shared by training, serving, and the concurrent runtime:
   is the sanctioned dedup for everything that is not an FK column
   (page numbers, shard ids); ``np.unique`` exists nowhere else in the
   package, AST-enforced;
-* :mod:`repro.fx.gather` — the dedup/gather engine: expand per-distinct
-  partials (or dimension rows) back to request rows from a plan;
+* :mod:`repro.fx.gather` — the dedup/gather engine: resolve a plan's
+  distinct RIDs to partial rows through the caches, and expand them
+  (or dimension rows) back to request rows;
 * :mod:`repro.fx.store` — :class:`PartialStore`: dimension partials
   shared *across* registered models, keyed by
   ``(partial fingerprint, RID)``, so two models over the same join
@@ -53,6 +54,7 @@ _EXPORTS = {
     "DimensionDedup": "repro.fx.dedup",
     "distinct_values": "repro.fx.dedup",
     "densify_request": "repro.fx.gather",
+    "distinct_partials": "repro.fx.gather",
     "gather_partials": "repro.fx.gather",
     "ShardedPartialCache": "repro.fx.sharding",
     "FrequencySketch": "repro.fx.sketch",

@@ -106,6 +106,16 @@ def mahalanobis_units(d_s: int, widths: tuple[int, ...]):
     dimension ``i`` pays the cross product (``d_Ri·d_S``), the LR form
     (``d_Ri² + d_Ri``) and the coupling factors against later
     dimensions — skipped entirely for cached partials.
+
+    That is the *upper* triangle of Eq. 19's double sum: pair ``(i, j)``,
+    ``i < j``, is charged to a distinct RID of the earlier dimension
+    ``i``.  The kernel (:func:`repro.linalg.quadform.quadform_table`,
+    which training and the serving partials share) computes the lower
+    one — dimension ``j``'s table carries its coefficients against
+    everything *left* of it, so the same ``d_Ri·d_Rj`` products are paid
+    per distinct RID of ``j``.  Each pair is counted once either way;
+    the totals agree whenever the two dimensions contribute equally
+    many distinct RIDs, and the published count is kept as published.
     """
     d = d_s + sum(widths)
     row = d_s * d_s + d_s + d_s * len(widths) + sum(

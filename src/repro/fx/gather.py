@@ -6,9 +6,12 @@ request densify, each starting with its own ``np.unique`` over the FK
 columns.  Both now consume a :class:`~repro.fx.dedup.DedupPlan`
 computed once per batch:
 
-* :func:`gather_partials` — resolve each dimension's *distinct* RIDs
+* :func:`distinct_partials` — resolve each dimension's *distinct* RIDs
   through a partial cache (misses read base-relation pages and run the
-  model's partial builder) and expand the rows back to request order;
+  model's partial builder).  The GMM predictor stops here: its kernel
+  gathers the rows per tile;
+* :func:`gather_partials` — the same rows expanded back to request
+  order (the NN first layer adds them to the fact-side product);
 * :func:`densify_request` — fetch each dimension's distinct feature
   rows once and expand them into the wide ``[x_S | x_R1 | …]`` block
   the dense models score.
@@ -26,13 +29,13 @@ from repro.fx.dedup import DedupPlan
 from repro.obs.trace import NOOP_SPAN, current_span
 
 
-def gather_partials(
+def distinct_partials(
     lookups,
     caches,
     builders,
     plan: DedupPlan,
 ) -> list[np.ndarray]:
-    """Per-dimension partial rows gathered to request rows.
+    """Per-dimension partial rows at the plan's *distinct* RIDs.
 
     Distinct RIDs come from the plan (no re-dedup); misses read
     base-relation pages through ``lookups`` and run the ``builders``;
@@ -41,26 +44,43 @@ def gather_partials(
 
     Under tracing each dimension gets a ``cache.get_many`` child span
     (the cache attributes its hits/misses/evictions to it, and any
-    buffer-pool page reads the miss compute triggers land there too)
-    and a ``gather`` child for the expand-back step.
+    buffer-pool page reads the miss compute triggers land there too).
     """
     parent = current_span() or NOOP_SPAN
-    gathered = []
+    resolved = []
     for index, (lookup, cache, builder, dim) in enumerate(
         zip(lookups, caches, builders, plan.dims)
     ):
         if dim.m == 0:
-            gathered.append(np.zeros((0, builder.width)))
+            resolved.append(np.zeros((0, builder.width)))
             continue
         with parent.child(
             "cache.get_many", dimension=index, distinct=int(dim.m)
         ):
-            rows = cache.get_many(
-                dim.unique,
-                lambda keys, build=builder, look=lookup: build.compute(
-                    look.features_for(keys)
-                ),
+            resolved.append(
+                cache.get_many(
+                    dim.unique,
+                    lambda keys, build=builder, look=lookup: build.compute(
+                        look.features_for(keys)
+                    ),
+                )
             )
+    return resolved
+
+
+def gather_partials(
+    lookups,
+    caches,
+    builders,
+    plan: DedupPlan,
+) -> list[np.ndarray]:
+    """:func:`distinct_partials` expanded back to request rows, each
+    dimension under a ``gather`` child span."""
+    parent = current_span() or NOOP_SPAN
+    gathered = []
+    for index, (dim, rows) in enumerate(
+        zip(plan.dims, distinct_partials(lookups, caches, builders, plan))
+    ):
         with parent.child("gather", dimension=index, rows=int(plan.rows)):
             gathered.append(dim.gather(rows))
     return gathered

@@ -5,7 +5,8 @@ same driver (:func:`repro.gmm.base.run_em`); the factorized engine is an
 exact algebraic rearrangement (Eq. 7–24), which is why all three
 algorithms return identical models.
 
-Both also step through the same loop: a batch's E-step and M-step sums
+Both also step through the same loop (:func:`repro.gmm.model.tiles`):
+a batch's E-step (:func:`~repro.gmm.model.posteriors`) and M-step sums
 are accumulated over cache-sized row tiles, each tile's work for all
 ``K`` components a handful of stacked calls (:mod:`repro.linalg.
 quadform`, :mod:`repro.linalg.outer`).  A dense batch is a design with
@@ -18,9 +19,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ModelError
-from repro.gmm.model import LOG_2PI
+from repro.gmm.model import posteriors, tiles
 from repro.join.batches import DenseBatch, FactorizedBatch
-from repro.linalg.blocks import TILE_BYTES
 from repro.linalg.design import FactorizedDesign
 from repro.linalg.outer import (
     add_outer_tile,
@@ -29,11 +29,31 @@ from repro.linalg.outer import (
     finish_sum,
     zero_sums,
 )
-from repro.linalg.quadform import quadform_tables, stacked_quadratic_form
+
+
+def mu_sums(design: FactorizedDesign, gamma: np.ndarray) -> np.ndarray:
+    """``Σₙ γₙₖ xₙ``, ``(K, d)``, tile by tile (Eq. 3's numerator)."""
+    k = gamma.shape[1]
+    sums = zero_sums(design, k, outer=False)
+    for rows in tiles(design.n, k):
+        add_sum_tile(design, gamma, rows, sums)
+    return finish_sum(design, sums)
+
+
+def sigma_sums(
+    design: FactorizedDesign, gamma: np.ndarray, means: np.ndarray
+) -> np.ndarray:
+    """``Σₙ γₙₖ (xₙ−µₖ)(xₙ−µₖ)ᵀ``, ``(K, d, d)``, tile by tile (Eq. 4's
+    numerator; zero ``means`` give the raw second moments)."""
+    k = gamma.shape[1]
+    sums = zero_sums(design, k, outer=True)
+    for rows in tiles(design.n, k * design.tile_width):
+        add_outer_tile(design, means, gamma, rows, sums)
+    return finish_outer(design, means, sums)
 
 
 class _EngineBase:
-    """The access-path plumbing and the tiled EM step both engines share."""
+    """The access-path plumbing both engines share."""
 
     def __init__(self, access, n_features: int) -> None:
         self.access = access
@@ -74,54 +94,6 @@ class _EngineBase:
             raise ModelError("the join produced no tuples")
         return np.concatenate(collected, axis=0)
 
-    # -- the tiled EM step ---------------------------------------------------
-
-    @staticmethod
-    def _tiles(n: int, width: int):
-        """Row ranges of a batch, ``TILE_BYTES`` per ``width``-float block."""
-        tile = max(1, TILE_BYTES // (8 * width))
-        for start in range(0, n, tile):
-            yield slice(start, min(start + tile, n))
-
-    def _estep(self, design: FactorizedDesign, params, precisions):
-        """Eq. 2 tile by tile: ``(K, t)`` quadratic forms, then
-        log-sum-exp in place."""
-        k, means = params.n_components, params.means
-        tables = quadform_tables(design, means, precisions.precisions)
-        shift = np.log(params.weights) - 0.5 * (
-            design.d * LOG_2PI + precisions.log_dets
-        )
-        gamma = np.empty((design.n, k))
-        log_likelihoods = np.empty(design.n)
-        for rows in self._tiles(design.n, k * design.tile_width):
-            block = stacked_quadratic_form(
-                design, means, precisions.precisions, tables, rows
-            )
-            block *= -0.5
-            block += shift[:, None]         # log π_k N(x | µ_k, Σ_k)
-            peak = block.max(axis=0)
-            block -= peak
-            np.exp(block, out=block)
-            norm = block.sum(axis=0)
-            block /= norm
-            gamma[rows] = block.T
-            log_likelihoods[rows] = peak + np.log(norm)
-        return gamma, log_likelihoods
-
-    def _mu_sums(self, design: FactorizedDesign, gamma):
-        k = gamma.shape[1]
-        sums = zero_sums(design, k, outer=False)
-        for rows in self._tiles(design.n, k):
-            add_sum_tile(design, gamma, rows, sums)
-        return finish_sum(design, sums)
-
-    def _sigma_sums(self, design: FactorizedDesign, gamma, means):
-        k = gamma.shape[1]
-        sums = zero_sums(design, k, outer=True)
-        for rows in self._tiles(design.n, k * design.tile_width):
-            add_outer_tile(design, means, gamma, rows, sums)
-        return finish_outer(design, means, sums)
-
 
 def _wide(batch: DenseBatch) -> FactorizedDesign:
     """A dense batch as the design it is: every column a fact column."""
@@ -144,13 +116,13 @@ class DenseEMEngine(_EngineBase):
         return batch.features[:stop]
 
     def estep_batch(self, batch: DenseBatch, params, precisions):
-        return self._estep(_wide(batch), params, precisions)
+        return posteriors(_wide(batch), params, precisions)
 
     def mu_accumulate_batch(self, batch: DenseBatch, gamma):
-        return self._mu_sums(_wide(batch), gamma)
+        return mu_sums(_wide(batch), gamma)
 
     def sigma_accumulate_batch(self, batch: DenseBatch, gamma, means):
-        return self._sigma_sums(_wide(batch), gamma, means)
+        return sigma_sums(_wide(batch), gamma, means)
 
 
 class FactorizedEMEngine(_EngineBase):
@@ -172,10 +144,10 @@ class FactorizedEMEngine(_EngineBase):
         return batch.design.densify(slice(0, stop))
 
     def estep_batch(self, batch: FactorizedBatch, params, precisions):
-        return self._estep(batch.design, params, precisions)
+        return posteriors(batch.design, params, precisions)
 
     def mu_accumulate_batch(self, batch: FactorizedBatch, gamma):
-        return self._mu_sums(batch.design, gamma)
+        return mu_sums(batch.design, gamma)
 
     def sigma_accumulate_batch(self, batch: FactorizedBatch, gamma, means):
-        return self._sigma_sums(batch.design, gamma, means)
+        return sigma_sums(batch.design, gamma, means)

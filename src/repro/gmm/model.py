@@ -4,6 +4,13 @@ The model of Section III-A: ``p(x) = Σ_k π_k N(x | µ_k, Σ_k)`` with full
 (arbitrary) covariance matrices — the paper's most general setting, in
 contrast to the independent-GMM restriction of the earlier poster
 paper [Cheng & Koudas, ICDE 2019].
+
+Inference is one function, :func:`posteriors`: Eq. 2 over the factorized
+quadratic form of Eq. 19, tile by tile with all ``K`` components
+stacked.  The EM engines call it on a training batch, the serving
+predictors on a request (its dimension tables read from a partial
+cache), the maintainer on a delta, and :class:`GaussianMixtureModel`
+on dense rows — a design with no dimension relation.
 """
 
 from __future__ import annotations
@@ -13,6 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ModelError
+from repro.linalg.blocks import TILE_BYTES
+from repro.linalg.design import FactorizedDesign
+from repro.linalg.quadform import quadform_tables, stacked_quadratic_form
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -153,6 +163,86 @@ def log_responsibilities(
     return gamma, log_likelihoods
 
 
+def tiles(n: int, width: int):
+    """Row ranges of a batch, ``TILE_BYTES`` per ``width``-float block."""
+    tile = max(1, TILE_BYTES // (8 * width))
+    for start in range(0, n, tile):
+        yield slice(start, min(start + tile, n))
+
+
+def _log_density_tiles(design, params, precisions, tables, weighted: bool):
+    """Per row tile, the ``(K, t)`` block of ``log N(x | µ_k, Σ_k)``
+    (``weighted``: plus ``log π_k``) — Eq. 1 over Eq. 19, and the one
+    place a mixture meets the stacked kernel.  ``rows`` index the
+    block's columns (a slice, or positions) and the block is the
+    caller's to overwrite."""
+    means, matrices = params.means, precisions.precisions
+    if tables is None:
+        tables = quadform_tables(design, means, matrices)
+    # ``n_features``, not ``design.d``: a request's design carries no
+    # feature block for its last dimension (the table is all it needs).
+    shift = -0.5 * (params.n_features * LOG_2PI + precisions.log_dets)
+    if weighted:
+        shift = np.log(params.weights) + shift
+    for rows in tiles(design.n, params.n_components * design.tile_width):
+        if rows.stop - rows.start == 1:
+            # A lone row takes BLAS's matrix-vector path and numpy's
+            # pairwise reductions, which round differently from the
+            # batched ones: scored twice side by side, a tuple gets
+            # the same bits alone as inside any batch.
+            rows = np.array([rows.start, rows.start])
+        block = stacked_quadratic_form(design, means, matrices, tables, rows)
+        block *= -0.5
+        block += shift[:, None]
+        yield rows, block
+
+
+def posteriors(
+    design: FactorizedDesign,
+    params: GMMParams,
+    precisions: ComponentPrecisions,
+    tables: list[np.ndarray] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The E-step (Eq. 2) of ``design``'s rows: ``(gamma, log_likelihoods)``
+    as :func:`log_responsibilities` defines them, ``gamma`` C-ordered
+    ``(n, K)`` — log-sum-exp in place on each tile's block.
+
+    ``tables`` are the design's :func:`~repro.linalg.quadform.
+    quadform_tables` when the caller already holds them (serving reads
+    them from its partial caches); otherwise they are computed here,
+    once per call.
+    """
+    gamma = np.empty((design.n, params.n_components))
+    log_likelihoods = np.empty(design.n)
+    for rows, block in _log_density_tiles(
+        design, params, precisions, tables, weighted=True
+    ):
+        peak = block.max(axis=0)
+        block -= peak
+        np.exp(block, out=block)
+        norm = block.sum(axis=0)
+        block /= norm
+        gamma[rows] = block.T
+        log_likelihoods[rows] = peak + np.log(norm)
+    return gamma, log_likelihoods
+
+
+def component_log_densities(
+    design: FactorizedDesign,
+    params: GMMParams,
+    precisions: ComponentPrecisions,
+    tables: list[np.ndarray] | None = None,
+) -> np.ndarray:
+    """``(n, K)`` values of ``log N(x_n | µ_k, Σ_k)`` — the blocks
+    :func:`posteriors` normalizes, before the mixing weights."""
+    out = np.empty((design.n, params.n_components))
+    for rows, block in _log_density_tiles(
+        design, params, precisions, tables, weighted=False
+    ):
+        out[rows] = block.T
+    return out
+
+
 class GaussianMixtureModel:
     """Inference-side wrapper around fitted :class:`GMMParams`."""
 
@@ -167,35 +257,25 @@ class GaussianMixtureModel:
         reused by the factorized serving path)."""
         return self._precisions
 
+    def _wide(self, data: np.ndarray) -> FactorizedDesign:
+        """Dense rows as the design they are: every column a fact column."""
+        data = np.atleast_2d(np.asarray(data, dtype=np.float64))
+        if data.shape[1] != self.params.n_features:
+            raise ModelError(
+                f"data has {data.shape[1]} features, "
+                f"model has {self.params.n_features}"
+            )
+        return FactorizedDesign(data, [], [])
+
     def log_gaussians(self, data: np.ndarray) -> np.ndarray:
         """``(n, K)`` component log-densities for dense rows."""
-        data = np.atleast_2d(np.asarray(data, dtype=np.float64))
-        n, d = data.shape
-        if d != self.params.n_features:
-            raise ModelError(
-                f"data has {d} features, model has {self.params.n_features}"
-            )
-        out = np.empty((n, self.params.n_components))
-        for j in range(self.params.n_components):
-            centered = data - self.params.means[j]
-            quad = np.einsum(
-                "ni,ij,nj->n",
-                centered,
-                self._precisions.precisions[j],
-                centered,
-                optimize=True,
-            )
-            out[:, j] = log_gaussian_from_quadform(
-                quad, self._precisions.log_dets[j], d
-            )
-        return out
+        return component_log_densities(
+            self._wide(data), self.params, self._precisions
+        )
 
     def responsibilities(self, data: np.ndarray) -> np.ndarray:
         """Posterior cluster memberships ``γ`` (Eq. 2)."""
-        gamma, _ = log_responsibilities(
-            self.log_gaussians(data), self.params.weights
-        )
-        return gamma
+        return posteriors(self._wide(data), self.params, self._precisions)[0]
 
     def predict(self, data: np.ndarray) -> np.ndarray:
         """Hard cluster assignments (argmax responsibility)."""
@@ -203,10 +283,7 @@ class GaussianMixtureModel:
 
     def score_samples(self, data: np.ndarray) -> np.ndarray:
         """Per-tuple log-likelihood ``log p(x)``."""
-        _, log_likelihoods = log_responsibilities(
-            self.log_gaussians(data), self.params.weights
-        )
-        return log_likelihoods
+        return posteriors(self._wide(data), self.params, self._precisions)[1]
 
     def score(self, data: np.ndarray) -> float:
         """Mean log-likelihood over the rows of ``data``."""

@@ -25,16 +25,22 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ModelError
+from repro.linalg.blocks import BlockLayout
 from repro.linalg.design import FactorizedDesign
 
 
-def quadform_tables(
-    design: FactorizedDesign, means: np.ndarray, matrices: np.ndarray
-) -> list[np.ndarray]:
-    """Everything of Eq. 19 that no fact row enters, for all ``K``
-    components: per dimension ``R_i`` an ``(m_i, K, L_i + 1)`` table,
-    ``L_i`` the columns left of ``R_i`` — one row record per distinct
-    tuple, so a tile gathers it with one ``take``.
+def quadform_table(
+    block: np.ndarray,
+    i: int,
+    layout: BlockLayout,
+    means: np.ndarray,
+    matrices: np.ndarray,
+) -> np.ndarray:
+    """Everything of Eq. 19 that no fact row enters, for dimension
+    ``R_i``'s distinct tuples ``block`` and all ``K`` components: an
+    ``(m_i, K, L_i + 1)`` table, ``L_i`` the columns left of ``R_i`` —
+    one row record per distinct tuple, so a tile gathers it with one
+    ``take`` (and a partial cache keeps it as one flat row).
 
     Column ``L_i`` is the LR term ``PDᵀ_{R_i} I_{ii} PD_{R_i}``
     (Eq. 12); columns ``[0, L_i)`` are ``PD_{R_i} · (I_{i,left} +
@@ -42,22 +48,31 @@ def quadform_tables(
     centered fact columns and of the lower-numbered dimensions'
     (multi-way) — never assuming a symmetric ``I``.
     """
+    if block.shape[0] == 1:
+        # One row would take the matrix-vector path, which rounds
+        # differently: a tuple's record must not depend on its company.
+        return quadform_table(block.repeat(2, 0), i, layout, means, matrices)[:1]
+    own, left = layout.slice_of(i), slice(0, layout.offsets[i])
+    centered = block - means[:, None, own]                    # (K, m_i, d_Ri)
+    cross = matrices[:, own, left] + matrices[:, left, own].transpose(0, 2, 1)
+    table = np.empty((block.shape[0], means.shape[0], left.stop + 1))
+    table[:, :, :-1] = (centered @ cross).transpose(1, 0, 2)
+    # A plain sum, not einsum: its SIMD split follows a row's
+    # alignment, and a tuple must score the same at any row.
+    diagonal = (centered @ matrices[:, own, own]) * centered
+    table[:, :, -1] = diagonal.sum(axis=2).T
+    return table
+
+
+def quadform_tables(
+    design: FactorizedDesign, means: np.ndarray, matrices: np.ndarray
+) -> list[np.ndarray]:
+    """One :func:`quadform_table` per dimension of a batch."""
     layout = design.layout
-    tables = []
-    for i, block in enumerate(design.dim_blocks, start=1):
-        own, left = layout.slice_of(i), slice(0, layout.offsets[i])
-        centered = block - means[:, None, own]                # (K, m_i, d_Ri)
-        cross = matrices[:, own, left] + matrices[:, left, own].transpose(
-            0, 2, 1
-        )
-        table = np.empty((block.shape[0], means.shape[0], left.stop + 1))
-        table[:, :, :-1] = (centered @ cross).transpose(1, 0, 2)
-        # A plain sum, not einsum: its SIMD split follows a row's
-        # alignment, and a tuple must score the same at any row.
-        diagonal = (centered @ matrices[:, own, own]) * centered
-        table[:, :, -1] = diagonal.sum(axis=2).T
-        tables.append(table)
-    return tables
+    return [
+        quadform_table(block, i, layout, means, matrices)
+        for i, block in enumerate(design.dim_blocks, start=1)
+    ]
 
 
 def stacked_quadratic_form(
@@ -65,10 +80,10 @@ def stacked_quadratic_form(
     means: np.ndarray,
     matrices: np.ndarray,
     tables: list[np.ndarray],
-    rows: slice = slice(None),
+    rows: slice | np.ndarray = slice(None),
 ) -> np.ndarray:
-    """``(x−µ_k)ᵀ I_k (x−µ_k)`` for fact rows ``rows`` and every
-    component ``k``: ``(K, t)``, given the batch's
+    """``(x−µ_k)ᵀ I_k (x−µ_k)`` for fact rows ``rows`` (a slice, or
+    positions) and every component ``k``: ``(K, t)``, given the batch's
     :func:`quadform_tables`.
 
     Block ``(0,0)`` (UL, Eq. 9) is one batched product over the tile —

@@ -41,15 +41,15 @@ import numpy as np
 from repro.core.strategies import FACTORIZED
 from repro.core.training import open_access
 from repro.errors import ModelError
+from repro.fx.dedup import DedupPlan
 from repro.gmm.base import EMConfig
-from repro.gmm.model import (
-    GaussianMixtureModel,
-    GMMParams,
-    log_responsibilities,
-)
+from repro.gmm.engines import mu_sums, sigma_sums
+from repro.gmm.model import ComponentPrecisions, GMMParams, posteriors
 from repro.join.bnl import DEFAULT_BLOCK_PAGES
 from repro.join.spec import JoinSpec
+from repro.linalg.design import FactorizedDesign
 from repro.linalg.groupsum import codes_for_keys
+from repro.linalg.outer import factorized_count_outer, factorized_weighted_sum
 from repro.linear.models import LinearModel
 from repro.storage.catalog import Database
 
@@ -68,6 +68,30 @@ def _dimension_index(resolved, relation_name: str) -> int:
 
 def _relative_norm(delta: float, reference: float) -> float:
     return delta / (reference + _EPS)
+
+
+def _retained_rows(plan: DedupPlan, dim_keys) -> list[np.ndarray]:
+    """Where a batch's distinct tuples sit in the retained per-RID
+    index space, per dimension."""
+    return [
+        codes_for_keys(dim.unique, keys)
+        for dim, keys in zip(plan.dims, dim_keys)
+    ]
+
+
+def _appended_batch(fact, fk_columns, dim_keys, dim_features):
+    """Appended fact rows as the factorized batch they are: the design
+    over the retained dimension snapshots at the rows' distinct RIDs,
+    and :func:`_retained_rows` of those RIDs."""
+    if len(fk_columns) != len(dim_keys):
+        raise ModelError(
+            f"{len(fk_columns)} FK columns for a "
+            f"{len(dim_keys)}-dimension join"
+        )
+    plan = DedupPlan.for_batch(fk_columns)
+    rids = _retained_rows(plan, dim_keys)
+    blocks = [features[at] for features, at in zip(dim_features, rids)]
+    return FactorizedDesign.from_plan(fact, blocks, plan), rids
 
 
 @dataclass
@@ -122,63 +146,53 @@ class LinearSuffStats:
             d = layout.total
             q = resolved.num_dimensions
             dim_keys = [dim.relation.keys() for dim in resolved.dimensions]
-            dim_features = [
-                dim.relation.features().astype(np.float64)
-                for dim in resolved.dimensions
-            ]
-            gram = np.zeros((d, d))
-            cross = np.zeros(d)
-            feature_sum = np.zeros(d)
-            target_sum = 0.0
-            n = 0
-            group_count = [np.zeros(k.size) for k in dim_keys]
-            group_fact_sum = [
-                np.zeros((k.size, layout.sizes[0])) for k in dim_keys
-            ]
-            group_target_sum = [np.zeros(k.size) for k in dim_keys]
-            pair_counts = {
-                (i, j): np.zeros((dim_keys[i].size, dim_keys[j].size))
-                for i in range(q) for j in range(i + 1, q)
-            }
+            stats = cls(
+                spec=spec, alpha=alpha, layout=layout,
+                gram=np.zeros((d, d)), cross=np.zeros(d),
+                feature_sum=np.zeros(d), target_sum=0.0, n=0,
+                dim_keys=dim_keys,
+                dim_features=[
+                    dim.relation.features().astype(np.float64)
+                    for dim in resolved.dimensions
+                ],
+                group_count=[np.zeros(k.size) for k in dim_keys],
+                group_fact_sum=[
+                    np.zeros((k.size, layout.sizes[0])) for k in dim_keys
+                ],
+                group_target_sum=[np.zeros(k.size) for k in dim_keys],
+                pair_counts={
+                    (i, j): np.zeros((dim_keys[i].size, dim_keys[j].size))
+                    for i in range(q) for j in range(i + 1, q)
+                },
+                resolved=resolved,
+            )
             for batch in access.batches():
-                design = batch.design
-                dense = design.densify()
-                targets = batch.targets
-                gram += dense.T @ dense
-                cross += targets @ dense
-                feature_sum += dense.sum(axis=0)
-                target_sum += float(targets.sum())
-                n += design.n
-                plan = batch.plan
-                globals_ = [
-                    codes_for_keys(plan.dims[i].unique, dim_keys[i])
-                    for i in range(q)
-                ]
-                for i in range(q):
-                    g = globals_[i]
-                    group = design.groups[i]
-                    group_count[i][g] += group.sum_weights(
-                        np.ones(design.n)
-                    )
-                    group_fact_sum[i][g] += group.sum_rows(design.fact_block)
-                    group_target_sum[i][g] += group.sum_weights(targets)
-                for i in range(q):
-                    for j in range(i + 1, q):
-                        rows_i = globals_[i][plan.dims[i].inverse]
-                        rows_j = globals_[j][plan.dims[j].inverse]
-                        np.add.at(
-                            pair_counts[(i, j)], (rows_i, rows_j), 1.0
-                        )
-        if n == 0:
+                stats._fold(
+                    batch.design, _retained_rows(batch.plan, dim_keys),
+                    batch.targets,
+                )
+        if stats.n == 0:
             raise ModelError("the join produced no tuples")
-        return cls(
-            spec=spec, alpha=alpha, layout=layout, gram=gram,
-            cross=cross, feature_sum=feature_sum, target_sum=target_sum,
-            n=n, dim_keys=dim_keys, dim_features=dim_features,
-            group_count=group_count, group_fact_sum=group_fact_sum,
-            group_target_sum=group_target_sum, pair_counts=pair_counts,
-            resolved=resolved,
-        )
+        return stats
+
+    def _fold(self, design: FactorizedDesign, rids, targets) -> None:
+        """Add one factorized batch into every statistic — the sums
+        :func:`~repro.linear.models.fit_ridge` accumulates, plus the
+        per-RID aggregates (``rids[i]`` places the design's distinct
+        tuples of dimension ``i`` in the retained index space)."""
+        ones = np.ones(design.n)
+        self.gram += factorized_count_outer(design)
+        self.cross += factorized_weighted_sum(design, targets)
+        self.feature_sum += factorized_weighted_sum(design, ones)
+        self.target_sum += float(targets.sum())
+        self.n += design.n
+        for i, (at, group) in enumerate(zip(rids, design.groups)):
+            self.group_count[i][at] += group.sum_weights(ones)
+            self.group_fact_sum[i][at] += group.sum_rows(design.fact_block)
+            self.group_target_sum[i][at] += group.sum_weights(targets)
+        rows = [at[group.codes] for at, group in zip(rids, design.groups)]
+        for (i, j), counts in self.pair_counts.items():
+            np.add.at(counts, (rows[i], rows[j]), 1.0)
 
     # -- deltas --------------------------------------------------------------
 
@@ -289,50 +303,22 @@ class LinearSuffStats:
         fk_columns: list[np.ndarray],
         targets: np.ndarray,
     ) -> None:
-        """Fold appended fact rows in exactly (mini-batch accumulation).
-
-        The appended rows' dimension features are assembled from the
-        retained snapshots at distinct-RID cardinality, so the fold-in
-        runs the same factorized math as training.
-        """
+        """Fold appended fact rows in exactly (mini-batch accumulation):
+        they are one more factorized batch, over the retained dimension
+        snapshots at distinct-RID cardinality."""
         fact = np.atleast_2d(np.asarray(fact_features, dtype=np.float64))
         targets = np.asarray(targets, dtype=np.float64).ravel()
-        rows = fact.shape[0]
-        if targets.size != rows:
+        if targets.size != fact.shape[0]:
             raise ModelError(
-                f"{rows} appended rows but {targets.size} targets"
+                f"{fact.shape[0]} appended rows but {targets.size} targets"
             )
-        q = len(self.dim_keys)
-        if len(fk_columns) != q:
-            raise ModelError(
-                f"{len(fk_columns)} FK columns for a {q}-dimension join"
+        if fact.shape[0]:
+            self._fold(
+                *_appended_batch(
+                    fact, fk_columns, self.dim_keys, self.dim_features
+                ),
+                targets,
             )
-        globals_ = [
-            codes_for_keys(
-                np.asarray(fk).ravel().astype(np.int64), self.dim_keys[i]
-            )
-            for i, fk in enumerate(fk_columns)
-        ]
-        parts = [fact] + [
-            self.dim_features[i][globals_[i]] for i in range(q)
-        ]
-        dense = np.concatenate(parts, axis=1)
-        self.gram += dense.T @ dense
-        self.cross += targets @ dense
-        self.feature_sum += dense.sum(axis=0)
-        self.target_sum += float(targets.sum())
-        self.n += rows
-        for i in range(q):
-            np.add.at(self.group_count[i], globals_[i], 1.0)
-            np.add.at(self.group_fact_sum[i], globals_[i], fact)
-            np.add.at(self.group_target_sum[i], globals_[i], targets)
-        for i in range(q):
-            for j in range(i + 1, q):
-                np.add.at(
-                    self.pair_counts[(i, j)],
-                    (globals_[i], globals_[j]),
-                    1.0,
-                )
         self.deltas_applied += 1
 
     # -- solve ---------------------------------------------------------------
@@ -411,64 +397,67 @@ class GMMSuffStats:
             d = layout.total
             k = params.weights.size
             q = resolved.num_dimensions
-            model = GaussianMixtureModel(params, reg_covar=config.reg_covar)
             dim_keys = [dim.relation.keys() for dim in resolved.dimensions]
-            dim_features = [
-                dim.relation.features().astype(np.float64)
-                for dim in resolved.dimensions
-            ]
-            counts = np.zeros(k)
-            comp_sum = np.zeros((k, d))
-            comp_outer = np.zeros((k, d, d))
-            n = 0
-            mass = [np.zeros((keys.size, k)) for keys in dim_keys]
-            fact_mass = [
-                np.zeros((k, keys.size, layout.sizes[0])) for keys in dim_keys
-            ]
-            pair_mass = {
-                (i, j): np.zeros((k, dim_keys[i].size, dim_keys[j].size))
-                for i in range(q) for j in range(i + 1, q)
-            }
+            stats = cls(
+                spec=spec, config=config, params=params, layout=layout,
+                counts=np.zeros(k), comp_sum=np.zeros((k, d)),
+                comp_outer=np.zeros((k, d, d)), n=0, dim_keys=dim_keys,
+                dim_features=[
+                    dim.relation.features().astype(np.float64)
+                    for dim in resolved.dimensions
+                ],
+                mass=[np.zeros((keys.size, k)) for keys in dim_keys],
+                fact_mass=[
+                    np.zeros((k, keys.size, layout.sizes[0]))
+                    for keys in dim_keys
+                ],
+                pair_mass={
+                    (i, j): np.zeros((k, dim_keys[i].size, dim_keys[j].size))
+                    for i in range(q) for j in range(i + 1, q)
+                },
+                resolved=resolved,
+            )
+            precisions = ComponentPrecisions(
+                params.covariances, config.reg_covar
+            )
             for batch in access.batches():
-                design = batch.design
-                dense = design.densify()
-                log_gauss = model.log_gaussians(dense)
-                gamma, _ = log_responsibilities(log_gauss, params.weights)
-                counts += gamma.sum(axis=0)
-                comp_sum += gamma.T @ dense
-                comp_outer += np.einsum("nk,nd,ne->kde", gamma, dense, dense)
-                n += dense.shape[0]
-                plan = batch.plan
-                globals_ = [
-                    codes_for_keys(plan.dims[i].unique, dim_keys[i])
-                    for i in range(q)
-                ]
-                for i in range(q):
-                    g = globals_[i]
-                    group = design.groups[i]
-                    mass[i][g] += group.sum_rows(gamma)
-                    for comp in range(k):
-                        fact_mass[i][comp][g] += group.sum_rows(
-                            gamma[:, comp : comp + 1] * design.fact_block
-                        )
-                for i in range(q):
-                    for j in range(i + 1, q):
-                        rows_i = globals_[i][plan.dims[i].inverse]
-                        rows_j = globals_[j][plan.dims[j].inverse]
-                        for comp in range(k):
-                            np.add.at(
-                                pair_mass[(i, j)][comp],
-                                (rows_i, rows_j),
-                                gamma[:, comp],
-                            )
-        if n == 0:
+                stats._fold(
+                    batch.design, _retained_rows(batch.plan, dim_keys),
+                    precisions,
+                )
+        if stats.n == 0:
             raise ModelError("the join produced no tuples")
-        return cls(
-            spec=spec, config=config, params=params, layout=layout,
-            counts=counts, comp_sum=comp_sum, comp_outer=comp_outer, n=n,
-            dim_keys=dim_keys, dim_features=dim_features, mass=mass,
-            fact_mass=fact_mass, pair_mass=pair_mass, resolved=resolved,
-        )
+        return stats
+
+    def _fold(
+        self, design: FactorizedDesign, rids: list[np.ndarray], precisions
+    ) -> np.ndarray:
+        """One E-pass over a factorized batch at the current parameters
+        — the training kernels on the training design — added into
+        every statistic.  ``rids[i]`` places the design's distinct
+        tuples of dimension ``i`` in the retained index space.  Returns
+        the batch's responsibility masses."""
+        gamma, _ = posteriors(design, self.params, precisions)
+        k, d_s = gamma.shape[1], design.fact_block.shape[1]
+        batch_counts = gamma.sum(axis=0)
+        self.counts += batch_counts
+        self.comp_sum += mu_sums(design, gamma)
+        # zero means: the raw second moments Σ γ x xᵀ
+        self.comp_outer += sigma_sums(design, gamma, np.zeros((k, design.d)))
+        self.n += design.n
+        weighted = (
+            gamma[:, :, None] * design.fact_block[:, None, :]
+        ).reshape(design.n, k * d_s)
+        for i, (at, group) in enumerate(zip(rids, design.groups)):
+            self.mass[i][at] += group.sum_rows(gamma)
+            self.fact_mass[i][:, at] += (
+                group.sum_rows(weighted).reshape(-1, k, d_s).transpose(1, 0, 2)
+            )
+        rows = [at[group.codes] for at, group in zip(rids, design.groups)]
+        for (i, j), masses in self.pair_mass.items():
+            for comp in range(k):
+                np.add.at(masses[comp], (rows[i], rows[j]), gamma[:, comp])
+        return batch_counts
 
     # -- deltas --------------------------------------------------------------
 
@@ -545,47 +534,20 @@ class GMMSuffStats:
         fk_columns: list[np.ndarray],
     ) -> float:
         """One E-step over appended fact rows at the current parameters,
-        folded into every statistic (mini-batch EM)."""
+        folded into every statistic (mini-batch EM): the rows are a
+        factorized batch over the retained dimension snapshots."""
         fact = np.atleast_2d(np.asarray(fact_features, dtype=np.float64))
-        rows = fact.shape[0]
-        q = len(self.dim_keys)
-        globals_ = [
-            codes_for_keys(
-                np.asarray(fk).ravel().astype(np.int64), self.dim_keys[i]
-            )
-            for i, fk in enumerate(fk_columns)
-        ]
-        parts = [fact] + [
-            self.dim_features[i][globals_[i]] for i in range(q)
-        ]
-        dense = np.concatenate(parts, axis=1)
-        model = GaussianMixtureModel(
-            self.params, reg_covar=self.config.reg_covar
-        )
-        log_gauss = model.log_gaussians(dense)
-        gamma, _ = log_responsibilities(log_gauss, self.params.weights)
+        if fact.shape[0] == 0:
+            return 0.0
         counts_before = float(np.linalg.norm(self.counts))
-        delta_counts = gamma.sum(axis=0)
-        self.counts += delta_counts
-        self.comp_sum += gamma.T @ dense
-        self.comp_outer += np.einsum("nk,nd,ne->kde", gamma, dense, dense)
-        self.n += rows
-        for i in range(q):
-            np.add.at(self.mass[i], globals_[i], gamma)
-            for comp in range(gamma.shape[1]):
-                np.add.at(
-                    self.fact_mass[i][comp],
-                    globals_[i],
-                    gamma[:, comp : comp + 1] * fact,
-                )
-        for i in range(q):
-            for j in range(i + 1, q):
-                for comp in range(gamma.shape[1]):
-                    np.add.at(
-                        self.pair_mass[(i, j)][comp],
-                        (globals_[i], globals_[j]),
-                        gamma[:, comp],
-                    )
+        delta_counts = self._fold(
+            *_appended_batch(
+                fact, fk_columns, self.dim_keys, self.dim_features
+            ),
+            ComponentPrecisions(
+                self.params.covariances, self.config.reg_covar
+            ),
+        )
         moved = _relative_norm(
             float(np.linalg.norm(delta_counts)), counts_before
         )

@@ -11,10 +11,11 @@ Two partial kinds exist, one per model family:
 
 * :class:`NNPartialBuilder` — the first-layer slice
   ``X_{R_i} W_{R_i}ᵀ`` of Section VI-A1 (the reused term ``T2``);
-* :class:`GMMPartialBuilder` — the per-component quadratic-form
-  contributions of Eq. 9–12/19: the LR scalar, the UR+LL cross vector
-  against the fact block, the centered block itself, and (multi-way
-  joins) the ``PD_{R_i} I_{ij}`` couplings to later dimensions.
+* :class:`GMMPartialBuilder` — the dimension's row of the E-step's
+  quadratic-form table (Eq. 9–12/19): per component the UR+LL
+  coefficients against everything left of the dimension and the LR
+  scalar, plus (multi-way joins, all but the last dimension) the raw
+  features later dimensions pair with.
 
 Partials are flat float64 rows keyed by RID so they can live in a
 :class:`~repro.serve.cache.PartialCache`; :class:`DimensionLookup`
@@ -32,6 +33,7 @@ from repro.errors import ModelError
 from repro.linalg.blocks import BlockLayout
 from repro.fx.dedup import distinct_values
 from repro.linalg.groupsum import codes_for_keys
+from repro.linalg.quadform import quadform_table
 from repro.storage.buffer import BufferPool
 from repro.storage.relation import Relation
 
@@ -146,25 +148,15 @@ class NNPartialBuilder:
 
 
 class GMMPartialBuilder:
-    """Per-component quadratic-form partial rows for one dimension.
+    """Quadratic-form partial rows for one dimension (Eq. 9–12 / 19).
 
-    For dimension block ``i`` (1-based; block 0 is the fact relation)
-    and each mixture component ``k``, a distinct tuple's partial packs,
-    in order:
-
-    * ``lr`` (1 float) — the LR term ``PD_{R_i}ᵀ I_{ii} PD_{R_i}``
-      (Eq. 12), fully reusable;
-    * ``cross_fact`` (``d_S`` floats) — ``PD_{R_i} (I_{i0} + I_{0i}ᵀ)``,
-      the reusable half of UR+LL (Eq. 10–11), finished per fact row by
-      a dot with the centered fact block;
-    * ``centered`` (``d_Ri`` floats) — ``PD_{R_i}`` itself, needed as
-      the right-hand side of couplings from earlier dimensions;
-    * per later dimension ``j > i``: ``cross_dim[j]`` (``d_Rj`` floats)
-      — ``PD_{R_i} (I_{ij} + I_{ji}ᵀ)``, the reusable factor of the
-      dimension-dimension blocks of Eq. 19.
-
-    Component slabs are concatenated, giving one flat
-    ``(m, K·per_component)`` array that a cache can hold row-per-RID.
+    A distinct tuple's partial *is* its row of the training kernel's
+    table (:func:`~repro.linalg.quadform.quadform_table`), flattened:
+    for each of the ``K`` components the UR + LL coefficients against
+    the ``L_i`` joined columns left of dimension ``i`` (1-based; block
+    0 is the fact relation) and the LR scalar — ``K·(L_i + 1)`` floats
+    — followed by the raw ``x_{R_i}`` when a later dimension's
+    coefficients pair with it (every dimension but the last).
     """
 
     def __init__(
@@ -180,55 +172,23 @@ class GMMPartialBuilder:
             )
         self.dim_index = dim_index
         self.layout = layout
-        means = np.asarray(means, dtype=np.float64)
-        precisions = np.asarray(precisions, dtype=np.float64)
-        self.n_components = means.shape[0]
-        self._mean_block = [
-            layout.split_vector(means[k])[dim_index]
-            for k in range(self.n_components)
-        ]
+        self.means = np.asarray(means, dtype=np.float64)
+        self.precisions = np.asarray(precisions, dtype=np.float64)
+        self._table_width = self.means.shape[0] * (
+            layout.offsets[dim_index] + 1
+        )
+        self._keeps_features = dim_index < layout.nblocks - 1
         self._fingerprint = partial_fingerprint(
             "gmm-quadform", dim_index, tuple(layout.sizes),
-            means, precisions,
+            self.means, self.precisions,
         )
-        self._lr_block = []
-        self._cross_fact_block = []
-        self._cross_dim_block = []
-        for k in range(self.n_components):
-            blocks = layout.split_matrix(precisions[k])
-            i = dim_index
-            self._lr_block.append(blocks[i][i])
-            self._cross_fact_block.append(blocks[i][0] + blocks[0][i].T)
-            self._cross_dim_block.append(
-                {
-                    j: blocks[i][j] + blocks[j][i].T
-                    for j in range(i + 1, layout.nblocks)
-                }
-            )
-
-    # -- flat-row geometry ---------------------------------------------------
-
-    @property
-    def d_s(self) -> int:
-        return self.layout.sizes[0]
-
-    @property
-    def d_i(self) -> int:
-        return self.layout.sizes[self.dim_index]
-
-    @property
-    def per_component(self) -> int:
-        """Floats per component slab: ``1 + d_S + d_Ri + Σ_{j>i} d_Rj``."""
-        later = sum(
-            self.layout.sizes[j]
-            for j in range(self.dim_index + 1, self.layout.nblocks)
-        )
-        return 1 + self.d_s + self.d_i + later
 
     @property
     def width(self) -> int:
-        """Floats per partial row: ``K · per_component``."""
-        return self.n_components * self.per_component
+        """Floats per partial row: ``K·(L_i + 1) + d_Ri·[i < q]``."""
+        return self._table_width + (
+            self.layout.sizes[self.dim_index] * self._keeps_features
+        )
 
     @property
     def fingerprint(self) -> str:
@@ -236,61 +196,32 @@ class GMMPartialBuilder:
         :func:`partial_fingerprint`)."""
         return self._fingerprint
 
-    @property
-    def lr_offset(self) -> int:
-        return 0
-
-    @property
-    def cross_fact_slice(self) -> slice:
-        return slice(1, 1 + self.d_s)
-
-    @property
-    def centered_slice(self) -> slice:
-        start = 1 + self.d_s
-        return slice(start, start + self.d_i)
-
-    def cross_dim_slice(self, j: int) -> slice:
-        """Slab columns coupling this dimension to later dimension ``j``."""
-        if not self.dim_index < j < self.layout.nblocks:
-            raise ModelError(
-                f"no coupling slab for dimension {j} from {self.dim_index}"
-            )
-        start = 1 + self.d_s + self.d_i
-        for later in range(self.dim_index + 1, j):
-            start += self.layout.sizes[later]
-        return slice(start, start + self.layout.sizes[j])
-
-    # -- computation -----------------------------------------------------------
-
     def compute(self, features: np.ndarray) -> np.ndarray:
         """Partial rows for distinct dimension feature rows ``(m, d_Ri)``."""
         features = np.asarray(features, dtype=np.float64)
-        if features.shape[1] != self.d_i:
+        d_i = self.layout.sizes[self.dim_index]
+        if features.shape[1] != d_i:
             raise ModelError(
                 f"dimension features have width {features.shape[1]}, "
-                f"block {self.dim_index} expects {self.d_i}"
+                f"block {self.dim_index} expects {d_i}"
             )
-        m = features.shape[0]
-        out = np.empty((m, self.width))
-        for k in range(self.n_components):
-            centered = features - self._mean_block[k]
-            slab = out[:, k * self.per_component:(k + 1) * self.per_component]
-            slab[:, self.lr_offset] = np.einsum(
-                "mi,ij,mj->m", centered, self._lr_block[k], centered,
-                optimize=True,
-            )
-            slab[:, self.cross_fact_slice] = (
-                centered @ self._cross_fact_block[k]
-            )
-            slab[:, self.centered_slice] = centered
-            for j, coupling in self._cross_dim_block[k].items():
-                slab[:, self.cross_dim_slice(j)] = centered @ coupling
-        return out
+        table = quadform_table(
+            features, self.dim_index, self.layout, self.means,
+            self.precisions,
+        ).reshape(features.shape[0], self._table_width)
+        if self._keeps_features:
+            return np.concatenate([table, features], axis=1)
+        return table
 
-    def component_slab(self, rows: np.ndarray, k: int) -> np.ndarray:
-        """Component ``k``'s slab of gathered partial rows ``(n, width)``."""
-        if not 0 <= k < self.n_components:
-            raise ModelError(
-                f"component {k} out of range [0, {self.n_components})"
-            )
-        return rows[:, k * self.per_component:(k + 1) * self.per_component]
+    def split(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Partial rows ``(m, width)`` as the kernel reads them: the
+        ``(m, K, L_i + 1)`` table and the ``(m, d_Ri)`` feature block
+        (zero columns wide for the last dimension), each contiguous —
+        the kernel gathers from them with ``take`` once per tile, which
+        copies the whole of a strided array first."""
+        cut = self._table_width
+        table = np.ascontiguousarray(rows[:, :cut])
+        return (
+            table.reshape(rows.shape[0], self.means.shape[0], -1),
+            np.ascontiguousarray(rows[:, cut:]),
+        )

@@ -46,14 +46,19 @@ from repro.core.strategies import (
 )
 from repro.errors import ModelError
 from repro.fx.dedup import DedupPlan
-from repro.fx.gather import densify_request, gather_partials
+from repro.fx.gather import (
+    densify_request,
+    distinct_partials,
+    gather_partials,
+)
 from repro.gmm.model import (
     GaussianMixtureModel,
-    log_gaussian_from_quadform,
-    log_responsibilities,
+    component_log_densities,
+    posteriors,
 )
 from repro.join.bnl import DEFAULT_BLOCK_PAGES
 from repro.join.spec import JoinSpec
+from repro.linalg.design import FactorizedDesign
 from repro.nn.network import MLP
 from repro.serve.partials import (
     DimensionLookup,
@@ -97,7 +102,36 @@ class _ServingPredictor:
                 f"fact features have width {features.shape[1]}, the fact "
                 f"relation {self.resolved.fact.name!r} has {self.d_s}"
             )
+        finite = np.isfinite(features)
+        if not finite.all():
+            row, column = np.argwhere(~finite)[0]
+            raise ModelError(
+                f"fact features must be finite; row {row} holds "
+                f"{features[row, column]} in column {column}"
+            )
         return features
+
+    def _rids(self, values, i: int) -> np.ndarray:
+        """One dimension's foreign keys as int64 — integer dtypes and
+        exactly-integral floats only: a truncated key would serve some
+        other tuple's answer without a word."""
+        values = np.asarray(values).ravel()
+        if values.dtype.kind == "i":        # fits int64 as it is
+            return values.astype(np.int64, copy=False)
+        if values.dtype.kind in "uf" or not values.size:
+            with np.errstate(invalid="ignore"):     # NaN/inf: caught below
+                rids = values.astype(np.int64, copy=False)
+            exact = rids == values
+            if exact.all():
+                return rids
+            offending = values[~exact][0]
+        else:
+            offending = values[0]
+        raise ModelError(
+            f"foreign keys for dimension {i} "
+            f"({self.resolved.dimensions[i].relation.name!r}) must be "
+            f"integers, got {offending} ({values.dtype})"
+        )
 
     def _fk_arrays(self, fk_values, n: int) -> list[np.ndarray]:
         """Normalize request foreign keys to one int64 array per dimension.
@@ -141,7 +175,7 @@ class _ServingPredictor:
                 )
         out = []
         for i, array in enumerate(arrays):
-            array = np.asarray(array).ravel().astype(np.int64)
+            array = self._rids(array, i)
             if array.shape != (n,):
                 raise ModelError(
                     f"foreign keys for dimension {i} have shape "
@@ -195,13 +229,6 @@ class _ServingPredictor:
     def close(self) -> None:
         """Give partial caches back to their store (a no-op here: only
         the factorized predictors hold any)."""
-
-    # -- dense expansion (the materialized strategy) -----------------------
-
-    def _densify_request(
-        self, features: np.ndarray, plan: DedupPlan
-    ) -> np.ndarray:
-        return densify_request(features, self.lookups, plan)
 
 
 def _normalize_cache_entries(
@@ -272,9 +299,6 @@ class _FactorizedCacheMixin:
             self.caches = []
             raise
 
-    def _gathered_partials(self, plan: DedupPlan) -> list[np.ndarray]:
-        return gather_partials(self.lookups, self.caches, self.builders, plan)
-
     def close(self) -> None:
         """Release the caches back to the store, and close the store
         if this predictor owns it (idempotent)."""
@@ -310,7 +334,9 @@ class MaterializedNNPredictor(_ServingPredictor):
     def predict(self, fact_features, fk_values, *, plan=None) -> np.ndarray:
         """Network outputs ``(n, n_out)`` for a normalized request."""
         features, plan = self._request(fact_features, fk_values, plan)
-        return self.model.predict(self._densify_request(features, plan))
+        return self.model.predict(
+            densify_request(features, self.lookups, plan)
+        )
 
 
 class FactorizedNNPredictor(_FactorizedCacheMixin, _ServingPredictor):
@@ -357,7 +383,9 @@ class FactorizedNNPredictor(_FactorizedCacheMixin, _ServingPredictor):
         """The factorized ``a⁽¹⁾`` for a normalized request."""
         features, plan = self._request(fact_features, fk_values, plan)
         pre = features @ self._fact_weights.T
-        for partial in self._gathered_partials(plan):
+        for partial in gather_partials(
+            self.lookups, self.caches, self.builders, plan
+        ):
             pre += partial
         return pre + self.model.first_layer.bias
 
@@ -373,21 +401,39 @@ class FactorizedNNPredictor(_FactorizedCacheMixin, _ServingPredictor):
 
 
 class _GMMPredictorMixin:
-    """Everything downstream of the component log-densities is shared;
-    strategies differ only in how ``log N(x|µ_k,Σ_k)`` is produced."""
+    """Every output is a reading of one E-step call — the training
+    kernel (:func:`~repro.gmm.model.posteriors`) on the request as a
+    design; strategies differ only in the design they hand it."""
+
+    def _bind(self, model: GaussianMixtureModel) -> None:
+        if model.params.n_features != self.resolved.total_features:
+            raise ModelError(
+                f"model has {model.params.n_features} features, the join "
+                f"produces {self.resolved.total_features}"
+            )
+        self.model = model
+        self.params = model.params
+
+    def _design(self, fact_features, fk_values, plan):
+        """The request as ``(FactorizedDesign, quadform tables | None)``."""
+        raise NotImplementedError
+
+    def _posteriors(self, fact_features, fk_values, plan):
+        design, tables = self._design(fact_features, fk_values, plan)
+        return posteriors(design, self.params, self.model.precisions, tables)
 
     def log_gaussians(self, fact_features, fk_values, *, plan=None):
-        raise NotImplementedError
+        """``(n, K)`` component log-densities ``log N(x|µ_k,Σ_k)``."""
+        design, tables = self._design(fact_features, fk_values, plan)
+        return component_log_densities(
+            design, self.params, self.model.precisions, tables
+        )
 
     def responsibilities(
         self, fact_features, fk_values, *, plan=None
     ) -> np.ndarray:
         """Posterior cluster memberships ``γ`` (Eq. 2)."""
-        gamma, _ = log_responsibilities(
-            self.log_gaussians(fact_features, fk_values, plan=plan),
-            self.params.weights,
-        )
-        return gamma
+        return self._posteriors(fact_features, fk_values, plan)[0]
 
     def predict(self, fact_features, fk_values, *, plan=None) -> np.ndarray:
         """Hard cluster assignments for a normalized request."""
@@ -399,11 +445,7 @@ class _GMMPredictorMixin:
         self, fact_features, fk_values, *, plan=None
     ) -> np.ndarray:
         """Per-tuple log-likelihood ``log p(x)``."""
-        _, log_likelihoods = log_responsibilities(
-            self.log_gaussians(fact_features, fk_values, plan=plan),
-            self.params.weights,
-        )
-        return log_likelihoods
+        return self._posteriors(fact_features, fk_values, plan)[1]
 
     def score_all(self) -> np.ndarray:
         """Log-likelihoods for every stored fact tuple."""
@@ -429,19 +471,12 @@ class MaterializedGMMPredictor(_ServingPredictor, _GMMPredictorMixin):
         block_pages: int = DEFAULT_BLOCK_PAGES,
     ) -> None:
         super().__init__(db, spec, block_pages=block_pages)
-        if model.params.n_features != self.resolved.total_features:
-            raise ModelError(
-                f"model has {model.params.n_features} features, the join "
-                f"produces {self.resolved.total_features}"
-            )
-        self.model = model
-        self.params = model.params
+        self._bind(model)
 
-    def log_gaussians(self, fact_features, fk_values, *, plan=None):
+    def _design(self, fact_features, fk_values, plan):
         features, plan = self._request(fact_features, fk_values, plan)
-        return self.model.log_gaussians(
-            self._densify_request(features, plan)
-        )
+        wide = densify_request(features, self.lookups, plan)
+        return FactorizedDesign(wide, [], []), None
 
 
 class FactorizedGMMPredictor(
@@ -449,11 +484,11 @@ class FactorizedGMMPredictor(
 ):
     """Score the mixture from per-RID quadratic-form partials (Eq. 19).
 
-    Per component, the quadratic form splits into the UL fact-block
-    term (per request row), the gathered LR scalar and UR+LL cross
-    vector (per distinct RID), and — multi-way joins — gathered
-    dimension-dimension couplings.  Log-dets and mixing weights never
-    touch the data, exactly as in training.
+    A request is a training batch with a cache in front of its
+    dimension tables: the fact block arrives with the request, each
+    dimension's table rows (and, for all but the last, feature rows)
+    come from the partial cache at the plan's distinct RIDs, and the
+    kernel gathers them per row tile exactly as in training.
     """
 
     strategy = "factorized"
@@ -470,72 +505,32 @@ class FactorizedGMMPredictor(
         block_pages: int = DEFAULT_BLOCK_PAGES,
     ) -> None:
         super().__init__(db, spec, block_pages=block_pages)
-        if model.params.n_features != self.resolved.total_features:
-            raise ModelError(
-                f"model has {model.params.n_features} features, the join "
-                f"produces {self.resolved.total_features}"
-            )
-        self.model = model
-        self.params = model.params
+        self._bind(model)
         layout = self.resolved.layout
-        precisions = model.precisions
-        self._log_dets = precisions.log_dets
-        self._mean_fact = [
-            layout.split_vector(self.params.means[k])[0]
-            for k in range(self.params.n_components)
-        ]
-        self._prec_fact = [
-            layout.split_matrix(precisions.precisions[k])[0][0]
-            for k in range(self.params.n_components)
-        ]
         self.builders = [
             GMMPartialBuilder(
-                i, layout, self.params.means, precisions.precisions
+                i, layout, self.params.means, model.precisions.precisions
             )
             for i in range(1, layout.nblocks)
         ]
         self._setup_caches(cache_entries, cache_floats, store)
 
-    def log_gaussians(self, fact_features, fk_values, *, plan=None):
+    def _design(self, fact_features, fk_values, plan):
         features, plan = self._request(fact_features, fk_values, plan)
-        gathered = self._gathered_partials(plan)
-        n = features.shape[0]
-        d = self.resolved.total_features
-        out = np.empty((n, self.params.n_components))
-        for k in range(self.params.n_components):
-            fact_centered = features - self._mean_fact[k]
-            quad = np.einsum(
-                "ni,ij,nj->n",
-                fact_centered,
-                self._prec_fact[k],
-                fact_centered,
-                optimize=True,
+        if plan.rows == 0:
+            # No row to score and no distinct RID to index: any design
+            # of zero rows yields the empty outputs.
+            return FactorizedDesign(features, [], []), None
+        tables, blocks = zip(*(
+            builder.split(rows)
+            for builder, rows in zip(
+                self.builders,
+                distinct_partials(
+                    self.lookups, self.caches, self.builders, plan
+                ),
             )
-            for i, (builder, rows) in enumerate(
-                zip(self.builders, gathered), start=1
-            ):
-                slab = builder.component_slab(rows, k)
-                quad += slab[:, builder.lr_offset]
-                quad += np.einsum(
-                    "ns,ns->n",
-                    fact_centered,
-                    slab[:, builder.cross_fact_slice],
-                    optimize=True,
-                )
-                for j in range(i + 1, self.num_dimensions + 1):
-                    other = self.builders[j - 1].component_slab(
-                        gathered[j - 1], k
-                    )
-                    quad += np.einsum(
-                        "nd,nd->n",
-                        slab[:, builder.cross_dim_slice(j)],
-                        other[:, self.builders[j - 1].centered_slice],
-                        optimize=True,
-                    )
-            out[:, k] = log_gaussian_from_quadform(
-                quad, self._log_dets[k], d
-            )
-        return out
+        ))
+        return FactorizedDesign.from_plan(features, blocks, plan), tables
 
 
 # -- construction helpers ------------------------------------------------------

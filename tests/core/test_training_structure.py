@@ -196,7 +196,8 @@ class TestTheNNStepIsTiled:
 
 class TestTheEMStepIsTiled:
     """An EM step's per-row temporaries stay ``(K, width, tile)``: both
-    engines walk a batch through the one tile loop, every tile's work
+    engines walk a batch through the one tile loop (``gmm/model.py``'s
+    ``tiles``, beside the E-step every caller shares), every tile's work
     for all ``K`` components is stacked (no per-component Python loop
     over the batch), and no contraction re-searches its path per call."""
 
@@ -218,33 +219,53 @@ class TestTheEMStepIsTiled:
         assert loops == []
 
     def test_both_engines_step_through_the_one_tile_loop(self):
-        tree = self._tree("gmm/engines.py")
+        trees = {
+            module: self._tree(module)
+            for module in ("gmm/model.py", "gmm/engines.py")
+        }
+        functions = {
+            (module, node.name): node
+            for module, tree in trees.items()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef)
+        }
+        # one loop that cuts a batch into row ranges, beside the E-step
+        strided = [
+            where
+            for where, function in functions.items()
+            for node in ast.walk(function)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", "") == "range"
+            and len(node.args) == 3
+        ]
+        assert strided == [("gmm/model.py", "tiles")]
+        tiled = {
+            where for where, function in functions.items()
+            if any(
+                isinstance(node, ast.For) and "tiles" in _identifiers(node.iter)
+                for node in ast.walk(function)
+            )
+        }
+        assert tiled == {
+            ("gmm/model.py", "_log_density_tiles"),
+            ("gmm/engines.py", "mu_sums"),
+            ("gmm/engines.py", "sigma_sums"),
+        }
+        # ... which the E-step reads, and nothing but it
+        readers = {
+            name for (_, name), function in functions.items()
+            if "_log_density_tiles" in _identifiers(function) - {name}
+        }
+        assert readers == {"posteriors", "component_log_densities"}
         classes = {
             node.name: {
                 item.name: item for item in node.body
                 if isinstance(item, ast.FunctionDef)
             }
-            for node in tree.body if isinstance(node, ast.ClassDef)
+            for node in trees["gmm/engines.py"].body
+            if isinstance(node, ast.ClassDef)
         }
-        # one loop that cuts a batch into row ranges, in the base class
-        strided = [
-            (owner, name)
-            for owner, methods in classes.items()
-            for name, method in methods.items()
-            for node in ast.walk(method)
-            if isinstance(node, ast.Call)
-            and getattr(node.func, "id", "") == "range"
-            and len(node.args) == 3
-        ]
-        assert strided == [("_EngineBase", "_tiles")]
-        shared = {
-            name for name, method in classes["_EngineBase"].items()
-            if any(
-                isinstance(node, ast.For) and "_tiles" in _identifiers(node.iter)
-                for node in ast.walk(method)
-            )
-        }
-        assert len(shared) == len(self.STEPS)
+        shared = {"posteriors", "mu_sums", "sigma_sums"}
         for engine in ("DenseEMEngine", "FactorizedEMEngine"):
             reached = set()
             for step in self.STEPS:     # in the engine's own __dict__
@@ -255,7 +276,8 @@ class TestTheEMStepIsTiled:
         searched = [
             module
             for module, tree in _modules()
-            if module.startswith("linalg/") or module == "gmm/engines.py"
+            if module.startswith("linalg/")
+            or module in ("gmm/engines.py", "gmm/model.py")
             for node in ast.walk(tree)
             if isinstance(node, ast.keyword) and node.arg == "optimize"
         ]
@@ -270,7 +292,7 @@ class TestTheEMStepIsTiled:
             and any(getattr(t, "id", "") == "TILE_BYTES" for t in node.targets)
         ]
         assert assigned == ["linalg/blocks.py"]
-        for module in ("nn/network.py", "gmm/engines.py"):
+        for module in ("nn/network.py", "gmm/model.py"):
             imported = [
                 node.module
                 for node in ast.walk(self._tree(module))

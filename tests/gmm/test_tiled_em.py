@@ -1,7 +1,7 @@
 """An EM step is the sum of its row tiles, all components at once.
 
-Both engines walk a batch through ``_EngineBase._tiles`` and hand each
-tile to the stacked kernels of ``repro.linalg``.  The references here
+Both engines walk a batch through ``repro.gmm.model.tiles`` and hand
+each tile to the stacked kernels of ``repro.linalg``.  The references here
 are the per-component, whole-batch passes the engines made before —
 ``for j in range(K)`` around one quadratic form, one weighted sum and
 one weighted outer product — kept test-local.  Tiling and stacking only
@@ -67,7 +67,7 @@ CODES = {
 @pytest.fixture
 def small_tiles(monkeypatch):
     """Tiles of a few dozen rows, so short batches span many."""
-    monkeypatch.setattr("repro.gmm.engines.TILE_BYTES", SMALL_TILE_BYTES)
+    monkeypatch.setattr("repro.gmm.model.TILE_BYTES", SMALL_TILE_BYTES)
 
 
 def star_batch(n, dims, seed, codes=CODES["random RIDs"], order="F"):

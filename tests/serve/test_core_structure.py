@@ -8,8 +8,9 @@ predictors and planners are constructed in the core alone, the runtime
 facade never branches on the executor kind outside construction, both
 ``swap_model`` methods are delegations, and the process worker's
 message handlers hold framing, not lifecycle logic.  The same goes for
-the partial-cache stack underneath (``TestOneCacheStack``) and the
-cost model both choosers call (``TestOneCostModel``).
+the partial-cache stack underneath (``TestOneCacheStack``), the
+cost model both choosers call (``TestOneCostModel``) and the mixture
+E-step serving, maintenance and training share (``TestOneEStep``).
 """
 
 import ast
@@ -335,20 +336,149 @@ class TestOneCostModel:
         assert CostModel.__subclasses__() == []
 
 
+class TestOneEStep:
+    """Eq. 2 over Eq. 19 is written once: training, serving and
+    maintenance score a mixture through ``gmm.model.posteriors`` and
+    the stacked ``linalg`` kernels — no per-component head, no slab
+    geometry, no densified maintenance pass."""
+
+    HEADS = ("serve/predictor.py", "serve/partials.py", "gmm/model.py")
+    #: ``K`` Cholesky factorizations of ``(d, d)`` parameter matrices —
+    #: once per EM iteration, no data row in sight.
+    PARAMETER_ONLY = {("gmm/model.py", "ComponentPrecisions.__init__")}
+    SLAB_NAMES = (
+        "lr_offset", "cross_fact_slice", "centered_slice", "cross_dim_slice",
+        "component_slab", "per_component", "_lr_block", "_cross_fact_block",
+        "_cross_dim_block", "_mean_block", "_mean_fact", "_prec_fact",
+        "_log_dets",
+    )
+
+    @staticmethod
+    def _functions(tree: ast.Module):
+        """``(qualified name, node)`` of every function, methods as
+        ``Class.method``."""
+        for top in tree.body:
+            if isinstance(top, ast.FunctionDef):
+                yield top.name, top
+            elif isinstance(top, ast.ClassDef):
+                for item in top.body:
+                    if isinstance(item, ast.FunctionDef):
+                        yield f"{top.name}.{item.name}", item
+
+    @pytest.mark.parametrize("module", HEADS)
+    def test_no_einsum_and_no_loop_over_the_components(self, module):
+        tree = _tree(SRC_ROOT / module)
+        assert "einsum" not in _names(tree)
+        loops = [
+            (module, name)
+            for name, function in self._functions(tree)
+            for node in ast.walk(function)
+            if isinstance(node, (ast.For, ast.comprehension))
+            and isinstance(node.iter, ast.Call)
+            and getattr(node.iter.func, "id", "") == "range"
+            and {"k", "n_components"} & _names(node.iter)
+        ]
+        assert set(loops) <= self.PARAMETER_ONLY
+
+    def test_no_einsum_anywhere_under_serve_or_gmm(self):
+        for package in ("serve", "gmm"):
+            for path in (SRC_ROOT / package).rglob("*.py"):
+                assert "einsum" not in path.read_text(encoding="utf-8"), path
+
+    def test_the_stacked_kernel_has_one_caller_outside_linalg(self):
+        callers = [
+            (str(path.relative_to(SRC_ROOT)), name)
+            for path in SRC_ROOT.rglob("*.py")
+            if path.parent.name != "linalg"
+            for name, function in self._functions(_tree(path))
+            for node in ast.walk(function)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", "") == "stacked_quadratic_form"
+        ]
+        assert callers == [("gmm/model.py", "_log_density_tiles")]
+
+    def test_partial_rows_are_the_training_tables_rows(self):
+        compute = _method(
+            SRC_ROOT / "serve" / "partials.py", "GMMPartialBuilder", "compute"
+        )
+        assert "quadform_table" in _names(compute)
+        tables = _tree(SRC_ROOT / "linalg" / "quadform.py")
+        (batch,) = [
+            node for node in tables.body
+            if getattr(node, "name", "") == "quadform_tables"
+        ]
+        assert "quadform_table" in _names(batch)
+
+    def test_the_slab_geometry_is_gone(self):
+        from repro.serve.partials import GMMPartialBuilder
+
+        public = {
+            name for name in vars(GMMPartialBuilder)
+            if not name.startswith("_")
+        }
+        assert public == {"width", "fingerprint", "compute", "split"}
+        for path in SRC_ROOT.rglob("*.py"):
+            used = _names(_tree(path))
+            for name in self.SLAB_NAMES:
+                assert name not in used, f"{name} in {path}"
+
+    def test_every_gmm_predictor_output_reads_the_one_call(self):
+        predictor = SRC_ROOT / "serve" / "predictor.py"
+        calls = [
+            name
+            for name, function in self._functions(_tree(predictor))
+            for node in ast.walk(function)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", "") in (
+                "posteriors", "component_log_densities"
+            )
+        ]
+        assert sorted(calls) == [
+            "_GMMPredictorMixin._posteriors",
+            "_GMMPredictorMixin.log_gaussians",
+        ]
+        assert _callers("distinct_partials") == {
+            "serve/predictor.py", "fx/gather.py",
+        }
+
+    def test_maintenance_never_densifies(self):
+        text = (SRC_ROOT / "maintain" / "stats.py").read_text(encoding="utf-8")
+        assert "densify(" not in text
+        assert "GaussianMixtureModel" not in text
+        fold = _method(
+            SRC_ROOT / "maintain" / "stats.py", "GMMSuffStats", "_fold"
+        )
+        assert {"posteriors", "mu_sums", "sigma_sums"} <= _names(fold)
+
+
 class TestBenchmarkHooksLand:
     """``benchmarks/e2e/trace.py`` wraps methods it looks up with
     ``vars(cls)[name]`` — they must be defined on the class itself."""
 
     def test_traced_methods_are_defined_on_their_classes(self):
+        from repro.fx.dedup import DimensionDedup
         from repro.fx.sharding import ShardedPartialCache
         from repro.fx.store import PartialStore
+        from repro.gmm.engines import DenseEMEngine, FactorizedEMEngine
         from repro.runtime.planner import BatchPlanner
         from repro.runtime.queue import RequestQueue
         from repro.runtime.service import ServingRuntime
         from repro.serve.cache import PartialCache
+        from repro.serve.partials import GMMPartialBuilder, NNPartialBuilder
         from repro.serve.service import ModelService
 
+        em_steps = [
+            (engine, step)
+            for engine in (DenseEMEngine, FactorizedEMEngine)
+            for step in (
+                "estep_batch", "mu_accumulate_batch", "sigma_accumulate_batch"
+            )
+        ]
         for cls, method in (
+            *em_steps,
+            (GMMPartialBuilder, "compute"),
+            (NNPartialBuilder, "compute"),
+            (DimensionDedup, "gather"),
             (ModelService, "predict"),
             (ModelService, "swap_model"),
             (ServingRuntime, "submit"),
@@ -359,6 +489,34 @@ class TestBenchmarkHooksLand:
             (PartialCache, "get_many"),
         ):
             assert method in vars(cls), f"{cls.__name__}.{method}"
+
+    def test_each_family_defines_predict_in_the_predictor_module(self):
+        """``serve.predictor.head`` wraps every ``predict`` a class of
+        ``repro.serve.predictor`` defines itself — one per family must
+        be on each concrete predictor's MRO."""
+        from repro.serve import predictor
+
+        for name in (
+            "FactorizedGMMPredictor", "MaterializedGMMPredictor",
+            "FactorizedNNPredictor", "MaterializedNNPredictor",
+        ):
+            owners = [
+                cls for cls in getattr(predictor, name).__mro__
+                if "predict" in vars(cls)
+                and cls.__module__ == predictor.__name__
+            ]
+            assert owners, name
+
+    def test_the_quadform_kernels_stay_public_module_functions(self):
+        """The tracer's ``linalg`` row is every public function of
+        ``linalg.quadform``, rebound wherever it was imported by name."""
+        from repro.gmm import model
+        from repro.linalg import quadform
+        from repro.serve import partials
+
+        assert model.stacked_quadratic_form is quadform.stacked_quadratic_form
+        assert model.quadform_tables is quadform.quadform_tables
+        assert partials.quadform_table is quadform.quadform_table
 
 
 class TestNoPerKeyPythonOnTheLookupPath:
