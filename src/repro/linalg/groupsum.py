@@ -214,6 +214,36 @@ class GroupIndex:
         return per_group.take(self.codes, axis=0)
 
 
+class KeyIndex:
+    """A dimension's (unique) primary keys, sorted once: a caller that
+    probes one key column repeatedly (the serving side's
+    :class:`~repro.serve.partials.DimensionLookup`) pays a binary
+    search per probe, not a sort.  Raises :class:`ModelError` if
+    ``dim_keys`` contains duplicates."""
+
+    def __init__(self, dim_keys: np.ndarray) -> None:
+        dim_keys = np.asarray(dim_keys)
+        self.order = np.argsort(dim_keys, kind="stable")
+        self.sorted_keys = dim_keys[self.order]
+        if np.any(self.sorted_keys[1:] == self.sorted_keys[:-1]):
+            raise ModelError("dimension keys contain duplicates")
+
+    def codes(self, fact_keys: np.ndarray) -> np.ndarray:
+        """Positions of ``fact_keys`` in the key column (a dangling key
+        raises :class:`ModelError` naming the first few)."""
+        fact_keys = np.asarray(fact_keys)
+        positions = np.searchsorted(self.sorted_keys, fact_keys)
+        positions = np.clip(positions, 0, self.sorted_keys.size - 1)
+        if fact_keys.size and not np.array_equal(
+            self.sorted_keys[positions], fact_keys
+        ):
+            missing = np.setdiff1d(fact_keys, self.sorted_keys)[:5]
+            raise ModelError(
+                f"dangling foreign keys (first few): {missing.tolist()}"
+            )
+        return self.order[positions].astype(np.int64)
+
+
 def codes_for_keys(fact_keys: np.ndarray, dim_keys: np.ndarray) -> np.ndarray:
     """Translate raw foreign-key values into positions within ``dim_keys``.
 
@@ -227,19 +257,4 @@ def codes_for_keys(fact_keys: np.ndarray, dim_keys: np.ndarray) -> np.ndarray:
         If a fact key does not appear in ``dim_keys`` (dangling FK) or
         ``dim_keys`` contains duplicates.
     """
-    fact_keys = np.asarray(fact_keys)
-    dim_keys = np.asarray(dim_keys)
-    order = np.argsort(dim_keys, kind="stable")
-    sorted_keys = dim_keys[order]
-    if sorted_keys.size > 1 and np.any(sorted_keys[1:] == sorted_keys[:-1]):
-        raise ModelError("dimension keys contain duplicates")
-    positions = np.searchsorted(sorted_keys, fact_keys)
-    positions = np.clip(positions, 0, sorted_keys.size - 1)
-    if fact_keys.size and not np.array_equal(
-        sorted_keys[positions], fact_keys
-    ):
-        missing = np.setdiff1d(fact_keys, dim_keys)[:5]
-        raise ModelError(
-            f"dangling foreign keys (first few): {missing.tolist()}"
-        )
-    return order[positions].astype(np.int64)
+    return KeyIndex(dim_keys).codes(fact_keys)

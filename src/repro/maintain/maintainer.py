@@ -179,12 +179,18 @@ class ModelMaintainer:
             help="Age of the oldest row-version event not yet applied",
             labelnames=("model",),
         ).labels(model=name)
+        self._m_stats_bytes = registry.gauge(
+            "repro_maintain_stats_bytes",
+            help="Bytes the maintained sufficient statistics retain",
+            labelnames=("model",),
+        ).labels(model=name)
         # Materialize the series at zero so windows that assert "no
         # refits happened" see a sample rather than an absent metric.
         self._m_deltas.inc(0.0)
         self._m_refits.inc(0.0)
         self._m_staleness.set(0.0)
         self._init_fit(model)
+        self._export_stats_bytes()
         self.db.subscribe(self._on_row_version)
 
     # -- fit state -----------------------------------------------------------
@@ -264,6 +270,10 @@ class ModelMaintainer:
     @property
     def drift(self) -> float:
         return self._stats.drift if self._stats is not None else 0.0
+
+    def _export_stats_bytes(self) -> None:
+        stats = self._stats             # an NN fit keeps none
+        self._m_stats_bytes.set(0.0 if stats is None else stats.nbytes)
 
     @property
     def pending_events(self) -> int:
@@ -354,6 +364,7 @@ class ModelMaintainer:
             if deltas:
                 self._m_deltas.inc(deltas)
             self._m_staleness.set(self.staleness_seconds())
+            self._export_stats_bytes()
             self._push_to_targets()
             return True
 
@@ -368,6 +379,7 @@ class ModelMaintainer:
             ):
                 self._full_refit()
             self._m_staleness.set(0.0)
+            self._export_stats_bytes()
             self._push_to_targets()
 
     def _apply_event(self, pending: _PendingEvent) -> int:
@@ -380,37 +392,33 @@ class ModelMaintainer:
                 self._needs_refit = True
                 return 0
             return self._fold_fact_append(pending)
-        if pending.kind == "append":
-            if self._stats is not None:
-                relation = self.db.relation(pending.relation)
-                keys = relation.keys()
-                idx = codes_for_keys(pending.rids, keys)
-                self._stats.fold_appended_dimension(
-                    pending.relation, pending.rids,
-                    relation.features()[idx],
-                )
-            # NN first-layer weights do not depend on which dimension
-            # rows exist; new rows serve through the existing weights.
-            return 0
-        # dimension in-place update
         if self.kind == "nn":
-            # No exact delta exists for an iterative fit; the refresh
-            # falls back to a deterministic refit (contract table in
-            # docs/maintenance.md).
-            self._needs_refit = True
+            # Appended rows serve through the existing first-layer
+            # weights; an update has no exact delta of an iterative fit
+            # and the refresh falls back to a deterministic refit
+            # (contract table in docs/maintenance.md).
+            self._needs_refit |= pending.kind == "update"
             return 0
+        if pending.positions.size != pending.rids.size:
+            self._needs_refit = True        # the event names no heap rows
+            return 0
+        # Reads the pages the event touched, not the whole dimension.
         relation = self.db.relation(pending.relation)
-        keys = relation.keys()
-        idx = codes_for_keys(pending.rids, keys)
-        self._stats.apply_dimension_update(
-            pending.relation, pending.rids, relation.features()[idx]
-        )
+        rows = relation.heap.read_rows(pending.positions)
+        keys = relation.project_keys(rows)
+        features = relation.project_features(rows)
+        if pending.kind == "append":
+            self._stats.fold_appended_dimension(
+                pending.relation, keys, features
+            )
+            return 0
+        self._stats.apply_dimension_update(pending.relation, keys, features)
         return 1
 
     def _fact_rows_at(self, positions: np.ndarray):
         """The appended fact rows, split into features / FKs / targets."""
         fact = self._resolved.fact
-        rows = fact.scan()[positions]
+        rows = fact.heap.read_rows(positions)
         features = fact.project_features(rows)
         fks = [
             fact.project_foreign_keys(rows, dim.relation.name)
@@ -453,6 +461,7 @@ class ModelMaintainer:
             raise ModelError("nn maintenance requires targets")
         plan = DedupPlan.for_batch(fks)
         dim_blocks = []
+        # No statistics, so no retained key index: scan for the RIDs.
         for i, dim in enumerate(self._resolved.dimensions):
             keys = dim.relation.keys()
             idx = codes_for_keys(plan.dims[i].unique, keys)

@@ -29,7 +29,10 @@ Two statistic objects live here:
 Appended fact rows fold into both exactly/via one E-step respectively —
 the mini-batch path of the tentpole.  All per-batch grouped reductions
 run through the access path's :class:`~repro.fx.dedup.DedupPlan`, the
-same dedup machinery training and serving share.
+same dedup machinery training and serving share — two dimensions'
+co-occurrence included: a batch's RID *pairs* are one more FK column
+(:class:`PairTable`), so a dimension pair retains what the fact rows
+reference (``≤ n`` pairs), never ``m_i · m_j`` cells.
 """
 
 from __future__ import annotations
@@ -94,13 +97,103 @@ def _appended_batch(fact, fk_columns, dim_keys, dim_features):
     return FactorizedDesign.from_plan(fact, blocks, plan), rids
 
 
+def _reduced(keys: np.ndarray, mass: np.ndarray):
+    """Sorted distinct ``keys`` and the ``mass`` rows summed per key —
+    the pair column goes through the dedup like any FK column."""
+    dedup = DedupPlan.for_batch([keys]).dims[0]
+    return dedup.unique, dedup.group_index().sum_rows(mass)
+
+
+_ROW_BITS = 32
+_ROW_MASK = (1 << _ROW_BITS) - 1
+
+
+class PairTable:
+    """Fact-row mass per *referenced* RID pair of two dimensions.
+
+    Sorted int64 ``keys`` (``row_i << 32 | row_j`` over the two
+    retained index spaces, so appended dimension rows need no
+    re-keying) beside a ``(pairs, width)`` ``mass`` array: ``width`` is
+    ``K`` for the mixture's γ co-occurrence and 1 for ridge's counts.
+    Batches are reduced on arrival and merged before the first read.
+    """
+
+    def __init__(self, width: int) -> None:
+        self.keys = np.empty(0, dtype=np.int64)
+        self.mass = np.empty((0, width))
+        self._unmerged: list[tuple[np.ndarray, np.ndarray]] = []
+        #: (keys with their halves swapped, sorted; that sort) — built
+        #: by the first read from the right, dropped by ``add``.
+        self._by_right: tuple[np.ndarray, np.ndarray] | None = None
+
+    @property
+    def nbytes(self) -> int:
+        held = [(self.keys, self.mass), self._by_right or (), *self._unmerged]
+        return sum(array.nbytes for arrays in held for array in arrays)
+
+    def add(self, left: np.ndarray, right: np.ndarray, mass) -> None:
+        """Fold one batch: fact row ``t`` references the pair
+        ``(left[t], right[t])`` with weight ``mass[t]``."""
+        if left.size == 0:
+            return
+        if max(left.max(), right.max()) > _ROW_MASK >> 1:
+            raise ModelError(
+                "a dimension reached 2**31 rows; pair keys would collide"
+            )
+        self._unmerged.append(_reduced(left << _ROW_BITS | right, mass))
+        self._by_right = None
+
+    def coupled(self, side: int, rows: np.ndarray, features) -> np.ndarray:
+        """``out[u] = Σ_s mass[(rows[u], s)] ⊗ features[s]`` over the
+        partners ``s`` the fact rows pair ``rows[u]`` with, shape
+        ``(len(rows), width, d)``.  ``rows`` index the left dimension
+        (``side`` 0) or the right one; either way a binary search per
+        row finds its pairs, nothing is scanned."""
+        if self._unmerged:
+            keys, mass = zip((self.keys, self.mass), *self._unmerged)
+            self.keys, self.mass = _reduced(
+                np.concatenate(keys), np.concatenate(mass)
+            )
+            self._unmerged = []
+        keys, order = self.keys, None
+        if side == 1:
+            if self._by_right is None:
+                swapped = (keys & _ROW_MASK) << _ROW_BITS | keys >> _ROW_BITS
+                order = np.argsort(swapped)
+                self._by_right = (swapped[order], order)
+            keys, order = self._by_right
+        # A row's pairs are the one run of keys that lead with it.
+        first = np.searchsorted(keys, rows << _ROW_BITS)
+        counts = np.searchsorted(
+            keys, rows << _ROW_BITS | _ROW_MASK, side="right"
+        ) - first
+        starts = np.cumsum(counts) - counts
+        hits = np.arange(counts.sum()) + np.repeat(first - starts, counts)
+        partners = keys[hits] & _ROW_MASK
+        if order is not None:
+            hits = order[hits]
+        out = np.zeros((rows.size, self.mass.shape[1], features.shape[1]))
+        referenced = counts > 0         # an empty run has nothing to reduce
+        out[referenced] = np.add.reduceat(
+            self.mass[hits][:, :, None] * features[partners][:, None, :],
+            starts[referenced], axis=0,
+        )
+        return out
+
+
+def _pair_tables(q: int, width: int) -> dict[tuple[int, int], PairTable]:
+    return {
+        (i, j): PairTable(width) for i in range(q) for j in range(i + 1, q)
+    }
+
+
 @dataclass
 class LinearSuffStats:
     """Sufficient statistics of the factorized ridge fit.
 
     ``dim_keys[i]`` fixes the index space of every per-RID array for
     dimension ``i`` (row ``r`` of ``dim_features[i]`` is the feature
-    vector of key ``dim_keys[i][r]``).  ``pair_counts[(i, j)]`` (only
+    vector of key ``dim_keys[i][r]``).  ``pairs[(i, j)]`` (only
     ``i < j`` stored) counts fact rows referencing RID pair ``(r, s)``
     — the coupling weight of the off-diagonal Gram block.
     """
@@ -118,7 +211,7 @@ class LinearSuffStats:
     group_count: list[np.ndarray]
     group_fact_sum: list[np.ndarray]
     group_target_sum: list[np.ndarray]
-    pair_counts: dict[tuple[int, int], np.ndarray]
+    pairs: dict[tuple[int, int], PairTable]
     resolved: object
     #: accumulated relative Frobenius movement of the Gram matrix —
     #: exact deltas do not drift, but the number still quantifies how
@@ -144,7 +237,6 @@ class LinearSuffStats:
             resolved = access.resolved
             layout = resolved.layout
             d = layout.total
-            q = resolved.num_dimensions
             dim_keys = [dim.relation.keys() for dim in resolved.dimensions]
             stats = cls(
                 spec=spec, alpha=alpha, layout=layout,
@@ -160,10 +252,7 @@ class LinearSuffStats:
                     np.zeros((k.size, layout.sizes[0])) for k in dim_keys
                 ],
                 group_target_sum=[np.zeros(k.size) for k in dim_keys],
-                pair_counts={
-                    (i, j): np.zeros((dim_keys[i].size, dim_keys[j].size))
-                    for i in range(q) for j in range(i + 1, q)
-                },
+                pairs=_pair_tables(resolved.num_dimensions, 1),
                 resolved=resolved,
             )
             for batch in access.batches():
@@ -191,17 +280,19 @@ class LinearSuffStats:
             self.group_fact_sum[i][at] += group.sum_rows(design.fact_block)
             self.group_target_sum[i][at] += group.sum_weights(targets)
         rows = [at[group.codes] for at, group in zip(rids, design.groups)]
-        for (i, j), counts in self.pair_counts.items():
-            np.add.at(counts, (rows[i], rows[j]), 1.0)
+        for (i, j), table in self.pairs.items():
+            table.add(rows[i], rows[j], ones)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes retained: global sums, per-RID arrays, pair tables."""
+        return sum(held.nbytes for held in [
+            self.gram, self.cross, self.feature_sum, *self.dim_keys,
+            *self.dim_features, *self.group_count, *self.group_fact_sum,
+            *self.group_target_sum, *self.pairs.values(),
+        ])
 
     # -- deltas --------------------------------------------------------------
-
-    def _pair_rows(self, i: int, j: int, rows: np.ndarray) -> np.ndarray:
-        """Co-occurrence counts of dimension ``i``'s ``rows`` against
-        every RID of dimension ``j``, shape ``(len(rows), m_j)``."""
-        if i < j:
-            return self.pair_counts[(i, j)][rows, :]
-        return self.pair_counts[(j, i)][:, rows].T
 
     def apply_dimension_update(
         self, relation_name: str, rids: np.ndarray, new_features: np.ndarray
@@ -244,8 +335,10 @@ class LinearSuffStats:
             if j == i:
                 continue
             sj = self.layout.slice_of(j + 1)
-            coef = self._pair_rows(i, j, g) @ self.dim_features[j]
-            block = delta.T @ coef
+            coef = self.pairs[min(i, j), max(i, j)].coupled(
+                int(i > j), g, self.dim_features[j]
+            )
+            block = delta.T @ coef[:, 0]
             self.gram[si, sj] += block
             self.gram[sj, si] += block.T
         self.cross[si] += delta.T @ self.group_target_sum[i][g]
@@ -265,7 +358,7 @@ class LinearSuffStats:
         """Extend the per-RID index space with brand-new dimension rows.
 
         New rows carry no fact references yet, so the global statistics
-        are untouched; only the retained arrays grow (exact).
+        and pair tables are untouched; only the per-RID arrays grow.
         """
         i = _dimension_index(self.resolved, relation_name)
         rids = np.asarray(rids).ravel().astype(np.int64)
@@ -287,15 +380,6 @@ class LinearSuffStats:
         self.group_target_sum[i] = np.concatenate(
             [self.group_target_sum[i], np.zeros(grown)]
         )
-        for (a, b), counts in list(self.pair_counts.items()):
-            if a == i:
-                self.pair_counts[(a, b)] = np.vstack(
-                    [counts, np.zeros((grown, counts.shape[1]))]
-                )
-            elif b == i:
-                self.pair_counts[(a, b)] = np.hstack(
-                    [counts, np.zeros((counts.shape[0], grown))]
-                )
 
     def fold_appended_facts(
         self,
@@ -374,7 +458,7 @@ class GMMSuffStats:
     dim_features: list[np.ndarray]
     mass: list[np.ndarray]        # per dim: (m_i, K) Σ γ over referencing rows
     fact_mass: list[np.ndarray]   # per dim: (K, m_i, d_S) γ-weighted fact sums
-    pair_mass: dict[tuple[int, int], np.ndarray]  # (K, m_i, m_j) γ co-occurrence
+    pairs: dict[tuple[int, int], PairTable]  # γ co-occurrence, width K
     resolved: object
     drift: float = 0.0
     deltas_applied: int = 0
@@ -396,7 +480,6 @@ class GMMSuffStats:
             layout = resolved.layout
             d = layout.total
             k = params.weights.size
-            q = resolved.num_dimensions
             dim_keys = [dim.relation.keys() for dim in resolved.dimensions]
             stats = cls(
                 spec=spec, config=config, params=params, layout=layout,
@@ -411,10 +494,7 @@ class GMMSuffStats:
                     np.zeros((k, keys.size, layout.sizes[0]))
                     for keys in dim_keys
                 ],
-                pair_mass={
-                    (i, j): np.zeros((k, dim_keys[i].size, dim_keys[j].size))
-                    for i in range(q) for j in range(i + 1, q)
-                },
+                pairs=_pair_tables(resolved.num_dimensions, k),
                 resolved=resolved,
             )
             precisions = ComponentPrecisions(
@@ -454,19 +534,20 @@ class GMMSuffStats:
                 group.sum_rows(weighted).reshape(-1, k, d_s).transpose(1, 0, 2)
             )
         rows = [at[group.codes] for at, group in zip(rids, design.groups)]
-        for (i, j), masses in self.pair_mass.items():
-            for comp in range(k):
-                np.add.at(masses[comp], (rows[i], rows[j]), gamma[:, comp])
+        for (i, j), table in self.pairs.items():
+            table.add(rows[i], rows[j], gamma)
         return batch_counts
 
-    # -- deltas --------------------------------------------------------------
+    @property
+    def nbytes(self) -> int:
+        """Bytes retained: global sums, per-RID arrays, pair tables."""
+        return sum(held.nbytes for held in [
+            self.counts, self.comp_sum, self.comp_outer, *self.dim_keys,
+            *self.dim_features, *self.mass, *self.fact_mass,
+            *self.pairs.values(),
+        ])
 
-    def _pair_mass_rows(self, i: int, j: int, rows: np.ndarray) -> np.ndarray:
-        """γ co-occurrence of dimension ``i``'s ``rows`` against every
-        RID of dimension ``j``, shape ``(K, len(rows), m_j)``."""
-        if i < j:
-            return self.pair_mass[(i, j)][:, rows, :]
-        return np.swapaxes(self.pair_mass[(j, i)][:, :, rows], 1, 2)
+    # -- deltas --------------------------------------------------------------
 
     def apply_dimension_update(
         self, relation_name: str, rids: np.ndarray, new_features: np.ndarray
@@ -474,7 +555,7 @@ class GMMSuffStats:
         """Frozen-γ rank-``k`` delta to the M-step statistics.
 
         Responsibility masses (``counts``, ``mass``, ``fact_mass``,
-        ``pair_mass``) are x-independent under frozen γ and stay put;
+        ``pairs``) are x-independent under frozen γ and stay put;
         only the sums/outers that mention the updated dimension's
         feature values move.  Returns the statistics' relative movement
         (accumulated on :attr:`drift` — the maintainer's refit signal,
@@ -512,12 +593,10 @@ class GMMSuffStats:
             if j == i:
                 continue
             sj = self.layout.slice_of(j + 1)
-            coef = np.einsum(
-                "kus,sb->kub",
-                self._pair_mass_rows(i, j, g),
-                self.dim_features[j],
+            coef = self.pairs[min(i, j), max(i, j)].coupled(
+                int(i > j), g, self.dim_features[j]
             )
-            block = np.einsum("ua,kub->kab", delta, coef)
+            block = np.einsum("ua,ukb->kab", delta, coef)
             self.comp_outer[:, si, sj] += block
             self.comp_outer[:, sj, si] += np.swapaxes(block, 1, 2)
         self.dim_features[i][g] = new
@@ -559,7 +638,7 @@ class GMMSuffStats:
         self, relation_name: str, rids: np.ndarray, new_features: np.ndarray
     ) -> None:
         """Grow the per-RID index space with new dimension rows (exact —
-        nothing references them yet)."""
+        nothing references them yet, so no pair table moves)."""
         i = _dimension_index(self.resolved, relation_name)
         rids = np.asarray(rids).ravel().astype(np.int64)
         new = np.atleast_2d(np.asarray(new_features, dtype=np.float64))
@@ -580,15 +659,6 @@ class GMMSuffStats:
             ],
             axis=1,
         )
-        for (a, b), masses in list(self.pair_mass.items()):
-            if a == i:
-                self.pair_mass[(a, b)] = np.concatenate(
-                    [masses, np.zeros((k, grown, masses.shape[2]))], axis=1
-                )
-            elif b == i:
-                self.pair_mass[(a, b)] = np.concatenate(
-                    [masses, np.zeros((k, masses.shape[1], grown))], axis=2
-                )
 
     # -- solve ---------------------------------------------------------------
 

@@ -31,10 +31,10 @@ import numpy as np
 
 from repro.errors import ModelError
 from repro.linalg.blocks import BlockLayout
-from repro.fx.dedup import distinct_values
-from repro.linalg.groupsum import codes_for_keys
+from repro.linalg.groupsum import KeyIndex
 from repro.linalg.quadform import quadform_table
 from repro.storage.buffer import BufferPool
+from repro.storage.heapfile import page_runs
 from repro.storage.relation import Relation
 
 
@@ -63,11 +63,12 @@ class DimensionLookup:
     """Point lookups of dimension-relation rows by primary key.
 
     The key column is scanned once at construction (charged like any
-    scan) to build a key → heap-row index; feature rows are then fetched
-    page-at-a-time on demand, so a predictor never needs the dimension
-    relation resident — only the pages a request actually touches are
-    read, and a shared :class:`~repro.storage.buffer.BufferPool` absorbs
-    repeats.
+    scan) and sorted into a key → heap-row index (a
+    :class:`~repro.errors.ModelError` there if keys repeat); feature
+    rows are then fetched page-at-a-time on demand, so a predictor never
+    needs the dimension relation resident — only the pages a request
+    actually touches are read, and a shared
+    :class:`~repro.storage.buffer.BufferPool` absorbs repeats.
     """
 
     def __init__(
@@ -75,32 +76,28 @@ class DimensionLookup:
     ) -> None:
         self.relation = relation
         self.buffer_pool = buffer_pool
-        self._keys = relation.keys()
-
-    @property
-    def num_rows(self) -> int:
-        return self._keys.size
+        # The scan outlives the index build, so what is kept lands past
+        # its block and the next lookup's scan reuses that hole whole.
+        rows = relation.scan()
+        self._index = KeyIndex(relation.project_keys(rows))
 
     def row_positions(self, keys: np.ndarray) -> np.ndarray:
         """Heap row numbers holding ``keys`` (raises on dangling keys)."""
-        return codes_for_keys(np.asarray(keys), self._keys)
+        return self._index.codes(keys)
 
     def features_for(self, keys: np.ndarray) -> np.ndarray:
         """Feature rows for ``keys``, reading only the pages that hold them."""
         positions = self.row_positions(keys)
         heap = self.relation.heap
-        pages = positions // heap.rows_per_page
-        slots = positions % heap.rows_per_page
         rows = np.empty(
             (positions.size, self.relation.schema.width), dtype=np.float64
         )
-        for page_no in distinct_values(pages):
-            mask = pages == page_no
+        for page_no, where, slots in page_runs(positions, heap.rows_per_page):
             if self.buffer_pool is not None:
-                page = self.buffer_pool.get_page(heap, int(page_no))
+                page = self.buffer_pool.get_page(heap, page_no)
             else:
-                page = heap.read_page(int(page_no))
-            rows[mask] = page[slots[mask]]
+                page = heap.read_page(page_no)
+            rows[where] = page[slots]
         return self.relation.project_features(rows)
 
 

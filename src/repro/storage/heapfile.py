@@ -21,7 +21,6 @@ import numpy as np
 
 from repro.core.sync import ReadWriteLock
 from repro.errors import StorageError
-from repro.fx.dedup import distinct_values
 from repro.storage.iostats import IOStats
 
 DEFAULT_PAGE_SIZE_BYTES = 8192
@@ -39,6 +38,23 @@ def rows_per_page(ncols: int, page_size_bytes: int = DEFAULT_PAGE_SIZE_BYTES) ->
     if page_size_bytes <= 0:
         raise StorageError(f"page size must be positive, got {page_size_bytes}")
     return max(1, page_size_bytes // (ncols * _FLOAT_BYTES))
+
+
+def page_runs(positions: np.ndarray, rows_per_page: int):
+    """Yield ``(page_no, where, slots)`` per page the heap ``positions``
+    touch, ascending: ``positions[where]`` lie on that page, in their
+    given order, at its rows ``slots``.  One sort and a slice per page,
+    not a mask over every position per page."""
+    if positions.size == 0:
+        return
+    pages = positions // rows_per_page
+    order = np.argsort(pages, kind="stable")
+    pages = pages[order]
+    slots = positions[order] - pages * rows_per_page
+    starts = np.flatnonzero(np.append(True, pages[1:] != pages[:-1]))
+    stops = np.append(starts[1:], order.size).tolist()
+    for page_no, a, b in zip(pages[starts].tolist(), starts.tolist(), stops):
+        yield page_no, order[a:b], slots[a:b]
 
 
 class HeapFile:
@@ -241,20 +257,17 @@ class HeapFile:
                 f"row positions must lie in [0, {self._nrows}), got "
                 f"range [{positions.min()}, {positions.max()}]"
             )
-        pages = positions // self.rows_per_page
-        slots = positions % self.rows_per_page
-        touched = distinct_values(pages)
+        runs = list(page_runs(positions, self.rows_per_page))
         with self._io_lock.write():
             with open(self.path, "r+b") as handle:
-                for page_no in touched:
-                    start, stop = self._page_row_range(int(page_no))
+                for page_no, where, slots in runs:
+                    start, stop = self._page_row_range(page_no)
                     page = self._read_row_range_unlocked(start, stop, handle)
-                    mask = pages == page_no
-                    page[slots[mask]] = rows[mask]
+                    page[slots] = rows[where]
                     handle.seek(start * self.ncols * _FLOAT_BYTES)
                     page.tofile(handle)
-        self.stats.record_read(self.stats_name, len(touched))
-        self.stats.record_write(self.stats_name, len(touched))
+        self.stats.record_read(self.stats_name, len(runs))
+        self.stats.record_write(self.stats_name, len(runs))
 
     # -- reads -------------------------------------------------------------
 
@@ -276,15 +289,13 @@ class HeapFile:
                 f"row positions must lie in [0, {self._nrows}), got "
                 f"range [{positions.min()}, {positions.max()}]"
             )
-        pages = positions // self.rows_per_page
-        touched = distinct_values(pages)
+        runs = list(page_runs(positions, self.rows_per_page))
         with self._io_lock.read(), open(self.path, "rb") as handle:
-            for page_no in touched:
-                start, stop = self._page_row_range(int(page_no))
+            for page_no, where, slots in runs:
+                start, stop = self._page_row_range(page_no)
                 page = self._read_row_range_unlocked(start, stop, handle)
-                mask = pages == page_no
-                out[mask] = page[positions[mask] - start]
-        self.stats.record_read(self.stats_name, len(touched))
+                out[where] = page[slots]
+        self.stats.record_read(self.stats_name, len(runs))
         return out
 
     def read_page(self, page_no: int) -> np.ndarray:

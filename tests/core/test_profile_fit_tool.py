@@ -1,5 +1,6 @@
-"""tools/profile_fit.py keeps running: one pass per model at its
-``--smoke`` scale, driven through ``main()`` as a developer would."""
+"""tools/profile_fit.py keeps running: one pass per model and one of
+the maintenance build at its ``--smoke`` scale, driven through
+``main()`` as a developer would."""
 
 import sys
 from pathlib import Path
@@ -22,6 +23,16 @@ def test_smoke(argv, capsys):
     arms = ["F"] if "--arm" in argv else list(profile_fit.ARMS)
     for arm in arms:
         assert f"{arm:>4} (" in out
+    assert "tottime" in out
+
+
+def test_maintain_smoke(capsys):
+    profile_fit.main(["maintain", "--shape", "star3", "--smoke", "--top", "3"])
+    out = capsys.readouterr().out
+    for line in ("maintain(...): ", "update_rows(32): ", "flush(): "):
+        assert line in out
+    held = float(out.split("stats.nbytes: ")[1].split(" MiB")[0])
+    assert 0.0 < held < 1.0             # star3 / 100: 1,000 fact rows
     assert "tottime" in out
 
 
@@ -48,4 +59,7 @@ def test_shapes_are_the_benchmarks():
     assert iterations == workloads.SERVE_GMM["max_iter"]
     assert (hidden, epochs) == (
         workloads.SERVE_NN["hidden_sizes"][0], workloads.SERVE_NN["epochs"]
+    )
+    assert profile_fit.UPDATE_ROWS == (
+        workloads.SHAPES["full"]["serve_update_mix"]["update_rows"]
     )

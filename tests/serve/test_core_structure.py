@@ -9,8 +9,9 @@ facade never branches on the executor kind outside construction, both
 ``swap_model`` methods are delegations, and the process worker's
 message handlers hold framing, not lifecycle logic.  The same goes for
 the partial-cache stack underneath (``TestOneCacheStack``), the
-cost model both choosers call (``TestOneCostModel``) and the mixture
-E-step serving, maintenance and training share (``TestOneEStep``).
+cost model both choosers call (``TestOneCostModel``), the mixture
+E-step serving, maintenance and training share (``TestOneEStep``) and
+the update → flush → cold-miss path (``TestAnUpdateCostsWhatItTouches``).
 """
 
 import ast
@@ -449,6 +450,64 @@ class TestOneEStep:
             SRC_ROOT / "maintain" / "stats.py", "GMMSuffStats", "_fold"
         )
         assert {"posteriors", "mu_sums", "sigma_sums"} <= _names(fold)
+
+
+class TestAnUpdateCostsWhatItTouches:
+    """Maintenance keeps nothing sized by two dimensions' row counts
+    and scans nothing to apply an event: the γ co-occurrence is the
+    sparse pair table (no scatter-add into a cube, no contraction over
+    a ``(K, |U|, m_j)`` slice), the maintainer reads an event's rows at
+    the heap positions it carries, and a cold miss copies per page run
+    instead of masking every position once per page."""
+
+    MAINTAIN = SRC_ROOT / "maintain"
+
+    def test_no_dense_pair_structure_under_maintain(self):
+        for path in sorted(self.MAINTAIN.glob("*.py")):
+            text = path.read_text(encoding="utf-8")
+            assert "add.at" not in text, path.name
+            assert 'einsum("kus' not in text, path.name
+        for cls in ("LinearSuffStats", "GMMSuffStats"):
+            build = _method(self.MAINTAIN / "stats.py", cls, "build")
+            assert "_pair_tables" in _names(build)
+            grow = _method(
+                self.MAINTAIN / "stats.py", cls, "fold_appended_dimension"
+            )
+            assert "pairs" not in _names(grow)
+
+    @pytest.mark.parametrize("method", ["_apply_event", "_fact_rows_at"])
+    def test_the_maintainer_reads_an_events_rows_by_position(self, method):
+        # ``_sgd_step`` keeps its key scans: the NN retains no key
+        # index to find a batch's RIDs in.
+        body = _method(
+            self.MAINTAIN / "maintainer.py", "ModelMaintainer", method
+        )
+        called = {
+            node.func.attr for node in ast.walk(body)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+        }
+        assert not called & {"keys", "features", "scan"}
+        assert "read_rows" in called
+
+    def test_a_cold_miss_masks_no_page(self):
+        tree = _tree(SRC_ROOT / "serve" / "partials.py")
+        masks = [
+            ast.unparse(node) for node in ast.walk(tree)
+            if isinstance(node, ast.Compare)
+            and "page_no" in _names(node)
+        ]
+        assert masks == []
+        lookup = _method(
+            SRC_ROOT / "serve" / "partials.py", "DimensionLookup",
+            "features_for",
+        )
+        assert {"page_runs", "get_page"} <= _names(lookup)
+        # ... and sorts the key column once, not once per call.
+        assert _callers("KeyIndex") == {
+            "linalg/groupsum.py", "serve/partials.py",
+        }
+        assert "codes_for_keys" not in _names(tree)
 
 
 class TestBenchmarkHooksLand:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import StorageError
-from repro.storage.heapfile import HeapFile, rows_per_page
+from repro.storage.heapfile import HeapFile, page_runs, rows_per_page
 from repro.storage.iostats import IOStats
 
 
@@ -231,6 +231,42 @@ class TestOneOpenPerCall:
         np.testing.assert_array_equal(
             data[~changed, 0], np.flatnonzero(~changed) * 4.0
         )
+
+
+class TestPageRuns:
+    """``page_runs`` cuts heap positions into one slice per touched
+    page; a reader built on it returns what the mask-per-page loop it
+    replaces returned."""
+
+    @staticmethod
+    def masked(positions, per_page):
+        """The replaced loop: one mask over every position per page."""
+        pages = positions // per_page
+        return [
+            (int(page_no), np.flatnonzero(pages == page_no))
+            for page_no in np.unique(pages)
+        ]
+
+    @pytest.mark.parametrize("positions", [
+        [57, 3, 20, 41, 5, 29],             # unsorted, two on page 0
+        [9, 9, 2, 9, 63, 2],                # duplicates
+        [12, 8, 15, 8],                     # a single page
+        [40],
+        list(range(64)),
+        list(range(63, -1, -1)),
+    ], ids=["unsorted", "duplicates", "one page", "one row", "scan", "reversed"])
+    def test_runs_are_the_per_page_masks(self, positions):
+        positions = np.asarray(positions)
+        runs = list(page_runs(positions, 8))
+        expected = self.masked(positions, 8)
+        assert [page_no for page_no, _, _ in runs] == [p for p, _ in expected]
+        assert all(type(page_no) is int for page_no, _, _ in runs)
+        for (page_no, where, slots), (_, mask) in zip(runs, expected):
+            np.testing.assert_array_equal(where, mask)
+            np.testing.assert_array_equal(slots, positions[mask] - page_no * 8)
+
+    def test_no_positions_no_runs(self):
+        assert list(page_runs(np.empty(0, dtype=np.int64), 8)) == []
 
 
 class TestPersistence:

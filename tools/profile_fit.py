@@ -3,9 +3,13 @@
 
     PYTHONPATH=src python tools/profile_fit.py gmm --shape rr100 --arm F
     PYTHONPATH=src python tools/profile_fit.py nn --shape rr2 --top 20
+    PYTHONPATH=src python tools/profile_fit.py maintain --shape star3
 
-Without ``--arm`` every arm is timed and ``auto`` profiled.  cProfile taxes
-Python calls, not native work: its table says where to look, not how long.
+Without ``--arm`` every arm is timed and ``auto`` profiled.  ``maintain``
+times the statistics build over the ``--arm`` GMM fit (``repro.maintain``),
+one 32-row update of the first dimension and its ``flush()``, prints what
+the statistics hold and profiles the same cycle.  cProfile taxes Python
+calls, not native work: its table says where to look, not how long.
 """
 
 from __future__ import annotations
@@ -15,6 +19,8 @@ import cProfile
 import pstats
 import time
 import warnings
+
+import numpy as np
 
 import repro
 
@@ -26,11 +32,41 @@ SHAPES = {
     "star3": (100_000, 5, ((20_000, 15), (500, 10)), 2, (64, 1)),
 }
 ARMS = {"F": "factorized", "S": "streaming", "M": "materialized", "auto": "auto"}
+UPDATE_ROWS = 32            # serve_update_mix's rows per update
+
+
+def profile_maintenance(db, spec, gmm, top: int) -> None:
+    """Build, one update → flush, the statistics' size; then the same
+    cycle again under the profiler."""
+    manual = repro.MaintenancePolicy(refresh="manual")
+    relation = db.relation(spec.dimensions[0].relation)
+    positions = np.arange(min(UPDATE_ROWS, relation.nrows))
+    rows = relation.heap.read_rows(positions)
+
+    def cycle():
+        ticks = [time.perf_counter()]
+        with repro.maintain(db, "gmm", "gmm", spec, gmm, policy=manual) as maintainer:
+            ticks.append(time.perf_counter())
+            rows[:, 1:] += 0.1
+            db.update_rows(relation.name, positions, rows)
+            ticks.append(time.perf_counter())
+            maintainer.flush()
+            ticks.append(time.perf_counter())
+            return np.diff(ticks), maintainer.stats.nbytes
+
+    (built, updated, flushed), held = cycle()
+    print(f"maintain(...): {built:.3f} s")
+    print(f"update_rows({positions.size}): {updated:.4f} s")
+    print(f"flush(): {flushed:.4f} s")
+    print(f"stats.nbytes: {held / 2**20:.2f} MiB")
+    profiler = cProfile.Profile()
+    profiler.runcall(cycle)
+    pstats.Stats(profiler).sort_stats("tottime").print_stats(top)
 
 
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("kind", choices=("gmm", "nn"))
+    parser.add_argument("kind", choices=("gmm", "nn", "maintain"))
     parser.add_argument("--shape", choices=sorted(SHAPES), default="rr100")
     parser.add_argument("--arm", choices=sorted(ARMS))
     parser.add_argument("--top", type=int, default=15)
@@ -50,12 +86,15 @@ def main(argv=None) -> None:
         spec = repro.generate_star(db, config).spec
 
         def fit(arm):
-            if args.kind == "gmm":
+            if args.kind != "nn":
                 return repro.fit_gmm(db, spec, algorithm=ARMS[arm], n_components=5,
                                      max_iter=iterations, tol=0.0)
             return repro.fit_nn(db, spec, algorithm=ARMS[arm],
                                 hidden_sizes=(hidden,), epochs=epochs)
 
+        if args.kind == "maintain":
+            profile_maintenance(db, spec, fit(args.arm or "auto"), args.top)
+            return
         for arm in [args.arm] if args.arm else list(ARMS):
             fit(arm)                                # warm: pages, lazy imports
             tick = time.perf_counter()
