@@ -447,8 +447,10 @@ def serve_runtime(
     Where :func:`serve` answers requests synchronously on the calling
     thread, this spins up ``num_workers`` workers behind a
     bounded request queue (``queue_depth``): point requests coalesce
-    into micro-batches (up to ``max_batch_rows`` rows, lingering at
-    most ``max_wait_ms`` for stragglers), each batch's strategy is
+    into micro-batches (up to ``max_batch_rows`` rows; ``max_wait_ms``
+    is a ceiling on the linger for stragglers, which ends as soon as
+    arrivals pause — only a lone request waits it out), each batch's
+    strategy is
     planned adaptively from the inference cost model, and partial
     caches are sharded by RID hash (one shard per worker) so workers
     never contend on one LRU.

@@ -4,10 +4,11 @@ The runtime's admission path: producers :meth:`RequestQueue.put`
 normalized point requests (blocking while the queue is full — natural
 backpressure toward callers), workers :meth:`RequestQueue.take_batch`
 *micro-batches*: the oldest request plus every queued request for the
-same (model, op), up to a row budget, waiting up to a deadline for
-stragglers to coalesce.  Batching is what makes factorized serving pay
-under point-lookup traffic — a single fact row rarely repeats a RID,
-but a few milliseconds of coalesced traffic almost always does.
+same (model, op), up to a row budget, waiting for stragglers while
+the batch's own arrival rate says one is due, at most ``max_wait``.
+Batching is what makes factorized serving pay under point-lookup
+traffic — a single fact row rarely repeats a RID, but a few
+milliseconds of coalesced traffic almost always does.
 
 The queue is deliberately its own data structure rather than
 ``queue.Queue`` because coalescing needs targeted removal: a worker
@@ -28,6 +29,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import ModelError
+
+#: A linger ends once nothing has arrived for this many of the batch's
+#: own mean inter-arrival gaps: the burst is over and waiting on is idle
+#: time.  2, 4, 8 and 16 read the same on ``runtime_thread_window``.
+QUIET_GAPS = 4.0
 
 
 @dataclass
@@ -75,6 +81,11 @@ class RequestQueue:
         self._closed = False
         self.enqueued = 0
         self.max_depth_seen = 0
+        #: Batches by what closed them: the row cap, the quiet rule,
+        #: the ``max_wait`` deadline, or :meth:`close`.
+        self.close_reasons = dict.fromkeys(
+            ("rows", "quiet", "deadline", "closed"), 0
+        )
 
     @property
     def depth(self) -> int:
@@ -130,9 +141,12 @@ class RequestQueue:
 
         Blocks until at least one request is available, then coalesces
         every queued request sharing its batch key until ``max_rows``
-        total rows are gathered or ``max_wait`` seconds have passed
-        since the first request was claimed.  Requests with other batch
-        keys are left queued, in order, for other workers.
+        total rows are gathered, arrivals pause (nothing for
+        :data:`QUIET_GAPS` mean gaps of the batch's own ``enqueued_at``
+        stamps) or ``max_wait`` seconds have passed since the first
+        request was claimed.  A lone request has no gap to read and
+        waits out ``max_wait``.  Requests with other batch keys are
+        left queued, in order, for other workers.
         """
         with self._not_empty:
             while not self._items:
@@ -143,7 +157,12 @@ class RequestQueue:
             self._not_full.notify()
             batch = [first]
             rows = first.rows
-            deadline = time.monotonic() + max_wait
+            # perf_counter, the clock of the enqueued_at stamps.
+            deadline = time.perf_counter() + max_wait
+            # min/max, not first/last: a stamp predates its put(), so
+            # two producers can queue out of stamp order.
+            oldest = newest = first.enqueued_at
+            reason = "rows"
             # `scanned` marks how many queued items this call has
             # already examined and found non-matching, so each item is
             # inspected once per take_batch, not once per coalesced
@@ -160,15 +179,26 @@ class RequestQueue:
                         self._not_full.notify()
                         batch.append(item)
                         rows += item.rows
+                        oldest = min(oldest, item.enqueued_at)
+                        newest = max(newest, item.enqueued_at)
                     else:
                         index += 1
                 scanned = index
                 if rows >= max_rows:
                     break
-                remaining = deadline - time.monotonic()
-                if remaining <= 0 or self._closed:
+                if self._closed:
+                    reason = "closed"
+                    break
+                # A lone request has no gap to read: it waits max_wait.
+                quiet = deadline if len(batch) == 1 else newest + (
+                    QUIET_GAPS * (newest - oldest) / (len(batch) - 1)
+                )
+                remaining = min(deadline, quiet) - time.perf_counter()
+                if remaining <= 0:
+                    reason = "quiet" if quiet < deadline else "deadline"
                     break
                 self._not_empty.wait(remaining)
+            self.close_reasons[reason] += 1
             return batch
 
     def collect(self, buffer) -> None:
@@ -186,6 +216,11 @@ class RequestQueue:
             "repro_requests_enqueued_total", self.enqueued,
             help="Requests ever admitted to the queue",
         )
+        for reason, count in self.close_reasons.items():
+            buffer.counter(
+                "repro_batch_close_total", count, reason=reason,
+                help="Micro-batches by what ended their linger",
+            )
 
     # -- lifecycle -----------------------------------------------------------
 

@@ -9,9 +9,9 @@ into a serving tier:
 * a bounded :class:`~repro.runtime.queue.RequestQueue` of normalized
   point requests (admission control / backpressure);
 * micro-batching — dispatchers coalesce queued requests for the same
-  model into one batch (``max_batch_rows`` rows, ``max_wait_ms``
-  linger), so factorized reuse sees the RID repetition that point
-  requests hide;
+  model into one batch (``max_batch_rows`` rows, a linger of at most
+  ``max_wait_ms`` that ends when arrivals pause), so factorized reuse
+  sees the RID repetition that point requests hide;
 * an executor behind one small interface (``register`` / ``execute`` /
   ``invalidate`` / ``swap`` / ``unregister`` / ``sample`` /
   ``set_budget`` / ``collect`` / ``close``): ``executor="thread"`` is
@@ -147,6 +147,12 @@ class RuntimeConfig:
     and re-promotes on the next touch.  The exactness contract per
     tier is documented in ``docs/tuning.md``.
 
+    ``max_wait_ms`` is a ceiling on a batch's linger, not a sleep: a
+    dispatcher stops waiting once arrivals pause
+    (:meth:`RequestQueue.take_batch
+    <repro.runtime.queue.RequestQueue.take_batch>`); only a lone
+    request waits it out.
+
     ``executor`` picks the worker substrate: ``"thread"`` (default)
     runs ``num_workers`` threads in-process; ``"process"`` runs
     ``num_workers`` worker *processes* with shared-memory partial
@@ -225,6 +231,8 @@ class RuntimeStats:
     requests_enqueued: int
     batches: int
     batch_size_histogram: dict[int, int]
+    # Batches by what ended their linger (RequestQueue.close_reasons).
+    batch_close_reasons: dict[str, int]
     workers: list[WorkerStats]
     planner_decisions: dict[str, dict[str, int]]
     cache_stats: dict[str, list[CacheStats]]
@@ -507,18 +515,25 @@ class ServingRuntime:
         *, timeout: float | None = None,
     ) -> np.ndarray:
         """Blocking submit: model outputs for one normalized request."""
-        return self.submit(
-            name, fact_features, fk_values, op="predict"
-        ).result(timeout)
+        return self._call(name, fact_features, fk_values, "predict", timeout)
 
     def score(
         self, name: str, fact_features, fk_values,
         *, timeout: float | None = None,
     ) -> np.ndarray:
         """Blocking submit: per-tuple log-likelihoods (GMM only)."""
-        return self.submit(
-            name, fact_features, fk_values, op="score"
-        ).result(timeout)
+        return self._call(name, fact_features, fk_values, "score", timeout)
+
+    def _call(self, name, fact_features, fk_values, op, timeout):
+        """Submit and wait: one ``timeout`` bounds the wait for queue
+        space and the wait for the result together."""
+        start = time.perf_counter()
+        future = self.submit(
+            name, fact_features, fk_values, op=op, timeout=timeout
+        )
+        if timeout is not None:
+            timeout = max(0.0, start + timeout - time.perf_counter())
+        return future.result(timeout)
 
     # -- the worker pool -----------------------------------------------------
 
@@ -706,6 +721,7 @@ class ServingRuntime:
             requests_enqueued=self._queue.enqueued,
             batches=batches,
             batch_size_histogram=histogram,
+            batch_close_reasons=dict(self._queue.close_reasons),
             workers=workers,
             planner_decisions={
                 name: dict(model.planner_stats.decisions)

@@ -1,6 +1,7 @@
-"""tools/profile_fit.py keeps running: one pass per model and one of
-the maintenance build at its ``--smoke`` scale, driven through
-``main()`` as a developer would."""
+"""tools/profile_fit.py and tools/profile_runtime.py keep running: one
+pass per model, one of the maintenance build and one runtime window
+per executor at their ``--smoke`` scale, driven through ``main()`` as a
+developer would."""
 
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 sys.path.insert(0, str(REPO_ROOT / "tools"))
 
 import profile_fit  # noqa: E402
+import profile_runtime  # noqa: E402
 
 
 @pytest.mark.parametrize("argv", [
@@ -34,6 +36,31 @@ def test_maintain_smoke(capsys):
     held = float(out.split("stats.nbytes: ")[1].split(" MiB")[0])
     assert 0.0 < held < 1.0             # star3 / 100: 1,000 fact rows
     assert "tottime" in out
+
+
+@pytest.mark.parametrize("executor", ["thread", "process"])
+def test_runtime_smoke(executor, capsys):
+    profile_runtime.main(["--executor", executor, "--smoke", "--top", "3"])
+    out = capsys.readouterr().out
+    assert "window: wall " in out and ", idle " in out
+    batches = int(out.split("batches: ")[1].split(",")[0])
+    assert 1 <= batches <= profile_runtime.OUTSTANDING
+    assert "closed by {'rows': 0, 'quiet': " in out
+    timeline = out.split("execute-ends\n")[1].split("\n\n")[0].splitlines()
+    assert 1 <= len(timeline) <= profile_runtime.TIMELINE
+    for row in timeline:
+        size, first, last, taken, *ended = map(float, row.split())
+        assert 1 <= size <= profile_runtime.OUTSTANDING
+        assert first <= last <= taken <= min(ended, default=taken)
+    for name in ("ServingRuntime.submit", "  RegisteredModel.admit",
+                 "  RequestQueue.put", "ServingRuntime._execute",
+                 "  Future.set_result", "the rest of process CPU"):
+        assert f"\n{name} " in out
+    assert "cProfile, the submitting thread" in out
+    assert out.count("tottime") == 2
+    dispatchers = 2 if executor == "thread" else 1
+    workers = out.split(f"cProfile, the {dispatchers} dispatcher thread(s)")[1]
+    assert "function calls" in workers
 
 
 def test_shapes_are_the_benchmarks():
@@ -62,4 +89,10 @@ def test_shapes_are_the_benchmarks():
     )
     assert profile_fit.UPDATE_ROWS == (
         workloads.SHAPES["full"]["serve_update_mix"]["update_rows"]
+    )
+    assert profile_runtime.STAR3 == profile_fit.SHAPES["star3"]
+    c = workloads.SHAPES["full"]["runtime_thread_window"]
+    assert (c["sizes"], c["outstanding"], c["requests_per_window"]) == (
+        profile_runtime.SIZES, profile_runtime.OUTSTANDING,
+        profile_runtime.REQUESTS,
     )

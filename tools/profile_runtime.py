@@ -1,0 +1,191 @@
+#!/usr/bin/env python3
+"""Where a request's time goes in the serving runtime: one closed-loop window, taken apart.
+
+    PYTHONPATH=src python tools/profile_runtime.py
+    PYTHONPATH=src python tools/profile_runtime.py --executor process --top 20
+
+Runs ``runtime_thread_window``'s shape — 64 requests of 1 / 4 / 16 rows
+outstanding against 2 workers, ``max_wait_ms=2.0`` — three times over:
+bare (window wall against ``time.process_time()``: the difference is
+idle, the time every thread spent waiting), with timers around the
+per-request calls (a batch timeline and µs per request), and under
+cProfile (the submitting thread, and each worker through a wrapped
+``_worker_loop``).  The timers and cProfile tax Python calls, not native
+work: their tables say where to look; only the bare window says how long.
+With ``--executor process`` the CPU is the parent's alone and ``execute``
+includes the wait for the worker processes.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import cProfile
+import pstats
+import threading
+import time
+import warnings
+from collections import defaultdict
+from concurrent.futures import Future
+from unittest import mock
+
+import numpy as np
+
+import repro
+from repro.runtime.queue import RequestQueue
+from repro.runtime.service import ServingRuntime
+from repro.serve.core import RegisteredModel
+
+# Copied from benchmarks/e2e/workloads.SHAPES["full"] / STAR3 and its TRAIN_* /
+# SERVE_* configs: n_s, d_s, (rows, width) per dimension, EM iterations, NN (n_h, epochs).
+STAR3 = (100_000, 5, ((20_000, 15), (500, 10)), 2, (64, 1))
+# ... and SHAPES["full"]["runtime_thread_window"] / _Runtime.setup.
+SIZES, OUTSTANDING, REQUESTS = (1, 4, 16), 64, 2500
+RUNTIME = dict(num_workers=2, max_wait_ms=2.0)
+TIMELINE = 20               # batches shown
+
+
+def window(runtime, requests) -> tuple[float, float]:
+    """One closed-loop window; wall and process-CPU seconds."""
+    slots = threading.Semaphore(OUTSTANDING)
+    futures = []
+    wall, cpu = time.perf_counter(), time.process_time()
+    for x, fks in requests:
+        slots.acquire()
+        future = runtime.submit("nn", x, fks)
+        future.add_done_callback(lambda _: slots.release())
+        futures.append(future)
+    for future in futures:
+        future.result(60.0)
+    return time.perf_counter() - wall, time.process_time() - cpu
+
+
+def timed(owner, name, totals):
+    """Patch ``owner.name`` with a wrapper adding its seconds to ``totals``."""
+    inner, key = getattr(owner, name), f"{owner.__name__}.{name}"
+
+    def wrapper(*args, **kwargs):
+        tick = time.perf_counter()
+        try:
+            return inner(*args, **kwargs)
+        finally:
+            totals[key] += time.perf_counter() - tick
+
+    return mock.patch.object(owner, name, wrapper)
+
+
+def timeline(batches):
+    """Patch ``take_batch`` to log each batch's size, first and last stamp,
+    its return and (filled in by the next call on that worker) its execute
+    end.  A batch a worker was already waiting for goes unlogged."""
+    inner, running = RequestQueue.take_batch, threading.local()
+
+    def take_batch(queue, max_rows, max_wait):
+        now = time.perf_counter()
+        if getattr(running, "batch", None):
+            running.batch.append(now)
+        batch = inner(queue, max_rows, max_wait)
+        if batch is not None:
+            stamps = [request.enqueued_at for request in batch]
+            running.batch = [len(batch), min(stamps), max(stamps), time.perf_counter()]
+            batches.append(running.batch)
+        return batch
+
+    return mock.patch.object(RequestQueue, "take_batch", take_batch)
+
+
+def report(runtime, requests) -> None:
+    """The bare window, then the same window with the timers on."""
+    rows = sum(x.shape[0] for x, _ in requests)
+    before = runtime.runtime_stats()
+    wall, cpu = window(runtime, requests)
+    after = runtime.runtime_stats()
+    batches = after.batches - before.batches
+    print(f"window: wall {wall:.3f} s, process CPU {cpu:.3f} s, "
+          f"idle {max(0.0, 1 - cpu / wall):.0%}; {rows / wall:,.0f} rows/s")
+    closed = {reason: count - before.batch_close_reasons[reason]
+              for reason, count in after.batch_close_reasons.items()}
+    print(f"batches: {batches}, mean rows {rows / batches:.0f}, closed by {closed}")
+
+    totals, log = defaultdict(float), []
+    timers = (          # (owner, name, inside the row above)
+        (ServingRuntime, "submit", False), (RegisteredModel, "admit", True),
+        (RequestQueue, "put", True), (ServingRuntime, "_execute", False),
+        (type(runtime._executor), "execute", True), (Future, "set_result", True),
+    )
+    with contextlib.ExitStack() as patched:
+        patched.enter_context(timeline(log))
+        for owner, name, _ in timers:
+            patched.enter_context(timed(owner, name, totals))
+        start = time.perf_counter()
+        wall, cpu = window(runtime, requests)
+    print(f"\nfirst {TIMELINE} batches, ms from the window's start "
+          f"(timers on: wall {wall:.3f} s)")
+    print("requests first-stamp last-stamp take_batch-returns execute-ends")
+    for size, *times in log[:TIMELINE]:
+        print(f"{size:8d}  " + "  ".join(f"{(t - start) * 1e3:8.2f}" for t in times))
+    print("\nµs per request (indented rows are inside the row above;"
+          " set_result runs the done callbacks)")
+    for owner, name, inside in timers:
+        label = f"{'  ' * inside}{owner.__name__}.{name}"
+        seconds = totals[f"{owner.__name__}.{name}"]
+        print(f"{label:<32}{seconds / len(requests) * 1e6:8.1f}")
+    rest = cpu - totals["ServingRuntime.submit"] - totals["ServingRuntime._execute"]
+    print(f"{'the rest of process CPU':<32}{rest / len(requests) * 1e6:8.1f}"
+          "   (take_batch, this tool's loop)")
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--executor", choices=("thread", "process"), default="thread")
+    parser.add_argument("--top", type=int, default=15)
+    parser.add_argument("--smoke", action="store_true", help="shape / 100, requests / 10")
+    args = parser.parse_args(argv)
+    warnings.simplefilter("ignore", repro.ConvergenceWarning)
+
+    n_s, d_s, dims, _, (hidden, epochs) = STAR3
+    shrink = 100 if args.smoke else 1
+    dim_rows = [max(rows // shrink, 2) for rows, _ in dims]
+    config = repro.StarSchemaConfig(
+        n_s=n_s // shrink, d_s=d_s, with_target=True, seed=0,
+        dimensions=tuple(
+            repro.DimensionSpec(rows, width) for rows, (_, width) in zip(dim_rows, dims)
+        ),
+    )
+    rng = np.random.default_rng(0)
+    requests = [
+        (rng.normal(size=(rows, d_s)), [rng.integers(0, n, size=rows) for n in dim_rows])
+        for rows in rng.choice(SIZES, size=REQUESTS // (10 if args.smoke else 1)).tolist()
+    ]
+    profilers = []
+    worker_loop = ServingRuntime._worker_loop
+
+    def profiled_loop(runtime, worker_id):
+        profiler = cProfile.Profile()
+        profilers.append(profiler)
+        profiler.runcall(worker_loop, runtime, worker_id)
+
+    with repro.Database() as db:
+        spec = repro.generate_star(db, config).spec
+        nn = repro.fit_nn(db, spec, hidden_sizes=(hidden,), epochs=epochs)
+        with mock.patch.object(ServingRuntime, "_worker_loop", profiled_loop), \
+                repro.serve_runtime(db, executor=args.executor, **RUNTIME) as runtime:
+            runtime.register_nn("nn", nn, spec)
+            rids = np.arange(dim_rows[0])           # every RID warm, as the bench's
+            for part in np.array_split(rids, max(1, rids.size // 2048)):
+                runtime.predict("nn", np.zeros((part.size, d_s)),
+                                [part % n for n in dim_rows], timeout=60.0)
+            window(runtime, requests)
+            report(runtime, requests)
+            for profiler in profilers:              # idle workers: drop the above
+                profiler.clear()
+            submitter = cProfile.Profile()
+            submitter.runcall(window, runtime, requests)
+        print("\ncProfile, the submitting thread")
+        pstats.Stats(submitter).sort_stats("tottime").print_stats(args.top)
+        print(f"cProfile, the {len(profilers)} dispatcher thread(s)")
+        pstats.Stats(*profilers).sort_stats("tottime").print_stats(args.top)
+
+
+if __name__ == "__main__":
+    main()
