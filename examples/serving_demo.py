@@ -42,13 +42,14 @@ def main() -> None:
         print(f"trained {gmm.algorithm} and {nn.algorithm} over "
               f"{db.relation_names} — join never materialized")
 
-        # Register each model under both serving strategies.
-        service = repro.serve(db)
+        # Register each model under both serving strategies.  One
+        # budget bounds every model's cached partials together: past
+        # it, the store evicts the globally coldest rows.
+        service = repro.serve(db, memory_budget=128 << 10)   # 128 KiB
         service.register_gmm("segments/materialized", gmm, star.spec,
                              strategy="materialized")
         service.register_gmm("segments", gmm, star.spec)  # factorized
-        service.register_nn("ratings", nn, star.spec,
-                            cache_entries=200)  # bounded partial cache
+        service.register_nn("ratings", nn, star.spec)
 
         # Simulate request traffic: batches of fact rows with FKs.
         fact = star.spec.resolve(db).fact
@@ -73,8 +74,12 @@ def main() -> None:
             print(f"[ratings] partial cache: {cache.hits} hits / "
                   f"{cache.misses} misses "
                   f"(hit rate {cache.hit_rate:.1%}, "
-                  f"{cache.evictions} evictions, "
-                  f"{cache.entries}/{cache.capacity} resident)")
+                  f"{cache.cross_evictions} evicted by the budget, "
+                  f"{cache.entries} resident)")
+        store = service.store_stats()
+        print(f"[store] {store.bytes_resident:,} of "
+              f"{store.capacity_floats * 8:,} budget bytes resident, "
+              f"{store.cross_evictions} rows evicted")
 
         # Whole-table scoring, still without materializing the join.
         labels = service.predict_all("segments")

@@ -77,13 +77,11 @@ join share one cache instead of holding two copies::
 Cache-sharing semantics: sharing keys on a digest of the model
 parameters entering the partial computation plus the dimension
 relation, so only bit-identical partials ever share; predictions are
-unchanged.  A cache's bounds are fixed by the registration that
-creates it (later sharers passing conflicting bounds get an explicit
-error, never a silent ignore); invalidation by one sharer evicts for
-all.  A service that wants isolation passes its own ``PartialStore``.
-Zipf-skewed FK traffic can additionally enable
-TinyLFU cache admission (``cache_admission="tinylfu"``): a count-min
-frequency sketch keeps one-hit wonders from evicting hot partials.
+unchanged.  Invalidation by one sharer evicts for all.  A service
+that wants isolation passes its own ``PartialStore``.  Zipf-skewed FK
+traffic can additionally enable TinyLFU (``cache_admission="tinylfu"``):
+a count-min frequency sketch ranks the governor's victims, so one-hit
+wonders are evicted before hot partials.
 
 Memory is governed store-wide, not per cache: ``serve(db,
 memory_budget=BYTES)`` / ``serve_runtime(db, memory_budget=BYTES)``

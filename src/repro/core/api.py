@@ -265,13 +265,12 @@ def compare_strategies(
 
 
 def _serve_once(
-    db, spec, model, kind, fact_features, fk_values,
-    strategy, cache_entries, block_pages,
+    db, spec, model, kind, fact_features, fk_values, strategy, block_pages
 ):
     """One-shot serving shared by :func:`predict_gmm`/:func:`predict_nn`."""
     predictor = make_predictor(
         db, spec, model, kind=kind, strategy=strategy,
-        cache_entries=cache_entries, block_pages=block_pages,
+        block_pages=block_pages,
     )
     try:
         if fact_features is None and fk_values is None:
@@ -294,7 +293,6 @@ def predict_gmm(
     fk_values=None,
     *,
     strategy: str = FACTORIZED,
-    cache_entries: int | list[int] | None = None,
     block_pages: int = DEFAULT_BLOCK_PAGES,
 ):
     """Cluster assignments over normalized data — no join materialized.
@@ -309,8 +307,8 @@ def predict_gmm(
     batches, register the model once via :func:`serve`.
     """
     return _serve_once(
-        db, spec, model, "gmm", fact_features, fk_values,
-        strategy, cache_entries, block_pages,
+        db, spec, model, "gmm", fact_features, fk_values, strategy,
+        block_pages,
     )
 
 
@@ -322,7 +320,6 @@ def predict_nn(
     fk_values=None,
     *,
     strategy: str = FACTORIZED,
-    cache_entries: int | list[int] | None = None,
     block_pages: int = DEFAULT_BLOCK_PAGES,
 ):
     """Network outputs over normalized data — no join materialized.
@@ -331,8 +328,8 @@ def predict_nn(
     bare :class:`~repro.nn.network.MLP`.
     """
     return _serve_once(
-        db, spec, model, "nn", fact_features, fk_values,
-        strategy, cache_entries, block_pages,
+        db, spec, model, "nn", fact_features, fk_values, strategy,
+        block_pages,
     )
 
 
@@ -468,8 +465,8 @@ def serve_runtime(
     guidance.  Caches come from a
     shared :class:`~repro.fx.store.PartialStore`: fingerprint-identical
     models reuse one cache,
-    ``cache_admission="tinylfu"`` turns on frequency-sketch admission
-    for Zipf-skewed FK traffic, and ``memory_budget`` (bytes) caps the
+    ``cache_admission="tinylfu"`` ranks the governor's victims by a
+    frequency sketch for Zipf-skewed FK traffic, and ``memory_budget`` (bytes) caps the
     total resident partials across every registered model — the store
     cross-cache-evicts the globally coldest rows under pressure, so a
     multi-model deployment stays inside one honest bound instead of

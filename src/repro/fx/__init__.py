@@ -32,7 +32,7 @@ once and shared by training, serving, and the concurrent runtime:
   (:class:`TrainingPageProfile`) that lets ``"auto"`` pick streaming
   when memory, not compute, binds;
 * :mod:`repro.fx.sketch` — the count-min frequency sketch behind the
-  TinyLFU cache-admission policy.
+  TinyLFU cache policy (the governor's victim rank).
 
 Exports resolve lazily (PEP 562): the execution core sits *below* the
 serving layer in some modules (``serve.cache`` uses the sketch) and

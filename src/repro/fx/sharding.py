@@ -21,7 +21,8 @@ models with matching partial fingerprints, and a predictor built
 without a store draws from a private store of its own.  This is the
 only module that constructs a :class:`PartialCache`.
 
-When the owning store carries a global ``capacity_floats`` budget, the
+A shard has no bound of its own.  When the owning store carries a
+global ``capacity_floats`` budget — the only bound there is — the
 sharded cache participates in store-wide governance: a ``clock``
 (shared :class:`~repro.serve.cache.AccessClock`) stamps every access
 so recency is comparable across caches, a batch :meth:`pin`\\ s its
@@ -53,12 +54,9 @@ from repro.serve.cache import (
 
 
 class ShardedPartialCache:
-    """``num_shards`` independently locked LRU shards keyed by RID hash.
+    """``num_shards`` independently locked shards keyed by RID hash.
 
-    ``capacity`` / ``capacity_floats`` are *totals*, split evenly
-    across shards (rounded up, so the aggregate bound is approximate by
-    at most ``num_shards - 1`` entries/rows — the usual sharding
-    trade).  ``admission`` selects each shard's policy
+    ``admission`` selects each shard's victim ranking
     (``"lru"`` | ``"tinylfu"``, see :class:`PartialCache`); with hash
     placement every RID always maps to the same shard, so per-shard
     frequency sketches see that RID's full access stream.
@@ -74,9 +72,7 @@ class ShardedPartialCache:
     def __init__(
         self,
         num_shards: int,
-        capacity: int | None = None,
         *,
-        capacity_floats: int | None = None,
         admission: str = LRU_ADMISSION,
         clock: AccessClock | None = None,
         governor=None,
@@ -102,18 +98,10 @@ class ShardedPartialCache:
                     "the 'spill' tier needs a spill_dir to write to"
                 )
             self._spill = SpillSlab(spill_dir)
-
-        def _split(total: int | None) -> int | None:
-            if total is None:
-                return None
-            return max(1, -(-total // num_shards))
-
         # One slab allocator may back every shard (it carries its own
         # lock): RID-hash placement already makes slots disjoint.
         self.shards = [
             PartialCache(
-                _split(capacity),
-                capacity_floats=_split(capacity_floats),
                 admission=admission,
                 clock=clock,
                 allocator=allocator,

@@ -1,11 +1,11 @@
-"""A count-min frequency sketch with aging, for TinyLFU admission.
+"""A count-min frequency sketch with aging, for the TinyLFU policy.
 
 Zipf-skewed FK traffic (the common case for the synthetic stars and
-most real fact tables) makes plain LRU admit every cold RID that
+most real fact tables) makes plain LRU keep every cold RID that
 passes by, evicting hot partials to hold one-hit wonders.  TinyLFU
-(Einziger et al.) fixes this with a tiny approximate frequency table:
-on a would-be eviction the *candidate* is admitted only if its
-estimated frequency beats the victim's.
+(Einziger et al.) fixes this with a tiny approximate frequency table;
+here the store's governor ranks a sweep's candidate victims by it,
+least frequent first, so the one-hit wonders go before the hot rows.
 
 The sketch is the standard count-min structure — ``depth`` hash rows
 over a power-of-two ``width`` — with periodic halving ("aging") so the

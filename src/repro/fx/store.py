@@ -14,31 +14,27 @@ parameters get different fingerprints and never collide.
 
 :meth:`PartialStore.acquire` returns a
 :class:`~repro.fx.sharding.ShardedPartialCache` — the first acquirer
-of a fingerprint creates it, later acquirers attach to it.  Later
-acquirers may not silently re-bound a live cache: passing ``capacity``
-/ ``capacity_floats`` values that differ from the cache's existing
-bounds raises :class:`~repro.errors.ModelError` (pass ``None`` to
-attach without an opinion — re-bounding a cache under live traffic
-would evict another model's working set, so the conflict is surfaced
-instead of ignored).  :meth:`release` detaches; the cache and its
-resident rows are dropped when the last holder leaves.  Sharing has
-no off switch: fingerprint-equal models compute bit-identical rows, so
-a private copy is never better — a caller that wants isolation builds
-its own store.
+of a fingerprint creates it, later acquirers attach to it.
+:meth:`release` detaches; the cache and its resident rows are dropped
+when the last holder leaves.  Sharing has no off switch:
+fingerprint-equal models compute bit-identical rows, so a private copy
+is never better — a caller that wants isolation builds its own store.
 
-**Store-wide memory budget.**  Per-fingerprint bounds cannot keep a
-multi-model deployment honest: each cache only sees its own
-residency, so `q` fingerprints each "within bounds" can still sum to
-q× the memory the host has.  Constructing the store with
-``capacity_floats`` installs one global budget across *every* resident
-partial in *every* cache.  Enforcement is cross-cache: each access is
-stamped by a shared :class:`~repro.serve.cache.AccessClock`, and
-whenever an insert pushes the store over budget the governor
-(:meth:`enforce_budget`) evicts the globally coldest unpinned entries
-— oldest tick first under ``"lru"`` admission; under ``"tinylfu"``
-the lowest sketch frequency (tick-tie-broken) among each shard's
-LRU-tail sample — regardless of which cache they live in.  A hot fingerprint therefore naturally takes share from a
-cold one instead of each being boxed into a static slice.
+**Store-wide memory budget.**  A cache has no bound of its own — a
+per-cache bound only sees its own residency, so `q` fingerprints each
+"within bounds" could still sum to q× the memory the host has.
+Constructing the store with ``capacity_floats`` installs one global
+budget across *every* resident partial in *every* cache, and its
+governor is the only thing that evicts.  Enforcement is cross-cache:
+each access is stamped by a shared
+:class:`~repro.serve.cache.AccessClock`, and whenever an insert pushes
+the store over budget the governor (:meth:`enforce_budget`) evicts the
+globally coldest unpinned entries — oldest tick first under ``"lru"``
+admission; under ``"tinylfu"`` the lowest sketch frequency
+(tick-tie-broken) among each shard's LRU-tail sample — regardless of
+which cache they live in.  A hot fingerprint therefore naturally takes
+share from a cold one instead of each being boxed into a static
+slice.
 
 Eviction is refcount-aware at two levels: caches are only dropped
 wholesale when their last holder releases them (``_Entry.refs``), and
@@ -62,7 +58,7 @@ attribution trade, like shared buffer-pool stats).
 **Process workers.**  A worker process of the process executor runs
 this same class over its shared-memory slab (``allocator=``).  Two
 facts make it a worker store: ``armed=True`` turns on the recency
-clock and governor hooks without a *local* ``capacity_floats`` — the
+clock and governor hooks without a ``capacity_floats`` of its own — the
 budget is global and enforced by the parent's deficit-bounded
 :meth:`PartialStore.trim` sweeps, so a hot worker can use budget a
 cold one is not using — and ``header=`` names the worker's row of the
@@ -167,35 +163,23 @@ class StoreStats:
 
 
 class _Entry:
-    __slots__ = ("cache", "refs", "capacity", "capacity_floats")
+    __slots__ = ("cache", "refs")
 
-    def __init__(
-        self,
-        cache: ShardedPartialCache,
-        capacity: int | None,
-        capacity_floats: int | None,
-    ) -> None:
+    def __init__(self, cache: ShardedPartialCache) -> None:
         self.cache = cache
         self.refs = 1
-        # The bounds as *requested* (pre shard-split), kept so later
-        # acquirers' bounds can be reconciled against them.
-        self.capacity = capacity
-        self.capacity_floats = capacity_floats
 
 
 class PartialStore:
     """Fingerprint-keyed registry of shared, globally budgeted caches.
 
     ``num_shards`` and ``admission`` apply to every cache the store
-    creates; per-fingerprint ``capacity`` / ``capacity_floats`` come
-    from the first acquirer (later acquirers must agree or pass
-    ``None`` — see :meth:`acquire`).  ``capacity_floats`` *on the
-    store* is the global budget across all fingerprints, enforced by
-    cross-cache eviction (see the module docstring); it composes with
-    any per-fingerprint bounds, whichever is tighter binding first.
-    All bookkeeping is thread-safe — the runtime registers models
-    while traffic is live.  ``allocator`` / ``header`` / ``armed`` are
-    the process worker's (module docstring).
+    creates.  ``capacity_floats`` is the global budget across all
+    fingerprints, enforced by cross-cache eviction (see the module
+    docstring) — the one memory bound there is.  All bookkeeping is
+    thread-safe — the runtime registers models while traffic is live.
+    ``allocator`` / ``header`` / ``armed`` are the process worker's
+    (module docstring).
     """
 
     def __init__(
@@ -270,54 +254,19 @@ class PartialStore:
         # what keeps cross-cache eviction deadlock-free.
         self._governor_lock = threading.Lock()
 
-    def acquire(
-        self,
-        fingerprint: str,
-        *,
-        capacity: int | None = None,
-        capacity_floats: int | None = None,
-    ) -> ShardedPartialCache:
-        """The shared cache for ``fingerprint`` (created on first use).
-
-        Later acquirers of a live fingerprint share the existing cache.
-        Their bounds are reconciled explicitly: ``None`` means "no
-        opinion" and always attaches; an explicit ``capacity`` /
-        ``capacity_floats`` must equal the bound the cache was created
-        with, else :class:`~repro.errors.ModelError` is raised —
-        silently ignoring a later caller's bound (the old
-        first-acquirer-wins rule) let deployments believe a limit was
-        in force when it never was.
+    def acquire(self, fingerprint: str) -> ShardedPartialCache:
+        """The shared cache for ``fingerprint`` (created on first use);
+        later acquirers of a live fingerprint share the existing cache.
         """
         with self._lock:
             entry = self._entries.get(fingerprint)
             if entry is not None:
-                for label, wanted, bound in (
-                    ("capacity", capacity, entry.capacity),
-                    (
-                        "capacity_floats",
-                        capacity_floats,
-                        entry.capacity_floats,
-                    ),
-                ):
-                    if wanted is not None and wanted != bound:
-                        raise ModelError(
-                            f"cache for fingerprint "
-                            f"{fingerprint[:12]!r}… already exists "
-                            f"with {label}={bound}; a later acquirer "
-                            f"requested {label}={wanted}.  Re-bounding "
-                            "a live shared cache would evict another "
-                            "model's working set — pass None to "
-                            "attach to the existing bounds, or use "
-                            "a store-wide capacity_floats budget"
-                        )
                 entry.refs += 1
                 self._shared_attachments += 1
                 return entry.cache
             governed = self._armed
             cache = ShardedPartialCache(
                 self.num_shards,
-                capacity,
-                capacity_floats=capacity_floats,
                 admission=self.admission,
                 # Tick stamping costs one shared-clock acquire per
                 # get_many plus per-key tick writes; only governed
@@ -332,9 +281,7 @@ class PartialStore:
                     else None
                 ),
             )
-            self._entries[fingerprint] = _Entry(
-                cache, capacity, capacity_floats
-            )
+            self._entries[fingerprint] = _Entry(cache)
             self._key_of_cache[id(cache)] = fingerprint
             return cache
 
@@ -505,7 +452,7 @@ class PartialStore:
 
     def trim(self, floats: int) -> int:
         """Evict up to ``floats`` of the globally coldest unpinned rows,
-        regardless of any local ``capacity_floats``; returns the rows
+        whatever this store's own ``capacity_floats``; returns the rows
         evicted.
 
         This is the process executor's budget mechanism: the parent
@@ -550,8 +497,8 @@ class PartialStore:
         A store created *without* a budget hands out ungoverned caches
         (no recency clock, no governor hook), so a budget can only be
         imposed later while no caches are live; doing otherwise would
-        install a bound the existing caches never feed, which is
-        exactly the silent-limit lie :meth:`acquire` refuses to tell.
+        install a bound the existing caches never feed — a limit
+        believed in force that never is.
         """
         if capacity_floats is not None and capacity_floats <= 0:
             raise ModelError(

@@ -45,7 +45,7 @@ coalesced batch request-by-request, exactly like data-dependent
 failures in thread mode).
 
 **Budget governance.**  Workers run an armed
-:class:`~repro.fx.store.PartialStore` with *no* local bound; each
+:class:`~repro.fx.store.PartialStore` with *no* bound of its own; each
 publishes its residency into its header row, and after every gathered batch the
 dispatcher reads the headers (plain shared-memory loads, no IPC),
 plans deficit-bounded trims (:func:`repro.fx.shm.plan_trims`) and
@@ -449,8 +449,7 @@ class ProcessExecutor(ServingCore):
     # -- control plane -------------------------------------------------------
 
     def _build(
-        self, name, kind, spec, model, strategy, cache_entries,
-        cache_floats, predecessor=None,
+        self, name, kind, spec, model, strategy, predecessor=None
     ) -> RegisteredModel:
         """Register the fit on every worker under a fresh generation;
         keep a validator locally.
@@ -476,8 +475,7 @@ class ProcessExecutor(ServingCore):
             MSG_REGISTER,
             dict(
                 name=name, kind=kind, spec=spec, model=coerce(model),
-                strategy=strategy, cache_entries=cache_entries,
-                cache_floats=cache_floats, key=generation,
+                strategy=strategy, key=generation,
                 predecessor=getattr(predecessor, "generation", None),
             ),
         )
@@ -491,8 +489,7 @@ class ProcessExecutor(ServingCore):
             name=name, kind=kind, strategy=strategy,
             factorized=None, materialized=None, validator=validator,
             generation=generation, out_width=reply["out_width"],
-            spec=spec, cache_entries=cache_entries,
-            cache_floats=cache_floats,
+            spec=spec,
         )
         if predecessor is not None:
             registered.continue_from(predecessor)

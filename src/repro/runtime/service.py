@@ -30,8 +30,8 @@ into a serving tier:
   a :class:`~repro.fx.dedup.DedupPlan` consumed by planner and
   predictor alike, and all partial caches come from the executor's
   shared :class:`~repro.fx.store.PartialStore` — fingerprint-identical
-  models reuse one cache, optionally behind
-  TinyLFU admission (``cache_admission="tinylfu"``), and an optional
+  models reuse one cache, optionally with TinyLFU victim ranking
+  (``cache_admission="tinylfu"``), and an optional
   ``memory_budget`` (bytes) makes the store evict the globally
   coldest partials across every model's caches so the whole runtime's
   partial residency stays bounded under multi-model pressure.
@@ -426,13 +426,9 @@ class ServingRuntime:
         spec: JoinSpec,
         *,
         strategy: str = ADAPTIVE,
-        cache_entries: int | None = None,
-        cache_floats: int | None = None,
     ) -> RegisteredModel:
         """Register a fitted mixture (a ``GMMResult`` or the bare model)."""
-        return self._register(
-            name, "gmm", spec, model, strategy, cache_entries, cache_floats
-        )
+        return self._register(name, "gmm", spec, model, strategy)
 
     def register_nn(
         self,
@@ -441,22 +437,14 @@ class ServingRuntime:
         spec: JoinSpec,
         *,
         strategy: str = ADAPTIVE,
-        cache_entries: int | None = None,
-        cache_floats: int | None = None,
     ) -> RegisteredModel:
         """Register a trained network (an ``NNResult`` or the bare MLP)."""
-        return self._register(
-            name, "nn", spec, model, strategy, cache_entries, cache_floats
-        )
+        return self._register(name, "nn", spec, model, strategy)
 
-    def _register(
-        self, name, kind, spec, model, strategy, cache_entries, cache_floats
-    ) -> RegisteredModel:
+    def _register(self, name, kind, spec, model, strategy) -> RegisteredModel:
         if self._closed:
             raise ModelError("runtime is closed")
-        return self._executor.register(
-            name, kind, spec, model, strategy, cache_entries, cache_floats
-        )
+        return self._executor.register(name, kind, spec, model, strategy)
 
     def swap_model(self, name: str, model) -> RegisteredModel:
         """Atomically replace ``name``'s fit with a refreshed one — see

@@ -14,9 +14,10 @@ Layers (the execution core underneath is :mod:`repro.fx`):
 
 * :mod:`~repro.serve.partials` — per-RID partial results and keyed
   dimension-row lookups;
-* :mod:`~repro.serve.cache` — bounded cache of partial rows: capacity
-  by entries and/or by floats (``capacity_floats``), LRU or TinyLFU
-  admission, invalidation hooks for dimension-row updates;
+* :mod:`~repro.serve.cache` — the shard of a partial-row cache: no
+  bound of its own (the store-wide budget's governor evicts, ranking
+  victims LRU or TinyLFU), invalidation hooks for dimension-row
+  updates;
 * :mod:`~repro.serve.predictor` — exact factorized / materialized
   predictors per model family; factorized predictors draw their
   caches from a shared :class:`~repro.fx.store.PartialStore`, so

@@ -1,4 +1,4 @@
-"""A bounded LRU cache of per-RID partial rows, held in arrays.
+"""A cache of per-RID partial rows, held in arrays.
 
 Dimension relations small enough to pin make serving trivially cheap:
 every partial is computed once and reused forever.  When a dimension is
@@ -16,23 +16,18 @@ predictor's GEMM.  The demoted tiers (:mod:`repro.fx.tiers`) are slot
 tables too — float32 payloads, spill-heap positions — so a governor
 sweep demotes, and a batch promotes, whole blocks of rows at a time.
 
-Capacity can be bounded two ways, separately or together: by *entries*
-(distinct RIDs) and by *floats* (``capacity_floats``, the number of
-cached float64 values — the honest memory unit when partial rows have
-very different widths across models).  Either bound evicts LRU-first.
+A shard has no bound of its own: every computed row is admitted, and
+memory is bounded by the owning :class:`~repro.fx.store.PartialStore`'s
+store-wide budget (``capacity_floats``, in float64 values — the honest
+unit when partial rows have very different widths across models),
+whose governor is the only thing that evicts.  Two policies rank its
+victims:
 
-Two admission policies govern what a miss may insert:
-
-* ``"lru"`` (default) — classic LRU: every computed row is admitted,
-  evicting from the cold end when over capacity;
-* ``"tinylfu"`` — frequency-sketch admission for Zipf-skewed FK
-  traffic: a small count-min sketch
+* ``"lru"`` (default) — the globally least recently used rows go first;
+* ``"tinylfu"`` — for Zipf-skewed FK traffic: a small count-min sketch
   (:class:`~repro.fx.sketch.FrequencySketch`) tracks approximate
-  access counts, and a computed row is admitted *only if* its
-  estimated frequency beats the LRU victim it would evict.  One-hit
-  wonders stop displacing hot partials; rejected rows are still
-  returned to the caller (only reuse is lost), and rejections are
-  counted separately from evictions.
+  access counts, and the least-frequent rows among each shard's
+  LRU tail go first, so one-hit wonders stop displacing hot partials.
 
 The cache is thread-safe: one internal lock — the only lock a shard
 has — serializes lookups, invalidations and counter reads, so
@@ -51,34 +46,30 @@ RIDs.  It is the *shard*: consumers never hold one directly — they get
 a :class:`~repro.fx.sharding.ShardedPartialCache` from a
 :class:`~repro.fx.store.PartialStore`.
 
-Beyond its own two capacity bounds, a cache can take part in a
-*store-wide* budget (:class:`~repro.fx.store.PartialStore` with
-``capacity_floats``).  Three small hooks make that possible:
+Three small hooks let the store's governor do that across caches:
 
 * an :class:`AccessClock` — a counter shared by every cache under one
   store; each hit and insert stamps the entry with the next tick, so
   recency is comparable *across* caches, not just within one LRU;
 * pin refcounts (:meth:`PartialCache.pin` / :meth:`unpin`) — a batch
   in flight pins the RIDs it is using; pinned entries are skipped by
-  budget eviction (both the local capacity sweep and the store's
-  cross-cache sweep), so one batch can never thrash another batch's
+  the governor's sweep, so one batch can never thrash another batch's
   working set out mid-request.  Pins guard *memory pressure* only:
   :meth:`invalidate` still drops pinned rows, because a stale partial
   must never outlive its source row;
 * the victim API (:meth:`eviction_candidates` / :meth:`evict`) — each
   shard offers its coldest unpinned rows as arrays, the store's
   governor orders the pool by ``(frequency, tick)`` (strict global LRU
-  under LRU admission; under TinyLFU least-frequent-first over an
-  ``_TINYLFU_VICTIM_SAMPLE``-row tail sample per shard) and each shard
-  evicts its share in one call, counted as ``cross_evictions``,
-  separate from local capacity ``evictions``.
+  under ``"lru"``; under ``"tinylfu"`` least-frequent-first over the
+  deficit-covering tail plus ``_TINYLFU_VICTIM_SAMPLE`` more rows per
+  shard) and each shard evicts its share in one call, counted as
+  ``cross_evictions``.
 """
 
 from __future__ import annotations
 
 import sys
 import threading
-import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple
@@ -104,16 +95,14 @@ LRU_ADMISSION = "lru"
 TINYLFU_ADMISSION = "tinylfu"
 ADMISSION_POLICIES = (LRU_ADMISSION, TINYLFU_ADMISSION)
 
-# Sketch sizing: counters per cacheable entry.  8 columns per entry
-# keeps collision noise low at a few bytes per entry; capacity-less
-# caches fall back to a fixed small sketch (they never evict, so
-# admission only matters while bounded by capacity_floats).
-_SKETCH_COLUMNS_PER_ENTRY = 8
-_DEFAULT_SKETCH_WIDTH = 1024
+# Counters per row of the TinyLFU frequency sketch.
+_SKETCH_WIDTH = 1024
 
-# Under TinyLFU a store-budget victim is the least-frequent of this
-# many LRU-tail entries (the Caffeine-style bounded sample): a hot row
-# parked at the LRU head cannot shield the cold rows behind it.
+# Under TinyLFU a shard offers the governor this many LRU-tail rows
+# beyond the ones that would cover the deficit on their own (the
+# Caffeine-style bounded sample), so the frequency rank always has a
+# choice: a hot row parked at the LRU tail cannot shield the cold rows
+# behind it, whatever the size of the sweep.
 _TINYLFU_VICTIM_SAMPLE = 8
 
 # The slab is resized by relocate-and-copy.  The first one is sized by
@@ -213,24 +202,22 @@ def _counter(**kwargs):
 class CacheStats:
     """Point-in-time cache counters.
 
-    ``evictions`` counts local capacity evictions,
-    ``cross_evictions`` the subset of memory-pressure evictions driven
-    by a store-wide budget (another cache's insert pushed the store
-    over its global ``capacity_floats``), and ``invalidations`` the
-    rows dropped by dimension-update events — three different causes,
+    ``cross_evictions`` counts the rows the store's budget governor
+    evicted (or demoted) from this cache, and ``invalidations`` the
+    rows dropped by dimension-update events — two different causes,
     counted separately so memory pressure is never mistaken for data
-    churn.  ``+`` aggregates across shards (:func:`add_fields`).
+    churn.  ``evictions`` stays 0: nothing but the governor evicts, and
+    the field is kept only for readers that add it to
+    ``cross_evictions``.  ``+`` aggregates across shards
+    (:func:`add_fields`).
     """
 
     hits: int = _counter(default=0)
     misses: int = _counter(default=0)
     evictions: int = _counter(default=0)
     entries: int = 0
-    capacity: int | None = None
-    capacity_floats: int | None = None
     bytes_resident: int = 0
     invalidations: int = _counter(default=0)
-    admission_rejections: int = _counter(default=0)
     cross_evictions: int = _counter(default=0)
     # Of bytes_resident, how many live in a shared-memory slab (the
     # process executor's per-worker arena) vs private process memory.
@@ -268,19 +255,15 @@ class CacheStats:
         """Only the monotonic counters — what a retired cache
         generation leaves behind.
 
-        Gauges (entries, residency) are zeroed and the capacities set
-        to 0, the additive identity of ``+``, so folding the result
-        into a live generation's stats inflates only the counters.
+        Gauges (entries, residency) are zeroed, the additive identity
+        of ``+``, so folding the result into a live generation's stats
+        inflates only the counters.
         """
-        return CacheStats(
-            capacity=0,
-            capacity_floats=0,
-            **{
-                spec.name: getattr(self, spec.name)
-                for spec in fields(self)
-                if spec.metadata.get("counter")
-            },
-        )
+        return CacheStats(**{
+            spec.name: getattr(self, spec.name)
+            for spec in fields(self)
+            if spec.metadata.get("counter")
+        })
 
 
 def as_rids(keys) -> np.ndarray:
@@ -517,15 +500,14 @@ class SlotTable:
 
 
 class PartialCache:
-    """Bounded LRU map of ``rid -> partial row`` — one shard.
+    """Map of ``rid -> partial row`` — one shard.
 
-    ``capacity`` counts entries (distinct RIDs), ``capacity_floats``
-    counts resident float64 values; ``None`` for both means unbounded —
-    the fully-resident case.  ``admission`` selects ``"lru"`` (admit
-    everything) or ``"tinylfu"`` (frequency-sketch admission; see the
-    module docstring).  ``clock`` — an :class:`AccessClock` shared
-    with sibling caches — opts this cache into a store-wide budget:
-    every hit and insert is stamped with a global tick so a
+    Every computed row is admitted; only the owning store's governor
+    evicts (module docstring).  ``admission`` selects how it ranks this
+    shard's victims: ``"lru"`` or ``"tinylfu"`` (frequency first).
+    ``clock`` — an :class:`AccessClock` shared with sibling caches —
+    opts this cache into a store-wide budget: every hit and insert is
+    stamped with a global tick so a
     :class:`~repro.fx.store.PartialStore` governor can compare recency
     across caches and evict the globally coldest entries first.  All
     lookups go through :meth:`get_many`, which resolves hits, computes
@@ -535,41 +517,22 @@ class PartialCache:
 
     def __init__(
         self,
-        capacity: int | None = None,
         *,
-        capacity_floats: int | None = None,
         admission: str = LRU_ADMISSION,
         clock: AccessClock | None = None,
         allocator=None,
         tiers: tuple = (),
         spill=None,
     ) -> None:
-        if capacity is not None and capacity <= 0:
-            raise ModelError(
-                f"cache capacity must be positive or None, got {capacity}"
-            )
-        if capacity_floats is not None and capacity_floats <= 0:
-            raise ModelError(
-                f"cache capacity_floats must be positive or None, "
-                f"got {capacity_floats}"
-            )
         if admission not in ADMISSION_POLICIES:
             raise ModelError(
                 f"unknown admission policy {admission!r}; use one of "
                 f"{list(ADMISSION_POLICIES)}"
             )
-        self.capacity = capacity
-        self.capacity_floats = capacity_floats
-        self._bounded = capacity is not None or capacity_floats is not None
         self.admission = admission
         self._sketch: FrequencySketch | None = None
         if admission == TINYLFU_ADMISSION:
-            width = (
-                capacity * _SKETCH_COLUMNS_PER_ENTRY
-                if capacity is not None
-                else _DEFAULT_SKETCH_WIDTH
-            )
-            self._sketch = FrequencySketch(width)
+            self._sketch = FrequencySketch(_SKETCH_WIDTH)
         self._clock = clock
         # The resident tier; with an allocator
         # (repro.fx.shm.SlabAllocator) its slab lives in shared memory,
@@ -603,15 +566,12 @@ class PartialCache:
         # and get_many holds it across compute → insert so an
         # invalidate can never land between the two (module docstring).
         self._lock = threading.RLock()
-        self._warned_row_too_wide = False
         self._zero_counters()
 
     def _zero_counters(self) -> None:
         self.hits = 0
         self.misses = 0
-        self.evictions = 0
         self.invalidations = 0
-        self.admission_rejections = 0
         self.cross_evictions = 0
         self.demotions: dict[str, int] = {}
         self.promotions: dict[str, int] = {}
@@ -771,10 +731,8 @@ class PartialCache:
         """Bring the demoted copies among a batch's not-``held`` keys
         back to resident float64 — the float32 ones first, each tier's
         in first-occurrence order; returns how many rows came back.
-
-        Promoted rows bypass admission (they were admitted once
-        already; demotion was memory policy, not a verdict on their
-        worth) and land at the MRU end.
+        Promoted rows land at the MRU end; making room for them is the
+        store governor's job, after the batch.
         """
         wanted, _ = _first_occurrences(keys[~held])
         wanted = wanted[
@@ -791,14 +749,6 @@ class PartialCache:
             self._readmit(TIER_FLOAT32, wanted[found], rows, tick)
             found, rows = self._take_spilled(wanted, read=True)
             self._readmit(TIER_SPILL, wanted[found], rows, tick)
-            if self._bounded:
-                # Make room — but never out of the rows this very batch
-                # is about to read (up to PR 15 that was a KeyError).
-                self._table.pin(keys)
-                try:
-                    self._evict_over_capacity()
-                finally:
-                    self._table.unpin(keys)
             if promote_span is not None:
                 promote_span.set("rows", float(wanted.size))
         return wanted.size
@@ -810,50 +760,6 @@ class PartialCache:
             self.promotions[tier] = self.promotions.get(tier, 0) + keys.size
             self.promotions_total += keys.size
 
-    # -- local capacity -----------------------------------------------------
-
-    def _row_limit(self, width: int) -> int | None:
-        """The local bounds as a count of resident ``width``-float
-        rows, next to today's compressed charges (``None`` = unbounded)."""
-        bounds = []
-        if self.capacity is not None:
-            bounds.append(self.capacity)
-        if self.capacity_floats is not None and width:
-            bounds.append(
-                (self.capacity_floats - self._compressed_floats) // width
-            )
-        return min(bounds, default=None)
-
-    def _evict_over_capacity(self) -> None:
-        """LRU-evict until within the local bounds, skipping pinned keys.
-
-        A batch in flight pins the RIDs it is gathering, so the sweep
-        may find nothing evictable — the cache then transiently
-        overshoots its bound rather than thrash a live batch's rows.
-        Without tiers the victims are the oldest unpinned slots, in
-        one selection; with tiers each victim is demoted down the
-        ladder instead (it still counts as an eviction from the
-        resident tier), one row at a time, compressed rows once no
-        resident one is left to take.
-        """
-        table = self._table
-        limit = self._row_limit(table.width)
-        if limit is None:
-            return
-        if not self._tiers:
-            victims = table.coldest(table.rows - limit)
-            table.drop(victims)
-            self.evictions += victims.size
-            return
-        while table.rows > self._row_limit(table.width):
-            victim = table.key[table.coldest(1)]
-            if not victim.size:
-                victim = self._compressed.key[self._coldest_compressed(1)]
-            if not victim.size:
-                return
-            self._demote(victim)
-            self.evictions += 1
-
     def _coldest_compressed(self, count: int) -> np.ndarray:
         """Up to ``count`` unpinned float32-tier slots, oldest demotion
         first.  A demoted key can only be pinned through a rowless
@@ -864,52 +770,11 @@ class PartialCache:
         slots = tier.coldest(tier.rows)
         return slots[~table.find(tier.key[slots], pinned=True)[1]][:count]
 
-    def _tinylfu_admit(self, keys: np.ndarray, width: int):
-        """TinyLFU admission for a batch of computed rows: which of
-        them get in (``None`` = all of them, nothing is at capacity).
-
-        A row that would evict must out-rank the victim's estimated
-        access frequency (strictly — equal frequencies keep the
-        resident row, avoiding churn).  The victim consulted is the
-        oldest *unpinned* row, matching what
-        :meth:`_evict_over_capacity` will actually evict — and the
-        victim pointer advances only on an admit, which makes this a
-        walk: the lookup path's one per-key loop, over the at-capacity
-        misses only, on plain ints.
-        """
-        table = self._table
-        limit = self._row_limit(width)
-        if limit is None or table.rows + keys.size <= limit:
-            return None
-        room = max(0, limit - table.rows)
-        fresh = self._sketch.estimate_many(keys).tolist()
-        unpinned = (~table.find(keys, pinned=True)[1]).tolist()
-        # The eviction order from here on: today's unpinned rows,
-        # oldest first, then the rows this batch admits, in order.
-        victims = self._sketch.estimate_many(
-            table.key[table.coldest(table.rows - limit + keys.size)]
-        ).tolist()
-        victims += [f for f, free in zip(fresh[:room], unpinned) if free]
-        over = table.rows + room - limit
-        taken = 0
-        admitted = np.ones(keys.size, dtype=bool)
-        for index in range(room, keys.size):
-            if taken < len(victims) and fresh[index] <= victims[taken]:
-                admitted[index] = False
-                continue
-            over += 1
-            if unpinned[index]:
-                victims.append(fresh[index])
-            evicted = min(over, len(victims) - taken)
-            taken += evicted
-            over -= evicted
-        return admitted
-
     def _insert(self, keys: np.ndarray, rows: np.ndarray, tick) -> None:
-        """Admit freshly computed ``rows`` (distinct ``keys``, in
-        first-occurrence order) and evict back within the local bounds
-        — the same victims, evictions and rejections as inserting and
-        evicting row by row."""
+        """Make freshly computed ``rows`` (distinct ``keys``, in
+        first-occurrence order) resident, all of them in one block:
+        a shard admits everything and only the store's governor
+        evicts."""
         table = self._table
         width = rows.shape[1]
         if width != table.width and (
@@ -919,37 +784,7 @@ class PartialCache:
                 f"partial rows are {width} floats wide but this cache "
                 f"holds rows of {table.width}"
             )
-        if (
-            self.capacity_floats is not None
-            and width > self.capacity_floats
-            and not self._warned_row_too_wide
-        ):
-            self._warned_row_too_wide = True
-            warnings.warn(
-                f"partial rows are {width} floats but the "
-                f"cache holds at most {self.capacity_floats}; "
-                "nothing will stay resident (if this cache is a "
-                "shard, the total capacity_floats is split "
-                "across shards)",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-        if self._tiers and self._bounded and keys.size > 1:
-            # Demotions free a rung's gain, not a row, so insert-then-
-            # evict cannot be batched: one row at a time, as ever.
-            for index in range(keys.size):
-                self._insert(
-                    keys[index:index + 1], rows[index:index + 1], tick
-                )
-            return
-        if self._sketch is not None:
-            admitted = self._tinylfu_admit(keys, width)
-            if admitted is not None:
-                self.admission_rejections += int((~admitted).sum())
-                keys, rows = keys[admitted], rows[admitted]
-        if keys.size:       # a rejection evicts nothing, backlog included
-            table.put(keys, rows, tick)
-            self._evict_over_capacity()
+        table.put(keys, rows, tick)
 
     def get_many(
         self,
@@ -966,9 +801,10 @@ class PartialCache:
         key, in order; the cache copies them and keeps no reference to
         the array (a batch that hit and repeated nothing gets an array
         nobody else holds back as is, not a third copy of the block).
-        Computed rows are returned to the caller even when the cache
-        immediately evicts them (a request wider than the capacity
-        still gets correct results — only reuse across requests is lost).
+        Computed rows are returned to the caller even when the store's
+        governor evicts them right after (a request wider than the
+        budget still gets correct results — only reuse across requests
+        is lost).
         """
         keys = np.asarray(keys)
         if keys.ndim != 1:
@@ -984,9 +820,9 @@ class PartialCache:
                 self._clock.tick() if self._clock is not None else None
             )
             if self._sketch is not None:
-                # Every access counts toward admission frequency —
-                # hits included, or resident hot rows could never
-                # out-rank a burst of cold candidates.
+                # Every access counts toward the victims' frequency
+                # rank — hits included, or resident hot rows could
+                # never out-rank a burst of cold ones.
                 self._sketch.record(keys)
             slots, held = table.find(keys)
             if (
@@ -1012,7 +848,6 @@ class PartialCache:
             if span is not None:
                 span.add("cache.hits", hits)
                 span.add("cache.misses", misses)
-                evictions_before = self.evictions
             if hits:
                 out = table.slab.take(slots, axis=0)
                 table.touch(slots[held] if misses else slots, batch_tick)
@@ -1027,10 +862,6 @@ class PartialCache:
                 self._insert(missing, computed, batch_tick)
                 if out is not computed:
                     out[~held] = computed if where is None else computed[where]
-            if span is not None and self.evictions > evictions_before:
-                span.add(
-                    "cache.evictions", self.evictions - evictions_before
-                )
             return out
 
     # -- store-wide budget hooks (see the module docstring) ----------------
@@ -1038,12 +869,11 @@ class PartialCache:
     def pin(self, keys: np.ndarray) -> None:
         """Refcount ``keys`` as in use by an in-flight batch.
 
-        Pinned keys are skipped by every memory-pressure eviction —
-        the local capacity sweep and a store governor's cross-cache
-        sweep — until :meth:`unpin` drops the last reference.  Pinning
-        a key that is not (yet) resident is fine: the pin protects the
-        row the batch is about to insert.  Pins do **not** protect
-        against :meth:`invalidate` (data change beats memory policy).
+        Pinned keys are skipped by the store governor's sweeps until
+        :meth:`unpin` drops the last reference.  Pinning a key that is
+        not (yet) resident is fine: the pin protects the row the batch
+        is about to insert.  Pins do **not** protect against
+        :meth:`invalidate` (data change beats memory policy).
         """
         with self._lock:
             self._table.pin(as_rids(keys))
@@ -1061,29 +891,31 @@ class PartialCache:
 
         ``frequencies`` are the TinyLFU sketch estimates, 0 under
         ``"lru"`` — so ``(frequency, tick)`` order degrades to pure
-        global LRU there; under ``"tinylfu"`` at least
-        ``_TINYLFU_VICTIM_SAMPLE`` rows are offered regardless, so a hot
-        row at the LRU tail cannot shield the cold rows right behind it
-        from the frequency rank.  ``frees`` is what :meth:`evict` would
-        free per row: its charge, or with tiers one rung's gain.
-        Compressed rows still charge the budget, so they are offered
-        too, and first (they demoted before today's residents, so they
-        rank colder); spilled rows charge nothing — never offered.
+        global LRU there; under ``"tinylfu"`` ``_TINYLFU_VICTIM_SAMPLE``
+        rows beyond the covering ones are offered too, so the rank has
+        rows to spare however large the deficit and a hot row at the
+        LRU tail cannot shield the cold rows right behind it.
+        ``frees`` is what :meth:`evict` would free per row: its charge,
+        or with tiers one rung's gain.  Compressed rows still charge
+        the budget, so they are offered too, and first (they demoted
+        before today's residents, so they rank colder); spilled rows
+        charge nothing — never offered.
         """
-        min_scan = 1 if self._sketch is None else _TINYLFU_VICTIM_SAMPLE
+        extra = 0 if self._sketch is None else _TINYLFU_VICTIM_SAMPLE
         with self._lock:
             table, compressed = self._table, self._compressed
             width = table.width
             demoted = np.empty(0, dtype=np.intp)
+            wanted = extra
             if compressed.rows:
                 charge = float_equivalents(TIER_FLOAT32, width)
-                demoted = self._coldest_compressed(
-                    max(min_scan, -(-deficit_floats // charge))
-                )
-                deficit_floats -= demoted.size * charge
-            wanted = min_scan - demoted.size
+                covering = -(-deficit_floats // charge)
+                demoted = self._coldest_compressed(covering + extra)
+                covering = min(covering, demoted.size)
+                deficit_floats -= covering * charge
+                wanted -= demoted.size - covering
             if deficit_floats > 0 and width:
-                wanted = max(wanted, -(-deficit_floats // width))
+                wanted += -(-deficit_floats // width)
             slots = table.coldest(wanted)
             keys = np.concatenate([compressed.key[demoted], table.key[slots]])
             ticks = np.concatenate(
@@ -1130,11 +962,12 @@ class PartialCache:
     def invalidate(self, keys: np.ndarray) -> int:
         """Drop the given RIDs if cached; returns how many were held.
 
-        Used by the dimension-update eviction path: unlike capacity
-        evictions, invalidations are counted separately because they
-        signal data change, not memory pressure.  Pins do not protect
-        here: a stale partial must never outlive its updated source
-        row — whatever tier it sits in, spilled copies included.
+        Used by the dimension-update eviction path: unlike the
+        governor's evictions, invalidations are counted separately
+        because they signal data change, not memory pressure.  Pins do
+        not protect here: a stale partial must never outlive its
+        updated source row — whatever tier it sits in, spilled copies
+        included.
         """
         keys = as_rids(keys)
         with self._lock:
@@ -1157,13 +990,9 @@ class PartialCache:
             return CacheStats(
                 hits=self.hits,
                 misses=self.misses,
-                evictions=self.evictions,
                 entries=self._table.rows,
-                capacity=self.capacity,
-                capacity_floats=self.capacity_floats,
                 bytes_resident=held.bytes,
                 invalidations=self.invalidations,
-                admission_rejections=self.admission_rejections,
                 cross_evictions=self.cross_evictions,
                 shm_bytes_resident=held.shm_bytes,
                 compressed_entries=self._compressed.rows,
@@ -1203,5 +1032,5 @@ class PartialCache:
         stats = self.stats()
         return (
             f"PartialCache(entries={stats.entries}, "
-            f"capacity={stats.capacity}, hit_rate={stats.hit_rate:.2f})"
+            f"hit_rate={stats.hit_rate:.2f})"
         )

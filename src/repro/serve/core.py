@@ -44,7 +44,7 @@ from repro.join.bnl import DEFAULT_BLOCK_PAGES
 from repro.join.spec import JoinSpec
 from repro.obs.trace import NOOP_SPAN
 from repro.serve.cache import CacheStats
-from repro.serve.predictor import check_cache_bounds, make_predictor
+from repro.serve.predictor import make_predictor
 from repro.storage.iostats import IOSnapshot
 
 #: Per-batch planning: the registration carries both predictors and a
@@ -254,9 +254,8 @@ class RegisteredModel:
     name: str
     kind: str                        # "gmm" | "nn"
     strategy: str                    # "adaptive" | fixed serving strategy
-    # Registration-time inputs (with the cache bounds below) retained
-    # so a maintainer can rebuild this registration around a refreshed
-    # fit (swap).
+    # Registration-time inputs retained so a maintainer can rebuild
+    # this registration around a refreshed fit (swap).
     spec: JoinSpec
     factorized: object | None
     materialized: object | None
@@ -264,8 +263,6 @@ class RegisteredModel:
     validator: object | None = None
     generation: int = 0
     out_width: int = 0               # network output width (0 for GMMs)
-    cache_entries: int | list[int] | None = None
-    cache_floats: int | None = None
     # Batches currently executing against this registration; swap
     # drains it to zero before tearing the registration down.
     inflight: int = 0
@@ -447,7 +444,6 @@ class ServingCore:
 
     def register(
         self, name, kind, spec, model, strategy,
-        cache_entries=None, cache_floats=None,
         *, key=None, predecessor=None,
     ) -> RegisteredModel:
         """Build and insert one registration.
@@ -462,10 +458,8 @@ class ServingCore:
             raise ModelError(f"model {name!r} is already registered")
         if strategy != ADAPTIVE:
             strategy = resolve_serving_strategy(strategy)
-        check_cache_bounds(strategy, cache_entries, cache_floats)
         registered = self._build(
-            name, kind, spec, model, strategy, cache_entries,
-            cache_floats, predecessor,
+            name, kind, spec, model, strategy, predecessor
         )
         with self._registry_lock:
             # Re-check under the lock: a concurrent registration of
@@ -480,8 +474,7 @@ class ServingCore:
         return registered
 
     def _build(
-        self, name, kind, spec, model, strategy, cache_entries,
-        cache_floats, predecessor=None,
+        self, name, kind, spec, model, strategy, predecessor=None
     ) -> RegisteredModel:
         """Predictor(s), caches and planner for one registration,
         without touching the registry."""
@@ -492,7 +485,6 @@ class ServingCore:
             # fingerprint-identical models share slabs.
             factorized = make_predictor(
                 self.db, spec, model, kind=kind, strategy=FACTORIZED,
-                cache_entries=cache_entries, cache_floats=cache_floats,
                 store=self.store, block_pages=self.block_pages,
             )
         try:
@@ -515,7 +507,6 @@ class ServingCore:
                 factorized=factorized, materialized=materialized,
                 planner=planner,
                 out_width=bare.n_outputs if kind == "nn" else 0,
-                cache_entries=cache_entries, cache_floats=cache_floats,
             )
             if predecessor is not None:
                 registered.continue_from(predecessor)
@@ -558,8 +549,7 @@ class ServingCore:
         """
         current = self.model(name)
         replacement = self._build(
-            name, current.kind, current.spec, model, current.strategy,
-            current.cache_entries, current.cache_floats, current,
+            name, current.kind, current.spec, model, current.strategy, current
         )
         with self._registry_lock:
             lost = self._models.get(name) is not current
@@ -761,10 +751,6 @@ class ServingCore:
                     help="Partial-cache misses", **labels,
                 )
                 buffer.counter(
-                    "repro_cache_evictions_total", stats.evictions,
-                    help="Local capacity evictions", **labels,
-                )
-                buffer.counter(
                     "repro_cache_cross_evictions_total",
                     stats.cross_evictions,
                     help="Evictions forced by the store-wide budget",
@@ -777,7 +763,7 @@ class ServingCore:
                     **labels,
                 )
                 buffer.gauge(
-                    "repro_cache_entries", stats.entries,
+                    "repro_cache_rows_resident", stats.entries,
                     help="Resident partial rows", **labels,
                 )
                 buffer.gauge(

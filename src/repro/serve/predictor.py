@@ -231,21 +231,6 @@ class _ServingPredictor:
         the factorized predictors hold any)."""
 
 
-def _normalize_cache_entries(
-    num_dimensions: int, cache_entries
-) -> list[int | None]:
-    """One capacity per dimension from an int / per-dimension list."""
-    if cache_entries is None or isinstance(cache_entries, int):
-        return [cache_entries] * num_dimensions
-    entries = list(cache_entries)
-    if len(entries) != num_dimensions:
-        raise ModelError(
-            f"got {len(entries)} cache capacities for "
-            f"{num_dimensions} dimensions"
-        )
-    return entries
-
-
 # -- neural networks ----------------------------------------------------------
 
 
@@ -261,7 +246,7 @@ class _FactorizedCacheMixin:
     store and closes it in :meth:`close`.
     """
 
-    def _setup_caches(self, cache_entries, cache_floats, store) -> None:
+    def _setup_caches(self, store) -> None:
         self.fingerprints = [
             f"{dim.relation.heap.path}:{builder.fingerprint}"
             for dim, builder in zip(
@@ -277,27 +262,7 @@ class _FactorizedCacheMixin:
 
             store = PartialStore()
         self._store = store
-        entries = _normalize_cache_entries(
-            self.num_dimensions, cache_entries
-        )
-        self.caches = []
-        try:
-            for fingerprint, e in zip(self.fingerprints, entries):
-                self.caches.append(
-                    store.acquire(
-                        fingerprint, capacity=e,
-                        capacity_floats=cache_floats,
-                    )
-                )
-        except BaseException:
-            # A mid-way failure (e.g. a bounds conflict on a later
-            # dimension's fingerprint) must give back the refs already
-            # taken, or those caches would stay pinned in the store
-            # forever.
-            for cache in self.caches:
-                store.release(cache)
-            self.caches = []
-            raise
+        self.caches = [store.acquire(key) for key in self.fingerprints]
 
     def close(self) -> None:
         """Release the caches back to the store, and close the store
@@ -356,8 +321,6 @@ class FactorizedNNPredictor(_FactorizedCacheMixin, _ServingPredictor):
         spec: JoinSpec,
         model: MLP,
         *,
-        cache_entries: int | list[int] | None = None,
-        cache_floats: int | None = None,
         store=None,
         block_pages: int = DEFAULT_BLOCK_PAGES,
     ) -> None:
@@ -375,7 +338,7 @@ class FactorizedNNPredictor(_FactorizedCacheMixin, _ServingPredictor):
         self.builders = [
             NNPartialBuilder(part) for part in weight_parts[1:]
         ]
-        self._setup_caches(cache_entries, cache_floats, store)
+        self._setup_caches(store)
 
     def first_preactivations(
         self, fact_features, fk_values, *, plan=None
@@ -499,8 +462,6 @@ class FactorizedGMMPredictor(
         spec: JoinSpec,
         model: GaussianMixtureModel,
         *,
-        cache_entries: int | list[int] | None = None,
-        cache_floats: int | None = None,
         store=None,
         block_pages: int = DEFAULT_BLOCK_PAGES,
     ) -> None:
@@ -513,7 +474,7 @@ class FactorizedGMMPredictor(
             )
             for i in range(1, layout.nblocks)
         ]
-        self._setup_caches(cache_entries, cache_floats, store)
+        self._setup_caches(store)
 
     def _design(self, fact_features, fk_values, plan):
         features, plan = self._request(fact_features, fk_values, plan)
@@ -566,18 +527,6 @@ _PREDICTORS = {
 }
 
 
-def check_cache_bounds(strategy: str, cache_entries, cache_floats) -> None:
-    """Reject cache capacities on a model with no factorized side."""
-    if strategy == MATERIALIZED and (
-        cache_entries is not None or cache_floats is not None
-    ):
-        raise ModelError(
-            "cache_entries/cache_floats apply to the factorized "
-            "strategy only; the materialized path keeps no "
-            "partials to cache"
-        )
-
-
 def make_predictor(
     db: Database,
     spec: JoinSpec,
@@ -585,8 +534,6 @@ def make_predictor(
     *,
     kind: str,
     strategy: str = FACTORIZED,
-    cache_entries: int | list[int] | None = None,
-    cache_floats: int | None = None,
     store=None,
     block_pages: int = DEFAULT_BLOCK_PAGES,
 ):
@@ -605,12 +552,10 @@ def make_predictor(
         raise ModelError(f"unknown predictor kind {kind!r}; use 'gmm'|'nn'")
     strategy = resolve_serving_strategy(strategy)
     model = _COERCERS[kind](model)
-    check_cache_bounds(strategy, cache_entries, cache_floats)
     if strategy == MATERIALIZED:
         return _PREDICTORS[kind, strategy](
             db, spec, model, block_pages=block_pages
         )
     return _PREDICTORS[kind, strategy](
-        db, spec, model, cache_entries=cache_entries,
-        cache_floats=cache_floats, store=store, block_pages=block_pages,
+        db, spec, model, store=store, block_pages=block_pages
     )

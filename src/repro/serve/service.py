@@ -70,8 +70,8 @@ class ModelService:
         self.block_pages = block_pages
         if store is not None and memory_budget is not None:
             # Reconfiguring a caller-owned (possibly shared) store
-            # behind its back would be the same silent-ignore trap as
-            # the old first-acquirer-wins capacity rule.
+            # behind its back would install a bound its other users
+            # never asked for.
             raise ModelError(
                 "pass either a store or a memory_budget, not both; "
                 "set capacity_floats on the store you share instead"
@@ -129,12 +129,10 @@ class ModelService:
         spec: JoinSpec,
         *,
         strategy: str = FACTORIZED,
-        cache_entries: int | list[int] | None = None,
     ) -> RegisteredModel:
         """Register a fitted mixture (a ``GMMResult`` or the bare model)."""
         return self._core.register(
-            name, "gmm", spec, model,
-            resolve_serving_strategy(strategy), cache_entries,
+            name, "gmm", spec, model, resolve_serving_strategy(strategy)
         )
 
     def register_nn(
@@ -144,12 +142,10 @@ class ModelService:
         spec: JoinSpec,
         *,
         strategy: str = FACTORIZED,
-        cache_entries: int | list[int] | None = None,
     ) -> RegisteredModel:
         """Register a trained network (an ``NNResult`` or the bare MLP)."""
         return self._core.register(
-            name, "nn", spec, model,
-            resolve_serving_strategy(strategy), cache_entries,
+            name, "nn", spec, model, resolve_serving_strategy(strategy)
         )
 
     def swap_model(self, name: str, model) -> RegisteredModel:

@@ -66,29 +66,14 @@ class TestAcquireRelease:
 
 
 class TestConfiguration:
-    def test_conflicting_capacity_raises_instead_of_silent_ignore(self):
-        store = PartialStore()
-        store.acquire("fp-1", capacity=2)
-        with pytest.raises(ModelError, match="capacity=2"):
-            store.acquire("fp-1", capacity=999)
-        with pytest.raises(ModelError, match="capacity_floats"):
-            store.acquire("fp-1", capacity=2, capacity_floats=64)
-
-    def test_matching_or_absent_bounds_attach(self):
-        store = PartialStore()
-        a = store.acquire("fp-1", capacity=2)
-        assert store.acquire("fp-1") is a               # no opinion
-        assert store.acquire("fp-1", capacity=2) is a   # same bound
+    def test_every_acquirer_attaches_under_the_store_budget(self):
+        # An acquirer states no bound of its own, so no two acquirers
+        # can disagree: each attaches, and the store's budget holds.
+        store = PartialStore(capacity_floats=2)
+        a = store.acquire("fp-1")
+        assert store.acquire("fp-1") is a
         a.get_many(np.array([1, 2, 3]), rows_for)
-        assert len(a) == 2              # the created bound held
-
-    def test_failed_reconcile_leaves_refcounts_untouched(self):
-        store = PartialStore()
-        a = store.acquire("fp-1", capacity=2)
-        with pytest.raises(ModelError):
-            store.acquire("fp-1", capacity=3)
-        store.release(a)
-        assert len(store) == 0          # sole holder; no leaked ref
+        assert len(a) == 2
 
     def test_num_shards_and_admission_apply_to_created_caches(self):
         store = PartialStore(num_shards=3, admission="tinylfu")
@@ -114,6 +99,13 @@ class TestStats:
         assert stats.caches == 2
         assert stats.cache.misses == 3
         assert stats.bytes_resident == 3 * 8
+
+    def test_unbounded_aggregate_capacity_is_none(self):
+        # Stats add field by field (the process executor merges its
+        # workers' stores): one unbounded side makes the sum unbounded.
+        bounded = PartialStore(capacity_floats=4).stats()
+        assert (bounded + PartialStore().stats()).capacity_floats is None
+        assert (bounded + bounded).capacity_floats == 8
 
     def test_clear_drops_rows_but_keeps_handles(self):
         store = PartialStore()

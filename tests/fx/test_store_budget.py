@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from repro.core.api import fit_nn, serve, serve_runtime
+from repro.core.strategies import MATERIALIZED
 from repro.errors import ModelError
 from repro.fx.store import PartialStore
+from repro.serve import core
 from repro.serve.service import ModelService
 
 
@@ -113,7 +115,7 @@ class TestGlobalBudget:
         assert stats.cross_evictions == 4
         assert stats.cache.cross_evictions == 4   # aggregated per cache
         assert a.stats().cross_evictions == 4     # all victims were a's
-        assert a.stats().evictions == 0           # not local capacity
+        assert a.stats().evictions == 0           # the governor's alone
         assert stats.bytes_resident <= 4 * 8
 
     def test_ungoverned_store_never_cross_evicts(self):
@@ -293,25 +295,32 @@ class TestServiceBudget:
         governed.close()
 
     def test_failed_registration_releases_partial_acquires(
-        self, db, multiway_star
+        self, db, multiway_star, monkeypatch
     ):
         nn = fit_nn(
             db, multiway_star.spec, hidden_sizes=(6,), epochs=1, seed=1
         )
-        service = serve(db)
-        service.register_nn(
-            "a", nn, multiway_star.spec, cache_entries=[10, 10]
-        )
-        # Same fingerprints, conflicting bound on the *second*
-        # dimension: the first dimension's acquire succeeded and must
-        # be rolled back when the second raises.
-        with pytest.raises(ModelError, match="capacity"):
-            service.register_nn(
-                "b", nn, multiway_star.spec, cache_entries=[10, 20]
-            )
-        service.unregister("a")
-        assert len(service.store) == 0      # no leaked refcounts
-        service.close()
+        with serve_runtime(db, num_workers=1) as rt:
+            rt.register_nn("a", nn, multiway_star.spec)
+            attachments = rt.store.stats().attachments
+            # An adaptive registration acquires the factorized
+            # predictor's caches — one per dimension, the same
+            # fingerprints as "a" — before it builds the materialized
+            # predictor; when that build fails, every acquire must be
+            # given back.
+            build = core.make_predictor
+
+            def failing(*args, strategy, **kwargs):
+                if strategy == MATERIALIZED:
+                    raise ModelError("materialized build failed")
+                return build(*args, strategy=strategy, **kwargs)
+
+            monkeypatch.setattr(core, "make_predictor", failing)
+            with pytest.raises(ModelError, match="build failed"):
+                rt.register_nn("b", nn, multiway_star.spec)
+            assert rt.store.stats().attachments == attachments
+            rt.unregister("a")
+            assert len(rt.store) == 0       # no leaked refcounts
 
     def test_runtime_memory_budget_threads_to_the_store(self, db):
         with serve_runtime(db, num_workers=1, memory_budget=4096) as rt:

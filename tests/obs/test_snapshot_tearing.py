@@ -13,6 +13,7 @@ import time
 import numpy as np
 
 from repro.fx.sharding import ShardedPartialCache
+from repro.fx.store import PartialStore
 from repro.serve.service import ServingStats
 from repro.storage.iostats import IOSnapshot
 
@@ -27,7 +28,9 @@ def rows_for(keys):
 class TestShardedCacheStats:
     def test_stats_consistent_under_get_many_fire(self):
         shards = 4
-        cache = ShardedPartialCache(shards, capacity=64)
+        cache = PartialStore(
+            num_shards=shards, capacity_floats=64 * WIDTH
+        ).acquire("fp")
         stop = threading.Event()
         failures = []
 

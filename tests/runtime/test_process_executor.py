@@ -341,17 +341,6 @@ class TestObservability:
 
 
 class TestRegistrationContract:
-    def test_materialized_with_cache_bounds_rejected(self, db, fitted):
-        spec, gmm, _, _ = fitted
-        with serve_runtime(
-            db, num_workers=2, max_wait_ms=0.0, executor="process"
-        ) as rt:
-            with pytest.raises(ModelError, match="materialized"):
-                rt.register_gmm(
-                    "g", gmm, spec,
-                    strategy="materialized", cache_entries=8,
-                )
-
     def test_unregistered_model_stops_serving(self, db, fitted):
         spec, gmm, _, _ = fitted
         features, fks = whole_batch(db, spec)

@@ -133,10 +133,13 @@ class TestConcurrentLoad:
         requests = stored_requests(db, spec, 25)
         bounds = np.cumsum([0] + [f.shape[0] for f, _ in requests])
         failures = []
+        # A budget far below both models' partials: eviction races the
+        # lookups of every worker.
         with serve_runtime(
-            db, num_workers=4, max_wait_ms=2.0, max_batch_rows=128
+            db, num_workers=4, max_wait_ms=2.0, max_batch_rows=128,
+            memory_budget=512,
         ) as rt:
-            rt.register_gmm("g", gmm, spec, cache_entries=16)
+            rt.register_gmm("g", gmm, spec)
             rt.register_nn("n", nn, spec)
 
             def client(thread_id):
@@ -168,3 +171,4 @@ class TestConcurrentLoad:
         busy_workers = sum(1 for w in snapshot.workers if w.batches)
         assert busy_workers >= 2
         assert snapshot.batches >= 1
+        assert snapshot.store.cross_evictions > 0

@@ -67,17 +67,6 @@ class TestRegistration:
             (cache,) = registered.caches
             assert cache.num_shards == 3
 
-    def test_cache_capacity_with_materialized_rejected(self, db, binary_star):
-        nn = fit_nn(
-            db, binary_star.spec, hidden_sizes=(4,), epochs=1, seed=1
-        )
-        with serve_runtime(db) as rt:
-            with pytest.raises(ModelError, match="factorized"):
-                rt.register_nn(
-                    "m", nn, binary_star.spec,
-                    strategy="materialized", cache_entries=8,
-                )
-
     def test_streaming_rejected(self, db, binary_star):
         nn = fit_nn(
             db, binary_star.spec, hidden_sizes=(4,), epochs=1, seed=1

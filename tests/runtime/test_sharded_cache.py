@@ -10,6 +10,7 @@ import pytest
 
 from repro.errors import ModelError
 from repro.fx.sharding import ShardedPartialCache
+from repro.fx.store import PartialStore
 
 
 def rows_for(keys):
@@ -44,13 +45,16 @@ class TestPlacement:
             np.zeros(0, dtype=np.int64), rows_for
         ).shape == (0, 0)
 
-    def test_capacity_splits_across_shards(self):
-        cache = ShardedPartialCache(2, capacity=4)
-        assert all(shard.capacity == 2 for shard in cache.shards)
-        cache_floats = ShardedPartialCache(2, capacity_floats=10)
-        assert all(
-            shard.capacity_floats == 5 for shard in cache_floats.shards
-        )
+    def test_the_store_budget_is_one_pool_across_shards(self):
+        # No per-shard slice of the budget: the shard the traffic
+        # favours may hold all of it while its sibling holds nothing.
+        cache = PartialStore(capacity_floats=8, num_shards=2).acquire("fp")
+        cache.get_many(np.array([0, 2, 4, 6]), rows_for)   # all shard 0
+        assert [len(shard) for shard in cache.shards] == [4, 0]
+        assert cache.stats().cross_evictions == 0
+        cache.get_many(np.array([8]), rows_for)
+        assert cache.floats_resident == 8
+        assert cache.stats().cross_evictions == 1
 
     def test_invalid_shard_count_rejected(self):
         with pytest.raises(ModelError, match="num_shards"):
@@ -94,12 +98,12 @@ class TestInvalidation:
         cache.invalidate(np.array([1]))
         stats = cache.stats()
         assert stats.invalidations == 1
-        assert stats.evictions == 0
+        assert stats.cross_evictions == 0
 
 
 class TestStats:
     def test_shard_stats_and_aggregate(self):
-        cache = ShardedPartialCache(2, capacity=8)
+        cache = ShardedPartialCache(2)
         cache.get_many(np.arange(6), rows_for)
         cache.get_many(np.arange(6), rows_for)   # warm
         per_shard = cache.shard_stats()
@@ -107,12 +111,8 @@ class TestStats:
         total = cache.stats()
         assert total.misses == 6 and total.hits == 6
         assert total.entries == 6
-        assert total.capacity == 8
         assert total.bytes_resident == 6 * 2 * 8
         assert cache.hit_rate == pytest.approx(0.5)
-
-    def test_unbounded_aggregate_capacity_is_none(self):
-        assert ShardedPartialCache(3).stats().capacity is None
 
     def test_clear(self):
         cache = ShardedPartialCache(2)

@@ -5,6 +5,12 @@
 # schedules; ``tests/serve/test_cache.py`` times them against each
 # other.  Do not fix or tidy anything below this line.  (PR 19 made
 # ``SpillSlab.put`` a block write; ``_demote`` calls it with one row.)
+# The local-bound half — ``capacity`` / ``capacity_floats``,
+# ``_over_capacity``, ``_would_evict``, ``_admit``,
+# ``_evict_over_capacity`` and the row-too-wide warning — was deleted
+# with the same code in the product, once the store budget became the
+# only bound; TinyLFU's ``eviction_candidates`` offers its sample
+# beyond the covering rows, as the product's does.
 """A bounded LRU cache of per-RID partial rows.
 
 Dimension relations small enough to pin make serving trivially cheap:
@@ -14,23 +20,10 @@ partials for hot RIDs stay resident (the Zipf-skewed FK distributions of
 :mod:`repro.data.synthetic` make this the common case), cold RIDs are
 recomputed from the base relation on demand.
 
-Capacity can be bounded two ways, separately or together: by *entries*
-(distinct RIDs) and by *floats* (``capacity_floats``, the number of
-cached float64 values — the honest memory unit when partial rows have
-very different widths across models).  Either bound evicts LRU-first.
-
-Two admission policies govern what a miss may insert:
-
-* ``"lru"`` (default) — classic LRU: every computed row is admitted,
-  evicting from the cold end when over capacity;
-* ``"tinylfu"`` — frequency-sketch admission for Zipf-skewed FK
-  traffic: a small count-min sketch
-  (:class:`~repro.fx.sketch.FrequencySketch`) tracks approximate
-  access counts, and a computed row is admitted *only if* its
-  estimated frequency beats the LRU victim it would evict.  One-hit
-  wonders stop displacing hot partials; rejected rows are still
-  returned to the caller (only reuse is lost), and rejections are
-  counted separately from evictions.
+A shard has no bound of its own: every computed row is admitted and
+only a store's budget governor evicts.  ``"lru"`` and ``"tinylfu"``
+(a count-min :class:`~repro.fx.sketch.FrequencySketch`) rank the
+governor's victims.
 
 The cache is thread-safe: one internal lock — the only lock a shard
 has — serializes lookups, invalidations and counter reads, so
@@ -53,8 +46,7 @@ a :class:`~repro.fx.sharding.ShardedPartialCache` from a
 :meth:`PartialCache.invalidate` supports the dimension-update
 eviction path of :mod:`repro.runtime`.
 
-Beyond its own two capacity bounds, a cache can take part in a
-*store-wide* budget (:class:`~repro.fx.store.PartialStore` with
+A cache takes part in a *store-wide* budget (:class:`~repro.fx.store.PartialStore` with
 ``capacity_floats``).  Three small hooks make that possible:
 
 * an :class:`AccessClock` — a counter shared by every cache under one
@@ -62,8 +54,7 @@ Beyond its own two capacity bounds, a cache can take part in a
   recency is comparable *across* caches, not just within one LRU;
 * pin refcounts (:meth:`PartialCache.pin` / :meth:`unpin`) — a batch
   in flight pins the RIDs it is using; pinned entries are skipped by
-  budget eviction (both the local capacity sweep and the store's
-  cross-cache sweep), so one batch can never thrash another batch's
+  the store's cross-cache sweep, so one batch can never thrash another batch's
   working set out mid-request.  Pins guard *memory pressure* only:
   :meth:`invalidate` still drops pinned rows, because a stale partial
   must never outlive its source row;
@@ -71,17 +62,15 @@ Beyond its own two capacity bounds, a cache can take part in a
   :meth:`evict_if_coldest`) — the store's governor pools each
   shard's deficit-covering LRU-tail candidates and evicts in global
   ``(frequency, tick)`` order: strict global LRU under LRU admission;
-  under TinyLFU least-frequent-first over at least an
-  ``_TINYLFU_VICTIM_SAMPLE``-entry tail sample per shard,
-  tick-tie-broken.  Such evictions are counted as
-  ``cross_evictions``, separate from local capacity ``evictions``.
+  under TinyLFU least-frequent-first over the covering tail plus
+  ``_TINYLFU_VICTIM_SAMPLE`` entries per shard, tick-tie-broken.
+  Such evictions are counted as ``cross_evictions``.
 """
 
 from __future__ import annotations
 
 import itertools
 import threading
-import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple
@@ -104,11 +93,7 @@ LRU_ADMISSION = "lru"
 TINYLFU_ADMISSION = "tinylfu"
 ADMISSION_POLICIES = (LRU_ADMISSION, TINYLFU_ADMISSION)
 
-# Sketch sizing: counters per cacheable entry.  8 columns per entry
-# keeps collision noise low at a few bytes per entry; capacity-less
-# caches fall back to a fixed small sketch (they never evict, so
-# admission only matters while bounded by capacity_floats).
-_SKETCH_COLUMNS_PER_ENTRY = 8
+# Sketch sizing: the product's one fixed width.
 _DEFAULT_SKETCH_WIDTH = 1024
 
 # Under TinyLFU a store-budget victim is the least-frequent of this
@@ -240,11 +225,8 @@ class CacheStats:
     misses: int = _counter(default=0)
     evictions: int = _counter(default=0)
     entries: int = 0
-    capacity: int | None = None
-    capacity_floats: int | None = None
     bytes_resident: int = 0
     invalidations: int = _counter(default=0)
-    admission_rejections: int = _counter(default=0)
     cross_evictions: int = _counter(default=0)
     # Of bytes_resident, how many live in a shared-memory slab (the
     # process executor's per-worker arena) vs private process memory.
@@ -287,8 +269,6 @@ class CacheStats:
         into a live generation's stats inflates only the counters.
         """
         return CacheStats(
-            capacity=0,
-            capacity_floats=0,
             **{
                 spec.name: getattr(self, spec.name)
                 for spec in fields(self)
@@ -298,13 +278,10 @@ class CacheStats:
 
 
 class PartialCache:
-    """Bounded LRU map of ``rid -> partial row``.
+    """LRU map of ``rid -> partial row``.
 
-    ``capacity`` counts entries (distinct RIDs), ``capacity_floats``
-    counts resident float64 values; ``None`` for both means unbounded —
-    the fully-resident case.  ``admission`` selects ``"lru"`` (admit
-    everything) or ``"tinylfu"`` (frequency-sketch admission; see the
-    module docstring).  ``clock`` — an :class:`AccessClock` shared
+    ``admission`` selects the victim rank, ``"lru"`` or ``"tinylfu"``
+    (see the module docstring).  ``clock`` — an :class:`AccessClock` shared
     with sibling caches — opts this cache into a store-wide budget:
     every hit and insert is stamped with a global tick so a
     :class:`~repro.fx.store.PartialStore` governor can compare recency
@@ -316,40 +293,22 @@ class PartialCache:
 
     def __init__(
         self,
-        capacity: int | None = None,
         *,
-        capacity_floats: int | None = None,
         admission: str = LRU_ADMISSION,
         clock: AccessClock | None = None,
         allocator=None,
         tiers: tuple = (),
         spill=None,
     ) -> None:
-        if capacity is not None and capacity <= 0:
-            raise ModelError(
-                f"cache capacity must be positive or None, got {capacity}"
-            )
-        if capacity_floats is not None and capacity_floats <= 0:
-            raise ModelError(
-                f"cache capacity_floats must be positive or None, "
-                f"got {capacity_floats}"
-            )
         if admission not in ADMISSION_POLICIES:
             raise ModelError(
                 f"unknown admission policy {admission!r}; use one of "
                 f"{list(ADMISSION_POLICIES)}"
             )
-        self.capacity = capacity
-        self.capacity_floats = capacity_floats
         self.admission = admission
         self._sketch: FrequencySketch | None = None
         if admission == TINYLFU_ADMISSION:
-            width = (
-                capacity * _SKETCH_COLUMNS_PER_ENTRY
-                if capacity is not None
-                else _DEFAULT_SKETCH_WIDTH
-            )
-            self._sketch = FrequencySketch(width)
+            self._sketch = FrequencySketch(_DEFAULT_SKETCH_WIDTH)
         self._clock = clock
         # Optional shared-memory slab (repro.fx.shm.SlabAllocator):
         # admitted rows are copied into slab slots so sibling processes
@@ -382,7 +341,6 @@ class PartialCache:
         # and get_many holds it across compute → insert so an
         # invalidate can never land between the two (module docstring).
         self._lock = threading.RLock()
-        self._warned_row_too_wide = False
         self._zero_counters()
 
     def _zero_counters(self) -> None:
@@ -390,7 +348,6 @@ class PartialCache:
         self.misses = 0
         self.evictions = 0
         self.invalidations = 0
-        self.admission_rejections = 0
         self.cross_evictions = 0
         self.demotions: dict[str, int] = {}
         self.promotions: dict[str, int] = {}
@@ -433,14 +390,6 @@ class PartialCache:
     def bytes_resident(self) -> int:
         """Resident cache payload in bytes (8 per budget float)."""
         return self.floats_resident * _FLOAT_BYTES
-
-    def _over_capacity(self) -> bool:
-        if self.capacity is not None and len(self._rows) > self.capacity:
-            return True
-        return (
-            self.capacity_floats is not None
-            and self.floats_resident > self.capacity_floats
-        )
 
     def _remove(self, key: int) -> int:
         """Drop ``key`` from whichever tier holds it; returns the
@@ -575,61 +524,7 @@ class PartialCache:
             self._remove(key)
             self._insert_resident(key, values, tick)
             self.promotions_total += 1
-        if rows:
-            self._evict_over_capacity()
         return len(rows)
-
-    def _evict_over_capacity(self) -> None:
-        """LRU-evict until within the local bounds, skipping pinned keys.
-
-        A batch in flight pins the RIDs it is gathering, so the sweep
-        may find nothing evictable — the cache then transiently
-        overshoots its bound rather than thrash a live batch's rows.
-        With tiers configured, a victim is demoted down the ladder
-        instead of dropped (it still counts as an eviction from the
-        resident tier).
-        """
-        while self._over_capacity():
-            victim = next(
-                (k for k in self._rows if not self._pins.get(k)), None
-            )
-            if victim is None and self._tiers:
-                victim = next(
-                    (k for k in self._compressed if not self._pins.get(k)),
-                    None,
-                )
-            if victim is None:
-                return
-            if self._tiers:
-                if self._demote(victim) <= 0:
-                    return  # pragma: no cover - demote always frees
-            else:
-                self._remove(victim)
-            self.evictions += 1
-
-    def _would_evict(self, row: np.ndarray) -> bool:
-        """Whether admitting ``row`` would push the cache over capacity."""
-        if self.capacity is not None and len(self._rows) + 1 > self.capacity:
-            return True
-        return (
-            self.capacity_floats is not None
-            and self.floats_resident + row.size > self.capacity_floats
-        )
-
-    def _admit(self, key: int, row: np.ndarray) -> bool:
-        """TinyLFU admission: a row that would evict must out-rank the
-        victim's estimated access frequency (strictly — equal
-        frequencies keep the resident row, avoiding churn).  The
-        victim consulted is the first *unpinned* LRU entry, matching
-        what :meth:`_evict_over_capacity` would actually evict."""
-        if self._sketch is None or not self._would_evict(row):
-            return True
-        victim = next(
-            (k for k in self._rows if not self._pins.get(k)), None
-        )
-        if victim is None:
-            return True
-        return self._sketch.estimate(key) > self._sketch.estimate(victim)
 
     def get_many(
         self,
@@ -698,7 +593,6 @@ class PartialCache:
             if span is not None:
                 span.add("cache.hits", keys.size - len(missing))
                 span.add("cache.misses", len(missing))
-                evictions_before = self.evictions
             out = np.empty(
                 (keys.size, self._row_width(fresh)), dtype=np.float64
             )
@@ -712,30 +606,7 @@ class PartialCache:
                 else:
                     out[position] = fresh[key]
             for key, row in fresh.items():
-                if (
-                    self.capacity_floats is not None
-                    and row.size > self.capacity_floats
-                    and not self._warned_row_too_wide
-                ):
-                    self._warned_row_too_wide = True
-                    warnings.warn(
-                        f"partial rows are {row.size} floats but the "
-                        f"cache holds at most {self.capacity_floats}; "
-                        "nothing will stay resident (if this cache is a "
-                        "shard, the total capacity_floats is split "
-                        "across shards)",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-                if not self._admit(key, row):
-                    self.admission_rejections += 1
-                    continue
                 self._insert_resident(key, row, batch_tick)
-                self._evict_over_capacity()
-            if span is not None and self.evictions > evictions_before:
-                span.add(
-                    "cache.evictions", self.evictions - evictions_before
-                )
             return out
 
     # -- store-wide budget hooks (see the module docstring) ----------------
@@ -776,14 +647,15 @@ class PartialCache:
         deficit is covered — see :class:`EvictionCandidate`.  Each
         shard offers its LRU-coldest unpinned rows, just enough to
         cover the whole deficit alone (the worst case: every victim
-        lives here).  Under ``"tinylfu"`` at least
-        ``_TINYLFU_VICTIM_SAMPLE`` entries are offered regardless, so
-        a hot row sitting at the LRU tail cannot shield the cold rows
-        right behind it from the frequency rank.
+        lives here).  Under ``"tinylfu"`` ``_TINYLFU_VICTIM_SAMPLE``
+        entries beyond the covering ones are offered too, so a hot row
+        sitting at the LRU tail cannot shield the cold rows right
+        behind it from the frequency rank.
         """
-        min_scan = 1 if self._sketch is None else _TINYLFU_VICTIM_SAMPLE
+        extra = 0 if self._sketch is None else _TINYLFU_VICTIM_SAMPLE
         out: list[EvictionCandidate] = []
         covered = 0
+        covering = None
         with self._lock:
             # Compressed rows still charge the budget, so they are
             # candidates too (demoting one walks it further down the
@@ -814,7 +686,9 @@ class PartialCache:
                     )
                 )
                 covered += charge
-                if covered >= deficit_floats and len(out) >= min_scan:
+                if covering is None and covered >= deficit_floats:
+                    covering = len(out)
+                if covering is not None and len(out) >= covering + extra:
                     break
             return out
 
@@ -882,11 +756,8 @@ class PartialCache:
                 misses=self.misses,
                 evictions=self.evictions,
                 entries=len(self._rows),
-                capacity=self.capacity,
-                capacity_floats=self.capacity_floats,
                 bytes_resident=held.bytes,
                 invalidations=self.invalidations,
-                admission_rejections=self.admission_rejections,
                 cross_evictions=self.cross_evictions,
                 shm_bytes_resident=held.shm_bytes,
                 compressed_entries=len(self._compressed),
@@ -936,5 +807,5 @@ class PartialCache:
         stats = self.stats()
         return (
             f"PartialCache(entries={stats.entries}, "
-            f"capacity={stats.capacity}, hit_rate={stats.hit_rate:.2f})"
+            f"hit_rate={stats.hit_rate:.2f})"
         )

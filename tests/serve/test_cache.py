@@ -1,4 +1,5 @@
-"""LRU partial-cache behaviour: hit/miss/eviction accounting."""
+"""Partial-cache behaviour: hit/miss accounting, and eviction by the
+store budget's governor."""
 
 import tracemalloc
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ModelError
+from repro.fx.store import PartialStore
 from repro.serve.cache import PartialCache
 
 
@@ -105,15 +107,21 @@ class TestGetMany:
         np.testing.assert_array_equal(out, rows_for([4, 9, 2]))
 
 
+def budgeted(floats):
+    """A one-shard cache under a store budget of ``floats`` — the only
+    bound a cache has: the store's governor evicts after each batch."""
+    return PartialStore(capacity_floats=floats).acquire("fp")
+
+
 class TestEviction:
-    def test_capacity_bounds_entries(self):
-        cache = PartialCache(capacity=2)
+    def test_the_store_budget_bounds_the_cache(self):
+        cache = budgeted(4)                       # rows are 2 floats wide
         cache.get_many(np.array([1, 2, 3]), rows_for)
         assert len(cache) == 2
-        assert cache.evictions == 1
+        assert cache.stats().cross_evictions == 1
 
     def test_lru_order_evicts_coldest(self):
-        cache = PartialCache(capacity=2)
+        cache = budgeted(4)
         cache.get_many(np.array([1]), rows_for)
         cache.get_many(np.array([2]), rows_for)
         cache.get_many(np.array([1]), rows_for)   # touch 1 → 2 is coldest
@@ -121,40 +129,35 @@ class TestEviction:
         assert 1 in cache and 3 in cache and 2 not in cache
 
     def test_request_wider_than_capacity_still_correct(self):
-        cache = PartialCache(capacity=2)
+        cache = budgeted(4)
         out = cache.get_many(np.array([1, 2, 3, 4, 5]), rows_for)
         np.testing.assert_array_equal(out, rows_for([1, 2, 3, 4, 5]))
         assert len(cache) == 2
-        assert cache.evictions == 3
+        assert cache.stats().cross_evictions == 3
 
     def test_unbounded_cache_never_evicts(self):
-        cache = PartialCache()
+        cache = PartialStore().acquire("fp")
         cache.get_many(np.arange(100), rows_for)
         assert len(cache) == 100
-        assert cache.evictions == 0
+        assert cache.stats().cross_evictions == 0
 
 
 class TestSizeAwareCapacity:
     def test_capacity_floats_bounds_resident_floats(self):
-        cache = PartialCache(capacity_floats=5)   # rows are 2 floats wide
+        cache = budgeted(5)
         cache.get_many(np.array([1, 2, 3]), rows_for)
         assert cache.floats_resident <= 5
         assert len(cache) == 2
-        assert cache.evictions == 1
-
-    def test_floats_and_entries_bounds_compose(self):
-        cache = PartialCache(capacity=10, capacity_floats=4)
-        cache.get_many(np.array([1, 2, 3]), rows_for)
-        assert len(cache) == 2     # the float bound binds first
+        assert cache.stats().cross_evictions == 1
 
     def test_single_row_wider_than_float_capacity_still_served(self):
-        cache = PartialCache(capacity_floats=1)
+        cache = budgeted(1)
         out = cache.get_many(np.array([1]), rows_for)
         np.testing.assert_array_equal(out, rows_for([1]))
-        assert len(cache) == 0     # immediately evicted, result intact
+        assert len(cache) == 0     # evicted at once, result intact
 
     def test_bytes_resident_tracks_insertions_and_evictions(self):
-        cache = PartialCache(capacity=2)
+        cache = budgeted(4)
         cache.get_many(np.array([1, 2]), rows_for)
         assert cache.bytes_resident == 2 * 2 * 8
         assert cache.stats().bytes_resident == 32
@@ -174,30 +177,20 @@ class TestSizeAwareCapacity:
     @pytest.mark.parametrize("capacity_floats", [0, -2])
     def test_nonpositive_float_capacity_rejected(self, capacity_floats):
         with pytest.raises(ModelError, match="capacity_floats"):
-            PartialCache(capacity_floats=capacity_floats)
-
-    def test_row_wider_than_float_capacity_warns_once(self):
-        cache = PartialCache(capacity_floats=1)
-        with pytest.warns(RuntimeWarning, match="capacity_floats"):
-            cache.get_many(np.array([1]), rows_for)
-        import warnings as _warnings
-
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("error")   # a repeat would raise
-            cache.get_many(np.array([2]), rows_for)
+            PartialStore(capacity_floats=capacity_floats)
 
 
 class TestStats:
     def test_stats_snapshot(self):
-        cache = PartialCache(capacity=2)
+        cache = budgeted(4)
         cache.get_many(np.array([1, 2, 3]), rows_for)
         cache.get_many(np.array([3]), rows_for)
         stats = cache.stats()
         assert stats.hits == 1
         assert stats.misses == 3
-        assert stats.evictions == 1
+        assert stats.cross_evictions == 1
+        assert stats.evictions == 0        # kept for its readers, never moves
         assert stats.entries == 2
-        assert stats.capacity == 2
         assert stats.lookups == 4
         assert stats.hit_rate == pytest.approx(0.25)
 
@@ -205,19 +198,23 @@ class TestStats:
         assert PartialCache().stats().hit_rate == 0.0
 
     def test_clear_resets_counters_and_entries(self):
-        cache = PartialCache(capacity=4)
+        cache = PartialCache()
         cache.get_many(np.array([1, 2]), rows_for)
         cache.clear()
         assert len(cache) == 0
         stats = cache.stats()
-        assert (stats.hits, stats.misses, stats.evictions) == (0, 0, 0)
+        assert (stats.hits, stats.misses, stats.cross_evictions) == (0, 0, 0)
 
 
 class TestValidation:
     @pytest.mark.parametrize("capacity", [0, -1])
     def test_nonpositive_capacity_rejected(self, capacity):
+        # The one bound left is the store's; re-bounding it mid-flight
+        # validates like the constructor and leaves the old bound.
+        store = PartialStore(capacity_floats=4)
         with pytest.raises(ModelError, match="capacity"):
-            PartialCache(capacity=capacity)
+            store.set_budget(capacity)
+        assert store.capacity_floats == 4
 
     def test_keys_must_be_1d(self):
         with pytest.raises(ModelError, match="1-D"):
@@ -271,16 +268,18 @@ class TestRepeatedAndUnsortedKeys:
         assert calls == [[7]]
 
     def test_repeats_mixed_across_hits_and_misses(self):
-        cache = PartialCache(capacity=3)
+        cache = budgeted(3 * 2)
         cache.get_many(np.array([1, 2]), rows_for)
         calls = []
         keys = np.array([5, 2, 5, 1, 8, 2, 8])
         out = cache.get_many(keys, self.recording(calls))
         np.testing.assert_array_equal(out, rows_for(keys))
         assert calls == [[5, 8]]
-        assert (cache.hits, cache.misses) == (3, 2 + 4)
+        stats = cache.stats()
+        assert (stats.hits, stats.misses) == (3, 2 + 4)
         # Hits were touched before the fresh rows landed: 1 is oldest.
-        assert cache.keys() == [2, 5, 8] and cache.evictions == 1
+        assert cache.shards[0].keys() == [2, 5, 8]
+        assert stats.cross_evictions == 1
 
     def test_reverse_sorted_keys(self):
         cache = PartialCache()
@@ -297,7 +296,7 @@ class TestRepeatedAndUnsortedKeys:
         assert len(calls) == 1
 
     def test_repeated_pins_count_per_occurrence(self):
-        cache = PartialCache(capacity=1)
+        cache = budgeted(2)
         cache.get_many(np.array([1]), rows_for)
         cache.pin(np.array([1, 1]))
         cache.unpin(np.array([1]))
@@ -333,7 +332,7 @@ class TestSlabTracksLiveRows:
 
     def test_churn_reuses_slots_instead_of_growing_the_slab(self, traced):
         bound, batch, width = 64, 16, 64
-        cache = PartialCache(capacity=bound)
+        cache = budgeted(bound * width)
         held = []
         for start in range(0, 10 * bound, batch):
             keys = np.arange(start, start + batch)
@@ -343,7 +342,7 @@ class TestSlabTracksLiveRows:
             assert cache.bytes_resident == len(cache) * width * 8
             held.append(traced())
         assert len(cache) == bound
-        assert cache.evictions == 10 * bound - bound
+        assert cache.stats().cross_evictions == 10 * bound - bound
         # The slab needs the bound plus one batch in flight; it stops
         # growing (geometrically, hence the 1.5) once that much has passed.
         settled = held[bound // batch + 1:]
@@ -369,7 +368,7 @@ class TestSlabTracksLiveRows:
     def test_a_batch_far_past_the_bound_does_not_leave_its_slab_behind(
         self, traced
     ):
-        cache = PartialCache(capacity=4)
+        cache = budgeted(4 * 64)
         cache.get_many(np.arange(1000), wide_rows)
         assert len(cache) == 4
         assert traced() <= 3 * cache.bytes_resident + self.SLACK
@@ -394,15 +393,16 @@ class TestSlabTracksLiveRows:
         )
 
     def test_pins_survive_a_shrink(self):
-        cache = PartialCache(capacity=8)
+        cache = budgeted(8 * 64)
+        shard = cache.shards[0]
         cache.pin(np.array([3, 5]))
         cache.get_many(np.arange(400), wide_rows)   # 3 and 5 may not go
-        assert {3, 5} <= set(cache.keys())
+        assert {3, 5} <= set(shard.keys())
         cache.invalidate(np.arange(400))            # rowless, still pinned
         cache.get_many(np.arange(400, 408), wide_rows)
         cache.get_many(np.array([3, 5]), wide_rows)
         cache.get_many(np.arange(500, 900), wide_rows)
-        assert {3, 5} <= set(cache.keys())
+        assert {3, 5} <= set(shard.keys())
         cache.unpin(np.array([3, 5]))
         cache.get_many(np.arange(900, 908), wide_rows)
-        assert not {3, 5} & set(cache.keys())
+        assert not {3, 5} & set(shard.keys())

@@ -8,8 +8,9 @@ predictors and planners are constructed in the core alone, the runtime
 facade never branches on the executor kind outside construction, both
 ``swap_model`` methods are delegations, and the process worker's
 message handlers hold framing, not lifecycle logic.  The same goes for
-the partial-cache stack underneath (``TestOneCacheStack``), the
-cost model both choosers call (``TestOneCostModel``), the mixture
+the partial-cache stack underneath (``TestOneCacheStack``) and its one
+memory bound (``TestOneMemoryBound``), the cost model both choosers
+call (``TestOneCostModel``), the mixture
 E-step serving, maintenance and training share (``TestOneEStep``) and
 the update → flush → cold-miss path (``TestAnUpdateCostsWhatItTouches``).
 """
@@ -234,6 +235,84 @@ class TestOneCacheStack:
                 ):
                     offenders.append(node.lineno)
         assert offenders == []
+
+
+class TestOneMemoryBound:
+    """The store's budget is the only thing that evicts: no function
+    under ``src/repro`` takes a per-cache bound, the caches and
+    ``PartialStore.acquire`` take no ``capacity*``, and the local-bound
+    machinery — the bound-to-rows helper, the laddered row-at-a-time
+    sweep, the TinyLFU admission walk and its rejection counter — is
+    gone."""
+
+    PER_CACHE = {"cache_entries", "cache_floats"}
+    BOUNDED = [
+        ("serve/cache.py", "PartialCache", "__init__"),
+        ("fx/sharding.py", "ShardedPartialCache", "__init__"),
+        ("fx/store.py", "PartialStore", "acquire"),
+    ]
+    REMOVED = {
+        "_evict_over_capacity", "_row_limit", "_tinylfu_admit",
+        "admission_rejections",
+    }
+
+    @staticmethod
+    def _parameters(function) -> set[str]:
+        args = function.args
+        return {
+            arg.arg
+            for arg in (
+                *args.posonlyargs, *args.args, *args.kwonlyargs,
+                args.vararg, args.kwarg,
+            )
+            if arg is not None
+        }
+
+    @staticmethod
+    def _nodes():
+        for path in sorted(SRC_ROOT.rglob("*.py")):
+            for node in ast.walk(_tree(path)):
+                yield path.relative_to(SRC_ROOT), node
+
+    def test_no_function_takes_a_per_cache_bound(self):
+        offenders = [
+            f"{path}:{node.lineno} {node.name}"
+            for path, node in self._nodes()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and self._parameters(node) & self.PER_CACHE
+        ]
+        assert offenders == []
+
+    @pytest.mark.parametrize(
+        "path, cls, method", BOUNDED,
+        ids=[f"{cls}.{method}" for _, cls, method in BOUNDED],
+    )
+    def test_caches_take_no_capacity(self, path, cls, method):
+        parameters = self._parameters(_method(SRC_ROOT / path, cls, method))
+        assert not [p for p in parameters if p.startswith("capacity")]
+
+    def test_the_local_bound_machinery_is_gone(self):
+        found = [
+            f"{path}:{node.lineno}"
+            for path, node in self._nodes()
+            if getattr(node, "name", None) in self.REMOVED
+            or getattr(node, "attr", None) in self.REMOVED
+            or getattr(node, "id", None) in self.REMOVED
+            or getattr(node, "arg", None) in self.REMOVED
+        ]
+        assert found == []
+
+    def test_cache_stats_carry_no_bound(self):
+        from dataclasses import fields
+
+        from repro.serve.cache import CacheStats
+
+        names = {spec.name for spec in fields(CacheStats)}
+        assert not names & {
+            "capacity", "capacity_floats", "admission_rejections"
+        }
+        # Kept, always 0, for the readers that add it to cross_evictions.
+        assert "evictions" in names
 
 
 class TestOneCostModel:
@@ -582,15 +661,14 @@ class TestNoPerKeyPythonOnTheLookupPath:
     """A warm hit is one ``searchsorted`` + one ``take``, a governor
     sweep one block per rung: the cache's per-batch entry points — and
     the ladder's demote / promote / invalidate path under them — are
-    array code, with no Python loop whose length grows with the batch.
-    (The TinyLFU at-capacity walk is the one per-key loop left, and it
-    lives in its own helper; the laddered *local*-capacity path demotes
-    a row at a time, by calling the block code with one key.)"""
+    array code, with no Python loop whose length grows with the batch —
+    a miss batch's insert included."""
 
     CACHE = SRC_ROOT / "serve" / "cache.py"
     SHARDING = SRC_ROOT / "fx" / "sharding.py"
     GUARDED = [
         (CACHE, "PartialCache", "get_many"),
+        (CACHE, "PartialCache", "_insert"),
         (CACHE, "PartialCache", "pin"),
         (CACHE, "PartialCache", "unpin"),
         (CACHE, "PartialCache", "invalidate"),
@@ -658,10 +736,6 @@ class TestNoPerKeyPythonOnTheLookupPath:
             if isinstance(node, ast.While):
                 offenders.append((node.lineno, "while loop"))
         assert offenders == []
-
-    def test_the_tinylfu_walk_is_its_own_helper(self):
-        walk = _method(self.CACHE, "PartialCache", "_tinylfu_admit")
-        assert any(isinstance(node, ast.For) for node in ast.walk(walk))
 
     def test_the_spill_slab_has_one_write_method(self):
         """Rows reach a spill heap through ``SpillSlab.put`` alone —

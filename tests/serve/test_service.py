@@ -71,18 +71,6 @@ class TestRegistration:
                 "s", nn, binary_star.spec, strategy="streaming"
             )
 
-    def test_cache_entries_with_materialized_rejected(self, db, binary_star):
-        # The materialized path keeps no partials; silently dropping
-        # the knob would hide a misconfiguration.
-        nn = fit_nn(
-            db, binary_star.spec, hidden_sizes=(4,), epochs=1, seed=1
-        )
-        with pytest.raises(ModelError, match="cache_entries"):
-            ModelService(db).register_nn(
-                "m", nn, binary_star.spec,
-                strategy="materialized", cache_entries=100,
-            )
-
     def test_bare_models_accepted(self, db, binary_star):
         gmm = fit_gmm(
             db, binary_star.spec, n_components=2, max_iter=2, seed=1
@@ -333,7 +321,7 @@ class TestBookkeeping:
         for series, expected in (
             ("repro_cache_hits_total", cache.hits),
             ("repro_cache_misses_total", cache.misses),
-            ("repro_cache_entries", cache.entries),
+            ("repro_cache_rows_resident", cache.entries),
             ("repro_cache_bytes_resident", cache.bytes_resident),
         ):
             assert snapshot.value(series, **labels) == expected

@@ -19,6 +19,7 @@ from repro.data.synthetic import (
     generate_star,
 )
 from repro.errors import ModelError
+from repro.fx.store import PartialStore
 from repro.join.reference import nested_loop_join
 from repro.nn.network import MLP
 from repro.serve.predictor import (
@@ -106,23 +107,16 @@ class TestGMMExactness:
 
     def test_bounded_cache_is_still_exact(self, db, fitted):
         spec, gmm, _, oracle = fitted
-        factorized = FactorizedGMMPredictor(
-            db, spec, gmm.model, cache_entries=3
-        )
+        budget = PartialStore(capacity_floats=64)
+        factorized = FactorizedGMMPredictor(db, spec, gmm.model, store=budget)
         np.testing.assert_array_equal(
             factorized.predict_all(), gmm.model.predict(oracle.features)
         )
-        assert any(
-            cache.stats().evictions > 0 for cache in factorized.caches
-        )
-        # Built without a store, the predictor owns a private one and
-        # leaves nothing live in it once closed.
-        store = factorized._store
-        assert len(store) == factorized.num_dimensions
+        assert budget.stats().cross_evictions > 0
         factorized.close()
         factorized.close()                  # idempotent
-        assert len(store) == 0
-        assert store.stats().attachments == 0
+        assert len(budget) == 0
+        assert budget.stats().attachments == 0
 
     def test_api_strategies_agree(self, db, fitted):
         spec, gmm, _, oracle = fitted
@@ -132,6 +126,18 @@ class TestGMMExactness:
                 predict_gmm(db, spec, gmm, strategy=strategy),
                 dense_labels,
             )
+
+    def test_a_private_store_empties_on_close(self, db, fitted):
+        spec, gmm, _, _ = fitted
+        # Built without a store, the predictor owns a private one and
+        # leaves nothing live in it once closed.
+        factorized = FactorizedGMMPredictor(db, spec, gmm.model)
+        store = factorized._store
+        assert len(store) == factorized.num_dimensions
+        factorized.close()
+        factorized.close()                  # idempotent
+        assert len(store) == 0
+        assert store.stats().attachments == 0
 
 
 class TestNNExactness:
@@ -160,24 +166,17 @@ class TestNNExactness:
 
     def test_bounded_cache_is_still_exact(self, db, fitted):
         spec, _, nn, oracle = fitted
-        factorized = FactorizedNNPredictor(
-            db, spec, nn.model, cache_entries=2
-        )
+        budget = PartialStore(capacity_floats=64)
+        factorized = FactorizedNNPredictor(db, spec, nn.model, store=budget)
         np.testing.assert_allclose(
             factorized.predict_all(), nn.predict(oracle.features),
             rtol=1e-12, atol=1e-12,
         )
-        assert any(
-            cache.stats().evictions > 0 for cache in factorized.caches
-        )
-        # Built without a store, the predictor owns a private one and
-        # leaves nothing live in it once closed.
-        store = factorized._store
-        assert len(store) == factorized.num_dimensions
+        assert budget.stats().cross_evictions > 0
         factorized.close()
         factorized.close()                  # idempotent
-        assert len(store) == 0
-        assert store.stats().attachments == 0
+        assert len(budget) == 0
+        assert budget.stats().attachments == 0
 
     def test_api_strategies_agree(self, db, fitted):
         spec, _, nn, oracle = fitted
