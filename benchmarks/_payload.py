@@ -1,11 +1,11 @@
-"""Shared machine-readable result emission for the bench suite.
+"""The one machine-readable result a bench writes: its ratios.
 
-Every bench that wants its numbers folded into the checked-in
-``BENCH_*.json`` histories writes one JSON payload per run through
-:func:`write_payload`, so the payload envelope — ``bench`` name,
-``generated_at`` stamp (the idempotency key ``tools/bench_summary.py``
-dedupes on), ``params`` block — is identical across benches instead of
-re-invented per file.  NumPy scalars are serialized transparently.
+A bench whose history is gated (``tools/bench_summary.py`` maps its
+results file to a ``BENCH_*.json`` history) writes one payload per run
+through :func:`write_payload`: the ``bench`` name, a ``generated_at``
+stamp (the key ``tools/bench_summary.py`` dedupes on), the ``params``
+it ran at, and one ``ratios`` dict — machine-independent ratios where
+higher is better, the only numbers ``tools/regression_gate.py`` gates.
 """
 
 from __future__ import annotations
@@ -15,41 +15,18 @@ import time
 from pathlib import Path
 
 
-def _jsonable(value):
-    """numpy scalars → python scalars; everything else must be JSON."""
-    if hasattr(value, "item"):
-        return value.item()
-    raise TypeError(
-        f"{type(value).__name__} is not JSON-serializable; strip it "
-        "from the payload before write_payload"
-    )
-
-
-def make_payload(bench: str, params: dict, body: dict) -> dict:
-    """The standard payload envelope (stamped now)."""
-    overlap = {"bench", "generated_at", "params"} & set(body)
-    if overlap:
-        raise ValueError(
-            f"payload body for {bench!r} collides with envelope "
-            f"key(s) {sorted(overlap)}"
-        )
-    return {
+def write_payload(
+    results_dir: Path, bench: str, params: dict, ratios: dict
+) -> Path:
+    """Write ``<results_dir>/<bench>.json``; returns the path."""
+    payload = {
         "bench": bench,
         "generated_at": time.time(),
         "params": params,
-        **body,
+        "ratios": {key: float(value) for key, value in ratios.items()},
     }
-
-
-def write_payload(
-    results_dir: Path, bench: str, params: dict, body: dict
-) -> Path:
-    """Write ``<results_dir>/<bench>.json``; returns the path."""
-    payload = make_payload(bench, params, body)
     path = Path(results_dir) / f"{bench}.json"
     with open(path, "w") as handle:
-        json.dump(
-            payload, handle, indent=2, sort_keys=True, default=_jsonable
-        )
+        json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
     return path

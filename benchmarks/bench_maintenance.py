@@ -15,7 +15,8 @@ the post-update database to solver precision — so the speedup is never
 bought with drift.
 
 Acceptance: at every swept update rate the delta path is at least
-DELTA_SPEEDUP_MIN (5×) faster than the full refit.
+DELTA_SPEEDUP_MIN (5×) faster than the full refit.  Gated ratio: the
+minimum over update rates of refit ÷ delta wall time.
 
 Run standalone:  PYTHONPATH=src python benchmarks/bench_maintenance.py
 """
@@ -160,17 +161,7 @@ def _emit(result, results_dir: Path) -> str:
             "d_s": D_S, "d_r": D_R,
             "cycles": CYCLES, "alpha": ALPHA,
         },
-        {
-            "rates": {
-                f"rows{point['rows']}": {
-                    "delta_s": point["delta_s"],
-                    "refit_s": point["refit_s"],
-                    "speedup": point["speedup"],
-                }
-                for point in points
-            },
-            "delta_speedup": points[0]["speedup"],
-        },
+        {"min_refit_over_delta": min(p["speedup"] for p in points)},
     )
     return text
 
@@ -188,7 +179,4 @@ if __name__ == "__main__":
     results_dir.mkdir(exist_ok=True)
     print(_emit(outcome, results_dir))
     _check(outcome)
-    print(
-        "acceptance ok: delta >= "
-        f"{DELTA_SPEEDUP_MIN:.0f}x at the smallest update rate"
-    )
+    print(f"acceptance ok: delta >= {DELTA_SPEEDUP_MIN:.0f}x at every rate")

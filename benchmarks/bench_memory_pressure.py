@@ -1,5 +1,5 @@
-"""Multi-model serving under a store-wide memory budget, and
-concurrent cold reads through the buffer pool's in-flight guards.
+"""Multi-model serving under a store-wide memory budget, and the
+tier degradation curve.
 
 Arm 1 — **budgeted multi-model serving**: two fingerprint-*distinct*
 models (same architecture, different fitted weights, so they cannot
@@ -8,15 +8,10 @@ is half their combined partial working set.  The store's cross-cache
 eviction must keep global ``bytes_resident`` within the budget for the
 whole run while every prediction stays bit-exact against an
 unbudgeted deployment — graceful degradation to recomputation, not
-OOM-style thrash and not wrong answers.
+OOM-style thrash and not wrong answers.  Gated ratio: governed ÷
+unbounded rows/s, the governor's overhead.
 
-Arm 2 — **concurrent cold reads**: several threads fault in disjoint
-cold pages through one ``BufferPool``.  With the old
-read-under-the-pool-lock design at most one page read could ever be in
-flight; the per-page in-flight guards must show >1 (``inflight_peak``)
-and beat a deliberately serialized control arm on wall time.
-
-Arm 3 — **tier degradation curve**: the cost of re-acquiring one GMM
+Arm 2 — **tier degradation curve**: the cost of re-acquiring one GMM
 partial row from each rung of the store's tier ladder, measured with
 the real miss path (dimension-page gather through a deliberately
 small buffer pool, then the quadratic-form rebuild) as the recompute
@@ -25,20 +20,17 @@ resident, float32-compressed, spilled to disk — and one full pass of
 ``get_many`` over a shuffled RID order is timed per tier.  The curve
 is the tentpole claim of the tiered store: demotion buys a *gradual*
 throughput slope down the ladder instead of a cliff from resident
-straight to gather+rebuild.
+straight to gather+rebuild.  Gated ratio: spill ÷ recompute rows/s.
 
 Acceptance: budgeted ``bytes_resident`` ≤ budget with bit-exact
-outputs and cross-cache evictions observed; cold-read
-``inflight_peak`` > 1 where the serialized control shows exactly 1;
-the degradation curve is monotone (resident fastest, recompute
-slowest), the spilled tier serves ≥ 2× the recompute throughput,
-spilled rows promote bit-exactly, float32 rows within
-``FLOAT32_SCORE_RTOL``, and a tiered half-budget deployment keeps
-every GMM label bit-exact.
+outputs and cross-cache evictions observed; the degradation curve is
+monotone (resident fastest, recompute slowest), the spilled tier
+serves ≥ 2× the recompute throughput, spilled rows promote
+bit-exactly, float32 rows within ``FLOAT32_SCORE_RTOL``, and a tiered
+half-budget deployment keeps every GMM label bit-exact.
 """
 
 import sys
-import threading
 import time
 import warnings
 
@@ -52,19 +44,12 @@ from repro.fx.store import PartialStore
 from repro.fx.tiers import FLOAT32_SCORE_RTOL
 from repro.serve.predictor import FactorizedGMMPredictor
 from repro.serve.service import ModelService
-from repro.storage.buffer import BufferPool
 from repro.storage.catalog import Database
-from repro.storage.heapfile import HeapFile
-from repro.storage.iostats import IOStats
 
 D_S, D_R = 5, 15
 N_H = 32
 REQUEST_ROWS = 256
 REQUESTS = 40
-
-COLD_PAGES = 64
-COLD_READERS = 4
-READ_STALL_S = 0.002     # emulated device latency per page read
 
 # Tier degradation curve: sized so the dimension relation dwarfs the
 # buffer pool (~550 pages vs 64) — recompute then pays real random
@@ -318,69 +303,8 @@ def test_memory_pressure_degradation_curve(benchmark, results_dir):
             "pool_pages": CURVE_POOL_PAGES,
             "working_set_bytes": result["working_set"],
         },
-        {
-            "tiers": {
-                tier: {"rows_per_sec": point["rows_per_sec"]}
-                for tier, point in points.items()
-            },
-            "spill_speedup_vs_recompute": (
-                rps["spill"] / rps["recomputed"]
-            ),
-        },
+        {"spill_over_recompute": rps["spill"] / rps["recomputed"]},
     )
-
-
-class _StallingHeap(HeapFile):
-    """A heap whose reads sleep like a device with real latency, so
-    thread overlap (or its absence) dominates the measurement."""
-
-    def read_page(self, page_no):
-        time.sleep(READ_STALL_S)
-        return super().read_page(page_no)
-
-
-def _cold_scan(pool, heap, *, serialize):
-    """Fault COLD_PAGES disjoint pages through ``pool`` from
-    COLD_READERS threads; optionally serialize reads like the old
-    read-under-the-lock pool did."""
-    gate = threading.Lock()
-
-    def reader(pages):
-        for page_no in pages:
-            if serialize:
-                with gate:
-                    pool.get_page(heap, page_no)
-            else:
-                pool.get_page(heap, page_no)
-
-    threads = [
-        threading.Thread(target=reader, args=(range(i, COLD_PAGES, COLD_READERS),))
-        for i in range(COLD_READERS)
-    ]
-    tick = time.perf_counter()
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    elapsed = time.perf_counter() - tick
-    return {"seconds": elapsed, "inflight_peak": pool.inflight_peak,
-            "misses": pool.misses}
-
-
-def run_cold_reads(tmp_path):
-    stats = IOStats()
-    heap = _StallingHeap.create(
-        tmp_path / "cold.tbl", 4, page_size_bytes=256, stats=stats
-    )  # 8 rows per page
-    rng = np.random.default_rng(11)
-    heap.append(rng.normal(size=(COLD_PAGES * 8, 4)))
-    serialized = _cold_scan(
-        BufferPool(COLD_PAGES), heap, serialize=True
-    )
-    guarded = _cold_scan(
-        BufferPool(COLD_PAGES), heap, serialize=False
-    )
-    return {"serialized": serialized, "guarded": guarded}
 
 
 def test_memory_pressure_budget(benchmark, results_dir):
@@ -410,17 +334,17 @@ def test_memory_pressure_budget(benchmark, results_dir):
             f"{arm['cross_evictions']:>7}  {arm['hit_rate']:>8.1%}  "
             f"{arm['seconds']:>8.3f}"
         )
+    overhead = governed["rows_per_sec"] / unbounded["rows_per_sec"]
     lines.append(
         f"   budget={result['budget']:,} bytes; n_S={result['n_s']}, "
         f"n_R={result['n_r']}, n_h={N_H}; scale={result['scale']}; "
+        f"governed/unbounded rows/s {overhead:.2f}; "
         "bit-exact outputs under the budget"
     )
     text = "\n".join(lines)
     sys.__stdout__.write("\n" + text + "\n")
     with open(results_dir / "memory_pressure.txt", "w") as handle:
         handle.write(text + "\n")
-    # Machine-readable twin: tools/bench_summary.py folds this into the
-    # checked-in BENCH_memory.json history.
     write_payload(
         results_dir,
         "memory_pressure",
@@ -429,44 +353,5 @@ def test_memory_pressure_budget(benchmark, results_dir):
             "n_r": result["n_r"], "n_h": N_H,
             "budget_bytes": result["budget"],
         },
-        {
-            "arms": {
-                name: {
-                    k: v for k, v in arm.items() if k != "outputs"
-                }
-                for name, arm in (
-                    ("unbounded", unbounded), ("governed", governed),
-                )
-            },
-        },
+        {"governed_over_unbounded": overhead},
     )
-
-
-def test_concurrent_cold_reads(benchmark, results_dir, tmp_path):
-    result = benchmark.pedantic(
-        run_cold_reads, args=(tmp_path,), rounds=1, iterations=1
-    )
-    serialized, guarded = result["serialized"], result["guarded"]
-
-    # The old design's invariant (one read in flight, ever) vs the
-    # in-flight-guard pool actually overlapping its cold misses.
-    assert serialized["inflight_peak"] == 1
-    assert guarded["inflight_peak"] > 1
-    assert guarded["misses"] == COLD_PAGES
-    assert guarded["seconds"] < serialized["seconds"]
-
-    lines = [
-        "== concurrent cold reads: in-flight guards vs serialized pool ==",
-        f"{'arm':>10}  {'inflight peak':>13}  {'wall (s)':>8}",
-        f"{'serialized':>10}  {serialized['inflight_peak']:>13}  "
-        f"{serialized['seconds']:>8.3f}",
-        f"{'guarded':>10}  {guarded['inflight_peak']:>13}  "
-        f"{guarded['seconds']:>8.3f}",
-        f"   {COLD_PAGES} cold pages, {COLD_READERS} reader threads, "
-        f"{READ_STALL_S * 1000:.0f} ms emulated device latency; "
-        f"speedup {serialized['seconds'] / guarded['seconds']:.1f}x",
-    ]
-    text = "\n".join(lines)
-    sys.__stdout__.write("\n" + text + "\n")
-    with open(results_dir / "concurrent_cold_reads.txt", "w") as handle:
-        handle.write(text + "\n")

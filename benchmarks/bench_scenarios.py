@@ -3,11 +3,9 @@
 Executes every committed scenario in ``benchmarks/scenarios/`` through
 :class:`repro.scenarios.ScenarioRunner` — N hermetic trials each, with
 mid-flight adaptations (budget cuts, popularity flips, update storms)
-— and fails if any telemetry assertion fails in any trial.  The
-cross-trial medians land in ``benchmarks/results/scenarios.json``;
-``tools/bench_summary.py`` folds them into the checked-in
-``BENCH_scenarios.json`` history, which ``tools/regression_gate.py``
-gates new runs against.
+— and fails if any telemetry assertion fails in any trial.  Those
+assertions are the scenarios' gate; the cross-trial medians land in
+``benchmarks/results/scenarios.txt`` for reading, with no history.
 
 Run standalone:  PYTHONPATH=src python benchmarks/bench_scenarios.py
 """
@@ -15,20 +13,9 @@ Run standalone:  PYTHONPATH=src python benchmarks/bench_scenarios.py
 import sys
 from pathlib import Path
 
-from _payload import write_payload
 from repro.scenarios import check_result, load_scenarios, run_scenario
 
 SCENARIOS_DIR = Path(__file__).parent / "scenarios"
-
-# The headline per-scenario numbers the summary table (and the
-# regression gate) track; the full per-phase summaries travel in the
-# payload regardless.
-HEADLINE = (
-    "scenario.rows_per_sec",
-    "scenario.hit_rate",
-    "scenario.queue_wait_p95_s",
-    "scenario.cross_evictions",
-)
 
 
 def run_scenario_suite():
@@ -71,12 +58,6 @@ def emit(results, results_dir: Path) -> str:
     text = format_table(results)
     with open(results_dir / "scenarios.txt", "w") as handle:
         handle.write(text + "\n")
-    write_payload(
-        results_dir,
-        "scenarios",
-        {"suite": sorted(r.spec.name for r in results)},
-        {"scenarios": [r.to_payload() for r in results]},
-    )
     return text
 
 

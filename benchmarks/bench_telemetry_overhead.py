@@ -9,10 +9,9 @@ spans, collectors all live), one with the module-level no-op telemetry
 both arms alike.
 
 Acceptance: the enabled arm's wall time stays within
-``MAX_OVERHEAD`` (5%) of the disabled arm's, and predictions are
-bit-exact between arms.  The nightly job runs this module both inside
-the full suite and as a named step, so an overhead regression fails
-CI with this file in the summary line.
+``MAX_OVERHEAD`` (5%) of the disabled arm's — off ÷ on wall time, the
+gated ratio, at least ``1 / MAX_OVERHEAD`` — and predictions are
+bit-exact between arms.
 """
 
 import sys
@@ -106,9 +105,9 @@ def test_telemetry_overhead(benchmark, results_dir):
     np.testing.assert_array_equal(
         result["outputs_on"], result["outputs_off"]
     )
-    ratio = result["on_s"] / result["off_s"]
-    assert ratio <= MAX_OVERHEAD, (
-        f"telemetry-enabled serving took {ratio:.3f}x the disabled "
+    ratio = result["off_s"] / result["on_s"]
+    assert ratio >= 1 / MAX_OVERHEAD, (
+        f"telemetry-enabled serving took {1 / ratio:.3f}x the disabled "
         f"arm's wall time (limit {MAX_OVERHEAD}x)"
     )
 
@@ -118,7 +117,7 @@ def test_telemetry_overhead(benchmark, results_dir):
         f"{'arm':>4}  {'wall (s)':>9}",
         f"{'off':>4}  {result['off_s']:>9.3f}",
         f"{'on':>4}  {result['on_s']:>9.3f}",
-        f"   ratio {ratio:.3f}x (limit {MAX_OVERHEAD}x); "
+        f"   off/on {ratio:.3f} (limit {1 / MAX_OVERHEAD:.3f}); "
         f"{ROUNDS - 1} measured rounds x {REQUESTS_PER_ROUND} requests "
         f"x {REQUEST_ROWS} rows; bit-exact outputs; "
         f"scale={result['scale']}",
@@ -127,8 +126,6 @@ def test_telemetry_overhead(benchmark, results_dir):
     sys.__stdout__.write("\n" + text + "\n")
     with open(results_dir / "telemetry_overhead.txt", "w") as handle:
         handle.write(text + "\n")
-    # Machine-readable twin: tools/bench_summary.py folds this into
-    # the checked-in BENCH_overhead.json history.
     write_payload(
         results_dir,
         "telemetry_overhead",
@@ -136,6 +133,5 @@ def test_telemetry_overhead(benchmark, results_dir):
          "n_r": result["n_r"], "n_h": N_H, "rounds": ROUNDS,
          "requests_per_round": REQUESTS_PER_ROUND,
          "request_rows": REQUEST_ROWS},
-        {"off_s": result["off_s"], "on_s": result["on_s"],
-         "ratio": ratio},
+        {"off_over_on": ratio},
     )

@@ -18,12 +18,10 @@ module is its only statement in the package.  Three layers:
   ``algorithm="auto"`` (through :func:`recommend_training_strategy`)
   and the runtime's :class:`~repro.runtime.planner.BatchPlanner` call
   it and keep the :class:`PlanDecision` it returns.
-* **Paper analyses without a chooser** — the §V-A BlockSize crossover,
-  the §V-B ``Δτ/τ`` saving with per-op time weights, the §VI-A2
-  "reuse never wins at layer 2" op counts, the §VI-A3 backward field
-  counts and the break-even tuple ratios — validated by
+* **Paper analyses without a chooser** — the §V-A BlockSize crossover
+  and the §VI-A2 "reuse never wins at layer 2" op counts — validated by
   ``tests/fx/test_costs.py`` and the ``bench_io_cost`` /
-  ``bench_layer2_ablation`` / ``bench_serving_throughput`` benches.
+  ``bench_layer2_ablation`` benches.
 
 The training models also carry the page-level I/O model (Section V-A
 and its NN twin): given a :class:`TrainingPageProfile` they answer
@@ -57,11 +55,15 @@ def _check_positive(**values: float) -> None:
 
 def _whole(name: str, value, least: int) -> int:
     """``value`` as an ``int``; integral and ``>= least`` or ModelError."""
-    if value != int(value) or value < least:
+    try:
+        whole = int(value)
+    except (ValueError, OverflowError):     # NaN, ±inf
+        whole = None
+    if whole is None or value != whole or whole < least:
         raise ModelError(
             f"{name} must be an integer >= {least}, got {value!r}"
         )
-    return int(value)
+    return whole
 
 
 def saving_rate(dense: float, factorized: float) -> float:
@@ -467,77 +469,6 @@ def recommend_training_strategy(
     )
 
 
-# -- Section V-B: the Σ-update saving with per-op time weights ------------------
-
-
-@dataclass(frozen=True)
-class ComputeCost:
-    """Operation counts for the Σ-update outer product (Eq. 14)."""
-
-    subtractions: float
-    multiplications: float
-
-    def time(self, tau_s: float = 1.0, tau_m: float = 1.0) -> float:
-        """Weighted time with per-op costs ``τ_s`` and ``τ_m``."""
-        return self.subtractions * tau_s + self.multiplications * tau_m
-
-
-def dense_outer_cost(n_s: int, d_s: int, d_r: int) -> ComputeCost:
-    """Baseline cost of Eq. 14 over the join result.
-
-    ``N = n_S`` tuples each need ``d`` subtractions and ``d²``
-    multiplications, ``d = d_S + d_R`` (Section V-B).
-    """
-    _check_positive(n_s=n_s, d_s=d_s, d_r=d_r)
-    return ComputeCost(
-        subtractions=n_s * (d_s + d_r),
-        multiplications=n_s * outer_units(d_s, (d_r,))[0],
-    )
-
-
-def factorized_outer_cost(
-    n_s: int, n_r: int, d_s: int, d_r: int
-) -> ComputeCost:
-    """F-GMM cost of Eq. 14 with ``PD_R`` and LR reused (Section V-B)."""
-    _check_positive(n_s=n_s, n_r=n_r, d_s=d_s, d_r=d_r)
-    _, per_row, (per_distinct,) = outer_units(d_s, (d_r,))
-    return ComputeCost(
-        subtractions=n_s * d_s + n_r * d_r,
-        multiplications=n_s * per_row + n_r * per_distinct,
-    )
-
-
-def outer_saving(
-    n_s: int,
-    n_r: int,
-    d_s: int,
-    d_r: int,
-    tau_s: float = 1.0,
-    tau_m: float = 1.0,
-) -> float:
-    """Closed-form saving ``Δτ = (n_S − n_R)·d_R·(τ_s + d_R·τ_m)``."""
-    _check_positive(n_s=n_s, n_r=n_r, d_s=d_s, d_r=d_r)
-    return (n_s - n_r) * d_r * (tau_s + d_r * tau_m)
-
-
-def outer_saving_rate(
-    n_s: int,
-    n_r: int,
-    d_s: int,
-    d_r: int,
-    tau_s: float = 1.0,
-    tau_m: float = 1.0,
-) -> float:
-    """The saving rate ``Δτ/τ`` of Section V-B.
-
-    Monotonically increasing in both ``d_R`` and the tuple ratio
-    ``rr = n_S/n_R`` for fixed ``d_S`` — the trend Figs. 3(a)/(b)
-    confirm empirically.
-    """
-    baseline = dense_outer_cost(n_s, d_s, d_r).time(tau_s, tau_m)
-    return outer_saving(n_s, n_r, d_s, d_r, tau_s, tau_m) / baseline
-
-
 # -- Section VI-A2: reuse beyond the first layer --------------------------------
 
 
@@ -581,82 +512,3 @@ def layer2_reuse_overhead(n: int, m: int, n_h: int, n_l: int) -> int:
         layer2_ops_with_reuse(n, m, n_h, n_l).total
         - layer2_ops_standard(n, n_h, n_l).total
     )
-
-
-# -- Section VI-A3: fields read during backward propagation ---------------------
-
-
-def backward_fields_dense(n: int, d_s: int, d_r: int) -> int:
-    """Fields of ``T`` read to populate ``xᵀ`` in Eq. 28: ``N·(d_S+d_R)``."""
-    _check_positive(n=n, d_s=d_s, d_r=d_r)
-    return n * (d_s + d_r)
-
-
-def backward_fields_factorized(
-    n_s: int, n_r: int, d_s: int, d_r: int
-) -> int:
-    """Fields read from the base relations instead: ``n_S·d_S + n_R·d_R``."""
-    _check_positive(n_s=n_s, n_r=n_r, d_s=d_s, d_r=d_r)
-    return n_s * d_s + n_r * d_r
-
-
-def backward_io_saving_rate(
-    n_s: int, n_r: int, d_s: int, d_r: int
-) -> float:
-    """Fraction of field reads removed during backward propagation."""
-    return saving_rate(
-        backward_fields_dense(n_s, d_s, d_r),
-        backward_fields_factorized(n_s, n_r, d_s, d_r),
-    )
-
-
-# -- break-even tuple ratios (Section VII-C2 and the inference twins) ----------
-
-
-def layer1_break_even_tuple_ratio(d_s: int, d_r: int) -> float:
-    """Tuple ratio below which factorizing layer 1 saves nothing in
-    training.
-
-    In pure multiplication counts any ``n/m > 1`` wins — but each
-    gather of the reused partial costs ``n_h`` additions per tuple, so
-    the practical break-even sits higher; the paper observes benefits
-    from ``rr > 200`` at ``d_R = 5`` and ``rr > 50`` at ``d_R = 15``.
-    We model the gather as one extra addition per reused value:
-    factorization wins when ``n·n_h·d_r·(1 − 1/rr) > n·n_h``, i.e.
-    ``rr > d_r / (d_r − 1)`` in op counts; constant factors push it
-    further right in practice.
-    """
-    _check_positive(d_s=d_s, d_r=d_r)
-    if d_r <= 1:
-        return float("inf")
-    return d_r / (d_r - 1)
-
-
-def nn_serving_break_even_tuple_ratio(d_s: int, d_r: int) -> float:
-    """Tuple ratio ``n/m`` above which factorized serving multiplies less.
-
-    From ``n·d_S + m·d_R < n·(d_S + d_R)``: any ``n/m > 1`` wins — at
-    inference there is no per-epoch bookkeeping to amortize, so the
-    crossover sits at the redundancy threshold itself.
-    """
-    _check_positive(d_s=d_s, d_r=d_r)
-    return 1.0
-
-
-def gmm_serving_break_even_tuple_ratio(d_s: int, d_r: int) -> float:
-    """Tuple ratio ``n/m`` above which factorized GMM scoring wins.
-
-    Setting dense = factorized (:func:`mahalanobis_units`) and solving
-    for ``n/m`` gives ``(d_S·d_R + d_R² + d_R) / (2·d_S·d_R + d_R² +
-    d_R − d_S)``; the denominator is positive for all ``d_S, d_R ≥ 1``,
-    and the ratio is below 1 whenever ``d_S·d_R > d_S`` — i.e.
-    factorized scoring wins for every join with actual redundancy
-    (``n > m``).
-    """
-    _check_positive(d_s=d_s, d_r=d_r)
-    dense_row, factorized_row, (per_distinct,) = mahalanobis_units(
-        d_s, (d_r,)
-    )
-    if dense_row <= factorized_row:
-        return float("inf")
-    return per_distinct / (dense_row - factorized_row)

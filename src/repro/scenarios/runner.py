@@ -122,16 +122,6 @@ class ScenarioResult:
             )
         return out
 
-    def to_payload(self) -> dict:
-        """The bench-history payload for this scenario."""
-        return {
-            "scenario": self.spec.name,
-            "trials": len(self.trials),
-            "passed": self.passed,
-            "failures": self.failures(),
-            "summary": self.summary,
-        }
-
 
 def _ci95(values: list[float]) -> float:
     if len(values) < 2:

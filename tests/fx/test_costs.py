@@ -17,20 +17,10 @@ from repro.fx.costs import (
     CostModel,
     PlanDecision,
     TrainingPageProfile,
-    backward_fields_dense,
-    backward_fields_factorized,
-    backward_io_saving_rate,
-    dense_outer_cost,
-    factorized_outer_cost,
-    gmm_serving_break_even_tuple_ratio,
     join_pass_pages,
-    layer1_break_even_tuple_ratio,
     layer2_ops_standard,
     layer2_ops_with_reuse,
     layer2_reuse_overhead,
-    nn_serving_break_even_tuple_ratio,
-    outer_saving,
-    outer_saving_rate,
     recommend_training_strategy,
     serving_cost_model,
     streaming_wins_block_size,
@@ -40,6 +30,7 @@ from repro.gmm.base import EMConfig
 from tests.fx import golden_costs as golden
 
 FACTORY = {"serve": serving_cost_model, "train": training_cost_model}
+NON_FINITE = (math.nan, math.inf, -math.inf)
 
 
 def binary(phase, kind, d_s, d_r, width_param):
@@ -103,6 +94,10 @@ class TestOneConcreteClass:
             dict(d_s=5.7, dim_widths=(15,), width_param=3),
             dict(d_s=5, dim_widths=(15.2,), width_param=3),
             dict(d_s=5, dim_widths=(15,), width_param=3.9),
+            *(dict(d_s=5, dim_widths=(bad,), width_param=3)
+              for bad in NON_FINITE),
+            dict(d_s=math.nan, dim_widths=(15,), width_param=3),
+            dict(d_s=5, dim_widths=(15,), width_param=math.inf),
         ],
     )
     def test_non_integral_widths_rejected_not_truncated(self, kwargs):
@@ -134,13 +129,15 @@ class TestBatchValidation:
         with pytest.raises(ModelError, match="n must be"):
             self.MODEL.decide(-5, (3,))
 
-    def test_negative_distinct_rejected(self):
+    @pytest.mark.parametrize("bad", [-1, *NON_FINITE])
+    def test_negative_distinct_rejected(self, bad):
         with pytest.raises(ModelError, match="distinct"):
-            self.MODEL.factorized_mults(100, (-1,))
+            self.MODEL.factorized_mults(100, (bad,))
 
-    def test_fractional_rows_rejected(self):
+    @pytest.mark.parametrize("bad", [10.5, *NON_FINITE])
+    def test_fractional_rows_rejected(self, bad):
         with pytest.raises(ModelError, match="integer"):
-            self.MODEL.decide(10.5, (3,))
+            self.MODEL.decide(bad, (3,))
 
     def test_hit_rates_clamped(self):
         model = serving_cost_model(
@@ -487,60 +484,57 @@ class TestIOAwareRecommendation:
 
 
 class TestComputeFormulas:
-    """Section V-B: the Σ-update outer product with τ weights."""
+    """Section V-B: the Σ-update outer product (Eq. 14) through the
+    ``("gmm", "train")`` row — ``d²`` per dense row, ``d_S² + 2·d_S·d_R``
+    per factorized row plus ``d_R²`` per distinct RID, times ``K``."""
 
-    def test_dense_cost(self):
-        cost = dense_outer_cost(n_s=1000, d_s=5, d_r=15)
-        assert cost.subtractions == 1000 * 20
-        assert cost.multiplications == 1000 * 400
-
-    def test_factorized_cost(self):
-        cost = factorized_outer_cost(n_s=1000, n_r=100, d_s=5, d_r=15)
-        assert cost.subtractions == 1000 * 5 + 100 * 15
-        assert cost.multiplications == 1000 * (25 + 150) + 100 * 225
+    @staticmethod
+    def decide(n_s, n_r, d_r, d_s=5, k=3):
+        return binary("train", "gmm", d_s, d_r, k).decide(n_s, (n_r,))
 
     def test_training_model_is_the_outer_cost_times_k(self):
         model = binary("train", "gmm", 5, 15, 3)
-        assert model.dense_mults(1000) == (
-            3 * dense_outer_cost(1000, 5, 15).multiplications
-        )
+        assert model.dense_mults(1000) == 3 * 1000 * 400
         assert model.factorized_mults(1000, (100,)) == (
-            3 * factorized_outer_cost(1000, 100, 5, 15).multiplications
+            3 * (1000 * (25 + 150) + 100 * 225)
         )
 
     def test_saving_is_difference(self):
-        n_s, n_r, d_s, d_r = 5000, 50, 5, 10
-        dense = dense_outer_cost(n_s, d_s, d_r).time(2.0, 3.0)
-        factorized = factorized_outer_cost(n_s, n_r, d_s, d_r).time(
-            2.0, 3.0
-        )
-        assert outer_saving(n_s, n_r, d_s, d_r, 2.0, 3.0) == pytest.approx(
-            dense - factorized
+        decision = self.decide(5000, 50, 10)
+        assert decision.saving_rate == pytest.approx(
+            (decision.dense_mults - decision.factorized_mults)
+            / decision.dense_mults
         )
 
     def test_saving_closed_form(self):
-        # Δτ = (n_S − n_R)·d_R·(τ_s + d_R·τ_m) — Section V-B.
-        assert outer_saving(1000, 100, 5, 10, 1.0, 1.0) == 900 * 10 * 11
+        # The multiplication term of Δτ = (n_S − n_R)·d_R·(τ_s + d_R·τ_m),
+        # once per component.
+        decision = self.decide(1000, 100, 10)
+        assert decision.dense_mults - decision.factorized_mults == (
+            3 * 900 * 10 * 10
+        )
 
     def test_rate_increases_with_dr(self):
         rates = [
-            outer_saving_rate(10_000, 100, 5, d_r)
+            self.decide(10_000, 100, d_r).saving_rate
             for d_r in (2, 5, 10, 20, 50)
         ]
         assert rates == sorted(rates)
 
     def test_rate_increases_with_tuple_ratio(self):
         rates = [
-            outer_saving_rate(n_s, 100, 5, 15)
+            self.decide(n_s, 100, 15).saving_rate
             for n_s in (1_000, 10_000, 100_000)
         ]
         assert rates == sorted(rates)
 
     def test_rate_bounded_by_one(self):
-        assert 0 < outer_saving_rate(10**6, 10, 5, 100) < 1
+        assert 0 < self.decide(10**6, 10, 100).saving_rate < 1
 
     def test_no_saving_when_no_redundancy(self):
-        assert outer_saving(100, 100, 5, 5) == 0
+        decision = self.decide(100, 100, 5)
+        assert decision.saving_rate == 0
+        assert decision.strategy == MATERIALIZED
 
 
 class TestLayer1Forward:
@@ -606,56 +600,22 @@ class TestLayer2Reuse:
             layer2_ops_with_reuse(10, 0, 5, 5)
 
 
-class TestBackwardIO:
-    def test_dense_fields(self):
-        assert backward_fields_dense(1000, 5, 15) == 1000 * 20
-
-    def test_factorized_fields(self):
-        assert backward_fields_factorized(
-            1000, 100, 5, 15
-        ) == 1000 * 5 + 100 * 15
-
-    def test_saving_matches_paper_expression(self):
-        """n_S·d_S + n_R·d_R < N·(d_S+d_R) whenever n_R < N."""
-        n_s, n_r, d_s, d_r = 1000, 50, 5, 15
-        assert backward_fields_factorized(
-            n_s, n_r, d_s, d_r
-        ) < backward_fields_dense(n_s, d_s, d_r)
-
-    def test_saving_rate_monotone_in_dr(self):
-        rates = [
-            backward_io_saving_rate(10_000, 100, 5, d_r)
-            for d_r in (2, 10, 50, 200)
-        ]
-        assert rates == sorted(rates)
-
-
 class TestBreakEven:
-    def test_dr_one_never_profits(self):
-        assert layer1_break_even_tuple_ratio(5, 1) == float("inf")
-
-    def test_break_even_decreases_with_dr(self):
-        """Larger d_R → benefits start at lower tuple ratios, the trend
-        behind 'rr > 200 at d_R=5 vs rr > 50 at d_R=15' (VII-C2)."""
-        ratios = [
-            layer1_break_even_tuple_ratio(5, d_r) for d_r in (2, 5, 15, 50)
-        ]
-        assert ratios == sorted(ratios, reverse=True)
+    """Serving break-even tuple ratios through ``decide()``: NN scoring
+    wins at any ``n/m > 1``; GMM scoring's break-even
+    ``(d_S·d_R + d_R² + d_R) / (2·d_S·d_R + d_R² + d_R − d_S)`` is at
+    most 1, and below 1 whenever ``d_R > 1``."""
 
     def test_serving_break_even_ratios_sit_at_or_below_one(self):
-        assert nn_serving_break_even_tuple_ratio(5, 15) == 1.0
+        nn = binary("serve", "nn", 5, 15, 32)
+        assert nn.decide(100, (100,)).strategy == MATERIALIZED
+        assert nn.decide(101, (100,)).strategy == FACTORIZED
         for d_s, d_r in [(5, 15), (3, 2), (20, 5), (1, 1)]:
-            assert gmm_serving_break_even_tuple_ratio(d_s, d_r) <= 1.0
-
-    def test_gmm_serving_break_even_closed_form(self):
-        # (d_S·d_R + d_R² + d_R) / (2·d_S·d_R + d_R² + d_R − d_S)
-        assert gmm_serving_break_even_tuple_ratio(5, 15) == pytest.approx(
-            (75 + 225 + 15) / (150 + 225 + 15 - 5)
-        )
-
-    def test_nonpositive_widths_rejected(self):
-        with pytest.raises(ModelError, match="positive"):
-            gmm_serving_break_even_tuple_ratio(0, 15)
+            gmm = binary("serve", "gmm", d_s, d_r, 4)
+            assert gmm.decide(101, (100,)).strategy == FACTORIZED
+            assert gmm.decide(100, (100,)).strategy == (
+                FACTORIZED if d_r > 1 else MATERIALIZED
+            )
 
 
 M_ROWS = 100

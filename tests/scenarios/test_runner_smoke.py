@@ -139,19 +139,6 @@ class TestRunnerSmoke:
         with pytest.raises(ModelError, match="toy_unreachable_bound"):
             check_result(result)
 
-    def test_payload_shape_matches_bench_summary_contract(self):
-        result = run_scenario(ScenarioSpec.from_dict(TOY))
-        payload = result.to_payload()
-        assert payload["scenario"] == "toy_steady"
-        assert payload["passed"] is True
-        assert payload["trials"] == 1
-        summary = payload["summary"]
-        assert "scenario.rows_per_sec" in summary
-        assert "phase:steady.rows_per_sec" in summary
-        entry = summary["scenario.rows_per_sec"]
-        assert set(entry) >= {"median", "mean", "ci95", "n"}
-        assert entry["n"] == 1
-
 
 class TestSummaries:
     def test_median_and_ci_over_trials(self):

@@ -1,51 +1,31 @@
 #!/usr/bin/env python
-"""Fail CI when a fresh bench run regresses against its history.
+"""Fail CI when a fresh bench run's ratios regress against history.
 
-Compares the machine-readable payloads a bench run just wrote to
-``benchmarks/results/`` against the committed ``BENCH_*.json``
-histories, through the same per-bench flatteners
-``tools/bench_summary.py`` uses to summarize them — the gate and the
-dashboard literally cannot disagree about what a metric means.
+Compares the payloads a bench run just wrote to ``benchmarks/results/``
+against the committed ``BENCH_*.json`` histories that
+``tools/bench_summary.py`` maps them to (its :data:`HISTORIES` table).
+Every gated number is a ``ratios`` entry — machine-independent, and
+higher is better — so there is no direction to guess and no absolute
+timer to forgive.
 
-For every metric key the baseline is the **median of the last K
-retained history runs** (the fresh run's own ``generated_at`` stamp is
-excluded, so gating after summarizing is not self-comparison).  A key
-gates only if its direction is known:
+For every ratio the baseline is the **median of the retained history
+runs**, the fresh run's own ``generated_at`` stamp excluded (gating
+after summarizing is not self-comparison).  A regression is a ratio
+below ``baseline × (1 - tolerance)``.  A history with fewer than
+:data:`MIN_RUNS` baseline runs passes with a note.
 
-* *lower is better* — wall/latency seconds (``*_s``, ``*seconds``,
-  ``*p95*``), the telemetry overhead ``ratio``;
-* *higher is better* — ``*rows_per_sec``, ``*hit_rate``,
-  ``*speedup``;
-* anything else (byte footprints, eviction counts, config echoes) is
-  informational and never gates.
+Exit code 1 on any regression, and on any mapped history that is
+missing or carries an unknown ``schema_version``, and on a fresh run
+whose ratios are not exactly the mapped ones; 0 otherwise.  A bench
+that wrote no fresh results is skipped with a note::
 
-A regression is a lower-is-better metric exceeding ``max(baseline ×
-(1 + tolerance), --floor)`` or a higher-is-better metric falling
-below ``baseline × (1 - tolerance)``.  The absolute floor exists for
-timers near clock resolution: a 200µs queue-wait median can jitter
-10× between nightly runs without meaning anything, so values under
-the floor never regress no matter the ratio.  The default tolerance
-is generous (nightly CI runners are noisy); tighten or loosen per
-metric with repeatable
-``--override 'GLOB=TOL'`` flags, matched with :mod:`fnmatch` against
-``<history>.<key>`` (first match wins)::
-
-    python tools/regression_gate.py \
-        --tolerance 0.5 \
-        --override 'BENCH_overhead.json.ratio=0.10' \
-        --override 'BENCH_scenarios.json.*queue_wait*=1.0'
-
-Histories with fewer than ``--min-runs`` baseline runs pass with a
-note — a new bench must be allowed to accumulate history before it
-can fail anyone.  Exit code: 0 clean, 1 on any regression.
+    python tools/regression_gate.py --tolerance 0.5
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from fnmatch import fnmatch
 from pathlib import Path
 from statistics import median
 
@@ -54,133 +34,47 @@ REPO_ROOT = TOOLS_DIR.parent
 
 sys.path.insert(0, str(TOOLS_DIR))
 
-from bench_summary import BENCHES, SCHEMA_VERSION  # noqa: E402
+from bench_summary import HISTORIES, SCHEMA_VERSION, load  # noqa: E402
 
-LOWER_IS_BETTER = ("*_s", "*seconds*", "*p95*", "ratio", "*.ratio")
-HIGHER_IS_BETTER = ("*rows_per_sec*", "*hit_rate*", "*speedup*")
-
-
-def direction(key: str) -> str | None:
-    """'lower' | 'higher' | None (informational, never gates)."""
-    # Throughput/ratio names also end in suffixes the lower-is-better
-    # globs match (``hit_rate`` vs ``*_s``? no — but ``rows_per_sec``
-    # contains no ``_s`` suffix match), so check higher-is-better
-    # first: its patterns are the more specific ones.
-    if any(fnmatch(key, pattern) for pattern in HIGHER_IS_BETTER):
-        return "higher"
-    if any(fnmatch(key, pattern) for pattern in LOWER_IS_BETTER):
-        return "lower"
-    return None
-
-
-def parse_override(text: str) -> tuple[str, float]:
-    pattern, _, value = text.rpartition("=")
-    if not pattern:
-        raise argparse.ArgumentTypeError(
-            f"--override must look like 'GLOB=TOL', got {text!r}"
-        )
-    try:
-        tolerance = float(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"tolerance in {text!r} is not a number"
-        ) from None
-    if tolerance < 0:
-        raise argparse.ArgumentTypeError(
-            f"tolerance must be >= 0, got {tolerance}"
-        )
-    return pattern, tolerance
-
-
-def tolerance_for(
-    qualified: str, overrides: list[tuple[str, float]], default: float
-) -> float:
-    for pattern, tolerance in overrides:
-        if fnmatch(qualified, pattern):
-            return tolerance
-    return default
-
-
-def _load(path: Path):
-    if not path.exists():
-        return None
-    with open(path) as handle:
-        return json.load(handle)
+MIN_RUNS = 3
 
 
 def gate_one(
-    fresh: dict,
-    history: dict,
-    flatten,
-    history_name: str,
-    *,
-    min_runs: int,
-    default_tolerance: float,
-    floor: float,
-    overrides: list[tuple[str, float]],
+    fresh: dict, history: dict, name: str, tolerance: float,
     report: list[str],
 ) -> int:
     """Gate one bench; returns the number of regressions found."""
-    stamp = fresh.get("generated_at")
-    baseline_runs = [
-        run
-        for run in history.get("runs", [])
-        if run.get("generated_at") != stamp
+    runs = [
+        run for run in history["runs"]
+        if run["generated_at"] != fresh["generated_at"]
     ]
-    if len(baseline_runs) < min_runs:
+    if len(runs) < MIN_RUNS:
         report.append(
-            f"  {history_name}: only {len(baseline_runs)} baseline "
-            f"run(s) (< {min_runs}); accumulating history, not gating"
+            f"  {name}: only {len(runs)} baseline run(s) "
+            f"(< {MIN_RUNS}); not gating"
         )
         return 0
-
-    flat_fresh = flatten(fresh)
-    flat_runs = [flatten(run) for run in baseline_runs]
     regressions = 0
-    gated = 0
-    for key in sorted(flat_fresh):
-        sense = direction(key)
-        if sense is None:
-            continue
-        base_values = [run[key] for run in flat_runs if key in run]
-        if not base_values:
-            continue
-        baseline = median(base_values)
-        value = flat_fresh[key]
-        qualified = f"{history_name}.{key}"
-        tolerance = tolerance_for(qualified, overrides, default_tolerance)
-        gated += 1
-        if baseline == 0:
-            # Degenerate baseline (e.g. a timer below resolution):
-            # nothing meaningful to scale a tolerance by.
-            continue
-        if sense == "lower":
-            bound = max(baseline * (1 + tolerance), floor)
-            bad = value > bound
-            relation = f"{value:.6g} > {bound:.6g}"
-        else:
-            bound = baseline * (1 - tolerance)
-            bad = value < bound
-            relation = f"{value:.6g} < {bound:.6g}"
-        if bad:
+    for key, value in sorted(fresh["ratios"].items()):
+        baseline = median(run["ratios"][key] for run in runs)
+        bound = baseline * (1 - tolerance)
+        if value < bound:
             regressions += 1
             report.append(
-                f"  REGRESSION {qualified}: {relation} "
-                f"(baseline median {baseline:.6g} over "
-                f"{len(base_values)} run(s), tolerance "
-                f"{tolerance:.0%}, {sense} is better)"
+                f"  REGRESSION {name}.{key}: {value:.6g} < {bound:.6g} "
+                f"(baseline median {baseline:.6g} over {len(runs)} "
+                f"run(s), tolerance {tolerance:.0%})"
             )
     report.append(
-        f"  {history_name}: {gated} metric(s) gated against "
-        f"{len(baseline_runs)} baseline run(s), "
-        f"{regressions} regression(s)"
+        f"  {name}: {len(fresh['ratios'])} ratio(s) gated against "
+        f"{len(runs)} baseline run(s), {regressions} regression(s)"
     )
     return regressions
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="Gate fresh bench results against BENCH_*.json "
+        description="Gate fresh bench ratios against BENCH_*.json "
         "histories"
     )
     parser.add_argument(
@@ -193,62 +87,42 @@ def main(argv=None) -> int:
         help="where the BENCH_*.json histories live (default: repo root)",
     )
     parser.add_argument(
-        "--min-runs", type=int, default=3,
-        help="baseline runs required before a history can gate",
-    )
-    parser.add_argument(
         "--tolerance", type=float, default=0.5,
-        help="default allowed relative drift (0.5 = 50%%)",
-    )
-    parser.add_argument(
-        "--floor", type=float, default=0.01,
-        help="absolute lower-is-better bound floor (seconds-scale "
-        "metrics under this never regress; default 0.01)",
-    )
-    parser.add_argument(
-        "--override", type=parse_override, action="append", default=[],
-        metavar="GLOB=TOL",
-        help="per-metric tolerance, matched against "
-        "'<history>.<key>' (repeatable, first match wins)",
+        help="allowed relative drop below the baseline (0.5 = 50%%)",
     )
     args = parser.parse_args(argv)
 
     report: list[str] = ["regression_gate:"]
-    total = 0
-    seen_any = False
-    for raw_name, history_name, flatten in BENCHES:
-        fresh = _load(args.results_dir / raw_name)
-        if fresh is None:
-            report.append(f"  {history_name}: no fresh {raw_name}; skipped")
-            continue
-        history = _load(args.histories_dir / history_name)
+    failures = 0
+    for raw_name, (name, keys) in HISTORIES.items():
+        history = load(args.histories_dir / name)
         if history is None:
-            report.append(
-                f"  {history_name}: no committed history; not gating"
-            )
+            report.append(f"  {name}: mapped but not committed")
+            failures += 1
             continue
         if history.get("schema_version") != SCHEMA_VERSION:
             report.append(
-                f"  {history_name}: unknown schema_version "
+                f"  {name}: unknown schema_version "
                 f"{history.get('schema_version')!r}; refusing to gate"
             )
-            total += 1
+            failures += 1
             continue
-        seen_any = True
-        total += gate_one(
-            fresh, history, flatten, history_name,
-            min_runs=args.min_runs,
-            default_tolerance=args.tolerance,
-            floor=args.floor,
-            overrides=args.override,
-            report=report,
-        )
-    if not seen_any:
-        report.append("  nothing to gate (no fresh results with history)")
-    verdict = "FAIL" if total else "ok"
-    report.append(f"regression_gate: {verdict} ({total} regression(s))")
+        fresh = load(args.results_dir / raw_name)
+        if fresh is None:
+            report.append(f"  {name}: no fresh {raw_name}; skipped")
+            continue
+        if sorted(fresh["ratios"]) != sorted(keys):
+            report.append(
+                f"  {name}: fresh ratios {sorted(fresh['ratios'])}, "
+                f"mapped {sorted(keys)}"
+            )
+            failures += 1
+            continue
+        failures += gate_one(fresh, history, name, args.tolerance, report)
+    verdict = "FAIL" if failures else "ok"
+    report.append(f"regression_gate: {verdict} ({failures} failure(s))")
     print("\n".join(report))
-    return 1 if total else 0
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":
