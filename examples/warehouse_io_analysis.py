@@ -6,9 +6,11 @@ size and table sizes.  This script measures real page I/O from the
 storage engine across block sizes, compares it against the paper's
 closed-form crossover
 
-    BlockSize* = (3·iter−1)|R||S| / ((3·iter+1)|T| − (3·iter−1)|R|)
+    BlockSize* = (p·iter−1)|R||S| / ((p·iter+1)|T| − (p·iter−1)|R|)
 
-and prints the regime map an engineer would use to pick a strategy.
+with ``p`` the join passes per EM iteration (three in the paper's
+Algorithm 1, one in this package's driver), and prints the regime map
+an engineer would use to pick a strategy.
 
 Run:  python examples/warehouse_io_analysis.py
 """

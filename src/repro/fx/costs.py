@@ -131,10 +131,10 @@ def mahalanobis_units(d_s: int, widths: tuple[int, ...]):
 
 
 #: ``(kind, phase)`` → (unit counts, data passes per training iteration).
-#: EM reads the join three times per iteration (E-step, ``Sum_µ``,
-#: ``Sum_Σ`` — Algorithm 1); an NN epoch, like a scoring pass, once.
+#: EM reads the join once per iteration (``gmm.base.run_em``; three
+#: times in Algorithm 1); an NN epoch, like a scoring pass, once.
 COUNT_TABLE = {
-    ("gmm", TRAIN): (outer_units, 3),
+    ("gmm", TRAIN): (outer_units, 1),
     ("nn", TRAIN): (layer1_units, 1),
     ("gmm", SERVE): (mahalanobis_units, 1),
     ("nn", SERVE): (layer1_units, 1),
@@ -156,15 +156,15 @@ def streaming_wins_block_size(
     """The BlockSize crossover of Section V-A.
 
     S-GMM incurs less I/O than M-GMM when ``BlockSize`` exceeds
-    ``(3·iter−1)|R||S| / ((3·iter+1)|T| − (3·iter−1)|R|)``.  Returns
-    ``inf`` when the denominator is non-positive (S-GMM never wins).
+    ``(p·iter−1)|R||S| / ((p·iter+1)|T| − (p·iter−1)|R|)``, ``p`` from
+    :data:`COUNT_TABLE` (the paper's 3); ``inf`` if the denominator ≤ 0.
     """
     _check_positive(
         pages_r=pages_r, pages_s=pages_s, pages_t=pages_t,
         iterations=iterations,
     )
-    factor = 3 * iterations - 1
-    denominator = (3 * iterations + 1) * pages_t - factor * pages_r
+    factor = COUNT_TABLE["gmm", TRAIN][1] * iterations - 1
+    denominator = (factor + 2) * pages_t - factor * pages_r
     if denominator <= 0:
         return math.inf
     return factor * pages_r * pages_s / denominator

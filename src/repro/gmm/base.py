@@ -1,8 +1,7 @@
 """Shared EM driver for the three GMM training strategies.
 
-Algorithm 1 of the paper structures every EM iteration as three passes
-over the joined data: one pass computing responsibilities (E-step), one
-accumulating ``Sum_µ``, and one accumulating ``Sum_Σ``.  M-GMM, S-GMM
+Algorithm 1 of the paper runs each EM iteration as three passes over
+the joined data; :func:`run_em` makes them one join walk.  M-GMM, S-GMM
 and F-GMM share that control flow and differ only in (a) where batches
 come from and (b) how the per-batch numeric kernels are evaluated.
 This module holds the control flow; the kernels live in
@@ -107,6 +106,10 @@ class EMEngine(Protocol):
         ...
 
 
+#: Re-walk ``Sum_Σ`` once ``δ_kj²`` leaves less than this of ``S_k,jj/N_k``.
+CANCELLATION_LIMIT = 2.0**-26
+
+
 def run_em(
     engine: EMEngine,
     config: EMConfig,
@@ -115,13 +118,14 @@ def run_em(
     initial: GMMParams | None = None,
     telemetry=None,
 ) -> GMMFitResult:
-    """Algorithm 1's outer loop, strategy-independent.
-
-    Per iteration: pass 1 computes and retains ``γ`` per batch (lines
-    4–8), pass 2 accumulates ``Sum_µ`` (lines 10–15), pass 3 accumulates
-    ``Sum_Σ`` (lines 16–21); ``π`` needs no data (line 22).  Convergence
-    is declared when the per-tuple mean log-likelihood (Eq. 6) changes
-    by less than ``tol``.
+    """Algorithm 1's outer loop, strategy-independent, in one join walk
+    per iteration: each batch's E-step (lines 4–8), ``Sum_µ`` (10–15)
+    and ``Sum_Σ`` about the old means ``c`` (16–21); then ``Σ_k =
+    S_k/N_k − δ_k δ_kᵀ``, ``δ_k = µ_k − c_k``, unless that cancels past
+    :data:`CANCELLATION_LIMIT` and ``Sum_Σ`` is re-walked about ``µ``
+    (``extra["covariance_rewalks"]``).  ``π`` needs no data (line 22).
+    Convergence is declared when the per-tuple mean log-likelihood
+    (Eq. 6) changes by less than ``tol``.
 
     The :class:`~repro.obs.training.TrainingRecorder` the driver holds
     supplies ``result.extra`` — the run's dedup counters (the same
@@ -157,6 +161,7 @@ def run_em(
     history: list[float] = []
     converged = False
     iterations = 0
+    rewalks = 0
 
     for iteration in range(config.max_iter):
         iterations = iteration + 1
@@ -165,46 +170,43 @@ def run_em(
             params.covariances, config.reg_covar
         )
 
-        # E-step: one pass, responsibilities retained per batch.
-        tick = time.perf_counter()
-        gammas: list[np.ndarray] = []
+        # The one walk: E-step, Sum_µ and Sum_Σ about the old means.
         log_likelihood = 0.0
-        for batch in recorder.observed(engine.batches(3 * iteration)):
-            gamma, batch_ll = engine.estep_batch(batch, params, precisions)
-            gammas.append(gamma)
-            log_likelihood += float(batch_ll.sum())
-        estep_seconds += time.perf_counter() - tick
-
-        # M-step pass 1: Sum_µ and the component masses N_k.
-        tick = time.perf_counter()
         component_mass = np.zeros(config.n_components)
-        for gamma in gammas:
+        mu_sums = np.zeros((config.n_components, d))
+        sigma_sums = np.zeros((config.n_components, d, d))
+        for batch in recorder.observed(engine.batches(iteration)):
+            tick = time.perf_counter()
+            gamma, batch_ll = engine.estep_batch(batch, params, precisions)
+            log_likelihood += float(batch_ll.sum())
+            tock = time.perf_counter()
             component_mass += gamma.sum(axis=0)
+            mu_sums += engine.mu_accumulate_batch(batch, gamma)
+            sigma_sums += engine.sigma_accumulate_batch(
+                batch, gamma, params.means
+            )
+            estep_seconds += tock - tick
+            mstep_seconds += time.perf_counter() - tock
         if np.any(component_mass <= 0):
             raise ModelError(
                 "a mixture component collapsed to zero mass; "
                 "reduce n_components or change the seed"
             )
-        mu_sums = np.zeros((config.n_components, d))
-        for batch, gamma in zip(
-            recorder.observed(engine.batches(3 * iteration + 1)), gammas
-        ):
-            mu_sums += engine.mu_accumulate_batch(batch, gamma)
         new_means = mu_sums / component_mass[:, None]
-
-        # M-step pass 2: Sum_Σ with the *updated* means (Algorithm 1
-        # updates µ_k on line 15 before the Σ pass begins).
-        sigma_sums = np.zeros((config.n_components, d, d))
-        for batch, gamma in zip(
-            recorder.observed(engine.batches(3 * iteration + 2)), gammas
-        ):
-            sigma_sums += engine.sigma_accumulate_batch(
-                batch, gamma, new_means
-            )
-        new_covariances = sigma_sums / component_mass[:, None, None]
-        new_weights = component_mass / n
-        params = GMMParams(new_weights, new_means, new_covariances)
-        mstep_seconds += time.perf_counter() - tick
+        shift = new_means - params.means
+        moments = sigma_sums.diagonal(0, 1, 2) / component_mass[:, None]
+        if np.any(moments - shift**2 < CANCELLATION_LIMIT * moments):
+            rewalks += 1
+            sigma_sums[:] = 0.0
+            for batch in recorder.observed(engine.batches(iteration)):
+                gamma, _ = engine.estep_batch(batch, params, precisions)
+                sigma_sums += engine.sigma_accumulate_batch(
+                    batch, gamma, new_means
+                )
+            shift[:] = 0.0
+        sigma_sums /= component_mass[:, None, None]
+        sigma_sums -= shift[:, :, None] * shift[:, None, :]
+        params = GMMParams(component_mass / n, new_means, sigma_sums)
 
         history.append(log_likelihood)
         recorder.step_done(time.perf_counter() - iter_tick)
@@ -231,5 +233,6 @@ def run_em(
         wall_time_seconds=time.perf_counter() - start,
         estep_seconds=estep_seconds,
         mstep_seconds=mstep_seconds,
-        extra=recorder.extra("iteration_seconds"),
+        extra=dict(recorder.extra("iteration_seconds"),
+                   covariance_rewalks=rewalks),
     )

@@ -23,7 +23,7 @@ or keeps it factorized (F- algorithms); both read the same plan, the
 same way serving batches thread their plan through ``BatchPlanner →
 predict()``.
 
-A fit makes many passes (three per EM iteration, one per epoch) and
+A fit makes many passes (one per EM iteration or epoch) and
 everything a pass derives from *key columns* — which fact rows match an
 outer block, the block's dedup and group order, where its distinct
 dimension rows sit — is the same every time.  A :class:`JoinIndex`

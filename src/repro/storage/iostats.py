@@ -1,12 +1,12 @@
 """Page-level I/O accounting.
 
 The paper's cost analysis (Section V-A) is expressed in page I/Os:
-materializing algorithms pay ``|T|`` writes plus ``3 * iter * |T|`` reads,
-while streaming/factorized algorithms pay ``3 * iter`` joins that each read
-``|R| + |R| / BlockSize * |S|`` pages.  To make those formulas measurable
-rather than merely analytic, every page read or written by the storage
-engine is recorded in an :class:`IOStats` instance shared by all relations
-of a :class:`~repro.storage.catalog.Database`.
+materializing algorithms pay ``|T|`` writes plus ``p * iter * |T|`` reads,
+while streaming/factorized algorithms pay ``p * iter`` joins that each read
+``|R| + |R| / BlockSize * |S|`` pages (``p = 3`` in the paper, ``1`` in
+``fx.costs.COUNT_TABLE``).  To make those formulas measurable rather than
+merely analytic, every page the storage engine reads or writes is recorded
+in an :class:`IOStats` shared by all relations of a ``Database``.
 """
 
 from __future__ import annotations

@@ -35,6 +35,7 @@ CONFIGS = {
     ),
 }
 SERIES = {"gmm": "iteration_seconds", "nn": "epoch_seconds"}
+KIND_KEYS = {"gmm": {"covariance_rewalks"}, "nn": set()}
 SHARED_KEYS = {
     "dedup_batches", "dedup_rows", "dedup_references", "dedup_distinct",
     "dedup_ratio", "dedup_ratio_series",
@@ -99,7 +100,7 @@ def test_every_arm_keeps_one_contract(db, kind, strategy, shape):
 
     assert fit.algorithm == f"{strategy[0].upper()}-{kind.upper()}"
     assert set(fit.extra) == (
-        SHARED_KEYS | {SERIES[kind]} | ARM_KEYS[strategy]
+        SHARED_KEYS | {SERIES[kind]} | KIND_KEYS[kind] | ARM_KEYS[strategy]
     )
     steps = config.max_iter if kind == "gmm" else config.epochs
     assert len(fit.extra[SERIES[kind]]) == steps

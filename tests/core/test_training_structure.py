@@ -300,3 +300,79 @@ class TestTheEMStepIsTiled:
                 and any(alias.name == "TILE_BYTES" for alias in node.names)
             ]
             assert imported == ["repro.linalg.blocks"]
+
+
+class TestOneEMPassPerIteration:
+    """``gmm/base.run_em`` walks the join once per iteration (the
+    ``COUNT_TABLE["gmm", "train"]`` the cost model charges): one walk of
+    ``engine.batches(iteration)`` in the iteration loop, one more only
+    under the cancellation guard, and no ``γ`` kept past its batch."""
+
+    @staticmethod
+    def _iteration_loop():
+        tree = ast.parse((SRC_ROOT / "gmm" / "base.py").read_text(
+            encoding="utf-8"
+        ))
+        run_em = next(
+            node for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == "run_em"
+        )
+        loops = [
+            node for node in run_em.body
+            if isinstance(node, ast.For)
+            and getattr(node.target, "id", "") == "iteration"
+        ]
+        assert len(loops) == 1
+        return loops[0]
+
+    @staticmethod
+    def _walks(root):
+        return [
+            node for node in ast.walk(root)
+            if isinstance(node, ast.For)
+            and any(
+                isinstance(call, ast.Call)
+                and ast.unparse(call.func) == "engine.batches"
+                for call in ast.walk(node.iter)
+            )
+        ]
+
+    def test_one_walk_plus_the_guarded_rewalk(self):
+        loop = self._iteration_loop()
+        walks = self._walks(loop)
+        assert len(walks) == 2
+        top = [stmt for stmt in loop.body if stmt in walks]
+        assert len(top) == 1
+        guards = [
+            stmt for stmt in loop.body
+            if isinstance(stmt, ast.If) and self._walks(stmt)
+        ]
+        assert len(guards) == 1
+        assert "CANCELLATION_LIMIT" in _identifiers(guards[0].test)
+        for walk in walks:
+            calls = [
+                call for call in ast.walk(walk.iter)
+                if isinstance(call, ast.Call)
+                and ast.unparse(call.func) == "engine.batches"
+            ]
+            assert [ast.unparse(call.args[0]) for call in calls] == [
+                "iteration"
+            ]
+
+    def test_no_gamma_outlives_its_batch(self):
+        loop = self._iteration_loop()
+        displays = [
+            node for node in ast.walk(loop)
+            if isinstance(node, (ast.List, ast.ListComp))
+        ]
+        assert displays == []
+        kept = [
+            ast.unparse(node)
+            for node in ast.walk(loop)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("append", "extend")
+            and "gamma" in _identifiers(node)
+        ]
+        assert kept == []
+        assert "gammas" not in _identifiers(loop)

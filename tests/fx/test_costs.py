@@ -14,6 +14,7 @@ from repro.core.training import train
 from repro.data.synthetic import StarSchemaConfig, generate_star
 from repro.errors import ModelError
 from repro.fx.costs import (
+    COUNT_TABLE,
     CostModel,
     PlanDecision,
     TrainingPageProfile,
@@ -30,6 +31,8 @@ from repro.gmm.base import EMConfig
 from tests.fx import golden_costs as golden
 
 FACTORY = {"serve": serving_cost_model, "train": training_cost_model}
+#: Join passes per EM iteration: the driver's, not Algorithm 1's three.
+EM_PASSES = COUNT_TABLE["gmm", "train"][1]
 NON_FINITE = (math.nan, math.inf, -math.inf)
 
 
@@ -46,8 +49,8 @@ def serving_rate(kind, n, m, d_s, d_r, width_param, hit_rate=0.0):
 
 
 def gmm_pages(pages_r, pages_s, pages_t, block_pages, iterations):
-    """Section V-A ``(streaming, materialized)`` page totals for a
-    binary join with ``|R|``, ``|S|``, ``|T|`` given in pages."""
+    """The cost model's ``(streaming, materialized)`` EM page totals for
+    a binary join with ``|R|``, ``|S|``, ``|T|`` given in pages."""
     model = binary("train", "gmm", 1, 1, 1)
     profile = TrainingPageProfile(
         fact_pages=pages_s, dim_pages=(pages_r,), joined_pages=pages_t,
@@ -299,10 +302,10 @@ class TestIOFormulas:
 
     def test_gmm_totals(self):
         streaming, materialized = gmm_pages(10, 100, 150, 64, 2)
-        # Three join passes per iteration; join + materialize + three
-        # reads of T per iteration.
-        assert streaming == 6 * 110
-        assert materialized == 110 + 150 + 900
+        # EM_PASSES join passes per iteration; join + materialize +
+        # EM_PASSES reads of T per iteration.
+        assert streaming == 2 * EM_PASSES * 110
+        assert materialized == 110 + 150 + 2 * EM_PASSES * 150
 
     def test_nn_reads_the_data_once_per_epoch(self):
         model = binary("train", "nn", 5, 15, 32)
@@ -321,9 +324,9 @@ class TestIOFormulas:
         model = training_cost_model(
             "gmm", d_s=5, dim_widths=(4, 2), width_param=3
         )
-        assert model.streaming_io_pages(profile, 2) == 3 * 2 * 49
+        assert model.streaming_io_pages(profile, 2) == EM_PASSES * 2 * 49
         assert model.materialized_io_pages(profile, 2) == (
-            49 + 90 + 3 * 2 * 90
+            49 + 90 + EM_PASSES * 2 * 90
         )
 
     def test_validation(self):
@@ -360,11 +363,22 @@ class TestIOFormulas:
         )
         assert streaming <= materialized
 
+    def test_crossover_reads_the_driver_pass_count(self):
+        passes = EM_PASSES * 3
+        assert streaming_wins_block_size(8, 200, 240, 3) == pytest.approx(
+            (passes - 1) * 8 * 200 / ((passes + 1) * 240 - (passes - 1) * 8)
+        )
+
     def test_crossover_infinite_when_t_too_small(self):
-        assert streaming_wins_block_size(100, 10, 1, 1) == math.inf
+        assert streaming_wins_block_size(100, 10, 1, 2) == math.inf
 
 
 class TestMeasuredIOMatchesFormulas:
+    """Measured page I/O of a fit equals the cost model's own
+    ``streaming_io_pages`` / ``materialized_io_pages`` — which charge
+    the driver's ``EM_PASSES`` per iteration — plus the one extra read
+    that feeds parameter initialization."""
+
     @pytest.fixture
     def star(self, tiny_db):
         config = StarSchemaConfig.binary(
@@ -372,48 +386,55 @@ class TestMeasuredIOMatchesFormulas:
         )
         return generate_star(tiny_db, config)
 
+    @staticmethod
+    def fit(db, star, strategy, iterations, block_pages):
+        config = EMConfig(
+            n_components=2, max_iter=iterations, tol=0.0, seed=1,
+            init_sample_size=10_000,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return train(
+                db, star.spec, "gmm", strategy, config,
+                block_pages=block_pages,
+            )
+
+    @staticmethod
+    def profile(db, pages_t, block_pages):
+        return TrainingPageProfile(
+            fact_pages=db["S"].npages, dim_pages=(db["R1"].npages,),
+            joined_pages=pages_t, block_pages=block_pages,
+        )
+
     @pytest.mark.parametrize("block_pages", [1, 2, 8])
     def test_s_gmm_measured(self, tiny_db, star, block_pages):
         iterations = 2
-        config = EMConfig(
-            n_components=2, max_iter=iterations, tol=0.0, seed=1,
-            init_sample_size=10_000,
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            result = train(
-                tiny_db, star.spec, "gmm", "S", config,
-                block_pages=block_pages,
-            )
-        pages_r = tiny_db["R1"].npages
-        pages_s = tiny_db["S"].npages
-        expected, _ = gmm_pages(pages_r, pages_s, 1, block_pages, iterations)
+        result = self.fit(tiny_db, star, "S", iterations, block_pages)
+        profile = self.profile(tiny_db, 1, block_pages)
+        model = binary("train", "gmm", 1, 1, 1)
         # One extra join pass feeds the parameter initialization.
-        expected += join_pass_pages(pages_r, pages_s, block_pages)
+        expected = model.streaming_io_pages(profile, iterations) + (
+            profile.join_pass_pages()
+        )
         assert result.io.pages_read == expected
+        assert expected == (EM_PASSES * iterations + 1) * (
+            join_pass_pages(
+                tiny_db["R1"].npages, tiny_db["S"].npages, block_pages
+            )
+        )
 
     def test_m_gmm_measured(self, tiny_db, star):
         iterations, block_pages = 2, 4
-        config = EMConfig(
-            n_components=2, max_iter=iterations, tol=0.0, seed=1,
-            init_sample_size=10_000,
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            result = train(
-                tiny_db, star.spec, "gmm", "M", config,
-                block_pages=block_pages,
-            )
-        pages_r = tiny_db["R1"].npages
-        pages_s = tiny_db["S"].npages
+        result = self.fit(tiny_db, star, "M", iterations, block_pages)
         pages_t = result.extra["table_pages"]
-        # The Section V-A formula counts the |T| materialization as a
-        # write; compare total page I/O, plus one extra read of T that
-        # feeds parameter initialization.
-        _, materialized = gmm_pages(
-            pages_r, pages_s, pages_t, block_pages, iterations
-        )
-        expected_total = materialized + pages_t
+        profile = self.profile(tiny_db, pages_t, block_pages)
+        model = binary("train", "gmm", 1, 1, 1)
+        # The model counts the |T| materialization as a write; compare
+        # total page I/O, plus one extra read of T that feeds parameter
+        # initialization.
+        expected_total = model.materialized_io_pages(
+            profile, iterations
+        ) + pages_t
         assert (
             result.io.pages_read + result.io.pages_written
             == expected_total
@@ -439,8 +460,9 @@ class TestIOAwareRecommendation:
         assert decision.factorized_mults < decision.dense_mults
 
     def test_short_run_with_wide_join_streams(self):
-        # One EM iteration: materializing T costs pass + 4·|T| against
-        # streaming's 3 passes — T is wide, streaming wins.
+        # One EM iteration: materializing T costs pass + (1 + EM_PASSES)
+        # reads of |T| against streaming's EM_PASSES passes — T is wide,
+        # streaming wins.
         decision = recommend_training_strategy(
             "gmm", rows=100, distinct=(100,), **self.LAYOUT,
             pages=TrainingPageProfile(
@@ -450,8 +472,8 @@ class TestIOAwareRecommendation:
             iterations=1,
         )
         assert decision.strategy == STREAMING
-        assert decision.streaming_pages == 3 * 18
-        assert decision.materialized_pages == 18 + 4 * 40
+        assert decision.streaming_pages == EM_PASSES * 18
+        assert decision.materialized_pages == 18 + (1 + EM_PASSES) * 40
 
     def test_long_run_amortizes_materialization(self):
         assert recommend_training_strategy(
