@@ -158,7 +158,7 @@ def _curve_point(db, spec, model, order, tier):
 
     The row set is staged into exactly the named tier first —
     ``evict`` walks each row one rung down the ladder by definition, so
-    one call per shard lands the whole set on the rung under test
+    one call lands the whole set on the rung under test
     without the governor's cascade mixing tiers.
     """
     store = PartialStore(
@@ -175,11 +175,10 @@ def _curve_point(db, spec, model, order, tier):
     truth, _ = _timed_pass(cache, builder_fn, order, builder.width)
     if tier == "recomputed":
         cache.clear()                 # every access is gather+rebuild
-    elif tier != "resident":
-        for shard in cache.shards:    # stage every row one rung down
-            shard.evict(np.array(shard.keys("resident"), dtype=np.int64))
+    elif tier != "resident":          # stage every row one rung down
+        cache.evict(np.array(cache.keys("resident"), dtype=np.int64))
     rows, rows_per_sec = _timed_pass(cache, builder_fn, order, builder.width)
-    promoted = sum(shard.promotions_total for shard in cache.shards)
+    promoted = cache.promotions_total
     store.close()
     return {
         "rows": rows, "truth": truth, "rows_per_sec": rows_per_sec,

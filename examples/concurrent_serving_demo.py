@@ -4,10 +4,10 @@ Simulates the serving tier under load: several client threads fire
 normalized point requests (fact features + foreign key) at a
 :func:`repro.serve_runtime` worker pool.  The runtime coalesces them
 into micro-batches, plans each batch materialized-vs-factorized from
-the inference cost model, and shards its partial caches by RID hash so
-workers never contend on one LRU.  Mid-run, a dimension row is updated
-in place — the catalog's row-version event evicts exactly that RID's
-cached partials, and later predictions pick up the new row.
+the inference cost model, and shares one lock-guarded partial cache
+per model fingerprint across its workers.  Mid-run, a dimension row is
+updated in place — the catalog's row-version event evicts exactly that
+RID's cached partials, and later predictions pick up the new row.
 
 Run:  python examples/concurrent_serving_demo.py
 """

@@ -124,7 +124,7 @@ def main() -> None:
 
         # --- Concurrent serving: the worker-pool runtime --------------
         # Point requests enter a bounded queue, coalesce into
-        # micro-batches, and are scored by a thread pool over sharded
+        # micro-batches, and are scored by a thread pool over shared
         # partial caches; each batch's FKs are deduplicated exactly
         # once into a DedupPlan that the cost-model planner and the
         # chosen predictor both consume, and dimension-row updates

@@ -38,7 +38,7 @@ Quick start — train, then serve, without ever materializing the join::
 
 Concurrent serving — the same registry behind a bounded queue, a
 micro-batcher that coalesces point requests, a worker pool over
-RID-hash-sharded partial caches, and a per-batch planner choosing
+shared partial caches, and a per-batch planner choosing
 materialized vs factorized from the inference cost model
 (:mod:`repro.runtime`).  Updates to dimension rows
 (``db.update_rows``) evict the affected cached partials
@@ -50,7 +50,7 @@ automatically, so predictions always reflect the current rows::
                    for x, fk in point_requests]
         outputs = [f.result() for f in futures]
         runtime.runtime_stats()     # queue depth, batch histogram,
-                                    # planner decisions, cache shards
+                                    # planner decisions, cache stats
 
 The shared execution core (:mod:`repro.fx`) is what makes all of the
 above one mechanism rather than three: every batch's foreign keys are
@@ -86,7 +86,7 @@ wonders are evicted before hot partials.
 Memory is governed store-wide, not per cache: ``serve(db,
 memory_budget=BYTES)`` / ``serve_runtime(db, memory_budget=BYTES)``
 cap the *total* resident partials across every registered model, and
-the store evicts the globally coldest unpinned rows across cache
+the store evicts the globally coldest rows across cache
 boundaries under pressure — multi-model deployments degrade to
 recomputation at bit-exact outputs instead of growing without bound.
 The buffer pool underneath overlaps concurrent cold page reads behind

@@ -447,21 +447,19 @@ def serve_runtime(
     into micro-batches (up to ``max_batch_rows`` rows; ``max_wait_ms``
     is a ceiling on the linger for stragglers, which ends as soon as
     arrivals pause — only a lone request waits it out), each batch's
-    strategy is
-    planned adaptively from the inference cost model, and partial
-    caches are sharded by RID hash (one shard per worker) so workers
-    never contend on one LRU.
+    strategy is planned adaptively from the inference cost model, and
+    workers share one lock-guarded partial cache per fingerprint.
 
     ``executor`` selects the worker substrate.  ``"thread"`` (default)
     scores batches on ``num_workers`` threads — NumPy kernels and page
     reads release the GIL, Python glue does not.  ``"process"`` spawns
-    ``num_workers`` worker *processes*: each owns the RID-affine shard
-    of the partial space (rows route by ``fk % num_workers``, the same
-    hash the in-process cache shards by), partial payloads live in
-    shared-memory slabs the parent accounts and budget-governs, and
-    one batch scatters across all workers at once — identical request
-    API, bit-identical outputs, and true CPU parallelism for the
-    Python portions of a batch.  ``docs/tuning.md`` has the selection
+    ``num_workers`` worker *processes*: each owns the RID-affine slice
+    of the partial space (rows route by ``fk % num_workers``), partial
+    payloads live in shared-memory slabs the parent accounts and
+    budget-governs, and one batch scatters across all workers at once —
+    identical request API, bit-identical outputs, and true CPU
+    parallelism for the Python portions of a batch.  ``docs/tuning.md``
+    has the selection
     guidance.  Caches come from a
     shared :class:`~repro.fx.store.PartialStore`: fingerprint-identical
     models reuse one cache,

@@ -1,12 +1,9 @@
 """Shared synchronization primitives.
 
-Home of :class:`ReadWriteLock`, which grew up inside
-:mod:`repro.storage.heapfile` guarding page I/O and is now also the
-tear-free guard on :class:`~repro.fx.sharding.ShardedPartialCache`
-statistics: mutating calls hold the *read* side (they may overlap
-freely — each shard still has its own mutex for actual data safety)
-while ``stats()`` takes the *write* side, excluding every in-flight
-mutator so a multi-shard aggregate is a true point-in-time cut.
+Home of :class:`ReadWriteLock`, which guards page I/O in
+:class:`~repro.storage.heapfile.HeapFile`: page reads hold the *read*
+side and may overlap freely, while a write takes the *write* side and
+excludes them all.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ once and shared by training, serving, and the concurrent runtime:
   plan into the GMM/NN engines (:class:`DedupCounter` reports the
   resulting ``dedup_ratio`` on every fit).  :func:`distinct_values`
   is the sanctioned dedup for everything that is not an FK column
-  (page numbers, shard ids); ``np.unique`` exists nowhere else in the
+  (page numbers, cache slots); ``np.unique`` exists nowhere else in the
   package, AST-enforced;
 * :mod:`repro.fx.gather` — the dedup/gather engine: resolve a plan's
   distinct RIDs to partial rows through the caches, and expand them
@@ -21,9 +21,9 @@ once and shared by training, serving, and the concurrent runtime:
   reuse each other's cached slabs; the one store class, in-process
   and (armed, over a shared-memory slab) in every process worker;
 * :mod:`repro.fx.sharding` — :class:`ShardedPartialCache`, the one
-  cache type the store hands out and a predictor holds: RID-hash
-  shards, each a :class:`~repro.serve.cache.PartialCache` under its
-  own single lock;
+  cache type the store hands out and a predictor holds: one
+  :class:`~repro.serve.cache.PartialCache` per fingerprint under its
+  single lock, which runs the store's governor after each batch;
 * :mod:`repro.fx.costs` — the one cost model: every published count
   (Sections V-A/V-B/VI-A) stated once, one concrete
   :class:`CostModel` per ``(kind, phase)`` whose ``decide()`` is the

@@ -28,7 +28,7 @@ This module is the repository's *only* home for deduplication:
 :meth:`DedupPlan.for_batch` dedups FK columns, and
 :func:`distinct_values` (the one ``np.unique`` call) is the utility
 every other module uses when it needs sorted distinct integers (page
-numbers, shard ids).  The AST test ``tests/fx/test_single_dedup.py``
+numbers, cache slots).  The AST test ``tests/fx/test_single_dedup.py``
 enforces the monopoly.
 """
 
@@ -47,7 +47,7 @@ def distinct_values(values) -> np.ndarray:
     """Sorted distinct values of an integer array.
 
     The one deduplication primitive the rest of the repository is
-    allowed to use directly (page numbers, shard ids, row positions);
+    allowed to use directly (page numbers, cache slots, row positions);
     FK columns go through :meth:`DedupPlan.for_batch` instead, which
     also keeps the inverse mapping.
 

@@ -17,8 +17,8 @@ computed once per batch:
   the dense models score.
 
 Caches are :class:`~repro.fx.sharding.ShardedPartialCache`\\ s handed
-out by a :class:`~repro.fx.store.PartialStore` — the one cache type a
-predictor ever holds.
+out by a :class:`~repro.fx.store.PartialStore`, one per fingerprint —
+the one cache type a predictor ever holds.
 """
 
 from __future__ import annotations

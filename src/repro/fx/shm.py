@@ -20,9 +20,9 @@ offsets — never arrays).  Three pieces:
   when the whole process tree dies).
 
 * :class:`SlabAllocator` — a block allocator over one segment's
-  buffer (bump allocation + per-size free lists).  Each shard's
+  buffer (bump allocation + per-size free lists).  Each cache's
   :class:`~repro.serve.cache.SlotTable` takes its whole float64 slab
-  from it — one block per shard, relocated when it grows or shrinks:
+  from it — one block per cache, relocated when it grows or shrinks:
   allocate new, copy, free old — so thread and process executors share
   one row layout.  When the segment has no room for the next block the
   slab moves to private process memory instead (graceful overflow, not
@@ -40,7 +40,7 @@ offsets — never arrays).  Three pieces:
   (:func:`plan_trims`): workers are swept largest-resident-first, each
   trim capped by the worker's own residency and the sweep's total
   capped by the global deficit — the cross-process analogue of the
-  store's cross-cache eviction (PR 5), with the same pin semantics
+  store's cross-cache eviction, with the same victim order
   because each worker's trim runs through
   :meth:`~repro.fx.store.PartialStore.trim`.
 
@@ -207,7 +207,7 @@ class ShmArena:
 class SlabAllocator:
     """Float64 block allocation over one shm buffer.
 
-    A shard asks for its slab as one block of ``rows × width`` floats
+    A cache asks for its slab as one block of ``rows × width`` floats
     and, when it outgrows it (or empties out), for the next size
     before freeing the old one.  Freed blocks are recycled through
     per-size free lists; the bump pointer only grows when no freed

@@ -29,31 +29,29 @@ governor is the only thing that evicts.  Enforcement is cross-cache:
 each access is stamped by a shared
 :class:`~repro.serve.cache.AccessClock`, and whenever an insert pushes
 the store over budget the governor (:meth:`enforce_budget`) evicts the
-globally coldest unpinned entries — oldest tick first under ``"lru"``
+globally coldest entries — oldest tick first under ``"lru"``
 admission; under ``"tinylfu"`` the lowest sketch frequency
-(tick-tie-broken) among each shard's LRU-tail sample — regardless of
+(tick-tie-broken) among each cache's LRU-tail sample — regardless of
 which cache they live in.  A hot fingerprint therefore naturally takes
 share from a cold one instead of each being boxed into a static
 slice.
 
-Eviction is refcount-aware at two levels: caches are only dropped
-wholesale when their last holder releases them (``_Entry.refs``), and
-rows a batch is actively gathering are pin-refcounted for the span of
-the batch (:meth:`~repro.serve.cache.PartialCache.pin`) so budget
-pressure can never evict a partial mid-use — concurrent batches under
-a tight budget evict each other's *cold* rows, never the rows a batch
-is currently standing on.  The budget may transiently overshoot while
-everything evictable is pinned; it converges as soon as a batch
-completes.  ``store_stats()`` reports the global ``bytes_resident``,
-the per-fingerprint shares, and the number of cross-cache evictions.
+Caches are only dropped wholesale when their last holder releases them
+(``_Entry.refs``).  Rows are evicted one cache at a time, each under
+that cache's lock, which a batch holds from lookup to the copy of its
+rows: a sweep waits out the batch in flight and can never take a
+partial mid-use.  The budget overshoots by what each batch inserts
+until the sweep after it runs.  ``store_stats()`` reports the global
+``bytes_resident``, the per-fingerprint shares, and the number of
+cross-cache evictions.
 
 Invalidation is unchanged: holders call ``invalidate`` on the caches
-they acquired, and invalidation overrides pins (a stale partial must
-never outlive its updated source row).  With sharing, the first
-holder's invalidation already evicts the RIDs for everyone — later
-holders' calls find nothing and drop zero rows, which keeps per-model
-``invalidated_rids`` counters approximate under sharing (a documented
-attribution trade, like shared buffer-pool stats).
+they acquired (a stale partial must never outlive its updated source
+row).  With sharing, the first holder's invalidation already evicts
+the RIDs for everyone — later holders' calls find nothing and drop
+zero rows, which keeps per-model ``invalidated_rids`` counters
+approximate under sharing (a documented attribution trade, like
+shared buffer-pool stats).
 
 **Process workers.**  A worker process of the process executor runs
 this same class over its shared-memory slab (``allocator=``).  Two
@@ -173,7 +171,7 @@ class _Entry:
 class PartialStore:
     """Fingerprint-keyed registry of shared, globally budgeted caches.
 
-    ``num_shards`` and ``admission`` apply to every cache the store
+    ``admission`` and ``tiers`` apply to every cache the store
     creates.  ``capacity_floats`` is the global budget across all
     fingerprints, enforced by cross-cache eviction (see the module
     docstring) — the one memory bound there is.  All bookkeeping is
@@ -185,7 +183,6 @@ class PartialStore:
     def __init__(
         self,
         *,
-        num_shards: int = 1,
         admission: str = LRU_ADMISSION,
         capacity_floats: int | None = None,
         allocator=None,
@@ -194,10 +191,6 @@ class PartialStore:
         tiers=(),
         hysteresis: float = 1.0,
     ) -> None:
-        if num_shards <= 0:
-            raise ModelError(
-                f"num_shards must be positive, got {num_shards}"
-            )
         if admission not in ADMISSION_POLICIES:
             raise ModelError(
                 f"unknown admission policy {admission!r}; use one of "
@@ -212,7 +205,6 @@ class PartialStore:
             raise ModelError(
                 f"hysteresis must lie in (0, 1], got {hysteresis}"
             )
-        self.num_shards = num_shards
         self.admission = admission
         self.capacity_floats = capacity_floats
         # The demotion ladder new caches walk under budget pressure
@@ -249,8 +241,8 @@ class PartialStore:
         self._clock = AccessClock()
         self._lock = threading.Lock()
         # Serializes budget sweeps.  Lock order is strictly
-        # governor -> registry snapshot -> one shard at a time; no code
-        # path asks for this lock while holding a shard lock, which is
+        # governor -> registry snapshot -> one cache at a time; no code
+        # path asks for this lock while holding a cache lock, which is
         # what keeps cross-cache eviction deadlock-free.
         self._governor_lock = threading.Lock()
 
@@ -266,7 +258,6 @@ class PartialStore:
                 return entry.cache
             governed = self._armed
             cache = ShardedPartialCache(
-                self.num_shards,
                 admission=self.admission,
                 # Tick stamping costs one shared-clock acquire per
                 # get_many plus per-key tick writes; only governed
@@ -291,7 +282,7 @@ class PartialStore:
         Refcounting is what makes the budget story safe at the cache
         granularity: a cache is only ever dropped wholesale here, by
         its last holder — never by budget pressure, which works row by
-        row and skips pinned rows.
+        row.
         """
         with self._lock:
             key = self._key_of_cache.get(id(cache))
@@ -370,19 +361,16 @@ class PartialStore:
     # -- the budget governor -----------------------------------------------
 
     def enforce_budget(self) -> int:
-        """Evict globally coldest unpinned rows until within budget.
+        """Evict globally coldest rows until within budget.
 
         Called by every governed cache at the end of ``get_many`` (with
-        no shard lock held); safe to call manually.  Returns the number
+        no cache lock held); safe to call manually.  Returns the number
         of rows evicted.  Victims are chosen across *all* caches by
         ``(frequency, tick)`` rank — pure global LRU under ``"lru"``
-        admission; least-frequent-then-oldest over each shard's
+        admission; least-frequent-then-oldest over each cache's
         LRU-tail sample under ``"tinylfu"`` (see
         :meth:`PartialCache.eviction_candidates
-        <repro.serve.cache.PartialCache.eviction_candidates>`) — and
-        rows pinned by in-flight batches are never taken, so the
-        budget can transiently overshoot while every resident row is
-        in use.
+        <repro.serve.cache.PartialCache.eviction_candidates>`).
         """
         if self.capacity_floats is None:
             return 0
@@ -402,47 +390,46 @@ class PartialStore:
                 swept, _ = self._sweep(deficit)
                 evicted += swept
                 if not swept:
-                    break  # everything evictable is pinned right now
+                    break  # nothing left that charges the budget
         return evicted
 
     def _sweep(self, deficit_floats: int) -> tuple[int, int]:
-        """One candidate-pool pass: every shard offers its
+        """One candidate-pool pass: every cache offers its
         deficit-covering coldest rows as arrays, the pool is ordered by
         global rank — ``(frequency, tick)``, ties broken
-        demoted-before-resident, then by shard recency, caches and
-        shards in registry order — cut where the cumulative freed
-        charge covers ``deficit_floats``, and each shard evicts its
-        share in one call.  Returns ``(rows evicted, floats freed)``;
-        ``(0, 0)`` means nothing was evictable (pinned, or raced away
+        demoted-before-resident, then by recency within a cache, caches
+        in registry order — cut where the cumulative freed charge
+        covers ``deficit_floats``, and each cache evicts its share in
+        one call.  Returns ``(rows evicted, floats freed)``; ``(0, 0)``
+        means nothing was evictable (only spilled rows, or raced away
         between scan and evict — callers re-check and converge later).
         """
         with self._lock:
             caches = [e.cache for e in self._entries.values()]
-        shards = [shard for cache in caches for shard in cache.shards]
         offers = [
-            shard.eviction_candidates(deficit_floats) for shard in shards
+            cache.eviction_candidates(deficit_floats) for cache in caches
         ]
         if not offers:
             return 0, 0
         keys, ticks, frequencies, frees = map(np.concatenate, zip(*offers))
         owner = np.repeat(
-            np.arange(len(shards)), [offer[0].size for offer in offers]
+            np.arange(len(caches)), [offer[0].size for offer in offers]
         )
         # lexsort is stable, so equal ranks keep the pool's order: each
-        # shard lists demoted rows first, then residents oldest first.
+        # cache lists demoted rows first, then residents oldest first.
         rank = np.lexsort((ticks, frequencies))
         cut = np.searchsorted(np.cumsum(frees[rank]), deficit_floats) + 1
-        # One grouping of the victims by shard, each group in rank order.
+        # One grouping of the victims by cache, each group in rank order.
         victims = rank[:cut]
         victims = victims[np.argsort(owner[victims], kind="stable")]
         bounds = np.searchsorted(
-            owner[victims], np.arange(len(shards) + 1)
+            owner[victims], np.arange(len(caches) + 1)
         )
         swept = freed_total = 0
-        for index, shard in enumerate(shards):
+        for index, cache in enumerate(caches):
             mine = keys[victims[bounds[index]:bounds[index + 1]]]
             if mine.size:
-                rows, freed = shard.evict(mine)
+                rows, freed = cache.evict(mine)
                 swept += rows
                 freed_total += freed
         if swept:
@@ -451,7 +438,7 @@ class PartialStore:
         return swept, freed_total
 
     def trim(self, floats: int) -> int:
-        """Evict up to ``floats`` of the globally coldest unpinned rows,
+        """Evict up to ``floats`` of the globally coldest rows,
         whatever this store's own ``capacity_floats``; returns the rows
         evicted.
 
@@ -459,7 +446,7 @@ class PartialStore:
         reads per-worker residency off the shared-memory headers,
         plans deficit-bounded per-worker amounts
         (:func:`repro.fx.shm.plan_trims`) and each worker trims its own
-        store — same victim order and pin semantics as
+        store — same victim order as
         :meth:`enforce_budget`, but the *bound* lives in the parent.
         The governor must be armed (a clock-stamping store); trimming
         an ungoverned store raises, mirroring :meth:`set_budget`.
@@ -487,7 +474,7 @@ class PartialStore:
         """Re-bound the store-wide budget mid-flight; returns evictions.
 
         Tightening the budget immediately sweeps the globally coldest
-        unpinned rows down to the new bound (one
+        rows down to the new bound (one
         :meth:`enforce_budget` pass); loosening (or ``None`` =
         unbounded) just stops future sweeps.  This is the mechanism
         behind adaptation scenarios — a deployment whose memory

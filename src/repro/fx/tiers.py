@@ -129,8 +129,8 @@ class SpillSlab:
     positions plus one ``append`` for the rest, whatever the block's
     size.  Freed positions are recycled via a per-width free stack, so
     a steady-state demote/promote cycle doesn't grow the files without
-    bound.  Thread-safe: shards of one
-    :class:`~repro.fx.sharding.ShardedPartialCache` share one slab.
+    bound.  Each :class:`~repro.serve.cache.PartialCache` owns one
+    slab; its lock is thread-safe on its own as well.
     """
 
     def __init__(self, directory) -> None:

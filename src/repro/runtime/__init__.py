@@ -5,12 +5,12 @@ the serving core (:mod:`repro.serve.core`: register / execute /
 invalidate / swap, written once); this package puts *concurrency* in
 front of that core: a bounded request queue feeds a micro-batcher that
 coalesces point requests into batches, dispatcher threads run each
-batch through the core — directly (``executor="thread"``, over
-RID-hash-sharded partial caches) or scattered across worker processes
-that each run the core again (``executor="process"``) — an adaptive
-planner picks materialized vs factorized per batch from the inference
-cost model, and the catalog's row-version events evict stale partials
-when dimension rows change.
+batch through the core — directly (``executor="thread"``, over one
+lock-guarded partial cache per fingerprint) or scattered across worker
+processes that each run the core again (``executor="process"``) — an
+adaptive planner picks materialized vs factorized per batch from the
+inference cost model, and the catalog's row-version events evict stale
+partials when dimension rows change.
 
 Layers:
 

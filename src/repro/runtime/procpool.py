@@ -26,13 +26,11 @@ wire either.  Control messages (register/invalidate/stats) pickle
 small payloads; models cross once, at registration.
 
 **RID affinity.**  The runtime routes each request row to
-``fk_0 % num_workers`` — the same modulo placement
-:meth:`~repro.fx.sharding.ShardedPartialCache.shard_of` uses within a
-process — so every distinct RID of the first (largest) dimension has
-its partial in exactly one worker's cache.  Further dimensions may
-duplicate a partial across workers; the scatter key can only follow
-one dimension (the same trade a distributed hash join makes when it
-partitions on one key).
+``fk_0 % num_workers``, so every distinct RID of the first (largest)
+dimension has its partial in exactly one worker's cache.  Further
+dimensions may duplicate a partial across workers; the scatter key can
+only follow one dimension (the same trade a distributed hash join
+makes when it partitions on one key).
 
 **Crash containment.**  Worker replies are routed through a per-worker
 tagged mailbox (the dispatcher, the invalidation fan-out and a stats
@@ -53,7 +51,8 @@ sends ``TRIM`` only to over-share workers.  A hot worker can therefore
 hold most of the global budget while cold workers hold none — the
 cross-process continuation of PR 5's "hot fingerprints take share from
 cold ones".  Overshoot between sweeps is bounded by one batch's
-inserts, mirroring the thread-mode governor's pinned-row overshoot.
+inserts, as in thread mode, where each batch's governor sweep runs
+after the batch.
 """
 
 from __future__ import annotations
@@ -753,10 +752,9 @@ class ProcessExecutor(ServingCore):
     def _run(self, registered, op, features, fks, span):
         """Scatter one coalesced batch across the worker processes.
 
-        Rows are routed by ``fk_0 % num_workers`` — the process-level
-        continuation of the in-process RID-hash sharding — written
-        into each target worker's shared task slab, executed there,
-        and gathered back by row index.  Because every row's output is
+        Rows are routed by ``fk_0 % num_workers`` (RID affinity),
+        written into each target worker's shared task slab, executed
+        there, and gathered back by row index.  Because every row's output is
         computed independently and lands at its own index, the merged
         outputs are bit-identical to thread mode regardless of worker
         completion order.  A failure (bad data on one worker, or a

@@ -21,12 +21,11 @@ configuration runs, plus pipe framing:
   ``core.invalidate``, and registrations are keyed by the parent's
   *generation* so two fits of one name can be live while it swaps.
 
-Because the parent scatters rows by ``fk_0 % num_workers`` — the same
-RID-hash the in-process :class:`~repro.fx.sharding.ShardedPartialCache`
-shards by — each worker only ever sees its own slice of the first
-dimension's RID space: its caches hold disjoint first-dimension
-partials, which is what makes N worker caches behave like one cache
-N-way sharded, not N redundant copies.
+Because the parent scatters rows by ``fk_0 % num_workers``, each
+worker only ever sees its own slice of the first dimension's RID
+space: its caches hold disjoint first-dimension partials, which is
+what makes N worker caches behave like one cache split N ways by RID,
+not N redundant copies.
 
 The worker never unlinks shared memory: segments are owned (and
 unlinked) by the parent; on shutdown the worker clears its caches,
@@ -93,7 +92,6 @@ class _Worker:
             # TRIMs over the headers); armed just turns on the recency
             # clock so trims have an eviction order to follow.
             armed=config.memory_budget is not None,
-            num_shards=1,
             admission=config.cache_admission,
             # Per-worker demotion ladder; each worker store owns its
             # own spill directory (created lazily, removed on close).

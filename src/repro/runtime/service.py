@@ -16,7 +16,7 @@ into a serving tier:
   ``invalidate`` / ``swap`` / ``unregister`` / ``sample`` /
   ``set_budget`` / ``collect`` / ``close``): ``executor="thread"`` is
   the core itself, called from ``num_workers`` dispatcher threads over
-  RID-hash-sharded partial caches
+  one lock-guarded partial cache per fingerprint
   (:class:`~repro.fx.sharding.ShardedPartialCache`) — the NumPy
   kernels and page reads that dominate a batch release the GIL;
   ``executor="process"`` is one dispatcher over
@@ -39,8 +39,8 @@ into a serving tier:
 The runtime also subscribes to the catalog's
 :class:`~repro.storage.events.RowVersionEvent` stream: an in-place
 update to a dimension relation evicts exactly the affected RIDs from
-every cache shard of every model joined to it, so the next prediction
-reflects the new rows (see :mod:`repro.fx.sharding` for why this is
+every cache of every model joined to it, so the next prediction
+reflects the new rows (see :mod:`repro.serve.cache` for why this is
 race-free against in-flight batches).
 
 Bookkeeping mirrors ``ModelService``: per-model
@@ -94,10 +94,9 @@ PROCESS_EXECUTOR = "process"
 
 def _thread_executor(db, config):
     """The core itself, called from ``num_workers`` dispatcher threads
-    over caches sharded one way per dispatcher."""
+    over one store whose caches each serialize on their own lock."""
     store = budgeted_store(
         config.memory_budget,
-        num_shards=config.num_workers,
         admission=config.cache_admission,
         tiers=config.store_tiers,
     )
@@ -219,9 +218,9 @@ class RuntimeStats:
     """A point-in-time snapshot of runtime-level bookkeeping.
 
     Each field group is read atomically under its owning component's
-    lock (worker counters under the stats lock, each cache aggregate
-    under its sharded cache's stats guard), so no group can mix values
-    from two instants.  For one consistent cut across *everything* —
+    lock (worker counters under the stats lock, each cache's counters
+    under that cache's lock), so no group can mix values from two
+    instants.  For one consistent cut across *everything* —
     queue, planner, caches, store, buffer pool, training — use the
     runtime's ``telemetry.snapshot()`` instead.
     """
@@ -644,7 +643,7 @@ class ServingRuntime:
 
         ``memory_budget`` is bytes across every registered model (like
         the constructor knob); ``None`` lifts the bound.  Tightening
-        sweeps the globally coldest unpinned partials immediately and
+        sweeps the globally coldest partials immediately and
         returns the number of rows evicted — this is how adaptation
         scenarios model a deployment whose memory allotment is cut
         while traffic is in flight.  The runtime must have been
@@ -663,7 +662,7 @@ class ServingRuntime:
     # -- invalidation --------------------------------------------------------
 
     def _on_row_version(self, event: RowVersionEvent) -> None:
-        """Evict updated RIDs' partials from every shard of every model."""
+        """Evict updated RIDs' partials from every cache of every model."""
         dropped_by_model = self._executor.invalidate(
             event.relation, event.rids, event.positions
         )

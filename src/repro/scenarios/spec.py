@@ -12,9 +12,9 @@ Validation is strict and total at load time: unknown keys anywhere in
 the document raise :class:`~repro.errors.ModelError` (a typo'd
 assertion that silently never runs is worse than no assertion), every
 numeric knob is range-checked, and cross-field contradictions (a
-memory budget too small for the worker pool's in-flight pins, a phase
-that cuts a budget the scenario never declared) are rejected before a
-single row is generated.
+memory budget smaller than what the worker pool's batches insert
+between sweeps, a phase that cuts a budget the scenario never
+declared) are rejected before a single row is generated.
 """
 
 from __future__ import annotations
@@ -32,10 +32,11 @@ from repro.serve.cache import ADMISSION_POLICIES
 
 MAX_SKEW = 4.0
 
-# Below ~4 KiB per worker the governor cannot hold even one in-flight
-# micro-batch's pinned partials without transiently overshooting every
-# sweep — a budget that small contradicts the worker count rather than
-# bounding it.
+# Each batch inserts its partials before the governor's after-batch
+# sweep runs, so the budget overshoots by up to one micro-batch's rows
+# per worker.  Below ~4 KiB per worker that overshoot dwarfs the bound
+# itself — a budget that small contradicts the worker count rather
+# than bounding it.
 MIN_BUDGET_BYTES_PER_WORKER = 4096
 
 
@@ -471,9 +472,9 @@ class ScenarioSpec:
             if budget < floor:
                 raise ModelError(
                     f"memory_budget {budget} bytes contradicts "
-                    f"workers={self.runtime.workers}: each worker can "
-                    f"pin a batch's partials concurrently, so the "
-                    f"budget must be at least "
+                    f"workers={self.runtime.workers}: each worker's "
+                    f"batch overshoots it until the sweep after the "
+                    f"batch, so the budget must be at least "
                     f"{MIN_BUDGET_BYTES_PER_WORKER} bytes per worker "
                     f"({floor} total)"
                 )

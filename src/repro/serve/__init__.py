@@ -14,7 +14,7 @@ Layers (the execution core underneath is :mod:`repro.fx`):
 
 * :mod:`~repro.serve.partials` — per-RID partial results and keyed
   dimension-row lookups;
-* :mod:`~repro.serve.cache` — the shard of a partial-row cache: no
+* :mod:`~repro.serve.cache` — the partial-row cache, under one lock: no
   bound of its own (the store-wide budget's governor evicts, ranking
   victims LRU or TinyLFU), invalidation hooks for dimension-row
   updates;

@@ -1,22 +1,22 @@
 """A cache of per-RID partial rows, held in arrays.
 
-Dimension relations small enough to pin make serving trivially cheap:
-every partial is computed once and reused forever.  When a dimension is
-too large to pin, the serving layer bounds memory with this cache —
-partials for hot RIDs stay resident (the Zipf-skewed FK distributions of
-:mod:`repro.data.synthetic` make this the common case), cold RIDs are
-recomputed from the base relation on demand.
+Dimension relations small enough to hold whole make serving trivially
+cheap: every partial is computed once and reused forever.  When a
+dimension is too large for that, the serving layer bounds memory with
+this cache — partials for hot RIDs stay resident (the Zipf-skewed FK
+distributions of :mod:`repro.data.synthetic` make this the common
+case), cold RIDs are recomputed from the base relation on demand.
 
 Reuse is the paper's whole serving-time win, so the reuse itself is
-array code: a shard's resident tier is one :class:`SlotTable` — sorted
-keys → slot, one float64 slab, recency / clock / pin columns — and a
-warm lookup is one ``searchsorted``, one ``take`` and two column
-stamps, with no per-key Python between the dedup plan and the
-predictor's GEMM.  The demoted tiers (:mod:`repro.fx.tiers`) are slot
-tables too — float32 payloads, spill-heap positions — so a governor
-sweep demotes, and a batch promotes, whole blocks of rows at a time.
+array code: a cache's resident tier is one :class:`SlotTable` — sorted
+keys → slot, one float64 slab, recency / clock columns — and a warm
+lookup is one ``searchsorted``, one ``take`` and two column stamps,
+with no per-key Python between the dedup plan and the predictor's
+GEMM.  The demoted tiers (:mod:`repro.fx.tiers`) are slot tables too —
+float32 payloads, spill-heap positions — so a governor sweep demotes,
+and a batch promotes, whole blocks of rows at a time.
 
-A shard has no bound of its own: every computed row is admitted, and
+A cache has no bound of its own: every computed row is admitted, and
 memory is bounded by the owning :class:`~repro.fx.store.PartialStore`'s
 store-wide budget (``capacity_floats``, in float64 values — the honest
 unit when partial rows have very different widths across models),
@@ -26,43 +26,42 @@ victims:
 * ``"lru"`` (default) — the globally least recently used rows go first;
 * ``"tinylfu"`` — for Zipf-skewed FK traffic: a small count-min sketch
   (:class:`~repro.fx.sketch.FrequencySketch`) tracks approximate
-  access counts, and the least-frequent rows among each shard's
+  access counts, and the least-frequent rows among each cache's
   LRU tail go first, so one-hit wonders stop displacing hot partials.
 
-The cache is thread-safe: one internal lock — the only lock a shard
-has — serializes lookups, invalidations and counter reads, so
-dimension-update events arriving on an updater thread can evict safely
-while a serving thread is mid-lookup.  :meth:`PartialCache.get_many`
-holds it across lookup → miss compute → insert, which is what makes
-invalidation race-free: an :meth:`~PartialCache.invalidate` serializes
-either wholly before the insert (the compute then reads the
-already-updated pages — events fire after the write) or wholly after
-it (the fresh-but-stale row is dropped).  A stale partial can never
-survive an invalidation.
+The cache is thread-safe: one internal lock — the only lock a cache
+has — serializes lookups, invalidations, governor evictions and
+counter reads.  :meth:`PartialCache.get_many` holds it across lookup →
+miss compute → insert and hands back a copy of the rows, which is what
+makes the rest race-free:
+
+* invalidation — an :meth:`~PartialCache.invalidate` serializes either
+  wholly before the insert (the compute then reads the already-updated
+  pages — events fire after the write) or wholly after it (the
+  fresh-but-stale row is dropped), so a stale partial can never
+  survive an invalidation;
+* budget eviction — a governor sweep can only reach a cache between
+  two ``get_many`` calls, after the batch has copied its rows out, so
+  no batch needs to protect the rows it is standing on.
 
 The cache is deliberately model-agnostic: values are flat float64 rows
 (whatever a :mod:`~repro.serve.partials` builder produced), keys are
-RIDs.  It is the *shard*: consumers never hold one directly — they get
-a :class:`~repro.fx.sharding.ShardedPartialCache` from a
-:class:`~repro.fx.store.PartialStore`.
+RIDs.  Consumers get one per fingerprint from a
+:class:`~repro.fx.store.PartialStore` — a
+:class:`~repro.fx.sharding.ShardedPartialCache`, which adds the call
+into the store's governor after each batch.
 
-Three small hooks let the store's governor do that across caches:
+Two small hooks let the store's governor work across caches:
 
 * an :class:`AccessClock` — a counter shared by every cache under one
   store; each hit and insert stamps the entry with the next tick, so
   recency is comparable *across* caches, not just within one LRU;
-* pin refcounts (:meth:`PartialCache.pin` / :meth:`unpin`) — a batch
-  in flight pins the RIDs it is using; pinned entries are skipped by
-  the governor's sweep, so one batch can never thrash another batch's
-  working set out mid-request.  Pins guard *memory pressure* only:
-  :meth:`invalidate` still drops pinned rows, because a stale partial
-  must never outlive its source row;
 * the victim API (:meth:`eviction_candidates` / :meth:`evict`) — each
-  shard offers its coldest unpinned rows as arrays, the store's
-  governor orders the pool by ``(frequency, tick)`` (strict global LRU
-  under ``"lru"``; under ``"tinylfu"`` least-frequent-first over the
+  cache offers its coldest rows as arrays, the store's governor orders
+  the pool by ``(frequency, tick)`` (strict global LRU under
+  ``"lru"``; under ``"tinylfu"`` least-frequent-first over the
   deficit-covering tail plus ``_TINYLFU_VICTIM_SAMPLE`` more rows per
-  shard) and each shard evicts its share in one call, counted as
+  cache) and each cache evicts its share in one call, counted as
   ``cross_evictions``.
 """
 
@@ -83,6 +82,7 @@ from repro.fx.tiers import (
     TIER_FLOAT32,
     TIER_RESIDENT,
     TIER_SPILL,
+    SpillSlab,
     compress,
     decompress,
     float_equivalents,
@@ -98,7 +98,7 @@ ADMISSION_POLICIES = (LRU_ADMISSION, TINYLFU_ADMISSION)
 # Counters per row of the TinyLFU frequency sketch.
 _SKETCH_WIDTH = 1024
 
-# Under TinyLFU a shard offers the governor this many LRU-tail rows
+# Under TinyLFU a cache offers the governor this many LRU-tail rows
 # beyond the ones that would cover the deficit on their own (the
 # Caffeine-style bounded sample), so the frequency rank always has a
 # choice: a hot row parked at the LRU tail cannot shield the cold rows
@@ -134,10 +134,10 @@ class AccessClock:
 
 
 class Residency(NamedTuple):
-    """What one shard — or, added up, one sharded cache or one whole
-    store — holds right now, read without taking any lock.
+    """What one cache — or, added up, one whole store — holds right
+    now, read without taking any lock.
 
-    Every field is a plain int the owning shard keeps current, so the
+    Every field is a plain int the owning cache keeps current, so the
     readers that cannot afford to contend with ``get_many`` (the
     budget governor's within-budget check, a process worker publishing
     its header row) load it directly; a torn read can only mis-size one
@@ -208,7 +208,7 @@ class CacheStats:
     counted separately so memory pressure is never mistaken for data
     churn.  ``evictions`` stays 0: nothing but the governor evicts, and
     the field is kept only for readers that add it to
-    ``cross_evictions``.  ``+`` aggregates across shards
+    ``cross_evictions``.  ``+`` aggregates across caches
     (:func:`add_fields`).
     """
 
@@ -287,27 +287,22 @@ def _first_occurrences(keys: np.ndarray):
 
 
 class SlotTable:
-    """One tier of a shard: sorted keys → slot → slab row.
+    """One tier of a cache: sorted keys → slot → slab row.
 
-    ``keys`` (sorted int64) and the parallel ``slots`` are the index.
-    A slot numbers one row of ``slab`` — a contiguous ``(capacity,
-    width)`` block of ``dtype``: float64 rows for the resident tier,
-    float32 payloads and spill-heap positions for the demoted ones
-    (which never pin) — and one cell of each column: ``key`` (the
-    way back), ``tick`` (the store clock's per-call stamp), ``seq``
-    (per-shard touch order: ascending ``seq`` *is* LRU order, ``-1``
-    marks an entry holding no row) and ``pins`` (the refcount).  An
-    entry exists for every key that is resident **or** pinned: pinning
-    an absent key reserves the slot its row will land in, invalidating
-    a pinned row leaves the entry behind, the last unpin of a rowless
-    entry removes it — so an unpinned entry always holds a row.  Freed
+    ``keys`` (sorted int64) and the parallel ``slots`` are the index,
+    one entry per row held.  A slot numbers one row of ``slab`` — a
+    contiguous ``(capacity, width)`` block of ``dtype``: float64 rows
+    for the resident tier, float32 payloads and spill-heap positions
+    for the demoted ones — and one cell of each column: ``key`` (the
+    way back), ``tick`` (the store clock's per-call stamp) and ``seq``
+    (per-table touch order: ascending ``seq`` *is* LRU order).  Freed
     slots go on a stack and are reused before the slab grows.  The
     slab's capacity tracks the entries both ways, by relocate-and-copy
     (:meth:`_resize`): ×``_SLAB_GROWTH`` when the stack runs dry, back
     down when fewer than a third of the slots are in use — evicted
     memory is given back, not parked — into a ``SlabAllocator`` block
     when one is installed and has room (allocate new, copy, free old),
-    else into private memory.  Not locked: the owning shard's lock
+    else into private memory.  Not locked: the owning cache's lock
     guards every call.
     """
 
@@ -324,11 +319,13 @@ class SlotTable:
         self.key = np.empty(0, dtype=np.int64)
         self.tick = np.empty(0, dtype=np.int64)
         self.seq = np.empty(0, dtype=np.int64)
-        self.pins = np.empty(0, dtype=np.intp)
         self._free = np.empty(0, dtype=np.intp)
         self._nfree = 0
-        self.rows = 0
         self._next_seq = 0
+
+    @property
+    def rows(self) -> int:
+        return self.keys.size
 
     @property
     def width(self) -> int:
@@ -339,21 +336,15 @@ class SlotTable:
         return self._block is not None
 
     def clear(self) -> None:
-        """Drop every row and give the slab back; pins survive (as
-        rowless entries) — they belong to batches still in flight."""
-        pinned = self.slots[self.pins[self.slots] > 0]
-        keys, refs = self.key[pinned], self.pins[pinned]
+        """Drop every row and give the slab back."""
         block, self._block = self._block, None
         self._reset()           # lets go of the slab's view first
         if block is not None:
             self._allocator.free(*block)
-        if keys.size:
-            slots = self._entries(keys)     # replaces the columns
-            self.pins[slots] = refs
 
-    def _lookup(self, keys: np.ndarray):
-        """``(slots, found)`` per key; where not ``found`` the slot is
-        some other entry's."""
+    def find(self, keys: np.ndarray):
+        """``(slots, found)``: which ``keys`` hold a row, and where
+        (where not ``found`` the slot is some other entry's)."""
         if not self.keys.size:
             return np.zeros(keys.size, np.intp), np.zeros(keys.size, bool)
         at = self.keys.searchsorted(keys)
@@ -362,55 +353,11 @@ class SlotTable:
             self.keys.take(at, mode="clip") == keys,
         )
 
-    def find(self, keys: np.ndarray, pinned: bool = False):
-        """``(slots, found)``: which ``keys`` hold a row — or, with
-        ``pinned``, a pin — and where."""
-        slots, found = self._lookup(keys)
-        if pinned and self.keys.size:
-            found &= self.pins.take(slots) > 0
-        elif self.keys.size > self.rows:    # some entries hold no row
-            found &= self.seq.take(slots) >= 0
-        return slots, found
-
-    def _entries(self, keys: np.ndarray) -> np.ndarray:
-        """The slot of each key's entry, absent keys given a (rowless,
-        unpinned) one first — which may renumber every slot."""
-        slots, found = self._lookup(keys)
-        if not found.all():
-            fresh = distinct_values(keys[~found])
-            if fresh.size > self._nfree:
-                self._resize(max(
-                    self.keys.size + fresh.size,
-                    int(self.seq.size * _SLAB_GROWTH),
-                ))
-            self._nfree -= fresh.size
-            taken = self._free[self._nfree:self._nfree + fresh.size][::-1]
-            self.key[taken] = fresh
-            self.tick[taken] = 0
-            self.seq[taken] = -1
-            self.pins[taken] = 0
-            at = self.keys.searchsorted(fresh)
-            self.keys = np.insert(self.keys, at, fresh)
-            self.slots = np.insert(self.slots, at, taken)
-            slots, _ = self._lookup(keys)
-        return slots
-
-    def _forget(self, slots: np.ndarray) -> None:
-        """Remove the (distinct) entries at ``slots`` and free the
-        slots — which may renumber every slot left."""
-        at = self.keys.searchsorted(self.key[slots])
-        self.keys = np.delete(self.keys, at)
-        self.slots = np.delete(self.slots, at)
-        self._free[self._nfree:self._nfree + slots.size] = slots
-        self._nfree += slots.size
-        if self.keys.size * 3 < self.seq.size:
-            self._resize(int(self.keys.size * _SLAB_GROWTH))
-
     def _resize(self, capacity: int) -> None:
         """Move the entries to slots ``0..n-1``, in key order, of
         columns and a slab ``capacity`` slots long."""
         live = self.slots
-        for name in ("key", "tick", "seq", "pins"):
+        for name in ("key", "tick", "seq"):
             column = getattr(self, name)
             moved = np.empty(capacity, dtype=column.dtype)
             moved[:live.size] = column[live]
@@ -441,15 +388,25 @@ class SlotTable:
         self._block = block
 
     def put(self, keys: np.ndarray, rows: np.ndarray, tick) -> None:
-        """Make the distinct, not-resident ``keys`` resident with
-        ``rows`` — one copy into the slab — at the MRU end, in order.
-        A table holding no row takes on the width of ``rows``."""
+        """Make the distinct, not-held ``keys`` resident with ``rows``
+        — one copy into the slab — at the MRU end, in order.  A table
+        holding no row takes on the width of ``rows``."""
         if rows.shape[1] != self.width:
             self._relocate(self.seq.size, rows.shape[1])
-        slots = self._entries(keys)     # may relocate: before the write
+        if keys.size > self._nfree:     # renumbers: before the write
+            self._resize(max(
+                self.keys.size + keys.size,
+                int(self.seq.size * _SLAB_GROWTH),
+            ))
+        self._nfree -= keys.size
+        slots = self._free[self._nfree:self._nfree + keys.size][::-1]
+        self.key[slots] = keys
+        order = np.argsort(keys)
+        at = self.keys.searchsorted(keys[order])
+        self.keys = np.insert(self.keys, at, keys[order])
+        self.slots = np.insert(self.slots, at, slots[order])
         self.slab[slots] = rows
-        self.rows += keys.size
-        self.touch(slots, tick)
+        self.touch(slots, 0 if tick is None else tick)
 
     def touch(self, slots: np.ndarray, tick) -> None:
         """Stamp ``slots`` most recently used, in order (a repeated
@@ -462,18 +419,22 @@ class SlotTable:
             self.tick[slots] = tick
 
     def drop(self, slots: np.ndarray) -> None:
-        """Take the rows out of the (distinct, resident) ``slots``.
-        A pinned row's entry stays behind, rowless."""
+        """Take the rows out of the (distinct, held) ``slots`` — which
+        may renumber every slot left."""
         if slots.size:
-            self.seq[slots] = -1
-            self.rows -= slots.size
-            self._forget(slots[self.pins[slots] == 0])
+            at = self.keys.searchsorted(self.key[slots])
+            self.keys = np.delete(self.keys, at)
+            self.slots = np.delete(self.slots, at)
+            self._free[self._nfree:self._nfree + slots.size] = slots
+            self._nfree += slots.size
+            if self.keys.size * 3 < self.seq.size:
+                self._resize(int(self.keys.size * _SLAB_GROWTH))
 
     def coldest(self, count: int) -> np.ndarray:
-        """Up to ``count`` unpinned resident slots, least recent first."""
-        if count <= 0 or not self.rows:
+        """Up to ``count`` held slots, least recent first."""
+        if count <= 0 or not self.keys.size:
             return np.empty(0, dtype=np.intp)
-        slots = self.slots[self.pins[self.slots] == 0]
+        slots = self.slots
         seq = self.seq[slots]
         if count < slots.size:
             nearest = np.argpartition(seq, count - 1)[:count]
@@ -481,30 +442,16 @@ class SlotTable:
         return slots[np.argsort(seq)]
 
     def resident_keys(self) -> np.ndarray:
-        """Every resident key, least recent first."""
-        slots = self.slots[self.seq[self.slots] >= 0]
-        return self.key[slots[np.argsort(self.seq[slots])]]
-
-    def pin(self, keys: np.ndarray) -> None:
-        slots = self._entries(keys)         # may replace the columns
-        np.add.at(self.pins, slots, 1)
-
-    def unpin(self, keys: np.ndarray) -> None:
-        slots, found = self._lookup(keys)
-        slots = slots[found]
-        np.subtract.at(self.pins, slots, 1)
-        self.pins[slots] = np.maximum(self.pins[slots], 0)
-        idle = slots[(self.pins[slots] == 0) & (self.seq[slots] < 0)]
-        if idle.size:
-            self._forget(distinct_values(idle))
+        """Every key held, least recent first."""
+        return self.key[self.slots[np.argsort(self.seq[self.slots])]]
 
 
 class PartialCache:
-    """Map of ``rid -> partial row`` — one shard.
+    """Map of ``rid -> partial row`` under one lock.
 
     Every computed row is admitted; only the owning store's governor
     evicts (module docstring).  ``admission`` selects how it ranks this
-    shard's victims: ``"lru"`` or ``"tinylfu"`` (frequency first).
+    cache's victims: ``"lru"`` or ``"tinylfu"`` (frequency first).
     ``clock`` — an :class:`AccessClock` shared with sibling caches —
     opts this cache into a store-wide budget: every hit and insert is
     stamped with a global tick so a
@@ -513,6 +460,9 @@ class PartialCache:
     lookups go through :meth:`get_many`, which resolves hits, computes
     every miss in one vectorized call, and returns rows aligned with
     the requested keys.  The rows of one cache share one width.
+    ``spill_dir`` (a path, or a callable asked at each heap creation)
+    is where the ``"spill"`` tier's slab writes; the owning store
+    names it and deletes it wholesale.
     """
 
     def __init__(
@@ -522,7 +472,7 @@ class PartialCache:
         clock: AccessClock | None = None,
         allocator=None,
         tiers: tuple = (),
-        spill=None,
+        spill_dir=None,
     ) -> None:
         if admission not in ADMISSION_POLICIES:
             raise ModelError(
@@ -542,11 +492,13 @@ class PartialCache:
         # a victim down these rungs instead of dropping it; an empty
         # tuple keeps the pre-tier drop-on-evict behavior, bit for bit.
         self._tiers = tuple(tiers)
-        if TIER_SPILL in self._tiers and spill is None:
-            raise ModelError(
-                "the 'spill' tier needs an on-disk slab; pass spill="
-            )
-        self._spill = spill
+        self._spill = None
+        if TIER_SPILL in self._tiers:
+            if spill_dir is None:
+                raise ModelError(
+                    "the 'spill' tier needs a spill_dir to write to"
+                )
+            self._spill = SpillSlab(spill_dir)
         # The demoted populations — rows of the table's one width, in
         # demotion order (``seq``): the float32 payloads, each with the
         # tick it had while resident, and the rows' positions in the
@@ -560,11 +512,12 @@ class PartialCache:
         )
         self._compressed_floats = 0
         self._spilled_bytes = 0
-        # The shard's one lock.  Serializes lookups against
-        # invalidations: dimension-update events arrive on the
-        # updater's thread while a service thread may be mid-get_many,
-        # and get_many holds it across compute → insert so an
-        # invalidate can never land between the two (module docstring).
+        # The cache's one lock.  Serializes lookups against
+        # invalidations and governor evictions: dimension-update events
+        # arrive on the updater's thread, and sweeps on whichever
+        # thread broke the budget, while a service thread may be
+        # mid-get_many; get_many holds it across compute → insert so
+        # neither can land between the two (module docstring).
         self._lock = threading.RLock()
         self._zero_counters()
 
@@ -612,7 +565,7 @@ class PartialCache:
             ]
 
     def residency(self) -> Residency:
-        """This shard's :class:`Residency`, read lock-free."""
+        """This cache's :class:`Residency`, read lock-free."""
         table = self._table
         resident = table.rows * table.width
         return Residency(
@@ -691,7 +644,7 @@ class PartialCache:
         return held, rows
 
     def _demote(self, keys: np.ndarray) -> tuple[int, int]:
-        """Walk the distinct, unpinned ``keys`` one step down the ladder
+        """Walk the distinct ``keys`` one step down the ladder
         each (:meth:`_next_rung`), a block per rung, demotion order =
         the order given; returns ``(rows moved, budget floats freed)``.
         Spilled rows are terminal: they charge no memory, so only
@@ -760,20 +713,10 @@ class PartialCache:
             self.promotions[tier] = self.promotions.get(tier, 0) + keys.size
             self.promotions_total += keys.size
 
-    def _coldest_compressed(self, count: int) -> np.ndarray:
-        """Up to ``count`` unpinned float32-tier slots, oldest demotion
-        first.  A demoted key can only be pinned through a rowless
-        entry of the resident table."""
-        tier, table = self._compressed, self._table
-        if table.keys.size == table.rows:
-            return tier.coldest(count)
-        slots = tier.coldest(tier.rows)
-        return slots[~table.find(tier.key[slots], pinned=True)[1]][:count]
-
     def _insert(self, keys: np.ndarray, rows: np.ndarray, tick) -> None:
         """Make freshly computed ``rows`` (distinct ``keys``, in
         first-occurrence order) resident, all of them in one block:
-        a shard admits everything and only the store's governor
+        a cache admits everything and only the store's governor
         evicts."""
         table = self._table
         width = rows.shape[1]
@@ -866,25 +809,8 @@ class PartialCache:
 
     # -- store-wide budget hooks (see the module docstring) ----------------
 
-    def pin(self, keys: np.ndarray) -> None:
-        """Refcount ``keys`` as in use by an in-flight batch.
-
-        Pinned keys are skipped by the store governor's sweeps until
-        :meth:`unpin` drops the last reference.  Pinning a key that is
-        not (yet) resident is fine: the pin protects the row the batch
-        is about to insert.  Pins do **not** protect against
-        :meth:`invalidate` (data change beats memory policy).
-        """
-        with self._lock:
-            self._table.pin(as_rids(keys))
-
-    def unpin(self, keys: np.ndarray) -> None:
-        """Release one pin reference per key (inverse of :meth:`pin`)."""
-        with self._lock:
-            self._table.unpin(as_rids(keys))
-
     def eviction_candidates(self, deficit_floats: int):
-        """This shard's coldest unpinned charged rows, just enough to
+        """This cache's coldest charged rows, just enough to
         cover ``deficit_floats`` alone (the worst case: every victim
         lives here), as parallel arrays ``(keys, ticks, frequencies,
         frees)`` for the store's governor to pool and rank.
@@ -910,7 +836,7 @@ class PartialCache:
             if compressed.rows:
                 charge = float_equivalents(TIER_FLOAT32, width)
                 covering = -(-deficit_floats // charge)
-                demoted = self._coldest_compressed(covering + extra)
+                demoted = compressed.coldest(covering + extra)
                 covering = min(covering, demoted.size)
                 deficit_floats -= covering * charge
                 wanted -= demoted.size - covering
@@ -931,18 +857,17 @@ class PartialCache:
             return keys, ticks, self._sketch.estimate_many(keys), frees
 
     def evict(self, keys: np.ndarray) -> tuple[int, int]:
-        """Cross-cache-evict those of ``keys`` that are still charged
-        and unpinned, under one hold of the lock; returns ``(rows
-        evicted, budget floats freed)``.
+        """Cross-cache-evict those of ``keys`` that are still charged,
+        under one hold of the lock; returns ``(rows evicted, budget
+        floats freed)``.
 
-        Fewer than asked go when a key was invalidated, evicted or
-        pinned between the governor's scan and this call — the governor
-        then simply rescans.  With tiers configured each row is demoted
-        one rung instead of dropped, a block per rung (:meth:`_demote`).
+        Fewer than asked go when a key was invalidated or evicted
+        between the governor's scan and this call — the governor then
+        simply rescans.  With tiers configured each row is demoted one
+        rung instead of dropped, a block per rung (:meth:`_demote`).
         """
         with self._lock:
             table = self._table
-            keys = keys[~table.find(keys, pinned=True)[1]]
             if self._tiers:
                 count, total = self._demote(keys)
             else:
@@ -964,10 +889,9 @@ class PartialCache:
 
         Used by the dimension-update eviction path: unlike the
         governor's evictions, invalidations are counted separately
-        because they signal data change, not memory pressure.  Pins do
-        not protect here: a stale partial must never outlive its
-        updated source row — whatever tier it sits in, spilled copies
-        included.
+        because they signal data change, not memory pressure.  A stale
+        partial must never outlive its updated source row — whatever
+        tier it sits in, spilled copies included.
         """
         keys = as_rids(keys)
         with self._lock:
@@ -1004,19 +928,29 @@ class PartialCache:
                 promotions=dict(self.promotions),
             )
 
+    def approx_hit_rate(self) -> float:
+        """Lock-free hit-rate estimate for the batch planner's hot path.
+
+        Reads the counters without taking the lock — a torn read skews
+        an estimate that only discounts a cost model, never
+        correctness, and skipping the lock keeps per-batch planning
+        from contending with concurrent ``get_many`` calls.
+        """
+        hits = self.hits
+        lookups = hits + self.misses
+        return hits / lookups if lookups else 0.0
+
     def drop_spilled(self) -> None:
-        """Forget every spilled entry *without* per-row frees — used
-        when the owning store deletes the spill files wholesale."""
+        """Forget every spilled entry *without* per-row frees and delete
+        the spill files wholesale (the owning store's teardown path)."""
         with self._lock:
             self._spilled.clear()
             self._spilled_bytes = 0
+            if self._spill is not None:
+                self._spill.reset()
 
     def clear(self) -> None:
-        """Drop all entries and zero the counters.
-
-        Pin refcounts survive: they belong to batches still in flight,
-        whose keys must stay protected when recomputed after the clear.
-        """
+        """Drop all entries and zero the counters."""
         with self._lock:
             # Recycle the spilled positions while the table still
             # knows the width of the rows they hold.

@@ -521,8 +521,8 @@ class ServingCore:
         into ``successor`` (swap) and give its caches back.
 
         Safe while stragglers still execute on it: closing only
-        releases the store's pins, and predictors stay readable after
-        close.
+        releases the store's refcounts, and predictors stay readable
+        after close.
         """
         if successor is not None:
             successor.carry_cache_counters(registered)

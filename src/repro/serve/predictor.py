@@ -13,10 +13,10 @@ training-only streaming path:
   This is the baseline every serving stack uses today and the exactness
   oracle for the factorized path.
 * **factorized** — gather per-RID partial results
-  (:mod:`repro.serve.partials`, cached in
-  :class:`~repro.fx.sharding.ShardedPartialCache`\\ s drawn from a
-  :class:`~repro.fx.store.PartialStore`) and finish each score with
-  fact-side work only.  Output equals the materialized output up to
+  (:mod:`repro.serve.partials`, cached in one
+  :class:`~repro.fx.sharding.ShardedPartialCache` per fingerprint,
+  drawn from a :class:`~repro.fx.store.PartialStore`) and finish each
+  score with fact-side work only.  Output equals the materialized output up to
   float summation order — the same exactness invariant the training
   engines hold (Eq. 19, Section VI-A1).
 
@@ -409,15 +409,6 @@ class _GMMPredictorMixin:
     ) -> np.ndarray:
         """Per-tuple log-likelihood ``log p(x)``."""
         return self._posteriors(fact_features, fk_values, plan)[1]
-
-    def score_all(self) -> np.ndarray:
-        """Log-likelihoods for every stored fact tuple."""
-        return np.concatenate(
-            [
-                self.score_samples(features, fks)
-                for features, fks in self._iter_fact_requests()
-            ]
-        )
 
 
 class MaterializedGMMPredictor(_ServingPredictor, _GMMPredictorMixin):

@@ -6,7 +6,7 @@ silently invalidates that state.  The catalog therefore stamps every
 relation with a monotonically increasing *row version* and, on each
 update, emits a :class:`RowVersionEvent` naming the affected RIDs to
 every subscriber — the serving runtime uses it to evict exactly those
-partials from its cache shards.
+partials from its caches.
 
 Events are delivered synchronously on the updating thread, *after* the
 pages have been written and the buffer pool invalidated, so a

@@ -16,11 +16,9 @@ def rows_for(keys):
     return keys[:, None].astype(np.float64) * 10.0
 
 
-def budgeted(floats, admission="tinylfu", num_shards=1):
+def budgeted(floats, admission="tinylfu"):
     """A cache whose only bound is a store budget of ``floats``."""
-    store = PartialStore(
-        capacity_floats=floats, admission=admission, num_shards=num_shards
-    )
+    store = PartialStore(capacity_floats=floats, admission=admission)
     return store.acquire("fp")
 
 
@@ -33,9 +31,9 @@ class TestPolicySelection:
         assert PartialCache().admission == "lru"
 
     def test_sharded_cache_passes_the_policy_through(self):
-        sharded = ShardedPartialCache(3, admission="tinylfu")
+        sharded = ShardedPartialCache(admission="tinylfu")
         assert sharded.admission == "tinylfu"
-        assert all(s.admission == "tinylfu" for s in sharded.shards)
+        assert sharded._sketch is not None
 
 
 class TestTinyLFUAdmission:
@@ -94,7 +92,7 @@ class TestTinyLFUAdmission:
 
 
 class TestVictimOffer:
-    """What one shard offers a sweep: the coldest rows that cover the
+    """What one cache offers a sweep: the coldest rows that cover the
     deficit and, under TinyLFU, ``_TINYLFU_VICTIM_SAMPLE`` more, so the
     frequency rank has a choice however large the sweep."""
 
@@ -117,10 +115,9 @@ class TestVictimOffer:
 
 class TestZipfWorkload:
     def test_tinylfu_beats_lru_hit_rate_on_skewed_traffic(self):
-        # One shard, as the inline service and every process worker
-        # build: a sweep whose deficit is a whole batch of misses is
-        # offered more rows than it must evict, or the frequency rank
-        # has no choice to make and TinyLFU is plain LRU.
+        # A sweep whose deficit is a whole batch of misses is offered
+        # more rows than it must evict, or the frequency rank has no
+        # choice to make and TinyLFU is plain LRU.
         rng = np.random.default_rng(7)
         universe = 400
         # Zipf-ish skew: a small hot set dominates, a long cold tail.
@@ -133,13 +130,13 @@ class TestZipfWorkload:
             tiny.get_many(batch, rows_for)
         assert tiny.stats().hit_rate > lru.stats().hit_rate + 0.02
 
-    def test_sharded_tinylfu_serves_correct_rows(self):
-        sharded = budgeted(16, num_shards=4)
+    def test_tinylfu_serves_correct_rows(self):
+        cache = budgeted(16)
         rng = np.random.default_rng(11)
         for _ in range(30):
             keys = np.unique(rng.integers(0, 200, size=40))
             np.testing.assert_array_equal(
-                sharded.get_many(keys, rows_for), rows_for(keys)
+                cache.get_many(keys, rows_for), rows_for(keys)
             )
-        assert sharded.stats().cross_evictions > 0
-        assert sharded.floats_resident <= 16
+        assert cache.stats().cross_evictions > 0
+        assert cache.floats_resident <= 16

@@ -159,7 +159,7 @@ class TestWorkerPartialStore:
     def test_rows_are_placed_in_the_slab(self):
         arena = ShmArena()
         seg = arena.create("part", 4096)
-        store = PartialStore(allocator=SlabAllocator(seg.buf), num_shards=1)
+        store = PartialStore(allocator=SlabAllocator(seg.buf))
         cache = store.acquire("fp")
         cache.get_many(np.array([1, 2, 3]), rows_for(4))
         assert store.stats().shm_bytes_resident == 3 * 4 * 8
@@ -173,7 +173,7 @@ class TestWorkerPartialStore:
         seg = arena.create("part", 4096)
         header = header_view(hdr.buf, 1)[0]
         store = PartialStore(
-            allocator=SlabAllocator(seg.buf), header=header, num_shards=1
+            allocator=SlabAllocator(seg.buf), header=header
         )
         cache = store.acquire("fp")
         cache.get_many(np.array([5, 6]), rows_for(3))
@@ -187,7 +187,7 @@ class TestWorkerPartialStore:
         arena = ShmArena()
         seg = arena.create("part", 4096)
         store = PartialStore(
-            allocator=SlabAllocator(seg.buf), armed=True, num_shards=1
+            allocator=SlabAllocator(seg.buf), armed=True
         )
         cache = store.acquire("fp")
         cache.get_many(np.arange(10), rows_for(4))
@@ -201,7 +201,7 @@ class TestWorkerPartialStore:
         arena = ShmArena()
         seg = arena.create("part", 16384)
         allocator = SlabAllocator(seg.buf)
-        store = PartialStore(allocator=allocator, armed=True, num_shards=1)
+        store = PartialStore(allocator=allocator, armed=True)
         first = store.acquire("fp-1")
         first.get_many(np.arange(100), rows_for(4))
         big = allocator.bytes_reserved
@@ -240,7 +240,6 @@ class TestWorkerPartialStore:
             seg = ShmSegment(shm, owner=False)
             store = PartialStore(
                 allocator=SlabAllocator(seg.buf), armed=True,
-                num_shards=1,
             )
             cache = store.acquire("fp")
             cache.get_many(np.array([1, 2]), rows_for(4))

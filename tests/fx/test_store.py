@@ -75,15 +75,12 @@ class TestConfiguration:
         a.get_many(np.array([1, 2, 3]), rows_for)
         assert len(a) == 2
 
-    def test_num_shards_and_admission_apply_to_created_caches(self):
-        store = PartialStore(num_shards=3, admission="tinylfu")
+    def test_admission_applies_to_created_caches(self):
+        store = PartialStore(admission="tinylfu")
         cache = store.acquire("fp-1")
-        assert cache.num_shards == 3
         assert cache.admission == "tinylfu"
 
     def test_invalid_configuration_rejected(self):
-        with pytest.raises(ModelError, match="num_shards"):
-            PartialStore(num_shards=0)
         with pytest.raises(ModelError, match="admission"):
             PartialStore(admission="clock")
 

@@ -1,4 +1,4 @@
-"""Store-wide memory budget: cross-cache eviction, pins, exactness."""
+"""Store-wide memory budget: cross-cache eviction, exactness."""
 
 import threading
 import warnings
@@ -170,53 +170,9 @@ class TestBudgetBoundsRealMemory:
         store.close()
 
 
-class TestPins:
-    def test_pinned_rows_survive_cross_cache_eviction(self):
-        store = PartialStore(capacity_floats=10)
-        a = store.acquire("fp-a")
-        b = store.acquire("fp-b")
-        a.get_many(np.arange(6), rows_for)
-        a.pin(np.array([0, 1]))                   # a batch stands on 0, 1
-        try:
-            b.get_many(np.arange(6), rows_for)
-            # The two globally coldest rows (a's 0 and 1) are pinned;
-            # eviction skipped to the next-coldest (a's 2 and 3).
-            assert 0 in a and 1 in a
-            assert 2 not in a and 3 not in a
-        finally:
-            a.unpin(np.array([0, 1]))
-        # Once released they are fair game again.
-        a.get_many(np.array([9]), rows_for)       # push over budget
-        assert store.floats_resident <= 10
-
-    def test_fully_pinned_store_overshoots_instead_of_thrashing(self):
-        store = PartialStore(capacity_floats=2)
-        a = store.acquire("fp-a")
-        a.get_many(np.arange(2), rows_for)
-        a.pin(np.arange(4))
-        try:
-            a.get_many(np.arange(4), rows_for)    # 4 floats, all pinned
-            assert store.floats_resident == 4     # transient overshoot
-        finally:
-            a.unpin(np.arange(4))
-        assert store.enforce_budget() == 2
-        assert store.floats_resident == 2
-
-    def test_invalidation_overrides_pins(self):
-        store = PartialStore(capacity_floats=100)
-        a = store.acquire("fp-a")
-        a.get_many(np.arange(3), rows_for)
-        a.pin(np.array([0]))
-        try:
-            assert a.invalidate(np.array([0])) == 1
-            assert 0 not in a
-        finally:
-            a.unpin(np.array([0]))
-
-
 class TestConcurrentBudget:
     def test_exact_rows_and_bounded_residency_under_contention(self):
-        store = PartialStore(num_shards=2, capacity_floats=16)
+        store = PartialStore(capacity_floats=16)
         caches = [store.acquire(f"fp-{i}") for i in range(2)]
         rng = np.random.default_rng(3)
         batches = [
@@ -245,8 +201,8 @@ class TestConcurrentBudget:
         for thread in threads:
             thread.join()
         assert not errors
-        # Every batch enforced on its way out; with no pins left the
-        # store must sit within its budget.
+        # Every batch enforced on its way out, so once the last one
+        # is done the store must sit within its budget.
         assert store.floats_resident <= 16
         assert store.stats().cross_evictions > 0
 

@@ -8,8 +8,7 @@ The contract under test (see ``docs/tuning.md`` and
 * ``spill`` — bit-exact (the float64 row round-trips through a heap
   file);
 * every tier's residency reconciles with the governor's accounting,
-  under arbitrary interleavings of demote / promote / invalidate /
-  pin.
+  under arbitrary interleavings of demote / promote / invalidate.
 """
 
 import sys
@@ -52,36 +51,35 @@ def rows_for(keys):
     return keys[:, None] + np.linspace(0.0, 3.0, WIDTH)[None, :]
 
 
-def tier_of(shard, key):
-    """Which tier holds ``key`` in one PartialCache shard."""
-    return shard.tier_of(key)
+def tier_of(cache, key):
+    """Which tier holds ``key`` in one partial cache."""
+    return cache.tier_of(key)
 
 
 def reconcile(cache, width=WIDTH):
-    """Assert every shard's tier accounting against a recount of its
+    """Assert the cache's tier accounting against a recount of its
     actual entries — the governor's budget truth."""
-    for shard in cache.shards:
-        held = shard.keys()
-        resident = len(shard.keys(TIER_RESIDENT)) * width
-        compressed = float_equivalents(TIER_FLOAT32, width) * len(
-            shard.keys(TIER_FLOAT32)
-        )
-        spilled = len(shard.keys(TIER_SPILL)) * width * 8
-        record = shard.residency()
-        assert record.floats - record.compressed_floats == resident
-        assert record.compressed_floats == compressed
-        assert record.spilled_bytes == spilled
-        assert shard.floats_resident == resident + compressed
-        assert shard.bytes_resident == (resident + compressed) * 8
-        # A key lives in exactly one tier.
-        assert len(set(held)) == len(held)
-        assert all(shard.tier_of(key) is not None for key in held)
-        stats = shard.stats()
-        assert stats.compressed_floats_resident == compressed
-        assert stats.compressed_bytes_resident == compressed * 8
-        assert stats.spilled_bytes == spilled
-        assert shard.demotions_total == sum(shard.demotions.values())
-        assert shard.promotions_total == sum(shard.promotions.values())
+    held = cache.keys()
+    resident = len(cache.keys(TIER_RESIDENT)) * width
+    compressed = float_equivalents(TIER_FLOAT32, width) * len(
+        cache.keys(TIER_FLOAT32)
+    )
+    spilled = len(cache.keys(TIER_SPILL)) * width * 8
+    record = cache.residency()
+    assert record.floats - record.compressed_floats == resident
+    assert record.compressed_floats == compressed
+    assert record.spilled_bytes == spilled
+    assert cache.floats_resident == resident + compressed
+    assert cache.bytes_resident == (resident + compressed) * 8
+    # A key lives in exactly one tier.
+    assert len(set(held)) == len(held)
+    assert all(cache.tier_of(key) is not None for key in held)
+    stats = cache.stats()
+    assert stats.compressed_floats_resident == compressed
+    assert stats.compressed_bytes_resident == compressed * 8
+    assert stats.spilled_bytes == spilled
+    assert cache.demotions_total == sum(cache.demotions.values())
+    assert cache.promotions_total == sum(cache.promotions.values())
 
 
 class TestTierPrimitives:
@@ -237,12 +235,11 @@ class TestBlockSpill:
         )
         cache = store.acquire("fp")
         cache.get_many(np.arange(self.ROWS * 2), rows_for)
-        shard = cache.shards[0]
         counts = CountingHeapFile(monkeypatch)
         # First sweep: every victim is appended — one write, one
         # metadata rewrite (plus the heap file's creation).
         store.set_budget(WIDTH * self.ROWS)
-        assert shard.demotions == {TIER_SPILL: self.ROWS}
+        assert cache.demotions == {TIER_SPILL: self.ROWS}
         assert store.governor_sweeps == 1
         assert (counts.writes, counts.metas) == (1, 2)
         assert counts.opens <= 3
@@ -253,18 +250,18 @@ class TestBlockSpill:
         counts.reset()
         batch = np.concatenate([np.arange(600), np.arange(3000, 3600)])
         cache.get_many(batch, rows_for)
-        assert shard.promotions == {TIER_SPILL: 600}
-        assert shard.demotions == {TIER_SPILL: self.ROWS + 1200}
+        assert cache.promotions == {TIER_SPILL: 600}
+        assert cache.demotions == {TIER_SPILL: self.ROWS + 1200}
         assert store.governor_sweeps == 2
         assert (counts.writes, counts.metas) == (2, 1)
         assert store._spill_root is not None
-        heap, = shard._spill._heaps.values()
+        heap, = cache._spill._heaps.values()
         assert heap.nrows == self.ROWS + 600
         np.testing.assert_array_equal(
             cache.get_many(np.arange(3600), rows_for),
             rows_for(np.arange(3600)),
         )
-        assert shard.misses == 3600     # nothing was ever recomputed
+        assert cache.misses == 3600     # nothing was ever recomputed
         store.close()
 
 
@@ -277,26 +274,24 @@ class TestTierLadder:
         from repro.fx.sharding import ShardedPartialCache
 
         with pytest.raises(ModelError, match="spill_dir"):
-            ShardedPartialCache(1, tiers=(TIER_SPILL,))
+            ShardedPartialCache(tiers=(TIER_SPILL,))
 
     def test_eviction_demotes_instead_of_dropping(self):
         store, cache = self.make((TIER_FLOAT32, TIER_SPILL))
         cache.get_many(np.arange(3), rows_for)    # 48 floats > 32
-        shard = cache.shards[0]
         # The coldest key walked down the ladder; every key is still
         # reachable without recompute.
-        assert tier_of(shard, 0) in (TIER_FLOAT32, TIER_SPILL)
+        assert tier_of(cache, 0) in (TIER_FLOAT32, TIER_SPILL)
         assert all(k in cache for k in range(3))
         assert store.floats_resident <= 32
-        assert shard.demotions.get(TIER_FLOAT32, 0) >= 1
+        assert cache.demotions.get(TIER_FLOAT32, 0) >= 1
         reconcile(cache)
 
     def test_demotion_cascades_to_spill_under_more_pressure(self):
         store, cache = self.make((TIER_FLOAT32, TIER_SPILL), WIDTH)
         cache.get_many(np.arange(4), rows_for)
-        shard = cache.shards[0]
-        assert shard.demotions.get(TIER_SPILL, 0) >= 1
-        assert shard.stats().spilled_entries >= 1
+        assert cache.demotions.get(TIER_SPILL, 0) >= 1
+        assert cache.stats().spilled_entries >= 1
         # Spilled rows charge disk, not the budget.
         assert store.floats_resident <= WIDTH + WIDTH // 2
         reconcile(cache)
@@ -304,8 +299,7 @@ class TestTierLadder:
     def test_promotion_returns_spilled_rows_bit_exact(self):
         store, cache = self.make((TIER_SPILL,), WIDTH)
         cache.get_many(np.arange(3), rows_for)
-        shard = cache.shards[0]
-        spilled = [k for k in range(3) if tier_of(shard, k) == TIER_SPILL]
+        spilled = [k for k in range(3) if tier_of(cache, k) == TIER_SPILL]
         assert spilled
         calls = []
 
@@ -316,15 +310,14 @@ class TestTierLadder:
         out = cache.get_many(np.array(spilled), forbidden)
         np.testing.assert_array_equal(out, rows_for(np.array(spilled)))
         assert not calls              # promoted, never recomputed
-        assert shard.promotions.get(TIER_SPILL, 0) == len(spilled)
+        assert cache.promotions.get(TIER_SPILL, 0) == len(spilled)
         reconcile(cache)
 
     def test_promotion_counts_as_hit_not_miss(self):
         store, cache = self.make((TIER_SPILL,), WIDTH)
         cache.get_many(np.arange(3), rows_for)
         before = cache.stats()
-        shard = cache.shards[0]
-        spilled = [k for k in range(3) if tier_of(shard, k) == TIER_SPILL]
+        spilled = [k for k in range(3) if tier_of(cache, k) == TIER_SPILL]
         cache.get_many(np.array(spilled), rows_for)
         after = cache.stats()
         assert after.hits == before.hits + len(spilled)
@@ -340,26 +333,24 @@ class TestTierLadder:
             return np.asarray(keys, dtype=np.float64)[:, None]
 
         cache.get_many(np.arange(4), narrow)
-        shard = cache.shards[0]
-        assert shard.demotions.get("drop", 0) >= 1
-        assert shard.demotions.get(TIER_FLOAT32, 0) == 0
+        assert cache.demotions.get("drop", 0) >= 1
+        assert cache.demotions.get(TIER_FLOAT32, 0) == 0
         assert store.floats_resident <= 2
         reconcile(cache, width=1)
 
     def test_spilled_rows_are_terminal_until_invalidated(self):
         store, cache = self.make((TIER_SPILL,), WIDTH)
         cache.get_many(np.arange(4), rows_for)
-        shard = cache.shards[0]
-        spilled = [k for k in range(4) if tier_of(shard, k) == TIER_SPILL]
+        spilled = [k for k in range(4) if tier_of(cache, k) == TIER_SPILL]
         assert spilled
         # More pressure cannot touch them (they charge nothing)...
         store.enforce_budget()
-        assert all(tier_of(shard, k) == TIER_SPILL for k in spilled)
+        assert all(tier_of(cache, k) == TIER_SPILL for k in spilled)
         # ...but invalidation still removes them, freeing their slots.
         dropped = cache.invalidate(np.array(spilled))
         assert dropped == len(spilled)
         assert all(k not in cache for k in spilled)
-        assert shard.residency().spilled_bytes == 0
+        assert cache.residency().spilled_bytes == 0
         reconcile(cache)
 
     def test_compressed_rows_remain_eviction_candidates(self):
@@ -367,47 +358,43 @@ class TestTierLadder:
         # pressure walks the compressed rows further down the ladder.
         store, cache = self.make((TIER_FLOAT32, TIER_SPILL), WIDTH // 2)
         cache.get_many(np.arange(4), rows_for)
-        shard = cache.shards[0]
         assert store.floats_resident <= WIDTH // 2 + WIDTH
-        assert shard.demotions.get(TIER_SPILL, 0) >= 1
+        assert cache.demotions.get(TIER_SPILL, 0) >= 1
         reconcile(cache)
 
     def test_invalidation_reaches_every_tier(self):
         store, cache = self.make(STORE_TIERS, WIDTH)
         cache.get_many(np.arange(5), rows_for)
-        shard = cache.shards[0]
-        tiers_held = {tier_of(shard, k) for k in range(5)}
+        tiers_held = {tier_of(cache, k) for k in range(5)}
         assert len(tiers_held) > 1    # the point: keys span tiers
         assert cache.invalidate(np.arange(5)) == 5
         assert all(k not in cache for k in range(5))
-        assert shard.floats_resident == 0
-        assert shard.residency().spilled_bytes == 0
+        assert cache.floats_resident == 0
+        assert cache.residency().spilled_bytes == 0
         reconcile(cache)
 
     def test_clear_resets_every_tier_and_counter(self):
         store, cache = self.make(STORE_TIERS, WIDTH)
         cache.get_many(np.arange(5), rows_for)
         cache.clear()
-        shard = cache.shards[0]
-        assert shard.floats_resident == 0
-        assert shard.residency().spilled_bytes == 0
-        assert shard.demotions_total == 0 and shard.promotions_total == 0
+        assert cache.floats_resident == 0
+        assert cache.residency().spilled_bytes == 0
+        assert cache.demotions_total == 0 and cache.promotions_total == 0
         assert len(cache) == 0
         reconcile(cache)
 
     def test_release_spill_drops_only_the_disk_tier(self):
         store, cache = self.make((TIER_FLOAT32, TIER_SPILL), WIDTH)
         cache.get_many(np.arange(4), rows_for)
-        shard = cache.shards[0]
-        resident_before = shard.floats_resident
+        resident_before = cache.floats_resident
         spill_root = store._spill_root
         assert spill_root is not None and spill_root.exists()
         store.release_spill()
         assert not spill_root.exists()
-        assert shard.residency().spilled_bytes == 0
-        assert not shard.keys(TIER_SPILL)
+        assert cache.residency().spilled_bytes == 0
+        assert not cache.keys(TIER_SPILL)
         # Memory tiers untouched; spilled keys just recompute now.
-        assert shard.floats_resident == resident_before
+        assert cache.floats_resident == resident_before
         store.release_spill()         # idempotent
 
     def test_store_close_removes_the_spill_directory(self):
@@ -430,7 +417,7 @@ class TestTierLadder:
         assert not first.exists() and store._spill_root is None
         cache.get_many(np.arange(4, 8), rows_for)       # spills again
         second = store._spill_root
-        assert cache.shards[0].keys(TIER_SPILL)
+        assert cache.keys(TIER_SPILL)
         assert second is not None and second != first and second.exists()
         assert not first.exists()
         assert store._spill_finalizer.alive     # re-armed for the new one
@@ -442,53 +429,15 @@ class TestTierLadder:
         assert not first.exists() and not second.exists()
 
 
-class TestPinSafety:
-    def test_pinned_rows_are_never_demoted(self):
-        store = PartialStore(
-            capacity_floats=WIDTH, tiers=(TIER_FLOAT32, TIER_SPILL)
-        )
-        cache = store.acquire("fp")
-        cache.get_many(np.array([0]), rows_for)
-        cache.pin(np.array([0]))
-        try:
-            cache.get_many(np.array([1, 2]), rows_for)
-            shard = cache.shards[0]
-            # The pinned row held the resident tier; pressure demoted
-            # the unpinned newcomers instead.
-            assert tier_of(shard, 0) == TIER_RESIDENT
-        finally:
-            cache.unpin(np.array([0]))
-        # Unpinned, the next round of pressure may take it.
-        cache.get_many(np.array([3]), rows_for)
-        assert tier_of(cache.shards[0], 0) != TIER_RESIDENT
-        reconcile(cache)
-
-    def test_pin_refcounts_require_matching_unpins(self):
-        store = PartialStore(
-            capacity_floats=WIDTH, tiers=(TIER_SPILL,)
-        )
-        cache = store.acquire("fp")
-        cache.get_many(np.array([7]), rows_for)
-        cache.pin(np.array([7]))
-        cache.pin(np.array([7]))
-        cache.unpin(np.array([7]))    # one ref still held
-        cache.get_many(np.arange(1, 4), rows_for)
-        assert tier_of(cache.shards[0], 7) == TIER_RESIDENT
-        cache.unpin(np.array([7]))
-        cache.get_many(np.array([4]), rows_for)    # fresh pressure
-        assert tier_of(cache.shards[0], 7) != TIER_RESIDENT
-
-
 class TestConcurrentSpill:
-    def test_shards_sharing_one_slab_lose_no_position_under_contention(self):
-        """More threads than cores over two shards that spill into one
+    def test_one_slab_loses_no_position_under_contention(self):
+        """More threads than cores over one cache that spills into its
         slab, invalidations in between: every row comes back bit-exact
         and every heap position is either held by exactly one spilled
         key or on the free stack — a lost update to the stack would
         hand one position to two rows."""
         store = PartialStore(
-            num_shards=2, capacity_floats=WIDTH * 8, tiers=(TIER_SPILL,),
-            hysteresis=0.9,
+            capacity_floats=WIDTH * 8, tiers=(TIER_SPILL,), hysteresis=0.9,
         )
         cache = store.acquire("fp")
         errors = []
@@ -522,13 +471,10 @@ class TestConcurrentSpill:
         assert not any(thread.is_alive() for thread in threads)
         assert not errors
         reconcile(cache)
-        slab = cache.shards[0]._spill
-        held = np.concatenate([
-            shard._spilled.slab[shard._spilled.slots, 0]
-            for shard in cache.shards
-        ])
+        slab = cache._spill
+        held = cache._spilled.slab[cache._spilled.slots, 0]
         positions = np.concatenate([held, slab._free[WIDTH]])
-        assert held.size == sum(len(s.keys(TIER_SPILL)) for s in cache.shards)
+        assert held.size == len(cache.keys(TIER_SPILL))
         assert np.unique(positions).size == positions.size
         assert positions.size == slab._heaps[WIDTH].nrows
         store.close()
@@ -542,7 +488,7 @@ LADDERS = [
 
 
 class TestRandomizedTierTransitions:
-    """Property suite: random demote/promote/invalidate/pin schedules
+    """Property suite: random demote/promote/invalidate schedules
     across every ladder must keep values within the tier contract and
     the per-tier accounting reconciled."""
 
@@ -552,20 +498,18 @@ class TestRandomizedTierTransitions:
     def test_random_schedules_hold_the_contract(self, tiers):
         rng = np.random.default_rng(hash(tiers) % (2**32))
         store = PartialStore(
-            num_shards=2,
             capacity_floats=WIDTH * 3,
             tiers=tiers,
             hysteresis=0.9,
         )
         cache = store.acquire("fp")
         universe = np.arange(24)
-        pinned: list[int] = []
         # float32's rtol governs when it is in the ladder; pure spill
         # is bit-exact.
         atol = 0.0
         rtol = FLOAT32_SCORE_RTOL if TIER_FLOAT32 in tiers else 0.0
         for step in range(120):
-            op = rng.choice(["get", "invalidate", "pin", "unpin", "sweep"])
+            op = rng.choice(["get", "invalidate", "sweep"])
             if op == "get":
                 keys = rng.choice(universe, size=rng.integers(1, 8),
                                   replace=False)
@@ -584,18 +528,9 @@ class TestRandomizedTierTransitions:
                 cache.invalidate(keys)
                 for key in keys:
                     assert int(key) not in cache
-            elif op == "pin" and len(pinned) < 4:
-                key = int(rng.choice(universe))
-                cache.pin(np.array([key]))
-                pinned.append(key)
-            elif op == "unpin" and pinned:
-                key = pinned.pop(rng.integers(len(pinned)))
-                cache.unpin(np.array([key]))
             elif op == "sweep":
                 store.enforce_budget()
             reconcile(cache)
-        for key in pinned:
-            cache.unpin(np.array([key]))
         store.enforce_budget()
         assert store.floats_resident <= WIDTH * 3
         reconcile(cache)
@@ -618,11 +553,9 @@ class TestRandomizedTierTransitions:
             seen.update(int(k) for k in keys)
             # Unless dropped off the ladder's end, every key ever
             # inserted is still reachable in some tier.
-            shard_dropped = sum(
-                s.demotions.get("drop", 0) for s in cache.shards
-            )
+            dropped = cache.demotions.get("drop", 0)
             held = sum(1 for k in seen if k in cache)
-            assert held >= len(seen) - shard_dropped
+            assert held >= len(seen) - dropped
             reconcile(cache)
         store.close()
 

@@ -3,7 +3,7 @@
 These hammer a component from writer threads while a reader thread
 snapshots it, asserting cross-field invariants that only hold when the
 snapshot is a consistent cut — the bugs these catch looked like
-impossible stats (hit counts not matching shard traffic, bytes
+impossible stats (hit counts not matching batch traffic, bytes
 resident disagreeing with entry counts) in production dumps.
 """
 
@@ -27,10 +27,7 @@ def rows_for(keys):
 
 class TestShardedCacheStats:
     def test_stats_consistent_under_get_many_fire(self):
-        shards = 4
-        cache = PartialStore(
-            num_shards=shards, capacity_floats=64 * WIDTH
-        ).acquire("fp")
+        cache = PartialStore(capacity_floats=64 * WIDTH).acquire("fp")
         stop = threading.Event()
         failures = []
 
@@ -40,16 +37,16 @@ class TestShardedCacheStats:
             rng = np.random.default_rng(seed)
             while not stop.is_set():
                 # Exactly keys_per_call distinct keys per call: each
-                # call contributes exactly that many lookups split
-                # across the shards it touches.
+                # call contributes exactly that many lookups.
                 keys = rng.choice(256, size=keys_per_call, replace=False)
                 cache.get_many(keys, rows_for)
 
         def reader():
             while not stop.is_set():
                 stats = cache.stats()
-                # The stats guard waits out every in-flight multi-shard
-                # get_many, so a snapshot never splits one call's
+                # stats() takes the cache's one lock, which every
+                # get_many and governor eviction holds for its whole
+                # span, so a snapshot never splits one call's
                 # bookkeeping: total lookups stay a multiple of the
                 # per-call key count...
                 if (stats.hits + stats.misses) % keys_per_call != 0:
@@ -75,7 +72,7 @@ class TestShardedCacheStats:
         assert not failures, f"torn snapshots observed: {failures[:3]}"
 
     def test_final_totals_add_up(self):
-        cache = ShardedPartialCache(4)
+        cache = ShardedPartialCache()
         threads = 6
         per_thread = 50
         barrier = threading.Barrier(threads)

@@ -1,5 +1,5 @@
 """Dimension-update invalidation: row-version events evict exactly the
-affected RIDs' partials across all shards, and the next prediction
+affected RIDs' partials from every cache, and the next prediction
 reflects the new rows."""
 
 import warnings
@@ -44,7 +44,7 @@ def bump_dimension_row(db, rid, delta=5.0):
 
 
 class TestEviction:
-    def test_exactly_the_affected_rid_is_evicted_across_shards(
+    def test_exactly_the_affected_rid_is_evicted(
         self, db, served
     ):
         rt, spec, _ = served

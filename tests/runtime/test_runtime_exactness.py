@@ -2,7 +2,7 @@
 dense join oracle, on binary and multiway joins, for every strategy
 the planner can pick.
 
-The acceptance invariant of the runtime: coalescing, sharded caching,
+The acceptance invariant of the runtime: coalescing, shared caching,
 adaptive planning and worker parallelism must be pure plumbing — the
 outputs match the reference/materialized scoring bit-for-bit (GMM hard
 labels) or to float-summation order (NN outputs).

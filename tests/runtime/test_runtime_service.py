@@ -9,6 +9,7 @@ import pytest
 
 from repro.core.api import fit_gmm, fit_nn, serve, serve_runtime
 from repro.errors import ModelError
+from repro.fx.sharding import ShardedPartialCache
 from repro.runtime.service import RuntimeConfig, ServingRuntime
 
 
@@ -58,14 +59,15 @@ class TestRegistration:
             assert rt.model("m").factorized is None
             assert rt.model("m").caches == []
 
-    def test_caches_are_sharded_per_worker_by_default(self, db, binary_star):
+    def test_workers_share_one_cache_per_fingerprint(self, db, binary_star):
         nn = fit_nn(
             db, binary_star.spec, hidden_sizes=(4,), epochs=1, seed=1
         )
         with serve_runtime(db, num_workers=3) as rt:
             registered = rt.register_nn("n", nn, binary_star.spec)
             (cache,) = registered.caches
-            assert cache.num_shards == 3
+            assert isinstance(cache, ShardedPartialCache)
+            assert len(rt.store) == 1
 
     def test_streaming_rejected(self, db, binary_star):
         nn = fit_nn(

@@ -1,4 +1,5 @@
-"""ShardedPartialCache: placement, concurrency, invalidation, stats."""
+"""ShardedPartialCache, one lock per cache: order, concurrency,
+invalidation, stats, and a budget sweep racing a batch in flight."""
 
 import os
 import sys
@@ -8,7 +9,6 @@ import time
 import numpy as np
 import pytest
 
-from repro.errors import ModelError
 from repro.fx.sharding import ShardedPartialCache
 from repro.fx.store import PartialStore
 
@@ -18,19 +18,9 @@ def rows_for(keys):
     return np.column_stack([keys, keys * 10.0])
 
 
-class TestPlacement:
-    def test_rid_hash_routes_to_one_shard(self):
-        cache = ShardedPartialCache(4)
-        cache.get_many(np.arange(8), rows_for)
-        for key in range(8):
-            shard = cache.shard_of(key)
-            assert key in cache.shards[shard]
-            for other, shard_cache in enumerate(cache.shards):
-                if other != shard:
-                    assert key not in shard_cache
-
+class TestOrder:
     def test_results_align_with_requested_order(self):
-        cache = ShardedPartialCache(3)
+        cache = ShardedPartialCache()
         keys = np.array([7, 2, 9, 2, 0, 11])
         np.testing.assert_array_equal(
             cache.get_many(keys, rows_for), rows_for(keys)
@@ -41,29 +31,14 @@ class TestPlacement:
         )
 
     def test_empty_keys(self):
-        assert ShardedPartialCache(2).get_many(
+        assert ShardedPartialCache().get_many(
             np.zeros(0, dtype=np.int64), rows_for
         ).shape == (0, 0)
-
-    def test_the_store_budget_is_one_pool_across_shards(self):
-        # No per-shard slice of the budget: the shard the traffic
-        # favours may hold all of it while its sibling holds nothing.
-        cache = PartialStore(capacity_floats=8, num_shards=2).acquire("fp")
-        cache.get_many(np.array([0, 2, 4, 6]), rows_for)   # all shard 0
-        assert [len(shard) for shard in cache.shards] == [4, 0]
-        assert cache.stats().cross_evictions == 0
-        cache.get_many(np.array([8]), rows_for)
-        assert cache.floats_resident == 8
-        assert cache.stats().cross_evictions == 1
-
-    def test_invalid_shard_count_rejected(self):
-        with pytest.raises(ModelError, match="num_shards"):
-            ShardedPartialCache(0)
 
 
 class TestInvalidation:
     def test_invalidate_evicts_exactly_the_given_rids(self):
-        cache = ShardedPartialCache(4)
+        cache = ShardedPartialCache()
         cache.get_many(np.arange(12), rows_for)
         dropped = cache.invalidate(np.array([3, 7]))
         assert dropped == 2
@@ -73,27 +48,24 @@ class TestInvalidation:
             k in cache for k in range(12) if k not in (3, 7)
         )
 
-    def test_invalidate_offers_each_rid_to_its_owning_shard_only(self):
-        cache = ShardedPartialCache(4)
+    def test_invalidate_counts_only_the_rids_it_held(self):
+        cache = ShardedPartialCache()
         cache.get_many(np.arange(12), rows_for)
-        # 3 and 7 live in shard 3, 4 in shard 0; 99 is nowhere.
+        # 99 is nowhere.
         assert cache.invalidate(np.array([3, 7, 4, 99])) == 3
-        assert [s.invalidations for s in cache.shard_stats()] == [
-            1, 0, 0, 2,
-        ]
         assert cache.stats().invalidations == 3
-        # Any array-like, any shape — as the single-shard cache takes.
+        # Any array-like, any shape.
         assert cache.invalidate([[1], [2]]) == 2
         assert cache.invalidate(np.zeros(0, dtype=np.int64)) == 0
 
     def test_invalidate_missing_rids_is_a_noop(self):
-        cache = ShardedPartialCache(2)
+        cache = ShardedPartialCache()
         cache.get_many(np.array([1]), rows_for)
         assert cache.invalidate(np.array([99])) == 0
         assert len(cache) == 1
 
     def test_invalidation_counted_separately_from_evictions(self):
-        cache = ShardedPartialCache(2)
+        cache = ShardedPartialCache()
         cache.get_many(np.array([1, 2]), rows_for)
         cache.invalidate(np.array([1]))
         stats = cache.stats()
@@ -102,20 +74,19 @@ class TestInvalidation:
 
 
 class TestStats:
-    def test_shard_stats_and_aggregate(self):
-        cache = ShardedPartialCache(2)
+    def test_stats_and_hit_rate(self):
+        cache = ShardedPartialCache()
         cache.get_many(np.arange(6), rows_for)
         cache.get_many(np.arange(6), rows_for)   # warm
-        per_shard = cache.shard_stats()
-        assert len(per_shard) == 2
         total = cache.stats()
         assert total.misses == 6 and total.hits == 6
         assert total.entries == 6
         assert total.bytes_resident == 6 * 2 * 8
-        assert cache.hit_rate == pytest.approx(0.5)
+        assert total.hit_rate == pytest.approx(0.5)
+        assert cache.approx_hit_rate() == pytest.approx(0.5)
 
     def test_clear(self):
-        cache = ShardedPartialCache(2)
+        cache = ShardedPartialCache()
         cache.get_many(np.arange(4), rows_for)
         cache.clear()
         assert len(cache) == 0
@@ -124,7 +95,7 @@ class TestStats:
 
 class TestConcurrency:
     def test_parallel_get_many_is_exact_and_loses_no_counts(self):
-        cache = ShardedPartialCache(4)
+        cache = ShardedPartialCache()
         errors = []
 
         def hammer(seed):
@@ -147,7 +118,7 @@ class TestConcurrency:
         assert stats.lookups == 6 * 30 * 16
 
     def test_invalidate_races_with_lookups(self):
-        cache = ShardedPartialCache(4)
+        cache = ShardedPartialCache()
         stop = threading.Event()
         errors = []
 
@@ -177,14 +148,14 @@ class TestConcurrency:
         assert not errors
 
     def test_update_racing_lookups_never_leaves_a_stale_row(self):
-        """The shard's one lock is held across miss compute → insert,
+        """The cache's one lock is held across miss compute → insert,
         so an invalidation lands wholly before the insert (the compute
         then reads the updated source) or wholly after it (the stale
-        row is dropped).  With no second lock around the shard, that
+        row is dropped).  With no second lock around the cache, that
         is the whole argument — a stale row surviving here means it
         broke."""
         source = np.zeros(24)               # the "dimension relation"
-        cache = ShardedPartialCache(4)
+        cache = ShardedPartialCache()
         stop = threading.Event()
 
         def compute(keys):
@@ -224,3 +195,55 @@ class TestConcurrency:
         np.testing.assert_array_equal(
             cache.get_many(every, compute)[:, 0], source
         )
+
+    def test_a_budget_sweep_waits_for_the_batch_in_flight(self):
+        """No batch pins its rows: a sweep reaches a cache only through
+        its lock, which ``get_many`` holds from lookup to the copy of
+        its rows.  A budget cut arriving mid-batch must wait for it,
+        the batch must get exactly its rows back, and the sweep must
+        then reach the budget."""
+        store = PartialStore(
+            capacity_floats=1 << 20, tiers=("float32", "spill")
+        )
+        cache = store.acquire("fp")
+        cache.get_many(np.arange(10), rows_for)
+        entered, release = threading.Event(), threading.Event()
+
+        def blocking(keys):
+            entered.set()
+            assert release.wait(30)
+            return rows_for(keys)
+
+        keys = np.array([12, 3, 11, 0, 10, 7])
+        out = []
+        batch = threading.Thread(
+            target=lambda: out.append(cache.get_many(keys, blocking))
+        )
+        evicted = []
+        cut = threading.Thread(
+            target=lambda: evicted.append(store.set_budget(1))
+        )
+        batch.start()
+        try:
+            assert entered.wait(30)
+            before = store.floats_resident
+            cut.start()
+            cut.join(0.2)
+            # Tripped, and stuck on the cache's lock: nothing moved.
+            assert cut.is_alive()
+            assert store.governor_sweeps == 1
+            assert store.floats_resident == before
+        finally:
+            release.set()
+            batch.join(30)
+            cut.join(30)
+        assert not batch.is_alive() and not cut.is_alive()
+        np.testing.assert_array_equal(out[0], rows_for(keys))
+        assert evicted[0] > 0
+        assert store.floats_resident <= 1
+        # Every row is still reachable down the ladder, bit for bit.
+        every = np.arange(13)
+        np.testing.assert_array_equal(
+            cache.get_many(every, rows_for)[:, 0], every
+        )
+        store.close()

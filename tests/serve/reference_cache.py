@@ -10,7 +10,10 @@
 # ``_evict_over_capacity`` and the row-too-wide warning — was deleted
 # with the same code in the product, once the store budget became the
 # only bound; TinyLFU's ``eviction_candidates`` offers its sample
-# beyond the covering rows, as the product's does.
+# beyond the covering rows, as the product's does.  Batch pins —
+# ``pin`` / ``unpin``, the ``_pins`` refcounts and the pin checks in
+# the victim API — went the same way once one lock per cache made
+# them redundant.
 """A bounded LRU cache of per-RID partial rows.
 
 Dimension relations small enough to pin make serving trivially cheap:
@@ -47,17 +50,11 @@ a :class:`~repro.fx.sharding.ShardedPartialCache` from a
 eviction path of :mod:`repro.runtime`.
 
 A cache takes part in a *store-wide* budget (:class:`~repro.fx.store.PartialStore` with
-``capacity_floats``).  Three small hooks make that possible:
+``capacity_floats``).  Two small hooks make that possible:
 
 * an :class:`AccessClock` — a counter shared by every cache under one
   store; each hit and insert stamps the entry with the next tick, so
   recency is comparable *across* caches, not just within one LRU;
-* pin refcounts (:meth:`PartialCache.pin` / :meth:`unpin`) — a batch
-  in flight pins the RIDs it is using; pinned entries are skipped by
-  the store's cross-cache sweep, so one batch can never thrash another batch's
-  working set out mid-request.  Pins guard *memory pressure* only:
-  :meth:`invalidate` still drops pinned rows, because a stale partial
-  must never outlive its source row;
 * the victim API (:meth:`eviction_candidates` /
   :meth:`evict_if_coldest`) — the store's governor pools each
   shard's deficit-covering LRU-tail candidates and evicts in global
@@ -125,7 +122,7 @@ class AccessClock:
 
 @dataclass(frozen=True)
 class EvictionCandidate:
-    """One shard's coldest unpinned entry, as seen by the governor.
+    """One shard's coldest entry, as seen by the governor.
 
     ``frequency`` is the TinyLFU sketch estimate when the cache runs
     frequency-sketch admission, else 0 — so sorting candidates by
@@ -317,7 +314,6 @@ class PartialCache:
         self._shm_slots: dict[int, tuple[int, int]] = {}
         self._shm_floats_resident = 0
         self._ticks: dict[int, int] = {}
-        self._pins: dict[int, int] = {}
         self._rows: OrderedDict[int, np.ndarray] = OrderedDict()
         self._floats_resident = 0
         # The demotion ladder (repro.fx.tiers).  Budget eviction walks
@@ -611,41 +607,15 @@ class PartialCache:
 
     # -- store-wide budget hooks (see the module docstring) ----------------
 
-    def pin(self, keys: np.ndarray) -> None:
-        """Refcount ``keys`` as in use by an in-flight batch.
-
-        Pinned keys are skipped by every memory-pressure eviction —
-        the local capacity sweep and a store governor's cross-cache
-        sweep — until :meth:`unpin` drops the last reference.  Pinning
-        a key that is not (yet) resident is fine: the pin protects the
-        row the batch is about to insert.  Pins do **not** protect
-        against :meth:`invalidate` (data change beats memory policy).
-        """
-        with self._lock:
-            for key in np.asarray(keys).ravel().tolist():
-                key = int(key)
-                self._pins[key] = self._pins.get(key, 0) + 1
-
-    def unpin(self, keys: np.ndarray) -> None:
-        """Release one pin reference per key (inverse of :meth:`pin`)."""
-        with self._lock:
-            for key in np.asarray(keys).ravel().tolist():
-                key = int(key)
-                refs = self._pins.get(key, 0) - 1
-                if refs > 0:
-                    self._pins[key] = refs
-                else:
-                    self._pins.pop(key, None)
-
     def eviction_candidates(
         self, deficit_floats: int
     ) -> list[EvictionCandidate]:
-        """Unpinned LRU-tail candidates covering ``deficit_floats``.
+        """LRU-tail candidates covering ``deficit_floats``.
 
         The store's budget governor pools every shard's candidates
         and evicts in global ``(frequency, tick)`` order until the
         deficit is covered — see :class:`EvictionCandidate`.  Each
-        shard offers its LRU-coldest unpinned rows, just enough to
+        shard offers its LRU-coldest rows, just enough to
         cover the whole deficit alone (the worst case: every victim
         lives here).  Under ``"tinylfu"`` ``_TINYLFU_VICTIM_SAMPLE``
         entries beyond the covering ones are offered too, so a hot row
@@ -670,8 +640,6 @@ class PartialCache:
                 ((key, row.size) for key, row in self._rows.items()),
             )
             for key, charge in charged:
-                if self._pins.get(key):
-                    continue
                 frequency = (
                     self._sketch.estimate(key)
                     if self._sketch is not None
@@ -693,16 +661,14 @@ class PartialCache:
             return out
 
     def evict_if_coldest(self, key: int) -> int:
-        """Cross-cache-evict ``key`` if still charged and unpinned.
+        """Cross-cache-evict ``key`` if still charged.
 
         Returns the budget floats freed (0 when the key was
-        invalidated, evicted, or pinned between the governor's scan
-        and this call — the governor then simply rescans).  With tiers
+        invalidated or evicted between the governor's scan and this
+        call — the governor then simply rescans).  With tiers
         configured the row is demoted one rung instead of dropped.
         """
         with self._lock:
-            if self._pins.get(key):
-                return 0
             if key in self._rows or key in self._compressed:
                 freed = (
                     self._demote(key) if self._tiers
@@ -733,9 +699,9 @@ class PartialCache:
             for key in np.asarray(keys).ravel().tolist():
                 key = int(key)
                 if key in self:
-                    # Pins do not protect here: a stale partial must
-                    # never outlive its updated source row — whatever
-                    # tier it sits in, spilled copies included.
+                    # A stale partial must never outlive its updated
+                    # source row — whatever tier it sits in, spilled
+                    # copies included.
                     self._remove(key)
                     dropped += 1
             self.invalidations += dropped
@@ -779,11 +745,7 @@ class PartialCache:
             self._spilled_bytes = 0
 
     def clear(self) -> None:
-        """Drop all entries and zero the counters.
-
-        Pin refcounts survive: they belong to batches still in flight,
-        whose keys must stay protected when recomputed after the clear.
-        """
+        """Drop all entries and zero the counters."""
         with self._lock:
             self._rows.clear()
             self._ticks.clear()

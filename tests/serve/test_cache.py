@@ -108,7 +108,7 @@ class TestGetMany:
 
 
 def budgeted(floats):
-    """A one-shard cache under a store budget of ``floats`` — the only
+    """A cache under a store budget of ``floats`` — the only
     bound a cache has: the store's governor evicts after each batch."""
     return PartialStore(capacity_floats=floats).acquire("fp")
 
@@ -278,7 +278,7 @@ class TestRepeatedAndUnsortedKeys:
         stats = cache.stats()
         assert (stats.hits, stats.misses) == (3, 2 + 4)
         # Hits were touched before the fresh rows landed: 1 is oldest.
-        assert cache.shards[0].keys() == [2, 5, 8]
+        assert cache.keys() == [2, 5, 8]
         assert stats.cross_evictions == 1
 
     def test_reverse_sorted_keys(self):
@@ -294,22 +294,6 @@ class TestRepeatedAndUnsortedKeys:
             rows_for(keys[::3]),
         )
         assert len(calls) == 1
-
-    def test_repeated_pins_count_per_occurrence(self):
-        cache = budgeted(2)
-        cache.get_many(np.array([1]), rows_for)
-        cache.pin(np.array([1, 1]))
-        cache.unpin(np.array([1]))
-        cache.get_many(np.array([2]), rows_for)     # 1 still pinned once:
-        assert 1 in cache and 2 not in cache        # the newcomer goes
-        cache.pin(np.array([1]))                    # two references again
-        cache.unpin(np.array([1, 1]))               # both go in one call
-        cache.get_many(np.array([3]), rows_for)
-        assert 1 not in cache and len(cache) == 1
-        cache.unpin(np.array([3, 3]))               # over-release is a no-op
-        cache.pin(np.array([3]))                    # ... and leaves no debt
-        cache.get_many(np.array([4]), rows_for)
-        assert 3 in cache
 
     def test_width_is_fixed_while_rows_are_resident(self):
         cache = PartialCache()
@@ -391,18 +375,3 @@ class TestSlabTracksLiveRows:
             cache.get_many(np.arange(1900, 2000)[::-1], None),
             wide_rows(np.arange(1900, 2000)[::-1]),
         )
-
-    def test_pins_survive_a_shrink(self):
-        cache = budgeted(8 * 64)
-        shard = cache.shards[0]
-        cache.pin(np.array([3, 5]))
-        cache.get_many(np.arange(400), wide_rows)   # 3 and 5 may not go
-        assert {3, 5} <= set(shard.keys())
-        cache.invalidate(np.arange(400))            # rowless, still pinned
-        cache.get_many(np.arange(400, 408), wide_rows)
-        cache.get_many(np.array([3, 5]), wide_rows)
-        cache.get_many(np.arange(500, 900), wide_rows)
-        assert {3, 5} <= set(shard.keys())
-        cache.unpin(np.array([3, 5]))
-        cache.get_many(np.arange(900, 908), wide_rows)
-        assert not {3, 5} & set(shard.keys())

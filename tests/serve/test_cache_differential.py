@@ -1,15 +1,15 @@
-"""Model-based differential test of the array-backed shard.
+"""Model-based differential test of the array-backed cache.
 
 ``tests/serve/reference_cache.py`` is the dict / ``OrderedDict``
 ``PartialCache`` that PR 16 replaced, kept verbatim as the oracle.
-Random schedules of every public operation drive both shards side by
+Random schedules of every public operation drive both caches side by
 side; after every step the returned rows, the full ``CacheStats`` and
 ``Residency`` records, the LRU order of the resident tier and the
 demotion order of the float32 and spill tiers must be identical, and a
 governor sweep must pick the same victims in the same order.  Every
-ladder is drawn — none, ``float32``, ``spill``, both — each shard over
+ladder is drawn — none, ``float32``, ``spill``, both — each cache over
 a spill slab of its own (the oracle spills one row per call, the array
-shard one block per sweep), and the array shard's heap file may never
+cache one block per sweep), and the array cache's heap file may never
 hold more rows than were ever spilled at once: freed positions are
 recycled before the file grows.
 
@@ -17,7 +17,7 @@ One thing the oracle does is not reproduced, on purpose, and the
 schedules steer around it: with repeated keys in one call the oracle
 hands ``compute`` the repeats and double-counts a repeated promotion;
 repeats are only drawn for ladder-less configurations, and
-``compute``'s argument is checked on the new shard alone.
+``compute``'s argument is checked on the new cache alone.
 """
 
 import dataclasses
@@ -56,8 +56,6 @@ operations = st.one_of(
     st.tuples(st.just("get"), key_lists),
     st.tuples(st.just("get"), key_lists),
     st.tuples(st.just("invalidate"), key_lists),
-    st.tuples(st.just("pin"), key_lists),
-    st.tuples(st.just("unpin"), key_lists),
     st.tuples(st.just("sweep"), st.integers(1, 6 * WIDTH)),
     st.tuples(st.just("clear"), st.none()),
 )
@@ -70,14 +68,14 @@ configurations = st.fixed_dictionaries({
 })
 
 
-def reference_sweep(shard, deficit):
-    """The parent's ``PartialStore._sweep`` over one shard."""
-    pool = shard.eviction_candidates(deficit)
+def reference_sweep(cache, deficit):
+    """The parent's ``PartialStore._sweep`` over one cache."""
+    pool = cache.eviction_candidates(deficit)
     offered = [(c.key, c.tick, c.frequency) for c in pool]
     pool.sort(key=lambda c: c.rank)
     victims, freed_total = [], 0
     for candidate in pool:
-        freed = shard.evict_if_coldest(candidate.key)
+        freed = cache.evict_if_coldest(candidate.key)
         if freed:
             victims.append(candidate.key)
             freed_total += freed
@@ -86,14 +84,14 @@ def reference_sweep(shard, deficit):
     return offered, victims, freed_total
 
 
-def array_sweep(shard, deficit):
-    """``PartialStore._sweep`` over one shard."""
-    keys, ticks, frequencies, frees = shard.eviction_candidates(deficit)
+def array_sweep(cache, deficit):
+    """``PartialStore._sweep`` over one cache."""
+    keys, ticks, frequencies, frees = cache.eviction_candidates(deficit)
     offered = list(zip(keys.tolist(), ticks.tolist(), frequencies.tolist()))
     rank = np.lexsort((ticks, frequencies))
     cut = np.searchsorted(np.cumsum(frees[rank]), deficit) + 1
     victims = keys[rank[:cut]]
-    rows, freed = shard.evict(victims)
+    rows, freed = cache.evict(victims)
     assert rows == victims.size
     return offered, victims.tolist(), freed
 
@@ -120,7 +118,7 @@ def assert_same_state(new, old):
 
 @settings(max_examples=300, deadline=None)
 @given(configurations, st.lists(operations, min_size=1, max_size=30))
-def test_random_schedules_match_the_dict_shard(config, schedule):
+def test_random_schedules_match_the_dict_cache(config, schedule):
     with tempfile.TemporaryDirectory() as root:
         _drive(dict(config), schedule, root)
 
@@ -128,10 +126,12 @@ def test_random_schedules_match_the_dict_shard(config, schedule):
 def _drive(config, schedule, root):
     clocked = config.pop("clock")
     spills = "spill" in config["tiers"]
-    slab = SpillSlab(f"{root}/new") if spills else None
     new = PartialCache(
-        clock=AccessClock() if clocked else None, spill=slab, **config
+        clock=AccessClock() if clocked else None,
+        spill_dir=f"{root}/new" if spills else None,
+        **config,
     )
+    slab = new._spill
     old = reference_cache.PartialCache(
         clock=reference_cache.AccessClock() if clocked else None,
         spill=SpillSlab(f"{root}/old") if spills else None,
@@ -158,9 +158,9 @@ def _drive(config, schedule, root):
             for missing in asked:       # distinct, first-occurrence order
                 assert missing.tolist() == list(dict.fromkeys(missing.tolist()))
                 assert set(missing.tolist()) <= set(keys.tolist())
-        elif name in ("invalidate", "pin", "unpin"):
+        elif name == "invalidate":
             keys = np.array(argument, dtype=np.int64)
-            assert getattr(new, name)(keys) == getattr(old, name)(keys)
+            assert new.invalidate(keys) == old.invalidate(keys)
         elif name == "sweep":
             assert array_sweep(new, argument) == reference_sweep(old, argument)
         else:
@@ -181,10 +181,9 @@ def test_promotion_never_evicts_the_batchs_own_rows():
     cache = store.acquire("fp")
     cache.get_many(np.array([1, 2]), rows_for)
     cache.get_many(np.array([3]), rows_for)          # demotes 1
-    shard = cache.shards[0]
-    assert shard.tier_of(1) == "float32"
+    assert cache.tier_of(1) == "float32"
     out = cache.get_many(np.array([1, 2]), rows_for)  # promotes 1, reads 2
     np.testing.assert_allclose(out, rows_for([1, 2]), rtol=1e-6)
-    assert shard.tier_of(1) == "resident" and shard.tier_of(2) == "resident"
-    assert shard.tier_of(3) == "float32"             # the sweep's victim
+    assert cache.tier_of(1) == "resident" and cache.tier_of(2) == "resident"
+    assert cache.tier_of(3) == "float32"             # the sweep's victim
     store.close()

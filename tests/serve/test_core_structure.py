@@ -8,14 +8,16 @@ predictors and planners are constructed in the core alone, the runtime
 facade never branches on the executor kind outside construction, both
 ``swap_model`` methods are delegations, and the process worker's
 message handlers hold framing, not lifecycle logic.  The same goes for
-the partial-cache stack underneath (``TestOneCacheStack``) and its one
-memory bound (``TestOneMemoryBound``), the cost model both choosers
+the partial-cache stack underneath (``TestOneCacheStack``), its one
+memory bound (``TestOneMemoryBound``) and its one lock per cache
+(``TestOneLockPerCache``), the cost model both choosers
 call (``TestOneCostModel``), the mixture
 E-step serving, maintenance and training share (``TestOneEStep``) and
 the update → flush → cold-miss path (``TestAnUpdateCostsWhatItTouches``).
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -178,14 +180,16 @@ class TestFacadesDelegate:
 
 
 class TestOneCacheStack:
-    """One shard type (``PartialCache``, built only by the sharded
-    cache), one lock per shard, one insert path, one store class, no
-    sharing off switch — and no binary-join fork in the cost adapters."""
+    """One cache type (``PartialCache``, built only as the store's
+    ``ShardedPartialCache``), one lock per cache, one insert path, one
+    store class, no sharing off switch — and no binary-join fork in the
+    cost adapters."""
 
-    def test_shards_are_constructed_by_the_sharded_cache_alone(self):
-        assert _callers("PartialCache") == {"fx/sharding.py"}
+    def test_caches_are_constructed_by_the_store_alone(self):
+        assert _callers("PartialCache") == set()
+        assert _callers("ShardedPartialCache") == {"fx/store.py"}
 
-    def test_sharding_adds_no_lock_around_a_shard(self):
+    def test_the_store_cache_adds_no_lock_of_its_own(self):
         assert not {"Lock", "RLock"} & {
             node.func.attr if isinstance(node.func, ast.Attribute)
             else getattr(node.func, "id", None)
@@ -313,6 +317,55 @@ class TestOneMemoryBound:
         }
         # Kept, always 0, for the readers that add it to cross_evictions.
         assert "evictions" in names
+
+
+class TestOneLockPerCache:
+    """One lock-guarded cache per fingerprint: no RID-hash shards and
+    no batch pins.  ``get_many`` holds the cache's lock from lookup to
+    the copy of its rows, so a governor sweep can only reach a cache
+    between two batches, and nothing needs protecting from it."""
+
+    SHARD_NAMES = ("_route", "shard_of", "shard_stats", "_stats_guard")
+    PIN_NAMES = {"pin", "unpin", "pins"}
+
+    def test_the_store_takes_no_shard_count(self):
+        init = _method(SRC_ROOT / "fx" / "store.py", "PartialStore", "__init__")
+        assert "num_shards" not in TestOneMemoryBound._parameters(init)
+
+    def test_the_cache_module_has_no_pins(self):
+        found = [
+            node.lineno
+            for node in ast.walk(_tree(SRC_ROOT / "serve" / "cache.py"))
+            if getattr(node, "name", None) in self.PIN_NAMES
+            or getattr(node, "attr", None) in self.PIN_NAMES
+            or getattr(node, "id", None) in self.PIN_NAMES
+            or getattr(node, "arg", None) in self.PIN_NAMES
+        ]
+        assert found == []
+
+    def test_the_store_cache_only_adds_the_governor_call(self):
+        (cls,) = [
+            node
+            for node in _tree(SRC_ROOT / "fx" / "sharding.py").body
+            if isinstance(node, ast.ClassDef)
+            and node.name == "ShardedPartialCache"
+        ]
+        assert [ast.unparse(base) for base in cls.bases] == ["PartialCache"]
+        assert {
+            item.name for item in cls.body
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        } == {"__init__", "get_many"}
+
+    def test_shard_routing_is_gone(self):
+        pattern = re.compile(
+            r"\b(" + "|".join(map(re.escape, self.SHARD_NAMES)) + r")\b"
+        )
+        found = [
+            f"{path.relative_to(SRC_ROOT)}: {match.group(0)}"
+            for path in sorted(SRC_ROOT.rglob("*.py"))
+            for match in pattern.finditer(path.read_text(encoding="utf-8"))
+        ]
+        assert found == []
 
 
 class TestOneCostModel:
@@ -669,8 +722,6 @@ class TestNoPerKeyPythonOnTheLookupPath:
     GUARDED = [
         (CACHE, "PartialCache", "get_many"),
         (CACHE, "PartialCache", "_insert"),
-        (CACHE, "PartialCache", "pin"),
-        (CACHE, "PartialCache", "unpin"),
         (CACHE, "PartialCache", "invalidate"),
         (CACHE, "PartialCache", "evict"),
         (CACHE, "PartialCache", "eviction_candidates"),
@@ -680,9 +731,7 @@ class TestNoPerKeyPythonOnTheLookupPath:
         (CACHE, "PartialCache", "_settle"),
         (CACHE, "PartialCache", "_take_compressed"),
         (CACHE, "PartialCache", "_take_spilled"),
-        (CACHE, "PartialCache", "_coldest_compressed"),
         (SHARDING, "ShardedPartialCache", "get_many"),
-        (SHARDING, "ShardedPartialCache", "_route"),
     ]
 
     @staticmethod
