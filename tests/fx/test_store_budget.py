@@ -1,4 +1,5 @@
-"""Store-wide memory budget: cross-cache eviction, exactness."""
+"""Store-wide memory budget: cross-cache eviction, re-budgeting,
+exactness."""
 
 import threading
 import warnings
@@ -125,6 +126,62 @@ class TestGlobalBudget:
         assert store.enforce_budget() == 0
         assert len(a) == 100
         assert store.stats().cross_evictions == 0
+
+    def test_a_hit_makes_a_row_young_again_across_caches(self):
+        store = PartialStore(capacity_floats=10)
+        a = store.acquire("fp-a")
+        b = store.acquire("fp-b")
+        a.get_many(np.arange(6), rows_for)        # tick 1
+        b.get_many(np.arange(4), rows_for)        # tick 2: at the budget
+        a.get_many(np.array([0, 1]), rows_for)    # tick 3: hits
+        b.get_many(np.array([4]), rows_for)       # tick 4: one over
+        # a's 0 and 1 are younger than anything of b's now; the one
+        # victim is the coldest of a's untouched rows.
+        assert 0 in a and 1 in a
+        assert 2 not in a
+        assert all(k in a for k in range(3, 6))
+        assert all(k in b for k in range(5))
+
+    def test_invalidation_frees_budget_for_a_sibling_cache(self):
+        store = PartialStore(capacity_floats=10)
+        a = store.acquire("fp-a")
+        b = store.acquire("fp-b")
+        a.get_many(np.arange(6), rows_for)
+        assert a.invalidate(np.arange(3)) == 3
+        assert store.floats_resident == 3
+        b.get_many(np.arange(7), rows_for)        # 3 + 7 fits exactly
+        assert store.stats().cross_evictions == 0
+        assert all(k in a for k in range(3, 6))
+        assert all(k in b for k in range(7))
+
+
+class TestRebudget:
+    def test_lifting_the_budget_stops_sweeps_until_one_returns(self):
+        store = PartialStore(capacity_floats=4)
+        a = store.acquire("fp-a")
+        a.get_many(np.arange(6), rows_for)
+        assert store.floats_resident == 4
+        assert store.set_budget(None) == 0
+        a.get_many(np.arange(6, 12), rows_for)
+        assert store.floats_resident == 10        # nothing swept
+        assert store.stats().capacity_floats is None
+        # The caches kept their clock: a new bound sweeps, oldest first.
+        assert store.set_budget(5) == 5
+        assert a.keys() == list(range(7, 12))
+
+    def test_a_budget_cannot_be_imposed_on_live_ungoverned_caches(self):
+        store = PartialStore()
+        a = store.acquire("fp-a")
+        a.get_many(np.arange(6), rows_for)
+        with pytest.raises(ModelError, match="ungoverned"):
+            store.set_budget(4)
+        assert store.capacity_floats is None and len(a) == 6
+        # Once the last holder leaves, a bound arms the next caches.
+        store.release(a)
+        assert store.set_budget(4) == 0
+        b = store.acquire("fp-b")
+        b.get_many(np.arange(6), rows_for)
+        assert store.floats_resident == 4
 
 
 class TestBudgetBoundsRealMemory:

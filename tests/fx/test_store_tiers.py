@@ -296,6 +296,16 @@ class TestTierLadder:
         assert store.floats_resident <= WIDTH + WIDTH // 2
         reconcile(cache)
 
+    def test_a_row_hit_since_stays_resident_while_older_rows_demote(self):
+        store, cache = self.make(STORE_TIERS)
+        for key in (0, 1, 0, 2):                  # 0 is hit at tick 3
+            cache.get_many(np.array([key]), rows_for)
+        assert tier_of(cache, 0) == TIER_RESIDENT
+        assert tier_of(cache, 2) == TIER_RESIDENT
+        assert tier_of(cache, 1) in (TIER_FLOAT32, TIER_SPILL)
+        assert store.floats_resident <= WIDTH * 2
+        reconcile(cache)
+
     def test_promotion_returns_spilled_rows_bit_exact(self):
         store, cache = self.make((TIER_SPILL,), WIDTH)
         cache.get_many(np.arange(3), rows_for)

@@ -1,5 +1,6 @@
 """ShardedPartialCache, one lock per cache: order, concurrency,
-invalidation, stats, and a budget sweep racing a batch in flight."""
+invalidation, stats, the governor call after each batch, and a budget
+sweep racing a batch in flight."""
 
 import os
 import sys
@@ -91,6 +92,48 @@ class TestStats:
         cache.clear()
         assert len(cache) == 0
         assert cache.stats().misses == 0
+
+
+class TestGovernor:
+    def test_the_governor_runs_once_after_every_batch(self):
+        class Counting:
+            calls = 0
+
+            def enforce_budget(self):
+                self.calls += 1
+                return 0
+
+        governor = Counting()
+        cache = ShardedPartialCache(governor=governor)
+        cache.get_many(np.arange(4), rows_for)
+        cache.get_many(np.arange(2, 6), rows_for)      # hits and misses
+        cache.get_many(np.zeros(0, dtype=np.int64), rows_for)
+        assert governor.calls == 3
+
+    def test_a_raising_compute_still_runs_the_governor(self):
+        """The batch promotes spilled rows before its compute raises;
+        the sweep in ``get_many``'s ``finally`` must still bring the
+        store back within its budget, demoting (not dropping) them."""
+        store = PartialStore(capacity_floats=2, tiers=("spill",))
+        cache = store.acquire("fp")
+        cache.get_many(np.arange(3), rows_for)          # 0, 1 spill
+        assert cache.keys("spill") == [0, 1]
+        sweeps = store.governor_sweeps
+
+        def failing(keys):
+            raise RuntimeError("compute failed")
+
+        with pytest.raises(RuntimeError, match="compute failed"):
+            cache.get_many(np.array([0, 1, 99]), failing)
+        assert cache.promotions == {"spill": 2}
+        assert store.governor_sweeps == sweeps + 1
+        assert store.floats_resident <= 2
+        assert 99 not in cache
+        # Nothing was lost: every row comes back, bit for bit, unasked.
+        np.testing.assert_array_equal(
+            cache.get_many(np.arange(3), None), rows_for(np.arange(3))
+        )
+        store.close()
 
 
 class TestConcurrency:

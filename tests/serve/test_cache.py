@@ -226,6 +226,22 @@ class TestValidation:
                 np.array([1, 2]), lambda keys: rows_for(keys[:1])
             )
 
+    def test_a_raising_compute_caches_and_counts_nothing(self):
+        cache = PartialCache()
+        cache.get_many(np.array([1]), rows_for)
+
+        def failing(keys):
+            raise RuntimeError("compute failed")
+
+        with pytest.raises(RuntimeError, match="compute failed"):
+            cache.get_many(np.array([1, 2]), failing)
+        assert cache.keys() == [1] and 2 not in cache
+        assert (cache.hits, cache.misses) == (0, 1)
+        # The lock was released: the next batch goes through.
+        np.testing.assert_array_equal(
+            cache.get_many(np.array([2, 1]), rows_for), rows_for([2, 1])
+        )
+
 
 class TestRepeatedAndUnsortedKeys:
     """``get_many`` takes RIDs in any order, repeats allowed: a
@@ -280,6 +296,18 @@ class TestRepeatedAndUnsortedKeys:
         # Hits were touched before the fresh rows landed: 1 is oldest.
         assert cache.keys() == [2, 5, 8]
         assert stats.cross_evictions == 1
+
+    def test_repeated_keys_charge_the_budget_once(self):
+        cache = budgeted(2 * 2)
+        keys = np.array([1, 1, 2, 1, 2])
+        np.testing.assert_array_equal(
+            cache.get_many(keys, rows_for), rows_for(keys)
+        )
+        assert len(cache) == 2 and cache.floats_resident == 4
+        assert cache.stats().cross_evictions == 0
+        cache.get_many(np.array([3, 3, 3]), rows_for)
+        assert cache.keys() == [2, 3]                # 1 was coldest
+        assert cache.stats().cross_evictions == 1
 
     def test_reverse_sorted_keys(self):
         cache = PartialCache()

@@ -731,6 +731,9 @@ class TestNoPerKeyPythonOnTheLookupPath:
         (CACHE, "PartialCache", "_settle"),
         (CACHE, "PartialCache", "_take_compressed"),
         (CACHE, "PartialCache", "_take_spilled"),
+        (CACHE, "PartialCache", "_readmit"),
+        (CACHE, "SlotTable", "find"),
+        (CACHE, "SlotTable", "put"),
         (SHARDING, "ShardedPartialCache", "get_many"),
     ]
 
