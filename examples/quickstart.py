@@ -40,8 +40,8 @@ def main() -> None:
 
         # --- Gaussian mixture over the (virtual) join -----------------
         # algorithm="auto" asks the one cost model (repro.fx.costs)
-        # to pick materialized vs factorized from the join's actual
-        # cardinalities; "factorized"/"materialized"/"streaming" pin it.
+        # for the arm predicted fastest from the join's cardinalities,
+        # pages and blocks; "factorized"/"materialized"/"streaming" pin it.
         gmm = repro.fit_gmm(
             db,
             star.spec,

@@ -60,11 +60,11 @@ into the GMM/NN engines exactly the way serving batches thread it
 through ``BatchPlanner → predict()``, and every fit reports the
 resulting ``dedup_ratio`` in ``result.fit.extra`` — every cost
 question goes through one :class:`~repro.fx.costs.CostModel` and its
-one ``decide()`` (``fit_gmm(..., algorithm="auto")`` resolves the
-training strategy from its compute *and* page-I/O counts — factorized
-when reuse exists, streaming when materializing the join would bind
-on memory; the runtime's per-batch planner calls the same method per
-batch), and cached dimension partials live in a
+one ``decide()`` (``fit_gmm(..., algorithm="auto")`` turns its
+counts, the page I/O and the join blocks into seconds per arm, fitted
+to the reference host, and trains the arm predicted fastest; the
+runtime's per-batch planner takes its verdict per batch), and cached
+dimension partials live in a
 :class:`~repro.fx.store.PartialStore` keyed by partial fingerprint —
 so two registered models with value-identical partials over the same
 join share one cache instead of holding two copies::

@@ -120,12 +120,11 @@ def fit_gmm(
     directly for full control.  ``algorithm`` picks the execution
     strategy (all produce identical models; they differ in cost):
     ``"materialized"``/``"M"``, ``"streaming"``/``"S"``,
-    ``"factorized"``/``"F"``, or ``"auto"``, which resolves from the
-    unified cost model — factorized when the join's cardinalities give
-    computation reuse, otherwise materialized vs streaming by the
-    folded-in page I/O counts (streaming when materializing ``T``
-    would move more pages over ``max_iter`` iterations, or would not
-    fit the buffer pool).  The result's ``fit.extra`` carries the
+    ``"factorized"``/``"F"``, or ``"auto"``, which trains the arm the
+    unified cost model predicts fastest over ``max_iter`` iterations
+    (seconds fitted to the counts, pages and join blocks; never
+    materialized when ``T`` would not fit the buffer pool).  The
+    result's ``fit.extra`` carries the
     run's dedup bookkeeping (``dedup_ratio`` et al.), the S-/F- join
     index's counters (``join_index``) and, under ``"auto"``, what the
     cost model saw and chose (``auto``).
@@ -175,9 +174,8 @@ def fit_nn(
     of Section IV).  Parameters mirror
     :class:`~repro.nn.base.NNConfig`; pass ``config`` for full
     control.  ``algorithm`` takes the same vocabulary as
-    :func:`fit_gmm`, including ``"auto"``: factorized when the
-    cardinalities give first-layer reuse, else materialized vs
-    streaming by page I/O over ``epochs`` passes.  ``fit.extra``
+    :func:`fit_gmm`, including ``"auto"``: the arm predicted fastest
+    over ``epochs`` passes.  ``fit.extra``
     carries the run's dedup bookkeeping (``dedup_ratio`` et al.), the
     S-/F- join index's counters (``join_index``) and, under
     ``"auto"``, what the cost model saw and chose (``auto``).

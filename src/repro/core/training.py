@@ -181,7 +181,9 @@ def _choose(
     ``extra["auto"]``, read off the one
     :class:`~repro.fx.costs.TrainingDecision` (the policy is
     :func:`~repro.fx.costs.recommend_training_strategy`'s; the buffer
-    pool's capacity is the budget a materialized ``T`` must fit in)."""
+    pool's capacity is the budget a materialized ``T`` must fit in) —
+    the counts, every arm's features and the predicted seconds of the
+    arms it chose among."""
     layout = resolved.layout
     decision = recommend_training_strategy(
         kind,
@@ -204,6 +206,8 @@ def _choose(
         "factorized_mults": decision.factorized_mults,
         "streaming_pages": decision.streaming_pages,
         "materialized_pages": decision.materialized_pages,
+        "predicted_s": decision.predicted_s,
+        "features": decision.features,
     }
 
 

@@ -26,11 +26,11 @@ once and shared by training, serving, and the concurrent runtime:
   single lock, which runs the store's governor after each batch;
 * :mod:`repro.fx.costs` — the one cost model: every published count
   (Sections V-A/V-B/VI-A) stated once, one concrete
-  :class:`CostModel` per ``(kind, phase)`` whose ``decide()`` is the
-  only chooser behind both ``algorithm="auto"`` and the runtime's
+  :class:`CostModel` per ``(kind, phase)`` whose ``decide()`` supplies
+  the counts to ``algorithm="auto"`` and the verdict to the runtime's
   batch planner, and the page-level training I/O model
-  (:class:`TrainingPageProfile`) that lets ``"auto"`` pick streaming
-  when memory, not compute, binds;
+  (:class:`TrainingPageProfile`); ``"auto"`` trains the arm whose
+  counts, pages and join blocks predict the fewest seconds;
 * :mod:`repro.fx.sketch` — the count-min frequency sketch behind the
   TinyLFU cache policy (the governor's victim rank).
 

@@ -13,11 +13,10 @@ module is its only statement in the package.  Three layers:
   ``(kind, phase)`` from :data:`COUNT_TABLE`, that scales the unit
   counts by the model's per-row multiplier (hidden width ``n_h`` /
   component count ``K``) and by a batch's ``(n, distinct, hit_rates)``.
-  :meth:`CostModel.decide` is the only place the choice between the
-  factorized and the materialized representation is made; both
-  ``algorithm="auto"`` (through :func:`recommend_training_strategy`)
-  and the runtime's :class:`~repro.runtime.planner.BatchPlanner` call
-  it and keep the :class:`PlanDecision` it returns.
+  :meth:`CostModel.decide` supplies both counts to every chooser, and
+  the serving verdict: the runtime's
+  :class:`~repro.runtime.planner.BatchPlanner` keeps the
+  :class:`PlanDecision` it returns.
 * **Paper analyses without a chooser** — the §V-A BlockSize crossover
   and the §VI-A2 "reuse never wins at layer 2" op counts — validated by
   ``tests/fx/test_costs.py`` and the ``bench_io_cost`` /
@@ -26,10 +25,14 @@ module is its only statement in the package.  Three layers:
 The training models also carry the page-level I/O model (Section V-A
 and its NN twin): given a :class:`TrainingPageProfile` they answer
 :meth:`~CostModel.materialized_io_pages` /
-:meth:`~CostModel.streaming_io_pages`, which is what lets
-:func:`recommend_training_strategy` return ``"streaming"`` when the
-dense representation wins on compute but materializing ``T`` loses on
-pages (or would not fit the memory budget).
+:meth:`~CostModel.streaming_io_pages`.  Training does not compare
+counts: :func:`recommend_training_strategy` turns the counts, pages
+and join blocks of a whole run into each arm's :data:`FEATURES` and
+returns the arm with the fewest *predicted seconds*,
+``TRAINING_SECONDS[kind, arm] · features`` — least squares over the
+published counts as basis functions, fitted on the reference host by
+``tools/calibrate_costs.py``.  A materialized ``T`` larger than the
+memory budget is never a candidate.
 
 Ties go to the dense path everywhere: when factorization saves
 nothing, the wide batch avoids gather bookkeeping and cache
@@ -238,6 +241,29 @@ class TrainingPageProfile:
             )
         return self.fact_pages + sum(self.dim_pages)
 
+    def join_blocks(self) -> int:
+        """Blocks one join pass yields: outer blocks of the dimension
+        for a binary join (Section V-A), fact blocks for a star."""
+        outer = (
+            self.dim_pages[0] if len(self.dim_pages) == 1
+            else self.fact_pages
+        )
+        return math.ceil(outer / self.block_pages)
+
+    def referenced(self, rows: int, distinct) -> float:
+        """Distinct RIDs one pass's join blocks reference, ``rows /
+        blocks`` fact rows drawn uniformly per block: a binary join's
+        outer block holds ``1/blocks`` of the dimension, a star's fact
+        block sees all of it — so a star deduplicates every dimension
+        again in every block."""
+        blocks = self.join_blocks()
+        spread = blocks if len(self.dim_pages) == 1 else 1
+        return sum(
+            blocks * m / spread
+            * (1.0 - (1.0 - min(1.0, spread / m)) ** (rows / blocks))
+            for m in distinct if m
+        )
+
 
 # -- the model and its decision -------------------------------------------------
 
@@ -260,12 +286,14 @@ class PlanDecision:
 
 @dataclass(frozen=True)
 class TrainingDecision(PlanDecision):
-    """A :class:`PlanDecision` for a whole training run, with the page
-    totals that settled materialized vs streaming (``None`` when the
-    caller gave no page profile or run length)."""
+    """A :class:`PlanDecision` for a whole training run: both page
+    totals, every arm's :data:`FEATURES` and the predicted seconds of
+    the arms the memory budget allows — ``strategy`` is their argmin."""
 
-    streaming_pages: int | None = None
-    materialized_pages: int | None = None
+    streaming_pages: int
+    materialized_pages: int
+    features: dict          # arm -> {feature name: value}
+    predicted_s: dict       # arm -> seconds
 
 
 class CostModel:
@@ -384,6 +412,43 @@ class CostModel:
             profile.join_pass_pages()
         )
 
+    def arm_features(
+        self, counts: PlanDecision, profile: TrainingPageProfile,
+        iterations: int,
+    ) -> dict:
+        """Each arm's :data:`FEATURES` over a whole training run whose
+        passes each cost ``counts`` (:meth:`decide`).
+
+        A row costs work per unit of model width (a responsibility and
+        its exponential per component, an activation and its gradient
+        per hidden unit) that no multiplication count states, so rows
+        enter as ``rows · width_param``; distinct RIDs are the ones the
+        join blocks reference (:meth:`TrainingPageProfile.referenced`).
+        """
+        passes = self._data_passes(profile, iterations)
+        referenced = profile.referenced(counts.rows, counts.distinct)
+
+        def arm(mults, pages, blocks_per_pass):
+            return dict(zip(FEATURES, (
+                counts.rows * self.width_param * passes, mults * passes,
+                referenced * passes, pages, blocks_per_pass * passes, 1,
+            )))
+
+        streaming = self.streaming_io_pages(profile, iterations)
+        return {
+            MATERIALIZED: arm(
+                counts.dense_mults,
+                self.materialized_io_pages(profile, iterations),
+                math.ceil(profile.joined_pages / profile.block_pages),
+            ),
+            STREAMING: arm(
+                counts.dense_mults, streaming, profile.join_blocks()
+            ),
+            FACTORIZED: arm(
+                counts.factorized_mults, streaming, profile.join_blocks()
+            ),
+        }
+
 
 def serving_cost_model(
     kind: str, *, d_s: int, dim_widths: tuple[int, ...], width_param: int
@@ -403,6 +468,27 @@ def training_cost_model(
     )
 
 
+#: The basis functions of a training run's seconds, per arm: rows read
+#: times the model width (K / n_h), the arm's multiplications (dense for
+#: M-/S-, factorized for F-), distinct RIDs the join blocks reference,
+#: join blocks — each summed over the run's data passes — the pages the
+#: run moves, and a constant per fit.
+FEATURES = ("row_units", "mults", "distinct", "pages", "blocks", "fit")
+
+#: Seconds per unit of each :data:`FEATURES` entry, per ``(kind, arm)``,
+#: at the 2-core reference host's full speed: ``tools/calibrate_costs.py``'s
+#: least-squares fit, the e2e shapes held out (docs/tuning.md has the
+#: residuals and regrets).
+TRAINING_SECONDS = {
+    ("gmm", "materialized"): (4.049e-08, 2.055e-10, 7.22e-08, 2.452e-06, 0.0003896, 0.006453),
+    ("gmm", "streaming"): (4.833e-08, 2.235e-10, 1.161e-07, 1.821e-06, 0, 0.01349),
+    ("gmm", "factorized"): (4.813e-08, 3.425e-10, 6.392e-07, 6.447e-08, 0.0008851, 0.0004371),
+    ("nn", "materialized"): (8.805e-09, 1.369e-10, 9.698e-08, 3.15e-06, 0.0001394, 0.007514),
+    ("nn", "streaming"): (8.086e-09, 2.244e-10, 1.365e-07, 2.638e-06, 0, 0.005813),
+    ("nn", "factorized"): (9.453e-09, 3.937e-10, 1.413e-07, 1.772e-06, 0.0001889, 0.003762),
+}
+
+
 def recommend_training_strategy(
     kind: str,
     *,
@@ -411,61 +497,57 @@ def recommend_training_strategy(
     d_s: int,
     dim_widths: tuple[int, ...],
     width_param: int,
-    pages: TrainingPageProfile | None = None,
-    iterations: int | None = None,
+    pages: TrainingPageProfile,
+    iterations: int,
     memory_budget_pages: int | None = None,
 ) -> TrainingDecision:
-    """Pick a training strategy from compute *and* page I/O counts.
+    """Pick the training strategy predicted to finish first.
 
-    ``rows`` is the join cardinality and ``distinct`` the dimension
-    relation cardinalities — the static estimate of the per-batch
-    tuple ratio.  Compute decides first (:meth:`CostModel.decide`): if
-    factorization removes multiplications, ``"factorized"`` wins
-    outright (it also has the cheapest I/O — the streaming page
-    schedule, nothing written).
-
-    When the dense representation wins on compute, the remaining
-    question is *where the dense batches come from*, and that is pure
-    I/O: with a ``pages`` profile and the run length (``iterations`` —
-    EM iterations for ``"gmm"``, epochs for ``"nn"``), the model's
-    page counts settle materialize-once-read-many against
-    re-join-every-pass, and ``"streaming"`` is chosen when it moves
-    fewer pages.  ``memory_budget_pages`` (e.g. the database's buffer
+    ``rows`` is the join cardinality, ``distinct`` the dimension
+    relation cardinalities, ``pages`` the run's page geometry and
+    ``iterations`` its length (EM iterations for ``"gmm"``, epochs for
+    ``"nn"``).  Each arm's predicted seconds are
+    ``TRAINING_SECONDS[kind, arm] · features`` over the counts of
+    :meth:`CostModel.decide`, the page totals and the join blocks
+    (:meth:`CostModel.arm_features`); the argmin wins, ties to
+    materialized.  ``memory_budget_pages`` (e.g. the database's buffer
     pool capacity) is the memory clamp: a materialized ``T`` bigger
-    than the budget cannot be served from cache, so streaming wins
-    regardless of raw page counts.  Without ``pages`` the decision is
-    compute-only.  The returned record carries everything the choice
-    was made from — ``algorithm="auto"`` stores it as
-    ``fit.extra["auto"]``.
+    than the budget is no candidate.  The returned record carries
+    everything the choice was made from — ``algorithm="auto"`` stores
+    it as ``fit.extra["auto"]``.
 
-    >>> recommend_training_strategy(
-    ...     "gmm", rows=500, distinct=(500,), d_s=2, dim_widths=(10,),
-    ...     width_param=3,
+    >>> decision = recommend_training_strategy(
+    ...     "gmm", rows=200_000, distinct=(100_000,), d_s=5,
+    ...     dim_widths=(5,), width_param=5,
     ...     pages=TrainingPageProfile(
-    ...         fact_pages=6, dim_pages=(11,), joined_pages=17),
-    ...     iterations=1).strategy
-    'streaming'
+    ...         fact_pages=1563, dim_pages=(589,), joined_pages=2353),
+    ...     iterations=3, memory_budget_pages=1024)
+    >>> decision.strategy, sorted(decision.predicted_s)
+    ('streaming', ['factorized', 'streaming'])
     """
     model = training_cost_model(
         kind, d_s=d_s, dim_widths=dim_widths, width_param=width_param
     )
-    compute = model.decide(rows, distinct)
-    streaming = materialized = None
-    if pages is not None and iterations is not None:
-        streaming = model.streaming_io_pages(pages, iterations)
-        materialized = model.materialized_io_pages(pages, iterations)
-    strategy = compute.strategy
-    if strategy == MATERIALIZED and pages is not None:
-        over_budget = (
-            memory_budget_pages is not None
-            and pages.joined_pages > memory_budget_pages
+    counts = model.decide(rows, distinct)
+    features = model.arm_features(counts, pages, iterations)
+    over_budget = (
+        memory_budget_pages is not None
+        and pages.joined_pages > memory_budget_pages
+    )
+    predicted = {
+        arm: sum(
+            weight * value for weight, value in
+            zip(TRAINING_SECONDS[kind, arm], values.values())
         )
-        fewer_pages = streaming is not None and streaming < materialized
-        if over_budget or fewer_pages:
-            strategy = STREAMING
+        for arm, values in features.items()
+        if not (over_budget and arm == MATERIALIZED)
+    }
     return TrainingDecision(
-        strategy, compute.rows, compute.distinct, compute.dense_mults,
-        compute.factorized_mults, streaming, materialized,
+        min(predicted, key=predicted.get), counts.rows, counts.distinct,
+        counts.dense_mults, counts.factorized_mults,
+        model.streaming_io_pages(pages, iterations),
+        model.materialized_io_pages(pages, iterations),
+        features, predicted,
     )
 
 

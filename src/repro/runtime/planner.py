@@ -9,8 +9,8 @@ individually from its :class:`~repro.fx.dedup.DedupPlan`: the dedup is
 computed once at assembly, the planner reads its distinct-RID counts
 (no second ``np.unique``), and the chosen predictor then gathers with
 the very same plan.  The counts and the decision rule are
-:meth:`repro.fx.costs.CostModel.decide` — the same method
-``algorithm="auto"`` training resolution calls — discounted by the live
+:meth:`repro.fx.costs.CostModel.decide` — whose counts
+``algorithm="auto"`` training resolution also reads — discounted by the live
 cache hit rate (warm partials cost no dimension-side work); this module
 only adapts a batch to it and keeps the decision log.
 """

@@ -24,7 +24,10 @@ def test_smoke(argv, capsys):
     out = capsys.readouterr().out
     arms = ["F"] if "--arm" in argv else list(profile_fit.ARMS)
     for arm in arms:
-        assert f"{arm:>4} (" in out
+        line = out.split(f"{arm:>4} (")[1].split("\n")[0]
+        assert " s, predicted " in line
+        if arm != "M":          # the memory budget may rule M out
+            assert line.endswith(" s") and "predicted -" not in line
     assert "tottime" in out
 
 

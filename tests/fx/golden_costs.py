@@ -12,14 +12,15 @@ dimensions, cold / warm / mixed / out-of-range hit rates, ``m = n``,
 ``tests/runtime/test_planner.py`` checks ``BatchPlanner.plan``.
 Do not regenerate it from the code under test.
 
-One deliberate exception: the ``gmm`` rows of ``PAGES`` and
-``RECOMMENDATIONS`` charge one join pass per EM iteration, the passes
-the one-pass EM driver makes (``COUNT_TABLE["gmm", "train"]``), where
-the captured rows charged Algorithm 1's three.  ``PAGES`` rows are the
-closed form ``(iter·pass, pass + (1 + iter)·|T|)``; the four
-``RECOMMENDATIONS`` rows that moved (``iterations=4`` on profiles 0
-and 3 now streams) equal their ``nn`` twins, which have always charged
-one pass.
+Two deliberate exceptions.  The ``gmm`` rows of ``PAGES`` charge one
+join pass per EM iteration, the passes the one-pass EM driver makes
+(``COUNT_TABLE["gmm", "train"]``), where the captured rows charged
+Algorithm 1's three; they are the closed form ``(iter·pass, pass +
+(1 + iter)·|T|)``.  And ``RECOMMENDATIONS`` lists inputs only: the
+captured verdicts compared counts, and training now picks the argmin
+of predicted seconds (``fx.costs.TRAINING_SECONDS``), which a fit to
+the machine may move — the test asserts that argmin, the clamp and
+the page totals instead.
 """
 
 F, M, S = "factorized", "materialized", "streaming"
@@ -132,50 +133,50 @@ PAGES = [
     ('nn', 3, 40, ((40, 100), (160, 190), (400, 370))),
 ]
 
-# Optional arguments of recommend_training_strategy (``pages: True``
-# stands for the row's profile).
-VARIANTS = ({}, {'pages': True}, {'pages': True, 'iterations': 1}, {'pages': True, 'iterations': 4}, {'pages': True, 'iterations': 50}, {'pages': True, 'iterations': 50, 'memory_budget_pages': 35}, {'pages': True, 'memory_budget_pages': 35})
+# Run-length / budget arguments of recommend_training_strategy, given
+# with the row's profile.
+VARIANTS = ({'iterations': 1}, {'iterations': 4}, {'iterations': 50}, {'iterations': 50, 'memory_budget_pages': 35})
 
-# (kind, profile, rows, distinct, (strategy per VARIANTS)).
+# (kind, profile, rows, distinct).
 RECOMMENDATIONS = [
-    ('gmm', 0, 100, (5,), (F, F, F, F, F, F, F)),
-    ('gmm', 0, 64, (64,), (M, M, S, S, M, S, S)),
-    ('gmm', 0, 10, (40,), (M, M, S, S, M, S, S)),
-    ('gmm', 0, 1, (1,), (M, M, S, S, M, S, S)),
-    ('gmm', 0, 0, (0,), (F, F, F, F, F, F, F)),
-    ('gmm', 0, 0, (7,), (F, F, F, F, F, F, F)),
-    ('nn', 0, 100, (5,), (F, F, F, F, F, F, F)),
-    ('nn', 0, 64, (64,), (M, M, S, S, M, S, S)),
-    ('nn', 0, 10, (40,), (M, M, S, S, M, S, S)),
-    ('nn', 0, 1, (1,), (M, M, S, S, M, S, S)),
-    ('nn', 0, 0, (0,), (F, F, F, F, F, F, F)),
-    ('nn', 0, 0, (7,), (F, F, F, F, F, F, F)),
-    ('gmm', 1, 100, (5,), (F, F, F, F, F, F, F)),
-    ('gmm', 1, 64, (64,), (M, M, S, S, S, S, S)),
-    ('gmm', 1, 10, (40,), (M, M, S, S, S, S, S)),
-    ('gmm', 1, 1, (1,), (M, M, S, S, S, S, S)),
-    ('gmm', 1, 0, (0,), (F, F, F, F, F, F, F)),
-    ('gmm', 1, 0, (7,), (F, F, F, F, F, F, F)),
-    ('nn', 1, 100, (5,), (F, F, F, F, F, F, F)),
-    ('nn', 1, 64, (64,), (M, M, S, S, S, S, S)),
-    ('nn', 1, 10, (40,), (M, M, S, S, S, S, S)),
-    ('nn', 1, 1, (1,), (M, M, S, S, S, S, S)),
-    ('nn', 1, 0, (0,), (F, F, F, F, F, F, F)),
-    ('nn', 1, 0, (7,), (F, F, F, F, F, F, F)),
-    ('gmm', 2, 2048, (1900, 490), (F, F, F, F, F, F, F)),
-    ('gmm', 2, 90, (90, 90), (M, M, S, S, S, S, S)),
-    ('gmm', 2, 12, (30, 4), (M, M, S, S, S, S, S)),
-    ('gmm', 2, 0, (0, 0), (F, F, F, F, F, F, F)),
-    ('nn', 2, 2048, (1900, 490), (F, F, F, F, F, F, F)),
-    ('nn', 2, 90, (90, 90), (M, M, S, S, S, S, S)),
-    ('nn', 2, 12, (30, 4), (M, M, S, S, S, S, S)),
-    ('nn', 2, 0, (0, 0), (F, F, F, F, F, F, F)),
-    ('gmm', 3, 500, (20, 50, 5), (F, F, F, F, F, F, F)),
-    ('gmm', 3, 50, (50, 50, 50), (M, M, S, S, M, M, M)),
-    ('gmm', 3, 8, (16, 2, 8), (F, F, F, F, F, F, F)),
-    ('gmm', 3, 0, (0, 0, 0), (F, F, F, F, F, F, F)),
-    ('nn', 3, 500, (20, 50, 5), (F, F, F, F, F, F, F)),
-    ('nn', 3, 50, (50, 50, 50), (M, M, S, S, M, M, M)),
-    ('nn', 3, 8, (16, 2, 8), (F, F, F, F, F, F, F)),
-    ('nn', 3, 0, (0, 0, 0), (F, F, F, F, F, F, F)),
+    ('gmm', 0, 100, (5,)),
+    ('gmm', 0, 64, (64,)),
+    ('gmm', 0, 10, (40,)),
+    ('gmm', 0, 1, (1,)),
+    ('gmm', 0, 0, (0,)),
+    ('gmm', 0, 0, (7,)),
+    ('nn', 0, 100, (5,)),
+    ('nn', 0, 64, (64,)),
+    ('nn', 0, 10, (40,)),
+    ('nn', 0, 1, (1,)),
+    ('nn', 0, 0, (0,)),
+    ('nn', 0, 0, (7,)),
+    ('gmm', 1, 100, (5,)),
+    ('gmm', 1, 64, (64,)),
+    ('gmm', 1, 10, (40,)),
+    ('gmm', 1, 1, (1,)),
+    ('gmm', 1, 0, (0,)),
+    ('gmm', 1, 0, (7,)),
+    ('nn', 1, 100, (5,)),
+    ('nn', 1, 64, (64,)),
+    ('nn', 1, 10, (40,)),
+    ('nn', 1, 1, (1,)),
+    ('nn', 1, 0, (0,)),
+    ('nn', 1, 0, (7,)),
+    ('gmm', 2, 2048, (1900, 490)),
+    ('gmm', 2, 90, (90, 90)),
+    ('gmm', 2, 12, (30, 4)),
+    ('gmm', 2, 0, (0, 0)),
+    ('nn', 2, 2048, (1900, 490)),
+    ('nn', 2, 90, (90, 90)),
+    ('nn', 2, 12, (30, 4)),
+    ('nn', 2, 0, (0, 0)),
+    ('gmm', 3, 500, (20, 50, 5)),
+    ('gmm', 3, 50, (50, 50, 50)),
+    ('gmm', 3, 8, (16, 2, 8)),
+    ('gmm', 3, 0, (0, 0, 0)),
+    ('nn', 3, 500, (20, 50, 5)),
+    ('nn', 3, 50, (50, 50, 50)),
+    ('nn', 3, 8, (16, 2, 8)),
+    ('nn', 3, 0, (0, 0, 0)),
 ]

@@ -15,6 +15,8 @@ from repro.data.synthetic import StarSchemaConfig, generate_star
 from repro.errors import ModelError
 from repro.fx.costs import (
     COUNT_TABLE,
+    FEATURES,
+    TRAINING_SECONDS,
     CostModel,
     PlanDecision,
     TrainingPageProfile,
@@ -34,6 +36,12 @@ FACTORY = {"serve": serving_cost_model, "train": training_cost_model}
 #: Join passes per EM iteration: the driver's, not Algorithm 1's three.
 EM_PASSES = COUNT_TABLE["gmm", "train"][1]
 NON_FINITE = (math.nan, math.inf, -math.inf)
+
+
+def argmin(predicted: dict) -> str:
+    """The first arm, in tie order (M, S, F), of the fewest seconds."""
+    order = [a for a in (MATERIALIZED, STREAMING, FACTORIZED) if a in predicted]
+    return min(order, key=lambda arm: predicted[arm])
 
 
 def binary(phase, kind, d_s, d_r, width_param):
@@ -220,22 +228,38 @@ class TestGoldenTable:
 
     @pytest.mark.parametrize("row", golden.RECOMMENDATIONS, ids=repr)
     def test_recommendations(self, row):
-        kind, index, rows, distinct, outcomes = row
+        """The record's counts and page totals are the golden ones; the
+        choice is the argmin of its own predicted seconds, ties to
+        materialized, with no materialized arm over the budget."""
+        kind, index, rows, distinct = row
         profile = TrainingPageProfile(**golden.PROFILES[index])
         d_s, widths = golden.LAYOUTS[len(distinct)]
-        for variant, expected in zip(golden.VARIANTS, outcomes):
-            kwargs = dict(variant)
-            if kwargs.pop("pages", False):
-                kwargs["pages"] = profile
+        model = training_cost_model(
+            kind, d_s=d_s, dim_widths=widths,
+            width_param=golden.WIDTH_PARAM[kind],
+        )
+        for variant in golden.VARIANTS:
             decision = recommend_training_strategy(
                 kind, rows=rows, distinct=distinct, d_s=d_s,
-                dim_widths=widths,
-                width_param=golden.WIDTH_PARAM[kind], **kwargs,
+                dim_widths=widths, width_param=golden.WIDTH_PARAM[kind],
+                pages=profile, **variant,
             )
-            assert decision.strategy == expected, variant
-            with_totals = "pages" in kwargs and "iterations" in kwargs
-            assert (decision.streaming_pages is not None) == with_totals
-            assert (decision.materialized_pages is not None) == with_totals
+            counts = model.decide(rows, distinct)
+            assert (decision.dense_mults, decision.factorized_mults) == (
+                counts.dense_mults, counts.factorized_mults
+            )
+            iterations = variant["iterations"]
+            assert decision.streaming_pages == (
+                model.streaming_io_pages(profile, iterations)
+            )
+            assert decision.materialized_pages == (
+                model.materialized_io_pages(profile, iterations)
+            )
+            over = profile.joined_pages > variant.get(
+                "memory_budget_pages", math.inf
+            )
+            assert (MATERIALIZED in decision.predicted_s) != over, variant
+            assert decision.strategy == argmin(decision.predicted_s)
 
 
 class TestDecisions:
@@ -278,17 +302,6 @@ class TestDecisions:
         assert model.decide(100, (10,), (1.0,)) == (
             model.decide(100, (10,))
         )
-
-    def test_recommendation_tracks_tuple_ratio(self):
-        assert recommend_training_strategy(
-            "gmm", rows=10_000, distinct=(100,), d_s=5,
-            dim_widths=(15,), width_param=3,
-        ).strategy == FACTORIZED
-        # A "dimension" as large as the fact table has no redundancy.
-        assert recommend_training_strategy(
-            "gmm", rows=100, distinct=(100,), d_s=5,
-            dim_widths=(15,), width_param=3,
-        ).strategy == MATERIALIZED
 
 
 class TestIOFormulas:
@@ -443,66 +456,170 @@ class TestMeasuredIOMatchesFormulas:
         assert result.io.pages_read == expected_total - pages_t
 
 
-class TestIOAwareRecommendation:
+#: The e2e training shapes and the 3-way serving star's set-up fits:
+#: (rows, distinct, d_s, widths, page profile at the default 8 KiB page
+#: and 64-page blocks, (K, EM iterations), (n_h, epochs)).
+E2E_SHAPES = {
+    "rr100": (200_000, (2_000,), 5, (15,), (1563, (32,), 4348), (5, 3), (50, 2)),
+    "rr2": (200_000, (100_000,), 5, (5,), (1563, (589,), 2353), (5, 3), (50, 2)),
+    "star3": (100_000, (20_000, 500), 5, (15, 10), (885, (313, 6), 3125),
+              (5, 2), (64, 1)),
+}
+E2E_POOL_PAGES = 1024       # Database()'s default buffer pool
+
+
+class TestPredictedSeconds:
+    """Training picks the argmin of ``TRAINING_SECONDS[kind, arm] ·
+    features``: non-negative weights, so a longer run never predicts
+    fewer seconds; ties to materialized; no materialized ``T`` over the
+    budget."""
+
     LAYOUT = dict(d_s=5, dim_widths=(15,), width_param=3)
+    PROFILE = TrainingPageProfile(
+        fact_pages=10, dim_pages=(8,), joined_pages=40, block_pages=4
+    )
 
-    def test_factorized_wins_regardless_of_pages(self):
-        # Compute decides first: redundancy means factorized, which
-        # already runs the cheapest (streaming) page schedule.
-        decision = recommend_training_strategy(
-            "gmm", rows=10_000, distinct=(100,), **self.LAYOUT,
-            pages=TrainingPageProfile(
-                fact_pages=40, dim_pages=(12,), joined_pages=90
-            ),
-            iterations=1,
+    def recommend(self, kind="gmm", rows=100, distinct=(10,),
+                  iterations=2, **kwargs):
+        return recommend_training_strategy(
+            kind, rows=rows, distinct=distinct, **self.LAYOUT,
+            pages=self.PROFILE, iterations=iterations, **kwargs,
         )
-        assert decision.strategy == FACTORIZED
-        assert decision.factorized_mults < decision.dense_mults
 
-    def test_short_run_with_wide_join_streams(self):
-        # One EM iteration: materializing T costs pass + (1 + EM_PASSES)
-        # reads of |T| against streaming's EM_PASSES passes — T is wide,
-        # streaming wins.
+    def test_the_table_covers_every_kind_and_arm(self):
+        assert set(TRAINING_SECONDS) == {
+            (kind, arm) for kind in ("gmm", "nn")
+            for arm in (MATERIALIZED, STREAMING, FACTORIZED)
+        }
+        for weights in TRAINING_SECONDS.values():
+            assert len(weights) == len(FEATURES)
+            assert all(math.isfinite(w) and w >= 0 for w in weights)
+
+    @pytest.mark.parametrize("kind", ["gmm", "nn"])
+    def test_a_prediction_never_falls_as_rows_or_iterations_grow(self, kind):
+        for distinct in ((1,), (10,), (100,)):
+            by_rows = [
+                self.recommend(kind, rows, distinct).predicted_s
+                for rows in (0, 10, 100, 1_000, 100_000)
+            ]
+            by_iterations = [
+                self.recommend(kind, 1_000, distinct, n).predicted_s
+                for n in (1, 2, 5, 50)
+            ]
+            for series in (by_rows, by_iterations):
+                for arm in (MATERIALIZED, STREAMING, FACTORIZED):
+                    seconds = [predicted[arm] for predicted in series]
+                    assert seconds == sorted(seconds), (arm, distinct)
+
+    def test_the_prediction_is_the_weights_times_the_features(self):
+        decision = self.recommend("nn", 1_000, (10,), 3)
+        assert set(decision.features) == {
+            MATERIALIZED, STREAMING, FACTORIZED,
+        }
+        for arm, seconds in decision.predicted_s.items():
+            values = decision.features[arm]
+            assert tuple(values) == FEATURES
+            assert seconds == pytest.approx(sum(
+                w * values[name]
+                for w, name in zip(TRAINING_SECONDS["nn", arm], FEATURES)
+            ))
+        assert decision.strategy == argmin(decision.predicted_s)
+
+    def test_features_are_the_run_totals(self):
+        """Binary join, 4-page blocks: 2 outer blocks of 5 RIDs each,
+        50 fact rows drawn over each; rows count once per component
+        (K = 3)."""
+        decision = self.recommend("gmm", 100, (10,), 3)
+        model = binary("train", "gmm", 5, 15, 3)
+        counts = model.decide(100, (10,))
+        passes = 3 * EM_PASSES
+        referenced = 10 * (1 - (1 - 2 / 10) ** 50)
+
+        def run(mults, pages, blocks):
+            return dict(
+                row_units=100 * 3 * passes, mults=mults * passes,
+                distinct=referenced * passes, pages=pages,
+                blocks=blocks * passes, fit=1,
+            )
+
+        expected = {
+            MATERIALIZED: run(
+                counts.dense_mults, decision.materialized_pages, 10
+            ),
+            STREAMING: run(counts.dense_mults, decision.streaming_pages, 2),
+            FACTORIZED: run(
+                counts.factorized_mults, decision.streaming_pages, 2
+            ),
+        }
+        assert decision.features.keys() == expected.keys()
+        for arm, values in expected.items():
+            assert decision.features[arm] == pytest.approx(values)
+        assert decision.streaming_pages == passes * (8 + 2 * 10)
+        assert decision.materialized_pages == 28 + (1 + passes) * 40
+
+    def test_a_star_rededuplicates_its_dimensions_per_fact_block(self):
+        """Three fact blocks of 50 rows, each drawing over all 5 RIDs of
+        the second dimension: 3 · 5 · (1 − (4/5)⁵⁰), not 5."""
         decision = recommend_training_strategy(
-            "gmm", rows=100, distinct=(100,), **self.LAYOUT,
+            "nn", rows=150, distinct=(150, 5), d_s=2, dim_widths=(3, 4),
+            width_param=4, iterations=1,
             pages=TrainingPageProfile(
-                fact_pages=10, dim_pages=(8,), joined_pages=40,
-                block_pages=64,
+                fact_pages=12, dim_pages=(9, 1), joined_pages=30,
+                block_pages=4,
             ),
-            iterations=1,
         )
-        assert decision.strategy == STREAMING
-        assert decision.streaming_pages == EM_PASSES * 18
-        assert decision.materialized_pages == 18 + (1 + EM_PASSES) * 40
-
-    def test_long_run_amortizes_materialization(self):
-        assert recommend_training_strategy(
-            "gmm", rows=100, distinct=(100,), **self.LAYOUT,
-            pages=TrainingPageProfile(
-                fact_pages=10, dim_pages=(8,), joined_pages=12,
-                block_pages=64,
-            ),
-            iterations=50,
-        ).strategy == MATERIALIZED
-
-    def test_memory_budget_clamps_to_streaming(self):
-        # Same long run, but T does not fit the budget.
-        assert recommend_training_strategy(
-            "gmm", rows=100, distinct=(100,), **self.LAYOUT,
-            pages=TrainingPageProfile(
-                fact_pages=10, dim_pages=(8,), joined_pages=12,
-                block_pages=64,
-            ),
-            iterations=50,
-            memory_budget_pages=10,
-        ).strategy == STREAMING
-
-    def test_without_pages_decision_is_compute_only(self):
-        decision = recommend_training_strategy(
-            "gmm", rows=100, distinct=(100,), **self.LAYOUT,
+        first = 3 * 150 * (1 - (1 - 1 / 150) ** 50)
+        second = 3 * 5 * (1 - (1 - 1 / 5) ** 50)
+        assert decision.features[FACTORIZED]["distinct"] == pytest.approx(
+            first + second
         )
+        assert decision.features[FACTORIZED]["blocks"] == 3
+
+    def test_ties_go_to_materialized(self, monkeypatch):
+        for key in TRAINING_SECONDS:
+            monkeypatch.setitem(TRAINING_SECONDS, key, (0.0,) * len(FEATURES))
+        decision = self.recommend()
+        assert set(decision.predicted_s.values()) == {0.0}
         assert decision.strategy == MATERIALIZED
-        assert decision.streaming_pages is None
+        # Without M the dense arm still wins the tie.
+        assert self.recommend(memory_budget_pages=39).strategy == STREAMING
+
+    def test_the_memory_clamp_still_excludes_materialized(self, monkeypatch):
+        monkeypatch.setitem(
+            TRAINING_SECONDS, ("gmm", MATERIALIZED), (0.0,) * len(FEATURES)
+        )
+        assert self.recommend(memory_budget_pages=40).strategy == MATERIALIZED
+        clamped = self.recommend(memory_budget_pages=39)
+        assert MATERIALIZED not in clamped.predicted_s
+        assert set(clamped.predicted_s) == {STREAMING, FACTORIZED}
+        assert MATERIALIZED in clamped.features
+        assert clamped.strategy == argmin(clamped.predicted_s)
+
+    @pytest.mark.parametrize("kind, winners", [
+        ("gmm", {"rr100": {FACTORIZED}, "rr2": {STREAMING},
+                 "star3": {STREAMING}}),
+        ("nn", {"rr100": {FACTORIZED}, "rr2": {FACTORIZED, STREAMING},
+                "star3": {FACTORIZED, STREAMING}}),
+    ])
+    def test_the_e2e_shapes_pick_their_measured_winner(self, kind, winners):
+        """The shapes the fit never saw (``tools/calibrate_costs.py``
+        holds them out), at the buffer pool every fit there runs with:
+        ``T`` never fits it, and the arm each picks is the one measured
+        fastest (docs/tuning.md) — F- only where rows repeat."""
+        for shape, expected in winners.items():
+            rows, distinct, d_s, widths, profile, gmm, nn = E2E_SHAPES[shape]
+            width_param, iterations = gmm if kind == "gmm" else nn
+            fact, dims, joined = profile
+            decision = recommend_training_strategy(
+                kind, rows=rows, distinct=distinct, d_s=d_s,
+                dim_widths=widths, width_param=width_param,
+                iterations=iterations, memory_budget_pages=E2E_POOL_PAGES,
+                pages=TrainingPageProfile(
+                    fact_pages=fact, dim_pages=dims, joined_pages=joined
+                ),
+            )
+            assert MATERIALIZED not in decision.predicted_s
+            assert decision.strategy in expected, (shape, decision.predicted_s)
 
 
 class TestComputeFormulas:

@@ -74,6 +74,13 @@ def arrays_of(batch) -> dict[str, np.ndarray]:
     return out
 
 
+def fastest(record) -> str:
+    """The arm an ``extra["auto"]`` record predicts fastest (ties to
+    the first in materialized, streaming, factorized order)."""
+    predicted = record["predicted_s"]
+    return min(predicted, key=predicted.get)
+
+
 def assert_same_pass(got, want):
     assert len(got) == len(want) > 0
     for batch_got, batch_want in zip(got, want):
@@ -273,8 +280,9 @@ class TestFitBookkeeping:
         assert set(record) == {
             "chosen", "dense_mults", "factorized_mults",
             "streaming_pages", "materialized_pages",
+            "predicted_s", "features",
         }
-        assert record["chosen"] == "factorized"
+        assert record["chosen"] == "factorized" == fastest(record)
         assert auto.algorithm == "F-GMM"
         assert record["factorized_mults"] < record["dense_mults"]
         # Two iterations of EM_PASSES passes, each at the Section V-A
@@ -283,6 +291,10 @@ class TestFitBookkeeping:
             tiny_db, StreamingJoin(tiny_db, star.spec)
         )[0]
         assert record["streaming_pages"] == 2 * EM_PASSES * one_pass
+        for arm in ("streaming", "factorized"):
+            assert record["features"][arm]["pages"] == (
+                record["streaming_pages"]
+            )
 
     def test_auto_records_are_the_ones_captured_before_the_cost_fold(
         self, request, tiny_db, star
@@ -291,7 +303,9 @@ class TestFitBookkeeping:
         cost modules folded into ``fx/costs.py`` (as ``(dense,
         factorized, streaming pages, materialized pages)``); the GMM
         page totals since recharged at one join pass per EM iteration,
-        where the capture charged three."""
+        where the capture charged three.  Since training chooses by
+        predicted seconds the record only gained ``predicted_s`` and
+        ``features``."""
         binary = request.node.callspec.params["star"] == "binary"
         expected = {
             "gmm": (15000, 10050, 108, 279) if binary
@@ -307,7 +321,9 @@ class TestFitBookkeeping:
         }
         for kind, fit in fits.items():
             dense, factorized, streaming, materialized = expected[kind]
-            assert fit.fit.extra["auto"] == {
+            record = dict(fit.fit.extra["auto"])
+            assert record.pop("predicted_s") and record.pop("features")
+            assert record == {
                 "chosen": "factorized",
                 "dense_mults": dense,
                 "factorized_mults": factorized,
@@ -321,7 +337,7 @@ class TestFitBookkeeping:
             algorithm="auto",
         )
         record = auto.fit.extra["auto"]
-        assert record["chosen"] == "factorized"
+        assert record["chosen"] == "factorized" == fastest(record)
         assert auto.algorithm == "F-NN"
         assert record["factorized_mults"] < record["dense_mults"]
         # One pass per epoch.
@@ -329,24 +345,29 @@ class TestFitBookkeeping:
             tiny_db, StreamingJoin(tiny_db, star.spec)
         )[0]
         assert record["streaming_pages"] == 3 * one_pass
+        assert set(record["features"]) == {
+            "materialized", "streaming", "factorized",
+        }
 
     @pytest.mark.parametrize(
-        "fit, chosen, algorithm",
+        "fit, cheaper, dearer",
         [
             (lambda db, spec: fit_nn(db, spec, hidden_sizes=(4,),
                                      epochs=1, algorithm="auto"),
-             "streaming", "S-NN"),
+             "streaming_pages", "materialized_pages"),
             (lambda db, spec: fit_gmm(db, spec, n_components=2, max_iter=6,
                                       tol=0.0, algorithm="auto"),
-             "materialized", "M-GMM"),
+             "materialized_pages", "streaming_pages"),
         ],
+        ids=["nn, one epoch", "gmm, six iterations"],
     )
-    def test_auto_record_is_the_decision_when_dense_wins(
-        self, tiny_db, fit, chosen, algorithm
+    def test_auto_record_is_the_decision_when_the_counts_tie(
+        self, tiny_db, fit, cheaper, dearer
     ):
-        """No redundancy (``n_R = n_S``), wide ``T``: compute ties, so
-        pages decide — a one-epoch run streams, a long one
-        materializes — and the record is what the fit ran."""
+        """No redundancy (``n_R = n_S``), wide ``T``: the counts tie, a
+        one-epoch run moves fewer pages streaming and a long one
+        materialized — and the arm the fit ran is the one its record
+        predicts fastest."""
         flat = generate_star(
             tiny_db,
             StarSchemaConfig.binary(
@@ -355,14 +376,9 @@ class TestFitBookkeeping:
         )
         result = fit(tiny_db, flat.spec)
         record = result.fit.extra["auto"]
-        assert record["chosen"] == chosen
-        assert result.algorithm == algorithm
+        assert record["chosen"] == fastest(record)
+        assert result.algorithm[0] == record["chosen"][0].upper()
         assert record["factorized_mults"] == record["dense_mults"]
-        cheaper, dearer = (
-            ("streaming_pages", "materialized_pages")
-            if chosen == "streaming"
-            else ("materialized_pages", "streaming_pages")
-        )
         assert record[cheaper] < record[dearer]
 
 

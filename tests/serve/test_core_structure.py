@@ -428,6 +428,31 @@ class TestOneCostModel:
                     )
         assert deciders == {("fx/costs.py", "decide")}
 
+    def test_training_reads_the_counts_not_the_verdict(self):
+        """Training's ``auto`` is the argmin of predicted seconds: no
+        ``.strategy`` is read off ``decide()`` on its way, and
+        ``core/training._choose`` is its one caller under ``src/``."""
+        functions = {
+            node.name: node for node in ast.walk(_tree(self.COSTS))
+            if isinstance(node, ast.FunctionDef)
+        }
+        read = {
+            name: {
+                node.attr for node in ast.walk(functions[name])
+                if isinstance(node, ast.Attribute)
+            }
+            for name in ("recommend_training_strategy", "arm_features")
+        }
+        assert "decide" in read["recommend_training_strategy"]
+        assert "strategy" not in set().union(*read.values())
+        assert _callers("recommend_training_strategy") == {"core/training.py"}
+        training = _tree(SRC_ROOT / "core" / "training.py")
+        assert {
+            node.name for node in ast.walk(training)
+            if isinstance(node, ast.FunctionDef)
+            and "recommend_training_strategy" in _names(node)
+        } == {"_choose"}
+
     def test_auto_builds_one_cost_model(self):
         """``_choose`` and everything it calls in ``core/training.py``
         / ``fx/costs.py`` construct the training model once — the

@@ -5,7 +5,10 @@
     PYTHONPATH=src python tools/profile_fit.py nn --shape rr2 --top 20
     PYTHONPATH=src python tools/profile_fit.py maintain --shape star3
 
-Without ``--arm`` every arm is timed and ``auto`` profiled.  ``maintain``
+Without ``--arm`` every arm is timed and ``auto`` profiled; each wall is
+printed next to the seconds ``auto`` predicted for that arm
+(``fit.extra["auto"]["predicted_s"]``; none for an arm the memory
+budget rules out).  ``maintain``
 times the statistics build over the ``--arm`` GMM fit (``repro.maintain``),
 one 32-row update of the first dimension and its ``flush()``, prints what
 the statistics hold and profiles the same cycle.  cProfile taxes Python
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import cProfile
+import functools
 import pstats
 import time
 import warnings
@@ -31,8 +35,36 @@ SHAPES = {
     "rr2": (200_000, 5, ((100_000, 5),), 3, (50, 2)),
     "star3": (100_000, 5, ((20_000, 15), (500, 10)), 2, (64, 1)),
 }
+COMPONENTS = 5             # TRAIN_GMM / SERVE_GMM n_components
 ARMS = {"F": "factorized", "S": "streaming", "M": "materialized", "auto": "auto"}
 UPDATE_ROWS = 32            # serve_update_mix's rows per update
+
+
+def star_config(shape: str, smoke: bool = False) -> repro.StarSchemaConfig:
+    """The star of ``SHAPES[shape]``; ``smoke`` divides it by 100."""
+    n_s, d_s, dims, _, _ = SHAPES[shape]
+    shrink = 100 if smoke else 1
+    dimensions = tuple(
+        repro.DimensionSpec(max(rows // shrink, 2), width) for rows, width in dims
+    )
+    return repro.StarSchemaConfig(
+        n_s=n_s // shrink, d_s=d_s, dimensions=dimensions, with_target=True, seed=0
+    )
+
+
+def warm_then_time(calls: dict, reps: int = 1) -> dict:
+    """``{name: (seconds, result)}`` for the zero-argument ``calls``:
+    each is called once unmeasured (pages, lazy imports), then all are
+    timed in turn, ``reps`` rounds, so that a host slowdown lands on
+    every arm alike; the fastest wall and the last call's result."""
+    results = {name: call() for name, call in calls.items()}
+    walls = {name: [] for name in calls}
+    for _ in range(reps):
+        for name, call in calls.items():
+            tick = time.perf_counter()
+            results[name] = call()
+            walls[name].append(time.perf_counter() - tick)
+    return {name: (min(walls[name]), results[name]) for name in calls}
 
 
 def profile_maintenance(db, spec, gmm, top: int) -> None:
@@ -74,20 +106,13 @@ def main(argv=None) -> None:
     args = parser.parse_args(argv)
     warnings.simplefilter("ignore", repro.ConvergenceWarning)
 
-    n_s, d_s, dims, iterations, (hidden, epochs) = SHAPES[args.shape]
-    shrink = 100 if args.smoke else 1
-    dimensions = tuple(
-        repro.DimensionSpec(max(rows // shrink, 2), width) for rows, width in dims
-    )
-    config = repro.StarSchemaConfig(
-        n_s=n_s // shrink, d_s=d_s, dimensions=dimensions, with_target=True, seed=0
-    )
+    _, _, _, iterations, (hidden, epochs) = SHAPES[args.shape]
     with repro.Database() as db:
-        spec = repro.generate_star(db, config).spec
+        spec = repro.generate_star(db, star_config(args.shape, args.smoke)).spec
 
         def fit(arm):
             if args.kind != "nn":
-                return repro.fit_gmm(db, spec, algorithm=ARMS[arm], n_components=5,
+                return repro.fit_gmm(db, spec, algorithm=ARMS[arm], n_components=COMPONENTS,
                                      max_iter=iterations, tol=0.0)
             return repro.fit_nn(db, spec, algorithm=ARMS[arm],
                                 hidden_sizes=(hidden,), epochs=epochs)
@@ -95,11 +120,16 @@ def main(argv=None) -> None:
         if args.kind == "maintain":
             profile_maintenance(db, spec, fit(args.arm or "auto"), args.top)
             return
-        for arm in [args.arm] if args.arm else list(ARMS):
-            fit(arm)                                # warm: pages, lazy imports
-            tick = time.perf_counter()
-            chosen = fit(arm).algorithm
-            print(f"{arm:>4} ({chosen}): {time.perf_counter() - tick:.3f} s")
+        auto = fit("auto").fit.extra["auto"]
+        timed = warm_then_time({
+            arm: functools.partial(fit, arm)
+            for arm in ([args.arm] if args.arm else ARMS)
+        })
+        for arm, (seconds, result) in timed.items():
+            strategy = auto["chosen"] if arm == "auto" else ARMS[arm]
+            predicted = auto["predicted_s"].get(strategy)
+            print(f"{arm:>4} ({result.algorithm}): {seconds:.3f} s, predicted "
+                  + ("-" if predicted is None else f"{predicted:.3f} s"))
         profiler = cProfile.Profile()
         profiler.runcall(fit, args.arm or "auto")
         pstats.Stats(profiler).sort_stats("tottime").print_stats(args.top)
