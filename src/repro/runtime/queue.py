@@ -8,7 +8,9 @@ same (model, op), up to a row budget, waiting for stragglers while
 the batch's own arrival rate says one is due, at most ``max_wait``.
 Batching is what makes factorized serving pay under point-lookup
 traffic — a single fact row rarely repeats a RID, but a few
-milliseconds of coalesced traffic almost always does.
+milliseconds of coalesced traffic almost always does.  A ``put`` wakes
+one worker at most: the one lingering on its key, only if the arrival
+changes that worker's decision (:class:`_Linger`), or else an idle one.
 
 The queue is deliberately its own data structure rather than
 ``queue.Queue`` because coalescing needs targeted removal: a worker
@@ -24,7 +26,6 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import Future
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,33 +37,56 @@ from repro.errors import ModelError
 QUIET_GAPS = 4.0
 
 
-@dataclass
 class Request:
     """One normalized point request, ready to coalesce.
 
     ``features``/``fks`` are already validated and canonicalized (2-D
     fact features, one int64 array per dimension), so concatenating
-    requests of the same batch key is plain ``np.concatenate``.
+    requests of one ``batch_key``, (model, op), is ``np.concatenate``.
     """
 
-    batch_key: tuple[str, str]       # (model name, op: "predict" | "score")
-    features: np.ndarray
-    fks: list[np.ndarray]
-    future: Future = field(default_factory=Future)
-    # Stamped at construction — before put() blocks on backpressure —
-    # so the queue-wait clock includes time spent waiting for a slot,
-    # which is exactly the latency the caller experiences.
-    enqueued_at: float = field(default_factory=time.perf_counter)
+    __slots__ = ("batch_key", "features", "fks", "rows", "future",
+                 "enqueued_at")
 
-    @property
-    def rows(self) -> int:
-        return self.features.shape[0]
+    def __init__(self, batch_key: tuple[str, str], features: np.ndarray,
+                 fks: list[np.ndarray], future: Future | None = None,
+                 enqueued_at: float | None = None) -> None:
+        self.batch_key, self.features, self.fks = batch_key, features, fks
+        self.rows = features.shape[0]
+        self.future = Future() if future is None else future
+        # Stamped at construction — before put() blocks on backpressure —
+        # so the queue-wait clock includes time spent waiting for a slot,
+        # which is exactly the latency the caller experiences.
+        self.enqueued_at = (time.perf_counter() if enqueued_at is None
+                            else enqueued_at)
 
     def wait_seconds(self, now: float | None = None) -> float:
         """Seconds since this request was created (queue wait)."""
         if now is None:
             now = time.perf_counter()
         return max(0.0, now - self.enqueued_at)
+
+
+class _Linger:
+    """The batch of the one worker lingering on a key, as that key's
+    puts see it: as the worker last looked, plus every arrival since.
+    Idle workers never claim a lingered key."""
+
+    def __init__(self, lock, max_rows: int) -> None:
+        self.wake, self.max_rows = threading.Condition(lock), max_rows
+
+    def arrive(self, request: Request) -> bool:
+        """Fold in an arrival; whether it changes the worker's decision."""
+        self.rows += request.rows
+        self.count += 1
+        self.oldest = min(self.oldest, request.enqueued_at)
+        self.newest = max(self.newest, request.enqueued_at)
+        return self.rows >= self.max_rows or self.quiet() < self.wake_at
+
+    def quiet(self) -> float:
+        """The newest stamp plus :data:`QUIET_GAPS` mean gaps (count > 1)."""
+        return self.newest + QUIET_GAPS * (self.newest - self.oldest) / (
+            self.count - 1)
 
 
 class RequestQueue:
@@ -78,6 +102,7 @@ class RequestQueue:
         self._lock = threading.Lock()
         self._not_empty = threading.Condition(self._lock)
         self._not_full = threading.Condition(self._lock)
+        self._lingers: dict[tuple[str, str], _Linger] = {}
         self._closed = False
         self.enqueued = 0
         self.max_depth_seen = 0
@@ -104,7 +129,7 @@ class RequestQueue:
         Raises :class:`~repro.errors.ModelError` when the queue is
         closed or the timeout expires while full.
         """
-        with self._not_full:
+        with self._lock:
             if self._closed:
                 raise ModelError("request queue is closed")
             deadline = (
@@ -126,57 +151,59 @@ class RequestQueue:
             self._items.append(request)
             self.enqueued += 1
             self.max_depth_seen = max(self.max_depth_seen, len(self._items))
-            # notify_all, not notify: a single wakeup could be consumed
-            # by a lingering worker whose batch key does not match this
-            # request, leaving an idle worker asleep while the request
-            # waits out the linger.
-            self._not_empty.notify_all()
+            # A lingered key's request wakes its lingerer only if it ends
+            # the linger sooner; any other wakes one idle worker.
+            linger = self._lingers.get(request.batch_key)
+            if linger is None:
+                self._not_empty.notify()
+            elif linger.arrive(request):
+                linger.wake.notify()
 
     # -- consumer side -------------------------------------------------------
 
     def take_batch(
         self, max_rows: int, max_wait: float
     ) -> list[Request] | None:
-        """The next micro-batch, or ``None`` when closed and drained.
+        """The next micro-batch, or ``None`` once closed and drained.
 
-        Blocks until at least one request is available, then coalesces
-        every queued request sharing its batch key until ``max_rows``
-        total rows are gathered, arrivals pause (nothing for
-        :data:`QUIET_GAPS` mean gaps of the batch's own ``enqueued_at``
-        stamps) or ``max_wait`` seconds have passed since the first
-        request was claimed.  A lone request has no gap to read and
-        waits out ``max_wait``.  Requests with other batch keys are
-        left queued, in order, for other workers.
+        Blocks for the oldest request whose key no worker lingers on,
+        then coalesces every queued request sharing its batch key until
+        ``max_rows`` total rows are gathered, arrivals pause (nothing
+        for :data:`QUIET_GAPS` mean gaps of the batch's own
+        ``enqueued_at`` stamps) or ``max_wait`` seconds have passed
+        since the first request was claimed.  A lone request has no gap
+        to read and waits out ``max_wait``.  Requests with other batch
+        keys are left queued, in order, for other workers.
         """
-        with self._not_empty:
-            while not self._items:
-                if self._closed:
+        with self._lock:
+            while (index := next((
+                i for i, item in enumerate(self._items)
+                if item.batch_key not in self._lingers
+            ), None)) is None:
+                if self._closed:    # the rest is lingering workers' to take
                     return None
                 self._not_empty.wait()
-            first = self._items.pop(0)
+            first = self._items.pop(index)
             self._not_full.notify()
-            batch = [first]
-            rows = first.rows
+            key, batch, rows = first.batch_key, [first], first.rows
             # perf_counter, the clock of the enqueued_at stamps.
-            deadline = time.perf_counter() + max_wait
+            deadline, reason = time.perf_counter() + max_wait, "rows"
             # min/max, not first/last: a stamp predates its put(), so
             # two producers can queue out of stamp order.
             oldest = newest = first.enqueued_at
-            reason = "rows"
-            # `scanned` marks how many queued items this call has
-            # already examined and found non-matching, so each item is
-            # inspected once per take_batch, not once per coalesced
-            # request.  Other workers may remove items while we wait,
-            # shifting unexamined items below the mark; those simply
+            linger = self._lingers[key] = _Linger(self._lock, max_rows)
+            # `scanned` counts the queued items this call has examined
+            # and found non-matching (all before `first` are lingered
+            # keys'), so each is inspected once per take_batch.  Items
+            # other workers shift below the mark while we wait simply
             # coalesce into a later batch instead.
-            scanned = 0
+            scanned = index
             while rows < max_rows:
-                index = min(scanned, len(self._items))
+                index, taken = min(scanned, len(self._items)), len(batch)
                 while index < len(self._items) and rows < max_rows:
                     item = self._items[index]
-                    if item.batch_key == first.batch_key:
+                    if item.batch_key == key:
                         del self._items[index]
-                        self._not_full.notify()
                         batch.append(item)
                         rows += item.rows
                         oldest = min(oldest, item.enqueued_at)
@@ -184,20 +211,25 @@ class RequestQueue:
                     else:
                         index += 1
                 scanned = index
+                self._not_full.notify(len(batch) - taken)
                 if rows >= max_rows:
                     break
                 if self._closed:
                     reason = "closed"
                     break
+                linger.rows, linger.count = rows, len(batch)
+                linger.oldest, linger.newest = oldest, newest
                 # A lone request has no gap to read: it waits max_wait.
-                quiet = deadline if len(batch) == 1 else newest + (
-                    QUIET_GAPS * (newest - oldest) / (len(batch) - 1)
-                )
-                remaining = min(deadline, quiet) - time.perf_counter()
+                quiet = deadline if len(batch) == 1 else linger.quiet()
+                linger.wake_at = min(deadline, quiet)
+                remaining = linger.wake_at - time.perf_counter()
                 if remaining <= 0:
                     reason = "quiet" if quiet < deadline else "deadline"
                     break
-                self._not_empty.wait(remaining)
+                linger.wake.wait(remaining)
+            del self._lingers[key]
+            if self._items:
+                self._not_empty.notify()
             self.close_reasons[reason] += 1
             return batch
 
@@ -230,6 +262,8 @@ class RequestQueue:
             self._closed = True
             self._not_empty.notify_all()
             self._not_full.notify_all()
+            for linger in self._lingers.values():
+                linger.wake.notify()
 
     def drain(self) -> list[Request]:
         """Remove and return everything queued (for failing fast on close)."""

@@ -93,17 +93,17 @@ class _ServingPredictor:
     def num_dimensions(self) -> int:
         return self.resolved.num_dimensions
 
-    def _fact_features(self, fact_features) -> np.ndarray:
-        features = np.atleast_2d(
-            np.asarray(fact_features, dtype=np.float64)
-        )
+    def _fact_features(self, features) -> np.ndarray:
+        if not (type(features) is np.ndarray and features.ndim == 2
+                and features.dtype == np.float64):  # else canonical already
+            features = np.atleast_2d(np.asarray(features, dtype=np.float64))
         if features.shape[1] != self.d_s:
             raise ModelError(
                 f"fact features have width {features.shape[1]}, the fact "
                 f"relation {self.resolved.fact.name!r} has {self.d_s}"
             )
         finite = np.isfinite(features)
-        if not finite.all():
+        if np.count_nonzero(finite) != finite.size:     # half all()'s cost
             row, column = np.argwhere(~finite)[0]
             raise ModelError(
                 f"fact features must be finite; row {row} holds "
@@ -144,6 +144,11 @@ class _ServingPredictor:
         (including plain nested Python lists).
         """
         q = self.num_dimensions
+        if type(fk_values) in (list, tuple) and len(fk_values) == q:
+            canonical = [v for v in fk_values if type(v) is np.ndarray
+                         and v.dtype == np.int64 and v.shape == (n,)]
+            if len(canonical) == q:     # nothing to coerce or check
+                return canonical
         if isinstance(fk_values, dict):
             arrays = []
             for dim in self.resolved.dimensions:

@@ -308,3 +308,239 @@ class TestWorkConservingLinger:
         snapshot = registry.snapshot()
         assert snapshot.value("repro_batch_close_total", reason="rows") == 1
         assert snapshot.value("repro_batch_close_total", reason="quiet") == 0
+
+
+def wait_until(predicate, timeout=5.0):
+    deadline = time.perf_counter() + timeout
+    while not predicate():
+        assert time.perf_counter() < deadline, "timed out"
+        time.sleep(0.0005)
+
+
+class TestScriptedLingers:
+    """Each schedule closes with the reason and the batch that the rule
+    in docs/tuning.md, "How a linger ends", gives — and when it gives.
+    Stamps are set directly, relative to the call; a request stamped
+    in the past is queued before the call, any other is put at its
+    stamp by a producer thread."""
+
+    # name: (stamps ms, rows per request, max_rows, max_wait s,
+    #        close() at ms, reason, requests, closes at ms, before ms)
+    CASES = {
+        "a burst": (
+            range(-8, 0), 1, 10**6, 5.0, None, "quiet", 8, 3, 500,
+        ),
+        "steady arrivals": (
+            range(0, 50, 5), 1, 10**6, 5.0, None, "quiet", 10, 65, 500,
+        ),
+        # 0 and 10 put the quiet point at 50; 11 pulls it to 33.
+        "an arrival pulls the quiet point earlier": (
+            (0, 10, 11), 1, 10**6, 5.0, None, "quiet", 3, 33, 50,
+        ),
+        # A stale first stamp puts the quiet point past max_wait, so
+        # only the row cap can end the linger before it.
+        "the row cap": (
+            (-5000, 10), 4, 8, 1.0, None, "rows", 2, 10, 500,
+        ),
+        "a lone request": (
+            (0,), 1, 10**6, 0.2, None, "deadline", 1, 200, 700,
+        ),
+        "close() during a linger": (
+            (0,), 1, 10**6, 5.0, 20, "closed", 1, 20, 500,
+        ),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_closes_as_the_rule_says(self, name):
+        (stamps, rows, max_rows, max_wait, close_at, reason, count,
+         closes_at, before) = self.CASES[name]
+        # A producer the host stalled says nothing about the rule:
+        # draw again.
+        for _ in range(5):
+            queue = RequestQueue(64)
+            start = time.perf_counter()
+            requests = [a_request(rows=rows) for _ in stamps]
+            for request, stamp in zip(requests, stamps):
+                request.enqueued_at = start + stamp / 1000
+            lateness = []
+
+            def produce():
+                for request in requests:
+                    delay = request.enqueued_at - time.perf_counter()
+                    if delay > 0:
+                        time.sleep(delay)
+                    queue.put(request)
+                    lateness.append(
+                        time.perf_counter() - max(request.enqueued_at, start)
+                    )
+
+            past = sum(stamp <= 0 for stamp in stamps)
+            for request in requests[:past]:
+                queue.put(request)
+            requests = requests[past:]
+            producer = threading.Thread(target=produce)
+            producer.start()
+            if close_at is not None:
+                closer = threading.Timer(
+                    start + close_at / 1000 - time.perf_counter(), queue.close
+                )
+                closer.start()
+            batch = queue.take_batch(max_rows=max_rows, max_wait=max_wait)
+            returned = (time.perf_counter() - start) * 1000
+            producer.join(5.0)
+            assert not producer.is_alive()
+            if close_at is not None:
+                closer.join(5.0)
+            if max(lateness, default=0.0) < 0.005:
+                break
+        else:
+            pytest.skip("host too noisy to pace the schedule")
+        assert len(batch) == count
+        assert all(request.rows == rows for request in batch)
+        assert TestWorkConservingLinger.closed_by(queue) == {reason: 1}
+        assert closes_at <= returned < before
+
+
+class CountingCondition(threading.Condition):
+    """A condition that records which thread each ``wait`` returned to."""
+
+    def __init__(self, lock):
+        super().__init__(lock)
+        self.returns = []
+
+    def wait(self, timeout=None):
+        try:
+            return super().wait(timeout)
+        finally:
+            self.returns.append(threading.get_ident())
+
+
+class TestWakeUps:
+    """A put wakes one worker at most: the one lingering on its key,
+    only when the arrival changes that worker's decision, or else one
+    idle worker."""
+
+    @staticmethod
+    def consumers(queue, count, max_rows, max_wait):
+        """``count`` threads each taking one batch; ``join()`` returns
+        ``{thread ident: batch}``."""
+        taken = {}
+
+        def consume():
+            batch = queue.take_batch(max_rows=max_rows, max_wait=max_wait)
+            taken[threading.get_ident()] = batch
+
+        threads = [
+            threading.Thread(target=consume, daemon=True)
+            for _ in range(count)
+        ]
+        for thread in threads:
+            thread.start()
+
+        def join():
+            for thread in threads:
+                thread.join(10.0)
+                assert not thread.is_alive()
+            return taken
+
+        return taken, join
+
+    @staticmethod
+    def idle(queue, waiting):
+        # Condition._waiters: the threads blocked in wait() right now.
+        wait_until(lambda: len(queue._not_empty._waiters) == waiting)
+
+    def test_same_key_puts_leave_the_idle_consumer_asleep(self):
+        queue = RequestQueue(64)
+        queue._not_empty = counting = CountingCondition(queue._lock)
+        taken, join = self.consumers(queue, 2, 10**6, 5.0)
+        self.idle(queue, 2)
+        queue.put(a_request(rows=1))
+        wait_until(lambda: queue.depth == 0)    # claimed: lingering
+        (lingerer,) = counting.returns
+        for _ in range(10):
+            queue.put(a_request(rows=1))
+            time.sleep(0.001)
+        wait_until(lambda: lingerer in taken)
+        assert len(taken[lingerer]) == 11
+        # Asleep all along: not one wait() returned to the other.
+        assert counting.returns == [lingerer]
+        queue.close()
+        batches = join()
+        assert [batch for ident, batch in batches.items()
+                if ident != lingerer] == [None]
+
+    def test_another_key_is_taken_inside_the_linger(self):
+        queue = RequestQueue(64)
+        taken, join = self.consumers(queue, 2, 4, 5.0)
+        self.idle(queue, 2)
+        queue.put(a_request("a", rows=1))
+        wait_until(lambda: queue.depth == 0)    # claimed: lingering
+        tick = time.perf_counter()
+        other = a_request("b", rows=4)      # fills the row cap at once
+        queue.put(other)
+        wait_until(lambda: [other] in taken.values(), timeout=10.0)
+        assert time.perf_counter() - tick < 0.5     # max_wait is 5 s
+        assert len(taken) == 1
+        queue.close()
+        batches = join()
+        assert sorted(len(batch) for batch in batches.values()) == [1, 1]
+        assert TestWorkConservingLinger.closed_by(queue) == {
+            "rows": 1, "closed": 1,
+        }
+
+    def test_two_lingerers_each_coalesce_their_own_key(self):
+        # Stamps half a second apart keep both quiet points past
+        # max_wait: each linger ends at its deadline with all its puts.
+        queue = RequestQueue(64)
+        taken, join = self.consumers(queue, 2, 10**6, 0.3)
+        self.idle(queue, 2)
+        start = time.perf_counter()
+        puts = {"a": [], "b": []}
+        for i in range(6):
+            for name in ("a", "b"):
+                request = a_request(name, rows=1)
+                request.enqueued_at = start + 0.5 * i
+                queue.put(request)
+                puts[name].append(request)
+                if i == 0:      # claimed: one consumer lingers per key
+                    wait_until(lambda: queue.depth == 0)
+        batches = sorted(join().values(), key=lambda b: b[0].batch_key)
+        assert batches == [puts["a"], puts["b"]]
+        assert TestWorkConservingLinger.closed_by(queue) == {"deadline": 2}
+
+    def test_an_idle_consumer_leaves_a_lingered_key_alone(self):
+        # The first stamp is stale, so the second arrival moves no
+        # quiet point before max_wait: the lingerer sleeps on, and the
+        # idle consumer, woken for "b", must not claim the queued "a".
+        queue = RequestQueue(64)
+        taken, join = self.consumers(queue, 2, 4, 5.0)
+        self.idle(queue, 2)
+        first, second = a_request("a", rows=1), a_request("a", rows=1)
+        first.enqueued_at -= 30.0
+        queue.put(first)
+        wait_until(lambda: queue.depth == 0)    # claimed: lingering
+        queue.put(second)
+        other = a_request("b", rows=4)
+        queue.put(other)
+        wait_until(lambda: [other] in taken.values())
+        assert queue.depth == 1                 # "a" waits for its lingerer
+        queue.close()
+        assert sorted(join().values(), key=len) == [[other], [first, second]]
+
+    def test_a_lingerer_leaving_requests_behind_wakes_an_idle_consumer(self):
+        queue = RequestQueue(64)
+        taken, join = self.consumers(queue, 2, 3, 5.0)
+        self.idle(queue, 2)
+        requests = [a_request(rows=rows) for rows in (1, 2, 1)]
+        requests[0].enqueued_at -= 30.0         # no quiet point before 5 s
+        queue.put(requests[0])
+        wait_until(lambda: queue.depth == 0)    # claimed: lingering
+        queue.put(requests[1])                  # fills the cap of 3 rows
+        queue.put(requests[2])                  # one too many
+        wait_until(lambda: requests[:2] in taken.values())
+        wait_until(lambda: queue.depth == 0)    # the other consumer's now
+        queue.close()
+        assert sorted(join().values(), key=len) == [
+            requests[2:], requests[:2],
+        ]

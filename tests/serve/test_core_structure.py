@@ -12,8 +12,9 @@ the partial-cache stack underneath (``TestOneCacheStack``), its one
 memory bound (``TestOneMemoryBound``) and its one lock per cache
 (``TestOneLockPerCache``), the cost model both choosers
 call (``TestOneCostModel``), the mixture
-E-step serving, maintenance and training share (``TestOneEStep``) and
-the update → flush → cold-miss path (``TestAnUpdateCostsWhatItTouches``).
+E-step serving, maintenance and training share (``TestOneEStep``),
+the update → flush → cold-miss path (``TestAnUpdateCostsWhatItTouches``)
+and the request queue's one wake-up per arrival (``TestTargetedWakeUps``).
 """
 
 import ast
@@ -665,6 +666,15 @@ class TestAnUpdateCostsWhatItTouches:
             "linalg/groupsum.py", "serve/partials.py",
         }
         assert "codes_for_keys" not in _names(tree)
+
+
+class TestTargetedWakeUps:
+    """An arrival wakes one worker at most — the one lingering on its
+    key, or one idle worker — never every thread blocked on the queue."""
+
+    def test_put_calls_no_notify_all(self):
+        put = _method(SRC_ROOT / "runtime" / "queue.py", "RequestQueue", "put")
+        assert "notify_all" not in _names(put)
 
 
 class TestBenchmarkHooksLand:

@@ -7,13 +7,16 @@
 Runs ``runtime_thread_window``'s shape — 64 requests of 1 / 4 / 16 rows
 outstanding against 2 workers, ``max_wait_ms=2.0`` — three times over:
 bare (window wall against ``time.process_time()``: the difference is
-idle, the time every thread spent waiting), with timers around the
+idle, the time every thread spent waiting; and that CPU split between
+the submitting thread and the dispatcher threads), with timers around the
 per-request calls (a batch timeline and µs per request), and under
-cProfile (the submitting thread, and each worker through a wrapped
-``_worker_loop``).  The timers and cProfile tax Python calls, not native
-work: their tables say where to look; only the bare window says how long.
-With ``--executor process`` the CPU is the parent's alone and ``execute``
-includes the wait for the worker processes.
+cProfile (the submitting thread, and each dispatcher through a wrapped
+``_worker_loop``).  cProfile is per thread, so the dispatchers can only be
+profiled from their start: that pass runs on a second runtime, and the
+first one runs no profiler at all.  The timers and cProfile tax Python
+calls, not native work: their tables say where to look; only the bare
+window says how long.  With ``--executor process`` the CPU is the
+parent's alone and ``execute`` includes the wait for the worker processes.
 """
 
 from __future__ import annotations
@@ -30,26 +33,36 @@ from concurrent.futures import Future
 from unittest import mock
 
 import numpy as np
+from profile_fit import SHAPES
 
 import repro
 from repro.runtime.queue import RequestQueue
 from repro.runtime.service import ServingRuntime
 from repro.serve.core import RegisteredModel
 
-# Copied from benchmarks/e2e/workloads.SHAPES["full"] / STAR3 and its TRAIN_* /
-# SERVE_* configs: n_s, d_s, (rows, width) per dimension, EM iterations, NN (n_h, epochs).
-STAR3 = (100_000, 5, ((20_000, 15), (500, 10)), 2, (64, 1))
-# ... and SHAPES["full"]["runtime_thread_window"] / _Runtime.setup.
+STAR3 = SHAPES["star3"]
+# Copied from benchmarks/e2e/workloads.SHAPES["full"]["runtime_thread_window"]
+# / _Runtime.setup.
 SIZES, OUTSTANDING, REQUESTS = (1, 4, 16), 64, 2500
 RUNTIME = dict(num_workers=2, max_wait_ms=2.0)
 TIMELINE = 20               # batches shown
 
 
-def window(runtime, requests) -> tuple[float, float]:
-    """One closed-loop window; wall and process-CPU seconds."""
+def clocks(runtime) -> tuple[float, float, float, float]:
+    """Wall, process CPU, this thread's CPU and the dispatchers' CPU (s)."""
+    dispatchers = sum(
+        time.clock_gettime(time.pthread_getcpuclockid(thread.ident))
+        for thread in runtime._workers
+    )
+    return time.perf_counter(), time.process_time(), time.thread_time(), dispatchers
+
+
+def window(runtime, requests) -> tuple[float, float, float, float]:
+    """One closed-loop window submitted from this thread; the seconds of
+    :func:`clocks` it took."""
     slots = threading.Semaphore(OUTSTANDING)
     futures = []
-    wall, cpu = time.perf_counter(), time.process_time()
+    start = clocks(runtime)
     for x, fks in requests:
         slots.acquire()
         future = runtime.submit("nn", x, fks)
@@ -57,7 +70,7 @@ def window(runtime, requests) -> tuple[float, float]:
         futures.append(future)
     for future in futures:
         future.result(60.0)
-    return time.perf_counter() - wall, time.process_time() - cpu
+    return tuple(end - begin for begin, end in zip(start, clocks(runtime)))
 
 
 def timed(owner, name, totals):
@@ -98,11 +111,15 @@ def report(runtime, requests) -> None:
     """The bare window, then the same window with the timers on."""
     rows = sum(x.shape[0] for x, _ in requests)
     before = runtime.runtime_stats()
-    wall, cpu = window(runtime, requests)
+    wall, cpu, submitter, dispatchers = window(runtime, requests)
     after = runtime.runtime_stats()
     batches = after.batches - before.batches
     print(f"window: wall {wall:.3f} s, process CPU {cpu:.3f} s, "
           f"idle {max(0.0, 1 - cpu / wall):.0%}; {rows / wall:,.0f} rows/s")
+    for name, seconds in (("submitter thread", submitter),
+                          (f"{len(runtime._workers)} dispatcher thread(s)", dispatchers)):
+        print(f"CPU, {name}: {seconds:.3f} s, "
+              f"{seconds / len(requests) * 1e6:.1f} µs per request")
     closed = {reason: count - before.batch_close_reasons[reason]
               for reason, count in after.batch_close_reasons.items()}
     print(f"batches: {batches}, mean rows {rows / batches:.0f}, closed by {closed}")
@@ -118,7 +135,7 @@ def report(runtime, requests) -> None:
         for owner, name, _ in timers:
             patched.enter_context(timed(owner, name, totals))
         start = time.perf_counter()
-        wall, cpu = window(runtime, requests)
+        wall, cpu, _, _ = window(runtime, requests)
     print(f"\nfirst {TIMELINE} batches, ms from the window's start "
           f"(timers on: wall {wall:.3f} s)")
     print("requests first-stamp last-stamp take_batch-returns execute-ends")
@@ -168,16 +185,24 @@ def main(argv=None) -> None:
     with repro.Database() as db:
         spec = repro.generate_star(db, config).spec
         nn = repro.fit_nn(db, spec, hidden_sizes=(hidden,), epochs=epochs)
-        with mock.patch.object(ServingRuntime, "_worker_loop", profiled_loop), \
-                repro.serve_runtime(db, executor=args.executor, **RUNTIME) as runtime:
-            runtime.register_nn("nn", nn, spec)
-            rids = np.arange(dim_rows[0])           # every RID warm, as the bench's
-            for part in np.array_split(rids, max(1, rids.size // 2048)):
-                runtime.predict("nn", np.zeros((part.size, d_s)),
-                                [part % n for n in dim_rows], timeout=60.0)
-            window(runtime, requests)
+
+        @contextlib.contextmanager
+        def warm_runtime():
+            """A runtime with every RID warm, as the bench's, and one window run."""
+            with repro.serve_runtime(db, executor=args.executor, **RUNTIME) as runtime:
+                runtime.register_nn("nn", nn, spec)
+                rids = np.arange(dim_rows[0])
+                for part in np.array_split(rids, max(1, rids.size // 2048)):
+                    runtime.predict("nn", np.zeros((part.size, d_s)),
+                                    [part % n for n in dim_rows], timeout=60.0)
+                window(runtime, requests)
+                yield runtime
+
+        with warm_runtime() as runtime:
             report(runtime, requests)
-            for profiler in profilers:              # idle workers: drop the above
+        with mock.patch.object(ServingRuntime, "_worker_loop", profiled_loop), \
+                warm_runtime() as runtime:
+            for profiler in profilers:              # the warm-up: drop it
                 profiler.clear()
             submitter = cProfile.Profile()
             submitter.runcall(window, runtime, requests)
