@@ -129,9 +129,8 @@ def main() -> None:
         # once into a DedupPlan that the cost-model planner and the
         # chosen predictor both consume, and dimension-row updates
         # (db.update_rows) evict the affected cached partials
-        # automatically.  Zipf-skewed traffic can pass
-        # cache_admission="tinylfu" to keep one-hit wonders from
-        # evicting hot partials.  See
+        # automatically; under a memory_budget the least recently used
+        # partials are evicted first.  See
         # examples/concurrent_serving_demo.py for a multi-client run.
         with repro.serve_runtime(db, num_workers=4) as runtime:
             runtime.register_nn("ratings", nn, star.spec)

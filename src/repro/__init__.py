@@ -78,15 +78,12 @@ Cache-sharing semantics: sharing keys on a digest of the model
 parameters entering the partial computation plus the dimension
 relation, so only bit-identical partials ever share; predictions are
 unchanged.  Invalidation by one sharer evicts for all.  A service
-that wants isolation passes its own ``PartialStore``.  Zipf-skewed FK
-traffic can additionally enable TinyLFU (``cache_admission="tinylfu"``):
-a count-min frequency sketch ranks the governor's victims, so one-hit
-wonders are evicted before hot partials.
+that wants isolation passes its own ``PartialStore``.
 
 Memory is governed store-wide, not per cache: ``serve(db,
 memory_budget=BYTES)`` / ``serve_runtime(db, memory_budget=BYTES)``
 cap the *total* resident partials across every registered model, and
-the store evicts the globally coldest rows across cache
+the store evicts the globally least recently used rows across cache
 boundaries under pressure — multi-model deployments degrade to
 recomputation at bit-exact outputs instead of growing without bound.
 The buffer pool underneath overlaps concurrent cold page reads behind
@@ -95,7 +92,7 @@ per-page in-flight guards while invalidation stays race-free.
 Start with ``README.md`` for a quickstart and the package map;
 ``docs/architecture.md`` maps the paper's sections onto the modules
 and walks one request through the runtime; ``docs/operations.md``
-covers cache sizing, admission, invalidation, and every stats field;
+covers cache sizing, eviction, invalidation, and every stats field;
 ``docs/tuning.md`` turns schema numbers into memory budgets.
 """
 
@@ -141,7 +138,6 @@ from repro.fx.costs import (
 )
 from repro.fx.dedup import DedupCounter, DedupPlan, distinct_values
 from repro.fx.sharding import ShardedPartialCache
-from repro.fx.sketch import FrequencySketch
 from repro.fx.store import PartialStore, StoreStats
 from repro.gmm.base import EMConfig
 from repro.gmm.model import GaussianMixtureModel, GMMParams
@@ -200,7 +196,6 @@ __all__ = [
     "DimensionSpec",
     "EMConfig",
     "FACTORIZED",
-    "FrequencySketch",
     "FactorizedGMMPredictor",
     "FactorizedNNPredictor",
     "GMMParams",

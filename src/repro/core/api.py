@@ -396,8 +396,8 @@ def serve(
     Factorized models draw their partial caches from a shared
     :class:`~repro.fx.store.PartialStore` — models with
     value-identical partials over the same join reuse one cache; pass
-    ``store`` to share it across services (or to pick a TinyLFU
-    admission policy).  ``memory_budget`` (bytes) installs a
+    ``store`` to share it across services.  ``memory_budget`` (bytes)
+    installs a
     store-wide cap on resident partials across *all* registered
     models, enforced by cross-cache eviction of the globally coldest
     rows (mutually exclusive with ``store`` — put ``capacity_floats``
@@ -429,7 +429,6 @@ def serve_runtime(
     max_batch_rows: int = 2048,
     max_wait_ms: float = 2.0,
     queue_depth: int = 1024,
-    cache_admission: str = "lru",
     memory_budget: int | None = None,
     store_tiers: tuple = (),
     block_pages: int = DEFAULT_BLOCK_PAGES,
@@ -460,11 +459,10 @@ def serve_runtime(
     has the selection
     guidance.  Caches come from a
     shared :class:`~repro.fx.store.PartialStore`: fingerprint-identical
-    models reuse one cache,
-    ``cache_admission="tinylfu"`` ranks the governor's victims by a
-    frequency sketch for Zipf-skewed FK traffic, and ``memory_budget`` (bytes) caps the
+    models reuse one cache, and ``memory_budget`` (bytes) caps the
     total resident partials across every registered model — the store
-    cross-cache-evicts the globally coldest rows under pressure, so a
+    cross-cache-evicts the globally least recently used rows under
+    pressure, so a
     multi-model deployment stays inside one honest bound instead of
     each model believing its own (``docs/tuning.md`` has the sizing
     arithmetic).  ``store_tiers`` (requires ``memory_budget``) turns
@@ -496,7 +494,6 @@ def serve_runtime(
             max_batch_rows=max_batch_rows,
             max_wait_ms=max_wait_ms,
             queue_depth=queue_depth,
-            cache_admission=cache_admission,
             memory_budget=memory_budget,
             store_tiers=store_tiers,
             block_pages=block_pages,

@@ -30,12 +30,10 @@ once and shared by training, serving, and the concurrent runtime:
   the counts to ``algorithm="auto"`` and the verdict to the runtime's
   batch planner, and the page-level training I/O model
   (:class:`TrainingPageProfile`); ``"auto"`` trains the arm whose
-  counts, pages and join blocks predict the fewest seconds;
-* :mod:`repro.fx.sketch` — the count-min frequency sketch behind the
-  TinyLFU cache policy (the governor's victim rank).
+  counts, pages and join blocks predict the fewest seconds.
 
 Exports resolve lazily (PEP 562): the execution core sits *below* the
-serving layer in some modules (``serve.cache`` uses the sketch) and
+serving layer in some modules (``serve.cache`` uses the tiers) and
 *above* it in others (the store hands out caches to predictors), so an
 eager ``__init__`` would re-enter itself during bootstrap.
 """
@@ -57,7 +55,6 @@ _EXPORTS = {
     "distinct_partials": "repro.fx.gather",
     "gather_partials": "repro.fx.gather",
     "ShardedPartialCache": "repro.fx.sharding",
-    "FrequencySketch": "repro.fx.sketch",
     "PartialStore": "repro.fx.store",
     "StoreStats": "repro.fx.store",
 }

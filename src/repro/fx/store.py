@@ -29,10 +29,8 @@ governor is the only thing that evicts.  Enforcement is cross-cache:
 each access is stamped by a shared
 :class:`~repro.serve.cache.AccessClock`, and whenever an insert pushes
 the store over budget the governor (:meth:`enforce_budget`) evicts the
-globally coldest entries — oldest tick first under ``"lru"``
-admission; under ``"tinylfu"`` the lowest sketch frequency
-(tick-tie-broken) among each cache's LRU-tail sample — regardless of
-which cache they live in.  A hot fingerprint therefore naturally takes
+globally coldest entries — oldest tick first — regardless of which
+cache they live in.  A hot fingerprint therefore naturally takes
 share from a cold one instead of each being boxed into a static
 slice.
 
@@ -80,14 +78,7 @@ import numpy as np
 from repro.errors import ModelError
 from repro.fx.sharding import ShardedPartialCache
 from repro.fx.tiers import TIER_SPILL, validate_tiers
-from repro.serve.cache import (
-    ADMISSION_POLICIES,
-    LRU_ADMISSION,
-    AccessClock,
-    CacheStats,
-    Residency,
-    add_fields,
-)
+from repro.serve.cache import AccessClock, CacheStats, Residency, add_fields
 
 
 @dataclass(frozen=True)
@@ -171,8 +162,8 @@ class _Entry:
 class PartialStore:
     """Fingerprint-keyed registry of shared, globally budgeted caches.
 
-    ``admission`` and ``tiers`` apply to every cache the store
-    creates.  ``capacity_floats`` is the global budget across all
+    ``tiers`` applies to every cache the store creates.
+    ``capacity_floats`` is the global budget across all
     fingerprints, enforced by cross-cache eviction (see the module
     docstring) — the one memory bound there is.  All bookkeeping is
     thread-safe — the runtime registers models while traffic is live.
@@ -183,7 +174,6 @@ class PartialStore:
     def __init__(
         self,
         *,
-        admission: str = LRU_ADMISSION,
         capacity_floats: int | None = None,
         allocator=None,
         header=None,
@@ -191,11 +181,6 @@ class PartialStore:
         tiers=(),
         hysteresis: float = 1.0,
     ) -> None:
-        if admission not in ADMISSION_POLICIES:
-            raise ModelError(
-                f"unknown admission policy {admission!r}; use one of "
-                f"{list(ADMISSION_POLICIES)}"
-            )
         if capacity_floats is not None and capacity_floats <= 0:
             raise ModelError(
                 f"store capacity_floats must be positive or None, "
@@ -205,7 +190,6 @@ class PartialStore:
             raise ModelError(
                 f"hysteresis must lie in (0, 1], got {hysteresis}"
             )
-        self.admission = admission
         self.capacity_floats = capacity_floats
         # The demotion ladder new caches walk under budget pressure
         # (see repro.fx.tiers); () keeps the drop-on-evict behavior.
@@ -258,7 +242,6 @@ class PartialStore:
                 return entry.cache
             governed = self._armed
             cache = ShardedPartialCache(
-                admission=self.admission,
                 # Tick stamping costs one shared-clock acquire per
                 # get_many plus per-key tick writes; only governed
                 # stores ever read the ticks, so ungoverned ones skip
@@ -365,11 +348,8 @@ class PartialStore:
 
         Called by every governed cache at the end of ``get_many`` (with
         no cache lock held); safe to call manually.  Returns the number
-        of rows evicted.  Victims are chosen across *all* caches by
-        ``(frequency, tick)`` rank — pure global LRU under ``"lru"``
-        admission; least-frequent-then-oldest over each cache's
-        LRU-tail sample under ``"tinylfu"`` (see
-        :meth:`PartialCache.eviction_candidates
+        of rows evicted.  Victims are chosen across *all* caches,
+        oldest tick first (see :meth:`PartialCache.eviction_candidates
         <repro.serve.cache.PartialCache.eviction_candidates>`).
         """
         if self.capacity_floats is None:
@@ -396,11 +376,10 @@ class PartialStore:
     def _sweep(self, deficit_floats: int) -> tuple[int, int]:
         """One candidate-pool pass: every cache offers its
         deficit-covering coldest rows as arrays, the pool is ordered by
-        global rank — ``(frequency, tick)``, ties broken
-        demoted-before-resident, then by recency within a cache, caches
-        in registry order — cut where the cumulative freed charge
-        covers ``deficit_floats``, and each cache evicts its share in
-        one call.  Returns ``(rows evicted, floats freed)``; ``(0, 0)``
+        tick — ties broken demoted-before-resident, then by recency
+        within a cache, caches in registry order — cut where the
+        cumulative freed charge covers ``deficit_floats``, and each
+        cache evicts its share in one call.  Returns ``(rows evicted, floats freed)``; ``(0, 0)``
         means nothing was evictable (only spilled rows, or raced away
         between scan and evict — callers re-check and converge later).
         """
@@ -411,13 +390,13 @@ class PartialStore:
         ]
         if not offers:
             return 0, 0
-        keys, ticks, frequencies, frees = map(np.concatenate, zip(*offers))
+        keys, ticks, frees = map(np.concatenate, zip(*offers))
         owner = np.repeat(
             np.arange(len(caches)), [offer[0].size for offer in offers]
         )
-        # lexsort is stable, so equal ranks keep the pool's order: each
+        # A stable sort, so equal ticks keep the pool's order: each
         # cache lists demoted rows first, then residents oldest first.
-        rank = np.lexsort((ticks, frequencies))
+        rank = np.argsort(ticks, kind="stable")
         cut = np.searchsorted(np.cumsum(frees[rank]), deficit_floats) + 1
         # One grouping of the victims by cache, each group in rank order.
         victims = rank[:cut]

@@ -92,7 +92,6 @@ class _Worker:
             # TRIMs over the headers); armed just turns on the recency
             # clock so trims have an eviction order to follow.
             armed=config.memory_budget is not None,
-            admission=config.cache_admission,
             # Per-worker demotion ladder; each worker store owns its
             # own spill directory (created lazily, removed on close).
             tiers=config.store_tiers,

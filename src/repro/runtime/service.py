@@ -30,11 +30,10 @@ into a serving tier:
   a :class:`~repro.fx.dedup.DedupPlan` consumed by planner and
   predictor alike, and all partial caches come from the executor's
   shared :class:`~repro.fx.store.PartialStore` — fingerprint-identical
-  models reuse one cache, optionally with TinyLFU victim ranking
-  (``cache_admission="tinylfu"``), and an optional
-  ``memory_budget`` (bytes) makes the store evict the globally
-  coldest partials across every model's caches so the whole runtime's
-  partial residency stays bounded under multi-model pressure.
+  models reuse one cache, and an optional ``memory_budget`` (bytes)
+  makes the store evict the globally least recently used partials
+  across every model's caches so the whole runtime's partial
+  residency stays bounded under multi-model pressure.
 
 The runtime also subscribes to the catalog's
 :class:`~repro.storage.events.RowVersionEvent` stream: an in-place
@@ -75,7 +74,7 @@ from repro.obs.metrics import (
 )
 from repro.runtime.planner import PlannerStats
 from repro.runtime.queue import Request, RequestQueue
-from repro.serve.cache import LRU_ADMISSION, CacheStats
+from repro.serve.cache import CacheStats
 from repro.serve.core import (
     ADAPTIVE,
     RegisteredModel,
@@ -95,11 +94,7 @@ PROCESS_EXECUTOR = "process"
 def _thread_executor(db, config):
     """The core itself, called from ``num_workers`` dispatcher threads
     over one store whose caches each serialize on their own lock."""
-    store = budgeted_store(
-        config.memory_budget,
-        admission=config.cache_admission,
-        tiers=config.store_tiers,
-    )
+    store = budgeted_store(config.memory_budget, tiers=config.store_tiers)
     core = ServingCore(db, store, block_pages=config.block_pages)
     return core, config.num_workers
 
@@ -165,7 +160,6 @@ class RuntimeConfig:
     max_batch_rows: int = 2048
     max_wait_ms: float = 2.0
     queue_depth: int = 1024
-    cache_admission: str = LRU_ADMISSION   # "lru" | "tinylfu"
     memory_budget: int | None = None       # bytes across all models
     store_tiers: tuple = ()                # demotion ladder, e.g.
                                            # ("float32", "spill")

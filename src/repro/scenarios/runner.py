@@ -251,7 +251,6 @@ class ScenarioRunner:
             max_batch_rows=spec.runtime.max_batch_rows,
             max_wait_ms=spec.runtime.max_wait_ms,
             queue_depth=spec.runtime.queue_depth,
-            cache_admission=spec.runtime.admission,
             memory_budget=spec.runtime.memory_budget,
             store_tiers=spec.runtime.store_tiers,
             executor=spec.runtime.executor,

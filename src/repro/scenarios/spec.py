@@ -28,7 +28,6 @@ from repro.data.synthetic import DimensionSpec, StarSchemaConfig
 from repro.errors import ModelError
 from repro.fx.tiers import validate_tiers
 from repro.scenarios.assertions import AssertionSpec, parse_assertions
-from repro.serve.cache import ADMISSION_POLICIES
 
 MAX_SKEW = 4.0
 
@@ -155,7 +154,6 @@ class RuntimeSpec:
     max_batch_rows: int = 2048
     max_wait_ms: float = 1.0
     queue_depth: int = 1024
-    admission: str = "lru"
     memory_budget: int | None = None       # bytes, None = unbounded
     store_tiers: tuple = ()                # demotion ladder, () = drop
     executor: str = "thread"               # "thread" | "process"
@@ -166,16 +164,10 @@ class RuntimeSpec:
             raw,
             {
                 "workers", "max_batch_rows", "max_wait_ms", "queue_depth",
-                "admission", "memory_budget", "store_tiers", "executor",
+                "memory_budget", "store_tiers", "executor",
             },
             where,
         )
-        admission = raw.get("admission", "lru")
-        if admission not in ADMISSION_POLICIES:
-            raise ModelError(
-                f"{where}.admission must be one of "
-                f"{sorted(ADMISSION_POLICIES)}, got {admission!r}"
-            )
         max_wait_ms = raw.get("max_wait_ms", 1.0)
         if not isinstance(max_wait_ms, (int, float)) or max_wait_ms < 0:
             raise ModelError(
@@ -210,7 +202,6 @@ class RuntimeSpec:
             queue_depth=_positive_int(
                 raw.get("queue_depth", 1024), f"{where}.queue_depth"
             ),
-            admission=admission,
             memory_budget=memory_budget,
             store_tiers=store_tiers,
             executor=executor,

@@ -15,9 +15,8 @@ Layers (the execution core underneath is :mod:`repro.fx`):
 * :mod:`~repro.serve.partials` — per-RID partial results and keyed
   dimension-row lookups;
 * :mod:`~repro.serve.cache` — the partial-row cache, under one lock: no
-  bound of its own (the store-wide budget's governor evicts, ranking
-  victims LRU or TinyLFU), invalidation hooks for dimension-row
-  updates;
+  bound of its own (the store-wide budget's governor evicts, least
+  recently used first), invalidation hooks for dimension-row updates;
 * :mod:`~repro.serve.predictor` — exact factorized / materialized
   predictors per model family; factorized predictors draw their
   caches from a shared :class:`~repro.fx.store.PartialStore`, so
@@ -35,7 +34,7 @@ Layers (the execution core underneath is :mod:`repro.fx`):
 The inference-side operation counts the planner charges batches with
 are the ``"serve"`` rows of :mod:`repro.fx.costs`.
 
-Sizing, admission and invalidation semantics are documented in
+Sizing, eviction and invalidation semantics are documented in
 ``docs/operations.md``; the concurrent tier on top is
 :mod:`repro.runtime`.
 """

@@ -20,14 +20,8 @@ A cache has no bound of its own: every computed row is admitted, and
 memory is bounded by the owning :class:`~repro.fx.store.PartialStore`'s
 store-wide budget (``capacity_floats``, in float64 values — the honest
 unit when partial rows have very different widths across models),
-whose governor is the only thing that evicts.  Two policies rank its
-victims:
-
-* ``"lru"`` (default) — the globally least recently used rows go first;
-* ``"tinylfu"`` — for Zipf-skewed FK traffic: a small count-min sketch
-  (:class:`~repro.fx.sketch.FrequencySketch`) tracks approximate
-  access counts, and the least-frequent rows among each cache's
-  LRU tail go first, so one-hit wonders stop displacing hot partials.
+whose governor is the only thing that evicts — the globally least
+recently used rows first.
 
 The cache is thread-safe: one internal lock — the only lock a cache
 has — serializes lookups, invalidations, governor evictions and
@@ -58,11 +52,8 @@ Two small hooks let the store's governor work across caches:
   recency is comparable *across* caches, not just within one LRU;
 * the victim API (:meth:`eviction_candidates` / :meth:`evict`) — each
   cache offers its coldest rows as arrays, the store's governor orders
-  the pool by ``(frequency, tick)`` (strict global LRU under
-  ``"lru"``; under ``"tinylfu"`` least-frequent-first over the
-  deficit-covering tail plus ``_TINYLFU_VICTIM_SAMPLE`` more rows per
-  cache) and each cache evicts its share in one call, counted as
-  ``cross_evictions``.
+  the pool by tick (strict global LRU) and each cache evicts its share
+  in one call, counted as ``cross_evictions``.
 """
 
 from __future__ import annotations
@@ -77,7 +68,6 @@ import numpy as np
 
 from repro.errors import ModelError
 from repro.fx.dedup import distinct_values
-from repro.fx.sketch import FrequencySketch
 from repro.fx.tiers import (
     TIER_FLOAT32,
     TIER_RESIDENT,
@@ -90,20 +80,6 @@ from repro.fx.tiers import (
 from repro.obs.trace import current_span
 
 _FLOAT_BYTES = 8
-
-LRU_ADMISSION = "lru"
-TINYLFU_ADMISSION = "tinylfu"
-ADMISSION_POLICIES = (LRU_ADMISSION, TINYLFU_ADMISSION)
-
-# Counters per row of the TinyLFU frequency sketch.
-_SKETCH_WIDTH = 1024
-
-# Under TinyLFU a cache offers the governor this many LRU-tail rows
-# beyond the ones that would cover the deficit on their own (the
-# Caffeine-style bounded sample), so the frequency rank always has a
-# choice: a hot row parked at the LRU tail cannot shield the cold rows
-# behind it, whatever the size of the sweep.
-_TINYLFU_VICTIM_SAMPLE = 8
 
 # The slab is resized by relocate-and-copy.  The first one is sized by
 # the first miss batch exactly, a full one grows to this many times its
@@ -450,11 +426,9 @@ class PartialCache:
     """Map of ``rid -> partial row`` under one lock.
 
     Every computed row is admitted; only the owning store's governor
-    evicts (module docstring).  ``admission`` selects how it ranks this
-    cache's victims: ``"lru"`` or ``"tinylfu"`` (frequency first).
-    ``clock`` — an :class:`AccessClock` shared with sibling caches —
-    opts this cache into a store-wide budget: every hit and insert is
-    stamped with a global tick so a
+    evicts (module docstring).  ``clock`` — an :class:`AccessClock`
+    shared with sibling caches — opts this cache into a store-wide
+    budget: every hit and insert is stamped with a global tick so a
     :class:`~repro.fx.store.PartialStore` governor can compare recency
     across caches and evict the globally coldest entries first.  All
     lookups go through :meth:`get_many`, which resolves hits, computes
@@ -468,21 +442,11 @@ class PartialCache:
     def __init__(
         self,
         *,
-        admission: str = LRU_ADMISSION,
         clock: AccessClock | None = None,
         allocator=None,
         tiers: tuple = (),
         spill_dir=None,
     ) -> None:
-        if admission not in ADMISSION_POLICIES:
-            raise ModelError(
-                f"unknown admission policy {admission!r}; use one of "
-                f"{list(ADMISSION_POLICIES)}"
-            )
-        self.admission = admission
-        self._sketch: FrequencySketch | None = None
-        if admission == TINYLFU_ADMISSION:
-            self._sketch = FrequencySketch(_SKETCH_WIDTH)
         self._clock = clock
         # The resident tier; with an allocator
         # (repro.fx.shm.SlabAllocator) its slab lives in shared memory,
@@ -762,11 +726,6 @@ class PartialCache:
             batch_tick = (
                 self._clock.tick() if self._clock is not None else None
             )
-            if self._sketch is not None:
-                # Every access counts toward the victims' frequency
-                # rank — hits included, or resident hot rows could
-                # never out-rank a burst of cold ones.
-                self._sketch.record(keys)
             slots, held = table.find(keys)
             if (
                 self._compressed.rows or self._spilled.rows
@@ -812,36 +771,26 @@ class PartialCache:
     def eviction_candidates(self, deficit_floats: int):
         """This cache's coldest charged rows, just enough to
         cover ``deficit_floats`` alone (the worst case: every victim
-        lives here), as parallel arrays ``(keys, ticks, frequencies,
-        frees)`` for the store's governor to pool and rank.
+        lives here), as parallel arrays ``(keys, ticks, frees)`` for
+        the store's governor to pool and rank by tick.
 
-        ``frequencies`` are the TinyLFU sketch estimates, 0 under
-        ``"lru"`` — so ``(frequency, tick)`` order degrades to pure
-        global LRU there; under ``"tinylfu"`` ``_TINYLFU_VICTIM_SAMPLE``
-        rows beyond the covering ones are offered too, so the rank has
-        rows to spare however large the deficit and a hot row at the
-        LRU tail cannot shield the cold rows right behind it.
         ``frees`` is what :meth:`evict` would free per row: its charge,
         or with tiers one rung's gain.  Compressed rows still charge
         the budget, so they are offered too, and first (they demoted
         before today's residents, so they rank colder); spilled rows
         charge nothing — never offered.
         """
-        extra = 0 if self._sketch is None else _TINYLFU_VICTIM_SAMPLE
         with self._lock:
             table, compressed = self._table, self._compressed
             width = table.width
             demoted = np.empty(0, dtype=np.intp)
-            wanted = extra
             if compressed.rows:
                 charge = float_equivalents(TIER_FLOAT32, width)
-                covering = -(-deficit_floats // charge)
-                demoted = compressed.coldest(covering + extra)
-                covering = min(covering, demoted.size)
-                deficit_floats -= covering * charge
-                wanted -= demoted.size - covering
+                demoted = compressed.coldest(-(-deficit_floats // charge))
+                deficit_floats -= demoted.size * charge
+            wanted = 0
             if deficit_floats > 0 and width:
-                wanted += -(-deficit_floats // width)
+                wanted = -(-deficit_floats // width)
             slots = table.coldest(wanted)
             keys = np.concatenate([compressed.key[demoted], table.key[slots]])
             ticks = np.concatenate(
@@ -852,9 +801,7 @@ class PartialCache:
             )
             if demoted.size:
                 frees[:demoted.size] = self._next_rung(TIER_FLOAT32, width)[1]
-            if self._sketch is None:
-                return keys, ticks, np.zeros(keys.size, dtype=np.int64), frees
-            return keys, ticks, self._sketch.estimate_many(keys), frees
+            return keys, ticks, frees
 
     def evict(self, keys: np.ndarray) -> tuple[int, int]:
         """Cross-cache-evict those of ``keys`` that are still charged,
@@ -959,8 +906,6 @@ class PartialCache:
             self._compressed.clear()
             self._compressed_floats = 0
             self._zero_counters()
-            if self._sketch is not None:
-                self._sketch.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         stats = self.stats()

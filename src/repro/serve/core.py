@@ -409,6 +409,10 @@ class ServingCore:
         block_pages: int = DEFAULT_BLOCK_PAGES,
         owns_store: bool = True,
     ) -> None:
+        if block_pages <= 0:
+            raise ModelError(
+                f"block_pages must be positive, got {block_pages}"
+            )
         self.db = db
         self.store = store
         self.block_pages = block_pages

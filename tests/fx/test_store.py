@@ -75,15 +75,6 @@ class TestConfiguration:
         a.get_many(np.array([1, 2, 3]), rows_for)
         assert len(a) == 2
 
-    def test_admission_applies_to_created_caches(self):
-        store = PartialStore(admission="tinylfu")
-        cache = store.acquire("fp-1")
-        assert cache.admission == "tinylfu"
-
-    def test_invalid_configuration_rejected(self):
-        with pytest.raises(ModelError, match="admission"):
-            PartialStore(admission="clock")
-
 
 class TestStats:
     def test_aggregates_across_caches(self):

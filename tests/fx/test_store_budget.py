@@ -12,6 +12,7 @@ from repro.core.strategies import MATERIALIZED
 from repro.errors import ModelError
 from repro.fx.store import PartialStore
 from repro.serve import core
+from repro.serve.cache import PartialCache
 from repro.serve.service import ModelService
 
 
@@ -67,32 +68,6 @@ class TestGlobalBudget:
         assert shares["fp-hot"] == 6 * 8          # fully resident
         assert shares["fp-cold"] == 2 * 8         # squeezed to the rest
 
-    def test_tinylfu_rank_prefers_low_frequency_victims(self):
-        store = PartialStore(capacity_floats=2, admission="tinylfu")
-        a = store.acquire("fp-a")
-        b = store.acquire("fp-b")
-        for _ in range(3):
-            a.get_many(np.array([1]), rows_for)   # freq 3, oldest tick
-        b.get_many(np.array([2]), rows_for)       # freq 1
-        store.acquire("fp-c").get_many(np.array([3]), rows_for)
-        # Pure LRU would evict a's key 1 (oldest tick); frequency rank
-        # protects it and takes b's one-hit wonder instead.
-        assert 1 in a
-        assert 2 not in b
-
-    def test_tinylfu_sample_sees_past_a_hot_lru_tail_row(self):
-        store = PartialStore(capacity_floats=3, admission="tinylfu")
-        a = store.acquire("fp-a")
-        for _ in range(5):
-            a.get_many(np.array([1]), rows_for)   # hot (freq 5)
-        a.get_many(np.array([2]), rows_for)
-        a.get_many(np.array([3]), rows_for)
-        # LRU order is now [1, 2, 3]: the hot row sits at the eviction
-        # end.  The bounded sample must look past it to the cold rows.
-        a.get_many(np.array([4]), rows_for)       # push over budget
-        assert 1 in a
-        assert 2 not in a                         # coldest of the rest
-
     def test_lru_rank_evicts_oldest_tick(self):
         store = PartialStore(capacity_floats=2)
         a = store.acquire("fp-a")
@@ -101,8 +76,8 @@ class TestGlobalBudget:
             a.get_many(np.array([1]), rows_for)
         b.get_many(np.array([2]), rows_for)
         store.acquire("fp-c").get_many(np.array([3]), rows_for)
-        # Without the sketch the same workload evicts by recency: a's
-        # key 1 was touched last two ticks before b's key 2.
+        # However often a's key 1 was read, the sweep goes by recency:
+        # it was touched last two ticks before b's key 2.
         assert 1 not in a
         assert 2 in b
 
@@ -153,6 +128,136 @@ class TestGlobalBudget:
         assert store.stats().cross_evictions == 0
         assert all(k in a for k in range(3, 6))
         assert all(k in b for k in range(7))
+
+
+def budgeted(floats):
+    """A cache whose only bound is a store budget of ``floats``."""
+    store = PartialStore(capacity_floats=floats)
+    return store.acquire("fp")
+
+
+class TestOneBudgetedCache:
+    def test_results_are_correct_even_when_evicted(self):
+        cache = budgeted(2)
+        out = cache.get_many(np.array([1, 2, 3, 4]), rows_for)
+        np.testing.assert_array_equal(out, rows_for([1, 2, 3, 4]))
+        assert len(cache) == 2
+
+    def test_lru_by_contrast_churns(self):
+        cache = budgeted(2)
+        for _ in range(5):
+            cache.get_many(np.array([1, 2]), rows_for)
+        for cold in range(100, 120):
+            cache.get_many(np.array([cold]), rows_for)
+        assert 1 not in cache and 2 not in cache
+
+    def test_admission_fills_spare_capacity_unconditionally(self):
+        cache = budgeted(4)
+        cache.get_many(np.array([1, 2, 3]), rows_for)
+        assert len(cache) == 3                # under budget: no sweep
+        assert cache.stats().cross_evictions == 0
+
+    def test_a_hit_outlives_an_older_untouched_row(self):
+        cache = budgeted(3)
+        cache.get_many(np.array([1, 2, 3]), rows_for)
+        cache.get_many(np.array([1]), rows_for)   # 1 is young again
+        cache.get_many(np.array([4]), rows_for)   # one over: 2 goes
+        assert 1 in cache and 3 in cache and 4 in cache
+        assert 2 not in cache
+
+    def test_one_batch_is_swept_in_the_order_it_was_inserted(self):
+        cache = budgeted(2)
+        # Every row of the batch carries the same tick; the stable
+        # rank falls back on insertion order, first come first out.
+        cache.get_many(np.array([5, 3, 9, 1]), rows_for)
+        assert cache.keys() == [9, 1]
+
+    def test_clear_frees_the_budget_and_forgets_recency(self):
+        cache = budgeted(1)
+        for _ in range(3):
+            cache.get_many(np.array([1]), rows_for)
+        cache.clear()
+        assert cache.floats_resident == 0
+        cache.get_many(np.array([1]), rows_for)
+        cache.get_many(np.array([2]), rows_for)
+        assert 2 in cache and 1 not in cache
+        assert cache.floats_resident == 1
+
+    def test_exact_rows_and_bounded_residency_under_random_traffic(self):
+        cache = budgeted(16)
+        rng = np.random.default_rng(11)
+        for _ in range(30):
+            keys = np.unique(rng.integers(0, 200, size=40))
+            np.testing.assert_array_equal(
+                cache.get_many(keys, rows_for), rows_for(keys)
+            )
+        assert cache.stats().cross_evictions > 0
+        assert cache.floats_resident <= 16
+
+    def test_the_latest_batch_stays_whole_under_skewed_traffic(self):
+        rng = np.random.default_rng(7)
+        raw = rng.zipf(1.3, size=6000) % 400
+        cache = budgeted(64)
+        for start in range(0, raw.size, 64):
+            batch = np.unique(raw[start:start + 64])
+            cache.get_many(batch, rows_for)
+            # No batch outgrows the budget, so every victim is older
+            # than the batch that forced the sweep.
+            assert all(int(key) in cache for key in batch)
+            assert cache.floats_resident <= 64
+        assert cache.stats().cross_evictions > 0
+        assert cache.stats().hit_rate > 0
+
+
+class TestVictimOffer:
+    """What one cache offers a sweep: the coldest rows that cover the
+    deficit, and no more."""
+
+    @staticmethod
+    def offered(deficit):
+        cache = PartialCache()
+        cache.get_many(np.arange(40), rows_for)     # 1 float a row
+        return cache.eviction_candidates(deficit)[0].tolist()
+
+    @pytest.mark.parametrize("deficit", [1, 8, 20])
+    def test_lru_offers_exactly_the_covering_rows(self, deficit):
+        assert self.offered(deficit) == list(range(deficit))
+
+    def test_an_offer_is_keys_ticks_and_frees_oldest_first(self):
+        cache = budgeted(100)
+        for batch in ([7, 8], [3], [5, 6]):
+            cache.get_many(np.array(batch), rows_for)
+        keys, ticks, frees = cache.eviction_candidates(5)
+        assert keys.tolist() == [7, 8, 3, 5, 6]
+        assert ticks[0] == ticks[1] < ticks[2] < ticks[3] == ticks[4]
+        assert frees.tolist() == [1] * 5
+
+    @pytest.mark.parametrize("width, deficit, rows", [(3, 7, 3), (4, 8, 2)])
+    def test_wide_rows_offer_the_fewest_that_cover(self, width, deficit, rows):
+        cache = PartialCache()
+        cache.get_many(np.arange(10), lambda k: np.ones((k.size, width)))
+        keys, _, frees = cache.eviction_candidates(deficit)
+        assert keys.tolist() == list(range(rows))
+        assert frees.tolist() == [width] * rows
+
+    def test_no_deficit_offers_nothing(self):
+        cache = PartialCache()
+        cache.get_many(np.arange(10), rows_for)
+        assert [part.size for part in cache.eviction_candidates(0)] == [0] * 3
+
+
+class TestTrim:
+    def test_trim_takes_the_oldest_ticks_across_caches(self):
+        store = PartialStore(armed=True)
+        a = store.acquire("fp-a")
+        b = store.acquire("fp-b")
+        a.get_many(np.array([0, 1]), rows_for)    # tick 1
+        b.get_many(np.array([0, 1, 2]), rows_for) # tick 2
+        a.get_many(np.array([5]), rows_for)       # tick 3
+        assert store.trim(3) == 3
+        assert a.keys() == [5]
+        assert b.keys() == [1, 2]
+        assert store.stats().cross_evictions == 3
 
 
 class TestRebudget:

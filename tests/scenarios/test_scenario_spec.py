@@ -53,6 +53,11 @@ class TestUnknownKeys:
         with pytest.raises(ModelError, match="scenario.runtime"):
             ScenarioSpec.from_dict(raw)
 
+    def test_runtime_admission_is_no_longer_a_key(self):
+        raw = base() | {"runtime": {"admission": "lru"}}
+        with pytest.raises(ModelError, match=r"unknown key.*admission"):
+            ScenarioSpec.from_dict(raw)
+
     def test_phase_level(self):
         raw = base()
         raw["phases"][0]["reqests"] = 9
@@ -97,11 +102,6 @@ class TestRanges:
 
     def test_executor_defaults_to_thread(self):
         assert ScenarioSpec.from_dict(base()).runtime.executor == "thread"
-
-    def test_bad_admission_policy(self):
-        raw = base() | {"runtime": {"admission": "clock"}}
-        with pytest.raises(ModelError, match="admission"):
-            ScenarioSpec.from_dict(raw)
 
 
 class TestCrossFieldContradictions:

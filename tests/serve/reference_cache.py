@@ -1,4 +1,4 @@
-# Test oracle, not product code: the dict / ``OrderedDict`` shard that
+# Test oracle, not product code: the dict / ``OrderedDict`` cache that
 # ``src/repro/serve/cache.py`` held up to PR 15, moved here verbatim
 # when PR 16 replaced it with the array-backed slot table.
 # ``tests/serve/test_cache_differential.py`` drives both with the same
@@ -9,8 +9,9 @@
 # ``_over_capacity``, ``_would_evict``, ``_admit``,
 # ``_evict_over_capacity`` and the row-too-wide warning — was deleted
 # with the same code in the product, once the store budget became the
-# only bound; TinyLFU's ``eviction_candidates`` offers its sample
-# beyond the covering rows, as the product's does.  Batch pins —
+# only bound.  The TinyLFU frequency sketch, its rank and its victim
+# sample went when the product's governor kept LRU as its one victim
+# order.  Batch pins —
 # ``pin`` / ``unpin``, the ``_pins`` refcounts and the pin checks in
 # the victim API — went the same way once one lock per cache made
 # them redundant.
@@ -23,12 +24,10 @@ partials for hot RIDs stay resident (the Zipf-skewed FK distributions of
 :mod:`repro.data.synthetic` make this the common case), cold RIDs are
 recomputed from the base relation on demand.
 
-A shard has no bound of its own: every computed row is admitted and
-only a store's budget governor evicts.  ``"lru"`` and ``"tinylfu"``
-(a count-min :class:`~repro.fx.sketch.FrequencySketch`) rank the
-governor's victims.
+A cache has no bound of its own: every computed row is admitted and
+only a store's budget governor evicts, least recently used first.
 
-The cache is thread-safe: one internal lock — the only lock a shard
+The cache is thread-safe: one internal lock — the only lock a cache
 has — serializes lookups, invalidations and counter reads, so
 dimension-update events arriving on an updater thread can evict safely
 while a serving thread is mid-lookup.  :meth:`PartialCache.get_many`
@@ -41,7 +40,7 @@ survive an invalidation.
 
 The cache is deliberately model-agnostic: values are flat float64 rows
 (whatever a :mod:`~repro.serve.partials` builder produced), keys are
-RIDs.  It is the *shard*: consumers never hold one directly — they get
+RIDs.  Consumers never build one directly — they get
 a :class:`~repro.fx.sharding.ShardedPartialCache` from a
 :class:`~repro.fx.store.PartialStore`.  Hit/miss/eviction counters feed the
 :class:`~repro.serve.service.ModelService` bookkeeping, mirroring how
@@ -57,11 +56,8 @@ A cache takes part in a *store-wide* budget (:class:`~repro.fx.store.PartialStor
   recency is comparable *across* caches, not just within one LRU;
 * the victim API (:meth:`eviction_candidates` /
   :meth:`evict_if_coldest`) — the store's governor pools each
-  shard's deficit-covering LRU-tail candidates and evicts in global
-  ``(frequency, tick)`` order: strict global LRU under LRU admission;
-  under TinyLFU least-frequent-first over the covering tail plus
-  ``_TINYLFU_VICTIM_SAMPLE`` entries per shard, tick-tie-broken.
-  Such evictions are counted as ``cross_evictions``.
+  cache's deficit-covering LRU-tail candidates and evicts in global
+  tick order: strict global LRU.  Such evictions are counted as ``cross_evictions``.
 """
 
 from __future__ import annotations
@@ -75,7 +71,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from repro.errors import ModelError
-from repro.fx.sketch import FrequencySketch
 from repro.fx.tiers import (
     TIER_SPILL,
     compress,
@@ -85,19 +80,6 @@ from repro.fx.tiers import (
 from repro.obs.trace import current_span
 
 _FLOAT_BYTES = 8
-
-LRU_ADMISSION = "lru"
-TINYLFU_ADMISSION = "tinylfu"
-ADMISSION_POLICIES = (LRU_ADMISSION, TINYLFU_ADMISSION)
-
-# Sketch sizing: the product's one fixed width.
-_DEFAULT_SKETCH_WIDTH = 1024
-
-# Under TinyLFU a store-budget victim is the least-frequent of this
-# many LRU-tail entries (the Caffeine-style bounded sample): a hot row
-# parked at the LRU head cannot shield the cold rows behind it, and
-# the scan stays O(sample) instead of O(entries) per eviction.
-_TINYLFU_VICTIM_SAMPLE = 8
 
 
 class AccessClock:
@@ -122,29 +104,25 @@ class AccessClock:
 
 @dataclass(frozen=True)
 class EvictionCandidate:
-    """One shard's coldest entry, as seen by the governor.
+    """One cache's coldest entry, as seen by the governor.
 
-    ``frequency`` is the TinyLFU sketch estimate when the cache runs
-    frequency-sketch admission, else 0 — so sorting candidates by
-    ``(frequency, tick)`` degrades to pure global LRU for ``"lru"``
-    caches and to least-frequent-then-oldest for ``"tinylfu"`` ones.
+    Sorting candidates by ``rank`` — the tick — is pure global LRU.
     """
 
     cache: "PartialCache"
     key: int
     tick: int
-    frequency: int = 0
 
     @property
-    def rank(self) -> tuple[int, int]:
-        return (self.frequency, self.tick)
+    def rank(self) -> int:
+        return self.tick
 
 
 class Residency(NamedTuple):
-    """What one shard — or, added up, one sharded cache or one whole
-    store — holds right now, read without taking any lock.
+    """What one cache — or, added up, one whole store — holds right
+    now, read without taking any lock.
 
-    Every field is a plain int the owning shard keeps current, so the
+    Every field is a plain int the owning cache keeps current, so the
     readers that cannot afford to contend with ``get_many`` (the
     budget governor's within-budget check, a process worker publishing
     its header row) load it directly; a torn read can only mis-size one
@@ -215,7 +193,7 @@ class CacheStats:
     over its global ``capacity_floats``), and ``invalidations`` the
     rows dropped by dimension-update events — three different causes,
     counted separately so memory pressure is never mistaken for data
-    churn.  ``+`` aggregates across shards (:func:`add_fields`).
+    churn.  ``+`` aggregates across caches (:func:`add_fields`).
     """
 
     hits: int = _counter(default=0)
@@ -277,8 +255,7 @@ class CacheStats:
 class PartialCache:
     """LRU map of ``rid -> partial row``.
 
-    ``admission`` selects the victim rank, ``"lru"`` or ``"tinylfu"``
-    (see the module docstring).  ``clock`` — an :class:`AccessClock` shared
+    ``clock`` — an :class:`AccessClock` shared
     with sibling caches — opts this cache into a store-wide budget:
     every hit and insert is stamped with a global tick so a
     :class:`~repro.fx.store.PartialStore` governor can compare recency
@@ -291,21 +268,11 @@ class PartialCache:
     def __init__(
         self,
         *,
-        admission: str = LRU_ADMISSION,
         clock: AccessClock | None = None,
         allocator=None,
         tiers: tuple = (),
         spill=None,
     ) -> None:
-        if admission not in ADMISSION_POLICIES:
-            raise ModelError(
-                f"unknown admission policy {admission!r}; use one of "
-                f"{list(ADMISSION_POLICIES)}"
-            )
-        self.admission = admission
-        self._sketch: FrequencySketch | None = None
-        if admission == TINYLFU_ADMISSION:
-            self._sketch = FrequencySketch(_DEFAULT_SKETCH_WIDTH)
         self._clock = clock
         # Optional shared-memory slab (repro.fx.shm.SlabAllocator):
         # admitted rows are copied into slab slots so sibling processes
@@ -331,7 +298,7 @@ class PartialCache:
         self._spilled: OrderedDict[int, tuple[int, int]] = OrderedDict()
         self._compressed_floats = 0
         self._spilled_bytes = 0
-        # The shard's one lock.  Serializes lookups against
+        # The cache's one lock.  Serializes lookups against
         # invalidations: dimension-update events arrive on the
         # updater's thread while a service thread may be mid-get_many,
         # and get_many holds it across compute → insert so an
@@ -365,7 +332,7 @@ class PartialCache:
         )
 
     def residency(self) -> Residency:
-        """This shard's :class:`Residency`, read lock-free."""
+        """This cache's :class:`Residency`, read lock-free."""
         return Residency(
             self.floats_resident,
             self._shm_floats_resident,
@@ -546,12 +513,7 @@ class PartialCache:
             batch_tick = (
                 self._clock.tick() if self._clock is not None else None
             )
-            if self._sketch is not None:
-                # Every access counts toward admission frequency —
-                # hits included, or resident hot rows could never
-                # out-rank a burst of cold candidates.
-                self._sketch.record(keys)
-            missing = [k for k in keys.tolist() if k not in self._rows]
+            missing =[k for k in keys.tolist() if k not in self._rows]
             if missing and (self._compressed or self._spilled):
                 promotable = [
                     k for k in missing
@@ -612,20 +574,14 @@ class PartialCache:
     ) -> list[EvictionCandidate]:
         """LRU-tail candidates covering ``deficit_floats``.
 
-        The store's budget governor pools every shard's candidates
-        and evicts in global ``(frequency, tick)`` order until the
-        deficit is covered — see :class:`EvictionCandidate`.  Each
-        shard offers its LRU-coldest rows, just enough to
-        cover the whole deficit alone (the worst case: every victim
-        lives here).  Under ``"tinylfu"`` ``_TINYLFU_VICTIM_SAMPLE``
-        entries beyond the covering ones are offered too, so a hot row
-        sitting at the LRU tail cannot shield the cold rows right
-        behind it from the frequency rank.
+        The store's budget governor pools every cache's candidates
+        and evicts in global tick order until the deficit is covered —
+        see :class:`EvictionCandidate`.  Each cache offers its
+        LRU-coldest rows, just enough to cover the whole deficit alone
+        (the worst case: every victim lives here).
         """
-        extra = 0 if self._sketch is None else _TINYLFU_VICTIM_SAMPLE
         out: list[EvictionCandidate] = []
         covered = 0
-        covering = None
         with self._lock:
             # Compressed rows still charge the budget, so they are
             # candidates too (demoting one walks it further down the
@@ -640,23 +596,13 @@ class PartialCache:
                 ((key, row.size) for key, row in self._rows.items()),
             )
             for key, charge in charged:
-                frequency = (
-                    self._sketch.estimate(key)
-                    if self._sketch is not None
-                    else 0
-                )
                 out.append(
                     EvictionCandidate(
-                        cache=self,
-                        key=key,
-                        tick=self._ticks.get(key, 0),
-                        frequency=int(frequency),
+                        cache=self, key=key, tick=self._ticks.get(key, 0)
                     )
                 )
                 covered += charge
-                if covering is None and covered >= deficit_floats:
-                    covering = len(out)
-                if covering is not None and len(out) >= covering + extra:
+                if covered >= deficit_floats:
                     break
             return out
 
@@ -762,8 +708,6 @@ class PartialCache:
             self._compressed.clear()
             self._compressed_floats = 0
             self._zero_counters()
-            if self._sketch is not None:
-                self._sketch.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         stats = self.stats()

@@ -60,7 +60,6 @@ operations = st.one_of(
     st.tuples(st.just("clear"), st.none()),
 )
 configurations = st.fixed_dictionaries({
-    "admission": st.sampled_from(["lru", "tinylfu"]),
     "clock": st.booleans(),
     "tiers": st.sampled_from(
         [(), ("float32",), ("spill",), ("float32", "spill")]
@@ -71,7 +70,7 @@ configurations = st.fixed_dictionaries({
 def reference_sweep(cache, deficit):
     """The parent's ``PartialStore._sweep`` over one cache."""
     pool = cache.eviction_candidates(deficit)
-    offered = [(c.key, c.tick, c.frequency) for c in pool]
+    offered = [(c.key, c.tick) for c in pool]
     pool.sort(key=lambda c: c.rank)
     victims, freed_total = [], 0
     for candidate in pool:
@@ -86,9 +85,9 @@ def reference_sweep(cache, deficit):
 
 def array_sweep(cache, deficit):
     """``PartialStore._sweep`` over one cache."""
-    keys, ticks, frequencies, frees = cache.eviction_candidates(deficit)
-    offered = list(zip(keys.tolist(), ticks.tolist(), frequencies.tolist()))
-    rank = np.lexsort((ticks, frequencies))
+    keys, ticks, frees = cache.eviction_candidates(deficit)
+    offered = list(zip(keys.tolist(), ticks.tolist()))
+    rank = np.argsort(ticks, kind="stable")
     cut = np.searchsorted(np.cumsum(frees[rank]), deficit) + 1
     victims = keys[rank[:cut]]
     rows, freed = cache.evict(victims)

@@ -9,7 +9,8 @@ facade never branches on the executor kind outside construction, both
 ``swap_model`` methods are delegations, and the process worker's
 message handlers hold framing, not lifecycle logic.  The same goes for
 the partial-cache stack underneath (``TestOneCacheStack``), its one
-memory bound (``TestOneMemoryBound``) and its one lock per cache
+memory bound (``TestOneMemoryBound``), its one victim order
+(``TestOneVictimOrder``) and its one lock per cache
 (``TestOneLockPerCache``), the cost model both choosers
 call (``TestOneCostModel``), the mixture
 E-step serving, maintenance and training share (``TestOneEStep``),
@@ -247,8 +248,9 @@ class TestOneMemoryBound:
     under ``src/repro`` takes a per-cache bound, the caches and
     ``PartialStore.acquire`` take no ``capacity*``, and the local-bound
     machinery — the bound-to-rows helper, the laddered row-at-a-time
-    sweep, the TinyLFU admission walk and its rejection counter — is
-    gone."""
+    sweep and the admission rejection counter — is gone (the
+    frequency-gated admission walk went with the sketch:
+    ``TestOneVictimOrder``)."""
 
     PER_CACHE = {"cache_entries", "cache_floats"}
     BOUNDED = [
@@ -257,8 +259,7 @@ class TestOneMemoryBound:
         ("fx/store.py", "PartialStore", "acquire"),
     ]
     REMOVED = {
-        "_evict_over_capacity", "_row_limit", "_tinylfu_admit",
-        "admission_rejections",
+        "_evict_over_capacity", "_row_limit", "admission_rejections",
     }
 
     @staticmethod
@@ -318,6 +319,68 @@ class TestOneMemoryBound:
         }
         # Kept, always 0, for the readers that add it to cross_evictions.
         assert "evictions" in names
+
+
+class TestOneVictimOrder:
+    """The governor ranks victims one way, global LRU by access tick:
+    the TinyLFU frequency sketch is gone, and so is the option that
+    picked it on every surface that used to thread it."""
+
+    REMOVED_NAMES = (
+        "FrequencySketch", "_sketch", "ADMISSION_POLICIES",
+        "TINYLFU_ADMISSION",
+    )
+    OPTION = {"admission", "cache_admission"}
+    FUNCTIONS = [
+        ("serve/cache.py", "PartialCache", "__init__"),
+        ("fx/store.py", "PartialStore", "__init__"),
+        ("core/api.py", None, "serve_runtime"),
+    ]
+    DATACLASSES = [
+        ("runtime/service.py", "RuntimeConfig"),
+        ("scenarios/spec.py", "RuntimeSpec"),
+    ]
+
+    def test_the_sketch_module_is_gone(self):
+        assert not (SRC_ROOT / "fx" / "sketch.py").exists()
+
+    def test_removed_names_stay_removed(self):
+        found = [
+            f"{path.relative_to(SRC_ROOT)}: {name}"
+            for path in sorted(SRC_ROOT.rglob("*.py"))
+            for name in self.REMOVED_NAMES
+            if name in path.read_text(encoding="utf-8")
+        ]
+        assert found == []
+
+    @pytest.mark.parametrize(
+        "path, cls, name", FUNCTIONS,
+        ids=[name if cls is None else f"{cls}.{name}"
+             for _, cls, name in FUNCTIONS],
+    )
+    def test_no_function_takes_the_option(self, path, cls, name):
+        if cls is None:
+            (function,) = [
+                node for node in _tree(SRC_ROOT / path).body
+                if isinstance(node, ast.FunctionDef) and node.name == name
+            ]
+        else:
+            function = _method(SRC_ROOT / path, cls, name)
+        assert not TestOneMemoryBound._parameters(function) & self.OPTION
+
+    @pytest.mark.parametrize(
+        "path, cls", DATACLASSES, ids=[cls for _, cls in DATACLASSES]
+    )
+    def test_no_dataclass_carries_the_option(self, path, cls):
+        (node,) = [
+            node for node in _tree(SRC_ROOT / path).body
+            if isinstance(node, ast.ClassDef) and node.name == cls
+        ]
+        fields = {
+            item.target.id for item in node.body
+            if isinstance(item, ast.AnnAssign)
+        }
+        assert fields and not fields & self.OPTION
 
 
 class TestOneLockPerCache:
