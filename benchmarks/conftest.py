@@ -1,12 +1,13 @@
 """Shared benchmark fixtures.
 
-Every paper figure/table has one bench module.  Two kinds of tests:
+The paper's figures and tables are one module,
+``bench_paper_figures.py``, over the one table ``repro.bench.FIGURES``:
 
-* ``test_*_series`` — runs the full sweep for a figure panel once,
-  prints the paper-style table (bypassing pytest capture) and writes it
-  to ``benchmarks/results/``;
-* ``test_*_micro`` — pytest-benchmark timings of the individual
-  training strategies on the panel's reference workload, so the
+* ``test_figure`` — runs the full sweep for a figure panel or table
+  once, prints the paper-style table (bypassing pytest capture) and
+  writes it to ``benchmarks/results/``;
+* ``test_micro`` — pytest-benchmark timings of the individual
+  training strategies on each figure family's reference point, so the
   benchmark summary table itself shows who wins.
 
 Workload sizes follow the ``REPRO_BENCH_SCALE`` preset (tiny / small /

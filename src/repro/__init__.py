@@ -142,7 +142,6 @@ from repro.fx.store import PartialStore, StoreStats
 from repro.gmm.base import EMConfig
 from repro.gmm.model import GaussianMixtureModel, GMMParams
 from repro.join.spec import DimensionJoin, JoinSpec
-from repro.fx.statstore import StatsStore
 from repro.linear.models import LinearModel, fit_logistic, fit_ridge
 from repro.maintain import (
     GMMSuffStats,
@@ -237,7 +236,6 @@ __all__ = [
     "ShardedPartialCache",
     "Span",
     "StarSchemaConfig",
-    "StatsStore",
     "StorageError",
     "StoreStats",
     "StrategyComparison",

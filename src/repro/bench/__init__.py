@@ -1,24 +1,12 @@
-"""Benchmark harness: paper-figure experiment definitions and runners."""
+"""Benchmark harness: the paper's evaluation table and its runner."""
 
 from repro.bench.experiments import (
-    ALL_EXPERIMENTS,
+    FIGURES,
     SCALES,
     BenchScale,
+    Figure,
     active_scale,
-    figure3a,
-    figure3b,
-    figure3c,
-    figure4a,
-    figure4b,
-    figure4c,
-    figure5a,
-    figure5b,
-    figure5c,
-    figure6a,
-    figure6b,
-    figure6c,
-    table6,
-    table7,
+    run_figure,
 )
 from repro.bench.harness import (
     SweepPoint,
@@ -27,25 +15,13 @@ from repro.bench.harness import (
 )
 
 __all__ = [
-    "ALL_EXPERIMENTS",
     "BenchScale",
+    "FIGURES",
+    "Figure",
     "SCALES",
     "SweepPoint",
     "SweepResult",
     "active_scale",
-    "figure3a",
-    "figure3b",
-    "figure3c",
-    "figure4a",
-    "figure4b",
-    "figure4c",
-    "figure5a",
-    "figure5b",
-    "figure5c",
-    "figure6a",
-    "figure6b",
-    "figure6c",
+    "run_figure",
     "run_sweep",
-    "table6",
-    "table7",
 ]

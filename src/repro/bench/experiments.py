@@ -1,11 +1,12 @@
-"""Definitions of every figure and table in the paper's evaluation.
+"""The paper's evaluation (Section VII) as one table.
 
-Each function reproduces one figure panel or table of Section VII at
-laptop scale: same sweep structure and ratios, scaled-down absolute
-cardinalities (see DESIGN.md §4 and EXPERIMENTS.md).  Scale is
-controlled by ``BenchScale``; benches default to the ``small`` preset so
-the whole suite finishes in minutes, while ``paper`` approaches the
-published sizes.
+Every figure panel and table is one sweep of the three strategies over
+one knob: ``FIGURES`` names each with its model kind, schema family,
+swept axis and the paper's headline, and :func:`run_figure` runs any of
+them.  Sweeps keep the paper's structure and ratios at laptop-scale
+cardinalities.  Scale is controlled by ``BenchScale``; benches default
+to the ``small`` preset so the whole suite finishes in minutes, while
+``paper`` approaches the published sizes.
 """
 
 from __future__ import annotations
@@ -96,376 +97,133 @@ def active_scale() -> BenchScale:
         ) from None
 
 
-def _gmm_config(scale: BenchScale, n_components: int | None = None):
-    return EMConfig(
-        n_components=n_components or scale.n_components,
-        max_iter=scale.em_iterations,
-        tol=0.0,
-        seed=1,
-    )
-
-
-def _nn_config(scale: BenchScale, hidden: int | None = None):
-    return NNConfig(
-        hidden_sizes=(hidden or scale.hidden_units,),
-        epochs=scale.nn_epochs,
-        learning_rate=0.01,
-        batch_mode="per-batch",
-        seed=1,
-    )
-
-
-def _binary_loader(n_s, n_r, d_s, d_r, *, with_target=False, seed=3):
-    def loader(db):
-        config = StarSchemaConfig.binary(
-            n_s=n_s, n_r=n_r, d_s=d_s, d_r=d_r,
-            with_target=with_target, seed=seed,
-        )
-        return generate_star(db, config).spec
-    return loader
-
-
-def _movies_3way_loader(*, hamlet_scale, rr_synthetic=None, d_r1=None,
-                        with_target=False, seed=3):
-    def loader(db):
-        return load_movies_3way(
-            db, scale=hamlet_scale, rr_synthetic=rr_synthetic,
-            d_r1=d_r1, with_target=with_target, seed=seed,
-        ).spec
-    return loader
-
-
-# -- Figure 3: GMM over binary joins -----------------------------------------
-
-
-def figure3a(scale: BenchScale | None = None, d_r: int = 15) -> SweepResult:
-    """Fig. 3(a): GMM runtimes varying the tuple ratio rr."""
-    scale = scale or active_scale()
-    cases = [
-        (rr, _binary_loader(scale.n_r * rr, scale.n_r, 5, d_r))
-        for rr in scale.rr_values
-    ]
-    result = run_sweep(
-        f"Fig 3(a) GMM vary rr (d_S=5, d_R={d_r}, "
-        f"n_R={scale.n_r}, K={scale.n_components})",
-        "rr",
-        cases,
-        "gmm", _gmm_config(scale),
-    )
-    result.notes.append(
-        "paper: F-GMM 2x faster at d_R=5 growing to 2.4x at d_R=15"
-    )
-    return result
-
-
-def figure3b(scale: BenchScale | None = None) -> SweepResult:
-    """Fig. 3(b): GMM runtimes varying d_R."""
-    scale = scale or active_scale()
-    n_s = scale.n_r * scale.rr_fixed
-    cases = [
-        (d_r, _binary_loader(n_s, scale.n_r, 5, d_r))
-        for d_r in scale.dr_values
-    ]
-    result = run_sweep(
-        f"Fig 3(b) GMM vary d_R (d_S=5, rr={scale.rr_fixed}, "
-        f"K={scale.n_components})",
-        "d_R",
-        cases,
-        "gmm", _gmm_config(scale),
-    )
-    result.notes.append("paper: 2x to 6.5x, increasing with d_R")
-    return result
-
-
-def figure3c(scale: BenchScale | None = None) -> SweepResult:
-    """Fig. 3(c): GMM runtimes varying the number of clusters K."""
-    scale = scale or active_scale()
-    n_s = scale.n_r * scale.rr_fixed
-    loader = _binary_loader(n_s, scale.n_r, 5, 15)
-    result = SweepResult(
-        experiment=(
-            f"Fig 3(c) GMM vary K (d_S=5, d_R=15, rr={scale.rr_fixed})"
-        ),
-        x_label="K",
-    )
-    for k in scale.k_values:
-        partial = run_sweep(
-            "", "K", [(k, loader)], "gmm", _gmm_config(scale, n_components=k)
-        )
-        result.points.extend(partial.points)
-    result.notes.append("paper: 2x to 3x across K")
-    return result
-
-
-# -- Figure 4: GMM over multi-way joins ---------------------------------------
-
-
-def figure4a(scale: BenchScale | None = None) -> SweepResult:
-    """Fig. 4(a): 3-way GMM varying synthetic R1 injection ratio."""
-    scale = scale or active_scale()
-    cases = [
-        (rr, _movies_3way_loader(
-            hamlet_scale=scale.hamlet_scale, rr_synthetic=rr
-        ))
-        for rr in (0.5, 1.0, 2.0)
-    ]
-    result = run_sweep(
-        "Fig 4(a) GMM 3-way vary rr (Movies-3way)",
-        "rr(R1/R2)",
-        cases,
-        "gmm", _gmm_config(scale),
-    )
-    result.notes.append("paper: 3x to 5x as rr grows")
-    return result
-
-
-def figure4b(scale: BenchScale | None = None) -> SweepResult:
-    """Fig. 4(b): 3-way GMM varying d_R1."""
-    scale = scale or active_scale()
-    cases = [
-        (d_r1, _movies_3way_loader(
-            hamlet_scale=scale.hamlet_scale, d_r1=d_r1
-        ))
-        for d_r1 in scale.dr_values[:3]
-    ]
-    result = run_sweep(
-        "Fig 4(b) GMM 3-way vary d_R1 (Movies-3way)",
-        "d_R1",
-        cases,
-        "gmm", _gmm_config(scale),
-    )
-    result.notes.append("paper: 3x to 14x, increasing with d_R1")
-    return result
-
-
-def figure4c(scale: BenchScale | None = None) -> SweepResult:
-    """Fig. 4(c): 3-way GMM varying K."""
-    scale = scale or active_scale()
-    loader = _movies_3way_loader(hamlet_scale=scale.hamlet_scale)
-    result = SweepResult(
-        experiment="Fig 4(c) GMM 3-way vary K (Movies-3way)",
-        x_label="K",
-    )
-    for k in scale.k_values:
-        partial = run_sweep(
-            "", "K", [(k, loader)], "gmm", _gmm_config(scale, n_components=k)
-        )
-        result.points.extend(partial.points)
-    result.notes.append("paper: 3x to 5x across K")
-    return result
-
-
-# -- Figure 5: NN over binary joins -------------------------------------------
-
-
-def figure5a(scale: BenchScale | None = None, d_r: int = 15) -> SweepResult:
-    """Fig. 5(a): NN runtimes varying rr."""
-    scale = scale or active_scale()
-    cases = [
-        (rr, _binary_loader(
-            scale.n_r * rr, scale.n_r, 5, d_r, with_target=True
-        ))
-        for rr in scale.rr_values
-    ]
-    result = run_sweep(
-        f"Fig 5(a) NN vary rr (d_S=5, d_R={d_r}, "
-        f"n_h={scale.hidden_units})",
-        "rr",
-        cases,
-        "nn", _nn_config(scale),
-    )
-    result.notes.append(
-        "paper: >2x at d_R=5 rising to 3x at d_R=15; no benefit below "
-        "rr≈200 (d_R=5) / rr≈50 (d_R=15)"
-    )
-    return result
-
-
-def figure5b(scale: BenchScale | None = None) -> SweepResult:
-    """Fig. 5(b): NN runtimes varying d_R."""
-    scale = scale or active_scale()
-    n_s = scale.n_r * scale.rr_fixed
-    cases = [
-        (d_r, _binary_loader(n_s, scale.n_r, 5, d_r, with_target=True))
-        for d_r in scale.dr_values
-    ]
-    result = run_sweep(
-        f"Fig 5(b) NN vary d_R (d_S=5, rr={scale.rr_fixed}, "
-        f"n_h={scale.hidden_units})",
-        "d_R",
-        cases,
-        "nn", _nn_config(scale),
-    )
-    result.notes.append("paper: 2x to 3.5x, increasing with d_R")
-    return result
-
-
-def figure5c(scale: BenchScale | None = None) -> SweepResult:
-    """Fig. 5(c): NN runtimes varying the hidden width n_h."""
-    scale = scale or active_scale()
-    n_s = scale.n_r * scale.rr_fixed
-    loader = _binary_loader(n_s, scale.n_r, 5, 15, with_target=True)
-    result = SweepResult(
-        experiment=(
-            f"Fig 5(c) NN vary n_h (d_S=5, d_R=15, rr={scale.rr_fixed})"
-        ),
-        x_label="n_h",
-    )
-    for n_h in scale.nh_values:
-        partial = run_sweep(
-            "", "n_h", [(n_h, loader)], "nn",
-            _nn_config(scale, hidden=n_h),
-        )
-        result.points.extend(partial.points)
-    result.notes.append("paper: 2x to 3x across n_h")
-    return result
-
-
-# -- Figure 6: NN over multi-way joins ----------------------------------------
-
-
-def figure6a(scale: BenchScale | None = None) -> SweepResult:
-    """Fig. 6(a): 3-way NN varying rr."""
-    scale = scale or active_scale()
-    cases = [
-        (rr, _movies_3way_loader(
-            hamlet_scale=scale.hamlet_scale, rr_synthetic=rr,
-            with_target=True,
-        ))
-        for rr in (0.5, 1.0, 2.0)
-    ]
-    result = run_sweep(
-        "Fig 6(a) NN 3-way vary rr (Movies-3way)",
-        "rr(R1/R2)",
-        cases,
-        "nn", _nn_config(scale),
-    )
-    result.notes.append("paper: 3x to 4x as rr grows")
-    return result
-
-
-def figure6b(scale: BenchScale | None = None) -> SweepResult:
-    """Fig. 6(b): 3-way NN varying d_R1."""
-    scale = scale or active_scale()
-    cases = [
-        (d_r1, _movies_3way_loader(
-            hamlet_scale=scale.hamlet_scale, d_r1=d_r1, with_target=True
-        ))
-        for d_r1 in scale.dr_values[:3]
-    ]
-    result = run_sweep(
-        "Fig 6(b) NN 3-way vary d_R1 (Movies-3way)",
-        "d_R1",
-        cases,
-        "nn", _nn_config(scale),
-    )
-    result.notes.append("paper: 3x (small rr) to 6x (large rr)")
-    return result
-
-
-def figure6c(scale: BenchScale | None = None) -> SweepResult:
-    """Fig. 6(c): 3-way NN varying n_h."""
-    scale = scale or active_scale()
-    loader = _movies_3way_loader(
-        hamlet_scale=scale.hamlet_scale, with_target=True
-    )
-    result = SweepResult(
-        experiment="Fig 6(c) NN 3-way vary n_h (Movies-3way)",
-        x_label="n_h",
-    )
-    for n_h in scale.nh_values:
-        partial = run_sweep(
-            "", "n_h", [(n_h, loader)], "nn",
-            _nn_config(scale, hidden=n_h),
-        )
-        result.points.extend(partial.points)
-    result.notes.append("paper: up to 4x across n_h")
-    return result
-
-
-# -- Tables VI and VII: real datasets ------------------------------------------
-
-TABLE6_DATASETS = (
-    "expedia1", "expedia2", "walmart", "movies",
-    "expedia3", "expedia4", "expedia5",
-)
-
-TABLE7_DATASETS = ("walmart_sparse", "movies_sparse")
-
-
-def table6(scale: BenchScale | None = None) -> SweepResult:
-    """Table VI: GMM on (simulated) real datasets + Movies-3way."""
-    scale = scale or active_scale()
-    cases = [
-        (name, _hamlet_loader(name, scale.hamlet_scale))
-        for name in TABLE6_DATASETS
-    ]
-    cases.append(
-        (
-            "movies-3way",
-            _movies_3way_loader(hamlet_scale=scale.hamlet_scale),
-        )
-    )
-    result = run_sweep(
-        f"Table VI GMM on simulated Hamlet datasets "
-        f"(scale={scale.hamlet_scale})",
-        "dataset",
-        cases,
-        "gmm", _gmm_config(scale),
-    )
-    result.notes.append(
-        "paper: F-GMM up to 3.4x (binary) and 4.4x (3-way) faster"
-    )
-    return result
-
-
-def table7(scale: BenchScale | None = None) -> SweepResult:
-    """Table VII: NN on (simulated) sparse real datasets + Movies-3way."""
-    scale = scale or active_scale()
-    cases = [
-        (name, _hamlet_loader(name, scale.hamlet_scale))
-        for name in TABLE7_DATASETS
-    ]
-    cases.append(
-        (
-            "movies-3way",
-            _movies_3way_loader(
-                hamlet_scale=scale.hamlet_scale, with_target=True
-            ),
-        )
-    )
-    result = run_sweep(
-        f"Table VII NN on simulated sparse Hamlet datasets "
-        f"(scale={scale.hamlet_scale})",
-        "dataset",
-        cases,
-        "nn", _nn_config(scale),
-    )
-    result.notes.append(
-        "paper: F-NN 8.1x (Walmart), 4.5x (Movies), 3.4x (3-way)"
-    )
-    return result
-
-
-def _hamlet_loader(name: str, hamlet_scale: float):
-    def loader(db):
-        return load_hamlet(db, name, scale=hamlet_scale, seed=3).spec
-    return loader
-
-
-ALL_EXPERIMENTS = {
-    "fig3a": figure3a,
-    "fig3b": figure3b,
-    "fig3c": figure3c,
-    "fig4a": figure4a,
-    "fig4b": figure4b,
-    "fig4c": figure4c,
-    "fig5a": figure5a,
-    "fig5b": figure5b,
-    "fig5c": figure5c,
-    "fig6a": figure6a,
-    "fig6b": figure6b,
-    "fig6c": figure6c,
-    "table6": table6,
-    "table7": table7,
+#: The swept values of each axis (also the table's x label); a
+#: ``"dataset"`` sweep lists its own.  Binary sweeps hold d_S=5 and,
+#: off their axis, d_R=15 and rr=``rr_fixed``; Movies-3way sweeps hold
+#: the published widths and cardinalities.
+AXES = {
+    "rr": lambda scale: scale.rr_values,
+    "rr(R1/R2)": lambda scale: (0.5, 1.0, 2.0),
+    "d_R": lambda scale: scale.dr_values,
+    "d_R1": lambda scale: scale.dr_values[:3],
+    "K": lambda scale: scale.k_values,
+    "n_h": lambda scale: scale.nh_values,
 }
+
+
+@dataclass(frozen=True)
+class Figure:
+    """One figure panel or table: ``kind`` (``"gmm"`` / ``"nn"``) over
+    a ``schema`` family (``"binary"`` synthetic stars,
+    ``"movies-3way"``, or ``"hamlet"`` datasets), swept along ``axis``.
+    ``title`` is formatted with the scale as ``s``."""
+
+    kind: str
+    schema: str
+    axis: str
+    title: str
+    note: str
+    datasets: tuple[str, ...] = ()
+
+    def points(self, scale: BenchScale) -> list:
+        """``(x, loader, config)`` per sweep point; a loader populates a
+        fresh database and returns the join spec to train over."""
+        xs = self.datasets or AXES[self.axis](scale)
+        return [(x, self._loader(scale, x), self._config(scale, x)) for x in xs]
+
+    def _loader(self, scale, x):
+        target = self.kind == "nn"
+        if self.schema == "binary":
+            config = StarSchemaConfig.binary(
+                n_s=scale.n_r * (x if self.axis == "rr" else scale.rr_fixed),
+                n_r=scale.n_r, d_s=5, d_r=x if self.axis == "d_R" else 15,
+                with_target=target, seed=3,
+            )
+            return lambda db: generate_star(db, config).spec
+        if self.schema == "hamlet" and x != "movies-3way":
+            return lambda db: load_hamlet(
+                db, x, scale=scale.hamlet_scale, with_target=target, seed=3,
+            ).spec
+        return lambda db: load_movies_3way(
+            db, scale=scale.hamlet_scale,
+            rr_synthetic=x if self.axis == "rr(R1/R2)" else None,
+            d_r1=x if self.axis == "d_R1" else None,
+            with_target=target, seed=3,
+        ).spec
+
+    def _config(self, scale, x):
+        if self.kind == "gmm":
+            return EMConfig(
+                n_components=x if self.axis == "K" else scale.n_components,
+                max_iter=scale.em_iterations, tol=0.0, seed=1,
+            )
+        return NNConfig(
+            hidden_sizes=(x if self.axis == "n_h" else scale.hidden_units,),
+            epochs=scale.nn_epochs, learning_rate=0.01, seed=1,
+        )
+
+
+FIGURES = {
+    "fig3a": Figure("gmm", "binary", "rr",
+        "Fig 3(a) GMM vary rr (d_S=5, d_R=15, n_R={s.n_r}, K={s.n_components})",
+        "paper: F-GMM 2x faster at d_R=5 growing to 2.4x at d_R=15"),
+    "fig3b": Figure("gmm", "binary", "d_R",
+        "Fig 3(b) GMM vary d_R (d_S=5, rr={s.rr_fixed}, K={s.n_components})",
+        "paper: 2x to 6.5x, increasing with d_R"),
+    "fig3c": Figure("gmm", "binary", "K",
+        "Fig 3(c) GMM vary K (d_S=5, d_R=15, rr={s.rr_fixed})",
+        "paper: 2x to 3x across K"),
+    "fig4a": Figure("gmm", "movies-3way", "rr(R1/R2)",
+        "Fig 4(a) GMM 3-way vary rr (Movies-3way)",
+        "paper: 3x to 5x as rr grows"),
+    "fig4b": Figure("gmm", "movies-3way", "d_R1",
+        "Fig 4(b) GMM 3-way vary d_R1 (Movies-3way)",
+        "paper: 3x to 14x, increasing with d_R1"),
+    "fig4c": Figure("gmm", "movies-3way", "K",
+        "Fig 4(c) GMM 3-way vary K (Movies-3way)",
+        "paper: 3x to 5x across K"),
+    "fig5a": Figure("nn", "binary", "rr",
+        "Fig 5(a) NN vary rr (d_S=5, d_R=15, n_h={s.hidden_units})",
+        "paper: >2x at d_R=5 rising to 3x at d_R=15; no benefit below "
+        "rr≈200 (d_R=5) / rr≈50 (d_R=15)"),
+    "fig5b": Figure("nn", "binary", "d_R",
+        "Fig 5(b) NN vary d_R (d_S=5, rr={s.rr_fixed}, n_h={s.hidden_units})",
+        "paper: 2x to 3.5x, increasing with d_R"),
+    "fig5c": Figure("nn", "binary", "n_h",
+        "Fig 5(c) NN vary n_h (d_S=5, d_R=15, rr={s.rr_fixed})",
+        "paper: 2x to 3x across n_h"),
+    "fig6a": Figure("nn", "movies-3way", "rr(R1/R2)",
+        "Fig 6(a) NN 3-way vary rr (Movies-3way)",
+        "paper: 3x to 4x as rr grows"),
+    "fig6b": Figure("nn", "movies-3way", "d_R1",
+        "Fig 6(b) NN 3-way vary d_R1 (Movies-3way)",
+        "paper: 3x (small rr) to 6x (large rr)"),
+    "fig6c": Figure("nn", "movies-3way", "n_h",
+        "Fig 6(c) NN 3-way vary n_h (Movies-3way)",
+        "paper: up to 4x across n_h"),
+    "table6": Figure("gmm", "hamlet", "dataset",
+        "Table VI GMM on simulated Hamlet datasets (scale={s.hamlet_scale})",
+        "paper: F-GMM up to 3.4x (binary) and 4.4x (3-way) faster",
+        datasets=(
+            "expedia1", "expedia2", "walmart", "movies",
+            "expedia3", "expedia4", "expedia5", "movies-3way",
+        )),
+    "table7": Figure("nn", "hamlet", "dataset",
+        "Table VII NN on simulated sparse Hamlet datasets "
+        "(scale={s.hamlet_scale})",
+        "paper: F-NN 8.1x (Walmart), 4.5x (Movies), 3.4x (3-way)",
+        datasets=("walmart_sparse", "movies_sparse", "movies-3way")),
+}
+
+
+def run_figure(name: str, scale: BenchScale | None = None) -> SweepResult:
+    """Reproduce ``FIGURES[name]`` at ``scale`` (default: the active
+    preset)."""
+    figure = FIGURES[name]
+    scale = scale or active_scale()
+    result = run_sweep(
+        figure.title.format(s=scale), figure.axis, figure.points(scale),
+        figure.kind,
+    )
+    result.notes.append(figure.note)
+    return result

@@ -23,6 +23,10 @@ from repro.join.spec import JoinSpec
 from repro.nn.base import NNConfig
 from repro.storage.catalog import Database
 
+#: One sweep point: the x value, a loader that populates a fresh
+#: database and returns the join spec, and the point's training config.
+Point = tuple[object, Callable[[Database], JoinSpec], EMConfig | NNConfig]
+
 STRATEGY_ORDER = tuple(ACCESS)
 
 
@@ -33,17 +37,12 @@ class SweepPoint:
     x: object
     seconds: dict[str, float]
 
-    def speedup(self, baseline: str = STREAMING) -> float:
-        """Baseline time over factorized time (paper's headline ratio)."""
-        return self.seconds[baseline] / self.seconds[FACTORIZED]
-
     def best_baseline_speedup(self) -> float:
-        baselines = [
+        """Fastest baseline's time over factorized time (the paper's
+        headline ratio)."""
+        return min(
             t for name, t in self.seconds.items() if name != FACTORIZED
-        ]
-        if not baselines:
-            raise ModelError("no baseline strategies were run")
-        return min(baselines) / self.seconds[FACTORIZED]
+        ) / self.seconds[FACTORIZED]
 
 
 @dataclass
@@ -55,29 +54,17 @@ class SweepResult:
     points: list[SweepPoint] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
 
-    @property
-    def strategies(self) -> list[str]:
-        if not self.points:
-            return []
-        return [
-            s for s in STRATEGY_ORDER if s in self.points[0].seconds
-        ]
-
-    def speedups(self, baseline: str = STREAMING) -> list[float]:
-        return [p.speedup(baseline) for p in self.points]
-
     def render(self) -> str:
         """Aligned text table in the style of the paper's tables."""
-        strategies = self.strategies
         headers = (
             [self.x_label]
-            + [f"{ACCESS[s].letter} (s)" for s in strategies]
+            + [f"{ACCESS[s].letter} (s)" for s in STRATEGY_ORDER]
             + ["F speedup"]
         )
         rows = []
         for point in self.points:
             row = [str(point.x)]
-            row.extend(f"{point.seconds[s]:.3f}" for s in strategies)
+            row.extend(f"{point.seconds[s]:.3f}" for s in STRATEGY_ORDER)
             row.append(f"{point.best_baseline_speedup():.2f}x")
             rows.append(row)
         lines = [f"== {self.experiment} =="]
@@ -110,31 +97,17 @@ def _format_table(headers: list[str], rows: list[list[str]]) -> str:
 
 
 def run_sweep(
-    experiment: str,
-    x_label: str,
-    cases: list[tuple[object, Callable[[Database], JoinSpec]]],
-    kind: str,
-    config: EMConfig | NNConfig,
-    *,
-    strategies: tuple[str, ...] = STRATEGY_ORDER,
-    block_pages: int = 64,
-    check_exactness: bool = True,
+    experiment: str, x_label: str, points: list[Point], kind: str
 ) -> SweepResult:
-    """Run one figure panel of ``kind`` (``"gmm"`` / ``"nn"``).
-
-    ``cases`` maps each x-value to a loader that populates a fresh
-    database and returns the join spec to train over.
-    """
+    """Run one figure panel of ``kind`` (``"gmm"`` / ``"nn"``): every
+    strategy at every point, each point in a fresh database, checking
+    that the strategies trained the same model."""
     result = SweepResult(experiment=experiment, x_label=x_label)
-    for x, loader in cases:
+    for x, loader, config in points:
         with Database() as db:
             spec = loader(db)
-            comparison = compare_strategies(
-                db, spec, kind, config,
-                block_pages=block_pages, strategies=strategies,
-            )
-            if check_exactness:
-                _CHECK_EQUAL[kind](comparison, config)
+            comparison = compare_strategies(db, spec, kind, config)
+            _CHECK_EQUAL[kind](comparison, config)
             result.points.append(
                 SweepPoint(x=x, seconds=comparison.wall_times())
             )
@@ -164,14 +137,10 @@ def _check_nn_equal(comparison, config: NNConfig) -> None:
     # S-/F-NN (page blocks vs dimension blocks), so its mini-batch
     # trajectory legitimately differs; only S vs F share batches.  In
     # "full" mode all strategies must coincide.
-    if config.batch_mode == "full":
-        names = list(comparison.results)
-    else:
-        names = [
-            n for n in (STREAMING, FACTORIZED) if n in comparison.results
-        ]
-    if len(names) < 2:
-        return
+    names = (
+        list(comparison.results) if config.batch_mode == "full"
+        else [STREAMING, FACTORIZED]
+    )
     reference = comparison.results[names[0]].model
     for name in names[1:]:
         other = comparison.results[name].model

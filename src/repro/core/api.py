@@ -343,7 +343,6 @@ def maintain(
     em_config: EMConfig | None = None,
     nn_config: NNConfig | None = None,
     alpha: float = 1e-3,
-    stats_store=None,
     block_pages: int = DEFAULT_BLOCK_PAGES,
     telemetry=None,
 ) -> ModelMaintainer:
@@ -370,7 +369,7 @@ def maintain(
     return ModelMaintainer(
         db, name, kind, spec, model,
         policy=policy, targets=targets, em_config=em_config,
-        nn_config=nn_config, alpha=alpha, stats_store=stats_store,
+        nn_config=nn_config, alpha=alpha,
         block_pages=block_pages, telemetry=telemetry,
     )
 

@@ -8,8 +8,7 @@ the published schema dimensions exactly — ``n_S, d_S, n_R, d_R`` per
 Table IV/V — with mixture-distributed features (and one-hot sparse
 variants for the NN experiments).  The runtime experiments measure how
 execution strategies respond to redundancy *structure*, which these
-dimensional profiles preserve; see DESIGN.md §4 for the substitution
-rationale.
+dimensional profiles preserve.
 
 A global ``scale`` shrinks both cardinalities proportionally (the tuple
 ratio ``rr = n_S/n_R``, the quantity that matters, is preserved) so the

@@ -41,7 +41,6 @@ import numpy as np
 
 from repro.errors import ModelError
 from repro.fx.dedup import DedupPlan
-from repro.fx.statstore import StatsStore
 from repro.gmm.base import EMConfig
 from repro.join.bnl import DEFAULT_BLOCK_PAGES
 from repro.join.spec import JoinSpec
@@ -114,9 +113,7 @@ class ModelMaintainer:
     bare model; ``None`` for ``"linear"``, whose statistics solve from
     scratch).  ``targets`` are serving layers exposing
     ``swap_model(name, model)`` — every refresh is pushed into each.
-    Sufficient statistics are drawn from a fingerprint-keyed
-    :class:`~repro.fx.statstore.StatsStore`, so maintainers over the
-    same fit and join share one statistics object.
+    Each maintainer builds and owns its sufficient statistics.
     """
 
     def __init__(
@@ -132,7 +129,6 @@ class ModelMaintainer:
         nn_config: NNConfig | None = None,
         alpha: float = 1e-3,
         targets: tuple = (),
-        stats_store: StatsStore | None = None,
         block_pages: int = DEFAULT_BLOCK_PAGES,
         telemetry=None,
     ) -> None:
@@ -156,8 +152,6 @@ class ModelMaintainer:
         self._alpha = alpha
         self._em_config = em_config
         self._nn_config = nn_config or NNConfig()
-        self._stats_store = stats_store or StatsStore()
-        self._owns_store = stats_store is None
         self._pending: list[_PendingEvent] = []
         self._pending_lock = threading.Lock()
         self._apply_lock = threading.Lock()
@@ -195,40 +189,25 @@ class ModelMaintainer:
 
     # -- fit state -----------------------------------------------------------
 
-    def _fingerprint(self) -> str:
-        heaps = ":".join(
-            str(dim.relation.heap.path)
-            for dim in self._resolved.dimensions
-        )
+    def _build_stats(self, params=None):
+        """Fresh statistics over the current rows (``params`` anchors
+        a mixture's responsibilities)."""
         if self.kind == "linear":
-            discriminator = f"alpha={self._alpha}"
-        elif self.kind == "gmm":
-            config = self._em_config
-            discriminator = (
-                f"k={config.n_components}:seed={config.seed}"
-                if config is not None else "k=?"
+            return LinearSuffStats.build(
+                self.db, self.spec,
+                alpha=self._alpha, block_pages=self.block_pages,
             )
-        else:
-            discriminator = f"seed={self._nn_config.seed}"
-        return (
-            f"{self._resolved.fact.heap.path}:{heaps}:"
-            f"{self.kind}:{discriminator}"
+        return GMMSuffStats.build(
+            self.db, self.spec, params,
+            config=self._em_config, block_pages=self.block_pages,
         )
 
     def _init_fit(self, model) -> None:
         from repro.serve.predictor import coerce_gmm_model, coerce_nn_model
 
         self._stats = None
-        self._stats_key = None
         if self.kind == "linear":
-            self._stats_key = self._fingerprint()
-            self._stats = self._stats_store.acquire(
-                self._stats_key,
-                lambda: LinearSuffStats.build(
-                    self.db, self.spec,
-                    alpha=self._alpha, block_pages=self.block_pages,
-                ),
-            )
+            self._stats = self._build_stats()
             self._model = self._stats.solve()
         elif self.kind == "gmm":
             if model is None:
@@ -241,14 +220,7 @@ class ModelMaintainer:
                     n_components=bare.params.weights.size,
                     reg_covar=bare.reg_covar,
                 )
-            self._stats_key = self._fingerprint()
-            self._stats = self._stats_store.acquire(
-                self._stats_key,
-                lambda: GMMSuffStats.build(
-                    self.db, self.spec, bare.params,
-                    config=self._em_config, block_pages=self.block_pages,
-                ),
-            )
+            self._stats = self._build_stats(bare.params)
             self._model = bare
         else:
             if model is None:
@@ -505,30 +477,16 @@ class ModelMaintainer:
         self._m_refits.inc()
         self._needs_refit = False
         if self.kind == "linear":
-            self._release_stats()
-            self._stats_key = self._fingerprint()
-            self._stats = self._stats_store.acquire(
-                self._stats_key,
-                lambda: LinearSuffStats.build(
-                    self.db, self.spec,
-                    alpha=self._alpha, block_pages=self.block_pages,
-                ),
-            )
+            self._stats = None      # free the old before building the new
+            self._stats = self._build_stats()
             self._model = self._stats.solve()
         elif self.kind == "gmm":
             result = fit_gmm(
                 self.db, self.spec, algorithm="factorized",
                 config=self._em_config, block_pages=self.block_pages,
             )
-            self._release_stats()
-            self._stats_key = self._fingerprint()
-            self._stats = self._stats_store.acquire(
-                self._stats_key,
-                lambda: GMMSuffStats.build(
-                    self.db, self.spec, result.model.params,
-                    config=self._em_config, block_pages=self.block_pages,
-                ),
-            )
+            self._stats = None
+            self._stats = self._build_stats(result.model.params)
             self._model = result.model
         else:
             result = fit_nn(
@@ -536,12 +494,6 @@ class ModelMaintainer:
                 config=self._nn_config, block_pages=self.block_pages,
             )
             self._model = result.model
-
-    def _release_stats(self) -> None:
-        if self._stats_key is not None:
-            self._stats_store.release(self._stats_key)
-            self._stats_key = None
-            self._stats = None
 
     def _push_to_targets(self) -> None:
         model = self._model
@@ -551,12 +503,12 @@ class ModelMaintainer:
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
-        """Detach from the event bus and release the shared statistics."""
+        """Detach from the event bus and drop the statistics."""
         if self._closed:
             return
         self._closed = True
         self.db.unsubscribe(self._on_row_version)
-        self._release_stats()
+        self._stats = None
 
     def __enter__(self) -> "ModelMaintainer":
         return self

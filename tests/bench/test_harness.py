@@ -4,11 +4,10 @@ import warnings
 
 import pytest
 
+from repro.bench import harness
 from repro.bench.experiments import SCALES, BenchScale, active_scale
-from repro.bench.harness import (
-    SweepPoint,
-    run_sweep,
-)
+from repro.bench.harness import SweepPoint, run_sweep
+from repro.core.api import FACTORIZED, compare_strategies
 from repro.data.synthetic import StarSchemaConfig, generate_star
 from repro.errors import ModelError
 from repro.gmm.base import EMConfig
@@ -36,50 +35,51 @@ def tiny_loader(with_target=False):
 
 
 class TestSweepPoint:
-    def test_speedup(self):
+    def test_best_baseline_speedup(self):
         point = SweepPoint(
             x=1,
             seconds={"materialized": 4.0, "streaming": 3.0,
                      "factorized": 1.5},
         )
-        assert point.speedup("streaming") == pytest.approx(2.0)
         assert point.best_baseline_speedup() == pytest.approx(2.0)
-
-    def test_best_baseline_requires_baselines(self):
-        point = SweepPoint(x=1, seconds={"factorized": 1.0})
-        with pytest.raises(ModelError):
-            point.best_baseline_speedup()
 
 
 class TestSweepRunners:
     def test_gmm_sweep_runs_and_renders(self):
-        config = EMConfig(n_components=2, max_iter=2, tol=0.0, seed=1)
         result = run_sweep(
             "unit sweep", "x",
-            [(1, tiny_loader()), (2, tiny_loader())],
-            "gmm", config,
+            [
+                (k, tiny_loader(),
+                 EMConfig(n_components=k, max_iter=2, tol=0.0, seed=1))
+                for k in (1, 2)
+            ],
+            "gmm",
         )
-        assert len(result.points) == 2
+        assert [p.x for p in result.points] == [1, 2]
+        assert all(
+            set(p.seconds) == {"materialized", "streaming", "factorized"}
+            for p in result.points
+        )
         text = result.render()
         assert "unit sweep" in text
-        assert "F speedup" in text
-        assert result.strategies == [
-            "materialized", "streaming", "factorized"
-        ]
+        assert "M (s)  S (s)  F (s)  F speedup" in text
 
-    def test_gmm_sweep_strategy_subset(self):
-        config = EMConfig(n_components=2, max_iter=2, tol=0.0, seed=1)
-        result = run_sweep(
-            "subset", "x", [(1, tiny_loader())], "gmm", config,
-            strategies=("streaming", "factorized"),
-        )
-        assert result.strategies == ["streaming", "factorized"]
+    def test_disagreeing_strategies_fail_the_sweep(self, monkeypatch):
+        def skewed(*args):
+            comparison = compare_strategies(*args)
+            comparison.results[FACTORIZED].params.means[0] += 1.0
+            return comparison
+
+        config = EMConfig(n_components=2, max_iter=1, tol=0.0, seed=1)
+        monkeypatch.setattr(harness, "compare_strategies", skewed)
+        with pytest.raises(ModelError, match="exactness"):
+            run_sweep("skewed", "x", [(1, tiny_loader(), config)], "gmm")
 
     def test_nn_sweep_runs(self):
         config = NNConfig(hidden_sizes=(4,), epochs=1, seed=1)
         result = run_sweep(
-            "nn sweep", "x", [(1, tiny_loader(with_target=True))],
-            "nn", config,
+            "nn sweep", "x", [(1, tiny_loader(with_target=True), config)],
+            "nn",
         )
         assert len(result.points) == 1
         assert all(t > 0 for t in result.points[0].seconds.values())
@@ -89,16 +89,14 @@ class TestSweepRunners:
             hidden_sizes=(4,), epochs=1, seed=1, batch_mode="full"
         )
         result = run_sweep(
-            "nn full", "x", [(1, tiny_loader(with_target=True))],
-            "nn", config,
+            "nn full", "x", [(1, tiny_loader(with_target=True), config)],
+            "nn",
         )
         assert result.points
 
     def test_sweep_emit_writes_file(self, tmp_path):
         config = EMConfig(n_components=2, max_iter=1, tol=0.0, seed=1)
-        result = run_sweep(
-            "emit", "x", [(1, tiny_loader())], "gmm", config,
-        )
+        result = run_sweep("emit", "x", [(1, tiny_loader(), config)], "gmm")
         path = tmp_path / "series.txt"
         result.emit(path)
         assert "emit" in path.read_text()

@@ -9,12 +9,12 @@ import pytest
 
 from repro.core.api import fit_gmm, maintain, predict_gmm, serve
 from repro.errors import ModelError
-from repro.fx.statstore import StatsStore
 from repro.gmm.base import EMConfig
 from repro.maintain import MaintenancePolicy, ModelMaintainer
 from repro.obs import Telemetry, prometheus_text
 
 from tests.maintain.test_delta_parity import (
+    append_dimension,
     append_facts,
     update_dimension,
 )
@@ -202,36 +202,34 @@ class TestTargets:
             service.close()
 
 
-class TestStatsSharing:
-    def test_two_maintainers_share_one_statistics_object(
+class TestEachMaintainerOwnsItsStatistics:
+    def test_two_maintainers_over_one_join_fold_every_row_once(
         self, db, multiway_star
     ):
         spec = multiway_star.spec
-        store = StatsStore()
+        rng = np.random.default_rng(9)
+        manual = MaintenancePolicy(refresh="manual")
         with ModelMaintainer(
-            db, "a", "linear", spec, stats_store=store,
-            policy=MaintenancePolicy(refresh="manual"),
+            db, "a", "linear", spec, policy=manual,
         ) as first, ModelMaintainer(
-            db, "b", "linear", spec, stats_store=store,
-            policy=MaintenancePolicy(refresh="manual"),
+            db, "b", "linear", spec, policy=manual,
         ) as second:
-            assert first.stats is second.stats
-            stats = store.stats()
-            assert stats["resident"] == 1
-            assert stats["builds"] == 1
-            assert stats["shared_acquisitions"] == 1
-            assert list(stats["refcounts"].values()) == [2]
+            assert first.stats is not second.stats
+            append_facts(db, spec, rng, count=4)
+            assert first.flush() and second.flush()
+            assert first.stats.n == second.stats.n == 404
+            append_dimension(db, spec, rng)
+            assert first.flush() and second.flush()
+            assert np.array_equal(first.model.weights, second.model.weights)
 
-    def test_close_releases_residency(self, db, multiway_star):
-        spec = multiway_star.spec
-        store = StatsStore()
+    def test_close_drops_the_statistics(self, db, multiway_star):
         maintainer = ModelMaintainer(
-            db, "a", "linear", spec, stats_store=store,
+            db, "a", "linear", multiway_star.spec,
             policy=MaintenancePolicy(refresh="manual"),
         )
-        assert store.stats()["resident"] == 1
+        assert maintainer.stats is not None
         maintainer.close()
-        assert store.stats()["resident"] == 0
+        assert maintainer.stats is None
 
     def test_closed_maintainer_ignores_events(self, db, multiway_star):
         spec = multiway_star.spec

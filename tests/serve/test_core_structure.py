@@ -14,8 +14,10 @@ memory bound (``TestOneMemoryBound``), its one victim order
 (``TestOneLockPerCache``), the cost model both choosers
 call (``TestOneCostModel``), the mixture
 E-step serving, maintenance and training share (``TestOneEStep``),
-the update → flush → cold-miss path (``TestAnUpdateCostsWhatItTouches``)
-and the request queue's one wake-up per arrival (``TestTargetedWakeUps``).
+the update → flush → cold-miss path (``TestAnUpdateCostsWhatItTouches``),
+the request queue's one wake-up per arrival (``TestTargetedWakeUps``),
+the maintainer's own statistics (``TestEachMaintainerOwnsItsStatistics``)
+and the paper's evaluation as one table (``TestOneEvaluationTable``).
 """
 
 import ast
@@ -738,6 +740,48 @@ class TestTargetedWakeUps:
     def test_put_calls_no_notify_all(self):
         put = _method(SRC_ROOT / "runtime" / "queue.py", "RequestQueue", "put")
         assert "notify_all" not in _names(put)
+
+
+class TestEachMaintainerOwnsItsStatistics:
+    """No registry shares one statistics object between maintainers:
+    two maintainers over one join would fold every row into it twice."""
+
+    def test_the_shared_statistics_store_is_gone(self):
+        assert not (SRC_ROOT / "fx" / "statstore.py").exists()
+        found = [
+            str(path.relative_to(SRC_ROOT))
+            for path in sorted(SRC_ROOT.rglob("*.py"))
+            if re.search(
+                r"StatsStore|stats_store", path.read_text(encoding="utf-8")
+            )
+        ]
+        assert found == []
+
+
+class TestOneEvaluationTable:
+    """Section VII is the ``FIGURES`` table and ``run_figure``: no
+    function per figure panel, and ``run_sweep`` takes one config per
+    point and no options."""
+
+    BENCH = SRC_ROOT / "bench"
+
+    def test_no_function_per_figure_or_table(self):
+        found = [
+            f"{path.name}:{node.name}"
+            for path in sorted(self.BENCH.glob("*.py"))
+            for node in ast.walk(_tree(path))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name.startswith(("figure", "table"))
+        ]
+        assert found == []
+
+    def test_run_sweep_takes_no_keyword_only_options(self):
+        (run_sweep,) = [
+            node for node in _tree(self.BENCH / "harness.py").body
+            if isinstance(node, ast.FunctionDef) and node.name == "run_sweep"
+        ]
+        assert run_sweep.args.kwonlyargs == []
+        assert run_sweep.args.defaults == []
 
 
 class TestBenchmarkHooksLand:
