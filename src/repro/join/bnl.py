@@ -30,7 +30,10 @@ dimension rows sit — is the same every time.  A :class:`JoinIndex`
 records that on the first pass over each block; later passes read
 exactly the same pages in the same order and replace probe → mask →
 sort → ``codes_for_keys`` with one ``take`` per chunk.  It holds
-integers only, never feature values.
+integers only, never feature values.  The database keeps the index of
+the join it last trained on, so a later fit over the same join replays
+from its first pass: an access opened as a context manager borrows it
+(:class:`JoinAccess`).
 
 Blocks whose inner scan matched no fact tuples are not emitted: the
 page reads are already charged by the time emptiness is known, and an
@@ -307,6 +310,12 @@ class JoinIndex:
     of the fact and every dimension relation: a pass that starts under
     another drops everything and records afresh.  A pass abandoned
     mid-way keeps what it recorded; the next fills in the rest.
+
+    ``key`` — the block size and the joined :class:`Relation` objects,
+    which compare by identity — is what the database's slot matches on:
+    a relation dropped and re-created under its old name, at its old row
+    count and row version 0, is another relation.  ``passes_replayed``
+    and ``rebuilds`` count the current borrower's passes only.
     """
 
     def __init__(
@@ -315,6 +324,10 @@ class JoinIndex:
         self._db = db
         self.resolved = resolved
         self.block_pages = block_pages
+        self.relations = (
+            resolved.fact, *(d.relation for d in resolved.dimensions)
+        )
+        self.key = (block_pages, *self.relations)
         self._recorded: dict[int, _BlockKeys] = {}
         self._version: tuple | None = None
         self._complete = False
@@ -326,29 +339,40 @@ class JoinIndex:
         self._recorded = {}
         self._complete = False
 
+    def _versions(self) -> tuple:
+        return tuple(
+            (self._db.row_version(relation.name), relation.nrows)
+            for relation in self.relations
+        )
+
+    def current(self) -> bool:
+        """Whether the index still describes the database's rows: every
+        joined relation is still the one registered under its name, at
+        the versions the last pass started under."""
+        db = self._db
+        return all(
+            relation.name in db and db.relation(relation.name) is relation
+            for relation in self.relations
+        ) and self._version == self._versions()
+
     def blocks(
         self, shuffle: bool = False, rng: np.random.Generator | None = None
     ) -> Iterator[JoinBlock]:
         """One pass over the join, replaying what earlier passes recorded."""
-        resolved = self.resolved
-        version = tuple(
-            (self._db.row_version(relation.name), relation.nrows)
-            for relation in (
-                resolved.fact, *(d.relation for d in resolved.dimensions)
-            )
-        )
+        version = self._versions()
         if version != self._version:
             self.rebuilds += bool(self._recorded)
             self.clear()
             self._version = version
         self.passes_replayed += self._complete
         yield from _iter_blocks(
-            resolved, self.block_pages, shuffle, rng, self._recorded
+            self.resolved, self.block_pages, shuffle, rng, self._recorded
         )
         self._complete = True
 
     def stats(self) -> dict:
-        """``{blocks, bytes, passes_replayed, rebuilds}`` so far."""
+        """``{blocks, bytes}`` held, ``{passes_replayed, rebuilds}`` of
+        the current borrower."""
         return {
             "blocks": len(self._recorded),
             "bytes": sum(k.nbytes for k in self._recorded.values()),
@@ -359,6 +383,13 @@ class JoinIndex:
 
 class JoinAccess:
     """Constructor and pass plumbing the S- and F- access paths share.
+
+    Opened as a context manager, an access borrows the database's
+    :class:`JoinIndex` for its join — taken out of the slot, so no two
+    passes ever share one — and hands it back on exit, where it fills
+    the slot unless it has gone stale; a concurrent access over the same
+    join records a private index meanwhile.  Constructed bare, an access
+    records a private index and leaves the database's alone.
 
     Parameters
     ----------
@@ -389,7 +420,18 @@ class JoinAccess:
         self.block_pages = block_pages
         self.shuffle = shuffle
         self.seed = seed
+        self._db = db
         self.index = JoinIndex(db, self.resolved, block_pages)
+
+    def __enter__(self) -> "JoinAccess":
+        held = self._db.take_join_index(self.index.key)
+        if held is not None:
+            held.passes_replayed = held.rebuilds = 0
+            self.index = held
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._db.keep_join_index(self.index)
 
     @property
     def num_rows(self) -> int:

@@ -38,6 +38,7 @@ def materialize_join(
     Returns the new relation ``T(SID, [Y,] X_S, X_R1, …)``.  The join
     itself runs block-nested-loops (charged reads) and every output page
     is charged as a write, matching the M- cost model of Section V-A.
+    The pass borrows the database's join index, like an S- fit's.
     """
     if name in db:
         if not replace:
@@ -45,15 +46,14 @@ def materialize_join(
                 f"relation {name!r} already exists; pass replace=True"
             )
         db.drop_relation(name)
-    stream = StreamingJoin(db, spec, block_pages=block_pages)
-    schema = stream.resolved.output_schema()
-    table = db.create_relation(name, schema)
-    for batch in stream.batches():
-        columns = [batch.sids.astype(np.float64)[:, None]]
-        if batch.targets is not None:
-            columns.append(batch.targets[:, None])
-        columns.append(batch.features)
-        table.append(np.concatenate(columns, axis=1))
+    with StreamingJoin(db, spec, block_pages=block_pages) as stream:
+        table = db.create_relation(name, stream.resolved.output_schema())
+        for batch in stream.batches():
+            columns = [batch.sids.astype(np.float64)[:, None]]
+            if batch.targets is not None:
+                columns.append(batch.targets[:, None])
+            columns.append(batch.features)
+            table.append(np.concatenate(columns, axis=1))
     return table
 
 

@@ -4,7 +4,9 @@ A :class:`Database` owns a directory on disk, a shared
 :class:`~repro.storage.iostats.IOStats`, and an optional
 :class:`~repro.storage.buffer.BufferPool`.  Algorithms receive a database
 handle and resolve relations by name, exactly as the paper's client code
-resolves tables in PostgreSQL.
+resolves tables in PostgreSQL.  It also keeps one
+:class:`~repro.join.bnl.JoinIndex`: the one for the join it last
+trained on.
 """
 
 from __future__ import annotations
@@ -59,6 +61,10 @@ class Database:
         # concurrent updates to one page cannot lose writes and row
         # versions/events stay in emission order.
         self._update_lock = threading.Lock()
+        # The index of the join last trained on, lent to one access at
+        # a time; dropped as soon as a joined relation changes.
+        self._join_index = None
+        self._join_index_lock = threading.Lock()
         self._load_catalog()
 
     # -- persistence ---------------------------------------------------------
@@ -118,9 +124,41 @@ class Database:
             if missing_ok:
                 return
             raise StorageError(f"no relation {name!r} to drop")
+        self._drop_join_index(relation)
         self.buffer_pool.invalidate(relation.heap)
         relation.drop()
         self._save_catalog()
+
+    # -- the join index ----------------------------------------------------
+
+    def take_join_index(self, key: tuple):
+        """Lend out the held join index if it was built for ``key``
+        (:attr:`~repro.join.bnl.JoinIndex.key`), emptying the slot;
+        ``None`` otherwise."""
+        with self._join_index_lock:
+            held = self._join_index
+            if held is None or held.key != key:
+                return None
+            self._join_index = None
+            return held
+
+    def keep_join_index(self, index) -> None:
+        """Hold ``index`` in place of any other, unless it no longer
+        describes the rows."""
+        with self._join_index_lock:
+            if index.current():
+                self._join_index = index
+
+    def _drop_join_index(self, relation: Relation | None = None) -> None:
+        """Drop the held index if it joins ``relation`` (whatever it
+        joins, without one)."""
+        with self._join_index_lock:
+            held = self._join_index
+            if held is not None and (
+                relation is None
+                or any(joined is relation for joined in held.relations)
+            ):
+                self._join_index = None
 
     # -- in-place updates and change notification ---------------------------
 
@@ -206,6 +244,7 @@ class Database:
             self.buffer_pool.invalidate_pages(relation.heap, pages)
             version = self._row_versions.get(name, 0) + 1
             self._row_versions[name] = version
+            self._drop_join_index(relation)
             if key_position is not None:
                 rids = rows[:, key_position].astype(np.int64)
             else:
@@ -260,6 +299,7 @@ class Database:
             positions = np.arange(first, relation.nrows, dtype=np.int64)
             version = self._row_versions.get(name, 0) + 1
             self._row_versions[name] = version
+            self._drop_join_index(relation)
             if key_position is not None:
                 rids = rows[:, key_position].astype(np.int64)
             else:
@@ -357,6 +397,7 @@ class Database:
         if delete is None:
             delete = self._owns_directory
         self._subscribers.clear()
+        self._drop_join_index()
         self._relations.clear()
         self.buffer_pool.clear()
         if delete and self.directory.exists():

@@ -25,7 +25,7 @@ def test_smoke(argv, capsys):
     arms = ["F"] if "--arm" in argv else list(profile_fit.ARMS)
     for arm in arms:
         line = out.split(f"{arm:>4} (")[1].split("\n")[0]
-        assert " s, predicted " in line
+        assert " s, cold index " in line and " s, predicted " in line
         if arm != "M":          # the memory budget may rule M out
             assert line.endswith(" s") and "predicted -" not in line
     assert "tottime" in out

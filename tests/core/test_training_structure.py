@@ -376,3 +376,68 @@ class TestOneEMPassPerIteration:
         ]
         assert kept == []
         assert "gammas" not in _identifiers(loop)
+
+
+class TestTheDatabaseHoldsOneJoinIndex:
+    """``storage/catalog.Database`` keeps the index of the join it last
+    trained on in one slot: the only join-index state it assigns is that
+    slot (and its lock), the slot only ever takes ``None`` or one index,
+    and nothing outside the catalog writes it."""
+
+    @staticmethod
+    def _database():
+        tree = ast.parse((SRC_ROOT / "storage" / "catalog.py").read_text(
+            encoding="utf-8"
+        ))
+        return next(
+            node for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef) and node.name == "Database"
+        )
+
+    @staticmethod
+    def _stores(root):
+        """``(attribute, value)`` of every ``self.<attr> = value`` and
+        every subscript or augmented store into a ``self`` attribute."""
+        for node in ast.walk(root):
+            targets = (
+                node.targets if isinstance(node, ast.Assign)
+                else [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign))
+                else []
+            )
+            for target in targets:
+                for part in ast.walk(target):
+                    if (
+                        isinstance(part, ast.Attribute)
+                        and isinstance(part.value, ast.Name)
+                        and part.value.id == "self"
+                    ):
+                        yield part.attr, target, node.value
+
+    def test_one_slot(self):
+        stores = [
+            (attr, target, value)
+            for attr, target, value in self._stores(self._database())
+            if "index" in attr
+        ]
+        assert {attr for attr, _, _ in stores} == {
+            "_join_index", "_join_index_lock",
+        }
+        for attr, target, value in stores:
+            if attr != "_join_index":
+                continue
+            assert isinstance(target, ast.Attribute)    # no slot[...] =
+            assert (
+                isinstance(value, ast.Constant) and value.value is None
+            ) or isinstance(value, ast.Name), ast.unparse(value)
+
+    def test_nothing_else_writes_the_slot(self):
+        writers = set()
+        for module, tree in _modules():
+            for node in ast.walk(tree):
+                if (
+                    isinstance(node, ast.Attribute)
+                    and node.attr == "_join_index"
+                    and isinstance(node.ctx, ast.Store)
+                ):
+                    writers.add(module)
+        assert writers == {"storage/catalog.py"}

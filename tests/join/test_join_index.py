@@ -7,10 +7,19 @@ later passes.  These tests pin the contract: replayed batches are
 array-for-array what a fresh access emits, every pass reads the same
 pages, a change to any joined relation forces a rebuild, and whole fits
 are ``==`` the same fits with the index cleared before every pass.
+
+The database keeps the index of the join it last trained on and lends
+it to one open access at a time, so a second fit over a star replays
+from its first pass.  The later classes pin that lifetime: inheriting
+changes no bit of any arm's fit, the slot is keyed by the relation
+objects (not their names), a change to a joined relation drops it at
+once, and concurrent fits never share one.
 """
 
 import math
+import threading
 import warnings
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -23,11 +32,12 @@ from repro.data.synthetic import (
 )
 from repro.fx.costs import COUNT_TABLE
 from repro.gmm.engines import DenseEMEngine, FactorizedEMEngine
-from repro.join.bnl import JoinIndex
+from repro.join.bnl import JoinIndex, _BlockKeys
 from repro.join.factorized import FactorizedJoin
 from repro.join.materialize import MaterializedTable, materialize_join
 from repro.join.stream import StreamingJoin
 from repro.obs import Telemetry
+from repro.storage.catalog import Database
 
 ACCESS = {"streaming": StreamingJoin, "factorized": FactorizedJoin}
 EM_PASSES = COUNT_TABLE["gmm", "train"][1]
@@ -183,8 +193,8 @@ class TestPartialAndStaleIndexes:
         assert sum(batch.n for batch in after) == tiny_db[star.fact_name].nrows
 
 
-@pytest.fixture
-def cold_index(monkeypatch):
+@contextmanager
+def every_pass_cold():
     """Test-only hook: every pass starts from an empty index."""
     recording = JoinIndex.blocks
 
@@ -192,9 +202,31 @@ def cold_index(monkeypatch):
         self.clear()
         return recording(self, *args, **kwargs)
 
-    with monkeypatch.context() as patch:
+    with pytest.MonkeyPatch.context() as patch:
         patch.setattr(JoinIndex, "blocks", blocks)
         yield
+
+
+@pytest.fixture
+def cold_index():
+    with every_pass_cold():
+        yield
+
+
+@contextmanager
+def counting_records():
+    """The list grows by one per outer block a pass records (dedup plan
+    and ``codes_for_keys``) instead of replaying."""
+    calls = []
+    record = _BlockKeys.record.__func__
+
+    def counted(cls, *args, **kwargs):
+        calls.append(1)
+        return record(cls, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_BlockKeys, "record", classmethod(counted))
+        yield calls
 
 
 @pytest.mark.parametrize("algorithm", ["streaming", "factorized"])
@@ -270,6 +302,16 @@ class TestFitBookkeeping:
         assert snapshot.value(
             "repro_training_join_index_replays_total", algorithm="F-NN"
         ) == 2.0
+        # Counted per fit: the second inherits the index and replays
+        # all three epochs, and the series adds exactly that.
+        again = fit_nn(
+            tiny_db, star.spec, hidden_sizes=(4,), epochs=3,
+            telemetry=telemetry,
+        )
+        assert again.fit.extra["join_index"]["passes_replayed"] == 3
+        assert telemetry.snapshot().value(
+            "repro_training_join_index_replays_total", algorithm="F-NN"
+        ) == 5.0
 
     def test_auto_records_what_the_cost_model_saw(self, tiny_db, star):
         auto = fit_gmm(
@@ -399,3 +441,277 @@ class TestInitSamplePrefix:
             for engine in engines:
                 sample = engine.init_sample(max_rows)
                 np.testing.assert_array_equal(sample, wide[:max_rows])
+
+
+# -- the database's index -----------------------------------------------------
+
+FITS = {
+    "gmm": lambda db, spec, algorithm: fit_gmm(
+        db, spec, n_components=2, max_iter=3, tol=0.0, seed=4,
+        algorithm=algorithm, block_pages=2,
+    ),
+    "nn": lambda db, spec, algorithm: fit_nn(
+        db, spec, hidden_sizes=(5,), epochs=3, seed=4, shuffle=False,
+        algorithm=algorithm, block_pages=2,
+    ),
+    "nn-shuffle": lambda db, spec, algorithm: fit_nn(
+        db, spec, hidden_sizes=(5,), epochs=3, seed=4, shuffle=True,
+        algorithm=algorithm, block_pages=2,
+    ),
+}
+# Join passes per fit: EM's sample pass, then its iterations; one per
+# epoch.
+PASSES = {"gmm": 1 + 3 * EM_PASSES, "nn": 3, "nn-shuffle": 3}
+# The fit that fills the slot before the one under test, through
+# another arm.
+PRIMER = {
+    "materialized": ("nn-shuffle", "factorized"),
+    "streaming": ("gmm", "materialized"),
+    "factorized": ("nn", "streaming"),
+}
+
+
+def assert_same_fit(got, want):
+    if hasattr(got, "log_likelihood_history"):
+        assert got.log_likelihood_history == want.log_likelihood_history
+        for name in ("weights", "means", "covariances"):
+            np.testing.assert_array_equal(
+                getattr(got.fit.params, name), getattr(want.fit.params, name)
+            )
+    else:
+        assert got.loss_history == want.loss_history
+        for layer_got, layer_want in zip(got.model.layers, want.model.layers):
+            np.testing.assert_array_equal(layer_got.weights, layer_want.weights)
+            np.testing.assert_array_equal(layer_got.bias, layer_want.bias)
+
+
+def cold_fit(db, spec, kind, algorithm):
+    with every_pass_cold():
+        return FITS[kind](db, spec, algorithm)
+
+
+def recreate_fact(db, star):
+    """Drop the fact relation and create it again under its name, with
+    its row count and its row version (0), but every foreign key moved
+    one row down."""
+    fact = db[star.fact_name]
+    rows = fact.scan().copy()
+    for name in star.dimension_names:
+        column = fact.schema.fk_position(name)
+        rows[:, column] = np.roll(rows[:, column], 1)
+    db.drop_relation(star.fact_name)
+    db.create_relation(star.fact_name, fact.schema, rows)
+
+
+@pytest.mark.parametrize("kind", sorted(FITS))
+@pytest.mark.parametrize(
+    "algorithm", ["materialized", "streaming", "factorized"]
+)
+def test_a_second_fit_replays_everything_and_equals_a_cold_fit(
+    tiny_db, star, algorithm, kind
+):
+    primer_kind, primer_arm = PRIMER[algorithm]
+    FITS[primer_kind](tiny_db, star.spec, primer_arm)
+    with counting_records() as records:
+        second = FITS[kind](tiny_db, star.spec, algorithm)
+    assert records == []        # M-'s materializing pass included
+    if algorithm != "materialized":
+        assert second.fit.extra["join_index"]["passes_replayed"] == (
+            PASSES[kind]
+        )
+        assert second.fit.extra["join_index"]["rebuilds"] == 0
+    assert_same_fit(second, cold_fit(tiny_db, star.spec, kind, algorithm))
+
+
+class TestTheSlotIsKeyedByIdentity:
+    def test_a_recreated_fact_drops_the_index_and_records_afresh(
+        self, tiny_db, star
+    ):
+        FITS["gmm"](tiny_db, star.spec, "streaming")
+        assert tiny_db._join_index is not None
+        recreate_fact(tiny_db, star)
+        assert tiny_db._join_index is None
+        with counting_records() as records:
+            after = FITS["gmm"](tiny_db, star.spec, "factorized")
+        assert records
+        assert_same_fit(
+            after, cold_fit(tiny_db, star.spec, "gmm", "factorized")
+        )
+
+    def test_the_key_alone_refuses_a_recreated_fact(
+        self, tiny_db, star, monkeypatch
+    ):
+        """With the eager drop switched off the stale index stays in
+        the slot; a key built from the spec or the names would match
+        it and replay the old offsets."""
+        monkeypatch.setattr(
+            Database, "_drop_join_index", lambda self, relation=None: None
+        )
+        FITS["nn"](tiny_db, star.spec, "factorized")
+        recreate_fact(tiny_db, star)
+        assert tiny_db._join_index is not None
+        with counting_records() as records:
+            after = FITS["nn"](tiny_db, star.spec, "streaming")
+        assert records
+        assert after.fit.extra["join_index"]["passes_replayed"] == 2
+        assert_same_fit(
+            after, cold_fit(tiny_db, star.spec, "nn", "streaming")
+        )
+
+    def test_an_index_lent_across_a_recreation_is_not_kept(
+        self, tiny_db, star
+    ):
+        with StreamingJoin(tiny_db, star.spec, block_pages=2) as access:
+            list(access.batches())
+            recreate_fact(tiny_db, star)
+        assert tiny_db._join_index is None
+
+    def test_another_block_size_is_another_join(self, tiny_db, star):
+        FITS["gmm"](tiny_db, star.spec, "streaming")
+        fit_gmm(
+            tiny_db, star.spec, n_components=2, max_iter=1, tol=0.0,
+            algorithm="streaming", block_pages=3,
+        )
+        assert tiny_db._join_index.block_pages == 3
+        with counting_records() as records:
+            FITS["gmm"](tiny_db, star.spec, "streaming")
+        assert records
+        assert tiny_db._join_index.block_pages == 2
+
+
+class TestAStaleIndexIsNeverKept:
+    @pytest.mark.parametrize(
+        "change",
+        ["update_dimension", "append_dimension", "append_fact",
+         "drop_dimension"],
+    )
+    def test_a_change_to_a_joined_relation_drops_the_slot(
+        self, tiny_db, star, change
+    ):
+        FITS["gmm"](tiny_db, star.spec, "streaming")
+        assert tiny_db._join_index is not None
+        name = star.dimension_names[0]
+        if change == "update_dimension":
+            positions = np.array([0, 7])
+            rows = tiny_db[name].scan()[positions]      # keys kept
+            rows[:, 1:] += 1.0
+            tiny_db.update_rows(name, positions, rows)
+        elif change == "append_dimension":
+            rows = tiny_db[name].scan()[:2].copy()
+            rows[:, 0] += 10_000                        # fresh RIDs
+            tiny_db.append_rows(name, rows)
+        elif change == "append_fact":
+            rows = tiny_db[star.fact_name].scan()[:7].copy()
+            rows[:, 0] += 10_000                        # fresh SIDs
+            tiny_db.append_rows(star.fact_name, rows)
+        else:
+            tiny_db.drop_relation(name)
+        assert tiny_db._join_index is None
+
+    def test_after_a_dimension_update_the_next_fit_matches_cold(
+        self, tiny_db, star
+    ):
+        FITS["nn-shuffle"](tiny_db, star.spec, "factorized")
+        name = star.dimension_names[-1]
+        positions = np.array([1, 4])
+        rows = tiny_db[name].scan()[positions]
+        rows[:, 1:] *= -2.0
+        tiny_db.update_rows(name, positions, rows)
+        assert tiny_db._join_index is None
+        with counting_records() as records:
+            after = FITS["nn-shuffle"](tiny_db, star.spec, "factorized")
+        assert records
+        assert after.fit.extra["join_index"]["passes_replayed"] == 2
+        assert_same_fit(
+            after, cold_fit(tiny_db, star.spec, "nn-shuffle", "factorized")
+        )
+
+    def test_an_update_while_the_index_is_lent_out_is_not_missed(
+        self, tiny_db, star
+    ):
+        name = star.dimension_names[0]
+        with FactorizedJoin(tiny_db, star.spec, block_pages=2) as access:
+            list(access.batches())
+            rows = tiny_db[name].scan()[:1]
+            tiny_db.update_rows(name, np.array([0]), rows)
+        assert tiny_db._join_index is None
+
+    def test_dropping_the_materialized_table_keeps_the_index(
+        self, tiny_db, star
+    ):
+        """An M- fit drops its ``T`` on exit; ``T`` is not joined."""
+        FITS["gmm"](tiny_db, star.spec, "materialized")
+        held = tiny_db._join_index
+        assert held is not None and held.current()
+        assert not any(
+            name.startswith("_T_") for name in tiny_db.relation_names
+        )
+
+    def test_close_drops_the_index(self, tiny_db, star):
+        FITS["gmm"](tiny_db, star.spec, "factorized")
+        tiny_db.close()
+        assert tiny_db._join_index is None
+
+
+def test_two_threads_fit_one_star_as_they_would_in_turn(tiny_db, star):
+    """Each thread's access borrows the slot or records a private index
+    — never both the same one — so the fits are bit-identical to
+    sequential ones and together read what two sequential fits read."""
+    calls = {
+        "gmm": lambda: FITS["gmm"](tiny_db, star.spec, "factorized"),
+        "nn-shuffle": lambda: FITS["nn-shuffle"](
+            tiny_db, star.spec, "streaming"
+        ),
+    }
+    sequential = {name: call() for name, call in calls.items()}
+    one_pass = pass_reads(
+        tiny_db, StreamingJoin(tiny_db, star.spec, block_pages=2)
+    )[0]
+    fact = tiny_db[star.fact_name].npages
+    dims = [tiny_db[name].npages for name in star.dimension_names]
+    assert one_pass == (
+        dims[0] + math.ceil(dims[0] / 2) * fact if len(dims) == 1
+        else fact + sum(dims)
+    )
+    for _ in range(4):
+        barrier = threading.Barrier(len(calls))
+        results = {}
+
+        def run(name):
+            barrier.wait()
+            results[name] = calls[name]()
+
+        threads = [threading.Thread(target=run, args=(name,)) for name in calls]
+        before = tiny_db.stats.snapshot()
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        delta = tiny_db.stats.snapshot() - before
+        assert delta.pages_read == sum(PASSES[name] for name in calls) * (
+            one_pass
+        )
+        for name, result in results.items():
+            assert_same_fit(result, sequential[name])
+            # inherited (every pass replayed), or recorded privately
+            # (the first pass recorded the whole join)
+            assert result.fit.extra["join_index"]["passes_replayed"] in (
+                PASSES[name], PASSES[name] - 1,
+            )
+        assert tiny_db._join_index is not None
+
+
+def test_the_database_holds_one_index_the_last_trained_joins(tiny_db, star):
+    FITS["gmm"](tiny_db, star.spec, "streaming")
+    first = tiny_db._join_index
+    other = generate_star(
+        tiny_db,
+        StarSchemaConfig.binary(
+            n_s=120, n_r=9, d_s=2, d_r=2, with_target=True, seed=8
+        ),
+        fact_name="S2", dimension_prefix="Q",
+    )
+    FITS["nn"](tiny_db, other.spec, "factorized")
+    held = tiny_db._join_index
+    assert held is not first
+    assert [r.name for r in held.relations] == ["S2", "Q1"]

@@ -6,7 +6,8 @@
 Every cell of the grid — tuple ratio × d_R × q × (K, n_h) × (n_S, passes) —
 is a synthetic star that every arm of both model kinds trains over through
 ``core.training.train``, timed with ``profile_fit``'s warm-then-time timer
-(best of ``--reps`` rounds) and taken to the reference host's full speed by
+(best of ``--reps`` rounds; warm-index fits, as every fit after a star's
+first) and taken to the reference host's full speed by
 the e2e benchmark's probe (``benchmarks/e2e/probe.py``), as
 ``benchmarks/e2e/run.py`` reports fit seconds: the host runs 20-100 % slower
 for minutes at a time.

@@ -6,8 +6,10 @@
     PYTHONPATH=src python tools/profile_fit.py maintain --shape star3
 
 Without ``--arm`` every arm is timed and ``auto`` profiled; each wall is
-printed next to the seconds ``auto`` predicted for that arm
-(``fit.extra["auto"]["predicted_s"]``; none for an arm the memory
+printed next to the arm's cold-index wall — the same fit with the
+database's join index dropped first, so that it pays the recording pass
+a star's first fit pays — and the seconds ``auto`` predicted for that
+arm (``fit.extra["auto"]["predicted_s"]``; none for an arm the memory
 budget rules out).  ``maintain``
 times the statistics build over the ``--arm`` GMM fit (``repro.maintain``),
 one 32-row update of the first dimension and its ``flush()``, prints what
@@ -56,7 +58,9 @@ def warm_then_time(calls: dict, reps: int = 1) -> dict:
     """``{name: (seconds, result)}`` for the zero-argument ``calls``:
     each is called once unmeasured (pages, lazy imports), then all are
     timed in turn, ``reps`` rounds, so that a host slowdown lands on
-    every arm alike; the fastest wall and the last call's result."""
+    every arm alike; the fastest wall and the last call's result.
+    Calls over one star share the database's join index, so these walls
+    price warm-index fits: every pass replays."""
     results = {name: call() for name, call in calls.items()}
     walls = {name: [] for name in calls}
     for _ in range(reps):
@@ -65,6 +69,18 @@ def warm_then_time(calls: dict, reps: int = 1) -> dict:
             results[name] = call()
             walls[name].append(time.perf_counter() - tick)
     return {name: (min(walls[name]), results[name]) for name in calls}
+
+
+def time_cold_index(db, calls: dict) -> dict:
+    """``{name: seconds}`` of one more call each, with ``db``'s join index
+    dropped first: the wall of a star's first fit, recording pass included."""
+    walls = {}
+    for name, call in calls.items():
+        db._drop_join_index()
+        tick = time.perf_counter()
+        call()
+        walls[name] = time.perf_counter() - tick
+    return walls
 
 
 def profile_maintenance(db, spec, gmm, top: int) -> None:
@@ -121,14 +137,17 @@ def main(argv=None) -> None:
             profile_maintenance(db, spec, fit(args.arm or "auto"), args.top)
             return
         auto = fit("auto").fit.extra["auto"]
-        timed = warm_then_time({
+        calls = {
             arm: functools.partial(fit, arm)
             for arm in ([args.arm] if args.arm else ARMS)
-        })
+        }
+        timed = warm_then_time(calls)
+        cold = time_cold_index(db, calls)
         for arm, (seconds, result) in timed.items():
             strategy = auto["chosen"] if arm == "auto" else ARMS[arm]
             predicted = auto["predicted_s"].get(strategy)
-            print(f"{arm:>4} ({result.algorithm}): {seconds:.3f} s, predicted "
+            print(f"{arm:>4} ({result.algorithm}): {seconds:.3f} s, "
+                  f"cold index {cold[arm]:.3f} s, predicted "
                   + ("-" if predicted is None else f"{predicted:.3f} s"))
         profiler = cProfile.Profile()
         profiler.runcall(fit, args.arm or "auto")
