@@ -162,7 +162,6 @@ def _curve_point(db, spec, model, order, tier):
     without the governor's cascade mixing tiers.
     """
     store = PartialStore(
-        capacity_floats=1 << 28,
         tiers=() if tier in ("resident", "recomputed") else (tier,),
     )
     predictor = FactorizedGMMPredictor(db, spec, model, store=store)

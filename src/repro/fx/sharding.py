@@ -9,8 +9,8 @@ from a private store of its own.  It *is* a
 lookup → miss compute → insert, which is what makes invalidation
 race-free and keeps a governor sweep out of a batch in flight (the
 argument lives with the lock, in :mod:`repro.serve.cache`) — and adds
-one thing: under a store-wide budget, each :meth:`get_many` calls the
-``governor``'s ``enforce_budget()`` once, after the lock is released.
+one thing: each :meth:`get_many` calls the ``governor``'s
+``enforce_budget()`` once, after the lock is released.
 The lock order is always governor → one cache at a time, never a cache
 held while asking for the governor, which is what keeps cross-cache
 eviction deadlock-free.
@@ -32,12 +32,11 @@ class ShardedPartialCache(PartialCache):
     """A :class:`~repro.serve.cache.PartialCache` that runs the owning
     store's governor after every batch.
 
-    ``governor`` is set by the owning :class:`~repro.fx.store.PartialStore`
-    when it is armed (a store-wide ``capacity_floats`` budget, or a
-    process worker's); every other argument is the cache's.
+    ``governor`` is the owning :class:`~repro.fx.store.PartialStore`;
+    every other argument is the cache's.
     """
 
-    def __init__(self, *, governor=None, **cache) -> None:
+    def __init__(self, *, governor, **cache) -> None:
         super().__init__(**cache)
         self._governor = governor
 
@@ -52,5 +51,4 @@ class ShardedPartialCache(PartialCache):
         try:
             return super().get_many(keys, compute)
         finally:
-            if self._governor is not None:
-                self._governor.enforce_budget()
+            self._governor.enforce_budget()

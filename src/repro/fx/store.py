@@ -52,14 +52,13 @@ approximate under sharing (a documented attribution trade, like
 shared buffer-pool stats).
 
 **Process workers.**  A worker process of the process executor runs
-this same class over its shared-memory slab (``allocator=``).  Two
-facts make it a worker store: ``armed=True`` turns on the recency
-clock and governor hooks without a ``capacity_floats`` of its own — the
-budget is global and enforced by the parent's deficit-bounded
-:meth:`PartialStore.trim` sweeps, so a hot worker can use budget a
-cold one is not using — and ``header=`` names the worker's row of the
-shared header segment, into which :meth:`PartialStore.publish_header`
-pushes the store's :class:`~repro.serve.cache.Residency` after every
+this same class over its shared-memory slab (``allocator=``), with no
+``capacity_floats`` of its own: the budget is global and enforced by
+the parent's deficit-bounded :meth:`PartialStore.trim` sweeps, so a
+hot worker can use budget a cold one is not using.  ``header=`` names
+the worker's row of the shared header segment, into which
+:meth:`PartialStore.publish_header` pushes the store's
+:class:`~repro.serve.cache.Residency` after every
 batch/invalidate/trim; that row is all the parent's governor ever
 reads.
 """
@@ -80,6 +79,18 @@ from repro.fx.sharding import ShardedPartialCache
 from repro.fx.tiers import TIER_SPILL, validate_tiers
 from repro.serve.cache import AccessClock, CacheStats, Residency, add_fields
 
+#: Once the governor trips, it trims down to ``capacity *
+#: GOVERNOR_HYSTERESIS`` instead of exactly to capacity, so the
+#: steady-state overshoot of one batch's inserts doesn't re-trip it
+#: every batch.
+GOVERNOR_HYSTERESIS = 0.9
+
+
+def low_watermark(capacity_floats: int) -> int:
+    """Where a tripped governor trims to — the one watermark both
+    governors (this store's and the process executor's) use."""
+    return max(1, int(capacity_floats * GOVERNOR_HYSTERESIS))
+
 
 @dataclass(frozen=True)
 class StoreStats:
@@ -92,7 +103,7 @@ class StoreStats:
     :class:`~repro.serve.cache.CacheStats` across every live cache.
 
     Governance fields: ``capacity_floats`` is the store-wide budget
-    (``None`` = ungoverned), ``cross_evictions`` how many rows the
+    (``None`` = unbounded), ``cross_evictions`` how many rows the
     budget governor evicted across cache boundaries (counted at the
     store so the total survives caches being released), and
     ``fingerprints`` the per-fingerprint resident-byte shares —
@@ -109,7 +120,7 @@ class StoreStats:
     fingerprints: dict[str, int] = field(default_factory=dict)
     # How many times the budget governor *tripped* (one count per
     # over-budget enforce_budget call, not per evicted row) — the
-    # hysteresis regression metric.
+    # low watermark's regression metric.
     governor_sweeps: int = 0
 
     # Merges the per-worker stores of the process executor.
@@ -167,8 +178,8 @@ class PartialStore:
     fingerprints, enforced by cross-cache eviction (see the module
     docstring) — the one memory bound there is.  All bookkeeping is
     thread-safe — the runtime registers models while traffic is live.
-    ``allocator`` / ``header`` / ``armed`` are the process worker's
-    (module docstring).
+    ``allocator`` / ``header`` are the process worker's (module
+    docstring).
     """
 
     def __init__(
@@ -177,29 +188,17 @@ class PartialStore:
         capacity_floats: int | None = None,
         allocator=None,
         header=None,
-        armed: bool = False,
         tiers=(),
-        hysteresis: float = 1.0,
     ) -> None:
         if capacity_floats is not None and capacity_floats <= 0:
             raise ModelError(
                 f"store capacity_floats must be positive or None, "
                 f"got {capacity_floats}"
             )
-        if not 0.0 < hysteresis <= 1.0:
-            raise ModelError(
-                f"hysteresis must lie in (0, 1], got {hysteresis}"
-            )
         self.capacity_floats = capacity_floats
         # The demotion ladder new caches walk under budget pressure
         # (see repro.fx.tiers); () keeps the drop-on-evict behavior.
         self.tiers = validate_tiers(tiers)
-        # Once tripped, the governor trims to capacity * hysteresis so
-        # steady-state overshoot of a batch's inserts doesn't re-trip
-        # it every batch.  1.0 = trim exactly to budget (the historic
-        # behavior); the serving layers pass
-        # repro.fx.tiers.GOVERNOR_HYSTERESIS.
-        self.hysteresis = hysteresis
         self._governor_sweeps = 0
         # Spill-tier backing directory, created when a slab first
         # writes; the finalizer is the leak backstop for stores that
@@ -213,11 +212,6 @@ class PartialStore:
         # This worker's row of the shared int64 header segment
         # (repro.fx.shm.header_view), or None outside a worker.
         self._header = header
-        # Armed once a budget has ever been in force (or from the
-        # start, for a worker whose bound lives in the parent): caches
-        # created on an armed store carry the recency clock + governor
-        # hook, so set_budget()/trim() have an eviction order to follow.
-        self._armed = armed or capacity_floats is not None
         self._entries: dict[str, _Entry] = {}
         self._key_of_cache: dict[int, str] = {}
         self._shared_attachments = 0
@@ -233,6 +227,9 @@ class PartialStore:
     def acquire(self, fingerprint: str) -> ShardedPartialCache:
         """The shared cache for ``fingerprint`` (created on first use);
         later acquirers of a live fingerprint share the existing cache.
+        Every cache stamps its accesses on the store's clock and calls
+        the store's governor after each batch, so a budget imposed at
+        any time has an eviction order to follow.
         """
         with self._lock:
             entry = self._entries.get(fingerprint)
@@ -240,14 +237,9 @@ class PartialStore:
                 entry.refs += 1
                 self._shared_attachments += 1
                 return entry.cache
-            governed = self._armed
             cache = ShardedPartialCache(
-                # Tick stamping costs one shared-clock acquire per
-                # get_many plus per-key tick writes; only governed
-                # stores ever read the ticks, so ungoverned ones skip
-                # the clock entirely.
-                clock=self._clock if governed else None,
-                governor=self if governed else None,
+                clock=self._clock,
+                governor=self,
                 allocator=self._allocator,
                 tiers=self.tiers,
                 spill_dir=(
@@ -320,7 +312,7 @@ class PartialStore:
     def close(self) -> None:
         """Drop every cache registration and clear the caches.
 
-        Armed caches carry a back-reference to their governor (this
+        Every cache carries a back-reference to its governor (this
         store) while the store's registry references the caches — a
         reference cycle only the garbage collector would reclaim.
         ``close()`` breaks it deterministically, which matters when the
@@ -352,17 +344,19 @@ class PartialStore:
         oldest tick first (see :meth:`PartialCache.eviction_candidates
         <repro.serve.cache.PartialCache.eviction_candidates>`).
         """
-        if self.capacity_floats is None:
+        # One read of the bound: set_budget(None) may lift it mid-sweep.
+        capacity = self.capacity_floats
+        if capacity is None:
             return 0
         evicted = 0
         with self._governor_lock:
-            if self.floats_resident <= self.capacity_floats:
+            if self.floats_resident <= capacity:
                 return 0
-            # Tripped.  Count the sweep once (the hysteresis metric),
-            # then trim down to the low watermark so the next few
-            # batches' overshoot fits without re-tripping.
+            # Tripped.  Count the sweep once, then trim down to the
+            # low watermark so the next few batches' overshoot fits
+            # without re-tripping.
             self._governor_sweeps += 1
-            low = max(1, int(self.capacity_floats * self.hysteresis))
+            low = low_watermark(capacity)
             while True:
                 deficit = self.floats_resident - low
                 if deficit <= 0:
@@ -427,17 +421,9 @@ class PartialStore:
         (:func:`repro.fx.shm.plan_trims`) and each worker trims its own
         store — same victim order as
         :meth:`enforce_budget`, but the *bound* lives in the parent.
-        The governor must be armed (a clock-stamping store); trimming
-        an ungoverned store raises, mirroring :meth:`set_budget`.
         """
         if floats <= 0:
             return 0
-        if not self._armed:
-            raise ModelError(
-                "cannot trim an ungoverned store; create it with "
-                "capacity_floats (or armed=True) so entries carry "
-                "recency ticks"
-            )
         evicted = 0
         with self._governor_lock:
             remaining = floats
@@ -458,34 +444,16 @@ class PartialStore:
         unbounded) just stops future sweeps.  This is the mechanism
         behind adaptation scenarios — a deployment whose memory
         allotment is cut mid-run must degrade by eviction, not by
-        failure.
-
-        A store created *without* a budget hands out ungoverned caches
-        (no recency clock, no governor hook), so a budget can only be
-        imposed later while no caches are live; doing otherwise would
-        install a bound the existing caches never feed — a limit
-        believed in force that never is.
+        failure.  A budget can be imposed at any time, on a store
+        created without one too: every cache stamps recency whatever
+        the bound.
         """
         if capacity_floats is not None and capacity_floats <= 0:
             raise ModelError(
                 f"store capacity_floats must be positive or None, "
                 f"got {capacity_floats}"
             )
-        with self._lock:
-            if (
-                capacity_floats is not None
-                and not self._armed
-                and self._entries
-            ):
-                raise ModelError(
-                    "cannot impose a budget on a store whose caches "
-                    "were created ungoverned; create the store with "
-                    "capacity_floats (any bound) to arm the governor, "
-                    "then set_budget() adjusts it mid-flight"
-                )
-            if capacity_floats is not None:
-                self._armed = True
-            self.capacity_floats = capacity_floats
+        self.capacity_floats = capacity_floats
         if capacity_floats is None:
             return 0
         return self.enforce_budget()

@@ -51,14 +51,6 @@ STORE_TIERS = (TIER_FLOAT32, TIER_SPILL)
 #: absorbs accumulation over a partial's width).
 FLOAT32_SCORE_RTOL = 1e-5
 
-#: Once the governor trips, it trims down to ``capacity * hysteresis``
-#: instead of exactly to capacity, so steady-state overshoot of one
-#: batch's inserts doesn't re-trip it every batch.  The bare
-#: :class:`~repro.fx.store.PartialStore` default stays 1.0 (trim exactly
-#: to budget — the behavior PR 5's tests pin); the serving layers pass
-#: this explicitly.
-GOVERNOR_HYSTERESIS = 0.9
-
 _NO_POSITIONS = np.empty(0, dtype=np.int64)
 
 

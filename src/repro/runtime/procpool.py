@@ -42,7 +42,7 @@ the requests whose rows were routed to it (the runtime retries a
 coalesced batch request-by-request, exactly like data-dependent
 failures in thread mode).
 
-**Budget governance.**  Workers run an armed
+**Budget governance.**  Workers run a
 :class:`~repro.fx.store.PartialStore` with *no* bound of its own; each
 publishes its residency into its header row, and after every gathered batch the
 dispatcher reads the headers (plain shared-memory loads, no IPC),
@@ -78,8 +78,7 @@ from repro.fx.shm import (
     header_view,
     plan_trims,
 )
-from repro.fx.store import StoreStats
-from repro.fx.tiers import GOVERNOR_HYSTERESIS
+from repro.fx.store import StoreStats, low_watermark
 from repro.serve.cache import CacheStats, Residency
 from repro.serve.core import (
     ExecMeta,
@@ -318,8 +317,8 @@ class ProcessExecutor(ServingCore):
         self.budget_floats = budget_floats(config.memory_budget)
         self._closed = False
         # Times the parent governor tripped (sum of headers over
-        # budget), not rows trimmed — the hysteresis metric, reported
-        # as StoreStats.governor_sweeps.
+        # budget), not rows trimmed — reported as
+        # StoreStats.governor_sweeps.
         self.sweeps = 0
         self._last_samples: list[dict] = []
         self._req_ids = itertools.count(1)
@@ -640,18 +639,19 @@ class ProcessExecutor(ServingCore):
         this after every gathered batch, so the fast path must be two
         loads and a compare.
         """
-        if self.budget_floats is None:
+        # One read of the bound: set_budget(None) may lift it mid-sweep.
+        budget = self.budget_floats
+        if budget is None:
             return 0
         resident = self.worker_resident_floats()
-        if sum(resident) <= self.budget_floats:
+        if sum(resident) <= budget:
             return 0
         # Tripped: count the sweep once and trim to the low watermark
-        # so steady-state overshoot of one batch's inserts doesn't
-        # re-trip the governor every batch (hysteresis — the same
-        # policy the thread-mode store applies).
+        # (the same policy the thread-mode store applies) so
+        # steady-state overshoot of one batch's inserts doesn't re-trip
+        # the governor every batch.
         self.sweeps += 1
-        low = max(1, int(self.budget_floats * GOVERNOR_HYSTERESIS))
-        trims = plan_trims(resident, low)
+        trims = plan_trims(resident, low_watermark(budget))
         evicted = 0
         for index, floats in enumerate(trims):
             if floats <= 0 or self.workers[index].dead:
@@ -664,13 +664,6 @@ class ProcessExecutor(ServingCore):
 
     def set_budget(self, floats: int | None) -> int:
         """Re-bound the global budget; sweeps immediately on tighten."""
-        if self.budget_floats is None and floats is not None:
-            raise ModelError(
-                "cannot impose a budget on a process runtime created "
-                "without memory_budget; its worker stores run "
-                "ungoverned (no recency ticks) — create the runtime "
-                "with memory_budget to arm the governor"
-            )
         self.budget_floats = floats
         if floats is None:
             return 0

@@ -85,13 +85,11 @@ class _Worker:
         header_seg = self.arena.attach(header_name)
         self.header = header_view(header_seg.buf, num_workers)[worker_id]
         partial_seg = self.arena.attach(partial_name)
+        # No bound of its own: the budget lives in the parent
+        # (deficit-bounded TRIMs over the headers).
         self.store = PartialStore(
             allocator=SlabAllocator(partial_seg.buf),
             header=self.header,
-            # The budget bound lives in the parent (deficit-bounded
-            # TRIMs over the headers); armed just turns on the recency
-            # clock so trims have an eviction order to follow.
-            armed=config.memory_budget is not None,
             # Per-worker demotion ladder; each worker store owns its
             # own spill directory (created lazily, removed on close).
             tiers=config.store_tiers,
@@ -227,7 +225,7 @@ class _Worker:
         # Drop every long-lived view into the segments (the header row,
         # the store's slab allocator buffer) so detaching can actually
         # release the mappings instead of BufferError-ing at exit.
-        # store.close() breaks the armed store <-> cache governor cycle
+        # store.close() breaks the store <-> cache governor cycle
         # deterministically; the collection sweeps whatever transitive
         # cycles (predictor internals, planner state) still pin views.
         self.store.close()

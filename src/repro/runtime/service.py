@@ -640,8 +640,8 @@ class ServingRuntime:
         sweeps the globally coldest partials immediately and
         returns the number of rows evicted — this is how adaptation
         scenarios model a deployment whose memory allotment is cut
-        while traffic is in flight.  The runtime must have been
-        created with a ``memory_budget`` (an armed governor); see
+        while traffic is in flight.  A runtime created without a
+        ``memory_budget`` takes one just the same; see
         :meth:`~repro.fx.store.PartialStore.set_budget`.  The frozen
         ``config.memory_budget`` keeps its construction-time value;
         the live bound is ``runtime_stats().store.capacity_floats``.

@@ -451,13 +451,6 @@ class ScenarioSpec:
             phase.memory_budget for phase in self.phases
         ]
         declared = [b for b in budgets if b is not None]
-        if declared and self.runtime.memory_budget is None:
-            raise ModelError(
-                "a phase re-bounds memory_budget but the scenario "
-                "declares no initial runtime.memory_budget; the budget "
-                "governor is armed at runtime construction, so a "
-                "mid-run cut needs an initial bound to cut from"
-            )
         floor = MIN_BUDGET_BYTES_PER_WORKER * self.runtime.workers
         for budget in declared:
             if budget < floor:

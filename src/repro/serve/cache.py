@@ -382,7 +382,7 @@ class SlotTable:
         self.keys = np.insert(self.keys, at, keys[order])
         self.slots = np.insert(self.slots, at, slots[order])
         self.slab[slots] = rows
-        self.touch(slots, 0 if tick is None else tick)
+        self.touch(slots, tick)
 
     def touch(self, slots: np.ndarray, tick) -> None:
         """Stamp ``slots`` most recently used, in order (a repeated
@@ -391,8 +391,7 @@ class SlotTable:
             self._next_seq, self._next_seq + slots.size
         )
         self._next_seq += slots.size
-        if tick is not None:
-            self.tick[slots] = tick
+        self.tick[slots] = tick
 
     def drop(self, slots: np.ndarray) -> None:
         """Take the rows out of the (distinct, held) ``slots`` — which
@@ -426,9 +425,9 @@ class PartialCache:
     """Map of ``rid -> partial row`` under one lock.
 
     Every computed row is admitted; only the owning store's governor
-    evicts (module docstring).  ``clock`` — an :class:`AccessClock`
-    shared with sibling caches — opts this cache into a store-wide
-    budget: every hit and insert is stamped with a global tick so a
+    evicts (module docstring).  ``clock`` is the :class:`AccessClock`
+    shared with sibling caches (a private one when not given): every
+    hit and insert is stamped with a global tick so a
     :class:`~repro.fx.store.PartialStore` governor can compare recency
     across caches and evict the globally coldest entries first.  All
     lookups go through :meth:`get_many`, which resolves hits, computes
@@ -447,7 +446,7 @@ class PartialCache:
         tiers: tuple = (),
         spill_dir=None,
     ) -> None:
-        self._clock = clock
+        self._clock = clock or AccessClock()
         # The resident tier; with an allocator
         # (repro.fx.shm.SlabAllocator) its slab lives in shared memory,
         # where sibling processes can account it.
@@ -464,9 +463,9 @@ class PartialCache:
                 )
             self._spill = SpillSlab(spill_dir)
         # The demoted populations — rows of the table's one width, in
-        # demotion order (``seq``): the float32 payloads, each with the
-        # tick it had while resident, and the rows' positions in the
-        # spill slab's heap file.
+        # demotion order (``seq``), each with the tick it had while
+        # resident: the float32 payloads, and the rows' positions in
+        # the spill slab's heap file.
         self._compressed = SlotTable(dtype=np.float32)
         self._spilled = SlotTable(dtype=np.int64)
         self._populations = (
@@ -633,7 +632,7 @@ class PartialCache:
             return 0
         target, gain = self._next_rung(tier, rows.shape[1])
         if target == TIER_SPILL:
-            self._spilled.put(keys, self._spill.put(rows)[:, None], None)
+            self._spilled.put(keys, self._spill.put(rows)[:, None], ticks)
             self._spilled_bytes += rows.size * _FLOAT_BYTES
         elif target != "drop":
             self._compressed.put(keys, compress(target, rows), ticks)
@@ -723,9 +722,7 @@ class PartialCache:
             # batch touches: batch-granular recency is plenty for
             # eviction ordering, and it keeps traffic on the store's
             # shared clock lock at O(1) per batch instead of O(keys).
-            batch_tick = (
-                self._clock.tick() if self._clock is not None else None
-            )
+            batch_tick = self._clock.tick()
             slots, held = table.find(keys)
             if (
                 self._compressed.rows or self._spilled.rows

@@ -39,7 +39,6 @@ from repro.core.strategies import (
 )
 from repro.errors import ModelError
 from repro.fx.dedup import DedupPlan
-from repro.fx.tiers import GOVERNOR_HYSTERESIS
 from repro.join.bnl import DEFAULT_BLOCK_PAGES
 from repro.join.spec import JoinSpec
 from repro.obs.trace import NOOP_SPAN
@@ -102,15 +101,7 @@ def budgeted_store(memory_budget: int | None, **kwargs):
     # re-enter the serve package mid-bootstrap.
     from repro.fx.store import PartialStore
 
-    if memory_budget is None:
-        return PartialStore(**kwargs)
-    # Budgeted stores trim to a low watermark so steady-state
-    # overshoot doesn't invoke the governor every batch.
-    return PartialStore(
-        capacity_floats=budget_floats(memory_budget),
-        hysteresis=GOVERNOR_HYSTERESIS,
-        **kwargs,
-    )
+    return PartialStore(capacity_floats=budget_floats(memory_budget), **kwargs)
 
 
 def collect_store(
@@ -134,7 +125,7 @@ def collect_store(
     buffer.counter(
         "repro_store_governor_sweeps_total", sweeps,
         help="Times the budget governor actually swept "
-             "(hysteresis suppresses per-batch trips)",
+             "(the low watermark suppresses per-batch trips)",
     )
     if not tiered:
         return

@@ -186,9 +186,7 @@ class TestWorkerPartialStore:
     def test_armed_store_trims_without_a_local_capacity(self):
         arena = ShmArena()
         seg = arena.create("part", 4096)
-        store = PartialStore(
-            allocator=SlabAllocator(seg.buf), armed=True
-        )
+        store = PartialStore(allocator=SlabAllocator(seg.buf))
         cache = store.acquire("fp")
         cache.get_many(np.arange(10), rows_for(4))
         evicted = store.trim(12)            # 12 floats = 3 width-4 rows
@@ -201,7 +199,7 @@ class TestWorkerPartialStore:
         arena = ShmArena()
         seg = arena.create("part", 16384)
         allocator = SlabAllocator(seg.buf)
-        store = PartialStore(allocator=allocator, armed=True)
+        store = PartialStore(allocator=allocator)
         first = store.acquire("fp-1")
         first.get_many(np.arange(100), rows_for(4))
         big = allocator.bytes_reserved
@@ -222,15 +220,24 @@ class TestWorkerPartialStore:
         store.close()
         arena.close()
 
-    def test_unarmed_store_refuses_to_trim(self):
+    def test_trim_on_a_store_that_never_had_a_budget_takes_the_coldest(self):
         store = PartialStore()
-        with pytest.raises(ModelError, match="armed"):
-            store.trim(10)
+        a = store.acquire("fp-a")
+        b = store.acquire("fp-b")
+        a.get_many(np.arange(4), rows_for(2))       # tick 1
+        b.get_many(np.arange(4), rows_for(2))       # tick 2
+        a.get_many(np.array([3]), rows_for(2))      # tick 3: a hit
+        assert store.capacity_floats is None
+        assert store.trim(10) == 5                  # 10 floats = 5 rows
+        assert a.keys() == [3]
+        assert b.keys() == [2, 3]
+        assert store.floats_resident == 3 * 2
+        store.close()
 
     def test_close_releases_every_buffer_view(self):
-        # An armed store and its caches form a governor reference
-        # cycle; close() must break it so the segment's mapping can
-        # actually be released (no BufferError at detach time).
+        # A store and its caches form a governor reference cycle;
+        # close() must break it so the segment's mapping can actually
+        # be released (no BufferError at detach time).
         from multiprocessing import shared_memory
 
         shm = shared_memory.SharedMemory(create=True, size=4096)
@@ -238,9 +245,7 @@ class TestWorkerPartialStore:
             from repro.fx.shm import ShmSegment
 
             seg = ShmSegment(shm, owner=False)
-            store = PartialStore(
-                allocator=SlabAllocator(seg.buf), armed=True,
-            )
+            store = PartialStore(allocator=SlabAllocator(seg.buf))
             cache = store.acquire("fp")
             cache.get_many(np.array([1, 2]), rows_for(4))
             store.close()

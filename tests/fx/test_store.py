@@ -69,11 +69,11 @@ class TestConfiguration:
     def test_every_acquirer_attaches_under_the_store_budget(self):
         # An acquirer states no bound of its own, so no two acquirers
         # can disagree: each attaches, and the store's budget holds.
-        store = PartialStore(capacity_floats=2)
+        store = PartialStore(capacity_floats=3)
         a = store.acquire("fp-1")
         assert store.acquire("fp-1") is a
-        a.get_many(np.array([1, 2, 3]), rows_for)
-        assert len(a) == 2
+        a.get_many(np.array([1, 2, 3, 4]), rows_for)
+        assert len(a) == 2                  # the 0.9 watermark of 3
 
 
 class TestStats:

@@ -40,9 +40,9 @@ class TestGlobalBudget:
         a.get_many(np.arange(6), rows_for)        # 6 floats resident
         assert store.floats_resident == 6         # under budget, no evict
         b.get_many(np.arange(6), rows_for)        # 12 > 10
-        assert store.floats_resident == 10
+        assert store.floats_resident == 9         # the 0.9 watermark
         stats = store.stats()
-        assert stats.cross_evictions == 2
+        assert stats.cross_evictions == 3
         assert stats.capacity_floats == 10
 
     def test_eviction_order_is_global_lru(self):
@@ -50,49 +50,48 @@ class TestGlobalBudget:
         a = store.acquire("fp-a")
         b = store.acquire("fp-b")
         a.get_many(np.arange(6), rows_for)        # ticks 1..6
-        b.get_many(np.arange(6), rows_for)        # ticks 7..12 -> evict 2
-        # The two globally coldest rows were cache A's keys 0 and 1;
+        b.get_many(np.arange(6), rows_for)        # 12 > 10: down to 9
+        # The three globally coldest rows were cache A's keys 0 to 2;
         # cache B (all newer) kept everything.
-        assert 0 not in a and 1 not in a
-        assert all(k in a for k in range(2, 6))
+        assert all(k not in a for k in range(3))
+        assert all(k in a for k in range(3, 6))
         assert all(k in b for k in range(6))
 
     def test_hot_fingerprint_takes_share_from_cold_one(self):
-        store = PartialStore(capacity_floats=8)
+        store = PartialStore(capacity_floats=10)
         cold = store.acquire("fp-cold")
         hot = store.acquire("fp-hot")
         cold.get_many(np.arange(4), rows_for)
         for _ in range(3):                        # keep hot keys recent
-            hot.get_many(np.arange(6), rows_for)
+            hot.get_many(np.arange(7), rows_for)
         shares = store.stats().fingerprints
-        assert shares["fp-hot"] == 6 * 8          # fully resident
+        assert shares["fp-hot"] == 7 * 8          # fully resident
         assert shares["fp-cold"] == 2 * 8         # squeezed to the rest
 
     def test_lru_rank_evicts_oldest_tick(self):
-        store = PartialStore(capacity_floats=2)
+        store = PartialStore(capacity_floats=1)    # watermark: 1 row
         a = store.acquire("fp-a")
         b = store.acquire("fp-b")
         for _ in range(3):
             a.get_many(np.array([1]), rows_for)
         b.get_many(np.array([2]), rows_for)
-        store.acquire("fp-c").get_many(np.array([3]), rows_for)
         # However often a's key 1 was read, the sweep goes by recency:
-        # it was touched last two ticks before b's key 2.
+        # it was touched last one tick before b's key 2.
         assert 1 not in a
         assert 2 in b
 
     def test_cross_evictions_visible_per_cache_and_store(self):
-        store = PartialStore(capacity_floats=4)
+        store = PartialStore(capacity_floats=10)
         a = store.acquire("fp-a")
         b = store.acquire("fp-b")
-        a.get_many(np.arange(4), rows_for)
-        b.get_many(np.arange(4), rows_for)
+        a.get_many(np.arange(10), rows_for)
+        b.get_many(np.arange(9), rows_for)        # 19 > 10: down to 9
         stats = store.stats()
-        assert stats.cross_evictions == 4
-        assert stats.cache.cross_evictions == 4   # aggregated per cache
-        assert a.stats().cross_evictions == 4     # all victims were a's
+        assert stats.cross_evictions == 10
+        assert stats.cache.cross_evictions == 10  # aggregated per cache
+        assert a.stats().cross_evictions == 10    # all victims were a's
         assert a.stats().evictions == 0           # the governor's alone
-        assert stats.bytes_resident <= 4 * 8
+        assert stats.bytes_resident <= 10 * 8
 
     def test_ungoverned_store_never_cross_evicts(self):
         store = PartialStore()
@@ -109,12 +108,12 @@ class TestGlobalBudget:
         a.get_many(np.arange(6), rows_for)        # tick 1
         b.get_many(np.arange(4), rows_for)        # tick 2: at the budget
         a.get_many(np.array([0, 1]), rows_for)    # tick 3: hits
-        b.get_many(np.array([4]), rows_for)       # tick 4: one over
-        # a's 0 and 1 are younger than anything of b's now; the one
-        # victim is the coldest of a's untouched rows.
+        b.get_many(np.array([4]), rows_for)       # tick 4: down to 9
+        # a's 0 and 1 are younger than anything of b's now; the two
+        # victims are the coldest of a's untouched rows.
         assert 0 in a and 1 in a
-        assert 2 not in a
-        assert all(k in a for k in range(3, 6))
+        assert 2 not in a and 3 not in a
+        assert 4 in a and 5 in a
         assert all(k in b for k in range(5))
 
     def test_invalidation_frees_budget_for_a_sibling_cache(self):
@@ -141,7 +140,7 @@ class TestOneBudgetedCache:
         cache = budgeted(2)
         out = cache.get_many(np.array([1, 2, 3, 4]), rows_for)
         np.testing.assert_array_equal(out, rows_for([1, 2, 3, 4]))
-        assert len(cache) == 2
+        assert len(cache) == 1                # the 0.9 watermark of 2
 
     def test_lru_by_contrast_churns(self):
         cache = budgeted(2)
@@ -161,12 +160,12 @@ class TestOneBudgetedCache:
         cache = budgeted(3)
         cache.get_many(np.array([1, 2, 3]), rows_for)
         cache.get_many(np.array([1]), rows_for)   # 1 is young again
-        cache.get_many(np.array([4]), rows_for)   # one over: 2 goes
-        assert 1 in cache and 3 in cache and 4 in cache
-        assert 2 not in cache
+        cache.get_many(np.array([4]), rows_for)   # down to 2: 2, 3 go
+        assert 1 in cache and 4 in cache
+        assert 2 not in cache and 3 not in cache
 
     def test_one_batch_is_swept_in_the_order_it_was_inserted(self):
-        cache = budgeted(2)
+        cache = budgeted(3)                       # watermark: 2 rows
         # Every row of the batch carries the same tick; the stable
         # rank falls back on insertion order, first come first out.
         cache.get_many(np.array([5, 3, 9, 1]), rows_for)
@@ -248,7 +247,7 @@ class TestVictimOffer:
 
 class TestTrim:
     def test_trim_takes_the_oldest_ticks_across_caches(self):
-        store = PartialStore(armed=True)
+        store = PartialStore()
         a = store.acquire("fp-a")
         b = store.acquire("fp-b")
         a.get_many(np.array([0, 1]), rows_for)    # tick 1
@@ -262,31 +261,59 @@ class TestTrim:
 
 class TestRebudget:
     def test_lifting_the_budget_stops_sweeps_until_one_returns(self):
-        store = PartialStore(capacity_floats=4)
+        store = PartialStore(capacity_floats=10)
         a = store.acquire("fp-a")
-        a.get_many(np.arange(6), rows_for)
-        assert store.floats_resident == 4
+        a.get_many(np.arange(12), rows_for)
+        assert store.floats_resident == 9
         assert store.set_budget(None) == 0
-        a.get_many(np.arange(6, 12), rows_for)
-        assert store.floats_resident == 10        # nothing swept
+        a.get_many(np.arange(12, 18), rows_for)
+        assert store.floats_resident == 15        # nothing swept
         assert store.stats().capacity_floats is None
         # The caches kept their clock: a new bound sweeps, oldest first.
-        assert store.set_budget(5) == 5
-        assert a.keys() == list(range(7, 12))
+        assert store.set_budget(10) == 6
+        assert a.keys() == list(range(9, 18))
 
-    def test_a_budget_cannot_be_imposed_on_live_ungoverned_caches(self):
+    def test_a_budget_imposed_on_live_warm_caches_takes_the_coldest(self):
         store = PartialStore()
         a = store.acquire("fp-a")
-        a.get_many(np.arange(6), rows_for)
-        with pytest.raises(ModelError, match="ungoverned"):
-            store.set_budget(4)
-        assert store.capacity_floats is None and len(a) == 6
-        # Once the last holder leaves, a bound arms the next caches.
-        store.release(a)
-        assert store.set_budget(4) == 0
         b = store.acquire("fp-b")
-        b.get_many(np.arange(6), rows_for)
-        assert store.floats_resident == 4
+        a.get_many(np.arange(6), rows_for)        # tick 1
+        b.get_many(np.arange(6), rows_for)        # tick 2
+        a.get_many(np.array([0, 1]), rows_for)    # tick 3: hits
+        assert store.floats_resident == 12
+        assert store.set_budget(9) == 4           # down to 8
+        assert store.floats_resident == 8
+        # The coldest rows were a's untouched ones; b's and a's hit
+        # rows are younger.
+        assert a.keys() == [0, 1]
+        assert b.keys() == list(range(6))
+        assert store.governor_sweeps == 1
+
+    def test_lifting_the_budget_mid_sweep_loses_no_request(self):
+        class LiftedWhileReading(PartialStore):
+            """Lifts its budget the first time the governor reads the
+            residency — between its reads of the bound."""
+
+            lifted = False
+
+            @property
+            def floats_resident(self):
+                if not self.lifted:
+                    self.lifted = True
+                    self.set_budget(None)
+                return super().floats_resident
+
+        store = LiftedWhileReading(capacity_floats=4)
+        a = store.acquire("fp-a")
+        keys = np.arange(6)
+        np.testing.assert_array_equal(
+            a.get_many(keys, rows_for), rows_for(keys)
+        )
+        assert store.lifted and store.capacity_floats is None
+        # The sweep that was under way finished against the bound it
+        # read; the next batch sees no bound at all.
+        a.get_many(np.arange(6, 12), rows_for)
+        assert store.floats_resident == 3 + 6
 
 
 class TestBudgetBoundsRealMemory:

@@ -225,21 +225,24 @@ class TestBlockSpill:
     """The regression guard of PR 19, machine-independent: a governor
     sweep spills its victims of one width as a block."""
 
-    ROWS = 1500
+    ROWS = 3000
+    # A budget of 1,500 rows trims to its 0.9 watermark: 1,350 rows.
+    BUDGET_ROWS, KEPT_ROWS = 1500, 1350
 
     def test_a_sweep_is_two_heap_writes_and_one_metadata_write(
         self, monkeypatch
     ):
         store = PartialStore(
-            capacity_floats=WIDTH * self.ROWS * 2, tiers=(TIER_SPILL,)
+            capacity_floats=WIDTH * self.ROWS, tiers=(TIER_SPILL,)
         )
         cache = store.acquire("fp")
-        cache.get_many(np.arange(self.ROWS * 2), rows_for)
+        cache.get_many(np.arange(self.ROWS), rows_for)
         counts = CountingHeapFile(monkeypatch)
         # First sweep: every victim is appended — one write, one
         # metadata rewrite (plus the heap file's creation).
-        store.set_budget(WIDTH * self.ROWS)
-        assert cache.demotions == {TIER_SPILL: self.ROWS}
+        store.set_budget(WIDTH * self.BUDGET_ROWS)
+        spilled = self.ROWS - self.KEPT_ROWS
+        assert cache.demotions == {TIER_SPILL: spilled}
         assert store.governor_sweeps == 1
         assert (counts.writes, counts.metas) == (1, 2)
         assert counts.opens <= 3
@@ -251,12 +254,12 @@ class TestBlockSpill:
         batch = np.concatenate([np.arange(600), np.arange(3000, 3600)])
         cache.get_many(batch, rows_for)
         assert cache.promotions == {TIER_SPILL: 600}
-        assert cache.demotions == {TIER_SPILL: self.ROWS + 1200}
+        assert cache.demotions == {TIER_SPILL: spilled + 1200}
         assert store.governor_sweeps == 2
         assert (counts.writes, counts.metas) == (2, 1)
         assert store._spill_root is not None
         heap, = cache._spill._heaps.values()
-        assert heap.nrows == self.ROWS + 600
+        assert heap.nrows == spilled + 600
         np.testing.assert_array_equal(
             cache.get_many(np.arange(3600), rows_for),
             rows_for(np.arange(3600)),
@@ -271,10 +274,10 @@ class TestTierLadder:
         return store, store.acquire("fp")
 
     def test_spill_tier_requires_a_directory(self):
-        from repro.fx.sharding import ShardedPartialCache
+        from repro.serve.cache import PartialCache
 
         with pytest.raises(ModelError, match="spill_dir"):
-            ShardedPartialCache(tiers=(TIER_SPILL,))
+            PartialCache(tiers=(TIER_SPILL,))
 
     def test_eviction_demotes_instead_of_dropping(self):
         store, cache = self.make((TIER_FLOAT32, TIER_SPILL))
@@ -297,7 +300,8 @@ class TestTierLadder:
         reconcile(cache)
 
     def test_a_row_hit_since_stays_resident_while_older_rows_demote(self):
-        store, cache = self.make(STORE_TIERS)
+        # A budget whose 0.9 watermark is two whole rows.
+        store, cache = self.make(STORE_TIERS, WIDTH * 2 + 4)
         for key in (0, 1, 0, 2):                  # 0 is hit at tick 3
             cache.get_many(np.array([key]), rows_for)
         assert tier_of(cache, 0) == TIER_RESIDENT
@@ -446,9 +450,7 @@ class TestConcurrentSpill:
         and every heap position is either held by exactly one spilled
         key or on the free stack — a lost update to the stack would
         hand one position to two rows."""
-        store = PartialStore(
-            capacity_floats=WIDTH * 8, tiers=(TIER_SPILL,), hysteresis=0.9,
-        )
+        store = PartialStore(capacity_floats=WIDTH * 8, tiers=(TIER_SPILL,))
         cache = store.acquire("fp")
         errors = []
 
@@ -507,11 +509,7 @@ class TestRandomizedTierTransitions:
     )
     def test_random_schedules_hold_the_contract(self, tiers):
         rng = np.random.default_rng(hash(tiers) % (2**32))
-        store = PartialStore(
-            capacity_floats=WIDTH * 3,
-            tiers=tiers,
-            hysteresis=0.9,
-        )
+        store = PartialStore(capacity_floats=WIDTH * 3, tiers=tiers)
         cache = store.acquire("fp")
         universe = np.arange(24)
         # float32's rtol governs when it is in the ladder; pure spill
@@ -572,13 +570,12 @@ class TestRandomizedTierTransitions:
 
 class TestGovernorHysteresis:
     """A steady-state workload 5% over budget must not invoke the
-    governor every batch once hysteresis trims to a low watermark."""
+    governor every batch: a tripped governor trims to a low
+    watermark."""
 
     @staticmethod
-    def drive(hysteresis, batches=20):
-        store = PartialStore(
-            capacity_floats=100, tiers=(), hysteresis=hysteresis
-        )
+    def drive(batches=20):
+        store = PartialStore(capacity_floats=100)
         cache = store.acquire("fp")
 
         def narrow(keys):
@@ -594,17 +591,12 @@ class TestGovernorHysteresis:
 
     def test_hysteresis_bounds_sweep_frequency(self):
         batches = 20
-        every_batch = self.drive(1.0, batches)
-        damped = self.drive(0.9, batches)
-        # Without a watermark each 5%-over batch trips the governor.
-        assert every_batch == batches
         # Trimming to 90% buys ~2 quiet batches per trip: at most one
         # sweep per two batches, and at least one sweep overall.
-        assert 1 <= damped <= batches // 2
-        assert damped < every_batch
+        assert 1 <= self.drive(batches) <= batches // 2
 
     def test_sweeps_are_counted_not_rows(self):
-        store = PartialStore(capacity_floats=2, hysteresis=1.0)
+        store = PartialStore(capacity_floats=3)   # watermark: 2 rows
         cache = store.acquire("fp")
 
         def narrow(keys):

@@ -12,7 +12,6 @@ import time
 
 import numpy as np
 
-from repro.fx.sharding import ShardedPartialCache
 from repro.fx.store import PartialStore
 from repro.serve.service import ServingStats
 from repro.storage.iostats import IOSnapshot
@@ -72,7 +71,7 @@ class TestShardedCacheStats:
         assert not failures, f"torn snapshots observed: {failures[:3]}"
 
     def test_final_totals_add_up(self):
-        cache = ShardedPartialCache()
+        cache = PartialStore().acquire("fp")
         threads = 6
         per_thread = 50
         barrier = threading.Barrier(threads)

@@ -290,14 +290,71 @@ class TestBudgetGovernance:
             resident = rt._executor.worker_resident_floats()
             assert sum(resident) <= 64
 
-    def test_budget_cannot_be_imposed_on_unarmed_workers(self, db, fitted):
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_a_budget_imposed_under_traffic_bounds_the_store(
+        self, db, fitted, executor
+    ):
+        """A runtime created without a budget takes one while requests
+        are in flight: afterwards the store holds at most that many
+        bytes, and every output is bit-exact against the unbounded
+        pass (GMM scores: position-invariant whatever the coalescing)."""
         spec, gmm, _, _ = fitted
+        requests = stored_requests(db, spec, 8)
         with serve_runtime(
-            db, num_workers=2, max_wait_ms=0.0, executor="process"
+            db, num_workers=2, max_wait_ms=0.0, executor=executor
         ) as rt:
             rt.register_gmm("g", gmm, spec, strategy="factorized")
-            with pytest.raises(ModelError):
-                rt.set_memory_budget(1024)
+            unbounded = [rt.score("g", f, k) for f, k in requests]
+            working_set = rt.runtime_stats().store.bytes_resident
+            budget = working_set // 2
+            futures = [
+                rt.submit("g", f, k, op="score") for f, k in requests * 3
+            ]
+            rt.set_memory_budget(budget)
+            outputs = [future.result(timeout=60) for future in futures]
+            # The batches that overlapped the cut swept after themselves;
+            # one more sweep settles the last one's overshoot.
+            if executor == "process":
+                rt._executor.sweep_budget()
+            else:
+                rt.store.enforce_budget()
+            held = rt.runtime_stats().store
+        assert held.bytes_resident <= budget < working_set
+        for index, output in enumerate(outputs):
+            np.testing.assert_array_equal(
+                output, unbounded[index % len(requests)]
+            )
+
+    def test_lifting_the_budget_mid_sweep_loses_no_request(
+        self, db, fitted, monkeypatch
+    ):
+        """``set_memory_budget(None)`` does not wait for a sweep in
+        flight: one that lands between the sweep's reads of the bound
+        must not fail it."""
+        spec, _, nn, _ = fitted
+        features, fks = whole_batch(db, spec)
+        with serve_runtime(
+            db, num_workers=2, max_wait_ms=0.0, executor="process",
+            memory_budget=64,
+        ) as rt:
+            rt.register_nn("m", nn, spec, strategy="factorized")
+            executor = rt._executor
+            read = executor.worker_resident_floats
+
+            def lifted_while_reading():
+                executor.set_budget(None)
+                return read()
+
+            monkeypatch.setattr(
+                executor, "worker_resident_floats", lifted_while_reading
+            )
+            out = rt.predict("m", features, fks)
+            monkeypatch.setattr(executor, "worker_resident_floats", read)
+            assert executor.budget_floats is None
+            executor.set_budget(8)
+            assert sum(executor.worker_resident_floats()) <= 8
+            # The runtime is still serving.
+            np.testing.assert_array_equal(rt.predict("m", features, fks), out)
 
 
 class TestObservability:

@@ -21,7 +21,7 @@ def rows_for(keys):
 
 class TestOrder:
     def test_results_align_with_requested_order(self):
-        cache = ShardedPartialCache()
+        cache = PartialStore().acquire("fp")
         keys = np.array([7, 2, 9, 2, 0, 11])
         np.testing.assert_array_equal(
             cache.get_many(keys, rows_for), rows_for(keys)
@@ -32,14 +32,14 @@ class TestOrder:
         )
 
     def test_empty_keys(self):
-        assert ShardedPartialCache().get_many(
+        assert PartialStore().acquire("fp").get_many(
             np.zeros(0, dtype=np.int64), rows_for
         ).shape == (0, 0)
 
 
 class TestInvalidation:
     def test_invalidate_evicts_exactly_the_given_rids(self):
-        cache = ShardedPartialCache()
+        cache = PartialStore().acquire("fp")
         cache.get_many(np.arange(12), rows_for)
         dropped = cache.invalidate(np.array([3, 7]))
         assert dropped == 2
@@ -50,7 +50,7 @@ class TestInvalidation:
         )
 
     def test_invalidate_counts_only_the_rids_it_held(self):
-        cache = ShardedPartialCache()
+        cache = PartialStore().acquire("fp")
         cache.get_many(np.arange(12), rows_for)
         # 99 is nowhere.
         assert cache.invalidate(np.array([3, 7, 4, 99])) == 3
@@ -60,13 +60,13 @@ class TestInvalidation:
         assert cache.invalidate(np.zeros(0, dtype=np.int64)) == 0
 
     def test_invalidate_missing_rids_is_a_noop(self):
-        cache = ShardedPartialCache()
+        cache = PartialStore().acquire("fp")
         cache.get_many(np.array([1]), rows_for)
         assert cache.invalidate(np.array([99])) == 0
         assert len(cache) == 1
 
     def test_invalidation_counted_separately_from_evictions(self):
-        cache = ShardedPartialCache()
+        cache = PartialStore().acquire("fp")
         cache.get_many(np.array([1, 2]), rows_for)
         cache.invalidate(np.array([1]))
         stats = cache.stats()
@@ -76,7 +76,7 @@ class TestInvalidation:
 
 class TestStats:
     def test_stats_and_hit_rate(self):
-        cache = ShardedPartialCache()
+        cache = PartialStore().acquire("fp")
         cache.get_many(np.arange(6), rows_for)
         cache.get_many(np.arange(6), rows_for)   # warm
         total = cache.stats()
@@ -87,7 +87,7 @@ class TestStats:
         assert cache.approx_hit_rate() == pytest.approx(0.5)
 
     def test_clear(self):
-        cache = ShardedPartialCache()
+        cache = PartialStore().acquire("fp")
         cache.get_many(np.arange(4), rows_for)
         cache.clear()
         assert len(cache) == 0
@@ -114,7 +114,7 @@ class TestGovernor:
         """The batch promotes spilled rows before its compute raises;
         the sweep in ``get_many``'s ``finally`` must still bring the
         store back within its budget, demoting (not dropping) them."""
-        store = PartialStore(capacity_floats=2, tiers=("spill",))
+        store = PartialStore(capacity_floats=4, tiers=("spill",))
         cache = store.acquire("fp")
         cache.get_many(np.arange(3), rows_for)          # 0, 1 spill
         assert cache.keys("spill") == [0, 1]
@@ -127,7 +127,7 @@ class TestGovernor:
             cache.get_many(np.array([0, 1, 99]), failing)
         assert cache.promotions == {"spill": 2}
         assert store.governor_sweeps == sweeps + 1
-        assert store.floats_resident <= 2
+        assert store.floats_resident <= 4
         assert 99 not in cache
         # Nothing was lost: every row comes back, bit for bit, unasked.
         np.testing.assert_array_equal(
@@ -138,7 +138,7 @@ class TestGovernor:
 
 class TestConcurrency:
     def test_parallel_get_many_is_exact_and_loses_no_counts(self):
-        cache = ShardedPartialCache()
+        cache = PartialStore().acquire("fp")
         errors = []
 
         def hammer(seed):
@@ -161,7 +161,7 @@ class TestConcurrency:
         assert stats.lookups == 6 * 30 * 16
 
     def test_invalidate_races_with_lookups(self):
-        cache = ShardedPartialCache()
+        cache = PartialStore().acquire("fp")
         stop = threading.Event()
         errors = []
 
@@ -198,7 +198,7 @@ class TestConcurrency:
         is the whole argument — a stale row surviving here means it
         broke."""
         source = np.zeros(24)               # the "dimension relation"
-        cache = ShardedPartialCache()
+        cache = PartialStore().acquire("fp")
         stop = threading.Event()
 
         def compute(keys):

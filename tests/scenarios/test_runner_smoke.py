@@ -62,6 +62,37 @@ class TestRunnerSmoke:
         result = run_scenario(ScenarioSpec.from_dict(raw))
         assert result.passed, "\n".join(result.failures())
 
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_a_first_budget_imposed_mid_run_holds_the_bound(self, executor):
+        # No initial runtime.memory_budget: the warm phase runs
+        # unbounded, and the cut phase imposes the run's first bound.
+        # n_r is raised so the warm working set (~11 KiB) exceeds it.
+        raw = dict(TOY)
+        raw["name"] = "toy_first_budget"
+        raw["workload"] = dict(TOY["workload"]) | {"n_r": 400}
+        raw["runtime"] = dict(TOY["runtime"]) | {
+            "workers": 2, "executor": executor,
+        }
+        raw["phases"] = [
+            {"name": "warm", "requests": 4, "request_rows": 64,
+             "skew": 0.5},
+            {"name": "cut", "requests": 4, "request_rows": 64,
+             "skew": 0.5, "memory_budget": 8192,
+             "assertions": [
+                 {"kind": "gauge_max",
+                  "metric": "repro_store_bytes_resident", "max": 8192},
+                 {"kind": "outputs_bit_exact"},
+             ]},
+        ]
+        spec = ScenarioSpec.from_dict(raw)
+        assert spec.runtime.memory_budget is None
+        result = run_scenario(spec)
+        assert result.passed, "\n".join(result.failures())
+        [trial] = result.trials
+        warm, cut = trial.phases
+        assert warm.metrics["bytes_resident"] > 8192
+        assert cut.metrics["budget_evicted_rows"] > 0
+
     def test_tiered_budget_cut_lands_in_demotions(self):
         # The tiered twin of the budget-cut smoke (the full-size
         # variant is benchmarks/scenarios/adapt_budget_cut_tiered.json):

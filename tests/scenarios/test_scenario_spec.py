@@ -120,11 +120,14 @@ class TestCrossFieldContradictions:
         with pytest.raises(ModelError, match="contradicts"):
             ScenarioSpec.from_dict(raw)
 
-    def test_phase_budget_without_initial_budget(self):
+    def test_phase_budget_without_initial_budget_validates(self):
+        # Every store runs the governor, so a phase may impose the
+        # first bound of the run.
         raw = base()
         raw["phases"][0]["memory_budget"] = 1 << 20
-        with pytest.raises(ModelError, match="initial"):
-            ScenarioSpec.from_dict(raw)
+        spec = ScenarioSpec.from_dict(raw)
+        assert spec.runtime.memory_budget is None
+        assert spec.phases[0].memory_budget == 1 << 20
 
     def test_duplicate_phase_names(self):
         raw = base()

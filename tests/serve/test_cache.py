@@ -109,19 +109,20 @@ class TestGetMany:
 
 def budgeted(floats):
     """A cache under a store budget of ``floats`` — the only
-    bound a cache has: the store's governor evicts after each batch."""
+    bound a cache has: the store's governor evicts after each batch,
+    down to 0.9 of the budget (5 floats keep two 2-float rows)."""
     return PartialStore(capacity_floats=floats).acquire("fp")
 
 
 class TestEviction:
     def test_the_store_budget_bounds_the_cache(self):
-        cache = budgeted(4)                       # rows are 2 floats wide
+        cache = budgeted(5)                       # rows are 2 floats wide
         cache.get_many(np.array([1, 2, 3]), rows_for)
         assert len(cache) == 2
         assert cache.stats().cross_evictions == 1
 
     def test_lru_order_evicts_coldest(self):
-        cache = budgeted(4)
+        cache = budgeted(5)
         cache.get_many(np.array([1]), rows_for)
         cache.get_many(np.array([2]), rows_for)
         cache.get_many(np.array([1]), rows_for)   # touch 1 → 2 is coldest
@@ -129,7 +130,7 @@ class TestEviction:
         assert 1 in cache and 3 in cache and 2 not in cache
 
     def test_request_wider_than_capacity_still_correct(self):
-        cache = budgeted(4)
+        cache = budgeted(5)
         out = cache.get_many(np.array([1, 2, 3, 4, 5]), rows_for)
         np.testing.assert_array_equal(out, rows_for([1, 2, 3, 4, 5]))
         assert len(cache) == 2
@@ -157,7 +158,7 @@ class TestSizeAwareCapacity:
         assert len(cache) == 0     # evicted at once, result intact
 
     def test_bytes_resident_tracks_insertions_and_evictions(self):
-        cache = budgeted(4)
+        cache = budgeted(5)
         cache.get_many(np.array([1, 2]), rows_for)
         assert cache.bytes_resident == 2 * 2 * 8
         assert cache.stats().bytes_resident == 32
@@ -182,7 +183,7 @@ class TestSizeAwareCapacity:
 
 class TestStats:
     def test_stats_snapshot(self):
-        cache = budgeted(4)
+        cache = budgeted(5)
         cache.get_many(np.array([1, 2, 3]), rows_for)
         cache.get_many(np.array([3]), rows_for)
         stats = cache.stats()
@@ -284,7 +285,7 @@ class TestRepeatedAndUnsortedKeys:
         assert calls == [[7]]
 
     def test_repeats_mixed_across_hits_and_misses(self):
-        cache = budgeted(3 * 2)
+        cache = budgeted(7)                 # the 0.9 cut: three rows
         cache.get_many(np.array([1, 2]), rows_for)
         calls = []
         keys = np.array([5, 2, 5, 1, 8, 2, 8])
@@ -298,7 +299,7 @@ class TestRepeatedAndUnsortedKeys:
         assert stats.cross_evictions == 1
 
     def test_repeated_keys_charge_the_budget_once(self):
-        cache = budgeted(2 * 2)
+        cache = budgeted(5)
         keys = np.array([1, 1, 2, 1, 2])
         np.testing.assert_array_equal(
             cache.get_many(keys, rows_for), rows_for(keys)
@@ -344,7 +345,8 @@ class TestSlabTracksLiveRows:
 
     def test_churn_reuses_slots_instead_of_growing_the_slab(self, traced):
         bound, batch, width = 64, 16, 64
-        cache = budgeted(bound * width)
+        # The budget whose 0.9 cut is exactly ``bound`` rows.
+        cache = budgeted(bound * width * 10 // 9 + 1)
         held = []
         for start in range(0, 10 * bound, batch):
             keys = np.arange(start, start + batch)
@@ -380,7 +382,7 @@ class TestSlabTracksLiveRows:
     def test_a_batch_far_past_the_bound_does_not_leave_its_slab_behind(
         self, traced
     ):
-        cache = budgeted(4 * 64)
+        cache = budgeted(5 * 64)            # the 0.9 cut: four rows
         cache.get_many(np.arange(1000), wide_rows)
         assert len(cache) == 4
         assert traced() <= 3 * cache.bytes_resident + self.SLACK

@@ -31,7 +31,7 @@ from hypothesis import strategies as st
 
 from repro.fx.store import PartialStore
 from repro.fx.tiers import SpillSlab
-from repro.serve.cache import AccessClock, PartialCache
+from repro.serve.cache import PartialCache
 from tests.serve import reference_cache
 
 WIDTH = 4
@@ -60,7 +60,6 @@ operations = st.one_of(
     st.tuples(st.just("clear"), st.none()),
 )
 configurations = st.fixed_dictionaries({
-    "clock": st.booleans(),
     "tiers": st.sampled_from(
         [(), ("float32",), ("spill",), ("float32", "spill")]
     ),
@@ -123,16 +122,11 @@ def test_random_schedules_match_the_dict_cache(config, schedule):
 
 
 def _drive(config, schedule, root):
-    clocked = config.pop("clock")
     spills = "spill" in config["tiers"]
-    new = PartialCache(
-        clock=AccessClock() if clocked else None,
-        spill_dir=f"{root}/new" if spills else None,
-        **config,
-    )
+    new = PartialCache(spill_dir=f"{root}/new" if spills else None, **config)
     slab = new._spill
     old = reference_cache.PartialCache(
-        clock=reference_cache.AccessClock() if clocked else None,
+        clock=reference_cache.AccessClock(),
         spill=SpillSlab(f"{root}/old") if spills else None,
         **config,
     )
@@ -175,14 +169,21 @@ def test_promotion_never_evicts_the_batchs_own_rows():
     """A batch that promotes a demoted row and reads a resident one
     gets both: nothing is evicted while the batch runs, and the
     governor's sweep after it stamps the batch's rows newer than any
-    other, so it demotes the colder row instead."""
-    store = PartialStore(tiers=("float32",), capacity_floats=2 * WIDTH + 2)
+    other, so it demotes the colder row instead.
+
+    Rows are 16 floats wide, so that one float32 demotion (8 floats)
+    covers the trim from 48 floats to the 0.9 watermark of 45 (40)."""
+
+    def wide(keys):
+        return np.tile(rows_for(keys), 4)
+
+    store = PartialStore(tiers=("float32",), capacity_floats=45)
     cache = store.acquire("fp")
-    cache.get_many(np.array([1, 2]), rows_for)
-    cache.get_many(np.array([3]), rows_for)          # demotes 1
+    cache.get_many(np.array([1, 2]), wide)
+    cache.get_many(np.array([3]), wide)              # demotes 1
     assert cache.tier_of(1) == "float32"
-    out = cache.get_many(np.array([1, 2]), rows_for)  # promotes 1, reads 2
-    np.testing.assert_allclose(out, rows_for([1, 2]), rtol=1e-6)
+    out = cache.get_many(np.array([1, 2]), wide)     # promotes 1, reads 2
+    np.testing.assert_allclose(out, wide([1, 2]), rtol=1e-6)
     assert cache.tier_of(1) == "resident" and cache.tier_of(2) == "resident"
     assert cache.tier_of(3) == "float32"             # the sweep's victim
     store.close()

@@ -9,7 +9,8 @@ facade never branches on the executor kind outside construction, both
 ``swap_model`` methods are delegations, and the process worker's
 message handlers hold framing, not lifecycle logic.  The same goes for
 the partial-cache stack underneath (``TestOneCacheStack``), its one
-memory bound (``TestOneMemoryBound``), its one victim order
+memory bound (``TestOneMemoryBound``), its one governor
+(``TestOneGovernor``), its one victim order
 (``TestOneVictimOrder``) and its one lock per cache
 (``TestOneLockPerCache``), the cost model both choosers
 call (``TestOneCostModel``), the mixture
@@ -321,6 +322,65 @@ class TestOneMemoryBound:
         }
         # Kept, always 0, for the readers that add it to cross_evictions.
         assert "evictions" in names
+
+
+class TestOneGovernor:
+    """Every store runs the governor, with one watermark: no switch
+    turns the recency clock or the governor call off, no constructor
+    takes a second watermark, and the low watermark is stated once,
+    beside the store's governor."""
+
+    NULL_CHECKED = {"_clock", "_governor", "tick"}
+
+    def test_the_store_takes_its_budget_its_ladder_and_worker_plumbing(self):
+        init = _method(SRC_ROOT / "fx" / "store.py", "PartialStore", "__init__")
+        assert TestOneMemoryBound._parameters(init) == {
+            "self", "capacity_floats", "allocator", "header", "tiers",
+        }
+
+    def test_a_cache_cannot_be_built_without_its_governor(self):
+        init = _method(
+            SRC_ROOT / "fx" / "sharding.py", "ShardedPartialCache", "__init__"
+        )
+        # kw_defaults holds None for a keyword-only argument without one.
+        defaults = dict(zip(
+            (arg.arg for arg in init.args.kwonlyargs), init.args.kw_defaults
+        ))
+        assert "governor" in defaults and defaults["governor"] is None
+
+    @pytest.mark.parametrize("path", ["serve/cache.py", "fx/sharding.py"])
+    def test_no_clock_governor_or_tick_is_ever_absent(self, path):
+        def named(node):
+            return getattr(node, "id", getattr(node, "attr", None))
+
+        found = [
+            f"{path}:{node.lineno}"
+            for node in ast.walk(_tree(SRC_ROOT / path))
+            if isinstance(node, ast.Compare)
+            and any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops)
+            and any(
+                named(operand) in self.NULL_CHECKED
+                for operand in (node.left, *node.comparators)
+            )
+        ]
+        assert found == []
+
+    def test_the_watermark_is_stated_once_beside_the_governor(self):
+        found = [
+            str(path.relative_to(SRC_ROOT))
+            for path in sorted(SRC_ROOT.rglob("*.py"))
+            for node in ast.walk(_tree(path))
+            if isinstance(node, (ast.Assign, ast.AnnAssign))
+            and any(
+                isinstance(target, ast.Name)
+                and target.id == "GOVERNOR_HYSTERESIS"
+                for target in (
+                    node.targets if isinstance(node, ast.Assign)
+                    else [node.target]
+                )
+            )
+        ]
+        assert found == ["fx/store.py"]
 
 
 class TestOneVictimOrder:

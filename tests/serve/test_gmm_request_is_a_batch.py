@@ -345,18 +345,15 @@ class TestCorners:
         model = mixture(5, spec.resolve(db).total_features)
         features, fks = stored_request(db, spec)
         exact = FactorizedGMMPredictor(db, spec, model)
-        working_set = sum(
-            builder.width * dim.n_rows
-            for builder, dim in zip(exact.builders, DIMENSIONS[q])
-        )
-        # room for every row at 4 bytes a float, not at 8
-        store = PartialStore(
-            capacity_floats=3 * working_set // 4, tiers=(TIER_FLOAT32,)
-        )
+        store = PartialStore(tiers=(TIER_FLOAT32,))
         tiered = FactorizedGMMPredictor(db, spec, model, store=store)
-        tiered.predict(features, fks)               # fill, demote
+        tiered.predict(features, fks)               # fill
+        # Every row one rung down, through the governor's victim API.
+        held = 0
+        for cache in tiered.caches:
+            held += cache.evict(np.array(cache.keys(), dtype=np.int64))[0]
         demoted = store.stats().tier_demotions[TIER_FLOAT32]
-        assert demoted > 0
+        assert demoted == held > 0
         np.testing.assert_array_equal(
             tiered.predict(features, fks), exact.predict(features, fks)
         )
@@ -365,7 +362,7 @@ class TestCorners:
             tiered.score_samples(features, fks), scores,
             rtol=FLOAT32_SCORE_RTOL,
         )
-        assert store.stats().tier_promotions[TIER_FLOAT32] > 0
+        assert store.stats().tier_promotions[TIER_FLOAT32] == demoted
         tiered.close()
         store.close()
 

@@ -5,6 +5,9 @@ more knobs (backticked, in the first column) and the entry points that
 take them (the "Where" column).  Each entry point a row names must
 accept at least one of the row's knobs as a parameter or dataclass
 field, so a knob deleted from the code cannot live on in the docs.
+The other way round, every parameter of ``PartialStore(...)`` is a knob
+of a row that names it, or the process worker's plumbing — so a knob
+added to the store cannot go undocumented.
 """
 
 import dataclasses
@@ -63,3 +66,20 @@ def test_every_named_entry_point_takes_a_knob_of_its_row(knobs, where):
         assert set(knobs) & ENTRY_POINTS[entry], (
             f"{entry} takes none of {knobs}"
         )
+
+
+# What a process worker hands its store; no deployment sets these.
+WORKER_PLUMBING = {"allocator", "header"}
+
+
+def test_every_store_parameter_is_a_knob_of_the_table():
+    documented = {
+        knob
+        for knobs, where in ROWS
+        if "`PartialStore(...)`" in where
+        for knob in knobs
+    }
+    undocumented = (
+        ENTRY_POINTS["PartialStore(...)"] - documented - WORKER_PLUMBING
+    )
+    assert undocumented == set()
