@@ -216,10 +216,11 @@ class GroupIndex:
 
 class KeyIndex:
     """A dimension's (unique) primary keys, sorted once: a caller that
-    probes one key column repeatedly (the serving side's
-    :class:`~repro.serve.partials.DimensionLookup`) pays a binary
+    probes one key column repeatedly (a relation's
+    :meth:`~repro.storage.relation.Relation.key_index`) pays a binary
     search per probe, not a sort.  Raises :class:`ModelError` if
-    ``dim_keys`` contains duplicates."""
+    ``dim_keys`` contains duplicates.  Immutable: appended keys give a
+    new index (:meth:`extended`)."""
 
     def __init__(self, dim_keys: np.ndarray) -> None:
         dim_keys = np.asarray(dim_keys)
@@ -227,6 +228,30 @@ class KeyIndex:
         self.sorted_keys = dim_keys[self.order]
         if np.any(self.sorted_keys[1:] == self.sorted_keys[:-1]):
             raise ModelError("dimension keys contain duplicates")
+
+    def __len__(self) -> int:
+        return self.sorted_keys.size
+
+    @property
+    def nbytes(self) -> int:
+        return self.order.nbytes + self.sorted_keys.nbytes
+
+    def extended(self, keys: np.ndarray) -> "KeyIndex":
+        """The index of this key column with ``keys`` appended (they
+        take positions ``len(self)`` on): the new keys are sorted and
+        merged in by ``searchsorted``, the indexed ones are not
+        re-sorted.  Raises :class:`ModelError` if a new key repeats an
+        indexed one or another new one."""
+        keys = np.asarray(keys).ravel().astype(self.sorted_keys.dtype)
+        order = np.argsort(keys, kind="stable")
+        added = keys[order]
+        at = np.searchsorted(self.sorted_keys, added)
+        grown = KeyIndex.__new__(KeyIndex)
+        grown.sorted_keys = np.insert(self.sorted_keys, at, added)
+        grown.order = np.insert(self.order, at, order + len(self))
+        if np.any(grown.sorted_keys[1:] == grown.sorted_keys[:-1]):
+            raise ModelError("dimension keys contain duplicates")
+        return grown
 
     def codes(self, fact_keys: np.ndarray) -> np.ndarray:
         """Positions of ``fact_keys`` in the key column (a dangling key
@@ -245,16 +270,6 @@ class KeyIndex:
 
 
 def codes_for_keys(fact_keys: np.ndarray, dim_keys: np.ndarray) -> np.ndarray:
-    """Translate raw foreign-key values into positions within ``dim_keys``.
-
-    ``dim_keys`` are the (unique) primary keys of a dimension batch;
-    ``fact_keys`` are the FK values of fact rows.  Returns an int64
-    array ``codes`` with ``dim_keys[codes[i]] == fact_keys[i]``.
-
-    Raises
-    ------
-    ModelError
-        If a fact key does not appear in ``dim_keys`` (dangling FK) or
-        ``dim_keys`` contains duplicates.
-    """
+    """Positions of ``fact_keys`` in the (unique) key column ``dim_keys``
+    through a one-off :class:`KeyIndex` (same errors)."""
     return KeyIndex(dim_keys).codes(fact_keys)

@@ -46,7 +46,6 @@ from repro.join.bnl import DEFAULT_BLOCK_PAGES
 from repro.join.spec import JoinSpec
 from repro.join.batches import FactorizedBatch
 from repro.linalg.design import FactorizedDesign
-from repro.linalg.groupsum import codes_for_keys
 from repro.maintain.stats import GMMSuffStats, LinearSuffStats
 from repro.nn.base import NNConfig
 from repro.obs import as_telemetry
@@ -433,11 +432,11 @@ class ModelMaintainer:
             raise ModelError("nn maintenance requires targets")
         plan = DedupPlan.for_batch(fks)
         dim_blocks = []
-        # No statistics, so no retained key index: scan for the RIDs.
-        for i, dim in enumerate(self._resolved.dimensions):
-            keys = dim.relation.keys()
-            idx = codes_for_keys(plan.dims[i].unique, keys)
-            dim_blocks.append(dim.relation.features()[idx])
+        for dim, rids in zip(self._resolved.dimensions, plan.dims):
+            # The batch's distinct RIDs, read at their heap rows alone.
+            at = dim.relation.positions_of_keys(rids.unique)
+            rows = dim.relation.heap.read_rows(at)
+            dim_blocks.append(dim.relation.project_features(rows))
         design = FactorizedDesign.from_plan(features, dim_blocks, plan)
         batch = FactorizedBatch(positions, design, targets, plan=plan)
         stepped = self._model.copy()

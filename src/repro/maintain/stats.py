@@ -51,7 +51,7 @@ from repro.gmm.model import ComponentPrecisions, GMMParams, posteriors
 from repro.join.bnl import DEFAULT_BLOCK_PAGES
 from repro.join.spec import JoinSpec
 from repro.linalg.design import FactorizedDesign
-from repro.linalg.groupsum import codes_for_keys
+from repro.linalg.groupsum import KeyIndex
 from repro.linalg.outer import factorized_count_outer, factorized_weighted_sum
 from repro.linear.models import LinearModel
 from repro.storage.catalog import Database
@@ -73,26 +73,25 @@ def _relative_norm(delta: float, reference: float) -> float:
     return delta / (reference + _EPS)
 
 
-def _retained_rows(plan: DedupPlan, dim_keys) -> list[np.ndarray]:
+def _retained_rows(plan: DedupPlan, dim_index) -> list[np.ndarray]:
     """Where a batch's distinct tuples sit in the retained per-RID
     index space, per dimension."""
     return [
-        codes_for_keys(dim.unique, keys)
-        for dim, keys in zip(plan.dims, dim_keys)
+        index.codes(dim.unique) for dim, index in zip(plan.dims, dim_index)
     ]
 
 
-def _appended_batch(fact, fk_columns, dim_keys, dim_features):
+def _appended_batch(fact, fk_columns, dim_index, dim_features):
     """Appended fact rows as the factorized batch they are: the design
     over the retained dimension snapshots at the rows' distinct RIDs,
     and :func:`_retained_rows` of those RIDs."""
-    if len(fk_columns) != len(dim_keys):
+    if len(fk_columns) != len(dim_index):
         raise ModelError(
             f"{len(fk_columns)} FK columns for a "
-            f"{len(dim_keys)}-dimension join"
+            f"{len(dim_index)}-dimension join"
         )
     plan = DedupPlan.for_batch(fk_columns)
-    rids = _retained_rows(plan, dim_keys)
+    rids = _retained_rows(plan, dim_index)
     blocks = [features[at] for features, at in zip(dim_features, rids)]
     return FactorizedDesign.from_plan(fact, blocks, plan), rids
 
@@ -191,11 +190,12 @@ def _pair_tables(q: int, width: int) -> dict[tuple[int, int], PairTable]:
 class LinearSuffStats:
     """Sufficient statistics of the factorized ridge fit.
 
-    ``dim_keys[i]`` fixes the index space of every per-RID array for
-    dimension ``i`` (row ``r`` of ``dim_features[i]`` is the feature
-    vector of key ``dim_keys[i][r]``).  ``pairs[(i, j)]`` (only
-    ``i < j`` stored) counts fact rows referencing RID pair ``(r, s)``
-    — the coupling weight of the off-diagonal Gram block.
+    ``dim_index[i]`` (the relation's key index at build time, so heap
+    order) fixes the index space of every per-RID array for dimension
+    ``i``: row ``r`` of ``dim_features[i]`` is the feature vector of the
+    key it places at ``r``.  ``pairs[(i, j)]`` (only ``i < j`` stored)
+    counts fact rows referencing RID pair ``(r, s)`` — the coupling
+    weight of the off-diagonal Gram block.
     """
 
     spec: JoinSpec
@@ -206,7 +206,7 @@ class LinearSuffStats:
     feature_sum: np.ndarray
     target_sum: float
     n: int
-    dim_keys: list[np.ndarray]
+    dim_index: list[KeyIndex]
     dim_features: list[np.ndarray]
     group_count: list[np.ndarray]
     group_fact_sum: list[np.ndarray]
@@ -237,27 +237,27 @@ class LinearSuffStats:
             resolved = access.resolved
             layout = resolved.layout
             d = layout.total
-            dim_keys = [dim.relation.keys() for dim in resolved.dimensions]
+            dim_index = [d.relation.key_index() for d in resolved.dimensions]
             stats = cls(
                 spec=spec, alpha=alpha, layout=layout,
                 gram=np.zeros((d, d)), cross=np.zeros(d),
                 feature_sum=np.zeros(d), target_sum=0.0, n=0,
-                dim_keys=dim_keys,
+                dim_index=dim_index,
                 dim_features=[
                     dim.relation.features().astype(np.float64)
                     for dim in resolved.dimensions
                 ],
-                group_count=[np.zeros(k.size) for k in dim_keys],
+                group_count=[np.zeros(len(k)) for k in dim_index],
                 group_fact_sum=[
-                    np.zeros((k.size, layout.sizes[0])) for k in dim_keys
+                    np.zeros((len(k), layout.sizes[0])) for k in dim_index
                 ],
-                group_target_sum=[np.zeros(k.size) for k in dim_keys],
+                group_target_sum=[np.zeros(len(k)) for k in dim_index],
                 pairs=_pair_tables(resolved.num_dimensions, 1),
                 resolved=resolved,
             )
             for batch in access.batches():
                 stats._fold(
-                    batch.design, _retained_rows(batch.plan, dim_keys),
+                    batch.design, _retained_rows(batch.plan, dim_index),
                     batch.targets,
                 )
         if stats.n == 0:
@@ -287,7 +287,7 @@ class LinearSuffStats:
     def nbytes(self) -> int:
         """Bytes retained: global sums, per-RID arrays, pair tables."""
         return sum(held.nbytes for held in [
-            self.gram, self.cross, self.feature_sum, *self.dim_keys,
+            self.gram, self.cross, self.feature_sum, *self.dim_index,
             *self.dim_features, *self.group_count, *self.group_fact_sum,
             *self.group_target_sum, *self.pairs.values(),
         ])
@@ -309,7 +309,7 @@ class LinearSuffStats:
         i = _dimension_index(self.resolved, relation_name)
         rids = np.asarray(rids).ravel().astype(np.int64)
         new = np.atleast_2d(np.asarray(new_features, dtype=np.float64))
-        g = codes_for_keys(rids, self.dim_keys[i])
+        g = self.dim_index[i].codes(rids)
         old = self.dim_features[i][g]
         if new.shape != old.shape:
             raise ModelError(
@@ -331,7 +331,7 @@ class LinearSuffStats:
             - (old * counts[:, None]).T @ old
         )
         # dimension × every other dimension, through co-occurrence
-        for j in range(len(self.dim_keys)):
+        for j in range(len(self.dim_index)):
             if j == i:
                 continue
             sj = self.layout.slice_of(j + 1)
@@ -363,13 +363,8 @@ class LinearSuffStats:
         i = _dimension_index(self.resolved, relation_name)
         rids = np.asarray(rids).ravel().astype(np.int64)
         new = np.atleast_2d(np.asarray(new_features, dtype=np.float64))
-        if np.intersect1d(rids, self.dim_keys[i]).size:
-            raise ModelError(
-                f"appended RIDs to {relation_name!r} collide with "
-                "retained keys"
-            )
         grown = rids.size
-        self.dim_keys[i] = np.concatenate([self.dim_keys[i], rids])
+        self.dim_index[i] = self.dim_index[i].extended(rids)
         self.dim_features[i] = np.vstack([self.dim_features[i], new])
         self.group_count[i] = np.concatenate(
             [self.group_count[i], np.zeros(grown)]
@@ -399,7 +394,7 @@ class LinearSuffStats:
         if fact.shape[0]:
             self._fold(
                 *_appended_batch(
-                    fact, fk_columns, self.dim_keys, self.dim_features
+                    fact, fk_columns, self.dim_index, self.dim_features
                 ),
                 targets,
             )
@@ -454,7 +449,7 @@ class GMMSuffStats:
     comp_sum: np.ndarray          # (K, d) Σ γ x
     comp_outer: np.ndarray        # (K, d, d) Σ γ x xᵀ
     n: int
-    dim_keys: list[np.ndarray]
+    dim_index: list[KeyIndex]
     dim_features: list[np.ndarray]
     mass: list[np.ndarray]        # per dim: (m_i, K) Σ γ over referencing rows
     fact_mass: list[np.ndarray]   # per dim: (K, m_i, d_S) γ-weighted fact sums
@@ -480,19 +475,19 @@ class GMMSuffStats:
             layout = resolved.layout
             d = layout.total
             k = params.weights.size
-            dim_keys = [dim.relation.keys() for dim in resolved.dimensions]
+            dim_index = [d.relation.key_index() for d in resolved.dimensions]
             stats = cls(
                 spec=spec, config=config, params=params, layout=layout,
                 counts=np.zeros(k), comp_sum=np.zeros((k, d)),
-                comp_outer=np.zeros((k, d, d)), n=0, dim_keys=dim_keys,
+                comp_outer=np.zeros((k, d, d)), n=0, dim_index=dim_index,
                 dim_features=[
                     dim.relation.features().astype(np.float64)
                     for dim in resolved.dimensions
                 ],
-                mass=[np.zeros((keys.size, k)) for keys in dim_keys],
+                mass=[np.zeros((len(keys), k)) for keys in dim_index],
                 fact_mass=[
-                    np.zeros((k, keys.size, layout.sizes[0]))
-                    for keys in dim_keys
+                    np.zeros((k, len(keys), layout.sizes[0]))
+                    for keys in dim_index
                 ],
                 pairs=_pair_tables(resolved.num_dimensions, k),
                 resolved=resolved,
@@ -502,7 +497,7 @@ class GMMSuffStats:
             )
             for batch in access.batches():
                 stats._fold(
-                    batch.design, _retained_rows(batch.plan, dim_keys),
+                    batch.design, _retained_rows(batch.plan, dim_index),
                     precisions,
                 )
         if stats.n == 0:
@@ -542,7 +537,7 @@ class GMMSuffStats:
     def nbytes(self) -> int:
         """Bytes retained: global sums, per-RID arrays, pair tables."""
         return sum(held.nbytes for held in [
-            self.counts, self.comp_sum, self.comp_outer, *self.dim_keys,
+            self.counts, self.comp_sum, self.comp_outer, *self.dim_index,
             *self.dim_features, *self.mass, *self.fact_mass,
             *self.pairs.values(),
         ])
@@ -564,7 +559,7 @@ class GMMSuffStats:
         i = _dimension_index(self.resolved, relation_name)
         rids = np.asarray(rids).ravel().astype(np.int64)
         new = np.atleast_2d(np.asarray(new_features, dtype=np.float64))
-        g = codes_for_keys(rids, self.dim_keys[i])
+        g = self.dim_index[i].codes(rids)
         old = self.dim_features[i][g]
         if new.shape != old.shape:
             raise ModelError(
@@ -589,7 +584,7 @@ class GMMSuffStats:
             - np.einsum("uk,ua,ub->kab", mass_u, old, old)
         )
         # dimension × other dimensions through γ co-occurrence
-        for j in range(len(self.dim_keys)):
+        for j in range(len(self.dim_index)):
             if j == i:
                 continue
             sj = self.layout.slice_of(j + 1)
@@ -621,7 +616,7 @@ class GMMSuffStats:
         counts_before = float(np.linalg.norm(self.counts))
         delta_counts = self._fold(
             *_appended_batch(
-                fact, fk_columns, self.dim_keys, self.dim_features
+                fact, fk_columns, self.dim_index, self.dim_features
             ),
             ComponentPrecisions(
                 self.params.covariances, self.config.reg_covar
@@ -642,14 +637,9 @@ class GMMSuffStats:
         i = _dimension_index(self.resolved, relation_name)
         rids = np.asarray(rids).ravel().astype(np.int64)
         new = np.atleast_2d(np.asarray(new_features, dtype=np.float64))
-        if np.intersect1d(rids, self.dim_keys[i]).size:
-            raise ModelError(
-                f"appended RIDs to {relation_name!r} collide with "
-                "retained keys"
-            )
         grown = rids.size
         k = self.counts.size
-        self.dim_keys[i] = np.concatenate([self.dim_keys[i], rids])
+        self.dim_index[i] = self.dim_index[i].extended(rids)
         self.dim_features[i] = np.vstack([self.dim_features[i], new])
         self.mass[i] = np.vstack([self.mass[i], np.zeros((grown, k))])
         self.fact_mass[i] = np.concatenate(

@@ -31,10 +31,8 @@ import numpy as np
 
 from repro.errors import ModelError
 from repro.linalg.blocks import BlockLayout
-from repro.linalg.groupsum import KeyIndex
 from repro.linalg.quadform import quadform_table
 from repro.storage.buffer import BufferPool
-from repro.storage.heapfile import page_runs
 from repro.storage.relation import Relation
 
 
@@ -62,12 +60,12 @@ def partial_fingerprint(*parts) -> str:
 class DimensionLookup:
     """Point lookups of dimension-relation rows by primary key.
 
-    The key column is scanned once at construction (charged like any
-    scan) and sorted into a key → heap-row index (a
-    :class:`~repro.errors.ModelError` there if keys repeat); feature
-    rows are then fetched page-at-a-time on demand, so a predictor never
-    needs the dimension relation resident — only the pages a request
-    actually touches are read, and a shared
+    Keys resolve through the relation's
+    :meth:`~repro.storage.relation.Relation.key_index` (construction
+    builds it if need be, and fails if keys repeat); feature rows are
+    fetched page-at-a-time on demand, so a predictor never needs the
+    dimension relation resident — only the pages a request actually
+    touches are read, and a shared
     :class:`~repro.storage.buffer.BufferPool` absorbs repeats.
     """
 
@@ -76,28 +74,20 @@ class DimensionLookup:
     ) -> None:
         self.relation = relation
         self.buffer_pool = buffer_pool
-        # The scan outlives the index build, so what is kept lands past
-        # its block and the next lookup's scan reuses that hole whole.
-        rows = relation.scan()
-        self._index = KeyIndex(relation.project_keys(rows))
+        relation.key_index()
 
     def row_positions(self, keys: np.ndarray) -> np.ndarray:
         """Heap row numbers holding ``keys`` (raises on dangling keys)."""
-        return self._index.codes(keys)
+        return self.relation.key_index().codes(keys)
 
     def features_for(self, keys: np.ndarray) -> np.ndarray:
         """Feature rows for ``keys``, reading only the pages that hold them."""
         positions = self.row_positions(keys)
         heap = self.relation.heap
-        rows = np.empty(
-            (positions.size, self.relation.schema.width), dtype=np.float64
-        )
-        for page_no, where, slots in page_runs(positions, heap.rows_per_page):
-            if self.buffer_pool is not None:
-                page = self.buffer_pool.get_page(heap, page_no)
-            else:
-                page = heap.read_page(page_no)
-            rows[where] = page[slots]
+        if self.buffer_pool is None:
+            rows = heap.read_rows(positions)
+        else:
+            rows = self.buffer_pool.read_rows(heap, positions)
         return self.relation.project_features(rows)
 
 

@@ -51,7 +51,7 @@ import numpy as np
 
 from repro.errors import StorageError
 from repro.obs.trace import current_span
-from repro.storage.heapfile import HeapFile
+from repro.storage.heapfile import HeapFile, page_runs
 
 
 @dataclass(frozen=True)
@@ -205,6 +205,16 @@ class BufferPool:
             if span is not None:
                 span.add("pages.read")
             return page
+
+    def read_rows(self, heap: HeapFile, positions: np.ndarray) -> np.ndarray:
+        """Rows of ``heap`` at ``positions`` (aligned, any order), each
+        page they touch fetched once through :meth:`get_page` — one
+        copy per page run (:func:`~repro.storage.heapfile.page_runs`),
+        not a mask over every position per page."""
+        out = np.empty((positions.size, heap.ncols))
+        for page_no, where, slots in page_runs(positions, heap.rows_per_page):
+            out[where] = self.get_page(heap, page_no)[slots]
+        return out
 
     def _detach_inflight(self, cache_key: tuple[str, int]) -> None:
         """Version-bump and detach any in-flight read of ``cache_key``

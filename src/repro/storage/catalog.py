@@ -21,7 +21,7 @@ import numpy as np
 
 from typing import Callable
 
-from repro.errors import StorageError
+from repro.errors import ModelError, StorageError
 from repro.fx.dedup import distinct_values
 from repro.storage.buffer import BufferPool
 from repro.storage.events import RowVersionEvent
@@ -199,8 +199,9 @@ class Database:
         ``positions`` are heap row numbers (use
         :meth:`~repro.storage.relation.Relation.positions_of_keys` to go
         from primary-key values); ``rows`` are full replacement rows.
-        Primary-key values must not change — serving-side lookups index
-        dimension rows by key and do not re-scan on update.
+        Primary-key values must not change: the relation's
+        :meth:`~repro.storage.relation.Relation.key_index` is only ever
+        extended by appends, never re-scanned on update.
 
         The emitted event carries the updated rows' primary-key values
         (heap positions for keyless relations), which is what
@@ -225,16 +226,15 @@ class Database:
                 f"row positions must lie in [0, {relation.nrows}), got "
                 f"range [{positions.min()}, {positions.max()}]"
             )
-        key_column = relation.schema.key_column
-        key_position = (
-            relation.schema.key_position if key_column is not None else None
-        )
+        keyed = relation.schema.key_column is not None
         with self._update_lock:
-            if key_position is not None and positions.size:
-                current = self._rows_at(relation, positions)
-                if not np.array_equal(
-                    current[:, key_position], rows[:, key_position]
-                ):
+            if keyed and positions.size:
+                at = relation.schema.key_position
+                # Through the pool: the pages an update touches are
+                # usually resident (the serving path just read them),
+                # and a miss charges exactly the one read it performs.
+                current = self.buffer_pool.read_rows(relation.heap, positions)
+                if not np.array_equal(current[:, at], rows[:, at]):
                     raise StorageError(
                         f"update to {name!r} would change primary-key "
                         "values; serving lookups index rows by key"
@@ -245,13 +245,10 @@ class Database:
             version = self._row_versions.get(name, 0) + 1
             self._row_versions[name] = version
             self._drop_join_index(relation)
-            if key_position is not None:
-                rids = rows[:, key_position].astype(np.int64)
-            else:
-                rids = positions
             event = RowVersionEvent(
-                relation=name, rids=rids, version=version,
-                kind="update", positions=positions,
+                relation=name, version=version, kind="update",
+                rids=relation.project_keys(rows) if keyed else positions,
+                positions=positions,
             )
             self._notify(event)
         return event
@@ -274,19 +271,18 @@ class Database:
                 f"rows for {name!r} must be (n, {relation.schema.width}), "
                 f"got {rows.shape}"
             )
-        key_position = (
-            relation.schema.key_position
-            if relation.schema.key_column is not None
-            else None
-        )
+        keyed = relation.schema.key_column is not None
         with self._update_lock:
-            if key_position is not None and rows.shape[0]:
-                new_keys = rows[:, key_position].astype(np.int64)
-                if np.intersect1d(new_keys, relation.keys()).size:
+            if keyed and rows.shape[0]:
+                # A key repeated within the batch is refused too: once
+                # written, no key index over the relation could be built.
+                try:
+                    relation.key_index().extended(relation.project_keys(rows))
+                except ModelError:
                     raise StorageError(
                         f"append to {name!r} would duplicate primary-key "
                         "values; serving lookups index rows by key"
-                    )
+                    ) from None
             first = relation.nrows
             # The last page before the append may gain rows in place;
             # drop its cached copy before the write becomes visible.
@@ -300,13 +296,10 @@ class Database:
             version = self._row_versions.get(name, 0) + 1
             self._row_versions[name] = version
             self._drop_join_index(relation)
-            if key_position is not None:
-                rids = rows[:, key_position].astype(np.int64)
-            else:
-                rids = positions
             event = RowVersionEvent(
-                relation=name, rids=rids, version=version,
-                kind="append", positions=positions,
+                relation=name, version=version, kind="append",
+                rids=relation.project_keys(rows) if keyed else positions,
+                positions=positions,
             )
             self._notify(event)
         return event
@@ -330,24 +323,6 @@ class Database:
                     first_error = error
         if first_error is not None:
             raise first_error
-
-    def _rows_at(self, relation: Relation, positions: np.ndarray) -> np.ndarray:
-        """Current rows at ``positions``, read through the buffer pool.
-
-        Going through the pool keeps the primary-key integrity check
-        from double-charging page reads: the pages an update touches
-        are usually resident (the serving path just read them), and a
-        miss charges exactly the one read it performs.
-        """
-        heap = relation.heap
-        pages = positions // heap.rows_per_page
-        slots = positions % heap.rows_per_page
-        out = np.empty((positions.size, relation.schema.width))
-        for page_no in distinct_values(pages):
-            mask = pages == page_no
-            page = self.buffer_pool.get_page(heap, int(page_no))
-            out[mask] = page[slots[mask]]
-        return out
 
     def relation(self, name: str) -> Relation:
         try:

@@ -14,6 +14,7 @@ from typing import Iterator
 import numpy as np
 
 from repro.errors import SchemaError, StorageError
+from repro.linalg.groupsum import KeyIndex
 from repro.storage.heapfile import DEFAULT_PAGE_SIZE_BYTES, HeapFile
 from repro.storage.iostats import IOStats
 from repro.storage.schema import ColumnRole, Schema
@@ -31,6 +32,9 @@ class Relation:
         self.name = name
         self.schema = schema
         self.heap = heap
+        # (index, rows it covers), swapped as one reference: concurrent
+        # callers may each extend it, and none ever sees a torn pair.
+        self._key_index: tuple[KeyIndex, int] | None = None
 
     # -- construction ------------------------------------------------------
 
@@ -85,16 +89,30 @@ class Relation:
         self.heap.update_rows(positions, rows)
 
     def positions_of_keys(self, keys: np.ndarray) -> np.ndarray:
-        """Heap row numbers holding the given primary-key values.
-
-        Scans the key column (charged like any scan) and raises
-        :class:`~repro.errors.ModelError` on dangling keys.
-        """
-        from repro.linalg.groupsum import codes_for_keys
-
-        return codes_for_keys(
-            np.asarray(keys).ravel().astype(np.int64), self.keys()
+        """Heap row numbers holding the given primary-key values, by
+        :meth:`key_index` (a :class:`~repro.errors.ModelError` on
+        dangling keys)."""
+        return self.key_index().codes(
+            np.asarray(keys).ravel().astype(np.int64)
         )
+
+    def key_index(self) -> KeyIndex:
+        """The primary-key → heap-row index: the first call scans and
+        sorts the key column, later ones return it, first merging in
+        the keys of rows appended since (their pages alone are read).
+        Keys never change in place — ``Database.update_rows`` refuses
+        that — so the heap's row count says what the index covers."""
+        if self._key_index is None:
+            # The scan outlives the index build, so what is kept lands
+            # past its block and a later scan reuses that hole whole.
+            rows = self.scan()
+            self._key_index = (KeyIndex(self.project_keys(rows)), len(rows))
+        index, covered = self._key_index
+        if covered < self.heap.nrows:
+            tail = self.heap.read_rows(np.arange(covered, self.heap.nrows))
+            index = index.extended(self.project_keys(tail))
+            self._key_index = (index, covered + len(tail))
+        return index
 
     def drop(self) -> None:
         """Delete the backing file."""

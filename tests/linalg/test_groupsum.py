@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ModelError
-from repro.linalg.groupsum import GroupIndex, codes_for_keys
+from repro.linalg.groupsum import GroupIndex, KeyIndex, codes_for_keys
 
 
 class TestGroupIndexValidation:
@@ -182,3 +182,41 @@ def test_codes_for_keys_round_trip(seed, m, n):
     fact_keys = dim_keys[rng.integers(0, m, size=n)]
     codes = codes_for_keys(fact_keys, dim_keys)
     np.testing.assert_array_equal(dim_keys[codes], fact_keys)
+
+
+@given(
+    keys=st.lists(
+        st.integers(-(2**40), 2**40), unique=True, max_size=40
+    ),
+    cut=st.integers(0, 40),
+)
+@settings(max_examples=100, deadline=None)
+def test_an_extended_index_is_the_index_of_the_whole_column(keys, cut):
+    """Merging appended keys in equals sorting the whole column anew —
+    the same arrays, bit for bit, so every probe answers the same."""
+    keys = np.asarray(keys, dtype=np.int64)
+    head, tail = keys[:cut], keys[cut:]
+    grown = KeyIndex(head).extended(tail)
+    whole = KeyIndex(np.concatenate([head, tail]))
+    assert len(grown) == keys.size
+    np.testing.assert_array_equal(grown.sorted_keys, whole.sorted_keys)
+    np.testing.assert_array_equal(grown.order, whole.order)
+    assert grown.order.dtype == whole.order.dtype
+    np.testing.assert_array_equal(grown.codes(keys), np.arange(keys.size))
+
+
+@given(
+    keys=st.lists(st.integers(0, 60), unique=True, min_size=1, max_size=30),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_an_extension_that_repeats_a_key_raises(keys, data):
+    keys = np.asarray(keys, dtype=np.int64)
+    index = KeyIndex(keys)
+    fresh = np.setdiff1d(np.arange(61, 70), keys)
+    repeated = data.draw(st.sampled_from(keys.tolist()))
+    with pytest.raises(ModelError, match="duplicates"):
+        index.extended(np.append(fresh, repeated))      # an indexed key
+    with pytest.raises(ModelError, match="duplicates"):
+        index.extended(np.append(fresh, fresh[:1]))     # within the batch
+    assert len(index) == keys.size                      # left as it was

@@ -189,7 +189,7 @@ def _compare(kind, sparse, dense):
         close(getattr(sparse, name), getattr(dense, name))
     for where, table in sparse.pairs.items():
         for side in (0, 1):
-            rows = np.arange(sparse.dim_keys[where[side]].size)
+            rows = np.arange(len(sparse.dim_index[where[side]]))
             features = sparse.dim_features[where[1 - side]]
             close(
                 table.coupled(side, rows, features),
@@ -228,7 +228,7 @@ def test_statistics_match_their_dense_twin(q, kind, seed, steps):
     _compare(kind, sparse, dense)
     for step in steps:
         i = int(rng.integers(q))
-        keys = sparse.dim_keys[i]
+        keys = sparse.dim_index[i].sorted_keys
         width = sparse.dim_features[i].shape[1]
         if step == "update":            # either side of every pair it is in
             rids = rng.choice(keys, size=rng.integers(1, keys.size + 1),
@@ -246,7 +246,9 @@ def test_statistics_match_their_dense_twin(q, kind, seed, steps):
         else:                           # may reference rows "grow" added
             n = int(rng.integers(0, 9))
             fact = rng.normal(size=(n, 2))
-            args = [fact, [rng.choice(k, size=n) for k in sparse.dim_keys]]
+            args = [fact, [
+                rng.choice(k.sorted_keys, size=n) for k in sparse.dim_index
+            ]]
             if kind == "linear":
                 args.append(rng.normal(size=n))
             for stats in (sparse, dense):
@@ -263,7 +265,7 @@ def test_an_update_of_a_row_no_fact_references_moves_no_coupling(
     params = _params(np.random.default_rng(3), 2, d)
     for kind in ("linear", 2):
         sparse, dense = _both(db, spec, kind, params)
-        fresh = sparse.dim_keys[0].max() + 1 + np.arange(2)
+        fresh = sparse.dim_index[0].sorted_keys[-1] + 1 + np.arange(2)
         width = sparse.dim_features[0].shape[1]
         for stats in (sparse, dense):
             stats.fold_appended_dimension(name, fresh, np.ones((2, width)))
@@ -280,7 +282,7 @@ def test_an_update_of_a_row_no_fact_references_moves_no_coupling(
 def test_a_binary_join_has_no_pair_table(db, binary_star):
     stats = LinearSuffStats.build(db, binary_star.spec)
     assert stats.pairs == {}
-    rids = stats.dim_keys[0][:3]
+    rids = stats.dim_index[0].sorted_keys[:3]
     stats.apply_dimension_update(
         "R1", rids, np.zeros((3, stats.dim_features[0].shape[1]))
     )
@@ -303,15 +305,15 @@ def test_retained_bytes_follow_the_referenced_pairs(db):
         db, spec, _params(np.random.default_rng(0), k, d_s + 6)
     )
     stats.apply_dimension_update(          # merges, sorts by right
-        "R2", stats.dim_keys[1][:8], np.zeros((8, 2))
+        "R2", stats.dim_index[1].sorted_keys[:8], np.zeros((8, 2))
     )
     table = stats.pairs[(0, 1)]
     assert table.keys.size <= n
     assert table.nbytes <= n * (k + 3) * 8      # keys, mass, by-right pair
     assert stats.nbytes < 4_000_000
-    floats = sum(
-        keys.size * (k * (d_s + 1) + features.shape[1] + 1)
-        for keys, features in zip(stats.dim_keys, stats.dim_features)
+    floats = sum(                       # + 2: a key and its heap row
+        len(keys) * (k * (d_s + 1) + features.shape[1] + 2)
+        for keys, features in zip(stats.dim_index, stats.dim_features)
     )
     assert stats.nbytes <= 8 * (floats + n * (k + 3)) + 8 * k * 10 * 11
     linear = LinearSuffStats.build(db, spec)

@@ -758,10 +758,10 @@ class TestAnUpdateCostsWhatItTouches:
             )
             assert "pairs" not in _names(grow)
 
-    @pytest.mark.parametrize("method", ["_apply_event", "_fact_rows_at"])
+    @pytest.mark.parametrize(
+        "method", ["_apply_event", "_fact_rows_at", "_sgd_step"]
+    )
     def test_the_maintainer_reads_an_events_rows_by_position(self, method):
-        # ``_sgd_step`` keeps its key scans: the NN retains no key
-        # index to find a batch's RIDs in.
         body = _method(
             self.MAINTAIN / "maintainer.py", "ModelMaintainer", method
         )
@@ -773,24 +773,54 @@ class TestAnUpdateCostsWhatItTouches:
         assert not called & {"keys", "features", "scan"}
         assert "read_rows" in called
 
-    def test_a_cold_miss_masks_no_page(self):
-        tree = _tree(SRC_ROOT / "serve" / "partials.py")
+    @pytest.mark.parametrize(
+        "path", ["serve/partials.py", "storage/catalog.py"]
+    )
+    def test_a_cold_miss_masks_no_page(self, path):
+        tree = _tree(SRC_ROOT / path)
         masks = [
             ast.unparse(node) for node in ast.walk(tree)
             if isinstance(node, ast.Compare)
             and "page_no" in _names(node)
         ]
         assert masks == []
-        lookup = _method(
-            SRC_ROOT / "serve" / "partials.py", "DimensionLookup",
-            "features_for",
+        # Both read through the one page-run loop over the pool.
+        assert "read_rows" in _names(tree)
+        assert "get_page" not in _names(tree)
+        reader = _method(
+            SRC_ROOT / "storage" / "buffer.py", "BufferPool", "read_rows"
         )
-        assert {"page_runs", "get_page"} <= _names(lookup)
-        # ... and sorts the key column once, not once per call.
+        assert {"page_runs", "get_page"} <= _names(reader)
+
+
+class TestOneKeyIndex:
+    """A relation sorts its key column once (``Relation.key_index``);
+    every call-time key lookup probes that index, and only the BNL
+    join's block-local codes build one of their own."""
+
+    def test_one_construction_site(self):
         assert _callers("KeyIndex") == {
-            "linalg/groupsum.py", "serve/partials.py",
+            "linalg/groupsum.py", "storage/relation.py",
         }
-        assert "codes_for_keys" not in _names(tree)
+        assert _callers("codes_for_keys") == {"join/bnl.py"}
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            *sorted((SRC_ROOT / "serve").glob("*.py")),
+            *sorted((SRC_ROOT / "maintain").glob("*.py")),
+            SRC_ROOT / "storage" / "catalog.py",
+        ],
+        ids=lambda path: str(path.relative_to(SRC_ROOT)),
+    )
+    def test_no_key_column_scan(self, path):
+        scans = [
+            ast.unparse(node) for node in ast.walk(_tree(path))
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "keys" and not node.args
+        ]
+        assert scans == []
 
 
 class TestTargetedWakeUps:

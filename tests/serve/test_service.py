@@ -364,3 +364,61 @@ class TestBookkeeping:
             "m", nn, binary_star.spec, strategy="materialized"
         )
         assert service.cache_stats("m") == []
+
+
+class TestTheRelationsKeyIndex:
+    """Predictors resolve RIDs through ``Relation.key_index``: a
+    predictor built before an append serves the appended rows, and a
+    new predictor over an indexed relation reads none of its pages."""
+
+    def test_a_predictor_registered_before_an_append_serves_it(
+        self, db, binary_star
+    ):
+        spec = binary_star.spec
+        gmm = fit_gmm(db, spec, n_components=2, max_iter=2, seed=1)
+        nn = fit_nn(db, spec, hidden_sizes=(6,), epochs=1, seed=1)
+        early = serve(db)
+        early.register_gmm("g", gmm, spec)
+        early.register_nn("n", nn, spec)
+        features, fk = a_request(db, spec)
+        early.predict("g", features, fk)           # caches the old RIDs
+        early.predict("n", features, fk)
+
+        relation = db["R1"]
+        stored = relation.scan()
+        at = relation.schema.key_position
+        new = stored[:2].copy()
+        new[:, at] = stored[:, at].max() + 1 + np.arange(2)
+        new[:, 1:] += 1.5
+        db.append_rows("R1", new)
+        fk = fk.copy()
+        fk[::3] = new[np.arange(fk[::3].size) % 2, at]
+
+        late = serve(db)
+        late.register_gmm("g", gmm, spec)
+        late.register_nn("n", nn, spec)
+        for name in ("g", "n"):
+            np.testing.assert_array_equal(
+                early.predict(name, features, fk),
+                late.predict(name, features, fk),
+            )
+
+    @pytest.mark.parametrize("kind", ["gmm", "nn"])
+    def test_a_swap_reads_no_dimension_page(self, db, multiway_star, kind):
+        spec = multiway_star.spec
+        dims = [dim.relation for dim in spec.dimensions]
+        if kind == "gmm":
+            fits = [
+                fit_gmm(db, spec, n_components=2, max_iter=2, seed=seed)
+                for seed in (1, 2)
+            ]
+        else:
+            fits = [
+                fit_nn(db, spec, hidden_sizes=(4,), epochs=1, seed=seed)
+                for seed in (1, 2)
+            ]
+        service = serve(db)
+        getattr(service, f"register_{kind}")("m", fits[0], spec)
+        before = {name: db.stats.reads_for(name) for name in dims}
+        service.swap_model("m", fits[1])
+        assert {name: db.stats.reads_for(name) for name in dims} == before
