@@ -36,8 +36,8 @@ Quick start — train, then serve, without ever materializing the join::
     outputs = service.predict("ratings", xs, fks)
     service.stats("ratings").rows_per_second
 
-Concurrent serving — the same registry behind a bounded queue, a
-micro-batcher that coalesces point requests, a worker pool over
+Concurrent serving — the same service (a runtime *is* one) behind a
+bounded queue, a micro-batcher that coalesces point requests, a worker pool over
 shared partial caches, and a per-batch planner choosing
 materialized vs factorized from the inference cost model
 (:mod:`repro.runtime`).  Updates to dimension rows
@@ -77,8 +77,8 @@ join share one cache instead of holding two copies::
 Cache-sharing semantics: sharing keys on a digest of the model
 parameters entering the partial computation plus the dimension
 relation, so only bit-identical partials ever share; predictions are
-unchanged.  Invalidation by one sharer evicts for all.  A service
-that wants isolation passes its own ``PartialStore``.
+unchanged.  Invalidation by one sharer evicts for all.  Every service
+builds its own store, so sharing never crosses two services.
 
 Memory is governed store-wide, not per cache: ``serve(db,
 memory_budget=BYTES)`` / ``serve_runtime(db, memory_budget=BYTES)``

@@ -262,14 +262,9 @@ def compare_strategies(
     return comparison
 
 
-def _serve_once(
-    db, spec, model, kind, fact_features, fk_values, strategy, block_pages
-):
+def _serve_once(db, spec, model, kind, fact_features, fk_values, strategy):
     """One-shot serving shared by :func:`predict_gmm`/:func:`predict_nn`."""
-    predictor = make_predictor(
-        db, spec, model, kind=kind, strategy=strategy,
-        block_pages=block_pages,
-    )
+    predictor = make_predictor(db, spec, model, kind=kind, strategy=strategy)
     try:
         if fact_features is None and fk_values is None:
             return predictor.predict_all()
@@ -291,7 +286,6 @@ def predict_gmm(
     fk_values=None,
     *,
     strategy: str = FACTORIZED,
-    block_pages: int = DEFAULT_BLOCK_PAGES,
 ):
     """Cluster assignments over normalized data — no join materialized.
 
@@ -305,8 +299,7 @@ def predict_gmm(
     batches, register the model once via :func:`serve`.
     """
     return _serve_once(
-        db, spec, model, "gmm", fact_features, fk_values, strategy,
-        block_pages,
+        db, spec, model, "gmm", fact_features, fk_values, strategy
     )
 
 
@@ -318,7 +311,6 @@ def predict_nn(
     fk_values=None,
     *,
     strategy: str = FACTORIZED,
-    block_pages: int = DEFAULT_BLOCK_PAGES,
 ):
     """Network outputs over normalized data — no join materialized.
 
@@ -326,8 +318,7 @@ def predict_nn(
     bare :class:`~repro.nn.network.MLP`.
     """
     return _serve_once(
-        db, spec, model, "nn", fact_features, fk_values, strategy,
-        block_pages,
+        db, spec, model, "nn", fact_features, fk_values, strategy
     )
 
 
@@ -377,8 +368,6 @@ def maintain(
 def serve(
     db: Database,
     *,
-    block_pages: int = DEFAULT_BLOCK_PAGES,
-    store=None,
     memory_budget: int | None = None,
     store_tiers: tuple = (),
     telemetry=None,
@@ -392,17 +381,17 @@ def serve(
         service.register_nn("ratings", nn_result, spec)
         outputs = service.predict("ratings", fact_features, fk_values)
 
-    Factorized models draw their partial caches from a shared
-    :class:`~repro.fx.store.PartialStore` — models with
-    value-identical partials over the same join reuse one cache; pass
-    ``store`` to share it across services.  ``memory_budget`` (bytes)
-    installs a
-    store-wide cap on resident partials across *all* registered
-    models, enforced by cross-cache eviction of the globally coldest
-    rows (mutually exclusive with ``store`` — put ``capacity_floats``
-    on a store you share; sizing guidance in ``docs/tuning.md``).
-    ``store_tiers`` (requires ``memory_budget``) makes the governor
-    demote cold partials down a tier ladder — ``"float32"``
+    Requests run on the calling thread; :func:`serve_runtime` is the
+    same service with a request queue and worker threads or processes
+    in front.  Factorized models draw their partial caches from the
+    service's own :class:`~repro.fx.store.PartialStore` — models with
+    value-identical partials over the same join reuse one cache.
+    ``memory_budget`` (bytes) installs a store-wide cap on resident
+    partials across *all* registered models, enforced by cross-cache
+    eviction of the globally coldest rows (sizing guidance in
+    ``docs/tuning.md``); ``service.set_memory_budget`` moves it
+    later.  ``store_tiers`` (requires ``memory_budget``) makes the
+    governor demote cold partials down a tier ladder — ``"float32"``
     compresses in place (GMM labels stay bit-exact, scores within a
     documented bounded delta), ``"spill"`` pages them to disk exactly
     — instead of dropping them to recomputation; the per-tier
@@ -410,13 +399,13 @@ def serve(
     service listens for dimension-row updates
     (:meth:`Database.update_rows`) to keep its partial caches fresh;
     call ``service.close()`` to detach a service you discard before
-    the database itself is closed.  ``telemetry`` (``True`` or a
-    :class:`~repro.obs.Telemetry`) turns on per-request metrics and
-    tracing — see ``docs/observability.md``.
+    the database itself is closed — a closed service refuses work.
+    ``telemetry`` (``True`` or a :class:`~repro.obs.Telemetry`) turns
+    on per-request metrics and tracing — see
+    ``docs/observability.md``.
     """
     return ModelService(
-        db, block_pages=block_pages, store=store,
-        memory_budget=memory_budget, store_tiers=store_tiers,
+        db, memory_budget=memory_budget, store_tiers=store_tiers,
         telemetry=telemetry,
     )
 
@@ -430,7 +419,6 @@ def serve_runtime(
     queue_depth: int = 1024,
     memory_budget: int | None = None,
     store_tiers: tuple = (),
-    block_pages: int = DEFAULT_BLOCK_PAGES,
     executor: str = "thread",
     telemetry=None,
     telemetry_port: int | None = None,
@@ -495,7 +483,6 @@ def serve_runtime(
             queue_depth=queue_depth,
             memory_budget=memory_budget,
             store_tiers=store_tiers,
-            block_pages=block_pages,
             executor=executor,
         ),
         telemetry=telemetry,

@@ -17,8 +17,10 @@ Layers:
 * :mod:`~repro.runtime.queue` — bounded request queue + micro-batch
   coalescing;
 * :mod:`~repro.runtime.planner` — per-batch strategy planning;
-* :mod:`~repro.runtime.service` — the runtime facade: queue,
-  dispatchers, metrics, one ``_execute`` over either executor;
+* :mod:`~repro.runtime.service` — the runtime: a
+  :class:`~repro.serve.service.ModelService` plus the queue, the
+  dispatchers, their metrics and one ``_execute`` over either
+  executor;
 * :mod:`~repro.runtime.procpool` / :mod:`~repro.runtime.procworker` —
   the process executor (the core's substrate primitives over pipes
   and shared memory) and its worker entry point.

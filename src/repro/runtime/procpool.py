@@ -311,7 +311,7 @@ class ProcessExecutor(ServingCore):
                 "executor='process' needs a disk-backed Database"
             )
         # No parent-side store: every partial lives in a worker.
-        super().__init__(db, None, block_pages=config.block_pages)
+        super().__init__(db, None)
         self.config = config
         self.num_workers = config.num_workers
         self.budget_floats = budget_floats(config.memory_budget)
@@ -463,9 +463,7 @@ class ProcessExecutor(ServingCore):
         two of them would serve a torn mix.
         """
         coerce = coerce_gmm_model if kind == "gmm" else coerce_nn_model
-        validator = _ServingPredictor(
-            self.db, spec, block_pages=self.block_pages
-        )
+        validator = _ServingPredictor(self.db, spec)
         generation = self._next_id()
         # The worker core's own ``register`` arguments, keyed by
         # generation; the predecessor travels as its generation too.
@@ -755,6 +753,11 @@ class ProcessExecutor(ServingCore):
         drained; the runtime then retries request by request, so only
         the requests whose rows route to the failure are poisoned.
         """
+        if op == "predict_all":
+            raise ModelError(
+                "predict_all streams the fact relation in-process; "
+                "executor='process' serves request batches only"
+            )
         rows = features.shape[0]
         out_width = (
             registered.out_width

@@ -80,7 +80,6 @@ class _Worker:
         self.num_workers = num_workers
         self.conn = conn
         self.directory = directory
-        self.config = config
         self.arena = ShmArena()
         header_seg = self.arena.attach(header_name)
         self.header = header_view(header_seg.buf, num_workers)[worker_id]
@@ -108,10 +107,7 @@ class _Worker:
             from repro.storage.catalog import Database
 
             self.db = Database(self.directory)
-            self.core = ServingCore(
-                self.db, self.store,
-                block_pages=self.config.block_pages, owns_store=False,
-            )
+            self.core = ServingCore(self.db, self.store)
         predecessor = self.core.get(payload.pop("predecessor"))
         registered = self.core.register(**payload, predecessor=predecessor)
         return {"out_width": registered.out_width}

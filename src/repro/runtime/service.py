@@ -1,10 +1,9 @@
 """The concurrent batch-serving runtime.
 
-:class:`ServingRuntime` puts a queue and dispatcher threads in front of
-the serving core (:mod:`repro.serve.core`) — the same register /
-execute / invalidate / swap code
-:class:`~repro.serve.service.ModelService` runs inline — to turn it
-into a serving tier:
+:class:`ServingRuntime` is a :class:`~repro.serve.service.ModelService`
+— registration, lookup, the memory budget, invalidation, bookkeeping
+and the lifecycle are inherited — with a queue and dispatcher threads
+in front of its executor, to turn it into a serving tier:
 
 * a bounded :class:`~repro.runtime.queue.RequestQueue` of normalized
   point requests (admission control / backpressure);
@@ -35,17 +34,12 @@ into a serving tier:
   across every model's caches so the whole runtime's partial
   residency stays bounded under multi-model pressure.
 
-The runtime also subscribes to the catalog's
-:class:`~repro.storage.events.RowVersionEvent` stream: an in-place
-update to a dimension relation evicts exactly the affected RIDs from
-every cache of every model joined to it, so the next prediction
-reflects the new rows (see :mod:`repro.serve.cache` for why this is
-race-free against in-flight batches).
-
-Bookkeeping mirrors ``ModelService``: per-model
-:class:`~repro.serve.core.ServingStats`, plus runtime-level queue
-depth, a batch-size histogram, per-worker execution counters, cache
-stats and the planner's decision log
+Like every service, the runtime evicts the affected RIDs' partials
+when a dimension row changes (see :mod:`repro.serve.cache` for why
+this is race-free against in-flight batches).  On top of the
+service's per-model :class:`~repro.serve.core.ServingStats` it keeps
+runtime-level queue depth, a batch-size histogram, per-worker
+execution counters and the planner's decision log
 (:meth:`ServingRuntime.runtime_stats`).
 """
 
@@ -63,9 +57,7 @@ from repro.core.strategies import MATERIALIZED
 from repro.errors import ModelError
 from repro.fx.store import StoreStats
 from repro.fx.tiers import validate_tiers
-from repro.join.bnl import DEFAULT_BLOCK_PAGES
-from repro.join.spec import JoinSpec
-from repro.obs import TelemetryServer, as_telemetry
+from repro.obs import TelemetryServer
 from repro.obs.metrics import (
     LATENCY_BUCKETS_S,
     SIZE_BUCKETS,
@@ -75,28 +67,12 @@ from repro.obs.metrics import (
 from repro.runtime.planner import PlannerStats
 from repro.runtime.queue import Request, RequestQueue
 from repro.serve.cache import CacheStats
-from repro.serve.core import (
-    ADAPTIVE,
-    RegisteredModel,
-    ServingCore,
-    ServingStats,
-    budget_floats,
-    budgeted_store,
-    check_memory_budget,
-)
+from repro.serve.core import ADAPTIVE, check_memory_budget
+from repro.serve.service import ModelService
 from repro.storage.catalog import Database
-from repro.storage.events import RowVersionEvent
 
 THREAD_EXECUTOR = "thread"
 PROCESS_EXECUTOR = "process"
-
-
-def _thread_executor(db, config):
-    """The core itself, called from ``num_workers`` dispatcher threads
-    over one store whose caches each serialize on their own lock."""
-    store = budgeted_store(config.memory_budget, tiers=config.store_tiers)
-    core = ServingCore(db, store, block_pages=config.block_pages)
-    return core, config.num_workers
 
 
 def _process_executor(db, config):
@@ -105,12 +81,14 @@ def _process_executor(db, config):
     # Import here keeps procpool/procworker out of thread-mode runs.
     from repro.runtime.procpool import ProcessExecutor
 
-    return ProcessExecutor(db, config), 1
+    return ProcessExecutor(db, config)
 
 
-#: executor name -> factory of ``(executor, dispatcher threads)``.
+#: executor name -> factory of the executor, or ``None`` for the
+#: service's own core, called from ``num_workers`` dispatcher threads
+#: over one store whose caches each serialize on their own lock.
 _EXECUTORS = {
-    THREAD_EXECUTOR: _thread_executor,
+    THREAD_EXECUTOR: None,
     PROCESS_EXECUTOR: _process_executor,
 }
 
@@ -163,7 +141,6 @@ class RuntimeConfig:
     memory_budget: int | None = None       # bytes across all models
     store_tiers: tuple = ()                # demotion ladder, e.g.
                                            # ("float32", "spill")
-    block_pages: int = DEFAULT_BLOCK_PAGES
     executor: str = THREAD_EXECUTOR        # "thread" | "process"
 
     def __post_init__(self) -> None:
@@ -242,7 +219,7 @@ class RuntimeStats:
     gather_seconds: HistogramValue | None = None
 
 
-class ServingRuntime:
+class ServingRuntime(ModelService):
     """Concurrent micro-batching serving over normalized relations.
 
     >>> runtime = serve_runtime(db, num_workers=4)
@@ -257,6 +234,8 @@ class ServingRuntime:
     workers.
     """
 
+    DEFAULT_STRATEGY = ADAPTIVE
+
     def __init__(
         self,
         db: Database,
@@ -265,28 +244,16 @@ class ServingRuntime:
         telemetry=None,
         telemetry_port: int | None = None,
     ) -> None:
-        self.db = db
         self.config = config or RuntimeConfig()
         # Asking for the HTTP endpoint implies wanting telemetry on.
         if telemetry is None and telemetry_port is not None:
             telemetry = True
-        self.telemetry = as_telemetry(telemetry)
-        self._make_instruments()
-        # The executor is built NOW, before this constructor starts any
-        # thread: process mode spawns its workers here, and the default
-        # fork start must never clone a multi-threaded parent
-        # (inherited locks could be held by threads that do not exist
-        # in the child).
-        self._executor, dispatchers = _EXECUTORS[self.config.executor](
-            db, self.config
-        )
-        #: The partial store (``None`` when it lives in worker processes).
-        self.store = self._executor.store
+        # Everything the collector reads exists before the service
+        # registers it.
         self._queue = RequestQueue(self.config.queue_depth)
         self._stats_lock = threading.Lock()
         self._batches = 0
         self._batch_histogram: Counter = Counter()
-        self._closed = False
         self._scatter_latency = HistogramCell(LATENCY_BUCKETS_S)
         self._gather_latency = HistogramCell(LATENCY_BUCKETS_S)
         # One WorkerStats per worker: a dispatcher thread attributes
@@ -295,6 +262,16 @@ class ServingRuntime:
         self._worker_stats = [
             WorkerStats() for _ in range(self.config.num_workers)
         ]
+        super().__init__(
+            db,
+            memory_budget=self.config.memory_budget,
+            store_tiers=self.config.store_tiers,
+            telemetry=telemetry,
+        )
+        dispatchers = (
+            1 if _EXECUTORS[self.config.executor]
+            else self.config.num_workers
+        )
         self._workers = [
             threading.Thread(
                 target=self._worker_loop,
@@ -304,10 +281,6 @@ class ServingRuntime:
             )
             for i in range(dispatchers)
         ]
-        self.db.subscribe(self._on_row_version)
-        # Queue/worker/cache/store/page-I/O state is *sampled* at
-        # snapshot time rather than double-counted per event.
-        self.telemetry.registry.register_collector(self._collect)
         self.telemetry_server: TelemetryServer | None = None
         if telemetry_port is not None:
             self.telemetry_server = TelemetryServer(
@@ -316,12 +289,16 @@ class ServingRuntime:
         for worker in self._workers:
             worker.start()
 
-    def _make_instruments(self) -> None:
-        """Create the owned (per-event) instruments once.
+    def _build_executor(self, memory_budget, store_tiers):
+        build = _EXECUTORS[self.config.executor]
+        if build is None:
+            return super()._build_executor(memory_budget, store_tiers)
+        return build(self.db, self.config)
 
-        With telemetry disabled every handle is the shared no-op
-        singleton, so the hot path pays one method call per event.
-        """
+    def _make_instruments(self) -> None:
+        """The service's instruments, plus the queue's, the batches'
+        and the planner's."""
+        super()._make_instruments()
         registry = self.telemetry.registry
         self._m_requests = registry.counter(
             "repro_requests_total",
@@ -368,11 +345,6 @@ class ServingRuntime:
                  "would pay (cache-discounted)",
             labelnames=("model",),
         )
-        self._m_invalidated_rids = registry.counter(
-            "repro_invalidated_rids_total",
-            help="Cached partial rows dropped by dimension updates",
-            labelnames=("model",),
-        )
         # Process-executor phases (never observed in thread mode).
         self._m_scatter_seconds = registry.histogram(
             "repro_scatter_seconds",
@@ -405,63 +377,10 @@ class ServingRuntime:
             "repro_worker_busy_seconds_total", busy,
             help="Accumulated batch execution seconds across workers",
         )
-        # Store, cache and per-model series come from whoever owns the
-        # numbers (the core, or the worker headers).
-        self._executor.collect(buffer)
+        # Per-model, store and cache series come from the service
+        # (store and cache numbers from the core, or the worker headers).
+        super()._collect(buffer)
         self.db.collect(buffer)
-
-    # -- registration --------------------------------------------------------
-
-    def register_gmm(
-        self,
-        name: str,
-        model,
-        spec: JoinSpec,
-        *,
-        strategy: str = ADAPTIVE,
-    ) -> RegisteredModel:
-        """Register a fitted mixture (a ``GMMResult`` or the bare model)."""
-        return self._register(name, "gmm", spec, model, strategy)
-
-    def register_nn(
-        self,
-        name: str,
-        model,
-        spec: JoinSpec,
-        *,
-        strategy: str = ADAPTIVE,
-    ) -> RegisteredModel:
-        """Register a trained network (an ``NNResult`` or the bare MLP)."""
-        return self._register(name, "nn", spec, model, strategy)
-
-    def _register(self, name, kind, spec, model, strategy) -> RegisteredModel:
-        if self._closed:
-            raise ModelError("runtime is closed")
-        return self._executor.register(name, kind, spec, model, strategy)
-
-    def swap_model(self, name: str, model) -> RegisteredModel:
-        """Atomically replace ``name``'s fit with a refreshed one — see
-        :meth:`ServingCore.swap <repro.serve.core.ServingCore.swap>`.
-        A batch resolves entirely the old or entirely the new
-        registration, on either executor."""
-        if self._closed:
-            raise ModelError("runtime is closed")
-        return self._executor.swap(name, model)
-
-    def unregister(self, name: str) -> None:
-        self._executor.unregister(name)
-
-    # -- lookup --------------------------------------------------------------
-
-    @property
-    def model_names(self) -> list[str]:
-        return sorted(self._executor.registry())
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._executor
-
-    def model(self, name: str) -> RegisteredModel:
-        return self._executor.model(name)
 
     # -- request admission ---------------------------------------------------
 
@@ -483,9 +402,8 @@ class ServingRuntime:
         coalesced with.  ``timeout`` bounds how long to wait for queue
         space when the runtime is saturated.
         """
+        self._check_open()
         registered = self._executor.model(name)
-        if self._closed:
-            raise ModelError("runtime is closed")
         features, fks = registered.admit(op, fact_features, fk_values)
         request = Request((name, op), features, fks)
         self._queue.put(request, timeout=timeout)
@@ -630,49 +548,7 @@ class ServingRuntime:
                 )
             offset += request.rows
 
-    # -- adaptation ----------------------------------------------------------
-
-    def set_memory_budget(self, memory_budget: int | None) -> int:
-        """Re-bound the store-wide partial budget mid-flight.
-
-        ``memory_budget`` is bytes across every registered model (like
-        the constructor knob); ``None`` lifts the bound.  Tightening
-        sweeps the globally coldest partials immediately and
-        returns the number of rows evicted — this is how adaptation
-        scenarios model a deployment whose memory allotment is cut
-        while traffic is in flight.  A runtime created without a
-        ``memory_budget`` takes one just the same; see
-        :meth:`~repro.fx.store.PartialStore.set_budget`.  The frozen
-        ``config.memory_budget`` keeps its construction-time value;
-        the live bound is ``runtime_stats().store.capacity_floats``.
-        """
-        if memory_budget is not None and memory_budget <= 0:
-            raise ModelError(
-                f"memory_budget must be positive bytes or None, "
-                f"got {memory_budget}"
-            )
-        return self._executor.set_budget(budget_floats(memory_budget))
-
-    # -- invalidation --------------------------------------------------------
-
-    def _on_row_version(self, event: RowVersionEvent) -> None:
-        """Evict updated RIDs' partials from every cache of every model."""
-        dropped_by_model = self._executor.invalidate(
-            event.relation, event.rids, event.positions
-        )
-        for name, dropped in dropped_by_model.items():
-            if dropped:
-                self._m_invalidated_rids.labels(model=name).inc(dropped)
-
     # -- bookkeeping ---------------------------------------------------------
-
-    def stats(self, name: str) -> ServingStats:
-        return self._executor.model(name).stats
-
-    def cache_stats(self, name: str) -> list[CacheStats]:
-        """Per-dimension partial-cache counters (merged across worker
-        processes in process mode), monotone across :meth:`swap_model`."""
-        return self._executor.cache_stats(name)
 
     def planner_stats(self, name: str) -> PlannerStats:
         return self._executor.model(name).planner_stats
@@ -728,39 +604,28 @@ class ServingRuntime:
     # -- lifecycle -----------------------------------------------------------
 
     def close(self, *, timeout: float | None = None) -> None:
-        """Drain queued requests, stop the workers, unsubscribe.
+        """Drain queued requests, stop the workers, close the service.
 
         Idempotent.  Requests already queued are still served; new
         submits fail immediately.
         """
         if self._closed:
             return
-        self._closed = True
         self._queue.close()
         for worker in self._workers:
             worker.join(timeout)
         # Only once no dispatcher can touch it: releases the caches
         # and the spill directory, or stops the worker processes and
         # unlinks every shared segment.
-        self._executor.close()
+        super().close()
         # Anything a worker could not claim before exiting fails fast.
         for request in self._queue.drain():
             if request.future.set_running_or_notify_cancel():
                 request.future.set_exception(
                     ModelError("runtime closed before serving this request")
                 )
-        self.db.unsubscribe(self._on_row_version)
         if self.telemetry_server is not None:
             self.telemetry_server.close()
-        # Detach the collector or later snapshots of a shared Telemetry
-        # would sample this dead runtime forever.
-        self.telemetry.registry.unregister_collector(self._collect)
-
-    def __enter__(self) -> "ServingRuntime":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

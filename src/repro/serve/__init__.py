@@ -26,10 +26,12 @@ Layers (the execution core underneath is :mod:`repro.fx`):
   ``execute`` / ``invalidate`` / ``swap`` / ``close`` for every
   serving configuration (inline here; behind the thread or process
   runtime in :mod:`repro.runtime`);
-* :mod:`~repro.serve.service` — ``ModelService``: the core called on
-  the caller's thread, with throughput, I/O and store bookkeeping
-  (``stats()``, ``cache_stats()``, ``store_stats()``), subscribed to
-  catalog row-version events.
+* :mod:`~repro.serve.service` — ``ModelService``, the one serving
+  facade: the core called on the caller's thread, with registration,
+  throughput, I/O and store bookkeeping (``stats()``,
+  ``cache_stats()``, ``store_stats()``), ``set_memory_budget`` and the
+  catalog row-version subscription; the concurrent runtime subclasses
+  it.
 
 The inference-side operation counts the planner charges batches with
 are the ``"serve"`` rows of :mod:`repro.fx.costs`.

@@ -6,8 +6,9 @@ the head — is written here once and configured three ways:
 
 * :class:`~repro.serve.service.ModelService` calls the core on the
   caller's thread (no queue, no workers);
-* ``ServingRuntime(executor="thread")`` puts a request queue and N
-  dispatcher threads in front of the same core;
+* ``ServingRuntime(executor="thread")`` — a ``ModelService`` subclass —
+  puts a request queue and N dispatcher threads in front of the same
+  core;
 * ``ServingRuntime(executor="process")`` puts the queue and one
   dispatcher in front of
   :class:`~repro.runtime.procpool.ProcessExecutor`, a subclass that
@@ -39,7 +40,6 @@ from repro.core.strategies import (
 )
 from repro.errors import ModelError
 from repro.fx.dedup import DedupPlan
-from repro.join.bnl import DEFAULT_BLOCK_PAGES
 from repro.join.spec import JoinSpec
 from repro.obs.trace import NOOP_SPAN
 from repro.serve.cache import CacheStats
@@ -92,16 +92,6 @@ def check_memory_budget(memory_budget, store_tiers) -> None:
             "the governor's demotion ladder, and without a budget "
             "nothing is ever demoted"
         )
-
-
-def budgeted_store(memory_budget: int | None, **kwargs):
-    """The store a facade builds for itself from its byte budget."""
-    # Local import: the store hands caches *to* the serve layer but
-    # also builds on serve.cache, so a module-level import here would
-    # re-enter the serve package mid-bootstrap.
-    from repro.fx.store import PartialStore
-
-    return PartialStore(capacity_floats=budget_floats(memory_budget), **kwargs)
 
 
 def collect_store(
@@ -392,22 +382,9 @@ class ServingCore:
     whose caches live elsewhere (the process executor's parent).
     """
 
-    def __init__(
-        self,
-        db,
-        store,
-        *,
-        block_pages: int = DEFAULT_BLOCK_PAGES,
-        owns_store: bool = True,
-    ) -> None:
-        if block_pages <= 0:
-            raise ModelError(
-                f"block_pages must be positive, got {block_pages}"
-            )
+    def __init__(self, db, store) -> None:
         self.db = db
         self.store = store
-        self.block_pages = block_pages
-        self._owns_store = owns_store
         self._models: dict[object, RegisteredModel] = {}
         # Guards registry mutation vs iteration (stats snapshots,
         # invalidation fan-out, which arrives on the updater's thread)
@@ -480,13 +457,12 @@ class ServingCore:
             # fingerprint-identical models share slabs.
             factorized = make_predictor(
                 self.db, spec, model, kind=kind, strategy=FACTORIZED,
-                store=self.store, block_pages=self.block_pages,
+                store=self.store,
             )
         try:
             if strategy != FACTORIZED:
                 materialized = make_predictor(
-                    self.db, spec, model, kind=kind,
-                    strategy=MATERIALIZED, block_pages=self.block_pages,
+                    self.db, spec, model, kind=kind, strategy=MATERIALIZED
                 )
             bare = (factorized or materialized).model
             if strategy == ADAPTIVE:
@@ -772,16 +748,8 @@ class ServingCore:
 
     def close(self) -> None:
         """Give every registration's caches back to the store
-        (idempotent); registrations stay readable.
-
-        Releasing matters when the store is shared across services:
-        without it a closed service would pin its partial slabs (and
-        their refcounts) in the shared store forever.
-        """
+        (idempotent).  The store itself — its spill directory included
+        — is released by whoever built it: the facade, or the process
+        worker."""
         for registered in self.registry().values():
             self._retire(registered)
-        if self._owns_store:
-            # Drop spilled rows and delete the spill directory — the
-            # no-leaked-tempdir guarantee; a caller-owned (possibly
-            # shared) store is left untouched.
-            self.store.release_spill()

@@ -72,18 +72,11 @@ class _ServingPredictor:
     """Request plumbing shared by all predictors: FK normalization,
     dimension lookups, and streaming over the stored fact relation."""
 
-    def __init__(
-        self,
-        db: Database,
-        spec: JoinSpec,
-        *,
-        block_pages: int = DEFAULT_BLOCK_PAGES,
-    ) -> None:
+    def __init__(self, db: Database, spec: JoinSpec) -> None:
         self.resolved = spec.resolve(db)
         # Read once: requests are validated against it on every call,
         # and the layout is rebuilt from the schemas on each access.
         self.d_s = self.resolved.layout.sizes[0]
-        self.block_pages = block_pages
         self.lookups = [
             DimensionLookup(dim.relation, buffer_pool=db.buffer_pool)
             for dim in self.resolved.dimensions
@@ -196,7 +189,7 @@ class _ServingPredictor:
             fact.schema.fk_position(dim.relation.name)
             for dim in self.resolved.dimensions
         ]
-        for rows in fact.iter_blocks(self.block_pages):
+        for rows in fact.iter_blocks(DEFAULT_BLOCK_PAGES):
             features = fact.project_features(rows)
             fks = [rows[:, p].astype(np.int64) for p in positions]
             yield features, fks
@@ -285,15 +278,8 @@ class MaterializedNNPredictor(_ServingPredictor):
 
     strategy = "materialized"
 
-    def __init__(
-        self,
-        db: Database,
-        spec: JoinSpec,
-        model: MLP,
-        *,
-        block_pages: int = DEFAULT_BLOCK_PAGES,
-    ) -> None:
-        super().__init__(db, spec, block_pages=block_pages)
+    def __init__(self, db: Database, spec: JoinSpec, model: MLP) -> None:
+        super().__init__(db, spec)
         if model.n_inputs != self.resolved.total_features:
             raise ModelError(
                 f"model expects {model.n_inputs} inputs, the join "
@@ -327,9 +313,8 @@ class FactorizedNNPredictor(_FactorizedCacheMixin, _ServingPredictor):
         model: MLP,
         *,
         store=None,
-        block_pages: int = DEFAULT_BLOCK_PAGES,
     ) -> None:
-        super().__init__(db, spec, block_pages=block_pages)
+        super().__init__(db, spec)
         if model.n_inputs != self.resolved.total_features:
             raise ModelError(
                 f"model expects {model.n_inputs} inputs, the join "
@@ -422,14 +407,9 @@ class MaterializedGMMPredictor(_ServingPredictor, _GMMPredictorMixin):
     strategy = "materialized"
 
     def __init__(
-        self,
-        db: Database,
-        spec: JoinSpec,
-        model: GaussianMixtureModel,
-        *,
-        block_pages: int = DEFAULT_BLOCK_PAGES,
+        self, db: Database, spec: JoinSpec, model: GaussianMixtureModel
     ) -> None:
-        super().__init__(db, spec, block_pages=block_pages)
+        super().__init__(db, spec)
         self._bind(model)
 
     def _design(self, fact_features, fk_values, plan):
@@ -459,9 +439,8 @@ class FactorizedGMMPredictor(
         model: GaussianMixtureModel,
         *,
         store=None,
-        block_pages: int = DEFAULT_BLOCK_PAGES,
     ) -> None:
-        super().__init__(db, spec, block_pages=block_pages)
+        super().__init__(db, spec)
         self._bind(model)
         layout = self.resolved.layout
         self.builders = [
@@ -531,7 +510,6 @@ def make_predictor(
     kind: str,
     strategy: str = FACTORIZED,
     store=None,
-    block_pages: int = DEFAULT_BLOCK_PAGES,
 ):
     """Build the predictor for ``kind`` ("gmm" | "nn") and ``strategy``.
 
@@ -549,9 +527,5 @@ def make_predictor(
     strategy = resolve_serving_strategy(strategy)
     model = _COERCERS[kind](model)
     if strategy == MATERIALIZED:
-        return _PREDICTORS[kind, strategy](
-            db, spec, model, block_pages=block_pages
-        )
-    return _PREDICTORS[kind, strategy](
-        db, spec, model, store=store, block_pages=block_pages
-    )
+        return _PREDICTORS[kind, strategy](db, spec, model)
+    return _PREDICTORS[kind, strategy](db, spec, model, store=store)

@@ -1,19 +1,20 @@
 """The serving facade: registered models answering batched requests.
 
 A :class:`ModelService` is the serving core
-(:class:`~repro.serve.core.ServingCore`) called on the caller's thread
-— zero workers, no queue: it owns a database handle and, through the
-core, a registry of fitted models, each bound to a join spec and a
-serving strategy.  Every request is timed and its page I/O attributed
-to the model that served it, so a deployment can watch throughput and
-I/O per model exactly the way the training side watches per-algorithm
-cost — the ROADMAP's "serve heavy traffic" goal with the paper's
-bookkeeping discipline.  Registration, swap and invalidation are the
-core's, shared with both :mod:`repro.runtime` executors.
+(:class:`~repro.serve.core.ServingCore`) driven from the caller's
+thread — no queue, no workers: it owns a database handle and, through
+the core, a registry of fitted models, each bound to a join spec and a
+serving strategy.  It is the one facade: the concurrent
+:class:`~repro.runtime.service.ServingRuntime` subclasses it and adds
+only a request queue and its dispatchers, so registration, lookup,
+the memory budget, the row-version subscription, bookkeeping and the
+closed-state checks are written here once.  Every request is timed and
+its page I/O attributed to the model that served it, so a deployment
+can watch throughput and I/O per model exactly the way the training
+side watches per-algorithm cost.
 
-Factorized models draw their partial caches from a shared
-:class:`~repro.fx.store.PartialStore` (one per service by default;
-pass your own to share across services): registering two models whose
+Factorized models draw their partial caches from the service's own
+:class:`~repro.fx.store.PartialStore`: registering two models whose
 partials are value-identical — the same fitted parameters over the
 same join — makes them share cached slabs instead of each holding a
 private copy.  ``memory_budget`` (bytes) caps the *total* resident
@@ -29,9 +30,8 @@ import weakref
 
 import numpy as np
 
-from repro.core.strategies import FACTORIZED, resolve_serving_strategy
+from repro.core.strategies import FACTORIZED
 from repro.errors import ModelError
-from repro.join.bnl import DEFAULT_BLOCK_PAGES
 from repro.join.spec import JoinSpec
 from repro.obs import as_telemetry
 from repro.serve.cache import CacheStats
@@ -39,10 +39,11 @@ from repro.serve.core import (
     RegisteredModel,
     ServingCore,
     ServingStats,
-    budgeted_store,
+    budget_floats,
     check_memory_budget,
 )
 from repro.storage.catalog import Database
+from repro.storage.events import RowVersionEvent
 
 __all__ = ["ModelService", "RegisteredModel", "ServingStats"]
 
@@ -54,71 +55,94 @@ class ModelService:
     >>> service.register_nn("ratings", nn_result, spec)
     >>> outputs = service.predict("ratings", fact_features, fk_values)
     >>> service.stats("ratings").rows_per_second
+
+    A closed service refuses registration, swaps and requests with a
+    :class:`~repro.errors.ModelError`: it no longer hears dimension-row
+    updates, so its answers could be stale.
     """
+
+    #: The serving strategy of a registration that names none.
+    DEFAULT_STRATEGY = FACTORIZED
 
     def __init__(
         self,
         db: Database,
         *,
-        block_pages: int = DEFAULT_BLOCK_PAGES,
-        store=None,
         memory_budget: int | None = None,
         store_tiers: tuple = (),
         telemetry=None,
     ) -> None:
-        self.db = db
-        self.block_pages = block_pages
-        if store is not None and memory_budget is not None:
-            # Reconfiguring a caller-owned (possibly shared) store
-            # behind its back would install a bound its other users
-            # never asked for.
-            raise ModelError(
-                "pass either a store or a memory_budget, not both; "
-                "set capacity_floats on the store you share instead"
-            )
-        if store_tiers and store is not None:
-            raise ModelError(
-                "store_tiers configures the store this service would "
-                "build; pass tiers= on the store you share instead"
-            )
         check_memory_budget(memory_budget, store_tiers)
-        self._core = ServingCore(
-            db,
-            budgeted_store(memory_budget, tiers=store_tiers)
-            if store is None else store,
-            block_pages=block_pages,
-            owns_store=store is None,
-        )
-        self.store = self._core.store
+        self.db = db
+        self._closed = False
         # telemetry: None/False -> shared no-op; True -> fresh enabled;
         # a Telemetry instance -> shared (one snapshot across layers).
         self.telemetry = as_telemetry(telemetry)
-        registry = self.telemetry.registry
-        self._m_requests = registry.counter(
-            "repro_service_requests_total",
-            help="Requests served by ModelService, by model and op",
-            labelnames=("model", "op"),
-        )
-        self._m_request_seconds = registry.histogram(
-            "repro_service_request_seconds",
-            help="ModelService request wall seconds",
-            labelnames=("model",),
-        )
-        registry.register_collector(self._collect)
-        # Dimension-row updates must evict the affected cached partials
-        # here too, or a long-lived factorized service would silently
-        # keep serving pre-update predictions.  The subscription holds
-        # only a weak reference, so a service dropped without close()
-        # can still be garbage collected; its shim then no-ops.
+        self._make_instruments()
+        # Built before any thread starts: the process executor forks
+        # its workers here, and a fork must never clone a
+        # multi-threaded parent (inherited locks could be held by
+        # threads that do not exist in the child).
+        self._executor = self._build_executor(memory_budget, store_tiers)
+        #: The partial store (``None`` when it lives in worker processes).
+        self.store = self._executor.store
+        # Dimension-row updates must evict the affected cached partials,
+        # or a long-lived factorized service would silently keep
+        # serving pre-update predictions.  The subscription holds only
+        # a weak reference, so a service dropped without close() can
+        # still be garbage collected; its shim then no-ops.
         self_ref = weakref.ref(self)
 
         def _dispatch(event, _ref=self_ref):
             service = _ref()
             if service is not None:
-                service._core.invalidate(event.relation, event.rids)
+                service._on_row_version(event)
 
         self._subscription = _dispatch
         self.db.subscribe(_dispatch)
+        # Per-model, store and cache state is *sampled* at snapshot
+        # time rather than double-counted per event.
+        self.telemetry.registry.register_collector(self._collect)
+
+    def _build_executor(self, memory_budget, store_tiers):
+        """What requests execute on: here, the core over a store this
+        service builds (and releases in :meth:`close`)."""
+        # Local import: the store hands caches *to* the serve layer but
+        # also builds on serve.cache, so a module-level import here
+        # would re-enter the serve package mid-bootstrap.
+        from repro.fx.store import PartialStore
+
+        store = PartialStore(
+            capacity_floats=budget_floats(memory_budget), tiers=store_tiers
+        )
+        return ServingCore(self.db, store)
+
+    def _make_instruments(self) -> None:
+        """Create the owned (per-event) instruments once.
+
+        With telemetry disabled every handle is the shared no-op
+        singleton, so the hot path pays one method call per event.
+        """
+        registry = self.telemetry.registry
+        self._m_service_requests = registry.counter(
+            "repro_service_requests_total",
+            help="Requests served on the caller's thread, by model and op",
+            labelnames=("model", "op"),
+        )
+        self._m_service_seconds = registry.histogram(
+            "repro_service_request_seconds",
+            help="Wall seconds of requests served on the caller's thread",
+            labelnames=("model",),
+        )
+        self._m_invalidated_rids = registry.counter(
+            "repro_invalidated_rids_total",
+            help="Cached partial rows dropped by dimension updates",
+            labelnames=("model",),
+        )
+
+    def _check_open(self) -> None:
+        if self._closed:
+            raise ModelError("this service is closed")
 
     # -- registration ------------------------------------------------------
 
@@ -128,12 +152,11 @@ class ModelService:
         model,
         spec: JoinSpec,
         *,
-        strategy: str = FACTORIZED,
+        strategy: str | None = None,
     ) -> RegisteredModel:
-        """Register a fitted mixture (a ``GMMResult`` or the bare model)."""
-        return self._core.register(
-            name, "gmm", spec, model, resolve_serving_strategy(strategy)
-        )
+        """Register a fitted mixture (a ``GMMResult`` or the bare model)
+        to serve with ``strategy`` (default :attr:`DEFAULT_STRATEGY`)."""
+        return self._register(name, "gmm", spec, model, strategy)
 
     def register_nn(
         self,
@@ -141,33 +164,39 @@ class ModelService:
         model,
         spec: JoinSpec,
         *,
-        strategy: str = FACTORIZED,
+        strategy: str | None = None,
     ) -> RegisteredModel:
-        """Register a trained network (an ``NNResult`` or the bare MLP)."""
-        return self._core.register(
-            name, "nn", spec, model, resolve_serving_strategy(strategy)
+        """Register a trained network (an ``NNResult`` or the bare MLP)
+        to serve with ``strategy`` (default :attr:`DEFAULT_STRATEGY`)."""
+        return self._register(name, "nn", spec, model, strategy)
+
+    def _register(self, name, kind, spec, model, strategy) -> RegisteredModel:
+        self._check_open()
+        return self._executor.register(
+            name, kind, spec, model, strategy or self.DEFAULT_STRATEGY
         )
 
     def swap_model(self, name: str, model) -> RegisteredModel:
         """Atomically replace ``name``'s fit with a refreshed one — see
         :meth:`ServingCore.swap <repro.serve.core.ServingCore.swap>`.
         Every request sees entirely the old or entirely the new fit."""
-        return self._core.swap(name, model)
+        self._check_open()
+        return self._executor.swap(name, model)
 
     def unregister(self, name: str) -> None:
-        self._core.unregister(name)
+        self._executor.unregister(name)
 
     # -- lookup ------------------------------------------------------------
 
     @property
     def model_names(self) -> list[str]:
-        return sorted(self._core.registry())
+        return sorted(self._executor.registry())
 
     def __contains__(self, name: str) -> bool:
-        return name in self._core
+        return name in self._executor
 
     def model(self, name: str) -> RegisteredModel:
-        return self._core.model(name)
+        return self._executor.model(name)
 
     # -- serving -----------------------------------------------------------
 
@@ -175,19 +204,20 @@ class ModelService:
         self, name: str, op: str, fact_features=None, fk_values=None
     ):
         """One synchronous request through the core, timed and traced."""
-        registered = self._core.model(name)
+        self._check_open()
+        registered = self._executor.model(name)
         if op == "predict_all":
             features = fks = None
-            rows = registered.predictor.resolved.num_rows
+            rows = registered.base.resolved.num_rows
         else:
             features, fks = registered.admit(op, fact_features, fk_values)
             rows = features.shape[0]
         with self.telemetry.tracer.trace(
             "serve.request", model=name, op=op, rows=rows
         ):
-            outputs, meta = self._core.execute(name, op, features, fks)
-        self._m_requests.labels(model=name, op=op).inc()
-        self._m_request_seconds.labels(model=name).observe(meta.elapsed)
+            outputs, meta = self._executor.execute(name, op, features, fks)
+        self._m_service_requests.labels(model=name, op=op).inc()
+        self._m_service_seconds.labels(model=name).observe(meta.elapsed)
         return outputs
 
     def predict(self, name: str, fact_features, fk_values) -> np.ndarray:
@@ -206,29 +236,55 @@ class ModelService:
         """Predictions for every stored fact tuple, in storage order."""
         return self._serve(name, "predict_all")
 
-    def close(self) -> None:
-        """Detach from update notifications and give every registered
-        model's caches back to the store (idempotent)."""
-        self.db.unsubscribe(self._subscription)
-        self.telemetry.registry.unregister_collector(self._collect)
-        self._core.close()
+    # -- adaptation --------------------------------------------------------
+
+    def set_memory_budget(self, memory_budget: int | None) -> int:
+        """Re-bound the store-wide partial budget mid-flight.
+
+        ``memory_budget`` is bytes across every registered model (like
+        the constructor knob); ``None`` lifts the bound.  Tightening
+        sweeps the globally coldest partials immediately and returns
+        the number of rows evicted — this is how adaptation scenarios
+        model a deployment whose memory allotment is cut while traffic
+        is in flight.  A service created without a ``memory_budget``
+        takes one just the same; see
+        :meth:`~repro.fx.store.PartialStore.set_budget`.  The live
+        bound is ``store_stats().capacity_floats``.
+        """
+        if memory_budget is not None and memory_budget <= 0:
+            raise ModelError(
+                f"memory_budget must be positive bytes or None, "
+                f"got {memory_budget}"
+            )
+        return self._executor.set_budget(budget_floats(memory_budget))
+
+    # -- invalidation ------------------------------------------------------
+
+    def _on_row_version(self, event: RowVersionEvent) -> None:
+        """Evict updated RIDs' partials from every cache of every model."""
+        dropped_by_model = self._executor.invalidate(
+            event.relation, event.rids, event.positions
+        )
+        for name, dropped in dropped_by_model.items():
+            if dropped:
+                self._m_invalidated_rids.labels(model=name).inc(dropped)
 
     # -- bookkeeping -------------------------------------------------------
 
     def _collect(self, buffer) -> None:
-        """Sample per-model serving stats, then the core's store and
+        """Sample per-model serving stats, then the executor's store and
         cache series, into a registry snapshot.
 
         Runs outside the registry lock; each model's group comes from
         one :meth:`ServingStats.snapshot`, so it is internally
         consistent.
         """
-        for name, registered in self._core.registry().items():
+        for name, registered in self._executor.registry().items():
             stats = registered.stats.snapshot()
             labels = {"model": name}
             buffer.counter(
                 "repro_service_rows_total", stats.rows,
-                help="Rows served by ModelService", **labels,
+                help="Rows served, by model", **labels,
             )
             buffer.counter(
                 "repro_service_wall_seconds_total", stats.wall_seconds,
@@ -239,21 +295,46 @@ class ModelService:
                 help="Heap pages read while serving this model",
                 **labels,
             )
-        self._core.collect(buffer)
+        self._executor.collect(buffer)
 
     def stats(self, name: str) -> ServingStats:
-        return self._core.model(name).stats
+        return self._executor.model(name).stats
 
     def cache_stats(self, name: str) -> list[CacheStats]:
-        """Per-dimension partial-cache counters (factorized only),
-        monotone across :meth:`swap_model`."""
-        return self._core.cache_stats(name)
+        """Per-dimension partial-cache counters (factorized only; merged
+        across worker processes in process mode), monotone across
+        :meth:`swap_model`."""
+        return self._executor.cache_stats(name)
 
     def store_stats(self):
         """The shared partial store's counters
         (:class:`~repro.fx.store.StoreStats`) — ``shared_attachments``
         counts registrations that reused another model's cache."""
-        return self.store.stats()
+        return self._executor.sample()[1]
+
+    # -- lifecycle ---------------------------------------------------------
+
+    def close(self) -> None:
+        """Detach from update notifications and telemetry, give every
+        registered model's caches back and drop the spill directory
+        (idempotent); from here on the service refuses work."""
+        if self._closed:
+            return
+        self._closed = True
+        self.db.unsubscribe(self._subscription)
+        # Detach the collector or later snapshots of a shared Telemetry
+        # would sample this dead service forever.
+        self.telemetry.registry.unregister_collector(self._collect)
+        self._executor.close()
+        if self.store is not None:
+            # This service built the store, so it releases it.
+            self.store.release_spill()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ModelService(models={self.model_names})"
+        return f"{type(self).__name__}(models={self.model_names})"

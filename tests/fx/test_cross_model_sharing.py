@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from repro.core.api import fit_gmm, fit_nn, serve, serve_runtime
+from repro.errors import ModelError
 from repro.fx.store import PartialStore
+from repro.serve.predictor import make_predictor
 from repro.serve.service import ModelService
 
 
@@ -141,13 +143,13 @@ class TestStoreSharedAcrossServices:
     def test_different_databases_never_share_partials(self, tmp_path):
         # Same seeds → identical schemas, relation names and fitted
         # weights; only the stored dimension rows' home differs.  A
-        # store shared across the two services must still keep their
-        # partials apart (the fingerprint pins the heap path).
+        # store shared by predictors over the two databases must still
+        # keep their partials apart (the fingerprint pins the heap path).
         from repro.data.synthetic import StarSchemaConfig, generate_star
         from repro.storage.catalog import Database
 
         store = PartialStore()
-        services = []
+        predictors = []
         for i in (1, 2):
             db = Database(tmp_path / f"db{i}")
             star = generate_star(db, StarSchemaConfig.binary(
@@ -155,32 +157,32 @@ class TestStoreSharedAcrossServices:
             ))
             nn = fit_nn(db, star.spec, hidden_sizes=(4,), epochs=1,
                         seed=1)
-            service = ModelService(db, store=store)
-            service.register_nn("m", nn, star.spec)
-            services.append((db, service))
+            predictor = make_predictor(
+                db, star.spec, nn, kind="nn", store=store
+            )
+            predictors.append((db, predictor))
         assert len(store) == 2
         assert store.stats().shared_attachments == 0
-        for db, service in services:
-            service.close()
+        for db, predictor in predictors:
+            predictor.close()
             db.close(delete=True)
 
     def test_close_releases_the_stores_pins(self, db, binary_star):
         nn = fit_nn(
             db, binary_star.spec, hidden_sizes=(4,), epochs=1, seed=1
         )
-        store = PartialStore()
-        service = ModelService(db, store=store)
+        service = ModelService(db)
         service.register_nn("m", nn, binary_star.spec)
         features, fk = a_request(db, binary_star.spec)
-        expected = service.predict("m", features, fk)
-        assert len(store) == 1
+        service.predict("m", features, fk)
+        assert len(service.store) == 1
         service.close()
         service.close()                     # idempotent
-        assert len(store) == 0              # no pinned slabs left
-        # The service stays readable after close (existing contract).
-        np.testing.assert_array_equal(
-            service.predict("m", features, fk), expected
-        )
+        assert len(service.store) == 0      # no pinned slabs left
+        # A closed service no longer hears row updates: it refuses to
+        # answer rather than risk a stale one.
+        with pytest.raises(ModelError, match="closed"):
+            service.predict("m", features, fk)
 
 
 class TestRuntimeSharing:

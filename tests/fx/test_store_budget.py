@@ -13,7 +13,6 @@ from repro.errors import ModelError
 from repro.fx.store import PartialStore
 from repro.serve import core
 from repro.serve.cache import PartialCache
-from repro.serve.service import ModelService
 
 
 @pytest.fixture(autouse=True)
@@ -397,10 +396,6 @@ class TestConcurrentBudget:
 
 
 class TestServiceBudget:
-    def test_store_and_budget_are_mutually_exclusive(self, db):
-        with pytest.raises(ModelError, match="store or a memory_budget"):
-            ModelService(db, store=PartialStore(), memory_budget=1024)
-
     def test_invalid_budget_rejected(self, db):
         with pytest.raises(ModelError, match="memory_budget"):
             serve(db, memory_budget=0)

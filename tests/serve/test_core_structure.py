@@ -5,9 +5,10 @@ style of ``tests/fx/test_single_dedup.py``).
 configurations of :class:`repro.serve.core.ServingCore`; these tests
 keep a second copy of its build / plan / swap logic from growing back:
 predictors and planners are constructed in the core alone, the runtime
-facade never branches on the executor kind outside construction, both
-``swap_model`` methods are delegations, and the process worker's
-message handlers hold framing, not lifecycle logic.  The same goes for
+facade never branches on the executor kind outside construction, the
+runtime is a ``ModelService`` that redefines none of its surface
+(``TestOneFacade``), ``swap_model`` is a delegation, and the process
+worker's message handlers hold framing, not lifecycle logic.  The same goes for
 the partial-cache stack underneath (``TestOneCacheStack``), its one
 memory bound (``TestOneMemoryBound``), its one governor
 (``TestOneGovernor``), its one victim order
@@ -32,6 +33,7 @@ import repro
 SRC_ROOT = Path(repro.__file__).resolve().parent
 CORE = SRC_ROOT / "serve" / "core.py"
 RUNTIME_SERVICE = SRC_ROOT / "runtime" / "service.py"
+SERVICE = SRC_ROOT / "serve" / "service.py"
 
 
 def _tree(path: Path) -> ast.Module:
@@ -146,10 +148,7 @@ class TestRuntimeNeverBranchesOnTheExecutorKind:
 class TestFacadesDelegate:
     @pytest.mark.parametrize(
         "path, cls",
-        [
-            (SRC_ROOT / "serve" / "service.py", "ModelService"),
-            (RUNTIME_SERVICE, "ServingRuntime"),
-        ],
+        [(SERVICE, "ModelService")],
     )
     def test_swap_model_is_a_thin_delegation(self, path, cls):
         swap = _method(path, cls, "swap_model")
@@ -182,6 +181,47 @@ class TestFacadesDelegate:
             "make_predictor", "BatchPlanner", "DedupPlan", "planner",
             "caches", "approx_hit_rate", "score_samples",
         }
+
+
+class TestOneFacade:
+    """``ServingRuntime`` is a ``ModelService`` that adds a queue:
+    registration, lookup, bookkeeping, the budget and the row-version
+    subscription are written once, in the base class."""
+
+    INHERITED = (
+        "register_gmm", "register_nn", "swap_model", "unregister", "model",
+        "model_names", "stats", "cache_stats", "set_memory_budget",
+    )
+
+    def test_the_runtime_is_a_service(self):
+        from repro.runtime.service import ServingRuntime
+        from repro.serve.service import ModelService
+
+        assert issubclass(ServingRuntime, ModelService)
+
+    def test_the_runtime_redefines_none_of_the_services_surface(self):
+        from repro.runtime.service import ServingRuntime
+
+        assert not set(self.INHERITED) & set(vars(ServingRuntime))
+
+    def test_one_row_version_subscription(self):
+        paths = [*sorted((SRC_ROOT / "serve").glob("*.py")), RUNTIME_SERVICE]
+        sites = [
+            (path.name, node.lineno)
+            for path in paths
+            for node in ast.walk(_tree(path))
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "subscribe"
+        ]
+        assert len(sites) == 1, sites
+
+    def test_the_core_neither_owns_its_store_nor_sizes_blocks(self):
+        init = _method(CORE, "ServingCore", "__init__")
+        params = {
+            arg.arg for arg in (*init.args.args, *init.args.kwonlyargs)
+        }
+        assert not params & {"owns_store", "block_pages"}
 
 
 class TestOneCacheStack:

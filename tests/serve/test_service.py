@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.core.api import fit_gmm, fit_nn, serve, serve_runtime
+from repro.core.api import fit_gmm, fit_nn, serve
 from repro.errors import ModelError
 from repro.serve.predictor import (
     FactorizedGMMPredictor,
@@ -102,30 +102,6 @@ class TestRegistration:
         service, _, _, _ = served
         with pytest.raises(ModelError, match="no registered model"):
             service.predict("nope", np.zeros((1, 3)), np.zeros(1, int))
-
-
-class TestBlockPages:
-    """A non-positive ``block_pages`` is refused when the serving core
-    is built, on every surface that builds one — not at the first
-    ``predict_all`` that walks pages."""
-
-    SURFACES = {
-        "serve": lambda db, pages: serve(db, block_pages=pages),
-        "runtime-thread": lambda db, pages: serve_runtime(
-            db, num_workers=1, block_pages=pages
-        ),
-        "runtime-process": lambda db, pages: serve_runtime(
-            db, num_workers=1, block_pages=pages, executor="process"
-        ),
-    }
-
-    @pytest.mark.parametrize("pages", [0, -1])
-    @pytest.mark.parametrize("surface", sorted(SURFACES))
-    def test_rejected_at_construction(self, db, surface, pages):
-        with pytest.raises(
-            ModelError, match=f"block_pages must be positive, got {pages}"
-        ):
-            self.SURFACES[surface](db, pages)
 
 
 class TestServing:

@@ -5,9 +5,10 @@ more knobs (backticked, in the first column) and the entry points that
 take them (the "Where" column).  Each entry point a row names must
 accept at least one of the row's knobs as a parameter or dataclass
 field, so a knob deleted from the code cannot live on in the docs.
-The other way round, every parameter of ``PartialStore(...)`` is a knob
-of a row that names it, or the process worker's plumbing — so a knob
-added to the store cannot go undocumented.
+The other way round, every parameter of ``PartialStore(...)``,
+``serve(...)`` and ``serve_runtime(...)`` is a knob of a row that names
+that entry point, or on its short list of non-knobs — so a knob added
+to any of them cannot go undocumented.
 """
 
 import dataclasses
@@ -68,18 +69,22 @@ def test_every_named_entry_point_takes_a_knob_of_its_row(knobs, where):
         )
 
 
-# What a process worker hands its store; no deployment sets these.
-WORKER_PLUMBING = {"allocator", "header"}
+# Parameters that tune nothing: the process worker's plumbing of its
+# store (no deployment sets it), and the handles every facade takes.
+NOT_KNOBS = {
+    "PartialStore(...)": {"allocator", "header"},
+    "serve(...)": {"db", "telemetry"},
+    "serve_runtime(...)": {"db", "telemetry", "telemetry_port"},
+}
 
 
-def test_every_store_parameter_is_a_knob_of_the_table():
+@pytest.mark.parametrize("entry", sorted(NOT_KNOBS))
+def test_every_parameter_is_a_knob_of_the_table(entry):
     documented = {
         knob
         for knobs, where in ROWS
-        if "`PartialStore(...)`" in where
+        if f"`{entry}`" in where
         for knob in knobs
     }
-    undocumented = (
-        ENTRY_POINTS["PartialStore(...)"] - documented - WORKER_PLUMBING
-    )
+    undocumented = ENTRY_POINTS[entry] - documented - NOT_KNOBS[entry]
     assert undocumented == set()
