@@ -13,7 +13,6 @@ from repro.linalg.groupsum import GroupIndex, codes_for_keys
 from repro.linalg.outer import (
     dense_weighted_outer,
     dense_weighted_sum,
-    factorized_count_outer,
     factorized_weighted_outer,
     factorized_weighted_sum,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "dense_quadratic_form",
     "dense_weighted_outer",
     "dense_weighted_sum",
-    "factorized_count_outer",
     "factorized_mean",
     "factorized_moments",
     "factorized_quadratic_form",

@@ -168,15 +168,3 @@ def factorized_weighted_outer(
         design, means, _as_column(design, weights), slice(0, design.n), sums
     )
     return finish_outer(design, means, sums)[0]
-
-
-def factorized_count_outer(design: FactorizedDesign) -> np.ndarray:
-    """Unweighted ``Σₙ xₙxₙᵀ`` in factorized form (γ ≡ 1).
-
-    Useful for covariance/Gram computations outside EM (e.g. the
-    linear-model normal equations the related work factorizes); shares
-    all the reuse structure of :func:`factorized_weighted_outer`.
-    """
-    return factorized_weighted_outer(
-        design, np.zeros(design.d), np.ones(design.n)
-    )

@@ -8,9 +8,11 @@ baselines are included both for completeness of the reproduction and
 because they exercise the same factorized primitives as the paper's
 nonlinear contribution:
 
-* :func:`fit_ridge` — closed form via the normal equations; the Gram
-  matrix accumulates with :func:`~repro.linalg.factorized_count_outer`
-  (all dimension-dimension blocks at distinct-tuple cardinality);
+* :func:`fit_ridge` — closed form via the normal equations: the raw
+  ``K = 1``, γ ≡ 1 moments of the mixture's M-step
+  (:func:`~repro.gmm.engines.sigma_sums`, all dimension-dimension
+  blocks at distinct-tuple cardinality) over the design with the target
+  as its first fact column — what ``repro.maintain`` keeps current;
 * :func:`fit_logistic` — gradient descent; each pass computes the
   margin ``Xw`` factorized (one product per distinct dimension tuple)
   and the gradient ``Xᵀ(p − y)`` with grouped contractions.
@@ -29,13 +31,10 @@ import numpy as np
 from repro.core.strategies import FACTORIZED
 from repro.core.training import open_access
 from repro.errors import ModelError
+from repro.gmm.engines import mu_sums, sigma_sums
 from repro.join.bnl import DEFAULT_BLOCK_PAGES
 from repro.join.spec import JoinSpec
 from repro.linalg.design import FactorizedDesign
-from repro.linalg.outer import (
-    factorized_count_outer,
-    factorized_weighted_sum,
-)
 from repro.storage.catalog import Database
 
 
@@ -88,6 +87,33 @@ def _gradient(
     return np.concatenate(parts)
 
 
+def with_target(design: FactorizedDesign, targets) -> FactorizedDesign:
+    """``design`` with ``targets`` as its first fact column: the raw
+    moments of ``[y | x]`` hold ``Xᵀy`` beside ``XᵀX``."""
+    targets = np.asarray(targets, dtype=np.float64).ravel()
+    if targets.size != design.n:
+        raise ModelError(f"{design.n} rows but {targets.size} targets")
+    return FactorizedDesign(
+        np.column_stack([targets, design.fact_block]),
+        design.dim_blocks, design.groups,
+    )
+
+
+def ridge_solution(n: int, sums, outer, alpha: float):
+    """``(weights, intercept)`` of ``(XᵀX + αI) w = Xᵀy`` from the raw
+    moments of :func:`with_target`'s design (``sums = [Σy | Σx]``,
+    ``outer = [y | X]ᵀ[y | X]``), with the intercept handled by
+    centering (``XᵀX`` is corrected analytically, never recomputed)."""
+    mean = sums[1:] / n
+    target_mean = sums[0] / n
+    centered_gram = outer[1:, 1:] - n * np.outer(mean, mean)
+    centered_cross = outer[0, 1:] - n * mean * target_mean
+    weights = np.linalg.solve(
+        centered_gram + alpha * np.eye(mean.size), centered_cross
+    )
+    return weights, float(target_mean - mean @ weights)
+
+
 def fit_ridge(
     db: Database,
     spec: JoinSpec,
@@ -96,39 +122,26 @@ def fit_ridge(
     block_pages: int = DEFAULT_BLOCK_PAGES,
 ) -> LinearModel:
     """Ridge regression over the star join via factorized normal
-    equations: ``(XᵀX + αI) w = Xᵀy``, with intercept handled by
-    centering (``XᵀX`` is corrected analytically, never recomputed)."""
+    equations (:func:`ridge_solution`)."""
     if alpha < 0:
         raise ModelError(f"alpha must be non-negative, got {alpha}")
     start = time.perf_counter()
     with open_access(db, spec, FACTORIZED, block_pages) as access:
         if not access.has_target:
             raise ModelError("ridge regression requires a TARGET column")
-        d = access.resolved.total_features
-        gram = np.zeros((d, d))
-        cross = np.zeros(d)
-        feature_sum = np.zeros(d)
-        target_sum = 0.0
+        d = access.resolved.total_features + 1
+        sums = np.zeros((1, d))
+        outer = np.zeros((1, d, d))
         n = 0
         for batch in access.batches():
-            design = batch.design
-            gram += factorized_count_outer(design)
-            cross += factorized_weighted_sum(design, batch.targets)
-            feature_sum += factorized_weighted_sum(
-                design, np.ones(design.n)
-            )
-            target_sum += float(batch.targets.sum())
+            design = with_target(batch.design, batch.targets)
+            ones = np.ones((design.n, 1))
+            sums += mu_sums(design, ones)
+            outer += sigma_sums(design, ones, np.zeros((1, d)))
             n += design.n
     if n == 0:
         raise ModelError("the join produced no tuples")
-    mean = feature_sum / n
-    target_mean = target_sum / n
-    centered_gram = gram - n * np.outer(mean, mean)
-    centered_cross = cross - n * mean * target_mean
-    weights = np.linalg.solve(
-        centered_gram + alpha * np.eye(d), centered_cross
-    )
-    intercept = target_mean - float(mean @ weights)
+    weights, intercept = ridge_solution(n, sums[0], outer[0], alpha)
     return LinearModel(
         weights=weights,
         intercept=intercept,

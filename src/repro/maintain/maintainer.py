@@ -407,14 +407,10 @@ class ModelMaintainer:
             self._needs_refit = True
             return 0
         features, fks, targets = self._fact_rows_at(pending.positions)
-        if self.kind == "linear":
-            if targets is None:
-                raise ModelError("ridge maintenance requires targets")
-            self._stats.fold_appended_facts(features, fks, targets)
-        elif self.kind == "gmm":
-            self._stats.fold_appended_facts(features, fks)
-        else:
+        if self._stats is None:
             self._sgd_step(features, fks, targets, pending.positions)
+        else:
+            self._stats.fold_appended_facts(features, fks, targets)
         return 1
 
     def _sgd_step(self, features, fks, targets, positions) -> None:
@@ -455,17 +451,20 @@ class ModelMaintainer:
         if self._needs_refit or drift > self.policy.drift_bound:
             self._full_refit()
             return True
-        if self.kind == "linear":
-            self._model = self._stats.solve()
-        elif self.kind == "gmm":
+        if self._stats is not None:     # NN: SGD steps already landed
+            self._model = self._solved()
+        return False
+
+    def _solved(self):
+        """The statistics' solve, as the fit the targets serve."""
+        solved = self._stats.solve()
+        if self.kind == "gmm":
             from repro.gmm.model import GaussianMixtureModel
 
-            params = self._stats.solve()
-            self._model = GaussianMixtureModel(
-                params, reg_covar=self._em_config.reg_covar
+            return GaussianMixtureModel(
+                solved, reg_covar=self._em_config.reg_covar
             )
-        # NN: SGD steps already landed on self._model.
-        return False
+        return solved
 
     def _full_refit(self) -> None:
         """A deterministic from-scratch refit — the same computation the

@@ -10,34 +10,32 @@ participates in move, by a rank-``k`` amount expressible from retained
 per-RID groupsums — no rescan of the fact relation (Civek et al.'s
 online second-order regression is the reference, see PAPERS.md).
 
-Two statistic objects live here:
+One statistics object, :class:`SuffStats`, holds the weighted moments
+``(N_k, Σwx, Σwxxᵀ)`` and the per-RID aggregates, and applies every
+delta; a kind contributes only its weights and its solve:
 
-* :class:`LinearSuffStats` — the ridge normal equations
-  ``(XᵀX, Xᵀy, Σx, Σy, n)`` plus the per-RID aggregates (group counts,
-  γ-free fact sums, FK co-occurrence counts) needed to replay a
-  dimension-row delta exactly.  ``solve()`` reproduces
-  :func:`repro.linear.models.fit_ridge`'s closed form to float
-  round-off (the parity suite pins the tolerance).
-* :class:`GMMSuffStats` — the mixture's M-step statistics
-  ``(N_k, Σγx, Σγxxᵀ)`` plus per-RID responsibility masses, refreshed
-  under *frozen responsibilities*: a dimension delta moves the
-  x-dependent blocks with γ held fixed, then one M-step re-solve yields
-  updated parameters.  This is a first-order approximation (γ would
-  shift under a full refit), so the maintainer tracks accumulated
-  drift and falls back to a deterministic cold refit past a bound.
+* :class:`LinearSuffStats` — ridge is the ``K = 1``, γ ≡ 1 case with
+  the target carried as the first fact column, so the moments hold the
+  normal equations ``(XᵀX, Xᵀy, Σx, Σy, n)`` and every delta is exact.
+  ``solve()`` is :func:`repro.linear.models.fit_ridge`'s closed form.
+* :class:`GMMSuffStats` — the weights are the responsibilities γ at
+  the fitted parameters, held *frozen* under a dimension delta; one
+  M-step re-solve yields updated parameters.  This is a first-order
+  approximation (γ would shift under a full refit), so the maintainer
+  tracks accumulated drift and falls back to a deterministic cold
+  refit past a bound.
 
-Appended fact rows fold into both exactly/via one E-step respectively —
-the mini-batch path of the tentpole.  All per-batch grouped reductions
-run through the access path's :class:`~repro.fx.dedup.DedupPlan`, the
-same dedup machinery training and serving share — two dimensions'
-co-occurrence included: a batch's RID *pairs* are one more FK column
-(:class:`PairTable`), so a dimension pair retains what the fact rows
-reference (``≤ n`` pairs), never ``m_i · m_j`` cells.
+Appended fact rows fold in as one more batch under the kind's weights
+(exact accumulation for ridge, one E-step for the mixture).  All
+per-batch grouped reductions run through the access path's
+:class:`~repro.fx.dedup.DedupPlan`, the same dedup machinery training
+and serving share — two dimensions' co-occurrence included: a batch's
+RID *pairs* are one more FK column (:class:`PairTable`), so a
+dimension pair retains what the fact rows reference (``≤ n`` pairs),
+never ``m_i · m_j`` cells.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,10 +48,10 @@ from repro.gmm.engines import mu_sums, sigma_sums
 from repro.gmm.model import ComponentPrecisions, GMMParams, posteriors
 from repro.join.bnl import DEFAULT_BLOCK_PAGES
 from repro.join.spec import JoinSpec
+from repro.linalg.blocks import BlockLayout
 from repro.linalg.design import FactorizedDesign
 from repro.linalg.groupsum import KeyIndex
-from repro.linalg.outer import factorized_count_outer, factorized_weighted_sum
-from repro.linear.models import LinearModel
+from repro.linear.models import LinearModel, ridge_solution, with_target
 from repro.storage.catalog import Database
 
 _EPS = 1e-12
@@ -186,351 +184,108 @@ def _pair_tables(q: int, width: int) -> dict[tuple[int, int], PairTable]:
     }
 
 
-@dataclass
-class LinearSuffStats:
-    """Sufficient statistics of the factorized ridge fit.
+class SuffStats:
+    """The maintained moments of one factorized fit, and the per-RID
+    aggregates that replay a dimension-row delta without a rescan.
+
+    Per weight column ``k``: the mass ``N_k``, ``Σ w x`` and the raw
+    second moments ``Σ w x xᵀ`` (the ``(q+1)²`` block grid).  A kind
+    supplies only its weight source (:meth:`_weighted`: the batch's
+    design as folded and its ``(n, K)`` weights) and :meth:`solve`.
 
     ``dim_index[i]`` (the relation's key index at build time, so heap
     order) fixes the index space of every per-RID array for dimension
-    ``i``: row ``r`` of ``dim_features[i]`` is the feature vector of the
-    key it places at ``r``.  ``pairs[(i, j)]`` (only ``i < j`` stored)
-    counts fact rows referencing RID pair ``(r, s)`` — the coupling
-    weight of the off-diagonal Gram block.
+    ``i``: row ``r`` of ``dim_features[i]`` is the feature vector of
+    the key it places at ``r``.  ``pairs[(i, j)]`` (only ``i < j``
+    stored) holds the weight mass of the fact rows referencing RID pair
+    ``(r, s)`` — the coupling of the off-diagonal blocks.
+    :attr:`drift` accumulates the moments' relative movement since the
+    build, so a maintainer can force a cold refit past a bound.
     """
 
-    spec: JoinSpec
-    alpha: float
-    layout: object
-    gram: np.ndarray
-    cross: np.ndarray
-    feature_sum: np.ndarray
-    target_sum: float
-    n: int
-    dim_index: list[KeyIndex]
-    dim_features: list[np.ndarray]
-    group_count: list[np.ndarray]
-    group_fact_sum: list[np.ndarray]
-    group_target_sum: list[np.ndarray]
-    pairs: dict[tuple[int, int], PairTable]
-    resolved: object
-    #: accumulated relative Frobenius movement of the Gram matrix —
-    #: exact deltas do not drift, but the number still quantifies how
-    #: far the statistics have moved since the last full build.
-    drift: float = 0.0
-    deltas_applied: int = 0
+    #: fact columns the weight source puts before ``x_S``
+    lead = 0
+
+    def __init__(self, spec: JoinSpec, resolved, width: int) -> None:
+        sizes = resolved.layout.sizes
+        self.spec = spec
+        self.resolved = resolved
+        self.layout = BlockLayout((sizes[0] + self.lead, *sizes[1:]))
+        d, d_s = self.layout.total, self.layout.sizes[0]
+        self.counts = np.zeros(width)              # (K,) weight masses N_k
+        self.comp_sum = np.zeros((width, d))       # (K, d) Σ w x
+        self.comp_outer = np.zeros((width, d, d))  # (K, d, d) Σ w x xᵀ
+        self.n = 0
+        self.dim_index: list[KeyIndex] = [
+            dim.relation.key_index() for dim in resolved.dimensions
+        ]
+        self.dim_features = [
+            dim.relation.features().astype(np.float64)
+            for dim in resolved.dimensions
+        ]
+        # per dim: (m_i, K) Σ w over the referencing fact rows, and
+        # (K, m_i, d_S) their w-weighted fact columns
+        self.mass = [np.zeros((len(keys), width)) for keys in self.dim_index]
+        self.fact_mass = [
+            np.zeros((width, len(keys), d_s)) for keys in self.dim_index
+        ]
+        self.pairs = _pair_tables(resolved.num_dimensions, width)
+        self.drift = 0.0
+        self.deltas_applied = 0
 
     @classmethod
     def build(
         cls,
         db: Database,
         spec: JoinSpec,
-        *,
-        alpha: float = 1e-3,
+        *args,
         block_pages: int = DEFAULT_BLOCK_PAGES,
-    ) -> "LinearSuffStats":
-        """One factorized pass accumulating the full statistics."""
-        if alpha < 0:
-            raise ModelError(f"alpha must be non-negative, got {alpha}")
+        **kwargs,
+    ) -> "SuffStats":
+        """One factorized pass accumulating every statistic; ``args``
+        and ``kwargs`` are the kind's own (the mixture's ``params`` and
+        ``config=``, ridge's ``alpha=``)."""
         with open_access(db, spec, FACTORIZED, block_pages) as access:
-            if not access.has_target:
-                raise ModelError("ridge statistics require a TARGET column")
-            resolved = access.resolved
-            layout = resolved.layout
-            d = layout.total
-            dim_index = [d.relation.key_index() for d in resolved.dimensions]
-            stats = cls(
-                spec=spec, alpha=alpha, layout=layout,
-                gram=np.zeros((d, d)), cross=np.zeros(d),
-                feature_sum=np.zeros(d), target_sum=0.0, n=0,
-                dim_index=dim_index,
-                dim_features=[
-                    dim.relation.features().astype(np.float64)
-                    for dim in resolved.dimensions
-                ],
-                group_count=[np.zeros(len(k)) for k in dim_index],
-                group_fact_sum=[
-                    np.zeros((len(k), layout.sizes[0])) for k in dim_index
-                ],
-                group_target_sum=[np.zeros(len(k)) for k in dim_index],
-                pairs=_pair_tables(resolved.num_dimensions, 1),
-                resolved=resolved,
-            )
+            stats = cls(spec, access.resolved, *args, **kwargs)
             for batch in access.batches():
+                design, weights = stats._weighted(batch.design, batch.targets)
                 stats._fold(
-                    batch.design, _retained_rows(batch.plan, dim_index),
-                    batch.targets,
+                    design, _retained_rows(batch.plan, stats.dim_index),
+                    weights,
                 )
         if stats.n == 0:
             raise ModelError("the join produced no tuples")
         return stats
 
-    def _fold(self, design: FactorizedDesign, rids, targets) -> None:
-        """Add one factorized batch into every statistic — the sums
-        :func:`~repro.linear.models.fit_ridge` accumulates, plus the
-        per-RID aggregates (``rids[i]`` places the design's distinct
-        tuples of dimension ``i`` in the retained index space)."""
-        ones = np.ones(design.n)
-        self.gram += factorized_count_outer(design)
-        self.cross += factorized_weighted_sum(design, targets)
-        self.feature_sum += factorized_weighted_sum(design, ones)
-        self.target_sum += float(targets.sum())
-        self.n += design.n
-        for i, (at, group) in enumerate(zip(rids, design.groups)):
-            self.group_count[i][at] += group.sum_weights(ones)
-            self.group_fact_sum[i][at] += group.sum_rows(design.fact_block)
-            self.group_target_sum[i][at] += group.sum_weights(targets)
-        rows = [at[group.codes] for at, group in zip(rids, design.groups)]
-        for (i, j), table in self.pairs.items():
-            table.add(rows[i], rows[j], ones)
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes retained: global sums, per-RID arrays, pair tables."""
-        return sum(held.nbytes for held in [
-            self.gram, self.cross, self.feature_sum, *self.dim_index,
-            *self.dim_features, *self.group_count, *self.group_fact_sum,
-            *self.group_target_sum, *self.pairs.values(),
-        ])
-
-    # -- deltas --------------------------------------------------------------
-
-    def apply_dimension_update(
-        self, relation_name: str, rids: np.ndarray, new_features: np.ndarray
-    ) -> float:
-        """Rank-``k`` statistic delta for updated dimension rows.
-
-        ``new_features`` are the replacement *feature* rows for the
-        given primary keys.  Every Gram/cross/sum block touching the
-        dimension moves by a closed-form amount computed from the
-        retained per-RID aggregates; nothing is re-scanned.  Returns
-        the relative Frobenius movement of the Gram matrix (also
-        accumulated on :attr:`drift`).
-        """
-        i = _dimension_index(self.resolved, relation_name)
-        rids = np.asarray(rids).ravel().astype(np.int64)
-        new = np.atleast_2d(np.asarray(new_features, dtype=np.float64))
-        g = self.dim_index[i].codes(rids)
-        old = self.dim_features[i][g]
-        if new.shape != old.shape:
-            raise ModelError(
-                f"replacement features for {relation_name!r} must be "
-                f"{old.shape}, got {new.shape}"
-            )
-        delta = new - old
-        s0 = self.layout.slice_of(0)
-        si = self.layout.slice_of(i + 1)
-        counts = self.group_count[i][g]
-        gram_before = float(np.linalg.norm(self.gram))
-        # fact × dimension block and its transpose
-        block = self.group_fact_sum[i][g].T @ delta
-        self.gram[s0, si] += block
-        self.gram[si, s0] += block.T
-        # dimension × itself
-        self.gram[si, si] += (
-            (new * counts[:, None]).T @ new
-            - (old * counts[:, None]).T @ old
-        )
-        # dimension × every other dimension, through co-occurrence
-        for j in range(len(self.dim_index)):
-            if j == i:
-                continue
-            sj = self.layout.slice_of(j + 1)
-            coef = self.pairs[min(i, j), max(i, j)].coupled(
-                int(i > j), g, self.dim_features[j]
-            )
-            block = delta.T @ coef[:, 0]
-            self.gram[si, sj] += block
-            self.gram[sj, si] += block.T
-        self.cross[si] += delta.T @ self.group_target_sum[i][g]
-        self.feature_sum[si] += counts @ delta
-        self.dim_features[i][g] = new
-        moved = _relative_norm(
-            float(np.linalg.norm(delta) * max(1.0, counts.max(initial=0.0))),
-            gram_before,
-        )
-        self.drift += moved
-        self.deltas_applied += 1
-        return moved
-
-    def fold_appended_dimension(
-        self, relation_name: str, rids: np.ndarray, new_features: np.ndarray
-    ) -> None:
-        """Extend the per-RID index space with brand-new dimension rows.
-
-        New rows carry no fact references yet, so the global statistics
-        and pair tables are untouched; only the per-RID arrays grow.
-        """
-        i = _dimension_index(self.resolved, relation_name)
-        rids = np.asarray(rids).ravel().astype(np.int64)
-        new = np.atleast_2d(np.asarray(new_features, dtype=np.float64))
-        grown = rids.size
-        self.dim_index[i] = self.dim_index[i].extended(rids)
-        self.dim_features[i] = np.vstack([self.dim_features[i], new])
-        self.group_count[i] = np.concatenate(
-            [self.group_count[i], np.zeros(grown)]
-        )
-        self.group_fact_sum[i] = np.vstack(
-            [self.group_fact_sum[i], np.zeros((grown, self.layout.sizes[0]))]
-        )
-        self.group_target_sum[i] = np.concatenate(
-            [self.group_target_sum[i], np.zeros(grown)]
-        )
-
-    def fold_appended_facts(
-        self,
-        fact_features: np.ndarray,
-        fk_columns: list[np.ndarray],
-        targets: np.ndarray,
-    ) -> None:
-        """Fold appended fact rows in exactly (mini-batch accumulation):
-        they are one more factorized batch, over the retained dimension
-        snapshots at distinct-RID cardinality."""
-        fact = np.atleast_2d(np.asarray(fact_features, dtype=np.float64))
-        targets = np.asarray(targets, dtype=np.float64).ravel()
-        if targets.size != fact.shape[0]:
-            raise ModelError(
-                f"{fact.shape[0]} appended rows but {targets.size} targets"
-            )
-        if fact.shape[0]:
-            self._fold(
-                *_appended_batch(
-                    fact, fk_columns, self.dim_index, self.dim_features
-                ),
-                targets,
-            )
-        self.deltas_applied += 1
-
-    # -- solve ---------------------------------------------------------------
-
-    def solve(self) -> LinearModel:
-        """The closed-form ridge solve over the maintained statistics —
-        the same centering arithmetic as :func:`fit_ridge`."""
-        if self.n == 0:
-            raise ModelError("no tuples in the maintained statistics")
-        d = self.layout.total
-        mean = self.feature_sum / self.n
-        target_mean = self.target_sum / self.n
-        centered_gram = self.gram - self.n * np.outer(mean, mean)
-        centered_cross = self.cross - self.n * mean * target_mean
-        weights = np.linalg.solve(
-            centered_gram + self.alpha * np.eye(d), centered_cross
-        )
-        intercept = target_mean - float(mean @ weights)
-        return LinearModel(
-            weights=weights,
-            intercept=intercept,
-            algorithm="F-Ridge/delta",
-            extra={
-                "n": self.n,
-                "alpha": self.alpha,
-                "deltas_applied": self.deltas_applied,
-            },
-        )
-
-
-@dataclass
-class GMMSuffStats:
-    """Frozen-responsibility M-step statistics of a fitted mixture.
-
-    Built from one factorized E-pass at the fitted parameters; a
-    dimension-row delta moves the x-dependent statistic blocks with the
-    responsibilities γ held fixed, then :meth:`solve` runs one M-step.
-    Appended fact rows fold in through a fresh E-step at the current
-    parameters (mini-batch EM).  Both paths are approximations of a
-    full refit — :attr:`drift` accumulates the statistics' relative
-    movement so a maintainer can force a cold refit past a bound.
-    """
-
-    spec: JoinSpec
-    config: EMConfig
-    params: GMMParams
-    layout: object
-    counts: np.ndarray            # (K,) responsibility masses N_k
-    comp_sum: np.ndarray          # (K, d) Σ γ x
-    comp_outer: np.ndarray        # (K, d, d) Σ γ x xᵀ
-    n: int
-    dim_index: list[KeyIndex]
-    dim_features: list[np.ndarray]
-    mass: list[np.ndarray]        # per dim: (m_i, K) Σ γ over referencing rows
-    fact_mass: list[np.ndarray]   # per dim: (K, m_i, d_S) γ-weighted fact sums
-    pairs: dict[tuple[int, int], PairTable]  # γ co-occurrence, width K
-    resolved: object
-    drift: float = 0.0
-    deltas_applied: int = 0
-
-    @classmethod
-    def build(
-        cls,
-        db: Database,
-        spec: JoinSpec,
-        params: GMMParams,
-        *,
-        config: EMConfig | None = None,
-        block_pages: int = DEFAULT_BLOCK_PAGES,
-    ) -> "GMMSuffStats":
-        """One factorized E-pass at ``params`` retaining per-RID masses."""
-        config = config or EMConfig(n_components=params.weights.size)
-        with open_access(db, spec, FACTORIZED, block_pages) as access:
-            resolved = access.resolved
-            layout = resolved.layout
-            d = layout.total
-            k = params.weights.size
-            dim_index = [d.relation.key_index() for d in resolved.dimensions]
-            stats = cls(
-                spec=spec, config=config, params=params, layout=layout,
-                counts=np.zeros(k), comp_sum=np.zeros((k, d)),
-                comp_outer=np.zeros((k, d, d)), n=0, dim_index=dim_index,
-                dim_features=[
-                    dim.relation.features().astype(np.float64)
-                    for dim in resolved.dimensions
-                ],
-                mass=[np.zeros((len(keys), k)) for keys in dim_index],
-                fact_mass=[
-                    np.zeros((k, len(keys), layout.sizes[0]))
-                    for keys in dim_index
-                ],
-                pairs=_pair_tables(resolved.num_dimensions, k),
-                resolved=resolved,
-            )
-            precisions = ComponentPrecisions(
-                params.covariances, config.reg_covar
-            )
-            for batch in access.batches():
-                stats._fold(
-                    batch.design, _retained_rows(batch.plan, dim_index),
-                    precisions,
-                )
-        if stats.n == 0:
-            raise ModelError("the join produced no tuples")
-        return stats
+    def _weighted(self, design: FactorizedDesign, targets):
+        """The batch as folded, and its ``(n, K)`` weights."""
+        raise NotImplementedError
 
     def _fold(
-        self, design: FactorizedDesign, rids: list[np.ndarray], precisions
+        self, design: FactorizedDesign, rids: list[np.ndarray], weights
     ) -> np.ndarray:
-        """One E-pass over a factorized batch at the current parameters
-        — the training kernels on the training design — added into
-        every statistic.  ``rids[i]`` places the design's distinct
-        tuples of dimension ``i`` in the retained index space.  Returns
-        the batch's responsibility masses."""
-        gamma, _ = posteriors(design, self.params, precisions)
-        k, d_s = gamma.shape[1], design.fact_block.shape[1]
-        batch_counts = gamma.sum(axis=0)
+        """Add one factorized batch into every statistic — the training
+        kernels on the training design.  ``rids[i]`` places the
+        design's distinct tuples of dimension ``i`` in the retained
+        index space.  Returns the batch's weight masses."""
+        k, d_s = weights.shape[1], design.fact_block.shape[1]
+        batch_counts = weights.sum(axis=0)
         self.counts += batch_counts
-        self.comp_sum += mu_sums(design, gamma)
-        # zero means: the raw second moments Σ γ x xᵀ
-        self.comp_outer += sigma_sums(design, gamma, np.zeros((k, design.d)))
+        self.comp_sum += mu_sums(design, weights)
+        # zero means: the raw second moments Σ w x xᵀ
+        self.comp_outer += sigma_sums(design, weights, np.zeros((k, design.d)))
         self.n += design.n
         weighted = (
-            gamma[:, :, None] * design.fact_block[:, None, :]
+            weights[:, :, None] * design.fact_block[:, None, :]
         ).reshape(design.n, k * d_s)
         for i, (at, group) in enumerate(zip(rids, design.groups)):
-            self.mass[i][at] += group.sum_rows(gamma)
+            self.mass[i][at] += group.sum_rows(weights)
             self.fact_mass[i][:, at] += (
                 group.sum_rows(weighted).reshape(-1, k, d_s).transpose(1, 0, 2)
             )
         rows = [at[group.codes] for at, group in zip(rids, design.groups)]
         for (i, j), table in self.pairs.items():
-            table.add(rows[i], rows[j], gamma)
+            table.add(rows[i], rows[j], weights)
         return batch_counts
 
     @property
@@ -547,14 +302,16 @@ class GMMSuffStats:
     def apply_dimension_update(
         self, relation_name: str, rids: np.ndarray, new_features: np.ndarray
     ) -> float:
-        """Frozen-γ rank-``k`` delta to the M-step statistics.
+        """Rank-``k`` delta to the moments for updated dimension rows.
 
-        Responsibility masses (``counts``, ``mass``, ``fact_mass``,
-        ``pairs``) are x-independent under frozen γ and stay put;
-        only the sums/outers that mention the updated dimension's
-        feature values move.  Returns the statistics' relative movement
-        (accumulated on :attr:`drift` — the maintainer's refit signal,
-        since γ itself would shift under a true refit).
+        ``new_features`` are the replacement *feature* rows for the
+        given primary keys.  The weight masses (``counts``, ``mass``,
+        ``fact_mass``, ``pairs``) stay put — exact for ridge, frozen γ
+        for the mixture — and only the sums and outers that mention the
+        dimension's feature values move, by closed-form amounts from
+        the retained per-RID aggregates; nothing is re-scanned.
+        Returns the relative movement of ``comp_sum`` (accumulated on
+        :attr:`drift`).
         """
         i = _dimension_index(self.resolved, relation_name)
         rids = np.asarray(rids).ravel().astype(np.int64)
@@ -583,7 +340,7 @@ class GMMSuffStats:
             np.einsum("uk,ua,ub->kab", mass_u, new, new)
             - np.einsum("uk,ua,ub->kab", mass_u, old, old)
         )
-        # dimension × other dimensions through γ co-occurrence
+        # dimension × other dimensions through the pair mass
         for j in range(len(self.dim_index)):
             if j == i:
                 continue
@@ -606,24 +363,24 @@ class GMMSuffStats:
         self,
         fact_features: np.ndarray,
         fk_columns: list[np.ndarray],
+        targets: np.ndarray | None = None,
     ) -> float:
-        """One E-step over appended fact rows at the current parameters,
-        folded into every statistic (mini-batch EM): the rows are a
-        factorized batch over the retained dimension snapshots."""
+        """Fold appended fact rows in as one more factorized batch over
+        the retained dimension snapshots, under the kind's weights
+        (mini-batch accumulation: exact for ridge, one E-step at the
+        current parameters for the mixture).  Returns the relative
+        movement of ``counts`` (accumulated on :attr:`drift`)."""
         fact = np.atleast_2d(np.asarray(fact_features, dtype=np.float64))
         if fact.shape[0] == 0:
             return 0.0
-        counts_before = float(np.linalg.norm(self.counts))
-        delta_counts = self._fold(
-            *_appended_batch(
-                fact, fk_columns, self.dim_index, self.dim_features
-            ),
-            ComponentPrecisions(
-                self.params.covariances, self.config.reg_covar
-            ),
+        design, rids = _appended_batch(
+            fact, fk_columns, self.dim_index, self.dim_features
         )
+        design, weights = self._weighted(design, targets)
+        counts_before = float(np.linalg.norm(self.counts))
         moved = _relative_norm(
-            float(np.linalg.norm(delta_counts)), counts_before
+            float(np.linalg.norm(self._fold(design, rids, weights))),
+            counts_before,
         )
         self.drift += moved
         self.deltas_applied += 1
@@ -633,7 +390,8 @@ class GMMSuffStats:
         self, relation_name: str, rids: np.ndarray, new_features: np.ndarray
     ) -> None:
         """Grow the per-RID index space with new dimension rows (exact —
-        nothing references them yet, so no pair table moves)."""
+        nothing references them yet, so no moment or pair table
+        moves)."""
         i = _dimension_index(self.resolved, relation_name)
         rids = np.asarray(rids).ravel().astype(np.int64)
         new = np.atleast_2d(np.asarray(new_features, dtype=np.float64))
@@ -650,7 +408,84 @@ class GMMSuffStats:
             axis=1,
         )
 
-    # -- solve ---------------------------------------------------------------
+
+class LinearSuffStats(SuffStats):
+    """The ridge normal equations: the ``K = 1``, γ ≡ 1 statistics over
+    the design with the target as its first fact column.
+
+    ``comp_outer[0]`` is ``[y | X]ᵀ[y | X]`` — row 0 holds ``yᵀy`` and
+    ``Xᵀy``, the rest ``XᵀX`` — ``comp_sum[0]`` is ``[Σy | Σx]`` and
+    ``counts[0] = n``; per RID, ``mass`` counts the referencing fact
+    rows and ``fact_mass`` holds their ``[Σy | Σx_S]``.  Every delta
+    is exact, and :meth:`solve` reproduces
+    :func:`~repro.linear.models.fit_ridge`'s closed form (bit-exactly
+    straight after a build).
+    """
+
+    lead = 1                            # the target column
+
+    def __init__(self, spec: JoinSpec, resolved, *, alpha: float = 1e-3):
+        if alpha < 0:
+            raise ModelError(f"alpha must be non-negative, got {alpha}")
+        self.alpha = alpha
+        super().__init__(spec, resolved, 1)
+
+    def _weighted(self, design: FactorizedDesign, targets):
+        """Unit weights over ``[y | x_S]``."""
+        if targets is None:
+            raise ModelError("ridge statistics require a TARGET column")
+        return with_target(design, targets), np.ones((design.n, 1))
+
+    def solve(self) -> LinearModel:
+        """The closed-form ridge solve over the maintained statistics —
+        :func:`fit_ridge`'s arithmetic on the same moments."""
+        if self.n == 0:
+            raise ModelError("no tuples in the maintained statistics")
+        weights, intercept = ridge_solution(
+            self.n, self.comp_sum[0], self.comp_outer[0], self.alpha
+        )
+        return LinearModel(
+            weights=weights,
+            intercept=intercept,
+            algorithm="F-Ridge/delta",
+            extra={
+                "n": self.n,
+                "alpha": self.alpha,
+                "deltas_applied": self.deltas_applied,
+            },
+        )
+
+
+class GMMSuffStats(SuffStats):
+    """Frozen-responsibility M-step statistics of a fitted mixture: the
+    weights are the responsibilities γ of an E-step at :attr:`params`.
+
+    Built from one factorized E-pass at the fitted parameters; a
+    dimension-row delta moves the x-dependent moments with γ held
+    fixed, then :meth:`solve` runs one M-step.  Appended fact rows fold
+    in through a fresh E-step at the current parameters (mini-batch
+    EM).  Both are approximations of a full refit — γ would shift —
+    which is what :attr:`drift` bounds.
+    """
+
+    def __init__(
+        self,
+        spec: JoinSpec,
+        resolved,
+        params: GMMParams,
+        *,
+        config: EMConfig | None = None,
+    ) -> None:
+        self.params = params
+        self.config = config or EMConfig(n_components=params.weights.size)
+        super().__init__(spec, resolved, params.weights.size)
+
+    def _weighted(self, design: FactorizedDesign, targets):
+        """γ: one E-step at the current parameters (no target)."""
+        precisions = ComponentPrecisions(
+            self.params.covariances, self.config.reg_covar
+        )
+        return design, posteriors(design, self.params, precisions)[0]
 
     def solve(self) -> GMMParams:
         """One M-step over the maintained statistics.

@@ -346,6 +346,7 @@ class RegisteredModel:
         exported monotonic counters never step backwards."""
         with predecessor.lock:
             self.stats = predecessor.stats
+            self.planner_stats = predecessor.planner_stats
             self.invalidated_rids = predecessor.invalidated_rids
             self.fk_references = predecessor.fk_references
             self.fk_distinct = predecessor.fk_distinct

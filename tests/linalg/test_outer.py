@@ -11,7 +11,6 @@ from repro.linalg.groupsum import GroupIndex
 from repro.linalg.outer import (
     dense_weighted_outer,
     dense_weighted_sum,
-    factorized_count_outer,
     factorized_weighted_outer,
     factorized_weighted_sum,
 )
@@ -119,10 +118,12 @@ class TestFactorizedOuter:
             factorized_weighted_outer(design, np.zeros(4), np.ones(11))
 
     def test_count_outer_is_gram_matrix(self, rng):
+        """Unit weights about a zero mean: the Gram matrix."""
         design = random_design(rng, 30, 2, [(4, 3)])
         dense = design.densify()
         np.testing.assert_allclose(
-            factorized_count_outer(design), dense.T @ dense, rtol=1e-9
+            factorized_weighted_outer(design, np.zeros(5), np.ones(30)),
+            dense.T @ dense, rtol=1e-9,
         )
 
 

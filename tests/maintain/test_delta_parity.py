@@ -158,6 +158,31 @@ class TestRidgeParity:
                 rtol=1e-9, atol=1e-12,
             )
 
+    def test_refresh_anchors_bit_exactly_on_fit_ridge(
+        self, db, multiway_star
+    ):
+        """docs/maintenance.md's "bit-exact vs fit_ridge": the build a
+        maintainer starts from, and a forced refit after deltas, solve
+        the very sums ``fit_ridge`` accumulates (several batches)."""
+        spec = multiway_star.spec
+        rng = np.random.default_rng(4)
+
+        def assert_anchored(model):
+            oracle = fit_ridge(db, spec, alpha=1e-3, block_pages=1)
+            np.testing.assert_array_equal(model.weights, oracle.weights)
+            assert model.intercept == oracle.intercept
+
+        with ModelMaintainer(
+            db, "m", "linear", spec, alpha=1e-3, policy=MANUAL,
+            block_pages=1,
+        ) as maintainer:
+            assert_anchored(maintainer.model)
+            for op in (update_dimension, append_facts, append_dimension):
+                op(db, spec, rng)
+            maintainer.flush()
+            maintainer.refresh()
+            assert_anchored(maintainer.model)
+
 
 # -- gmm: frozen-gamma deltas and bit-exact refit anchors ---------------------
 

@@ -180,13 +180,13 @@ def _both(db, spec, kind, params):
     return sparse, dense
 
 
-def _compare(kind, sparse, dense):
-    names = (
-        ("gram", "cross", "feature_sum") if kind == "linear"
-        else ("counts", "comp_sum", "comp_outer")
-    )
-    for name in names:
+def _compare(sparse, dense):
+    """Every moment array and per-RID aggregate, and every coupling."""
+    for name in ("counts", "comp_sum", "comp_outer"):
         close(getattr(sparse, name), getattr(dense, name))
+    for name in ("mass", "fact_mass", "dim_features"):
+        for ours, theirs in zip(getattr(sparse, name), getattr(dense, name)):
+            close(ours, theirs)
     for where, table in sparse.pairs.items():
         for side in (0, 1):
             rows = np.arange(len(sparse.dim_index[where[side]]))
@@ -225,7 +225,7 @@ def test_statistics_match_their_dense_twin(q, kind, seed, steps):
         sparse, dense = _both(db, spec, kind, params)
     # ... and need no database afterwards.
     names = [dim.relation for dim in spec.dimensions]
-    _compare(kind, sparse, dense)
+    _compare(sparse, dense)
     for step in steps:
         i = int(rng.integers(q))
         keys = sparse.dim_index[i].sorted_keys
@@ -248,12 +248,10 @@ def test_statistics_match_their_dense_twin(q, kind, seed, steps):
             fact = rng.normal(size=(n, 2))
             args = [fact, [
                 rng.choice(k.sorted_keys, size=n) for k in sparse.dim_index
-            ]]
-            if kind == "linear":
-                args.append(rng.normal(size=n))
+            ], rng.normal(size=n)]
             for stats in (sparse, dense):
                 stats.fold_appended_facts(*args)
-        _compare(kind, sparse, dense)
+        _compare(sparse, dense)
 
 
 def test_an_update_of_a_row_no_fact_references_moves_no_coupling(
@@ -269,14 +267,13 @@ def test_an_update_of_a_row_no_fact_references_moves_no_coupling(
         width = sparse.dim_features[0].shape[1]
         for stats in (sparse, dense):
             stats.fold_appended_dimension(name, fresh, np.ones((2, width)))
-        moments = "gram" if kind == "linear" else "comp_outer"
-        before = getattr(sparse, moments).copy()
+        before = sparse.comp_outer.copy()
         for stats in (sparse, dense):
             stats.apply_dimension_update(
                 name, fresh[:1], np.full((1, width), 7.0)
             )
-        _compare(kind, sparse, dense)
-        np.testing.assert_array_equal(getattr(sparse, moments), before)
+        _compare(sparse, dense)
+        np.testing.assert_array_equal(sparse.comp_outer, before)
 
 
 def test_a_binary_join_has_no_pair_table(db, binary_star):

@@ -397,6 +397,28 @@ class TestObservability:
         assert sum(stats.entries for stats in per_dim) > 0
 
 
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_planner_decisions_survive_a_swap(self, db, fitted, executor):
+        """A hot swap carries the planner's decision counts along with
+        the serving stats, as the exported counter does."""
+        spec, gmm, _, _ = fitted
+        requests = stored_requests(db, spec, 32)[:3]
+        with serve_runtime(
+            db, num_workers=1, max_wait_ms=0.0, executor=executor
+        ) as rt:
+            rt.register_gmm("g", gmm, spec)         # adaptive: planned
+            for features, fks in requests:
+                rt.predict("g", features, fks)
+            before = rt.runtime_stats().planner_decisions["g"]
+            assert sum(before.values()) >= len(requests)
+            rt.swap_model("g", gmm)
+            assert rt.runtime_stats().planner_decisions["g"] == before
+            assert rt.stats("g").requests == len(requests)
+            rt.predict("g", *requests[0])
+            after = rt.runtime_stats().planner_decisions["g"]
+            assert sum(after.values()) == sum(before.values()) + 1
+
+
 class TestRegistrationContract:
     def test_unregistered_model_stops_serving(self, db, fitted):
         spec, gmm, _, _ = fitted

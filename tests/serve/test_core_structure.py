@@ -18,7 +18,8 @@ call (``TestOneCostModel``), the mixture
 E-step serving, maintenance and training share (``TestOneEStep``),
 the update → flush → cold-miss path (``TestAnUpdateCostsWhatItTouches``),
 the request queue's one wake-up per arrival (``TestTargetedWakeUps``),
-the maintainer's own statistics (``TestEachMaintainerOwnsItsStatistics``)
+the maintainer's own statistics (``TestEachMaintainerOwnsItsStatistics``),
+one set of them for ridge and the mixture (``TestOneSetOfStatistics``)
 and the paper's evaluation as one table (``TestOneEvaluationTable``).
 """
 
@@ -769,10 +770,11 @@ class TestOneEStep:
         text = (SRC_ROOT / "maintain" / "stats.py").read_text(encoding="utf-8")
         assert "densify(" not in text
         assert "GaussianMixtureModel" not in text
-        fold = _method(
-            SRC_ROOT / "maintain" / "stats.py", "GMMSuffStats", "_fold"
-        )
-        assert {"posteriors", "mu_sums", "sigma_sums"} <= _names(fold)
+        stats = SRC_ROOT / "maintain" / "stats.py"
+        fold = _method(stats, "SuffStats", "_fold")
+        assert {"mu_sums", "sigma_sums"} <= _names(fold)
+        gamma = _method(stats, "GMMSuffStats", "_weighted")
+        assert "posteriors" in _names(gamma)
 
 
 class TestAnUpdateCostsWhatItTouches:
@@ -790,13 +792,11 @@ class TestAnUpdateCostsWhatItTouches:
             text = path.read_text(encoding="utf-8")
             assert "add.at" not in text, path.name
             assert 'einsum("kus' not in text, path.name
-        for cls in ("LinearSuffStats", "GMMSuffStats"):
-            build = _method(self.MAINTAIN / "stats.py", cls, "build")
-            assert "_pair_tables" in _names(build)
-            grow = _method(
-                self.MAINTAIN / "stats.py", cls, "fold_appended_dimension"
-            )
-            assert "pairs" not in _names(grow)
+        stats = self.MAINTAIN / "stats.py"
+        allocate = _method(stats, "SuffStats", "__init__")
+        assert "_pair_tables" in _names(allocate)
+        grow = _method(stats, "SuffStats", "fold_appended_dimension")
+        assert "pairs" not in _names(grow)
 
     @pytest.mark.parametrize(
         "method", ["_apply_event", "_fact_rows_at", "_sgd_step"]
@@ -886,6 +886,73 @@ class TestEachMaintainerOwnsItsStatistics:
             )
         ]
         assert found == []
+
+
+class TestOneSetOfStatistics:
+    """Ridge's statistics are the mixture's at ``K = 1``, γ ≡ 1: one
+    class builds, folds and applies every delta; a kind keeps its
+    weight source (``_weighted``) and ``solve``, ridge its target
+    column, and ``fit_ridge`` accumulates through the same moment
+    kernels over the same augmented design."""
+
+    STATS = SRC_ROOT / "maintain" / "stats.py"
+    SHARED = (
+        "build", "_fold", "apply_dimension_update",
+        "fold_appended_dimension", "fold_appended_facts",
+    )
+
+    def _classes(self):
+        return {
+            node.name: node for node in _tree(self.STATS).body
+            if isinstance(node, ast.ClassDef)
+        }
+
+    def test_each_step_is_defined_once(self):
+        defined = [
+            node.name for node in ast.walk(_tree(self.STATS))
+            if isinstance(node, ast.FunctionDef)
+        ]
+        for name in self.SHARED:
+            assert defined.count(name) == 1, name
+            _method(self.STATS, "SuffStats", name)
+
+    def test_a_kind_keeps_its_weights_and_its_solve(self):
+        classes = self._classes()
+        for kind in ("LinearSuffStats", "GMMSuffStats"):
+            node = classes[kind]
+            assert [ast.unparse(base) for base in node.bases] == ["SuffStats"]
+            methods = {
+                item.name for item in node.body
+                if isinstance(item, ast.FunctionDef)
+            }
+            assert methods == {"__init__", "_weighted", "solve"}, kind
+        ridge = _method(self.STATS, "LinearSuffStats", "_weighted")
+        assert "with_target" in _names(ridge)
+
+    def test_fit_ridge_folds_through_the_same_moments(self):
+        models = SRC_ROOT / "linear" / "models.py"
+        tree = _tree(models)
+        fit = next(
+            node for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name == "fit_ridge"
+        )
+        assert {"mu_sums", "sigma_sums", "with_target",
+                "ridge_solution"} <= _names(fit)
+        solve = _method(self.STATS, "LinearSuffStats", "solve")
+        assert "ridge_solution" in _names(solve)
+        assert _callers("factorized_count_outer") == set()
+        assert "factorized_count_outer" not in vars(repro.linalg)
+
+    @pytest.mark.parametrize("method", ["_fold_fact_append", "_refresh_model"])
+    def test_the_maintainer_does_not_branch_on_the_kind(self, method):
+        body = _method(
+            SRC_ROOT / "maintain" / "maintainer.py", "ModelMaintainer", method
+        )
+        kinds = {
+            node.value for node in ast.walk(body)
+            if isinstance(node, ast.Constant)
+        }
+        assert not kinds & {"linear", "gmm"}
 
 
 class TestOneEvaluationTable:
