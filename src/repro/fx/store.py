@@ -26,13 +26,13 @@ per-cache bound only sees its own residency, so `q` fingerprints each
 Constructing the store with ``capacity_floats`` installs one global
 budget across *every* resident partial in *every* cache, and its
 governor is the only thing that evicts.  Enforcement is cross-cache:
-each access is stamped by a shared
-:class:`~repro.serve.cache.AccessClock`, and whenever an insert pushes
-the store over budget the governor (:meth:`enforce_budget`) evicts the
-globally coldest entries — oldest tick first — regardless of which
-cache they live in.  A hot fingerprint therefore naturally takes
-share from a cold one instead of each being boxed into a static
-slice.
+every row an access touches takes a fresh stamp from a shared
+:class:`~repro.serve.cache.AccessClock` — one stamp per row, distinct
+across every cache — and whenever an insert pushes the store over
+budget the governor (:meth:`enforce_budget`) evicts the globally
+coldest entries — oldest stamp first — regardless of which cache they
+live in.  A hot fingerprint therefore naturally takes share from a
+cold one instead of each being boxed into a static slice.
 
 Caches are only dropped wholesale when their last holder releases them
 (``_Entry.refs``).  Rows are evicted one cache at a time, each under
@@ -341,7 +341,7 @@ class PartialStore:
         Called by every governed cache at the end of ``get_many`` (with
         no cache lock held); safe to call manually.  Returns the number
         of rows evicted.  Victims are chosen across *all* caches,
-        oldest tick first (see :meth:`PartialCache.eviction_candidates
+        oldest stamp first (see :meth:`PartialCache.eviction_candidates
         <repro.serve.cache.PartialCache.eviction_candidates>`).
         """
         # One read of the bound: set_budget(None) may lift it mid-sweep.
@@ -370,12 +370,12 @@ class PartialStore:
     def _sweep(self, deficit_floats: int) -> tuple[int, int]:
         """One candidate-pool pass: every cache offers its
         deficit-covering coldest rows as arrays, the pool is ordered by
-        tick — ties broken demoted-before-resident, then by recency
-        within a cache, caches in registry order — cut where the
-        cumulative freed charge covers ``deficit_floats``, and each
-        cache evicts its share in one call.  Returns ``(rows evicted, floats freed)``; ``(0, 0)``
-        means nothing was evictable (only spilled rows, or raced away
-        between scan and evict — callers re-check and converge later).
+        stamp (no two charged rows share one), cut where the cumulative
+        freed charge covers ``deficit_floats``, and each cache evicts
+        its share in one call.  Returns ``(rows evicted, floats
+        freed)``; ``(0, 0)`` means nothing was evictable (only spilled
+        rows, or raced away between scan and evict — callers re-check
+        and converge later).
         """
         with self._lock:
             caches = [e.cache for e in self._entries.values()]
@@ -388,9 +388,7 @@ class PartialStore:
         owner = np.repeat(
             np.arange(len(caches)), [offer[0].size for offer in offers]
         )
-        # A stable sort, so equal ticks keep the pool's order: each
-        # cache lists demoted rows first, then residents oldest first.
-        rank = np.argsort(ticks, kind="stable")
+        rank = np.argsort(ticks)
         cut = np.searchsorted(np.cumsum(frees[rank]), deficit_floats) + 1
         # One grouping of the victims by cache, each group in rank order.
         victims = rank[:cut]

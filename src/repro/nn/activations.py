@@ -37,12 +37,10 @@ class Activation:
         Backpropagation caches the forward activations, so expressing
         the derivative through them (σ'(a) = h(1−h), tanh'(a) = 1−h²,
         …) avoids re-evaluating the nonlinearity.  Mathematically
-        identical to :meth:`derivative`; subclasses without a closed
-        form through the output may leave this unimplemented.
+        identical to :meth:`derivative`; backpropagation uses only this
+        form, so every activation implements it.
         """
-        raise NotImplementedError(
-            f"{type(self).__name__} has no output-based derivative"
-        )
+        raise NotImplementedError
 
     def additive_violation(
         self, x: np.ndarray, y: np.ndarray

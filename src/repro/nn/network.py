@@ -33,7 +33,6 @@ from repro.nn.losses import HalfMSE, Loss, get_loss
 class ForwardCache:
     """Intermediate values of one forward pass, reused by backward."""
 
-    pre_activations: list[np.ndarray]   # a^(l) per layer, l = 1..L
     activations: list[np.ndarray]       # h^(l) per hidden layer
 
 
@@ -94,19 +93,16 @@ class MLP:
     ) -> tuple[np.ndarray, ForwardCache]:
         """Continue the forward pass given ``a⁽¹⁾`` (the factorization
         seam of Section VI-A1)."""
-        cache = ForwardCache(pre_activations=[first_pre], activations=[])
+        cache = ForwardCache(activations=[])
         hidden = self.activation(first_pre)
         cache.activations.append(hidden)
         for layer in self.layers[1:-1]:
-            pre = layer.forward(hidden)
-            hidden = self.activation(pre)
-            cache.pre_activations.append(pre)
+            hidden = self.activation(layer.forward(hidden))
             cache.activations.append(hidden)
         if len(self.layers) == 1:
             # Degenerate single-layer network: linear map, no hidden.
             return first_pre, cache
         output = self.layers[-1].forward(hidden)
-        cache.pre_activations.append(output)
         return output, cache
 
     def forward(
@@ -143,14 +139,9 @@ class MLP:
                 grad_pre, inputs
             )
             # The forward pass cached f(a); expressing f'(a) through it
-            # avoids re-evaluating the nonlinearity.
-            try:
-                derivative = self.activation.derivative_from_output(inputs)
-            except NotImplementedError:
-                derivative = self.activation.derivative(
-                    cache.pre_activations[index - 1]
-                )
-            grad_pre *= derivative      # ours: backward's matmul made it
+            # avoids re-evaluating the nonlinearity (in place: backward's
+            # matmul made grad_pre).
+            grad_pre *= self.activation.derivative_from_output(inputs)
         return grads, grad_pre
 
     # -- the training step -------------------------------------------------

@@ -88,7 +88,7 @@ from repro.serve.core import (
     collect_store,
 )
 from repro.serve.predictor import (
-    _ServingPredictor,
+    _RequestValidator,
     coerce_gmm_model,
     coerce_nn_model,
 )
@@ -456,14 +456,15 @@ class ProcessExecutor(ServingCore):
         each worker builds its own predictors and draws caches from
         its shared-slab store.  The parent keeps only what submit-time
         validation and scatter need: the resolved join (shapes,
-        dimension names) and the network's output width.  A swap's
+        dimension names) and the network's output width — no dimension
+        lookup, so registering reads no dimension page here.  A swap's
         replacement is a *fresh* worker-side generation, never an
         overwrite in place: one coalesced batch scatters sub-batches
         to several workers, and an in-place replace landing between
         two of them would serve a torn mix.
         """
         coerce = coerce_gmm_model if kind == "gmm" else coerce_nn_model
-        validator = _ServingPredictor(self.db, spec)
+        validator = _RequestValidator(self.db, spec)
         generation = self._next_id()
         # The worker core's own ``register`` arguments, keyed by
         # generation; the predecessor travels as its generation too.

@@ -9,12 +9,12 @@ case), cold RIDs are recomputed from the base relation on demand.
 
 Reuse is the paper's whole serving-time win, so the reuse itself is
 array code: a cache's resident tier is one :class:`SlotTable` — sorted
-keys → slot, one float64 slab, recency / clock columns — and a warm
-lookup is one ``searchsorted``, one ``take`` and two column stamps,
-with no per-key Python between the dedup plan and the predictor's
-GEMM.  The demoted tiers (:mod:`repro.fx.tiers`) are slot tables too —
-float32 payloads, spill-heap positions — so a governor sweep demotes,
-and a batch promotes, whole blocks of rows at a time.
+keys → slot, one float64 slab, a key column and a recency stamp —
+and a warm lookup is one ``searchsorted``, one ``take`` and one
+column stamp, with no per-key Python between the dedup plan and the
+predictor's GEMM.  The demoted tiers (:mod:`repro.fx.tiers`) are slot
+tables too — float32 payloads, spill-heap positions — so a governor
+sweep demotes, and a batch promotes, whole blocks of rows at a time.
 
 A cache has no bound of its own: every computed row is admitted, and
 memory is bounded by the owning :class:`~repro.fx.store.PartialStore`'s
@@ -48,11 +48,12 @@ into the store's governor after each batch.
 Two small hooks let the store's governor work across caches:
 
 * an :class:`AccessClock` — a counter shared by every cache under one
-  store; each hit and insert stamps the entry with the next tick, so
-  recency is comparable *across* caches, not just within one LRU;
+  store; every row a batch touches takes a fresh stamp from it, so one
+  stamp per row orders recency within a table, across tiers and
+  *across* caches, with no tie to break;
 * the victim API (:meth:`eviction_candidates` / :meth:`evict`) — each
   cache offers its coldest rows as arrays, the store's governor orders
-  the pool by tick (strict global LRU) and each cache evicts its share
+  the pool by stamp (strict global LRU) and each cache evicts its share
   in one call, counted as ``cross_evictions``.
 """
 
@@ -92,28 +93,32 @@ _SLAB_GROWTH = 1.5
 class AccessClock:
     """A thread-safe monotonic counter shared by every cache of a store.
 
-    Each hit or insert stamps the touched entry with ``tick()``, which
-    is what makes "least recently used" well-defined *across* caches:
-    a store-wide budget sweep compares ticks from different caches and
-    evicts the globally coldest entry first.
+    Every row a cache touches takes a fresh stamp from :meth:`stamps`,
+    which is what makes "least recently used" well-defined *across*
+    caches: the stamps of a store's charged rows are pairwise distinct,
+    so a store-wide budget sweep compares them and evicts the globally
+    coldest row first.
     """
 
     def __init__(self) -> None:
         self._value = 0
         self._lock = threading.Lock()
 
-    def tick(self) -> int:
-        """The next global timestamp (strictly increasing)."""
+    def stamps(self, count: int) -> np.ndarray:
+        """``count`` fresh timestamps, ascending and newer than any
+        handed out before — one lock hold however many."""
         with self._lock:
-            self._value += 1
-            return self._value
+            first = self._value + 1
+            self._value += count
+        return np.arange(first, first + count)
 
 
 class Residency(NamedTuple):
     """What one cache — or, added up, one whole store — holds right
     now, read without taking any lock.
 
-    Every field is a plain int the owning cache keeps current, so the
+    Every field follows from plain ints the owning cache keeps current
+    — its tier tables' row counts and widths, two counters — so the
     readers that cannot afford to contend with ``get_many`` (the
     budget governor's within-budget check, a process worker publishing
     its header row) load it directly; a torn read can only mis-size one
@@ -270,9 +275,9 @@ class SlotTable:
     contiguous ``(capacity, width)`` block of ``dtype``: float64 rows
     for the resident tier, float32 payloads and spill-heap positions
     for the demoted ones — and one cell of each column: ``key`` (the
-    way back), ``tick`` (the store clock's per-call stamp) and ``seq``
-    (per-table touch order: ascending ``seq`` *is* LRU order).  Freed
-    slots go on a stack and are reused before the slab grows.  The
+    way back) and ``tick`` (the row's stamp from the store clock:
+    ascending ``tick`` *is* LRU order).  Freed slots go on a stack
+    and are reused before the slab grows.  The
     slab's capacity tracks the entries both ways, by relocate-and-copy
     (:meth:`_resize`): ×``_SLAB_GROWTH`` when the stack runs dry, back
     down when fewer than a third of the slots are in use — evicted
@@ -294,10 +299,8 @@ class SlotTable:
         self.slab = np.empty((0, 0), dtype=self._dtype)
         self.key = np.empty(0, dtype=np.int64)
         self.tick = np.empty(0, dtype=np.int64)
-        self.seq = np.empty(0, dtype=np.int64)
         self._free = np.empty(0, dtype=np.intp)
         self._nfree = 0
-        self._next_seq = 0
 
     @property
     def rows(self) -> int:
@@ -333,7 +336,7 @@ class SlotTable:
         """Move the entries to slots ``0..n-1``, in key order, of
         columns and a slab ``capacity`` slots long."""
         live = self.slots
-        for name in ("key", "tick", "seq"):
+        for name in ("key", "tick"):
             column = getattr(self, name)
             moved = np.empty(capacity, dtype=column.dtype)
             moved[:live.size] = column[live]
@@ -363,16 +366,16 @@ class SlotTable:
             self._allocator.free(*self._block)
         self._block = block
 
-    def put(self, keys: np.ndarray, rows: np.ndarray, tick) -> None:
+    def put(self, keys: np.ndarray, rows: np.ndarray, stamps) -> None:
         """Make the distinct, not-held ``keys`` resident with ``rows``
-        — one copy into the slab — at the MRU end, in order.  A table
+        — one copy into the slab — stamped ``stamps``.  A table
         holding no row takes on the width of ``rows``."""
         if rows.shape[1] != self.width:
-            self._relocate(self.seq.size, rows.shape[1])
+            self._relocate(self.tick.size, rows.shape[1])
         if keys.size > self._nfree:     # renumbers: before the write
             self._resize(max(
                 self.keys.size + keys.size,
-                int(self.seq.size * _SLAB_GROWTH),
+                int(self.tick.size * _SLAB_GROWTH),
             ))
         self._nfree -= keys.size
         slots = self._free[self._nfree:self._nfree + keys.size][::-1]
@@ -382,16 +385,12 @@ class SlotTable:
         self.keys = np.insert(self.keys, at, keys[order])
         self.slots = np.insert(self.slots, at, slots[order])
         self.slab[slots] = rows
-        self.touch(slots, tick)
+        self.touch(slots, stamps)
 
-    def touch(self, slots: np.ndarray, tick) -> None:
-        """Stamp ``slots`` most recently used, in order (a repeated
-        slot keeps its last stamp, as a repeated ``move_to_end`` would)."""
-        self.seq[slots] = np.arange(
-            self._next_seq, self._next_seq + slots.size
-        )
-        self._next_seq += slots.size
-        self.tick[slots] = tick
+    def touch(self, slots: np.ndarray, stamps) -> None:
+        """Stamp ``slots`` with ``stamps``, in order (a repeated slot
+        keeps its last stamp, as a repeated ``move_to_end`` would)."""
+        self.tick[slots] = stamps
 
     def drop(self, slots: np.ndarray) -> None:
         """Take the rows out of the (distinct, held) ``slots`` — which
@@ -402,7 +401,7 @@ class SlotTable:
             self.slots = np.delete(self.slots, at)
             self._free[self._nfree:self._nfree + slots.size] = slots
             self._nfree += slots.size
-            if self.keys.size * 3 < self.seq.size:
+            if self.keys.size * 3 < self.tick.size:
                 self._resize(int(self.keys.size * _SLAB_GROWTH))
 
     def coldest(self, count: int) -> np.ndarray:
@@ -410,15 +409,15 @@ class SlotTable:
         if count <= 0 or not self.keys.size:
             return np.empty(0, dtype=np.intp)
         slots = self.slots
-        seq = self.seq[slots]
+        ticks = self.tick[slots]
         if count < slots.size:
-            nearest = np.argpartition(seq, count - 1)[:count]
-            slots, seq = slots[nearest], seq[nearest]
-        return slots[np.argsort(seq)]
+            nearest = np.argpartition(ticks, count - 1)[:count]
+            slots, ticks = slots[nearest], ticks[nearest]
+        return slots[np.argsort(ticks)]
 
     def resident_keys(self) -> np.ndarray:
         """Every key held, least recent first."""
-        return self.key[self.slots[np.argsort(self.seq[self.slots])]]
+        return self.key[self.slots[np.argsort(self.tick[self.slots])]]
 
 
 class PartialCache:
@@ -427,7 +426,7 @@ class PartialCache:
     Every computed row is admitted; only the owning store's governor
     evicts (module docstring).  ``clock`` is the :class:`AccessClock`
     shared with sibling caches (a private one when not given): every
-    hit and insert is stamped with a global tick so a
+    row a batch touches is stamped afresh from it so a
     :class:`~repro.fx.store.PartialStore` governor can compare recency
     across caches and evict the globally coldest entries first.  All
     lookups go through :meth:`get_many`, which resolves hits, computes
@@ -462,10 +461,11 @@ class PartialCache:
                     "the 'spill' tier needs a spill_dir to write to"
                 )
             self._spill = SpillSlab(spill_dir)
-        # The demoted populations — rows of the table's one width, in
-        # demotion order (``seq``), each with the tick it had while
-        # resident: the float32 payloads, and the rows' positions in
-        # the spill slab's heap file.
+        # The demoted populations — rows of the table's one width: the
+        # float32 payloads, each keeping the stamp it had while resident
+        # (the governor ranks them against residents), and the rows'
+        # positions in the spill slab's heap file, each stamped as it
+        # landed (nothing ranks them; the stamps keep demotion order).
         self._compressed = SlotTable(dtype=np.float32)
         self._spilled = SlotTable(dtype=np.int64)
         self._populations = (
@@ -473,8 +473,6 @@ class PartialCache:
             (TIER_FLOAT32, self._compressed),
             (TIER_SPILL, self._spilled),
         )
-        self._compressed_floats = 0
-        self._spilled_bytes = 0
         # The cache's one lock.  Serializes lookups against
         # invalidations and governor evictions: dimension-update events
         # arrive on the updater's thread, and sweeps on whichever
@@ -528,14 +526,18 @@ class PartialCache:
             ]
 
     def residency(self) -> Residency:
-        """This cache's :class:`Residency`, read lock-free."""
-        table = self._table
+        """This cache's :class:`Residency`, read lock-free off the tier
+        tables."""
+        table, compressed = self._table, self._compressed
         resident = table.rows * table.width
+        charged = compressed.rows * float_equivalents(
+            TIER_FLOAT32, compressed.width
+        )
         return Residency(
-            resident + self._compressed_floats,
+            resident + charged,
             resident if table.in_shm else 0,
-            self._compressed_floats,
-            self._spilled_bytes,
+            charged,
+            self._spilled.rows * table.width * _FLOAT_BYTES,
             self.demotions_total,
             self.promotions_total,
         )
@@ -573,17 +575,13 @@ class PartialCache:
 
     def _take_compressed(self, keys: np.ndarray):
         """Take the float32 copies held of the distinct ``keys`` out of
-        their tier: ``(which keys, their float64 rows, their ticks)``."""
+        their tier: ``(which keys, their float64 rows)``."""
         tier = self._compressed
         slots, held = tier.find(keys)
         slots = slots[held]
         rows = decompress(TIER_FLOAT32, tier.slab.take(slots, axis=0))
-        ticks = tier.tick[slots]
         tier.drop(slots)
-        self._compressed_floats -= slots.size * float_equivalents(
-            TIER_FLOAT32, rows.shape[1]
-        )
-        return held, rows, ticks
+        return held, rows
 
     def _take_spilled(self, keys: np.ndarray, read: bool):
         """Take the spilled copies held of the distinct ``keys`` out of
@@ -603,7 +601,6 @@ class PartialCache:
                 rows = self._spill.read_rows(width, positions)
             self._spill.free(width, positions)
             tier.drop(slots)
-            self._spilled_bytes -= slots.size * width * _FLOAT_BYTES
         return held, rows
 
     def _demote(self, keys: np.ndarray) -> tuple[int, int]:
@@ -613,8 +610,8 @@ class PartialCache:
         Spilled rows are terminal: they charge no memory, so only
         invalidation removes them."""
         table = self._table
-        compressed, rows, ticks = self._take_compressed(keys)
-        freed = self._settle(TIER_FLOAT32, keys[compressed], rows, ticks)
+        compressed, rows = self._take_compressed(keys)
+        freed = self._settle(TIER_FLOAT32, keys[compressed], rows, None)
         slots, held = table.find(keys)
         slots = slots[held]
         freed += self._settle(
@@ -627,56 +624,50 @@ class PartialCache:
     def _settle(self, tier, keys, rows: np.ndarray, ticks) -> int:
         """Park the rows that just left ``tier`` on the next rung down
         (or nowhere: ``"drop"``) — one ``astype``, or one block write
-        to the spill slab; returns the budget floats that freed."""
+        to the spill slab; returns the budget floats that freed.  A
+        compressed row keeps its resident stamp from ``ticks``; a
+        spilled one is stamped as it lands, in the order given."""
         if not keys.size:
             return 0
         target, gain = self._next_rung(tier, rows.shape[1])
         if target == TIER_SPILL:
-            self._spilled.put(keys, self._spill.put(rows)[:, None], ticks)
-            self._spilled_bytes += rows.size * _FLOAT_BYTES
+            self._spilled.put(
+                keys, self._spill.put(rows)[:, None],
+                self._clock.stamps(keys.size),
+            )
         elif target != "drop":
             self._compressed.put(keys, compress(target, rows), ticks)
-            self._compressed_floats += keys.size * float_equivalents(
-                target, rows.shape[1]
-            )
         self.demotions[target] = self.demotions.get(target, 0) + keys.size
         self.demotions_total += keys.size
         return keys.size * gain
 
-    def _promote(self, keys: np.ndarray, held: np.ndarray, tick) -> int:
-        """Bring the demoted copies among a batch's not-``held`` keys
-        back to resident float64 — the float32 ones first, each tier's
-        in first-occurrence order; returns how many rows came back.
-        Promoted rows land at the MRU end; making room for them is the
-        store governor's job, after the batch.
+    def _promote(self, wanted: np.ndarray, stamps: np.ndarray) -> None:
+        """Bring the demoted copies of the distinct ``wanted`` keys back
+        to resident float64 — the float32 ones first, each tier's in
+        the order given, stamped ``stamps`` in that order.  Making room
+        for them is the store governor's job, after the batch.
         """
-        wanted, _ = _first_occurrences(keys[~held])
-        wanted = wanted[
-            self._compressed.find(wanted)[1] | self._spilled.find(wanted)[1]
-        ]
-        if not wanted.size:
-            return 0
         span = current_span()
         with (
             span.child("store.promote") if span is not None
             else nullcontext()
         ) as promote_span:
-            found, rows, _ = self._take_compressed(wanted)
-            self._readmit(TIER_FLOAT32, wanted[found], rows, tick)
+            found, rows = self._take_compressed(wanted)
+            first = rows.shape[0]
+            self._readmit(TIER_FLOAT32, wanted[found], rows, stamps[:first])
             found, rows = self._take_spilled(wanted, read=True)
-            self._readmit(TIER_SPILL, wanted[found], rows, tick)
+            self._readmit(TIER_SPILL, wanted[found], rows, stamps[first:])
             if promote_span is not None:
                 promote_span.set("rows", float(wanted.size))
-        return wanted.size
 
-    def _readmit(self, tier: str, keys: np.ndarray, rows, tick) -> None:
+    def _readmit(self, tier: str, keys: np.ndarray, rows, stamps) -> None:
         """Make the ``rows`` just taken out of ``tier`` resident."""
         if keys.size:
-            self._table.put(keys, rows, tick)
+            self._table.put(keys, rows, stamps)
             self.promotions[tier] = self.promotions.get(tier, 0) + keys.size
             self.promotions_total += keys.size
 
-    def _insert(self, keys: np.ndarray, rows: np.ndarray, tick) -> None:
+    def _insert(self, keys: np.ndarray, rows: np.ndarray, stamps) -> None:
         """Make freshly computed ``rows`` (distinct ``keys``, in
         first-occurrence order) resident, all of them in one block:
         a cache admits everything and only the store's governor
@@ -690,7 +681,7 @@ class PartialCache:
                 f"partial rows are {width} floats wide but this cache "
                 f"holds rows of {table.width}"
             )
-        table.put(keys, rows, tick)
+        table.put(keys, rows, stamps)
 
     def get_many(
         self,
@@ -718,17 +709,25 @@ class PartialCache:
         keys = keys.astype(np.int64, copy=False)
         with self._lock:
             table = self._table
-            # One global tick per call, stamped on every key this
-            # batch touches: batch-granular recency is plenty for
-            # eviction ordering, and it keeps traffic on the store's
-            # shared clock lock at O(1) per batch instead of O(keys).
-            batch_tick = self._clock.tick()
             slots, held = table.find(keys)
+            wanted = keys[:0]       # demoted rows to promote
             if (
                 self._compressed.rows or self._spilled.rows
             ) and not held.all():
-                if self._promote(keys, held, batch_tick):
-                    slots, held = table.find(keys)
+                wanted, _ = _first_occurrences(keys[~held])
+                wanted = wanted[
+                    self._compressed.find(wanted)[1]
+                    | self._spilled.find(wanted)[1]
+                ]
+            # One hold of the store's clock: a fresh stamp for every row
+            # this call touches, in touch order — promotions, hits,
+            # inserts — which is what keeps the stamps of charged rows
+            # pairwise distinct across the whole store.
+            stamps = self._clock.stamps(wanted.size + keys.size)
+            if wanted.size:
+                self._promote(wanted, stamps[:wanted.size])
+                slots, held = table.find(keys)
+                stamps = stamps[wanted.size:]
             hits = int(np.count_nonzero(held))
             misses = keys.size - hits
             if misses:
@@ -749,7 +748,8 @@ class PartialCache:
                 span.add("cache.misses", misses)
             if hits:
                 out = table.slab.take(slots, axis=0)
-                table.touch(slots[held] if misses else slots, batch_tick)
+                touched = slots[held] if misses else slots
+                table.touch(touched, stamps[:touched.size])
             elif misses and where is None and (
                 computed.flags.owndata and sys.getrefcount(computed) <= 2
             ):
@@ -758,7 +758,7 @@ class PartialCache:
                 width = computed.shape[1] if misses else table.width
                 out = np.empty((keys.size, width))
             if misses:
-                self._insert(missing, computed, batch_tick)
+                self._insert(missing, computed, stamps[-missing.size:])
                 if out is not computed:
                     out[~held] = computed if where is None else computed[where]
             return out
@@ -769,13 +769,14 @@ class PartialCache:
         """This cache's coldest charged rows, just enough to
         cover ``deficit_floats`` alone (the worst case: every victim
         lives here), as parallel arrays ``(keys, ticks, frees)`` for
-        the store's governor to pool and rank by tick.
+        the store's governor to pool and rank by stamp.
 
         ``frees`` is what :meth:`evict` would free per row: its charge,
         or with tiers one rung's gain.  Compressed rows still charge
-        the budget, so they are offered too, and first (they demoted
-        before today's residents, so they rank colder); spilled rows
-        charge nothing — never offered.
+        the budget, so they are offered too: each keeps the stamp it
+        had while resident, older than any resident's here, so they are
+        this cache's coldest.  Spilled rows charge nothing — never
+        offered.
         """
         with self._lock:
             table, compressed = self._table, self._compressed
@@ -889,7 +890,6 @@ class PartialCache:
         the spill files wholesale (the owning store's teardown path)."""
         with self._lock:
             self._spilled.clear()
-            self._spilled_bytes = 0
             if self._spill is not None:
                 self._spill.reset()
 
@@ -901,7 +901,6 @@ class PartialCache:
             self._take_spilled(self._spilled.keys, read=False)
             self._table.clear()
             self._compressed.clear()
-            self._compressed_floats = 0
             self._zero_counters()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

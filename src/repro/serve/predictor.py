@@ -68,19 +68,17 @@ from repro.serve.partials import (
 from repro.storage.catalog import Database
 
 
-class _ServingPredictor:
-    """Request plumbing shared by all predictors: FK normalization,
-    dimension lookups, and streaming over the stored fact relation."""
+class _RequestValidator:
+    """Request normalization shared by all predictors: fact-feature and
+    FK checks against the resolved join.  Alone, it is the process
+    executor parent's validator, which probes no dimension: building
+    it reads no dimension page."""
 
     def __init__(self, db: Database, spec: JoinSpec) -> None:
         self.resolved = spec.resolve(db)
         # Read once: requests are validated against it on every call,
         # and the layout is rebuilt from the schemas on each access.
         self.d_s = self.resolved.layout.sizes[0]
-        self.lookups = [
-            DimensionLookup(dim.relation, buffer_pool=db.buffer_pool)
-            for dim in self.resolved.dimensions
-        ]
 
     @property
     def num_dimensions(self) -> int:
@@ -181,6 +179,18 @@ class _ServingPredictor:
                 )
             out.append(array)
         return out
+
+
+class _ServingPredictor(_RequestValidator):
+    """Request plumbing shared by all predictors: normalization,
+    dimension lookups, and streaming over the stored fact relation."""
+
+    def __init__(self, db: Database, spec: JoinSpec) -> None:
+        super().__init__(db, spec)
+        self.lookups = [
+            DimensionLookup(dim.relation, buffer_pool=db.buffer_pool)
+            for dim in self.resolved.dimensions
+        ]
 
     def _iter_fact_requests(self):
         """Stream the stored fact relation as (features, fks) requests."""

@@ -227,7 +227,7 @@ class TestVictimOffer:
             cache.get_many(np.array(batch), rows_for)
         keys, ticks, frees = cache.eviction_candidates(5)
         assert keys.tolist() == [7, 8, 3, 5, 6]
-        assert ticks[0] == ticks[1] < ticks[2] < ticks[3] == ticks[4]
+        assert (np.diff(ticks) > 0).all()       # one stamp per row
         assert frees.tolist() == [1] * 5
 
     @pytest.mark.parametrize("width, deficit, rows", [(3, 7, 3), (4, 8, 2)])

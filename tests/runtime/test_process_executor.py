@@ -27,6 +27,7 @@ from repro.data.synthetic import (
 from repro.errors import ModelError
 from repro.fx.shm import SEGMENT_PREFIX
 from repro.join.reference import nested_loop_join
+from repro.storage.catalog import Database
 
 
 @pytest.fixture(autouse=True)
@@ -435,6 +436,30 @@ class TestRegistrationContract:
     def test_unknown_executor_rejected(self, db):
         with pytest.raises(ModelError, match="executor"):
             serve_runtime(db, executor="fiber")
+
+    def test_a_reopened_parent_reads_no_dimension_page(self, tmp_path):
+        """The workers probe the dimensions; the parent only validates
+        request shapes, so registering reads none of a cold dimension's
+        pages there (its primary-key index stays unbuilt)."""
+        path = tmp_path / "db"
+        with Database(path) as db:
+            star = generate_star(db, StarSchemaConfig.binary(
+                n_s=2_000, n_r=5_000, d_s=2, d_r=3, seed=5,
+            ))
+            gmm = fit_gmm(db, star.spec, n_components=2, max_iter=2, seed=1)
+        with Database(path) as db:
+            spec = star.spec
+            (name,) = [dim.relation for dim in spec.dimensions]
+            before = db.stats.reads_for(name)
+            with serve_runtime(
+                db, num_workers=1, max_wait_ms=0.0, executor="process"
+            ) as rt:
+                rt.register_gmm("g", gmm, spec)
+                assert db.stats.reads_for(name) == before
+                assert db[name]._key_index is None
+                outputs = rt.predict("g", *whole_batch(db, spec))
+            expected = gmm.model.predict(nested_loop_join(db, spec).features)
+            np.testing.assert_array_equal(outputs, expected)
 
 
 class TestLifecycleAcrossConfigurations:

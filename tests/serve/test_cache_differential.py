@@ -6,12 +6,15 @@ Random schedules of every public operation drive both caches side by
 side; after every step the returned rows, the full ``CacheStats`` and
 ``Residency`` records, the LRU order of the resident tier and the
 demotion order of the float32 and spill tiers must be identical, and a
-governor sweep must pick the same victims in the same order.  Every
-ladder is drawn — none, ``float32``, ``spill``, both — each cache over
-a spill slab of its own (the oracle spills one row per call, the array
-cache one block per sweep), and the array cache's heap file may never
-hold more rows than were ever spilled at once: freed positions are
-recycled before the file grows.
+governor sweep must be offered the same keys, rank them the same way
+and pick the same victims in the same order.  The offered stamps
+themselves are not compared: the oracle stamps one tick per call, the
+array cache one fresh stamp per row.  Every ladder is drawn — none,
+``float32``, ``spill``, both — each cache over a spill slab of its own
+(the oracle spills one row per call, the array cache one block per
+sweep), and the array cache's heap file may never hold more rows than
+were ever spilled at once: freed positions are recycled before the
+file grows.
 
 One thing the oracle does is not reproduced, on purpose, and the
 schedules steer around it: with repeated keys in one call the oracle
@@ -69,8 +72,9 @@ configurations = st.fixed_dictionaries({
 def reference_sweep(cache, deficit):
     """The parent's ``PartialStore._sweep`` over one cache."""
     pool = cache.eviction_candidates(deficit)
-    offered = [(c.key, c.tick) for c in pool]
+    offered = [c.key for c in pool]
     pool.sort(key=lambda c: c.rank)
+    ranked = [c.key for c in pool]
     victims, freed_total = [], 0
     for candidate in pool:
         freed = cache.evict_if_coldest(candidate.key)
@@ -79,19 +83,18 @@ def reference_sweep(cache, deficit):
             freed_total += freed
             if freed_total >= deficit:
                 break
-    return offered, victims, freed_total
+    return offered, ranked, victims, freed_total
 
 
 def array_sweep(cache, deficit):
     """``PartialStore._sweep`` over one cache."""
     keys, ticks, frees = cache.eviction_candidates(deficit)
-    offered = list(zip(keys.tolist(), ticks.tolist()))
-    rank = np.argsort(ticks, kind="stable")
+    rank = np.argsort(ticks)
     cut = np.searchsorted(np.cumsum(frees[rank]), deficit) + 1
     victims = keys[rank[:cut]]
     rows, freed = cache.evict(victims)
     assert rows == victims.size
-    return offered, victims.tolist(), freed
+    return keys.tolist(), keys[rank].tolist(), victims.tolist(), freed
 
 
 def assert_same_state(new, old):

@@ -12,7 +12,8 @@ worker's message handlers hold framing, not lifecycle logic.  The same goes for
 the partial-cache stack underneath (``TestOneCacheStack``), its one
 memory bound (``TestOneMemoryBound``), its one governor
 (``TestOneGovernor``), its one victim order
-(``TestOneVictimOrder``) and its one lock per cache
+(``TestOneVictimOrder``), its one recency stamp per row
+(``TestOneRecencyStamp``) and its one lock per cache
 (``TestOneLockPerCache``), the cost model both choosers
 call (``TestOneCostModel``), the mixture
 E-step serving, maintenance and training share (``TestOneEStep``),
@@ -484,6 +485,55 @@ class TestOneVictimOrder:
             if isinstance(item, ast.AnnAssign)
         }
         assert fields and not fields & self.OPTION
+
+
+class TestOneRecencyStamp:
+    """A cached row carries one recency stamp, ``SlotTable.tick``, fresh
+    per row from the store's clock: no per-table touch order beside it,
+    no per-call tick, and no running residency counters — residency is
+    read off the tier tables."""
+
+    CACHE = SRC_ROOT / "serve" / "cache.py"
+    REMOVED = {"seq", "_next_seq", "batch_tick"}
+    COUNTERS = {"_compressed_floats", "_spilled_bytes"}
+
+    def test_the_second_stamp_and_the_call_tick_are_gone(self):
+        found = [
+            node.lineno
+            for node in ast.walk(_tree(self.CACHE))
+            if self.REMOVED & {
+                getattr(node, "id", None), getattr(node, "attr", None),
+                getattr(node, "arg", None), getattr(node, "name", None),
+                getattr(node, "value", None)
+                if isinstance(node, ast.Constant) else None,
+            }
+        ]
+        assert found == []
+
+    def test_a_resize_moves_the_key_and_the_stamp(self):
+        (loop,) = [
+            node
+            for node in ast.walk(_method(self.CACHE, "SlotTable", "_resize"))
+            if isinstance(node, ast.For)
+        ]
+        assert ast.literal_eval(loop.iter) == ("key", "tick")
+
+    def test_residency_keeps_no_running_counter(self):
+        (cls,) = [
+            node for node in _tree(self.CACHE).body
+            if isinstance(node, ast.ClassDef) and node.name == "PartialCache"
+        ]
+        assigned = [
+            target.attr
+            for node in ast.walk(cls)
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign))
+            for target in (
+                node.targets if isinstance(node, ast.Assign)
+                else [node.target]
+            )
+            if isinstance(target, ast.Attribute)
+        ]
+        assert assigned and not set(assigned) & self.COUNTERS
 
 
 class TestOneLockPerCache:
