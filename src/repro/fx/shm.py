@@ -68,15 +68,15 @@ SEGMENT_PREFIX = "repro-shm"
 # Per-worker int64 header row (see header_view): the worker store's
 # Residency record, field for field — PartialStore.publish_header
 # writes it as one slice, header_residency reads it back — then the
-# worker's own execution counters.  Compressed float-equivalents are
-# *included* in the floats slot (budget truth); the tier fields let
-# the parent break residency down per tier and export
-# demotion/promotion counters without any IPC.
+# partial rows the worker dropped on dimension updates, the one
+# per-worker count no parent-side record holds (rows and batches are
+# attributed from each EXEC reply's ExecMeta).  Compressed
+# float-equivalents are *included* in the floats slot (budget truth);
+# the tier fields let the parent break residency down per tier and
+# export demotion/promotion counters without any IPC.
 HDR_FLOATS_RESIDENT = Residency._fields.index("floats")
-HDR_ROWS_EXECUTED = len(Residency._fields)
-HDR_BATCHES = HDR_ROWS_EXECUTED + 1
-HDR_INVALIDATED = HDR_ROWS_EXECUTED + 2
-HEADER_FIELDS = HDR_ROWS_EXECUTED + 3
+HDR_INVALIDATED = len(Residency._fields)
+HEADER_FIELDS = HDR_INVALIDATED + 1
 
 _FLOAT_BYTES = 8
 
@@ -273,7 +273,7 @@ def header_nbytes(num_workers: int) -> int:
 def header_residency(row: np.ndarray) -> Residency:
     """The :class:`~repro.serve.cache.Residency` a worker's store last
     published into its header ``row``."""
-    return Residency(*row[:HDR_ROWS_EXECUTED].tolist())
+    return Residency(*row[:HDR_INVALIDATED].tolist())
 
 
 def plan_trims(resident: list[int], budget: int) -> list[int]:

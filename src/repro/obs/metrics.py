@@ -13,19 +13,21 @@ layers that populate it.
 
 Two population mechanisms, deliberately different:
 
-* **owned instruments** — hot paths (the request queue, the batch
-  planner, the training loops) create their instruments once and call
-  ``inc`` / ``set`` / ``observe`` per event.  Mutations take the
-  registry's one lock, so a snapshot of owned instruments is a true
-  point-in-time cut across all of them;
-* **collectors** — components that already maintain locked internal
-  counters (partial caches, the partial store, the buffer pool, I/O
-  stats) register a callback that *samples* that state on demand.
-  Collectors run **outside** the registry lock (a component may call
-  ``inc`` while holding its own lock, so sampling under the registry
-  lock could deadlock); each collector reads its component atomically
-  under the component's own locks, so every sampled stat group is
-  internally consistent.
+* **owned instruments** — only for what no component keeps a record
+  of (per-request counts and latencies, failures, the training
+  loops): hot paths create their instruments once and call ``inc`` /
+  ``set`` / ``observe`` per event.  Mutations take the registry's one
+  lock, so a snapshot of owned instruments is a true point-in-time cut
+  across all of them;
+* **collectors** — components that already keep locked records (the
+  serving books, the queue, partial caches, the partial store, the
+  buffer pool, I/O stats) register a callback that *samples* that
+  state on demand instead of counting it twice.  Collectors run
+  **outside** the registry lock (a component may call ``inc`` while
+  holding its own lock, so sampling under the registry lock could
+  deadlock); each collector reads its component atomically under the
+  component's own locks, so every sampled stat group is internally
+  consistent.
 
 **Disabled mode.**  A registry constructed with ``enabled=False``
 hands out module-level no-op singletons from :func:`counter` /
@@ -52,8 +54,7 @@ HISTOGRAM = "histogram"
 
 # Default bucket ladders.  Latencies span 100µs..10s (request batches
 # at tiny scale land around a millisecond; slow traces in seconds);
-# sizes are power-of-two row counts matching the runtime's batch
-# histogram.
+# sizes are power-of-two row counts (the runtime's batch-size cell).
 LATENCY_BUCKETS_S = (
     0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01,
     0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
@@ -588,26 +589,27 @@ class SampleBuffer:
     def counter(
         self, name: str, value: float, help: str = "", **labels: str
     ) -> None:
-        _validate_name(name)
-        self.samples.append(
-            Sample(
-                name, COUNTER,
-                tuple(sorted((k, str(v)) for k, v in labels.items())),
-                float(value), help,
-            )
-        )
+        self._add(name, COUNTER, float(value), help, labels)
 
     def gauge(
         self, name: str, value: float, help: str = "", **labels: str
     ) -> None:
+        self._add(name, GAUGE, float(value), help, labels)
+
+    def histogram(
+        self, name: str, value: HistogramValue, help: str = "",
+        **labels: str,
+    ) -> None:
+        """A distribution its component keeps in a
+        :class:`HistogramCell` of its own, as that cell's value."""
+        self._add(name, HISTOGRAM, value, help, labels)
+
+    def _add(self, name, kind, value, help, labels) -> None:
         _validate_name(name)
-        self.samples.append(
-            Sample(
-                name, GAUGE,
-                tuple(sorted((k, str(v)) for k, v in labels.items())),
-                float(value), help,
-            )
-        )
+        self.samples.append(Sample(
+            name, kind, tuple(sorted((k, str(v)) for k, v in labels.items())),
+            value, help,
+        ))
 
 
 NULL_REGISTRY = MetricsRegistry(enabled=False)

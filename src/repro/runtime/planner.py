@@ -33,15 +33,20 @@ class PlannerStats:
 
     Dedup bookkeeping lives on :class:`~repro.serve.core.
     RegisteredModel` (every executed batch counts, planned or not);
-    this class only tracks the planner's *decisions*.
+    this class only tracks the planner's *decisions*, and the running
+    cost-model estimates of both paths (their difference: the saving).
     """
 
     decisions: Counter = field(default_factory=Counter)
     recent: list[PlanDecision] = field(default_factory=list)
     recent_limit: int = 64
+    dense_mults: int = 0
+    factorized_mults: int = 0
 
     def record(self, decision: PlanDecision) -> None:
         self.decisions[decision.strategy] += 1
+        self.dense_mults += decision.dense_mults
+        self.factorized_mults += decision.factorized_mults
         self.recent.append(decision)
         if len(self.recent) > self.recent_limit:
             del self.recent[: len(self.recent) - self.recent_limit]

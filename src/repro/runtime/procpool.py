@@ -71,7 +71,6 @@ from repro.errors import ModelError
 from repro.fx.shm import (
     HDR_FLOATS_RESIDENT,
     HDR_INVALIDATED,
-    HDR_ROWS_EXECUTED,
     ShmArena,
     header_nbytes,
     header_residency,
@@ -576,8 +575,9 @@ class ProcessExecutor(ServingCore):
         )
 
     def collect(self, buffer) -> None:
-        """Sample residency and execution counters straight off the
-        shared-memory headers (no IPC from the collector path)."""
+        """Sample residency and invalidation counters straight off the
+        shared-memory headers (no IPC from the collector path); the
+        rows each worker executed are the runtime's ``WorkerStats``."""
         # Parent-side registrations hold no caches (they live in the
         # workers), so this contributes the dedup ratios only.
         self.collect_models(buffer)
@@ -605,12 +605,6 @@ class ProcessExecutor(ServingCore):
                 "repro_worker_shm_floats_resident",
                 int(headers[index, HDR_FLOATS_RESIDENT]),
                 help="Partial floats resident in this worker's store",
-                **labels,
-            )
-            buffer.counter(
-                "repro_worker_rows_executed_total",
-                int(headers[index, HDR_ROWS_EXECUTED]),
-                help="Rows executed by this worker process",
                 **labels,
             )
             buffer.counter(

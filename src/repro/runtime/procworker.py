@@ -44,14 +44,7 @@ import traceback
 import numpy as np
 
 from repro.fx.dedup import distinct_values
-from repro.fx.shm import (
-    HDR_BATCHES,
-    HDR_INVALIDATED,
-    HDR_ROWS_EXECUTED,
-    ShmArena,
-    SlabAllocator,
-    header_view,
-)
+from repro.fx.shm import HDR_INVALIDATED, ShmArena, SlabAllocator, header_view
 from repro.fx.store import PartialStore
 from repro.runtime.procpool import (
     MSG_CRASH,
@@ -149,8 +142,6 @@ class _Worker:
         else:
             out_width = outputs.shape[1]
             out.reshape(payload["rows"], out_width)[:] = outputs
-        self.header[HDR_ROWS_EXECUTED] += payload["rows"]
-        self.header[HDR_BATCHES] += 1
         self.store.publish_header()
         return {
             "out_width": out_width,

@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import Counter
 from concurrent.futures import Future
 from dataclasses import dataclass
 
@@ -91,13 +90,6 @@ _EXECUTORS = {
     THREAD_EXECUTOR: None,
     PROCESS_EXECUTOR: _process_executor,
 }
-
-def _batch_size_bucket(rows: int) -> int:
-    """Power-of-two histogram bucket (upper bound) for a batch size."""
-    bucket = 1
-    while bucket < rows:
-        bucket *= 2
-    return bucket
 
 
 @dataclass(frozen=True)
@@ -177,12 +169,6 @@ class WorkerStats:
     rows: int = 0
     wall_seconds: float = 0.0
 
-    @property
-    def rows_executed(self) -> int:
-        """Rows this worker executed (alias of ``rows``; the name the
-        process-mode observability docs use)."""
-        return self.rows
-
 
 @dataclass
 class RuntimeStats:
@@ -252,8 +238,9 @@ class ServingRuntime(ModelService):
         # registers it.
         self._queue = RequestQueue(self.config.queue_depth)
         self._stats_lock = threading.Lock()
-        self._batches = 0
-        self._batch_histogram: Counter = Counter()
+        # The runtime's books, which /metrics samples: batch sizes (the
+        # count is the batch count) and the process executor's phases.
+        self._batch_rows = HistogramCell(SIZE_BUCKETS)
         self._scatter_latency = HistogramCell(LATENCY_BUCKETS_S)
         self._gather_latency = HistogramCell(LATENCY_BUCKETS_S)
         # One WorkerStats per worker: a dispatcher thread attributes
@@ -296,8 +283,8 @@ class ServingRuntime(ModelService):
         return build(self.db, self.config)
 
     def _make_instruments(self) -> None:
-        """The service's instruments, plus the queue's, the batches'
-        and the planner's."""
+        """The service's instruments, plus the per-request ones no
+        record keeps: completions by op, failures and latencies."""
         super()._make_instruments()
         registry = self.telemetry.registry
         self._m_requests = registry.counter(
@@ -305,20 +292,10 @@ class ServingRuntime(ModelService):
             help="Point requests completed, by model and op",
             labelnames=("model", "op"),
         )
-        self._m_batches = registry.counter(
-            "repro_batches_total",
-            help="Micro-batches executed",
-            labelnames=("model",),
-        )
         self._m_batch_failures = registry.counter(
             "repro_batch_failures_total",
             help="Requests failed during scoring",
             labelnames=("model",),
-        )
-        self._m_batch_rows = registry.histogram(
-            "repro_batch_rows",
-            buckets=SIZE_BUCKETS,
-            help="Rows per executed micro-batch",
         )
         self._m_batch_seconds = registry.histogram(
             "repro_batch_seconds",
@@ -328,33 +305,6 @@ class ServingRuntime(ModelService):
         self._m_queue_wait = registry.histogram(
             "repro_queue_wait_seconds",
             help="Per-request wait from submit to batch claim",
-        )
-        self._m_planner_decisions = registry.counter(
-            "repro_planner_decisions_total",
-            help="Adaptive planner strategy choices",
-            labelnames=("model", "strategy"),
-        )
-        self._m_planner_dense_mults = registry.counter(
-            "repro_planner_dense_mults_total",
-            help="Cost-model multiplications the dense path would pay",
-            labelnames=("model",),
-        )
-        self._m_planner_factorized_mults = registry.counter(
-            "repro_planner_factorized_mults_total",
-            help="Cost-model multiplications the factorized path "
-                 "would pay (cache-discounted)",
-            labelnames=("model",),
-        )
-        # Process-executor phases (never observed in thread mode).
-        self._m_scatter_seconds = registry.histogram(
-            "repro_scatter_seconds",
-            help="Per-batch scatter phase: shared-memory slab writes "
-                 "plus EXEC sends to the RID-affine workers",
-        )
-        self._m_gather_seconds = registry.histogram(
-            "repro_gather_seconds",
-            help="Per-batch gather phase: worker reply waits plus "
-                 "output copies out of the task slabs",
         )
 
     def _collect(self, buffer) -> None:
@@ -366,17 +316,36 @@ class ServingRuntime(ModelService):
         so each group is internally consistent.
         """
         self._queue.collect(buffer)
-        with self._stats_lock:
-            batches = sum(w.batches for w in self._worker_stats)
-            busy = sum(w.wall_seconds for w in self._worker_stats)
+        sizes, scatter, gather, workers = self._books()
+        for name, value, help in (
+            ("repro_batch_rows", sizes, "Rows per executed micro-batch"),
+            # The process executor's phases: thread mode never
+            # observes them, so it exports neither.
+            ("repro_scatter_seconds", scatter,
+             "Per-batch scatter phase: shared-memory slab writes "
+             "plus EXEC sends to the RID-affine workers"),
+            ("repro_gather_seconds", gather,
+             "Per-batch gather phase: worker reply waits plus "
+             "output copies out of the task slabs"),
+        ):
+            if value.count:
+                buffer.histogram(name, value, help=help)
         buffer.counter(
-            "repro_worker_batches_total", batches,
+            "repro_worker_batches_total", sum(w.batches for w in workers),
             help="Batches executed across all workers",
         )
         buffer.counter(
-            "repro_worker_busy_seconds_total", busy,
+            "repro_worker_busy_seconds_total",
+            sum(w.wall_seconds for w in workers),
             help="Accumulated batch execution seconds across workers",
         )
+        for index, worker in enumerate(workers):
+            buffer.counter(
+                "repro_worker_rows_executed_total", worker.rows,
+                help="Rows executed by this worker (dispatcher thread "
+                     "or worker process)",
+                worker=str(index),
+            )
         # Per-model, store and cache series come from the service
         # (store and cache numbers from the core, or the worker headers).
         super()._collect(buffer)
@@ -500,30 +469,14 @@ class ServingRuntime(ModelService):
                     continue
                 request.future.set_exception(error)
             return
+        # The core recorded the batch, the facade counts its requests.
+        registered = self._executor.get(name)   # None once unregistered
+        if registered is not None:
+            registered.stats.add_requests(len(batch))
         self._m_requests.labels(model=name, op=op).inc(len(batch))
-        self._m_batches.labels(model=name).inc()
-        self._m_batch_rows.observe(rows)
         self._m_batch_seconds.labels(model=name).observe(meta.elapsed)
         for request in batch:
             self._m_queue_wait.observe(request.wait_seconds(claimed))
-        for decision in meta.decisions:
-            self._m_planner_decisions.labels(
-                model=name, strategy=decision.strategy
-            ).inc()
-            # The cost-model delta is exported as the two estimates
-            # (both monotone counters); dashboards subtract them — a
-            # signed "saving" series would not be a legal Prometheus
-            # counter.
-            self._m_planner_dense_mults.labels(model=name).inc(
-                decision.dense_mults
-            )
-            self._m_planner_factorized_mults.labels(model=name).inc(
-                decision.factorized_mults
-            )
-        scattered = meta.scatter_seconds is not None
-        if scattered:
-            self._m_scatter_seconds.observe(meta.scatter_seconds)
-            self._m_gather_seconds.observe(meta.gather_seconds)
         # Who did the work: the worker processes the batch was
         # scattered to, else this dispatcher itself.
         attributed = [
@@ -531,9 +484,8 @@ class ServingRuntime(ModelService):
             for worker, sub_rows, seconds in meta.shares
         ] or [(stats, rows, meta.elapsed)]
         with self._stats_lock:
-            self._batches += 1
-            self._batch_histogram[_batch_size_bucket(rows)] += 1
-            if scattered:
+            self._batch_rows.observe(rows)
+            if meta.scatter_seconds is not None:
                 self._scatter_latency.observe(meta.scatter_seconds)
                 self._gather_latency.observe(meta.gather_seconds)
             for worker_stats, sub_rows, seconds in attributed:
@@ -553,6 +505,20 @@ class ServingRuntime(ModelService):
     def planner_stats(self, name: str) -> PlannerStats:
         return self._executor.model(name).planner_stats
 
+    def _books(self):
+        """One cut of the runtime's books, under the stats lock:
+        ``(batch sizes, scatter, gather, [WorkerStats])``."""
+        with self._stats_lock:
+            return (
+                self._batch_rows.value(),
+                self._scatter_latency.value(),
+                self._gather_latency.value(),
+                [
+                    WorkerStats(w.batches, w.rows, w.wall_seconds)
+                    for w in self._worker_stats
+                ],
+            )
+
     def runtime_stats(self) -> RuntimeStats:
         """Snapshot of queue, batch, worker, cache and planner counters.
 
@@ -561,23 +527,20 @@ class ServingRuntime(ModelService):
         worker list covers the worker *processes*, and the scatter /
         gather histograms are populated.
         """
-        with self._stats_lock:
-            histogram = dict(sorted(self._batch_histogram.items()))
-            workers = [
-                WorkerStats(w.batches, w.rows, w.wall_seconds)
-                for w in self._worker_stats
-            ]
-            batches = self._batches
-            scatter = self._scatter_latency.value()
-            gather = self._gather_latency.value()
+        sizes, scatter, gather, workers = self._books()
+        # The batch-size cell's power-of-two bounds; batches past the
+        # top one count under twice it (the open-ended bucket).
+        bounds = [*map(int, sizes.buckets), 2 * int(sizes.buckets[-1])]
         models = self._executor.registry()
         cache_stats, store_stats = self._executor.sample()
         return RuntimeStats(
             queue_depth=self._queue.depth,
             queue_max_depth=self._queue.max_depth_seen,
             requests_enqueued=self._queue.enqueued,
-            batches=batches,
-            batch_size_histogram=histogram,
+            batches=sizes.count,
+            batch_size_histogram={
+                bound: n for bound, n in zip(bounds, sizes.counts) if n
+            },
             batch_close_reasons=dict(self._queue.close_reasons),
             workers=workers,
             planner_decisions={

@@ -144,17 +144,20 @@ def collect_store(
 class ServingStats:
     """Rolling bookkeeping for one registered model.
 
-    Mutation goes through :meth:`record`, which holds an internal lock
-    — concurrent workers (the runtime) fold requests in without losing
-    increments.  Read single fields directly if a torn-but-monotonic
-    value is fine; use :meth:`snapshot` for a consistent multi-field
-    picture (``rows`` and ``requests`` from the same instant).
+    The core folds each executed batch in through :meth:`record`, the
+    facade the requests it served through :meth:`add_requests` (a
+    coalesced micro-batch serves many).  Both hold an internal lock, so
+    concurrent workers (the runtime) lose no increments.  Read single
+    fields directly if a torn-but-monotonic value is fine; use
+    :meth:`snapshot` for a consistent multi-field picture (``rows`` and
+    ``batches`` from the same instant).
     """
 
     requests: int = 0
     rows: int = 0
     wall_seconds: float = 0.0
     io: IOSnapshot = field(default_factory=IOSnapshot)
+    batches: int = 0
     _lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
@@ -162,7 +165,7 @@ class ServingStats:
     def record(
         self, rows: int, seconds: float, io: IOSnapshot | None = None
     ) -> None:
-        """Fold one timed request in, guarding sub-resolution durations.
+        """Fold one timed batch in, guarding sub-resolution durations.
 
         ``seconds`` must come from a monotonic clock
         (``time.perf_counter``); each delta is clamped below by the
@@ -170,11 +173,16 @@ class ServingStats:
         (near-)zero wall time.
         """
         with self._lock:
-            self.requests += 1
+            self.batches += 1
             self.rows += rows
             self.wall_seconds += max(seconds, _MIN_TICK)
             if io is not None:
                 self.io = self.io + io
+
+    def add_requests(self, count: int) -> None:
+        """Count ``count`` requests served by a recorded batch."""
+        with self._lock:
+            self.requests += count
 
     def snapshot(self) -> "ServingStats":
         """A tear-free copy: every field taken under one lock hold."""
@@ -184,6 +192,7 @@ class ServingStats:
                 rows=self.rows,
                 wall_seconds=self.wall_seconds,
                 io=self.io,
+                batches=self.batches,
             )
 
     @property

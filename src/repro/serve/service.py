@@ -30,12 +30,13 @@ import weakref
 
 import numpy as np
 
-from repro.core.strategies import FACTORIZED
+from repro.core.strategies import FACTORIZED, MATERIALIZED
 from repro.errors import ModelError
 from repro.join.spec import JoinSpec
 from repro.obs import as_telemetry
 from repro.serve.cache import CacheStats
 from repro.serve.core import (
+    ADAPTIVE,
     RegisteredModel,
     ServingCore,
     ServingStats,
@@ -118,7 +119,8 @@ class ModelService:
         return ServingCore(self.db, store)
 
     def _make_instruments(self) -> None:
-        """Create the owned (per-event) instruments once.
+        """Create the owned (per-event) instruments once (only what no
+        record keeps; :meth:`_collect` samples the rest).
 
         With telemetry disabled every handle is the shared no-op
         singleton, so the hot path pays one method call per event.
@@ -132,11 +134,6 @@ class ModelService:
         self._m_service_seconds = registry.histogram(
             "repro_service_request_seconds",
             help="Wall seconds of requests served on the caller's thread",
-            labelnames=("model",),
-        )
-        self._m_invalidated_rids = registry.counter(
-            "repro_invalidated_rids_total",
-            help="Cached partial rows dropped by dimension updates",
             labelnames=("model",),
         )
 
@@ -216,6 +213,7 @@ class ModelService:
             "serve.request", model=name, op=op, rows=rows
         ):
             outputs, meta = self._executor.execute(name, op, features, fks)
+        registered.stats.add_requests(1)
         self._m_service_requests.labels(model=name, op=op).inc()
         self._m_service_seconds.labels(model=name).observe(meta.elapsed)
         return outputs
@@ -262,26 +260,31 @@ class ModelService:
 
     def _on_row_version(self, event: RowVersionEvent) -> None:
         """Evict updated RIDs' partials from every cache of every model."""
-        dropped_by_model = self._executor.invalidate(
-            event.relation, event.rids, event.positions
-        )
-        for name, dropped in dropped_by_model.items():
-            if dropped:
-                self._m_invalidated_rids.labels(model=name).inc(dropped)
+        self._executor.invalidate(event.relation, event.rids, event.positions)
 
     # -- bookkeeping -------------------------------------------------------
 
     def _collect(self, buffer) -> None:
-        """Sample per-model serving stats, then the executor's store and
+        """Sample per-model serving books, then the executor's store and
         cache series, into a registry snapshot.
 
         Runs outside the registry lock; each model's group comes from
-        one :meth:`ServingStats.snapshot`, so it is internally
-        consistent.
+        one :meth:`ServingStats.snapshot` and one hold of its lock, so
+        it is internally consistent.
         """
         for name, registered in self._executor.registry().items():
             stats = registered.stats.snapshot()
+            with registered.lock:
+                planner = registered.planner_stats
+                decisions = sorted(planner.decisions.items())
+                dense_mults = planner.dense_mults
+                factorized_mults = planner.factorized_mults
+                invalidated = registered.invalidated_rids
             labels = {"model": name}
+            buffer.counter(
+                "repro_batches_total", stats.batches,
+                help="Batches executed", **labels,
+            )
             buffer.counter(
                 "repro_service_rows_total", stats.rows,
                 help="Rows served, by model", **labels,
@@ -293,6 +296,35 @@ class ModelService:
             buffer.counter(
                 "repro_service_pages_read_total", stats.io.pages_read,
                 help="Heap pages read while serving this model",
+                **labels,
+            )
+            if registered.strategy != MATERIALIZED:
+                buffer.counter(
+                    "repro_invalidated_rids_total", invalidated,
+                    help="Cached partial rows dropped by dimension updates",
+                    **labels,
+                )
+            if registered.strategy != ADAPTIVE:
+                continue
+            for strategy, count in decisions:
+                buffer.counter(
+                    "repro_planner_decisions_total", count,
+                    help="Adaptive planner strategy choices",
+                    strategy=strategy, **labels,
+                )
+            # The cost-model delta is exported as the two estimates
+            # (both monotone counters); dashboards subtract them — a
+            # signed "saving" series would not be a legal Prometheus
+            # counter.
+            buffer.counter(
+                "repro_planner_dense_mults_total", dense_mults,
+                help="Cost-model multiplications the dense path would pay",
+                **labels,
+            )
+            buffer.counter(
+                "repro_planner_factorized_mults_total", factorized_mults,
+                help="Cost-model multiplications the factorized path "
+                     "would pay (cache-discounted)",
                 **labels,
             )
         self._executor.collect(buffer)

@@ -114,10 +114,10 @@ class TestServingStatsSnapshot:
         def reader():
             while not stop.is_set():
                 snap = stats.snapshot()
-                if snap.rows != snap.requests * rows_per_call:
-                    failures.append((snap.requests, snap.rows))
-                if snap.io.pages_read != snap.requests * 2:
-                    failures.append((snap.requests, snap.io.pages_read))
+                if snap.rows != snap.batches * rows_per_call:
+                    failures.append((snap.batches, snap.rows))
+                if snap.io.pages_read != snap.batches * 2:
+                    failures.append((snap.batches, snap.io.pages_read))
 
         pool = [threading.Thread(target=writer) for _ in range(4)] + [
             threading.Thread(target=reader) for _ in range(2)
@@ -137,5 +137,5 @@ class TestServingStatsSnapshot:
         stats.record(rows=3, seconds=0.5)
         snap = stats.snapshot()
         stats.record(rows=3, seconds=0.5)
-        assert snap.requests == 1
-        assert stats.snapshot().requests == 2
+        assert snap.batches == 1
+        assert stats.snapshot().batches == 2

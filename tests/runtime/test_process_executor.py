@@ -236,7 +236,7 @@ class TestConcurrentLoad:
         assert not failures
         assert snapshot.executor == "process"
         # Both worker processes actually executed rows.
-        busy = [w for w in snapshot.workers if w.rows_executed]
+        busy = [w for w in snapshot.workers if w.rows]
         assert len(busy) == 2
 
 
@@ -369,7 +369,7 @@ class TestObservability:
             rt.predict("g", features, fks)
             snapshot = rt.runtime_stats()
         assert snapshot.executor == "process"
-        assert sum(w.rows_executed for w in snapshot.workers) == (
+        assert sum(w.rows for w in snapshot.workers) == (
             features.shape[0]
         )
         # Scatter/gather latency histograms recorded the batch.

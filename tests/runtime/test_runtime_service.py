@@ -274,6 +274,137 @@ class TestBookkeeping:
         assert len(stats) == 1  # one dimension
 
 
+class TestRequestsAndBatches:
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_coalesced_requests_count_once_each(
+        self, db, binary_star, executor
+    ):
+        """16 four-row requests coalesced into one micro-batch are 16
+        requests and one batch of the model's ``ServingStats``."""
+        spec = binary_star.spec
+        gmm = fit_gmm(db, spec, n_components=2, max_iter=2, seed=1)
+        features, fk = a_request(db, spec, n=64)
+        with serve_runtime(
+            db, num_workers=1, max_batch_rows=64, max_wait_ms=500.0,
+            executor=executor,
+        ) as rt:
+            rt.register_gmm("g", gmm, spec)
+            rt.register_gmm("hold", gmm, spec)
+            # A lone request for another model holds the one dispatcher
+            # for its whole linger (max_wait_ms), so the 16 queue up
+            # behind it and leave as one batch of max_batch_rows rows.
+            hold = rt.submit("hold", features[:1], fk[:1])
+            futures = [
+                rt.submit("g", features[i:i + 4], fk[i:i + 4])
+                for i in range(0, 64, 4)
+            ]
+            for future in futures:
+                assert future.result(30.0).shape == (4,)
+            hold.result(30.0)
+            stats = rt.stats("g").snapshot()
+            assert rt.runtime_stats().batch_close_reasons["rows"] == 1
+        assert stats.requests == 16
+        assert stats.batches == 1
+        assert stats.rows == 64
+
+
+def bump_dimension_row(db, rid, delta=5.0):
+    """Shift one R1 row's features in place (a dimension update)."""
+    relation = db["R1"]
+    position = relation.positions_of_keys(np.array([rid]))
+    row = relation.scan()[position[0]].copy()
+    row[1:] += delta           # features only; the key must not change
+    db.update_rows("R1", position, row[None, :])
+
+
+def assert_series_equal_books(rt, names):
+    """Every sampled serving series equals the record it samples."""
+    snap = rt.telemetry.snapshot()
+    stats = rt.runtime_stats()
+    for name in names:
+        assert snap.value("repro_batches_total", model=name) == (
+            rt.stats(name).batches
+        )
+        assert snap.value("repro_invalidated_rids_total", model=name) == (
+            stats.invalidated_rids[name]
+        )
+        planner = rt.planner_stats(name)
+        sampled = {
+            dict(s.labels)["strategy"]: s.value
+            for s in snap.family("repro_planner_decisions_total")
+            if dict(s.labels)["model"] == name
+        }
+        assert sampled == dict(planner.decisions)
+        if rt.model(name).strategy != "adaptive":
+            assert not sampled
+            continue
+        assert sampled == stats.planner_decisions[name]
+        assert snap.value(
+            "repro_planner_dense_mults_total", model=name
+        ) == planner.dense_mults
+        assert snap.value(
+            "repro_planner_factorized_mults_total", model=name
+        ) == planner.factorized_mults
+    assert sum(rt.stats(name).batches for name in names) == stats.batches
+    sizes = snap.value("repro_batch_rows")
+    assert sizes.count == stats.batches
+    assert {
+        int(bound): n for bound, n in zip(sizes.buckets, sizes.counts) if n
+    } == stats.batch_size_histogram
+    for family, record in (
+        ("repro_scatter_seconds", stats.scatter_seconds),
+        ("repro_gather_seconds", stats.gather_seconds),
+    ):
+        if record.count:
+            assert snap.value(family) == record
+        else:           # thread mode never scatters
+            assert snap.family(family) == []
+    for index, worker in enumerate(stats.workers):
+        assert snap.value(
+            "repro_worker_rows_executed_total", worker=str(index)
+        ) == worker.rows
+    return snap
+
+
+class TestMetricsSampleTheBooks:
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_every_sampled_series_equals_its_record(
+        self, db, binary_star, executor
+    ):
+        spec = binary_star.spec
+        gmm = fit_gmm(db, spec, n_components=2, max_iter=2, seed=1)
+        nn = fit_nn(db, spec, hidden_sizes=(6,), epochs=1, seed=1)
+        features, fk = a_request(db, spec, n=64)
+        with serve_runtime(
+            db, num_workers=2, executor=executor, telemetry=True
+        ) as rt:
+            rt.register_gmm("g", gmm, spec)             # adaptive
+            rt.register_nn("n", nn, spec, strategy="factorized")
+
+            def traffic():
+                futures = [
+                    rt.submit(name, features[i:i + 4], fk[i:i + 4])
+                    for i in range(0, 64, 4)
+                    for name in ("g", "n")
+                ]
+                for future in futures:
+                    future.result(30.0)
+
+            traffic()
+            assert_series_equal_books(rt, ("g", "n"))
+            bump_dimension_row(db, int(fk[0]))
+            traffic()
+            assert rt.runtime_stats().invalidated_rids["n"] > 0
+            before_swap = assert_series_equal_books(rt, ("g", "n"))
+            rt.swap_model("g", gmm)
+            rt.swap_model("n", nn)
+            traffic()
+            after_swap = assert_series_equal_books(rt, ("g", "n"))
+            # Every book carried over the swap: no counter stepped back.
+            window = after_swap.delta(before_swap)
+            assert window.value("repro_batches_total", model="g") > 0
+
+
 class TestLifecycle:
     def test_close_is_idempotent_and_rejects_new_work(self, db, binary_star):
         nn = fit_nn(

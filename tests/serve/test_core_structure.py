@@ -20,7 +20,8 @@ E-step serving, maintenance and training share (``TestOneEStep``),
 the update → flush → cold-miss path (``TestAnUpdateCostsWhatItTouches``),
 the request queue's one wake-up per arrival (``TestTargetedWakeUps``),
 the maintainer's own statistics (``TestEachMaintainerOwnsItsStatistics``),
-one set of them for ridge and the mixture (``TestOneSetOfStatistics``)
+one set of them for ridge and the mixture (``TestOneSetOfStatistics``),
+one book per serving count (``TestOneSetOfBooks``)
 and the paper's evaluation as one table (``TestOneEvaluationTable``).
 """
 
@@ -1003,6 +1004,94 @@ class TestOneSetOfStatistics:
             if isinstance(node, ast.Constant)
         }
         assert not kinds & {"linear", "gmm"}
+
+
+class TestOneSetOfBooks:
+    """Each serving count is kept once, in the record ``stats()`` /
+    ``runtime_stats()`` return, and ``/metrics`` samples it: a facade
+    owns an instrument only for what no record holds."""
+
+    OWNED = {
+        SERVICE: {
+            "repro_service_requests_total",
+            "repro_service_request_seconds",
+        },
+        RUNTIME_SERVICE: {
+            "repro_requests_total",
+            "repro_batch_failures_total",
+            "repro_batch_seconds",
+            "repro_queue_wait_seconds",
+        },
+    }
+
+    @staticmethod
+    def _instrument_calls(node: ast.AST) -> list[str]:
+        """Families created by ``<registry>.counter/gauge/histogram``
+        calls under ``node`` (a collector's ``buffer.*`` samples are
+        not instruments)."""
+        return [
+            call.args[0].value if call.args else "?"
+            for call in ast.walk(node)
+            if isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Attribute)
+            and call.func.attr in ("counter", "gauge", "histogram")
+            and _names(call.func.value) != {"buffer"}
+        ]
+
+    @pytest.mark.parametrize(
+        "path, cls",
+        [(SERVICE, "ModelService"), (RUNTIME_SERVICE, "ServingRuntime")],
+        ids=["service", "runtime"],
+    )
+    def test_each_facade_owns_only_what_no_record_holds(self, path, cls):
+        made = self._instrument_calls(
+            _method(path, cls, "_make_instruments")
+        )
+        assert sorted(made) == sorted(self.OWNED[path])
+        # ...and creates no instrument anywhere else in its module.
+        assert len(self._instrument_calls(_tree(path))) == len(made)
+
+    def test_the_dispatcher_calls_no_sampled_instrument(self):
+        used = {
+            name for name in _names(
+                _method(RUNTIME_SERVICE, "ServingRuntime", "_execute")
+            )
+            if name.startswith("_m_")
+        }
+        assert used == {
+            "_m_requests", "_m_batch_failures", "_m_batch_seconds",
+            "_m_queue_wait",
+        }
+
+    def test_the_worker_header_keeps_no_execution_counts(self):
+        defined = {
+            target.id
+            for node in _tree(SRC_ROOT / "fx" / "shm.py").body
+            if isinstance(node, ast.Assign)
+            for target in node.targets
+            if isinstance(target, ast.Name)
+        }
+        assert "HDR_INVALIDATED" in defined
+        assert not defined & {"HDR_BATCHES", "HDR_ROWS_EXECUTED"}
+
+    def test_the_runtime_keeps_one_batch_size_book(self):
+        tree = _tree(RUNTIME_SERVICE)
+        assert not _names(tree) & {
+            "_batch_size_bucket", "_batch_histogram", "_batches",
+            "Counter",
+        }
+        cells = [
+            node for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and _names(node.func) == {"HistogramCell"}
+            and _names(node) & {"SIZE_BUCKETS"}
+        ]
+        assert len(cells) == 1
+
+    def test_a_worker_counts_its_rows_under_one_name(self):
+        from repro.runtime.service import WorkerStats
+
+        assert not hasattr(WorkerStats, "rows_executed")
 
 
 class TestOneEvaluationTable:
