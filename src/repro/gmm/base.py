@@ -1,11 +1,11 @@
 """Shared EM driver for the three GMM training strategies.
 
 Algorithm 1 of the paper runs each EM iteration as three passes over
-the joined data; :func:`run_em` makes them one join walk.  M-GMM, S-GMM
-and F-GMM share that control flow and differ only in (a) where batches
-come from and (b) how the per-batch numeric kernels are evaluated.
-This module holds the control flow; the kernels live in
-:mod:`repro.gmm.engines`.
+the joined data; :func:`run_em` makes them one join walk, one step per
+batch.  M-GMM, S-GMM and F-GMM share that control flow and differ only
+in (a) where batches come from and (b) how the per-batch numeric
+kernels are evaluated.  This module holds the control flow; the kernels
+live in :mod:`repro.gmm.engines`.
 """
 
 from __future__ import annotations
@@ -49,7 +49,8 @@ class EMConfig:
 
 @dataclass
 class GMMFitResult:
-    """Everything a training run produced, for analysis and benchmarks."""
+    """Everything a training run produced, for analysis and benchmarks;
+    ``estep_seconds`` times the walks' steps, ``mstep_seconds`` the rest."""
 
     algorithm: str
     params: GMMParams
@@ -73,9 +74,9 @@ class EMEngine(Protocol):
     """Numeric kernels one strategy plugs into the shared EM driver.
 
     ``batches(pass_index)`` yields the joined data in the strategy's
-    batch representation; the three kernel methods evaluate Eq. 2, the
-    ``µ`` numerator of Eq. 3, and the ``Σ`` numerator of Eq. 4 on one
-    batch.
+    batch representation; ``step_batch`` evaluates Eq. 2 and the
+    numerators of Eq. 3 and Eq. 4 on one batch: ``(Σγ, log-likelihood,
+    Sum_µ, Sum_Σ about centre)``.
     """
 
     n_rows: int
@@ -87,22 +88,7 @@ class EMEngine(Protocol):
     def init_sample(self, max_rows: int) -> np.ndarray:  # pragma: no cover
         ...
 
-    def estep_batch(
-        self,
-        batch,
-        params: GMMParams,
-        precisions: ComponentPrecisions,
-    ) -> tuple[np.ndarray, np.ndarray]:  # pragma: no cover - protocol
-        ...
-
-    def mu_accumulate_batch(
-        self, batch, gamma: np.ndarray
-    ) -> np.ndarray:  # pragma: no cover - protocol
-        ...
-
-    def sigma_accumulate_batch(
-        self, batch, gamma: np.ndarray, means: np.ndarray
-    ) -> np.ndarray:  # pragma: no cover - protocol
+    def step_batch(self, batch, params, precisions, centre):  # pragma: no cover
         ...
 
 
@@ -119,11 +105,11 @@ def run_em(
     telemetry=None,
 ) -> GMMFitResult:
     """Algorithm 1's outer loop, strategy-independent, in one join walk
-    per iteration: each batch's E-step (lines 4–8), ``Sum_µ`` (10–15)
-    and ``Sum_Σ`` about the old means ``c`` (16–21); then ``Σ_k =
-    S_k/N_k − δ_k δ_kᵀ``, ``δ_k = µ_k − c_k``, unless that cancels past
-    :data:`CANCELLATION_LIMIT` and ``Sum_Σ`` is re-walked about ``µ``
-    (``extra["covariance_rewalks"]``).  ``π`` needs no data (line 22).
+    per iteration: each batch's step yields its E-step (lines 4–8),
+    ``Sum_µ`` (10–15) and ``Sum_Σ`` about the old means ``c`` (16–21);
+    then ``Σ_k = S_k/N_k − δ_k δ_kᵀ``, ``δ_k = µ_k − c_k``, unless that
+    cancels past :data:`CANCELLATION_LIMIT` and ``Sum_Σ`` is re-walked
+    about ``µ`` (``extra["covariance_rewalks"]``).  ``π`` needs no data (line 22).
     Convergence is declared when the per-tuple mean log-likelihood
     (Eq. 6) changes by less than ``tol``.
 
@@ -177,16 +163,15 @@ def run_em(
         sigma_sums = np.zeros((config.n_components, d, d))
         for batch in recorder.observed(engine.batches(iteration)):
             tick = time.perf_counter()
-            gamma, batch_ll = engine.estep_batch(batch, params, precisions)
-            log_likelihood += float(batch_ll.sum())
-            tock = time.perf_counter()
-            component_mass += gamma.sum(axis=0)
-            mu_sums += engine.mu_accumulate_batch(batch, gamma)
-            sigma_sums += engine.sigma_accumulate_batch(
-                batch, gamma, params.means
+            mass, batch_ll, mu, sigma = engine.step_batch(
+                batch, params, precisions, params.means
             )
-            estep_seconds += tock - tick
-            mstep_seconds += time.perf_counter() - tock
+            estep_seconds += time.perf_counter() - tick
+            component_mass += mass
+            log_likelihood += batch_ll
+            mu_sums += mu
+            sigma_sums += sigma
+        tick = time.perf_counter()
         if np.any(component_mass <= 0):
             raise ModelError(
                 "a mixture component collapsed to zero mass; "
@@ -199,14 +184,14 @@ def run_em(
             rewalks += 1
             sigma_sums[:] = 0.0
             for batch in recorder.observed(engine.batches(iteration)):
-                gamma, _ = engine.estep_batch(batch, params, precisions)
-                sigma_sums += engine.sigma_accumulate_batch(
-                    batch, gamma, new_means
-                )
+                sigma_sums += engine.step_batch(
+                    batch, params, precisions, new_means
+                )[3]
             shift[:] = 0.0
         sigma_sums /= component_mass[:, None, None]
         sigma_sums -= shift[:, :, None] * shift[:, None, :]
         params = GMMParams(component_mass / n, new_means, sigma_sums)
+        mstep_seconds += time.perf_counter() - tick
 
         history.append(log_likelihood)
         recorder.step_done(time.perf_counter() - iter_tick)

@@ -6,12 +6,12 @@ exact algebraic rearrangement (Eq. 7–24), which is why all three
 algorithms return identical models.
 
 Both also step through the same loop (:func:`repro.gmm.model.tiles`):
-a batch's E-step (:func:`~repro.gmm.model.posteriors`) and M-step sums
-are accumulated over cache-sized row tiles, each tile's work for all
-``K`` components a handful of stacked calls (:mod:`repro.linalg.
-quadform`, :mod:`repro.linalg.outer`).  A dense batch is a design with
-no dimension relation, so the engines differ only in the batch they
-hand that loop — which is the whole of the M-/S-/F- comparison.
+the driver's step (:func:`~repro.gmm.model.em_step`) walks a batch's
+row tiles once, each tile's E-step and M-step sums for all ``K``
+components a handful of stacked calls (:mod:`repro.linalg.quadform`,
+:mod:`repro.linalg.outer`) on one gathered, centred block.  A dense
+batch is a design with no dimension relation, so the engines differ
+only in the batch they hand that loop — the whole M-/S-/F- comparison.
 """
 
 from __future__ import annotations
@@ -19,37 +19,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ModelError
-from repro.gmm.model import posteriors, tiles
+from repro.gmm.model import em_step, mu_sums, posteriors, sigma_sums
 from repro.join.batches import DenseBatch, FactorizedBatch
 from repro.linalg.design import FactorizedDesign
-from repro.linalg.outer import (
-    add_outer_tile,
-    add_sum_tile,
-    finish_outer,
-    finish_sum,
-    zero_sums,
-)
-
-
-def mu_sums(design: FactorizedDesign, gamma: np.ndarray) -> np.ndarray:
-    """``Σₙ γₙₖ xₙ``, ``(K, d)``, tile by tile (Eq. 3's numerator)."""
-    k = gamma.shape[1]
-    sums = zero_sums(design, k, outer=False)
-    for rows in tiles(design.n, k):
-        add_sum_tile(design, gamma, rows, sums)
-    return finish_sum(design, sums)
-
-
-def sigma_sums(
-    design: FactorizedDesign, gamma: np.ndarray, means: np.ndarray
-) -> np.ndarray:
-    """``Σₙ γₙₖ (xₙ−µₖ)(xₙ−µₖ)ᵀ``, ``(K, d, d)``, tile by tile (Eq. 4's
-    numerator; zero ``means`` give the raw second moments)."""
-    k = gamma.shape[1]
-    sums = zero_sums(design, k, outer=True)
-    for rows in tiles(design.n, k * design.tile_width):
-        add_outer_tile(design, means, gamma, rows, sums)
-    return finish_outer(design, means, sums)
 
 
 class _EngineBase:
@@ -100,8 +72,8 @@ def _wide(batch: DenseBatch) -> FactorizedDesign:
     return FactorizedDesign(batch.features, [], [])
 
 
-# Each engine defines the driver's three kernels itself (the e2e tracer
-# wraps them per class); all they choose is the design the tiles read.
+# Each engine defines its step and the three kernels itself (the e2e
+# tracer wraps them per class); all they choose is the design the tiles read.
 
 
 class DenseEMEngine(_EngineBase):
@@ -114,6 +86,9 @@ class DenseEMEngine(_EngineBase):
 
     def _dense_rows(self, batch: DenseBatch, stop: int) -> np.ndarray:
         return batch.features[:stop]
+
+    def step_batch(self, batch: DenseBatch, params, precisions, centre):
+        return em_step(_wide(batch), params, precisions, centre)
 
     def estep_batch(self, batch: DenseBatch, params, precisions):
         return posteriors(_wide(batch), params, precisions)
@@ -142,6 +117,9 @@ class FactorizedEMEngine(_EngineBase):
 
     def _dense_rows(self, batch: FactorizedBatch, stop: int) -> np.ndarray:
         return batch.design.densify(slice(0, stop))
+
+    def step_batch(self, batch: FactorizedBatch, params, precisions, centre):
+        return em_step(batch.design, params, precisions, centre)
 
     def estep_batch(self, batch: FactorizedBatch, params, precisions):
         return posteriors(batch.design, params, precisions)

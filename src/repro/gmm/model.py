@@ -7,10 +7,11 @@ paper [Cheng & Koudas, ICDE 2019].
 
 Inference is one function, :func:`posteriors`: Eq. 2 over the factorized
 quadratic form of Eq. 19, tile by tile with all ``K`` components
-stacked.  The EM engines call it on a training batch, the serving
-predictors on a request (its dimension tables read from a partial
-cache), the maintainer on a delta, and :class:`GaussianMixtureModel`
-on dense rows — a design with no dimension relation.
+stacked.  The serving predictors call it on a request (its dimension
+tables read from a partial cache), the maintainer on a delta, and
+:class:`GaussianMixtureModel` on dense rows — a design with no
+dimension relation.  Training walks the same tiles in :func:`em_step`,
+whose M-step sums read each tile the E-step gathered and centred.
 """
 
 from __future__ import annotations
@@ -22,6 +23,9 @@ import numpy as np
 from repro.errors import ModelError
 from repro.linalg.blocks import TILE_BYTES
 from repro.linalg.design import FactorizedDesign
+from repro.linalg.outer import (
+    add_dimension_walks, add_moment_tile, finish_outer, finish_sum, zero_sums,
+)
 from repro.linalg.quadform import quadform_tables, stacked_quadratic_form
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -170,12 +174,14 @@ def tiles(n: int, width: int):
         yield slice(start, min(start + tile, n))
 
 
-def _log_density_tiles(design, params, precisions, tables, weighted: bool):
-    """Per row tile, the ``(K, t)`` block of ``log N(x | µ_k, Σ_k)``
-    (``weighted``: plus ``log π_k``) — Eq. 1 over Eq. 19, and the one
-    place a mixture meets the stacked kernel.  ``rows`` index the
-    block's columns (a slice, or positions) and the block is the
-    caller's to overwrite."""
+def _log_density_tiles(design, params, precisions, tables, weighted, order=None):
+    """Per tile of ``order`` (storage order without), ``(rows, at, block,
+    log_likelihoods, left, centered)``: fact rows ``at``'s ``(K, t)``
+    ``log N(x | µ_k, Σ_k)``, Eq. 1 over Eq. 19 — the one place a mixture
+    meets the stacked kernel; ``weighted``, plus ``log π_k`` and turned
+    into ``γ`` in place (Eq. 2) beside the rows' log-likelihoods.  The
+    rows' columns left of the last dimension, ``(w, t)``, and those
+    less each ``µ_k`` are gathered once for every kernel of the tile."""
     means, matrices = params.means, precisions.precisions
     if tables is None:
         tables = quadform_tables(design, means, matrices)
@@ -185,16 +191,31 @@ def _log_density_tiles(design, params, precisions, tables, weighted: bool):
     if weighted:
         shift = np.log(params.weights) + shift
     for rows in tiles(design.n, params.n_components * design.tile_width):
-        if rows.stop - rows.start == 1:
+        at = rows if order is None else order[rows]
+        lone = rows.stop - rows.start == 1
+        if lone:
             # A lone row takes BLAS's matrix-vector path and numpy's
             # pairwise reductions, which round differently from the
             # batched ones: scored twice side by side, a tuple gets
             # the same bits alone as inside any batch.
-            rows = np.array([rows.start, rows.start])
-        block = stacked_quadratic_form(design, means, matrices, tables, rows)
+            at = np.repeat(np.r_[at], 2)
+        left = design.left_t(max(design.num_dimensions, 1), at)
+        centered = left - means[:, : len(left), None]
+        block = stacked_quadratic_form(design, centered, matrices, tables, at)
         block *= -0.5
         block += shift[:, None]
-        yield rows, block
+        log_likelihoods = None
+        if weighted:
+            peak = block.max(axis=0)
+            block -= peak
+            np.exp(block, out=block)
+            norm = block.sum(axis=0)
+            block /= norm
+            log_likelihoods = peak + np.log(norm)
+        tile = (at, block, log_likelihoods, left, centered)
+        if lone:        # the first of the two copies
+            tile = (None if a is None else a[..., :1] for a in tile)
+        yield rows, *tile
 
 
 def posteriors(
@@ -214,17 +235,55 @@ def posteriors(
     """
     gamma = np.empty((design.n, params.n_components))
     log_likelihoods = np.empty(design.n)
-    for rows, block in _log_density_tiles(
+    for _, at, block, tile_ll, *_ in _log_density_tiles(
         design, params, precisions, tables, weighted=True
     ):
-        peak = block.max(axis=0)
-        block -= peak
-        np.exp(block, out=block)
-        norm = block.sum(axis=0)
-        block /= norm
-        gamma[rows] = block.T
-        log_likelihoods[rows] = peak + np.log(norm)
+        gamma[at] = block.T
+        log_likelihoods[at] = tile_ll
     return gamma, log_likelihoods
+
+
+def em_step(design: FactorizedDesign, params: GMMParams, precisions, centre):
+    """One batch of Algorithm 1's walk: ``(Σγ, log-likelihood, Sum_µ,
+    Sum_Σ about centre)``, over row tiles of dimension 1's sort order
+    (storage order if none): the E-step's centred tile feeds ``Σγx``,
+    block ``(0,0)`` and dimension 1's grouped sums; ``γ`` stays ``(K,
+    t)``.  Only a later dimension walks again, over a stored ``γ``, and
+    only a ``centre`` other than ``params.means`` is centred twice."""
+    k, q = params.n_components, design.num_dimensions
+    sums = zero_sums(design, k, outer=True)
+    mass, log_likelihood = np.zeros(k), 0.0
+    gamma = np.empty((design.n, k)) if q > 1 else None
+    order = design.groups[0].order if q else None
+    for rows, at, block, tile_ll, left, centered in _log_density_tiles(
+        design, params, precisions, None, True, order
+    ):
+        log_likelihood += float(tile_ll.sum())
+        mass += block.sum(axis=1)
+        if centre is not params.means:
+            centered = left - centre[:, : len(left), None]
+        add_moment_tile(design, 1, rows, block, left, centered, sums)
+        if gamma is not None:
+            gamma[at] = block.T
+    add_dimension_walks(design, gamma, centre, sums, tiles, first=2)
+    return mass, log_likelihood, finish_sum(design, sums), finish_outer(design, centre, sums)
+
+
+def mu_sums(design: FactorizedDesign, gamma: np.ndarray) -> np.ndarray:
+    """``Σₙ γₙₖ xₙ``, ``(K, d)``, tile by tile (Eq. 3's numerator)."""
+    sums = zero_sums(design, gamma.shape[1], outer=False)
+    add_dimension_walks(design, gamma, None, sums, tiles)
+    return finish_sum(design, sums)
+
+
+def sigma_sums(
+    design: FactorizedDesign, gamma: np.ndarray, means: np.ndarray
+) -> np.ndarray:
+    """``Σₙ γₙₖ (xₙ−µₖ)(xₙ−µₖ)ᵀ``, ``(K, d, d)``, tile by tile (Eq. 4's
+    numerator; zero ``means`` give the raw second moments)."""
+    sums = zero_sums(design, gamma.shape[1], outer=True)
+    add_dimension_walks(design, gamma, means, sums, tiles)
+    return finish_outer(design, means, sums)
 
 
 def component_log_densities(
@@ -236,10 +295,10 @@ def component_log_densities(
     """``(n, K)`` values of ``log N(x_n | µ_k, Σ_k)`` — the blocks
     :func:`posteriors` normalizes, before the mixing weights."""
     out = np.empty((design.n, params.n_components))
-    for rows, block in _log_density_tiles(
+    for _, at, block, *_ in _log_density_tiles(
         design, params, precisions, tables, weighted=False
     ):
-        out[rows] = block.T
+        out[at] = block.T
     return out
 
 

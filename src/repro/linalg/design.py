@@ -124,7 +124,7 @@ class FactorizedDesign:
         a stacked kernel holds: the row's mass, its fact columns and
         (multi-way) those of all dimensions but one riding along."""
         widths = [block.shape[1] for block in self.dim_blocks]
-        return 1 + self.d - min(widths, default=0)
+        return 1 + self.fact_block.shape[1] + sum(widths) - min(widths, default=0)
 
     def left_t(self, i: int, at) -> np.ndarray:
         """Fact rows ``at`` (a slice or positions) of the joined columns

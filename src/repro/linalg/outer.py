@@ -19,8 +19,9 @@ Both split exactly along relation boundaries.  For the outer sum the
   ``R_j`` code before the small matrix product.
 
 The kernels are *stacked* and *tiled*: a batch's sums for all ``K``
-components are added up one position range at a time (``add_*_tile``)
-and turned into the result once per batch (``finish_*``).  Dimension
+components are added up one position range at a time (from the tile
+an EM walk's E-step centred) and turned into the result once per batch
+(``finish_*``).  Dimension
 ``R_i`` reads its tile in its own sort order, so one ``reduceat``
 yields the grouped mass and the grouped centered rows of everything
 left of it in the layout — the fact columns and, multi-way, the
@@ -64,60 +65,51 @@ def dense_weighted_outer(
 def zero_sums(design: FactorizedDesign, k: int, outer: bool) -> list[np.ndarray]:
     """Zeroed accumulators of a batch's M-step sums for ``k`` components.
 
-    Entry 0 is the fact block's own — ``Σ γ x_S``, or with ``outer``
-    block ``(0,0)`` of Eq. 23; entry ``i`` is dimension ``R_i``'s
-    ``(k, 1 + L_i, s_i)`` over its ``s_i`` referenced tuples: the
-    grouped mass and, with ``outer``, the grouped weighted centered
-    rows of the ``L_i`` columns left of it.
+    Entry 0 is the fact block's own, ``(k, 1 + d_S·outer, d_S)``: row 0
+    ``Σ γ x_S`` and, with ``outer``, block ``(0,0)`` of Eq. 23 below it;
+    entry ``i`` is dimension ``R_i``'s ``(k, 1 + L_i, s_i)`` over its
+    ``s_i`` referenced tuples: the grouped mass and, with ``outer``, the
+    grouped weighted centered rows of the ``L_i`` columns left of it.
     """
     offsets = design.layout.offsets
     d_s = offsets[1]
-    return [np.zeros((k, d_s, d_s) if outer else (k, d_s))] + [
+    return [np.zeros((k, 1 + d_s * outer, d_s))] + [
         np.zeros((k, 1 + offsets[i] * outer, group.present.size))
         for i, group in enumerate(design.groups, start=1)
     ]
 
 
-def add_sum_tile(design: FactorizedDesign, gamma, rows: slice, sums) -> None:
-    """Eq. 13 / 22 for one position range of ``(n, K)`` ``gamma``: the
-    fact part of ``Σₙ γₙₖ xₙ`` as one product, each dimension's mass
-    ``w_r = Σ_{n→r} γₙₖ`` from its tile of the sort order."""
-    sums[0] += gamma[rows].T @ design.fact_block[rows]
-    for group, mass in zip(design.groups, sums[1:]):
-        weights = take_t(gamma, group.order[rows])
-        group.add_sorted_tile(weights[:, None], rows, mass)
+def add_moment_tile(
+    design: FactorizedDesign, i: int, rows, weights, left, centered, sums
+) -> None:
+    """Dimension ``R_i``'s share of Eq. 13–18 / 22–24 for positions
+    ``rows`` of its sort order (storage order without dimensions), from
+    the tile's ``(K, t)`` ``weights`` and its columns left of ``R_i``,
+    raw (``left``) and less the centre (``centered``; ``None``: ``Σ γ x``
+    alone).  ``Σ γ x_S`` and block ``(0,0)`` (UL, Eq. 15) are one product
+    each, in dimension 1's walk; every dimension contracts its tile per
+    distinct tuple, centering before grouping."""
+    d_s = design.fact_block.shape[1]
+    weighted = weights[:, None]
+    if centered is not None:    # an E-step's tile is wider than L_1 = d_S
+        centered = centered[:, : d_s if i == 1 else None]
+        weighted = np.empty((len(weights), 1 + centered.shape[1], weights.shape[1]))
+        weighted[:, 0] = weights
+        np.multiply(centered, weights[:, None], out=weighted[:, 1:])
+    if i == 1:
+        sums[0][:, 0] += weights @ left[:d_s].T
+        if centered is not None:
+            sums[0][:, 1:] += weighted[:, 1:] @ centered.transpose(0, 2, 1)
+    if design.groups:
+        design.groups[i - 1].add_sorted_tile(weighted, rows, sums[i])
 
 
 def finish_sum(design: FactorizedDesign, sums) -> np.ndarray:
     """``Σₙ γₙₖ xₙ``, ``(K, d)``: the dimension parts run at ``m_i``."""
-    parts = [sums[0]]
+    parts = [sums[0][:, 0]]
     for mass, block, group in zip(sums[1:], design.dim_blocks, design.groups):
         parts.append(mass[:, 0] @ block.take(group.present, axis=0))
     return np.concatenate(parts, axis=1)
-
-
-def add_outer_tile(
-    design: FactorizedDesign, means, gamma, rows: slice, sums
-) -> None:
-    """Eq. 14–18 / 23–24 for one position range of ``(n, K)`` ``gamma``.
-
-    Block ``(0,0)`` (UL, Eq. 15) is irreducibly at fact cardinality:
-    one batched product, taken from the first dimension's tile (the
-    storage-order tile when there is no dimension).  Every dimension
-    contracts its tile per distinct tuple, centering before grouping.
-    """
-    offsets = design.layout.offsets
-    for i, group in enumerate(design.groups or [None], start=1):
-        at = rows if group is None else group.order[rows]
-        weights, width = take_t(gamma, at), offsets[i]
-        centered = design.left_t(i, at) - means[:, :width, None]
-        weighted = np.empty((len(weights), 1 + width, weights.shape[1]))
-        weighted[:, 0] = weights
-        np.multiply(centered, weights[:, None], out=weighted[:, 1:])
-        if i == 1:      # width is d_S here
-            sums[0] += weighted[:, 1:] @ centered.transpose(0, 2, 1)
-        if group is not None:
-            group.add_sorted_tile(weighted, rows, sums[i])
 
 
 def finish_outer(design: FactorizedDesign, means, sums) -> np.ndarray:
@@ -127,7 +119,7 @@ def finish_outer(design: FactorizedDesign, means, sums) -> np.ndarray:
     ``(i,i)`` (LR, Eq. 18), where only the mass depends on the data."""
     layout = design.layout
     out = np.empty((means.shape[0], layout.total, layout.total))
-    out[:, : layout.sizes[0], : layout.sizes[0]] = sums[0]
+    out[:, : layout.sizes[0], : layout.sizes[0]] = sums[0][:, 1:]
     for i, grouped in enumerate(sums[1:], start=1):
         own, left = layout.slice_of(i), slice(0, layout.offsets[i])
         block = design.dim_blocks[i - 1].take(design.groups[i - 1].present, 0)
@@ -138,6 +130,24 @@ def finish_outer(design: FactorizedDesign, means, sums) -> np.ndarray:
         weighted = centered * grouped[:, 0, :, None]
         out[:, own, own] = weighted.transpose(0, 2, 1) @ centered
     return out
+
+
+def add_dimension_walks(design, gamma, centre, sums, tiles, first: int = 1):
+    """Each dimension's walk from ``first`` on over a stored ``(n, K)``
+    ``gamma``, in its own sort order cut into row ranges by ``tiles(n,
+    width)``: its share of ``Σγx`` and, about ``centre`` unless that is
+    ``None``, of ``Sum_Σ``."""
+    for i in range(first, max(design.num_dimensions, 1) + 1):
+        order = design.groups[i - 1].order if design.groups else None
+        for rows in tiles(design.n, gamma.shape[1] * (1 if centre is None else design.tile_width)):
+            at = rows if order is None else order[rows]
+            left = design.left_t(i, at) if i == 1 or centre is not None else None
+            centered = None if centre is None else left - centre[:, : len(left), None]
+            add_moment_tile(design, i, rows, take_t(gamma, at), left, centered, sums)
+
+
+def _one_tile(n: int, width: int) -> list[slice]:
+    return [slice(0, n)]
 
 
 def _as_column(design: FactorizedDesign, weights) -> np.ndarray:
@@ -153,7 +163,7 @@ def factorized_weighted_sum(
     """Eq. 13 / Eq. 22, the per-relation split of ``Σₙ γₙ xₙ``: the
     ``K = 1``, one-tile call of the stacked kernel."""
     sums = zero_sums(design, 1, outer=False)
-    add_sum_tile(design, _as_column(design, weights), slice(0, design.n), sums)
+    add_dimension_walks(design, _as_column(design, weights), None, sums, _one_tile)
     return finish_sum(design, sums)[0]
 
 
@@ -164,7 +174,5 @@ def factorized_weighted_outer(
     the ``K = 1``, one-tile call of the stacked kernel."""
     means = np.asarray(mean, dtype=np.float64)[None]
     sums = zero_sums(design, 1, outer=True)
-    add_outer_tile(
-        design, means, _as_column(design, weights), slice(0, design.n), sums
-    )
+    add_dimension_walks(design, _as_column(design, weights), means, sums, _one_tile)
     return finish_outer(design, means, sums)[0]

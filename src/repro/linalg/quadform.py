@@ -77,23 +77,24 @@ def quadform_tables(
 
 def stacked_quadratic_form(
     design: FactorizedDesign,
-    means: np.ndarray,
+    centered: np.ndarray,
     matrices: np.ndarray,
     tables: list[np.ndarray],
     rows: slice | np.ndarray = slice(None),
 ) -> np.ndarray:
     """``(x−µ_k)ᵀ I_k (x−µ_k)`` for fact rows ``rows`` (a slice, or
-    positions) and every component ``k``: ``(K, t)``, given the batch's
-    :func:`quadform_tables`.
+    positions) and every component ``k``: ``(K, t)``, given those rows'
+    columns left of the last dimension centred about each ``µ_k``
+    (``centered``, ``(K, width, t)``, which the caller gathered once for
+    every kernel of its tile) and the batch's :func:`quadform_tables`.
 
     Block ``(0,0)`` (UL, Eq. 9) is one batched product over the tile —
     irreducibly per fact row; each dimension adds one gather of its
     table.  The pairing of two dimensions varies per fact tuple, so the
     centered rows of all but the last ride along (``width`` columns).
     """
-    layout, last = design.layout, max(design.num_dimensions, 1)
-    d_s, width = layout.sizes[0], layout.offsets[last]
-    centered = design.left_t(last, rows) - means[:, :width, None]
+    layout = design.layout
+    d_s = layout.sizes[0]
     coefficients = np.empty_like(centered)
     np.matmul(
         matrices[:, :d_s, :d_s], centered[:, :d_s], out=coefficients[:, :d_s]
@@ -103,9 +104,16 @@ def stacked_quadratic_form(
     for i, (table, group) in enumerate(zip(tables, design.groups), start=1):
         gathered = table.take(group.codes[rows], axis=0).transpose(1, 2, 0)
         coefficients[:, : layout.offsets[i]] += gathered[:, :-1]
-        constant = constant + gathered[:, -1]
+        constant = gathered[:, -1] if i == 1 else constant + gathered[:, -1]
     coefficients *= centered
     return coefficients.sum(axis=1) + constant
+
+
+def _whole_batch(design: FactorizedDesign, means, matrices) -> np.ndarray:
+    """The stacked kernel over every row of ``design``, in one tile."""
+    left = design.left_t(max(design.num_dimensions, 1), slice(None))
+    tables = quadform_tables(design, means, matrices)
+    return stacked_quadratic_form(design, left - means[:, : len(left), None], matrices, tables)
 
 
 def _as_stack(design: FactorizedDesign, mean, matrix):
@@ -126,9 +134,7 @@ def factorized_quadratic_form(
     ``K = 1`` call of :func:`stacked_quadratic_form`, exactly equal (up
     to float associativity) to ``dense_quadratic_form(design.densify()
     - mean, matrix)``."""
-    means, matrices = _as_stack(design, mean, matrix)
-    tables = quadform_tables(design, means, matrices)
-    return stacked_quadratic_form(design, means, matrices, tables)[0]
+    return _whole_batch(design, *_as_stack(design, mean, matrix))[0]
 
 
 def dense_quadratic_form(centered: np.ndarray, matrix: np.ndarray) -> np.ndarray:
@@ -157,7 +163,5 @@ def binary_quadratic_form_terms(
     masked = np.zeros((4, design.d, design.d))
     for k, (i, j) in enumerate([(fact, fact), (fact, dim), (dim, fact), (dim, dim)]):
         masked[k, i, j] = matrices[0, i, j]
-    means = np.repeat(means, 4, axis=0)
-    tables = quadform_tables(design, means, masked)
-    terms = stacked_quadratic_form(design, means, masked, tables)
+    terms = _whole_batch(design, np.repeat(means, 4, axis=0), masked)
     return dict(zip(("UL", "UR", "LL", "LR"), terms))

@@ -10,7 +10,7 @@ nonlinear contribution:
 
 * :func:`fit_ridge` — closed form via the normal equations: the raw
   ``K = 1``, γ ≡ 1 moments of the mixture's M-step
-  (:func:`~repro.gmm.engines.sigma_sums`, all dimension-dimension
+  (:func:`~repro.gmm.model.sigma_sums`, all dimension-dimension
   blocks at distinct-tuple cardinality) over the design with the target
   as its first fact column — what ``repro.maintain`` keeps current;
 * :func:`fit_logistic` — gradient descent; each pass computes the
@@ -31,7 +31,7 @@ import numpy as np
 from repro.core.strategies import FACTORIZED
 from repro.core.training import open_access
 from repro.errors import ModelError
-from repro.gmm.engines import mu_sums, sigma_sums
+from repro.gmm.model import mu_sums, sigma_sums
 from repro.join.bnl import DEFAULT_BLOCK_PAGES
 from repro.join.spec import JoinSpec
 from repro.linalg.design import FactorizedDesign

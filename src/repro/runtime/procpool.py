@@ -522,8 +522,7 @@ class ProcessExecutor(ServingCore):
         for name, count in dropped.items():
             registered = self.get(name)
             if registered is not None:
-                with registered.lock:
-                    registered.invalidated_rids += count
+                registered.stats.add_invalidated(count)
         return dropped
 
     def sample_stats(self) -> list[dict]:

@@ -146,7 +146,8 @@ class ServingStats:
 
     The core folds each executed batch in through :meth:`record`, the
     facade the requests it served through :meth:`add_requests` (a
-    coalesced micro-batch serves many).  Both hold an internal lock, so
+    coalesced micro-batch serves many), an invalidation the cached rows
+    it dropped through :meth:`add_invalidated`.  All hold one lock, so
     concurrent workers (the runtime) lose no increments.  Read single
     fields directly if a torn-but-monotonic value is fine; use
     :meth:`snapshot` for a consistent multi-field picture (``rows`` and
@@ -158,6 +159,7 @@ class ServingStats:
     wall_seconds: float = 0.0
     io: IOSnapshot = field(default_factory=IOSnapshot)
     batches: int = 0
+    invalidated_rids: int = 0
     _lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
@@ -184,6 +186,10 @@ class ServingStats:
         with self._lock:
             self.requests += count
 
+    def add_invalidated(self, count: int) -> None:
+        with self._lock:
+            self.invalidated_rids += count
+
     def snapshot(self) -> "ServingStats":
         """A tear-free copy: every field taken under one lock hold."""
         with self._lock:
@@ -193,6 +199,7 @@ class ServingStats:
                 wall_seconds=self.wall_seconds,
                 io=self.io,
                 batches=self.batches,
+                invalidated_rids=self.invalidated_rids,
             )
 
     @property
@@ -265,7 +272,6 @@ class RegisteredModel:
     planner_stats: object = field(
         default_factory=lambda: _planner().PlannerStats()
     )
-    invalidated_rids: int = 0
     fk_references: int = 0         # rows × dimensions, accumulated
     fk_distinct: int = 0           # Σ per-batch distinct RIDs
     lock: threading.Lock = field(default_factory=threading.Lock)
@@ -288,6 +294,10 @@ class RegisteredModel:
     def base(self):
         """The predictor used for request normalization."""
         return self.predictor or self.validator
+
+    @property
+    def invalidated_rids(self) -> int:
+        return self.stats.invalidated_rids
 
     @property
     def dedup_ratio(self) -> float:
@@ -356,7 +366,6 @@ class RegisteredModel:
         with predecessor.lock:
             self.stats = predecessor.stats
             self.planner_stats = predecessor.planner_stats
-            self.invalidated_rids = predecessor.invalidated_rids
             self.fk_references = predecessor.fk_references
             self.fk_distinct = predecessor.fk_distinct
         self.carry_cache_counters(predecessor)
@@ -655,8 +664,7 @@ class ServingCore:
                 if dim_name != relation or not registered.caches:
                     continue
                 count = registered.caches[index].invalidate(rids)
-                with registered.lock:
-                    registered.invalidated_rids += count
+                registered.stats.add_invalidated(count)
                 dropped[registered.name] = (
                     dropped.get(registered.name, 0) + count
                 )

@@ -279,7 +279,6 @@ class ModelService:
                 decisions = sorted(planner.decisions.items())
                 dense_mults = planner.dense_mults
                 factorized_mults = planner.factorized_mults
-                invalidated = registered.invalidated_rids
             labels = {"model": name}
             buffer.counter(
                 "repro_batches_total", stats.batches,
@@ -300,7 +299,7 @@ class ModelService:
             )
             if registered.strategy != MATERIALIZED:
                 buffer.counter(
-                    "repro_invalidated_rids_total", invalidated,
+                    "repro_invalidated_rids_total", stats.invalidated_rids,
                     help="Cached partial rows dropped by dimension updates",
                     **labels,
                 )

@@ -28,6 +28,14 @@ def test_smoke(argv, capsys):
         assert " s, cold index " in line and " s, predicted " in line
         if arm != "M":          # the memory budget may rule M out
             assert line.endswith(" s") and "predicted -" not in line
+        if argv[0] == "gmm":    # the EM kernels' share, beside the wall
+            wall, estep, mstep = (
+                float(line.split(label)[1].split(" s, ")[0])
+                for label in ("): ", " s, estep ", " s, mstep ")
+            )
+            assert 0.0 < estep and 0.0 <= mstep and estep + mstep <= wall
+        else:
+            assert "estep" not in line
     assert "tottime" in out
 
 

@@ -197,48 +197,91 @@ class TestTheNNStepIsTiled:
 class TestTheEMStepIsTiled:
     """An EM step's per-row temporaries stay ``(K, width, tile)``: both
     engines walk a batch through the one tile loop (``gmm/model.py``'s
-    ``tiles``, beside the E-step every caller shares), every tile's work
-    for all ``K`` components is stacked (no per-component Python loop
-    over the batch), and no contraction re-searches its path per call."""
+    ``tiles``, beside the E-step every caller shares), ``run_em`` asks
+    each batch for one step — the E-step and both M-step sums off one
+    gather and centering per tile — every tile's work for all ``K``
+    components is stacked (no per-component Python loop over the
+    batch), and no contraction re-searches its path per call."""
 
-    STEPS = ("estep_batch", "mu_accumulate_batch", "sigma_accumulate_batch")
+    #: each engine method (in its own ``__dict__``, where the e2e tracer
+    #: wraps the last three) and the one ``gmm/model.py`` walk it reads
+    STEPS = {
+        "step_batch": "em_step",
+        "estep_batch": "posteriors",
+        "mu_accumulate_batch": "mu_sums",
+        "sigma_accumulate_batch": "sigma_sums",
+    }
+    MODULES = (
+        "gmm/model.py", "gmm/engines.py", "linalg/outer.py",
+        "linalg/quadform.py", "linalg/design.py",
+    )
 
     @staticmethod
     def _tree(module):
         return ast.parse((SRC_ROOT / module).read_text(encoding="utf-8"))
 
+    def _functions(self):
+        """``{(module, qualified name): node}``, methods as
+        ``Class.method``."""
+        found = {}
+        for module in self.MODULES:
+            for top in self._tree(module).body:
+                if isinstance(top, ast.FunctionDef):
+                    found[module, top.name] = top
+                elif isinstance(top, ast.ClassDef):
+                    for item in top.body:
+                        if isinstance(item, ast.FunctionDef):
+                            found[module, f"{top.name}.{item.name}"] = item
+        return found
+
     def test_no_loop_over_the_components(self):
         loops = [
-            ast.unparse(node.iter)
-            for node in ast.walk(self._tree("gmm/engines.py"))
+            where
+            for where, function in self._functions().items()
+            if where[0].startswith("gmm/")
+            for node in ast.walk(function)
             if isinstance(node, ast.For)
             and isinstance(node.iter, ast.Call)
             and getattr(node.iter.func, "id", "") == "range"
             and {"k", "n_components"} & _identifiers(node.iter)
         ]
-        assert loops == []
+        # K Cholesky factorizations of (d, d) parameters: no data row
+        assert loops == [("gmm/model.py", "ComponentPrecisions.__init__")]
 
-    def test_both_engines_step_through_the_one_tile_loop(self):
-        trees = {
-            module: self._tree(module)
-            for module in ("gmm/model.py", "gmm/engines.py")
-        }
-        functions = {
-            (module, node.name): node
-            for module, tree in trees.items()
-            for node in ast.walk(tree)
-            if isinstance(node, ast.FunctionDef)
-        }
-        # one loop that cuts a batch into row ranges, beside the E-step
+    def test_run_em_asks_each_batch_for_one_step(self):
+        run_em = next(
+            node for node in ast.walk(self._tree("gmm/base.py"))
+            if isinstance(node, ast.FunctionDef) and node.name == "run_em"
+        )
+        walks = [
+            node for node in ast.walk(run_em)
+            if isinstance(node, ast.For)
+            and "engine.batches" in ast.unparse(node.iter)
+        ]
+        assert len(walks) == 2      # the walk and the guarded re-walk
+        for walk in walks:
+            calls = [
+                ast.unparse(node.func)
+                for statement in walk.body
+                for node in ast.walk(statement)
+                if isinstance(node, ast.Call)
+                and ast.unparse(node.func).startswith("engine.")
+            ]
+            assert calls == ["engine.step_batch"]
+
+    def test_one_strided_tile_loop(self):
         strided = [
             where
-            for where, function in functions.items()
+            for where, function in self._functions().items()
             for node in ast.walk(function)
             if isinstance(node, ast.Call)
             and getattr(node.func, "id", "") == "range"
             and len(node.args) == 3
         ]
         assert strided == [("gmm/model.py", "tiles")]
+
+    def test_the_tile_walks(self):
+        functions = self._functions()
         tiled = {
             where for where, function in functions.items()
             if any(
@@ -246,31 +289,40 @@ class TestTheEMStepIsTiled:
                 for node in ast.walk(function)
             )
         }
+        # the E-step's walk, and each dimension's over a stored γ
         assert tiled == {
             ("gmm/model.py", "_log_density_tiles"),
-            ("gmm/engines.py", "mu_sums"),
-            ("gmm/engines.py", "sigma_sums"),
+            ("linalg/outer.py", "add_dimension_walks"),
         }
-        # ... which the E-step reads, and nothing but it
-        readers = {
-            name for (_, name), function in functions.items()
-            if "_log_density_tiles" in _identifiers(function) - {name}
-        }
-        assert readers == {"posteriors", "component_log_densities"}
-        classes = {
-            node.name: {
-                item.name: item for item in node.body
-                if isinstance(item, ast.FunctionDef)
+
+        def readers(name):
+            return {
+                where[1] for where, function in functions.items()
+                if name in _identifiers(function) - {where[1]}
             }
-            for node in trees["gmm/engines.py"].body
-            if isinstance(node, ast.ClassDef)
+
+        assert readers("_log_density_tiles") == {
+            "posteriors", "component_log_densities", "em_step",
         }
-        shared = {"posteriors", "mu_sums", "sigma_sums"}
+        assert readers("add_dimension_walks") == {
+            "em_step", "mu_sums", "sigma_sums",
+            "factorized_weighted_sum", "factorized_weighted_outer",
+        }
+        # the step's M-step sums read the E-step's tile, in its loop
+        (loop,) = [
+            node for node in ast.walk(functions["gmm/model.py", "em_step"])
+            if isinstance(node, ast.For)
+            and "_log_density_tiles" in _identifiers(node.iter)
+        ]
+        assert "add_moment_tile" in _identifiers(loop)
+        assert readers("add_moment_tile") == {
+            "em_step", "add_dimension_walks",
+        }
+        walks = set(self.STEPS.values())
         for engine in ("DenseEMEngine", "FactorizedEMEngine"):
-            reached = set()
-            for step in self.STEPS:     # in the engine's own __dict__
-                reached |= _identifiers(classes[engine][step]) & shared
-            assert reached == shared
+            for step, walk in self.STEPS.items():
+                method = functions["gmm/engines.py", f"{engine}.{step}"]
+                assert _identifiers(method) & walks == {walk}
 
     def test_no_einsum_path_search_on_a_training_path(self):
         searched = [

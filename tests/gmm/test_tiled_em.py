@@ -1,10 +1,12 @@
 """An EM step is the sum of its row tiles, all components at once.
 
 Both engines walk a batch through ``repro.gmm.model.tiles`` and hand
-each tile to the stacked kernels of ``repro.linalg``.  The references here
-are the per-component, whole-batch passes the engines made before —
-``for j in range(K)`` around one quadratic form, one weighted sum and
-one weighted outer product — kept test-local.  Tiling and stacking only
+each tile to the stacked kernels of ``repro.linalg``: the driver's step
+(``step_batch``) in one walk whose E-step tile feeds both M-step sums,
+the three traced kernels each in their own.  The references here are
+the per-component, whole-batch passes the engines made before — ``for j
+in range(K)`` around one quadratic form, one weighted sum and one
+weighted outer product — kept test-local.  Tiling and stacking only
 reorder float sums, so everything agrees to a few ulps.
 """
 
@@ -17,25 +19,24 @@ import pytest
 import repro
 from repro.core.training import train
 from repro.gmm.base import EMConfig
+from repro.gmm import model
 from repro.gmm.engines import DenseEMEngine, FactorizedEMEngine
 from repro.gmm.model import (
     ComponentPrecisions,
     GMMParams,
     log_gaussian_from_quadform,
     log_responsibilities,
+    mu_sums,
+    posteriors,
+    sigma_sums,
 )
 from repro.join.batches import DenseBatch, FactorizedBatch
 from repro.linalg.blocks import TILE_BYTES
 from repro.linalg.design import FactorizedDesign
 from repro.linalg.groupsum import GroupIndex
 from repro.linalg.outer import (
-    add_outer_tile,
-    add_sum_tile,
     factorized_weighted_outer,
     factorized_weighted_sum,
-    finish_outer,
-    finish_sum,
-    zero_sums,
 )
 from repro.linalg.quadform import (
     factorized_quadratic_form,
@@ -159,8 +160,11 @@ def reference_outer(design, mean, weights):
     return layout.assemble_matrix(blocks)
 
 
-def reference_step(batch, params, precisions, quadform, weighted_sum, outer):
-    """One batch's E-step and both M-step sums, ``for j in range(K)``."""
+def reference_step(
+    batch, params, precisions, quadform, weighted_sum, outer, centre=None
+):
+    """One batch's E-step and both M-step sums, ``for j in range(K)``;
+    ``Sum_Σ`` about ``centre``, by default the new means."""
     k, d = params.means.shape
     log_gauss = np.empty((batch.n, k))
     for j in range(k):
@@ -171,21 +175,23 @@ def reference_step(batch, params, precisions, quadform, weighted_sum, outer):
     gamma, log_likelihoods = log_responsibilities(log_gauss, params.weights)
     mu = np.stack([weighted_sum(gamma[:, j]) for j in range(k)])
     means = mu / gamma.sum(axis=0)[:, None]
-    sigma = np.stack([outer(means[j], gamma[:, j]) for j in range(k)])
+    centre = means if centre is None else centre
+    sigma = np.stack([outer(centre[j], gamma[:, j]) for j in range(k)])
     return gamma, log_likelihoods, mu, means, sigma
 
 
-def factorized_reference(batch, params, precisions):
+def factorized_reference(batch, params, precisions, centre=None):
     design = batch.design
     return reference_step(
         batch, params, precisions,
         lambda mean, matrix: reference_quadform(design, mean, matrix),
         lambda weights: reference_sum(design, weights),
         lambda mean, weights: reference_outer(design, mean, weights),
+        centre,
     )
 
 
-def dense_reference(batch, params, precisions):
+def dense_reference(batch, params, precisions, centre=None):
     data = batch.features
 
     def quadform(mean, matrix):
@@ -197,7 +203,7 @@ def dense_reference(batch, params, precisions):
         return centered.T @ (weights[:, None] * centered)
 
     return reference_step(
-        batch, params, precisions, quadform, lambda w: w @ data, outer
+        batch, params, precisions, quadform, lambda w: w @ data, outer, centre
     )
 
 
@@ -267,6 +273,62 @@ class TestTilesAddUpToTheSinglePass:
         )
         assert_step_matches(got, want)
 
+    @pytest.mark.parametrize("shifted", [False, True], ids=["means", "shifted"])
+    def test_one_walk_step(self, monkeypatch, codes, length, dims, k, shifted):
+        """``step_batch`` about ``params.means`` (the walk) and about a
+        shifted centre (the re-walk), on q = 0 and on the star."""
+        fact, dense, params, precisions = self._setup(length, dims, k, codes)
+        centre = params.means + 0.75 * shifted
+        for engine, batch, reference, design in (
+            (FactorizedEMEngine, fact, factorized_reference, fact.design),
+            (DenseEMEngine, dense, dense_reference,
+             FactorizedDesign(dense.features, [], [])),
+        ):
+            gamma, log_likelihoods, mu, _, sigma = reference(
+                batch, params, precisions, centre
+            )
+            with monkeypatch.context() as patch:
+                walked = spy_on_the_walk(patch)
+                mass, total, got_mu, got_sigma = engine(
+                    None, params.n_features
+                ).step_batch(batch, params, precisions, centre)
+            assert_close(mass, gamma.sum(axis=0), 1e-10)
+            assert_close(total, log_likelihoods.sum(), 1e-10)
+            assert_close(got_mu, mu, 1e-10)
+            assert_close(got_sigma, sigma, 1e-10)
+            # one tile walk, in dimension 1's sort order (storage order
+            # for q = 0), scoring each row with posteriors' very bits
+            order = design.groups[0].order if design.groups else None
+            at = np.concatenate([tile[1] for tile in walked])
+            np.testing.assert_array_equal(
+                at, np.arange(design.n) if order is None else order
+            )
+            walk_gamma = np.empty((design.n, k))
+            walk_ll = np.empty(design.n)
+            for _, rows, block, tile_ll, _, _ in walked:
+                walk_gamma[rows] = block.T
+                walk_ll[rows] = tile_ll
+            want_gamma, want_ll = posteriors(design, params, precisions)
+            np.testing.assert_array_equal(walk_gamma, want_gamma)
+            np.testing.assert_array_equal(walk_ll, want_ll)
+
+
+def spy_on_the_walk(patch) -> list:
+    """Copies of every tile ``gmm.model._log_density_tiles`` yields."""
+    walked, original = [], model._log_density_tiles
+
+    def spy(*args, **kwargs):
+        for tile in original(*args, **kwargs):
+            walked.append([
+                np.arange(part.start, part.stop) if isinstance(part, slice)
+                else None if part is None else np.array(part)
+                for part in tile
+            ])
+            yield tile
+
+    patch.setattr(model, "_log_density_tiles", spy)
+    return walked
+
 
 @pytest.mark.usefixtures("small_tiles")
 @pytest.mark.parametrize("dims", SHAPES.values(), ids=SHAPES.keys())
@@ -278,8 +340,9 @@ def test_a_step_leaves_its_inputs_alone(dims):
         (DenseEMEngine(None, params.n_features), dense),
     ):
         gamma, _ = engine.estep_batch(batch, params, precisions)
+        centre = params.means + 1.0
         held = [
-            gamma, params.weights, params.means, params.covariances,
+            gamma, centre, params.weights, params.means, params.covariances,
             precisions.precisions, fact.design.fact_block, dense.features,
             *fact.design.dim_blocks,
             *(group.codes for group in fact.design.groups),
@@ -288,6 +351,8 @@ def test_a_step_leaves_its_inputs_alone(dims):
         engine.mu_accumulate_batch(batch, gamma)
         engine.sigma_accumulate_batch(batch, gamma, params.means)
         engine.estep_batch(batch, params, precisions)
+        engine.step_batch(batch, params, precisions, params.means)
+        engine.step_batch(batch, params, precisions, centre)
         for array, copy in zip(held, before):
             np.testing.assert_array_equal(array, copy)
 
@@ -299,27 +364,24 @@ def test_per_component_functions_are_row_zero_of_the_stack(dims):
     params, precisions = mixture(4, design.d, seed=2)
     means, matrices = params.means, precisions.precisions
     gamma = np.random.default_rng(3).dirichlet(np.ones(4), size=design.n)
-    rows = slice(0, design.n)
 
+    left = design.left_t(design.num_dimensions, slice(None))
     quad = stacked_quadratic_form(
-        design, means, matrices, quadform_tables(design, means, matrices)
+        design, left - means[:, : len(left), None], matrices,
+        quadform_tables(design, means, matrices),
     )
-    sums = zero_sums(design, 4, outer=False)
-    add_sum_tile(design, gamma, rows, sums)
-    outer = zero_sums(design, 4, outer=True)
-    add_outer_tile(design, means, gamma, rows, outer)
+    mu, sigma = mu_sums(design, gamma), sigma_sums(design, gamma, means)
     for j in range(4):
         np.testing.assert_allclose(
             factorized_quadratic_form(design, means[j], matrices[j]),
             quad[j], rtol=1e-13,
         )
         np.testing.assert_allclose(
-            factorized_weighted_sum(design, gamma[:, j]),
-            finish_sum(design, sums)[j], rtol=1e-13,
+            factorized_weighted_sum(design, gamma[:, j]), mu[j], rtol=1e-13,
         )
         np.testing.assert_allclose(
             factorized_weighted_outer(design, means[j], gamma[:, j]),
-            finish_outer(design, means, outer)[j], rtol=1e-13, atol=1e-13,
+            sigma[j], rtol=1e-13, atol=1e-13,
         )
 
 
@@ -336,12 +398,20 @@ class TestTheFactBlocksMemoryOrder:
         params, precisions = mixture(self.K, fact.design.d, seed=5)
         engine = FactorizedEMEngine(None, params.n_features)
         gamma, _ = engine.estep_batch(fact, params, precisions)   # warm
+        dense_batch = DenseBatch(fact.sids, fact.design.densify())
+        dense = DenseEMEngine(None, params.n_features)
         peaks = {}
         for name, call in (
             ("estep", lambda: engine.estep_batch(fact, params, precisions)),
             ("mu", lambda: engine.mu_accumulate_batch(fact, gamma)),
             ("sigma", lambda: engine.sigma_accumulate_batch(
                 fact, gamma, params.means
+            )),
+            ("step", lambda: engine.step_batch(
+                fact, params, precisions, params.means
+            )),
+            ("dense step", lambda: dense.step_batch(
+                dense_batch, params, precisions, params.means
             )),
         ):
             tracemalloc.start()
@@ -366,10 +436,16 @@ class TestTheFactBlocksMemoryOrder:
             # not even one whole-batch copy of the fact block
             assert step["sigma"] - tables < whole_block
             assert step["estep"] - tables - retained < whole_block
+            # a q ≤ 1 step keeps γ a (K, t) tile: no (n, K) array at all
+            assert step["step"] - tables < whole_block
+            assert step["dense step"] < self.N * self.K * 8
         for name in ("mu result", "sigma result"):
             np.testing.assert_allclose(
                 steps["C"][name], steps["F"][name], rtol=1e-12
             )
+        for name in ("step result", "dense step result"):
+            for got, want in zip(steps["C"][name], steps["F"][name]):
+                np.testing.assert_allclose(got, want, rtol=1e-12)
         for got, want in zip(steps["C"]["estep result"],
                              steps["F"]["estep result"]):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)

@@ -9,6 +9,7 @@ import pytest
 
 from repro.core.api import fit_nn, predict_nn, serve_runtime
 from repro.errors import StorageError
+from repro.serve.core import RegisteredModel
 
 
 @pytest.fixture(autouse=True)
@@ -161,6 +162,44 @@ class TestConcurrentUpdates:
             db, spec, nn, features, fks, strategy="materialized"
         )
         np.testing.assert_allclose(settled, oracle, rtol=1e-9, atol=1e-9)
+
+
+class TestASwapKeepsItsInvalidations:
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_an_update_between_hand_over_and_flip_counts(
+        self, db, binary_star, monkeypatch, executor
+    ):
+        """The successor takes the books over (``continue_from``) before
+        the registry flips to it: an update landing in between still
+        reaches the retiring generation, and must count on the
+        successor — in its record and in the sampled counter."""
+        spec = binary_star.spec
+        nn = fit_nn(db, spec, hidden_sizes=(6,), epochs=1, seed=1)
+        with serve_runtime(
+            db, num_workers=2, executor=executor, telemetry=True
+        ) as rt:
+            rt.register_nn("n", nn, spec, strategy="factorized")
+            features, fks = warm_request(db, spec)
+            rt.predict("n", features, fks)
+            before = rt.telemetry.snapshot()
+            hand_over = RegisteredModel.continue_from
+
+            def hand_over_then_update(successor, predecessor):
+                hand_over(successor, predecessor)
+                assert rt.model("n") is predecessor      # not flipped yet
+                bump_dimension_row(db, int(fks[0]))
+
+            monkeypatch.setattr(
+                RegisteredModel, "continue_from", hand_over_then_update
+            )
+            successor = rt.swap_model("n", nn)
+            monkeypatch.undo()
+            assert rt.model("n") is successor
+            assert successor.invalidated_rids == 1
+            window = rt.telemetry.snapshot().delta(before)
+            assert window.value(
+                "repro_invalidated_rids_total", model="n"
+            ) == 1
 
 
 class TestCatalogUpdateContract:

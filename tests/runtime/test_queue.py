@@ -423,7 +423,8 @@ class TestWakeUps:
     @staticmethod
     def consumers(queue, count, max_rows, max_wait):
         """``count`` threads each taking one batch; ``join()`` returns
-        ``{thread ident: batch}``."""
+        ``{thread ident: batch}``, ``join(ident, timeout)`` once that
+        one thread has finished."""
         taken = {}
 
         def consume():
@@ -437,10 +438,11 @@ class TestWakeUps:
         for thread in threads:
             thread.start()
 
-        def join():
+        def join(ident=None, timeout=10.0):
             for thread in threads:
-                thread.join(10.0)
-                assert not thread.is_alive()
+                if ident in (None, thread.ident):
+                    thread.join(timeout)
+                    assert not thread.is_alive()
             return taken
 
         return taken, join
@@ -461,7 +463,9 @@ class TestWakeUps:
         for _ in range(10):
             queue.put(a_request(rows=1))
             time.sleep(0.001)
-        wait_until(lambda: lingerer in taken)
+        # Its linger may run to max_wait (5 s) on a loaded host: wait
+        # for the thread itself, well past that.
+        join(lingerer, timeout=15.0)
         assert len(taken[lingerer]) == 11
         # Asleep all along: not one wait() returned to the other.
         assert counting.returns == [lingerer]

@@ -10,7 +10,9 @@ printed next to the arm's cold-index wall — the same fit with the
 database's join index dropped first, so that it pays the recording pass
 a star's first fit pays — and the seconds ``auto`` predicted for that
 arm (``fit.extra["auto"]["predicted_s"]``; none for an arm the memory
-budget rules out).  ``maintain``
+budget rules out); a mixture's wall also with its fit's
+``estep_seconds`` / ``mstep_seconds`` beside it — the share of the
+wall the EM kernels took (see ``GMMFitResult``).  ``maintain``
 times the statistics build over the ``--arm`` GMM fit (``repro.maintain``),
 one 32-row update of the first dimension and its ``flush()``, prints what
 the statistics hold and profiles the same cycle.  cProfile taxes Python
@@ -146,7 +148,11 @@ def main(argv=None) -> None:
         for arm, (seconds, result) in timed.items():
             strategy = auto["chosen"] if arm == "auto" else ARMS[arm]
             predicted = auto["predicted_s"].get(strategy)
-            print(f"{arm:>4} ({result.algorithm}): {seconds:.3f} s, "
+            kernels = "" if args.kind == "nn" else (
+                f"estep {result.fit.estep_seconds:.3f} s, "
+                f"mstep {result.fit.mstep_seconds:.3f} s, "
+            )
+            print(f"{arm:>4} ({result.algorithm}): {seconds:.3f} s, {kernels}"
                   f"cold index {cold[arm]:.3f} s, predicted "
                   + ("-" if predicted is None else f"{predicted:.3f} s"))
         profiler = cProfile.Profile()
