@@ -96,6 +96,27 @@ class EMEngine(Protocol):
 CANCELLATION_LIMIT = 2.0**-26
 
 
+def m_step(mass, mu_sums, sigma_sums, centre, n: int) -> GMMParams | None:
+    """Algorithm 1's closed-form M-step from one walk's sums: ``π = N/n``
+    (line 22), ``µ_k = Sum_µ,k / N_k``, ``Σ_k = S_k/N_k − δ_k δ_kᵀ`` with
+    ``S_k`` taken about ``centre[k]`` and ``δ_k = µ_k − centre[k]`` (raw:
+    ``reg_covar`` enters through the precisions) — ``None`` when that
+    cancels past :data:`CANCELLATION_LIMIT`, so ``S`` must be about ``µ``."""
+    if np.any(mass <= 0):
+        raise ModelError(
+            "a mixture component collapsed to zero mass; "
+            "reduce n_components or change the seed"
+        )
+    means = mu_sums / mass[:, None]
+    shift = means - centre
+    moments = sigma_sums.diagonal(0, 1, 2) / mass[:, None]
+    if np.any(moments - shift**2 < CANCELLATION_LIMIT * moments):
+        return None
+    covariances = sigma_sums / mass[:, None, None]
+    covariances -= shift[:, :, None] * shift[:, None, :]
+    return GMMParams(mass / n, means, covariances)
+
+
 def run_em(
     engine: EMEngine,
     config: EMConfig,
@@ -106,10 +127,9 @@ def run_em(
 ) -> GMMFitResult:
     """Algorithm 1's outer loop, strategy-independent, in one join walk
     per iteration: each batch's step yields its E-step (lines 4–8),
-    ``Sum_µ`` (10–15) and ``Sum_Σ`` about the old means ``c`` (16–21);
-    then ``Σ_k = S_k/N_k − δ_k δ_kᵀ``, ``δ_k = µ_k − c_k``, unless that
-    cancels past :data:`CANCELLATION_LIMIT` and ``Sum_Σ`` is re-walked
-    about ``µ`` (``extra["covariance_rewalks"]``).  ``π`` needs no data (line 22).
+    ``Sum_µ`` (10–15) and ``Sum_Σ`` about the old means (16–21); then
+    :func:`m_step`, unless its correction cancels and ``Sum_Σ`` is
+    re-walked about the new means (``extra["covariance_rewalks"]``).
     Convergence is declared when the per-tuple mean log-likelihood
     (Eq. 6) changes by less than ``tol``.
 
@@ -172,25 +192,17 @@ def run_em(
             mu_sums += mu
             sigma_sums += sigma
         tick = time.perf_counter()
-        if np.any(component_mass <= 0):
-            raise ModelError(
-                "a mixture component collapsed to zero mass; "
-                "reduce n_components or change the seed"
-            )
-        new_means = mu_sums / component_mass[:, None]
-        shift = new_means - params.means
-        moments = sigma_sums.diagonal(0, 1, 2) / component_mass[:, None]
-        if np.any(moments - shift**2 < CANCELLATION_LIMIT * moments):
+        solved = m_step(component_mass, mu_sums, sigma_sums, params.means, n)
+        if solved is None:
             rewalks += 1
+            new_means = mu_sums / component_mass[:, None]
             sigma_sums[:] = 0.0
             for batch in recorder.observed(engine.batches(iteration)):
                 sigma_sums += engine.step_batch(
                     batch, params, precisions, new_means
                 )[3]
-            shift[:] = 0.0
-        sigma_sums /= component_mass[:, None, None]
-        sigma_sums -= shift[:, :, None] * shift[:, None, :]
-        params = GMMParams(component_mass / n, new_means, sigma_sums)
+            solved = m_step(component_mass, mu_sums, sigma_sums, new_means, n)
+        params = solved
         mstep_seconds += time.perf_counter() - tick
 
         history.append(log_likelihood)

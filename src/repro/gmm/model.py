@@ -11,7 +11,8 @@ stacked.  The serving predictors call it on a request (its dimension
 tables read from a partial cache), the maintainer on a delta, and
 :class:`GaussianMixtureModel` on dense rows — a design with no
 dimension relation.  Training walks the same tiles in :func:`em_step`,
-whose M-step sums read each tile the E-step gathered and centred.
+whose M-step sums read each tile the E-step gathered and centred; the
+maintained statistics fold the same walk unfinished (:func:`em_sums`).
 """
 
 from __future__ import annotations
@@ -243,13 +244,14 @@ def posteriors(
     return gamma, log_likelihoods
 
 
-def em_step(design: FactorizedDesign, params: GMMParams, precisions, centre):
-    """One batch of Algorithm 1's walk: ``(Σγ, log-likelihood, Sum_µ,
-    Sum_Σ about centre)``, over row tiles of dimension 1's sort order
-    (storage order if none): the E-step's centred tile feeds ``Σγx``,
-    block ``(0,0)`` and dimension 1's grouped sums; ``γ`` stays ``(K,
-    t)``.  Only a later dimension walks again, over a stored ``γ``, and
-    only a ``centre`` other than ``params.means`` is centred twice."""
+def em_sums(design: FactorizedDesign, params: GMMParams, precisions, centre):
+    """One batch of Algorithm 1's walk, unfinished: ``(Σγ, log-likelihood,
+    the tile sums about centre, γ)``, over row tiles of dimension 1's
+    sort order (storage order if none): the E-step's centred tile feeds
+    ``Σγx``, block ``(0,0)`` and dimension 1's grouped sums; ``γ`` stays
+    ``(K, t)``.  Only a later dimension walks again, over a stored
+    ``(n, K)`` ``γ`` — returned, ``None`` where ``q ≤ 1`` — and only a
+    ``centre`` other than ``params.means`` is centred twice."""
     k, q = params.n_components, design.num_dimensions
     sums = zero_sums(design, k, outer=True)
     mass, log_likelihood = np.zeros(k), 0.0
@@ -266,24 +268,36 @@ def em_step(design: FactorizedDesign, params: GMMParams, precisions, centre):
         if gamma is not None:
             gamma[at] = block.T
     add_dimension_walks(design, gamma, centre, sums, tiles, first=2)
+    return mass, log_likelihood, sums, gamma
+
+
+def em_step(design: FactorizedDesign, params: GMMParams, precisions, centre):
+    """:func:`em_sums` finished: ``(Σγ, log-likelihood, Sum_µ, Sum_Σ
+    about centre)``."""
+    mass, log_likelihood, sums, _ = em_sums(design, params, precisions, centre)
     return mass, log_likelihood, finish_sum(design, sums), finish_outer(design, centre, sums)
+
+
+def moment_sums(design: FactorizedDesign, gamma: np.ndarray, centre) -> list:
+    """One walk per dimension over a given ``(n, K)`` ``gamma``, its tile
+    sums unfinished: ``Σγx`` and, about ``centre`` unless ``None``,
+    ``Σγ(x−c)(x−c)ᵀ``."""
+    sums = zero_sums(design, gamma.shape[1], outer=centre is not None)
+    add_dimension_walks(design, gamma, centre, sums, tiles)
+    return sums
 
 
 def mu_sums(design: FactorizedDesign, gamma: np.ndarray) -> np.ndarray:
     """``Σₙ γₙₖ xₙ``, ``(K, d)``, tile by tile (Eq. 3's numerator)."""
-    sums = zero_sums(design, gamma.shape[1], outer=False)
-    add_dimension_walks(design, gamma, None, sums, tiles)
-    return finish_sum(design, sums)
+    return finish_sum(design, moment_sums(design, gamma, None))
 
 
 def sigma_sums(
     design: FactorizedDesign, gamma: np.ndarray, means: np.ndarray
 ) -> np.ndarray:
     """``Σₙ γₙₖ (xₙ−µₖ)(xₙ−µₖ)ᵀ``, ``(K, d, d)``, tile by tile (Eq. 4's
-    numerator; zero ``means`` give the raw second moments)."""
-    sums = zero_sums(design, gamma.shape[1], outer=True)
-    add_dimension_walks(design, gamma, means, sums, tiles)
-    return finish_outer(design, means, sums)
+    numerator)."""
+    return finish_outer(design, means, moment_sums(design, gamma, means))
 
 
 def component_log_densities(

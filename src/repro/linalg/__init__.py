@@ -10,12 +10,7 @@ weighted sums and outer products of Eq. 13–18/22–24.
 from repro.linalg.blocks import BlockLayout
 from repro.linalg.design import FactorizedDesign
 from repro.linalg.groupsum import GroupIndex, codes_for_keys
-from repro.linalg.outer import (
-    dense_weighted_outer,
-    dense_weighted_sum,
-    factorized_weighted_outer,
-    factorized_weighted_sum,
-)
+from repro.linalg.outer import dense_weighted_outer, dense_weighted_sum
 from repro.linalg.quadform import (
     binary_quadratic_form_terms,
     dense_quadratic_form,
@@ -42,8 +37,6 @@ __all__ = [
     "factorized_mean",
     "factorized_moments",
     "factorized_quadratic_form",
-    "factorized_weighted_outer",
-    "factorized_weighted_sum",
     "merge_moments",
     "standardize",
 ]

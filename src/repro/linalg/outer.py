@@ -144,35 +144,3 @@ def add_dimension_walks(design, gamma, centre, sums, tiles, first: int = 1):
             left = design.left_t(i, at) if i == 1 or centre is not None else None
             centered = None if centre is None else left - centre[:, : len(left), None]
             add_moment_tile(design, i, rows, take_t(gamma, at), left, centered, sums)
-
-
-def _one_tile(n: int, width: int) -> list[slice]:
-    return [slice(0, n)]
-
-
-def _as_column(design: FactorizedDesign, weights) -> np.ndarray:
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != (design.n,):
-        raise ModelError(f"weights shape {weights.shape} != ({design.n},)")
-    return weights[:, None]
-
-
-def factorized_weighted_sum(
-    design: FactorizedDesign, weights: np.ndarray
-) -> np.ndarray:
-    """Eq. 13 / Eq. 22, the per-relation split of ``Σₙ γₙ xₙ``: the
-    ``K = 1``, one-tile call of the stacked kernel."""
-    sums = zero_sums(design, 1, outer=False)
-    add_dimension_walks(design, _as_column(design, weights), None, sums, _one_tile)
-    return finish_sum(design, sums)[0]
-
-
-def factorized_weighted_outer(
-    design: FactorizedDesign, mean: np.ndarray, weights: np.ndarray
-) -> np.ndarray:
-    """Eq. 14–18 / Eq. 23–24, ``Σₙ γₙ (xₙ−µ)(xₙ−µ)ᵀ`` block by block:
-    the ``K = 1``, one-tile call of the stacked kernel."""
-    means = np.asarray(mean, dtype=np.float64)[None]
-    sums = zero_sums(design, 1, outer=True)
-    add_dimension_walks(design, _as_column(design, weights), means, sums, _one_tile)
-    return finish_outer(design, means, sums)[0]

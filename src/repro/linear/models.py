@@ -8,11 +8,13 @@ baselines are included both for completeness of the reproduction and
 because they exercise the same factorized primitives as the paper's
 nonlinear contribution:
 
-* :func:`fit_ridge` — closed form via the normal equations: the raw
-  ``K = 1``, γ ≡ 1 moments of the mixture's M-step
-  (:func:`~repro.gmm.model.sigma_sums`, all dimension-dimension
-  blocks at distinct-tuple cardinality) over the design with the target
-  as its first fact column — what ``repro.maintain`` keeps current;
+* :func:`fit_ridge` — closed form via the normal equations: the
+  ``K = 1``, γ ≡ 1 moments of the mixture's M-step over the design with
+  the target as its first fact column, summed in one walk per batch
+  about the first batch's means (all dimension-dimension blocks at
+  distinct-tuple cardinality) and solved through the mixture's own
+  M-step (:func:`~repro.gmm.base.m_step`), so no raw ``XᵀX`` cancels at
+  large offsets — the walk ``repro.maintain`` folds and keeps current;
 * :func:`fit_logistic` — gradient descent; each pass computes the
   margin ``Xw`` factorized (one product per distinct dimension tuple)
   and the gradient ``Xᵀ(p − y)`` with grouped contractions.
@@ -31,10 +33,13 @@ import numpy as np
 from repro.core.strategies import FACTORIZED
 from repro.core.training import open_access
 from repro.errors import ModelError
-from repro.gmm.model import mu_sums, sigma_sums
+from repro.gmm.base import m_step
+from repro.gmm.model import moment_sums
 from repro.join.bnl import DEFAULT_BLOCK_PAGES
 from repro.join.spec import JoinSpec
 from repro.linalg.design import FactorizedDesign
+from repro.linalg.outer import finish_outer, finish_sum
+from repro.linalg.stats import factorized_mean
 from repro.storage.catalog import Database
 
 
@@ -88,8 +93,8 @@ def _gradient(
 
 
 def with_target(design: FactorizedDesign, targets) -> FactorizedDesign:
-    """``design`` with ``targets`` as its first fact column: the raw
-    moments of ``[y | x]`` hold ``Xᵀy`` beside ``XᵀX``."""
+    """``design`` with ``targets`` as its first fact column: the moments
+    of ``[y | x]`` hold ``Xᵀy`` beside ``XᵀX``."""
     targets = np.asarray(targets, dtype=np.float64).ravel()
     if targets.size != design.n:
         raise ModelError(f"{design.n} rows but {targets.size} targets")
@@ -99,19 +104,30 @@ def with_target(design: FactorizedDesign, targets) -> FactorizedDesign:
     )
 
 
-def ridge_solution(n: int, sums, outer, alpha: float):
-    """``(weights, intercept)`` of ``(XᵀX + αI) w = Xᵀy`` from the raw
-    moments of :func:`with_target`'s design (``sums = [Σy | Σx]``,
-    ``outer = [y | X]ᵀ[y | X]``), with the intercept handled by
-    centering (``XᵀX`` is corrected analytically, never recomputed)."""
-    mean = sums[1:] / n
-    target_mean = sums[0] / n
-    centered_gram = outer[1:, 1:] - n * np.outer(mean, mean)
-    centered_cross = outer[0, 1:] - n * mean * target_mean
+def ridge_sums(design: FactorizedDesign, targets, centre):
+    """One batch's ``[y | x]`` design, the centre of its walk — ``centre``,
+    or the batch's own column means when that is ``None`` — and the
+    unfinished tile sums of one unit-weight walk about it
+    (:func:`~repro.gmm.model.moment_sums`, ``K = 1``, γ ≡ 1)."""
+    design = with_target(design, targets)
+    if centre is None:
+        centre = factorized_mean(design)[None]
+    return design, centre, moment_sums(design, np.ones((design.n, 1)), centre)
+
+
+def ridge_solution(n: int, sums, outer, alpha: float, centre):
+    """``(weights, intercept)`` of ``(XcᵀXc + αI) w = Xcᵀyc`` from the
+    moments of :func:`with_target`'s design (``sums = [Σy | Σx]``, ``outer``
+    about ``centre``) through the ``K = 1`` M-step (:func:`~repro.gmm.base.
+    m_step`), so no raw ``XᵀX`` cancels; ``None`` where its correction does."""
+    moments = m_step(np.array([float(n)]), sums[None], outer[None], centre[None], n)
+    if moments is None:
+        return None
+    mean, scatter = moments.means[0], n * moments.covariances[0]
     weights = np.linalg.solve(
-        centered_gram + alpha * np.eye(mean.size), centered_cross
+        scatter[1:, 1:] + alpha * np.eye(mean.size - 1), scatter[0, 1:]
     )
-    return weights, float(target_mean - mean @ weights)
+    return weights, float(mean[0] - mean[1:] @ weights)
 
 
 def fit_ridge(
@@ -122,7 +138,8 @@ def fit_ridge(
     block_pages: int = DEFAULT_BLOCK_PAGES,
 ) -> LinearModel:
     """Ridge regression over the star join via factorized normal
-    equations (:func:`ridge_solution`)."""
+    equations: one walk per batch about the first batch's means
+    (:func:`ridge_sums`), then :func:`ridge_solution`."""
     if alpha < 0:
         raise ModelError(f"alpha must be non-negative, got {alpha}")
     start = time.perf_counter()
@@ -130,18 +147,18 @@ def fit_ridge(
         if not access.has_target:
             raise ModelError("ridge regression requires a TARGET column")
         d = access.resolved.total_features + 1
-        sums = np.zeros((1, d))
-        outer = np.zeros((1, d, d))
-        n = 0
+        sums, outer, n, centre = np.zeros((1, d)), np.zeros((1, d, d)), 0, None
         for batch in access.batches():
-            design = with_target(batch.design, batch.targets)
-            ones = np.ones((design.n, 1))
-            sums += mu_sums(design, ones)
-            outer += sigma_sums(design, ones, np.zeros((1, d)))
+            design, centre, tiles = ridge_sums(batch.design, batch.targets, centre)
+            sums += finish_sum(design, tiles)
+            outer += finish_outer(design, centre, tiles)
             n += design.n
     if n == 0:
         raise ModelError("the join produced no tuples")
-    weights, intercept = ridge_solution(n, sums[0], outer[0], alpha)
+    solution = ridge_solution(n, sums[0], outer[0], alpha, centre[0])
+    if solution is None:
+        raise ModelError("the first batch is too small a share of the join to centre on")
+    weights, intercept = solution
     return LinearModel(
         weights=weights,
         intercept=intercept,

@@ -23,11 +23,12 @@ events become a new fit: ``"eager"`` applies on every event,
 ``"batched"`` coalesces bursts until the oldest pending event ages past
 ``max_staleness`` (or ``max_pending`` events pile up), ``"manual"``
 waits for an explicit :meth:`ModelMaintainer.flush`.  Accumulated
-statistic drift past ``drift_bound`` — and any change no delta covers —
-falls back to a full deterministic refit, which re-anchors the
-maintained fit bit-exactly on what a from-scratch fit would produce
-(the parity suite's contract; ``docs/maintenance.md`` tabulates
-exactness per path).
+statistic drift past ``drift_bound`` — and any change no delta covers,
+or a solve whose centring correction cancels (the rows moved far from
+the statistics' centre) — falls back to a full deterministic refit,
+which re-anchors the maintained fit bit-exactly on what a from-scratch
+fit would produce (the parity suite's contract; ``docs/maintenance.md``
+tabulates exactness per path).
 """
 
 from __future__ import annotations
@@ -164,7 +165,7 @@ class ModelMaintainer:
         ).labels(model=name)
         self._m_refits = registry.counter(
             "repro_maintain_refits_total",
-            help="Full refits forced by drift or uncovered changes",
+            help="Full refits forced by drift, uncovered changes or a cancelling solve",
             labelnames=("model",),
         ).labels(model=name)
         self._m_staleness = registry.gauge(
@@ -206,8 +207,7 @@ class ModelMaintainer:
 
         self._stats = None
         if self.kind == "linear":
-            self._stats = self._build_stats()
-            self._model = self._stats.solve()
+            self._solve_fresh_linear()
         elif self.kind == "gmm":
             if model is None:
                 raise ModelError(
@@ -445,26 +445,38 @@ class ModelMaintainer:
         """Turn the maintained state into the next served fit.
 
         Returns whether the refresh was a full refit (forced by an
-        uncovered change or by drift past the policy bound).
+        uncovered change, by drift past the policy bound, or by a solve
+        whose centring correction cancels).
         """
-        drift = self.drift
-        if self._needs_refit or drift > self.policy.drift_bound:
-            self._full_refit()
-            return True
-        if self._stats is not None:     # NN: SGD steps already landed
-            self._model = self._solved()
-        return False
+        if not self._needs_refit and self.drift <= self.policy.drift_bound:
+            if self._stats is None:     # NN: SGD steps already landed
+                return False
+            solved = self._solved()
+            if solved is not None:      # None: the solve cancelled
+                self._model = solved
+                return False
+        self._full_refit()
+        return True
 
     def _solved(self):
-        """The statistics' solve, as the fit the targets serve."""
+        """The statistics' solve, as the fit the targets serve (``None``
+        when its centring correction cancels)."""
         solved = self._stats.solve()
-        if self.kind == "gmm":
+        if self.kind == "gmm" and solved is not None:
             from repro.gmm.model import GaussianMixtureModel
 
             return GaussianMixtureModel(
                 solved, reg_covar=self._em_config.reg_covar
             )
         return solved
+
+    def _solve_fresh_linear(self) -> None:
+        """Ridge statistics over the current rows, and their solve."""
+        self._stats = None      # free the old before building the new
+        self._stats = self._build_stats()
+        self._model = self._solved()
+        if self._model is None:
+            raise ModelError("the first batch is too small a share of the join to centre on")
 
     def _full_refit(self) -> None:
         """A deterministic from-scratch refit — the same computation the
@@ -475,9 +487,7 @@ class ModelMaintainer:
         self._m_refits.inc()
         self._needs_refit = False
         if self.kind == "linear":
-            self._stats = None      # free the old before building the new
-            self._stats = self._build_stats()
-            self._model = self._stats.solve()
+            self._solve_fresh_linear()
         elif self.kind == "gmm":
             result = fit_gmm(
                 self.db, self.spec, algorithm="factorized",

@@ -11,28 +11,23 @@ per-RID groupsums — no rescan of the fact relation (Civek et al.'s
 online second-order regression is the reference, see PAPERS.md).
 
 One statistics object, :class:`SuffStats`, holds the weighted moments
-``(N_k, Σwx, Σwxxᵀ)`` and the per-RID aggregates, and applies every
-delta; a kind contributes only its weights and its solve:
+about a fixed centre and the per-RID aggregates, folds one walk per
+batch and applies every delta; a kind contributes only its walk and its
+solve, both the training ones:
 
-* :class:`LinearSuffStats` — ridge is the ``K = 1``, γ ≡ 1 case with
-  the target carried as the first fact column, so the moments hold the
-  normal equations ``(XᵀX, Xᵀy, Σx, Σy, n)`` and every delta is exact.
-  ``solve()`` is :func:`repro.linear.models.fit_ridge`'s closed form.
-* :class:`GMMSuffStats` — the weights are the responsibilities γ at
-  the fitted parameters, held *frozen* under a dimension delta; one
-  M-step re-solve yields updated parameters.  This is a first-order
-  approximation (γ would shift under a full refit), so the maintainer
-  tracks accumulated drift and falls back to a deterministic cold
-  refit past a bound.
+* :class:`LinearSuffStats` — ridge, the ``K = 1``, γ ≡ 1 case with the
+  target as the first fact column: every delta is exact, and walk and
+  solve are :func:`~repro.linear.models.fit_ridge`'s.
+* :class:`GMMSuffStats` — γ at the fitted parameters, held *frozen*
+  under a dimension delta; the walk is ``run_em``'s and the solve its
+  M-step, a first-order approximation of a refit (γ would shift), so
+  the maintainer tracks drift and refits past a bound.
 
-Appended fact rows fold in as one more batch under the kind's weights
-(exact accumulation for ridge, one E-step for the mixture).  All
-per-batch grouped reductions run through the access path's
-:class:`~repro.fx.dedup.DedupPlan`, the same dedup machinery training
-and serving share — two dimensions' co-occurrence included: a batch's
-RID *pairs* are one more FK column (:class:`PairTable`), so a
-dimension pair retains what the fact rows reference (``≤ n`` pairs),
-never ``m_i · m_j`` cells.
+A solve whose centring cancels (rows moved far from the centre) returns
+``None``, and the maintainer refits.  A batch's RID *pairs* go through
+the access path's :class:`~repro.fx.dedup.DedupPlan` like one more FK
+column (:class:`PairTable`), so a dimension pair retains what the fact
+rows reference (``≤ n`` pairs), never ``m_i · m_j`` cells.
 """
 
 from __future__ import annotations
@@ -43,15 +38,15 @@ from repro.core.strategies import FACTORIZED
 from repro.core.training import open_access
 from repro.errors import ModelError
 from repro.fx.dedup import DedupPlan
-from repro.gmm.base import EMConfig
-from repro.gmm.engines import mu_sums, sigma_sums
-from repro.gmm.model import ComponentPrecisions, GMMParams, posteriors
+from repro.gmm.base import EMConfig, m_step
+from repro.gmm.model import ComponentPrecisions, GMMParams, em_sums
 from repro.join.bnl import DEFAULT_BLOCK_PAGES
 from repro.join.spec import JoinSpec
 from repro.linalg.blocks import BlockLayout
 from repro.linalg.design import FactorizedDesign
 from repro.linalg.groupsum import KeyIndex
-from repro.linear.models import LinearModel, ridge_solution, with_target
+from repro.linalg.outer import finish_outer, finish_sum
+from repro.linear.models import LinearModel, ridge_solution, ridge_sums
 from repro.storage.catalog import Database
 
 _EPS = 1e-12
@@ -140,12 +135,13 @@ class PairTable:
         self._unmerged.append(_reduced(left << _ROW_BITS | right, mass))
         self._by_right = None
 
-    def coupled(self, side: int, rows: np.ndarray, features) -> np.ndarray:
-        """``out[u] = Σ_s mass[(rows[u], s)] ⊗ features[s]`` over the
-        partners ``s`` the fact rows pair ``rows[u]`` with, shape
-        ``(len(rows), width, d)``.  ``rows`` index the left dimension
-        (``side`` 0) or the right one; either way a binary search per
-        row finds its pairs, nothing is scanned."""
+    def coupled(self, side: int, rows: np.ndarray, features, centre) -> np.ndarray:
+        """``out[u, k] = Σ_s mass[(rows[u], s), k] · (features[s] −
+        centre[k])`` over the partners ``s`` the fact rows pair
+        ``rows[u]`` with, shape ``(len(rows), width, d)``.  ``rows``
+        index the left dimension (``side`` 0) or the right one; either
+        way a binary search per row finds its pairs, nothing is
+        scanned."""
         if self._unmerged:
             keys, mass = zip((self.keys, self.mass), *self._unmerged)
             self.keys, self.mass = _reduced(
@@ -172,7 +168,7 @@ class PairTable:
         out = np.zeros((rows.size, self.mass.shape[1], features.shape[1]))
         referenced = counts > 0         # an empty run has nothing to reduce
         out[referenced] = np.add.reduceat(
-            self.mass[hits][:, :, None] * features[partners][:, None, :],
+            self.mass[hits][:, :, None] * (features[partners][:, None, :] - centre),
             starts[referenced], axis=0,
         )
         return out
@@ -188,33 +184,37 @@ class SuffStats:
     """The maintained moments of one factorized fit, and the per-RID
     aggregates that replay a dimension-row delta without a rescan.
 
-    Per weight column ``k``: the mass ``N_k``, ``Σ w x`` and the raw
-    second moments ``Σ w x xᵀ`` (the ``(q+1)²`` block grid).  A kind
-    supplies only its weight source (:meth:`_weighted`: the batch's
-    design as folded and its ``(n, K)`` weights) and :meth:`solve`.
+    Per weight column ``k``: the mass ``N_k``, ``Σ w x`` and the second
+    moments ``Σ w (x−c_k)(x−c_k)ᵀ`` about :attr:`centre` (the ``(q+1)²``
+    block grid), each batch's unfinished tile sums finished by the
+    training kernels.  A kind supplies only its walk (:meth:`_walk`)
+    and :meth:`solve`.
 
     ``dim_index[i]`` (the relation's key index at build time, so heap
     order) fixes the index space of every per-RID array for dimension
     ``i``: row ``r`` of ``dim_features[i]`` is the feature vector of
-    the key it places at ``r``.  ``pairs[(i, j)]`` (only ``i < j``
-    stored) holds the weight mass of the fact rows referencing RID pair
+    the key it places at ``r``; ``mass[i]`` and ``fact_mass[i]`` hold
+    the referencing fact rows' ``Σ w`` and ``Σ w (x_S − c_S)``, read off
+    the walk's grouped sums.  ``pairs[(i, j)]`` (only ``i < j`` stored)
+    holds the weight mass of the fact rows referencing RID pair
     ``(r, s)`` — the coupling of the off-diagonal blocks.
     :attr:`drift` accumulates the moments' relative movement since the
     build, so a maintainer can force a cold refit past a bound.
     """
 
-    #: fact columns the weight source puts before ``x_S``
+    #: fact columns the walk puts before ``x_S``
     lead = 0
 
-    def __init__(self, spec: JoinSpec, resolved, width: int) -> None:
+    def __init__(self, spec: JoinSpec, resolved, width: int, centre) -> None:
         sizes = resolved.layout.sizes
         self.spec = spec
         self.resolved = resolved
         self.layout = BlockLayout((sizes[0] + self.lead, *sizes[1:]))
         d, d_s = self.layout.total, self.layout.sizes[0]
+        self.centre = centre                       # (K, d), or set by _walk
         self.counts = np.zeros(width)              # (K,) weight masses N_k
         self.comp_sum = np.zeros((width, d))       # (K, d) Σ w x
-        self.comp_outer = np.zeros((width, d, d))  # (K, d, d) Σ w x xᵀ
+        self.comp_outer = np.zeros((width, d, d))  # (K, d, d) Σ w (x−c)(x−c)ᵀ
         self.n = 0
         self.dim_index: list[KeyIndex] = [
             dim.relation.key_index() for dim in resolved.dimensions
@@ -224,7 +224,7 @@ class SuffStats:
             for dim in resolved.dimensions
         ]
         # per dim: (m_i, K) Σ w over the referencing fact rows, and
-        # (K, m_i, d_S) their w-weighted fact columns
+        # (K, m_i, d_S) their w-weighted fact columns less c_S
         self.mass = [np.zeros((len(keys), width)) for keys in self.dim_index]
         self.fact_mass = [
             np.zeros((width, len(keys), d_s)) for keys in self.dim_index
@@ -248,45 +248,37 @@ class SuffStats:
         with open_access(db, spec, FACTORIZED, block_pages) as access:
             stats = cls(spec, access.resolved, *args, **kwargs)
             for batch in access.batches():
-                design, weights = stats._weighted(batch.design, batch.targets)
                 stats._fold(
-                    design, _retained_rows(batch.plan, stats.dim_index),
-                    weights,
+                    _retained_rows(batch.plan, stats.dim_index),
+                    *stats._walk(batch.design, batch.targets),
                 )
         if stats.n == 0:
             raise ModelError("the join produced no tuples")
         return stats
 
-    def _weighted(self, design: FactorizedDesign, targets):
-        """The batch as folded, and its ``(n, K)`` weights."""
+    def _walk(self, design: FactorizedDesign, targets):
+        """The batch's one walk about :attr:`centre`: ``(design as
+        folded, Σ w per column, the unfinished tile sums, the (n, K)
+        weights)`` — the weights needed only where ``q > 1``."""
         raise NotImplementedError
 
-    def _fold(
-        self, design: FactorizedDesign, rids: list[np.ndarray], weights
-    ) -> np.ndarray:
-        """Add one factorized batch into every statistic — the training
-        kernels on the training design.  ``rids[i]`` places the
-        design's distinct tuples of dimension ``i`` in the retained
-        index space.  Returns the batch's weight masses."""
-        k, d_s = weights.shape[1], design.fact_block.shape[1]
-        batch_counts = weights.sum(axis=0)
-        self.counts += batch_counts
-        self.comp_sum += mu_sums(design, weights)
-        # zero means: the raw second moments Σ w x xᵀ
-        self.comp_outer += sigma_sums(design, weights, np.zeros((k, design.d)))
+    def _fold(self, rids: list[np.ndarray], design, mass, sums, weights) -> np.ndarray:
+        """Add one walked batch into every statistic.  ``rids[i]``
+        places the design's distinct tuples of dimension ``i`` in the
+        retained index space.  Returns the batch's weight masses."""
+        d_s = design.fact_block.shape[1]
+        self.counts += mass
+        self.comp_sum += finish_sum(design, sums)
+        self.comp_outer += finish_outer(design, self.centre, sums)
         self.n += design.n
-        weighted = (
-            weights[:, :, None] * design.fact_block[:, None, :]
-        ).reshape(design.n, k * d_s)
-        for i, (at, group) in enumerate(zip(rids, design.groups)):
-            self.mass[i][at] += group.sum_rows(weights)
-            self.fact_mass[i][:, at] += (
-                group.sum_rows(weighted).reshape(-1, k, d_s).transpose(1, 0, 2)
-            )
+        for i, (at, group, grouped) in enumerate(zip(rids, design.groups, sums[1:])):
+            at = at[group.present]
+            self.mass[i][at] += grouped[:, 0].T
+            self.fact_mass[i][:, at] += grouped[:, 1 : 1 + d_s].transpose(0, 2, 1)
         rows = [at[group.codes] for at, group in zip(rids, design.groups)]
         for (i, j), table in self.pairs.items():
             table.add(rows[i], rows[j], weights)
-        return batch_counts
+        return mass
 
     @property
     def nbytes(self) -> int:
@@ -309,9 +301,9 @@ class SuffStats:
         ``fact_mass``, ``pairs``) stay put — exact for ridge, frozen γ
         for the mixture — and only the sums and outers that mention the
         dimension's feature values move, by closed-form amounts from
-        the retained per-RID aggregates; nothing is re-scanned.
-        Returns the relative movement of ``comp_sum`` (accumulated on
-        :attr:`drift`).
+        the retained per-RID aggregates, every product about the
+        centre; nothing is re-scanned.  Returns the relative movement
+        of ``comp_sum`` (accumulated on :attr:`drift`).
         """
         i = _dimension_index(self.resolved, relation_name)
         rids = np.asarray(rids).ravel().astype(np.int64)
@@ -336,9 +328,11 @@ class SuffStats:
         self.comp_outer[:, s0, si] += block
         self.comp_outer[:, si, s0] += np.swapaxes(block, 1, 2)
         # dimension × itself
+        centre = self.centre[None, :, si]              # (1, K, d_Ri)
+        new_c, old_c = new[:, None] - centre, old[:, None] - centre
         self.comp_outer[:, si, si] += (
-            np.einsum("uk,ua,ub->kab", mass_u, new, new)
-            - np.einsum("uk,ua,ub->kab", mass_u, old, old)
+            np.einsum("uk,uka,ukb->kab", mass_u, new_c, new_c)
+            - np.einsum("uk,uka,ukb->kab", mass_u, old_c, old_c)
         )
         # dimension × other dimensions through the pair mass
         for j in range(len(self.dim_index)):
@@ -346,7 +340,7 @@ class SuffStats:
                 continue
             sj = self.layout.slice_of(j + 1)
             coef = self.pairs[min(i, j), max(i, j)].coupled(
-                int(i > j), g, self.dim_features[j]
+                int(i > j), g, self.dim_features[j], self.centre[:, sj]
             )
             block = np.einsum("ua,ukb->kab", delta, coef)
             self.comp_outer[:, si, sj] += block
@@ -376,10 +370,9 @@ class SuffStats:
         design, rids = _appended_batch(
             fact, fk_columns, self.dim_index, self.dim_features
         )
-        design, weights = self._weighted(design, targets)
         counts_before = float(np.linalg.norm(self.counts))
         moved = _relative_norm(
-            float(np.linalg.norm(self._fold(design, rids, weights))),
+            float(np.linalg.norm(self._fold(rids, *self._walk(design, targets)))),
             counts_before,
         )
         self.drift += moved
@@ -411,15 +404,11 @@ class SuffStats:
 
 class LinearSuffStats(SuffStats):
     """The ridge normal equations: the ``K = 1``, γ ≡ 1 statistics over
-    the design with the target as its first fact column.
-
-    ``comp_outer[0]`` is ``[y | X]ᵀ[y | X]`` — row 0 holds ``yᵀy`` and
-    ``Xᵀy``, the rest ``XᵀX`` — ``comp_sum[0]`` is ``[Σy | Σx]`` and
-    ``counts[0] = n``; per RID, ``mass`` counts the referencing fact
-    rows and ``fact_mass`` holds their ``[Σy | Σx_S]``.  Every delta
-    is exact, and :meth:`solve` reproduces
-    :func:`~repro.linear.models.fit_ridge`'s closed form (bit-exactly
-    straight after a build).
+    the design with the target as its first fact column, centred on the
+    first batch's means (``comp_outer[0]`` is ``[y | X]``'s outer sum
+    about them).  Every delta is exact, and :meth:`solve` reproduces
+    :func:`~repro.linear.models.fit_ridge` — bit-exactly straight after
+    a build, since both fold :func:`~repro.linear.models.ridge_sums`.
     """
 
     lead = 1                            # the target column
@@ -428,22 +417,26 @@ class LinearSuffStats(SuffStats):
         if alpha < 0:
             raise ModelError(f"alpha must be non-negative, got {alpha}")
         self.alpha = alpha
-        super().__init__(spec, resolved, 1)
+        super().__init__(spec, resolved, 1, None)
 
-    def _weighted(self, design: FactorizedDesign, targets):
-        """Unit weights over ``[y | x_S]``."""
+    def _walk(self, design: FactorizedDesign, targets):
+        """Unit weights over ``[y | x_S]``, about the first batch's means."""
         if targets is None:
             raise ModelError("ridge statistics require a TARGET column")
-        return with_target(design, targets), np.ones((design.n, 1))
+        design, self.centre, sums = ridge_sums(design, targets, self.centre)
+        return design, np.array([float(design.n)]), sums, np.ones((design.n, 1))
 
-    def solve(self) -> LinearModel:
+    def solve(self) -> LinearModel | None:
         """The closed-form ridge solve over the maintained statistics —
-        :func:`fit_ridge`'s arithmetic on the same moments."""
-        if self.n == 0:
-            raise ModelError("no tuples in the maintained statistics")
-        weights, intercept = ridge_solution(
-            self.n, self.comp_sum[0], self.comp_outer[0], self.alpha
+        :func:`fit_ridge`'s arithmetic on the same moments; ``None``
+        when the rows moved so far from the centre that its correction
+        cancels."""
+        solution = ridge_solution(
+            self.n, self.comp_sum[0], self.comp_outer[0], self.alpha, self.centre[0]
         )
+        if solution is None:
+            return None
+        weights, intercept = solution
         return LinearModel(
             weights=weights,
             intercept=intercept,
@@ -458,14 +451,11 @@ class LinearSuffStats(SuffStats):
 
 class GMMSuffStats(SuffStats):
     """Frozen-responsibility M-step statistics of a fitted mixture: the
-    weights are the responsibilities γ of an E-step at :attr:`params`.
-
-    Built from one factorized E-pass at the fitted parameters; a
-    dimension-row delta moves the x-dependent moments with γ held
-    fixed, then :meth:`solve` runs one M-step.  Appended fact rows fold
-    in through a fresh E-step at the current parameters (mini-batch
-    EM).  Both are approximations of a full refit — γ would shift —
-    which is what :attr:`drift` bounds.
+    walk is the training step's at :attr:`params`, about the build's
+    means, so :meth:`solve` straight after a build is one ``run_em``
+    iteration.  A dimension delta holds γ fixed and appended fact rows
+    fold in through a fresh E-step (mini-batch EM) — approximations of
+    a refit, which is what :attr:`drift` bounds.
     """
 
     def __init__(
@@ -478,32 +468,26 @@ class GMMSuffStats(SuffStats):
     ) -> None:
         self.params = params
         self.config = config or EMConfig(n_components=params.weights.size)
-        super().__init__(spec, resolved, params.weights.size)
+        super().__init__(spec, resolved, params.weights.size, params.means)
 
-    def _weighted(self, design: FactorizedDesign, targets):
-        """γ: one E-step at the current parameters (no target)."""
+    def _walk(self, design: FactorizedDesign, targets):
+        """:func:`~repro.gmm.model.em_sums` at the current parameters
+        (no target)."""
         precisions = ComponentPrecisions(
             self.params.covariances, self.config.reg_covar
         )
-        return design, posteriors(design, self.params, precisions)[0]
+        mass, _, sums, gamma = em_sums(design, self.params, precisions, self.centre)
+        return design, mass, sums, gamma
 
-    def solve(self) -> GMMParams:
-        """One M-step over the maintained statistics.
-
-        Mixing weights follow the responsibility masses (``N_k / n``);
-        means and covariances re-solve from the moment sums.  Like the
-        training M-step, covariances are stored raw — ``reg_covar``
-        enters through the precisions at E/score time, not here.  The
-        result becomes the statistics' current :attr:`params`.
-        """
-        counts = np.maximum(self.counts, _EPS)
-        means = self.comp_sum / counts[:, None]
-        covariances = (
-            self.comp_outer / counts[:, None, None]
-            - np.einsum("ka,kb->kab", means, means)
+    def solve(self) -> GMMParams | None:
+        """One M-step over the maintained statistics
+        (:func:`~repro.gmm.base.m_step`, the training M-step); the
+        result becomes the statistics' current :attr:`params`.  ``None``
+        when the rows moved so far from the centre that its correction
+        cancels."""
+        params = m_step(
+            self.counts, self.comp_sum, self.comp_outer, self.centre, self.n
         )
-        weights = counts / counts.sum()
-        self.params = GMMParams(
-            weights=weights, means=means, covariances=covariances
-        )
-        return self.params
+        if params is not None:
+            self.params = params
+        return params

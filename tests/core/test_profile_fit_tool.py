@@ -46,6 +46,11 @@ def test_maintain_smoke(capsys):
         assert line in out
     held = float(out.split("stats.nbytes: ")[1].split(" MiB")[0])
     assert 0.0 < held < 1.0             # star3 / 100: 1,000 fact rows
+    # the ridge maintainer's build and the refit arm it is priced against
+    for name in ("maintain(linear): ", "fit_ridge(): "):
+        seconds = float(out.split(f"\n{name}")[1].split(" s\n")[0])
+        assert 0.0 < seconds < 60.0
+    assert out.index("fit_ridge(): ") < out.index("tottime")
     assert "tottime" in out
 
 

@@ -302,22 +302,27 @@ class TestTheEMStepIsTiled:
             }
 
         assert readers("_log_density_tiles") == {
-            "posteriors", "component_log_densities", "em_step",
+            "posteriors", "component_log_densities", "em_sums",
         }
-        assert readers("add_dimension_walks") == {
-            "em_step", "mu_sums", "sigma_sums",
-            "factorized_weighted_sum", "factorized_weighted_outer",
-        }
+        # the step's walk, and the walks over a given γ (Σγx alone, or
+        # with Sum_Σ about a centre; ridge reads it too)
+        assert readers("add_dimension_walks") == {"em_sums", "moment_sums"}
+        assert readers("moment_sums") == {"mu_sums", "sigma_sums"}
         # the step's M-step sums read the E-step's tile, in its loop
         (loop,) = [
-            node for node in ast.walk(functions["gmm/model.py", "em_step"])
+            node for node in ast.walk(functions["gmm/model.py", "em_sums"])
             if isinstance(node, ast.For)
             and "_log_density_tiles" in _identifiers(node.iter)
         ]
         assert "add_moment_tile" in _identifiers(loop)
         assert readers("add_moment_tile") == {
-            "em_step", "add_dimension_walks",
+            "em_sums", "add_dimension_walks",
         }
+        # the training step is that walk, finished
+        step = _identifiers(functions["gmm/model.py", "em_step"])
+        assert {"em_sums", "finish_sum", "finish_outer"} <= step
+        assert "_log_density_tiles" not in step
+        assert readers("em_sums") == {"em_step"}
         walks = set(self.STEPS.values())
         for engine in ("DenseEMEngine", "FactorizedEMEngine"):
             for step, walk in self.STEPS.items():
@@ -400,7 +405,24 @@ class TestOneEMPassPerIteration:
             if isinstance(stmt, ast.If) and self._walks(stmt)
         ]
         assert len(guards) == 1
-        assert "CANCELLATION_LIMIT" in _identifiers(guards[0].test)
+        # the walk's M-step is m_step, whose None is the cancellation
+        # guard; the re-walk's sums go through m_step again
+        (solved,) = [
+            stmt.targets[0].id for stmt in loop.body
+            if isinstance(stmt, ast.Assign)
+            and isinstance(stmt.value, ast.Call)
+            and ast.unparse(stmt.value.func) == "m_step"
+        ]
+        assert ast.unparse(guards[0].test) == f"{solved} is None"
+        assert "m_step" in _identifiers(guards[0])
+        assert "CANCELLATION_LIMIT" not in _identifiers(loop)
+        m_step = next(
+            node for node in ast.walk(ast.parse(
+                (SRC_ROOT / "gmm" / "base.py").read_text(encoding="utf-8")
+            ))
+            if isinstance(node, ast.FunctionDef) and node.name == "m_step"
+        )
+        assert "CANCELLATION_LIMIT" in _identifiers(m_step)
         for walk in walks:
             calls = [
                 call for call in ast.walk(walk.iter)

@@ -34,10 +34,6 @@ from repro.join.batches import DenseBatch, FactorizedBatch
 from repro.linalg.blocks import TILE_BYTES
 from repro.linalg.design import FactorizedDesign
 from repro.linalg.groupsum import GroupIndex
-from repro.linalg.outer import (
-    factorized_weighted_outer,
-    factorized_weighted_sum,
-)
 from repro.linalg.quadform import (
     factorized_quadratic_form,
     quadform_tables,
@@ -376,11 +372,12 @@ def test_per_component_functions_are_row_zero_of_the_stack(dims):
             factorized_quadratic_form(design, means[j], matrices[j]),
             quad[j], rtol=1e-13,
         )
+        column = gamma[:, j : j + 1]     # K = 1: one (n, 1) weight column
         np.testing.assert_allclose(
-            factorized_weighted_sum(design, gamma[:, j]), mu[j], rtol=1e-13,
+            mu_sums(design, column)[0], mu[j], rtol=1e-13,
         )
         np.testing.assert_allclose(
-            factorized_weighted_outer(design, means[j], gamma[:, j]),
+            sigma_sums(design, column, means[j : j + 1])[0],
             sigma[j], rtol=1e-13, atol=1e-13,
         )
 

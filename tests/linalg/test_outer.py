@@ -1,4 +1,6 @@
-"""Exactness of factorized weighted sums/outer products (Eq. 13–18, 22–24)."""
+"""Exactness of factorized weighted sums/outer products (Eq. 13–18, 22–24):
+the stacked kernels (``gmm.model.mu_sums`` / ``sigma_sums``) at ``K = 1``,
+one ``(n, 1)`` weight column, against the dense references."""
 
 import numpy as np
 import pytest
@@ -6,14 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ModelError
+from repro.gmm.model import mu_sums, sigma_sums
 from repro.linalg.design import FactorizedDesign
 from repro.linalg.groupsum import GroupIndex
-from repro.linalg.outer import (
-    dense_weighted_outer,
-    dense_weighted_sum,
-    factorized_weighted_outer,
-    factorized_weighted_sum,
-)
+from repro.linalg.outer import dense_weighted_outer, dense_weighted_sum
 
 
 def random_design(rng, n, d_s, dims):
@@ -55,7 +53,7 @@ class TestFactorizedSum:
         design = random_design(rng, 50, 3, [(6, 4)])
         weights = rng.uniform(0.1, 1.0, size=50)
         np.testing.assert_allclose(
-            factorized_weighted_sum(design, weights),
+            mu_sums(design, weights[:, None])[0],
             dense_weighted_sum(design.densify(), weights),
             rtol=1e-10,
         )
@@ -64,15 +62,10 @@ class TestFactorizedSum:
         design = random_design(rng, 70, 2, [(5, 3), (3, 4)])
         weights = rng.uniform(0.1, 1.0, size=70)
         np.testing.assert_allclose(
-            factorized_weighted_sum(design, weights),
+            mu_sums(design, weights[:, None])[0],
             dense_weighted_sum(design.densify(), weights),
             rtol=1e-10,
         )
-
-    def test_weights_shape_checked(self, rng):
-        design = random_design(rng, 10, 2, [(3, 2)])
-        with pytest.raises(ModelError):
-            factorized_weighted_sum(design, np.ones(9))
 
 
 class TestFactorizedOuter:
@@ -81,7 +74,7 @@ class TestFactorizedOuter:
         mean = rng.normal(size=8)
         weights = rng.uniform(0.1, 1.0, size=60)
         np.testing.assert_allclose(
-            factorized_weighted_outer(design, mean, weights),
+            sigma_sums(design, weights[:, None], mean[None])[0],
             dense_weighted_outer(design.densify() - mean, weights),
             rtol=1e-9,
             atol=1e-12,
@@ -92,7 +85,7 @@ class TestFactorizedOuter:
         mean = rng.normal(size=7)
         weights = rng.uniform(0.1, 1.0, size=80)
         np.testing.assert_allclose(
-            factorized_weighted_outer(design, mean, weights),
+            sigma_sums(design, weights[:, None], mean[None])[0],
             dense_weighted_outer(design.densify() - mean, weights),
             rtol=1e-9,
             atol=1e-12,
@@ -102,27 +95,20 @@ class TestFactorizedOuter:
         design = random_design(rng, 40, 2, [(5, 3)])
         mean = rng.normal(size=5)
         weights = rng.uniform(0.1, 1.0, size=40)
-        out = factorized_weighted_outer(design, mean, weights)
+        out = sigma_sums(design, weights[:, None], mean[None])[0]
         np.testing.assert_allclose(out, out.T, rtol=1e-12)
 
     def test_zero_weights_give_zero(self, rng):
         design = random_design(rng, 20, 2, [(3, 2)])
-        out = factorized_weighted_outer(
-            design, np.zeros(4), np.zeros(20)
-        )
+        out = sigma_sums(design, np.zeros((20, 1)), np.zeros((1, 4)))[0]
         np.testing.assert_array_equal(out, np.zeros((4, 4)))
-
-    def test_weights_shape_checked(self, rng):
-        design = random_design(rng, 10, 2, [(3, 2)])
-        with pytest.raises(ModelError):
-            factorized_weighted_outer(design, np.zeros(4), np.ones(11))
 
     def test_count_outer_is_gram_matrix(self, rng):
         """Unit weights about a zero mean: the Gram matrix."""
         design = random_design(rng, 30, 2, [(4, 3)])
         dense = design.densify()
         np.testing.assert_allclose(
-            factorized_weighted_outer(design, np.zeros(5), np.ones(30)),
+            sigma_sums(design, np.ones((30, 1)), np.zeros((1, 5)))[0],
             dense.T @ dense, rtol=1e-9,
         )
 
@@ -153,7 +139,7 @@ def test_factorized_outer_exact_property(case):
     mean = rng.normal(size=design.d)
     weights = rng.uniform(0.0, 2.0, size=n)
     np.testing.assert_allclose(
-        factorized_weighted_outer(design, mean, weights),
+        sigma_sums(design, weights[:, None], mean[None])[0],
         dense_weighted_outer(design.densify() - mean, weights),
         rtol=1e-8,
         atol=1e-8,
@@ -169,7 +155,7 @@ def test_factorized_sum_exact_property(case):
     design = random_design(rng, n, d_s, dims)
     weights = rng.uniform(0.0, 2.0, size=n)
     np.testing.assert_allclose(
-        factorized_weighted_sum(design, weights),
+        mu_sums(design, weights[:, None])[0],
         dense_weighted_sum(design.densify(), weights),
         rtol=1e-8,
         atol=1e-8,

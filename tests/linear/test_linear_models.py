@@ -15,20 +15,21 @@ from repro.storage.schema import (
 
 
 def build_star(db, rng, *, n_s=500, n_r=20, d_s=3, d_r=4,
-               targets=None, seed_fk=None):
+               targets=None, seed_fk=None, offset=0.0):
+    """``S ⋈ R``, every feature and the target ``offset`` from zero."""
     r_rows = np.column_stack(
-        [np.arange(n_r, dtype=np.float64), rng.normal(size=(n_r, d_r))]
+        [np.arange(n_r, dtype=np.float64), rng.normal(size=(n_r, d_r)) + offset]
     )
     db.create_relation(
         "R", Schema([key("rid"), *features("a", d_r)]), r_rows
     )
     fks = rng.integers(0, n_r, size=n_s) if seed_fk is None else seed_fk
     fks[:n_r] = np.arange(n_r)
-    s_feats = rng.normal(size=(n_s, d_s))
+    s_feats = rng.normal(size=(n_s, d_s)) + offset
     joined = np.concatenate([s_feats, r_rows[fks, 1:]], axis=1)
     if targets is None:
         true_w = rng.normal(size=d_s + d_r)
-        targets = joined @ true_w + 0.5 + rng.normal(
+        targets = (joined - offset) @ true_w + 0.5 + offset + rng.normal(
             scale=0.1, size=n_s
         )
     s_rows = np.column_stack(
@@ -68,6 +69,22 @@ class TestRidge:
         assert model.intercept == pytest.approx(
             expected_intercept, rel=1e-8
         )
+
+    @pytest.mark.parametrize("offset", [1e6, 1e7])
+    def test_matches_the_centred_solve_far_from_the_origin(
+        self, db, rng, offset
+    ):
+        """Raw normal equations lose every digit this far out; the
+        moments about the first batch's means lose none."""
+        spec, joined, targets = build_star(db, rng, offset=offset)
+        alpha = 1e-2
+        model = fit_ridge(db, spec, alpha=alpha)
+        centered = joined - joined.mean(axis=0)
+        expected = np.linalg.solve(
+            centered.T @ centered + alpha * np.eye(joined.shape[1]),
+            centered.T @ (targets - targets.mean()),
+        )
+        np.testing.assert_allclose(model.weights, expected, rtol=1e-9)
 
     def test_recovers_generating_weights(self, db, rng):
         spec, joined, targets = build_star(db, rng, n_s=2000)

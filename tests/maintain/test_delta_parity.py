@@ -15,17 +15,24 @@ from-scratch oracle over the post-schedule database:
 * **nn** — no exact delta exists for the iterative fit, so a dimension
   update must surface as a full deterministic refit, bit-exact against
   the ``fit_nn`` oracle; fact appends fold in as one factorized SGD
-  step equal (to float round-off) to the dense-backprop step.
+  step equal (to float round-off) to the dense-backprop step;
+* **both statistics kinds** — moments are kept about a centre, so a
+  star far from the origin loses no digits, and a solve whose centring
+  would cancel refits instead.
 
 The exactness contract per path is tabulated in docs/maintenance.md.
 """
 
 from __future__ import annotations
 
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.core.api import fit_gmm, fit_nn, predict_gmm
+from repro.core.training import train
 from repro.gmm.base import EMConfig
 from repro.join.batches import DenseBatch
 from repro.linalg.groupsum import codes_for_keys
@@ -37,6 +44,7 @@ from repro.maintain import (
 )
 from repro.nn.base import NNConfig
 from repro.nn.engines import DenseNNEngine
+from repro.obs import Telemetry, prometheus_text
 
 MANUAL = MaintenancePolicy(refresh="manual")
 
@@ -85,6 +93,24 @@ def append_dimension(db, spec, rng, *, count=2):
     db.append_rows(name, new)
 
 
+def shift_relation(db, relation, offset):
+    """Move every feature (and the target) of one relation by ``offset``."""
+    rows = relation.scan()
+    schema = relation.schema
+    columns = list(schema.feature_positions)
+    if schema.target_column is not None:
+        columns.append(schema.target_position)
+    rows[:, columns] += offset
+    db.update_rows(relation.name, np.arange(rows.shape[0]), rows)
+
+
+def shift_star(db, spec, offset):
+    """The same star ``offset`` away from the origin in every column."""
+    resolved = spec.resolve(db)
+    for relation in (resolved.fact, *(d.relation for d in resolved.dimensions)):
+        shift_relation(db, relation, offset)
+
+
 def materialize(db, spec):
     """The joined wide matrix over the stored fact rows, in scan order."""
     resolved = spec.resolve(db)
@@ -114,6 +140,30 @@ class TestRidgeParity:
             ops = [update_dimension, append_facts, append_dimension]
             for _ in range(6):
                 ops[int(rng.integers(len(ops)))](db, spec, rng)
+                maintainer.flush()
+                oracle = fit_ridge(db, spec, alpha=1e-3)
+                np.testing.assert_allclose(
+                    maintainer.model.weights, oracle.weights,
+                    rtol=1e-9, atol=1e-12,
+                )
+                np.testing.assert_allclose(
+                    maintainer.model.intercept, oracle.intercept,
+                    rtol=1e-9, atol=1e-12,
+                )
+
+    def test_a_schedule_far_from_the_origin_matches_the_refit_oracle(
+        self, db, multiway_star
+    ):
+        """Raw normal equations cancel a million away from the origin;
+        moments about the first batch's means do not."""
+        spec = multiway_star.spec
+        shift_star(db, spec, 1e6)
+        rng = np.random.default_rng(3)
+        with ModelMaintainer(
+            db, "m", "linear", spec, alpha=1e-3, policy=MANUAL
+        ) as maintainer:
+            for op in (update_dimension, append_facts, update_dimension):
+                op(db, spec, rng)
                 maintainer.flush()
                 oracle = fit_ridge(db, spec, alpha=1e-3)
                 np.testing.assert_allclose(
@@ -197,8 +247,9 @@ class TestGMMParity:
         self, db, multiway_star, seed
     ):
         """Maintained statistics == frozen build-γ times the updated
-        join — the delta path exactly reproduces what rebuilding the
-        sums with the retained responsibilities would."""
+        join, the second moments centred on the build's means — the
+        delta path exactly reproduces what rebuilding the sums with the
+        retained responsibilities would."""
         spec = multiway_star.spec
         config = _gmm_config()
         fit = fit_gmm(db, spec, algorithm="factorized", config=config)
@@ -219,11 +270,36 @@ class TestGMMParity:
                 maintainer.stats.comp_sum, gamma.T @ dense,
                 rtol=1e-8, atol=1e-10,
             )
+            # the second moments about the build's means
+            centred = dense[:, None, :] - fit.model.params.means
             np.testing.assert_allclose(
                 maintainer.stats.comp_outer,
-                np.einsum("nk,nd,ne->kde", gamma, dense, dense),
+                np.einsum("nk,nkd,nke->kde", gamma, centred, centred),
                 rtol=1e-7, atol=1e-9,
             )
+
+    @pytest.mark.parametrize("offset", [0.0, 1e6])
+    def test_a_build_solves_to_one_em_iteration(
+        self, db, multiway_star, offset
+    ):
+        """Straight after a build the statistics are one training walk's
+        sums, so their solve is one ``run_em`` iteration, bit for bit."""
+        spec = multiway_star.spec
+        shift_star(db, spec, offset)
+        config = _gmm_config()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            params = fit_gmm(
+                db, spec, algorithm="factorized", config=config
+            ).model.params
+            one = train(
+                db, spec, "gmm", "F", replace(config, max_iter=1),
+                start=params,
+            ).params
+        solved = GMMSuffStats.build(db, spec, params, config=config).solve()
+        np.testing.assert_array_equal(solved.weights, one.weights)
+        np.testing.assert_array_equal(solved.means, one.means)
+        np.testing.assert_array_equal(solved.covariances, one.covariances)
 
     def test_append_only_schedule_matches_scratch_build(
         self, db, multiway_star
@@ -297,6 +373,46 @@ class TestGMMParity:
                 predict_gmm(db, spec, maintainer.model),
                 predict_gmm(db, spec, oracle.model),
             )
+
+
+# -- both: a solve that cancels falls back to the refit -----------------------
+
+
+@pytest.mark.parametrize("kind", ["linear", "gmm"])
+def test_rows_moved_far_from_the_centre_force_a_refit(db, multiway_star, kind):
+    """A dimension moved a million away leaves the statistics' centring
+    correction all cancellation: the flush refits instead of solving,
+    counts it, and serves exactly what a from-scratch fit does."""
+    spec = multiway_star.spec
+    config = _gmm_config()
+    telemetry = Telemetry(enabled=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        fit = None
+        if kind == "gmm":
+            fit = fit_gmm(db, spec, algorithm="factorized", config=config)
+        with ModelMaintainer(
+            db, "m", kind, spec, fit, em_config=config, alpha=1e-3,
+            policy=MANUAL, telemetry=telemetry,
+        ) as maintainer:
+            dim = spec.dimensions[0].relation
+            shift_relation(db, db.relation(dim), 1e6)
+            maintainer.flush()
+            text = prometheus_text(telemetry.registry.snapshot())
+            assert 'repro_maintain_refits_total{model="m"} 1' in text
+            if kind == "linear":
+                oracle = fit_ridge(db, spec, alpha=1e-3)
+                np.testing.assert_array_equal(
+                    maintainer.model.weights, oracle.weights
+                )
+            else:
+                oracle = fit_gmm(
+                    db, spec, algorithm="factorized", config=config
+                ).model
+                np.testing.assert_array_equal(
+                    maintainer.model.params.covariances,
+                    oracle.params.covariances,
+                )
 
 
 # -- nn: deterministic refits and one-step fold-ins ---------------------------

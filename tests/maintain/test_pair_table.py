@@ -51,10 +51,11 @@ class DensePairs:
         for k in range(width):
             np.add.at(self.cube[k], (left, right), mass[:, k])
 
-    def coupled(self, side, rows, features) -> np.ndarray:
+    def coupled(self, side, rows, features, centre) -> np.ndarray:
         cube = self.cube if side == 0 else np.swapaxes(self.cube, 1, 2)
         return np.einsum(
-            "kus,sb->ukb", cube[:, rows, :features.shape[0]], features
+            "kus,skb->ukb", cube[:, rows, :features.shape[0]],
+            features[:, None, :] - centre,
         )
 
 
@@ -93,9 +94,10 @@ def test_table_matches_the_dense_cube(width, seed, steps):
             for side in (0, 1):
                 rows = rng.integers(0, sizes[side], size=rng.integers(0, 7))
                 features = rng.normal(size=(sizes[1 - side], 3))
+                centre = rng.normal(size=(width, 3))
                 close(
-                    table.coupled(side, rows, features),
-                    dense.coupled(side, rows, features),
+                    table.coupled(side, rows, features, centre),
+                    dense.coupled(side, rows, features, centre),
                 )
     assert np.all(np.diff(table.keys) > 0)
     assert table.mass.shape == (table.keys.size, width)
@@ -108,7 +110,7 @@ def test_repeated_pairs_inside_one_batch_are_summed():
     mass = np.arange(10.0).reshape(5, 2)
     table.add(left, right, mass)
     eye = np.eye(3)
-    out = table.coupled(0, np.array([3, 0, 1]), eye)    # (rows, width, m_j)
+    out = table.coupled(0, np.array([3, 0, 1]), eye, 0.0)  # (rows, width, m_j)
     close(out[0].T, [mass[3], mass[0] + mass[2], [0, 0]])
     close(out[1].T, [[0, 0], [0, 0], mass[1] + mass[4]])
     assert not out[2].any()                 # row 1: no fact references it
@@ -121,9 +123,9 @@ def test_an_empty_batch_and_an_empty_table():
     table.add(none, none, np.empty((0, 4)))
     assert table.nbytes == 0
     for side in (0, 1):
-        out = table.coupled(side, np.array([0, 5]), np.ones((6, 2)))
+        out = table.coupled(side, np.array([0, 5]), np.ones((6, 2)), 0.0)
         assert out.shape == (2, 4, 2) and not out.any()
-    assert table.coupled(0, none, np.ones((6, 2))).shape == (0, 4, 2)
+    assert table.coupled(0, none, np.ones((6, 2)), 0.0).shape == (0, 4, 2)
 
 
 def test_a_row_beyond_the_key_halves_is_refused():
@@ -134,7 +136,7 @@ def test_a_row_beyond_the_key_halves_is_refused():
         np.array([2.0]), shape=(2**31, 1), strides=(0, 8)
     )
     for side in (0, 1):                         # the last legal row reads
-        close(table.coupled(side, fits, wide), [[[2.0]]])
+        close(table.coupled(side, fits, wide, 0.0), [[[2.0]]])
     assert table.keys.tolist() == [np.iinfo(np.int64).max - 2**31]
     for left, right in ((beyond, fits), (fits, beyond)):
         with pytest.raises(ModelError, match=r"2\*\*31 rows"):
@@ -145,11 +147,11 @@ def test_the_sort_by_right_order_is_dropped_when_the_table_changes():
     table = PairTable(1)
     table.add(np.array([0, 1]), np.array([1, 0]), np.ones(2))
     features = np.arange(4.0)[:, None]
-    close(table.coupled(1, np.array([0]), features)[:, 0, 0], [1.0])
+    close(table.coupled(1, np.array([0]), features, 0.0)[:, 0, 0], [1.0])
     held = table.nbytes
     table.add(np.array([3]), np.array([0]), np.ones(1))
     assert table._by_right is None
-    close(table.coupled(1, np.array([0]), features)[:, 0, 0], [4.0])
+    close(table.coupled(1, np.array([0]), features, 0.0)[:, 0, 0], [4.0])
     assert table.nbytes > held
 
 
@@ -191,9 +193,10 @@ def _compare(sparse, dense):
         for side in (0, 1):
             rows = np.arange(len(sparse.dim_index[where[side]]))
             features = sparse.dim_features[where[1 - side]]
+            centre = sparse.centre[:, sparse.layout.slice_of(where[1 - side] + 1)]
             close(
-                table.coupled(side, rows, features),
-                dense.pairs[where].coupled(side, rows, features),
+                table.coupled(side, rows, features, centre),
+                dense.pairs[where].coupled(side, rows, features, centre),
             )
 
 

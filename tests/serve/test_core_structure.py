@@ -822,10 +822,18 @@ class TestOneEStep:
         assert "densify(" not in text
         assert "GaussianMixtureModel" not in text
         stats = SRC_ROOT / "maintain" / "stats.py"
+        # the fold finishes the walk's tile sums and reads the per-RID
+        # aggregates off them: no walk and no grouped reduction of its own
         fold = _method(stats, "SuffStats", "_fold")
-        assert {"mu_sums", "sigma_sums"} <= _names(fold)
-        gamma = _method(stats, "GMMSuffStats", "_weighted")
-        assert "posteriors" in _names(gamma)
+        assert {"finish_sum", "finish_outer"} <= _names(fold)
+        assert not {
+            "sum_rows", "mu_sums", "sigma_sums", "posteriors",
+            "em_sums", "moment_sums",
+        } & _names(fold)
+        # the mixture's walk is the training step's own
+        walk = _method(stats, "GMMSuffStats", "_walk")
+        assert "em_sums" in _names(walk)
+        assert "posteriors" not in text
 
 
 class TestAnUpdateCostsWhatItTouches:
@@ -941,10 +949,11 @@ class TestEachMaintainerOwnsItsStatistics:
 
 class TestOneSetOfStatistics:
     """Ridge's statistics are the mixture's at ``K = 1``, γ ≡ 1: one
-    class builds, folds and applies every delta; a kind keeps its
-    weight source (``_weighted``) and ``solve``, ridge its target
-    column, and ``fit_ridge`` accumulates through the same moment
-    kernels over the same augmented design."""
+    class builds, folds and applies every delta; a kind keeps its walk
+    (``_walk``) and ``solve``, ridge its target column, ``fit_ridge``
+    folds the same one walk per batch over the same augmented design,
+    and every solve — training's, the maintained mixture's and ridge's —
+    is the one M-step ``gmm/base.m_step``."""
 
     STATS = SRC_ROOT / "maintain" / "stats.py"
     SHARED = (
@@ -976,23 +985,85 @@ class TestOneSetOfStatistics:
                 item.name for item in node.body
                 if isinstance(item, ast.FunctionDef)
             }
-            assert methods == {"__init__", "_weighted", "solve"}, kind
-        ridge = _method(self.STATS, "LinearSuffStats", "_weighted")
-        assert "with_target" in _names(ridge)
+            assert methods == {"__init__", "_walk", "solve"}, kind
+        ridge = _method(self.STATS, "LinearSuffStats", "_walk")
+        assert "ridge_sums" in _names(ridge)
 
-    def test_fit_ridge_folds_through_the_same_moments(self):
+    @staticmethod
+    def _function(path: Path, name: str) -> ast.FunctionDef:
+        (found,) = [
+            node for node in _tree(path).body
+            if isinstance(node, ast.FunctionDef) and node.name == name
+        ]
+        return found
+
+    def test_fit_ridge_walks_each_batch_once(self):
         models = SRC_ROOT / "linear" / "models.py"
-        tree = _tree(models)
-        fit = next(
-            node for node in tree.body
-            if isinstance(node, ast.FunctionDef) and node.name == "fit_ridge"
-        )
-        assert {"mu_sums", "sigma_sums", "with_target",
-                "ridge_solution"} <= _names(fit)
+        fit = self._function(models, "fit_ridge")
+        assert {"ridge_sums", "ridge_solution"} <= _names(fit)
+        assert not {"mu_sums", "sigma_sums", "moment_sums"} & _names(fit)
+        (loop,) = [
+            node for node in ast.walk(fit) if isinstance(node, ast.For)
+        ]
+        assert ast.unparse(loop.iter) == "access.batches()"
+        walks = [
+            node for node in ast.walk(loop)
+            if isinstance(node, ast.Call)
+            and ast.unparse(node.func) == "ridge_sums"
+        ]
+        assert len(walks) == 1
+        # one unit-weight walk: the augmented design's moment tile sums
+        walk = self._function(models, "ridge_sums")
+        calls = [
+            ast.unparse(node.func) for node in ast.walk(walk)
+            if isinstance(node, ast.Call)
+        ]
+        assert calls.count("moment_sums") == 1
+        assert "with_target" in calls
         solve = _method(self.STATS, "LinearSuffStats", "solve")
         assert "ridge_solution" in _names(solve)
         assert _callers("factorized_count_outer") == set()
         assert "factorized_count_outer" not in vars(repro.linalg)
+
+    def test_one_m_step(self):
+        defined = [
+            str(path.relative_to(SRC_ROOT))
+            for path in SRC_ROOT.rglob("*.py")
+            for node in ast.walk(_tree(path))
+            if isinstance(node, ast.FunctionDef) and node.name == "m_step"
+        ]
+        assert defined == ["gmm/base.py"]
+        base = SRC_ROOT / "gmm" / "base.py"
+        assert "CANCELLATION_LIMIT" in _names(self._function(base, "m_step"))
+        assert "m_step" in _names(self._function(base, "run_em"))
+        assert "m_step" in _names(_method(self.STATS, "GMMSuffStats", "solve"))
+        ridge = self._function(SRC_ROOT / "linear" / "models.py", "ridge_solution")
+        assert "m_step" in _names(ridge)
+        assert _callers("m_step") == {
+            "gmm/base.py", "maintain/stats.py", "linear/models.py",
+        }
+        # no second closed form: only m_step reads the cancellation limit
+        readers = {
+            str(path.relative_to(SRC_ROOT))
+            for path in SRC_ROOT.rglob("*.py")
+            if "CANCELLATION_LIMIT" in _names(_tree(path))
+        }
+        assert readers == {"gmm/base.py"}
+        for kind in ("GMMSuffStats", "LinearSuffStats"):
+            solve = _method(self.STATS, kind, "solve")
+            assert not {"einsum", "outer", "diagonal"} & _names(solve)
+
+    def test_the_k1_wrappers_are_gone(self):
+        import repro.linalg.outer as outer
+
+        for module in (repro.linalg, outer):
+            assert not [
+                name for name in vars(module)
+                if name.startswith("factorized_weighted_")
+            ]
+        for name in ("_one_tile", "_as_column"):
+            assert name not in vars(outer)
+            assert _callers(name) == set()
 
     @pytest.mark.parametrize("method", ["_fold_fact_append", "_refresh_model"])
     def test_the_maintainer_does_not_branch_on_the_kind(self, method):

@@ -15,7 +15,9 @@ budget rules out); a mixture's wall also with its fit's
 wall the EM kernels took (see ``GMMFitResult``).  ``maintain``
 times the statistics build over the ``--arm`` GMM fit (``repro.maintain``),
 one 32-row update of the first dimension and its ``flush()``, prints what
-the statistics hold and profiles the same cycle.  cProfile taxes Python
+the statistics hold, then the ridge maintainer's build and a from-scratch
+``fit_ridge`` (the two arms of ``benchmarks/bench_maintenance.py``'s
+refit side), and profiles the GMM cycle.  cProfile taxes Python
 calls, not native work: its table says where to look, not how long.
 """
 
@@ -31,6 +33,7 @@ import warnings
 import numpy as np
 
 import repro
+from repro.linear.models import fit_ridge
 
 # Copied from benchmarks/e2e/workloads.SHAPES["full"] / STAR3 and its TRAIN_* /
 # SERVE_* configs: n_s, d_s, (rows, width) per dimension, EM iterations, NN (n_h, epochs).
@@ -109,6 +112,17 @@ def profile_maintenance(db, spec, gmm, top: int) -> None:
     print(f"update_rows({positions.size}): {updated:.4f} s")
     print(f"flush(): {flushed:.4f} s")
     print(f"stats.nbytes: {held / 2**20:.2f} MiB")
+
+    def ridge_build():
+        with repro.maintain(db, "ridge", "linear", spec, policy=manual):
+            pass
+
+    ridge = warm_then_time({
+        "maintain(linear)": ridge_build,
+        "fit_ridge()": functools.partial(fit_ridge, db, spec),
+    })
+    for name, (seconds, _) in ridge.items():
+        print(f"{name}: {seconds:.3f} s")
     profiler = cProfile.Profile()
     profiler.runcall(cycle)
     pstats.Stats(profiler).sort_stats("tottime").print_stats(top)
