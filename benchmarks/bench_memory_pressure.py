@@ -42,7 +42,7 @@ from repro.core.api import fit_gmm, fit_nn
 from repro.data.synthetic import StarSchemaConfig, generate_star
 from repro.fx.store import PartialStore
 from repro.fx.tiers import FLOAT32_SCORE_RTOL
-from repro.serve.predictor import FactorizedGMMPredictor
+from repro.serve.predictor import GMMPredictor
 from repro.serve.service import ModelService
 from repro.storage.catalog import Database
 
@@ -164,7 +164,7 @@ def _curve_point(db, spec, model, order, tier):
     store = PartialStore(
         tiers=() if tier in ("resident", "recomputed") else (tier,),
     )
-    predictor = FactorizedGMMPredictor(db, spec, model, store=store)
+    predictor = GMMPredictor(db, spec, model, store=store)
     cache = predictor.caches[0]
     builder, lookup = predictor.builders[0], predictor.lookups[0]
 

@@ -127,11 +127,12 @@ def main() -> None:
         # micro-batches, and are scored by a thread pool over shared
         # partial caches; each batch's FKs are deduplicated exactly
         # once into a DedupPlan that the cost-model planner and the
-        # chosen predictor both consume, and dimension-row updates
-        # (db.update_rows) evict the affected cached partials
-        # automatically; under a memory_budget the least recently used
-        # partials are evicted first.  See
-        # examples/concurrent_serving_demo.py for a multi-client run.
+        # model's one predictor (in the arm the planner chose) both
+        # consume, and dimension-row updates (db.update_rows) evict
+        # the affected cached partials automatically; under a
+        # memory_budget the least recently used partials are evicted
+        # first.  See examples/concurrent_serving_demo.py for a
+        # multi-client run.
         with repro.serve_runtime(db, num_workers=4) as runtime:
             runtime.register_nn("ratings", nn, star.spec)
             futures = [

@@ -165,12 +165,7 @@ from repro.obs import (
 from repro.runtime.service import RuntimeConfig, RuntimeStats, ServingRuntime
 from repro import serve     # the subpackage; calling it is core.api.serve
 from repro.serve.cache import PartialCache
-from repro.serve.predictor import (
-    FactorizedGMMPredictor,
-    FactorizedNNPredictor,
-    MaterializedGMMPredictor,
-    MaterializedNNPredictor,
-)
+from repro.serve.predictor import GMMPredictor, NNPredictor
 from repro.serve.service import ModelService, ServingStats
 from repro.storage.catalog import Database
 from repro.storage.events import RowVersionEvent
@@ -195,9 +190,8 @@ __all__ = [
     "DimensionSpec",
     "EMConfig",
     "FACTORIZED",
-    "FactorizedGMMPredictor",
-    "FactorizedNNPredictor",
     "GMMParams",
+    "GMMPredictor",
     "GMMResult",
     "GaussianMixtureModel",
     "HAMLET_PROFILES",
@@ -209,8 +203,6 @@ __all__ = [
     "MATERIALIZED",
     "MLP",
     "MaintenancePolicy",
-    "MaterializedGMMPredictor",
-    "MaterializedNNPredictor",
     "MetricsRegistry",
     "ModelError",
     "ModelMaintainer",
@@ -219,6 +211,7 @@ __all__ = [
     "fit_logistic",
     "fit_ridge",
     "NNConfig",
+    "NNPredictor",
     "NNResult",
     "NotFittedError",
     "PartialCache",

@@ -1,9 +1,9 @@
 """The dedup/gather engine shared by every factorized execution path.
 
 Serving previously carried two private copies of the same loop: the
-factorized predictors' partial gather and the materialized predictors'
-request densify, each starting with its own ``np.unique`` over the FK
-columns.  Both now consume a :class:`~repro.fx.dedup.DedupPlan`
+factorized arm's partial gather and the materialized arm's request
+densify, each starting with its own ``np.unique`` over the FK columns.
+Both now consume a :class:`~repro.fx.dedup.DedupPlan`
 computed once per batch:
 
 * :func:`distinct_partials` — resolve each dimension's *distinct* RIDs

@@ -7,8 +7,8 @@ granularity.  The quantity that decides the winner — the tuple ratio
 scoring, at micro-batch assembly, so the runtime plans each batch
 individually from its :class:`~repro.fx.dedup.DedupPlan`: the dedup is
 computed once at assembly, the planner reads its distinct-RID counts
-(no second ``np.unique``), and the chosen predictor then gathers with
-the very same plan.  The counts and the decision rule are
+(no second ``np.unique``), and the registration's predictor then
+answers in the chosen arm with the very same plan.  The counts and the decision rule are
 :meth:`repro.fx.costs.CostModel.decide` — whose counts
 ``algorithm="auto"`` training resolution also reads — discounted by the live
 cache hit rate (warm partials cost no dimension-side work); this module

@@ -452,7 +452,7 @@ class ProcessExecutor(ServingCore):
         keep a validator locally.
 
         The model crosses the pipe once (its coerced, fitted form);
-        each worker builds its own predictors and draws caches from
+        each worker builds its own predictor and draws caches from
         its shared-slab store.  The parent keeps only what submit-time
         validation and scatter need: the resolved join (shapes,
         dimension names) and the network's output width — no dimension
@@ -483,7 +483,7 @@ class ProcessExecutor(ServingCore):
             )
         registered = RegisteredModel(
             name=name, kind=kind, strategy=strategy,
-            factorized=None, materialized=None, validator=validator,
+            predictor=None, validator=validator,
             generation=generation, out_width=reply["out_width"],
             spec=spec,
         )

@@ -21,12 +21,13 @@ in front of its executor, to turn it into a serving tier:
   ``executor="process"`` is one dispatcher over
   :class:`~repro.runtime.procpool.ProcessExecutor`, which scatters
   each batch to worker processes that each run the core again;
-* per-batch adaptive planning — each model registered with the default
-  ``"adaptive"`` strategy carries *both* predictors, and a
-  :class:`~repro.runtime.planner.BatchPlanner` picks materialized or
-  factorized from the batch's distinct-RID counts and live cache hit
-  rates.  Each batch's foreign keys are deduplicated exactly once into
-  a :class:`~repro.fx.dedup.DedupPlan` consumed by planner and
+* per-batch adaptive planning — for each model registered with the
+  default ``"adaptive"`` strategy a
+  :class:`~repro.runtime.planner.BatchPlanner` picks the arm
+  (materialized or factorized) its one predictor answers each batch
+  in, from the batch's distinct-RID counts and live cache hit rates.
+  Each batch's foreign keys are deduplicated exactly once into a
+  :class:`~repro.fx.dedup.DedupPlan` consumed by planner and
   predictor alike, and all partial caches come from the executor's
   shared :class:`~repro.fx.store.PartialStore` — fingerprint-identical
   models reuse one cache, and an optional ``memory_budget`` (bytes)

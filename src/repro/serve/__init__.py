@@ -17,9 +17,10 @@ Layers (the execution core underneath is :mod:`repro.fx`):
 * :mod:`~repro.serve.cache` — the partial-row cache, under one lock: no
   bound of its own (the store-wide budget's governor evicts, least
   recently used first), invalidation hooks for dimension-row updates;
-* :mod:`~repro.serve.predictor` — exact factorized / materialized
-  predictors per model family; factorized predictors draw their
-  caches from a shared :class:`~repro.fx.store.PartialStore`, so
+* :mod:`~repro.serve.predictor` — one exact predictor per model
+  family, answering each request factorized or materialized (every
+  dimension inlined); a predictor built factorized draws its caches
+  from a shared :class:`~repro.fx.store.PartialStore`, so
   fingerprint-identical models hold one resident copy;
 * :mod:`~repro.serve.core` — the serving core: the one registration
   record and the one object that implements ``register`` /
@@ -50,25 +51,17 @@ from repro.serve.partials import (
     GMMPartialBuilder,
     NNPartialBuilder,
 )
-from repro.serve.predictor import (
-    FactorizedGMMPredictor,
-    FactorizedNNPredictor,
-    MaterializedGMMPredictor,
-    MaterializedNNPredictor,
-    make_predictor,
-)
+from repro.serve.predictor import GMMPredictor, NNPredictor, make_predictor
 from repro.serve.service import ModelService, RegisteredModel, ServingStats
 
 __all__ = [
     "CacheStats",
     "DimensionLookup",
-    "FactorizedGMMPredictor",
-    "FactorizedNNPredictor",
     "GMMPartialBuilder",
-    "MaterializedGMMPredictor",
-    "MaterializedNNPredictor",
+    "GMMPredictor",
     "ModelService",
     "NNPartialBuilder",
+    "NNPredictor",
     "PartialCache",
     "RegisteredModel",
     "ServingStats",

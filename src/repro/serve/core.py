@@ -17,12 +17,13 @@ the head — is written here once and configured three ways:
 
 :class:`ServingCore` owns a :class:`~repro.fx.store.PartialStore` and
 a registry of :class:`RegisteredModel` records and implements the
-lifecycle rules: ``register`` (build predictor(s) and planner once,
-roll back on a lost race), ``execute`` (pin → one
-``DedupPlan.for_batch`` → plan → predict → record), ``invalidate``
-(drop updated RIDs from every joined model's caches), ``swap`` (build
-→ flip under the registry lock → drain in-flight batches → retire,
-carrying stats and counter baselines) and ``close``.  A subclass
+lifecycle rules: ``register`` (build one predictor and the planner
+once, roll back on a lost race), ``execute`` (pin → one
+``DedupPlan.for_batch`` → plan the batch's arm → predict in that arm →
+record), ``invalidate`` (drop updated RIDs from every joined model's
+caches), ``swap`` (build → flip under the registry lock → drain
+in-flight batches → retire, carrying stats and counter baselines) and
+``close``.  A subclass
 replaces only the substrate primitives ``_build`` / ``_run`` /
 ``_retire`` and the stats readers.
 """
@@ -46,8 +47,9 @@ from repro.serve.cache import CacheStats
 from repro.serve.predictor import make_predictor
 from repro.storage.iostats import IOSnapshot
 
-#: Per-batch planning: the registration carries both predictors and a
-#: ``BatchPlanner`` picks one per batch (the runtime's default).
+#: Per-batch planning: a ``BatchPlanner`` picks the arm the
+#: registration's one predictor answers each batch in (the runtime's
+#: default).
 ADAPTIVE = "adaptive"
 
 # How long ``swap`` waits for batches still executing on the retiring
@@ -239,13 +241,15 @@ _NO_BASELINE = CacheStats().counters()
 
 @dataclass
 class RegisteredModel:
-    """One servable model: predictor(s), planner and accumulated stats.
+    """One servable model: its predictor, planner and accumulated stats.
 
-    ``strategy`` is ``"adaptive"`` (both predictors plus a planner) or
-    a fixed serving strategy (one predictor, ``planner is None``).  In
-    the process executor's parent the predictors live in the workers:
-    the record then carries a model-less ``validator`` for submit-time
-    shape checks and the worker-side registry key (``generation``).
+    ``strategy`` is ``"adaptive"`` (a planner picks each batch's arm) or
+    a fixed serving strategy (``planner is None``); the predictor is
+    built factorized unless the strategy is pinned materialized.  In
+    the process executor's parent the predictor lives in the workers:
+    the record then holds ``predictor=None`` and a model-less
+    ``validator`` for submit-time shape checks, and the worker-side
+    registry key (``generation``).
     """
 
     name: str
@@ -254,8 +258,7 @@ class RegisteredModel:
     # Registration-time inputs retained so a maintainer can rebuild
     # this registration around a refreshed fit (swap).
     spec: JoinSpec
-    factorized: object | None
-    materialized: object | None
+    predictor: object | None
     planner: object | None = None
     validator: object | None = None
     generation: int = 0
@@ -278,17 +281,11 @@ class RegisteredModel:
 
     def __post_init__(self) -> None:
         self.caches = (
-            self.factorized.caches if self.factorized is not None else []
+            self.predictor.caches if self.predictor is not None else []
         )
         self.dimension_names = [
             dim.relation.name for dim in self.base.resolved.dimensions
         ]
-
-    @property
-    def predictor(self):
-        """The predictor a pinned-strategy registration serves with
-        (the factorized side of an adaptive one)."""
-        return self.factorized or self.materialized
 
     @property
     def base(self):
@@ -324,16 +321,15 @@ class RegisteredModel:
         return features, base._fk_arrays(fk_values, features.shape[0])
 
     def choose(self, plan: DedupPlan):
-        """This batch's ``(predictor, PlanDecision | None)``."""
+        """This batch's ``(arm, PlanDecision | None)``: the planner's
+        pick, or the pinned strategy."""
         if self.planner is None:
-            return self.predictor, None
+            return self.strategy, None
         hit_rates = tuple(
             cache.approx_hit_rate() for cache in self.caches
         )
         decision = self.planner.plan(plan, hit_rates)
-        if decision.strategy == FACTORIZED:
-            return self.factorized, decision
-        return self.materialized, decision
+        return decision.strategy, decision
 
     def record(self, meta: ExecMeta) -> None:
         """Fold one executed batch into the rolling bookkeeping."""
@@ -346,7 +342,7 @@ class RegisteredModel:
 
     def cache_stats(self) -> list[CacheStats]:
         """Aggregate partial-cache counters, one entry per dimension
-        (factorized side only).
+        (none for a pinned-materialized registration).
 
         Counter totals of generations retired by a swap are folded in,
         so hits/misses/invalidations stay monotonic across a hot swap;
@@ -467,25 +463,21 @@ class ServingCore:
     def _build(
         self, name, kind, spec, model, strategy, predecessor=None
     ) -> RegisteredModel:
-        """Predictor(s), caches and planner for one registration,
-        without touching the registry."""
-        factorized = materialized = planner = None
-        if strategy != MATERIALIZED:
-            # Factorized predictors draw their caches from the shared
-            # store, keyed by partial fingerprint —
-            # fingerprint-identical models share slabs.
-            factorized = make_predictor(
-                self.db, spec, model, kind=kind, strategy=FACTORIZED,
-                store=self.store,
-            )
+        """The predictor, its caches and the planner for one
+        registration, without touching the registry."""
+        planner = None
+        # Unless pinned materialized, the predictor draws its caches
+        # from the shared store, keyed by partial fingerprint —
+        # fingerprint-identical models share slabs.
+        predictor = make_predictor(
+            self.db, spec, model, kind=kind,
+            strategy=MATERIALIZED if strategy == MATERIALIZED else FACTORIZED,
+            store=self.store,
+        )
         try:
-            if strategy != FACTORIZED:
-                materialized = make_predictor(
-                    self.db, spec, model, kind=kind, strategy=MATERIALIZED
-                )
-            bare = (factorized or materialized).model
+            bare = predictor.model
             if strategy == ADAPTIVE:
-                sizes = factorized.resolved.layout.sizes
+                sizes = predictor.resolved.layout.sizes
                 planner = _planner().BatchPlanner(
                     kind, sizes[0], tuple(sizes[1:]),
                     # The model's per-row work multiplier.
@@ -494,15 +486,13 @@ class ServingCore:
                 )
             registered = RegisteredModel(
                 name=name, kind=kind, strategy=strategy, spec=spec,
-                factorized=factorized, materialized=materialized,
-                planner=planner,
+                predictor=predictor, planner=planner,
                 out_width=bare.n_outputs if kind == "nn" else 0,
             )
             if predecessor is not None:
                 registered.continue_from(predecessor)
         except BaseException:
-            if factorized is not None:
-                factorized.close()     # give shared caches back
+            predictor.close()          # give shared caches back
             raise
         return registered
 
@@ -516,8 +506,8 @@ class ServingCore:
         """
         if successor is not None:
             successor.carry_cache_counters(registered)
-        if registered.factorized is not None:
-            registered.factorized.close()
+        if registered.predictor is not None:
+            registered.predictor.close()
 
     def swap(self, name, model) -> RegisteredModel:
         """Atomically replace ``name``'s fit with a refreshed one.
@@ -532,10 +522,10 @@ class ServingCore:
 
         Serving stats, FK/invalidation counters and cache-counter
         baselines carry over, so exported monotonic counters never
-        step backwards across a swap.  The new factorized predictor
-        draws from the same store — partials untouched by the refresh
-        stay resident via fingerprint sharing, and only the changed
-        ones rebuild.
+        step backwards across a swap.  The new predictor draws from
+        the same store — partials untouched by the refresh stay
+        resident via fingerprint sharing, and only the changed ones
+        rebuild.
         """
         current = self.model(name)
         replacement = self._build(
@@ -630,13 +620,13 @@ class ServingCore:
         with span.child("dedup"):
             plan = DedupPlan.for_batch(fks)
         with span.child("plan") as planning:
-            predictor, decision = registered.choose(plan)
-            planning.set("strategy", predictor.strategy)
+            strategy, decision = registered.choose(plan)
+            planning.set("strategy", strategy)
             if decision is not None:
                 planning.set("saving_rate", round(decision.saving_rate, 4))
         with span.child("predict"):
-            outputs = getattr(predictor, _CALLS[op])(
-                features, fks, plan=plan
+            outputs = getattr(registered.predictor, _CALLS[op])(
+                features, fks, plan=plan, strategy=strategy
             )
         return outputs, ExecMeta(
             plan.rows,
@@ -650,10 +640,10 @@ class ServingCore:
     # -- invalidation --------------------------------------------------------
 
     def invalidate(self, relation, rids, positions=None) -> dict[str, int]:
-        """Evict updated RIDs' partials from every factorized model
+        """Evict updated RIDs' partials from every model with caches
         joined to ``relation``; returns rows dropped per model name.
 
-        Materialized models hold no derived state and read fresh pages
+        Pinned-materialized models hold no derived state and read fresh pages
         on the next request.  ``positions`` (the touched heap rows) is
         for substrates with their own buffer pools; caches here are
         keyed by RID alone.
@@ -677,7 +667,7 @@ class ServingCore:
 
     def sample(self):
         """``({model: per-dimension CacheStats}, StoreStats)`` for every
-        model with a factorized side."""
+        model with partial caches."""
         return (
             {
                 registered.name: registered.cache_stats()

@@ -5,20 +5,27 @@ Database` + :class:`~repro.join.spec.JoinSpec` and answers requests of
 the form *(fact features, foreign keys)* — the normalized shape a
 serving tier actually receives — without ever materializing the join.
 
-Two strategies per model family, mirroring the training trio minus the
-training-only streaming path:
+One predictor per model family (:class:`GMMPredictor`,
+:class:`NNPredictor`) answers each request in one of two arms, the
+training trio minus the training-only streaming path:
 
-* **materialized** — expand each request to wide ``[x_S | x_R1 | …]``
-  rows (dimension features fetched by key) and run the dense model.
-  This is the baseline every serving stack uses today and the exactness
-  oracle for the factorized path.
 * **factorized** — gather per-RID partial results
   (:mod:`repro.serve.partials`, cached in one
   :class:`~repro.fx.sharding.ShardedPartialCache` per fingerprint,
   drawn from a :class:`~repro.fx.store.PartialStore`) and finish each
-  score with fact-side work only.  Output equals the materialized output up to
-  float summation order — the same exactness invariant the training
-  engines hold (Eq. 19, Section VI-A1).
+  score with fact-side work only (Eq. 19, Section VI-A1).
+* **materialized** — the same request with every dimension inlined:
+  wide ``[x_S | x_R1 | …]`` rows (dimension features fetched by key)
+  through the same kernel, a design with no dimension relation for a
+  mixture, the first layer's dense product for a network.  This is
+  the baseline every serving stack uses today and the exactness oracle
+  for the factorized arm, which it equals up to float summation order —
+  the same invariant the training engines hold.
+
+A predictor is built for one arm (``make_predictor(strategy=...)``);
+each call may name the other through its keyword-only ``strategy=``,
+which is how the serving core runs the arm its planner chose for a
+batch.  Only a predictor built factorized holds partial caches.
 
 Requests accept foreign keys as a dict ``{relation: rids}`` (the
 unambiguous form), a ``(n,)`` array (binary joins), a row-major
@@ -27,7 +34,7 @@ unambiguous form), a ``(n,)`` array (binary joins), a row-major
 fact relation in storage order, so its output aligns with the
 reference join oracle.
 
-Both strategies run off one :class:`~repro.fx.dedup.DedupPlan` — the
+Both arms run off one :class:`~repro.fx.dedup.DedupPlan` — the
 batch's ``(unique, inverse)`` FK sort, computed once.  Callers that
 already hold a plan (the runtime's batch planner derives one for its
 cost estimates) pass it via the keyword-only ``plan`` argument of
@@ -182,8 +189,22 @@ class _RequestValidator:
 
 
 class _ServingPredictor(_RequestValidator):
-    """Request plumbing shared by all predictors: normalization,
-    dimension lookups, and streaming over the stored fact relation."""
+    """Request plumbing shared by both predictors: normalization,
+    dimension lookups, the factorized arm's partial caches, and
+    streaming over the stored fact relation.
+
+    ``strategy`` is the arm the predictor is built for, and the default
+    of every call's keyword-only ``strategy=``: ``"factorized"`` draws
+    one partial cache per dimension from a
+    :class:`~repro.fx.store.PartialStore`, keyed by the dimension
+    relation's heap path — which pins the owning database, so stores
+    shared across services never mix partials from different databases
+    — plus the builder's parameter digest.  Without a caller's ``store``
+    (the one-shot ``predict_gmm``/``predict_nn`` path) the predictor
+    owns a private store and closes it in :meth:`close`.  A predictor
+    built ``"materialized"`` acquires no cache, and a factorized call on
+    it raises :class:`~repro.errors.ModelError`.
+    """
 
     def __init__(self, db: Database, spec: JoinSpec) -> None:
         super().__init__(db, spec)
@@ -191,6 +212,47 @@ class _ServingPredictor(_RequestValidator):
             DimensionLookup(dim.relation, buffer_pool=db.buffer_pool)
             for dim in self.resolved.dimensions
         ]
+
+    def _attach(self, strategy: str, builders: list, store) -> None:
+        """Fix the built-for arm and, if factorized, acquire the
+        caches ``builders`` fill."""
+        self.strategy = resolve_serving_strategy(strategy)
+        self.builders = builders
+        self.caches = []
+        self._store = None
+        if self.strategy == MATERIALIZED:
+            return
+        self._owns_store = store is None
+        if store is None:
+            # Local import: the store hands caches *to* the serve layer
+            # but also builds on serve.cache, so a module-level import
+            # here would re-enter the serve package mid-bootstrap.
+            from repro.fx.store import PartialStore
+
+            store = PartialStore()
+        self._store = store
+        self.caches = [
+            store.acquire(f"{dim.relation.heap.path}:{builder.fingerprint}")
+            for dim, builder in zip(self.resolved.dimensions, builders)
+        ]
+
+    def _factorized(self, strategy: str | None) -> bool:
+        """Whether a call takes the factorized arm: ``strategy``, or the
+        arm this predictor was built for."""
+        strategy = self.strategy if strategy is None else strategy
+        if strategy == MATERIALIZED:
+            return False
+        if strategy != FACTORIZED:
+            raise ModelError(
+                f"unknown serving arm {strategy!r}; use "
+                f"{FACTORIZED!r}|{MATERIALIZED!r}"
+            )
+        if not self.caches:
+            raise ModelError(
+                "a predictor built materialized holds no partial caches; "
+                "it cannot answer a factorized call"
+            )
+        return True
 
     def _iter_fact_requests(self):
         """Stream the stored fact relation as (features, fks) requests."""
@@ -235,46 +297,9 @@ class _ServingPredictor(_RequestValidator):
         )
 
     def close(self) -> None:
-        """Give partial caches back to their store (a no-op here: only
-        the factorized predictors hold any)."""
-
-
-# -- neural networks ----------------------------------------------------------
-
-
-class _FactorizedCacheMixin:
-    """Partial-cache wiring shared by the factorized predictors.
-
-    Caches always come from a :class:`~repro.fx.store.PartialStore`,
-    keyed per dimension by the dimension relation's heap path — which
-    pins the owning database, so stores shared across services never
-    mix partials from different databases — plus the builder's
-    parameter digest.  Without a caller's ``store`` (the one-shot
-    ``predict_gmm``/``predict_nn`` path) the predictor owns a private
-    store and closes it in :meth:`close`.
-    """
-
-    def _setup_caches(self, store) -> None:
-        self.fingerprints = [
-            f"{dim.relation.heap.path}:{builder.fingerprint}"
-            for dim, builder in zip(
-                self.resolved.dimensions, self.builders
-            )
-        ]
-        self._owns_store = store is None
-        if store is None:
-            # Local import: the store hands caches *to* the serve layer
-            # but also builds on serve.cache, so a module-level import
-            # here would re-enter the serve package mid-bootstrap.
-            from repro.fx.store import PartialStore
-
-            store = PartialStore()
-        self._store = store
-        self.caches = [store.acquire(key) for key in self.fingerprints]
-
-    def close(self) -> None:
         """Release the caches back to the store, and close the store
-        if this predictor owns it (idempotent)."""
+        if this predictor owns it (idempotent; a no-op for a predictor
+        built materialized)."""
         store, self._store = self._store, None
         if store is not None:
             for cache in self.caches:
@@ -283,38 +308,16 @@ class _FactorizedCacheMixin:
                 store.close()
 
 
-class MaterializedNNPredictor(_ServingPredictor):
-    """Dense serving baseline: expand each request, run the full model."""
+class NNPredictor(_ServingPredictor):
+    """Serve a network's first layer factorized or materialized.
 
-    strategy = "materialized"
-
-    def __init__(self, db: Database, spec: JoinSpec, model: MLP) -> None:
-        super().__init__(db, spec)
-        if model.n_inputs != self.resolved.total_features:
-            raise ModelError(
-                f"model expects {model.n_inputs} inputs, the join "
-                f"produces {self.resolved.total_features} features"
-            )
-        self.model = model
-
-    def predict(self, fact_features, fk_values, *, plan=None) -> np.ndarray:
-        """Network outputs ``(n, n_out)`` for a normalized request."""
-        features, plan = self._request(fact_features, fk_values, plan)
-        return self.model.predict(
-            densify_request(features, self.lookups, plan)
-        )
-
-
-class FactorizedNNPredictor(_FactorizedCacheMixin, _ServingPredictor):
-    """Serve the first layer from per-RID partials (Section VI-A1).
-
-    ``a⁽¹⁾ = x_S W_Sᵀ + Σᵢ gather(X_{R_i} W_{R_i}ᵀ) + b``; everything
-    above the first pre-activation reuses the network's training seam
+    Factorized (Section VI-A1): ``a⁽¹⁾ = x_S W_Sᵀ + Σᵢ gather(X_{R_i}
+    W_{R_i}ᵀ) + b`` from per-RID partials; materialized: the first
+    layer over the request's wide rows.  Either way everything above the first
+    pre-activation is the network's training seam
     :meth:`~repro.nn.network.MLP.forward_from_first_preactivation`, so
-    the factorized and dense outputs coincide by construction.
+    the two arms' outputs coincide by construction.
     """
-
-    strategy = "factorized"
 
     def __init__(
         self,
@@ -322,6 +325,7 @@ class FactorizedNNPredictor(_FactorizedCacheMixin, _ServingPredictor):
         spec: JoinSpec,
         model: MLP,
         *,
+        strategy: str = FACTORIZED,
         store=None,
     ) -> None:
         super().__init__(db, spec)
@@ -335,16 +339,21 @@ class FactorizedNNPredictor(_FactorizedCacheMixin, _ServingPredictor):
             model.first_layer.weights
         )
         self._fact_weights = weight_parts[0]
-        self.builders = [
-            NNPartialBuilder(part) for part in weight_parts[1:]
-        ]
-        self._setup_caches(store)
+        self._attach(
+            strategy, [NNPartialBuilder(part) for part in weight_parts[1:]],
+            store,
+        )
 
     def first_preactivations(
-        self, fact_features, fk_values, *, plan=None
+        self, fact_features, fk_values, *, plan=None, strategy=None
     ) -> np.ndarray:
-        """The factorized ``a⁽¹⁾`` for a normalized request."""
+        """``a⁽¹⁾`` for a normalized request."""
+        factorized = self._factorized(strategy)
         features, plan = self._request(fact_features, fk_values, plan)
+        if not factorized:
+            return self.model.first_layer.forward(
+                densify_request(features, self.lookups, plan)
+            )
         pre = features @ self._fact_weights.T
         for partial in gather_partials(
             self.lookups, self.caches, self.builders, plan
@@ -352,95 +361,31 @@ class FactorizedNNPredictor(_FactorizedCacheMixin, _ServingPredictor):
             pre += partial
         return pre + self.model.first_layer.bias
 
-    def predict(self, fact_features, fk_values, *, plan=None) -> np.ndarray:
+    def predict(
+        self, fact_features, fk_values, *, plan=None, strategy=None
+    ) -> np.ndarray:
         """Network outputs ``(n, n_out)`` for a normalized request."""
         outputs, _ = self.model.forward_from_first_preactivation(
-            self.first_preactivations(fact_features, fk_values, plan=plan)
+            self.first_preactivations(
+                fact_features, fk_values, plan=plan, strategy=strategy
+            )
         )
         return outputs
 
 
-# -- Gaussian mixtures --------------------------------------------------------
-
-
-class _GMMPredictorMixin:
+class GMMPredictor(_ServingPredictor):
     """Every output is a reading of one E-step call — the training
     kernel (:func:`~repro.gmm.model.posteriors`) on the request as a
-    design; strategies differ only in the design they hand it."""
+    design; the arms differ only in the design they hand it.
 
-    def _bind(self, model: GaussianMixtureModel) -> None:
-        if model.params.n_features != self.resolved.total_features:
-            raise ModelError(
-                f"model has {model.params.n_features} features, the join "
-                f"produces {self.resolved.total_features}"
-            )
-        self.model = model
-        self.params = model.params
-
-    def _design(self, fact_features, fk_values, plan):
-        """The request as ``(FactorizedDesign, quadform tables | None)``."""
-        raise NotImplementedError
-
-    def _posteriors(self, fact_features, fk_values, plan):
-        design, tables = self._design(fact_features, fk_values, plan)
-        return posteriors(design, self.params, self.model.precisions, tables)
-
-    def log_gaussians(self, fact_features, fk_values, *, plan=None):
-        """``(n, K)`` component log-densities ``log N(x|µ_k,Σ_k)``."""
-        design, tables = self._design(fact_features, fk_values, plan)
-        return component_log_densities(
-            design, self.params, self.model.precisions, tables
-        )
-
-    def responsibilities(
-        self, fact_features, fk_values, *, plan=None
-    ) -> np.ndarray:
-        """Posterior cluster memberships ``γ`` (Eq. 2)."""
-        return self._posteriors(fact_features, fk_values, plan)[0]
-
-    def predict(self, fact_features, fk_values, *, plan=None) -> np.ndarray:
-        """Hard cluster assignments for a normalized request."""
-        return self.responsibilities(
-            fact_features, fk_values, plan=plan
-        ).argmax(axis=1)
-
-    def score_samples(
-        self, fact_features, fk_values, *, plan=None
-    ) -> np.ndarray:
-        """Per-tuple log-likelihood ``log p(x)``."""
-        return self._posteriors(fact_features, fk_values, plan)[1]
-
-
-class MaterializedGMMPredictor(_ServingPredictor, _GMMPredictorMixin):
-    """Dense serving baseline: expand each request, score wide rows."""
-
-    strategy = "materialized"
-
-    def __init__(
-        self, db: Database, spec: JoinSpec, model: GaussianMixtureModel
-    ) -> None:
-        super().__init__(db, spec)
-        self._bind(model)
-
-    def _design(self, fact_features, fk_values, plan):
-        features, plan = self._request(fact_features, fk_values, plan)
-        wide = densify_request(features, self.lookups, plan)
-        return FactorizedDesign(wide, [], []), None
-
-
-class FactorizedGMMPredictor(
-    _FactorizedCacheMixin, _ServingPredictor, _GMMPredictorMixin
-):
-    """Score the mixture from per-RID quadratic-form partials (Eq. 19).
-
-    A request is a training batch with a cache in front of its
-    dimension tables: the fact block arrives with the request, each
-    dimension's table rows (and, for all but the last, feature rows)
-    come from the partial cache at the plan's distinct RIDs, and the
-    kernel gathers them per row tile exactly as in training.
+    Factorized (Eq. 19), a request is a training batch with a cache in
+    front of its dimension tables: the fact block arrives with the
+    request, each dimension's table rows (and, for all but the last,
+    feature rows) come from the partial cache at the plan's distinct
+    RIDs, and the kernel gathers them per row tile exactly as in
+    training.  Materialized, it is the wide rows as a design with no
+    dimension.
     """
-
-    strategy = "factorized"
 
     def __init__(
         self,
@@ -448,21 +393,36 @@ class FactorizedGMMPredictor(
         spec: JoinSpec,
         model: GaussianMixtureModel,
         *,
+        strategy: str = FACTORIZED,
         store=None,
     ) -> None:
         super().__init__(db, spec)
-        self._bind(model)
-        layout = self.resolved.layout
-        self.builders = [
-            GMMPartialBuilder(
-                i, layout, self.params.means, model.precisions.precisions
+        if model.params.n_features != self.resolved.total_features:
+            raise ModelError(
+                f"model has {model.params.n_features} features, the join "
+                f"produces {self.resolved.total_features}"
             )
-            for i in range(1, layout.nblocks)
-        ]
-        self._setup_caches(store)
+        self.model = model
+        self.params = model.params
+        layout = self.resolved.layout
+        self._attach(
+            strategy,
+            [
+                GMMPartialBuilder(
+                    i, layout, self.params.means, model.precisions.precisions
+                )
+                for i in range(1, layout.nblocks)
+            ],
+            store,
+        )
 
-    def _design(self, fact_features, fk_values, plan):
+    def _design(self, fact_features, fk_values, plan, strategy):
+        """The request as ``(FactorizedDesign, quadform tables | None)``."""
+        factorized = self._factorized(strategy)
         features, plan = self._request(fact_features, fk_values, plan)
+        if not factorized:
+            wide = densify_request(features, self.lookups, plan)
+            return FactorizedDesign(wide, [], []), None
         if plan.rows == 0:
             # No row to score and no distinct RID to index: any design
             # of zero rows yields the empty outputs.
@@ -477,6 +437,39 @@ class FactorizedGMMPredictor(
             )
         ))
         return FactorizedDesign.from_plan(features, blocks, plan), tables
+
+    def _posteriors(self, fact_features, fk_values, plan, strategy):
+        design, tables = self._design(fact_features, fk_values, plan, strategy)
+        return posteriors(design, self.params, self.model.precisions, tables)
+
+    def log_gaussians(
+        self, fact_features, fk_values, *, plan=None, strategy=None
+    ):
+        """``(n, K)`` component log-densities ``log N(x|µ_k,Σ_k)``."""
+        design, tables = self._design(fact_features, fk_values, plan, strategy)
+        return component_log_densities(
+            design, self.params, self.model.precisions, tables
+        )
+
+    def responsibilities(
+        self, fact_features, fk_values, *, plan=None, strategy=None
+    ) -> np.ndarray:
+        """Posterior cluster memberships ``γ`` (Eq. 2)."""
+        return self._posteriors(fact_features, fk_values, plan, strategy)[0]
+
+    def predict(
+        self, fact_features, fk_values, *, plan=None, strategy=None
+    ) -> np.ndarray:
+        """Hard cluster assignments for a normalized request."""
+        return self.responsibilities(
+            fact_features, fk_values, plan=plan, strategy=strategy
+        ).argmax(axis=1)
+
+    def score_samples(
+        self, fact_features, fk_values, *, plan=None, strategy=None
+    ) -> np.ndarray:
+        """Per-tuple log-likelihood ``log p(x)``."""
+        return self._posteriors(fact_features, fk_values, plan, strategy)[1]
 
 
 # -- construction helpers ------------------------------------------------------
@@ -503,12 +496,9 @@ def coerce_nn_model(model) -> MLP:
     return model
 
 
-_COERCERS = {"gmm": coerce_gmm_model, "nn": coerce_nn_model}
-_PREDICTORS = {
-    ("gmm", FACTORIZED): FactorizedGMMPredictor,
-    ("gmm", MATERIALIZED): MaterializedGMMPredictor,
-    ("nn", FACTORIZED): FactorizedNNPredictor,
-    ("nn", MATERIALIZED): MaterializedNNPredictor,
+_KINDS = {
+    "gmm": (coerce_gmm_model, GMMPredictor),
+    "nn": (coerce_nn_model, NNPredictor),
 }
 
 
@@ -521,21 +511,19 @@ def make_predictor(
     strategy: str = FACTORIZED,
     store=None,
 ):
-    """Build the predictor for ``kind`` ("gmm" | "nn") and ``strategy``.
+    """Build the predictor for ``kind`` ("gmm" | "nn"), answering in
+    ``strategy``'s arm unless a call names the other.
 
     The single dispatch point shared by :func:`repro.core.api.predict_gmm`
     / ``predict_nn`` and the serving core
     (:class:`~repro.serve.core.ServingCore`); ``model`` may be a fit
     result or the bare fitted model.
-    With ``store`` (a :class:`~repro.fx.store.PartialStore`) the
+    With ``store`` (a :class:`~repro.fx.store.PartialStore`) a
     factorized predictor draws its per-dimension caches from that store
     — sharing slabs with any fingerprint-identical model — instead of
-    from a private store of its own.
+    from a private store of its own; a materialized one acquires none.
     """
-    if kind not in _COERCERS:
+    if kind not in _KINDS:
         raise ModelError(f"unknown predictor kind {kind!r}; use 'gmm'|'nn'")
-    strategy = resolve_serving_strategy(strategy)
-    model = _COERCERS[kind](model)
-    if strategy == MATERIALIZED:
-        return _PREDICTORS[kind, strategy](db, spec, model)
-    return _PREDICTORS[kind, strategy](db, spec, model, store=store)
+    coerce, predictor = _KINDS[kind]
+    return predictor(db, spec, coerce(model), strategy=strategy, store=store)

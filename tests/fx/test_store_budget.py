@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from repro.core.api import fit_nn, serve, serve_runtime
-from repro.core.strategies import MATERIALIZED
 from repro.errors import ModelError
 from repro.fx.store import PartialStore
 from repro.serve import core
@@ -437,28 +436,36 @@ class TestServiceBudget:
     def test_failed_registration_releases_partial_acquires(
         self, db, multiway_star, monkeypatch
     ):
+        from repro.runtime import planner
+
         nn = fit_nn(
             db, multiway_star.spec, hidden_sizes=(6,), epochs=1, seed=1
         )
         with serve_runtime(db, num_workers=1) as rt:
             rt.register_nn("a", nn, multiway_star.spec)
             attachments = rt.store.stats().attachments
-            # An adaptive registration acquires the factorized
-            # predictor's caches — one per dimension, the same
-            # fingerprints as "a" — before it builds the materialized
-            # predictor; when that build fails, every acquire must be
-            # given back.
-            build = core.make_predictor
+            # An adaptive registration's one predictor acquires its
+            # caches — one per dimension, the same fingerprints as "a"
+            # — before the planner is built; when that build fails,
+            # every acquire must be given back.
+            built = []
+            make_predictor = core.make_predictor
 
-            def failing(*args, strategy, **kwargs):
-                if strategy == MATERIALIZED:
-                    raise ModelError("materialized build failed")
-                return build(*args, strategy=strategy, **kwargs)
+            def recording(*args, **kwargs):
+                built.append(make_predictor(*args, **kwargs))
+                return built[-1]
 
-            monkeypatch.setattr(core, "make_predictor", failing)
+            def failing(*args, **kwargs):
+                raise ModelError("planner build failed")
+
+            monkeypatch.setattr(core, "make_predictor", recording)
+            monkeypatch.setattr(planner, "BatchPlanner", failing)
             with pytest.raises(ModelError, match="build failed"):
                 rt.register_nn("b", nn, multiway_star.spec)
+            (predictor,) = built
+            assert len(predictor.caches) == multiway_star.spec.num_dimensions
             assert rt.store.stats().attachments == attachments
+            assert "b" not in rt
             rt.unregister("a")
             assert len(rt.store) == 0       # no leaked refcounts
 

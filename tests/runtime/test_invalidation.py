@@ -228,7 +228,7 @@ class TestCatalogUpdateContract:
         relation = db["R1"]
         position = relation.positions_of_keys(np.array([victim]))[0]
         fresh = relation.scan()[position]
-        lookup = rt.model("n").factorized.lookups[0]
+        lookup = rt.model("n").predictor.lookups[0]
         via_pool = lookup.features_for(np.array([victim]))[0]
         np.testing.assert_array_equal(
             via_pool, relation.project_features(fresh[None, :])[0]

@@ -39,12 +39,12 @@ def a_request(db, spec, n=30, start=0):
 
 
 class TestRegistration:
-    def test_adaptive_models_carry_both_predictors(self, runtime):
+    def test_adaptive_models_carry_one_factorized_predictor(self, runtime):
         rt, _, _, _ = runtime
         model = rt.model("clusters")
         assert model.strategy == "adaptive"
-        assert model.factorized is not None
-        assert model.materialized is not None
+        assert model.predictor.strategy == "factorized"
+        assert model.caches == model.predictor.caches != []
         assert model.planner is not None
 
     def test_fixed_strategy_pins_one_predictor(self, db, binary_star):
@@ -54,9 +54,10 @@ class TestRegistration:
         with serve_runtime(db) as rt:
             rt.register_nn("f", nn, binary_star.spec, strategy="factorized")
             rt.register_nn("m", nn, binary_star.spec, strategy="M")
-            assert rt.model("f").materialized is None
+            assert rt.model("f").predictor.strategy == "factorized"
             assert rt.model("f").planner is None
-            assert rt.model("m").factorized is None
+            assert rt.model("m").predictor.strategy == "materialized"
+            assert rt.model("m").planner is None
             assert rt.model("m").caches == []
 
     def test_workers_share_one_cache_per_fingerprint(self, db, binary_star):

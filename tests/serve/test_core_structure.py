@@ -21,7 +21,8 @@ the update → flush → cold-miss path (``TestAnUpdateCostsWhatItTouches``),
 the request queue's one wake-up per arrival (``TestTargetedWakeUps``),
 the maintainer's own statistics (``TestEachMaintainerOwnsItsStatistics``),
 one set of them for ridge and the mixture (``TestOneSetOfStatistics``),
-one book per serving count (``TestOneSetOfBooks``)
+one book per serving count (``TestOneSetOfBooks``),
+one serving predictor per model kind (``TestOnePredictorPerKind``)
 and the paper's evaluation as one table (``TestOneEvaluationTable``).
 """
 
@@ -810,8 +811,8 @@ class TestOneEStep:
             )
         ]
         assert sorted(calls) == [
-            "_GMMPredictorMixin._posteriors",
-            "_GMMPredictorMixin.log_gaussians",
+            "GMMPredictor._posteriors",
+            "GMMPredictor.log_gaussians",
         ]
         assert _callers("distinct_partials") == {
             "serve/predictor.py", "fx/gather.py",
@@ -1236,10 +1237,7 @@ class TestBenchmarkHooksLand:
         be on each concrete predictor's MRO."""
         from repro.serve import predictor
 
-        for name in (
-            "FactorizedGMMPredictor", "MaterializedGMMPredictor",
-            "FactorizedNNPredictor", "MaterializedNNPredictor",
-        ):
+        for name in ("GMMPredictor", "NNPredictor"):
             owners = [
                 cls for cls in getattr(predictor, name).__mro__
                 if "predict" in vars(cls)
@@ -1257,6 +1255,83 @@ class TestBenchmarkHooksLand:
         assert model.stacked_quadratic_form is quadform.stacked_quadratic_form
         assert model.quadform_tables is quadform.quadform_tables
         assert partials.quadform_table is quadform.quadform_table
+
+
+class TestOnePredictorPerKind:
+    """One serving predictor per model kind: the materialized arm is the
+    factorized predictor's request with every dimension inlined, taken
+    per call through ``strategy=`` — so a registration, adaptive or
+    not, builds one predictor, resolves its join once and builds its
+    dimension lookups once."""
+
+    PREDICTOR = SRC_ROOT / "serve" / "predictor.py"
+    REMOVED = (
+        "MaterializedGMMPredictor", "MaterializedNNPredictor",
+        "FactorizedGMMPredictor", "FactorizedNNPredictor",
+        "_FactorizedCacheMixin", "_GMMPredictorMixin", "_PREDICTORS",
+    )
+
+    def test_one_concrete_predictor_per_kind(self):
+        classes = {
+            node.name: {base.id for base in node.bases}
+            for node in _tree(self.PREDICTOR).body
+            if isinstance(node, ast.ClassDef)
+        }
+        assert classes == {
+            "_RequestValidator": set(),
+            "_ServingPredictor": {"_RequestValidator"},
+            "GMMPredictor": {"_ServingPredictor"},
+            "NNPredictor": {"_ServingPredictor"},
+        }
+
+    def test_the_record_holds_one_predictor(self):
+        from dataclasses import fields
+
+        from repro.serve.core import RegisteredModel
+
+        names = {f.name for f in fields(RegisteredModel)}
+        assert "predictor" in names
+        assert not {"factorized", "materialized"} & names
+        assert not {"factorized", "materialized"} & set(vars(RegisteredModel))
+
+    def test_the_core_builds_one_predictor(self):
+        build = _method(CORE, "ServingCore", "_build")
+        calls = [
+            node for node in ast.walk(build)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", "") == "make_predictor"
+        ]
+        assert len(calls) == 1
+        loops = (ast.For, ast.While, ast.comprehension)
+        assert not any(isinstance(n, loops) for n in ast.walk(build))
+
+    def test_the_core_passes_the_arm_not_a_predictor(self):
+        """``choose`` returns the batch's arm; ``_run`` hands it to the
+        one predictor as ``strategy=``."""
+        run = _method(CORE, "ServingCore", "_run")
+        keywords = {
+            keyword.arg
+            for node in ast.walk(run) if isinstance(node, ast.Call)
+            for keyword in node.keywords
+        }
+        assert {"plan", "strategy"} <= keywords
+        choose = _method(CORE, "RegisteredModel", "choose")
+        assert "predictor" not in _names(choose)
+
+    def test_the_old_names_stay_gone(self):
+        from repro import serve
+        from repro.serve import predictor
+
+        for path in SRC_ROOT.rglob("*.py"):
+            used = _names(_tree(path)) | {
+                node.name for node in ast.walk(_tree(path))
+                if isinstance(node, ast.ClassDef)
+            }
+            for name in self.REMOVED:
+                assert name not in used, f"{name} in {path}"
+        for name in self.REMOVED:
+            for module in (repro, serve, predictor):
+                assert not hasattr(module, name), (module.__name__, name)
 
 
 class TestNoPerKeyPythonOnTheLookupPath:

@@ -1,7 +1,7 @@
 """Serving scores a mixture through the training kernels.
 
 A request is a training batch with a cache in front of its dimension
-tables: ``FactorizedGMMPredictor`` hands ``gmm.model.posteriors`` the
+tables: ``GMMPredictor``'s factorized arm hands ``gmm.model.posteriors`` the
 request as a ``FactorizedDesign`` whose quadratic-form tables are the
 partial caches' rows.  So a request's outputs *equal* — bit for bit —
 the E-step of the same rows as one ``FactorizedBatch``, a tuple scores
@@ -38,12 +38,7 @@ from repro.join.batches import DenseBatch, FactorizedBatch
 from repro.linalg.design import FactorizedDesign
 from repro.linalg.groupsum import codes_for_keys
 from repro.nn.network import MLP
-from repro.serve.predictor import (
-    FactorizedGMMPredictor,
-    FactorizedNNPredictor,
-    MaterializedGMMPredictor,
-    MaterializedNNPredictor,
-)
+from repro.serve.predictor import GMMPredictor, NNPredictor
 from repro.storage.catalog import Database
 
 D_S = 3
@@ -137,7 +132,7 @@ class TestARequestIsATrainingBatch:
             None, model.params.n_features
         ).estep_batch(batch, model.params, model.precisions)
 
-        predictor = FactorizedGMMPredictor(db, spec, model)
+        predictor = GMMPredictor(db, spec, model)
         for _ in ("cold", "warm"):
             np.testing.assert_array_equal(
                 predictor.responsibilities(features, fks), gamma
@@ -168,7 +163,7 @@ class TestARequestIsATrainingBatch:
         ).estep_batch(
             DenseBatch(np.arange(300), wide), model.params, model.precisions
         )
-        predictor = MaterializedGMMPredictor(db, spec, model)
+        predictor = GMMPredictor(db, spec, model, strategy="materialized")
         np.testing.assert_array_equal(
             predictor.responsibilities(features, fks), gamma
         )
@@ -199,10 +194,10 @@ def e2e_like(tmp_path_factory):
     )
     model = mixture(5, 30)
     features, fks = stored_request(db, spec)
-    warm = FactorizedGMMPredictor(db, spec, model)
+    warm = GMMPredictor(db, spec, model)
     warm.predict(features, fks)                     # every RID resident
     alone = [
-        FactorizedGMMPredictor(db, spec, model).score_samples(
+        GMMPredictor(db, spec, model).score_samples(
             features[t:t + 1], [fk[t:t + 1] for fk in fks]
         )[0]
         for t in range(64)
@@ -234,7 +229,7 @@ class TestATupleScoresTheSameAnywhere:
         )
         rows[offset] = tuple_index
         predictor = (
-            warmed if warm else FactorizedGMMPredictor(db, spec, model)
+            warmed if warm else GMMPredictor(db, spec, model)
         )
         request = features[rows], [fk[rows] for fk in fks]
         scores = predictor.score_samples(*request)
@@ -260,7 +255,7 @@ class TestPartialRowWidth:
     def test_width_is_the_table_row_plus_coupled_features(self, db, q, k):
         spec = make_star(db, DIMENSIONS[q], n_s=60)
         model = mixture(k, spec.resolve(db).total_features)
-        predictor = FactorizedGMMPredictor(db, spec, model)
+        predictor = GMMPredictor(db, spec, model)
         widths = [dim.n_features for dim in DIMENSIONS[q]]
         left = D_S
         for i, (builder, d_i) in enumerate(
@@ -287,7 +282,7 @@ class TestPartialRowWidth:
         )
         model = mixture(5, 30)
         before = traced()
-        predictor = FactorizedGMMPredictor(db, spec, model)
+        predictor = GMMPredictor(db, spec, model)
         assert [b.width for b in predictor.builders] == [45, 105]
         rids = np.arange(n_r1)
         predictor.predict(
@@ -313,8 +308,8 @@ class TestCorners:
         spec = make_star(db, DIMENSIONS[q], n_s=60)
         model = mixture(3, spec.resolve(db).total_features)
         empty_fks = [np.empty(0, dtype=np.int64)] * q
-        for cls in (FactorizedGMMPredictor, MaterializedGMMPredictor):
-            predictor = cls(db, spec, model)
+        for strategy in ("factorized", "materialized"):
+            predictor = GMMPredictor(db, spec, model, strategy=strategy)
             none = np.empty((0, D_S))
             assert predictor.predict(none, empty_fks).shape == (0,)
             assert predictor.score_samples(none, empty_fks).shape == (0,)
@@ -325,7 +320,7 @@ class TestCorners:
         spec = make_star(db, DIMENSIONS[2], n_s=90)
         model = mixture(1, spec.resolve(db).total_features)
         features, fks = stored_request(db, spec)
-        predictor = FactorizedGMMPredictor(db, spec, model)
+        predictor = GMMPredictor(db, spec, model)
         np.testing.assert_array_equal(
             predictor.responsibilities(features, fks), np.ones((90, 1))
         )
@@ -344,9 +339,9 @@ class TestCorners:
         spec = make_star(db, DIMENSIONS[q])
         model = mixture(5, spec.resolve(db).total_features)
         features, fks = stored_request(db, spec)
-        exact = FactorizedGMMPredictor(db, spec, model)
+        exact = GMMPredictor(db, spec, model)
         store = PartialStore(tiers=(TIER_FLOAT32,))
-        tiered = FactorizedGMMPredictor(db, spec, model, store=store)
+        tiered = GMMPredictor(db, spec, model, store=store)
         tiered.predict(features, fks)               # fill
         # Every row one rung down, through the governor's victim API.
         held = 0
@@ -377,10 +372,10 @@ def predictors(db):
     d = spec.resolve(db).total_features
     gmm, nn = mixture(2, d), MLP((d, 4, 1))
     return [
-        FactorizedGMMPredictor(db, spec, gmm),
-        MaterializedGMMPredictor(db, spec, gmm),
-        FactorizedNNPredictor(db, spec, nn),
-        MaterializedNNPredictor(db, spec, nn),
+        GMMPredictor(db, spec, gmm),
+        GMMPredictor(db, spec, gmm, strategy="materialized"),
+        NNPredictor(db, spec, nn),
+        NNPredictor(db, spec, nn, strategy="materialized"),
     ]
 
 

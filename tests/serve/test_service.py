@@ -7,11 +7,7 @@ import pytest
 
 from repro.core.api import fit_gmm, fit_nn, serve
 from repro.errors import ModelError
-from repro.serve.predictor import (
-    FactorizedGMMPredictor,
-    FactorizedNNPredictor,
-    MaterializedNNPredictor,
-)
+from repro.serve.predictor import GMMPredictor, NNPredictor
 from repro.serve.service import ModelService
 from repro.storage.iostats import IOSnapshot
 
@@ -44,12 +40,11 @@ class TestRegistration:
     def test_register_binds_the_right_predictors(self, served):
         service, _, _, _ = served
         assert service.model_names == ["clusters", "ratings"]
-        assert isinstance(
-            service.model("clusters").predictor, FactorizedGMMPredictor
-        )
-        assert isinstance(
-            service.model("ratings").predictor, FactorizedNNPredictor
-        )
+        clusters = service.model("clusters").predictor
+        ratings = service.model("ratings").predictor
+        assert isinstance(clusters, GMMPredictor)
+        assert isinstance(ratings, NNPredictor)
+        assert clusters.strategy == ratings.strategy == "factorized"
 
     def test_strategy_knob_and_aliases(self, db, binary_star):
         nn = fit_nn(
@@ -57,9 +52,10 @@ class TestRegistration:
         )
         service = ModelService(db)
         service.register_nn("m", nn, binary_star.spec, strategy="M")
-        assert isinstance(
-            service.model("m").predictor, MaterializedNNPredictor
-        )
+        predictor = service.model("m").predictor
+        assert isinstance(predictor, NNPredictor)
+        assert predictor.strategy == "materialized"
+        assert predictor.caches == []
         assert service.model("m").strategy == "materialized"
 
     def test_streaming_strategy_rejected(self, db, binary_star):
@@ -110,13 +106,13 @@ class TestServing:
         features, fk = a_request(db, spec)
         np.testing.assert_array_equal(
             service.predict("clusters", features, fk),
-            FactorizedGMMPredictor(db, spec, gmm.model).predict(
+            GMMPredictor(db, spec, gmm.model).predict(
                 features, fk
             ),
         )
         np.testing.assert_allclose(
             service.predict("ratings", features, fk),
-            FactorizedNNPredictor(db, spec, nn.model).predict(features, fk),
+            NNPredictor(db, spec, nn.model).predict(features, fk),
             rtol=1e-12, atol=1e-12,
         )
 
@@ -159,8 +155,8 @@ class TestInvalidation:
         assert cache_stats.invalidations == 1
 
         after = service.predict("n", features, fks)
-        oracle = MaterializedNNPredictor(
-            db, binary_star.spec, nn.model
+        oracle = NNPredictor(
+            db, binary_star.spec, nn.model, strategy="materialized"
         ).predict(features, fks)
         np.testing.assert_allclose(after, oracle, rtol=1e-9, atol=1e-9)
         assert not np.allclose(before[fks == victim], after[fks == victim])

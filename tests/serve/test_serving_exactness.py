@@ -7,12 +7,13 @@ multi-way star joins, for whole-table scoring and for request batches,
 with pinned and with bounded partial caches.
 """
 
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 
-from repro.core.api import fit_gmm, fit_nn, predict_gmm, predict_nn
+from repro.core.api import fit_gmm, fit_nn, predict_gmm, predict_nn, serve
 from repro.data.synthetic import (
     DimensionSpec,
     StarSchemaConfig,
@@ -22,12 +23,7 @@ from repro.errors import ModelError
 from repro.fx.store import PartialStore
 from repro.join.reference import nested_loop_join
 from repro.nn.network import MLP
-from repro.serve.predictor import (
-    FactorizedGMMPredictor,
-    FactorizedNNPredictor,
-    MaterializedGMMPredictor,
-    MaterializedNNPredictor,
-)
+from repro.serve.predictor import GMMPredictor, NNPredictor
 
 
 @pytest.fixture(autouse=True)
@@ -76,8 +72,10 @@ class TestGMMExactness:
     def test_predict_all_matches_dense_model(self, db, fitted):
         spec, gmm, _, oracle = fitted
         dense_labels = gmm.model.predict(oracle.features)
-        factorized = FactorizedGMMPredictor(db, spec, gmm.model)
-        materialized = MaterializedGMMPredictor(db, spec, gmm.model)
+        factorized = GMMPredictor(db, spec, gmm.model)
+        materialized = GMMPredictor(
+            db, spec, gmm.model, strategy="materialized"
+        )
         np.testing.assert_array_equal(
             factorized.predict_all(), dense_labels
         )
@@ -88,7 +86,7 @@ class TestGMMExactness:
     def test_log_gaussians_match_to_float_associativity(self, db, fitted):
         spec, gmm, _, oracle = fitted
         features, fks = request_slice(db, spec, 64)
-        factorized = FactorizedGMMPredictor(db, spec, gmm.model)
+        factorized = GMMPredictor(db, spec, gmm.model)
         np.testing.assert_allclose(
             factorized.log_gaussians(features, fks),
             gmm.model.log_gaussians(oracle.features[:64]),
@@ -98,7 +96,7 @@ class TestGMMExactness:
     def test_score_samples_match(self, db, fitted):
         spec, gmm, _, oracle = fitted
         features, fks = request_slice(db, spec, 50)
-        factorized = FactorizedGMMPredictor(db, spec, gmm.model)
+        factorized = GMMPredictor(db, spec, gmm.model)
         np.testing.assert_allclose(
             factorized.score_samples(features, fks),
             gmm.model.score_samples(oracle.features[:50]),
@@ -108,7 +106,7 @@ class TestGMMExactness:
     def test_bounded_cache_is_still_exact(self, db, fitted):
         spec, gmm, _, oracle = fitted
         budget = PartialStore(capacity_floats=64)
-        factorized = FactorizedGMMPredictor(db, spec, gmm.model, store=budget)
+        factorized = GMMPredictor(db, spec, gmm.model, store=budget)
         np.testing.assert_array_equal(
             factorized.predict_all(), gmm.model.predict(oracle.features)
         )
@@ -131,7 +129,7 @@ class TestGMMExactness:
         spec, gmm, _, _ = fitted
         # Built without a store, the predictor owns a private one and
         # leaves nothing live in it once closed.
-        factorized = FactorizedGMMPredictor(db, spec, gmm.model)
+        factorized = GMMPredictor(db, spec, gmm.model)
         store = factorized._store
         assert len(store) == factorized.num_dimensions
         factorized.close()
@@ -144,8 +142,10 @@ class TestNNExactness:
     def test_predict_all_matches_dense_model(self, db, fitted):
         spec, _, nn, oracle = fitted
         dense_outputs = nn.predict(oracle.features)
-        factorized = FactorizedNNPredictor(db, spec, nn.model)
-        materialized = MaterializedNNPredictor(db, spec, nn.model)
+        factorized = NNPredictor(db, spec, nn.model)
+        materialized = NNPredictor(
+            db, spec, nn.model, strategy="materialized"
+        )
         np.testing.assert_allclose(
             factorized.predict_all(), dense_outputs,
             rtol=1e-12, atol=1e-12,
@@ -157,7 +157,7 @@ class TestNNExactness:
     def test_request_batch_matches_whole_table_scoring(self, db, fitted):
         spec, _, nn, oracle = fitted
         features, fks = request_slice(db, spec, 40)
-        factorized = FactorizedNNPredictor(db, spec, nn.model)
+        factorized = NNPredictor(db, spec, nn.model)
         np.testing.assert_allclose(
             factorized.predict(features, fks),
             nn.predict(oracle.features[:40]),
@@ -167,7 +167,7 @@ class TestNNExactness:
     def test_bounded_cache_is_still_exact(self, db, fitted):
         spec, _, nn, oracle = fitted
         budget = PartialStore(capacity_floats=64)
-        factorized = FactorizedNNPredictor(db, spec, nn.model, store=budget)
+        factorized = NNPredictor(db, spec, nn.model, store=budget)
         np.testing.assert_allclose(
             factorized.predict_all(), nn.predict(oracle.features),
             rtol=1e-12, atol=1e-12,
@@ -191,13 +191,128 @@ class TestNNExactness:
         )
 
 
+def distinct_keys_request(db, spec):
+    """Fact tuples no two of which share a key in any dimension: every
+    row is its own distinct RID, the planner's dense case."""
+    features, fks = request_slice(db, spec, None)
+    seen = [set() for _ in fks]
+    rows = []
+    for t in range(features.shape[0]):
+        keys = [int(fk[t]) for fk in fks.values()]
+        if not any(k in s for k, s in zip(keys, seen)):
+            rows.append(t)
+            for k, s in zip(keys, seen):
+                s.add(k)
+    return features[rows], {name: fk[rows] for name, fk in fks.items()}
+
+
+class TestOnePredictorTwoArms:
+    """An adaptive registration answers every batch with its one
+    predictor in the arm the planner chose, bit for bit what a
+    registration pinned to that arm answers."""
+
+    ARMS = ("factorized", "materialized")
+
+    def test_each_planned_batch_equals_its_pinned_arm(
+        self, db, fitted, monkeypatch
+    ):
+        spec, gmm, nn, _ = fitted
+        service = serve(db)
+        for strategy in ("adaptive", *self.ARMS):
+            service.register_gmm(
+                f"gmm-{strategy}", gmm, spec, strategy=strategy
+            )
+            service.register_nn(f"nn-{strategy}", nn, spec, strategy=strategy)
+        features, fks = request_slice(db, spec, 400)
+        requests = [
+            distinct_keys_request(db, spec),        # cold, rows = RIDs
+            (features[:0], {k: v[:0] for k, v in fks.items()}),
+            (features, fks),                        # ~16 rows per RID
+        ]
+        calls = [
+            ("gmm", service.predict), ("gmm", service.score),
+            ("nn", service.predict),
+        ]
+        chosen = {kind: set() for kind in ("gmm", "nn")}
+        for request in requests:
+            # the planner's own verdict, then each arm forced through it
+            for forced in (None, *self.ARMS):
+                for kind, call in calls:
+                    planner = service.model(f"{kind}-adaptive").planner
+                    if forced is not None:
+                        monkeypatch.setattr(
+                            planner, "plan",
+                            lambda *a, plan=planner.plan, arm=forced: (
+                                dataclasses.replace(plan(*a), strategy=arm)
+                            ),
+                        )
+                    out = call(f"{kind}-adaptive", *request)
+                    monkeypatch.undo()
+                    stats = service.model(f"{kind}-adaptive").planner_stats
+                    arm = stats.recent[-1].strategy
+                    assert forced in (None, arm)
+                    if forced is None:
+                        chosen[kind].add(arm)
+                    np.testing.assert_array_equal(
+                        out, call(f"{kind}-{arm}", *request)
+                    )
+        # the planner's own verdicts took both arms of the network: the
+        # all-distinct batch dense, the others factorized (a mixture's
+        # break-even sits at or below one row per RID, so it never
+        # plans dense at d_R > 1 — the forced passes cover it)
+        assert chosen == {"gmm": {"factorized"}, "nn": set(self.ARMS)}
+        service.close()
+
+    def test_a_pinned_materialized_registration_holds_no_cache(
+        self, db, fitted
+    ):
+        spec, gmm, nn, _ = fitted
+        service = serve(db)
+        service.register_gmm("m", gmm, spec, strategy="materialized")
+        service.register_nn("n", nn, spec, strategy="M")
+        features, fks = request_slice(db, spec, 50)
+        service.predict("m", features, fks)
+        service.predict("n", features, fks)
+        assert service.cache_stats("m") == service.cache_stats("n") == []
+        assert len(service.store) == 0
+        service.close()
+
+    def test_a_factorized_call_needs_the_caches(self, db, fitted):
+        spec, gmm, nn, _ = fitted
+        features, fks = request_slice(db, spec, 20)
+        for predictor in (
+            GMMPredictor(db, spec, gmm.model, strategy="materialized"),
+            NNPredictor(db, spec, nn.model, strategy="M"),
+        ):
+            assert predictor.caches == [] and predictor._store is None
+            with pytest.raises(ModelError, match="no partial caches"):
+                predictor.predict(features, fks, strategy="factorized")
+            with pytest.raises(ModelError, match="unknown serving arm"):
+                predictor.predict(features, fks, strategy="F")
+            predictor.close()                   # nothing to give back
+
+    def test_a_factorized_predictor_answers_both_arms(self, db, fitted):
+        spec, gmm, nn, oracle = fitted
+        features, fks = request_slice(db, spec, 64)
+        for cls, model, dense in (
+            (GMMPredictor, gmm.model, gmm.model.predict),
+            (NNPredictor, nn.model, nn.model.predict),
+        ):
+            predictor = cls(db, spec, model)
+            np.testing.assert_array_equal(
+                predictor.predict(features, fks, strategy="materialized"),
+                dense(oracle.features[:64]),
+            )
+            predictor.close()
+
+
 class TestRequestForms:
     """All accepted foreign-key spellings resolve identically."""
 
     def test_fk_spellings_agree(self, db, multiway_star):
         spec = multiway_star.spec
         nn = fit_nn(db, spec, hidden_sizes=(4,), epochs=1, seed=1)
-        predictor = FactorizedNNPredictor(db, spec, nn.model)
+        predictor = NNPredictor(db, spec, nn.model)
         features, fks_dict = request_slice(db, spec, 20)
         as_list = [fks_dict[d.relation] for d in spec.dimensions]
         as_matrix = np.column_stack(as_list)
@@ -216,7 +331,7 @@ class TestRequestForms:
         # matrix when FKs arrive as the sequence-of-q-arrays form.
         spec = multiway_star.spec
         nn = fit_nn(db, spec, hidden_sizes=(4,), epochs=1, seed=1)
-        predictor = FactorizedNNPredictor(db, spec, nn.model)
+        predictor = NNPredictor(db, spec, nn.model)
         features, fks_dict = request_slice(db, spec, spec.num_dimensions)
         as_list = [fks_dict[d.relation] for d in spec.dimensions]
         np.testing.assert_array_equal(
@@ -234,7 +349,7 @@ class TestRequestForms:
     def test_binary_accepts_flat_fk_array(self, db, binary_star):
         spec = binary_star.spec
         gmm = fit_gmm(db, spec, n_components=2, max_iter=2, seed=1)
-        predictor = FactorizedGMMPredictor(db, spec, gmm.model)
+        predictor = GMMPredictor(db, spec, gmm.model)
         features, fks = request_slice(db, spec, 15)
         (flat,) = fks.values()
         np.testing.assert_array_equal(
@@ -245,7 +360,7 @@ class TestRequestForms:
     def test_single_row_request(self, db, binary_star):
         spec = binary_star.spec
         gmm = fit_gmm(db, spec, n_components=2, max_iter=2, seed=1)
-        predictor = FactorizedGMMPredictor(db, spec, gmm.model)
+        predictor = GMMPredictor(db, spec, gmm.model)
         features, fks = request_slice(db, spec, 1)
         labels = predictor.predict(features[0], fks)
         assert labels.shape == (1,)
@@ -257,10 +372,10 @@ class TestRequestForms:
         nn = fit_nn(db, spec, hidden_sizes=(4,), epochs=1, seed=1)
         no_rows = np.zeros((0, 3))
         no_keys = np.zeros(0, dtype=np.int64)
-        assert FactorizedGMMPredictor(db, spec, gmm.model).predict(
+        assert GMMPredictor(db, spec, gmm.model).predict(
             no_rows, no_keys
         ).shape == (0,)
-        assert FactorizedNNPredictor(db, spec, nn.model).predict(
+        assert NNPredictor(db, spec, nn.model).predict(
             no_rows, no_keys
         ).shape == (0, 1)
 
@@ -269,21 +384,21 @@ class TestValidation:
     def test_wrong_fact_width_rejected(self, db, binary_star):
         spec = binary_star.spec
         gmm = fit_gmm(db, spec, n_components=2, max_iter=2, seed=1)
-        predictor = FactorizedGMMPredictor(db, spec, gmm.model)
+        predictor = GMMPredictor(db, spec, gmm.model)
         with pytest.raises(ModelError, match="width"):
             predictor.predict(np.zeros((4, 7)), np.zeros(4, dtype=int))
 
     def test_fk_length_mismatch_rejected(self, db, binary_star):
         spec = binary_star.spec
         nn = fit_nn(db, spec, hidden_sizes=(4,), epochs=1, seed=1)
-        predictor = FactorizedNNPredictor(db, spec, nn.model)
+        predictor = NNPredictor(db, spec, nn.model)
         with pytest.raises(ModelError, match="foreign keys"):
             predictor.predict(np.zeros((4, 3)), np.zeros(3, dtype=int))
 
     def test_missing_dimension_keys_rejected(self, db, multiway_star):
         spec = multiway_star.spec
         nn = fit_nn(db, spec, hidden_sizes=(4,), epochs=1, seed=1)
-        predictor = FactorizedNNPredictor(db, spec, nn.model)
+        predictor = NNPredictor(db, spec, nn.model)
         with pytest.raises(ModelError, match="missing foreign keys"):
             predictor.predict(
                 np.zeros((2, 3)), {"R1": np.zeros(2, dtype=int)}
@@ -293,7 +408,7 @@ class TestValidation:
         # The binary_star join yields 8 features; this net expects 5.
         model = MLP((5, 4, 1))
         with pytest.raises(ModelError, match="inputs"):
-            FactorizedNNPredictor(db, binary_star.spec, model)
+            NNPredictor(db, binary_star.spec, model)
 
     def test_streaming_strategy_rejected_for_serving(self, db, binary_star):
         gmm = fit_gmm(
