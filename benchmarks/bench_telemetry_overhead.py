@@ -3,10 +3,11 @@
 The observability layer promises near-zero cost when off and small,
 bounded cost when on (``docs/observability.md``).  This bench holds it
 to that: the same request stream runs through two identically
-configured concurrent runtimes — one with ``telemetry=True`` (metrics,
-spans, collectors all live), one with the module-level no-op telemetry
-— in interleaved rounds so CPU-frequency drift and cache warmth hit
-both arms alike.
+configured concurrent runtimes — one with ``telemetry=True`` (spans and
+collectors live), one with the module-level disabled telemetry (the
+components keep their books either way; nothing samples them and no
+span opens) — in interleaved rounds so CPU-frequency drift and cache
+warmth hit both arms alike.
 
 Acceptance: the enabled arm's wall time stays within
 ``MAX_OVERHEAD`` (5%) of the disabled arm's — off ÷ on wall time, the

@@ -157,35 +157,15 @@ class ModelMaintainer:
         self._apply_lock = threading.Lock()
         self._needs_refit = False
         self._closed = False
-        registry = self.telemetry.registry
-        self._m_deltas = registry.counter(
-            "repro_maintain_deltas_total",
-            help="Incremental statistic deltas applied by maintainers",
-            labelnames=("model",),
-        ).labels(model=name)
-        self._m_refits = registry.counter(
-            "repro_maintain_refits_total",
-            help="Full refits forced by drift, uncovered changes or a cancelling solve",
-            labelnames=("model",),
-        ).labels(model=name)
-        self._m_staleness = registry.gauge(
-            "repro_maintain_staleness_seconds",
-            help="Age of the oldest row-version event not yet applied",
-            labelnames=("model",),
-        ).labels(model=name)
-        self._m_stats_bytes = registry.gauge(
-            "repro_maintain_stats_bytes",
-            help="Bytes the maintained sufficient statistics retain",
-            labelnames=("model",),
-        ).labels(model=name)
-        # Materialize the series at zero so windows that assert "no
-        # refits happened" see a sample rather than an absent metric.
-        self._m_deltas.inc(0.0)
-        self._m_refits.inc(0.0)
-        self._m_staleness.set(0.0)
+        # The books /metrics samples (under the pending lock, which
+        # no refit holds): deltas applied, refits run and the retained
+        # statistics' bytes as of the last refresh.  Each starts at 0,
+        # so a window asserting "no refits" reads a sample.
+        self._deltas = self._refits = 0
         self._init_fit(model)
-        self._export_stats_bytes()
+        self._book_refresh(0, 0)
         self.db.subscribe(self._on_row_version)
+        self.telemetry.registry.register_collector(self._collect)
 
     # -- fit state -----------------------------------------------------------
 
@@ -242,9 +222,43 @@ class ModelMaintainer:
     def drift(self) -> float:
         return self._stats.drift if self._stats is not None else 0.0
 
-    def _export_stats_bytes(self) -> None:
+    def _book_refresh(self, deltas: int, refits: int) -> None:
+        """Book one refresh: its deltas and refits, and the bytes the
+        statistics now retain."""
         stats = self._stats             # an NN fit keeps none
-        self._m_stats_bytes.set(0.0 if stats is None else stats.nbytes)
+        with self._pending_lock:
+            self._deltas += deltas
+            self._refits += refits
+            self._stats_bytes = 0 if stats is None else stats.nbytes
+
+    def _collect(self, buffer) -> None:
+        """Sample the books and the live staleness into a snapshot."""
+        staleness = self.staleness_seconds()
+        with self._pending_lock:
+            deltas, refits = self._deltas, self._refits
+            nbytes = self._stats_bytes
+        labels = {"model": self.name}
+        buffer.counter(
+            "repro_maintain_deltas_total", deltas,
+            help="Incremental statistic deltas applied by maintainers",
+            **labels,
+        )
+        buffer.counter(
+            "repro_maintain_refits_total", refits,
+            help="Full refits forced by drift, uncovered changes or a "
+                 "cancelling solve",
+            **labels,
+        )
+        buffer.gauge(
+            "repro_maintain_staleness_seconds", staleness,
+            help="Age of the oldest row-version event not yet applied",
+            **labels,
+        )
+        buffer.gauge(
+            "repro_maintain_stats_bytes", nbytes,
+            help="Bytes the maintained sufficient statistics retain",
+            **labels,
+        )
 
     @property
     def pending_events(self) -> int:
@@ -281,7 +295,6 @@ class ModelMaintainer:
             self._pending.append(pending)
             count = len(self._pending)
             oldest = self._pending[0].arrived_at
-        self._m_staleness.set(time.monotonic() - oldest)
         if self.policy.refresh == "eager":
             self.flush()
         elif self.policy.refresh == "batched":
@@ -298,7 +311,6 @@ class ModelMaintainer:
         timer so a lone event cannot wait past ``max_staleness``
         forever.  Returns whether a flush ran.
         """
-        self._m_staleness.set(self.staleness_seconds())
         if self.policy.refresh != "batched":
             return False
         with self._pending_lock:
@@ -320,7 +332,6 @@ class ModelMaintainer:
                 batch = self._pending
                 self._pending = []
             if not batch:
-                self._m_staleness.set(0.0)
                 return False
             with self.telemetry.tracer.trace(
                 "maintain.apply", model=self.name,
@@ -332,10 +343,7 @@ class ModelMaintainer:
                 refitted = self._refresh_model()
                 span.set("deltas", deltas)
                 span.set("refit", refitted)
-            if deltas:
-                self._m_deltas.inc(deltas)
-            self._m_staleness.set(self.staleness_seconds())
-            self._export_stats_bytes()
+            self._book_refresh(deltas, int(refitted))
             self._push_to_targets()
             return True
 
@@ -349,8 +357,7 @@ class ModelMaintainer:
                 kind=self.kind, events=0, forced=True,
             ):
                 self._full_refit()
-            self._m_staleness.set(0.0)
-            self._export_stats_bytes()
+            self._book_refresh(0, 1)
             self._push_to_targets()
 
     def _apply_event(self, pending: _PendingEvent) -> int:
@@ -484,7 +491,6 @@ class ModelMaintainer:
         on it."""
         from repro.core.api import fit_gmm, fit_nn
 
-        self._m_refits.inc()
         self._needs_refit = False
         if self.kind == "linear":
             self._solve_fresh_linear()
@@ -516,6 +522,7 @@ class ModelMaintainer:
             return
         self._closed = True
         self.db.unsubscribe(self._on_row_version)
+        self.telemetry.registry.unregister_collector(self._collect)
         self._stats = None
 
     def __enter__(self) -> "ModelMaintainer":

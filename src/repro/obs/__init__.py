@@ -2,7 +2,8 @@
 
 One :class:`Telemetry` object bundles the two halves of observability
 — a :class:`~repro.obs.metrics.MetricsRegistry` (aggregate counters /
-gauges / histograms answering *how much*) and a
+gauges / histograms answering *how much*, each sampled from the book
+of the component that counts it) and a
 :class:`~repro.obs.trace.Tracer` (per-request span trees answering
 *where did this one go*) — and renders both through the exporters in
 :mod:`repro.obs.export`.
@@ -10,9 +11,8 @@ gauges / histograms answering *how much*) and a
 The serving runtime, the model service, and the training loops all
 take a ``telemetry=`` argument coerced through :func:`as_telemetry`:
 
-* ``None`` / ``False`` → the shared :data:`NULL_TELEMETRY` — every
-  instrument is a module-level no-op singleton, so instrumented hot
-  paths cost one attribute lookup per event;
+* ``None`` / ``False`` → the shared :data:`NULL_TELEMETRY`, whose
+  registry samples nothing and whose tracer opens no spans;
 * ``True`` → a fresh enabled :class:`Telemetry` with defaults;
 * a :class:`Telemetry` instance → used as-is (share one across
   components to get a single combined snapshot).
@@ -36,6 +36,7 @@ from repro.obs.metrics import (
     SampleBuffer,
 )
 from repro.obs.trace import NOOP_SPAN, Span, Tracer, current_span
+from repro.obs.training import TrainingBook
 
 
 class Telemetry:
@@ -61,6 +62,11 @@ class Telemetry:
             slow_capacity=slow_trace_capacity,
             enabled=enabled,
         )
+        #: The ``repro_training_*`` series of every fit given this
+        #: telemetry (``None`` when disabled: nothing else reads it).
+        self.training = TrainingBook() if enabled else None
+        if enabled:
+            self.registry.register_collector(self.training.collect)
 
     def snapshot(self) -> MetricsSnapshot:
         """One consistent, tear-free cut of every registered metric."""

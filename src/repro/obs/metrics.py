@@ -1,4 +1,4 @@
-"""A thread-safe metrics registry: counters, gauges, histograms.
+"""A thread-safe metrics registry: every series sampled from its book.
 
 The seven bookkeeping surfaces that grew alongside the system
 (``RuntimeStats``, ``WorkerStats``, ``PlannerStats``, ``ServingStats``,
@@ -6,37 +6,30 @@ The seven bookkeeping surfaces that grew alongside the system
 questions; this registry is the common model underneath them: every
 quantity the process exposes is a *metric family* — a name, a kind
 (counter / gauge / histogram), a help string, and a fixed tuple of
-label names — holding one *cell* per label-value combination.  The
+label names — holding one *sample* per label-value combination.  The
 exporters (:mod:`repro.obs.export`) render a registry snapshot as
 Prometheus text exposition or JSON without knowing anything about the
 layers that populate it.
 
-Two population mechanisms, deliberately different:
-
-* **owned instruments** — only for what no component keeps a record
-  of (per-request counts and latencies, failures, the training
-  loops): hot paths create their instruments once and call ``inc`` /
-  ``set`` / ``observe`` per event.  Mutations take the registry's one
-  lock, so a snapshot of owned instruments is a true point-in-time cut
-  across all of them;
-* **collectors** — components that already keep locked records (the
-  serving books, the queue, partial caches, the partial store, the
-  buffer pool, I/O stats) register a callback that *samples* that
-  state on demand instead of counting it twice.  Collectors run
-  **outside** the registry lock (a component may call ``inc`` while
-  holding its own lock, so sampling under the registry lock could
-  deadlock); each collector reads its component atomically under the
-  component's own locks, so every sampled stat group is internally
-  consistent.
+One population mechanism: the component that sees an event keeps its
+count in a plain book of its own (an int, a dict keyed by label
+values, a :class:`HistogramCell`) under one of its own locks, and
+registers a *collector* — a callback that writes those books into a
+:class:`SampleBuffer` when a snapshot is taken.  The serving books,
+the runtime's request and batch books, the queue, partial caches, the
+partial store, the buffer pool, I/O stats, the maintainers and the
+training book all publish this way, so no count is kept twice and no
+``/metrics`` series can drift from the record it mirrors.  Collectors
+run **outside** the registry lock (whose only job is the collector
+list); each reads its component atomically under the component's own
+locks, so every sampled stat group is internally consistent.
 
 **Disabled mode.**  A registry constructed with ``enabled=False``
-hands out module-level no-op singletons from :func:`counter` /
-:func:`gauge` / :func:`histogram` — one shared ``_NoopCounter`` whose
-``inc`` is ``pass`` — and :meth:`MetricsRegistry.snapshot` returns an
-empty snapshot without touching collectors.  Instrumented code keeps a
-reference to whatever instrument it was handed and never branches on
-an enabled flag, so the cost of telemetry-off is one attribute lookup
-and one no-op call per event.
+ignores collector registrations and :meth:`MetricsRegistry.snapshot`
+returns an empty snapshot.  The serving books are kept either way —
+most of them are what ``stats()`` / ``runtime_stats()`` return — at a
+locked dict or cell update per event; only the training book, which
+nothing but ``/metrics`` reads, is not kept when telemetry is off.
 """
 
 from __future__ import annotations
@@ -44,6 +37,7 @@ from __future__ import annotations
 import math
 import threading
 import weakref
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from repro.errors import ModelError
@@ -150,11 +144,10 @@ class Sample:
 
 @dataclass(frozen=True)
 class MetricsSnapshot:
-    """An immutable copy of every metric cell at one instant.
+    """An immutable copy of every collector's samples.
 
-    Owned instruments are copied under the registry lock (one
-    consistent cut); collector samples are appended after, each
-    internally consistent under its component's locks.
+    Each collector's group is internally consistent under its
+    component's locks.
     """
 
     samples: tuple[Sample, ...] = ()
@@ -255,86 +248,16 @@ def _validate_name(name: str) -> None:
         )
 
 
-class _NoopInstrument:
-    """Shared do-nothing instrument for disabled registries."""
-
-    __slots__ = ()
-
-    def labels(self, **_labels: str) -> "_NoopInstrument":
-        return self
-
-    def inc(self, value: float = 1.0) -> None:
-        pass
-
-    def dec(self, value: float = 1.0) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-
-NOOP_INSTRUMENT = _NoopInstrument()
-
-
-class _Family:
-    """One metric family: shared metadata plus per-label-tuple cells."""
-
-    __slots__ = ("name", "kind", "help", "labelnames", "buckets", "cells")
-
-    def __init__(self, name, kind, help, labelnames, buckets=None):
-        self.name = name
-        self.kind = kind
-        self.help = help
-        self.labelnames = labelnames
-        self.buckets = buckets
-        self.cells: dict[tuple[str, ...], object] = {}
-
-
-class _BoundInstrument:
-    """An instrument bound to one family + one label-value tuple.
-
-    All mutation happens under the registry's lock, which is what
-    makes :meth:`MetricsRegistry.snapshot` a consistent cut across
-    every owned instrument.
-    """
-
-    __slots__ = ("_registry", "_family", "_labelvalues")
-
-    def __init__(self, registry, family, labelvalues):
-        self._registry = registry
-        self._family = family
-        self._labelvalues = labelvalues
-
-    def labels(self, **labels: str) -> "_BoundInstrument":
-        return self._registry._bind(self._family, labels)
-
-    def _cell(self):
-        family = self._family
-        cell = family.cells.get(self._labelvalues)
-        if cell is None:
-            if family.kind == HISTOGRAM:
-                cell = HistogramCell(family.buckets)
-            else:
-                cell = _ScalarCell()
-            family.cells[self._labelvalues] = cell
-        return cell
-
-
-class _ScalarCell:
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0.0
-
-
 class HistogramCell:
-    """One fixed-bucket distribution: the storage behind every
-    :class:`Histogram` label tuple, also usable on its own (no
-    registry) where a component wants a :class:`HistogramValue` with
-    telemetry on *or* off.  Unlocked — callers synchronize."""
+    """One fixed-bucket distribution, kept by the component that sees
+    its events (telemetry on *or* off) and sampled as a
+    :class:`HistogramValue`.  Unlocked — callers synchronize.
+
+    ``observe`` counts a value into the first bucket whose upper bound
+    is >= it (Prometheus ``le`` semantics: a value exactly on a bound
+    counts into that bound's bucket); values above every bound land in
+    the implicit +Inf bucket.
+    """
 
     __slots__ = ("buckets", "counts", "sum", "count")
 
@@ -345,12 +268,7 @@ class HistogramCell:
         self.count = 0
 
     def observe(self, value: float) -> None:
-        index = len(self.buckets)
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                index = i
-                break
-        self.counts[index] += 1
+        self.counts[bisect_left(self.buckets, value)] += 1
         self.sum += value
         self.count += 1
 
@@ -363,148 +281,19 @@ class HistogramCell:
         )
 
 
-class Counter(_BoundInstrument):
-    """A monotonically increasing value (events, rows, evictions)."""
-
-    __slots__ = ()
-
-    def inc(self, value: float = 1.0) -> None:
-        if value < 0:
-            raise ModelError(
-                f"counter {self._family.name!r} cannot decrease "
-                f"(inc({value}))"
-            )
-        with self._registry._lock:
-            self._cell().value += value
-
-
-class Gauge(_BoundInstrument):
-    """A value that can go up and down (queue depth, bytes resident)."""
-
-    __slots__ = ()
-
-    def set(self, value: float) -> None:
-        with self._registry._lock:
-            self._cell().value = float(value)
-
-    def inc(self, value: float = 1.0) -> None:
-        with self._registry._lock:
-            self._cell().value += value
-
-    def dec(self, value: float = 1.0) -> None:
-        self.inc(-value)
-
-
-class Histogram(_BoundInstrument):
-    """Fixed-bucket distribution (latencies, batch sizes).
-
-    ``observe`` finds the first bucket whose upper bound is >= the
-    value (Prometheus ``le`` semantics: a value exactly on a boundary
-    counts into that boundary's bucket); values above every bound land
-    in the implicit +Inf bucket.
-    """
-
-    __slots__ = ()
-
-    def observe(self, value: float) -> None:
-        with self._registry._lock:
-            self._cell().observe(value)
-
-
 class MetricsRegistry:
-    """The process-wide home of every metric family.
+    """The process-wide list of collectors a snapshot samples.
 
-    One lock guards all owned-instrument mutation and the family
-    table, so :meth:`snapshot` returns a consistent point-in-time cut.
-    Collector callbacks registered via :meth:`register_collector` are
-    sampled outside the lock (see the module docstring for why) and
-    must themselves return internally consistent values.
+    The registry counts nothing itself: every series is kept by the
+    component that sees its events and written into a
+    :class:`SampleBuffer` by that component's collector (see the
+    module docstring).  Its lock guards only the collector list.
     """
 
     def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
         self._lock = threading.Lock()
-        self._families: dict[str, _Family] = {}
         self._collectors: list = []
-
-    # -- instrument creation -------------------------------------------------
-
-    def _family(self, name, kind, help, labelnames, buckets=None):
-        _validate_name(name)
-        labelnames = tuple(labelnames)
-        with self._lock:
-            family = self._families.get(name)
-            if family is None:
-                family = _Family(name, kind, help, labelnames, buckets)
-                self._families[name] = family
-            elif family.kind != kind or family.labelnames != labelnames:
-                raise ModelError(
-                    f"metric {name!r} already registered as "
-                    f"{family.kind} with labels {family.labelnames}; "
-                    f"cannot re-register as {kind} with {labelnames}"
-                )
-            return family
-
-    def _bind(self, family, labels: dict[str, str]):
-        if tuple(sorted(labels)) != tuple(sorted(family.labelnames)):
-            raise ModelError(
-                f"metric {family.name!r} takes labels "
-                f"{family.labelnames}, got {tuple(sorted(labels))}"
-            )
-        values = tuple(str(labels[k]) for k in family.labelnames)
-        cls = {COUNTER: Counter, GAUGE: Gauge, HISTOGRAM: Histogram}[
-            family.kind
-        ]
-        return cls(self, family, values)
-
-    def counter(self, name: str, help: str = "", labelnames=()) -> Counter:
-        """A counter family; with labels, call ``.labels(...)`` to bind."""
-        if not self.enabled:
-            return NOOP_INSTRUMENT
-        return self._bind_default(
-            self._family(name, COUNTER, help, labelnames)
-        )
-
-    def gauge(self, name: str, help: str = "", labelnames=()) -> Gauge:
-        if not self.enabled:
-            return NOOP_INSTRUMENT
-        return self._bind_default(self._family(name, GAUGE, help, labelnames))
-
-    def histogram(
-        self,
-        name: str,
-        buckets=LATENCY_BUCKETS_S,
-        help: str = "",
-        labelnames=(),
-    ) -> Histogram:
-        if not self.enabled:
-            return NOOP_INSTRUMENT
-        buckets = tuple(float(b) for b in buckets)
-        if not buckets or list(buckets) != sorted(set(buckets)):
-            raise ModelError(
-                "histogram buckets must be non-empty, strictly "
-                f"ascending upper bounds, got {buckets}"
-            )
-        family = self._family(name, HISTOGRAM, help, labelnames, buckets)
-        if family.buckets != buckets:
-            raise ModelError(
-                f"histogram {name!r} already registered with buckets "
-                f"{family.buckets}"
-            )
-        return self._bind_default(family)
-
-    def _bind_default(self, family):
-        if family.labelnames:
-            # A labeled family's parent handle only exists to call
-            # .labels() on; using it directly would be a silent
-            # label-less cell, so bind lazily via labels().
-            cls = {
-                COUNTER: Counter, GAUGE: Gauge, HISTOGRAM: Histogram
-            }[family.kind]
-            return cls(self, family, None)
-        return self._bind(family, {})
-
-    # -- collectors ----------------------------------------------------------
 
     def register_collector(self, collector) -> None:
         """Register ``collector(buffer)`` to be sampled per snapshot.
@@ -539,18 +328,14 @@ class MetricsRegistry:
                 if ref() is not None and ref() != collector
             ]
 
-    # -- snapshot ------------------------------------------------------------
-
     def snapshot(self) -> MetricsSnapshot:
-        """Every cell of every family, plus collector samples.
+        """Every collector's samples, in registration order.
 
-        Owned instruments are copied in one locked pass (a consistent
-        cut: no ``inc`` can interleave).  Collectors run after, outside
-        the lock, each atomic under its own component's locks.
+        Collectors run outside the registry lock, each atomic under
+        its own component's locks.
         """
         if not self.enabled:
             return MetricsSnapshot()
-        samples: list[Sample] = []
         with self._lock:
             collectors = [ref() for ref in self._collectors]
             if None in collectors:   # prune dead weak methods
@@ -558,26 +343,10 @@ class MetricsRegistry:
                     ref for ref in self._collectors if ref() is not None
                 ]
                 collectors = [c for c in collectors if c is not None]
-            for family in self._families.values():
-                for labelvalues, cell in family.cells.items():
-                    labels = tuple(
-                        sorted(zip(family.labelnames, labelvalues))
-                    )
-                    if family.kind == HISTOGRAM:
-                        value = cell.value()
-                    else:
-                        value = cell.value
-                    samples.append(
-                        Sample(
-                            family.name, family.kind, labels, value,
-                            family.help,
-                        )
-                    )
         buffer = SampleBuffer()
         for collector in collectors:
             collector(buffer)
-        samples.extend(buffer.samples)
-        return MetricsSnapshot(samples=tuple(samples))
+        return MetricsSnapshot(samples=tuple(buffer.samples))
 
 
 @dataclass

@@ -41,13 +41,16 @@ this is race-free against in-flight batches).  On top of the
 service's per-model :class:`~repro.serve.core.ServingStats` it keeps
 runtime-level queue depth, a batch-size histogram, per-worker
 execution counters and the planner's decision log
-(:meth:`ServingRuntime.runtime_stats`).
+(:meth:`ServingRuntime.runtime_stats`), and a request book — completed
+requests, failures, batch seconds and queue waits — that only
+``/metrics`` reads.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from collections import defaultdict
 from concurrent.futures import Future
 from dataclasses import dataclass
 
@@ -238,12 +241,20 @@ class ServingRuntime(ModelService):
         # Everything the collector reads exists before the service
         # registers it.
         self._queue = RequestQueue(self.config.queue_depth)
-        self._stats_lock = threading.Lock()
-        # The runtime's books, which /metrics samples: batch sizes (the
-        # count is the batch count) and the process executor's phases.
+        # The runtime's books, which /metrics samples (under the
+        # service's stats lock): batch sizes (the count is the batch
+        # count), the process executor's phases, completed requests by
+        # (model, op), failures and batch seconds by model, and every
+        # request's wait from submit to claim.
         self._batch_rows = HistogramCell(SIZE_BUCKETS)
         self._scatter_latency = HistogramCell(LATENCY_BUCKETS_S)
         self._gather_latency = HistogramCell(LATENCY_BUCKETS_S)
+        self._requests: dict[tuple[str, str], int] = defaultdict(int)
+        self._failures: dict[str, int] = defaultdict(int)
+        self._batch_seconds = defaultdict(
+            lambda: HistogramCell(LATENCY_BUCKETS_S)
+        )
+        self._queue_wait = HistogramCell(LATENCY_BUCKETS_S)
         # One WorkerStats per worker: a dispatcher thread attributes
         # the batches it ran to its own slot; batches scattered to
         # worker processes are attributed from their replies.
@@ -283,31 +294,6 @@ class ServingRuntime(ModelService):
             return super()._build_executor(memory_budget, store_tiers)
         return build(self.db, self.config)
 
-    def _make_instruments(self) -> None:
-        """The service's instruments, plus the per-request ones no
-        record keeps: completions by op, failures and latencies."""
-        super()._make_instruments()
-        registry = self.telemetry.registry
-        self._m_requests = registry.counter(
-            "repro_requests_total",
-            help="Point requests completed, by model and op",
-            labelnames=("model", "op"),
-        )
-        self._m_batch_failures = registry.counter(
-            "repro_batch_failures_total",
-            help="Requests failed during scoring",
-            labelnames=("model",),
-        )
-        self._m_batch_seconds = registry.histogram(
-            "repro_batch_seconds",
-            help="Batch execution wall seconds",
-            labelnames=("model",),
-        )
-        self._m_queue_wait = registry.histogram(
-            "repro_queue_wait_seconds",
-            help="Per-request wait from submit to batch claim",
-        )
-
     def _collect(self, buffer) -> None:
         """Sample component state into a registry snapshot.
 
@@ -318,8 +304,34 @@ class ServingRuntime(ModelService):
         """
         self._queue.collect(buffer)
         sizes, scatter, gather, workers = self._books()
+        with self._stats_lock:
+            requests = dict(self._requests)
+            failures = dict(self._failures)
+            batch_seconds = {
+                name: cell.value()
+                for name, cell in self._batch_seconds.items()
+            }
+            queue_wait = self._queue_wait.value()
+        for (name, op), count in requests.items():
+            buffer.counter(
+                "repro_requests_total", count,
+                help="Point requests completed, by model and op",
+                model=name, op=op,
+            )
+        for name, count in failures.items():
+            buffer.counter(
+                "repro_batch_failures_total", count,
+                help="Requests failed during scoring", model=name,
+            )
+        for name, value in batch_seconds.items():
+            buffer.histogram(
+                "repro_batch_seconds", value,
+                help="Batch execution wall seconds", model=name,
+            )
         for name, value, help in (
             ("repro_batch_rows", sizes, "Rows per executed micro-batch"),
+            ("repro_queue_wait_seconds", queue_wait,
+             "Per-request wait from submit to batch claim"),
             # The process executor's phases: thread mode never
             # observes them, so it exports neither.
             ("repro_scatter_seconds", scatter,
@@ -462,9 +474,10 @@ class ServingRuntime(ModelService):
                 for request in batch:
                     self._execute([request], stats)
                 return
-            self._m_batch_failures.labels(model=name).inc()
-            self._m_queue_wait.observe(batch[0].wait_seconds(claimed))
-            self._m_requests.labels(model=name, op=op).inc()
+            with self._stats_lock:
+                self._failures[name] += 1
+                self._requests[name, op] += 1
+                self._queue_wait.observe(batch[0].wait_seconds(claimed))
             for request in batch:
                 if not request.future.set_running_or_notify_cancel():
                     continue
@@ -474,10 +487,6 @@ class ServingRuntime(ModelService):
         registered = self._executor.get(name)   # None once unregistered
         if registered is not None:
             registered.stats.add_requests(len(batch))
-        self._m_requests.labels(model=name, op=op).inc(len(batch))
-        self._m_batch_seconds.labels(model=name).observe(meta.elapsed)
-        for request in batch:
-            self._m_queue_wait.observe(request.wait_seconds(claimed))
         # Who did the work: the worker processes the batch was
         # scattered to, else this dispatcher itself.
         attributed = [
@@ -485,6 +494,10 @@ class ServingRuntime(ModelService):
             for worker, sub_rows, seconds in meta.shares
         ] or [(stats, rows, meta.elapsed)]
         with self._stats_lock:
+            self._requests[name, op] += len(batch)
+            for request in batch:
+                self._queue_wait.observe(request.wait_seconds(claimed))
+            self._batch_seconds[name].observe(meta.elapsed)
             self._batch_rows.observe(rows)
             if meta.scatter_seconds is not None:
                 self._scatter_latency.observe(meta.scatter_seconds)

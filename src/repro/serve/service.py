@@ -26,7 +26,9 @@ instead of unbounded growth (see ``docs/tuning.md`` for sizing).
 
 from __future__ import annotations
 
+import threading
 import weakref
+from collections import defaultdict
 
 import numpy as np
 
@@ -34,6 +36,7 @@ from repro.core.strategies import FACTORIZED, MATERIALIZED
 from repro.errors import ModelError
 from repro.join.spec import JoinSpec
 from repro.obs import as_telemetry
+from repro.obs.metrics import LATENCY_BUCKETS_S, HistogramCell
 from repro.serve.cache import CacheStats
 from repro.serve.core import (
     ADAPTIVE,
@@ -79,7 +82,14 @@ class ModelService:
         # telemetry: None/False -> shared no-op; True -> fresh enabled;
         # a Telemetry instance -> shared (one snapshot across layers).
         self.telemetry = as_telemetry(telemetry)
-        self._make_instruments()
+        # The one request book no per-model record keeps: calls served
+        # on the caller's thread by (model, op), and their wall seconds
+        # by model; :meth:`_collect` samples it.
+        self._stats_lock = threading.Lock()
+        self._calls: dict[tuple[str, str], int] = defaultdict(int)
+        self._call_seconds = defaultdict(
+            lambda: HistogramCell(LATENCY_BUCKETS_S)
+        )
         # Built before any thread starts: the process executor forks
         # its workers here, and a fork must never clone a
         # multi-threaded parent (inherited locks could be held by
@@ -117,25 +127,6 @@ class ModelService:
             capacity_floats=budget_floats(memory_budget), tiers=store_tiers
         )
         return ServingCore(self.db, store)
-
-    def _make_instruments(self) -> None:
-        """Create the owned (per-event) instruments once (only what no
-        record keeps; :meth:`_collect` samples the rest).
-
-        With telemetry disabled every handle is the shared no-op
-        singleton, so the hot path pays one method call per event.
-        """
-        registry = self.telemetry.registry
-        self._m_service_requests = registry.counter(
-            "repro_service_requests_total",
-            help="Requests served on the caller's thread, by model and op",
-            labelnames=("model", "op"),
-        )
-        self._m_service_seconds = registry.histogram(
-            "repro_service_request_seconds",
-            help="Wall seconds of requests served on the caller's thread",
-            labelnames=("model",),
-        )
 
     def _check_open(self) -> None:
         if self._closed:
@@ -214,8 +205,9 @@ class ModelService:
         ):
             outputs, meta = self._executor.execute(name, op, features, fks)
         registered.stats.add_requests(1)
-        self._m_service_requests.labels(model=name, op=op).inc()
-        self._m_service_seconds.labels(model=name).observe(meta.elapsed)
+        with self._stats_lock:
+            self._calls[name, op] += 1
+            self._call_seconds[name].observe(meta.elapsed)
         return outputs
 
     def predict(self, name: str, fact_features, fk_values) -> np.ndarray:
@@ -265,13 +257,31 @@ class ModelService:
     # -- bookkeeping -------------------------------------------------------
 
     def _collect(self, buffer) -> None:
-        """Sample per-model serving books, then the executor's store and
-        cache series, into a registry snapshot.
+        """Sample the request book, the per-model serving books, then
+        the executor's store and cache series, into a registry snapshot.
 
         Runs outside the registry lock; each model's group comes from
         one :meth:`ServingStats.snapshot` and one hold of its lock, so
         it is internally consistent.
         """
+        with self._stats_lock:
+            calls = dict(self._calls)
+            seconds = {
+                name: cell.value()
+                for name, cell in self._call_seconds.items()
+            }
+        for (name, op), count in calls.items():
+            buffer.counter(
+                "repro_service_requests_total", count,
+                help="Requests served on the caller's thread, by model and op",
+                model=name, op=op,
+            )
+        for name, value in seconds.items():
+            buffer.histogram(
+                "repro_service_request_seconds", value,
+                help="Wall seconds of requests served on the caller's thread",
+                model=name,
+            )
         for name, registered in self._executor.registry().items():
             stats = registered.stats.snapshot()
             with registered.lock:

@@ -21,7 +21,7 @@ def fetch(url: str) -> bytes:
 class TestTelemetryServer:
     def test_ephemeral_port_and_close(self):
         tel = Telemetry()
-        tel.registry.gauge("up").set(1)
+        tel.registry.register_collector(lambda buffer: buffer.gauge("up", 1))
         server = TelemetryServer(tel, port=0)
         try:
             assert server.port > 0

@@ -11,30 +11,41 @@ from repro.obs import (
     prometheus_text,
     snapshot_to_json,
 )
+from repro.obs.metrics import HistogramCell
+
+
+def sampling(collect) -> MetricsRegistry:
+    """A registry whose only collector is ``collect``."""
+    reg = MetricsRegistry()
+    reg.register_collector(collect)
+    return reg
 
 
 def populated_registry() -> MetricsRegistry:
-    reg = MetricsRegistry()
-    reg.counter(
-        "repro_requests_total", help="Requests served",
-        labelnames=("model", "op"),
-    ).labels(model="m", op="predict").inc(5)
-    reg.gauge("repro_queue_depth", help="Requests waiting").set(3)
-    h = reg.histogram(
-        "repro_batch_seconds", buckets=(0.1, 1.0), help="Batch wall time"
-    )
-    h.observe(0.05)
-    h.observe(0.5)
-    h.observe(2.0)
-    return reg
+    latency = HistogramCell((0.1, 1.0))
+    for value in (0.05, 0.5, 2.0):
+        latency.observe(value)
+
+    def collect(buffer):
+        buffer.counter(
+            "repro_requests_total", 5, help="Requests served",
+            model="m", op="predict",
+        )
+        buffer.gauge("repro_queue_depth", 3, help="Requests waiting")
+        buffer.histogram(
+            "repro_batch_seconds", latency.value(), help="Batch wall time"
+        )
+
+    return sampling(collect)
 
 
 class TestPrometheusText:
     def test_counter_gets_total_suffix_once(self):
-        reg = MetricsRegistry()
-        reg.counter("evts_total").inc()
-        reg.counter("raw").inc()
-        text = prometheus_text(reg.snapshot())
+        def collect(buffer):
+            buffer.counter("evts_total", 1)
+            buffer.counter("raw", 1)
+
+        text = prometheus_text(sampling(collect).snapshot())
         assert "evts_total 1" in text
         assert "evts_total_total" not in text
         assert "raw_total 1" in text
@@ -55,11 +66,10 @@ class TestPrometheusText:
         assert "repro_batch_seconds_count 3" in text
 
     def test_label_escaping(self):
-        reg = MetricsRegistry()
-        reg.gauge("g", labelnames=("tag",)).labels(
-            tag='quo"te\\back\nline'
-        ).set(1)
-        text = prometheus_text(reg.snapshot())
+        def collect(buffer):
+            buffer.gauge("g", 1, tag='quo"te\\back\nline')
+
+        text = prometheus_text(sampling(collect).snapshot())
         parsed = parse_prometheus_text(text)
         [(labels, value)] = parsed["series"]["g"].items()
         assert dict(labels)["tag"] == 'quo"te\\back\nline'
@@ -95,9 +105,12 @@ class TestRoundTrip:
             parse_prometheus_text('x{a="1" 3\n')
 
     def test_labels_with_commas_inside_values(self):
-        reg = MetricsRegistry()
-        reg.gauge("g", labelnames=("tag",)).labels(tag="a,b").set(2)
-        parsed = parse_prometheus_text(prometheus_text(reg.snapshot()))
+        def collect(buffer):
+            buffer.gauge("g", 2, tag="a,b")
+
+        parsed = parse_prometheus_text(
+            prometheus_text(sampling(collect).snapshot())
+        )
         assert parsed["series"]["g"][(("tag", "a,b"),)] == 2.0
 
 

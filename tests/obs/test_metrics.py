@@ -1,118 +1,53 @@
-"""MetricsRegistry: instruments, labels, snapshots, collectors,
-thread-safety, and the disabled-mode no-op fast path."""
+"""MetricsRegistry: collectors, snapshots, histogram cells and the
+disabled mode."""
 
 import gc
-import threading
 
 import pytest
 
 from repro.errors import ModelError
 from repro.obs import (
-    LATENCY_BUCKETS_S,
     HistogramValue,
     MetricsRegistry,
     NULL_TELEMETRY,
+    SampleBuffer,
     Telemetry,
     as_telemetry,
 )
-from repro.obs.metrics import NOOP_INSTRUMENT
+from repro.obs.metrics import HistogramCell
 
 
-class TestInstruments:
-    def test_counter_accumulates(self):
-        reg = MetricsRegistry()
-        c = reg.counter("events_total")
-        c.inc()
-        c.inc(4)
-        assert reg.snapshot().value("events_total") == 5.0
-
-    def test_counter_rejects_negative(self):
-        reg = MetricsRegistry()
-        with pytest.raises(ModelError, match="cannot decrease"):
-            reg.counter("events_total").inc(-1)
-
-    def test_gauge_set_inc_dec(self):
-        reg = MetricsRegistry()
-        g = reg.gauge("depth")
-        g.set(10)
-        g.inc(3)
-        g.dec(5)
-        assert reg.snapshot().value("depth") == 8.0
-
-    def test_same_name_returns_same_cell(self):
-        reg = MetricsRegistry()
-        reg.counter("x_total").inc()
-        reg.counter("x_total").inc()
-        assert reg.snapshot().value("x_total") == 2.0
-
-    def test_kind_conflict_rejected(self):
-        reg = MetricsRegistry()
-        reg.counter("thing")
-        with pytest.raises(ModelError, match="already registered"):
-            reg.gauge("thing")
-
+class TestSamples:
     def test_invalid_name_rejected(self):
-        reg = MetricsRegistry()
+        buffer = SampleBuffer()
         with pytest.raises(ModelError, match="metric name"):
-            reg.counter("bad-name")
+            buffer.counter("bad-name", 1)
         with pytest.raises(ModelError, match="metric name"):
-            reg.counter("0leading")
-
-
-class TestLabels:
-    def test_labeled_cells_are_independent(self):
-        reg = MetricsRegistry()
-        fam = reg.counter("reqs_total", labelnames=("model",))
-        fam.labels(model="a").inc(2)
-        fam.labels(model="b").inc(3)
-        snap = reg.snapshot()
-        assert snap.value("reqs_total", model="a") == 2.0
-        assert snap.value("reqs_total", model="b") == 3.0
-
-    def test_wrong_labelset_rejected(self):
-        reg = MetricsRegistry()
-        fam = reg.counter("reqs_total", labelnames=("model",))
-        with pytest.raises(ModelError, match="takes labels"):
-            fam.labels(nope="x")
+            buffer.counter("0leading", 1)
 
     def test_missing_sample_raises_not_zero(self):
         reg = MetricsRegistry()
-        reg.counter("reqs_total", labelnames=("model",))
+        reg.register_collector(
+            lambda buffer: buffer.counter("reqs_total", 1, model="a")
+        )
         snap = reg.snapshot()
         with pytest.raises(ModelError, match="no sample"):
             snap.value("reqs_total", model="ghost")
         assert snap.get("reqs_total", default=-1.0, model="ghost") == -1.0
 
 
-class TestHistogram:
+class TestHistogramCell:
     def test_bucket_boundaries_le_semantics(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("lat", buckets=(1.0, 2.0, 4.0))
+        h = HistogramCell((1.0, 2.0, 4.0))
         # Exactly on a bound counts into that bound's bucket.
         for value in (0.5, 1.0, 2.0, 3.0, 4.0, 99.0):
             h.observe(value)
-        hist = reg.snapshot().value("lat")
+        hist = h.value()
         assert isinstance(hist, HistogramValue)
         assert hist.counts == (2, 1, 2, 1)     # (<=1, <=2, <=4, +Inf)
         assert hist.cumulative == (2, 3, 5, 6)
         assert hist.count == 6
         assert hist.sum == pytest.approx(0.5 + 1 + 2 + 3 + 4 + 99)
-
-    def test_default_buckets_are_the_latency_ladder(self):
-        reg = MetricsRegistry()
-        reg.histogram("lat").observe(0.5)
-        assert reg.snapshot().value("lat").buckets == LATENCY_BUCKETS_S
-
-    def test_unsorted_buckets_rejected(self):
-        reg = MetricsRegistry()
-        with pytest.raises(ModelError, match="ascending"):
-            reg.histogram("lat", buckets=(2.0, 1.0))
-
-    def test_bucket_conflict_rejected(self):
-        reg = MetricsRegistry()
-        reg.histogram("lat", buckets=(1.0, 2.0))
-        with pytest.raises(ModelError, match="already registered"):
-            reg.histogram("lat", buckets=(1.0, 3.0))
 
 
 class TestCollectors:
@@ -156,33 +91,22 @@ class TestCollectors:
         # The dead weakref is pruned; sampling just stops.
         assert reg.snapshot().samples == ()
 
-    def test_collector_may_mutate_instruments(self):
-        # A collector that calls inc() (component holding its own lock
-        # around registry calls) must not deadlock: collectors run
-        # outside the registry lock.
+    def test_collector_may_call_the_registry(self):
+        # Collectors run outside the registry lock, so one that calls
+        # back into its registry (here: detaching itself) cannot
+        # deadlock the snapshot that runs it.
         reg = MetricsRegistry()
-        c = reg.counter("side_total")
 
         def collect(buffer):
-            c.inc()
+            reg.unregister_collector(collect)
             buffer.gauge("x", 1)
 
         reg.register_collector(collect)
-        reg.snapshot()
-        assert reg.snapshot().value("side_total") >= 1.0
+        assert reg.snapshot().value("x") == 1.0
+        assert reg.snapshot().samples == ()
 
 
 class TestDisabled:
-    def test_disabled_registry_hands_out_shared_noops(self):
-        reg = MetricsRegistry(enabled=False)
-        assert reg.counter("a") is NOOP_INSTRUMENT
-        assert reg.gauge("b") is NOOP_INSTRUMENT
-        assert reg.histogram("c") is NOOP_INSTRUMENT
-        assert reg.counter("a").labels(x="y") is NOOP_INSTRUMENT
-        reg.counter("a").inc()
-        reg.histogram("c").observe(1.0)
-        assert reg.snapshot().samples == ()
-
     def test_disabled_registry_ignores_collectors(self):
         # NULL_TELEMETRY is module-level: registrations must not
         # accumulate references across the process lifetime.
@@ -194,6 +118,8 @@ class TestDisabled:
         assert not NULL_TELEMETRY.enabled
         assert NULL_TELEMETRY.snapshot().samples == ()
         assert NULL_TELEMETRY.prometheus() == "\n"
+        # Nothing but /metrics reads the training book: keep none.
+        assert NULL_TELEMETRY.training is None
 
     def test_as_telemetry_coercions(self):
         assert as_telemetry(None) is NULL_TELEMETRY
@@ -204,56 +130,3 @@ class TestDisabled:
         assert as_telemetry(tel) is tel
         with pytest.raises(TypeError, match="telemetry must be"):
             as_telemetry("yes")
-
-
-class TestThreadSafety:
-    def test_concurrent_increments_are_lossless(self):
-        reg = MetricsRegistry()
-        c = reg.counter("n_total")
-        h = reg.histogram("lat", buckets=(0.5, 1.0))
-        threads = 8
-        per_thread = 2000
-        barrier = threading.Barrier(threads)
-
-        def work():
-            barrier.wait()
-            for i in range(per_thread):
-                c.inc()
-                h.observe((i % 3) * 0.5)
-
-        pool = [threading.Thread(target=work) for _ in range(threads)]
-        for t in pool:
-            t.start()
-        for t in pool:
-            t.join()
-        snap = reg.snapshot()
-        assert snap.value("n_total") == threads * per_thread
-        hist = snap.value("lat")
-        assert hist.count == threads * per_thread
-        assert sum(hist.counts) == hist.count
-
-    def test_snapshot_under_writer_fire_is_consistent(self):
-        # Two counters incremented in lockstep by writers; every
-        # snapshot (one locked cut) must see them equal.
-        reg = MetricsRegistry()
-        a = reg.counter("a_total")
-        b = reg.counter("b_total")
-        stop = threading.Event()
-
-        def writer():
-            while not stop.is_set():
-                with reg._lock:
-                    a._cell().value += 1
-                    b._cell().value += 1
-
-        pool = [threading.Thread(target=writer) for _ in range(4)]
-        for t in pool:
-            t.start()
-        try:
-            for _ in range(200):
-                snap = reg.snapshot()
-                assert snap.get("a_total") == snap.get("b_total")
-        finally:
-            stop.set()
-            for t in pool:
-                t.join()

@@ -9,76 +9,97 @@ import pytest
 
 from repro.errors import ModelError
 from repro.obs import Telemetry, Tracer
-from repro.obs.metrics import HistogramValue, MetricsRegistry
+from repro.obs.metrics import HistogramCell, HistogramValue, MetricsRegistry
+
+
+def sampling(collect) -> MetricsRegistry:
+    """A registry whose only collector is ``collect``."""
+    registry = MetricsRegistry(enabled=True)
+    registry.register_collector(collect)
+    return registry
+
+
+class Traffic:
+    """A component's books, and the collector that samples them."""
+
+    def __init__(self):
+        self.hits = {"a": 10, "b": 4}
+        self.resident_bytes = 100.0
+        self.wait = HistogramCell((0.1, 1.0))
+        self.wait.observe(0.05)
+
+    def collect(self, buffer):
+        for model, count in self.hits.items():
+            buffer.counter("t_hits_total", count, model=model)
+        buffer.gauge("t_resident_bytes", self.resident_bytes)
+        buffer.histogram("t_wait_seconds", self.wait.value())
 
 
 def registry_with_traffic():
-    registry = MetricsRegistry(enabled=True)
-    hits = registry.counter("t_hits_total", labelnames=("model",))
-    hits.labels(model="a").inc(10)
-    hits.labels(model="b").inc(4)
-    registry.gauge("t_resident_bytes").set(100.0)
-    hist = registry.histogram("t_wait_seconds", buckets=(0.1, 1.0))
-    hist.observe(0.05)
-    return registry, hits, hist
+    traffic = Traffic()
+    return sampling(traffic.collect), traffic
 
 
 class TestSnapshotDelta:
     def test_counters_subtract_per_series(self):
-        registry, hits, _ = registry_with_traffic()
+        registry, traffic = registry_with_traffic()
         earlier = registry.snapshot()
-        hits.labels(model="a").inc(7)
+        traffic.hits["a"] += 7
         window = registry.snapshot().delta(earlier)
         assert window.value("t_hits_total", model="a") == 7.0
         assert window.value("t_hits_total", model="b") == 0.0
 
     def test_series_absent_earlier_keeps_full_value(self):
-        registry, hits, _ = registry_with_traffic()
+        registry, traffic = registry_with_traffic()
         earlier = registry.snapshot()
-        hits.labels(model="new").inc(3)
+        traffic.hits["new"] = 3
         window = registry.snapshot().delta(earlier)
         assert window.value("t_hits_total", model="new") == 3.0
 
     def test_gauges_keep_the_later_reading(self):
-        registry, _, _ = registry_with_traffic()
+        registry, traffic = registry_with_traffic()
         earlier = registry.snapshot()
-        registry.gauge("t_resident_bytes").set(42.0)
+        traffic.resident_bytes = 42.0
         window = registry.snapshot().delta(earlier)
         # A gauge describes an instant, not a window: no subtraction.
         assert window.value("t_resident_bytes") == 42.0
 
     def test_series_only_in_earlier_is_omitted(self):
-        registry, _, _ = registry_with_traffic()
+        registry, _ = registry_with_traffic()
         earlier = registry.snapshot()
-        fresh = MetricsRegistry(enabled=True)
-        fresh.counter("t_other_total").inc()
+        fresh = sampling(lambda buffer: buffer.counter("t_other_total", 1))
         window = fresh.snapshot().delta(earlier)
         assert window.family("t_hits_total") == []
         assert window.value("t_other_total") == 1.0
 
     def test_swapped_arguments_raise(self):
-        registry, hits, _ = registry_with_traffic()
+        registry, traffic = registry_with_traffic()
         earlier = registry.snapshot()
-        hits.labels(model="a").inc(5)
+        traffic.hits["a"] += 5
         later = registry.snapshot()
         with pytest.raises(ModelError, match="decreased"):
             earlier.delta(later)
 
     def test_histogram_delta_windows_the_quantile(self):
-        registry, _, hist = registry_with_traffic()
+        registry, traffic = registry_with_traffic()
         earlier = registry.snapshot()
         # Only this window's observations land in the +Inf bucket.
-        hist.observe(5.0)
+        traffic.wait.observe(5.0)
         window = registry.snapshot().delta(earlier)
         value = window.value("t_wait_seconds")
         assert value.count == 1
         assert value.quantile(0.5) == 1.0  # clamped to last finite bound
 
     def test_histogram_ladder_mismatch_raises(self):
-        a = MetricsRegistry(enabled=True)
-        a.histogram("t_h_seconds", buckets=(0.1, 1.0)).observe(0.05)
-        b = MetricsRegistry(enabled=True)
-        b.histogram("t_h_seconds", buckets=(0.2, 2.0)).observe(0.05)
+        def ladder(*buckets):
+            cell = HistogramCell(buckets)
+            cell.observe(0.05)
+            return sampling(
+                lambda buffer: buffer.histogram("t_h_seconds", cell.value())
+            )
+
+        a = ladder(0.1, 1.0)
+        b = ladder(0.2, 2.0)
         with pytest.raises(ModelError, match="bucket ladders"):
             b.snapshot().delta(a.snapshot())
 

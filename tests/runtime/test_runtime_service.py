@@ -1,5 +1,6 @@
 """ServingRuntime: registration, submission, bookkeeping, lifecycle."""
 
+import sys
 import threading
 import time
 import warnings
@@ -404,6 +405,47 @@ class TestMetricsSampleTheBooks:
             # Every book carried over the swap: no counter stepped back.
             window = after_swap.delta(before_swap)
             assert window.value("repro_batches_total", model="g") > 0
+
+    def test_the_request_book_agrees_with_itself(self, db, binary_star):
+        """Completions, queue waits and batch latencies are one book:
+        every request the runtime answers is counted once by op and
+        waited once, and every batch the core records is timed once —
+        with more dispatchers than cores and a short switch interval,
+        so a lost update between them would show."""
+        spec = binary_star.spec
+        gmm = fit_gmm(db, spec, n_components=2, max_iter=2, seed=1)
+        features, fk = a_request(db, spec, n=64)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with serve_runtime(
+                db, num_workers=8, max_wait_ms=0.5, telemetry=True
+            ) as rt:
+                rt.register_gmm("g", gmm, spec)
+                futures = [
+                    rt.submit("g", features[i:i + 2], fk[i:i + 2], op=op)
+                    for _ in range(5)
+                    for i in range(0, 64, 2)
+                    for op in ("predict", "score")
+                    if op == "predict" or i % 8 == 0
+                ]
+                for future in futures:
+                    future.result(30.0)
+                with pytest.raises(ModelError):         # dangling FK
+                    rt.predict("g", features[:2], fk[:2] * 0 + 10**6)
+                snapshot = rt.telemetry.snapshot()
+        finally:
+            sys.setswitchinterval(interval)
+        requests = sum(
+            sample.value
+            for sample in snapshot.family("repro_requests_total")
+        )
+        assert requests == len(futures) + 1 == 5 * (32 + 8) + 1
+        assert snapshot.value("repro_batch_failures_total", model="g") == 1
+        assert snapshot.value("repro_queue_wait_seconds").count == requests
+        assert snapshot.value(
+            "repro_batch_seconds", model="g"
+        ).count == snapshot.value("repro_batches_total", model="g")
 
 
 class TestLifecycle:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import HistogramCell, MetricsRegistry
 from repro.scenarios import (
     WindowContext,
     evaluate_all,
@@ -17,30 +17,31 @@ def spec(raw, scope="scenario"):
     return parsed
 
 
+def sampled(collect):
+    """One snapshot of a registry whose only collector is ``collect``."""
+    registry = MetricsRegistry(enabled=True)
+    registry.register_collector(collect)
+    return registry.snapshot()
+
+
 def traffic_window() -> WindowContext:
     """A window with cache traffic, residency, dedup, and queue waits."""
-    registry = MetricsRegistry(enabled=True)
-    hits = registry.counter(
-        "repro_cache_hits_total", labelnames=("cache",)
-    )
-    hits.labels(cache="a").inc(6)
-    hits.labels(cache="b").inc(2)
-    misses = registry.counter(
-        "repro_cache_misses_total", labelnames=("cache",)
-    )
-    misses.labels(cache="a").inc(1)
-    misses.labels(cache="b").inc(1)
-    registry.gauge("repro_store_bytes_resident").set(4096.0)
-    registry.gauge("repro_model_dedup_ratio").set(2.5)
-    wait = registry.histogram(
-        "repro_queue_wait_seconds", buckets=(0.001, 0.01, 0.1)
-    )
+    wait = HistogramCell((0.001, 0.01, 0.1))
     for _ in range(19):
         wait.observe(0.0005)
     wait.observe(0.05)
+
+    def collect(buffer):
+        for cache, hits, misses in (("a", 6, 1), ("b", 2, 1)):
+            buffer.counter("repro_cache_hits_total", hits, cache=cache)
+            buffer.counter("repro_cache_misses_total", misses, cache=cache)
+        buffer.gauge("repro_store_bytes_resident", 4096.0)
+        buffer.gauge("repro_model_dedup_ratio", 2.5)
+        buffer.histogram("repro_queue_wait_seconds", wait.value())
+
     return WindowContext(
         name="phase:test",
-        delta=registry.snapshot(),
+        delta=sampled(collect),
         span_aggregates={
             "serve.batch": {
                 "count": 8, "sum_s": 0.4, "p50_s": 0.04, "p95_s": 0.09,
@@ -119,12 +120,13 @@ class TestDerivedMetrics:
         assert result.observed == pytest.approx(0.8)
 
     def test_hit_rate_with_zero_lookups_fails(self):
-        registry = MetricsRegistry(enabled=True)
-        registry.counter("repro_cache_hits_total").inc(0)
-        registry.counter("repro_cache_misses_total").inc(0)
+        def collect(buffer):
+            buffer.counter("repro_cache_hits_total", 0)
+            buffer.counter("repro_cache_misses_total", 0)
+
         result = evaluate_assertion(
             spec({"kind": "hit_rate_min", "min": 0.0}),
-            WindowContext(name="w", delta=registry.snapshot()),
+            WindowContext(name="w", delta=sampled(collect)),
         )
         assert not result.passed
         assert "no cache lookups" in result.detail

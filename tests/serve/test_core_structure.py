@@ -1079,61 +1079,35 @@ class TestOneSetOfStatistics:
 
 
 class TestOneSetOfBooks:
-    """Each serving count is kept once, in the record ``stats()`` /
-    ``runtime_stats()`` return, and ``/metrics`` samples it: a facade
-    owns an instrument only for what no record holds."""
+    """Each count is kept once, in a book of the component that sees
+    its events (the record ``stats()`` / ``runtime_stats()`` return,
+    where there is one), and ``/metrics`` samples it through that
+    component's collector: the registry owns no instrument, so nothing
+    counts through it."""
 
-    OWNED = {
-        SERVICE: {
-            "repro_service_requests_total",
-            "repro_service_request_seconds",
-        },
-        RUNTIME_SERVICE: {
-            "repro_requests_total",
-            "repro_batch_failures_total",
-            "repro_batch_seconds",
-            "repro_queue_wait_seconds",
-        },
-    }
+    def test_no_series_is_counted_through_the_registry(self):
+        from repro.obs.metrics import MetricsRegistry
 
-    @staticmethod
-    def _instrument_calls(node: ast.AST) -> list[str]:
-        """Families created by ``<registry>.counter/gauge/histogram``
-        calls under ``node`` (a collector's ``buffer.*`` samples are
-        not instruments)."""
-        return [
-            call.args[0].value if call.args else "?"
-            for call in ast.walk(node)
+        paths = sorted(SRC_ROOT.rglob("*.py"))
+        # ``<registry>.counter/gauge/histogram`` calls (a collector's
+        # ``buffer.*`` samples are not instruments).
+        instruments = [
+            f"{path.relative_to(SRC_ROOT)}:{call.lineno}"
+            for path in paths
+            for call in ast.walk(_tree(path))
             if isinstance(call, ast.Call)
             and isinstance(call.func, ast.Attribute)
             and call.func.attr in ("counter", "gauge", "histogram")
             and _names(call.func.value) != {"buffer"}
         ]
-
-    @pytest.mark.parametrize(
-        "path, cls",
-        [(SERVICE, "ModelService"), (RUNTIME_SERVICE, "ServingRuntime")],
-        ids=["service", "runtime"],
-    )
-    def test_each_facade_owns_only_what_no_record_holds(self, path, cls):
-        made = self._instrument_calls(
-            _method(path, cls, "_make_instruments")
+        assert instruments == []
+        assert [
+            path.name for path in paths
+            if "_make_instruments" in path.read_text(encoding="utf-8")
+        ] == []
+        assert not {"counter", "gauge", "histogram"} & set(
+            dir(MetricsRegistry)
         )
-        assert sorted(made) == sorted(self.OWNED[path])
-        # ...and creates no instrument anywhere else in its module.
-        assert len(self._instrument_calls(_tree(path))) == len(made)
-
-    def test_the_dispatcher_calls_no_sampled_instrument(self):
-        used = {
-            name for name in _names(
-                _method(RUNTIME_SERVICE, "ServingRuntime", "_execute")
-            )
-            if name.startswith("_m_")
-        }
-        assert used == {
-            "_m_requests", "_m_batch_failures", "_m_batch_seconds",
-            "_m_queue_wait",
-        }
 
     def test_the_worker_header_keeps_no_execution_counts(self):
         defined = {
