@@ -262,7 +262,12 @@ class HistogramCell:
     __slots__ = ("buckets", "counts", "sum", "count")
 
     def __init__(self, buckets: tuple[float, ...]) -> None:
-        self.buckets = tuple(buckets)
+        self.buckets = tuple(float(b) for b in buckets)
+        if not self.buckets or list(self.buckets) != sorted(set(self.buckets)):
+            raise ModelError(
+                "histogram buckets must be non-empty, strictly "
+                f"ascending upper bounds, got {self.buckets}"
+            )
         self.counts = [0] * (len(self.buckets) + 1)
         self.sum = 0.0
         self.count = 0

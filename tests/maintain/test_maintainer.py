@@ -171,6 +171,72 @@ class TestRefitFallbacks:
             assert aggregates["maintain.apply"]["count"] == 1
 
 
+class TestMetricsSampleTheBooks:
+    def test_series_start_at_zero(self, db, multiway_star):
+        # A window asserting "no refits" must read a sample, not miss one.
+        telemetry = Telemetry(enabled=True)
+        with ModelMaintainer(
+            db, "m", "linear", multiway_star.spec,
+            policy=MaintenancePolicy(refresh="manual"),
+            telemetry=telemetry,
+        ) as maintainer:
+            snapshot = telemetry.snapshot()
+            for series in (
+                "repro_maintain_deltas_total",
+                "repro_maintain_refits_total",
+                "repro_maintain_staleness_seconds",
+            ):
+                assert snapshot.value(series, model="m") == 0.0
+            assert snapshot.value(
+                "repro_maintain_stats_bytes", model="m"
+            ) == maintainer._stats.nbytes > 0
+
+    def test_staleness_is_read_when_sampled(self, db, multiway_star):
+        spec = multiway_star.spec
+        telemetry = Telemetry(enabled=True)
+        rng = np.random.default_rng(7)
+        with ModelMaintainer(
+            db, "m", "linear", spec,
+            policy=MaintenancePolicy(refresh="manual"),
+            telemetry=telemetry,
+        ) as maintainer:
+            update_dimension(db, spec, rng)
+            time.sleep(0.01)
+            # No flush or tick ran: the gauge still ages with the event.
+            first = telemetry.snapshot().value(
+                "repro_maintain_staleness_seconds", model="m"
+            )
+            time.sleep(0.01)
+            second = telemetry.snapshot().value(
+                "repro_maintain_staleness_seconds", model="m"
+            )
+            assert 0.01 <= first < second
+            maintainer.flush()
+            snapshot = telemetry.snapshot()
+            assert snapshot.value(
+                "repro_maintain_staleness_seconds", model="m"
+            ) == 0.0
+            assert snapshot.value(
+                "repro_maintain_deltas_total", model="m"
+            ) == 1.0
+
+    def test_a_closed_maintainer_is_no_longer_sampled(
+        self, db, multiway_star
+    ):
+        telemetry = Telemetry(enabled=True)
+        maintainer = ModelMaintainer(
+            db, "m", "linear", multiway_star.spec,
+            policy=MaintenancePolicy(refresh="manual"),
+            telemetry=telemetry,
+        )
+        assert telemetry.snapshot().family("repro_maintain_refits_total")
+        maintainer.close()
+        assert not any(
+            name.startswith("repro_maintain_")
+            for name in telemetry.snapshot().names
+        )
+
+
 class TestTargets:
     def test_refresh_hot_swaps_into_model_service(self, db, multiway_star):
         spec = multiway_star.spec

@@ -1,8 +1,10 @@
-"""MetricsRegistry: collectors, snapshots, histogram cells and the
-disabled mode."""
+"""MetricsRegistry: collectors, snapshots, histogram cells, the
+training book and the disabled mode."""
 
 import gc
+import threading
 
+import numpy as np
 import pytest
 
 from repro.errors import ModelError
@@ -14,7 +16,12 @@ from repro.obs import (
     Telemetry,
     as_telemetry,
 )
-from repro.obs.metrics import HistogramCell
+from repro.obs.metrics import LATENCY_BUCKETS_S, HistogramCell
+from repro.obs.training import (
+    TrainingBook,
+    TrainingRecorder,
+    publish_join_index,
+)
 
 
 class TestSamples:
@@ -48,6 +55,37 @@ class TestHistogramCell:
         assert hist.cumulative == (2, 3, 5, 6)
         assert hist.count == 6
         assert hist.sum == pytest.approx(0.5 + 1 + 2 + 3 + 4 + 99)
+
+    def test_observe_matches_a_scan_of_the_bounds(self):
+        # The bucket is the first bound >= the value; bounds, their
+        # neighbours and values outside the ladder included.
+        buckets = LATENCY_BUCKETS_S
+        rng = np.random.default_rng(0)
+        values = [
+            *buckets,
+            *(np.nextafter(b, np.inf) for b in buckets),
+            *(np.nextafter(b, -np.inf) for b in buckets),
+            *rng.uniform(-1.0, 12.0, size=200),
+            0.0, -5.0, 1e9,
+        ]
+        cell = HistogramCell(buckets)
+        expected = [0] * (len(buckets) + 1)
+        for value in values:
+            cell.observe(float(value))
+            index = next(
+                (i for i, bound in enumerate(buckets) if value <= bound),
+                len(buckets),
+            )
+            expected[index] += 1
+        assert list(cell.value().counts) == expected
+        assert cell.value().count == len(values)
+
+    def test_unsorted_buckets_rejected(self):
+        # The bucket search assumes an ascending ladder: a shuffled or
+        # repeated one would count into the wrong buckets silently.
+        for buckets in ((2.0, 1.0), (1.0, 1.0, 2.0), ()):
+            with pytest.raises(ModelError, match="ascending"):
+                HistogramCell(buckets)
 
 
 class TestCollectors:
@@ -104,6 +142,123 @@ class TestCollectors:
         reg.register_collector(collect)
         assert reg.snapshot().value("x") == 1.0
         assert reg.snapshot().samples == ()
+
+
+class TestTrainingBook:
+    def test_counter_accumulates(self):
+        # Fits add up by algorithm; one algorithm's series never
+        # touches another's.
+        book, reg = TrainingBook(), MetricsRegistry()
+        reg.register_collector(book.collect)
+        book.step("F-GMM", 0.002, 1.5)
+        book.step("F-GMM", 0.003, 2.0)
+        book.step("F-NN", 0.010, 4.0)
+        book.join_index("F-NN", {"bytes": 64, "passes_replayed": 2})
+        book.join_index("F-NN", {"bytes": 96, "passes_replayed": 3})
+        snap = reg.snapshot()
+        steps = "repro_training_iterations_total"
+        assert snap.value(steps, algorithm="F-GMM") == 2.0
+        assert snap.value(steps, algorithm="F-NN") == 1.0
+        seconds = snap.value(
+            "repro_training_iteration_seconds", algorithm="F-GMM"
+        )
+        assert seconds.count == 2
+        assert seconds.sum == pytest.approx(0.005)
+        # Gauges hold the latest reading, counters the running total.
+        assert snap.value(
+            "repro_training_dedup_ratio", algorithm="F-GMM"
+        ) == 2.0
+        assert snap.value(
+            "repro_training_join_index_bytes", algorithm="F-NN"
+        ) == 96.0
+        assert snap.value(
+            "repro_training_join_index_replays_total", algorithm="F-NN"
+        ) == 5.0
+        # F-GMM booked no join index, so it has no such series.
+        assert len(snap.family("repro_training_join_index_bytes")) == 1
+
+    def test_default_buckets_are_the_latency_ladder(self):
+        tel = Telemetry()
+        TrainingRecorder("F-NN", tel).step_done(0.5)
+        hist = tel.snapshot().value(
+            "repro_training_iteration_seconds", algorithm="F-NN"
+        )
+        assert hist.buckets == LATENCY_BUCKETS_S
+        assert hist.count == 1
+
+    def test_a_disabled_telemetry_books_nothing(self):
+        tel = Telemetry(enabled=False)
+        assert tel.training is None
+        recorder = TrainingRecorder("F-GMM", tel)
+        recorder.step_done(0.25)
+        stats = {"bytes": 8, "passes_replayed": 1}
+        assert publish_join_index(tel, "F-GMM", stats) is stats
+        # The fit's own series are kept either way.
+        assert recorder.step_seconds == [0.25]
+        assert tel.snapshot().samples == ()
+
+
+class TestThreadSafety:
+    def test_concurrent_increments_are_lossless(self):
+        book, reg = TrainingBook(), MetricsRegistry()
+        reg.register_collector(book.collect)
+        threads = 8
+        per_thread = 2000
+        barrier = threading.Barrier(threads)
+
+        def work(index):
+            barrier.wait()
+            for i in range(per_thread):
+                book.step(f"a{index % 2}", (i % 3) * 0.5, 1.0)
+
+        pool = [
+            threading.Thread(target=work, args=(index,))
+            for index in range(threads)
+        ]
+        for t in pool:
+            t.start()
+        for t in pool:
+            t.join()
+        snap = reg.snapshot()
+        for algorithm in ("a0", "a1"):
+            assert snap.value(
+                "repro_training_iterations_total", algorithm=algorithm
+            ) == threads // 2 * per_thread
+            hist = snap.value(
+                "repro_training_iteration_seconds", algorithm=algorithm
+            )
+            assert hist.count == threads // 2 * per_thread
+            assert sum(hist.counts) == hist.count
+
+    def test_snapshot_under_writer_fire_is_consistent(self):
+        # A step books its count and its seconds together; every
+        # snapshot (one hold of the book's lock) must see them equal.
+        book, reg = TrainingBook(), MetricsRegistry()
+        reg.register_collector(book.collect)
+        stop = threading.Event()
+
+        def writer():
+            while not stop.is_set():
+                book.step("F-GMM", 0.001, 1.0)
+
+        pool = [threading.Thread(target=writer) for _ in range(4)]
+        for t in pool:
+            t.start()
+        try:
+            for _ in range(200):
+                snap = reg.snapshot()
+                steps = snap.get(
+                    "repro_training_iterations_total", algorithm="F-GMM"
+                )
+                hist = snap.get(
+                    "repro_training_iteration_seconds", default=None,
+                    algorithm="F-GMM",
+                )
+                assert steps == (0.0 if hist is None else hist.count)
+        finally:
+            stop.set()
+            for t in pool:
+                t.join()
 
 
 class TestDisabled:

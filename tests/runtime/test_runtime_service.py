@@ -11,6 +11,7 @@ import pytest
 from repro.core.api import fit_gmm, fit_nn, serve, serve_runtime
 from repro.errors import ModelError
 from repro.fx.sharding import ShardedPartialCache
+from repro.obs.metrics import LATENCY_BUCKETS_S
 from repro.runtime.service import RuntimeConfig, ServingRuntime
 
 
@@ -446,6 +447,111 @@ class TestMetricsSampleTheBooks:
         assert snapshot.value(
             "repro_batch_seconds", model="g"
         ).count == snapshot.value("repro_batches_total", model="g")
+
+    def test_the_request_book_is_kept_per_model_and_op(self, db, binary_star):
+        spec = binary_star.spec
+        gmm = fit_gmm(db, spec, n_components=2, max_iter=2, seed=1)
+        nn = fit_nn(db, spec, hidden_sizes=(6,), epochs=1, seed=1)
+        features, fk = a_request(db, spec, n=8)
+        with serve_runtime(db, num_workers=2, telemetry=True) as rt:
+            rt.register_gmm("g", gmm, spec)
+            rt.register_nn("n", nn, spec)
+            for _ in range(3):
+                rt.predict("g", features, fk)
+            rt.score("g", features, fk)
+            for _ in range(2):
+                rt.predict("n", features, fk)
+            snapshot = rt.telemetry.snapshot()
+        for model, op, expected in (
+            ("g", "predict", 3), ("g", "score", 1), ("n", "predict", 2),
+        ):
+            assert snapshot.value(
+                "repro_requests_total", model=model, op=op
+            ) == expected
+        # A model that never failed has no failure series, and the
+        # batch latencies are kept on the latency ladder, per model.
+        assert snapshot.family("repro_batch_failures_total") == []
+        for model in ("g", "n"):
+            seconds = snapshot.value("repro_batch_seconds", model=model)
+            assert seconds.buckets == LATENCY_BUCKETS_S
+            assert seconds.count == snapshot.value(
+                "repro_batches_total", model=model
+            )
+        wait = snapshot.value("repro_queue_wait_seconds")
+        assert wait.buckets == LATENCY_BUCKETS_S
+        assert wait.count == 3 + 1 + 2
+
+    def test_a_poisoned_batch_books_each_request_once(self, db, binary_star):
+        """A coalesced batch that fails is retried request by request:
+        the good request is booked as served, the bad one as failed,
+        and each waited once — the failed attempt books nothing."""
+        from repro.runtime.queue import Request
+        from repro.runtime.service import WorkerStats
+
+        spec = binary_star.spec
+        nn = fit_nn(db, spec, hidden_sizes=(6,), epochs=1, seed=1)
+        features, fk = a_request(db, spec, n=4)
+        with serve_runtime(db, num_workers=1, telemetry=True) as rt:
+            rt.register_nn("n", nn, spec)
+            good = Request(("n", "predict"), features, [fk])
+            bad = Request(("n", "predict"), features, [fk * 0 + 10**6])
+            rt._execute([good, bad], WorkerStats())
+            assert good.future.result(10.0).shape == (4, 1)
+            with pytest.raises(ModelError):
+                bad.future.result(10.0)
+            snapshot = rt.telemetry.snapshot()
+        assert snapshot.value(
+            "repro_requests_total", model="n", op="predict"
+        ) == 2
+        assert snapshot.value("repro_batch_failures_total", model="n") == 1
+        assert snapshot.value("repro_queue_wait_seconds").count == 2
+        assert snapshot.value("repro_batch_seconds", model="n").count == 1
+
+    def test_snapshots_under_submit_fire_agree(self, db, binary_star):
+        """Each snapshot reads the request book in one hold of its
+        lock: completions and queue waits agree in every cut, not only
+        once the traffic stops, and none is lost between submitters."""
+        spec = binary_star.spec
+        gmm = fit_gmm(db, spec, n_components=2, max_iter=2, seed=1)
+        features, fk = a_request(db, spec, n=16)
+        submitters, per_submitter = 4, 25
+        with serve_runtime(
+            db, num_workers=2, max_wait_ms=0.5, telemetry=True
+        ) as rt:
+            rt.register_gmm("g", gmm, spec)
+            barrier = threading.Barrier(submitters + 1)
+
+            def submit(index):
+                barrier.wait()
+                for i in range(per_submitter):
+                    start = (index + i) % 8 * 2
+                    rt.predict(
+                        "g", features[start:start + 2],
+                        fk[start:start + 2], timeout=30.0,
+                    )
+
+            pool = [
+                threading.Thread(target=submit, args=(index,))
+                for index in range(submitters)
+            ]
+            for thread in pool:
+                thread.start()
+            barrier.wait()
+            cuts = []
+            while any(thread.is_alive() for thread in pool):
+                cuts.append(rt.telemetry.snapshot())
+            for thread in pool:
+                thread.join()
+            cuts.append(rt.telemetry.snapshot())
+        for snapshot in cuts:
+            requests = snapshot.get(
+                "repro_requests_total", model="g", op="predict"
+            )
+            # An empty histogram is not exported until it is observed.
+            wait = snapshot.get("repro_queue_wait_seconds", default=None)
+            assert (0 if wait is None else wait.count) == requests
+        assert requests == submitters * per_submitter
+
 
 
 class TestLifecycle:

@@ -1109,6 +1109,17 @@ class TestOneSetOfBooks:
             dir(MetricsRegistry)
         )
 
+    def test_the_registry_keeps_only_its_collector_list(self):
+        from repro.obs.metrics import MetricsRegistry
+
+        registry = MetricsRegistry()
+        assert {
+            name for name in dir(registry) if not name.startswith("__")
+        } == {
+            "enabled", "_lock", "_collectors",
+            "register_collector", "unregister_collector", "snapshot",
+        }
+
     def test_the_worker_header_keeps_no_execution_counts(self):
         defined = {
             target.id

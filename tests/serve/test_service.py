@@ -327,6 +327,64 @@ class TestBookkeeping:
         )
         service.close()
 
+    def test_telemetry_samples_the_request_book(self, db, binary_star):
+        """Calls served on the caller's thread are counted by model
+        and op, and timed once each by model."""
+        gmm = fit_gmm(
+            db, binary_star.spec, n_components=2, max_iter=2, seed=1
+        )
+        nn = fit_nn(
+            db, binary_star.spec, hidden_sizes=(4,), epochs=1, seed=1
+        )
+        service = serve(db, telemetry=True)
+        service.register_gmm("clusters", gmm, binary_star.spec)
+        service.register_nn("ratings", nn, binary_star.spec)
+        features, fk = a_request(db, binary_star.spec, n=8)
+        for _ in range(3):
+            service.predict("clusters", features, fk)
+        for _ in range(2):
+            service.score("clusters", features, fk)
+        service.predict("ratings", features, fk)
+        snapshot = service.telemetry.snapshot()
+        for model, op, expected in (
+            ("clusters", "predict", 3),
+            ("clusters", "score", 2),
+            ("ratings", "predict", 1),
+        ):
+            assert snapshot.value(
+                "repro_service_requests_total", model=model, op=op
+            ) == expected
+        assert snapshot.get(
+            "repro_service_requests_total", default=None,
+            model="ratings", op="score",
+        ) is None
+        for model in ("clusters", "ratings"):
+            seconds = snapshot.value(
+                "repro_service_request_seconds", model=model
+            )
+            assert seconds.count == service.stats(model).requests
+            assert seconds.sum > 0
+        service.close()
+
+    def test_a_failed_call_is_not_booked(self, db, binary_star):
+        nn = fit_nn(
+            db, binary_star.spec, hidden_sizes=(4,), epochs=1, seed=1
+        )
+        service = serve(db, telemetry=True)
+        service.register_nn("ratings", nn, binary_star.spec)
+        features, fk = a_request(db, binary_star.spec, n=4)
+        service.predict("ratings", features, fk)
+        with pytest.raises(ModelError):                 # dangling FK
+            service.predict("ratings", features, fk * 0 + 10**6)
+        snapshot = service.telemetry.snapshot()
+        assert snapshot.value(
+            "repro_service_requests_total", model="ratings", op="predict"
+        ) == 1
+        assert snapshot.value(
+            "repro_service_request_seconds", model="ratings"
+        ).count == service.stats("ratings").requests == 1
+        service.close()
+
     def test_materialized_models_have_no_caches(self, db, binary_star):
         nn = fit_nn(
             db, binary_star.spec, hidden_sizes=(4,), epochs=1, seed=1
