@@ -71,7 +71,7 @@ def main() -> None:
         print("\nF-NN training loss per epoch:",
               [round(loss, 4) for loss in result.loss_history])
         joined = nested_loop_join(db, star.spec)
-        predictions = result.model.predict(joined.features).ravel()
+        predictions = result.model.predict(joined.design.fact_block).ravel()
         mse = float(np.mean((predictions - joined.targets) ** 2))
         print(f"full-data MSE {mse:.4f} vs "
               f"constant-predictor variance {joined.targets.var():.4f}")

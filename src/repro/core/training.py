@@ -9,8 +9,8 @@ here once, as two tables:
   ``T`` and read it back, re-join on the fly, or re-join and keep the
   batches factorized.  :func:`open_access` is the only place outside
   :mod:`repro.join` that constructs an access path.
-* :data:`KINDS` — what a model family plugs in: its dense and
-  factorized engine, its driver, whether it needs a TARGET.
+* :data:`KINDS` — what a model family plugs in: the one engine its
+  three arms share, its driver, whether it needs a TARGET.
 
 :func:`train` runs one cell and does the bookkeeping every cell
 shares.  All arms of a kind return the same model.
@@ -33,14 +33,14 @@ from repro.core.strategies import (
 from repro.errors import ModelError
 from repro.fx.costs import TrainingPageProfile, recommend_training_strategy
 from repro.gmm.base import run_em
-from repro.gmm.engines import DenseEMEngine, FactorizedEMEngine
+from repro.gmm.engines import FactorizedEMEngine
 from repro.join.bnl import DEFAULT_BLOCK_PAGES
 from repro.join.factorized import FactorizedJoin
 from repro.join.materialize import MaterializedTable, materialize_join
 from repro.join.spec import JoinSpec, ResolvedJoin
 from repro.join.stream import StreamingJoin
 from repro.nn.base import run_training
-from repro.nn.engines import DenseNNEngine, FactorizedNNEngine
+from repro.nn.engines import FactorizedNNEngine
 from repro.nn.network import build_model
 from repro.obs.training import publish_join_index
 from repro.storage.catalog import Database
@@ -63,8 +63,8 @@ def _materialized(db, spec, *, table_name, keep_table, **order):
 
 
 def _streaming(db, spec, *, table_name, keep_table, **order):
-    """Fig. 1(b): every pass re-joins; batches arrive dense.  Open, the
-    access borrows the database's join index."""
+    """Fig. 1(b): every pass re-joins; batches arrive inlined.  Open,
+    the access borrows the database's join index."""
     return StreamingJoin(db, spec, **order)
 
 
@@ -93,15 +93,14 @@ class AccessPath:
     """One way the joined data reaches a model (a row of Fig. 1)."""
 
     letter: str                 # the paper's prefix: M / S / F
-    factorized: bool            # which of the kind's two engines reads it
     open: Callable              # context manager yielding the access
     facts: Callable             # what the arm adds to ``fit.extra``
 
 
 ACCESS = {
-    MATERIALIZED: AccessPath("M", False, _materialized, _table_facts),
-    STREAMING: AccessPath("S", False, _streaming, _index_facts),
-    FACTORIZED: AccessPath("F", True, _factorized, _index_facts),
+    MATERIALIZED: AccessPath("M", _materialized, _table_facts),
+    STREAMING: AccessPath("S", _streaming, _index_facts),
+    FACTORIZED: AccessPath("F", _factorized, _index_facts),
 }
 
 
@@ -143,8 +142,7 @@ class ModelKind:
     """What a model family plugs into the shared path."""
 
     label: str                  # "GMM" / "NN": the arm is "{M,S,F}-label"
-    dense: type
-    factorized: type
+    engine: type                # reads every arm's batches
     drive: Callable
     needs_target: bool
     start_width: Callable       # feature width of a caller-supplied start
@@ -154,14 +152,14 @@ class ModelKind:
 
 KINDS = {
     "gmm": ModelKind(
-        "GMM", DenseEMEngine, FactorizedEMEngine, _drive_gmm,
+        "GMM", FactorizedEMEngine, _drive_gmm,
         needs_target=False,
         start_width=lambda params: params.n_features,
         order=lambda config: {},
         cost_shape=lambda config: (config.n_components, config.max_iter),
     ),
     "nn": ModelKind(
-        "NN", DenseNNEngine, FactorizedNNEngine, _drive_nn,
+        "NN", FactorizedNNEngine, _drive_nn,
         needs_target=True,
         start_width=lambda model: model.n_inputs,
         order=lambda config: {
@@ -279,8 +277,7 @@ def train(
     ) as access:
         opened = time.perf_counter() - tick
         result = family.drive(
-            family.factorized if arm.factorized else family.dense,
-            access, n_features, config, start,
+            family.engine, access, n_features, config, start,
             algorithm=label, telemetry=telemetry,
         )
         result.wall_time_seconds += opened

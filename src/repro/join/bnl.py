@@ -18,10 +18,10 @@ Every joined tuple is emitted exactly once per pass, grouped into
 the raw fact rows, each dimension's page-block feature rows with their
 keys, and — the factorized execution core's contract — one
 :class:`~repro.fx.dedup.DedupPlan` deduplicating the block's FK
-columns.  Downstream code either densifies the block (S- algorithms)
-or keeps it factorized (F- algorithms); both read the same plan, the
-same way serving batches thread their plan through ``BatchPlanner →
-predict()``.
+columns.  :func:`~repro.join.batches.block_batch` turns a block into
+a batch, inlining every dimension (S- algorithms) or none (F-
+algorithms); both read the same plan, the same way serving batches
+thread their plan through ``BatchPlanner → predict()``.
 
 A fit makes many passes (one per EM iteration or epoch) and
 everything a pass derives from *key columns* — which fact rows match an

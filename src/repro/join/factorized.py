@@ -22,23 +22,8 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from repro.join.batches import FactorizedBatch
-from repro.join.bnl import JoinAccess, JoinBlock, sids_and_targets
-from repro.join.spec import ResolvedJoin
-from repro.linalg.design import FactorizedDesign
-
-
-def _factorize_block(
-    resolved: ResolvedJoin, block: JoinBlock
-) -> FactorizedBatch:
-    fact = resolved.fact
-    design = FactorizedDesign.from_plan(
-        fact.project_features(block.fact_rows),
-        [block.distinct_rows(i) for i in range(len(block.dim_features))],
-        block.plan,
-    )
-    sids, targets = sids_and_targets(fact, block.fact_rows)
-    return FactorizedBatch(sids, design, targets, plan=block.plan)
+from repro.join.batches import Batch, block_batch
+from repro.join.bnl import JoinAccess
 
 
 class FactorizedJoin(JoinAccess):
@@ -46,12 +31,12 @@ class FactorizedJoin(JoinAccess):
 
     Same constructor contract as
     :class:`~repro.join.stream.StreamingJoin`; the two paths read the
-    same pages in the same order and differ only in batch
-    representation, which is what isolates the compute savings of the
-    F- algorithms from I/O effects.
+    same pages in the same order and differ only in which dimensions
+    :func:`~repro.join.batches.block_batch` inlines, which is what
+    isolates the compute savings of the F- algorithms from I/O effects.
     """
 
-    def batches(self, epoch: int = 0) -> Iterator[FactorizedBatch]:
-        """One full pass over the join result as factorized batches."""
+    def batches(self, epoch: int = 0) -> Iterator[Batch]:
+        """One full pass over the join result, no dimension inlined."""
         for block in self.blocks(epoch):
-            yield _factorize_block(self.resolved, block)
+            yield block_batch(self.resolved, block, inline=False)

@@ -13,7 +13,7 @@ from typing import Iterator
 import numpy as np
 
 from repro.errors import JoinError
-from repro.join.batches import DenseBatch
+from repro.join.batches import Batch
 from repro.join.bnl import (
     DEFAULT_BLOCK_PAGES,
     _block_starts,
@@ -21,6 +21,7 @@ from repro.join.bnl import (
 )
 from repro.join.spec import JoinSpec
 from repro.join.stream import StreamingJoin
+from repro.linalg.design import FactorizedDesign
 from repro.storage.catalog import Database
 from repro.storage.relation import Relation
 
@@ -52,7 +53,7 @@ def materialize_join(
             columns = [batch.sids.astype(np.float64)[:, None]]
             if batch.targets is not None:
                 columns.append(batch.targets[:, None])
-            columns.append(batch.features)
+            columns.append(batch.design.fact_block)
             table.append(np.concatenate(columns, axis=1))
     return table
 
@@ -61,9 +62,10 @@ class MaterializedTable:
     """Batched reader over a materialized join result.
 
     Mirrors the :class:`~repro.join.stream.StreamingJoin` interface so
-    the learning algorithms are agnostic to where their dense batches
-    come from.  Each pass re-reads ``T`` from disk (charged), exactly as
-    Algorithm 1 reads batch ``i`` of ``T`` in lines 5/11/17.
+    the learning algorithms are agnostic to where their batches come
+    from: ``T``'s rows are the wide design, every dimension inlined.
+    Each pass re-reads ``T`` from disk (charged), exactly as Algorithm 1
+    reads batch ``i`` of ``T`` in lines 5/11/17.
     """
 
     def __init__(
@@ -88,8 +90,8 @@ class MaterializedTable:
     def num_rows(self) -> int:
         return self.table.nrows
 
-    def batches(self, epoch: int = 0) -> Iterator[DenseBatch]:
-        """One full pass over ``T`` as dense batches."""
+    def batches(self, epoch: int = 0) -> Iterator[Batch]:
+        """One full pass over ``T``, batches with no dimension."""
         rng = (
             np.random.default_rng((self.seed, epoch))
             if self.shuffle
@@ -103,6 +105,7 @@ class MaterializedTable:
             if self.shuffle and rows.shape[0] > 1:
                 rows = rows[rng.permutation(rows.shape[0])]
             sids, targets = sids_and_targets(self.table, rows)
-            yield DenseBatch(
-                sids, rows[:, self._feature_positions], targets
+            design = FactorizedDesign(
+                rows[:, self._feature_positions], [], []
             )
+            yield Batch(sids, design, targets)

@@ -10,13 +10,15 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import JoinError
-from repro.join.batches import DenseBatch
+from repro.join.batches import Batch
 from repro.join.spec import JoinSpec
+from repro.linalg.design import FactorizedDesign
 from repro.storage.catalog import Database
 
 
-def nested_loop_join(db: Database, spec: JoinSpec) -> DenseBatch:
-    """Join the spec's relations tuple-at-a-time and return all rows.
+def nested_loop_join(db: Database, spec: JoinSpec) -> Batch:
+    """Join the spec's relations tuple-at-a-time and return all rows,
+    as one batch whose design is the wide rows (no dimension block).
 
     Output order follows the fact relation's storage order.  Raises on
     dangling foreign keys (the paper assumes PK/FK integrity).
@@ -62,4 +64,4 @@ def nested_loop_join(db: Database, spec: JoinSpec) -> DenseBatch:
         if fact.schema.target_column is not None
         else None
     )
-    return DenseBatch(sids, features, targets)
+    return Batch(sids, FactorizedDesign(features, [], []), targets)

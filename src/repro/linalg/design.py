@@ -9,9 +9,9 @@ A batch of the joined table ``T`` can be held two ways:
   :class:`~repro.linalg.groupsum.GroupIndex` mapping fact rows to
   dimension rows (what F- algorithms compute on).
 
-:class:`FactorizedDesign` is the factorized form.  ``densify`` expands
-it to the dense form (used by tests to prove exactness, never by the
-F- algorithms themselves).
+:class:`FactorizedDesign` holds both: the dense form is the design with
+every dimension in its fact block and no dimension block.  ``densify``
+expands a design to the dense form; no training kernel calls it.
 """
 
 from __future__ import annotations
@@ -160,7 +160,7 @@ class FactorizedDesign:
         (:meth:`~repro.fx.dedup.DimensionDedup.group_index`): a plan
         from ``for_batch`` hands them its sort, a permuted one sorts
         lazily if a grouped reduction asks.  This is the constructor the
-        training access path uses (:mod:`repro.join.factorized`) — the
+        F- access path uses (:func:`~repro.join.batches.block_batch`) — the
         design's grouped reductions and the serving predictors then
         share one dedup per batch per dimension.
         """

@@ -45,7 +45,7 @@ from repro.fx.dedup import DedupPlan
 from repro.gmm.base import EMConfig
 from repro.join.bnl import DEFAULT_BLOCK_PAGES
 from repro.join.spec import JoinSpec
-from repro.join.batches import FactorizedBatch
+from repro.join.batches import Batch
 from repro.linalg.design import FactorizedDesign
 from repro.maintain.stats import GMMSuffStats, LinearSuffStats
 from repro.nn.base import NNConfig
@@ -441,7 +441,7 @@ class ModelMaintainer:
             rows = dim.relation.heap.read_rows(at)
             dim_blocks.append(dim.relation.project_features(rows))
         design = FactorizedDesign.from_plan(features, dim_blocks, plan)
-        batch = FactorizedBatch(positions, design, targets, plan=plan)
+        batch = Batch(positions, design, targets, plan=plan)
         stepped = self._model.copy()
         engine = FactorizedNNEngine(None, stepped)
         _, grads = engine.batch_gradients(batch, batch.n)

@@ -1,7 +1,7 @@
 """Neural networks over normalized data (Section VI).
 
 Public surface: activations/losses/layers/MLP, the training
-configuration and result types, the epoch driver and its two engines
+configuration and result types, the epoch driver and its one engine
 (the three training strategies are :func:`repro.core.training.train`)
 and the second-layer reuse analysis.  The Section VI cost models live in
 :mod:`repro.fx.costs`.
@@ -18,7 +18,7 @@ from repro.nn.activations import (
     get_activation,
 )
 from repro.nn.base import NNConfig, NNFitResult, run_training
-from repro.nn.engines import DenseNNEngine, FactorizedNNEngine
+from repro.nn.engines import FactorizedNNEngine
 from repro.nn.layers import DenseLayer, LayerGrads
 from repro.nn.losses import BinaryCrossEntropy, HalfMSE, Loss, get_loss
 from repro.nn.network import MLP, ForwardCache, build_model
@@ -33,7 +33,6 @@ __all__ = [
     "Activation",
     "BinaryCrossEntropy",
     "DenseLayer",
-    "DenseNNEngine",
     "FactorizedNNEngine",
     "ForwardCache",
     "HalfMSE",

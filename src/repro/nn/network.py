@@ -12,8 +12,9 @@ therefore exposes that seam directly:
   ``∂E/∂a⁽¹⁾``, leaving the first layer's parameter gradients to the
   caller (dense or factorized).
 
-The dense engine and the factorized engine plug into the same seam, so
-exactness of F-NN reduces to exactness of the first-layer kernels.
+The training engine's factorized first layer plugs into this seam, so
+exactness of F-NN reduces to exactness of the first-layer kernels
+against :meth:`MLP.dense_gradients`, the same step over wide rows.
 """
 
 from __future__ import annotations

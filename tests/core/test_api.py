@@ -82,7 +82,7 @@ class TestFitGMM:
         result = fit_gmm(
             db, binary_star.spec, n_components=2, max_iter=2, tol=0.0,
         )
-        joined = nested_loop_join(db, binary_star.spec).features
+        joined = nested_loop_join(db, binary_star.spec).design.fact_block
         np.testing.assert_array_equal(
             result.predict(joined), result.model.predict(joined)
         )

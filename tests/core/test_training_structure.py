@@ -3,13 +3,15 @@ manner of ``tests/serve/test_core_structure.py``).
 
 The paper's 2 models × 3 strategies is stated once, in
 ``core/training.py``; these tests keep the hand-written matrix from
-growing back: access paths are opened in one module, none of the
-per-cell names the fold deleted returns, the training series have one
+growing back: access paths are opened in one module, every arm of a
+kind reads one batch type through one engine, none of the per-cell
+names the fold deleted returns, the training series have one
 registration site, and the external tracer of ``benchmarks/e2e`` still
 finds everything it wraps.
 """
 
 import ast
+import dataclasses
 import importlib.util
 import re
 from pathlib import Path
@@ -74,6 +76,55 @@ def test_access_paths_are_opened_in_one_module(name):
             if called == name:
                 callers.add(module)
     assert callers == {"core/training.py"}
+
+
+class TestOneBatchOneEnginePerKind:
+    """M- and S- batches are the factorized batch with every dimension
+    inlined, so there is one batch class and each kind runs one engine
+    on all three arms."""
+
+    def test_one_batch_class(self):
+        tree = ast.parse(
+            (SRC_ROOT / "join" / "batches.py").read_text(encoding="utf-8")
+        )
+        classes = [
+            node.name for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)
+        ]
+        assert classes == ["Batch"]
+
+    def test_each_kind_names_one_engine(self):
+        from repro.core.training import ACCESS, KINDS, AccessPath, ModelKind
+        from repro.gmm.engines import FactorizedEMEngine
+        from repro.nn.engines import FactorizedNNEngine
+
+        classes = {
+            field.name for field in dataclasses.fields(ModelKind)
+            if field.type == "type"
+        }
+        assert classes == {"engine"}
+        assert KINDS["gmm"].engine is FactorizedEMEngine
+        assert KINDS["nn"].engine is FactorizedNNEngine
+        assert "factorized" not in {
+            field.name for field in dataclasses.fields(AccessPath)
+        }
+        assert len(ACCESS) == 3
+
+    def test_the_dense_engines_are_only_tracer_names(self):
+        naming = {
+            module
+            for module, tree in _modules()
+            if _identifiers(tree) & {"DenseEMEngine", "DenseNNEngine"}
+        }
+        assert naming == {"gmm/engines.py", "nn/engines.py"}
+
+    def test_no_dense_or_factorized_batch_is_left(self):
+        naming = {
+            module
+            for module, tree in _modules()
+            if _identifiers(tree) & {"DenseBatch", "FactorizedBatch"}
+        }
+        assert naming == set()
 
 
 def test_no_per_cell_name_is_left_under_src():
@@ -171,16 +222,14 @@ class TestTheNNStepIsTiled:
             steps["tiled_gradients"]
         )
 
-    def test_both_engines_step_through_the_tiled_sum(self):
+    def test_the_engine_steps_through_the_tiled_sum(self):
         engines = self._tree("nn/engines.py")
-        steps = [
+        (step,) = [
             node for node in ast.walk(engines)
             if isinstance(node, ast.FunctionDef)
             and node.name == "batch_gradients"
         ]
-        assert len(steps) == 2
-        for step in steps:
-            assert _identifiers(step) & {"tiled_gradients", "dense_gradients"}
+        assert "tiled_gradients" in _identifiers(step)
         summed = {
             module
             for module, tree in _modules()
@@ -195,8 +244,8 @@ class TestTheNNStepIsTiled:
 
 
 class TestTheEMStepIsTiled:
-    """An EM step's per-row temporaries stay ``(K, width, tile)``: both
-    engines walk a batch through the one tile loop (``gmm/model.py``'s
+    """An EM step's per-row temporaries stay ``(K, width, tile)``: the
+    engine walks every batch through the one tile loop (``gmm/model.py``'s
     ``tiles``, beside the E-step every caller shares), ``run_em`` asks
     each batch for one step — the E-step and both M-step sums off one
     gather and centering per tile — every tile's work for all ``K``
@@ -324,10 +373,9 @@ class TestTheEMStepIsTiled:
         assert "_log_density_tiles" not in step
         assert readers("em_sums") == {"em_step"}
         walks = set(self.STEPS.values())
-        for engine in ("DenseEMEngine", "FactorizedEMEngine"):
-            for step, walk in self.STEPS.items():
-                method = functions["gmm/engines.py", f"{engine}.{step}"]
-                assert _identifiers(method) & walks == {walk}
+        for step, walk in self.STEPS.items():
+            method = functions["gmm/engines.py", f"FactorizedEMEngine.{step}"]
+            assert _identifiers(method) & walks == {walk}
 
     def test_no_einsum_path_search_on_a_training_path(self):
         searched = [

@@ -121,7 +121,7 @@ class TestTargets:
         )
         star = generate_star(db, config)
         joined = nested_loop_join(db, star.spec)
-        signal = joined.features @ star.true_weights
+        signal = joined.design.fact_block @ star.true_weights
         expected = np.sin(signal) + 0.1 * signal
         np.testing.assert_allclose(joined.targets, expected, atol=1e-9)
         # Dimension features carry nonzero weight.

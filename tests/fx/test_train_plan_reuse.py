@@ -26,7 +26,7 @@ from repro.gmm.base import EMConfig, run_em
 from repro.gmm.engines import FactorizedEMEngine
 from repro.gmm.init import initial_params
 from repro.gmm.model import ComponentPrecisions
-from repro.join.batches import FactorizedBatch
+from repro.join.batches import Batch
 from repro.join.bnl import iter_join_blocks
 from repro.join.factorized import FactorizedJoin
 from repro.linalg.design import FactorizedDesign
@@ -87,7 +87,7 @@ class SeedStyleFactorizedJoin:
                 if fact.schema.target_column is not None
                 else None
             )
-            yield FactorizedBatch(sids, design, targets)
+            yield Batch(sids, design, targets)
 
 
 def access_pair(db, spec, block_pages=2):
@@ -112,8 +112,8 @@ class TestRepresentationExactness:
         new, seed = access_pair(db, star.spec)
         for batch_new, batch_seed in zip(new.batches(), seed.batches()):
             np.testing.assert_array_equal(
-                batch_new.densify().features,
-                batch_seed.densify().features,
+                batch_new.design.densify(),
+                batch_seed.design.densify(),
             )
             np.testing.assert_array_equal(
                 batch_new.targets, batch_seed.targets

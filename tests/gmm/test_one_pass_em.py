@@ -68,7 +68,7 @@ def assert_matches_oracle(db, spec, fit, oracle):
         rtol=HISTORY_RTOL,
     )
     assert fit.params.allclose(oracle.params)
-    joined = nested_loop_join(db, spec).features
+    joined = nested_loop_join(db, spec).design.fact_block
     np.testing.assert_array_equal(
         GaussianMixtureModel(fit.params).predict(joined),
         GaussianMixtureModel(oracle.params).predict(joined),
@@ -101,7 +101,7 @@ def test_a_cancelling_correction_rewalks_and_still_matches(monkeypatch, db):
     the raw moment, so the first iteration re-walks ``Sum_Σ``."""
     config, block_pages = GRIDS["binary"]
     star = generate_star(db, config)
-    joined = nested_loop_join(db, star.spec).features
+    joined = nested_loop_join(db, star.spec).design.fact_block
     k, d = EM.n_components, joined.shape[1]
     spread = np.random.default_rng(0).normal(size=(k, d))
     start = GMMParams(

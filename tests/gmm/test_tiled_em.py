@@ -1,7 +1,8 @@
 """An EM step is the sum of its row tiles, all components at once.
 
-Both engines walk a batch through ``repro.gmm.model.tiles`` and hand
-each tile to the stacked kernels of ``repro.linalg``: the driver's step
+The engine walks a batch — dimensions kept or inlined — through
+``repro.gmm.model.tiles`` and hands each tile to the stacked kernels of
+``repro.linalg``: the driver's step
 (``step_batch``) in one walk whose E-step tile feeds both M-step sums,
 the three traced kernels each in their own.  The references here are
 the per-component, whole-batch passes the engines made before — ``for j
@@ -20,7 +21,7 @@ import repro
 from repro.core.training import train
 from repro.gmm.base import EMConfig
 from repro.gmm import model
-from repro.gmm.engines import DenseEMEngine, FactorizedEMEngine
+from repro.gmm.engines import FactorizedEMEngine
 from repro.gmm.model import (
     ComponentPrecisions,
     GMMParams,
@@ -30,7 +31,7 @@ from repro.gmm.model import (
     posteriors,
     sigma_sums,
 )
-from repro.join.batches import DenseBatch, FactorizedBatch
+from repro.join.batches import Batch
 from repro.linalg.blocks import TILE_BYTES
 from repro.linalg.design import FactorizedDesign
 from repro.linalg.groupsum import GroupIndex
@@ -68,7 +69,8 @@ def small_tiles(monkeypatch):
 
 
 def star_batch(n, dims, seed, codes=CODES["random RIDs"], order="F"):
-    """The same ``n`` joined rows as a factorized and a dense batch."""
+    """The same ``n`` joined rows as a factorized batch and as one with
+    every dimension inlined."""
     rng = np.random.default_rng(seed)
     design = FactorizedDesign(
         np.asarray(rng.normal(size=(n, D_S)) + 2.0, order=order),
@@ -77,8 +79,8 @@ def star_batch(n, dims, seed, codes=CODES["random RIDs"], order="F"):
     )
     sids = np.arange(n)
     return (
-        FactorizedBatch(sids, design),
-        DenseBatch(sids, design.densify()),
+        Batch(sids, design),
+        Batch(sids, FactorizedDesign(design.densify(), [], [])),
     )
 
 
@@ -188,7 +190,7 @@ def factorized_reference(batch, params, precisions, centre=None):
 
 
 def dense_reference(batch, params, precisions, centre=None):
-    data = batch.features
+    data = batch.design.fact_block
 
     def quadform(mean, matrix):
         centered = data - mean
@@ -252,9 +254,9 @@ class TestTilesAddUpToTheSinglePass:
             fact, params, precisions, want[3],
         )
         assert_step_matches(got, want)
-        # and the dense engine on the same rows, at the M = S = F bound
+        # and the same rows inlined, at the M = S = F bound
         other = engine_step(
-            DenseEMEngine(None, params.n_features),
+            FactorizedEMEngine(None, params.n_features),
             dense, params, precisions, want[3],
         )
         for mine, theirs in zip(got, other):
@@ -264,7 +266,7 @@ class TestTilesAddUpToTheSinglePass:
         _, dense, params, precisions = self._setup(length, dims, k, codes)
         want = dense_reference(dense, params, precisions)
         got = engine_step(
-            DenseEMEngine(None, params.n_features),
+            FactorizedEMEngine(None, params.n_features),
             dense, params, precisions, want[3],
         )
         assert_step_matches(got, want)
@@ -275,17 +277,16 @@ class TestTilesAddUpToTheSinglePass:
         shifted centre (the re-walk), on q = 0 and on the star."""
         fact, dense, params, precisions = self._setup(length, dims, k, codes)
         centre = params.means + 0.75 * shifted
-        for engine, batch, reference, design in (
-            (FactorizedEMEngine, fact, factorized_reference, fact.design),
-            (DenseEMEngine, dense, dense_reference,
-             FactorizedDesign(dense.features, [], [])),
+        for batch, reference in (
+            (fact, factorized_reference), (dense, dense_reference),
         ):
+            design = batch.design
             gamma, log_likelihoods, mu, _, sigma = reference(
                 batch, params, precisions, centre
             )
             with monkeypatch.context() as patch:
                 walked = spy_on_the_walk(patch)
-                mass, total, got_mu, got_sigma = engine(
+                mass, total, got_mu, got_sigma = FactorizedEMEngine(
                     None, params.n_features
                 ).step_batch(batch, params, precisions, centre)
             assert_close(mass, gamma.sum(axis=0), 1e-10)
@@ -331,15 +332,14 @@ def spy_on_the_walk(patch) -> list:
 def test_a_step_leaves_its_inputs_alone(dims):
     fact, dense = star_batch(500, dims, seed=4)
     params, precisions = mixture(3, fact.design.d, seed=1)
-    for engine, batch in (
-        (FactorizedEMEngine(None, params.n_features), fact),
-        (DenseEMEngine(None, params.n_features), dense),
-    ):
+    engine = FactorizedEMEngine(None, params.n_features)
+    for batch in (fact, dense):
         gamma, _ = engine.estep_batch(batch, params, precisions)
         centre = params.means + 1.0
         held = [
             gamma, centre, params.weights, params.means, params.covariances,
-            precisions.precisions, fact.design.fact_block, dense.features,
+            precisions.precisions, fact.design.fact_block,
+            dense.design.fact_block,
             *fact.design.dim_blocks,
             *(group.codes for group in fact.design.groups),
         ]
@@ -395,8 +395,9 @@ class TestTheFactBlocksMemoryOrder:
         params, precisions = mixture(self.K, fact.design.d, seed=5)
         engine = FactorizedEMEngine(None, params.n_features)
         gamma, _ = engine.estep_batch(fact, params, precisions)   # warm
-        dense_batch = DenseBatch(fact.sids, fact.design.densify())
-        dense = DenseEMEngine(None, params.n_features)
+        dense_batch = Batch(
+            fact.sids, FactorizedDesign(fact.design.densify(), [], [])
+        )
         peaks = {}
         for name, call in (
             ("estep", lambda: engine.estep_batch(fact, params, precisions)),
@@ -407,7 +408,7 @@ class TestTheFactBlocksMemoryOrder:
             ("step", lambda: engine.step_batch(
                 fact, params, precisions, params.means
             )),
-            ("dense step", lambda: dense.step_batch(
+            ("dense step", lambda: engine.step_batch(
                 dense_batch, params, precisions, params.means
             )),
         ):

@@ -6,32 +6,34 @@ import numpy as np
 import pytest
 
 from repro.errors import JoinError
-from repro.join.batches import DenseBatch
+from repro.join.batches import Batch
 from repro.join.bnl import iter_join_blocks
 from repro.join.factorized import FactorizedJoin
 from repro.join.materialize import MaterializedTable, materialize_join
 from repro.join.reference import nested_loop_join
 from repro.join.stream import StreamingJoin
+from repro.linalg.design import FactorizedDesign
 
 from tests.conftest import make_binary_relations
 
 
-def canonical(batch: DenseBatch):
+def canonical(batch: Batch):
     order = np.argsort(batch.sids, kind="stable")
     targets = None if batch.targets is None else batch.targets[order]
-    return batch.sids[order], batch.features[order], targets
+    return batch.sids[order], batch.design.densify()[order], targets
 
 
 def collect_dense(batches):
+    """A pass's batches as one batch of wide rows."""
     batches = list(batches)
     sids = np.concatenate([b.sids for b in batches])
-    features = np.concatenate([b.features for b in batches])
+    features = np.concatenate([b.design.densify() for b in batches])
     targets = (
         None
         if batches[0].targets is None
         else np.concatenate([b.targets for b in batches])
     )
-    return DenseBatch(sids, features, targets)
+    return Batch(sids, FactorizedDesign(features, [], []), targets)
 
 
 class TestStreamingJoin:
@@ -48,7 +50,9 @@ class TestStreamingJoin:
         stream = StreamingJoin(tiny_db, spec, block_pages=3)
         first = collect_dense(stream.batches())
         second = collect_dense(stream.batches())
-        np.testing.assert_array_equal(first.features, second.features)
+        np.testing.assert_array_equal(
+            first.design.fact_block, second.design.fact_block
+        )
 
     def test_num_rows(self, tiny_db, rng):
         spec = make_binary_relations(tiny_db, rng, n_s=123)
@@ -99,7 +103,7 @@ class TestFactorizedJoin:
         spec = make_binary_relations(tiny_db, rng, with_target=True)
         reference = nested_loop_join(tiny_db, spec)
         factorized = FactorizedJoin(tiny_db, spec, block_pages=2)
-        got = collect_dense(b.densify() for b in factorized.batches())
+        got = collect_dense(factorized.batches())
         for expected, actual in zip(canonical(reference), canonical(got)):
             np.testing.assert_allclose(expected, actual)
 
@@ -130,7 +134,7 @@ class TestFactorizedJoin:
     def test_multiway_matches_reference(self, db, multiway_star):
         reference = nested_loop_join(db, multiway_star.spec)
         factorized = FactorizedJoin(db, multiway_star.spec, block_pages=2)
-        got = collect_dense(b.densify() for b in factorized.batches())
+        got = collect_dense(factorized.batches())
         for expected, actual in zip(canonical(reference), canonical(got)):
             np.testing.assert_allclose(expected, actual)
 
@@ -179,7 +183,7 @@ class TestMaterialize:
             stream_rows.sids, table_rows.sids
         )
         np.testing.assert_allclose(
-            stream_rows.features, table_rows.features
+            stream_rows.design.fact_block, table_rows.design.fact_block
         )
 
 

@@ -1,10 +1,10 @@
-"""Batch containers: validation, densify."""
+"""The one batch container: validation, plans."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ModelError
-from repro.join.batches import DenseBatch, FactorizedBatch
+from repro.join.batches import Batch
 from repro.linalg.design import FactorizedDesign
 from repro.linalg.groupsum import GroupIndex
 
@@ -18,51 +18,39 @@ def make_factorized(rng, n=20, d_s=2, m=4, d_r=3, with_target=True):
         [GroupIndex(rng.integers(0, m, size=n), m)],
     )
     targets = rng.normal(size=n) if with_target else None
-    return FactorizedBatch(np.arange(n), design, targets)
+    return Batch(np.arange(n), design, targets)
 
 
-class TestDenseBatch:
+def wide(rows):
+    """Wide rows as a design with every dimension inlined."""
+    return FactorizedDesign(rows, [], [])
+
+
+class TestBatch:
     def test_row_count(self, rng):
-        batch = DenseBatch(np.arange(5), rng.normal(size=(5, 3)))
-        assert batch.n == 5
+        assert Batch(np.arange(5), wide(rng.normal(size=(5, 3)))).n == 5
+        assert make_factorized(rng, n=17).n == 17
 
     def test_id_count_mismatch(self, rng):
         with pytest.raises(ModelError):
-            DenseBatch(np.arange(4), rng.normal(size=(5, 3)))
+            Batch(np.arange(4), wide(rng.normal(size=(5, 3))))
 
-    def test_target_shape_mismatch(self, rng):
-        with pytest.raises(ModelError):
-            DenseBatch(
-                np.arange(5), rng.normal(size=(5, 3)), np.zeros(4)
-            )
-
-    def test_one_dim_features_rejected(self, rng):
-        with pytest.raises(ModelError):
-            DenseBatch(np.arange(5), rng.normal(size=5))
-
-
-class TestFactorizedBatch:
-    def test_row_count(self, rng):
-        assert make_factorized(rng, n=17).n == 17
-
-    def test_id_mismatch(self, rng):
+    def test_id_mismatch_against_a_factorized_design(self, rng):
         design = FactorizedDesign(
             rng.normal(size=(5, 2)),
             [rng.normal(size=(2, 2))],
             [GroupIndex(np.zeros(5, dtype=np.int64), 2)],
         )
         with pytest.raises(ModelError):
-            FactorizedBatch(np.arange(4), design)
+            Batch(np.arange(4), design)
 
-    def test_densify_round_trip(self, rng):
-        batch = make_factorized(rng)
-        dense = batch.densify()
-        assert isinstance(dense, DenseBatch)
-        np.testing.assert_array_equal(dense.sids, batch.sids)
-        np.testing.assert_array_equal(
-            dense.features, batch.design.densify()
-        )
-        np.testing.assert_array_equal(dense.targets, batch.targets)
+    def test_target_shape_mismatch(self, rng):
+        with pytest.raises(ModelError):
+            Batch(np.arange(5), wide(rng.normal(size=(5, 3))), np.zeros(4))
+
+    def test_one_dim_features_rejected(self, rng):
+        with pytest.raises(ModelError):
+            Batch(np.arange(5), wide(rng.normal(size=5)))
 
 
 class TestBatchPlans:
@@ -78,9 +66,13 @@ class TestBatchPlans:
             for batch in access.batches():
                 assert batch.plan is not None
                 assert batch.plan.matches(batch.n, 1)
+                # streaming inlines the dimension, factorized keeps it
+                assert batch.design.num_dimensions == (
+                    isinstance(access, FactorizedJoin)
+                )
 
     def test_hand_built_batches_have_no_plan(self, rng):
-        dense = DenseBatch(np.arange(5), rng.normal(size=(5, 3)))
+        dense = Batch(np.arange(5), wide(rng.normal(size=(5, 3))))
         assert dense.plan is None
         assert make_factorized(rng).plan is None
 
@@ -92,9 +84,15 @@ class TestBatchPlans:
             [rng.integers(0, 4, size=19).astype(np.int64)]
         )
         with pytest.raises(ModelError, match="plan"):
-            FactorizedBatch(
-                batch.sids, batch.design, batch.targets, plan=stale
-            )
+            Batch(batch.sids, batch.design, batch.targets, plan=stale)
+
+    def test_a_plan_missing_a_kept_dimension_rejected(self, rng):
+        from repro.fx.dedup import DedupPlan
+
+        batch = make_factorized(rng, n=20)
+        keyless = DedupPlan(rows=20, dims=())
+        with pytest.raises(ModelError, match="plan"):
+            Batch(batch.sids, batch.design, batch.targets, plan=keyless)
 
     def test_distinct_rows_match_unique_rids(self, tiny_db, rng):
         """JoinBlock.distinct_rows(i) holds exactly the features of the

@@ -31,7 +31,7 @@ from repro.data.synthetic import (
     generate_star,
 )
 from repro.fx.costs import COUNT_TABLE
-from repro.gmm.engines import DenseEMEngine, FactorizedEMEngine
+from repro.gmm.engines import FactorizedEMEngine
 from repro.join.bnl import JoinIndex, _BlockKeys
 from repro.join.factorized import FactorizedJoin
 from repro.join.materialize import MaterializedTable, materialize_join
@@ -426,15 +426,15 @@ class TestFitBookkeeping:
 
 class TestInitSamplePrefix:
     """``init_sample`` takes the prefix by slicing, not ``take``: the
-    sample is the first joined rows, the same for all three engines."""
+    sample is the first joined rows, the same on all three paths."""
 
     def test_sample_is_the_first_joined_rows(self, tiny_db, star):
         table = materialize_join(tiny_db, star.spec, "T")
         wide = table.scan()[:, list(table.schema.feature_positions)]
         d = wide.shape[1]
         engines = [
-            DenseEMEngine(MaterializedTable(table, block_pages=3), d),
-            DenseEMEngine(StreamingJoin(tiny_db, star.spec), d),
+            FactorizedEMEngine(MaterializedTable(table, block_pages=3), d),
+            FactorizedEMEngine(StreamingJoin(tiny_db, star.spec), d),
             FactorizedEMEngine(FactorizedJoin(tiny_db, star.spec), d),
         ]
         for max_rows in (7, 20, 300, 1000):

@@ -99,13 +99,13 @@ def test_all_access_paths_agree(case, tmp_path_factory):
     try:
         reference = nested_loop_join(db, spec)
         expected = sorted_rows(
-            reference.sids, reference.features, reference.targets
+            reference.sids, reference.design.fact_block, reference.targets
         )
 
         def check(batches):
             batches = list(batches)
             sids = np.concatenate([b.sids for b in batches])
-            feats = np.concatenate([b.features for b in batches])
+            feats = np.concatenate([b.design.densify() for b in batches])
             targets = (
                 np.concatenate([b.targets for b in batches])
                 if with_target
@@ -116,12 +116,7 @@ def test_all_access_paths_agree(case, tmp_path_factory):
                 np.testing.assert_allclose(e, g)
 
         check(StreamingJoin(db, spec, block_pages=block_pages).batches())
-        check(
-            b.densify()
-            for b in FactorizedJoin(
-                db, spec, block_pages=block_pages
-            ).batches()
-        )
+        check(FactorizedJoin(db, spec, block_pages=block_pages).batches())
         table = materialize_join(
             db, spec, "T_prop", block_pages=block_pages, replace=True
         )

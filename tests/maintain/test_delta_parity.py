@@ -34,7 +34,6 @@ import pytest
 from repro.core.api import fit_gmm, fit_nn, predict_gmm
 from repro.core.training import train
 from repro.gmm.base import EMConfig
-from repro.join.batches import DenseBatch
 from repro.linalg.groupsum import codes_for_keys
 from repro.linear.models import fit_ridge
 from repro.maintain import (
@@ -43,7 +42,6 @@ from repro.maintain import (
     ModelMaintainer,
 )
 from repro.nn.base import NNConfig
-from repro.nn.engines import DenseNNEngine
 from repro.obs import Telemetry, prometheus_text
 
 MANUAL = MaintenancePolicy(refresh="manual")
@@ -465,9 +463,7 @@ class TestNNParity:
             fact = spec.resolve(db).fact
             targets = fact.project_targets(fact.scan())[n_before:]
             oracle = before.copy()
-            engine = DenseNNEngine(None, oracle)
-            batch = DenseBatch(np.arange(6), dense, targets)
-            _, grads = engine.batch_gradients(batch, batch.features.shape[0])
+            _, grads = oracle.dense_gradients(dense, targets, 6)
             oracle.apply_grads(grads, config.learning_rate)
             for ours, theirs in zip(maintainer.model.layers, oracle.layers):
                 np.testing.assert_allclose(

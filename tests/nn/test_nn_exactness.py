@@ -1,11 +1,13 @@
 """Exactness of F-NN: the factorized first layer reproduces the dense
 computation bit-for-bit (up to float associativity), and all three
-strategies train to the same weights."""
+strategies train to the same weights.  M- and S- batches have every
+dimension inlined, and on them the one engine *is* the dense step."""
 
 import numpy as np
 import pytest
 
-from repro.core.training import train
+from repro.core.strategies import resolve_strategy
+from repro.core.training import open_access, train
 from repro.data.synthetic import (
     DimensionSpec,
     StarSchemaConfig,
@@ -14,8 +16,8 @@ from repro.data.synthetic import (
 from repro.errors import ModelError
 from repro.join.factorized import FactorizedJoin
 from repro.join.stream import StreamingJoin
-from repro.nn.base import NNConfig
-from repro.nn.engines import DenseNNEngine, FactorizedNNEngine
+from repro.nn.base import NNConfig, run_training
+from repro.nn.engines import FactorizedNNEngine
 from repro.nn.network import build_model
 
 
@@ -39,6 +41,12 @@ def multiway(db):
     return generate_star(db, config)
 
 
+@pytest.fixture(params=["star", "multiway"])
+def any_star(request):
+    """The binary and the 3-way star."""
+    return request.getfixturevalue(request.param)
+
+
 def weights_equal(a, b, rtol=1e-9):
     for la, lb in zip(a.layers, b.layers):
         np.testing.assert_allclose(la.weights, lb.weights, rtol=rtol,
@@ -57,7 +65,9 @@ class TestFirstLayerKernels:
         for dense_batch, fact_batch in zip(
             stream.batches(), fact.batches()
         ):
-            dense_pre = model.first_layer.forward(dense_batch.features)
+            dense_pre = model.first_layer.forward(
+                dense_batch.design.fact_block
+            )
             fact_pre = fact_engine.first_preactivations(
                 fact_batch, fact_engine.dimension_partials(fact_batch)
             )
@@ -70,13 +80,13 @@ class TestFirstLayerKernels:
         stream = StreamingJoin(db, star.spec, block_pages=2)
         fact = FactorizedJoin(db, star.spec, block_pages=2)
         model = build_model(8, config)
-        dense_engine = DenseNNEngine(stream, model)
         fact_engine = FactorizedNNEngine(fact, model.copy())
         for dense_batch, fact_batch in zip(
             stream.batches(), fact.batches()
         ):
-            _, dense_grads = dense_engine.batch_gradients(
-                dense_batch, dense_batch.n
+            _, dense_grads = model.dense_gradients(
+                dense_batch.design.fact_block, dense_batch.targets,
+                dense_batch.n,
             )
             _, fact_grads = fact_engine.batch_gradients(
                 fact_batch, fact_batch.n
@@ -103,6 +113,74 @@ class TestFirstLayerKernels:
         batch = next(iter(fact.batches()))
         with pytest.raises(ModelError, match="TARGET"):
             engine.batch_gradients(batch, batch.n)
+
+
+class DenseStep(FactorizedNNEngine):
+    """The reference step: ``MLP.dense_gradients`` over the wide rows."""
+
+    def batch_gradients(self, batch, normalization):
+        return self.model.dense_gradients(
+            batch.design.fact_block, batch.targets, normalization
+        )
+
+
+def assert_bit_equal(got, want):
+    (loss, grads), (ref_loss, ref_grads) = got, want
+    assert loss == ref_loss
+    for layer, ref in zip(grads, ref_grads):
+        np.testing.assert_array_equal(layer.weights, ref.weights)
+        np.testing.assert_array_equal(layer.bias, ref.bias)
+
+
+@pytest.mark.parametrize("batch_mode", ["full", "per-batch"])
+@pytest.mark.parametrize("shuffle", [False, True], ids=["ordered", "shuffled"])
+@pytest.mark.parametrize("strategy", ["M", "S"])
+class TestInlinedBatchesTakeTheDenseStep:
+    """The engine on a batch with no dimension block adds the first
+    layer's bias itself and equals the dense step bit for bit."""
+
+    @staticmethod
+    def _config(shuffle, batch_mode):
+        return NNConfig(
+            hidden_sizes=(7,), epochs=3, learning_rate=0.05,
+            shuffle=shuffle, batch_mode=batch_mode, seed=6,
+        )
+
+    @staticmethod
+    def _open(db, star, strategy, config):
+        return open_access(
+            db, star.spec, resolve_strategy(strategy), 2,
+            shuffle=config.shuffle, seed=config.seed, table_name="T_ref",
+        )
+
+    def test_per_batch(self, db, any_star, strategy, shuffle, batch_mode):
+        config = self._config(shuffle, batch_mode)
+        model = build_model(any_star.spec.resolve(db).total_features, config)
+        with self._open(db, any_star, strategy, config) as access:
+            engine = FactorizedNNEngine(access, model)
+            reference = DenseStep(access, model)
+            for batch in engine.batches(1):
+                assert batch.design.num_dimensions == 0
+                normalization = (
+                    engine.n_rows if batch_mode == "full" else batch.n
+                )
+                assert_bit_equal(
+                    engine.batch_gradients(batch, normalization),
+                    reference.batch_gradients(batch, normalization),
+                )
+
+    def test_per_fit(self, db, any_star, strategy, shuffle, batch_mode):
+        config = self._config(shuffle, batch_mode)
+        fit = train(db, any_star.spec, "nn", strategy, config, block_pages=2)
+        model = build_model(any_star.spec.resolve(db).total_features, config)
+        with self._open(db, any_star, strategy, config) as access:
+            want = run_training(
+                DenseStep(access, model), config, algorithm="dense"
+            )
+        np.testing.assert_array_equal(fit.loss_history, want.loss_history)
+        for layer, ref in zip(fit.model.layers, want.model.layers):
+            np.testing.assert_array_equal(layer.weights, ref.weights)
+            np.testing.assert_array_equal(layer.bias, ref.bias)
 
 
 class TestFullBatchExactness:

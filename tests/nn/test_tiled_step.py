@@ -1,11 +1,12 @@
 """The training step is the sum of its row tiles.
 
 ``MLP.tiled_gradients`` walks a batch in cache-sized tiles and adds the
-tiles' ``(loss, LayerGrads)`` up; both engines go through it.  The
-reference here is the single pass the engines made before — forward,
-loss, backward, first-layer gradients over the whole batch at once —
-kept test-local.  A batch no longer than a tile must reproduce it bit
-for bit; a longer one only reorders float sums.
+tiles' ``(loss, LayerGrads)`` up; the engine goes through it, whether
+the batch keeps its dimensions or has them inlined.  The reference here
+is the single pass the engines made before — forward, loss, backward,
+first-layer gradients over the whole batch at once — kept test-local.
+A batch no longer than a tile must reproduce it bit for bit; a longer
+one only reorders float sums.
 """
 
 import tracemalloc
@@ -14,11 +15,11 @@ import numpy as np
 import pytest
 
 from repro.errors import ModelError
-from repro.join.batches import DenseBatch, FactorizedBatch
+from repro.join.batches import Batch
 from repro.linalg.design import FactorizedDesign
 from repro.linalg.groupsum import GroupIndex
 from repro.nn.base import NNConfig, run_training
-from repro.nn.engines import DenseNNEngine, FactorizedNNEngine
+from repro.nn.engines import FactorizedNNEngine
 from repro.nn.network import TILE_BYTES, MLP
 
 D_S = 3
@@ -37,7 +38,8 @@ LENGTHS = {
 
 
 def star_batch(n, dims, seed):
-    """The same ``n`` joined rows as a factorized and a dense batch."""
+    """The same ``n`` joined rows as a factorized batch and as one with
+    every dimension inlined."""
     rng = np.random.default_rng(seed)
     design = FactorizedDesign(
         rng.normal(size=(n, D_S)),
@@ -46,8 +48,8 @@ def star_batch(n, dims, seed):
     )
     sids, targets = np.arange(n), rng.normal(size=n)
     return (
-        FactorizedBatch(sids, design, targets),
-        DenseBatch(sids, design.densify(), targets),
+        Batch(sids, design, targets),
+        Batch(sids, FactorizedDesign(design.densify(), [], []), targets),
     )
 
 
@@ -57,14 +59,13 @@ def model_for(dims, hidden, activation="sigmoid"):
 
 
 def single_pass_dense(model, batch, normalization):
-    outputs, cache = model.forward(batch.features)
+    features = batch.design.fact_block
+    outputs, cache = model.forward(features)
     loss = model.loss.value(outputs, batch.targets, normalization)
     grads, grad_first_pre = model.backward_to_first_preactivation(
         cache, model.loss.gradient(outputs, batch.targets, normalization)
     )
-    grads[0] = model.first_layer.parameter_grads(
-        grad_first_pre, batch.features
-    )
+    grads[0] = model.first_layer.parameter_grads(grad_first_pre, features)
     return loss, grads
 
 
@@ -132,10 +133,20 @@ class TestTilesAddUpToTheSinglePass:
         model, _, dense, normalization, one_tile = self._setup(
             length, batch_mode, dims, hidden
         )
+        got = FactorizedNNEngine(None, model).batch_gradients(
+            dense, normalization
+        )
         assert_same(
-            DenseNNEngine(None, model).batch_gradients(dense, normalization),
-            single_pass_dense(model, dense, normalization),
+            got, single_pass_dense(model, dense, normalization),
             exact=one_tile, rtol=1e-10,
+        )
+        # every dimension inlined, the engine's step is the dense step
+        assert_same(
+            got,
+            model.dense_gradients(
+                dense.design.fact_block, dense.targets, normalization
+            ),
+            exact=True, rtol=0,
         )
 
     def test_factorized_engine(self, length, batch_mode, dims, hidden):
@@ -150,8 +161,7 @@ class TestTilesAddUpToTheSinglePass:
         )
         # F-NN and S-NN cut the same rows at the same boundaries.
         assert_same(
-            got,
-            DenseNNEngine(None, model).batch_gradients(dense, normalization),
+            got, engine.batch_gradients(dense, normalization),
             exact=False, rtol=1e-8,
         )
 
@@ -171,7 +181,7 @@ class TestTheStepAroundTheTiles:
             exact=False, rtol=1e-10,
         )
         assert_same(
-            model.dense_gradients(dense.features, dense.targets),
+            model.dense_gradients(dense.design.fact_block, dense.targets),
             single_pass_dense(model, dense, dense.n),
             exact=False, rtol=1e-10,
         )
@@ -180,9 +190,10 @@ class TestTheStepAroundTheTiles:
         dims = SHAPES["binary"]
         model = model_for(dims, (256,))
         _, dense = star_batch(2 * model.tile_rows + 1, dims, seed=4)
+        features = dense.design.fact_block
         assert_same(
-            model.dense_gradients(dense.features, dense.targets),
-            model.dense_gradients(dense.features, dense.targets, dense.n),
+            model.dense_gradients(features, dense.targets),
+            model.dense_gradients(features, dense.targets, dense.n),
             exact=True, rtol=0,
         )
 
@@ -217,8 +228,9 @@ class TestTheStepAroundTheTiles:
     def test_training_over_long_batches_matches_across_engines(
         self, batch_mode
     ):
-        """Whole fits, batches of several tiles: S-NN and F-NN stay
-        within the exactness suite's ``1e-8``."""
+        """Whole fits, batches of several tiles: the engine over S-'s
+        inlined batches and over F-'s stays within the exactness
+        suite's ``1e-8``."""
         dims = SHAPES["3-way star"]
         pairs = [star_batch(n, dims, seed=n) for n in (700, 300, 1100)]
 
@@ -236,11 +248,13 @@ class TestTheStepAroundTheTiles:
         )
         fits = [
             run_training(
-                engine(Access([pair[side] for pair in pairs]),
-                       model_for(dims, (256,))),
+                FactorizedNNEngine(
+                    Access([pair[side] for pair in pairs]),
+                    model_for(dims, (256,)),
+                ),
                 config, algorithm="test",
             )
-            for side, engine in enumerate((FactorizedNNEngine, DenseNNEngine))
+            for side in (0, 1)
         ]
         np.testing.assert_allclose(
             fits[0].loss_history, fits[1].loss_history, rtol=1e-8

@@ -165,7 +165,7 @@ class TestAdaptiveExactness:
 
     def test_gmm_labels_match_dense_model(self, db, fitted):
         spec, gmm, _, oracle = fitted
-        expected = gmm.model.predict(oracle.features)
+        expected = gmm.model.predict(oracle.design.fact_block)
         with serve_runtime(
             db, num_workers=2, max_wait_ms=1.0, executor="process"
         ) as rt:
@@ -179,7 +179,7 @@ class TestAdaptiveExactness:
 
     def test_nn_outputs_match_dense_model(self, db, fitted):
         spec, _, nn, oracle = fitted
-        expected = nn.predict(oracle.features)
+        expected = nn.predict(oracle.design.fact_block)
         with serve_runtime(
             db, num_workers=2, max_wait_ms=1.0, executor="process"
         ) as rt:
@@ -197,8 +197,8 @@ class TestConcurrentLoad:
         self, db, fitted
     ):
         spec, gmm, nn, oracle = fitted
-        expected_labels = gmm.model.predict(oracle.features)
-        expected_outputs = nn.predict(oracle.features)
+        expected_labels = gmm.model.predict(oracle.design.fact_block)
+        expected_outputs = nn.predict(oracle.design.fact_block)
         requests = stored_requests(db, spec, 25)
         bounds = np.cumsum([0] + [f.shape[0] for f, _ in requests])
         failures = []
@@ -263,7 +263,7 @@ class TestInvalidation:
 
             after = rt.predict("g", features, fks)
             oracle = nested_loop_join(db, spec)
-            expected = gmm.model.predict(oracle.features)
+            expected = gmm.model.predict(oracle.design.fact_block)
             np.testing.assert_array_equal(after, expected)
             assert rt.model("g").invalidated_rids == dim.scan().shape[0]
             stats = rt.runtime_stats()
@@ -458,7 +458,8 @@ class TestRegistrationContract:
                 assert db.stats.reads_for(name) == before
                 assert db[name]._key_index is None
                 outputs = rt.predict("g", *whole_batch(db, spec))
-            expected = gmm.model.predict(nested_loop_join(db, spec).features)
+            wide = nested_loop_join(db, spec).design.fact_block
+            expected = gmm.model.predict(wide)
             np.testing.assert_array_equal(outputs, expected)
 
 
@@ -561,7 +562,7 @@ class TestLifecycleAcrossConfigurations:
                     np.testing.assert_array_equal(
                         outputs[configuration], outputs["inline"]
                     )
-                wide = nested_loop_join(db, spec).features
+                wide = nested_loop_join(db, spec).design.fact_block
                 if kind == "gmm":
                     np.testing.assert_array_equal(
                         outputs["inline"], model.model.predict(wide)

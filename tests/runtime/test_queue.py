@@ -114,7 +114,8 @@ class TestCoalescing:
         queue.put(a_request(rows=1))
 
         def late_producer():
-            time.sleep(0.02)
+            # the consumer has claimed the first request and lingers
+            wait_until(lambda: queue.depth == 0)
             queue.put(a_request(rows=1))
 
         thread = threading.Thread(target=late_producer)
@@ -149,7 +150,8 @@ class TestLifecycle:
 
         thread = threading.Thread(target=consumer)
         thread.start()
-        time.sleep(0.02)
+        # Condition._waiters: the consumer is blocked in wait()
+        wait_until(lambda: len(queue._not_empty._waiters) == 1)
         queue.close()
         thread.join(5.0)
         assert results == [None]

@@ -71,7 +71,7 @@ def stored_requests(db, spec, chunk):
 class TestSequentialSubmission:
     def test_gmm_labels_match_dense_model(self, db, fitted):
         spec, gmm, _, oracle = fitted
-        expected = gmm.model.predict(oracle.features)
+        expected = gmm.model.predict(oracle.design.fact_block)
         with serve_runtime(db, num_workers=2, max_wait_ms=1.0) as rt:
             rt.register_gmm("g", gmm, spec)
             futures = [
@@ -83,7 +83,7 @@ class TestSequentialSubmission:
 
     def test_nn_outputs_match_dense_model(self, db, fitted):
         spec, _, nn, oracle = fitted
-        expected = nn.predict(oracle.features)
+        expected = nn.predict(oracle.design.fact_block)
         with serve_runtime(db, num_workers=2, max_wait_ms=1.0) as rt:
             rt.register_nn("n", nn, spec)
             futures = [
@@ -97,7 +97,7 @@ class TestSequentialSubmission:
 
     def test_gmm_scores_match_dense_model(self, db, fitted):
         spec, gmm, _, oracle = fitted
-        expected = gmm.model.score_samples(oracle.features)
+        expected = gmm.model.score_samples(oracle.design.fact_block)
         with serve_runtime(db, num_workers=2, max_wait_ms=1.0) as rt:
             rt.register_gmm("g", gmm, spec)
             futures = [
@@ -112,7 +112,7 @@ class TestSequentialSubmission:
     @pytest.mark.parametrize("strategy", ["factorized", "materialized"])
     def test_pinned_strategies_agree_with_adaptive(self, db, fitted, strategy):
         spec, gmm, _, oracle = fitted
-        expected = gmm.model.predict(oracle.features)
+        expected = gmm.model.predict(oracle.design.fact_block)
         with serve_runtime(db, num_workers=2, max_wait_ms=0.0) as rt:
             rt.register_gmm("g", gmm, spec, strategy=strategy)
             futures = [
@@ -128,8 +128,8 @@ class TestConcurrentLoad:
         self, db, fitted
     ):
         spec, gmm, nn, oracle = fitted
-        expected_labels = gmm.model.predict(oracle.features)
-        expected_outputs = nn.predict(oracle.features)
+        expected_labels = gmm.model.predict(oracle.design.fact_block)
+        expected_outputs = nn.predict(oracle.design.fact_block)
         requests = stored_requests(db, spec, 25)
         bounds = np.cumsum([0] + [f.shape[0] for f, _ in requests])
         failures = []

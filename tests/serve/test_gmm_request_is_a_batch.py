@@ -4,7 +4,7 @@ A request is a training batch with a cache in front of its dimension
 tables: ``GMMPredictor``'s factorized arm hands ``gmm.model.posteriors`` the
 request as a ``FactorizedDesign`` whose quadratic-form tables are the
 partial caches' rows.  So a request's outputs *equal* — bit for bit —
-the E-step of the same rows as one ``FactorizedBatch``, a tuple scores
+the E-step of the same rows as one training ``Batch``, a tuple scores
 the same wherever it sits in whichever request, and a cached partial
 row is exactly as wide as the table row plus (all dimensions but the
 last) the raw features later dimensions pair with.
@@ -27,14 +27,14 @@ from repro.errors import ModelError
 from repro.fx.dedup import DedupPlan
 from repro.fx.store import PartialStore
 from repro.fx.tiers import FLOAT32_SCORE_RTOL, TIER_FLOAT32
-from repro.gmm.engines import DenseEMEngine, FactorizedEMEngine
+from repro.gmm.engines import FactorizedEMEngine
 from repro.gmm.model import (
     GaussianMixtureModel,
     GMMParams,
     log_gaussian_from_quadform,
     log_responsibilities,
 )
-from repro.join.batches import DenseBatch, FactorizedBatch
+from repro.join.batches import Batch
 from repro.linalg.design import FactorizedDesign
 from repro.linalg.groupsum import codes_for_keys
 from repro.nn.network import MLP
@@ -89,7 +89,7 @@ def stored_request(db, spec, rows=slice(None)):
     ]
 
 
-def as_training_batch(db, spec, features, fks) -> FactorizedBatch:
+def as_training_batch(db, spec, features, fks) -> Batch:
     """The request as the join access path would have batched it."""
     plan = DedupPlan.for_batch(fks)
     blocks = [
@@ -99,7 +99,7 @@ def as_training_batch(db, spec, features, fks) -> FactorizedBatch:
         for dim, dedup in zip(spec.resolve(db).dimensions, plan.dims)
     ]
     design = FactorizedDesign.from_plan(features, blocks, plan)
-    return FactorizedBatch(np.arange(plan.rows), design, plan=plan)
+    return Batch(np.arange(plan.rows), design, plan=plan)
 
 
 def textbook_posteriors(model, wide):
@@ -158,10 +158,11 @@ class TestARequestIsATrainingBatch:
         model = mixture(k, spec.resolve(db).total_features)
         features, fks = stored_request(db, spec, slice(0, 300))
         wide = as_training_batch(db, spec, features, fks).design.densify()
-        gamma, log_likelihoods = DenseEMEngine(
+        gamma, log_likelihoods = FactorizedEMEngine(
             None, model.params.n_features
         ).estep_batch(
-            DenseBatch(np.arange(300), wide), model.params, model.precisions
+            Batch(np.arange(300), FactorizedDesign(wide, [], [])),
+            model.params, model.precisions,
         )
         predictor = GMMPredictor(db, spec, model, strategy="materialized")
         np.testing.assert_array_equal(

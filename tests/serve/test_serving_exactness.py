@@ -71,7 +71,7 @@ def request_slice(db, spec, stop):
 class TestGMMExactness:
     def test_predict_all_matches_dense_model(self, db, fitted):
         spec, gmm, _, oracle = fitted
-        dense_labels = gmm.model.predict(oracle.features)
+        dense_labels = gmm.model.predict(oracle.design.fact_block)
         factorized = GMMPredictor(db, spec, gmm.model)
         materialized = GMMPredictor(
             db, spec, gmm.model, strategy="materialized"
@@ -89,7 +89,7 @@ class TestGMMExactness:
         factorized = GMMPredictor(db, spec, gmm.model)
         np.testing.assert_allclose(
             factorized.log_gaussians(features, fks),
-            gmm.model.log_gaussians(oracle.features[:64]),
+            gmm.model.log_gaussians(oracle.design.fact_block[:64]),
             rtol=1e-9, atol=1e-9,
         )
 
@@ -99,7 +99,7 @@ class TestGMMExactness:
         factorized = GMMPredictor(db, spec, gmm.model)
         np.testing.assert_allclose(
             factorized.score_samples(features, fks),
-            gmm.model.score_samples(oracle.features[:50]),
+            gmm.model.score_samples(oracle.design.fact_block[:50]),
             rtol=1e-9, atol=1e-9,
         )
 
@@ -108,7 +108,8 @@ class TestGMMExactness:
         budget = PartialStore(capacity_floats=64)
         factorized = GMMPredictor(db, spec, gmm.model, store=budget)
         np.testing.assert_array_equal(
-            factorized.predict_all(), gmm.model.predict(oracle.features)
+            factorized.predict_all(),
+            gmm.model.predict(oracle.design.fact_block),
         )
         assert budget.stats().cross_evictions > 0
         factorized.close()
@@ -118,7 +119,7 @@ class TestGMMExactness:
 
     def test_api_strategies_agree(self, db, fitted):
         spec, gmm, _, oracle = fitted
-        dense_labels = gmm.model.predict(oracle.features)
+        dense_labels = gmm.model.predict(oracle.design.fact_block)
         for strategy in ("factorized", "materialized", "F", "M"):
             np.testing.assert_array_equal(
                 predict_gmm(db, spec, gmm, strategy=strategy),
@@ -141,7 +142,7 @@ class TestGMMExactness:
 class TestNNExactness:
     def test_predict_all_matches_dense_model(self, db, fitted):
         spec, _, nn, oracle = fitted
-        dense_outputs = nn.predict(oracle.features)
+        dense_outputs = nn.predict(oracle.design.fact_block)
         factorized = NNPredictor(db, spec, nn.model)
         materialized = NNPredictor(
             db, spec, nn.model, strategy="materialized"
@@ -160,7 +161,7 @@ class TestNNExactness:
         factorized = NNPredictor(db, spec, nn.model)
         np.testing.assert_allclose(
             factorized.predict(features, fks),
-            nn.predict(oracle.features[:40]),
+            nn.predict(oracle.design.fact_block[:40]),
             rtol=1e-12, atol=1e-12,
         )
 
@@ -169,7 +170,7 @@ class TestNNExactness:
         budget = PartialStore(capacity_floats=64)
         factorized = NNPredictor(db, spec, nn.model, store=budget)
         np.testing.assert_allclose(
-            factorized.predict_all(), nn.predict(oracle.features),
+            factorized.predict_all(), nn.predict(oracle.design.fact_block),
             rtol=1e-12, atol=1e-12,
         )
         assert budget.stats().cross_evictions > 0
@@ -180,7 +181,7 @@ class TestNNExactness:
 
     def test_api_strategies_agree(self, db, fitted):
         spec, _, nn, oracle = fitted
-        dense_outputs = nn.predict(oracle.features)
+        dense_outputs = nn.predict(oracle.design.fact_block)
         np.testing.assert_allclose(
             predict_nn(db, spec, nn), dense_outputs,
             rtol=1e-12, atol=1e-12,
@@ -301,7 +302,7 @@ class TestOnePredictorTwoArms:
             predictor = cls(db, spec, model)
             np.testing.assert_array_equal(
                 predictor.predict(features, fks, strategy="materialized"),
-                dense(oracle.features[:64]),
+                dense(oracle.design.fact_block[:64]),
             )
             predictor.close()
 

@@ -57,7 +57,7 @@ class TestGMMPipeline:
             from repro.join.reference import nested_loop_join
 
             joined = nested_loop_join(db, star.spec)
-            scores = result.model.score_samples(joined.features)
+            scores = result.model.score_samples(joined.design.fact_block)
             assert scores.shape == (500,)
             assert np.isfinite(scores).all()
 
@@ -90,7 +90,7 @@ class TestNNPipeline:
             from repro.join.reference import nested_loop_join
 
             joined = nested_loop_join(db, star.spec)
-            predictions = result.predict(joined.features).ravel()
+            predictions = result.predict(joined.design.fact_block).ravel()
             residual = np.mean((predictions - joined.targets) ** 2)
             constant_baseline = joined.targets.var()
             assert residual < 0.85 * constant_baseline
