@@ -1,5 +1,12 @@
 """Section V-A ablation: measured page I/O versus the analytic model,
-including the M-vs-S BlockSize crossover."""
+including the M-vs-S BlockSize crossover.
+
+Section V-A's S- count rescans ``S`` once per outer block on every pass.
+Since a replayed pass scans ``S`` once per group of outer blocks whose
+fact rows fit the buffer pool, the crossover is measured in a database
+whose pool holds less than two blocks' fact rows (one page), where every
+pass reads the paper's count; a second S column shows what the same S-
+fit reads at the default pool, where a replay reads ``|R| + |S|``."""
 
 import sys
 import warnings
@@ -14,19 +21,23 @@ from repro.fx.costs import (
 from repro.gmm.base import EMConfig
 from repro.storage.catalog import Database
 
+ONE_BLOCK_POOL = 1          # pages: no two outer blocks' fact rows fit
+DEFAULT_POOL = 1024         # Database()'s default buffer pool
+
 
 def run_io_crossover():
     """Measure M-GMM vs S-GMM page I/O across block sizes and compare
-    with the closed-form crossover."""
+    with the closed-form crossover; then S-GMM again at the default
+    pool."""
     iterations = 3
     rows = []
-    with Database(page_size_bytes=512) as db:
-        star = generate_star(
-            db,
-            StarSchemaConfig.binary(
-                n_s=1500, n_r=64, d_s=3, d_r=6, seed=3
-            ),
-        )
+    star_config = StarSchemaConfig.binary(
+        n_s=1500, n_r=64, d_s=3, d_r=6, seed=3
+    )
+    with Database(page_size_bytes=512, buffer_pages=ONE_BLOCK_POOL) as db, \
+            Database(page_size_bytes=512, buffer_pages=DEFAULT_POOL) as pooled:
+        star = generate_star(db, star_config)
+        generate_star(pooled, star_config)
         config = EMConfig(
             n_components=2, max_iter=iterations, tol=0.0, seed=1,
             init_sample_size=10**9,
@@ -49,21 +60,35 @@ def run_io_crossover():
                 s = train(db, star.spec, "gmm", "S", config,
                           block_pages=block_pages)
                 s_total = s.io.pages_read + s.io.pages_written
-                profile = TrainingPageProfile(
-                    fact_pages=pages_s, dim_pages=(pages_r,),
-                    joined_pages=pages_t, block_pages=block_pages,
+                profile, pooled_profile = (
+                    TrainingPageProfile(
+                        fact_pages=pages_s, dim_pages=(pages_r,),
+                        joined_pages=pages_t, block_pages=block_pages,
+                        budget_pages=budget,
+                    )
+                    for budget in (ONE_BLOCK_POOL, DEFAULT_POOL)
                 )
                 # Both predictions add one extra pass feeding parameter
                 # initialization (a read of T for M, a join pass for S).
+                # S replays the index M's join pass recorded; at this
+                # pool a replay reads what a recording pass reads.
                 predicted_m = model.materialized_io_pages(
                     profile, iterations
                 ) + pages_t
                 predicted_s = model.streaming_io_pages(
                     profile, iterations
                 ) + profile.join_pass_pages()
+                # At the default pool: a cold S fit, whose sample pass
+                # records and whose EM passes replay.
+                pooled.reset_stats()
+                s_pooled = train(pooled, star.spec, "gmm", "S", config,
+                                 block_pages=block_pages)
+                predicted_pooled = model.streaming_io_pages(
+                    pooled_profile, iterations
+                ) + pooled_profile.replayed_pass_pages()
                 rows.append(
                     (block_pages, m_total, predicted_m, s_total,
-                     predicted_s)
+                     predicted_s, s_pooled.io.pages_read, predicted_pooled)
                 )
         crossover = streaming_wins_block_size(
             pages_r, pages_s, pages_t, iterations
@@ -78,15 +103,17 @@ def test_io_crossover(benchmark, results_dir):
     lines = [
         "== §V-A I/O model: measured vs predicted page I/O ==",
         f"{'B':>4}  {'M meas':>8}  {'M pred':>8}  "
-        f"{'S meas':>8}  {'S pred':>8}",
+        f"{'S meas':>8}  {'S pred':>8}  "
+        f"{'S@' + str(DEFAULT_POOL) + ' meas':>14}  {'pred':>8}",
     ]
-    for block_pages, m_meas, m_pred, s_meas, s_pred in rows:
+    for block_pages, m_meas, m_pred, s_meas, s_pred, p_meas, p_pred in rows:
         lines.append(
             f"{block_pages:>4}  {m_meas:>8}  {m_pred:>8}  "
-            f"{s_meas:>8}  {s_pred:>8}"
+            f"{s_meas:>8}  {s_pred:>8}  {p_meas:>14}  {p_pred:>8}"
         )
         # S-GMM never writes, so its total matches the model exactly.
         assert s_meas == s_pred
+        assert p_meas == p_pred
         # M-GMM materializes T with one append per join batch; each
         # append may rewrite the trailing partial page, a slack of at
         # most one page per outer block beyond the |T| the model counts.
@@ -94,7 +121,7 @@ def test_io_crossover(benchmark, results_dir):
         assert m_pred <= m_meas <= m_pred + slack
     lines.append(f"S-GMM wins I/O for BlockSize > {crossover:.1f}")
     # Verify the crossover's prediction against the measurements.
-    for block_pages, m_meas, _, s_meas, _ in rows:
+    for block_pages, m_meas, _, s_meas, *_ in rows:
         if block_pages > crossover:
             assert s_meas <= m_meas
         elif block_pages < crossover:

@@ -178,7 +178,8 @@ def _choose(
     ``extra["auto"]``, read off the one
     :class:`~repro.fx.costs.TrainingDecision` (the policy is
     :func:`~repro.fx.costs.recommend_training_strategy`'s; the buffer
-    pool's capacity is the budget a materialized ``T`` must fit in) —
+    pool's capacity is the budget a materialized ``T`` must fit in, and
+    the one a replayed binary pass groups its fact rows in) —
     the counts, every arm's features and the predicted seconds of the
     arms it chose among."""
     layout = resolved.layout
@@ -190,9 +191,7 @@ def _choose(
         dim_widths=tuple(layout.sizes[1:]),
         width_param=width_param,
         pages=TrainingPageProfile.for_join(
-            resolved,
-            page_size_bytes=db.page_size_bytes,
-            block_pages=block_pages,
+            db, resolved, block_pages=block_pages
         ),
         iterations=iterations,
         memory_budget_pages=db.buffer_pool.capacity_pages,

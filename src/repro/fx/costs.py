@@ -180,8 +180,11 @@ class TrainingPageProfile:
     ``fact_pages`` / ``dim_pages`` are the base relations' heap sizes;
     ``joined_pages`` is (an estimate of) the materialized join result
     ``|T|``; ``block_pages`` is the BNL outer-block size the run will
-    use.  Built by ``algorithm="auto"`` resolution from the resolved
-    join (:func:`TrainingPageProfile.for_join`) and consumed by
+    use; ``budget_pages`` is the memory budget (the database's buffer
+    pool) a replayed binary pass groups its outer blocks' fact rows in
+    (``None``: every pass is Section V-A's).  Built by
+    ``algorithm="auto"`` resolution from the resolved join
+    (:func:`TrainingPageProfile.for_join`) and consumed by
     :class:`CostModel`'s I/O methods.
     """
 
@@ -189,6 +192,7 @@ class TrainingPageProfile:
     dim_pages: tuple[int, ...]
     joined_pages: int
     block_pages: int = 64
+    budget_pages: int | None = None
 
     def __post_init__(self) -> None:
         if not self.dim_pages:
@@ -197,17 +201,20 @@ class TrainingPageProfile:
             fact_pages=self.fact_pages, joined_pages=self.joined_pages,
             block_pages=self.block_pages, dim_pages=min(self.dim_pages),
         )
+        if self.budget_pages is not None:
+            _check_positive(budget_pages=self.budget_pages)
 
     @classmethod
-    def for_join(cls, resolved, *, page_size_bytes: int,
+    def for_join(cls, db, resolved, *,
                  block_pages: int) -> "TrainingPageProfile":
-        """Profile a resolved join, estimating ``|T|`` from its schema.
+        """Profile a resolved join over ``db``, estimating ``|T|`` from
+        its schema.
 
         ``resolved`` is a :class:`~repro.join.spec.ResolvedJoin`; the
         joined table's width comes from ``output_schema()`` and its
         page count from the database's page size — the same arithmetic
         :class:`~repro.storage.heapfile.HeapFile` would apply had the
-        table been written.
+        table been written.  The budget is the database's buffer pool.
         """
         from repro.storage.heapfile import rows_per_page
 
@@ -215,7 +222,7 @@ class TrainingPageProfile:
         joined_pages = max(
             1,
             math.ceil(
-                resolved.num_rows / rows_per_page(width, page_size_bytes)
+                resolved.num_rows / rows_per_page(width, db.page_size_bytes)
             ),
         )
         return cls(
@@ -225,6 +232,7 @@ class TrainingPageProfile:
             ),
             joined_pages=joined_pages,
             block_pages=block_pages,
+            budget_pages=db.buffer_pool.capacity_pages,
         )
 
     def join_pass_pages(self) -> int:
@@ -240,6 +248,22 @@ class TrainingPageProfile:
                 self.dim_pages[0], self.fact_pages, self.block_pages
             )
         return self.fact_pages + sum(self.dim_pages)
+
+    def replayed_pass_pages(self) -> int:
+        """Pages a pass reads once every outer block is recorded.
+
+        A binary join scans ``S`` once per group of outer blocks whose
+        fact rows fit ``budget_pages``: ``|R| + g·|S|``, ``g = min(outer
+        blocks, ceil(|S| / budget))``.  Without a budget, and for
+        multi-way joins, the same as :meth:`join_pass_pages`.
+        """
+        if len(self.dim_pages) > 1 or self.budget_pages is None:
+            return self.join_pass_pages()
+        groups = min(
+            self.join_blocks(),
+            math.ceil(self.fact_pages / self.budget_pages),
+        )
+        return self.dim_pages[0] + groups * self.fact_pages
 
     def join_blocks(self) -> int:
         """Blocks one join pass yields: outer blocks of the dimension
@@ -407,9 +431,12 @@ class CostModel:
         self, profile: TrainingPageProfile, iterations: int
     ) -> int:
         """Pages the S-/F- strategies read: one join pass per data
-        pass, nothing ever written."""
-        return self._data_passes(profile, iterations) * (
-            profile.join_pass_pages()
+        pass, nothing ever written — the first records the join index
+        (:meth:`TrainingPageProfile.join_pass_pages`), the rest replay
+        it (:meth:`TrainingPageProfile.replayed_pass_pages`)."""
+        passes = self._data_passes(profile, iterations)
+        return profile.join_pass_pages() + (passes - 1) * (
+            profile.replayed_pass_pages()
         )
 
     def arm_features(

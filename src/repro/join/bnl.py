@@ -27,13 +27,22 @@ A fit makes many passes (one per EM iteration or epoch) and
 everything a pass derives from *key columns* — which fact rows match an
 outer block, the block's dedup and group order, where its distinct
 dimension rows sit — is the same every time.  A :class:`JoinIndex`
-records that on the first pass over each block; later passes read
-exactly the same pages in the same order and replace probe → mask →
-sort → ``codes_for_keys`` with one ``take`` per chunk.  It holds
-integers only, never feature values.  The database keeps the index of
-the join it last trained on, so a later fit over the same join replays
-from its first pass: an access opened as a context manager borrows it
-(:class:`JoinAccess`).
+records that on the first pass over each block and replaces probe →
+mask → sort → ``codes_for_keys`` with one ``take`` per chunk after.
+It holds integers only, never feature values.  The database keeps the
+index of the join it last trained on, so a later fit over the same join
+replays from its first pass: an access opened as a context manager
+borrows it (:class:`JoinAccess`).
+
+A binary pass whose every outer block is recorded no longer needs ``S``
+once per block — ``S`` was rescanned only to probe it.  It scans ``S``
+once per *group* of consecutive blocks (in the pass's block order)
+whose recorded fact rows fit the database's memory budget, the buffer
+pool's ``capacity_pages`` (:func:`group_blocks`), and yields the same
+blocks in the same order with the same random draws: ``|R| + g·|S|``
+pages, ``g`` the group count — Section V-A's count when no two blocks'
+rows fit together, ``|R| + |S|`` when all of ``S`` does.  A recording
+pass, or one with any block not yet recorded, is the paper's BNL.
 
 Blocks whose inner scan matched no fact tuples are not emitted: the
 page reads are already charged by the time emptiness is known, and an
@@ -123,6 +132,11 @@ class _BlockKeys:
     plan: DedupPlan | None = None
     positions: tuple[np.ndarray, ...] = ()
 
+    @property
+    def rows(self) -> int:
+        """Fact rows the block matched (binary joins)."""
+        return sum(part.size for part in self.offsets)
+
     @classmethod
     def record(
         cls,
@@ -167,6 +181,18 @@ class _BlockKeys:
         )
 
 
+@dataclass
+class _Pass:
+    """One pass's state beyond its block order: the blocks earlier
+    passes recorded (read where present, filled where not), the fact
+    pages a replay may hold at once, and the scans of the fact relation
+    the pass has made."""
+
+    recorded: dict[int, _BlockKeys]
+    budget_pages: int = 0
+    fact_scans: int = 0
+
+
 def iter_join_blocks(
     resolved: ResolvedJoin,
     *,
@@ -184,7 +210,7 @@ def iter_join_blocks(
     row order).  One pass that remembers nothing; the access paths
     iterate through a :class:`JoinIndex` instead.
     """
-    return _iter_blocks(resolved, block_pages, shuffle, rng, {})
+    return _iter_blocks(resolved, block_pages, shuffle, rng, _Pass({}))
 
 
 def _iter_blocks(
@@ -192,20 +218,18 @@ def _iter_blocks(
     block_pages: int,
     shuffle: bool,
     rng: np.random.Generator | None,
-    recorded: dict[int, _BlockKeys],
+    state: _Pass,
 ) -> Iterator[JoinBlock]:
-    """One pass; ``recorded`` maps an outer block's first page to its
-    :class:`_BlockKeys`, read where present and filled where not."""
+    """One pass; ``state.recorded`` maps an outer block's first page to
+    its :class:`_BlockKeys`."""
     if block_pages <= 0:
         raise JoinError(f"block_pages must be positive, got {block_pages}")
     if shuffle and rng is None:
         rng = np.random.default_rng()
     if resolved.num_dimensions == 1:
-        yield from _iter_binary(resolved, block_pages, shuffle, rng, recorded)
+        yield from _iter_binary(resolved, block_pages, shuffle, rng, state)
     else:
-        yield from _iter_multiway(
-            resolved, block_pages, shuffle, rng, recorded
-        )
+        yield from _iter_multiway(resolved, block_pages, shuffle, rng, state)
 
 
 def _block_starts(
@@ -220,30 +244,59 @@ def _block_starts(
     return starts
 
 
+def group_blocks(rows: list[int], budget_rows: int) -> list[range]:
+    """Split blocks of ``rows[i]`` fact rows, in order, into runs of
+    consecutive blocks holding at most ``budget_rows`` rows together.
+    Greedy: a run takes blocks until the next would overflow it; a block
+    that alone exceeds the budget is a run of its own."""
+    groups: list[range] = []
+    start = held = 0
+    for i, count in enumerate(rows):
+        if i > start and held + count > budget_rows:
+            groups.append(range(start, i))
+            start, held = i, 0
+        held += count
+    if rows:
+        groups.append(range(start, len(rows)))
+    return groups
+
+
+def _outer_block(
+    relation: Relation, first_page: int, block_pages: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The keys and features of the outer block at ``first_page``."""
+    npages = min(block_pages, relation.npages - first_page)
+    rows = relation.heap.read_pages(first_page, npages)
+    return relation.project_keys(rows), relation.project_features(rows)
+
+
 def _iter_binary(
     resolved: ResolvedJoin,
     block_pages: int,
     shuffle: bool,
     rng: np.random.Generator | None,
-    recorded: dict[int, _BlockKeys],
+    state: _Pass,
 ) -> Iterator[JoinBlock]:
     """Fig. 1(b)/(c): dimension relation outer, fact relation inner."""
-    dim = resolved.dimensions[0]
+    dim = resolved.dimensions[0].relation
     fact = resolved.fact
-    fk_position = fact.schema.fk_position(dim.relation.name)
-    for first_page in _block_starts(
-        dim.relation.npages, block_pages, shuffle, rng
-    ):
-        npages = min(block_pages, dim.relation.npages - first_page)
-        dim_rows = dim.relation.heap.read_pages(first_page, npages)
-        dim_keys = dim.relation.project_keys(dim_rows)
-        dim_feats = dim.relation.project_features(dim_rows)
+    recorded = state.recorded
+    starts = _block_starts(dim.npages, block_pages, shuffle, rng)
+    if all(first_page in recorded for first_page in starts):
+        yield from _replay_binary(
+            dim, fact, starts, block_pages, shuffle, rng, state
+        )
+        return
+    fk_position = fact.schema.fk_position(dim.name)
+    for first_page in starts:
+        dim_keys, dim_feats = _outer_block(dim, first_page, block_pages)
         # Inner scan of the fact relation, keeping tuples whose FK
         # matches a key in the current outer block: probed on the
         # block's first pass, taken at the recorded offsets after.
         keys = recorded.get(first_page)
         offsets = [] if keys is None else keys.offsets
         matched_chunks = []
+        state.fact_scans += 1
         for i, fact_chunk in enumerate(fact.iter_blocks(block_pages)):
             if keys is None:
                 fk_values = fact_chunk[:, fk_position].astype(np.int64)
@@ -265,15 +318,60 @@ def _iter_binary(
         yield keys.block(fact_rows, [dim_feats], [dim_keys], shuffle, rng)
 
 
+def _replay_binary(
+    dim: Relation,
+    fact: Relation,
+    starts: list[int],
+    block_pages: int,
+    shuffle: bool,
+    rng: np.random.Generator | None,
+    state: _Pass,
+) -> Iterator[JoinBlock]:
+    """A pass over blocks all recorded: one scan of the fact relation
+    per :func:`group_blocks` run of ``starts`` within the budget, each
+    block's rows taken from every chunk at its recorded offsets; then
+    each block's dimension pages, read as the BNL reads them — every
+    block's, so the pass reads all of ``R``."""
+    keys = [state.recorded[first_page] for first_page in starts]
+    budget_rows = state.budget_pages * fact.heap.rows_per_page
+    for group in group_blocks([k.rows for k in keys], budget_rows):
+        members = keys[group.start:group.stop]
+        fact_rows = [np.empty((k.rows, fact.heap.ncols)) for k in members]
+        filled = [0] * len(members)
+        state.fact_scans += 1
+        for i, fact_chunk in enumerate(fact.iter_blocks(block_pages)):
+            for j, block_keys in enumerate(members):
+                offsets = block_keys.offsets[i]
+                if offsets.size:
+                    stop = filled[j] + offsets.size
+                    # Recorded offsets are in range, so "clip" clamps
+                    # nothing; unlike "raise" it does not buffer ``out``.
+                    fact_chunk.take(
+                        offsets, axis=0, out=fact_rows[j][filled[j]:stop],
+                        mode="clip",
+                    )
+                    filled[j] = stop
+        for j, block_keys in enumerate(members):
+            dim_keys, dim_feats = _outer_block(
+                dim, starts[group.start + j], block_pages
+            )
+            rows, fact_rows[j] = fact_rows[j], None   # let go once yielded
+            if rows.shape[0]:
+                yield block_keys.block(
+                    rows, [dim_feats], [dim_keys], shuffle, rng
+                )
+
+
 def _iter_multiway(
     resolved: ResolvedJoin,
     block_pages: int,
     shuffle: bool,
     rng: np.random.Generator | None,
-    recorded: dict[int, _BlockKeys],
+    state: _Pass,
 ) -> Iterator[JoinBlock]:
     """Star join: dimensions resident per pass, fact relation streaming."""
     fact = resolved.fact
+    recorded = state.recorded
     dim_keys: list[np.ndarray] = []
     dim_feats: list[np.ndarray] = []
     fk_positions: list[int] = []
@@ -282,6 +380,7 @@ def _iter_multiway(
         dim_keys.append(dim.relation.project_keys(rows))
         dim_feats.append(dim.relation.project_features(rows))
         fk_positions.append(fact.schema.fk_position(dim.relation.name))
+    state.fact_scans += 1
     for first_page in _block_starts(fact.npages, block_pages, shuffle, rng):
         npages = min(block_pages, fact.npages - first_page)
         fact_rows = fact.heap.read_pages(first_page, npages)
@@ -311,6 +410,12 @@ class JoinIndex:
     another drops everything and records afresh.  A pass abandoned
     mid-way keeps what it recorded; the next fills in the rest.
 
+    Once every outer block of a binary join is recorded, a pass scans
+    the fact relation once per group of consecutive blocks whose rows
+    fit the database's buffer pool (``capacity_pages`` pages of fact
+    rows), not once per block; ``fact_scans`` counts the last pass's
+    scans.
+
     ``key`` — the block size and the joined :class:`Relation` objects,
     which compare by identity — is what the database's slot matches on:
     a relation dropped and re-created under its old name, at its old row
@@ -331,8 +436,13 @@ class JoinIndex:
         self._recorded: dict[int, _BlockKeys] = {}
         self._version: tuple | None = None
         self._complete = False
+        self.lend()
+
+    def lend(self) -> None:
+        """Start a new borrower's counters."""
         self.passes_replayed = 0
         self.rebuilds = 0
+        self._pass = _Pass({})
 
     def clear(self) -> None:
         """Forget everything recorded (the next pass records afresh)."""
@@ -365,19 +475,23 @@ class JoinIndex:
             self.clear()
             self._version = version
         self.passes_replayed += self._complete
+        self._pass = _Pass(
+            self._recorded, self._db.buffer_pool.capacity_pages
+        )
         yield from _iter_blocks(
-            self.resolved, self.block_pages, shuffle, rng, self._recorded
+            self.resolved, self.block_pages, shuffle, rng, self._pass
         )
         self._complete = True
 
     def stats(self) -> dict:
-        """``{blocks, bytes}`` held, ``{passes_replayed, rebuilds}`` of
-        the current borrower."""
+        """``{blocks, bytes}`` held; ``{passes_replayed, rebuilds}`` of
+        the current borrower and the ``fact_scans`` of its last pass."""
         return {
             "blocks": len(self._recorded),
             "bytes": sum(k.nbytes for k in self._recorded.values()),
             "passes_replayed": self.passes_replayed,
             "rebuilds": self.rebuilds,
+            "fact_scans": self._pass.fact_scans,
         }
 
 
@@ -426,7 +540,7 @@ class JoinAccess:
     def __enter__(self) -> "JoinAccess":
         held = self._db.take_join_index(self.index.key)
         if held is not None:
-            held.passes_replayed = held.rebuilds = 0
+            held.lend()
             self.index = held
         return self
 

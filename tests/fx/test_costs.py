@@ -30,6 +30,8 @@ from repro.fx.costs import (
     training_cost_model,
 )
 from repro.gmm.base import EMConfig
+from repro.join.bnl import group_blocks
+from repro.storage.catalog import Database
 from tests.fx import golden_costs as golden
 
 FACTORY = {"serve": serving_cost_model, "train": training_cost_model}
@@ -342,9 +344,37 @@ class TestIOFormulas:
             49 + 90 + EM_PASSES * 2 * 90
         )
 
+    @pytest.mark.parametrize("budget, groups", [
+        (None, 3), (1, 3), (40, 3), (50, 2), (99, 2), (100, 1), (1024, 1),
+    ])
+    def test_a_replayed_pass_scans_s_once_per_budget(self, budget, groups):
+        """``|R| + g·|S|``, ``g = min(outer blocks, ceil(|S| / budget))``;
+        no budget keeps Section V-A's count."""
+        profile = TrainingPageProfile(
+            fact_pages=100, dim_pages=(10,), joined_pages=150,
+            block_pages=4, budget_pages=budget,
+        )
+        assert profile.join_pass_pages() == 10 + 3 * 100
+        assert profile.replayed_pass_pages() == 10 + groups * 100
+        model = binary("train", "nn", 5, 15, 32)
+        assert model.streaming_io_pages(profile, 3) == (
+            310 + 2 * (10 + groups * 100)
+        )
+
+    def test_a_multiway_replay_reads_what_a_first_pass_reads(self):
+        profile = TrainingPageProfile(
+            fact_pages=40, dim_pages=(6, 3), joined_pages=90,
+            block_pages=4, budget_pages=1,
+        )
+        assert profile.replayed_pass_pages() == profile.join_pass_pages()
+
     def test_validation(self):
         with pytest.raises(ModelError):
             join_pass_pages(0, 10, 1)
+        with pytest.raises(ModelError):
+            TrainingPageProfile(
+                fact_pages=1, dim_pages=(1,), joined_pages=1, budget_pages=0
+            )
         with pytest.raises(ModelError):
             gmm_pages(1, 1, 0, 1, 1)
         with pytest.raises(ModelError):
@@ -386,18 +416,58 @@ class TestIOFormulas:
         assert streaming_wins_block_size(100, 10, 1, 2) == math.inf
 
 
+class TestGroupBlocks:
+    """A replayed binary pass scans ``S`` once per run of consecutive
+    outer blocks :func:`~repro.join.bnl.group_blocks` returns."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_runs_cover_the_blocks_in_order_within_the_budget(self, seed):
+        rng = np.random.default_rng(seed)
+        rows = rng.integers(0, 50, size=rng.integers(0, 12)).tolist()
+        budget = int(rng.integers(0, 120))
+        groups = group_blocks(rows, budget)
+        assert [i for group in groups for i in group] == list(range(len(rows)))
+        for group, after in zip(groups, [*groups[1:], None]):
+            held = sum(rows[i] for i in group)
+            assert len(group) >= 1
+            assert held <= budget or len(group) == 1
+            if after is not None:       # greedy: the next block overflows
+                assert held + rows[after.start] > budget
+
+    def test_extremes(self):
+        assert group_blocks([], 10) == []
+        assert group_blocks([5, 5, 5], 0) == [range(0, 1), range(1, 2),
+                                               range(2, 3)]
+        assert group_blocks([5, 5, 5], 15) == [range(0, 3)]
+        assert group_blocks([20, 1, 1, 20], 10) == [
+            range(0, 1), range(1, 3), range(3, 4),
+        ]
+
+
 class TestMeasuredIOMatchesFormulas:
     """Measured page I/O of a fit equals the cost model's own
     ``streaming_io_pages`` / ``materialized_io_pages`` — which charge
-    the driver's ``EM_PASSES`` per iteration — plus the one extra read
-    that feeds parameter initialization."""
+    the driver's ``EM_PASSES`` per iteration — plus the one extra pass
+    that feeds parameter initialization, at the default buffer pool
+    (all of ``S`` fits: a replay reads ``|R| + |S|``) and at one too
+    small for two outer blocks' fact rows (a replay reads Section V-A's
+    count)."""
+
+    @pytest.fixture(params=[1024, 1], ids=["default-pool", "one-block-pool"])
+    def db(self, request, tmp_path):
+        database = Database(
+            tmp_path / "db", page_size_bytes=256,
+            buffer_pages=request.param,
+        )
+        yield database
+        database.close(delete=True)
 
     @pytest.fixture
-    def star(self, tiny_db):
+    def star(self, db):
         config = StarSchemaConfig.binary(
             n_s=400, n_r=24, d_s=2, d_r=3, seed=3
         )
-        return generate_star(tiny_db, config)
+        return generate_star(db, config)
 
     @staticmethod
     def fit(db, star, strategy, iterations, block_pages):
@@ -417,30 +487,45 @@ class TestMeasuredIOMatchesFormulas:
         return TrainingPageProfile(
             fact_pages=db["S"].npages, dim_pages=(db["R1"].npages,),
             joined_pages=pages_t, block_pages=block_pages,
+            budget_pages=db.buffer_pool.capacity_pages,
         )
 
     @pytest.mark.parametrize("block_pages", [1, 2, 8])
-    def test_s_gmm_measured(self, tiny_db, star, block_pages):
+    def test_s_gmm_measured(self, db, star, block_pages):
         iterations = 2
-        result = self.fit(tiny_db, star, "S", iterations, block_pages)
-        profile = self.profile(tiny_db, 1, block_pages)
+        profile = self.profile(db, 1, block_pages)
         model = binary("train", "gmm", 1, 1, 1)
-        # One extra join pass feeds the parameter initialization.
-        expected = model.streaming_io_pages(profile, iterations) + (
-            profile.join_pass_pages()
+        first = profile.join_pass_pages()
+        replay = profile.replayed_pass_pages()
+        pages_r, pages_s = db["R1"].npages, db["S"].npages
+        assert first == join_pass_pages(pages_r, pages_s, block_pages)
+        groups = 1 if db.buffer_pool.capacity_pages >= pages_s else (
+            math.ceil(pages_r / block_pages)
         )
-        assert result.io.pages_read == expected
-        assert expected == (EM_PASSES * iterations + 1) * (
-            join_pass_pages(
-                tiny_db["R1"].npages, tiny_db["S"].npages, block_pages
-            )
+        assert replay == pages_r + groups * pages_s
+        # Cold: the initialization pass records the index, every EM
+        # pass replays it.
+        cold = self.fit(db, star, "S", iterations, block_pages)
+        assert cold.extra["join_index"]["passes_replayed"] == (
+            EM_PASSES * iterations
         )
+        assert cold.io.pages_read == (
+            model.streaming_io_pages(profile, iterations) + replay
+        )
+        assert cold.io.pages_read == first + EM_PASSES * iterations * replay
+        # Warm: the second fit inherits it and replays every pass.
+        warm = self.fit(db, star, "S", iterations, block_pages)
+        assert warm.extra["join_index"]["passes_replayed"] == (
+            EM_PASSES * iterations + 1
+        )
+        assert warm.extra["join_index"]["fact_scans"] == groups
+        assert warm.io.pages_read == (EM_PASSES * iterations + 1) * replay
 
-    def test_m_gmm_measured(self, tiny_db, star):
+    def test_m_gmm_measured(self, db, star):
         iterations, block_pages = 2, 4
-        result = self.fit(tiny_db, star, "M", iterations, block_pages)
+        result = self.fit(db, star, "M", iterations, block_pages)
         pages_t = result.extra["table_pages"]
-        profile = self.profile(tiny_db, pages_t, block_pages)
+        profile = self.profile(db, pages_t, block_pages)
         model = binary("train", "gmm", 1, 1, 1)
         # The model counts the |T| materialization as a write; compare
         # total page I/O, plus one extra read of T that feeds parameter

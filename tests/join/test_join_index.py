@@ -32,7 +32,7 @@ from repro.data.synthetic import (
 )
 from repro.fx.costs import COUNT_TABLE
 from repro.gmm.engines import FactorizedEMEngine
-from repro.join.bnl import JoinIndex, _BlockKeys
+from repro.join.bnl import JoinIndex, _BlockKeys, _block_starts, group_blocks
 from repro.join.factorized import FactorizedJoin
 from repro.join.materialize import MaterializedTable, materialize_join
 from repro.join.stream import StreamingJoin
@@ -52,8 +52,9 @@ def _quiet():
 
 @pytest.fixture(params=["binary", "multiway"])
 def star(request, tiny_db):
-    """Stars over 256-byte pages (5 rows each): S spans 60 pages, the
-    dimensions 6 + 3 (multi-way) or 5 (binary)."""
+    """Stars over 256-byte pages: S spans 50 pages (binary, 6 rows
+    each) or 60 (multi-way, 5 each), the dimensions 4 (binary) or
+    4 + 2 (multi-way)."""
     dimensions = (
         (DimensionSpec(25, 3),)
         if request.param == "binary"
@@ -114,10 +115,42 @@ def pass_reads(db, access, epoch=0):
     return delta.pages_read, delta.reads_by_relation
 
 
+def replay_groups(db, access, epoch):
+    """The runs of outer blocks a replayed binary pass at ``epoch``
+    scans ``S`` once for: :func:`group_blocks` over the pass's block
+    order (its rng's first draw) within the buffer pool's pages."""
+    resolved = access.resolved
+    rng = np.random.default_rng((access.seed, epoch)) if access.shuffle else None
+    starts = _block_starts(
+        resolved.dimensions[0].relation.npages, access.block_pages,
+        access.shuffle, rng,
+    )
+    recorded = access.index._recorded
+    return group_blocks(
+        [recorded[first_page].rows for first_page in starts],
+        db.buffer_pool.capacity_pages * resolved.fact.heap.rows_per_page,
+    )
+
+
+#: Buffer pools for the stars above: one page (no two blocks' fact rows
+#: fit, so a replay scans ``S`` once per block), half the binary ``S``,
+#: and the default, which holds all of either ``S``.
+POOLS = {"one-block": 1, "half-S": 25, "default": 1024}
+
+
 @pytest.mark.parametrize("shuffle", [False, True], ids=["ordered", "shuffle"])
 @pytest.mark.parametrize("block_pages", [1, 2, 64])
 @pytest.mark.parametrize("path", sorted(ACCESS))
 class TestReplayEqualsFresh:
+    @pytest.fixture(params=sorted(POOLS))
+    def tiny_db(self, request, tmp_path):
+        database = Database(
+            tmp_path / "tinydb", page_size_bytes=256,
+            buffer_pages=POOLS[request.param],
+        )
+        yield database
+        database.close(delete=True)
+
     def test_every_array_of_every_batch(
         self, tiny_db, star, path, block_pages, shuffle
     ):
@@ -133,23 +166,52 @@ class TestReplayEqualsFresh:
         assert stats["rebuilds"] == 0
         assert stats["bytes"] > 0
 
-    def test_same_pages_every_pass_and_the_formula(
+    def test_a_replayed_pass_abandoned_after_one_block(
+        self, tiny_db, star, path, block_pages, shuffle
+    ):
+        config = dict(block_pages=block_pages, shuffle=shuffle, seed=5)
+        access = ACCESS[path](tiny_db, star.spec, **config)
+        list(access.batches(0))
+        for batch in access.batches(1):
+            break                       # what init_sample does
+        fresh = ACCESS[path](tiny_db, star.spec, **config)
+        assert_same_pass([batch], list(fresh.batches(1))[:1])
+        assert_same_pass(list(access.batches(2)), list(fresh.batches(2)))
+        assert access.index.stats()["passes_replayed"] == 2
+
+    def test_a_first_pass_is_section_va_and_a_replay_scans_s_per_group(
         self, tiny_db, star, path, block_pages, shuffle
     ):
         access = ACCESS[path](
             tiny_db, star.spec, block_pages=block_pages, shuffle=shuffle
         )
-        first = pass_reads(tiny_db, access, 0)
-        pass_reads(tiny_db, access, 1)
-        third = pass_reads(tiny_db, access, 2)
-        assert first == third
         fact = tiny_db[star.fact_name].npages
         dims = [tiny_db[name].npages for name in star.dimension_names]
-        if len(dims) == 1:      # Section V-A: |R| + ceil(|R|/B)·|S|
-            expected = dims[0] + math.ceil(dims[0] / block_pages) * fact
-        else:                   # |S| + Σ|R_i|
-            expected = fact + sum(dims)
-        assert first[0] == expected
+        first = pass_reads(tiny_db, access, 0)
+        if len(dims) > 1:       # |S| + Σ|R_i|, replayed or not
+            assert first[0] == fact + sum(dims)
+            for epoch in (1, 2):
+                assert pass_reads(tiny_db, access, epoch) == first
+                assert access.index.stats()["fact_scans"] == 1
+            return
+        blocks = math.ceil(dims[0] / block_pages)
+        # Section V-A: |R| + ceil(|R|/B)·|S|
+        assert first[0] == dims[0] + blocks * fact
+        assert access.index.stats()["fact_scans"] == blocks
+        pool = tiny_db.buffer_pool.capacity_pages
+        for epoch in (1, 2):
+            groups = len(replay_groups(tiny_db, access, epoch))
+            replayed = pass_reads(tiny_db, access, epoch)
+            assert replayed == (
+                dims[0] + groups * fact, {"R1": dims[0], "S": groups * fact}
+            )
+            assert access.index.stats()["fact_scans"] == groups
+            if pool == POOLS["one-block"]:
+                assert groups == blocks
+            elif pool >= fact:
+                assert groups == 1
+            elif blocks == 4:
+                assert 1 < groups < blocks
 
 
 @pytest.mark.parametrize("path", sorted(ACCESS))
@@ -397,11 +459,11 @@ class TestFitBookkeeping:
             (lambda db, spec: fit_nn(db, spec, hidden_sizes=(4,),
                                      epochs=1, algorithm="auto"),
              "streaming_pages", "materialized_pages"),
-            (lambda db, spec: fit_gmm(db, spec, n_components=2, max_iter=6,
+            (lambda db, spec: fit_gmm(db, spec, n_components=2, max_iter=10,
                                       tol=0.0, algorithm="auto"),
              "materialized_pages", "streaming_pages"),
         ],
-        ids=["nn, one epoch", "gmm, six iterations"],
+        ids=["nn, one epoch", "gmm, ten iterations"],
     )
     def test_auto_record_is_the_decision_when_the_counts_tie(
         self, tiny_db, fit, cheaper, dearer
@@ -409,7 +471,10 @@ class TestFitBookkeeping:
         """No redundancy (``n_R = n_S``), wide ``T``: the counts tie, a
         one-epoch run moves fewer pages streaming and a long one
         materialized — and the arm the fit ran is the one its record
-        predicts fastest."""
+        predicts fastest.  Both arms pay one 300-page recording pass;
+        after it a streaming pass replays at ``|R| + |S|`` = 200 pages
+        and a pass over ``T`` reads 150 (plus 150 to write it), so
+        materialized moves fewer pages from the eighth iteration."""
         flat = generate_star(
             tiny_db,
             StarSchemaConfig.binary(
@@ -656,7 +721,9 @@ class TestAStaleIndexIsNeverKept:
 def test_two_threads_fit_one_star_as_they_would_in_turn(tiny_db, star):
     """Each thread's access borrows the slot or records a private index
     — never both the same one — so the fits are bit-identical to
-    sequential ones and together read what two sequential fits read."""
+    sequential ones and together read what two sequential fits read:
+    a recording pass at Section V-A's count, a replayed one at
+    ``|R| + |S|`` (the default pool holds all of ``S``)."""
     calls = {
         "gmm": lambda: FITS["gmm"](tiny_db, star.spec, "factorized"),
         "nn-shuffle": lambda: FITS["nn-shuffle"](
@@ -664,15 +731,16 @@ def test_two_threads_fit_one_star_as_they_would_in_turn(tiny_db, star):
         ),
     }
     sequential = {name: call() for name, call in calls.items()}
-    one_pass = pass_reads(
-        tiny_db, StreamingJoin(tiny_db, star.spec, block_pages=2)
-    )[0]
+    access = StreamingJoin(tiny_db, star.spec, block_pages=2)
+    recording = pass_reads(tiny_db, access)[0]
+    replayed = pass_reads(tiny_db, access)[0]
     fact = tiny_db[star.fact_name].npages
     dims = [tiny_db[name].npages for name in star.dimension_names]
-    assert one_pass == (
-        dims[0] + math.ceil(dims[0] / 2) * fact if len(dims) == 1
-        else fact + sum(dims)
-    )
+    if len(dims) == 1:
+        assert recording == dims[0] + math.ceil(dims[0] / 2) * fact
+        assert replayed == dims[0] + fact
+    else:
+        assert recording == replayed == fact + sum(dims)
     for _ in range(4):
         barrier = threading.Barrier(len(calls))
         results = {}
@@ -688,16 +756,20 @@ def test_two_threads_fit_one_star_as_they_would_in_turn(tiny_db, star):
         for thread in threads:
             thread.join()
         delta = tiny_db.stats.snapshot() - before
-        assert delta.pages_read == sum(PASSES[name] for name in calls) * (
-            one_pass
+        replays = {
+            name: result.fit.extra["join_index"]["passes_replayed"]
+            for name, result in results.items()
+        }
+        assert delta.pages_read == sum(
+            replays[name] * replayed
+            + (PASSES[name] - replays[name]) * recording
+            for name in calls
         )
         for name, result in results.items():
             assert_same_fit(result, sequential[name])
             # inherited (every pass replayed), or recorded privately
             # (the first pass recorded the whole join)
-            assert result.fit.extra["join_index"]["passes_replayed"] in (
-                PASSES[name], PASSES[name] - 1,
-            )
+            assert replays[name] in (PASSES[name], PASSES[name] - 1)
         assert tiny_db._join_index is not None
 
 

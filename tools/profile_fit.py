@@ -10,7 +10,8 @@ printed next to the arm's cold-index wall — the same fit with the
 database's join index dropped first, so that it pays the recording pass
 a star's first fit pays — and the seconds ``auto`` predicted for that
 arm (``fit.extra["auto"]["predicted_s"]``; none for an arm the memory
-budget rules out); a mixture's wall also with its fit's
+budget rules out), and on the line below the pages each of the two
+fits read (``fit.io.pages_read``); a mixture's wall also with its fit's
 ``estep_seconds`` / ``mstep_seconds`` beside it — the share of the
 wall the EM kernels took (see ``GMMFitResult``).  ``maintain``
 times the statistics build over the ``--arm`` GMM fit (``repro.maintain``),
@@ -77,15 +78,16 @@ def warm_then_time(calls: dict, reps: int = 1) -> dict:
 
 
 def time_cold_index(db, calls: dict) -> dict:
-    """``{name: seconds}`` of one more call each, with ``db``'s join index
-    dropped first: the wall of a star's first fit, recording pass included."""
-    walls = {}
+    """``{name: (seconds, result)}`` of one more call each, with ``db``'s
+    join index dropped first: the wall of a star's first fit, recording
+    pass included."""
+    timed = {}
     for name, call in calls.items():
         db._drop_join_index()
         tick = time.perf_counter()
-        call()
-        walls[name] = time.perf_counter() - tick
-    return walls
+        result = call()
+        timed[name] = (time.perf_counter() - tick, result)
+    return timed
 
 
 def profile_maintenance(db, spec, gmm, top: int) -> None:
@@ -166,9 +168,12 @@ def main(argv=None) -> None:
                 f"estep {result.fit.estep_seconds:.3f} s, "
                 f"mstep {result.fit.mstep_seconds:.3f} s, "
             )
+            cold_seconds, cold_result = cold[arm]
             print(f"{arm:>4} ({result.algorithm}): {seconds:.3f} s, {kernels}"
-                  f"cold index {cold[arm]:.3f} s, predicted "
+                  f"cold index {cold_seconds:.3f} s, predicted "
                   + ("-" if predicted is None else f"{predicted:.3f} s"))
+            print(f"{'':>6}pages read {result.fit.io.pages_read}, "
+                  f"cold index {cold_result.fit.io.pages_read}")
         profiler = cProfile.Profile()
         profiler.runcall(fit, args.arm or "auto")
         pstats.Stats(profiler).sort_stats("tottime").print_stats(args.top)
