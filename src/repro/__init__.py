@@ -142,7 +142,7 @@ from repro.fx.store import PartialStore, StoreStats
 from repro.gmm.base import EMConfig
 from repro.gmm.model import GaussianMixtureModel, GMMParams
 from repro.join.spec import DimensionJoin, JoinSpec
-from repro.linear.models import LinearModel, fit_logistic, fit_ridge
+from repro.linear.models import LinearModel, fit_ridge
 from repro.maintain import (
     GMMSuffStats,
     LinearSuffStats,
@@ -208,7 +208,6 @@ __all__ = [
     "ModelMaintainer",
     "ModelService",
     "NULL_TELEMETRY",
-    "fit_logistic",
     "fit_ridge",
     "NNConfig",
     "NNPredictor",

@@ -237,7 +237,8 @@ def train(
 
     Everything that can be refused is refused before a page moves: an
     unknown ``kind`` / ``strategy``, a missing TARGET, a ``start`` of
-    the wrong feature width.
+    the wrong feature width — and a bad config value, which the config
+    refuses when it is built.
     """
     family = KINDS.get(kind)
     if family is None:

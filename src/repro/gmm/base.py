@@ -26,14 +26,19 @@ from repro.storage.iostats import IOSnapshot
 
 @dataclass(frozen=True)
 class EMConfig:
-    """Knobs of the EM training loop (shared by all strategies)."""
+    """Knobs of the EM training loop (shared by all strategies).
+
+    Every arm seeds from the same k-means++ draw over the first
+    ``init_sample_size`` joined rows (:mod:`repro.gmm.init`).  A bad
+    value is refused here, before a fit opens its join: a negative or
+    NaN ``tol`` / ``reg_covar``, an ``init_sample_size`` below 1.
+    """
 
     n_components: int = 5
     max_iter: int = 10
     tol: float = 1e-4
     reg_covar: float = 1e-6
     seed: int = 0
-    init_method: str = "kmeans++"
     init_sample_size: int = DEFAULT_INIT_SAMPLE
 
     def __post_init__(self) -> None:
@@ -43,8 +48,17 @@ class EMConfig:
             )
         if self.max_iter <= 0:
             raise ModelError(f"max_iter must be positive, got {self.max_iter}")
-        if self.tol < 0:
+        if not self.tol >= 0:
             raise ModelError(f"tol must be non-negative, got {self.tol}")
+        if not self.reg_covar >= 0:
+            raise ModelError(
+                f"reg_covar must be non-negative, got {self.reg_covar}"
+            )
+        if self.init_sample_size < 1:
+            raise ModelError(
+                f"init_sample_size must be positive, "
+                f"got {self.init_sample_size}"
+            )
 
 
 @dataclass
@@ -153,7 +167,6 @@ def run_em(
             sample,
             config.n_components,
             seed=config.seed,
-            method=config.init_method,
             reg_covar=config.reg_covar,
         )
     if params.n_features != engine.n_features:

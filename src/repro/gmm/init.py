@@ -4,7 +4,8 @@ All three algorithms (M-/S-/F-GMM) must start from *identical*
 parameters so the exactness claim (same model, same accuracy —
 Section V-B) is testable end to end.  We therefore derive the initial
 parameters from a sample of the joined table taken in join order, which
-all access paths produce identically, using a seeded k-means++ seeding.
+all access paths produce identically, using a seeded k-means++ seeding —
+the one seeding, so every arm and every run of a seed starts alike.
 """
 
 from __future__ import annotations
@@ -50,29 +51,22 @@ def initial_params(
     n_components: int,
     *,
     seed: int = 0,
-    method: str = "kmeans++",
     reg_covar: float = 1e-6,
 ) -> GMMParams:
     """Build starting ``(π, µ, Σ)`` from a sample of joined tuples.
 
-    ``method`` is ``"kmeans++"`` (default) or ``"random"`` (uniform
-    rows).  Covariances start as the sample's diagonal covariance,
-    shared across components; weights start uniform.
+    Means are a seeded k-means++ draw from the sample.  Covariances
+    start as the sample's diagonal covariance, shared across
+    components; weights start uniform.
     """
     sample = np.asarray(sample, dtype=np.float64)
     if sample.ndim != 2:
         raise ModelError(f"sample must be 2-D, got shape {sample.shape}")
     if n_components <= 0:
         raise ModelError(f"n_components must be positive, got {n_components}")
-    rng = np.random.default_rng(seed)
-    if method == "kmeans++":
-        means = kmeans_plusplus_centers(sample, n_components, rng)
-    elif method == "random":
-        picks = rng.choice(sample.shape[0], size=n_components, replace=False)
-        means = sample[picks].copy()
-    else:
-        raise ModelError(f"unknown init method {method!r}")
-    d = sample.shape[1]
+    means = kmeans_plusplus_centers(
+        sample, n_components, np.random.default_rng(seed)
+    )
     variances = sample.var(axis=0)
     variances = np.maximum(variances, reg_covar)
     shared = np.diag(variances)

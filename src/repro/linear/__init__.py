@@ -1,5 +1,6 @@
-"""Factorized linear-model baselines (the related work of Section II)."""
+"""Factorized ridge regression (the related work of Section II), the
+``K = 1`` statistics :mod:`repro.maintain` folds."""
 
-from repro.linear.models import LinearModel, fit_logistic, fit_ridge
+from repro.linear.models import LinearModel, fit_ridge
 
-__all__ = ["LinearModel", "fit_logistic", "fit_ridge"]
+__all__ = ["LinearModel", "fit_ridge"]

@@ -1,26 +1,17 @@
-"""Factorized linear models over normalized data.
+"""Factorized ridge regression over normalized data.
 
 The related work the paper generalizes (Section II): Kumar et al. learn
 *generalized linear models* over normalized data by pushing the linear
-algebra through the join — ``wᵀx`` splits into ``wᵀ_S x_S + wᵀ_R x_R``
-with the dimension side computed once per distinct tuple.  These
-baselines are included both for completeness of the reproduction and
-because they exercise the same factorized primitives as the paper's
-nonlinear contribution:
-
-* :func:`fit_ridge` — closed form via the normal equations: the
-  ``K = 1``, γ ≡ 1 moments of the mixture's M-step over the design with
-  the target as its first fact column, summed in one walk per batch
-  about the first batch's means (all dimension-dimension blocks at
-  distinct-tuple cardinality) and solved through the mixture's own
-  M-step (:func:`~repro.gmm.base.m_step`), so no raw ``XᵀX`` cancels at
-  large offsets — the walk ``repro.maintain`` folds and keeps current;
-* :func:`fit_logistic` — gradient descent; each pass computes the
-  margin ``Xw`` factorized (one product per distinct dimension tuple)
-  and the gradient ``Xᵀ(p − y)`` with grouped contractions.
-
-Both stream the factorized join access path, so nothing is ever
-materialized, and both match their dense counterparts exactly (tests).
+algebra through the join.  ``linear/`` keeps only what
+:mod:`repro.maintain` folds and keeps current: :func:`fit_ridge`, the
+closed form via the normal equations — the ``K = 1``, γ ≡ 1 moments of
+the mixture's M-step over the design with the target as its first fact
+column, summed in one walk per batch about the first batch's means (all
+dimension-dimension blocks at distinct-tuple cardinality) and solved
+through the mixture's own M-step (:func:`~repro.gmm.base.m_step`), so no
+raw ``XᵀX`` cancels at large offsets.  It streams the factorized join
+access path, so nothing is ever materialized, and it matches its dense
+counterpart exactly (tests).
 """
 
 from __future__ import annotations
@@ -53,43 +44,9 @@ class LinearModel:
     wall_time_seconds: float = 0.0
     extra: dict = field(default_factory=dict)
 
-    def decision_function(self, features: np.ndarray) -> np.ndarray:
+    def predict(self, features: np.ndarray) -> np.ndarray:
         features = np.asarray(features, dtype=np.float64)
         return features @ self.weights + self.intercept
-
-    def predict(self, features: np.ndarray) -> np.ndarray:
-        return self.decision_function(features)
-
-    def predict_proba(self, features: np.ndarray) -> np.ndarray:
-        """Sigmoid of the margin (for the logistic model)."""
-        margin = self.decision_function(features)
-        exp_neg = np.exp(-np.abs(margin))
-        denominator = 1.0 + exp_neg
-        return np.where(
-            margin >= 0, 1.0 / denominator, exp_neg / denominator
-        )
-
-
-def _margin(design: FactorizedDesign, weights: np.ndarray) -> np.ndarray:
-    """``X w`` with the dimension-side products reused per distinct
-    tuple — the factorized-learning kernel of the related work."""
-    parts = design.layout.split_vector(weights)
-    margin = design.fact_block @ parts[0]
-    for i, (block, group) in enumerate(
-        zip(design.dim_blocks, design.groups)
-    ):
-        margin += group.gather(block @ parts[i + 1])
-    return margin
-
-
-def _gradient(
-    design: FactorizedDesign, residual: np.ndarray
-) -> np.ndarray:
-    """``Xᵀ r`` with grouped contraction on the dimension side."""
-    parts = [residual @ design.fact_block]
-    for block, group in zip(design.dim_blocks, design.groups):
-        parts.append(group.sum_weights(residual) @ block)
-    return np.concatenate(parts)
 
 
 def with_target(design: FactorizedDesign, targets) -> FactorizedDesign:
@@ -165,64 +122,4 @@ def fit_ridge(
         algorithm="F-Ridge",
         wall_time_seconds=time.perf_counter() - start,
         extra={"n": n, "alpha": alpha},
-    )
-
-
-def fit_logistic(
-    db: Database,
-    spec: JoinSpec,
-    *,
-    epochs: int = 20,
-    learning_rate: float = 0.5,
-    l2: float = 0.0,
-    block_pages: int = DEFAULT_BLOCK_PAGES,
-) -> LinearModel:
-    """Logistic regression (targets in {0,1}) by full-batch gradient
-    descent over the factorized join — the Kumar et al. baseline."""
-    if epochs <= 0:
-        raise ModelError(f"epochs must be positive, got {epochs}")
-    if learning_rate <= 0:
-        raise ModelError(
-            f"learning_rate must be positive, got {learning_rate}"
-        )
-    start = time.perf_counter()
-    with open_access(db, spec, FACTORIZED, block_pages) as access:
-        if not access.has_target:
-            raise ModelError("logistic regression requires a TARGET column")
-        d = access.resolved.total_features
-        weights = np.zeros(d)
-        intercept = 0.0
-        n = access.num_rows
-        losses: list[float] = []
-        for _ in range(epochs):
-            grad_w = np.zeros(d)
-            grad_b = 0.0
-            loss = 0.0
-            for batch in access.batches():
-                design = batch.design
-                targets = batch.targets
-                margin = _margin(design, weights) + intercept
-                exp_neg = np.exp(-np.abs(margin))
-                probability = np.where(
-                    margin >= 0,
-                    1.0 / (1.0 + exp_neg),
-                    exp_neg / (1.0 + exp_neg),
-                )
-                residual = (probability - targets) / n
-                grad_w += _gradient(design, residual)
-                grad_b += float(residual.sum())
-                loss += float(
-                    (np.logaddexp(0.0, -np.abs(margin))
-                     + np.maximum(margin, 0.0) - margin * targets).sum()
-                )
-            grad_w += l2 * weights
-            weights = weights - learning_rate * grad_w
-            intercept -= learning_rate * grad_b
-            losses.append(loss / n)
-    return LinearModel(
-        weights=weights,
-        intercept=intercept,
-        algorithm="F-Logistic",
-        wall_time_seconds=time.perf_counter() - start,
-        extra={"loss_history": losses, "n": n},
     )

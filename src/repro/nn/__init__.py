@@ -1,9 +1,10 @@
 """Neural networks over normalized data (Section VI).
 
-Public surface: activations/losses/layers/MLP, the training
-configuration and result types, the epoch driver and its one engine
-(the three training strategies are :func:`repro.core.training.train`)
-and the second-layer reuse analysis.  The Section VI cost models live in
+Public surface: the four activations (identity, sigmoid, tanh, ReLU),
+the paper's one loss (half-MSE), layers/MLP, the training configuration
+and result types, the epoch driver and its one engine (the three
+training strategies are :func:`repro.core.training.train`) and the
+second-layer reuse analysis.  The Section VI cost models live in
 :mod:`repro.fx.costs`.
 """
 
@@ -12,7 +13,6 @@ from repro.nn.activations import (
     Identity,
     ReLU,
     Sigmoid,
-    Softplus,
     Tanh,
     available_activations,
     get_activation,
@@ -20,7 +20,7 @@ from repro.nn.activations import (
 from repro.nn.base import NNConfig, NNFitResult, run_training
 from repro.nn.engines import FactorizedNNEngine
 from repro.nn.layers import DenseLayer, LayerGrads
-from repro.nn.losses import BinaryCrossEntropy, HalfMSE, Loss, get_loss
+from repro.nn.losses import HalfMSE
 from repro.nn.network import MLP, ForwardCache, build_model
 from repro.nn.second_layer import (
     SecondLayerOutputs,
@@ -31,27 +31,23 @@ from repro.nn.second_layer import (
 
 __all__ = [
     "Activation",
-    "BinaryCrossEntropy",
     "DenseLayer",
     "FactorizedNNEngine",
     "ForwardCache",
     "HalfMSE",
     "Identity",
     "LayerGrads",
-    "Loss",
     "MLP",
     "NNConfig",
     "NNFitResult",
     "ReLU",
     "SecondLayerOutputs",
     "Sigmoid",
-    "Softplus",
     "Tanh",
     "available_activations",
     "build_model",
     "compare_second_layer",
     "get_activation",
-    "get_loss",
     "run_training",
     "second_layer_standard",
     "second_layer_with_reuse",

@@ -150,31 +150,8 @@ class ReLU(Activation):
         return (x * y) >= 0
 
 
-class Softplus(Activation):
-    """``log(1 + e^a)`` — a smooth ReLU, also non-additive."""
-
-    name = "softplus"
-    is_additive = False
-
-    def __call__(self, pre_activation: np.ndarray) -> np.ndarray:
-        a = np.asarray(pre_activation, dtype=np.float64)
-        return np.logaddexp(0.0, a)
-
-    def derivative(self, pre_activation: np.ndarray) -> np.ndarray:
-        return _SIGMOID(pre_activation)
-
-    def derivative_from_output(self, output: np.ndarray) -> np.ndarray:
-        # h = log(1+e^a) ⇒ σ(a) = 1 − e^{−h}, exactly.
-        output = np.asarray(output, dtype=np.float64)
-        derivative = np.negative(output, out=np.empty_like(output))
-        np.exp(derivative, out=derivative)
-        return np.subtract(1.0, derivative, out=derivative)
-
-
-_SIGMOID = Sigmoid()
-
 _REGISTRY: dict[str, type[Activation]] = {
-    cls.name: cls for cls in (Identity, Sigmoid, Tanh, ReLU, Softplus)
+    cls.name: cls for cls in (Identity, Sigmoid, Tanh, ReLU)
 }
 
 

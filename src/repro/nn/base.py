@@ -16,11 +16,13 @@ engines).  Training supports the paper's three regimes (Section VI):
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Protocol
 
 from repro.errors import ModelError
+from repro.nn.activations import get_activation
 from repro.nn.layers import LayerGrads, accumulate
 from repro.nn.network import MLP
 from repro.obs.training import TrainingRecorder
@@ -29,11 +31,16 @@ from repro.storage.iostats import IOSnapshot
 
 @dataclass(frozen=True)
 class NNConfig:
-    """Knobs of the NN training loop (shared by all strategies)."""
+    """Knobs of the NN training loop (shared by all strategies).
+
+    Every network trains on the paper's one loss, half-MSE (Section
+    VI-A3).  A bad value is refused here, before a fit opens its join:
+    an unknown ``activation``, a non-finite or non-positive
+    ``learning_rate``.
+    """
 
     hidden_sizes: tuple[int, ...] = (50,)
     activation: str = "sigmoid"
-    loss: str = "half_mse"
     epochs: int = 10
     learning_rate: float = 0.05
     batch_mode: str = "per-batch"
@@ -49,9 +56,11 @@ class NNConfig:
             )
         if self.epochs <= 0:
             raise ModelError(f"epochs must be positive, got {self.epochs}")
-        if self.learning_rate <= 0:
+        get_activation(self.activation)
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ModelError(
-                f"learning_rate must be positive, got {self.learning_rate}"
+                f"learning_rate must be positive and finite, "
+                f"got {self.learning_rate}"
             )
         if self.batch_mode not in ("full", "per-batch"):
             raise ModelError(

@@ -1,8 +1,8 @@
-"""Training losses.
+"""The training loss.
 
-The paper's backward propagation uses the mean squared error
-``E = 1/(2N) Σ (o − Y)²`` (Section VI-A3); we also provide binary
-cross-entropy for classification-style examples.
+The paper's backward propagation uses one error function, the mean
+squared error ``E = 1/(2N) Σ (o − Y)²`` (Section VI-A3), on the
+network's linear output; :class:`HalfMSE` is it.
 """
 
 from __future__ import annotations
@@ -12,8 +12,8 @@ import numpy as np
 from repro.errors import ModelError
 
 
-class Loss:
-    """Base class: scalar loss plus gradient w.r.t. the network output.
+class HalfMSE:
+    """``E = 1/(2N) Σ_n (o_n − Y_n)²`` — the paper's error function.
 
     ``normalization`` overrides the ``1/N`` factor; the training driver
     passes the *total* row count when accumulating full-batch gradients
@@ -21,24 +21,7 @@ class Loss:
     to a single-batch computation.
     """
 
-    name: str = "abstract"
-
-    def value(
-        self,
-        outputs: np.ndarray,
-        targets: np.ndarray,
-        normalization: int | None = None,
-    ) -> float:
-        raise NotImplementedError
-
-    def gradient(
-        self,
-        outputs: np.ndarray,
-        targets: np.ndarray,
-        normalization: int | None = None,
-    ) -> np.ndarray:
-        """``∂E/∂o``, shaped like ``outputs``."""
-        raise NotImplementedError
+    name = "half_mse"
 
     @staticmethod
     def _check(outputs: np.ndarray, targets: np.ndarray) -> tuple:
@@ -53,12 +36,6 @@ class Loss:
         if outputs.shape[0] == 0:
             raise ModelError("loss of an empty batch is undefined")
         return outputs, targets
-
-
-class HalfMSE(Loss):
-    """``E = 1/(2N) Σ_n (o_n − Y_n)²`` — the paper's error function."""
-
-    name = "half_mse"
 
     def value(
         self,
@@ -76,65 +53,7 @@ class HalfMSE(Loss):
         targets: np.ndarray,
         normalization: int | None = None,
     ) -> np.ndarray:
+        """``∂E/∂o``, shaped like ``outputs``."""
         outputs, targets = self._check(outputs, targets)
         n = normalization or outputs.shape[0]
         return (outputs - targets) / n
-
-
-class BinaryCrossEntropy(Loss):
-    """``E = −1/N Σ [y log p + (1−y) log(1−p)]`` with ``p = σ(o)``.
-
-    Gradient is taken w.r.t. the *logit* ``o`` (the network's linear
-    output), which keeps the output layer linear as everywhere else.
-    """
-
-    name = "bce"
-
-    @staticmethod
-    def _sigmoid(a: np.ndarray) -> np.ndarray:
-        out = np.empty_like(a)
-        positive = a >= 0
-        out[positive] = 1.0 / (1.0 + np.exp(-a[positive]))
-        expa = np.exp(a[~positive])
-        out[~positive] = expa / (1.0 + expa)
-        return out
-
-    def value(
-        self,
-        outputs: np.ndarray,
-        targets: np.ndarray,
-        normalization: int | None = None,
-    ) -> float:
-        outputs, targets = self._check(outputs, targets)
-        n = normalization or outputs.shape[0]
-        # log(1+e^{-|o|}) formulation avoids overflow for large logits.
-        softplus = np.logaddexp(0.0, -np.abs(outputs))
-        per_row = softplus + np.maximum(outputs, 0.0) - outputs * targets
-        return float(per_row.sum() / n)
-
-    def gradient(
-        self,
-        outputs: np.ndarray,
-        targets: np.ndarray,
-        normalization: int | None = None,
-    ) -> np.ndarray:
-        outputs, targets = self._check(outputs, targets)
-        n = normalization or outputs.shape[0]
-        return (self._sigmoid(outputs) - targets) / n
-
-
-_REGISTRY: dict[str, type[Loss]] = {
-    cls.name: cls for cls in (HalfMSE, BinaryCrossEntropy)
-}
-
-
-def get_loss(spec: str | Loss) -> Loss:
-    """Resolve a loss by name or pass an instance through."""
-    if isinstance(spec, Loss):
-        return spec
-    try:
-        return _REGISTRY[spec]()
-    except KeyError:
-        raise ModelError(
-            f"unknown loss {spec!r}; have {sorted(_REGISTRY)}"
-        ) from None

@@ -27,7 +27,7 @@ from repro.errors import ModelError
 from repro.linalg.blocks import TILE_BYTES
 from repro.nn.activations import Activation, get_activation
 from repro.nn.layers import DenseLayer, LayerGrads, accumulate
-from repro.nn.losses import HalfMSE, Loss, get_loss
+from repro.nn.losses import HalfMSE
 
 
 @dataclass
@@ -42,7 +42,7 @@ class MLP:
 
     ``sizes = (d, n_h, …, n_out)``; hidden layers share one activation
     (the paper's setting); the output layer is linear and pairs with
-    the configured loss.
+    the paper's one loss, :class:`~repro.nn.losses.HalfMSE`.
     """
 
     def __init__(
@@ -50,7 +50,6 @@ class MLP:
         sizes: tuple[int, ...],
         *,
         activation: str | Activation = "sigmoid",
-        loss: str | Loss | None = None,
         seed: int = 0,
     ) -> None:
         sizes = tuple(int(s) for s in sizes)
@@ -60,7 +59,7 @@ class MLP:
             )
         self.sizes = sizes
         self.activation = get_activation(activation)
-        self.loss = get_loss(loss) if loss is not None else HalfMSE()
+        self.loss = HalfMSE()
         rng = np.random.default_rng(seed)
         self.layers = [
             DenseLayer.initialize(sizes[i], sizes[i + 1], rng)
@@ -214,9 +213,4 @@ def build_model(n_features: int, config) -> MLP:
     hidden layers of ``config`` (an :class:`~repro.nn.base.NNConfig`),
     one linear output unit."""
     sizes = (n_features, *config.hidden_sizes, 1)
-    return MLP(
-        sizes,
-        activation=config.activation,
-        loss=config.loss,
-        seed=config.seed,
-    )
+    return MLP(sizes, activation=config.activation, seed=config.seed)

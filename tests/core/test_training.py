@@ -4,15 +4,18 @@ Every cell of the paper's 2 models × 3 strategies goes through
 :func:`repro.core.training.train`; these tests hold the six cells (over
 a binary and a 3-way star) to one contract — label, ``fit.extra`` keys,
 I/O and wall-time bookkeeping, and M- = S- = F- models — and pin the
-two failure paths: a fit that must be refused moves no page, and a
-materialized fit that fails leaves no ``_T_*`` relation behind.
+two failure paths: a fit that must be refused — a bad config value
+included — moves no page, and a materialized fit that fails leaves no
+``_T_*`` relation behind.
 """
 
+import math
 import warnings
 
 import numpy as np
 import pytest
 
+from repro.core.api import fit_gmm, fit_nn
 from repro.core.training import ACCESS, KINDS, train
 from repro.data.synthetic import (
     DimensionSpec,
@@ -167,6 +170,37 @@ def test_refused_before_a_page_moves(
     moved = db.stats.snapshot() - before
     assert (moved.pages_read, moved.pages_written) == (0, 0)
     assert db.relation_names == relations
+
+
+BAD_CONFIGS = {
+    "activation=bogus": lambda **fit: fit_nn(**fit, activation="bogus"),
+    "learning_rate=nan": lambda **fit: fit_nn(**fit, learning_rate=math.nan),
+    "learning_rate=inf": lambda **fit: fit_nn(**fit, learning_rate=math.inf),
+    "reg_covar=-1": lambda **fit: fit_gmm(**fit, reg_covar=-1.0),
+    "reg_covar=nan": lambda **fit: fit_gmm(**fit, reg_covar=math.nan),
+    "tol=nan": lambda **fit: fit_gmm(**fit, tol=math.nan),
+    "init_sample_size=0": lambda **fit: fit_gmm(
+        **fit, config=EMConfig(init_sample_size=0)
+    ),
+}
+
+
+@pytest.mark.parametrize("strategy", list(ACCESS))
+@pytest.mark.parametrize("bad", list(BAD_CONFIGS))
+def test_bad_config_refused_before_a_page_moves(db, bad, strategy):
+    """Parent 66c8b07, on a 2,000-row binary star under M-:
+    ``activation="bogus"`` and ``init_sample_size=0`` read 13 pages and
+    wrote all 20 of ``T`` before raising, ``reg_covar=-1`` read 53; a
+    NaN ``learning_rate`` trained to NaN weights and a NaN ``tol`` ran
+    to ``max_iter``, both without an error or a warning."""
+    star = make_star(db, "binary")
+    relations = db.relation_names
+    before = db.stats.snapshot()
+    with pytest.raises(ModelError):
+        BAD_CONFIGS[bad](db=db, spec=star.spec, algorithm=strategy)
+    assert db.stats.snapshot() == before
+    assert db.relation_names == relations
+    assert not [n for n in db.relation_names if n.startswith("_T_")]
 
 
 @pytest.mark.parametrize("kind", list(KINDS))

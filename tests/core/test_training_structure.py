@@ -7,7 +7,9 @@ growing back: access paths are opened in one module, every arm of a
 kind reads one batch type through one engine, none of the per-cell
 names the fold deleted returns, the training series have one
 registration site, and the external tracer of ``benchmarks/e2e`` still
-finds everything it wraps.
+finds everything it wraps.  The model surface offers only what the
+paper trains with: one loss, one GMM seeding, four activations and one
+linear fit.
 """
 
 import ast
@@ -563,3 +565,52 @@ class TestTheDatabaseHoldsOneJoinIndex:
                 ):
                     writers.add(module)
         assert writers == {"storage/catalog.py"}
+
+
+class TestOneModelSurface:
+    """The options no workload set are gone: the paper trains with one
+    loss (half-MSE, Section VI-A3) from one seeded start (k-means++,
+    Section V-B), over the activations the Section VI-A2 ablation and
+    the exactness suites read; ``linear/`` fits ridge only, the K = 1
+    statistics ``maintain`` folds."""
+
+    def test_one_loss(self):
+        tree = ast.parse(
+            (SRC_ROOT / "nn" / "losses.py").read_text(encoding="utf-8")
+        )
+        classes = [
+            node.name for node in tree.body if isinstance(node, ast.ClassDef)
+        ]
+        functions = [
+            node.name for node in tree.body
+            if isinstance(node, ast.FunctionDef)
+        ]
+        assert (classes, functions) == (["HalfMSE"], [])
+
+    def test_no_loss_or_seeding_option(self):
+        from repro.gmm.base import EMConfig
+        from repro.nn.base import NNConfig
+
+        assert "loss" not in {f.name for f in dataclasses.fields(NNConfig)}
+        assert "init_method" not in {
+            f.name for f in dataclasses.fields(EMConfig)
+        }
+
+    def test_four_activations(self):
+        from repro.nn.activations import available_activations
+
+        assert available_activations() == [
+            "identity", "relu", "sigmoid", "tanh",
+        ]
+
+    def test_ridge_is_the_one_linear_fit(self):
+        import repro.linear
+        import repro.linear.models
+
+        fits = {
+            name
+            for module in (repro.linear, repro.linear.models)
+            for name in vars(module)
+            if name.startswith("fit")
+        }
+        assert fits == {"fit_ridge"}

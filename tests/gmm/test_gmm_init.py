@@ -76,16 +76,6 @@ class TestInitialParams:
             rtol=1e-10,
         )
 
-    def test_random_method(self, rng):
-        sample = rng.normal(size=(50, 2))
-        params = initial_params(sample, 3, seed=0, method="random")
-        for mean in params.means:
-            assert any(np.allclose(mean, row) for row in sample)
-
-    def test_unknown_method(self, rng):
-        with pytest.raises(ModelError, match="unknown init"):
-            initial_params(rng.normal(size=(10, 2)), 2, method="magic")
-
     def test_invalid_component_count(self, rng):
         with pytest.raises(ModelError):
             initial_params(rng.normal(size=(10, 2)), 0)

@@ -52,7 +52,6 @@ def run_em(
             sample,
             config.n_components,
             seed=config.seed,
-            method=config.init_method,
             reg_covar=config.reg_covar,
         )
     if params.n_features != engine.n_features:

@@ -1,10 +1,10 @@
-"""Factorized linear baselines match dense solutions exactly."""
+"""Factorized ridge matches the dense solution exactly."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ModelError
-from repro.linear.models import fit_logistic, fit_ridge
+from repro.linear.models import fit_ridge
 from repro.storage.schema import (
     Schema,
     features,
@@ -124,90 +124,3 @@ class TestRidge:
         spec, _, _ = build_star(db, rng)
         with pytest.raises(ModelError):
             fit_ridge(db, spec, alpha=-1.0)
-
-
-class TestLogistic:
-    def test_matches_dense_gradient_descent(self, db, rng):
-        # Binary labels from a linear rule over joined features.
-        n_s = 600
-        pre_rng = np.random.default_rng(0)
-        spec, joined, targets = build_star(
-            db, rng, n_s=n_s,
-            targets=(pre_rng.normal(size=n_s) > 0).astype(float),
-        )
-        epochs, lr = 10, 0.3
-        model = fit_logistic(
-            db, spec, epochs=epochs, learning_rate=lr
-        )
-        # Dense replication of the same full-batch GD.
-        w = np.zeros(joined.shape[1])
-        b = 0.0
-        y = targets
-        for _ in range(epochs):
-            margin = joined @ w + b
-            p = 1.0 / (1.0 + np.exp(-margin))
-            residual = (p - y) / n_s
-            w = w - lr * (joined.T @ residual)
-            b -= lr * residual.sum()
-        np.testing.assert_allclose(model.weights, w, rtol=1e-8,
-                                   atol=1e-12)
-        assert model.intercept == pytest.approx(b, rel=1e-8, abs=1e-12)
-
-    def test_learns_separable_labels(self, db, rng):
-        n_s = 1500
-        helper_rng = np.random.default_rng(3)
-        # Build star first with placeholder targets, then labels from
-        # the realized joined features.
-        spec, joined, _ = build_star(
-            db, rng, n_s=n_s,
-            targets=np.zeros(n_s),
-        )
-        rule = joined @ np.ones(joined.shape[1]) > 0
-        db.drop_relation("S")
-        s_feats = joined[:, :3]
-        fks_back = db["R"].keys()
-        # Rebuild S with the rule labels (same features/fks as before
-        # is unnecessary — regenerate cleanly instead).
-        db.drop_relation("R")
-        rng2 = np.random.default_rng(77)
-        spec, joined, _ = build_star(
-            db, rng2, n_s=n_s, targets=None
-        )
-        labels = (joined @ np.ones(joined.shape[1]) > 0).astype(float)
-        # Overwrite the target column by rebuilding S.
-        s_rows = db["S"].scan()
-        s_rows[:, db["S"].schema.target_position] = labels
-        db.drop_relation("S")
-        db.create_relation(
-            "S",
-            Schema(
-                [key("sid"), target("y"), *features("x", 3),
-                 foreign_key("fk", "R")]
-            ),
-            s_rows,
-        )
-        model = fit_logistic(
-            db, spec, epochs=60, learning_rate=2.0
-        )
-        accuracy = (
-            (model.predict_proba(joined) > 0.5) == labels
-        ).mean()
-        assert accuracy > 0.95
-
-    def test_loss_decreases(self, db, rng):
-        n_s = 400
-        label_rng = np.random.default_rng(5)
-        spec, joined, _ = build_star(
-            db, rng, n_s=n_s,
-            targets=(label_rng.uniform(size=n_s) > 0.5).astype(float),
-        )
-        model = fit_logistic(db, spec, epochs=15, learning_rate=0.5)
-        losses = model.extra["loss_history"]
-        assert losses[-1] <= losses[0]
-
-    def test_validation(self, db, rng):
-        spec, _, _ = build_star(db, rng)
-        with pytest.raises(ModelError):
-            fit_logistic(db, spec, epochs=0)
-        with pytest.raises(ModelError):
-            fit_logistic(db, spec, learning_rate=0)

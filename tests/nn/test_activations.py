@@ -10,13 +10,12 @@ from repro.nn.activations import (
     Identity,
     ReLU,
     Sigmoid,
-    Softplus,
     Tanh,
     available_activations,
     get_activation,
 )
 
-ALL = [Identity(), Sigmoid(), Tanh(), ReLU(), Softplus()]
+ALL = [Identity(), Sigmoid(), Tanh(), ReLU()]
 
 finite_floats = st.floats(
     min_value=-30, max_value=30, allow_nan=False, allow_infinity=False
@@ -105,13 +104,6 @@ class TestForward:
             ReLU()(np.array([-1.0, 0.0, 2.0])), [0.0, 0.0, 2.0]
         )
 
-    def test_softplus_positive_and_asymptotic(self):
-        sp = Softplus()
-        x = np.array([-20.0, 0.0, 20.0])
-        out = sp(x)
-        assert (out > 0).all()
-        assert out[2] == pytest.approx(20.0, abs=1e-6)
-
 
 class TestDerivatives:
     @pytest.mark.parametrize("activation", ALL, ids=lambda a: a.name)
@@ -129,7 +121,7 @@ class TestDerivatives:
         self, activation, rng
     ):
         """The in-place forms change no value: σ' = h(1−h), tanh' =
-        1−h², relu' = [h > 0], softplus' = 1−e^{−h} — bit for bit, as
+        1−h², relu' = [h > 0] — bit for bit, as
         a fresh float64 array that does not alias ``h``."""
         a = rng.normal(size=(33, 7), scale=3)
         h = activation(a)
@@ -139,7 +131,6 @@ class TestDerivatives:
             "sigmoid": h * (1.0 - h),
             "tanh": 1.0 - h * h,
             "relu": (h > 0).astype(np.float64),
-            "softplus": 1.0 - np.exp(-h),
         }[activation.name]
         got = activation.derivative_from_output(h)
         np.testing.assert_array_equal(got, textbook)
@@ -148,10 +139,9 @@ class TestDerivatives:
         np.testing.assert_array_equal(h, kept)
         np.testing.assert_array_equal(
             activation.derivative(a),
-            {
-                "relu": (a > 0).astype(np.float64),
-                "softplus": Sigmoid()(a),
-            }.get(activation.name, textbook),
+            {"relu": (a > 0).astype(np.float64)}.get(
+                activation.name, textbook
+            ),
         )
 
     def test_relu_derivative_at_sign_change(self):
@@ -165,7 +155,7 @@ class TestAdditivityFlags:
         assert Identity().is_additive
 
     @pytest.mark.parametrize(
-        "activation", [Sigmoid(), Tanh(), ReLU(), Softplus()],
+        "activation", [Sigmoid(), Tanh(), ReLU()],
         ids=lambda a: a.name,
     )
     def test_nonlinear_not_additive(self, activation):
@@ -191,7 +181,7 @@ class TestAdditivityViolations:
         assert ReLU().additive_violation(-5.0, 3.0) > 0
 
     @pytest.mark.parametrize(
-        "activation", [Sigmoid(), Tanh(), Softplus()],
+        "activation", [Sigmoid(), Tanh()],
         ids=lambda a: a.name,
     )
     def test_smooth_nonlinearities_violate(self, activation):
@@ -214,6 +204,4 @@ class TestRegistry:
     def test_available_listing(self):
         names = available_activations()
         assert names == sorted(names)
-        assert {"identity", "relu", "sigmoid", "tanh", "softplus"} <= set(
-            names
-        )
+        assert {"identity", "relu", "sigmoid", "tanh"} <= set(names)

@@ -1,10 +1,10 @@
-"""Loss values and gradients (checked numerically)."""
+"""The one loss's values and gradients (checked numerically)."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ModelError
-from repro.nn.losses import BinaryCrossEntropy, HalfMSE, get_loss
+from repro.nn.losses import HalfMSE
 
 
 class TestHalfMSE:
@@ -64,45 +64,3 @@ class TestHalfMSE:
     def test_shape_mismatch(self):
         with pytest.raises(ModelError):
             HalfMSE().value(np.zeros((3, 1)), np.zeros(4))
-
-
-class TestBinaryCrossEntropy:
-    def test_value_at_confident_correct(self):
-        loss = BinaryCrossEntropy()
-        outputs = np.array([[20.0], [-20.0]])
-        targets = np.array([1.0, 0.0])
-        assert loss.value(outputs, targets) == pytest.approx(0.0, abs=1e-6)
-
-    def test_value_stable_at_extreme_logits(self):
-        loss = BinaryCrossEntropy()
-        outputs = np.array([[1000.0], [-1000.0]])
-        targets = np.array([0.0, 1.0])
-        assert np.isfinite(loss.value(outputs, targets))
-
-    def test_gradient_matches_finite_differences(self, rng):
-        loss = BinaryCrossEntropy()
-        outputs = rng.normal(size=(5, 1))
-        targets = (rng.uniform(size=5) > 0.5).astype(float)
-        grad = loss.gradient(outputs, targets)
-        eps = 1e-6
-        for i in range(5):
-            bumped = outputs.copy()
-            bumped[i, 0] += eps
-            numeric = (
-                loss.value(bumped, targets) - loss.value(outputs, targets)
-            ) / eps
-            assert grad[i, 0] == pytest.approx(numeric, rel=1e-4, abs=1e-8)
-
-
-class TestRegistry:
-    def test_lookup(self):
-        assert get_loss("half_mse").name == "half_mse"
-        assert get_loss("bce").name == "bce"
-
-    def test_passthrough(self):
-        loss = HalfMSE()
-        assert get_loss(loss) is loss
-
-    def test_unknown(self):
-        with pytest.raises(ModelError):
-            get_loss("hinge")

@@ -5,10 +5,13 @@ snapshots it, asserting cross-field invariants that only hold when the
 snapshot is a consistent cut — the bugs these catch looked like
 impossible stats (hit counts not matching batch traffic, bytes
 resident disagreeing with entry counts) in production dumps.
+
+A fuzz window ends once each of its two readers has taken a quota of
+snapshots, not after a fixed wall time, so a loaded host makes the same
+checks, only slower.
 """
 
 import threading
-import time
 
 import numpy as np
 
@@ -17,6 +20,38 @@ from repro.serve.service import ServingStats
 from repro.storage.iostats import IOSnapshot
 
 WIDTH = 2
+#: Only a failure aid: a window whose readers miss their quota by then
+#: fails.
+DEADLINE_S = 60.0
+
+
+def hammer(writers, check, stop, quota):
+    """Start ``writers`` and two readers that each call ``check()`` (one
+    snapshot and its invariants) until ``stop``; set ``stop`` once both
+    readers have made ``quota`` calls, then join every thread."""
+    met = [threading.Event() for _ in range(2)]
+
+    def reader(event):
+        taken = 0
+        while not stop.is_set():
+            check()
+            taken += 1
+            if taken == quota:
+                event.set()
+
+    readers = [threading.Thread(target=reader, args=(e,)) for e in met]
+    for thread in writers + readers:
+        thread.start()
+    try:
+        for event in met:
+            assert event.wait(DEADLINE_S), (
+                f"a reader took fewer than {quota} snapshots "
+                f"in {DEADLINE_S} s"
+            )
+    finally:
+        stop.set()
+        for thread in writers + readers:
+            thread.join()
 
 
 def rows_for(keys):
@@ -40,34 +75,26 @@ class TestShardedCacheStats:
                 keys = rng.choice(256, size=keys_per_call, replace=False)
                 cache.get_many(keys, rows_for)
 
-        def reader():
-            while not stop.is_set():
-                stats = cache.stats()
-                # stats() takes the cache's one lock, which every
-                # get_many and governor eviction holds for its whole
-                # span, so a snapshot never splits one call's
-                # bookkeeping: total lookups stay a multiple of the
-                # per-call key count...
-                if (stats.hits + stats.misses) % keys_per_call != 0:
-                    failures.append(stats)
-                # ...and resident bytes always equal entries × row
-                # bytes (8 bytes per float, WIDTH floats per row).
-                if stats.bytes_resident != stats.entries * WIDTH * 8:
-                    failures.append(stats)
+        def check():
+            stats = cache.stats()
+            # stats() takes the cache's one lock, which every get_many
+            # and governor eviction holds for its whole span, so a
+            # snapshot never splits one call's bookkeeping: total
+            # lookups stay a multiple of the per-call key count...
+            if (stats.hits + stats.misses) % keys_per_call != 0:
+                failures.append(stats)
+            # ...and resident bytes always equal entries × row bytes
+            # (8 bytes per float, WIDTH floats per row).
+            if stats.bytes_resident != stats.entries * WIDTH * 8:
+                failures.append(stats)
 
         writers = [
             threading.Thread(target=writer, args=(seed,))
             for seed in range(3)
         ]
-        readers = [threading.Thread(target=reader) for _ in range(2)]
-        for thread in writers + readers:
-            thread.start()
-        try:
-            time.sleep(0.4)
-        finally:
-            stop.set()
-            for thread in writers + readers:
-                thread.join()
+        # The fewest snapshots either reader took in 18 unloaded runs
+        # of the 0.4 s window this quota replaced was 7,120.
+        hammer(writers, check, stop, quota=7_000)
         assert not failures, f"torn snapshots observed: {failures[:3]}"
 
     def test_final_totals_add_up(self):
@@ -111,25 +138,17 @@ class TestServingStatsSnapshot:
                     io=IOSnapshot(pages_read=2),
                 )
 
-        def reader():
-            while not stop.is_set():
-                snap = stats.snapshot()
-                if snap.rows != snap.batches * rows_per_call:
-                    failures.append((snap.batches, snap.rows))
-                if snap.io.pages_read != snap.batches * 2:
-                    failures.append((snap.batches, snap.io.pages_read))
+        def check():
+            snap = stats.snapshot()
+            if snap.rows != snap.batches * rows_per_call:
+                failures.append((snap.batches, snap.rows))
+            if snap.io.pages_read != snap.batches * 2:
+                failures.append((snap.batches, snap.io.pages_read))
 
-        pool = [threading.Thread(target=writer) for _ in range(4)] + [
-            threading.Thread(target=reader) for _ in range(2)
-        ]
-        for t in pool:
-            t.start()
-        try:
-            time.sleep(0.3)
-        finally:
-            stop.set()
-            for t in pool:
-                t.join()
+        writers = [threading.Thread(target=writer) for _ in range(4)]
+        # The fewest snapshots either reader took in 18 unloaded runs
+        # of the 0.3 s window this quota replaced was 534.
+        hammer(writers, check, stop, quota=500)
         assert not failures, f"torn ServingStats reads: {failures[:3]}"
 
     def test_snapshot_is_a_copy(self):

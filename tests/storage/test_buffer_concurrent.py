@@ -193,8 +193,9 @@ class TestHeapReadWriteLock:
         writer = threading.Thread(target=update)
         writer.start()
         # The update must wait for the in-flight read (torn-page
-        # protection) ...
-        time.sleep(0.05)
+        # protection): once it is queued on the I/O lock it has not
+        # written ...
+        spin_until(lambda: heap._io_lock._writers_waiting == 1)
         assert not wrote.is_set()
         heap.release_gate.set()
         heap._armed = False
