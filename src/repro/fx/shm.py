@@ -5,7 +5,7 @@ execution out of the GIL by scattering sub-batches to worker
 *processes*.  Everything bulky crosses the process boundary through
 ``multiprocessing.shared_memory`` segments managed here; the pipe
 carries only small control messages (indices, segment names, shm
-offsets — never arrays).  Three pieces:
+offsets — never arrays).  Two pieces:
 
 * :class:`ShmArena` — named-segment bookkeeping with the lifetime
   guarantees the teardown tests assert: the creating side (the parent)
@@ -19,29 +19,17 @@ offsets — never arrays).  Three pieces:
   remains a pure leak backstop (it unlinks anything still registered
   when the whole process tree dies).
 
-* :class:`SlabAllocator` — a block allocator over one segment's
-  buffer (bump allocation + per-size free lists).  Each cache's
-  :class:`~repro.serve.cache.SlotTable` takes its whole float64 slab
-  from it — one block per cache, relocated when it grows or shrinks:
-  allocate new, copy, free old — so thread and process executors share
-  one row layout.  When the segment has no room for the next block the
-  slab moves to private process memory instead (graceful overflow, not
-  an error), and the cache layer reports the two residencies separately
-  (:class:`~repro.serve.cache.CacheStats.shm_bytes_resident`), so the
-  ``memory_budget`` accounting stays truthful about which bytes live
-  in the shared segment and which are private overflow.
-
-* per-worker segment headers — each worker's
-  :class:`~repro.fx.store.PartialStore` publishes its
+* per-worker segment headers — each worker writes its
+  :class:`~repro.fx.store.PartialStore`'s
   :class:`~repro.serve.cache.Residency` into its row of an int64
-  header segment (:func:`header_view`,
-  :meth:`~repro.fx.store.PartialStore.publish_header`); the parent's
-  governor reads the rows (no IPC) and plans *deficit-bounded* trims
-  (:func:`plan_trims`): workers are swept largest-resident-first, each
-  trim capped by the worker's own residency and the sweep's total
-  capped by the global deficit — the cross-process analogue of the
-  store's cross-cache eviction, with the same victim order
-  because each worker's trim runs through
+  header segment (:func:`header_view`) after every message that can
+  change it (the partial rows themselves stay in the worker's private
+  memory).  The parent's governor reads the rows (no IPC) and plans
+  *deficit-bounded* trims (:func:`plan_trims`): workers are swept
+  largest-resident-first, each trim capped by the worker's own
+  residency and the sweep's total capped by the global deficit — the
+  cross-process analogue of the store's cross-cache eviction, with the
+  same victim order because each worker's trim runs through
   :meth:`~repro.fx.store.PartialStore.trim`.
 
 Header writes are plain int64 stores (atomic on every platform numpy
@@ -66,19 +54,17 @@ from repro.serve.cache import Residency
 SEGMENT_PREFIX = "repro-shm"
 
 # Per-worker int64 header row (see header_view): the worker store's
-# Residency record, field for field — PartialStore.publish_header
-# writes it as one slice, header_residency reads it back — then the
-# partial rows the worker dropped on dimension updates, the one
-# per-worker count no parent-side record holds (rows and batches are
-# attributed from each EXEC reply's ExecMeta).  Compressed
+# Residency record, field for field — the worker writes it as one
+# slice, header_residency reads it back — then the partial rows the
+# worker dropped on dimension updates, the one per-worker count no
+# parent-side record holds (rows and batches are attributed from each
+# EXEC reply's ExecMeta).  Compressed
 # float-equivalents are *included* in the floats slot (budget truth);
 # the tier fields let the parent break residency down per tier and
 # export demotion/promotion counters without any IPC.
 HDR_FLOATS_RESIDENT = Residency._fields.index("floats")
 HDR_INVALIDATED = len(Residency._fields)
 HEADER_FIELDS = HDR_INVALIDATED + 1
-
-_FLOAT_BYTES = 8
 
 
 def segment_name(tag: str) -> str:
@@ -134,7 +120,7 @@ class ShmArena:
     """Tracks every segment a component created or attached.
 
     The parent-side executor owns one arena for all its segments
-    (headers, per-worker task slabs, per-worker partial slabs); each
+    (headers, per-worker task slabs); each
     worker owns a small arena of attachments.  ``close()`` is
     idempotent and also runs at interpreter exit, so segments cannot
     outlive the process that owns them even when ``close()`` was never
@@ -202,60 +188,6 @@ class ShmArena:
             self._segments.clear()
         for segment in segments:
             segment.close()
-
-
-class SlabAllocator:
-    """Float64 block allocation over one shm buffer.
-
-    A cache asks for its slab as one block of ``rows × width`` floats
-    and, when it outgrows it (or empties out), for the next size
-    before freeing the old one.  Freed blocks are recycled through
-    per-size free lists; the bump pointer only grows when no freed
-    block of the right size exists.  ``allocate`` returns ``None`` when
-    the segment cannot hold the block — the caller keeps its slab in
-    private memory instead (graceful overflow, not an error).
-    """
-
-    def __init__(self, buf: memoryview) -> None:
-        self._buf = buf
-        self._nbytes = len(buf)
-        self._bump = 0
-        self._free: dict[int, list[int]] = {}
-        self._lock = threading.Lock()
-
-    @property
-    def nbytes(self) -> int:
-        return self._nbytes
-
-    def allocate(self, width: int) -> tuple[int, np.ndarray] | None:
-        """A ``(offset, float64 view)`` block of ``width`` floats, or
-        ``None`` when the segment cannot hold it."""
-        if width <= 0:
-            return None
-        nbytes = width * _FLOAT_BYTES
-        with self._lock:
-            stack = self._free.get(width)
-            if stack:
-                offset = stack.pop()
-            elif self._bump + nbytes <= self._nbytes:
-                offset = self._bump
-                self._bump += nbytes
-            else:
-                return None
-        view = np.frombuffer(
-            self._buf, dtype=np.float64, count=width, offset=offset
-        )
-        return offset, view
-
-    def free(self, offset: int, width: int) -> None:
-        with self._lock:
-            self._free.setdefault(width, []).append(offset)
-
-    @property
-    def bytes_reserved(self) -> int:
-        """High-water bytes ever handed out (bump position)."""
-        with self._lock:
-            return self._bump
 
 
 def header_view(buf: memoryview, num_workers: int) -> np.ndarray:

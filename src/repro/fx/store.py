@@ -52,15 +52,13 @@ approximate under sharing (a documented attribution trade, like
 shared buffer-pool stats).
 
 **Process workers.**  A worker process of the process executor runs
-this same class over its shared-memory slab (``allocator=``), with no
+this same class, in its own private memory, with no
 ``capacity_floats`` of its own: the budget is global and enforced by
 the parent's deficit-bounded :meth:`PartialStore.trim` sweeps, so a
-hot worker can use budget a cold one is not using.  ``header=`` names
-the worker's row of the shared header segment, into which
-:meth:`PartialStore.publish_header` pushes the store's
-:class:`~repro.serve.cache.Residency` after every
-batch/invalidate/trim; that row is all the parent's governor ever
-reads.
+hot worker can use budget a cold one is not using.  The worker writes
+the store's :meth:`~PartialStore.residency` into its row of a shared
+header segment after every message that can change it; that row is
+all the parent's governor ever reads.
 """
 
 from __future__ import annotations
@@ -131,16 +129,6 @@ class StoreStats:
         return self.cache.bytes_resident
 
     @property
-    def shm_bytes_resident(self) -> int:
-        """Bytes held in shared-memory slabs (process executor)."""
-        return self.cache.shm_bytes_resident
-
-    @property
-    def private_bytes_resident(self) -> int:
-        """Bytes held in ordinary process memory."""
-        return self.cache.private_bytes_resident
-
-    @property
     def compressed_bytes_resident(self) -> int:
         """Payload bytes held by the compressed (float32) tier."""
         return self.cache.compressed_bytes_resident
@@ -178,16 +166,12 @@ class PartialStore:
     fingerprints, enforced by cross-cache eviction (see the module
     docstring) — the one memory bound there is.  All bookkeeping is
     thread-safe — the runtime registers models while traffic is live.
-    ``allocator`` / ``header`` are the process worker's (module
-    docstring).
     """
 
     def __init__(
         self,
         *,
         capacity_floats: int | None = None,
-        allocator=None,
-        header=None,
         tiers=(),
     ) -> None:
         if capacity_floats is not None and capacity_floats <= 0:
@@ -205,13 +189,6 @@ class PartialStore:
         # are never closed.
         self._spill_root: Path | None = None
         self._spill_finalizer = None
-        # Optional shared-memory slab backing every cache this store
-        # creates (repro.fx.shm.SlabAllocator) — process-mode workers
-        # place partial rows there so the parent can account them.
-        self._allocator = allocator
-        # This worker's row of the shared int64 header segment
-        # (repro.fx.shm.header_view), or None outside a worker.
-        self._header = header
         self._entries: dict[str, _Entry] = {}
         self._key_of_cache: dict[int, str] = {}
         self._shared_attachments = 0
@@ -240,7 +217,6 @@ class PartialStore:
             cache = ShardedPartialCache(
                 clock=self._clock,
                 governor=self,
-                allocator=self._allocator,
                 tiers=self.tiers,
                 spill_dir=(
                     self._spill_directory if TIER_SPILL in self.tiers
@@ -272,10 +248,6 @@ class PartialStore:
                 return
             del self._entries[key]
             del self._key_of_cache[id(cache)]
-        if self._allocator is not None:
-            # Slab rows have no owner but the cache: free them with it,
-            # or a dropped fingerprint would leak its slots.
-            cache.clear()
 
     def _spill_directory(self) -> Path:
         """The spill tier's backing directory (one per store), created
@@ -315,12 +287,9 @@ class PartialStore:
         Every cache carries a back-reference to its governor (this
         store) while the store's registry references the caches — a
         reference cycle only the garbage collector would reclaim.
-        ``close()`` breaks it deterministically, which matters when the
-        cache payloads live in a shared-memory slab: the slab views
-        must be released *before* the owning segment detaches, not at
-        some later collection.  Also removes the spill directory and
-        everything in it, and drops the header row and slab views so a
-        worker's segments can actually detach.  Idempotent.
+        ``close()`` breaks it deterministically and gives the slabs
+        back now, not at some later collection.  Also removes the
+        spill directory and everything in it.  Idempotent.
         """
         with self._lock:
             entries = list(self._entries.values())
@@ -330,8 +299,6 @@ class PartialStore:
             entry.cache.drop_spilled()
             entry.cache.clear()
         self.release_spill()
-        self._header = None
-        self._allocator = None
 
     # -- the budget governor -----------------------------------------------
 
@@ -462,15 +429,6 @@ class PartialStore:
         with self._lock:
             entries = list(self._entries.values())
         return Residency.total(entry.cache.residency() for entry in entries)
-
-    def publish_header(self) -> None:
-        """Write :meth:`residency` into this worker's header row — the
-        row *is* a :class:`~repro.serve.cache.Residency` followed by
-        the worker's own execution counters (:mod:`repro.fx.shm`).
-        A no-op without a header."""
-        if self._header is not None:
-            held = self.residency()
-            self._header[:len(held)] = held
 
     @property
     def floats_resident(self) -> int:

@@ -8,8 +8,8 @@ primitives cross a pipe — the registry, ``register`` / ``swap`` /
 ``unregister`` and the pin-run-record ``execute`` are the core's own:
 
 * ``_build`` / ``_retire`` fan a registration out to (and back off)
-  every worker, each of which runs the same core over a
-  shared-memory store;
+  every worker, each of which runs the same core over a store in its
+  own private memory;
 * ``_run`` scatters one batch into RID-affine sub-batches and gathers
   the outputs by row index;
 * invalidation, budget control and the stats readers broadcast and
@@ -44,8 +44,9 @@ failures in thread mode).
 
 **Budget governance.**  Workers run a
 :class:`~repro.fx.store.PartialStore` with *no* bound of its own; each
-publishes its residency into its header row, and after every gathered batch the
-dispatcher reads the headers (plain shared-memory loads, no IPC),
+writes its residency into its row of the one shared header segment,
+and after every gathered batch the dispatcher reads the headers
+(plain shared-memory loads, no IPC),
 plans deficit-bounded trims (:func:`repro.fx.shm.plan_trims`) and
 sends ``TRIM`` only to over-share workers.  A hot worker can therefore
 hold most of the global budget while cold workers hold none — the
@@ -115,8 +116,6 @@ _REPLY_TIMEOUT_S = 120.0
 _SHUTDOWN_TIMEOUT_S = 5.0
 _POLL_S = 0.05
 
-_DEFAULT_SLAB_BYTES = 16 * 1024 * 1024
-_MAX_SLAB_BYTES = 1024 * 1024 * 1024
 _INITIAL_TASK_BYTES = 1 * 1024 * 1024
 
 
@@ -329,13 +328,6 @@ class ProcessExecutor(ServingCore):
             )
             self.headers = header_view(header_seg.buf, self.num_workers)
             self.headers[:] = 0
-            slab_bytes = min(
-                max(
-                    config.memory_budget or _DEFAULT_SLAB_BYTES,
-                    _INITIAL_TASK_BYTES,
-                ),
-                _MAX_SLAB_BYTES,
-            )
             method = (
                 "fork"
                 if "fork" in mp.get_all_start_methods()
@@ -344,9 +336,6 @@ class ProcessExecutor(ServingCore):
             ctx = mp.get_context(method)
             self.workers: list[_WorkerHandle] = []
             for index in range(self.num_workers):
-                partial_seg = self.arena.create(
-                    f"part{index}", slab_bytes
-                )
                 task_seg = self.arena.create(
                     f"task{index}", _INITIAL_TASK_BYTES
                 )
@@ -363,7 +352,6 @@ class ProcessExecutor(ServingCore):
                         str(directory),
                         config,
                         header_seg.name,
-                        partial_seg.name,
                     ),
                     name=f"repro-runtime-proc-{index}",
                     daemon=True,
@@ -453,7 +441,7 @@ class ProcessExecutor(ServingCore):
 
         The model crosses the pipe once (its coerced, fitted form);
         each worker builds its own predictor and draws caches from
-        its shared-slab store.  The parent keeps only what submit-time
+        its own store.  The parent keeps only what submit-time
         validation and scatter need: the resolved join (shapes,
         dimension names) and the network's output width — no dimension
         lookup, so registering reads no dimension page here.  A swap's
@@ -601,9 +589,9 @@ class ProcessExecutor(ServingCore):
         for index in range(self.num_workers):
             labels = {"worker": str(index)}
             buffer.gauge(
-                "repro_worker_shm_floats_resident",
+                "repro_worker_floats_resident",
                 int(headers[index, HDR_FLOATS_RESIDENT]),
-                help="Partial floats resident in this worker's store",
+                help="Budget floats charged in that worker's partial store",
                 **labels,
             )
             buffer.counter(

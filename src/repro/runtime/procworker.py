@@ -10,10 +10,10 @@ configuration runs, plus pipe framing:
   each worker keeps a private buffer pool over them — the OS page
   cache dedups the physical bytes);
 * its core draws partial caches from a
-  :class:`~repro.fx.store.PartialStore` whose payload slab lives in
-  the shared-memory segment the parent created — so partials survive
-  in shared memory the parent can account, and the worker's residency
-  is published into its header row after every batch;
+  :class:`~repro.fx.store.PartialStore` of its own, in private
+  memory; after every message the worker writes the store's
+  :class:`~repro.serve.cache.Residency` into its row of the shared
+  header segment, which is all the parent's budget governor reads;
 * the message handlers only translate: ``EXEC`` wraps views into the
   task slab around ``core.execute`` (the pipe message carries only
   scalars — rows, widths, the slab name — the arrays never cross the
@@ -44,7 +44,7 @@ import traceback
 import numpy as np
 
 from repro.fx.dedup import distinct_values
-from repro.fx.shm import HDR_INVALIDATED, ShmArena, SlabAllocator, header_view
+from repro.fx.shm import HDR_INVALIDATED, ShmArena, header_view
 from repro.fx.store import PartialStore
 from repro.runtime.procpool import (
     MSG_CRASH,
@@ -66,8 +66,7 @@ from repro.serve.core import ServingCore
 
 class _Worker:
     def __init__(
-        self, worker_id, num_workers, conn, directory, config,
-        header_name, partial_name,
+        self, worker_id, num_workers, conn, directory, config, header_name,
     ) -> None:
         self.worker_id = worker_id
         self.num_workers = num_workers
@@ -76,16 +75,11 @@ class _Worker:
         self.arena = ShmArena()
         header_seg = self.arena.attach(header_name)
         self.header = header_view(header_seg.buf, num_workers)[worker_id]
-        partial_seg = self.arena.attach(partial_name)
         # No bound of its own: the budget lives in the parent
-        # (deficit-bounded TRIMs over the headers).
-        self.store = PartialStore(
-            allocator=SlabAllocator(partial_seg.buf),
-            header=self.header,
-            # Per-worker demotion ladder; each worker store owns its
-            # own spill directory (created lazily, removed on close).
-            tiers=config.store_tiers,
-        )
+        # (deficit-bounded TRIMs over the headers).  Per-worker
+        # demotion ladder; each worker store owns its own spill
+        # directory (created lazily, removed on close).
+        self.store = PartialStore(tiers=config.store_tiers)
         self.db = None                  # opened on first REGISTER
         self.core = None
         self.task_seg = None            # re-attached when renamed
@@ -113,7 +107,6 @@ class _Worker:
                 payload["generation"],
                 self.core.get(payload["successor"]),
             )
-            self.store.publish_header()
         return {}
 
     def _task_views(self, payload):
@@ -142,7 +135,6 @@ class _Worker:
         else:
             out_width = outputs.shape[1]
             out.reshape(payload["rows"], out_width)[:] = outputs
-        self.store.publish_header()
         return {
             "out_width": out_width,
             "out_dtype": "i8" if outputs.dtype.kind == "i" else "f8",
@@ -179,7 +171,6 @@ class _Worker:
         total = sum(dropped.values())
         if total:
             self.header[HDR_INVALIDATED] += total
-        self.store.publish_header()
         return dropped
 
     def on_stats(self, payload) -> dict:
@@ -195,9 +186,7 @@ class _Worker:
         }
 
     def on_trim(self, payload) -> dict:
-        evicted = self.store.trim(payload["floats"])
-        self.store.publish_header()
-        return {"evicted": evicted}
+        return {"evicted": self.store.trim(payload["floats"])}
 
     def shutdown(self) -> None:
         if self.store is None:      # already shut down — idempotent
@@ -210,11 +199,11 @@ class _Worker:
             self.db.close()
             self.db = None
         # Drop every long-lived view into the segments (the header row,
-        # the store's slab allocator buffer) so detaching can actually
-        # release the mappings instead of BufferError-ing at exit.
-        # store.close() breaks the store <-> cache governor cycle
-        # deterministically; the collection sweeps whatever transitive
-        # cycles (predictor internals, planner state) still pin views.
+        # the task slab's) so detaching can actually release the
+        # mappings instead of BufferError-ing at exit.  store.close()
+        # breaks the store <-> cache governor cycle deterministically;
+        # the collection sweeps whatever transitive cycles (predictor
+        # internals, planner state) still pin views.
         self.store.close()
         self.store = None
         self.header = None
@@ -257,6 +246,10 @@ class _Worker:
                     REPLY_ERR, req_id,
                     {"error": traceback.format_exc()},
                 )
+            # Before the reply: the parent sweeps the budget off the
+            # headers as soon as a batch's replies are in.
+            held = self.store.residency()
+            self.header[:len(held)] = held
             try:
                 self.conn.send_bytes(reply)
             except (OSError, BrokenPipeError):  # pragma: no cover
@@ -265,13 +258,11 @@ class _Worker:
 
 
 def worker_main(
-    worker_id, num_workers, conn, directory, config,
-    header_name, partial_name,
+    worker_id, num_workers, conn, directory, config, header_name,
 ) -> None:
     """Process entry point: build the worker, serve until SHUTDOWN."""
     worker = _Worker(
-        worker_id, num_workers, conn, directory, config,
-        header_name, partial_name,
+        worker_id, num_workers, conn, directory, config, header_name,
     )
     try:
         worker.run()

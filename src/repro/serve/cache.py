@@ -129,7 +129,6 @@ class Residency(NamedTuple):
     """
 
     floats: int = 0
-    shm_floats: int = 0             # of ``floats``: in a shared-memory slab
     compressed_floats: int = 0      # of ``floats``: compressed-tier charge
     spilled_bytes: int = 0
     demotions: int = 0
@@ -144,10 +143,6 @@ class Residency(NamedTuple):
     def bytes(self) -> int:
         """Resident payload in bytes (8 per budget float)."""
         return self.floats * _FLOAT_BYTES
-
-    @property
-    def shm_bytes(self) -> int:
-        return self.shm_floats * _FLOAT_BYTES
 
     @property
     def compressed_bytes(self) -> int:
@@ -200,10 +195,6 @@ class CacheStats:
     bytes_resident: int = 0
     invalidations: int = _counter(default=0)
     cross_evictions: int = _counter(default=0)
-    # Of bytes_resident, how many live in a shared-memory slab (the
-    # process executor's per-worker arena) vs private process memory.
-    # bytes_resident stays the budget-truth total either way.
-    shm_bytes_resident: int = 0
     # Tiered residency (see repro.fx.tiers): compressed rows still
     # charge the budget (their float-equivalents are included in
     # bytes_resident); spilled rows charge disk only.  demotions /
@@ -224,11 +215,6 @@ class CacheStats:
     @property
     def hit_rate(self) -> float:
         return self.hits / self.lookups if self.lookups else 0.0
-
-    @property
-    def private_bytes_resident(self) -> int:
-        """Resident payload held in ordinary process memory."""
-        return self.bytes_resident - self.shm_bytes_resident
 
     __add__ = add_fields
 
@@ -281,19 +267,16 @@ class SlotTable:
     slab's capacity tracks the entries both ways, by relocate-and-copy
     (:meth:`_resize`): ×``_SLAB_GROWTH`` when the stack runs dry, back
     down when fewer than a third of the slots are in use — evicted
-    memory is given back, not parked — into a ``SlabAllocator`` block
-    when one is installed and has room (allocate new, copy, free old),
-    else into private memory.  Not locked: the owning cache's lock
-    guards every call.
+    memory is given back, not parked.  Not locked: the owning cache's
+    lock guards every call.
     """
 
-    def __init__(self, allocator=None, dtype=np.float64) -> None:
-        self._allocator = allocator
+    def __init__(self, dtype=np.float64) -> None:
         self._dtype = dtype
-        self._block: tuple[int, int] | None = None  # shm (offset, floats)
-        self._reset()
+        self.clear()
 
-    def _reset(self) -> None:
+    def clear(self) -> None:
+        """Drop every row and give the slab back."""
         self.keys = np.empty(0, dtype=np.int64)
         self.slots = np.empty(0, dtype=np.intp)
         self.slab = np.empty((0, 0), dtype=self._dtype)
@@ -309,17 +292,6 @@ class SlotTable:
     @property
     def width(self) -> int:
         return self.slab.shape[1]
-
-    @property
-    def in_shm(self) -> bool:
-        return self._block is not None
-
-    def clear(self) -> None:
-        """Drop every row and give the slab back."""
-        block, self._block = self._block, None
-        self._reset()           # lets go of the slab's view first
-        if block is not None:
-            self._allocator.free(*block)
 
     def find(self, keys: np.ndarray):
         """``(slots, found)``: which ``keys`` hold a row, and where
@@ -348,23 +320,12 @@ class SlotTable:
             self._relocate(capacity, self.width, live)
 
     def _relocate(self, capacity: int, width: int, live=()) -> None:
-        """Move the slab to a new ``(capacity, width)`` block — shared
-        memory when an allocator has room, else private memory (the
-        graceful overflow) — with the rows at slots ``live`` first."""
-        block = None
-        if self._allocator is not None:
-            block = self._allocator.allocate(capacity * width)
-        if block is not None:
-            slab = block[1].reshape(capacity, width)
-            block = (block[0], capacity * width)
-        else:
-            slab = np.empty((capacity, width), dtype=self._dtype)
+        """Move the slab to a new ``(capacity, width)`` block with the
+        rows at slots ``live`` first."""
+        slab = np.empty((capacity, width), dtype=self._dtype)
         if len(live):
             self.slab.take(live, axis=0, out=slab[:len(live)], mode="clip")
         self.slab = slab
-        if self._block is not None:
-            self._allocator.free(*self._block)
-        self._block = block
 
     def put(self, keys: np.ndarray, rows: np.ndarray, stamps) -> None:
         """Make the distinct, not-held ``keys`` resident with ``rows``
@@ -441,15 +402,11 @@ class PartialCache:
         self,
         *,
         clock: AccessClock | None = None,
-        allocator=None,
         tiers: tuple = (),
         spill_dir=None,
     ) -> None:
         self._clock = clock or AccessClock()
-        # The resident tier; with an allocator
-        # (repro.fx.shm.SlabAllocator) its slab lives in shared memory,
-        # where sibling processes can account it.
-        self._table = SlotTable(allocator)
+        self._table = SlotTable()   # the resident tier
         # The demotion ladder (repro.fx.tiers).  Budget eviction walks
         # a victim down these rungs instead of dropping it; an empty
         # tuple keeps the pre-tier drop-on-evict behavior, bit for bit.
@@ -535,7 +492,6 @@ class PartialCache:
         )
         return Residency(
             resident + charged,
-            resident if table.in_shm else 0,
             charged,
             self._spilled.rows * table.width * _FLOAT_BYTES,
             self.demotions_total,
@@ -863,7 +819,6 @@ class PartialCache:
                 bytes_resident=held.bytes,
                 invalidations=self.invalidations,
                 cross_evictions=self.cross_evictions,
-                shm_bytes_resident=held.shm_bytes,
                 compressed_entries=self._compressed.rows,
                 spilled_entries=self._spilled.rows,
                 compressed_floats_resident=held.compressed_floats,

@@ -1,5 +1,8 @@
-"""Shared-memory arena, slab allocator and the deficit-bounded trim
+"""Shared-memory arena, worker header rows and the deficit-bounded trim
 planner behind the process execution backend."""
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -10,13 +13,15 @@ from repro.fx.shm import (
     HEADER_FIELDS,
     SEGMENT_PREFIX,
     ShmArena,
-    SlabAllocator,
     header_nbytes,
+    header_residency,
     header_view,
     plan_trims,
     segment_name,
 )
 from repro.fx.store import PartialStore
+
+SLACK = 16 * 1024   # interpreter noise, index arrays, columns
 
 
 def rows_for(width):
@@ -32,8 +37,8 @@ class TestArena:
     def test_segment_names_carry_prefix_and_pid(self):
         import os
 
-        name = segment_name("part0")
-        assert name.startswith(f"{SEGMENT_PREFIX}-{os.getpid()}-part0-")
+        name = segment_name("task0")
+        assert name.startswith(f"{SEGMENT_PREFIX}-{os.getpid()}-task0-")
 
     def test_create_attach_and_close(self):
         owner = ShmArena()
@@ -87,44 +92,6 @@ class TestArena:
             arena.create("t", 1024)
 
 
-class TestSlabAllocator:
-    def test_bump_allocation_and_view_aliasing(self):
-        arena = ShmArena()
-        seg = arena.create("slab", 1024)
-        alloc = SlabAllocator(seg.buf)
-        offset, view = alloc.allocate(4)
-        assert offset == 0 and view.shape == (4,)
-        view[:] = 7.0
-        # The slot is a window into the shared buffer, not a copy.
-        raw = np.frombuffer(seg.buf, dtype=np.float64, count=4)
-        np.testing.assert_array_equal(raw, [7.0] * 4)
-        assert alloc.bytes_reserved == 32
-        view = raw = None          # release exports before detaching
-        arena.close()
-
-    def test_freed_slots_are_recycled_per_width(self):
-        arena = ShmArena()
-        seg = arena.create("slab", 1024)
-        alloc = SlabAllocator(seg.buf)
-        offset, first = alloc.allocate(8)
-        _, second = alloc.allocate(8)
-        alloc.free(offset, 8)
-        again, third = alloc.allocate(8)
-        assert again == offset             # recycled, not bumped
-        assert alloc.bytes_reserved == 128
-        first = second = third = None      # release exports
-        arena.close()
-
-    def test_exhaustion_returns_none_instead_of_raising(self):
-        arena = ShmArena()
-        seg = arena.create("slab", 64)
-        alloc = SlabAllocator(seg.buf)
-        assert alloc.allocate(8) is not None
-        assert alloc.allocate(8) is None   # 64 bytes hold one 8-float row
-        assert alloc.allocate(0) is None
-        arena.close()
-
-
 class TestHeaders:
     def test_header_layout_round_trips(self):
         arena = ShmArena()
@@ -156,69 +123,77 @@ class TestPlanTrims:
 
 
 class TestWorkerPartialStore:
-    def test_rows_are_placed_in_the_slab(self):
-        arena = ShmArena()
-        seg = arena.create("part", 4096)
-        store = PartialStore(allocator=SlabAllocator(seg.buf))
-        cache = store.acquire("fp")
-        cache.get_many(np.array([1, 2, 3]), rows_for(4))
-        assert store.stats().shm_bytes_resident == 3 * 4 * 8
-        assert store.stats().private_bytes_resident == 0
-        store.close()
-        arena.close()
-
-    def test_publish_header_exports_residency(self):
+    def test_a_residency_written_into_a_header_row_reads_back(self):
         arena = ShmArena()
         hdr = arena.create("hdr", header_nbytes(1))
-        seg = arena.create("part", 4096)
         header = header_view(hdr.buf, 1)[0]
-        store = PartialStore(
-            allocator=SlabAllocator(seg.buf), header=header
-        )
+        store = PartialStore()
         cache = store.acquire("fp")
         cache.get_many(np.array([5, 6]), rows_for(3))
-        store.publish_header()
+        held = store.residency()
+        header[:len(held)] = held           # what a worker writes
         assert header[HDR_FLOATS_RESIDENT] == 6
+        assert header_residency(header) == held
         header = None
         store.close()
         arena.close()
 
+    def test_rows_are_placed_in_the_slab(self, traced):
+        store = PartialStore()
+        cache = store.acquire("fp")
+        cache.get_many(np.array([1, 2, 3]), rows_for(4))
+        assert store.floats_resident == 3 * 4
+        assert store.stats().bytes_resident == 3 * 4 * 8
+        assert traced() >= 3 * 4 * 8        # private numpy memory
+        np.testing.assert_array_equal(
+            cache.get_many(np.array([3, 1]), None), rows_for(4)([3, 1])
+        )
+        store.close()
+
     def test_armed_store_trims_without_a_local_capacity(self):
-        arena = ShmArena()
-        seg = arena.create("part", 4096)
-        store = PartialStore(allocator=SlabAllocator(seg.buf))
+        store = PartialStore()
         cache = store.acquire("fp")
         cache.get_many(np.arange(10), rows_for(4))
         evicted = store.trim(12)            # 12 floats = 3 width-4 rows
         assert evicted == 3
         assert store.floats_resident == 10 * 4 - 12
+        assert cache.keys() == list(range(3, 10))
         store.close()
-        arena.close()
 
-    def test_a_trimmed_slab_gives_its_block_back(self):
-        arena = ShmArena()
-        seg = arena.create("part", 16384)
-        allocator = SlabAllocator(seg.buf)
-        store = PartialStore(allocator=allocator)
+    def test_a_trimmed_slab_gives_its_block_back(self, traced):
+        width = 64                          # rows that dwarf the noise
+        store = PartialStore()
         first = store.acquire("fp-1")
-        first.get_many(np.arange(100), rows_for(4))
-        big = allocator.bytes_reserved
-        assert big == 100 * 4 * 8
-        assert store.trim(90 * 4) == 90     # the slab moves to a small block
-        small = allocator.bytes_reserved - big
-        assert 10 * 4 * 8 <= small <= 3 * 10 * 4 * 8
-        assert store.stats().shm_bytes_resident == 10 * 4 * 8
+        first.get_many(np.arange(100), rows_for(width))
+        assert traced() >= 100 * width * 8
+        assert store.trim(90 * width) == 90
+        # The slab moved to a block sized for the ten rows left.
+        assert traced() <= 3 * 10 * width * 8 + SLACK
+        assert store.stats().bytes_resident == 10 * width * 8
         np.testing.assert_array_equal(
             first.get_many(np.arange(90, 100), None),
-            rows_for(4)(np.arange(90, 100)),
+            rows_for(width)(np.arange(90, 100)),
         )
-        # ... and the big one is there for the next slab of that size.
-        second = store.acquire("fp-2")
-        second.get_many(np.arange(100), rows_for(4))
-        assert allocator.bytes_reserved == big + small
-        assert store.stats().private_bytes_resident == 0
         store.close()
-        arena.close()
+
+    def test_close_releases_every_buffer_view(self, traced):
+        # A store and its caches form a governor reference cycle;
+        # close() must give the slabs back at once and break the cycle,
+        # so the store goes with its last reference, not at some later
+        # collection.
+        store = PartialStore()
+        cache = store.acquire("fp")
+        cache.get_many(np.arange(100), rows_for(64))
+        store.close()
+        assert cache.bytes_resident == 0
+        assert traced() <= SLACK            # while both are still held
+        gone = weakref.ref(store)
+        gc.disable()
+        try:
+            store = cache = None
+            assert gone() is None
+        finally:
+            gc.enable()
 
     def test_trim_on_a_store_that_never_had_a_budget_takes_the_coldest(self):
         store = PartialStore()
@@ -233,23 +208,3 @@ class TestWorkerPartialStore:
         assert b.keys() == [2, 3]
         assert store.floats_resident == 3 * 2
         store.close()
-
-    def test_close_releases_every_buffer_view(self):
-        # A store and its caches form a governor reference cycle;
-        # close() must break it so the segment's mapping can actually
-        # be released (no BufferError at detach time).
-        from multiprocessing import shared_memory
-
-        shm = shared_memory.SharedMemory(create=True, size=4096)
-        try:
-            from repro.fx.shm import ShmSegment
-
-            seg = ShmSegment(shm, owner=False)
-            store = PartialStore(allocator=SlabAllocator(seg.buf))
-            cache = store.acquire("fp")
-            cache.get_many(np.array([1, 2]), rows_for(4))
-            store.close()
-            store = cache = seg = None
-            shm.close()                    # raises BufferError if leaked
-        finally:
-            shm.unlink()

@@ -368,6 +368,7 @@ class TestObservability:
             rt.register_gmm("g", gmm, spec, strategy="factorized")
             rt.predict("g", features, fks)
             snapshot = rt.runtime_stats()
+            headers = rt._executor.worker_resident_floats()
         assert snapshot.executor == "process"
         assert sum(w.rows for w in snapshot.workers) == (
             features.shape[0]
@@ -380,10 +381,11 @@ class TestObservability:
         assert "g" in snapshot.cache_stats
         (merged,) = snapshot.cache_stats["g"][:1]
         assert merged.entries > 0
-        # Shared-segment residency is reported distinctly.
+        # The merged store residency is what the workers' header rows
+        # charge the budget.
         assert snapshot.store is not None
-        assert snapshot.store.shm_bytes_resident > 0
-        assert snapshot.store.private_bytes_resident == 0
+        assert snapshot.store.bytes_resident > 0
+        assert snapshot.store.bytes_resident == 8 * sum(headers)
 
     def test_cache_stats_by_name_work_in_process_mode(self, db, fitted):
         spec, gmm, _, _ = fitted

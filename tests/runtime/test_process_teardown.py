@@ -233,8 +233,8 @@ class TestSegmentLifecycle:
             rt.register_gmm("g", gmm, spec)
             rt.predict("g", features, fks)
             live = own_segments()
-            # Header + per-worker (task, partial) segments.
-            assert len(live) == 1 + 2 * 2
+            # The header + one task slab per worker.
+            assert len(live) == 1 + 2
         finally:
             rt.close()
         assert own_segments() == []

@@ -28,18 +28,12 @@ def _quiet():
         yield
 
 
-class _StubStore:
-    def publish_header(self) -> None:
-        pass
-
-
 def _stub_worker(db) -> _Worker:
     """A worker shell with just enough state for ``on_invalidate``."""
     worker = object.__new__(_Worker)
     worker.core = None
     worker.db = db
     worker.header = np.zeros(HEADER_FIELDS)
-    worker.store = _StubStore()
     return worker
 
 

@@ -133,7 +133,6 @@ class Residency(NamedTuple):
     """
 
     floats: int = 0
-    shm_floats: int = 0             # of ``floats``: in a shared-memory slab
     compressed_floats: int = 0      # of ``floats``: compressed-tier charge
     spilled_bytes: int = 0
     demotions: int = 0
@@ -148,10 +147,6 @@ class Residency(NamedTuple):
     def bytes(self) -> int:
         """Resident payload in bytes (8 per budget float)."""
         return self.floats * _FLOAT_BYTES
-
-    @property
-    def shm_bytes(self) -> int:
-        return self.shm_floats * _FLOAT_BYTES
 
     @property
     def compressed_bytes(self) -> int:
@@ -203,10 +198,6 @@ class CacheStats:
     bytes_resident: int = 0
     invalidations: int = _counter(default=0)
     cross_evictions: int = _counter(default=0)
-    # Of bytes_resident, how many live in a shared-memory slab (the
-    # process executor's per-worker arena) vs private process memory.
-    # bytes_resident stays the budget-truth total either way.
-    shm_bytes_resident: int = 0
     # Tiered residency (see repro.fx.tiers): compressed rows still
     # charge the budget (their float-equivalents are included in
     # bytes_resident); spilled rows charge disk only.  demotions /
@@ -227,11 +218,6 @@ class CacheStats:
     @property
     def hit_rate(self) -> float:
         return self.hits / self.lookups if self.lookups else 0.0
-
-    @property
-    def private_bytes_resident(self) -> int:
-        """Resident payload held in ordinary process memory."""
-        return self.bytes_resident - self.shm_bytes_resident
 
     __add__ = add_fields
 
@@ -269,17 +255,10 @@ class PartialCache:
         self,
         *,
         clock: AccessClock | None = None,
-        allocator=None,
         tiers: tuple = (),
         spill=None,
     ) -> None:
         self._clock = clock
-        # Optional shared-memory slab (repro.fx.shm.SlabAllocator):
-        # admitted rows are copied into slab slots so sibling processes
-        # can account them; slab exhaustion falls back to private rows.
-        self._allocator = allocator
-        self._shm_slots: dict[int, tuple[int, int]] = {}
-        self._shm_floats_resident = 0
         self._ticks: dict[int, int] = {}
         self._rows: OrderedDict[int, np.ndarray] = OrderedDict()
         self._floats_resident = 0
@@ -335,7 +314,6 @@ class PartialCache:
         """This cache's :class:`Residency`, read lock-free."""
         return Residency(
             self.floats_resident,
-            self._shm_floats_resident,
             self._compressed_floats,
             self._spilled_bytes,
             self.demotions_total,
@@ -361,10 +339,6 @@ class PartialCache:
         if row is not None:
             self._ticks.pop(key, None)
             self._floats_resident -= row.size
-            slot = self._shm_slots.pop(key, None)
-            if slot is not None:
-                self._allocator.free(*slot)
-                self._shm_floats_resident -= row.size
             return row.size
         entry = self._compressed.pop(key, None)
         if entry is not None:
@@ -397,9 +371,7 @@ class PartialCache:
         if row is not None:
             current = row.size
             width = current
-            # Slab-resident rows are views into shared memory that
-            # _remove frees; copy the values out first.
-            values = np.array(row, dtype=np.float64, copy=True)
+            values = row
             next_rungs = self._tiers
         else:
             entry = self._compressed.get(key)
@@ -435,16 +407,7 @@ class PartialCache:
         return freed
 
     def _insert_resident(self, key: int, row: np.ndarray, tick) -> None:
-        """Insert a float64 row into the resident tier (slab-backed
-        when an allocator has room)."""
-        if self._allocator is not None:
-            slot = self._allocator.allocate(row.size)
-            if slot is not None:
-                offset, view = slot
-                view[:] = row
-                row = view
-                self._shm_slots[key] = (offset, view.size)
-                self._shm_floats_resident += view.size
+        """Insert a float64 row into the resident tier."""
         self._rows[key] = row
         if tick is not None:
             self._ticks[key] = tick
@@ -671,7 +634,6 @@ class PartialCache:
                 bytes_resident=held.bytes,
                 invalidations=self.invalidations,
                 cross_evictions=self.cross_evictions,
-                shm_bytes_resident=held.shm_bytes,
                 compressed_entries=len(self._compressed),
                 spilled_entries=len(self._spilled),
                 compressed_floats_resident=held.compressed_floats,
@@ -695,11 +657,6 @@ class PartialCache:
         with self._lock:
             self._rows.clear()
             self._ticks.clear()
-            if self._allocator is not None:
-                for slot in self._shm_slots.values():
-                    self._allocator.free(*slot)
-            self._shm_slots.clear()
-            self._shm_floats_resident = 0
             self._floats_resident = 0
             for width, position in self._spilled.values():
                 self._spill.free(width, position)

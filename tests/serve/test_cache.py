@@ -8,7 +8,7 @@ import pytest
 
 from repro.errors import ModelError
 from repro.fx.store import PartialStore
-from repro.serve.cache import PartialCache
+from repro.serve.cache import PartialCache, SlotTable
 
 
 def rows_for(keys):
@@ -405,3 +405,81 @@ class TestSlabTracksLiveRows:
             cache.get_many(np.arange(1900, 2000)[::-1], None),
             wide_rows(np.arange(1900, 2000)[::-1]),
         )
+
+
+class TestSlotTable:
+    """The slab under every cache tier: freed slots are reused before
+    it grows, a full slab grows by relocating, a mostly empty one
+    shrinks, and the rows survive each move."""
+
+    @staticmethod
+    def filled(keys, width=3, stamps=None):
+        table = SlotTable()
+        keys = np.asarray(keys, dtype=np.int64)
+        stamps = np.arange(keys.size) if stamps is None else stamps
+        table.put(keys, wide_rows(keys, width), np.asarray(stamps))
+        return table
+
+    @staticmethod
+    def held(table, keys):
+        slots, found = table.find(np.asarray(keys, dtype=np.int64))
+        assert found.all()
+        return table.slab[slots]
+
+    def test_a_table_takes_on_the_width_of_its_first_rows(self):
+        table = SlotTable()
+        assert table.rows == 0 and table.width == 0
+        table = self.filled([7, 3], width=5)
+        assert table.rows == 2 and table.width == 5
+        np.testing.assert_array_equal(table.keys, [3, 7])
+
+    def test_put_copies_rows_into_the_slab(self):
+        table = SlotTable()
+        keys = np.array([4, 2])
+        rows = wide_rows(keys, 3)
+        table.put(keys, rows, np.array([0, 1]))
+        rows[:] = -1.0                  # the caller's array, not the slab
+        np.testing.assert_array_equal(
+            self.held(table, [2, 4]), wide_rows([2, 4], 3)
+        )
+        _, found = table.find(np.array([1, 2, 3]))
+        np.testing.assert_array_equal(found, [False, True, False])
+
+    def test_freed_slots_are_reused_before_the_slab_grows(self):
+        table = self.filled([0, 1, 2, 3])
+        slab = table.slab
+        freed, _ = table.find(np.array([1]))
+        table.drop(freed)
+        table.put(np.array([9]), wide_rows([9], 3), np.array([4]))
+        assert table.slab is slab       # no relocation
+        np.testing.assert_array_equal(table.find(np.array([9]))[0], freed)
+        np.testing.assert_array_equal(
+            self.held(table, [0, 2, 3, 9]), wide_rows([0, 2, 3, 9], 3)
+        )
+
+    def test_a_full_slab_grows_and_keeps_its_rows(self):
+        table = self.filled([0, 1, 2, 3])
+        assert table.slab.shape == (4, 3)
+        table.put(np.array([8]), wide_rows([8], 3), np.array([4]))
+        assert table.slab.shape == (6, 3)       # x1.5
+        np.testing.assert_array_equal(
+            self.held(table, [0, 1, 2, 3, 8]), wide_rows([0, 1, 2, 3, 8], 3)
+        )
+
+    def test_a_slab_under_a_third_full_shrinks(self):
+        table = self.filled(np.arange(9))
+        slots, _ = table.find(np.arange(7))
+        table.drop(slots)
+        assert table.rows == 2
+        assert table.slab.shape == (3, 3)
+        np.testing.assert_array_equal(
+            self.held(table, [7, 8]), wide_rows([7, 8], 3)
+        )
+
+    def test_coldest_is_least_recent_first(self):
+        table = self.filled([10, 20, 30], stamps=[5, 1, 3])
+        assert table.key[table.coldest(2)].tolist() == [20, 30]
+        assert table.resident_keys().tolist() == [20, 30, 10]
+        table.touch(table.find(np.array([20]))[0], np.array([9]))
+        assert table.resident_keys().tolist() == [30, 10, 20]
+        assert table.coldest(0).size == 0

@@ -69,10 +69,11 @@ def test_every_named_entry_point_takes_a_knob_of_its_row(knobs, where):
         )
 
 
-# Parameters that tune nothing: the process worker's plumbing of its
-# store (no deployment sets it), and the handles every facade takes.
+# Parameters that tune nothing: the handles every facade takes.  An
+# entry point with none is listed too, so its every parameter is
+# checked against the table.
 NOT_KNOBS = {
-    "PartialStore(...)": {"allocator", "header"},
+    "PartialStore(...)": set(),
     "serve(...)": {"db", "telemetry"},
     "serve_runtime(...)": {"db", "telemetry", "telemetry_port"},
 }
