@@ -439,8 +439,9 @@ def serve_runtime(
     reads release the GIL, Python glue does not.  ``"process"`` spawns
     ``num_workers`` worker *processes*: each owns the RID-affine slice
     of the partial space (rows route by ``fk % num_workers``), partial
-    payloads live in shared-memory slabs the parent accounts and
-    budget-governs, and one batch scatters across all workers at once —
+    payloads live in each worker's private store, which the parent
+    accounts and budget-governs, and one batch scatters across all
+    workers at once —
     identical request API, bit-identical outputs, and true CPU
     parallelism for the Python portions of a batch.  ``docs/tuning.md``
     has the selection

@@ -19,7 +19,7 @@ once and shared by training, serving, and the concurrent runtime:
   shared *across* registered models, keyed by
   ``(partial fingerprint, RID)``, so two models over the same join
   reuse each other's cached slabs; the one store class, in-process
-  and (over a shared-memory slab) in every process worker;
+  and in every process worker;
 * :mod:`repro.fx.sharding` — :class:`ShardedPartialCache`, the one
   cache type the store hands out and a predictor holds: one
   :class:`~repro.serve.cache.PartialCache` per fingerprint under its

@@ -90,6 +90,35 @@ def low_watermark(capacity_floats: int) -> int:
     return max(1, int(capacity_floats * GOVERNOR_HYSTERESIS))
 
 
+def plan_trims(resident: list[int], budget: int) -> list[int]:
+    """Deficit-bounded per-worker trim amounts (floats) for the process
+    executor's governor.
+
+    The global deficit is ``sum(resident) - budget``; it is taken from
+    the largest residents first, each worker's share capped by its own
+    residency, the total capped by the deficit — one sweep never
+    over-evicts, and a worker below its fair share is never touched
+    while a larger one can cover the deficit alone.
+    """
+    deficit = sum(resident) - budget
+    trims = [0] * len(resident)
+    if deficit <= 0:
+        return trims
+    order = sorted(
+        range(len(resident)), key=lambda i: resident[i], reverse=True
+    )
+    remaining = deficit
+    for index in order:
+        take = min(resident[index], remaining)
+        if take <= 0:
+            break
+        trims[index] = int(take)
+        remaining -= take
+        if remaining <= 0:
+            break
+    return trims
+
+
 @dataclass(frozen=True)
 class StoreStats:
     """Point-in-time store counters.
@@ -381,10 +410,9 @@ class PartialStore:
         evicted.
 
         This is the process executor's budget mechanism: the parent
-        reads per-worker residency off the shared-memory headers,
-        plans deficit-bounded per-worker amounts
-        (:func:`repro.fx.shm.plan_trims`) and each worker trims its own
-        store — same victim order as
+        reads per-worker residency off the workers' latest replies,
+        plans deficit-bounded per-worker amounts (:func:`plan_trims`)
+        and each worker trims its own store — same victim order as
         :meth:`enforce_budget`, but the *bound* lives in the parent.
         """
         if floats <= 0:

@@ -8,7 +8,7 @@ avoid.  This module defines the intermediate rungs the cliff becomes:
 ========  ======================================  =======================
 tier      representation                          exactness contract
 ========  ======================================  =======================
-resident  float64 rows (possibly in shm slabs)    bit-exact
+resident  float64 rows                          bit-exact
 float32   ``row.astype(float32)``                 GMM labels bit-exact;
                                                   scores within
                                                   ``FLOAT32_SCORE_RTOL``

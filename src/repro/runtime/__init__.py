@@ -22,8 +22,8 @@ Layers:
   dispatchers, their metrics and one ``_execute`` over either
   executor;
 * :mod:`~repro.runtime.procpool` / :mod:`~repro.runtime.procworker` —
-  the process executor (the core's substrate primitives over pipes
-  and shared memory) and its worker entry point.
+  the process executor (the core's substrate primitives over pipes)
+  and its worker entry point.
 
 Entry point: :func:`repro.core.api.serve_runtime` /
 ``repro.serve_runtime``.

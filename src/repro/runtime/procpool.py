@@ -1,10 +1,9 @@
 """Parent side of the process execution backend.
 
 :class:`ProcessExecutor` owns ``num_workers`` worker *processes*
-(:mod:`repro.runtime.procworker`), the shared-memory segments they
-execute over (:mod:`repro.fx.shm`), and the control pipes between
-them.  It is a :class:`~repro.serve.core.ServingCore` whose substrate
-primitives cross a pipe — the registry, ``register`` / ``swap`` /
+(:mod:`repro.runtime.procworker`) and one pipe to each.  It is a
+:class:`~repro.serve.core.ServingCore` whose substrate primitives
+cross a pipe — the registry, ``register`` / ``swap`` /
 ``unregister`` and the pin-run-record ``execute`` are the core's own:
 
 * ``_build`` / ``_retire`` fan a registration out to (and back off)
@@ -15,15 +14,22 @@ primitives cross a pipe — the registry, ``register`` / ``swap`` /
 * invalidation, budget control and the stats readers broadcast and
   merge.
 
-**The task channel is pickle-free for arrays.**  A sub-batch's fact
-features, foreign keys and outputs travel through a per-worker *task
-slab* (one shm segment, grown geometrically when a batch outgrows it);
-the pipe message carries only scalars — model generation, op, row count,
-widths and the slab's segment name.  Both sides derive the identical
-slab layout (features, then one int64 FK column per dimension, then
-the float64 output region) from those scalars, so no offsets cross the
-wire either.  Control messages (register/invalidate/stats) pickle
-small payloads; models cross once, at registration.
+**One pipe frame each way per sub-batch.**  A frame is a fixed header,
+a pickled payload and then raw array bytes (:func:`pack_message`):
+the payload pickles the scalars (model generation, op) and each
+array's dtype and shape, and the arrays themselves — an EXEC's fact
+features then one int64 FK column per dimension, a reply's outputs
+in their own dtype — follow unpickled, back to back, and are read
+back as views over the received frame (:func:`unpack_message`).
+Control messages (register/invalidate/stats) pickle small payloads;
+models cross once, at registration.
+
+**Deadlock-free by construction.**  The dispatcher is the only sender
+of EXEC and keeps at most one outstanding per worker (every started
+sub-batch is gathered before the next batch scatters), and whichever
+thread awaits a worker's reply drains that worker's pipe for all
+waiters.  So a large frame never waits on an unread large frame going
+the other way.
 
 **RID affinity.**  The runtime routes each request row to
 ``fk_0 % num_workers``, so every distinct RID of the first (largest)
@@ -43,12 +49,13 @@ coalesced batch request-by-request, exactly like data-dependent
 failures in thread mode).
 
 **Budget governance.**  Workers run a
-:class:`~repro.fx.store.PartialStore` with *no* bound of its own; each
-writes its residency into its row of the one shared header segment,
-and after every gathered batch the dispatcher reads the headers
-(plain shared-memory loads, no IPC),
-plans deficit-bounded trims (:func:`repro.fx.shm.plan_trims`) and
-sends ``TRIM`` only to over-share workers.  A hot worker can therefore
+:class:`~repro.fx.store.PartialStore` with *no* bound of its own.
+Every reply, OK or ERR, carries the worker store's
+:class:`~repro.serve.cache.Residency` as it stands after the message,
+and the worker's handle keeps the latest one.  After every gathered
+batch the dispatcher reads those records (no extra IPC), plans
+deficit-bounded trims (:func:`repro.fx.store.plan_trims`) and sends
+``TRIM`` only to over-share workers.  A hot worker can therefore
 hold most of the global budget while cold workers hold none — the
 cross-process continuation of PR 5's "hot fingerprints take share from
 cold ones".  Overshoot between sweeps is bounded by one batch's
@@ -59,6 +66,7 @@ after the batch.
 from __future__ import annotations
 
 import itertools
+import math
 import multiprocessing as mp
 import pickle
 import struct
@@ -69,16 +77,7 @@ from dataclasses import replace
 import numpy as np
 
 from repro.errors import ModelError
-from repro.fx.shm import (
-    HDR_FLOATS_RESIDENT,
-    HDR_INVALIDATED,
-    ShmArena,
-    header_nbytes,
-    header_residency,
-    header_view,
-    plan_trims,
-)
-from repro.fx.store import StoreStats, low_watermark
+from repro.fx.store import StoreStats, low_watermark, plan_trims
 from repro.serve.cache import CacheStats, Residency
 from repro.serve.core import (
     ExecMeta,
@@ -108,75 +107,41 @@ MSG_CRASH = 8          # test hook: exit immediately without cleanup
 REPLY_OK = 100
 REPLY_ERR = 101
 
-_HEADER = struct.Struct("<BQ")     # (message type, request id)
+# (message type, request id, pickled payload bytes)
+_HEADER = struct.Struct("<BQI")
 
-_FLOAT_BYTES = 8
 _READY_TIMEOUT_S = 60.0
 _REPLY_TIMEOUT_S = 120.0
 _SHUTDOWN_TIMEOUT_S = 5.0
 _POLL_S = 0.05
 
-_INITIAL_TASK_BYTES = 1 * 1024 * 1024
-
-
-def pack_message(mtype: int, req_id: int, payload) -> bytes:
-    return _HEADER.pack(mtype, req_id) + pickle.dumps(payload)
+def pack_message(mtype: int, req_id: int, payload, arrays=()) -> bytes:
+    """One pipe frame: the header, ``payload`` pickled together with
+    each array's dtype and shape, then the arrays' raw bytes."""
+    arrays = [np.ascontiguousarray(array) for array in arrays]
+    pickled = pickle.dumps(
+        (payload, [(array.dtype.str, array.shape) for array in arrays]),
+        protocol=pickle.HIGHEST_PROTOCOL,
+    )
+    return b"".join(
+        [_HEADER.pack(mtype, req_id, len(pickled)), pickled, *arrays]
+    )
 
 
 def unpack_message(data: bytes):
-    mtype, req_id = _HEADER.unpack_from(data)
-    return mtype, req_id, pickle.loads(data[_HEADER.size:])
-
-
-def task_layout(rows: int, d_s: int, q: int, out_width: int):
-    """(fk offset, out offset, total bytes) of one task slab frame.
-
-    Derived identically on both sides from the EXEC scalars: features
-    ``(rows, d_s)`` float64 first, then ``q`` int64 FK columns, then
-    the float64 output region (``max(out_width, 1)`` values per row —
-    1-D outputs use width 0 on the wire but still occupy one column).
-    """
-    fk_offset = rows * d_s * _FLOAT_BYTES
-    out_offset = fk_offset + q * rows * 8
-    total = out_offset + rows * max(out_width, 1) * _FLOAT_BYTES
-    return fk_offset, out_offset, total
-
-
-def task_views(buf, rows: int, d_s: int, q: int, out_width: int):
-    """``(features, fks, out)`` views over one task slab frame: the
-    parent writes the first two and reads the third, the worker the
-    reverse."""
-    fk_offset, out_offset, _ = task_layout(rows, d_s, q, out_width)
-    features = np.frombuffer(
-        buf, dtype=np.float64, count=rows * d_s
-    ).reshape(rows, d_s)
-    fks = [
-        np.frombuffer(
-            buf, dtype=np.int64, count=rows,
-            offset=fk_offset + position * rows * 8,
-        )
-        for position in range(q)
-    ]
-    out = np.frombuffer(
-        buf, dtype=np.float64, count=rows * max(out_width, 1),
-        offset=out_offset,
-    )
-    return features, fks, out
-
-
-def _write_task(buf, features, fks, out_width: int) -> None:
-    """Copy one sub-batch's inputs into a task slab frame.
-
-    A function of its own so the slab views die with its frame: the
-    EXEC send that follows can raise, and a traceback holding views
-    into the segment would pin its mapping past ``close()``.
-    """
-    feature_view, fk_views, _ = task_views(
-        buf, *features.shape, len(fks), out_width
-    )
-    feature_view[:] = features
-    for view, fk in zip(fk_views, fks):
-        view[:] = fk
+    """``(mtype, req_id, payload, body)`` of one frame; ``body`` lists
+    the frame's arrays as read-only views over ``data``."""
+    mtype, req_id, size = _HEADER.unpack_from(data)
+    offset = _HEADER.size + size
+    payload, layout = pickle.loads(memoryview(data)[_HEADER.size:offset])
+    body = []
+    for dtype, shape in layout:
+        array = np.frombuffer(
+            data, dtype, count=math.prod(shape), offset=offset
+        ).reshape(shape)
+        offset += array.nbytes
+        body.append(array)
+    return mtype, req_id, payload, body
 
 
 class WorkerDied(ModelError):
@@ -184,14 +149,19 @@ class WorkerDied(ModelError):
 
 
 class _WorkerHandle:
-    """One worker process: pipe, liveness, task slab, reply mailbox."""
+    """One worker process: pipe, liveness, reply mailbox and the
+    worker's books as of its latest reply."""
 
     def __init__(self, index: int, process, conn) -> None:
         self.index = index
         self.process = process
         self.conn = conn
-        self.task_seg = None           # set by the executor
         self.dead = False
+        # The worker store's Residency, replaced by every reply; the
+        # partial rows the worker dropped on dimension updates, summed
+        # from its INVALIDATE replies by the executor.
+        self.residency = Residency()
+        self.invalidated_rids = 0
         self._send_lock = threading.Lock()
         # Tagged mailbox with a single designated receiver: whichever
         # waiter finds nobody draining the pipe drains it for everyone,
@@ -199,7 +169,7 @@ class _WorkerHandle:
         # dispatcher, the invalidation fan-out and a stats sample all
         # await replies from this worker at once over one pipe.
         self._cond = threading.Condition()
-        self._replies: dict[int, tuple[int, object]] = {}
+        self._replies: dict[int, tuple[int, object, list]] = {}
         self._receiving = False
 
     def _mark_dead(self) -> None:
@@ -218,11 +188,10 @@ class _WorkerHandle:
 
     def _timed_out(self, timeout: float) -> WorkerDied:
         # A worker that blows the reply deadline cannot stay in
-        # rotation: the next batch would rewrite its task slab while
-        # the stalled EXEC may still be executing over it, and its
-        # eventual late reply would sit in the mailbox forever.
-        # Terminate it so it can no longer touch shared memory, then
-        # mark it dead (which also wakes every other waiter here).
+        # rotation: the next EXEC would queue behind the stalled one,
+        # and the stalled one's eventual late reply would sit in the
+        # mailbox forever.  Terminate it, then mark it dead (which also
+        # wakes every other waiter here).
         try:
             self.process.terminate()
         except Exception:  # pragma: no cover - already reaped
@@ -233,8 +202,8 @@ class _WorkerHandle:
             "terminated and removed from rotation"
         )
 
-    def send(self, mtype: int, req_id: int, payload) -> None:
-        data = pack_message(mtype, req_id, payload)
+    def send(self, mtype: int, req_id: int, payload, arrays=()) -> None:
+        data = pack_message(mtype, req_id, payload, arrays)
         with self._send_lock:
             if self.dead:
                 raise self._died()
@@ -287,9 +256,12 @@ class _WorkerHandle:
             except (EOFError, OSError):
                 self._mark_dead()
                 return
-            mtype, req_id, payload = unpack_message(data)
+            mtype, req_id, (payload, residency), body = unpack_message(data)
             with self._cond:
-                self._replies[req_id] = (mtype, payload)
+                # Replies arrive in the order the worker handled its
+                # messages, so the last one in is its store right now.
+                self.residency = residency
+                self._replies[req_id] = (mtype, payload, body)
                 self._cond.notify_all()
             return
 
@@ -314,53 +286,37 @@ class ProcessExecutor(ServingCore):
         self.num_workers = config.num_workers
         self.budget_floats = budget_floats(config.memory_budget)
         self._closed = False
-        # Times the parent governor tripped (sum of headers over
-        # budget), not rows trimmed — reported as
+        # Times the parent governor tripped (summed worker residency
+        # over budget), not rows trimmed — reported as
         # StoreStats.governor_sweeps.
         self.sweeps = 0
         self._last_samples: list[dict] = []
         self._req_ids = itertools.count(1)
         self._req_lock = threading.Lock()
-        self.arena = ShmArena()
+        self.workers: list[_WorkerHandle] = []
         try:
-            header_seg = self.arena.create(
-                "hdr", header_nbytes(self.num_workers)
-            )
-            self.headers = header_view(header_seg.buf, self.num_workers)
-            self.headers[:] = 0
             method = (
                 "fork"
                 if "fork" in mp.get_all_start_methods()
                 else "spawn"
             )
             ctx = mp.get_context(method)
-            self.workers: list[_WorkerHandle] = []
             for index in range(self.num_workers):
-                task_seg = self.arena.create(
-                    f"task{index}", _INITIAL_TASK_BYTES
-                )
                 parent_conn, child_conn = ctx.Pipe(duplex=True)
                 # Import here keeps procworker out of thread-mode runs.
                 from repro.runtime.procworker import worker_main
 
                 process = ctx.Process(
                     target=worker_main,
-                    args=(
-                        index,
-                        self.num_workers,
-                        child_conn,
-                        str(directory),
-                        config,
-                        header_seg.name,
-                    ),
+                    args=(index, child_conn, str(directory), config),
                     name=f"repro-runtime-proc-{index}",
                     daemon=True,
                 )
                 process.start()
                 child_conn.close()
-                handle = _WorkerHandle(index, process, parent_conn)
-                handle.task_seg = task_seg
-                self.workers.append(handle)
+                self.workers.append(
+                    _WorkerHandle(index, process, parent_conn)
+                )
             for handle in self.workers:
                 self._reply(handle, 0, _READY_TIMEOUT_S)
         except BaseException:
@@ -379,12 +335,12 @@ class ProcessExecutor(ServingCore):
         req_id: int,
         timeout: float = _REPLY_TIMEOUT_S,
     ):
-        mtype, payload = handle.recv_reply(req_id, timeout)
+        """``(payload, body)`` of one awaited reply; a worker error
+        raises :class:`~repro.errors.ModelError`."""
+        mtype, payload, body = handle.recv_reply(req_id, timeout)
         if mtype == REPLY_ERR:
-            raise ModelError(
-                f"worker {handle.index}: {payload.get('error')}"
-            )
-        return payload
+            raise ModelError(f"worker {handle.index}: {payload}")
+        return payload, body
 
     def _request(
         self,
@@ -395,7 +351,7 @@ class ProcessExecutor(ServingCore):
     ):
         req_id = self._next_id()
         handle.send(mtype, req_id, payload)
-        return self._reply(handle, req_id, timeout)
+        return self._reply(handle, req_id, timeout)[0]
 
     def _broadcast(self, mtype: int, payload) -> list:
         """Send to every live worker; collect replies in worker order.
@@ -422,7 +378,7 @@ class ProcessExecutor(ServingCore):
                 continue
             handle, req_id = entry
             try:
-                replies.append(self._reply(handle, req_id))
+                replies.append(self._reply(handle, req_id)[0])
             except ModelError as error:
                 replies.append(None)
                 if first_error is None:
@@ -504,9 +460,13 @@ class ProcessExecutor(ServingCore):
         if positions is not None:
             payload["positions"] = np.asarray(positions)
         dropped: dict[str, int] = {}
-        for reply in self._broadcast(MSG_INVALIDATE, payload):
+        replies = self._broadcast(MSG_INVALIDATE, payload)
+        for handle, reply in zip(self.workers, replies):
             for name, count in (reply or {}).items():
                 dropped[name] = dropped.get(name, 0) + count
+            # Updates may fan out from several threads at once.
+            with handle._cond:
+                handle.invalidated_rids += sum((reply or {}).values())
         for name, count in dropped.items():
             registered = self.get(name)
             if registered is not None:
@@ -562,19 +522,15 @@ class ProcessExecutor(ServingCore):
         )
 
     def collect(self, buffer) -> None:
-        """Sample residency and invalidation counters straight off the
-        shared-memory headers (no IPC from the collector path); the
-        rows each worker executed are the runtime's ``WorkerStats``."""
+        """Sample residency and invalidation counters off the workers'
+        latest replies (no IPC from the collector path); the rows each
+        worker executed are the runtime's ``WorkerStats``."""
         # Parent-side registrations hold no caches (they live in the
         # workers), so this contributes the dedup ratios only.
         self.collect_models(buffer)
-        # close() nulls the header view before unlinking the segment,
-        # so snapshot it once and re-check it — a close() racing this
-        # sampling tick must not leave us dereferencing None.
-        headers = self.headers
-        if self._closed or headers is None:
+        if self._closed:
             return
-        held = Residency.total(map(header_residency, headers))
+        held = Residency.total(handle.residency for handle in self.workers)
         collect_store(
             buffer, held.bytes, self.budget_floats, self.sweeps,
             # The record aggregates the compressed rungs into one field
@@ -586,17 +542,17 @@ class ProcessExecutor(ServingCore):
                 {None: held.demotions}, {None: held.promotions},
             ),
         )
-        for index in range(self.num_workers):
-            labels = {"worker": str(index)}
+        for handle in self.workers:
+            labels = {"worker": str(handle.index)}
             buffer.gauge(
                 "repro_worker_floats_resident",
-                int(headers[index, HDR_FLOATS_RESIDENT]),
+                handle.residency.floats,
                 help="Budget floats charged in that worker's partial store",
                 **labels,
             )
             buffer.counter(
                 "repro_worker_invalidated_rids_total",
-                int(headers[index, HDR_INVALIDATED]),
+                handle.invalidated_rids,
                 help="Partial rows this worker dropped on "
                      "dimension updates",
                 **labels,
@@ -605,16 +561,13 @@ class ProcessExecutor(ServingCore):
     # -- the budget governor -------------------------------------------------
 
     def worker_resident_floats(self) -> list[int]:
-        return [
-            int(self.headers[index, HDR_FLOATS_RESIDENT])
-            for index in range(self.num_workers)
-        ]
+        return [handle.residency.floats for handle in self.workers]
 
     def sweep_budget(self) -> int:
-        """One deficit-bounded sweep over the per-worker headers.
+        """One deficit-bounded sweep over the workers' residency.
 
-        Reads residency straight from shared memory (no IPC), then
-        TRIMs only the workers whose share must shrink.  Returns rows
+        Reads each worker's latest reply's record (no IPC), then TRIMs
+        only the workers whose share must shrink.  Returns rows
         evicted.  No-op while within budget — the dispatcher calls
         this after every gathered batch, so the fast path must be two
         loads and a compare.
@@ -651,83 +604,31 @@ class ProcessExecutor(ServingCore):
 
     # -- the data plane ------------------------------------------------------
 
-    def _ensure_task_capacity(
-        self, handle: _WorkerHandle, nbytes: int
-    ):
-        seg = handle.task_seg
-        if seg.size >= nbytes:
-            return seg
-        grown = max(seg.size * 2, nbytes)
-        new_seg = self.arena.create(f"task{handle.index}", grown)
-        # The worker still maps the old segment until its next EXEC
-        # names the new one; unlinking now is safe (POSIX keeps the
-        # mapping alive) and keeps /dev/shm bounded to one task slab
-        # per worker.
-        self.arena.release(seg.name)
-        handle.task_seg = new_seg
-        return new_seg
-
-    def start_subbatch(
-        self, worker_index, generation, op, features, fks, out_width,
-    ) -> int:
-        """Write one sub-batch into the worker's task slab, send EXEC.
+    def start_subbatch(self, worker_index, generation, op, features, fks):
+        """Send one sub-batch to its worker as one EXEC frame.
 
         Returns the request id to pass to :meth:`finish_subbatch`.
-        Only the dispatcher calls this, so one task slab per worker is
-        enough — the next sub-batch for this worker is only written
-        after the previous one's outputs were gathered.
         """
-        handle = self.workers[worker_index]
-        rows, d_s = features.shape
-        q = len(fks)
-        seg = self._ensure_task_capacity(
-            handle, task_layout(rows, d_s, q, out_width)[2]
-        )
-        _write_task(seg.buf, features, fks, out_width)
         req_id = self._next_id()
-        handle.send(
-            MSG_EXEC,
-            req_id,
-            {
-                "generation": generation,
-                "op": op,
-                "rows": rows,
-                "d_s": d_s,
-                "q": q,
-                "out_width": out_width,
-                "seg": seg.name,
-            },
+        self.workers[worker_index].send(
+            MSG_EXEC, req_id, {"generation": generation, "op": op},
+            (features, *fks),
         )
         return req_id
 
-    def finish_subbatch(
-        self, worker_index: int, req_id: int, rows: int, d_s: int, q: int,
-    ):
-        """Await one EXEC reply and copy its outputs out of the slab.
-
-        Returns ``(outputs, meta)`` (the worker core's
-        :class:`~repro.serve.core.ExecMeta`); outputs are already
-        detached from the slab (copied), so the slab is free for the
-        next sub-batch.
-        """
-        handle = self.workers[worker_index]
-        reply = self._reply(handle, req_id)
-        out_width = reply["out_width"]
-        outputs = task_views(
-            handle.task_seg.buf, rows, d_s, q, out_width
-        )[2].copy()
-        if out_width:
-            outputs = outputs.reshape(rows, out_width)
-        if reply["out_dtype"] == "i8":
-            outputs = outputs.astype(np.int64)
-        return outputs, reply["meta"]
+    def finish_subbatch(self, worker_index: int, req_id: int):
+        """Await one EXEC reply: ``(outputs, meta)``, the outputs a
+        read-only view over the reply frame in the worker's own dtype,
+        and the worker core's :class:`~repro.serve.core.ExecMeta`."""
+        meta, (outputs,) = self._reply(self.workers[worker_index], req_id)
+        return outputs, meta
 
     def _run(self, registered, op, features, fks, span):
         """Scatter one coalesced batch across the worker processes.
 
         Rows are routed by ``fk_0 % num_workers`` (RID affinity),
-        written into each target worker's shared task slab, executed
-        there, and gathered back by row index.  Because every row's output is
+        framed to each target worker, executed there, and gathered
+        back by row index.  Because every row's output is
         computed independently and lands at its own index, the merged
         outputs are bit-identical to thread mode regardless of worker
         completion order.  A failure (bad data on one worker, or a
@@ -741,12 +642,6 @@ class ProcessExecutor(ServingCore):
                 "executor='process' serves request batches only"
             )
         rows = features.shape[0]
-        out_width = (
-            registered.out_width
-            if registered.kind == "nn" and op == "predict"
-            else 0
-        )
-        d_s, q = features.shape[1], len(fks)
         affinity = fks[0] % self.num_workers
         tick = time.perf_counter()
         error: BaseException | None = None
@@ -759,17 +654,15 @@ class ProcessExecutor(ServingCore):
                 try:
                     req_id = self.start_subbatch(
                         worker, registered.generation, op,
-                        features[indices],
-                        [fk[indices] for fk in fks], out_width,
+                        features[indices], [fk[indices] for fk in fks],
                     )
                 except BaseException as scatter_error:
                     # Stop scattering, but fall through to the gather
                     # below with the sub-batches already started: each
-                    # must be drained before the per-request retry may
-                    # rewrite its worker's task slab — an abandoned
-                    # EXEC still executing over a rewritten slab would
-                    # silently corrupt the surviving requests' inputs
-                    # and outputs.
+                    # must be drained before the per-request retry
+                    # sends its worker another EXEC, or the worker
+                    # would owe two replies and the abandoned one
+                    # would sit in its mailbox forever.
                     error = scatter_error
                     break
                 pending.append((worker, indices, req_id))
@@ -784,9 +677,7 @@ class ProcessExecutor(ServingCore):
                 # failure — a worker left owing a reply would corrupt
                 # the next batch's mailbox accounting.
                 try:
-                    sub_out, meta = self.finish_subbatch(
-                        worker, req_id, int(indices.size), d_s, q
-                    )
+                    sub_out, meta = self.finish_subbatch(worker, req_id)
                 except BaseException as sub_error:
                     error = error or sub_error
                     continue
@@ -807,8 +698,8 @@ class ProcessExecutor(ServingCore):
             raise error
         if outputs is None:     # zero-row batch
             outputs = np.zeros((rows,))
-        # The governor: residency is read straight off the headers, so
-        # the within-budget fast path costs a few loads per batch.
+        # The governor: residency came back with the replies, so the
+        # within-budget fast path costs a few loads per batch.
         self.sweep_budget()
         return outputs, ExecMeta(
             rows, elapsed, io, decisions, references, distinct, shares,
@@ -831,25 +722,24 @@ class ProcessExecutor(ServingCore):
         return self._closed
 
     def close(self) -> None:
-        """Stop the workers, then unlink every shm segment.  Idempotent."""
+        """Stop the workers.  Idempotent."""
         if self._closed:
             return
         # Final sample first (post-close stats report the last
-        # counters), then stop the workers and unlink every shared
-        # segment — the no-leaked-/dev/shm guarantee.
+        # counters), then stop the workers.
         self._samples()
         self._shutdown()
 
     def _shutdown(self) -> None:
         self._closed = True
-        for handle in getattr(self, "workers", []):
+        for handle in self.workers:
             if handle.dead or not handle.process.is_alive():
                 continue
             try:
                 handle.send(MSG_SHUTDOWN, self._next_id(), {})
             except WorkerDied:
                 continue
-        for handle in getattr(self, "workers", []):
+        for handle in self.workers:
             handle.process.join(_SHUTDOWN_TIMEOUT_S)
             if handle.process.is_alive():  # pragma: no cover - stuck worker
                 handle.process.terminate()
@@ -858,10 +748,3 @@ class ProcessExecutor(ServingCore):
                 handle.conn.close()
             except OSError:  # pragma: no cover - already closed
                 pass
-        # Drop the long-lived header view so the segment's buffer has
-        # no exports left — otherwise SharedMemory.__del__ reports
-        # BufferError noise at interpreter exit.
-        self.headers = None
-        # Unlinking last: a worker that was mid-batch at SHUTDOWN may
-        # touch its mappings until it exits; mappings survive unlink.
-        self.arena.close()

@@ -11,15 +11,15 @@ configuration runs, plus pipe framing:
   cache dedups the physical bytes);
 * its core draws partial caches from a
   :class:`~repro.fx.store.PartialStore` of its own, in private
-  memory; after every message the worker writes the store's
-  :class:`~repro.serve.cache.Residency` into its row of the shared
-  header segment, which is all the parent's budget governor reads;
-* the message handlers only translate: ``EXEC`` wraps views into the
-  task slab around ``core.execute`` (the pipe message carries only
-  scalars — rows, widths, the slab name — the arrays never cross the
-  pipe), ``INVALIDATE`` adds buffer-pool page invalidation to
-  ``core.invalidate``, and registrations are keyed by the parent's
-  *generation* so two fits of one name can be live while it swaps.
+  memory; every reply, OK or ERR, carries the store's
+  :class:`~repro.serve.cache.Residency` as it stands after the
+  message, which is all the parent's budget governor reads;
+* the message handlers only translate: ``EXEC`` runs ``core.execute``
+  over the features and FK columns its frame carries as raw bytes and
+  replies with the outputs the same way, ``INVALIDATE`` adds
+  buffer-pool page invalidation to ``core.invalidate``, and
+  registrations are keyed by the parent's *generation* so two fits of
+  one name can be live while it swaps.
 
 Because the parent scatters rows by ``fk_0 % num_workers``, each
 worker only ever sees its own slice of the first dimension's RID
@@ -27,24 +27,21 @@ space: its caches hold disjoint first-dimension partials, which is
 what makes N worker caches behave like one cache split N ways by RID,
 not N redundant copies.
 
-The worker never unlinks shared memory: segments are owned (and
-unlinked) by the parent; on shutdown the worker clears its caches,
-drops its views and detaches.  Errors inside a message handler are
-reported back as ``REPLY_ERR`` with the traceback text — the parent
-turns them into :class:`~repro.errors.ModelError` and retries the
-batch request by request, exactly like thread-mode failures.
+On shutdown the worker closes its core, its database and its store.
+Errors inside a message handler are reported back as ``REPLY_ERR``
+with the traceback text — the parent turns them into
+:class:`~repro.errors.ModelError` and retries the batch request by
+request, exactly like thread-mode failures.
 """
 
 from __future__ import annotations
 
-import gc
 import os
 import traceback
 
 import numpy as np
 
 from repro.fx.dedup import distinct_values
-from repro.fx.shm import HDR_INVALIDATED, ShmArena, header_view
 from repro.fx.store import PartialStore
 from repro.runtime.procpool import (
     MSG_CRASH,
@@ -58,31 +55,23 @@ from repro.runtime.procpool import (
     REPLY_ERR,
     REPLY_OK,
     pack_message,
-    task_views,
     unpack_message,
 )
 from repro.serve.core import ServingCore
 
 
 class _Worker:
-    def __init__(
-        self, worker_id, num_workers, conn, directory, config, header_name,
-    ) -> None:
+    def __init__(self, worker_id, conn, directory, config) -> None:
         self.worker_id = worker_id
-        self.num_workers = num_workers
         self.conn = conn
         self.directory = directory
-        self.arena = ShmArena()
-        header_seg = self.arena.attach(header_name)
-        self.header = header_view(header_seg.buf, num_workers)[worker_id]
         # No bound of its own: the budget lives in the parent
-        # (deficit-bounded TRIMs over the headers).  Per-worker
-        # demotion ladder; each worker store owns its own spill
-        # directory (created lazily, removed on close).
+        # (deficit-bounded TRIMs over the replies' residency).
+        # Per-worker demotion ladder; each worker store owns its own
+        # spill directory (created lazily, removed on close).
         self.store = PartialStore(tiers=config.store_tiers)
         self.db = None                  # opened on first REGISTER
         self.core = None
-        self.task_seg = None            # re-attached when renamed
         self.running = True
 
     # -- handlers -------------------------------------------------------------
@@ -109,37 +98,14 @@ class _Worker:
             )
         return {}
 
-    def _task_views(self, payload):
-        if self.task_seg is None or self.task_seg.name != payload["seg"]:
-            # The parent outgrew (and replaced) the task slab; drop the
-            # old attachment and map the new segment.
-            if self.task_seg is not None:
-                self.arena.release(self.task_seg.name)
-            self.task_seg = self.arena.attach(payload["seg"])
-        return task_views(
-            self.task_seg.buf, payload["rows"], payload["d_s"],
-            payload["q"], payload["out_width"],
-        )
-
-    def on_exec(self, payload) -> dict:
-        features, fks, out = self._task_views(payload)
+    def on_exec(self, payload, body):
+        """The reply payload and arrays: the core's
+        :class:`~repro.serve.core.ExecMeta` and the outputs."""
+        features, *fks = body
         outputs, meta = self.core.execute(
             payload["generation"], payload["op"], features, fks
         )
-        outputs = np.asarray(outputs)
-        if outputs.ndim == 1:
-            out_width = 0
-            # int64 labels round-trip exactly through float64 (cluster
-            # counts are far below 2^53); the parent casts back.
-            out[: outputs.size] = outputs
-        else:
-            out_width = outputs.shape[1]
-            out.reshape(payload["rows"], out_width)[:] = outputs
-        return {
-            "out_width": out_width,
-            "out_dtype": "i8" if outputs.dtype.kind == "i" else "f8",
-            "meta": meta,
-        }
+        return meta, (outputs,)
 
     def on_invalidate(self, payload) -> dict:
         relation = payload["relation"]
@@ -168,9 +134,6 @@ class _Worker:
                     self.db.buffer_pool.invalidate_pages(heap, pages)
                 else:
                     self.db.buffer_pool.invalidate(heap)
-        total = sum(dropped.values())
-        if total:
-            self.header[HDR_INVALIDATED] += total
         return dropped
 
     def on_stats(self, payload) -> dict:
@@ -198,58 +161,48 @@ class _Worker:
         if self.db is not None:
             self.db.close()
             self.db = None
-        # Drop every long-lived view into the segments (the header row,
-        # the task slab's) so detaching can actually release the
-        # mappings instead of BufferError-ing at exit.  store.close()
-        # breaks the store <-> cache governor cycle deterministically;
-        # the collection sweeps whatever transitive cycles (predictor
-        # internals, planner state) still pin views.
         self.store.close()
         self.store = None
-        self.header = None
-        gc.collect()
-        # Detach only — the parent owns (and unlinks) every segment.
-        self.arena.close()
 
     # -- the loop -------------------------------------------------------------
 
     _HANDLERS = {
         MSG_REGISTER: on_register,
         MSG_UNREGISTER: on_unregister,
-        MSG_EXEC: on_exec,
         MSG_INVALIDATE: on_invalidate,
         MSG_STATS: on_stats,
         MSG_TRIM: on_trim,
     }
 
+    def frame(self, mtype, req_id, payload, arrays=()) -> bytes:
+        """One reply frame, with the store's residency as it stands
+        now — after the message, whether it succeeded or not."""
+        return pack_message(
+            mtype, req_id, (payload, self.store.residency()), arrays
+        )
+
     def run(self) -> None:
-        self.conn.send_bytes(pack_message(REPLY_OK, 0, {}))
+        self.conn.send_bytes(self.frame(REPLY_OK, 0, {}))
         while self.running:
             try:
                 data = self.conn.recv_bytes()
             except (EOFError, OSError):
                 break                   # parent is gone
-            mtype, req_id, payload = unpack_message(data)
+            mtype, req_id, payload, body = unpack_message(data)
             if mtype == MSG_SHUTDOWN:
                 break
             if mtype == MSG_CRASH:
                 os._exit(3)             # teardown tests: die uncleanly
-            handler = self._HANDLERS.get(mtype)
             try:
-                if handler is None:
+                if mtype == MSG_EXEC:
+                    result, arrays = self.on_exec(payload, body)
+                elif mtype in self._HANDLERS:
+                    result, arrays = self._HANDLERS[mtype](self, payload), ()
+                else:
                     raise ValueError(f"unknown message type {mtype}")
-                reply = pack_message(
-                    REPLY_OK, req_id, handler(self, payload)
-                )
+                reply = self.frame(REPLY_OK, req_id, result, arrays)
             except BaseException:
-                reply = pack_message(
-                    REPLY_ERR, req_id,
-                    {"error": traceback.format_exc()},
-                )
-            # Before the reply: the parent sweeps the budget off the
-            # headers as soon as a batch's replies are in.
-            held = self.store.residency()
-            self.header[:len(held)] = held
+                reply = self.frame(REPLY_ERR, req_id, traceback.format_exc())
             try:
                 self.conn.send_bytes(reply)
             except (OSError, BrokenPipeError):  # pragma: no cover
@@ -257,13 +210,9 @@ class _Worker:
         self.shutdown()
 
 
-def worker_main(
-    worker_id, num_workers, conn, directory, config, header_name,
-) -> None:
+def worker_main(worker_id, conn, directory, config) -> None:
     """Process entry point: build the worker, serve until SHUTDOWN."""
-    worker = _Worker(
-        worker_id, num_workers, conn, directory, config, header_name,
-    )
+    worker = _Worker(worker_id, conn, directory, config)
     try:
         worker.run()
     finally:

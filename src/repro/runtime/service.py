@@ -123,8 +123,8 @@ class RuntimeConfig:
 
     ``executor`` picks the worker substrate: ``"thread"`` (default)
     runs ``num_workers`` threads in-process; ``"process"`` runs
-    ``num_workers`` worker *processes* with shared-memory partial
-    slabs and RID-affinity batch scattering
+    ``num_workers`` worker *processes*, each with a partial store of
+    its own, and RID-affinity batch scattering
     (:mod:`repro.runtime.procpool`) — same request API, bit-identical
     outputs, no GIL on the Python portions of a batch.  Selection
     guidance lives in ``docs/tuning.md``.
@@ -201,9 +201,9 @@ class RuntimeStats:
     store: StoreStats
     # Backend annotations ("thread" | "process").  In process mode
     # ``cache_stats``/``store`` are merged across the worker processes
-    # and the two histograms cover the dispatcher's scatter (slab
-    # writes + EXEC sends) and gather (reply waits + output copies)
-    # phases; in thread mode the histograms are present but empty.
+    # and the two histograms cover the dispatcher's scatter (framing +
+    # EXEC sends) and gather (reply waits + output placement) phases;
+    # in thread mode the histograms are present but empty.
     executor: str = THREAD_EXECUTOR
     scatter_seconds: HistogramValue | None = None
     gather_seconds: HistogramValue | None = None
@@ -335,11 +335,11 @@ class ServingRuntime(ModelService):
             # The process executor's phases: thread mode never
             # observes them, so it exports neither.
             ("repro_scatter_seconds", scatter,
-             "Per-batch scatter phase: shared-memory slab writes "
-             "plus EXEC sends to the RID-affine workers"),
+             "Per-batch scatter phase: framing each RID-affine "
+             "sub-batch and sending it to its worker"),
             ("repro_gather_seconds", gather,
              "Per-batch gather phase: worker reply waits plus "
-             "output copies out of the task slabs"),
+             "placing each reply's outputs by row index"),
         ):
             if value.count:
                 buffer.histogram(name, value, help=help)
@@ -360,7 +360,7 @@ class ServingRuntime(ModelService):
                 worker=str(index),
             )
         # Per-model, store and cache series come from the service
-        # (store and cache numbers from the core, or the worker headers).
+        # (store and cache numbers from the core, or the workers' replies).
         super()._collect(buffer)
         self.db.collect(buffer)
 

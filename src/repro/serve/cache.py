@@ -120,8 +120,8 @@ class Residency(NamedTuple):
     Every field follows from plain ints the owning cache keeps current
     — its tier tables' row counts and widths, two counters — so the
     readers that cannot afford to contend with ``get_many`` (the
-    budget governor's within-budget check, a process worker publishing
-    its header row) load it directly; a torn read can only mis-size one
+    budget governor's within-budget check, a process worker stamping
+    its replies) load it directly; a torn read can only mis-size one
     sweep, which the next corrects.  ``floats`` is the budget truth:
     resident float64 values plus the float-equivalents of compressed
     payloads (spilled rows charge disk, not memory).  Levels add up

@@ -13,7 +13,7 @@ the head — is written here once and configured three ways:
   dispatcher in front of
   :class:`~repro.runtime.procpool.ProcessExecutor`, a subclass that
   scatters each batch to worker processes — and every worker is again
-  this core, over a shared-memory store.
+  this core, over a store in its own private memory.
 
 :class:`ServingCore` owns a :class:`~repro.fx.store.PartialStore` and
 a registry of :class:`RegisteredModel` records and implements the
@@ -100,8 +100,8 @@ def collect_store(
     buffer, bytes_resident, capacity_floats, sweeps, tiered
 ) -> None:
     """The store-wide series every runtime exports, whoever holds the
-    numbers (a :class:`~repro.fx.store.PartialStore`, or the worker
-    headers).  ``tiered`` is falsy without a demotion ladder, else
+    numbers (a :class:`~repro.fx.store.PartialStore`, or the residency
+    the process workers' replies carry).  ``tiered`` is falsy without a demotion ladder, else
     ``(compressed bytes, spilled bytes, demotions, promotions)`` with
     the two transition counts keyed by tier (``None`` = unlabeled
     total)."""

@@ -1,15 +1,31 @@
-"""PartialStore: fingerprint-keyed cache sharing and lifecycle."""
+"""PartialStore: fingerprint-keyed cache sharing and lifecycle, the
+trims a process worker's store takes, and the trim planner the process
+executor's governor runs."""
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
 
 from repro.errors import ModelError
-from repro.fx.store import PartialStore
+from repro.fx.store import PartialStore, plan_trims
+
+SLACK = 16 * 1024   # interpreter noise, index arrays, columns
 
 
 def rows_for(keys):
     keys = np.asarray(keys, dtype=np.int64)
     return keys[:, None].astype(np.float64)
+
+
+def rows_of_width(width):
+    def loader(keys):
+        keys = np.asarray(keys, dtype=np.int64)
+        return np.repeat(
+            keys[:, None].astype(np.float64), width, axis=1
+        )
+    return loader
 
 
 class TestAcquireRelease:
@@ -103,3 +119,93 @@ class TestStats:
         assert store.bytes_resident == 0
         assert len(store) == 1
         cache.get_many(np.array([1]), rows_for)     # handle still live
+
+
+class TestPlanTrims:
+    def test_no_deficit_means_no_trims(self):
+        assert plan_trims([100, 200], budget=400) == [0, 0]
+        assert plan_trims([], budget=0) == []
+
+    def test_deficit_taken_from_the_largest_resident_first(self):
+        assert plan_trims([100, 500, 200], budget=600) == [0, 200, 0]
+
+    def test_trims_cap_at_each_workers_own_residency(self):
+        # Deficit 700 exceeds what the largest alone can cover.
+        assert plan_trims([100, 500, 200], budget=100) == [0, 500, 200]
+
+    def test_total_never_exceeds_the_deficit(self):
+        trims = plan_trims([300, 300, 300], budget=650)
+        assert sum(trims) == 250
+
+
+class TestWorkerPartialStore:
+    def test_rows_are_placed_in_the_slab(self, traced):
+        store = PartialStore()
+        cache = store.acquire("fp")
+        cache.get_many(np.array([1, 2, 3]), rows_of_width(4))
+        assert store.floats_resident == 3 * 4
+        assert store.stats().bytes_resident == 3 * 4 * 8
+        assert traced() >= 3 * 4 * 8        # private numpy memory
+        np.testing.assert_array_equal(
+            cache.get_many(np.array([3, 1]), None), rows_of_width(4)([3, 1])
+        )
+        store.close()
+
+    def test_armed_store_trims_without_a_local_capacity(self):
+        store = PartialStore()
+        cache = store.acquire("fp")
+        cache.get_many(np.arange(10), rows_of_width(4))
+        evicted = store.trim(12)            # 12 floats = 3 width-4 rows
+        assert evicted == 3
+        assert store.floats_resident == 10 * 4 - 12
+        assert cache.keys() == list(range(3, 10))
+        store.close()
+
+    def test_a_trimmed_slab_gives_its_block_back(self, traced):
+        width = 64                          # rows that dwarf the noise
+        store = PartialStore()
+        first = store.acquire("fp-1")
+        first.get_many(np.arange(100), rows_of_width(width))
+        assert traced() >= 100 * width * 8
+        assert store.trim(90 * width) == 90
+        # The slab moved to a block sized for the ten rows left.
+        assert traced() <= 3 * 10 * width * 8 + SLACK
+        assert store.stats().bytes_resident == 10 * width * 8
+        np.testing.assert_array_equal(
+            first.get_many(np.arange(90, 100), None),
+            rows_of_width(width)(np.arange(90, 100)),
+        )
+        store.close()
+
+    def test_close_releases_every_buffer_view(self, traced):
+        # A store and its caches form a governor reference cycle;
+        # close() must give the slabs back at once and break the cycle,
+        # so the store goes with its last reference, not at some later
+        # collection.
+        store = PartialStore()
+        cache = store.acquire("fp")
+        cache.get_many(np.arange(100), rows_of_width(64))
+        store.close()
+        assert cache.bytes_resident == 0
+        assert traced() <= SLACK            # while both are still held
+        gone = weakref.ref(store)
+        gc.disable()
+        try:
+            store = cache = None
+            assert gone() is None
+        finally:
+            gc.enable()
+
+    def test_trim_on_a_store_that_never_had_a_budget_takes_the_coldest(self):
+        store = PartialStore()
+        a = store.acquire("fp-a")
+        b = store.acquire("fp-b")
+        a.get_many(np.arange(4), rows_of_width(2))       # tick 1
+        b.get_many(np.arange(4), rows_of_width(2))       # tick 2
+        a.get_many(np.array([3]), rows_of_width(2))      # tick 3: a hit
+        assert store.capacity_floats is None
+        assert store.trim(10) == 5                  # 10 floats = 5 rows
+        assert a.keys() == [3]
+        assert b.keys() == [2, 3]
+        assert store.floats_resident == 3 * 2
+        store.close()

@@ -10,6 +10,7 @@ runtime's observability surface (stats, cache stats, budget control)
 keeps working when the caches live in worker processes.
 """
 
+import multiprocessing as mp
 import os
 import tempfile
 import threading
@@ -25,7 +26,6 @@ from repro.data.synthetic import (
     generate_star,
 )
 from repro.errors import ModelError
-from repro.fx.shm import SEGMENT_PREFIX
 from repro.join.reference import nested_loop_join
 from repro.storage.catalog import Database
 
@@ -488,14 +488,14 @@ class TestLifecycleAcrossConfigurations:
 
     @staticmethod
     def leftovers():
-        marker = f"{SEGMENT_PREFIX}-{os.getpid()}-"
-        shm = "/dev/shm"
+        """What close() must reclaim: spill directories and live
+        worker processes."""
         return sorted(
             name for name in os.listdir(tempfile.gettempdir())
             if name.startswith("repro-spill-")
         ), sorted(
-            name for name in (os.listdir(shm) if os.path.isdir(shm) else [])
-            if name.startswith(marker)
+            child.pid for child in mp.active_children()
+            if child.name.startswith("repro-runtime-proc-")
         )
 
     def open(self, db, configuration):
@@ -613,7 +613,7 @@ class TestLifecycleAcrossConfigurations:
             for service in services.values():
                 service.close()
         # Nothing outlives close(): no cache refcount in a store the
-        # parent can see, no spill directory, no /dev/shm segment.
+        # parent can see, no spill directory, no worker process.
         assert len(services["inline"].store) == 0
         assert len(services["thread"].store) == 0
         assert self.leftovers() == before

@@ -1,7 +1,7 @@
 """Process-backend teardown guarantees: worker crashes fail only the
-requests routed to the dead worker, shared-memory segments never
-outlive the runtime (explicit close *or* interpreter exit), and close
-is idempotent."""
+requests routed to the dead worker, a runtime creates no ``/dev/shm``
+entry, no worker process outlives the runtime (explicit close *or*
+interpreter exit), and close is idempotent."""
 
 import os
 import subprocess
@@ -15,7 +15,6 @@ import pytest
 from repro.core.api import fit_gmm, serve_runtime
 from repro.data.synthetic import StarSchemaConfig, generate_star
 from repro.errors import ModelError
-from repro.fx.shm import SEGMENT_PREFIX
 
 SHM_DIR = "/dev/shm"
 
@@ -32,13 +31,19 @@ def _quiet():
         yield
 
 
-def own_segments():
-    """``/dev/shm`` entries created by *this* process (names embed the
-    creating pid, so parallel test runs cannot interfere)."""
-    marker = f"{SEGMENT_PREFIX}-{os.getpid()}-"
-    return sorted(
-        name for name in os.listdir(SHM_DIR) if name.startswith(marker)
-    )
+def shm_entries() -> set[str]:
+    """The ``/dev/shm`` listing: a test diffs one taken before the
+    runtime against one taken after."""
+    return set(os.listdir(SHM_DIR))
+
+
+def alive(pid: int) -> bool:
+    """Whether ``pid`` names a running (not zombie) process."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
 
 
 @pytest.fixture
@@ -119,9 +124,9 @@ class TestWorkerCrash:
     ):
         """If scatter fails after some workers were sent an EXEC, the
         started sub-batches are still gathered before the failure
-        propagates — a worker left owing a reply would have its task
-        slab rewritten by the retry while the abandoned EXEC may still
-        execute over it."""
+        propagates — a worker left owing a reply would owe two once
+        the retry sends it the next EXEC, and the abandoned reply
+        would sit in its mailbox forever."""
         spec, gmm, features, fks = served
         with serve_runtime(
             db, num_workers=2, max_wait_ms=0.0, executor="process"
@@ -175,9 +180,8 @@ class TestWorkerCrash:
 
     def test_reply_timeout_terminates_and_removes_the_worker(self):
         """A stalled worker cannot stay in rotation: the timeout path
-        terminates it (so it can no longer touch shared memory) and
-        marks it dead, so later sends fail fast instead of rewriting
-        its task slab under a possibly-running EXEC."""
+        terminates it and marks it dead, so later sends fail fast
+        instead of queueing behind a possibly-running EXEC."""
         import multiprocessing as mp
 
         from repro.runtime.procpool import WorkerDied, _WorkerHandle
@@ -211,6 +215,7 @@ class TestWorkerCrash:
 
     def test_close_after_a_crash_leaves_no_segments(self, db, served):
         spec, gmm, features, fks = served
+        before = shm_entries()
         rt = serve_runtime(
             db, num_workers=2, max_wait_ms=0.0, executor="process"
         )
@@ -218,26 +223,24 @@ class TestWorkerCrash:
         rt.predict("g", features, fks)
         rt._executor.crash_worker(0)
         rt.close()
-        assert own_segments() == []
+        assert shm_entries() - before == set()
 
 
-class TestSegmentLifecycle:
-    def test_segments_exist_while_serving_and_vanish_on_close(
-        self, db, served
-    ):
+class TestRuntimeLifecycle:
+    def test_a_process_runtime_creates_no_dev_shm_entry(self, db, served):
         spec, gmm, features, fks = served
+        before = shm_entries()
         rt = serve_runtime(
             db, num_workers=2, max_wait_ms=0.0, executor="process"
         )
         try:
             rt.register_gmm("g", gmm, spec)
             rt.predict("g", features, fks)
-            live = own_segments()
-            # The header + one task slab per worker.
-            assert len(live) == 1 + 2
+            # Sub-batches travel over the pipes: nothing is mapped.
+            assert shm_entries() - before == set()
         finally:
             rt.close()
-        assert own_segments() == []
+        assert shm_entries() - before == set()
 
     def test_clean_close_exits_workers_with_code_zero(self, db, served):
         """SHUTDOWN runs worker teardown twice (end of run() plus the
@@ -255,6 +258,7 @@ class TestSegmentLifecycle:
 
     def test_close_is_idempotent(self, db, served):
         spec, gmm, features, fks = served
+        before = shm_entries()
         rt = serve_runtime(
             db, num_workers=2, max_wait_ms=0.0, executor="process"
         )
@@ -263,18 +267,21 @@ class TestSegmentLifecycle:
         rt.close()
         rt.close()
         assert rt._executor.closed
-        assert own_segments() == []
+        assert shm_entries() - before == set()
+        assert not any(
+            alive(handle.process.pid) for handle in rt._executor.workers
+        )
 
-    def test_interpreter_exit_without_close_unlinks_segments(
-        self, db, served, tmp_path
+    def test_interpreter_exit_without_close_leaves_no_worker_alive(
+        self, tmp_path
     ):
-        """A runtime that is never closed must still not leak
-        ``/dev/shm`` entries: the arena's atexit hook unlinks every
-        owned segment when the owning interpreter exits."""
-        spec, gmm, features, fks = served
+        """A runtime that is never closed must still not leave a
+        worker behind: the workers are daemons, which the owning
+        interpreter stops and reaps as it exits."""
+        before = shm_entries()
         script = tmp_path / "leaky.py"
         script.write_text(
-            "import os, warnings\n"
+            "import warnings\n"
             "warnings.simplefilter('ignore')\n"
             "import numpy as np\n"
             "from repro.core.api import fit_gmm, serve_runtime\n"
@@ -295,7 +302,7 @@ class TestSegmentLifecycle:
             "                   executor='process')\n"
             "rt.register_gmm('g', gmm, star.spec)\n"
             "rt.predict('g', features, fks)\n"
-            "print('PID', os.getpid())\n"
+            "print('PIDS', *[h.process.pid for h in rt._executor.workers])\n"
             "# exit without rt.close() / db.close()\n"
         )
         env = dict(os.environ)
@@ -306,18 +313,16 @@ class TestSegmentLifecycle:
             capture_output=True, text=True, timeout=300, env=env,
         )
         assert result.returncode == 0, result.stderr
-        child_pid = int(result.stdout.split("PID")[1].strip())
-        marker = f"{SEGMENT_PREFIX}-{child_pid}-"
-        leaked = [
-            name for name in os.listdir(SHM_DIR)
-            if name.startswith(marker)
-        ]
-        assert leaked == []
+        workers = [int(pid) for pid in result.stdout.split("PIDS")[1].split()]
+        assert len(workers) == 2
+        assert [pid for pid in workers if alive(pid)] == []
+        assert shm_entries() - before == set()
+
 
 class TestTieredParity:
     """Thread and process executors must agree on tiered outcomes —
-    and ``close()`` must reclaim every spill directory along with the
-    shared-memory segments."""
+    and ``close()`` must reclaim every spill directory, leaving
+    ``/dev/shm`` as it found it."""
 
     TIERS = ("float32", "spill")
     BUDGET = 64        # bytes — tight enough that every batch demotes
@@ -381,7 +386,7 @@ class TestTieredParity:
         self, db, served
     ):
         spec, gmm, features, fks = served
-        before = self.spill_dirs()
+        before, shm_before = self.spill_dirs(), shm_entries()
         for executor in ("thread", "process"):
             rt = serve_runtime(
                 db, num_workers=2, max_wait_ms=0.0, executor=executor,
@@ -393,6 +398,6 @@ class TestTieredParity:
             finally:
                 rt.close()
             rt.close()                 # tier teardown stays idempotent
-            assert own_segments() == []
+            assert shm_entries() - shm_before == set()
         # No spill directory born during either run survives close().
         assert self.spill_dirs() == before

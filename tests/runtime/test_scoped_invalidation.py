@@ -17,7 +17,6 @@ import pytest
 
 from repro.core.api import fit_nn, predict_nn, serve_runtime
 from repro.data.synthetic import StarSchemaConfig, generate_star
-from repro.fx.shm import HEADER_FIELDS
 from repro.runtime.procworker import _Worker
 
 
@@ -33,7 +32,6 @@ def _stub_worker(db) -> _Worker:
     worker = object.__new__(_Worker)
     worker.core = None
     worker.db = db
-    worker.header = np.zeros(HEADER_FIELDS)
     return worker
 
 

@@ -281,6 +281,13 @@ class TestOneCacheStack:
                 "SharedPartialStore", "share_partials", *REMOVED_COST_NAMES,
                 "SlabAllocator", "shm_bytes_resident",
                 "private_bytes_resident", "shm_floats", "publish_header",
+                # The shared-memory layer: process workers take their
+                # sub-batches over the pipe.
+                "ShmArena", "ShmSegment", "segment_name", "SEGMENT_PREFIX",
+                "header_view", "header_nbytes", "header_residency",
+                "HDR_", "HEADER_FIELDS", "header_name", "task_layout",
+                "task_views", "_task_views", "_write_task",
+                "_ensure_task_capacity", "_INITIAL_TASK_BYTES",
             ):
                 assert name not in text, f"{name} in {path}"
             for node in ast.walk(ast.parse(text)):
@@ -290,6 +297,48 @@ class TestOneCacheStack:
                     assert "shared" not in {
                         keyword.arg for keyword in node.keywords
                     }, f"PartialStore(shared=) at {path}:{node.lineno}"
+
+    def test_nothing_imports_shared_memory(self):
+        imports = [
+            f"{path.relative_to(SRC_ROOT)}:{node.lineno}"
+            for path in sorted(SRC_ROOT.rglob("*.py"))
+            for node in ast.walk(_tree(path))
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and any(
+                "shared_memory" in name
+                for name in [
+                    getattr(node, "module", None) or "",
+                    *(alias.name for alias in node.names),
+                ]
+            )
+        ]
+        assert imports == []
+        assert not (SRC_ROOT / "fx" / "shm.py").exists()
+
+    def test_one_frame_codec_in_procpool(self):
+        """``pack_message`` / ``unpack_message`` are the only frame
+        codec, defined once, in ``runtime/procpool.py``: no other
+        runtime module pickles, unpacks a struct or reads arrays out
+        of a byte buffer."""
+        codecs, readers = [], []
+        for path in sorted(SRC_ROOT.rglob("*.py")):
+            where = str(path.relative_to(SRC_ROOT))
+            for node in ast.walk(_tree(path)):
+                if isinstance(node, ast.FunctionDef) and node.name in (
+                    "pack_message", "unpack_message"
+                ):
+                    codecs.append((where, node.name))
+                if where.startswith("runtime/") and isinstance(
+                    node, ast.Attribute
+                ) and node.attr in (
+                    "frombuffer", "dumps", "loads", "Struct"
+                ) and _names(node.value) & {"np", "pickle", "struct"}:
+                    readers.append(where)
+        assert sorted(codecs) == [
+            ("runtime/procpool.py", "pack_message"),
+            ("runtime/procpool.py", "unpack_message"),
+        ]
+        assert set(readers) == {"runtime/procpool.py"}
 
     def test_cost_adapters_never_fork_on_the_join_arity(self):
         """Only ``TrainingPageProfile.join_pass_pages`` may test for a
@@ -1140,16 +1189,57 @@ class TestOneSetOfBooks:
             "register_collector", "unregister_collector", "snapshot",
         }
 
-    def test_the_worker_header_keeps_no_execution_counts(self):
-        defined = {
-            target.id
-            for node in _tree(SRC_ROOT / "fx" / "shm.py").body
-            if isinstance(node, ast.Assign)
-            for target in node.targets
-            if isinstance(target, ast.Name)
-        }
-        assert "HDR_INVALIDATED" in defined
-        assert not defined & {"HDR_BATCHES", "HDR_ROWS_EXECUTED"}
+    def test_each_reply_carries_exactly_the_residency_record(
+        self, db, monkeypatch
+    ):
+        """A worker reply's books are the store's ``Residency`` and
+        nothing else: rows and batches are attributed from each EXEC
+        reply's ``ExecMeta``, invalidations from the INVALIDATE
+        replies' drop counts."""
+        import warnings
+
+        import numpy as np
+
+        from repro.core.api import fit_gmm, serve_runtime
+        from repro.data.synthetic import StarSchemaConfig, generate_star
+        from repro.runtime import procpool
+        from repro.serve.cache import Residency
+
+        spec = generate_star(db, StarSchemaConfig.binary(
+            n_s=120, n_r=10, d_s=3, d_r=4, seed=5,
+        )).spec
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            gmm = fit_gmm(db, spec, n_components=2, max_iter=2, seed=1)
+        fact = spec.resolve(db).fact
+        rows = fact.scan()
+        features = fact.project_features(rows)
+        fks = [rows[:, fact.schema.fk_position("R1")].astype(np.int64)]
+        records, unpack = [], procpool.unpack_message
+
+        def recording(data):
+            frame = unpack(data)
+            records.append(frame[2])        # (payload, residency)
+            return frame
+
+        monkeypatch.setattr(procpool, "unpack_message", recording)
+        with serve_runtime(
+            db, num_workers=2, max_wait_ms=0.0, executor="process",
+            memory_budget=64,
+        ) as rt:
+            rt.register_gmm("g", gmm, spec)
+            rt.predict("g", features, fks)
+            rt.runtime_stats()
+            row = db["R1"].scan()[:1].copy()
+            row[:, 1:] += 1.0
+            db.update_rows("R1", [0], row)
+        # Each worker: ready, register, exec, stats, invalidate.
+        assert len(records) >= 2 * 5
+        for books in records:
+            assert len(books) == 2 and type(books[1]) is Residency
+        assert not {"batches", "rows", "invalidated"} & set(
+            Residency._fields
+        )
 
     def test_the_runtime_keeps_one_batch_size_book(self):
         tree = _tree(RUNTIME_SERVICE)
