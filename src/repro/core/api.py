@@ -430,7 +430,8 @@ def serve_runtime(
     bounded request queue (``queue_depth``): point requests coalesce
     into micro-batches (up to ``max_batch_rows`` rows; ``max_wait_ms``
     is a ceiling on the linger for stragglers, which ends as soon as
-    arrivals pause — only a lone request waits it out), each batch's
+    arrivals pause, or at once for a lone request whose model's
+    arrival rate says no partner is due in time), each batch's
     strategy is planned adaptively from the inference cost model, and
     workers share one lock-guarded partial cache per fingerprint.
 
@@ -442,10 +443,11 @@ def serve_runtime(
     payloads live in each worker's private store, which the parent
     accounts and budget-governs, and one batch scatters across all
     workers at once —
-    identical request API, bit-identical outputs, and true CPU
-    parallelism for the Python portions of a batch.  ``docs/tuning.md``
-    has the selection
-    guidance.  Caches come from a
+    identical request API and true CPU parallelism for the Python
+    portions of a batch.  GMM labels are ``array_equal`` across
+    executors; NN outputs are ``array_equal`` when the batches match
+    and agree to rounding when a batch splits across workers.
+    ``docs/tuning.md`` has the selection guidance.  Caches come from a
     shared :class:`~repro.fx.store.PartialStore`: fingerprint-identical
     models reuse one cache, and ``memory_budget`` (bytes) caps the
     total resident partials across every registered model — the store

@@ -628,12 +628,14 @@ class ProcessExecutor(ServingCore):
 
         Rows are routed by ``fk_0 % num_workers`` (RID affinity),
         framed to each target worker, executed there, and gathered
-        back by row index.  Because every row's output is
-        computed independently and lands at its own index, the merged
-        outputs are bit-identical to thread mode regardless of worker
-        completion order.  A failure (bad data on one worker, or a
-        dead worker) is raised once every started sub-batch has been
-        drained; the runtime then retries request by request, so only
+        back by row index, so worker completion order never moves an
+        output.  A sub-batch runs its rows through BLAS kernels of
+        another shape than the whole batch does in thread mode: GMM
+        labels stay ``array_equal`` to thread mode's, NN outputs are
+        ``array_equal`` when the batches match (one worker) and agree
+        to rounding when they split.  A failure (bad data on one
+        worker, or a dead worker) is raised once every started
+        sub-batch has been drained; the runtime then retries request by request, so only
         the requests whose rows route to the failure are poisoned.
         """
         if op == "predict_all":

@@ -6,6 +6,9 @@ backpressure toward callers), workers :meth:`RequestQueue.take_batch`
 *micro-batches*: the oldest request plus every queued request for the
 same (model, op), up to a row budget, waiting for stragglers while
 the batch's own arrival rate says one is due, at most ``max_wait``.
+A lone request has no batch rate to read; it reads its key's running
+mean gap between arrivals (:class:`_Arrivals`) and is dispatched at
+once when the next arrival is not due before ``max_wait`` runs out.
 Batching is what makes factorized serving pay under point-lookup
 traffic — a single fact row rarely repeats a RID, but a few
 milliseconds of coalesced traffic almost always does.  A ``put`` wakes
@@ -36,6 +39,10 @@ from repro.errors import ModelError
 #: time.  2, 4, 8 and 16 read the same on ``runtime_thread_window``.
 QUIET_GAPS = 4.0
 
+#: Weight of each new gap in a key's running mean inter-arrival gap
+#: (:class:`_Arrivals`), which only a lone request's linger reads.
+GAP_WEIGHT = 1 / 8
+
 
 class Request:
     """One normalized point request, ready to coalesce.
@@ -65,6 +72,31 @@ class Request:
         if now is None:
             now = time.perf_counter()
         return max(0.0, now - self.enqueued_at)
+
+
+class _Arrivals:
+    """One batch key's arrival rate, as its puts stamp it: the newest
+    ``enqueued_at`` and an exponentially weighted mean of the gaps
+    between stamps (``None`` until the key's second request)."""
+
+    __slots__ = ("newest", "gap")
+
+    def __init__(self, stamp: float) -> None:
+        self.newest, self.gap = stamp, None
+
+    def arrive(self, stamp: float) -> None:
+        # Every put runs this under the queue lock: no max() calls.
+        gap = stamp - self.newest
+        if gap > 0.0:
+            self.newest = stamp
+        else:       # two producers can queue out of stamp order
+            gap = 0.0
+        self.gap = gap if self.gap is None else (
+            self.gap + GAP_WEIGHT * (gap - self.gap))
+
+    def none_due_by(self, deadline: float) -> bool:
+        """Whether the key's next arrival is not due before ``deadline``."""
+        return self.gap is not None and self.newest + self.gap >= deadline
 
 
 class _Linger:
@@ -103,13 +135,15 @@ class RequestQueue:
         self._not_empty = threading.Condition(self._lock)
         self._not_full = threading.Condition(self._lock)
         self._lingers: dict[tuple[str, str], _Linger] = {}
+        self._arrivals: dict[tuple[str, str], _Arrivals] = {}
         self._closed = False
         self.enqueued = 0
         self.max_depth_seen = 0
-        #: Batches by what closed them: the row cap, the quiet rule,
-        #: the ``max_wait`` deadline, or :meth:`close`.
+        #: Batches by what closed them: the row cap, the quiet rule, a
+        #: lone request whose key sends no partner in time, the
+        #: ``max_wait`` deadline, or :meth:`close`.
         self.close_reasons = dict.fromkeys(
-            ("rows", "quiet", "deadline", "closed"), 0
+            ("rows", "quiet", "sparse", "deadline", "closed"), 0
         )
 
     @property
@@ -151,6 +185,12 @@ class RequestQueue:
             self._items.append(request)
             self.enqueued += 1
             self.max_depth_seen = max(self.max_depth_seen, len(self._items))
+            arrivals = self._arrivals.get(request.batch_key)
+            if arrivals is None:
+                self._arrivals[request.batch_key] = _Arrivals(
+                    request.enqueued_at)
+            else:
+                arrivals.arrive(request.enqueued_at)
             # A lingered key's request wakes its lingerer only if it ends
             # the linger sooner; any other wakes one idle worker.
             linger = self._lingers.get(request.batch_key)
@@ -171,9 +211,13 @@ class RequestQueue:
         ``max_rows`` total rows are gathered, arrivals pause (nothing
         for :data:`QUIET_GAPS` mean gaps of the batch's own
         ``enqueued_at`` stamps) or ``max_wait`` seconds have passed
-        since the first request was claimed.  A lone request has no gap
-        to read and waits out ``max_wait``.  Requests with other batch
-        keys are left queued, in order, for other workers.
+        since the first request was claimed.  A lone request has no
+        batch gap to read: it is dispatched at once if its key's mean
+        gap between arrivals says the next is not due before
+        ``max_wait`` runs out, and otherwise (a key's first request
+        included) waits for a partner up to ``max_wait``.  Requests
+        with other batch keys are left queued, in order, for other
+        workers.
         """
         with self._lock:
             while (index := next((
@@ -217,9 +261,14 @@ class RequestQueue:
                 if self._closed:
                     reason = "closed"
                     break
+                if len(batch) == 1 and self._arrivals[key].none_due_by(
+                        deadline):
+                    reason = "sparse"
+                    break
                 linger.rows, linger.count = rows, len(batch)
                 linger.oldest, linger.newest = oldest, newest
-                # A lone request has no gap to read: it waits max_wait.
+                # A lone request has no batch gap to read: it waits
+                # for its due partner up to max_wait.
                 quiet = deadline if len(batch) == 1 else linger.quiet()
                 linger.wake_at = min(deadline, quiet)
                 remaining = linger.wake_at - time.perf_counter()

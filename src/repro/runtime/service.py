@@ -9,7 +9,8 @@ in front of its executor, to turn it into a serving tier:
   point requests (admission control / backpressure);
 * micro-batching — dispatchers coalesce queued requests for the same
   model into one batch (``max_batch_rows`` rows, a linger of at most
-  ``max_wait_ms`` that ends when arrivals pause), so factorized reuse
+  ``max_wait_ms`` that ends when arrivals pause, and none for a lone
+  request no partner is due for), so factorized reuse
   sees the RID repetition that point requests hide;
 * an executor behind one small interface (``register`` / ``execute`` /
   ``invalidate`` / ``swap`` / ``unregister`` / ``sample`` /
@@ -118,16 +119,20 @@ class RuntimeConfig:
     ``max_wait_ms`` is a ceiling on a batch's linger, not a sleep: a
     dispatcher stops waiting once arrivals pause
     (:meth:`RequestQueue.take_batch
-    <repro.runtime.queue.RequestQueue.take_batch>`); only a lone
-    request waits it out.
+    <repro.runtime.queue.RequestQueue.take_batch>`), and a lone request
+    leaves at once when its model's arrival rate says no partner is
+    due in time.  Only a lone request whose partner is due (or a
+    model's first) and traffic that never pauses wait it out.
 
     ``executor`` picks the worker substrate: ``"thread"`` (default)
     runs ``num_workers`` threads in-process; ``"process"`` runs
     ``num_workers`` worker *processes*, each with a partial store of
     its own, and RID-affinity batch scattering
-    (:mod:`repro.runtime.procpool`) — same request API, bit-identical
-    outputs, no GIL on the Python portions of a batch.  Selection
-    guidance lives in ``docs/tuning.md``.
+    (:mod:`repro.runtime.procpool`) — same request API, no GIL on the
+    Python portions of a batch.  GMM labels are ``array_equal`` across
+    executors; NN outputs are ``array_equal`` when the batches match
+    and agree to rounding when a batch splits across workers (the BLAS
+    shapes differ).  Selection guidance lives in ``docs/tuning.md``.
     """
 
     num_workers: int = 2

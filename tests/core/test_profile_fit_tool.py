@@ -1,8 +1,9 @@
 """tools/profile_fit.py and tools/profile_runtime.py keep running: one
-pass per model, one of the maintenance build and one runtime window
-per executor at their ``--smoke`` scale, driven through ``main()`` as a
-developer would."""
+pass per model, one of the maintenance build, one closed-loop and one
+paced (``--rate``) runtime window per executor at their ``--smoke``
+scale, driven through ``main()`` as a developer would."""
 
+import ast
 import sys
 from pathlib import Path
 
@@ -87,6 +88,26 @@ def test_runtime_smoke(executor, capsys):
     assert "function calls" in workers
 
 
+@pytest.mark.parametrize("executor", ["thread", "process"])
+def test_runtime_open_loop_smoke(executor, capsys):
+    profile_runtime.main(["--executor", executor, "--smoke", "--rate", "300"])
+    out = capsys.readouterr().out
+    count = round(300 * profile_runtime.OPEN_SECONDS / 4)
+    assert f"open loop: {count} requests at 300/s\n" in out
+    p50, p99 = (
+        float(out.split(f" {label} ")[1].split(" ms")[0]) for label in ("p50", "p99")
+    )
+    assert 0.0 < p50 <= p99
+    wait = float(out.split("queue wait: p50 ")[1].split(" ms")[0])
+    assert 0.0 <= wait
+    batches = int(out.split("batches: ")[1].split(",")[0])
+    assert 1 <= batches <= count
+    closed = ast.literal_eval(out.split("closed by ")[1].split("\n")[0])
+    assert set(closed) == {"rows", "quiet", "sparse", "deadline", "closed"}
+    assert sum(closed.values()) == batches
+    assert "tottime" not in out
+
+
 def test_shapes_are_the_benchmarks():
     """The copied constants have not drifted from the e2e workloads."""
     sys.path.insert(0, str(REPO_ROOT / "benchmarks" / "e2e"))
@@ -118,4 +139,8 @@ def test_shapes_are_the_benchmarks():
     assert (c["sizes"], c["outstanding"], c["requests_per_window"]) == (
         profile_runtime.SIZES, profile_runtime.OUTSTANDING,
         profile_runtime.REQUESTS,
+    )
+    c = workloads.SHAPES["full"]["runtime_process_open"]
+    assert (c["sizes"], c["window_seconds"]) == (
+        profile_runtime.OPEN_SIZES, profile_runtime.OPEN_SECONDS,
     )

@@ -550,3 +550,103 @@ class TestWakeUps:
         assert sorted(join().values(), key=len) == [
             requests[2:], requests[:2],
         ]
+
+
+class TestSparseKeys:
+    """A lone request reads its key's running mean gap between arrivals
+    and is dispatched at once (``sparse``) when the next arrival is not
+    due before ``max_wait``.  The history is put, and taken, before the
+    call, with stamps set directly; only the last request is fresh."""
+
+    @staticmethod
+    def history(queue, name, stamps):
+        """Put and take one request per stamp, each a lone batch."""
+        for stamp in stamps:
+            request = a_request(name, rows=1)
+            request.enqueued_at = stamp
+            queue.put(request)
+            assert queue.take_batch(max_rows=10**6, max_wait=0.0) == [
+                request
+            ]
+
+    @staticmethod
+    def lone(queue, name, max_wait):
+        """Put one fresh request and take it: ``(seconds, reason)``."""
+        before = dict(queue.close_reasons)
+        request = a_request(name, rows=1)
+        queue.put(request)
+        tick = time.perf_counter()
+        assert queue.take_batch(max_rows=10**6, max_wait=max_wait) == [
+            request
+        ]
+        elapsed = time.perf_counter() - tick
+        (reason,) = [reason for reason, count in queue.close_reasons.items()
+                     if count != before[reason]]
+        return elapsed, reason
+
+    def test_paced_lone_requests_close_sparse(self):
+        max_wait, queue = 1.0, RequestQueue(64)
+        now = time.perf_counter()
+        self.history(queue, "m", [now - 2 * max_wait * i
+                                  for i in range(4, 0, -1)])
+        elapsed, reason = self.lone(queue, "m", max_wait)
+        assert reason == "sparse"
+        assert elapsed < 0.1 * max_wait
+
+    def test_a_keys_first_request_closes_at_the_deadline(self):
+        max_wait, queue = 0.2, RequestQueue(64)
+        now = time.perf_counter()
+        self.history(queue, "other", [now - 2 * max_wait * i
+                                      for i in range(4, 0, -1)])
+        elapsed, reason = self.lone(queue, "m", max_wait)
+        assert reason == "deadline"
+        assert 0.9 * max_wait <= elapsed < 10 * max_wait
+
+    def test_a_burst_after_a_pause_coalesces_whole(self):
+        max_wait, queue = 1.0, RequestQueue(128)
+        now = time.perf_counter()
+        self.history(queue, "m", [now - 2 * max_wait * i
+                                  for i in range(4, 0, -1)])
+        burst = [a_request(rows=1) for _ in range(64)]
+        for i, request in enumerate(burst):
+            request.enqueued_at = now + i * 1e-4
+            queue.put(request)
+        tick = time.perf_counter()
+        batch = queue.take_batch(max_rows=10**6, max_wait=max_wait)
+        assert time.perf_counter() - tick < 0.5 * max_wait
+        assert batch == burst
+        assert queue.close_reasons["quiet"] == 1
+        assert queue.close_reasons["sparse"] == 0
+
+    @pytest.mark.parametrize("lone", ["slow", "fast"])
+    def test_each_key_reads_its_own_rate(self, lone):
+        # The other key's history is put last, so a rate shared across
+        # keys would read that key's gaps, not the lone one's.
+        max_wait, queue = 0.2, RequestQueue(64)
+        now = time.perf_counter()
+        stamps = {
+            "slow": [now - 2 * max_wait * i for i in range(4, 0, -1)],
+            "fast": [now - 0.01 * max_wait * i for i in range(8, 0, -1)],
+        }
+        for name in sorted(stamps, key=lambda name: name != lone):
+            self.history(queue, name, stamps[name])
+        elapsed, reason = self.lone(queue, lone, max_wait)
+        if lone == "slow":      # the fast key does not hold it back
+            assert reason == "sparse"
+            assert elapsed < 0.1 * max_wait
+        else:                   # the slow key does not send it early
+            assert reason == "deadline"
+            assert 0.9 * max_wait <= elapsed < 10 * max_wait
+
+    def test_reversed_stamps_never_give_a_negative_gap(self):
+        queue = RequestQueue(64)
+        now = time.perf_counter()
+        stamps = [now - 0.01 * i for i in range(8)]
+        self.history(queue, "m", stamps)
+        arrivals = queue._arrivals[("m", "predict")]
+        assert arrivals.gap == 0.0
+        assert arrivals.newest == now
+        # A later arrival's gap runs from the newest stamp, not the last.
+        self.history(queue, "m", [now + 0.08])
+        assert arrivals.gap == pytest.approx(0.01)
+        assert arrivals.newest == now + 0.08

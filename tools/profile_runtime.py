@@ -3,6 +3,7 @@
 
     PYTHONPATH=src python tools/profile_runtime.py
     PYTHONPATH=src python tools/profile_runtime.py --executor process --top 20
+    PYTHONPATH=src python tools/profile_runtime.py --executor process --rate 300
 
 Runs ``runtime_thread_window``'s shape — 64 requests of 1 / 4 / 16 rows
 outstanding against 2 workers, ``max_wait_ms=2.0`` — three times over:
@@ -17,6 +18,12 @@ first one runs no profiler at all.  The timers and cProfile tax Python
 calls, not native work: their tables say where to look; only the bare
 window says how long.  With ``--executor process`` the CPU is the
 parent's alone and ``execute`` includes the wait for the worker processes.
+
+``--rate R`` runs ``runtime_process_open``'s window instead: 16 / 64 /
+256-row requests sent open-loop, ``1 / R`` seconds apart, for 1.2 s (after
+one such window of warm-up), and prints the latency p50 / p99 from each
+request's scheduled send, the queue-wait p50 (claim minus stamp, as the
+e2e tracer reads it), the batches and their close reasons.
 """
 
 from __future__ import annotations
@@ -44,6 +51,8 @@ STAR3 = SHAPES["star3"]
 # Copied from benchmarks/e2e/workloads.SHAPES["full"]["runtime_thread_window"]
 # / _Runtime.setup.
 SIZES, OUTSTANDING, REQUESTS = (1, 4, 16), 64, 2500
+# Copied from benchmarks/e2e/workloads.SHAPES["full"]["runtime_process_open"].
+OPEN_SIZES, OPEN_SECONDS = (16, 64, 256), 1.2
 RUNTIME = dict(num_workers=2, max_wait_ms=2.0)
 TIMELINE = 20               # batches shown
 
@@ -71,6 +80,62 @@ def window(runtime, requests) -> tuple[float, float, float, float]:
     for future in futures:
         future.result(60.0)
     return tuple(end - begin for begin, end in zip(start, clocks(runtime)))
+
+
+def open_window(runtime, requests, rate) -> np.ndarray:
+    """Submit ``requests`` from this thread ``1 / rate`` seconds apart,
+    whatever the replies do; each one's seconds from its scheduled send
+    to its reply."""
+    interval, done = 1.0 / rate, [0.0] * len(requests)
+    replied = threading.Semaphore(0)
+
+    def finish(i):
+        done[i] = time.perf_counter()
+        replied.release()
+
+    start = time.perf_counter() + 0.002
+    for i, (x, fks) in enumerate(requests):
+        remaining = start + i * interval - time.perf_counter()
+        if remaining > 0:
+            time.sleep(remaining)
+        runtime.submit("nn", x, fks).add_done_callback(lambda _, i=i: finish(i))
+    for _ in requests:
+        assert replied.acquire(timeout=60.0), "a request never replied"
+    return np.asarray(done) - (start + interval * np.arange(len(requests)))
+
+
+def queue_waits(waits):
+    """Patch ``take_batch`` to log each claimed request's queue wait."""
+    inner = RequestQueue.take_batch
+
+    def take_batch(queue, max_rows, max_wait):
+        batch = inner(queue, max_rows, max_wait)
+        if batch is not None:
+            now = time.perf_counter()
+            waits.extend(now - request.enqueued_at for request in batch)
+        return batch
+
+    return mock.patch.object(RequestQueue, "take_batch", take_batch)
+
+
+def closed_by(before, after) -> dict:
+    """Batches per close reason between two ``runtime_stats()``."""
+    return {reason: count - before.batch_close_reasons[reason]
+            for reason, count in after.batch_close_reasons.items()}
+
+
+def report_open(runtime, requests, rate) -> None:
+    """One paced window: latency, queue wait, batches and why they closed."""
+    waits = []
+    before = runtime.runtime_stats()
+    with queue_waits(waits):
+        latency_ms = open_window(runtime, requests, rate) * 1e3
+    after = runtime.runtime_stats()
+    print(f"open loop: {len(requests)} requests at {rate:g}/s")
+    print(f"latency from scheduled send: p50 {np.percentile(latency_ms, 50):.2f} ms, "
+          f"p99 {np.percentile(latency_ms, 99):.2f} ms")
+    print(f"queue wait: p50 {np.percentile(waits, 50) * 1e3:.2f} ms")
+    print(f"batches: {after.batches - before.batches}, closed by {closed_by(before, after)}")
 
 
 def timed(owner, name, totals):
@@ -120,9 +185,8 @@ def report(runtime, requests) -> None:
                           (f"{len(runtime._workers)} dispatcher thread(s)", dispatchers)):
         print(f"CPU, {name}: {seconds:.3f} s, "
               f"{seconds / len(requests) * 1e6:.1f} µs per request")
-    closed = {reason: count - before.batch_close_reasons[reason]
-              for reason, count in after.batch_close_reasons.items()}
-    print(f"batches: {batches}, mean rows {rows / batches:.0f}, closed by {closed}")
+    print(f"batches: {batches}, mean rows {rows / batches:.0f}, "
+          f"closed by {closed_by(before, after)}")
 
     totals, log = defaultdict(float), []
     timers = (          # (owner, name, inside the row above)
@@ -156,8 +220,13 @@ def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--executor", choices=("thread", "process"), default="thread")
     parser.add_argument("--top", type=int, default=15)
-    parser.add_argument("--smoke", action="store_true", help="shape / 100, requests / 10")
+    parser.add_argument("--smoke", action="store_true",
+                        help="shape / 100, requests / 10 (/ 4 with --rate)")
+    parser.add_argument("--rate", type=float, help="requests/s: run the paced open-loop "
+                        "window instead of the closed-loop one")
     args = parser.parse_args(argv)
+    if args.rate is not None and args.rate <= 0:
+        parser.error("--rate must be positive")
     warnings.simplefilter("ignore", repro.ConvergenceWarning)
 
     n_s, d_s, dims, _, (hidden, epochs) = STAR3
@@ -170,9 +239,14 @@ def main(argv=None) -> None:
         ),
     )
     rng = np.random.default_rng(0)
+    if args.rate is None:
+        sizes, count = SIZES, REQUESTS // (10 if args.smoke else 1)
+    else:
+        sizes = OPEN_SIZES
+        count = max(1, round(args.rate * OPEN_SECONDS / (4 if args.smoke else 1)))
     requests = [
         (rng.normal(size=(rows, d_s)), [rng.integers(0, n, size=rows) for n in dim_rows])
-        for rows in rng.choice(SIZES, size=REQUESTS // (10 if args.smoke else 1)).tolist()
+        for rows in rng.choice(sizes, size=count).tolist()
     ]
     profilers = []
     worker_loop = ServingRuntime._worker_loop
@@ -195,9 +269,16 @@ def main(argv=None) -> None:
                 for part in np.array_split(rids, max(1, rids.size // 2048)):
                     runtime.predict("nn", np.zeros((part.size, d_s)),
                                     [part % n for n in dim_rows], timeout=60.0)
-                window(runtime, requests)
+                if args.rate is None:
+                    window(runtime, requests)
+                else:
+                    open_window(runtime, requests, args.rate)
                 yield runtime
 
+        if args.rate is not None:
+            with warm_runtime() as runtime:
+                report_open(runtime, requests, args.rate)
+            return
         with warm_runtime() as runtime:
             report(runtime, requests)
         with mock.patch.object(ServingRuntime, "_worker_loop", profiled_loop), \
