@@ -10,8 +10,9 @@ computed once per batch:
   through a partial cache (misses read base-relation pages and run the
   model's partial builder).  The GMM predictor stops here: its kernel
   gathers the rows per tile;
-* :func:`gather_partials` — the same rows expanded back to request
-  order (the NN first layer adds them to the fact-side product);
+* :func:`gather_partials` — the same rows in request order, expanded
+  by the cache's own ``take`` (the NN first layer adds them to the
+  fact-side product);
 * :func:`densify_request` — fetch each dimension's distinct feature
   rows once and expand them into the wide ``[x_S | x_R1 | …]`` block
   the dense models score.
@@ -34,13 +35,18 @@ def distinct_partials(
     caches,
     builders,
     plan: DedupPlan,
+    *,
+    in_request_order: bool = False,
 ) -> list[np.ndarray]:
     """Per-dimension partial rows at the plan's *distinct* RIDs.
 
     Distinct RIDs come from the plan (no re-dedup); misses read
     base-relation pages through ``lookups`` and run the ``builders``;
     the builder's known row width keeps empty request batches
-    well-shaped.
+    well-shaped.  ``in_request_order`` hands each cache the plan's
+    ``inverse`` too, so the rows come back expanded to the request's
+    rows — a warm dimension in one ``take`` of its slab
+    (:func:`gather_partials`).
 
     Under tracing each dimension gets a ``cache.get_many`` child span
     (the cache attributes its hits/misses/evictions to it, and any
@@ -63,6 +69,7 @@ def distinct_partials(
                     lambda keys, build=builder, look=lookup: build.compute(
                         look.features_for(keys)
                     ),
+                    dim.inverse if in_request_order else None,
                 )
             )
     return resolved
@@ -74,16 +81,11 @@ def gather_partials(
     builders,
     plan: DedupPlan,
 ) -> list[np.ndarray]:
-    """:func:`distinct_partials` expanded back to request rows, each
-    dimension under a ``gather`` child span."""
-    parent = current_span() or NOOP_SPAN
-    gathered = []
-    for index, (dim, rows) in enumerate(
-        zip(plan.dims, distinct_partials(lookups, caches, builders, plan))
-    ):
-        with parent.child("gather", dimension=index, rows=int(plan.rows)):
-            gathered.append(dim.gather(rows))
-    return gathered
+    """:func:`distinct_partials` expanded back to request rows, inside
+    each cache's ``get_many``."""
+    return distinct_partials(
+        lookups, caches, builders, plan, in_request_order=True
+    )
 
 
 def densify_request(

@@ -44,11 +44,12 @@ class ShardedPartialCache(PartialCache):
         self,
         keys: np.ndarray,
         compute: Callable[[np.ndarray], np.ndarray],
+        inverse: np.ndarray | None = None,
     ) -> np.ndarray:
         """:meth:`PartialCache.get_many`, then one budget sweep with no
         cache lock held — even when ``compute`` raises, since the batch
         may already have promoted demoted rows."""
         try:
-            return super().get_many(keys, compute)
+            return super().get_many(keys, compute, inverse)
         finally:
             self._governor.enforce_budget()

@@ -8,13 +8,15 @@ distributions of :mod:`repro.data.synthetic` make this the common
 case), cold RIDs are recomputed from the base relation on demand.
 
 Reuse is the paper's whole serving-time win, so the reuse itself is
-array code: a cache's resident tier is one :class:`SlotTable` — sorted
-keys → slot, one float64 slab, a key column and a recency stamp —
-and a warm lookup is one ``searchsorted``, one ``take`` and one
-column stamp, with no per-key Python between the dedup plan and the
-predictor's GEMM.  The demoted tiers (:mod:`repro.fx.tiers`) are slot
-tables too — float32 payloads, spill-heap positions — so a governor
-sweep demotes, and a batch promotes, whole blocks of rows at a time.
+array code: a cache's resident tier is one :class:`SlotTable` — a
+direct-address map from key to slot, one float64 slab, a key column
+and a recency stamp — and a warm lookup is one ``take`` of the map,
+one ``take`` of the slab (straight into request order when the caller
+passes its dedup plan's ``inverse``) and one column stamp, with no
+per-key Python between the dedup plan and the predictor's GEMM.  The
+demoted tiers (:mod:`repro.fx.tiers`) are slot tables too — float32
+payloads, spill-heap positions — so a governor sweep demotes, and a
+batch promotes, whole blocks of rows at a time.
 
 A cache has no bound of its own: every computed row is admitted, and
 memory is bounded by the owning :class:`~repro.fx.store.PartialStore`'s
@@ -88,6 +90,13 @@ _FLOAT_BYTES = 8
 # its entries — so each resize is paid for by a constant-factor change
 # in the number of rows, and live rows bound the memory held.
 _SLAB_GROWTH = 1.5
+
+# A table finds the slot of a key in ``[0, _DIRECT_SPAN)`` with one
+# ``take`` of a direct-address map, 8 bytes per key of span up to the
+# largest such key held — so at most 16 MiB a table.  Keys outside it
+# (negative ones, or a key space too sparse to address) keep a sorted
+# index and one ``searchsorted``.
+_DIRECT_SPAN = 1 << 21
 
 
 class AccessClock:
@@ -254,21 +263,25 @@ def _first_occurrences(keys: np.ndarray):
 
 
 class SlotTable:
-    """One tier of a cache: sorted keys → slot → slab row.
+    """One tier of a cache: key → slot → slab row.
 
-    ``keys`` (sorted int64) and the parallel ``slots`` are the index,
-    one entry per row held.  A slot numbers one row of ``slab`` — a
-    contiguous ``(capacity, width)`` block of ``dtype``: float64 rows
-    for the resident tier, float32 payloads and spill-heap positions
-    for the demoted ones — and one cell of each column: ``key`` (the
-    way back) and ``tick`` (the row's stamp from the store clock:
-    ascending ``tick`` *is* LRU order).  Freed slots go on a stack
-    and are reused before the slab grows.  The
+    A slot numbers one row of ``slab`` — a contiguous ``(capacity,
+    width)`` block of ``dtype``: float64 rows for the resident tier,
+    float32 payloads and spill-heap positions for the demoted ones —
+    and one cell of each column: ``key`` (the way back) and ``tick``
+    (the row's stamp from the store clock: ascending ``tick`` *is* LRU
+    order).  A key finds its slot through a direct-address map,
+    ``_direct[key]`` (−1: not held), when ``0 <= key < _DIRECT_SPAN``,
+    and through a sorted index of its own — ``_sparse_keys`` and the
+    parallel ``_sparse_slots``, one ``searchsorted`` — otherwise, so
+    every int64 key works and a dense one costs one ``take``.  Freed
+    slots go on a stack and are reused before the slab grows.  The
     slab's capacity tracks the entries both ways, by relocate-and-copy
     (:meth:`_resize`): ×``_SLAB_GROWTH`` when the stack runs dry, back
     down when fewer than a third of the slots are in use — evicted
-    memory is given back, not parked.  Not locked: the owning cache's
-    lock guards every call.
+    memory is given back, not parked, and the map is rebuilt to the
+    span of the keys still held.  Not locked: the owning cache's lock
+    guards every call.
     """
 
     def __init__(self, dtype=np.float64) -> None:
@@ -277,45 +290,111 @@ class SlotTable:
 
     def clear(self) -> None:
         """Drop every row and give the slab back."""
-        self.keys = np.empty(0, dtype=np.int64)
-        self.slots = np.empty(0, dtype=np.intp)
         self.slab = np.empty((0, 0), dtype=self._dtype)
         self.key = np.empty(0, dtype=np.int64)
         self.tick = np.empty(0, dtype=np.int64)
         self._free = np.empty(0, dtype=np.intp)
         self._nfree = 0
+        # Rows held, kept as one int (not capacity minus the free
+        # stack) so the lock-free residency readers never see a
+        # resize half done.
+        self.rows = 0
+        self._clear_index()
 
-    @property
-    def rows(self) -> int:
-        return self.keys.size
+    def _clear_index(self) -> None:
+        """An index holding no key: a one-key map, no sorted keys."""
+        self._direct = np.full(1, -1, dtype=np.intp)
+        self._sparse_keys = np.empty(0, dtype=np.int64)
+        self._sparse_slots = np.empty(0, dtype=np.intp)
 
     @property
     def width(self) -> int:
         return self.slab.shape[1]
 
+    @property
+    def slots(self) -> np.ndarray:
+        """Every held slot, ascending: the slots not on the free stack."""
+        held = np.ones(self.tick.size, dtype=bool)
+        held[self._free[:self._nfree]] = False
+        return np.flatnonzero(held)
+
+    @property
+    def keys(self) -> np.ndarray:
+        """Every key held, sorted."""
+        return np.sort(self.key[self.slots])
+
     def find(self, keys: np.ndarray):
         """``(slots, found)``: which ``keys`` hold a row, and where
-        (where not ``found`` the slot is some other entry's)."""
-        if not self.keys.size:
+        (where not ``found`` the slot is −1 or some other entry's).
+
+        A key the map does not cover is clipped onto one it does, and
+        the ``key`` column tells the two apart."""
+        if not self.rows:
             return np.zeros(keys.size, np.intp), np.zeros(keys.size, bool)
-        at = self.keys.searchsorted(keys)
-        return (
-            self.slots.take(at, mode="clip"),
-            self.keys.take(at, mode="clip") == keys,
-        )
+        slots = self._direct.take(keys, mode="clip")
+        found = self.key.take(slots) == keys    # −1 reads the last slot
+        found &= slots >= 0
+        if self._sparse_keys.size:
+            at = self._sparse_keys.searchsorted(keys)
+            sparse = self._sparse_keys.take(at, mode="clip") == keys
+            slots = np.where(
+                sparse, self._sparse_slots.take(at, mode="clip"), slots
+            )
+            found |= sparse
+        return slots, found
+
+    def _index(self, keys: np.ndarray, slots: np.ndarray) -> None:
+        """Point the not-held ``keys`` at ``slots``: the map grows
+        (×``_SLAB_GROWTH``, up to ``_DIRECT_SPAN``) to cover the largest
+        key it takes, the rest go into the sorted index."""
+        direct = (keys >= 0) & (keys < _DIRECT_SPAN)
+        if not direct.all():
+            sparse = ~direct
+            order = np.argsort(keys[sparse])
+            added = keys[sparse][order]
+            at = self._sparse_keys.searchsorted(added)
+            self._sparse_keys = np.insert(self._sparse_keys, at, added)
+            self._sparse_slots = np.insert(
+                self._sparse_slots, at, slots[sparse][order]
+            )
+            keys, slots = keys[direct], slots[direct]
+        if keys.size:
+            span = int(keys.max()) + 1
+            if span > self._direct.size:
+                grown = np.full(
+                    min(
+                        max(span, int(self._direct.size * _SLAB_GROWTH)),
+                        _DIRECT_SPAN,
+                    ),
+                    -1, dtype=np.intp,
+                )
+                grown[:self._direct.size] = self._direct
+                self._direct = grown
+            self._direct[keys] = slots
+
+    def _unindex(self, keys: np.ndarray) -> None:
+        """Forget the held ``keys``."""
+        direct = (keys >= 0) & (keys < _DIRECT_SPAN)
+        self._direct[keys[direct]] = -1
+        if not direct.all():
+            at = self._sparse_keys.searchsorted(keys[~direct])
+            self._sparse_keys = np.delete(self._sparse_keys, at)
+            self._sparse_slots = np.delete(self._sparse_slots, at)
 
     def _resize(self, capacity: int) -> None:
-        """Move the entries to slots ``0..n-1``, in key order, of
-        columns and a slab ``capacity`` slots long."""
+        """Move the entries to slots ``0..n-1``, in slot order, of
+        columns and a slab ``capacity`` slots long, and index them
+        afresh."""
         live = self.slots
         for name in ("key", "tick"):
             column = getattr(self, name)
             moved = np.empty(capacity, dtype=column.dtype)
             moved[:live.size] = column[live]
             setattr(self, name, moved)
-        self.slots = np.arange(live.size)
         self._free = np.arange(capacity - 1, -1, -1)    # top: live.size
         self._nfree = capacity - live.size
+        self._clear_index()
+        self._index(self.key[:live.size], np.arange(live.size))
         if self.width:
             self._relocate(capacity, self.width, live)
 
@@ -335,18 +414,16 @@ class SlotTable:
             self._relocate(self.tick.size, rows.shape[1])
         if keys.size > self._nfree:     # renumbers: before the write
             self._resize(max(
-                self.keys.size + keys.size,
+                self.rows + keys.size,
                 int(self.tick.size * _SLAB_GROWTH),
             ))
         self._nfree -= keys.size
         slots = self._free[self._nfree:self._nfree + keys.size][::-1]
         self.key[slots] = keys
-        order = np.argsort(keys)
-        at = self.keys.searchsorted(keys[order])
-        self.keys = np.insert(self.keys, at, keys[order])
-        self.slots = np.insert(self.slots, at, slots[order])
+        self._index(keys, slots)
         self.slab[slots] = rows
         self.touch(slots, stamps)
+        self.rows += keys.size
 
     def touch(self, slots: np.ndarray, stamps) -> None:
         """Stamp ``slots`` with ``stamps``, in order (a repeated slot
@@ -357,17 +434,16 @@ class SlotTable:
         """Take the rows out of the (distinct, held) ``slots`` — which
         may renumber every slot left."""
         if slots.size:
-            at = self.keys.searchsorted(self.key[slots])
-            self.keys = np.delete(self.keys, at)
-            self.slots = np.delete(self.slots, at)
+            self._unindex(self.key[slots])
             self._free[self._nfree:self._nfree + slots.size] = slots
             self._nfree += slots.size
-            if self.keys.size * 3 < self.tick.size:
-                self._resize(int(self.keys.size * _SLAB_GROWTH))
+            self.rows -= slots.size
+            if self.rows * 3 < self.tick.size:
+                self._resize(int(self.rows * _SLAB_GROWTH))
 
     def coldest(self, count: int) -> np.ndarray:
         """Up to ``count`` held slots, least recent first."""
-        if count <= 0 or not self.keys.size:
+        if count <= 0 or not self.rows:
             return np.empty(0, dtype=np.intp)
         slots = self.slots
         ticks = self.tick[slots]
@@ -378,7 +454,8 @@ class SlotTable:
 
     def resident_keys(self) -> np.ndarray:
         """Every key held, least recent first."""
-        return self.key[self.slots[np.argsort(self.tick[self.slots])]]
+        slots = self.slots
+        return self.key[slots[np.argsort(self.tick[slots])]]
 
 
 class PartialCache:
@@ -643,6 +720,7 @@ class PartialCache:
         self,
         keys: np.ndarray,
         compute: Callable[[np.ndarray], np.ndarray],
+        inverse: np.ndarray | None = None,
     ) -> np.ndarray:
         """Rows for ``keys``, computing the misses in one batch.
 
@@ -658,6 +736,11 @@ class PartialCache:
         governor evicts them right after (a request wider than the
         budget still gets correct results — only reuse across requests
         is lost).
+
+        ``inverse`` — positions in ``keys``, a dedup plan's — asks for
+        the rows in that order instead, ``rows[inverse]``: a full hit
+        is then one ``take`` of the slab, straight into request order.
+        Hits and misses are still counted once per entry of ``keys``.
         """
         keys = np.asarray(keys)
         if keys.ndim != 1:
@@ -703,21 +786,24 @@ class PartialCache:
                 span.add("cache.hits", hits)
                 span.add("cache.misses", misses)
             if hits:
-                out = table.slab.take(slots, axis=0)
                 touched = slots[held] if misses else slots
                 table.touch(touched, stamps[:touched.size])
-            elif misses and where is None and (
+            if not misses:
+                if inverse is not None:
+                    slots = slots.take(inverse)
+                return table.slab.take(slots, axis=0)
+            if hits:
+                out = table.slab.take(slots, axis=0)
+            elif where is None and (
                 computed.flags.owndata and sys.getrefcount(computed) <= 2
             ):
                 out = computed      # its only holder: no third copy
             else:
-                width = computed.shape[1] if misses else table.width
-                out = np.empty((keys.size, width))
-            if misses:
-                self._insert(missing, computed, stamps[-missing.size:])
-                if out is not computed:
-                    out[~held] = computed if where is None else computed[where]
-            return out
+                out = np.empty((keys.size, computed.shape[1]))
+            self._insert(missing, computed, stamps[-missing.size:])
+            if out is not computed:
+                out[~held] = computed if where is None else computed[where]
+            return out if inverse is None else out.take(inverse, axis=0)
 
     # -- store-wide budget hooks (see the module docstring) ----------------
 

@@ -359,7 +359,8 @@ class NNPredictor(_ServingPredictor):
             self.lookups, self.caches, self.builders, plan
         ):
             pre += partial
-        return pre + self.model.first_layer.bias
+        pre += self.model.first_layer.bias
+        return pre
 
     def predict(
         self, fact_features, fk_values, *, plan=None, strategy=None

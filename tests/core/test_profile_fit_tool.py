@@ -1,7 +1,8 @@
 """tools/profile_fit.py and tools/profile_runtime.py keep running: one
 pass per model, one of the maintenance build, one closed-loop and one
-paced (``--rate``) runtime window per executor at their ``--smoke``
-scale, driven through ``main()`` as a developer would."""
+paced (``--rate``) runtime window per executor and one ``--inline``
+service window at their ``--smoke`` scale, driven through ``main()`` as
+a developer would."""
 
 import ast
 import sys
@@ -108,6 +109,27 @@ def test_runtime_open_loop_smoke(executor, capsys):
     assert "tottime" not in out
 
 
+def test_inline_smoke(capsys):
+    profile_runtime.main(["--inline", "--smoke", "--top", "3"])
+    out = capsys.readouterr().out
+    count = profile_runtime.INLINE_REQUESTS // 3
+    rows = profile_runtime.INLINE_ROWS // 32
+    assert f"inline: {count} requests of {rows} rows, nn and gmm alternating\n" in out
+    rate = out.split("window: wall ")[1].split("; ")[1].split(" rows/s")[0]
+    assert float(rate.replace(",", "")) > 0
+    layers = out.split("inside the row above)\n")[1].split("\n\n")[0].splitlines()
+    ms = {line[:40].strip(): float(line[40:].split()[0]) for line in layers}
+    assert list(ms) == [
+        "ModelService.predict", "DedupPlan.for_batch", "PartialCache.get_many",
+        "DimensionDedup.gather", "predictor.posteriors",
+        "MLP.forward_from_first_preactivation", "the rest of predict",
+    ]
+    assert ms["ModelService.predict"] > 0 and ms["PartialCache.get_many"] > 0
+    # a warm network request expands its partials inside the cache's take
+    assert ms["DimensionDedup.gather"] == 0
+    assert "cProfile, one warm window" in out and out.count("tottime") == 1
+
+
 def test_shapes_are_the_benchmarks():
     """The copied constants have not drifted from the e2e workloads."""
     sys.path.insert(0, str(REPO_ROOT / "benchmarks" / "e2e"))
@@ -139,6 +161,10 @@ def test_shapes_are_the_benchmarks():
     assert (c["sizes"], c["outstanding"], c["requests_per_window"]) == (
         profile_runtime.SIZES, profile_runtime.OUTSTANDING,
         profile_runtime.REQUESTS,
+    )
+    c = workloads.SHAPES["full"]["serve_batch_warm"]
+    assert (c["request_rows"], c["requests_per_window"]) == (
+        profile_runtime.INLINE_ROWS, profile_runtime.INLINE_REQUESTS,
     )
     c = workloads.SHAPES["full"]["runtime_process_open"]
     assert (c["sizes"], c["window_seconds"]) == (

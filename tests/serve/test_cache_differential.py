@@ -16,6 +16,12 @@ sweep), and the array cache's heap file may never hold more rows than
 were ever spilled at once: freed positions are recycled before the
 file grows.
 
+Each example also draws the key domain its universe maps into: the
+dense ``[0, 14)`` a table's direct-address map covers, one straddling
+zero (the negative keys take the sorted fallback) and a stride of more
+than 2^40 (every key but 0 takes it), so both indexes — and a table
+holding keys of both — run against the oracle.
+
 One thing the oracle does is not reproduced, on purpose, and the
 schedules steer around it: with repeated keys in one call the oracle
 hands ``compute`` the repeats and double-counts a repeated promotion;
@@ -39,6 +45,12 @@ from tests.serve import reference_cache
 
 WIDTH = 4
 UNIVERSE = 14
+# (offset, stride): universe index i is key offset + stride * i.
+DOMAINS = {
+    "dense": (0, 1),
+    "negative": (-(UNIVERSE // 2), 1),
+    "sparse": (0, 2**40 + 3),
+}
 
 
 @pytest.fixture(autouse=True)
@@ -97,7 +109,13 @@ def array_sweep(cache, deficit):
     return keys.tolist(), keys[rank].tolist(), victims.tolist(), freed
 
 
-def assert_same_state(new, old):
+def as_keys(indexes, domain):
+    """Universe ``indexes`` as the int64 keys of ``domain``."""
+    offset, stride = DOMAINS[domain]
+    return offset + stride * np.asarray(indexes, dtype=np.int64)
+
+
+def assert_same_state(new, old, domain="dense"):
     assert dataclasses.asdict(new.stats()) == dataclasses.asdict(old.stats())
     assert tuple(new.residency()) == tuple(old.residency())
     assert len(new) == len(old)
@@ -107,7 +125,7 @@ def assert_same_state(new, old):
     assert new.keys() == [*old._rows, *old._compressed, *old._spilled]
     assert (new.demotions, new.promotions) == (old.demotions, old.promotions)
     assert (new.hits, new.misses) == (old.hits, old.misses)
-    for key in range(UNIVERSE):
+    for key in as_keys(range(UNIVERSE), domain).tolist():
         assert (key in new) == (key in old)
         assert new.tier_of(key) == (
             "resident" if key in old._rows
@@ -118,13 +136,17 @@ def assert_same_state(new, old):
 
 
 @settings(max_examples=300, deadline=None)
-@given(configurations, st.lists(operations, min_size=1, max_size=30))
-def test_random_schedules_match_the_dict_cache(config, schedule):
+@given(
+    configurations,
+    st.lists(operations, min_size=1, max_size=30),
+    st.sampled_from(sorted(DOMAINS)),
+)
+def test_random_schedules_match_the_dict_cache(config, schedule, domain):
     with tempfile.TemporaryDirectory() as root:
-        _drive(dict(config), schedule, root)
+        _drive(dict(config), schedule, root, domain)
 
 
-def _drive(config, schedule, root):
+def _drive(config, schedule, root, domain="dense"):
     spills = "spill" in config["tiers"]
     new = PartialCache(spill_dir=f"{root}/new" if spills else None, **config)
     slab = new._spill
@@ -137,9 +159,9 @@ def _drive(config, schedule, root):
     peak_spilled = 0
     for name, argument in schedule:
         if name == "get":
-            keys = np.array(argument, dtype=np.int64)
+            keys = as_keys(argument, domain)
             if laddered:
-                keys = np.array(sorted(set(argument)), dtype=np.int64)
+                keys = as_keys(sorted(set(argument)), domain)
             asked = []
 
             def compute(missing):
@@ -155,14 +177,14 @@ def _drive(config, schedule, root):
                 assert missing.tolist() == list(dict.fromkeys(missing.tolist()))
                 assert set(missing.tolist()) <= set(keys.tolist())
         elif name == "invalidate":
-            keys = np.array(argument, dtype=np.int64)
+            keys = as_keys(argument, domain)
             assert new.invalidate(keys) == old.invalidate(keys)
         elif name == "sweep":
             assert array_sweep(new, argument) == reference_sweep(old, argument)
         else:
             new.clear()
             old.clear()
-        assert_same_state(new, old)
+        assert_same_state(new, old, domain)
         peak_spilled = max(peak_spilled, len(new.keys("spill")))
         if spills and WIDTH in slab._heaps:
             assert slab._heaps[WIDTH].nrows <= peak_spilled
@@ -190,3 +212,45 @@ def test_promotion_never_evicts_the_batchs_own_rows():
     assert cache.tier_of(1) == "resident" and cache.tier_of(2) == "resident"
     assert cache.tier_of(3) == "float32"             # the sweep's victim
     store.close()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([(), ("float32",), ("float32", "spill")]),
+    st.lists(
+        st.tuples(
+            st.lists(st.integers(0, UNIVERSE - 1), min_size=0, max_size=9),
+            st.lists(st.integers(0, 1 << 16), min_size=0, max_size=12),
+        ),
+        min_size=1, max_size=12,
+    ),
+    st.sampled_from(sorted(DOMAINS)),
+)
+def test_rows_in_request_order_are_the_plain_rows_taken(
+    tiers, schedule, domain
+):
+    """``get_many(keys, compute, inverse)`` is ``get_many(keys,
+    compute)[inverse]`` — rows ``array_equal``, counters identical —
+    over hits, misses and repeated keys, each cache under a store budget
+    of its own (6 rows' floats) whose governor demotes or drops rows
+    between calls."""
+    stores = [
+        PartialStore(tiers=tiers, capacity_floats=6 * WIDTH)
+        for _ in range(2)
+    ]
+    fused, plain = (store.acquire("fp") for store in stores)
+    for indexes, positions in schedule:
+        keys = as_keys(indexes, domain)
+        inverse = np.array(positions, dtype=np.intp) % max(keys.size, 1)
+        if not keys.size:
+            inverse = inverse[:0]
+        got = fused.get_many(keys, rows_for, inverse)
+        want = plain.get_many(keys, rows_for)[inverse]
+        assert got.shape[0] == inverse.size
+        if keys.size:
+            np.testing.assert_array_equal(got, want)
+        assert dataclasses.asdict(fused.stats()) == dataclasses.asdict(
+            plain.stats()
+        )
+    for store in stores:
+        store.close()

@@ -4,6 +4,7 @@
     PYTHONPATH=src python tools/profile_runtime.py
     PYTHONPATH=src python tools/profile_runtime.py --executor process --top 20
     PYTHONPATH=src python tools/profile_runtime.py --executor process --rate 300
+    PYTHONPATH=src python tools/profile_runtime.py --inline --top 25
 
 Runs ``runtime_thread_window``'s shape — 64 requests of 1 / 4 / 16 rows
 outstanding against 2 workers, ``max_wait_ms=2.0`` — three times over:
@@ -24,6 +25,14 @@ parent's alone and ``execute`` includes the wait for the worker processes.
 one such window of warm-up), and prints the latency p50 / p99 from each
 request's scheduled send, the queue-wait p50 (claim minus stamp, as the
 e2e tracer reads it), the batches and their close reasons.
+
+``--inline`` runs ``serve_batch_warm``'s window instead, on no runtime at
+all: a ``repro.serve(db)`` service with every RID warm, one caller sending
+60 requests of 2,048 rows, network and mixture alternating.  It prints the
+bare window's wall and rows/s, the same window with timers around the
+layers a warm request crosses (dedup plan, cache lookup, gather, the GMM
+kernel, the network's head) in ms per window, and a cProfile of one warm
+window.
 """
 
 from __future__ import annotations
@@ -40,12 +49,17 @@ from concurrent.futures import Future
 from unittest import mock
 
 import numpy as np
-from profile_fit import SHAPES
+from profile_fit import COMPONENTS, SHAPES
 
 import repro
+from repro.fx.dedup import DedupPlan, DimensionDedup
+from repro.nn.network import MLP
 from repro.runtime.queue import RequestQueue
 from repro.runtime.service import ServingRuntime
+from repro.serve import predictor
+from repro.serve.cache import PartialCache
 from repro.serve.core import RegisteredModel
+from repro.serve.service import ModelService
 
 STAR3 = SHAPES["star3"]
 # Copied from benchmarks/e2e/workloads.SHAPES["full"]["runtime_thread_window"]
@@ -53,7 +67,15 @@ STAR3 = SHAPES["star3"]
 SIZES, OUTSTANDING, REQUESTS = (1, 4, 16), 64, 2500
 # Copied from benchmarks/e2e/workloads.SHAPES["full"]["runtime_process_open"].
 OPEN_SIZES, OPEN_SECONDS = (16, 64, 256), 1.2
+# Copied from benchmarks/e2e/workloads.SHAPES["full"]["serve_batch_warm"].
+INLINE_ROWS, INLINE_REQUESTS = 2048, 60
 RUNTIME = dict(num_workers=2, max_wait_ms=2.0)
+# (owner, attribute, inside the row above): the layers of an inline request.
+LAYERS = (
+    (ModelService, "predict", False), (DedupPlan, "for_batch", True),
+    (PartialCache, "get_many", True), (DimensionDedup, "gather", True),
+    (predictor, "posteriors", True), (MLP, "forward_from_first_preactivation", True),
+)
 TIMELINE = 20               # batches shown
 
 
@@ -216,6 +238,43 @@ def report(runtime, requests) -> None:
           "   (take_batch, this tool's loop)")
 
 
+def serve_window(service, requests) -> float:
+    """Serve ``requests`` one after another from this thread; the seconds."""
+    start = time.perf_counter()
+    for model, x, fks in requests:
+        service.predict(model, x, fks)
+    return time.perf_counter() - start
+
+
+def report_inline(service, requests, top) -> None:
+    """The bare window, the layer split and a cProfile of one window."""
+    rows = sum(x.shape[0] for _, x, _ in requests)
+    wall = serve_window(service, requests)
+    print(f"inline: {len(requests)} requests of {requests[0][1].shape[0]} rows, "
+          "nn and gmm alternating")
+    print(f"window: wall {wall:.4f} s; {rows / wall:,.0f} rows/s")
+    totals = defaultdict(float)
+    with contextlib.ExitStack() as patched:
+        for owner, name, _ in LAYERS:
+            patched.enter_context(timed(owner, name, totals))
+        wall = serve_window(service, requests)
+    print(f"\nms per window (timers on: wall {wall:.4f} s; indented rows are "
+          "inside the row above)")
+    inside = 0.0
+    for owner, name, nested in LAYERS:
+        seconds = totals[f"{owner.__name__}.{name}"]
+        inside += seconds if nested else 0.0
+        label = f"{'  ' * nested}{owner.__name__.rsplit('.', 1)[-1]}.{name}"
+        print(f"{label:<40}{seconds * 1e3:8.2f}")
+    rest = totals["ModelService.predict"] - inside
+    print(f"{'  the rest of predict':<40}{rest * 1e3:8.2f}   (first-layer GEMM, "
+          "request checks, bookkeeping)")
+    profiler = cProfile.Profile()
+    profiler.runcall(serve_window, service, requests)
+    print("\ncProfile, one warm window")
+    pstats.Stats(profiler).sort_stats("tottime").print_stats(top)
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--executor", choices=("thread", "process"), default="thread")
@@ -224,9 +283,14 @@ def main(argv=None) -> None:
                         help="shape / 100, requests / 10 (/ 4 with --rate)")
     parser.add_argument("--rate", type=float, help="requests/s: run the paced open-loop "
                         "window instead of the closed-loop one")
+    parser.add_argument("--inline", action="store_true", help="run serve_batch_warm's "
+                        "window on a repro.serve(db) service instead (rows / 32 "
+                        "and requests / 3 with --smoke)")
     args = parser.parse_args(argv)
     if args.rate is not None and args.rate <= 0:
         parser.error("--rate must be positive")
+    if args.inline and (args.rate is not None or args.executor != "thread"):
+        parser.error("--inline runs no runtime: no --rate or --executor")
     warnings.simplefilter("ignore", repro.ConvergenceWarning)
 
     n_s, d_s, dims, _, (hidden, epochs) = STAR3
@@ -259,6 +323,9 @@ def main(argv=None) -> None:
     with repro.Database() as db:
         spec = repro.generate_star(db, config).spec
         nn = repro.fit_nn(db, spec, hidden_sizes=(hidden,), epochs=epochs)
+        if args.inline:
+            inline(db, spec, nn, dim_rows, d_s, args)
+            return
 
         @contextlib.contextmanager
         def warm_runtime():
@@ -291,6 +358,31 @@ def main(argv=None) -> None:
         pstats.Stats(submitter).sort_stats("tottime").print_stats(args.top)
         print(f"cProfile, the {len(profilers)} dispatcher thread(s)")
         pstats.Stats(*profilers).sort_stats("tottime").print_stats(args.top)
+
+
+def inline(db, spec, nn, dim_rows, d_s, args) -> None:
+    """``serve_batch_warm``'s window on a warm ``repro.serve(db)``."""
+    _, _, _, iterations, _ = STAR3
+    gmm = repro.fit_gmm(db, spec, n_components=COMPONENTS, max_iter=iterations, tol=0.0)
+    rows = INLINE_ROWS // (32 if args.smoke else 1)
+    count = INLINE_REQUESTS // (3 if args.smoke else 1)
+    rng = np.random.default_rng(0)
+    requests = [
+        (("nn", "gmm")[i % 2], rng.normal(size=(rows, d_s)),
+         [rng.integers(0, n, size=rows) for n in dim_rows])
+        for i in range(count)
+    ]
+    service = repro.serve(db)
+    try:
+        service.register_nn("nn", nn, spec)
+        service.register_gmm("gmm", gmm, spec)
+        rids = np.arange(max(dim_rows))
+        for model in ("nn", "gmm"):
+            service.predict(model, np.zeros((rids.size, d_s)), [rids % n for n in dim_rows])
+        serve_window(service, requests)
+        report_inline(service, requests, args.top)
+    finally:
+        service.close()
 
 
 if __name__ == "__main__":
