@@ -25,7 +25,11 @@ from repro.errors import ModelError, StorageError
 from repro.fx.dedup import distinct_values
 from repro.storage.buffer import BufferPool
 from repro.storage.events import RowVersionEvent
-from repro.storage.heapfile import DEFAULT_PAGE_SIZE_BYTES, HeapFile
+from repro.storage.heapfile import (
+    DEFAULT_PAGE_SIZE_BYTES,
+    HeapFile,
+    checked_positions,
+)
 from repro.storage.iostats import IOStats
 from repro.storage.relation import Relation
 from repro.storage.schema import Schema
@@ -208,7 +212,7 @@ class Database:
         partial-result caches are keyed by.
         """
         relation = self.relation(name)
-        positions = np.asarray(positions).ravel().astype(np.int64)
+        positions = np.asarray(positions).ravel()
         rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
         if rows.ndim != 2 or rows.shape[1] != relation.schema.width:
             raise StorageError(
@@ -219,13 +223,7 @@ class Database:
             raise StorageError(
                 f"{positions.size} positions but {rows.shape[0]} rows"
             )
-        if positions.size and (
-            positions.min() < 0 or positions.max() >= relation.nrows
-        ):
-            raise StorageError(
-                f"row positions must lie in [0, {relation.nrows}), got "
-                f"range [{positions.min()}, {positions.max()}]"
-            )
+        positions = checked_positions(positions, relation.nrows)
         keyed = relation.schema.key_column is not None
         with self._update_lock:
             if keyed and positions.size:

@@ -40,6 +40,35 @@ def rows_per_page(ncols: int, page_size_bytes: int = DEFAULT_PAGE_SIZE_BYTES) ->
     return max(1, page_size_bytes // (ncols * _FLOAT_BYTES))
 
 
+def checked_positions(positions, nrows: int) -> np.ndarray:
+    """``positions`` as int64 heap row numbers, or :class:`StorageError`
+    naming the first bad one.  An integer dtype is taken as it is; a
+    float only where every value is exactly integral, so 5.7 or NaN is
+    refused rather than truncated to a row nobody asked for.  Every
+    value must lie in ``[0, nrows)``."""
+    positions = np.asarray(positions).ravel()
+    kind = positions.dtype.kind
+    if kind not in "iuf":
+        raise StorageError(
+            f"row positions must be integers, got dtype {positions.dtype}"
+        )
+    if not positions.size:
+        return positions.astype(np.int64)
+    if kind == "f":
+        bad = ~((positions >= 0) & (positions < nrows)
+                & (positions == np.floor(positions)))
+    elif positions.min() < 0 or positions.max() >= nrows:
+        bad = (positions < 0) | (positions >= nrows)
+    else:
+        return positions.astype(np.int64, copy=False)
+    if bad.any():
+        raise StorageError(
+            f"row positions must be integers in [0, {nrows}); got "
+            f"{positions[bad][0].item()!r}"
+        )
+    return positions.astype(np.int64)
+
+
 def page_runs(positions: np.ndarray, rows_per_page: int):
     """Yield ``(page_no, where, slots)`` per page the heap ``positions``
     touch, ascending: ``positions[where]`` lie on that page, in their
@@ -239,7 +268,7 @@ class HeapFile:
         standard read-modify-write cycle, visible to the I/O accounting
         like every other page access.
         """
-        positions = np.asarray(positions).ravel().astype(np.int64)
+        positions = np.asarray(positions).ravel()
         rows = np.ascontiguousarray(rows, dtype=np.float64)
         if rows.ndim != 2 or rows.shape[1] != self.ncols:
             raise StorageError(
@@ -250,13 +279,9 @@ class HeapFile:
             raise StorageError(
                 f"{positions.size} positions but {rows.shape[0]} rows"
             )
+        positions = checked_positions(positions, self._nrows)
         if positions.size == 0:
             return
-        if positions.min() < 0 or positions.max() >= self._nrows:
-            raise StorageError(
-                f"row positions must lie in [0, {self._nrows}), got "
-                f"range [{positions.min()}, {positions.max()}]"
-            )
         runs = list(page_runs(positions, self.rows_per_page))
         with self._io_lock.write():
             with open(self.path, "r+b") as handle:
@@ -280,15 +305,10 @@ class HeapFile:
         write side, and what makes a batch of spilled-partial fetches
         cost sequential page reads rather than per-row seeks.
         """
-        positions = np.asarray(positions).ravel().astype(np.int64)
+        positions = checked_positions(positions, self._nrows)
         out = np.empty((positions.size, self.ncols))
         if positions.size == 0:
             return out
-        if positions.min() < 0 or positions.max() >= self._nrows:
-            raise StorageError(
-                f"row positions must lie in [0, {self._nrows}), got "
-                f"range [{positions.min()}, {positions.max()}]"
-            )
         runs = list(page_runs(positions, self.rows_per_page))
         with self._io_lock.read(), open(self.path, "rb") as handle:
             for page_no, where, slots in runs:

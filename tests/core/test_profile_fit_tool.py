@@ -1,8 +1,8 @@
 """tools/profile_fit.py and tools/profile_runtime.py keep running: one
 pass per model, one of the maintenance build, one closed-loop and one
 paced (``--rate``) runtime window per executor and one ``--inline``
-service window at their ``--smoke`` scale, driven through ``main()`` as
-a developer would."""
+service window per ``--window`` at their ``--smoke`` scale, driven
+through ``main()`` as a developer would."""
 
 import ast
 import sys
@@ -130,6 +130,45 @@ def test_inline_smoke(capsys):
     assert "cProfile, one warm window" in out and out.count("tottime") == 1
 
 
+@pytest.mark.parametrize("window", ["update_mix", "budget_tiered"])
+def test_inline_rebuild_window_smoke(window, capsys):
+    profile_runtime.main(["--inline", "--smoke", "--top", "3", "--window", window])
+    out = capsys.readouterr().out
+    rate = out.split("window: wall ")[1].split("; ")[1].split(" rows/s")[0]
+    assert float(rate.replace(",", "")) > 0
+    layers = out.split("inside the row above)\n")[1].split("\n\n")[0].splitlines()
+    ms = {line[:40].strip(): float(line[40:].split()[0]) for line in layers}
+    rebuild = ["DimensionLookup.features_for", "BufferPool.read_rows",
+               "GMMPartialBuilder.compute"]
+    assert list(ms)[-10:] == [
+        "ModelService.predict", "DedupPlan.for_batch", "PartialCache.get_many",
+        *rebuild, "DimensionDedup.gather", "predictor.posteriors",
+        "MLP.forward_from_first_preactivation", "the rest of predict",
+    ]
+    if window == "update_mix":
+        c = profile_runtime.UPDATE_MIX
+        assert out.startswith(
+            f"inline: {c['cycles_per_window'] // 3} cycles of "
+            f"{c['reads_per_cycle']} reads of {c['request_rows'] // 32} rows"
+        )
+        assert list(ms)[:2] == ["Database.update_rows", "ModelMaintainer.flush"]
+        # every flush swaps the mixture, so its partials are rebuilt
+        # from rows read through the pool
+        assert min(ms[name] for name in rebuild) > 0
+    else:
+        c = profile_runtime.BUDGET_TIERED
+        assert out.startswith(
+            f"inline: {c['requests_per_window'] // 3} requests of "
+            f"{c['request_rows'] // 32} rows, Zipf({c['zipf']}) R1 keys"
+        )
+    assert "cProfile, one warm window" in out and out.count("tottime") == 1
+
+
+def test_window_needs_inline():
+    with pytest.raises(SystemExit):
+        profile_runtime.main(["--window", "update_mix", "--smoke"])
+
+
 def test_shapes_are_the_benchmarks():
     """The copied constants have not drifted from the e2e workloads."""
     sys.path.insert(0, str(REPO_ROOT / "benchmarks" / "e2e"))
@@ -166,6 +205,10 @@ def test_shapes_are_the_benchmarks():
     assert (c["request_rows"], c["requests_per_window"]) == (
         profile_runtime.INLINE_ROWS, profile_runtime.INLINE_REQUESTS,
     )
+    for name, copied in (("serve_update_mix", profile_runtime.UPDATE_MIX),
+                         ("serve_budget_tiered", profile_runtime.BUDGET_TIERED)):
+        c = workloads.SHAPES["full"][name]
+        assert {key: c[key] for key in copied} == copied
     c = workloads.SHAPES["full"]["runtime_process_open"]
     assert (c["sizes"], c["window_seconds"]) == (
         profile_runtime.OPEN_SIZES, profile_runtime.OPEN_SECONDS,

@@ -36,10 +36,7 @@ def _stub_worker(db) -> _Worker:
 
 
 def _resident_pages(db, heap) -> set[int]:
-    path = str(heap.path)
-    return {
-        page for (file, page) in db.buffer_pool._pages if file == path
-    }
+    return set(db.buffer_pool.resident_pages(heap))
 
 
 class TestWorkerPageScopedInvalidation:

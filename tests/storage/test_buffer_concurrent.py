@@ -2,6 +2,7 @@
 coalescing, and invalidation racing an in-flight read.
 """
 
+import sys
 import threading
 import time
 
@@ -9,8 +10,10 @@ import numpy as np
 import pytest
 
 from repro.storage.buffer import BufferPool
+from repro.storage.catalog import Database
 from repro.storage.heapfile import HeapFile
 from repro.storage.iostats import IOStats
+from repro.storage.schema import Schema, features
 
 
 class GatedHeap(HeapFile):
@@ -302,3 +305,106 @@ class TestInvalidationRaces:
         for thread in threads:
             thread.join()
         assert not errors
+
+    def test_threaded_update_read_rows_stress(self, tmp_path):
+        """``read_rows`` callers race ``Database.update_rows`` on a heap
+        of six pages through a pool of four: warm gathers, misses and
+        evictions interleave with page invalidations.  Each update
+        rewrites one page whole, so a page's rows in a result agree,
+        and a read issued after an update returned sees its version."""
+        pages, per_page = 6, 4
+        db = Database(tmp_path / "db", page_size_bytes=64, buffer_pages=4)
+        db.create_relation(
+            "R", Schema(features("x", 2)), np.zeros((pages * per_page, 2))
+        )
+        heap, pool = db.relation("R").heap, db.buffer_pool
+        assert heap.rows_per_page == per_page and heap.npages == pages
+        published = np.zeros(pages)
+        stop = threading.Event()
+        errors = []
+
+        def writer():
+            rng = np.random.default_rng(0)
+            try:
+                for version in range(1, 120):
+                    page = int(rng.integers(pages))
+                    db.update_rows(
+                        "R", page * per_page + np.arange(per_page),
+                        np.full((per_page, 2), float(version)),
+                    )
+                    published[page] = version
+                    time.sleep(0.0002)
+            except Exception as error:  # pragma: no cover
+                errors.append(error)
+            finally:
+                stop.set()
+
+        def reader(seed):
+            rng = np.random.default_rng(seed)
+            try:
+                while not stop.is_set():
+                    positions = rng.integers(0, pages * per_page, size=9)
+                    floor = published[positions // per_page]
+                    rows = pool.read_rows(heap, positions)
+                    assert (rows[:, 0] == rows[:, 1]).all()
+                    assert (rows[:, 0] >= floor).all(), (
+                        f"stale rows {rows[:, 0]} after versions {floor}"
+                    )
+                    for page in np.unique(positions // per_page):
+                        on_page = rows[positions // per_page == page, 0]
+                        assert on_page.min() == on_page.max(), (
+                            f"torn page {page}: {on_page}"
+                        )
+            except Exception as error:  # pragma: no cover
+                errors.append(error)
+
+        threads = [threading.Thread(target=writer)] + [
+            threading.Thread(target=reader, args=(seed,)) for seed in range(3)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)       # switch threads mid-read
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        db.close(delete=True)
+        assert not errors
+        assert len(pool) <= pool.capacity_pages
+
+    def test_a_short_page_an_append_outran_is_never_cached(self, tmp_path):
+        """A read of the heap's short last page completes, then rows are
+        appended onto that page before the read is installed (the
+        database invalidates the page *before* its append, so the
+        read's version check passes): the short copy must not be
+        cached, or a later read of a new row would gather a frame slot
+        the read never filled."""
+
+        class LateHeap(HeapFile):
+            gate = None
+
+            def read_page(self, page_no):
+                page = super().read_page(page_no)
+                if self.gate is not None:
+                    self.read_done.set()
+                    assert self.gate.wait(timeout=10.0)
+                return page
+
+        heap = LateHeap.create(tmp_path / "l.tbl", 2, page_size_bytes=64)
+        heap.append(np.zeros((6, 2)))            # page 1 holds 2 of 4 rows
+        pool = BufferPool(4)
+        heap.read_done, heap.gate = threading.Event(), threading.Event()
+        reader = threading.Thread(target=lambda: pool.get_page(heap, 1))
+        reader.start()
+        assert heap.read_done.wait(timeout=10.0)
+        heap.append(np.full((2, 2), 5.0))        # rows 6, 7 land on page 1
+        heap.gate.set()
+        reader.join()
+        heap.gate = None
+        assert pool.stale_discards == 1 and len(pool) == 0
+        np.testing.assert_array_equal(
+            pool.read_rows(heap, np.array([7, 4])), [[5.0, 5.0], [0.0, 0.0]]
+        )

@@ -32,7 +32,22 @@ all: a ``repro.serve(db)`` service with every RID warm, one caller sending
 bare window's wall and rows/s, the same window with timers around the
 layers a warm request crosses (dedup plan, cache lookup, gather, the GMM
 kernel, the network's head) in ms per window, and a cProfile of one warm
-window.
+window.  ``--window`` picks another e2e serving window for ``--inline``,
+one that rebuilds partials, and adds the rebuild's layers to the split
+(the dimension lookup, its buffer-pool row read, the mixture's partial
+builder):
+
+* ``update_mix`` (``serve_update_mix``): 6 cycles of 5 reads of 2,048
+  rows, a 32-row in-place update of R1, a maintainer flush (which swaps in
+  new mixture parameters, so every mixture partial is rebuilt) and one
+  32-row probe per model; the update and the flush get rows of their own;
+* ``budget_tiered`` (``serve_budget_tiered``): 400 requests of 256 rows
+  with Zipf(0.9) R1 keys on a service under a 16 MiB budget with the
+  float32 + spill ladder, warmed with 200 such requests; each window
+  draws fresh requests, so its misses are the tail RIDs it meets for
+  the first time (and any the governor dropped).
+
+    PYTHONPATH=src python tools/profile_runtime.py --inline --window update_mix
 """
 
 from __future__ import annotations
@@ -53,13 +68,17 @@ from profile_fit import COMPONENTS, SHAPES
 
 import repro
 from repro.fx.dedup import DedupPlan, DimensionDedup
+from repro.maintain.maintainer import ModelMaintainer
 from repro.nn.network import MLP
 from repro.runtime.queue import RequestQueue
 from repro.runtime.service import ServingRuntime
 from repro.serve import predictor
 from repro.serve.cache import PartialCache
 from repro.serve.core import RegisteredModel
+from repro.serve.partials import DimensionLookup, GMMPartialBuilder
 from repro.serve.service import ModelService
+from repro.storage.buffer import BufferPool
+from repro.storage.catalog import Database
 
 STAR3 = SHAPES["star3"]
 # Copied from benchmarks/e2e/workloads.SHAPES["full"]["runtime_thread_window"]
@@ -69,12 +88,23 @@ SIZES, OUTSTANDING, REQUESTS = (1, 4, 16), 64, 2500
 OPEN_SIZES, OPEN_SECONDS = (16, 64, 256), 1.2
 # Copied from benchmarks/e2e/workloads.SHAPES["full"]["serve_batch_warm"].
 INLINE_ROWS, INLINE_REQUESTS = 2048, 60
+# Copied from benchmarks/e2e/workloads.SHAPES["full"]: the windows that rebuild.
+UPDATE_MIX = dict(request_rows=2048, reads_per_cycle=5, update_rows=32,
+                  cycles_per_window=6, update_noise=0.5)
+BUDGET_TIERED = dict(request_rows=256, requests_per_window=400, warm_requests=200,
+                     budget_bytes=16 << 20, zipf=0.9)
 RUNTIME = dict(num_workers=2, max_wait_ms=2.0)
-# (owner, attribute, inside the row above): the layers of an inline request.
+# (owner, attribute, depth): the layers of an inline request, a row nested
+# in the one above it when deeper.
 LAYERS = (
-    (ModelService, "predict", False), (DedupPlan, "for_batch", True),
-    (PartialCache, "get_many", True), (DimensionDedup, "gather", True),
-    (predictor, "posteriors", True), (MLP, "forward_from_first_preactivation", True),
+    (ModelService, "predict", 1), (DedupPlan, "for_batch", 2),
+    (PartialCache, "get_many", 2), (DimensionDedup, "gather", 2),
+    (predictor, "posteriors", 2), (MLP, "forward_from_first_preactivation", 2),
+)
+# What a cache miss runs inside get_many: a partial rebuild.
+REBUILD = (
+    (DimensionLookup, "features_for", 3), (BufferPool, "read_rows", 4),
+    (GMMPartialBuilder, "compute", 3),
 )
 TIMELINE = 20               # batches shown
 
@@ -246,31 +276,31 @@ def serve_window(service, requests) -> float:
     return time.perf_counter() - start
 
 
-def report_inline(service, requests, top) -> None:
-    """The bare window, the layer split and a cProfile of one window."""
-    rows = sum(x.shape[0] for _, x, _ in requests)
-    wall = serve_window(service, requests)
-    print(f"inline: {len(requests)} requests of {requests[0][1].shape[0]} rows, "
-          "nn and gmm alternating")
+def report_inline(title, draw, run, layers, top) -> None:
+    """The bare window, the layer split and a cProfile of one window:
+    ``draw()`` makes a window's inputs, ``run(inputs)`` serves them and
+    returns ``(wall, rows)``."""
+    wall, rows = run(draw())
+    print(f"inline: {title}")
     print(f"window: wall {wall:.4f} s; {rows / wall:,.0f} rows/s")
-    totals = defaultdict(float)
+    totals, inputs = defaultdict(float), draw()
     with contextlib.ExitStack() as patched:
-        for owner, name, _ in LAYERS:
+        for owner, name, _ in layers:
             patched.enter_context(timed(owner, name, totals))
-        wall = serve_window(service, requests)
+        wall, _ = run(inputs)
     print(f"\nms per window (timers on: wall {wall:.4f} s; indented rows are "
           "inside the row above)")
     inside = 0.0
-    for owner, name, nested in LAYERS:
+    for owner, name, depth in layers:
         seconds = totals[f"{owner.__name__}.{name}"]
-        inside += seconds if nested else 0.0
-        label = f"{'  ' * nested}{owner.__name__.rsplit('.', 1)[-1]}.{name}"
+        inside += seconds if depth == 2 else 0.0
+        label = f"{'  ' * (depth - 1)}{owner.__name__.rsplit('.', 1)[-1]}.{name}"
         print(f"{label:<40}{seconds * 1e3:8.2f}")
     rest = totals["ModelService.predict"] - inside
     print(f"{'  the rest of predict':<40}{rest * 1e3:8.2f}   (first-layer GEMM, "
           "request checks, bookkeeping)")
-    profiler = cProfile.Profile()
-    profiler.runcall(serve_window, service, requests)
+    profiler, inputs = cProfile.Profile(), draw()
+    profiler.runcall(run, inputs)
     print("\ncProfile, one warm window")
     pstats.Stats(profiler).sort_stats("tottime").print_stats(top)
 
@@ -286,11 +316,15 @@ def main(argv=None) -> None:
     parser.add_argument("--inline", action="store_true", help="run serve_batch_warm's "
                         "window on a repro.serve(db) service instead (rows / 32 "
                         "and requests / 3 with --smoke)")
+    parser.add_argument("--window", choices=("batch_warm", "update_mix", "budget_tiered"),
+                        default="batch_warm", help="the e2e serving window --inline runs")
     args = parser.parse_args(argv)
     if args.rate is not None and args.rate <= 0:
         parser.error("--rate must be positive")
     if args.inline and (args.rate is not None or args.executor != "thread"):
         parser.error("--inline runs no runtime: no --rate or --executor")
+    if args.window != "batch_warm" and not args.inline:
+        parser.error("--window picks the --inline window")
     warnings.simplefilter("ignore", repro.ConvergenceWarning)
 
     n_s, d_s, dims, _, (hidden, epochs) = STAR3
@@ -361,28 +395,121 @@ def main(argv=None) -> None:
 
 
 def inline(db, spec, nn, dim_rows, d_s, args) -> None:
-    """``serve_batch_warm``'s window on a warm ``repro.serve(db)``."""
+    """An e2e serving window (``args.window``) on a ``repro.serve(db)``."""
     _, _, _, iterations, _ = STAR3
     gmm = repro.fit_gmm(db, spec, n_components=COMPONENTS, max_iter=iterations, tol=0.0)
-    rows = INLINE_ROWS // (32 if args.smoke else 1)
-    count = INLINE_REQUESTS // (3 if args.smoke else 1)
     rng = np.random.default_rng(0)
-    requests = [
-        (("nn", "gmm")[i % 2], rng.normal(size=(rows, d_s)),
-         [rng.integers(0, n, size=rows) for n in dim_rows])
-        for i in range(count)
-    ]
-    service = repro.serve(db)
+
+    def draw(count, rows, keys=None):
+        """``count`` requests of ``rows`` rows, network and mixture
+        alternating; R1's keys from ``keys(rows)`` if given."""
+        requests = []
+        for i in range(count):
+            x = rng.normal(size=(rows, d_s))
+            fks = [rng.integers(0, n, size=rows) for n in dim_rows]
+            if keys is not None:
+                fks[0] = keys(rows)
+            requests.append((("nn", "gmm")[i % 2], x, fks))
+        return requests
+
+    def run(service, requests):
+        return serve_window(service, requests), sum(x.shape[0] for _, x, _ in requests)
+
+    budget = None
+    if args.window == "budget_tiered":
+        c = BUDGET_TIERED
+        budget = c["budget_bytes"] // (100 if args.smoke else 1)
+    service = repro.serve(db, memory_budget=budget,
+                          store_tiers=("float32", "spill") if budget else ())
     try:
         service.register_nn("nn", nn, spec)
         service.register_gmm("gmm", gmm, spec)
+        if args.window == "budget_tiered":
+            weights = np.arange(1, dim_rows[0] + 1, dtype=np.float64) ** -c["zipf"]
+            weights /= weights.sum()
+            order = rng.permutation(dim_rows[0])
+
+            def zipf(rows):
+                return order[rng.choice(dim_rows[0], size=rows, p=weights)]
+
+            rows = c["request_rows"] // (32 if args.smoke else 1)
+            count = c["requests_per_window"] // (3 if args.smoke else 1)
+            serve_window(service, draw(c["warm_requests"] // (3 if args.smoke else 1),
+                                       rows, zipf))
+            report_inline(
+                f"{count} requests of {rows} rows, Zipf({c['zipf']}) R1 keys, a "
+                f"{budget / 2**20:g} MiB budget over float32 + spill",
+                lambda: draw(count, rows, zipf), lambda requests: run(service, requests),
+                LAYERS[:3] + REBUILD + LAYERS[3:], args.top,
+            )
+            return
         rids = np.arange(max(dim_rows))
         for model in ("nn", "gmm"):
             service.predict(model, np.zeros((rids.size, d_s)), [rids % n for n in dim_rows])
+        if args.window == "update_mix":
+            update_mix(db, spec, gmm, service, draw, dim_rows, d_s, args)
+            return
+        rows = INLINE_ROWS // (32 if args.smoke else 1)
+        requests = draw(INLINE_REQUESTS // (3 if args.smoke else 1), rows)
         serve_window(service, requests)
-        report_inline(service, requests, args.top)
+        report_inline(f"{len(requests)} requests of {rows} rows, nn and gmm alternating",
+                      lambda: requests, lambda requests: run(service, requests),
+                      LAYERS, args.top)
     finally:
         service.close()
+
+
+def update_mix(db, spec, gmm, service, draw, dim_rows, d_s, args) -> None:
+    """``serve_update_mix``'s cycles: reads, an in-place R1 update, the
+    maintainer's flush (a parameter swap: every mixture partial goes) and
+    one probe per model at the updated keys."""
+    c = UPDATE_MIX
+    rows = c["request_rows"] // (32 if args.smoke else 1)
+    cycles = c["cycles_per_window"] // (3 if args.smoke else 1)
+    relation = db.relation(spec.dimensions[0].relation)
+    maintainer = repro.maintain(db, "gmm", "gmm", spec, gmm,
+                                policy=repro.MaintenancePolicy(refresh="manual"),
+                                targets=(service,))
+    rng = np.random.default_rng(1)
+
+    def draw_cycles():
+        table = relation.scan()                 # the rows as they are now
+        out = []
+        for _ in range(cycles):
+            rids = rng.choice(dim_rows[0], size=c["update_rows"], replace=False)
+            positions = relation.positions_of_keys(rids)
+            new = table[positions].copy()
+            new[:, 1:] += rng.normal(scale=c["update_noise"], size=new[:, 1:].shape)
+            table[positions] = new
+            probes = [(model, rng.normal(size=(rids.size, d_s)),
+                       [rids] + [rng.integers(0, n, size=rids.size) for n in dim_rows[1:]])
+                      for model in ("nn", "gmm")]
+            out.append((draw(c["reads_per_cycle"], rows), positions, new, probes))
+        return out
+
+    def run(inputs):
+        wall = served = 0
+        for reads, positions, new, probes in inputs:
+            start = time.perf_counter()
+            serve_window(service, reads)
+            db.update_rows(relation.name, positions, new)
+            assert maintainer.flush(), "the flush applied nothing"
+            serve_window(service, probes)
+            wall += time.perf_counter() - start
+            served += sum(x.shape[0] for _, x, _ in reads + probes)
+        return wall, served
+
+    try:
+        run(draw_cycles())
+        report_inline(
+            f"{cycles} cycles of {c['reads_per_cycle']} reads of {rows} rows, a "
+            f"{c['update_rows']}-row R1 update, a flush and 2 probes",
+            draw_cycles, run,
+            ((Database, "update_rows", 1), (ModelMaintainer, "flush", 1))
+            + LAYERS[:3] + REBUILD + LAYERS[3:], args.top,
+        )
+    finally:
+        maintainer.close()
 
 
 if __name__ == "__main__":
