@@ -438,15 +438,13 @@ def serve_runtime(
     ``executor`` selects the worker substrate.  ``"thread"`` (default)
     scores batches on ``num_workers`` threads — NumPy kernels and page
     reads release the GIL, Python glue does not.  ``"process"`` spawns
-    ``num_workers`` worker *processes*: each owns the RID-affine slice
-    of the partial space (rows route by ``fk % num_workers``), partial
+    ``num_workers`` worker *processes* behind the same ``num_workers``
+    dispatchers: each batch goes whole to one idle worker, partial
     payloads live in each worker's private store, which the parent
-    accounts and budget-governs, and one batch scatters across all
-    workers at once —
-    identical request API and true CPU parallelism for the Python
-    portions of a batch.  GMM labels are ``array_equal`` across
-    executors; NN outputs are ``array_equal`` when the batches match
-    and agree to rounding when a batch splits across workers.
+    accounts and budget-governs — identical request API and true CPU
+    parallelism for the Python portions of a batch.  Outputs are
+    ``array_equal`` across executors whenever the batches match, GMM
+    and NN alike.
     ``docs/tuning.md`` has the selection guidance.  Caches come from a
     shared :class:`~repro.fx.store.PartialStore`: fingerprint-identical
     models reuse one cache, and ``memory_budget`` (bytes) caps the

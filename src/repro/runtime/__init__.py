@@ -6,8 +6,8 @@ invalidate / swap, written once); this package puts *concurrency* in
 front of that core: a bounded request queue feeds a micro-batcher that
 coalesces point requests into batches, dispatcher threads run each
 batch through the core — directly (``executor="thread"``, over one
-lock-guarded partial cache per fingerprint) or scattered across worker
-processes that each run the core again (``executor="process"``) — an
+lock-guarded partial cache per fingerprint) or each sent whole to an
+idle worker process that runs the core again (``executor="process"``) — an
 adaptive planner picks materialized vs factorized per batch from the
 inference cost model, and the catalog's row-version events evict stale
 partials when dimension rows change.

@@ -9,12 +9,13 @@ cross a pipe — the registry, ``register`` / ``swap`` /
 * ``_build`` / ``_retire`` fan a registration out to (and back off)
   every worker, each of which runs the same core over a store in its
   own private memory;
-* ``_run`` scatters one batch into RID-affine sub-batches and gathers
-  the outputs by row index;
+* ``_run`` checks out one idle worker, sends it the whole batch and
+  awaits its one reply — the runtime's ``num_workers`` dispatchers
+  keep every worker busy, as its dispatcher threads do in thread mode;
 * invalidation, budget control and the stats readers broadcast and
   merge.
 
-**One pipe frame each way per sub-batch.**  A frame is a fixed header,
+**One pipe frame each way per batch.**  A frame is a fixed header,
 a pickled payload and then raw array bytes (:func:`pack_message`):
 the payload pickles the scalars (model generation, op) and each
 array's dtype and shape, and the arrays themselves — an EXEC's fact
@@ -24,42 +25,35 @@ back as views over the received frame (:func:`unpack_message`).
 Control messages (register/invalidate/stats) pickle small payloads;
 models cross once, at registration.
 
-**Deadlock-free by construction.**  The dispatcher is the only sender
-of EXEC and keeps at most one outstanding per worker (every started
-sub-batch is gathered before the next batch scatters), and whichever
-thread awaits a worker's reply drains that worker's pipe for all
-waiters.  So a large frame never waits on an unread large frame going
-the other way.
-
-**RID affinity.**  The runtime routes each request row to
-``fk_0 % num_workers``, so every distinct RID of the first (largest)
-dimension has its partial in exactly one worker's cache.  Further
-dimensions may duplicate a partial across workers; the scatter key can
-only follow one dimension (the same trade a distributed hash join
-makes when it partitions on one key).
+**Deadlock-free by construction.**  A worker is checked out by one
+dispatcher at a time, so it never owes more than one EXEC reply, and
+whichever thread awaits a worker's reply drains that worker's pipe
+for all waiters.  So a large frame never waits on an unread large
+frame going the other way.
 
 **Crash containment.**  Worker replies are routed through a per-worker
-tagged mailbox (the dispatcher, the invalidation fan-out and a stats
+tagged mailbox (a dispatcher, the invalidation fan-out and a stats
 sample may all await replies from one worker concurrently); a reply
 wait detects a dead worker by liveness-polling rather than pipe EOF —
 with ``fork`` start, sibling workers inherit each other's pipe ends,
-so EOF alone is not a reliable death signal.  A dead worker fails only
-the requests whose rows were routed to it (the runtime retries a
-coalesced batch request-by-request, exactly like data-dependent
-failures in thread mode).
+so EOF alone is not a reliable death signal.  A dead worker leaves the
+rotation: a batch whose send fails goes to the next idle worker, a
+batch in flight on it fails (the runtime retries a coalesced batch
+request by request, on the survivors), and with no live worker left
+every batch fails at once with :class:`~repro.errors.ModelError`.
 
 **Budget governance.**  Workers run a
 :class:`~repro.fx.store.PartialStore` with *no* bound of its own.
 Every reply, OK or ERR, carries the worker store's
 :class:`~repro.serve.cache.Residency` as it stands after the message,
-and the worker's handle keeps the latest one.  After every gathered
-batch the dispatcher reads those records (no extra IPC), plans
-deficit-bounded trims (:func:`repro.fx.store.plan_trims`) and sends
-``TRIM`` only to over-share workers.  A hot worker can therefore
-hold most of the global budget while cold workers hold none — the
-cross-process continuation of PR 5's "hot fingerprints take share from
-cold ones".  Overshoot between sweeps is bounded by one batch's
-inserts, as in thread mode, where each batch's governor sweep runs
+and the worker's handle keeps the latest one.  After every batch its
+dispatcher reads those records (no extra IPC), plans deficit-bounded
+trims (:func:`repro.fx.store.plan_trims`) and sends ``TRIM`` only to
+over-share workers.  A hot worker can therefore hold most of the
+global budget while cold workers hold none — across processes, what
+the store's cross-cache eviction does across fingerprints.
+Overshoot between sweeps is bounded by the inserts of the batches in
+flight, as in thread mode, where each batch's governor sweep runs
 after the batch.
 """
 
@@ -80,7 +74,6 @@ from repro.errors import ModelError
 from repro.fx.store import StoreStats, low_watermark, plan_trims
 from repro.serve.cache import CacheStats, Residency
 from repro.serve.core import (
-    ExecMeta,
     RegisteredModel,
     ServingCore,
     budget_floats,
@@ -91,7 +84,6 @@ from repro.serve.predictor import (
     coerce_gmm_model,
     coerce_nn_model,
 )
-from repro.storage.iostats import IOSnapshot
 
 # -- wire protocol (shared with repro.runtime.procworker) ---------------------
 
@@ -165,7 +157,7 @@ class _WorkerHandle:
         self._send_lock = threading.Lock()
         # Tagged mailbox with a single designated receiver: whichever
         # waiter finds nobody draining the pipe drains it for everyone,
-        # parking replies by request id.  This is what lets the
+        # parking replies by request id.  This is what lets a
         # dispatcher, the invalidation fan-out and a stats sample all
         # await replies from this worker at once over one pipe.
         self._cond = threading.Condition()
@@ -182,8 +174,8 @@ class _WorkerHandle:
         return WorkerDied(
             f"worker process {self.index} died"
             f"{f' (exit code {code})' if code is not None else ''} "
-            "while owing replies; requests routed to it fail, other "
-            "workers keep serving"
+            "while owing replies; it leaves the rotation, other workers "
+            "keep serving"
         )
 
     def _timed_out(self, timeout: float) -> WorkerDied:
@@ -283,7 +275,6 @@ class ProcessExecutor(ServingCore):
         # No parent-side store: every partial lives in a worker.
         super().__init__(db, None)
         self.config = config
-        self.num_workers = config.num_workers
         self.budget_floats = budget_floats(config.memory_budget)
         self._closed = False
         # Times the parent governor tripped (summed worker residency
@@ -294,6 +285,14 @@ class ProcessExecutor(ServingCore):
         self._req_ids = itertools.count(1)
         self._req_lock = threading.Lock()
         self.workers: list[_WorkerHandle] = []
+        # The live workers no dispatcher has checked out.  A dead one
+        # is dropped as it is checked back in, and every check-in wakes
+        # the dispatchers waiting for a worker.
+        self._idle: list[_WorkerHandle] = []
+        self._rotation = threading.Condition()
+        # One budget sweep at a time: two dispatchers finishing at once
+        # would both trim the same overshoot.
+        self._sweep_lock = threading.Lock()
         try:
             method = (
                 "fork"
@@ -301,7 +300,7 @@ class ProcessExecutor(ServingCore):
                 else "spawn"
             )
             ctx = mp.get_context(method)
-            for index in range(self.num_workers):
+            for index in range(config.num_workers):
                 parent_conn, child_conn = ctx.Pipe(duplex=True)
                 # Import here keeps procworker out of thread-mode runs.
                 from repro.runtime.procworker import worker_main
@@ -319,6 +318,7 @@ class ProcessExecutor(ServingCore):
                 )
             for handle in self.workers:
                 self._reply(handle, 0, _READY_TIMEOUT_S)
+            self._idle = list(self.workers)
         except BaseException:
             self._shutdown()
             raise
@@ -398,13 +398,14 @@ class ProcessExecutor(ServingCore):
         The model crosses the pipe once (its coerced, fitted form);
         each worker builds its own predictor and draws caches from
         its own store.  The parent keeps only what submit-time
-        validation and scatter need: the resolved join (shapes,
-        dimension names) and the network's output width — no dimension
-        lookup, so registering reads no dimension page here.  A swap's
-        replacement is a *fresh* worker-side generation, never an
-        overwrite in place: one coalesced batch scatters sub-batches
-        to several workers, and an in-place replace landing between
-        two of them would serve a torn mix.
+        validation needs: the resolved join (shapes, dimension names)
+        and the network's output width — no dimension lookup, so
+        registering reads no dimension page here.  A swap's replacement
+        is a *fresh* worker-side generation, never an overwrite in
+        place: the broadcast reaches the workers one after another, and
+        an in-place replace would serve a batch pinned to the old
+        registration with the new fit on a worker it had already
+        reached.
         """
         coerce = coerce_gmm_model if kind == "gmm" else coerce_nn_model
         validator = _RequestValidator(self.db, spec)
@@ -448,11 +449,9 @@ class ProcessExecutor(ServingCore):
     def invalidate(self, relation, rids, positions=None) -> dict[str, int]:
         """Fan an invalidation out to every worker; merged drop counts.
 
-        Every worker, not just the affine one: a dimension beyond the
-        first is not affinity-routed, so any worker may cache its
-        RIDs.  ``positions`` (heap row numbers, when the event knows
-        them) let workers drop only the touched buffer-pool pages
-        instead of the whole relation.
+        Any worker may cache any RID.  ``positions`` (heap row numbers,
+        when the event knows them) let workers drop only the touched
+        buffer-pool pages instead of the whole relation.
         """
         if self._closed:
             return {}
@@ -568,32 +567,35 @@ class ProcessExecutor(ServingCore):
 
         Reads each worker's latest reply's record (no IPC), then TRIMs
         only the workers whose share must shrink.  Returns rows
-        evicted.  No-op while within budget — the dispatcher calls
-        this after every gathered batch, so the fast path must be two
-        loads and a compare.
+        evicted.  No-op while within budget — every dispatcher calls
+        this after every batch, so the fast path must be two loads and
+        a compare.
         """
         # One read of the bound: set_budget(None) may lift it mid-sweep.
         budget = self.budget_floats
-        if budget is None:
+        if budget is None or sum(self.worker_resident_floats()) <= budget:
             return 0
-        resident = self.worker_resident_floats()
-        if sum(resident) <= budget:
-            return 0
-        # Tripped: count the sweep once and trim to the low watermark
-        # (the same policy the thread-mode store applies) so
-        # steady-state overshoot of one batch's inserts doesn't re-trip
-        # the governor every batch.
-        self.sweeps += 1
-        trims = plan_trims(resident, low_watermark(budget))
-        evicted = 0
-        for index, floats in enumerate(trims):
-            if floats <= 0 or self.workers[index].dead:
-                continue
-            reply = self._request(
-                self.workers[index], MSG_TRIM, {"floats": int(floats)}
-            )
-            evicted += reply["evicted"]
-        return evicted
+        with self._sweep_lock:
+            # Re-read under the lock: a sweep that finished meanwhile
+            # came back with its TRIM replies' residency.
+            resident = self.worker_resident_floats()
+            if sum(resident) <= budget:
+                return 0
+            # Tripped: count the sweep once and trim to the low
+            # watermark (the same policy the thread-mode store applies)
+            # so steady-state overshoot of one batch's inserts doesn't
+            # re-trip the governor every batch.
+            self.sweeps += 1
+            trims = plan_trims(resident, low_watermark(budget))
+            evicted = 0
+            for index, floats in enumerate(trims):
+                if floats <= 0 or self.workers[index].dead:
+                    continue
+                reply = self._request(
+                    self.workers[index], MSG_TRIM, {"floats": int(floats)}
+                )
+                evicted += reply["evicted"]
+            return evicted
 
     def set_budget(self, floats: int | None) -> int:
         """Re-bound the global budget; sweeps immediately on tighten."""
@@ -604,108 +606,66 @@ class ProcessExecutor(ServingCore):
 
     # -- the data plane ------------------------------------------------------
 
-    def start_subbatch(self, worker_index, generation, op, features, fks):
-        """Send one sub-batch to its worker as one EXEC frame.
+    def _checkout(self) -> _WorkerHandle:
+        """An idle live worker, once one is checked back in; raises
+        :class:`~repro.errors.ModelError` at once when none is alive."""
+        with self._rotation:
+            while not self._idle:
+                if all(handle.dead for handle in self.workers):
+                    raise ModelError("all worker processes are dead")
+                self._rotation.wait()
+            return self._idle.pop()
 
-        Returns the request id to pass to :meth:`finish_subbatch`.
-        """
-        req_id = self._next_id()
-        self.workers[worker_index].send(
-            MSG_EXEC, req_id, {"generation": generation, "op": op},
-            (features, *fks),
-        )
-        return req_id
-
-    def finish_subbatch(self, worker_index: int, req_id: int):
-        """Await one EXEC reply: ``(outputs, meta)``, the outputs a
-        read-only view over the reply frame in the worker's own dtype,
-        and the worker core's :class:`~repro.serve.core.ExecMeta`."""
-        meta, (outputs,) = self._reply(self.workers[worker_index], req_id)
-        return outputs, meta
+    def _checkin(self, handle: _WorkerHandle) -> None:
+        with self._rotation:
+            if not handle.dead:
+                self._idle.append(handle)
+            self._rotation.notify_all()
 
     def _run(self, registered, op, features, fks, span):
-        """Scatter one coalesced batch across the worker processes.
+        """Serve one coalesced batch on one idle worker process.
 
-        Rows are routed by ``fk_0 % num_workers`` (RID affinity),
-        framed to each target worker, executed there, and gathered
-        back by row index, so worker completion order never moves an
-        output.  A sub-batch runs its rows through BLAS kernels of
-        another shape than the whole batch does in thread mode: GMM
-        labels stay ``array_equal`` to thread mode's, NN outputs are
-        ``array_equal`` when the batches match (one worker) and agree
-        to rounding when they split.  A failure (bad data on one
-        worker, or a dead worker) is raised once every started
-        sub-batch has been drained; the runtime then retries request by request, so only
-        the requests whose rows route to the failure are poisoned.
+        The whole batch is one EXEC frame to one worker and one reply
+        back, so the worker's core plans and runs exactly the batch
+        thread mode would, and the outputs are ``array_equal`` to
+        thread mode's whenever the batches match.  A worker found dead
+        at the send leaves the rotation and the next idle one takes
+        the batch; a failure after the send (bad data, or the worker
+        dying mid-batch) propagates, and the runtime retries request
+        by request.
         """
         if op == "predict_all":
             raise ModelError(
                 "predict_all streams the fact relation in-process; "
                 "executor='process' serves request batches only"
             )
-        rows = features.shape[0]
-        affinity = fks[0] % self.num_workers
         tick = time.perf_counter()
-        error: BaseException | None = None
-        pending = []
+        payload = {"generation": registered.generation, "op": op}
         with span.child("scatter"):
-            for worker in range(self.num_workers):
-                indices = np.nonzero(affinity == worker)[0]
-                if indices.size == 0:
-                    continue
+            while True:
+                handle = self._checkout()
+                req_id = self._next_id()
                 try:
-                    req_id = self.start_subbatch(
-                        worker, registered.generation, op,
-                        features[indices], [fk[indices] for fk in fks],
-                    )
-                except BaseException as scatter_error:
-                    # Stop scattering, but fall through to the gather
-                    # below with the sub-batches already started: each
-                    # must be drained before the per-request retry
-                    # sends its worker another EXEC, or the worker
-                    # would owe two replies and the abandoned one
-                    # would sit in its mailbox forever.
-                    error = scatter_error
+                    handle.send(MSG_EXEC, req_id, payload, (features, *fks))
                     break
-                pending.append((worker, indices, req_id))
-        scatter_s = time.perf_counter() - tick
-        outputs = None
-        io = IOSnapshot()
-        decisions, shares = [], []
-        references = distinct = 0
-        with span.child("gather"):
-            for worker, indices, req_id in pending:
-                # Always finish every started sub-batch, even after a
-                # failure — a worker left owing a reply would corrupt
-                # the next batch's mailbox accounting.
-                try:
-                    sub_out, meta = self.finish_subbatch(worker, req_id)
-                except BaseException as sub_error:
-                    error = error or sub_error
-                    continue
-                io = io + meta.io
-                decisions.extend(meta.decisions)
-                references += meta.references
-                distinct += meta.distinct
-                shares.append((worker, meta.rows, meta.elapsed))
-                if outputs is None:
-                    shape = (
-                        (rows,) if sub_out.ndim == 1
-                        else (rows, sub_out.shape[1])
-                    )
-                    outputs = np.empty(shape, dtype=sub_out.dtype)
-                outputs[indices] = sub_out
+                except BaseException as error:
+                    self._checkin(handle)
+                    # A dead worker left the rotation: try the next one.
+                    if not isinstance(error, WorkerDied):
+                        raise
+        sent = time.perf_counter()
+        try:
+            with span.child("gather"):
+                meta, (outputs,) = self._reply(handle, req_id)
+        finally:
+            self._checkin(handle)
         elapsed = time.perf_counter() - tick
-        if error is not None:
-            raise error
-        if outputs is None:     # zero-row batch
-            outputs = np.zeros((rows,))
-        # The governor: residency came back with the replies, so the
+        # The governor: residency came back with the reply, so the
         # within-budget fast path costs a few loads per batch.
         self.sweep_budget()
-        return outputs, ExecMeta(
-            rows, elapsed, io, decisions, references, distinct, shares,
-            scatter_s, elapsed - scatter_s,
+        return outputs, replace(
+            meta, elapsed=elapsed, scatter_seconds=sent - tick,
+            gather_seconds=elapsed - (sent - tick),
         )
 
     # -- test hooks & lifecycle ----------------------------------------------

@@ -21,12 +21,6 @@ configuration runs, plus pipe framing:
   registrations are keyed by the parent's *generation* so two fits of
   one name can be live while it swaps.
 
-Because the parent scatters rows by ``fk_0 % num_workers``, each
-worker only ever sees its own slice of the first dimension's RID
-space: its caches hold disjoint first-dimension partials, which is
-what makes N worker caches behave like one cache split N ways by RID,
-not N redundant copies.
-
 On shutdown the worker closes its core, its database and its store.
 Errors inside a message handler are reported back as ``REPLY_ERR``
 with the traceback text — the parent turns them into

@@ -19,9 +19,9 @@ in front of its executor, to turn it into a serving tier:
   one lock-guarded partial cache per fingerprint
   (:class:`~repro.fx.sharding.ShardedPartialCache`) — the NumPy
   kernels and page reads that dominate a batch release the GIL;
-  ``executor="process"`` is one dispatcher over
-  :class:`~repro.runtime.procpool.ProcessExecutor`, which scatters
-  each batch to worker processes that each run the core again;
+  ``executor="process"`` is as many dispatchers over
+  :class:`~repro.runtime.procpool.ProcessExecutor`, which sends each
+  batch whole to an idle worker process that runs the core again;
 * per-batch adaptive planning — for each model registered with the
   default ``"adaptive"`` strategy a
   :class:`~repro.runtime.planner.BatchPlanner` picks the arm
@@ -80,8 +80,8 @@ PROCESS_EXECUTOR = "process"
 
 
 def _process_executor(db, config):
-    """Worker processes behind a single dispatcher: within-batch
-    parallelism comes from scattering one batch *across* them."""
+    """``num_workers`` worker processes, one per dispatcher: each
+    batch runs whole on one of them."""
     # Import here keeps procpool/procworker out of thread-mode runs.
     from repro.runtime.procpool import ProcessExecutor
 
@@ -125,14 +125,13 @@ class RuntimeConfig:
     model's first) and traffic that never pauses wait it out.
 
     ``executor`` picks the worker substrate: ``"thread"`` (default)
-    runs ``num_workers`` threads in-process; ``"process"`` runs
-    ``num_workers`` worker *processes*, each with a partial store of
-    its own, and RID-affinity batch scattering
-    (:mod:`repro.runtime.procpool`) — same request API, no GIL on the
-    Python portions of a batch.  GMM labels are ``array_equal`` across
-    executors; NN outputs are ``array_equal`` when the batches match
-    and agree to rounding when a batch splits across workers (the BLAS
-    shapes differ).  Selection guidance lives in ``docs/tuning.md``.
+    runs ``num_workers`` dispatcher threads in-process; ``"process"``
+    runs as many dispatchers, each sending its batch whole to an idle
+    one of ``num_workers`` worker *processes*, each with a partial
+    store of its own (:mod:`repro.runtime.procpool`) — same request
+    API, no GIL on the Python portions of a batch.  Outputs are
+    ``array_equal`` across executors whenever the batches match, GMM
+    and NN alike.  Selection guidance lives in ``docs/tuning.md``.
     """
 
     num_workers: int = 2
@@ -172,7 +171,8 @@ class RuntimeConfig:
 
 @dataclass
 class WorkerStats:
-    """Execution counters for one worker (thread or process)."""
+    """Execution counters for one dispatcher thread, on either
+    executor: the batches it ran, their rows and their seconds."""
 
     batches: int = 0
     rows: int = 0
@@ -206,9 +206,9 @@ class RuntimeStats:
     store: StoreStats
     # Backend annotations ("thread" | "process").  In process mode
     # ``cache_stats``/``store`` are merged across the worker processes
-    # and the two histograms cover the dispatcher's scatter (framing +
-    # EXEC sends) and gather (reply waits + output placement) phases;
-    # in thread mode the histograms are present but empty.
+    # and the two histograms time each batch's pipe phases: scatter is
+    # the send of its EXEC frame, gather the wait for the worker's
+    # reply; in thread mode the histograms are present but empty.
     executor: str = THREAD_EXECUTOR
     scatter_seconds: HistogramValue | None = None
     gather_seconds: HistogramValue | None = None
@@ -260,9 +260,8 @@ class ServingRuntime(ModelService):
             lambda: HistogramCell(LATENCY_BUCKETS_S)
         )
         self._queue_wait = HistogramCell(LATENCY_BUCKETS_S)
-        # One WorkerStats per worker: a dispatcher thread attributes
-        # the batches it ran to its own slot; batches scattered to
-        # worker processes are attributed from their replies.
+        # One WorkerStats per dispatcher thread: it attributes the
+        # batches it ran to its own slot, on either executor.
         self._worker_stats = [
             WorkerStats() for _ in range(self.config.num_workers)
         ]
@@ -272,10 +271,6 @@ class ServingRuntime(ModelService):
             store_tiers=self.config.store_tiers,
             telemetry=telemetry,
         )
-        dispatchers = (
-            1 if _EXECUTORS[self.config.executor]
-            else self.config.num_workers
-        )
         self._workers = [
             threading.Thread(
                 target=self._worker_loop,
@@ -283,7 +278,7 @@ class ServingRuntime(ModelService):
                 name=f"repro-runtime-worker-{i}",
                 daemon=True,
             )
-            for i in range(dispatchers)
+            for i in range(self.config.num_workers)
         ]
         self.telemetry_server: TelemetryServer | None = None
         if telemetry_port is not None:
@@ -340,11 +335,11 @@ class ServingRuntime(ModelService):
             # The process executor's phases: thread mode never
             # observes them, so it exports neither.
             ("repro_scatter_seconds", scatter,
-             "Per-batch scatter phase: framing each RID-affine "
-             "sub-batch and sending it to its worker"),
+             "Per-batch scatter phase: framing the batch and sending "
+             "it to an idle worker process"),
             ("repro_gather_seconds", gather,
-             "Per-batch gather phase: worker reply waits plus "
-             "placing each reply's outputs by row index"),
+             "Per-batch gather phase: the wait for that worker's "
+             "reply"),
         ):
             if value.count:
                 buffer.histogram(name, value, help=help)
@@ -360,8 +355,8 @@ class ServingRuntime(ModelService):
         for index, worker in enumerate(workers):
             buffer.counter(
                 "repro_worker_rows_executed_total", worker.rows,
-                help="Rows executed by this worker (dispatcher thread "
-                     "or worker process)",
+                help="Rows executed by this worker (the dispatcher "
+                     "thread that ran their batches)",
                 worker=str(index),
             )
         # Per-model, store and cache series come from the service
@@ -451,9 +446,9 @@ class ServingRuntime(ModelService):
                 for i in range(len(batch[0].fks))
             ]
             # Root span for the batch: the executor opens its phases
-            # (dedup/plan/predict, or scatter/gather) as children, and
-            # the deeper layers (gather, caches, buffer pool) attribute
-            # through the thread-local current_span().
+            # (dedup/plan/predict, or the pipe's scatter/gather) as
+            # children, and the deeper layers (gather, caches, buffer
+            # pool) attribute through the thread-local current_span().
             with self.telemetry.tracer.trace(
                 "serve.batch", model=name, op=op,
                 requests=len(batch), rows=rows,
@@ -492,12 +487,6 @@ class ServingRuntime(ModelService):
         registered = self._executor.get(name)   # None once unregistered
         if registered is not None:
             registered.stats.add_requests(len(batch))
-        # Who did the work: the worker processes the batch was
-        # scattered to, else this dispatcher itself.
-        attributed = [
-            (self._worker_stats[worker], sub_rows, seconds)
-            for worker, sub_rows, seconds in meta.shares
-        ] or [(stats, rows, meta.elapsed)]
         with self._stats_lock:
             self._requests[name, op] += len(batch)
             for request in batch:
@@ -507,10 +496,9 @@ class ServingRuntime(ModelService):
             if meta.scatter_seconds is not None:
                 self._scatter_latency.observe(meta.scatter_seconds)
                 self._gather_latency.observe(meta.gather_seconds)
-            for worker_stats, sub_rows, seconds in attributed:
-                worker_stats.batches += 1
-                worker_stats.rows += sub_rows
-                worker_stats.wall_seconds += seconds
+            stats.batches += 1
+            stats.rows += rows
+            stats.wall_seconds += meta.elapsed
         offset = 0
         for request in batch:
             if request.future.set_running_or_notify_cancel():
@@ -542,9 +530,9 @@ class ServingRuntime(ModelService):
         """Snapshot of queue, batch, worker, cache and planner counters.
 
         Backend-agnostic: in process mode the cache and store stats are
-        merged across the worker processes (one STATS round-trip), the
-        worker list covers the worker *processes*, and the scatter /
-        gather histograms are populated.
+        merged across the worker processes (one STATS round-trip) and
+        the scatter / gather histograms are populated; the worker list
+        covers the dispatcher threads on either executor.
         """
         sizes, scatter, gather, workers = self._books()
         # The batch-size cell's power-of-two bounds; batches past the
@@ -597,8 +585,7 @@ class ServingRuntime(ModelService):
         for worker in self._workers:
             worker.join(timeout)
         # Only once no dispatcher can touch it: releases the caches
-        # and the spill directory, or stops the worker processes and
-        # unlinks every shared segment.
+        # and the spill directory, or stops the worker processes.
         super().close()
         # Anything a worker could not claim before exiting fails fast.
         for request in self._queue.drain():

@@ -9,11 +9,11 @@ the head — is written here once and configured three ways:
 * ``ServingRuntime(executor="thread")`` — a ``ModelService`` subclass —
   puts a request queue and N dispatcher threads in front of the same
   core;
-* ``ServingRuntime(executor="process")`` puts the queue and one
-  dispatcher in front of
+* ``ServingRuntime(executor="process")`` puts the same queue and N
+  dispatchers in front of
   :class:`~repro.runtime.procpool.ProcessExecutor`, a subclass that
-  scatters each batch to worker processes — and every worker is again
-  this core, over a store in its own private memory.
+  sends each batch whole to an idle worker process — and every worker
+  is again this core, over a store in its own private memory.
 
 :class:`ServingCore` owns a :class:`~repro.fx.store.PartialStore` and
 a registry of :class:`RegisteredModel` records and implements the
@@ -215,12 +215,10 @@ class ExecMeta:
     """What one executed batch cost — the one small result object a
     batch allocates; the facades feed stats, metrics and spans from it.
 
-    ``decisions`` holds the planner's choice(s): none for a pinned
-    strategy, one in-process, one per sub-batch when the batch was
-    scattered.  ``shares`` attributes the work to worker processes as
-    ``(worker, rows, seconds)`` and stays empty when the calling thread
-    did all of it; ``scatter_seconds`` / ``gather_seconds`` are the
-    process executor's framing phases (``None`` in-process).
+    ``decisions`` holds the planner's choice: none for a pinned
+    strategy, else one.  ``scatter_seconds`` / ``gather_seconds`` are
+    the process executor's two pipe phases, the send of the batch's
+    frame and the wait for the worker's reply (``None`` in-process).
     """
 
     rows: int
@@ -229,7 +227,6 @@ class ExecMeta:
     decisions: tuple = ()
     references: int = 0            # rows × dimensions
     distinct: int = 0              # Σ per-dimension distinct RIDs
-    shares: tuple = ()
     scatter_seconds: float | None = None
     gather_seconds: float | None = None
 

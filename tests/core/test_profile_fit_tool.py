@@ -56,12 +56,30 @@ def test_maintain_smoke(capsys):
     assert "tottime" in out
 
 
+def check_peak_rss(out, executor):
+    """The ``VmHWM`` line: the parent's, and each worker's and the sum
+    with worker processes."""
+    line = out.split("peak RSS (VmHWM): ")[1].split("\n")[0]
+    parent = float(line.split("parent ")[1].split(" MiB")[0])
+    assert parent > 0
+    if executor == "thread":
+        assert "workers" not in line
+        return
+    workers = [float(mib) for mib in line.split("workers ")[1].split(" MiB")[0].split(", ")]
+    assert len(workers) == profile_runtime.RUNTIME["num_workers"]
+    assert all(mib > 0 for mib in workers)
+    total = float(line.split("sum ")[1].split(" MiB")[0])
+    assert total == pytest.approx(parent + sum(workers), abs=0.2)
+
+
 @pytest.mark.parametrize("executor", ["thread", "process"])
 def test_runtime_smoke(executor, capsys):
     profile_runtime.main(["--executor", executor, "--smoke", "--top", "3"])
     out = capsys.readouterr().out
     assert "window: wall " in out and ", idle " in out
-    dispatchers = 2 if executor == "thread" else 1
+    check_peak_rss(out, executor)
+    # one dispatcher thread per worker on either executor
+    dispatchers = profile_runtime.RUNTIME["num_workers"]
     cpu = out.split("window: wall ")[1].split("process CPU ")[1]
     process = float(cpu.split(" s,")[0])
     split = [
@@ -106,6 +124,7 @@ def test_runtime_open_loop_smoke(executor, capsys):
     closed = ast.literal_eval(out.split("closed by ")[1].split("\n")[0])
     assert set(closed) == {"rows", "quiet", "sparse", "deadline", "closed"}
     assert sum(closed.values()) == batches
+    check_peak_rss(out, executor)
     assert "tottime" not in out
 
 

@@ -1,11 +1,12 @@
-"""The process executor's pipe frames and the books the parent keeps
-from the workers' replies.
+"""The process executor's pipe frames, its worker rotation and the
+books the parent keeps from the workers' replies.
 
-A sub-batch crosses the pipe as one frame each way: pickled scalars,
-then the arrays' raw bytes.  Every reply, OK or ERR, carries the
-worker store's :class:`~repro.serve.cache.Residency`, and the parent's
-worker handle keeps the latest one — the only residency the budget
-governor and the collector read.
+A batch crosses the pipe as one frame each way: pickled scalars, then
+the arrays' raw bytes, to a worker that one dispatcher has checked
+out.  Every reply, OK or ERR, carries the worker store's
+:class:`~repro.serve.cache.Residency`, and the parent's worker handle
+keeps the latest one — the only residency the budget governor and the
+collector read.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import itertools
 import multiprocessing as mp
 import sys
 import threading
+import time
 import warnings
 from types import SimpleNamespace
 
@@ -267,6 +269,14 @@ class TestWorkerCounters:
             rt.predict("g", features, fks)
             rt.predict("n", features, fks)
             cached = np.unique(fks[0])
+            # The R1 rows each worker's caches hold, over both models.
+            held = [
+                sum(
+                    stats.entries
+                    for (stats,) in sample["cache_stats"].values()
+                )
+                for sample in rt._executor.sample_stats()
+            ]
             # Two updates, so the counter sums over INVALIDATE replies.
             for victims in (cached[:4], cached[4:]):
                 positions = relation.positions_of_keys(victims)
@@ -279,9 +289,8 @@ class TestWorkerCounters:
             )
         assert dropped == {"g": cached.size, "n": cached.size}
         assert sum(counted.values()) == sum(dropped.values())
-        # Each first-dimension RID is cached by its affine worker only.
-        for worker in (0, 1):
-            assert counted[str(worker)] == 2 * np.sum(cached % 2 == worker)
+        # Every cached RID was updated, so each worker dropped all it held.
+        assert [counted["0"], counted["1"]] == held
 
     def test_concurrent_invalidations_lose_no_count(self, monkeypatch):
         """Updates may fan out from several threads at once, and each
@@ -347,3 +356,97 @@ class TestFailedExec:
             np.testing.assert_array_equal(
                 rt.predict("g", features, fks), expected
             )
+
+
+class CountingCondition(threading.Condition):
+    """A condition that counts the threads waiting on it and the waits
+    that returned."""
+
+    waiting = returned = 0
+
+    def wait(self, timeout=None):
+        self.waiting += 1
+        try:
+            return super().wait(timeout)
+        finally:
+            self.waiting -= 1
+            self.returned += 1
+
+
+class TestRotation:
+    @staticmethod
+    def executor():
+        """The rotation of a two-worker executor, without processes."""
+        executor = object.__new__(ProcessExecutor)
+        executor.workers = [_WorkerHandle(i, None, None) for i in (0, 1)]
+        executor._idle = list(executor.workers)
+        executor._rotation = CountingCondition()
+        return executor
+
+    def test_a_worker_is_checked_out_by_one_dispatcher_at_a_time(self):
+        executor = self.executor()
+        shared = []
+
+        def dispatch():
+            me = threading.get_ident()
+            for _ in range(2000):
+                handle = executor._checkout()
+                handle.owner = me
+                time.sleep(0)
+                if handle.owner != me:
+                    shared.append(handle.index)
+                executor._checkin(handle)
+
+        threads = [threading.Thread(target=dispatch) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert shared == []
+        assert sorted(h.index for h in executor._idle) == [0, 1]
+
+    def test_the_last_death_fails_every_waiting_dispatcher(self):
+        executor = self.executor()
+        held = [executor._checkout(), executor._checkout()]
+        failures = []
+
+        def dispatch():
+            try:
+                executor._checkout()
+            except ModelError as error:
+                failures.append(error)
+
+        def settled(returned):
+            """Both waiters back in ``wait`` after ``returned`` wake-ups."""
+            rotation, deadline = executor._rotation, time.monotonic() + 10.0
+            while time.monotonic() < deadline and not (
+                rotation.waiting == 2 and rotation.returned >= returned
+            ):
+                time.sleep(0.001)
+            assert rotation.waiting == 2
+
+        waiters = [
+            threading.Thread(target=dispatch, daemon=True) for _ in range(2)
+        ]
+        for waiter in waiters:
+            waiter.start()
+        settled(0)
+        # One death with a worker left: the woken waiters wait again.
+        held[0]._mark_dead()
+        executor._checkin(held[0])
+        settled(1)
+        held[1]._mark_dead()
+        executor._checkin(held[1])
+        for waiter in waiters:
+            waiter.join(10.0)
+        assert not any(waiter.is_alive() for waiter in waiters)
+        assert len(failures) == 2
+        assert executor._idle == []
+        with pytest.raises(ModelError, match="all worker processes"):
+            executor._checkout()

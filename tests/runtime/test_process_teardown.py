@@ -1,9 +1,13 @@
-"""Process-backend teardown guarantees: worker crashes fail only the
-requests routed to the dead worker, a runtime creates no ``/dev/shm``
-entry, no worker process outlives the runtime (explicit close *or*
-interpreter exit), and close is idempotent."""
+"""Process-backend teardown guarantees: a dead worker leaves the
+rotation and the survivors serve every later request (a batch in
+flight on it is retried on them), with none left every request fails
+fast, a runtime creates no ``/dev/shm`` entry, no worker process
+outlives the runtime (explicit close *or* interpreter exit), and close
+is idempotent."""
 
+import multiprocessing as mp
 import os
+import time
 import subprocess
 import sys
 import tempfile
@@ -15,6 +19,8 @@ import pytest
 from repro.core.api import fit_gmm, serve_runtime
 from repro.data.synthetic import StarSchemaConfig, generate_star
 from repro.errors import ModelError
+from repro.runtime import procworker
+from repro.runtime.procpool import _REPLY_TIMEOUT_S, WorkerDied
 
 SHM_DIR = "/dev/shm"
 
@@ -67,95 +73,148 @@ def served(db):
     return star.spec, gmm, features, fks
 
 
+def owed_nothing(executor) -> bool:
+    """No reply parked in any mailbox, none unread in a live pipe."""
+    return all(
+        handle._replies == {}
+        and (handle.dead or not handle.conn.poll(0.05))
+        for handle in executor.workers
+    )
+
+
 class TestWorkerCrash:
-    def test_crash_fails_only_the_requests_routed_to_the_dead_worker(
-        self, db, served
+    @pytest.mark.parametrize("crashed", [0, 1])
+    def test_after_a_crash_every_request_is_served(
+        self, db, served, crashed
     ):
+        """Whichever worker dies, the next batch it would have taken
+        goes to the other one."""
         spec, gmm, features, fks = served
         with serve_runtime(
             db, num_workers=2, max_wait_ms=0.0, executor="process"
         ) as rt:
             rt.register_gmm("g", gmm, spec)
-            expected = rt.predict("g", features, fks)
+            chunks = range(0, features.shape[0], 20)
+            expected = [
+                rt.predict("g", features[i:i + 20], fks[i:i + 20])
+                for i in chunks
+            ]
 
-            rt._executor.crash_worker(0)
+            rt._executor.crash_worker(crashed)
 
-            dead = fks[:, 0] % 2 == 0       # RIDs affine to worker 0
-            with pytest.raises(ModelError, match="died"):
-                rt.predict("g", features[dead], fks[dead])
-            # Requests affine to the surviving worker keep serving,
-            # with unchanged answers.
-            alive = rt.predict("g", features[~dead], fks[~dead])
-            np.testing.assert_array_equal(alive, expected[~dead])
+            # One at a time, then all in flight at once, so both
+            # dispatchers check a worker out.
+            for i, answer in zip(chunks, expected):
+                np.testing.assert_array_equal(
+                    rt.predict("g", features[i:i + 20], fks[i:i + 20]),
+                    answer,
+                )
+            futures = [
+                rt.submit("g", features[i:i + 20], fks[i:i + 20])
+                for i in chunks
+            ]
+            for future, answer in zip(futures, expected):
+                np.testing.assert_array_equal(future.result(60.0), answer)
+            assert not rt._executor.workers[1 - crashed].dead
 
-    def test_mixed_batch_fails_only_the_dead_workers_rows(
-        self, db, served
+    @pytest.mark.skipif(
+        "fork" not in mp.get_all_start_methods(),
+        reason="the workers must inherit the patched handler",
+    )
+    def test_a_batch_in_flight_on_a_dying_worker_is_retried(
+        self, db, served, tmp_path, monkeypatch
     ):
+        """The first worker sent a coalesced batch (more rows than one
+        request) dies on it; the runtime's per-request retry serves
+        every one of its requests on the survivor."""
         spec, gmm, features, fks = served
+        with serve_runtime(db, num_workers=2, max_wait_ms=0.0) as rt:
+            rt.register_gmm("g", gmm, spec)
+            expected = rt.predict("g", features, fks)
+        died = tmp_path / "died"
+        on_exec = procworker._Worker.on_exec
+
+        def dies_on_a_coalesced_batch(worker, payload, body):
+            if body[0].shape[0] > 20:
+                # Only the first worker to get one: O_EXCL is atomic.
+                os.close(os.open(died, os.O_CREAT | os.O_EXCL))
+                os._exit(3)
+            return on_exec(worker, payload, body)
+
+        # Forked workers inherit the patch.
+        monkeypatch.setattr(
+            procworker._Worker, "on_exec", dies_on_a_coalesced_batch
+        )
         with serve_runtime(
-            db, num_workers=2, max_wait_ms=5.0, max_batch_rows=512,
+            db, num_workers=2, max_wait_ms=50.0, max_batch_rows=512,
             executor="process",
         ) as rt:
             rt.register_gmm("g", gmm, spec)
-            expected = rt.predict("g", features, fks)
-            rt._executor.crash_worker(1)
-
-            # One coalesced batch spanning both workers: the batch
-            # fails wholesale, then the per-request retry fails exactly
-            # the requests whose rows route to the dead worker.
-            dead = fks[:, 0] % 2 == 1
             futures = [
-                rt.submit("g", features[i:i + 20], fks[i:i + 20])
+                (i, rt.submit("g", features[i:i + 20], fks[i:i + 20]))
                 for i in range(0, features.shape[0], 20)
             ]
-            for index, future in enumerate(futures):
-                lo, hi = index * 20, index * 20 + 20
-                routed_dead = bool(dead[lo:hi].any())
-                if routed_dead:
-                    with pytest.raises(ModelError):
-                        future.result(60.0)
-                else:
-                    np.testing.assert_array_equal(
-                        future.result(60.0), expected[lo:hi]
-                    )
+            for i, future in futures:
+                np.testing.assert_array_equal(
+                    future.result(60.0), expected[i:i + 20]
+                )
+            assert died.exists()
+            assert sum(h.dead for h in rt._executor.workers) == 1
+            assert owed_nothing(rt._executor)
 
-    def test_mid_scatter_failure_drains_started_subbatches(
-        self, db, served, monkeypatch
-    ):
-        """If scatter fails after some workers were sent an EXEC, the
-        started sub-batches are still gathered before the failure
-        propagates — a worker left owing a reply would owe two once
-        the retry sends it the next EXEC, and the abandoned reply
-        would sit in its mailbox forever."""
+    def test_with_every_worker_dead_requests_fail_fast(self, db, served):
+        spec, gmm, features, fks = served
+        rt = serve_runtime(
+            db, num_workers=2, max_wait_ms=0.0, executor="process"
+        )
+        try:
+            rt.register_gmm("g", gmm, spec)
+            rt.predict("g", features, fks)
+            rt._executor.crash_worker(0)
+            rt._executor.crash_worker(1)
+            for _ in range(3):
+                start = time.monotonic()
+                with pytest.raises(ModelError):
+                    rt.predict(
+                        "g", features, fks, timeout=_REPLY_TIMEOUT_S
+                    )
+                assert time.monotonic() - start < _REPLY_TIMEOUT_S
+            assert all(h.dead for h in rt._executor.workers)
+        finally:
+            rt.close()
+        assert not any(
+            alive(handle.process.pid) for handle in rt._executor.workers
+        )
+
+    def test_a_failed_send_leaves_no_reply_owed(self, db, served):
+        """The worker next in line for a batch is dead before its
+        send: the send fails, no EXEC went out and none is owed, and
+        the batch is served by the other worker."""
         spec, gmm, features, fks = served
         with serve_runtime(
             db, num_workers=2, max_wait_ms=0.0, executor="process"
         ) as rt:
             rt.register_gmm("g", gmm, spec)
             expected = rt.predict("g", features, fks)
+            executor = rt._executor
+            victim = executor._idle[-1]         # the next checkout
+            failed = []
+            send = victim.send
 
-            real = rt._executor.start_subbatch
+            def recorded(*args, **kwargs):
+                try:
+                    return send(*args, **kwargs)
+                except WorkerDied as error:
+                    failed.append(error)
+                    raise
 
-            def flaky(worker, *args, **kwargs):
-                if worker == 1:
-                    raise ModelError("injected scatter failure")
-                return real(worker, *args, **kwargs)
-
-            monkeypatch.setattr(rt._executor, "start_subbatch", flaky)
-            with pytest.raises(ModelError, match="injected"):
-                rt.predict("g", features, fks)
-            # Worker 0's sub-batch was started before the failure; it
-            # must have been drained — no parked reply, nothing left
-            # in the pipe.
-            handle = rt._executor.workers[0]
-            assert handle._replies == {}
-            assert not handle.conn.poll(0.05)
-            monkeypatch.undo()
-
-            # And the drained worker keeps serving, bit-exact.
-            mine = fks[:, 0] % 2 == 0
-            alive = rt.predict("g", features[mine], fks[mine])
-            np.testing.assert_array_equal(alive, expected[mine])
+            victim.send = recorded
+            executor.crash_worker(victim.index)
+            np.testing.assert_array_equal(
+                rt.predict("g", features, fks), expected
+            )
+            assert len(failed) == 1 and victim.dead
+            assert owed_nothing(executor)
 
     def test_register_after_total_worker_loss_raises_model_error(
         self, db, served

@@ -5,7 +5,8 @@ style of ``tests/fx/test_single_dedup.py``).
 configurations of :class:`repro.serve.core.ServingCore`; these tests
 keep a second copy of its build / plan / swap logic from growing back:
 predictors and planners are constructed in the core alone, the runtime
-facade never branches on the executor kind outside construction, the
+facade never branches on the executor kind outside construction (and
+runs one dispatcher per worker on both), the
 runtime is a ``ModelService`` that redefines none of its surface
 (``TestOneFacade``), ``swap_model`` is a delegation, and the process
 worker's message handlers hold framing, not lifecycle logic.  The same goes for
@@ -147,6 +148,47 @@ class TestRuntimeNeverBranchesOnTheExecutorKind:
                 ):
                     offenders.append((node.name, test.lineno))
         assert offenders == []
+
+    def test_the_dispatcher_count_is_num_workers_alone(self):
+        """Both executors run one dispatcher thread per worker."""
+        init = _method(RUNTIME_SERVICE, "ServingRuntime", "__init__")
+        assert "_EXECUTORS" not in _names(init)
+        (comprehension,) = [
+            node.value for node in ast.walk(init)
+            if isinstance(node, ast.Assign)
+            and any(
+                isinstance(target, ast.Attribute)
+                and target.attr == "_workers"
+                for target in node.targets
+            )
+        ]
+        (loop,) = comprehension.generators
+        assert ast.unparse(loop.iter) == "range(self.config.num_workers)"
+
+    def test_a_process_batch_is_one_send_to_one_worker(self):
+        run = _method(
+            SRC_ROOT / "runtime" / "procpool.py", "ProcessExecutor", "_run"
+        )
+        loops = [
+            node for node in ast.walk(run)
+            if isinstance(node, (ast.For, ast.comprehension))
+            and _names(node.iter) & {"workers", "num_workers"}
+        ]
+        assert loops == []
+        sends = [
+            node for node in ast.walk(run)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "send"
+        ]
+        assert len(sends) == 1
+
+    def test_exec_meta_attributes_no_shares(self):
+        from dataclasses import fields
+
+        from repro.serve.core import ExecMeta
+
+        assert "shares" not in {field.name for field in fields(ExecMeta)}
 
 
 class TestFacadesDelegate:

@@ -26,6 +26,12 @@ one such window of warm-up), and prints the latency p50 / p99 from each
 request's scheduled send, the queue-wait p50 (claim minus stamp, as the
 e2e tracer reads it), the batches and their close reasons.
 
+Both runtime windows end with each process's peak RSS, ``VmHWM`` from
+``/proc/<pid>/status``: this process's, and with ``--executor process``
+each worker's and the sum (which counts the pages a worker shares with
+this process once per process).  It is read before the runtime closes,
+after the data set was built and the network fitted in this process.
+
 ``--inline`` runs ``serve_batch_warm``'s window instead, on no runtime at
 all: a ``repro.serve(db)`` service with every RID warm, one caller sending
 60 requests of 2,048 rows, network and mixture alternating.  It prints the
@@ -176,6 +182,25 @@ def closed_by(before, after) -> dict:
             for reason, count in after.batch_close_reasons.items()}
 
 
+def peak_rss(runtime) -> None:
+    """Print ``VmHWM`` of this process and of each worker process."""
+    def vm_hwm_mib(pid="self"):
+        with open(f"/proc/{pid}/status") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024
+        raise RuntimeError(f"no VmHWM for {pid}")
+
+    parent = vm_hwm_mib()
+    workers = [vm_hwm_mib(handle.process.pid)
+               for handle in getattr(runtime._executor, "workers", ())]
+    line = f"peak RSS (VmHWM): parent {parent:.1f} MiB"
+    if workers:
+        line += (f", workers {', '.join(f'{mib:.1f}' for mib in workers)} MiB, "
+                 f"sum {parent + sum(workers):.1f} MiB")
+    print(line)
+
+
 def report_open(runtime, requests, rate) -> None:
     """One paced window: latency, queue wait, batches and why they closed."""
     waits = []
@@ -188,6 +213,7 @@ def report_open(runtime, requests, rate) -> None:
           f"p99 {np.percentile(latency_ms, 99):.2f} ms")
     print(f"queue wait: p50 {np.percentile(waits, 50) * 1e3:.2f} ms")
     print(f"batches: {after.batches - before.batches}, closed by {closed_by(before, after)}")
+    peak_rss(runtime)
 
 
 def timed(owner, name, totals):
@@ -239,6 +265,7 @@ def report(runtime, requests) -> None:
               f"{seconds / len(requests) * 1e6:.1f} µs per request")
     print(f"batches: {batches}, mean rows {rows / batches:.0f}, "
           f"closed by {closed_by(before, after)}")
+    peak_rss(runtime)
 
     totals, log = defaultdict(float), []
     timers = (          # (owner, name, inside the row above)
