@@ -214,33 +214,60 @@ class GroupIndex:
         return per_group.take(self.codes, axis=0)
 
 
+# A key index (and a serving cache's slot table,
+# :class:`~repro.serve.cache.SlotTable`) finds a key in
+# ``[0, DIRECT_SPAN)`` with one ``take`` of a direct-address map, 8
+# bytes per key of span up to the largest key it holds — so at most 16
+# MiB.  Other keys (negative ones, or a key space too sparse to address)
+# keep a sorted index and one ``searchsorted``.
+DIRECT_SPAN = 1 << 21
+
+
 class KeyIndex:
     """A dimension's (unique) primary keys, sorted once: a caller that
-    probes one key column repeatedly (a relation's
-    :meth:`~repro.storage.relation.Relation.key_index`) pays a binary
-    search per probe, not a sort.  Raises :class:`ModelError` if
-    ``dim_keys`` contains duplicates.  Immutable: appended keys give a
-    new index (:meth:`extended`)."""
+    probes one key column repeatedly pays a binary search per probe,
+    not a sort.  Raises :class:`ModelError` if ``dim_keys`` contains
+    duplicates.  Immutable: appended keys give a new index
+    (:meth:`extended`).
+
+    An index from :meth:`addressed` (a relation's
+    :meth:`~repro.storage.relation.Relation.key_index`) also holds
+    ``direct``, the map ``key → position`` (−1: no such key) over
+    ``[0, max key]``, when every key is an integer in
+    ``[0, DIRECT_SPAN)``; a probe with integer keys is then one
+    ``take``.  ``direct`` is ``None`` on any other index."""
 
     def __init__(self, dim_keys: np.ndarray) -> None:
         dim_keys = np.asarray(dim_keys)
         self.order = np.argsort(dim_keys, kind="stable")
         self.sorted_keys = dim_keys[self.order]
+        self.direct: np.ndarray | None = None
         if np.any(self.sorted_keys[1:] == self.sorted_keys[:-1]):
             raise ModelError("dimension keys contain duplicates")
+
+    def addressed(self) -> "KeyIndex":
+        """This index with a direct-address map beside it, where the
+        keys allow one (the sorted arrays are shared, not copied)."""
+        index = KeyIndex.__new__(KeyIndex)
+        index.order, index.sorted_keys = self.order, self.sorted_keys
+        index.direct = _direct_map(self.sorted_keys, self.order)
+        return index
 
     def __len__(self) -> int:
         return self.sorted_keys.size
 
     @property
     def nbytes(self) -> int:
-        return self.order.nbytes + self.sorted_keys.nbytes
+        mapped = 0 if self.direct is None else self.direct.nbytes
+        return self.order.nbytes + self.sorted_keys.nbytes + mapped
 
     def extended(self, keys: np.ndarray) -> "KeyIndex":
         """The index of this key column with ``keys`` appended (they
         take positions ``len(self)`` on): the new keys are sorted and
         merged in by ``searchsorted``, the indexed ones are not
-        re-sorted.  Raises :class:`ModelError` if a new key repeats an
+        re-sorted, and a direct-address map is rebuilt over the grown
+        keys (a key set that allows none never grows into one that
+        does).  Raises :class:`ModelError` if a new key repeats an
         indexed one or another new one."""
         keys = np.asarray(keys).ravel().astype(self.sorted_keys.dtype)
         order = np.argsort(keys, kind="stable")
@@ -251,22 +278,52 @@ class KeyIndex:
         grown.order = np.insert(self.order, at, order + len(self))
         if np.any(grown.sorted_keys[1:] == grown.sorted_keys[:-1]):
             raise ModelError("dimension keys contain duplicates")
+        grown.direct = None if self.direct is None else _direct_map(
+            grown.sorted_keys, grown.order
+        )
         return grown
 
     def codes(self, fact_keys: np.ndarray) -> np.ndarray:
         """Positions of ``fact_keys`` in the key column (a dangling key
         raises :class:`ModelError` naming the first few)."""
         fact_keys = np.asarray(fact_keys)
+        if self.direct is not None and fact_keys.dtype.kind in "iu":
+            if not fact_keys.size:
+                return np.empty(fact_keys.shape, dtype=np.int64)
+            if fact_keys.min() >= 0 and fact_keys.max() < self.direct.size:
+                codes = self.direct.take(fact_keys)
+                if codes.min() >= 0:
+                    return codes
+            raise self._dangling(fact_keys)
+        if fact_keys.size and not self.sorted_keys.size:
+            raise self._dangling(fact_keys)
         positions = np.searchsorted(self.sorted_keys, fact_keys)
         positions = np.clip(positions, 0, self.sorted_keys.size - 1)
         if fact_keys.size and not np.array_equal(
             self.sorted_keys[positions], fact_keys
         ):
-            missing = np.setdiff1d(fact_keys, self.sorted_keys)[:5]
-            raise ModelError(
-                f"dangling foreign keys (first few): {missing.tolist()}"
-            )
+            raise self._dangling(fact_keys)
         return self.order[positions].astype(np.int64)
+
+    def _dangling(self, fact_keys: np.ndarray) -> ModelError:
+        missing = np.setdiff1d(fact_keys, self.sorted_keys)[:5]
+        return ModelError(
+            f"dangling foreign keys (first few): {missing.tolist()}"
+        )
+
+
+def _direct_map(sorted_keys: np.ndarray, order: np.ndarray):
+    """``key → order[i]`` for ``key = sorted_keys[i]`` over
+    ``[0, max key]``, −1 elsewhere; ``None`` unless the keys are
+    integers in ``[0, DIRECT_SPAN)``."""
+    if sorted_keys.dtype.kind not in "iu" or (sorted_keys.size and (
+        sorted_keys[0] < 0 or sorted_keys[-1] >= DIRECT_SPAN
+    )):
+        return None
+    span = int(sorted_keys[-1]) + 1 if sorted_keys.size else 0
+    direct = np.full(span, -1, dtype=np.int64)
+    direct[sorted_keys] = order
+    return direct
 
 
 def codes_for_keys(fact_keys: np.ndarray, dim_keys: np.ndarray) -> np.ndarray:

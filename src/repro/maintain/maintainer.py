@@ -380,9 +380,10 @@ class ModelMaintainer:
         if pending.positions.size != pending.rids.size:
             self._needs_refit = True        # the event names no heap rows
             return 0
-        # Reads the pages the event touched, not the whole dimension.
+        # Reads the pages the event touched, not the whole dimension,
+        # through the pool, where an update has just patched them.
         relation = self.db.relation(pending.relation)
-        rows = relation.heap.read_rows(pending.positions)
+        rows = self.db.buffer_pool.read_rows(relation.heap, pending.positions)
         keys = relation.project_keys(rows)
         features = relation.project_features(rows)
         if pending.kind == "append":
@@ -438,7 +439,7 @@ class ModelMaintainer:
         for dim, rids in zip(self._resolved.dimensions, plan.dims):
             # The batch's distinct RIDs, read at their heap rows alone.
             at = dim.relation.positions_of_keys(rids.unique)
-            rows = dim.relation.heap.read_rows(at)
+            rows = self.db.buffer_pool.read_rows(dim.relation.heap, at)
             dim_blocks.append(dim.relation.project_features(rows))
         design = FactorizedDesign.from_plan(features, dim_blocks, plan)
         batch = Batch(positions, design, targets, plan=plan)

@@ -80,6 +80,7 @@ from repro.fx.tiers import (
     decompress,
     float_equivalents,
 )
+from repro.linalg.groupsum import DIRECT_SPAN
 from repro.obs.trace import current_span
 
 _FLOAT_BYTES = 8
@@ -90,13 +91,6 @@ _FLOAT_BYTES = 8
 # its entries — so each resize is paid for by a constant-factor change
 # in the number of rows, and live rows bound the memory held.
 _SLAB_GROWTH = 1.5
-
-# A table finds the slot of a key in ``[0, _DIRECT_SPAN)`` with one
-# ``take`` of a direct-address map, 8 bytes per key of span up to the
-# largest such key held — so at most 16 MiB a table.  Keys outside it
-# (negative ones, or a key space too sparse to address) keep a sorted
-# index and one ``searchsorted``.
-_DIRECT_SPAN = 1 << 21
 
 
 class AccessClock:
@@ -271,7 +265,7 @@ class SlotTable:
     and one cell of each column: ``key`` (the way back) and ``tick``
     (the row's stamp from the store clock: ascending ``tick`` *is* LRU
     order).  A key finds its slot through a direct-address map,
-    ``_direct[key]`` (−1: not held), when ``0 <= key < _DIRECT_SPAN``,
+    ``_direct[key]`` (−1: not held), when ``0 <= key < DIRECT_SPAN``,
     and through a sorted index of its own — ``_sparse_keys`` and the
     parallel ``_sparse_slots``, one ``searchsorted`` — otherwise, so
     every int64 key works and a dense one costs one ``take``.  Freed
@@ -345,9 +339,9 @@ class SlotTable:
 
     def _index(self, keys: np.ndarray, slots: np.ndarray) -> None:
         """Point the not-held ``keys`` at ``slots``: the map grows
-        (×``_SLAB_GROWTH``, up to ``_DIRECT_SPAN``) to cover the largest
+        (×``_SLAB_GROWTH``, up to ``DIRECT_SPAN``) to cover the largest
         key it takes, the rest go into the sorted index."""
-        direct = (keys >= 0) & (keys < _DIRECT_SPAN)
+        direct = (keys >= 0) & (keys < DIRECT_SPAN)
         if not direct.all():
             sparse = ~direct
             order = np.argsort(keys[sparse])
@@ -364,7 +358,7 @@ class SlotTable:
                 grown = np.full(
                     min(
                         max(span, int(self._direct.size * _SLAB_GROWTH)),
-                        _DIRECT_SPAN,
+                        DIRECT_SPAN,
                     ),
                     -1, dtype=np.intp,
                 )
@@ -374,7 +368,7 @@ class SlotTable:
 
     def _unindex(self, keys: np.ndarray) -> None:
         """Forget the held ``keys``."""
-        direct = (keys >= 0) & (keys < _DIRECT_SPAN)
+        direct = (keys >= 0) & (keys < DIRECT_SPAN)
         self._direct[keys[direct]] = -1
         if not direct.all():
             at = self._sparse_keys.searchsorted(keys[~direct])

@@ -37,29 +37,39 @@ the array it returns stays its own, and a resident page handed out by
 ``get_page`` is a read-only copy of its frame, so no page a caller holds
 changes when its frame is reused.
 
-Invalidation stays race-free through a page-version re-check: every
-guard snapshots its page's version at install;
-:meth:`BufferPool.invalidate_pages` (called after an in-place update)
-bumps the version *and detaches the guard*, so
+An in-place update writes through the pool, in a fixed order:
+``Database.update_rows`` writes the heap first (the heap's own
+read-modify-write, so heap I/O is charged as before), then
+:meth:`BufferPool.write_through`, under the pool lock, bumps each
+touched page's version, detaches any in-flight read of it, and patches
+the frame that holds the page at that moment — a page that is not
+resident stays so.  Every guard snapshots its page's version at
+install, so
 
-* the leader, on completing its read, re-checks — version changed (or
-  guard detached) means the bytes may predate the update, and the page
-  is **not** cached (``stale_discards`` counts these).  The leader and
-  any followers that joined before the invalidation still receive those
-  bytes: their reads began before the update completed, exactly the
-  outcome the old read-under-lock design also allowed;
-* a reader arriving *after* ``invalidate_pages`` returned finds neither
-  a cached page nor a guard, and reads the new bytes fresh — the
-  invariant serving correctness rests on ("a prediction issued after
-  ``update_rows`` returns reflects the new rows").
+* a leader whose read may have seen the old bytes either re-checks on
+  completion, finds the version changed (or its guard detached) and
+  does **not** cache them (``stale_discards`` counts these) — it and
+  the followers that joined before the update still receive those
+  bytes, as a read that began before the update may — or it installed
+  its frame before the bump, and the patch makes that frame current;
+* a reader arriving *after* ``write_through`` returned finds the
+  patched frame, or no frame and no guard and reads the new bytes from
+  the heap — the invariant serving correctness rests on ("a prediction
+  issued after ``update_rows`` returns reflects the new rows").
+
+So after an update the heap and every resident frame hold the same
+bytes, and the maintainer's and the next rebuild's reads of the
+updated rows are one gather of frames that are already current.
+:meth:`BufferPool.invalidate_pages` keeps the version bump without the
+patch, and drops the pages instead.
 
 A page read short of the rows the heap now holds on it (an append
 landed while the read was in flight) is not cached either, and when a
 heap's row count moves, the resident pages it changed are dropped
 before the next lookup: a frame never serves a row it does not hold.
 
-``_page_versions`` only holds pages that were ever invalidated, so it
-grows with update activity, not with reads.
+``_page_versions`` only holds pages that were ever updated or
+invalidated, so it grows with update activity, not with reads.
 """
 
 from __future__ import annotations
@@ -458,6 +468,32 @@ class BufferPool:
                 self._resident -= state.held
             for cache_key in [k for k in self._inflight if k[0] == path]:
                 self._detach_inflight(cache_key)
+
+    def write_through(
+        self, heap: HeapFile, positions: np.ndarray, rows: np.ndarray
+    ) -> None:
+        """Bring the pool in step with ``rows`` just written to ``heap``
+        at ``positions`` (checked heap row numbers; a repeated one ends
+        up with its last row, as in :meth:`HeapFile.update_rows`).  Call
+        it after the heap write returned: each touched page's version is
+        bumped and any in-flight read of it detached, as
+        :meth:`invalidate_pages` does, then the frame that holds the
+        page now is patched in place.  A page that is not resident stays
+        so, and no counter or recency stamp moves."""
+        path = str(heap.path)
+        pages = positions // heap.rows_per_page
+        with self._lock:
+            for page_no in distinct_values(pages).tolist():
+                self._detach_inflight((path, page_no))
+            if path not in self._heaps:
+                return
+            state = self._frames_for(heap, path)
+            frames = state.table.take(pages)
+            held = frames >= 0
+            state.frames.reshape(-1, heap.ncols)[
+                (frames[held] - pages[held]) * heap.rows_per_page
+                + positions[held]
+            ] = rows[held]
 
     def invalidate_pages(
         self, heap: HeapFile, page_nos: Iterable[int]

@@ -22,7 +22,6 @@ import numpy as np
 from typing import Callable
 
 from repro.errors import ModelError, StorageError
-from repro.fx.dedup import distinct_values
 from repro.storage.buffer import BufferPool
 from repro.storage.events import RowVersionEvent
 from repro.storage.heapfile import (
@@ -60,7 +59,7 @@ class Database:
         self._relations: dict[str, Relation] = {}
         self._row_versions: dict[str, int] = {}
         self._subscribers: list[Callable[[RowVersionEvent], None]] = []
-        # Serializes whole update cycles (RMW + pool invalidation +
+        # Serializes whole update cycles (RMW + pool write-through +
         # version bump + notification) across updater threads, so
         # concurrent updates to one page cannot lose writes and row
         # versions/events stay in emission order.
@@ -172,8 +171,8 @@ class Database:
         """Register a callback for :class:`RowVersionEvent` notifications.
 
         Callbacks run synchronously on the updating thread, after pages
-        are written and stale buffer-pool pages dropped, so they always
-        observe the post-update rows.
+        are written and the buffer pool's resident copies patched, so
+        they always observe the post-update rows.
         """
         if callback not in self._subscribers:
             self._subscribers.append(callback)
@@ -238,8 +237,9 @@ class Database:
                         "values; serving lookups index rows by key"
                     )
             relation.update_rows(positions, rows)
-            pages = distinct_values(positions // relation.heap.rows_per_page)
-            self.buffer_pool.invalidate_pages(relation.heap, pages)
+            # Heap first, then the pool: a read that saw the old bytes
+            # is discarded by its version check or patched in its frame.
+            self.buffer_pool.write_through(relation.heap, positions, rows)
             version = self._row_versions.get(name, 0) + 1
             self._row_versions[name] = version
             self._drop_join_index(relation)

@@ -101,12 +101,16 @@ class Relation:
         sorts the key column, later ones return it, first merging in
         the keys of rows appended since (their pages alone are read).
         Keys never change in place — ``Database.update_rows`` refuses
-        that — so the heap's row count says what the index covers."""
+        that — so the heap's row count says what the index covers.
+        Keys in ``[0, DIRECT_SPAN)`` also get a direct-address map
+        (:meth:`KeyIndex.addressed`), so a probe is one ``take``."""
         if self._key_index is None:
             # The scan outlives the index build, so what is kept lands
             # past its block and a later scan reuses that hole whole.
             rows = self.scan()
-            self._key_index = (KeyIndex(self.project_keys(rows)), len(rows))
+            self._key_index = (
+                KeyIndex(self.project_keys(rows)).addressed(), len(rows)
+            )
         index, covered = self._key_index
         if covered < self.heap.nrows:
             tail = self.heap.read_rows(np.arange(covered, self.heap.nrows))

@@ -174,12 +174,20 @@ def test_inline_rebuild_window_smoke(window, capsys):
         # every flush swaps the mixture, so its partials are rebuilt
         # from rows read through the pool
         assert min(ms[name] for name in rebuild) > 0
+        # the update path's page I/O, wherever it runs
+        block = out.split("(calls per window)\n")[1].split("\n\n")[0].splitlines()
+        calls = {line[:40].strip(): int(line.split("(")[1].split()[0]) for line in block}
+        assert list(calls) == [
+            "HeapFile.update_rows", "HeapFile.read_rows", "BufferPool.get_page",
+        ]
+        assert calls["HeapFile.update_rows"] == c["cycles_per_window"] // 3
     else:
         c = profile_runtime.BUDGET_TIERED
         assert out.startswith(
             f"inline: {c['requests_per_window'] // 3} requests of "
             f"{c['request_rows'] // 32} rows, Zipf({c['zipf']}) R1 keys"
         )
+        assert "page I/O" not in out
     assert "cProfile, one warm window" in out and out.count("tottime") == 1
 
 

@@ -311,8 +311,8 @@ def test_retained_bytes_follow_the_referenced_pairs(db):
     assert table.keys.size <= n
     assert table.nbytes <= n * (k + 3) * 8      # keys, mass, by-right pair
     assert stats.nbytes < 4_000_000
-    floats = sum(                       # + 2: a key and its heap row
-        len(keys) * (k * (d_s + 1) + features.shape[1] + 2)
+    floats = sum(           # + 3: a key, its heap row and its map slot
+        len(keys) * (k * (d_s + 1) + features.shape[1] + 3)
         for keys, features in zip(stats.dim_index, stats.dim_features)
     )
     assert stats.nbytes <= 8 * (floats + n * (k + 3)) + 8 * k * 10 * 11

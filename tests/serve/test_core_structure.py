@@ -1473,11 +1473,11 @@ class TestOnePredictorPerKind:
 
 class TestNoPerKeyPythonOnTheLookupPath:
     """A warm dense-key hit is one ``take`` of the direct-address map
-    plus one slab ``take`` (a sparse key's, one ``searchsorted`` of the
-    fallback index instead of the map), a governor sweep one block per
-    rung: the cache's per-batch entry points — and
-    the ladder's demote / promote / invalidate path under them — are
-    array code, with no Python loop whose length grows with the batch —
+    and one slab ``take`` (a sparse key is found by one ``searchsorted``
+    of the fallback index instead of the map), and a governor sweep
+    moves one block per rung.  So the cache's per-batch entry points,
+    and the ladder's demote / promote / invalidate path under them, are
+    array code with no Python loop whose length grows with the batch,
     a miss batch's insert included."""
 
     CACHE = SRC_ROOT / "serve" / "cache.py"

@@ -408,3 +408,111 @@ class TestInvalidationRaces:
         np.testing.assert_array_equal(
             pool.read_rows(heap, np.array([7, 4])), [[5.0, 5.0], [0.0, 0.0]]
         )
+
+
+class ParkedAfterRead(HeapFile):
+    """A heap file whose page reads, once armed, finish the real read
+    and then block before returning: the bytes are taken, not yet
+    installed."""
+
+    gate = None
+
+    def read_page(self, page_no):
+        page = super().read_page(page_no)
+        if self.gate is not None:
+            self.read_done.set()
+            assert self.gate.wait(timeout=10.0)
+        return page
+
+
+class TestWriteThroughRaces:
+    """The write-through twins of :class:`TestInvalidationRaces`.  An
+    update writes the heap, then ``write_through`` bumps the touched
+    pages' versions and patches the frames holding them — the
+    ``Database.update_rows`` cycle — so a miss that began before the
+    update never leaves the old bytes resident, whether it is
+    discarded or patched."""
+
+    ROWS = np.array([1, 2])            # page 0 of 4-row pages
+
+    def update(self, heap, pool, value):
+        new_rows = np.full((self.ROWS.size, 2), value)
+        heap.update_rows(self.ROWS, new_rows)
+        pool.write_through(heap, self.ROWS, new_rows)
+        return new_rows
+
+    def test_a_gated_miss_is_discarded(self, gated):
+        pool = BufferPool(8)
+        gated.arm_gate()
+        reader = threading.Thread(target=lambda: pool.get_page(gated, 0))
+        reader.start()
+        spin_until(lambda: len(gated.entered) == 1)
+        gated._armed = False
+        new_rows = self.update(gated, pool, 7.5)
+        gated.release_gate.set()
+        reader.join()
+        assert pool.stale_discards == 1 and len(pool) == 0
+        np.testing.assert_array_equal(
+            pool.read_rows(gated, self.ROWS), new_rows
+        )
+
+    def test_old_bytes_read_before_the_update_are_not_installed(
+        self, tmp_path, rng
+    ):
+        heap = ParkedAfterRead.create(tmp_path / "p.tbl", 2, page_size_bytes=64)
+        heap.append(rng.normal(size=(8, 2)))
+        old = heap.read_page(0)
+        pool = BufferPool(4)
+        heap.read_done, heap.gate = threading.Event(), threading.Event()
+        got = []
+        reader = threading.Thread(target=lambda: got.append(pool.get_page(heap, 0)))
+        reader.start()
+        assert heap.read_done.wait(timeout=10.0)
+        new_rows = self.update(heap, pool, 3.25)
+        heap.gate.set()
+        reader.join()
+        heap.gate = None
+        # The read began before the update: its caller gets the old
+        # bytes, and the pool keeps none of them.
+        np.testing.assert_array_equal(got[0], old)
+        assert pool.stale_discards == 1 and len(pool) == 0
+        np.testing.assert_array_equal(pool.read_rows(heap, self.ROWS), new_rows)
+
+    def test_old_bytes_installed_before_the_bump_are_patched(
+        self, tmp_path, rng
+    ):
+        """The read takes the old bytes and installs them between the
+        heap write and ``write_through``: the frame is resident, and the
+        patch makes it current without another read."""
+        heap = ParkedAfterRead.create(tmp_path / "p.tbl", 2, page_size_bytes=64)
+        heap.append(rng.normal(size=(8, 2)))
+        pool = BufferPool(4)
+        heap.read_done, heap.gate = threading.Event(), threading.Event()
+        reader = threading.Thread(target=lambda: pool.get_page(heap, 0))
+        reader.start()
+        assert heap.read_done.wait(timeout=10.0)
+        new_rows = np.full((self.ROWS.size, 2), 9.5)
+        heap.update_rows(self.ROWS, new_rows)
+        heap.gate.set()
+        reader.join()
+        heap.gate = None
+        assert pool.resident_pages(heap) == [0]
+        pool.write_through(heap, self.ROWS, new_rows)
+        assert pool.stale_discards == 0 and pool.resident_pages(heap) == [0]
+        np.testing.assert_array_equal(pool.get_page(heap, 0), heap.read_page(0))
+        assert pool.misses == 1
+
+    def test_reader_after_write_through_never_joins_stale_guard(self, gated):
+        pool = BufferPool(8)
+        gated.arm_gate()
+        reader = threading.Thread(target=lambda: pool.get_page(gated, 0))
+        reader.start()
+        spin_until(lambda: len(gated.entered) == 1)
+        gated._armed = False
+        self.update(gated, pool, 4.75)
+        # Starts after write_through returned: it reads the new bytes
+        # itself rather than join the read still parked on the gate.
+        np.testing.assert_array_equal(pool.get_page(gated, 0), gated.read_page(0))
+        gated.release_gate.set()
+        reader.join()
+        np.testing.assert_array_equal(pool.get_page(gated, 0), gated.read_page(0))

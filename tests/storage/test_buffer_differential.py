@@ -3,8 +3,9 @@
 The heap file is the oracle: random schedules of reads through the
 pool (``read_rows``, ``get_page``), pool invalidations (``invalidate``,
 ``invalidate_pages``, ``clear``) and writes through the database
-(``update_rows``, ``append_rows``) drive a pool over two heaps of
-different widths that share it, and after every step
+(``update_rows``, which writes through the pool, and ``append_rows``)
+drive a pool over two heaps of different widths that share it, and
+after every step
 
 * every ``read_rows`` result is ``array_equal`` to
   ``HeapFile.read_rows`` at that moment, and every ``get_page`` result
@@ -13,7 +14,11 @@ different widths that share it, and after every step
 * ``len(pool)`` never exceeds the capacity, and agrees with
   ``resident_pages`` summed over the heaps;
 * the pages a call read survive the evictions that call caused (when
-  they fit the pool), and loading one page evicts at most one other.
+  they fit the pool), and loading one page evicts at most one other;
+* an update (its positions may repeat: the last row wins) leaves every
+  resident page resident, and a read of the updated rows calls
+  ``get_page`` for none of the pages that were resident — their frames
+  were patched — and equals the heap.
 
 A second schedule checks the recency order against an LRU model at page
 granularity (whatever was evicted was read no later than whatever
@@ -50,8 +55,10 @@ operations = st.one_of(
               st.lists(SPOTS, min_size=0, max_size=4)),
     st.tuples(st.just("invalidate"), st.integers(0, 1), st.none()),
     st.tuples(st.just("clear"), st.integers(0, 1), st.none()),
+    # Small spots repeat a position within one update more often.
     st.tuples(st.just("update"), st.integers(0, 1),
-              st.lists(SPOTS, min_size=1, max_size=6)),
+              st.lists(st.one_of(SPOTS, st.integers(0, 3)),
+                       min_size=1, max_size=6)),
     st.tuples(st.just("append"), st.integers(0, 1), st.integers(1, 40)),
 )
 heaps = st.tuples(st.integers(1, 20), st.integers(1, 120))
@@ -128,10 +135,28 @@ def _drive(db, schedule, rng):
             pool.clear()
             assert len(pool) == 0 and pool.hits == pool.misses == 0
         elif name == "update":
-            positions = np.unique(np.asarray(argument) % heap.nrows)
+            positions = np.asarray(argument) % heap.nrows   # repeats kept
+            touched = pages_of(heap, positions)
+            if len(touched) <= pool.capacity_pages:
+                pool.read_rows(heap, positions)     # as a serving read would
+            before = [pool.resident_pages(db.relation(n).heap) for n in NAMES]
             db.update_rows(
                 relation.name, positions,
                 rng.normal(size=(positions.size, heap.ncols)),
+            )
+            for n, pages in zip(NAMES, before):
+                assert set(pages) <= set(pool.resident_pages(db.relation(n).heap))
+            # The updated rows come back from the patched frames, with
+            # only the pages that were not resident read from the heap.
+            cold = touched - set(before[which])
+            with mock.patch.object(
+                BufferPool, "get_page", autospec=True,
+                side_effect=BufferPool.get_page,
+            ) as get_page:
+                got = pool.read_rows(heap, positions)
+            np.testing.assert_array_equal(got, heap.read_rows(positions))
+            assert sorted(call.args[2] for call in get_page.call_args_list) == (
+                sorted(cold)
             )
         else:
             db.append_rows(

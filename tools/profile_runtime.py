@@ -46,7 +46,10 @@ builder):
 * ``update_mix`` (``serve_update_mix``): 6 cycles of 5 reads of 2,048
   rows, a 32-row in-place update of R1, a maintainer flush (which swaps in
   new mixture parameters, so every mixture partial is rebuilt) and one
-  32-row probe per model; the update and the flush get rows of their own;
+  32-row probe per model; the update and the flush get rows of their own,
+  and a second table gives the window's page I/O wherever it runs (the
+  heap's ``update_rows`` and ``read_rows``, the pool's ``get_page``), in
+  ms and calls per window;
 * ``budget_tiered`` (``serve_budget_tiered``): 400 requests of 256 rows
   with Zipf(0.9) R1 keys on a service under a 16 MiB budget with the
   float32 + spill ladder, warmed with 200 such requests; each window
@@ -85,6 +88,7 @@ from repro.serve.partials import DimensionLookup, GMMPartialBuilder
 from repro.serve.service import ModelService
 from repro.storage.buffer import BufferPool
 from repro.storage.catalog import Database
+from repro.storage.heapfile import HeapFile
 
 STAR3 = SHAPES["star3"]
 # Copied from benchmarks/e2e/workloads.SHAPES["full"]["runtime_thread_window"]
@@ -112,6 +116,10 @@ REBUILD = (
     (DimensionLookup, "features_for", 3), (BufferPool, "read_rows", 4),
     (GMMPartialBuilder, "compute", 3),
 )
+# The page I/O an update cycle can run, wherever it runs: the heap's
+# read-modify-write, row reads from disk around the pool, the pool's
+# one-page misses.
+PAGE_IO = ((HeapFile, "update_rows"), (HeapFile, "read_rows"), (BufferPool, "get_page"))
 TIMELINE = 20               # batches shown
 
 
@@ -216,8 +224,9 @@ def report_open(runtime, requests, rate) -> None:
     peak_rss(runtime)
 
 
-def timed(owner, name, totals):
-    """Patch ``owner.name`` with a wrapper adding its seconds to ``totals``."""
+def timed(owner, name, totals, calls=None):
+    """Patch ``owner.name`` with a wrapper adding its seconds to ``totals``
+    (and one to ``calls``, if given)."""
     inner, key = getattr(owner, name), f"{owner.__name__}.{name}"
 
     def wrapper(*args, **kwargs):
@@ -226,6 +235,8 @@ def timed(owner, name, totals):
             return inner(*args, **kwargs)
         finally:
             totals[key] += time.perf_counter() - tick
+            if calls is not None:
+                calls[key] += 1
 
     return mock.patch.object(owner, name, wrapper)
 
@@ -303,17 +314,18 @@ def serve_window(service, requests) -> float:
     return time.perf_counter() - start
 
 
-def report_inline(title, draw, run, layers, top) -> None:
-    """The bare window, the layer split and a cProfile of one window:
-    ``draw()`` makes a window's inputs, ``run(inputs)`` serves them and
-    returns ``(wall, rows)``."""
+def report_inline(title, draw, run, layers, top, page_io=()) -> None:
+    """The bare window, the layer split (then ``page_io``'s rows, timed
+    wherever they run) and a cProfile of one window: ``draw()`` makes a
+    window's inputs, ``run(inputs)`` serves them and returns
+    ``(wall, rows)``."""
     wall, rows = run(draw())
     print(f"inline: {title}")
     print(f"window: wall {wall:.4f} s; {rows / wall:,.0f} rows/s")
-    totals, inputs = defaultdict(float), draw()
+    totals, calls, inputs = defaultdict(float), defaultdict(int), draw()
     with contextlib.ExitStack() as patched:
-        for owner, name, _ in layers:
-            patched.enter_context(timed(owner, name, totals))
+        for owner, name in [layer[:2] for layer in layers] + list(page_io):
+            patched.enter_context(timed(owner, name, totals, calls))
         wall, _ = run(inputs)
     print(f"\nms per window (timers on: wall {wall:.4f} s; indented rows are "
           "inside the row above)")
@@ -326,6 +338,11 @@ def report_inline(title, draw, run, layers, top) -> None:
     rest = totals["ModelService.predict"] - inside
     print(f"{'  the rest of predict':<40}{rest * 1e3:8.2f}   (first-layer GEMM, "
           "request checks, bookkeeping)")
+    if page_io:
+        print("\nms per window of page I/O, wherever it runs (calls per window)")
+    for owner, name in page_io:
+        key = f"{owner.__name__}.{name}"
+        print(f"{key:<40}{totals[key] * 1e3:8.2f}   ({calls[key]} calls)")
     profiler, inputs = cProfile.Profile(), draw()
     profiler.runcall(run, inputs)
     print("\ncProfile, one warm window")
@@ -533,7 +550,7 @@ def update_mix(db, spec, gmm, service, draw, dim_rows, d_s, args) -> None:
             f"{c['update_rows']}-row R1 update, a flush and 2 probes",
             draw_cycles, run,
             ((Database, "update_rows", 1), (ModelMaintainer, "flush", 1))
-            + LAYERS[:3] + REBUILD + LAYERS[3:], args.top,
+            + LAYERS[:3] + REBUILD + LAYERS[3:], args.top, PAGE_IO,
         )
     finally:
         maintainer.close()
