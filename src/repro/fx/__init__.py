@@ -23,7 +23,8 @@ once and shared by training, serving, and the concurrent runtime:
 * :mod:`repro.fx.sharding` — :class:`ShardedPartialCache`, the one
   cache type the store hands out and a predictor holds: one
   :class:`~repro.serve.cache.PartialCache` per fingerprint under its
-  single lock, which runs the store's governor after each batch;
+  single lock, which runs the store's governor after each batch that
+  inserted or promoted rows;
 * :mod:`repro.fx.costs` — the one cost model: every published count
   (Sections V-A/V-B/VI-A) stated once, one concrete
   :class:`CostModel` per ``(kind, phase)`` whose ``decide()`` supplies

@@ -1,28 +1,38 @@
 """Per-batch foreign-key deduplication, computed exactly once.
 
-Every factorized code path starts the same way: sort each dimension's
+Every factorized code path starts the same way: turn each dimension's
 FK column into ``(unique, inverse)`` so dimension-side work runs at
 distinct-tuple cardinality ``m`` and is gathered back to the ``n``
-request rows.  Before this module existed that sort happened twice per
-batch — once in the runtime's :class:`~repro.runtime.planner.
+request rows.  Before this module existed that dedup happened twice
+per batch — once in the runtime's :class:`~repro.runtime.planner.
 BatchPlanner` (to count distinct RIDs) and again inside the chosen
-predictor's gather/densify.  A :class:`DedupPlan` is the sort's result
-as a first-class value: the batch assembler computes it once and
-threads it through ``plan() → predict()``, and anything downstream
+predictor's gather/densify.  A :class:`DedupPlan` is the dedup's
+result as a first-class value: the batch assembler computes it once
+and threads it through ``plan() → predict()``, and anything downstream
 (cost models, cache lookups, grouped reductions) reads it instead of
 calling ``np.unique`` again.
 
+:meth:`DedupPlan.for_batch` dedups a column one of two ways, with the
+same ``unique`` and ``inverse`` arrays either way.  A column whose keys
+are integers in a span small against its rows (``[0, 2^15 + 3·rows)``,
+fitted on a rows × span grid, and never past ``DIRECT_SPAN``) is
+*counted*: its keys are marked in a bool array of that span, and the
+marks, numbered in key order, are ``unique`` and each key's rank.  Any
+other column is sorted once (:func:`~repro.linalg.groupsum.
+stable_order`), and the sort yields ``unique``, ``inverse`` *and* the
+group order.
+
 The plan is also the bridge to the training-side primitives: each
 dimension's ``inverse`` array *is* a codes array in the sense of
-:class:`repro.linalg.groupsum.GroupIndex`, and the one stable sort
-:meth:`DedupPlan.for_batch` runs per FK column yields ``unique``,
-``inverse`` *and* the group order, so :meth:`DimensionDedup.
+:class:`repro.linalg.groupsum.GroupIndex`, so :meth:`DimensionDedup.
 group_index` (memoized on the dedup) hands grouped reductions an index
-that never sorts again.  Training batches use exactly this bridge: the
-join access paths (:mod:`repro.join.bnl`) build one plan per block —
-on the first pass of a fit; later passes replay it from the join index
-— and the factorized design's dimension blocks and group indexes both
-derive from it.
+that keeps a sorted column's order and derives a counted one's on
+first read — a stable sort of the ranks is the stable sort of the
+keys, and serving never reads it.  Training batches use exactly this
+bridge: the join access paths (:mod:`repro.join.bnl`) build one plan
+per block — on the first pass of a fit; later passes replay it from
+the join index — and the factorized design's dimension blocks and
+group indexes both derive from it.
 
 This module is the repository's *only* home for deduplication:
 :meth:`DedupPlan.for_batch` dedups FK columns, and
@@ -40,7 +50,15 @@ from functools import cached_property
 import numpy as np
 
 from repro.errors import ModelError
-from repro.linalg.groupsum import GroupIndex
+from repro.linalg.groupsum import DIRECT_SPAN, GroupIndex, stable_order
+
+# A column is counted while its keys lie in ``[0, span)`` with ``span <=
+# COUNT_SPAN_FLOOR + COUNT_SPAN_PER_ROW * rows``: on the grid in
+# docs/tuning.md, counting plus the order a training pass derives from
+# it beats the packed sort by 8–19 % on that line and ties it at 1.5×
+# the span, from 1 row to 200,000.
+COUNT_SPAN_FLOOR = 1 << 15
+COUNT_SPAN_PER_ROW = 3
 
 
 def distinct_values(values) -> np.ndarray:
@@ -57,35 +75,41 @@ def distinct_values(values) -> np.ndarray:
     return np.unique(np.asarray(values))
 
 
-def _stable_order(keys: np.ndarray) -> np.ndarray:
-    """Stable argsort of an int64 column, as compact row numbers.
+def _counted(fk: np.ndarray, span: int) -> "DimensionDedup":
+    """Dedup keys in ``[0, span)`` by counting: mark the keys present,
+    number the marks in key order, look each key's number up."""
+    mark = np.zeros(span, dtype=bool)
+    mark[fk] = True
+    unique = np.flatnonzero(mark)
+    rank = np.empty(span, dtype=np.int64)
+    rank[unique] = np.arange(unique.size)
+    return DimensionDedup(unique, rank.take(fk))
 
-    Packing ``(key - min, row)`` into one int64 makes every element
-    distinct, so the plain (SIMD) sort is a stable one — several times
-    faster than ``argsort(kind="stable")``, which remains the fallback
-    when the key range leaves no room for the row bits.
-    """
-    n = keys.shape[0]
-    row_bits = max(n - 1, 1).bit_length()
-    low = int(keys.min())
-    if (int(keys.max()) - low).bit_length() + row_bits < 63:
-        packed = ((keys - low) << row_bits) | np.arange(n)
-        packed.sort()
-        order = packed & ((1 << row_bits) - 1)
-    else:
-        order = np.argsort(keys, kind="stable")
-    return order.astype(np.int32 if row_bits < 32 else np.int64, copy=False)
+
+def _sorted(fk: np.ndarray) -> "DimensionDedup":
+    """Dedup any int64 keys with one stable sort, which it keeps."""
+    rows = fk.shape[0]
+    order = stable_order(fk)
+    ordered = fk.take(order)
+    first = np.empty(rows, dtype=bool)      # starts a new RID run
+    first[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    inverse = np.empty(rows, dtype=np.int64)
+    inverse[order] = np.cumsum(first) - 1
+    return DimensionDedup(ordered[first], inverse, order)
 
 
 @dataclass(frozen=True)
 class DimensionDedup:
-    """One dimension's ``(unique, inverse)`` FK sort.
+    """One dimension's ``(unique, inverse)`` FK dedup.
 
     ``unique`` holds the sorted distinct RIDs (int64); ``inverse`` maps
-    each of the batch's fact rows to its position in ``unique``, so
-    ``unique[inverse]`` reproduces the raw FK column.  ``order`` is the
-    sort that produced them — the batch's rows in stable RID order —
-    when :meth:`DedupPlan.for_batch` built the dedup, else ``None``.
+    each of the batch's fact rows to its position in ``unique`` (int64),
+    so ``unique[inverse]`` reproduces the raw FK column.  ``order`` is
+    the sort that produced them — the batch's rows in stable RID order
+    — when :meth:`DedupPlan.for_batch` sorted the column, else ``None``
+    (a counted or permuted dedup: the group index derives it on first
+    read).
     """
 
     unique: np.ndarray
@@ -121,7 +145,8 @@ class DimensionDedup:
         ``[0, m)`` and ``order`` its stable sort, so the
         :class:`~repro.linalg.groupsum.GroupIndex` — built once per
         dedup and shared by every caller — never sorts when the dedup
-        kept its order, and sorts lazily, once, when it did not.
+        kept its order, and sorts ``inverse`` lazily, once, when it did
+        not.
         """
         return self._group_index
 
@@ -147,7 +172,7 @@ class DedupPlan:
     Built once per assembled batch via :meth:`for_batch`; the planner
     reads :attr:`distinct` for its cost estimates and the predictors
     read each dimension's ``(unique, inverse)`` for cache lookups and
-    gathers — one sort per batch per dimension, total.
+    gathers — one dedup per batch per dimension, total.
     """
 
     rows: int
@@ -170,14 +195,15 @@ class DedupPlan:
             if rows == 0:
                 dims.append(DimensionDedup(fk, fk))
                 continue
-            order = _stable_order(fk)
-            ordered = fk.take(order)
-            first = np.empty(rows, dtype=bool)      # starts a new RID run
-            first[0] = True
-            np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-            inverse = np.empty(rows, dtype=np.int64)
-            inverse[order] = np.cumsum(first) - 1
-            dims.append(DimensionDedup(ordered[first], inverse, order))
+            # Viewed unsigned, a negative key lies above every span, so
+            # one reduction bounds the column at both ends.
+            high = int(fk.view(np.uint64).max())
+            if high < min(
+                COUNT_SPAN_FLOOR + COUNT_SPAN_PER_ROW * rows, DIRECT_SPAN
+            ):
+                dims.append(_counted(fk, high + 1))
+            else:
+                dims.append(_sorted(fk))
         return cls(rows=rows, dims=tuple(dims))
 
     def permuted(self, permutation: np.ndarray) -> "DedupPlan":

@@ -9,8 +9,12 @@ from a private store of its own.  It *is* a
 lookup → miss compute → insert, which is what makes invalidation
 race-free and keeps a governor sweep out of a batch in flight (the
 argument lives with the lock, in :mod:`repro.serve.cache`) — and adds
-one thing: each :meth:`get_many` calls the ``governor``'s
-``enforce_budget()`` once, after the lock is released.
+one thing: a :meth:`get_many` whose locked call added charge — inserted
+computed rows or promoted demoted ones — calls the ``governor``'s
+``enforce_budget()`` once, after the lock is released.  A full hit or
+an empty batch changes no residency, so it skips the budget check (a
+sum over every cache's charge), and a budget set afresh enforces
+itself (:meth:`~repro.fx.store.PartialStore.set_budget`).
 The lock order is always governor → one cache at a time, never a cache
 held while asking for the governor, which is what keeps cross-cache
 eviction deadlock-free.
@@ -30,7 +34,7 @@ from repro.serve.cache import PartialCache
 
 class ShardedPartialCache(PartialCache):
     """A :class:`~repro.serve.cache.PartialCache` that runs the owning
-    store's governor after every batch.
+    store's governor after every batch that added charge.
 
     ``governor`` is the owning :class:`~repro.fx.store.PartialStore`;
     every other argument is the cache's.
@@ -46,10 +50,13 @@ class ShardedPartialCache(PartialCache):
         compute: Callable[[np.ndarray], np.ndarray],
         inverse: np.ndarray | None = None,
     ) -> np.ndarray:
-        """:meth:`PartialCache.get_many`, then one budget sweep with no
-        cache lock held — even when ``compute`` raises, since the batch
-        may already have promoted demoted rows."""
+        """:meth:`PartialCache.get_many`, then — if it inserted or
+        promoted rows — one budget sweep with no cache lock held, even
+        when ``compute`` raises, since the batch may already have
+        promoted demoted rows."""
+        admitted = self._admissions
         try:
             return super().get_many(keys, compute, inverse)
         finally:
-            self._governor.enforce_budget()
+            if self._admissions != admitted:
+                self._governor.enforce_budget()

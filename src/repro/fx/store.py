@@ -234,8 +234,8 @@ class PartialStore:
         """The shared cache for ``fingerprint`` (created on first use);
         later acquirers of a live fingerprint share the existing cache.
         Every cache stamps its accesses on the store's clock and calls
-        the store's governor after each batch, so a budget imposed at
-        any time has an eviction order to follow.
+        the store's governor after each batch that added charge, so a
+        budget imposed at any time has an eviction order to follow.
         """
         with self._lock:
             entry = self._entries.get(fingerprint)
@@ -334,9 +334,10 @@ class PartialStore:
     def enforce_budget(self) -> int:
         """Evict globally coldest rows until within budget.
 
-        Called by every governed cache at the end of ``get_many`` (with
-        no cache lock held); safe to call manually.  Returns the number
-        of rows evicted.  Victims are chosen across *all* caches,
+        Called by every governed cache at the end of a ``get_many``
+        that inserted or promoted rows (with no cache lock held); safe
+        to call manually.  Returns the number of rows evicted.  Victims
+        are chosen across *all* caches,
         oldest stamp first (see :meth:`PartialCache.eviction_candidates
         <repro.serve.cache.PartialCache.eviction_candidates>`).
         """
@@ -460,8 +461,11 @@ class PartialStore:
 
     @property
     def floats_resident(self) -> int:
-        """Budget floats across every live cache."""
-        return self.residency().floats
+        """Budget floats across every live cache (lock-free below the
+        registry snapshot, like :meth:`residency`)."""
+        with self._lock:
+            caches = [entry.cache for entry in self._entries.values()]
+        return sum(cache.floats_resident for cache in caches)
 
     def __len__(self) -> int:
         """Live caches (distinct fingerprints held)."""

@@ -15,7 +15,9 @@ each of ``n`` fact rows to one of ``m`` dimension rows, we need
 the ``reduceat`` reductions need are derived on first use and kept —
 ``gather``/``sum_weights`` never need them, so a consumer that only
 gathers (default F-NN) never sorts.  A dedup that already sorted the
-keys hands its order over (:meth:`GroupIndex.from_inverse`).
+keys hands its order over (:meth:`GroupIndex.from_inverse`); one that
+counted them leaves it to be derived from the codes, which is the same
+permutation (the codes are the keys' ranks).
 """
 
 from __future__ import annotations
@@ -70,9 +72,12 @@ class GroupIndex:
         DimensionDedup.group_index`) — with it the grouped reductions
         never sort, without it they sort once, on first use.  An empty
         dedup (``num_groups == 0``) yields a single empty group, keeping
-        zero-row batches well-shaped.
+        zero-row batches well-shaped.  A dedup's ``inverse`` is in range
+        by construction, so the constructor's range scan is skipped.
         """
-        index = cls(np.asarray(inverse), max(int(num_groups), 1))
+        index = cls.__new__(cls)
+        index.codes = inverse
+        index.num_groups = max(int(num_groups), 1)
         if order is not None:
             index.order = order
         return index
@@ -89,8 +94,13 @@ class GroupIndex:
 
     @cached_property
     def order(self) -> np.ndarray:
-        """The stable permutation that sorts fact rows by group code."""
-        return np.argsort(self.codes, kind="stable")
+        """The stable permutation that sorts fact rows by group code:
+        numpy's radix sort when the codes fit 16 bits, else
+        :func:`stable_order`'s packed sort."""
+        if self.num_groups > 1 << 16 and self.n:
+            return stable_order(self.codes)
+        order = np.argsort(self.codes.astype(np.uint16), kind="stable")
+        return order.astype(_row_dtype(self.n), copy=False)
 
     @cached_property
     def _segment_starts(self) -> np.ndarray:
@@ -212,6 +222,33 @@ class GroupIndex:
                 f"expected {self.num_groups}"
             )
         return per_group.take(self.codes, axis=0)
+
+
+def _row_dtype(n: int):
+    """The narrowest signed dtype that numbers ``n`` rows."""
+    return np.int32 if n <= 1 << 31 else np.int64
+
+
+def stable_order(keys: np.ndarray) -> np.ndarray:
+    """Stable argsort of a non-empty integer column, as compact row
+    numbers.
+
+    Packing ``(key - min, row)`` into one int64 makes every element
+    distinct, so the plain (SIMD) sort is a stable one — several times
+    faster than ``argsort(kind="stable")``, which remains the fallback
+    when the key range leaves no room for the row bits.
+    """
+    keys = keys.astype(np.int64, copy=False)
+    n = keys.shape[0]
+    row_bits = max(n - 1, 1).bit_length()
+    low = int(keys.min())
+    if (int(keys.max()) - low).bit_length() + row_bits < 63:
+        packed = ((keys - low) << row_bits) | np.arange(n)
+        packed.sort()
+        order = packed & ((1 << row_bits) - 1)
+    else:
+        order = np.argsort(keys, kind="stable")
+    return order.astype(_row_dtype(n), copy=False)
 
 
 # A key index (and a serving cache's slot table,

@@ -45,7 +45,8 @@ The cache is deliberately model-agnostic: values are flat float64 rows
 RIDs.  Consumers get one per fingerprint from a
 :class:`~repro.fx.store.PartialStore` — a
 :class:`~repro.fx.sharding.ShardedPartialCache`, which adds the call
-into the store's governor after each batch.
+into the store's governor after each batch that inserted or promoted
+rows.
 
 Two small hooks let the store's governor work across caches:
 
@@ -243,7 +244,11 @@ def as_rids(keys) -> np.ndarray:
 
 def _first_occurrences(keys: np.ndarray):
     """The distinct ``keys`` in first-occurrence order, and each key's
-    index among them (``None`` when ``keys`` were already distinct)."""
+    index among them (``None`` when ``keys`` were already distinct).
+    Strictly increasing ``keys`` — a dedup plan's ``unique``, and so
+    every serving miss list — are returned at once, unsorted."""
+    if np.all(keys[1:] > keys[:-1]):
+        return keys, None
     distinct = distinct_values(keys)
     if distinct.size == keys.size:
         return keys, None
@@ -508,6 +513,10 @@ class PartialCache:
         # mid-get_many; get_many holds it across compute → insert so
         # neither can land between the two (module docstring).
         self._lock = threading.RLock()
+        # Rows ever made resident here, computed or promoted: never
+        # zeroed, so a change across a call says that call added charge
+        # (what tells a ShardedPartialCache to run the governor).
+        self._admissions = 0
         self._zero_counters()
 
     def _zero_counters(self) -> None:
@@ -556,25 +565,28 @@ class PartialCache:
     def residency(self) -> Residency:
         """This cache's :class:`Residency`, read lock-free off the tier
         tables."""
-        table, compressed = self._table, self._compressed
-        resident = table.rows * table.width
-        charged = compressed.rows * float_equivalents(
-            TIER_FLOAT32, compressed.width
-        )
         return Residency(
-            resident + charged,
-            charged,
-            self._spilled.rows * table.width * _FLOAT_BYTES,
+            self.floats_resident,
+            self._compressed_floats(),
+            self._spilled.rows * self._table.width * _FLOAT_BYTES,
             self.demotions_total,
             self.promotions_total,
+        )
+
+    def _compressed_floats(self) -> int:
+        compressed = self._compressed
+        return compressed.rows * float_equivalents(
+            TIER_FLOAT32, compressed.width
         )
 
     @property
     def floats_resident(self) -> int:
         """Budget floats currently charged: resident float64 values
         plus the float-equivalents of compressed payloads (spilled
-        rows charge disk, not memory)."""
-        return self.residency().floats
+        rows charge disk, not memory) — the governor's check, read
+        without building a whole :class:`Residency`."""
+        table = self._table
+        return table.rows * table.width + self._compressed_floats()
 
     @property
     def bytes_resident(self) -> int:
@@ -691,6 +703,7 @@ class PartialCache:
         """Make the ``rows`` just taken out of ``tier`` resident."""
         if keys.size:
             self._table.put(keys, rows, stamps)
+            self._admissions += keys.size
             self.promotions[tier] = self.promotions.get(tier, 0) + keys.size
             self.promotions_total += keys.size
 
@@ -709,6 +722,7 @@ class PartialCache:
                 f"holds rows of {table.width}"
             )
         table.put(keys, rows, stamps)
+        self._admissions += keys.size
 
     def get_many(
         self,

@@ -188,6 +188,12 @@ def test_inline_rebuild_window_smoke(window, capsys):
             f"{c['request_rows'] // 32} rows, Zipf({c['zipf']}) R1 keys"
         )
         assert "page I/O" not in out
+        # the governor's budget checks: one per request that missed or
+        # promoted, at most one per request
+        block = out.split("(calls per window)\n")[1].split("\n\n")[0].splitlines()
+        assert [line[:40].strip() for line in block] == ["PartialStore.enforce_budget"]
+        checks = int(block[0].split("(")[1].split()[0])
+        assert 0 <= checks <= c["requests_per_window"] // 3
     assert "cProfile, one warm window" in out and out.count("tottime") == 1
 
 

@@ -501,8 +501,9 @@ LADDERS = [
 
 class TestRandomizedTierTransitions:
     """Property suite: random demote/promote/invalidate schedules
-    across every ladder must keep values within the tier contract and
-    the per-tier accounting reconciled."""
+    across every ladder must keep values within the tier contract, the
+    per-tier accounting reconciled and the store within its budget (or
+    nothing left it could evict) after every op."""
 
     @pytest.mark.parametrize(
         "tiers", LADDERS, ids=["+".join(t) for t in LADDERS]
@@ -539,6 +540,12 @@ class TestRandomizedTierTransitions:
             elif op == "sweep":
                 store.enforce_budget()
             reconcile(cache)
+            # A batch runs the governor only when it added charge, so
+            # the budget must hold after every op, not just after sweeps.
+            assert (
+                store.floats_resident <= WIDTH * 3
+                or not cache.eviction_candidates(1)[0].size
+            )
         store.enforce_budget()
         assert store.floats_resident <= WIDTH * 3
         reconcile(cache)

@@ -1,6 +1,6 @@
 """ShardedPartialCache, one lock per cache: order, concurrency,
-invalidation, stats, the governor call after each batch, and a budget
-sweep racing a batch in flight."""
+invalidation, stats, the governor call after each batch that adds
+charge, and a budget sweep racing a batch in flight."""
 
 import os
 import sys
@@ -95,20 +95,49 @@ class TestStats:
 
 
 class TestGovernor:
-    def test_the_governor_runs_once_after_every_batch(self):
-        class Counting:
-            calls = 0
+    def test_the_governor_runs_once_after_each_batch_that_adds_charge(
+        self, monkeypatch
+    ):
+        """Exactly one budget check after a batch that inserted computed
+        rows or promoted demoted ones — also when its compute raises
+        after the promotion — and none after a batch that changed no
+        residency: a full hit, an empty batch, a raising compute that
+        promoted nothing."""
+        store = PartialStore(capacity_floats=4, tiers=("spill",))
+        cache = store.acquire("fp")
+        calls = []
+        enforce = store.enforce_budget
 
-            def enforce_budget(self):
-                self.calls += 1
-                return 0
+        def counting():
+            calls.append(1)
+            return enforce()
 
-        governor = Counting()
-        cache = ShardedPartialCache(governor=governor)
-        cache.get_many(np.arange(4), rows_for)
-        cache.get_many(np.arange(2, 6), rows_for)      # hits and misses
-        cache.get_many(np.zeros(0, dtype=np.int64), rows_for)
-        assert governor.calls == 3
+        monkeypatch.setattr(store, "enforce_budget", counting)
+
+        def failing(keys):
+            raise RuntimeError("compute failed")
+
+        def checks(keys, compute=rows_for):
+            """Budget checks the batch ran."""
+            before = len(calls)
+            try:
+                cache.get_many(np.asarray(keys, dtype=np.int64), compute)
+            except RuntimeError:
+                pass
+            return len(calls) - before
+
+        assert checks([0, 1, 2]) == 1                  # misses
+        assert cache.keys("spill") == [0, 1]
+        assert checks([2, 2]) == 0                     # a full hit
+        assert checks([]) == 0                         # an empty batch
+        assert checks([0]) == 1                        # a promotion
+        assert checks([1, 99], failing) == 1           # promoted, then raised
+        assert cache.promotions == {"spill": 2}
+        assert checks([99], failing) == 0              # raised, added nothing
+        assert checks([1, 7]) == 1                     # a promotion and a miss
+        assert checks([7]) == 0
+        assert store.floats_resident <= 4
+        store.close()
 
     def test_a_raising_compute_still_runs_the_governor(self):
         """The batch promotes spilled rows before its compute raises;

@@ -54,7 +54,9 @@ builder):
   with Zipf(0.9) R1 keys on a service under a 16 MiB budget with the
   float32 + spill ladder, warmed with 200 such requests; each window
   draws fresh requests, so its misses are the tail RIDs it meets for
-  the first time (and any the governor dropped).
+  the first time (and any the governor dropped).  A second table gives
+  the store governor's budget checks, ``PartialStore.enforce_budget``,
+  in ms and calls per window: one per request that missed or promoted.
 
     PYTHONPATH=src python tools/profile_runtime.py --inline --window update_mix
 """
@@ -77,6 +79,7 @@ from profile_fit import COMPONENTS, SHAPES
 
 import repro
 from repro.fx.dedup import DedupPlan, DimensionDedup
+from repro.fx.store import PartialStore
 from repro.maintain.maintainer import ModelMaintainer
 from repro.nn.network import MLP
 from repro.runtime.queue import RequestQueue
@@ -120,6 +123,8 @@ REBUILD = (
 # read-modify-write, row reads from disk around the pool, the pool's
 # one-page misses.
 PAGE_IO = ((HeapFile, "update_rows"), (HeapFile, "read_rows"), (BufferPool, "get_page"))
+# The store's budget check, run after a batch that inserted or promoted rows.
+GOVERNOR = ((PartialStore, "enforce_budget"),)
 TIMELINE = 20               # batches shown
 
 
@@ -314,17 +319,18 @@ def serve_window(service, requests) -> float:
     return time.perf_counter() - start
 
 
-def report_inline(title, draw, run, layers, top, page_io=()) -> None:
-    """The bare window, the layer split (then ``page_io``'s rows, timed
-    wherever they run) and a cProfile of one window: ``draw()`` makes a
-    window's inputs, ``run(inputs)`` serves them and returns
-    ``(wall, rows)``."""
+def report_inline(title, draw, run, layers, top, tables=()) -> None:
+    """The bare window, the layer split (then, for each ``(what, rows)``
+    of ``tables``, those rows timed and counted wherever they run) and a
+    cProfile of one window: ``draw()`` makes a window's inputs,
+    ``run(inputs)`` serves them and returns ``(wall, rows)``."""
     wall, rows = run(draw())
     print(f"inline: {title}")
     print(f"window: wall {wall:.4f} s; {rows / wall:,.0f} rows/s")
     totals, calls, inputs = defaultdict(float), defaultdict(int), draw()
     with contextlib.ExitStack() as patched:
-        for owner, name in [layer[:2] for layer in layers] + list(page_io):
+        counted = [row for _, rows in tables for row in rows]
+        for owner, name in [layer[:2] for layer in layers] + counted:
             patched.enter_context(timed(owner, name, totals, calls))
         wall, _ = run(inputs)
     print(f"\nms per window (timers on: wall {wall:.4f} s; indented rows are "
@@ -338,11 +344,11 @@ def report_inline(title, draw, run, layers, top, page_io=()) -> None:
     rest = totals["ModelService.predict"] - inside
     print(f"{'  the rest of predict':<40}{rest * 1e3:8.2f}   (first-layer GEMM, "
           "request checks, bookkeeping)")
-    if page_io:
-        print("\nms per window of page I/O, wherever it runs (calls per window)")
-    for owner, name in page_io:
-        key = f"{owner.__name__}.{name}"
-        print(f"{key:<40}{totals[key] * 1e3:8.2f}   ({calls[key]} calls)")
+    for what, rows in tables:
+        print(f"\nms per window of {what}, wherever it runs (calls per window)")
+        for owner, name in rows:
+            key = f"{owner.__name__}.{name}"
+            print(f"{key:<40}{totals[key] * 1e3:8.2f}   ({calls[key]} calls)")
     profiler, inputs = cProfile.Profile(), draw()
     profiler.runcall(run, inputs)
     print("\ncProfile, one warm window")
@@ -485,6 +491,7 @@ def inline(db, spec, nn, dim_rows, d_s, args) -> None:
                 f"{budget / 2**20:g} MiB budget over float32 + spill",
                 lambda: draw(count, rows, zipf), lambda requests: run(service, requests),
                 LAYERS[:3] + REBUILD + LAYERS[3:], args.top,
+                (("the store's governor", GOVERNOR),),
             )
             return
         rids = np.arange(max(dim_rows))
@@ -550,7 +557,7 @@ def update_mix(db, spec, gmm, service, draw, dim_rows, d_s, args) -> None:
             f"{c['update_rows']}-row R1 update, a flush and 2 probes",
             draw_cycles, run,
             ((Database, "update_rows", 1), (ModelMaintainer, "flush", 1))
-            + LAYERS[:3] + REBUILD + LAYERS[3:], args.top, PAGE_IO,
+            + LAYERS[:3] + REBUILD + LAYERS[3:], args.top, (("page I/O", PAGE_IO),),
         )
     finally:
         maintainer.close()
