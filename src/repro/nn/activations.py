@@ -71,22 +71,28 @@ class Identity(Activation):
 
 
 class Sigmoid(Activation):
-    """``σ(a) = 1 / (1 + e^{−a})`` — not additive (Section VI-A2)."""
+    """``σ(a) = 1 / (1 + e^{−a})`` — not additive (Section VI-A2).
+
+    Evaluated as ``½(1 + tanh(a/2))``: four passes over one output
+    buffer with one ``tanh``, where the overflow-safe ``exp`` form needs
+    seven passes, two ``exp``\\ s and a second buffer.  Nothing
+    overflows, and the absolute error stays below ``2⁻⁵³``
+    (``tests/nn/test_activations.py``).  The price is relative accuracy
+    in the negative tail — ``1 + tanh`` cancels there, so the relative
+    error reaches ``2e-8`` at ``a = −20`` and σ rounds to 0 below
+    ``a ≈ −38`` — which a hidden unit does not feel: it feeds a
+    weighted sum and ``h(1−h)``, where absolute error is what counts.
+    """
 
     name = "sigmoid"
     is_additive = False
 
     def __call__(self, pre_activation: np.ndarray) -> np.ndarray:
         a = np.asarray(pre_activation, dtype=np.float64)
-        # exp(min(a, 0)) / (1 + exp(-|a|)): no exponent is positive, so
-        # nothing overflows, and the numerator is 1 for a >= 0 and
-        # exp(-|a|) below — no select, which cost more than the exp.
-        out = np.minimum(a, 0.0, out=np.empty_like(a))
-        np.exp(out, out=out)
-        denominator = np.abs(a, out=np.empty_like(a))
-        np.exp(np.negative(denominator, out=denominator), out=denominator)
-        denominator += 1.0
-        out /= denominator
+        out = np.multiply(a, 0.5, out=np.empty_like(a))
+        np.tanh(out, out=out)
+        out += 1.0
+        out *= 0.5
         return out
 
     def derivative(self, pre_activation: np.ndarray) -> np.ndarray:

@@ -92,8 +92,13 @@ class DenseLayer:
 
         ``grad_pre`` is ``∂E/∂a`` at this layer's pre-activations; the
         weight gradient is the paper's ``∂E/∂w = ∂E/∂a · xᵀ`` (Eq. 28).
+        A one-unit layer's input gradient is an outer product, each
+        entry one multiplication: broadcast it instead of a GEMM (same
+        bits).
         """
         grads = self.parameter_grads(grad_pre, inputs)
+        if self.n_out == 1:
+            return grads, grad_pre * self.weights
         return grads, grad_pre @ self.weights
 
     def parameter_grads(

@@ -10,7 +10,8 @@ score is computed once per RID and gathered.
 Two partial kinds exist, one per model family:
 
 * :class:`NNPartialBuilder` — the first-layer slice
-  ``X_{R_i} W_{R_i}ᵀ`` of Section VI-A1 (the reused term ``T2``);
+  ``X_{R_i} W_{R_i}ᵀ`` of Section VI-A1 (the reused term ``T2``), the
+  last dimension's with the first-layer bias folded in;
 * :class:`GMMPartialBuilder` — the dimension's row of the E-step's
   quadratic-form table (Eq. 9–12/19): per component the UR+LL
   coefficients against everything left of the dimension and the LR
@@ -97,17 +98,29 @@ class NNPartialBuilder:
     ``compute`` maps distinct dimension feature rows ``(m, d_Ri)`` to
     the reused pre-activation slice ``X_{R_i} W_{R_i}ᵀ`` of shape
     ``(m, n_h)`` — the serving twin of
-    :meth:`~repro.nn.engines.FactorizedNNEngine.first_preactivations`.
-    The bias is *not* folded in (it is added once per request row by the
-    predictor), so partial rows stay valid for every request shape.
+    :meth:`~repro.nn.engines.FactorizedNNEngine.dimension_partials`.
+    The last dimension's builder also takes the first layer's ``bias``
+    and folds it in, as training does (the paper's reused term ``T2``,
+    Section VI-A1): it is added once per distinct tuple instead of once
+    per request row, and it is part of the fingerprint, so two networks
+    that differ only in their bias share every other dimension's cache.
     """
 
-    def __init__(self, weight_block: np.ndarray) -> None:
+    def __init__(
+        self, weight_block: np.ndarray, bias: np.ndarray | None = None
+    ) -> None:
         self.weight_block = np.asarray(weight_block, dtype=np.float64)
         if self.weight_block.ndim != 2:
             raise ModelError(
                 f"weight block must be 2-D, got {self.weight_block.shape}"
             )
+        if bias is not None:
+            bias = np.asarray(bias, dtype=np.float64)
+            if bias.shape != (self.width,):
+                raise ModelError(
+                    f"bias shape {bias.shape} != ({self.width},)"
+                )
+        self.bias = bias
 
     @property
     def width(self) -> int:
@@ -119,8 +132,9 @@ class NNPartialBuilder:
         """Value-identity of this builder's partials (see
         :func:`partial_fingerprint`); computed lazily and cached."""
         if not hasattr(self, "_fingerprint"):
+            folded = () if self.bias is None else (self.bias,)
             self._fingerprint = partial_fingerprint(
-                "nn-layer1", self.weight_block
+                "nn-layer1", self.weight_block, *folded
             )
         return self._fingerprint
 
@@ -131,7 +145,10 @@ class NNPartialBuilder:
                 f"dimension features have width {features.shape[1]}, "
                 f"weight block expects {self.weight_block.shape[1]}"
             )
-        return features @ self.weight_block.T
+        partials = features @ self.weight_block.T
+        if self.bias is not None:
+            partials += self.bias
+        return partials
 
 
 class GMMPartialBuilder:

@@ -312,8 +312,9 @@ class NNPredictor(_ServingPredictor):
     """Serve a network's first layer factorized or materialized.
 
     Factorized (Section VI-A1): ``a⁽¹⁾ = x_S W_Sᵀ + Σᵢ gather(X_{R_i}
-    W_{R_i}ᵀ) + b`` from per-RID partials; materialized: the first
-    layer over the request's wide rows.  Either way everything above the first
+    W_{R_i}ᵀ)`` from per-RID partials, the bias ``b`` folded into the
+    last dimension's; materialized: the first layer over the request's
+    wide rows.  Either way everything above the first
     pre-activation is the network's training seam
     :meth:`~repro.nn.network.MLP.forward_from_first_preactivation`, so
     the two arms' outputs coincide by construction.
@@ -339,10 +340,12 @@ class NNPredictor(_ServingPredictor):
             model.first_layer.weights
         )
         self._fact_weights = weight_parts[0]
-        self._attach(
-            strategy, [NNPartialBuilder(part) for part in weight_parts[1:]],
-            store,
-        )
+        # The last dimension's partial carries the bias (a JoinSpec
+        # has at least one dimension), as in training.
+        *inner, last = weight_parts[1:]
+        builders = [NNPartialBuilder(part) for part in inner]
+        builders.append(NNPartialBuilder(last, model.first_layer.bias))
+        self._attach(strategy, builders, store)
 
     def first_preactivations(
         self, fact_features, fk_values, *, plan=None, strategy=None
@@ -359,7 +362,6 @@ class NNPredictor(_ServingPredictor):
             self.lookups, self.caches, self.builders, plan
         ):
             pre += partial
-        pre += self.model.first_layer.bias
         return pre
 
     def predict(

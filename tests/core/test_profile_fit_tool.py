@@ -141,7 +141,8 @@ def test_inline_smoke(capsys):
     assert list(ms) == [
         "ModelService.predict", "DedupPlan.for_batch", "PartialCache.get_many",
         "DimensionDedup.gather", "predictor.posteriors",
-        "MLP.forward_from_first_preactivation", "the rest of predict",
+        "MLP.forward_from_first_preactivation", "Sigmoid.__call__",
+        "the rest of predict",
     ]
     assert ms["ModelService.predict"] > 0 and ms["PartialCache.get_many"] > 0
     # a warm network request expands its partials inside the cache's take
@@ -159,10 +160,11 @@ def test_inline_rebuild_window_smoke(window, capsys):
     ms = {line[:40].strip(): float(line[40:].split()[0]) for line in layers}
     rebuild = ["DimensionLookup.features_for", "BufferPool.read_rows",
                "GMMPartialBuilder.compute"]
-    assert list(ms)[-10:] == [
+    assert list(ms)[-11:] == [
         "ModelService.predict", "DedupPlan.for_batch", "PartialCache.get_many",
         *rebuild, "DimensionDedup.gather", "predictor.posteriors",
-        "MLP.forward_from_first_preactivation", "the rest of predict",
+        "MLP.forward_from_first_preactivation", "Sigmoid.__call__",
+        "the rest of predict",
     ]
     if window == "update_mix":
         c = profile_runtime.UPDATE_MIX

@@ -1,5 +1,7 @@
 """Activation calculus and the additivity analysis of Section VI-A2."""
 
+import decimal
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -42,13 +44,21 @@ class TestForward:
 
     @staticmethod
     def _where_sigmoid(pre_activation):
-        """The formula ``Sigmoid.__call__`` had while it selected with
-        ``np.where`` — the reference the select-free one must equal
-        bit for bit."""
+        """The ``exp`` formula ``Sigmoid.__call__`` had while it selected
+        with ``np.where`` — still the reference at the infinities and
+        NaN, where both forms return the same values."""
         a = np.asarray(pre_activation, dtype=np.float64)
         exp_neg = np.exp(-np.abs(a))
         denominator = 1.0 + exp_neg
         return np.where(a >= 0, 1.0 / denominator, exp_neg / denominator)
+
+    @staticmethod
+    def _tanh_sigmoid(pre_activation):
+        """``½(1 + tanh(a/2))`` written out — the reference
+        ``Sigmoid.__call__`` must equal bit for bit (as an ndarray, also
+        for a 0-d or scalar input)."""
+        a = np.asarray(pre_activation, dtype=np.float64)
+        return np.asarray(0.5 * (1 + np.tanh(0.5 * a)))
 
     @pytest.mark.parametrize(
         "finite",
@@ -71,12 +81,12 @@ class TestForward:
             "fortran", "3-d", "float32", "int", "strided",
         ],
     )
-    def test_sigmoid_is_bit_identical_to_the_where_formula(self, finite):
-        # exp(-1000) underflows to 0 by design; nothing may overflow,
-        # divide by zero or produce a NaN on finite input.
+    def test_sigmoid_is_bit_identical_to_the_tanh_formula(self, finite):
+        # Nothing may overflow, divide by zero or produce a NaN on
+        # finite input.
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             got = Sigmoid()(finite)
-        want = self._where_sigmoid(finite)
+        want = self._tanh_sigmoid(finite)
         assert type(got) is type(want) and got.dtype == want.dtype
         assert got.shape == want.shape
         np.testing.assert_array_equal(got, want)
@@ -103,6 +113,44 @@ class TestForward:
         np.testing.assert_array_equal(
             ReLU()(np.array([-1.0, 0.0, 2.0])), [0.0, 0.0, 2.0]
         )
+
+
+HALF_ULP_OF_ONE = 2.0**-53
+WIDE_LONGDOUBLE = np.finfo(np.longdouble).nmant > np.finfo(np.float64).nmant
+
+
+class TestSigmoidAccuracy:
+    """``½(1 + tanh(a/2))`` is within ``2⁻⁵³`` of the true σ everywhere
+    a hidden unit lives.  The ``exp`` form it replaced reached
+    ``1.5 · 2⁻⁵³`` on the same grid; what the tanh form gives up is
+    relative accuracy in the negative tail, which no bound here asks
+    for."""
+
+    @pytest.mark.skipif(
+        not WIDE_LONGDOUBLE, reason="np.longdouble is no wider than float64"
+    )
+    def test_absolute_error_within_half_an_ulp_of_one(self):
+        a = np.linspace(-50, 50, 200_001)
+        exact = 1 / (1 + np.exp(-a.astype(np.longdouble)))
+        error = np.abs(Sigmoid()(a).astype(np.longdouble) - exact)
+        assert error.max() <= HALF_ULP_OF_ONE
+
+    @given(
+        values=st.lists(
+            st.floats(min_value=-50, max_value=50), min_size=1, max_size=32
+        )
+    )
+    @settings(deadline=None)
+    def test_accuracy_range_and_symmetry(self, values):
+        a = np.array(values)
+        got = Sigmoid()(a)
+        with decimal.localcontext(decimal.Context(prec=40)):
+            for value, sigma in zip(values, got):
+                exact = 1 / (1 + (-decimal.Decimal(value)).exp())
+                error = abs(decimal.Decimal(float(sigma)) - exact)
+                assert error <= decimal.Decimal(HALF_ULP_OF_ONE), value
+        assert ((got >= 0) & (got <= 1)).all()
+        assert (np.abs(got + Sigmoid()(-a) - 1) <= 2 * HALF_ULP_OF_ONE).all()
 
 
 class TestDerivatives:

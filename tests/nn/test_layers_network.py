@@ -68,6 +68,24 @@ class TestDenseLayer:
             assert grads.bias[j] == pytest.approx(numeric, rel=1e-4)
         np.testing.assert_allclose(grad_x, grad_pre @ layer.weights)
 
+    @pytest.mark.parametrize("n_out", [1, 3])
+    def test_input_gradient_is_the_matrix_product_bit_for_bit(
+        self, rng, n_out
+    ):
+        """A one-unit layer (every model's output layer) broadcasts its
+        input gradient instead of running a GEMM — each entry is one
+        product either way; a wider layer keeps the product (its shapes
+        would not broadcast).  The result is a fresh array: backprop
+        scales it in place."""
+        layer = DenseLayer.initialize(50, n_out, rng)
+        x = rng.normal(size=(1310, 50))
+        grad_pre = rng.normal(size=(1310, n_out))
+        _, grad_x = layer.backward(grad_pre, x)
+        np.testing.assert_array_equal(grad_x, grad_pre @ layer.weights)
+        assert grad_x.shape == (1310, 50)
+        assert not np.shares_memory(grad_x, layer.weights)
+        assert not np.shares_memory(grad_x, grad_pre)
+
     def test_apply_grads_descends(self, rng):
         layer = DenseLayer.initialize(2, 2, rng)
         before = layer.weights.copy()

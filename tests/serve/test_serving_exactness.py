@@ -192,6 +192,64 @@ class TestNNExactness:
         )
 
 
+class TestNNBiasInTheLastPartial:
+    """The first-layer bias rides in the last dimension's partial rows,
+    as in training: added once per distinct tuple, and part of that
+    partial's fingerprint alone."""
+
+    def test_networks_differing_in_bias_share_all_but_the_last_cache(
+        self, db, multiway_star
+    ):
+        spec = multiway_star.spec
+        nn = fit_nn(db, spec, hidden_sizes=(6,), epochs=1, seed=1)
+        other = nn.model.copy()
+        other.first_layer.bias += np.linspace(-0.5, 0.5, 6)
+        store = PartialStore()
+        predictors = [
+            NNPredictor(db, spec, model, store=store)
+            for model in (nn.model, other)
+        ]
+        first, second = predictors
+        assert first.caches[0] is second.caches[0]
+        assert first.caches[-1] is not second.caches[-1]
+        assert len(store) == spec.num_dimensions + 1
+        features, fks = request_slice(db, spec, 200)
+        for predictor, model in zip(predictors, (nn.model, other)):
+            materialized = predictor.predict(
+                features, fks, strategy="materialized"
+            )
+            np.testing.assert_allclose(
+                predictor.predict(features, fks), materialized,
+                rtol=1e-12, atol=1e-12,
+            )
+            # the factorized first pre-activation carries the bias once
+            np.testing.assert_allclose(
+                predictor.first_preactivations(features, fks),
+                predictor.first_preactivations(
+                    features, fks, strategy="materialized"
+                ),
+                rtol=1e-12, atol=1e-12,
+            )
+            predictor.close()
+        assert len(store) == 0
+
+    def test_only_the_last_builder_folds_the_bias(self, db, multiway_star):
+        spec = multiway_star.spec
+        nn = fit_nn(db, spec, hidden_sizes=(6,), epochs=1, seed=1)
+        predictor = NNPredictor(db, spec, nn.model)
+        *inner, last = predictor.builders
+        assert all(builder.bias is None for builder in inner)
+        np.testing.assert_array_equal(last.bias, nn.model.first_layer.bias)
+        features = np.random.default_rng(0).normal(
+            size=(7, last.weight_block.shape[1])
+        )
+        np.testing.assert_array_equal(
+            last.compute(features),
+            features @ last.weight_block.T + nn.model.first_layer.bias,
+        )
+        predictor.close()
+
+
 def distinct_keys_request(db, spec):
     """Fact tuples no two of which share a key in any dimension: every
     row is its own distinct RID, the planner's dense case."""

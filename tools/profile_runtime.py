@@ -37,11 +37,11 @@ all: a ``repro.serve(db)`` service with every RID warm, one caller sending
 60 requests of 2,048 rows, network and mixture alternating.  It prints the
 bare window's wall and rows/s, the same window with timers around the
 layers a warm request crosses (dedup plan, cache lookup, gather, the GMM
-kernel, the network's head) in ms per window, and a cProfile of one warm
-window.  ``--window`` picks another e2e serving window for ``--inline``,
-one that rebuilds partials, and adds the rebuild's layers to the split
-(the dimension lookup, its buffer-pool row read, the mixture's partial
-builder):
+kernel, the network's head and the sigmoid inside it) in ms per window,
+and a cProfile of one warm window.  ``--window`` picks another e2e
+serving window for ``--inline``, one that rebuilds partials, and adds the
+rebuild's layers to the split (the dimension lookup, its buffer-pool row
+read, the mixture's partial builder):
 
 * ``update_mix`` (``serve_update_mix``): 6 cycles of 5 reads of 2,048
   rows, a 32-row in-place update of R1, a maintainer flush (which swaps in
@@ -81,6 +81,7 @@ import repro
 from repro.fx.dedup import DedupPlan, DimensionDedup
 from repro.fx.store import PartialStore
 from repro.maintain.maintainer import ModelMaintainer
+from repro.nn.activations import Sigmoid
 from repro.nn.network import MLP
 from repro.runtime.queue import RequestQueue
 from repro.runtime.service import ServingRuntime
@@ -113,6 +114,7 @@ LAYERS = (
     (ModelService, "predict", 1), (DedupPlan, "for_batch", 2),
     (PartialCache, "get_many", 2), (DimensionDedup, "gather", 2),
     (predictor, "posteriors", 2), (MLP, "forward_from_first_preactivation", 2),
+    (Sigmoid, "__call__", 3),
 )
 # What a cache miss runs inside get_many: a partial rebuild.
 REBUILD = (
